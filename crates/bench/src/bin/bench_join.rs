@@ -25,7 +25,6 @@
 //! skips the timing gates (planner-choice and equality gates always
 //! run); the JSON schema is identical in both modes.
 
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use toss_core::algebra::{similarity_join_planned, JoinKey, JoinStats, SimJoinConfig};
@@ -272,11 +271,6 @@ fn main() {
         ),
     ]);
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has two ancestors")
-        .join("BENCH_join.json");
-    std::fs::write(&out, report.to_json_pretty()).expect("write BENCH_join.json");
+    let out = toss_bench::write_bench("join", quick, &report).expect("write BENCH_join.json");
     println!("wrote {}", out.display());
 }

@@ -20,7 +20,6 @@
 //! The JSON lands at the workspace root so successive runs form a
 //! perf trajectory (`BENCH_*.json`).
 
-use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use toss_bench::{build_executor, query_to_toss};
@@ -212,12 +211,7 @@ fn main() {
         ("disabled_span_ns", disabled_span_ns.into()),
     ]);
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has two ancestors")
-        .join("BENCH_observability.json");
-    std::fs::write(&out, report.to_json_pretty()).expect("write BENCH_observability.json");
+    let out = toss_bench::write_bench("observability", quick, &report).expect("write BENCH_observability.json");
 
     println!(
         "no-op sink: {qps_noop:.0} q/s | memory sink: {qps_traced:.0} q/s \

@@ -20,7 +20,6 @@
 //! `--quick` shrinks the corpus and round count for the `verify.sh`
 //! smoke step; the JSON schema is identical in both modes.
 
-use std::path::Path;
 use std::time::Instant;
 use toss_bench::{build_executor, query_to_toss};
 use toss_core::executor::Mode;
@@ -204,12 +203,7 @@ fn main() {
         ),
     ]);
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has two ancestors")
-        .join("BENCH_query_parallel.json");
-    std::fs::write(&out, report.to_json_pretty()).expect("write BENCH_query_parallel.json");
+    let out = toss_bench::write_bench("query_parallel", quick, &report).expect("write BENCH_query_parallel.json");
     println!("wrote {}", out.display());
 }
 

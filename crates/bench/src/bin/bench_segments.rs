@@ -436,11 +436,6 @@ fn main() {
         ("equivalence_asserted".into(), Value::Bool(true)),
         ("alloc_free_probe_asserted".into(), Value::Bool(true)),
     ]);
-    let out = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has two ancestors")
-        .join("BENCH_segments.json");
-    std::fs::write(&out, out_value.to_json_pretty()).expect("write BENCH_segments.json");
+    let out = toss_bench::write_bench("segments", quick, &out_value).expect("write BENCH_segments.json");
     eprintln!("wrote {}", out.display());
 }

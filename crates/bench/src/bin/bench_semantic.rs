@@ -18,7 +18,6 @@
 //! `--quick` shrinks the sizes for the `verify.sh` smoke step; the JSON
 //! schema is identical in both modes.
 
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use toss_core::executor::Mode;
@@ -233,11 +232,6 @@ fn main() {
         ),
     ]);
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has two ancestors")
-        .join("BENCH_semantic.json");
-    std::fs::write(&out, report.to_json_pretty()).expect("write BENCH_semantic.json");
+    let out = toss_bench::write_bench("semantic", quick, &report).expect("write BENCH_semantic.json");
     println!("wrote {}", out.display());
 }

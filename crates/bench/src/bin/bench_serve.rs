@@ -21,7 +21,6 @@
 
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -458,11 +457,6 @@ fn main() {
             ]),
         ),
     ]);
-    let out = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has two ancestors")
-        .join("BENCH_serve.json");
-    std::fs::write(&out, out_value.to_json_pretty()).expect("write BENCH_serve.json");
+    let out = toss_bench::write_bench("serve", quick, &out_value).expect("write BENCH_serve.json");
     eprintln!("wrote {}", out.display());
 }

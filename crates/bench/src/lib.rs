@@ -12,7 +12,7 @@
 pub mod report;
 pub mod setup;
 
-pub use report::{write_json, Table};
+pub use report::{write_bench, write_json, Table};
 pub use setup::{
     answered_paper_ids, build_executor, corpus_lexicon, experiment_metric, query_to_tax,
     query_to_toss, BuiltSystem,

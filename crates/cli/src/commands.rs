@@ -608,6 +608,10 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
             "toss.semantic.rewrite_cache.hits",
             "toss.semantic.rewrite_cache.misses",
             "toss.semantic.rewrite_cache.evictions",
+            "toss.semantic.probe.indexed",
+            "toss.semantic.probe.scanned",
+            "toss.semantic.probe.candidates",
+            "toss.semantic.probe.index_builds",
             "toss.semantic.index_builds",
             "toss.semantic.sea.blocked_runs",
             "toss.semantic.sea.candidate_pairs",

@@ -547,12 +547,19 @@ impl Executor {
         self
     }
 
-    /// Set the probe metric (builder style).
+    /// Set the probe metric (builder style). Cached rewrites were
+    /// expanded under the previous metric and [`StringMetric::name`] —
+    /// the `#m:` part of their keys — is a label, not an identity, so
+    /// they are dropped. The SEO's probe index needs no such care: it is
+    /// looked up by the blocking plan the metric declares, never by name.
+    ///
+    /// [`StringMetric::name`]: toss_similarity::StringMetric::name
     pub fn with_probe_metric(
         mut self,
         metric: Arc<dyn toss_similarity::StringMetric>,
     ) -> Self {
         self.probe_metric = Some(metric);
+        self.rewrite_cache.clear();
         self
     }
 
@@ -1616,6 +1623,44 @@ mod tests {
         // a different probe is a different key
         ex.select(&author_query("E. Codd"), Mode::Toss).unwrap();
         assert_eq!(ex.rewrite_cache.misses(), 2);
+    }
+
+    #[test]
+    fn swapping_the_probe_metric_yields_fresh_expansions() {
+        use toss_similarity::{BlockPlan, NameRules, StringMetric};
+        /// Two rule sets that differ only in their costs, behind one name:
+        /// neither the `#m:` key component nor the blocking plan (the
+        /// surname key, for both, at ε = 1) tells them apart.
+        struct Anonymous(NameRules);
+        impl StringMetric for Anonymous {
+            fn distance(&self, a: &str, b: &str) -> f64 {
+                self.0.distance(a, b)
+            }
+            fn name(&self) -> &str {
+                "anonymous"
+            }
+            fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+                self.0.blocking(epsilon)
+            }
+        }
+        let initials_within = NameRules::with_costs(0.5, 1.0, 1000.0);
+        let initials_beyond = NameRules::with_costs(3.0, 2.0, 1000.0);
+        assert_ne!(initials_within.name(), initials_beyond.name());
+        assert_eq!(initials_within.blocking(1.0), initials_beyond.blocking(1.0));
+
+        let q = author_query("J. Ullman"); // not an ontology term
+        let ex = setup().with_probe_metric(Arc::new(Anonymous(initials_within)));
+        let out = ex.select(&q, Mode::Toss).unwrap();
+        assert_eq!(out.forest.len(), 1, "initials rule at 0.5 ≤ ε reaches Jeff Ullman");
+        assert!(out.xpath.contains("Jeff Ullman"));
+        assert_eq!(ex.rewrite_cache.len(), 1);
+
+        let ex = ex.with_probe_metric(Arc::new(Anonymous(initials_beyond)));
+        assert!(ex.rewrite_cache.is_empty(), "rewrites under the old metric are dropped");
+        let out = ex.select(&q, Mode::Toss).unwrap();
+        assert_eq!(out.forest.len(), 0, "initials rule at 3 > ε reaches nobody");
+        assert!(!out.xpath.contains("Jeff Ullman"));
+        assert_eq!((ex.rewrite_cache.hits(), ex.rewrite_cache.misses()), (0, 2));
     }
 
     #[test]

@@ -81,7 +81,9 @@ impl<'a> ExpandCtx<'a> {
     /// probes for no extra matches.
     fn admit_terms(&self, mut set: Vec<String>) -> TossResult<Vec<String>> {
         let mut seen = std::collections::HashSet::with_capacity(set.len());
-        set.retain(|t| seen.insert(t.clone()));
+        let first_occurrence: Vec<bool> = set.iter().map(|t| seen.insert(t.as_str())).collect();
+        let mut keep = first_occurrence.into_iter();
+        set.retain(|_| keep.next().expect("one flag per term"));
         if let Some(gov) = self.governor {
             let allowed = gov.admit_expansion_terms(set.len())?;
             if allowed < set.len() {

@@ -147,6 +147,13 @@ impl RewriteCache {
         }
     }
 
+    /// Drop every stored expansion (capacity and tallies are kept).
+    pub fn clear(&self) {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        state.map.clear();
+        state.order.clear();
+    }
+
     /// Tally a served hit (instance + global counters).
     pub fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);

@@ -9,13 +9,36 @@ use crate::hierarchy::{HNodeId, Hierarchy};
 use crate::intern::{Sym, SymbolTable};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, RwLock};
+use toss_obs::metrics::Counter;
+use toss_similarity::{BlockPlan, TermIndex};
 
 /// Monotone source of SEO version stamps: every constructed enhancement
 /// (fresh SEA runs, persistence loads, fused-and-re-enhanced ontologies)
 /// gets a distinct version, so downstream caches keyed on it can never
 /// serve a rewrite computed against a different enhancement.
 static SEO_VERSION: AtomicU64 = AtomicU64::new(0);
+
+/// The probe-expansion counters (`toss.semantic.probe.*`), resolved once.
+struct ProbeCounters {
+    indexed: Arc<Counter>,
+    scanned: Arc<Counter>,
+    candidates: Arc<Counter>,
+    index_builds: Arc<Counter>,
+}
+
+fn probe_counters() -> &'static ProbeCounters {
+    static COUNTERS: OnceLock<ProbeCounters> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        let counter = |name: &str| toss_obs::metrics::counter(&format!("toss.semantic.probe.{name}"));
+        ProbeCounters {
+            indexed: counter("indexed"),
+            scanned: counter("scanned"),
+            candidates: counter("candidates"),
+            index_builds: counter("index_builds"),
+        }
+    })
+}
 
 /// A similarity enhancement of a hierarchy: the enhanced Hasse diagram
 /// `H'`, the mapping `μ : H → 2^{H'}` and the member term sets of each
@@ -45,6 +68,13 @@ pub struct Seo {
     below_memo: Vec<OnceLock<Arc<[Sym]>>>,
     /// Memoized similarity classes, indexed by `Sym`.
     similar_memo: Vec<OnceLock<Arc<[Sym]>>>,
+    /// The lazily compiled candidate index behind
+    /// [`Seo::similar_terms_probe`]. It lives and dies with this
+    /// enhancement (clones have the same terms and share it) — a
+    /// re-enhanced ontology starts empty — and it answers only for the
+    /// plan it was compiled from, so a probe metric that declares a
+    /// different plan compiles its own.
+    probe_index: Arc<RwLock<Option<Arc<TermIndex>>>>,
 }
 
 impl Seo {
@@ -113,6 +143,7 @@ impl Seo {
             node_syms,
             below_memo: (0..n_syms).map(|_| OnceLock::new()).collect(),
             similar_memo: (0..n_syms).map(|_| OnceLock::new()).collect(),
+            probe_index: Arc::default(),
         }
     }
 
@@ -243,6 +274,12 @@ impl Seo {
     /// have produced had the probe been a term. This is how a query for
     /// "J. Ullman" reaches documents that only ever wrote
     /// "Jeffrey D. Ullman".
+    ///
+    /// When the metric declares a blocking plan at ε
+    /// ([`toss_similarity::StringMetric::blocking`]) only the candidates
+    /// of a [`TermIndex`] over the ontology's terms reach `within`; the
+    /// index is a superset of the within-ε terms, so the result is the
+    /// one the scan of every term gives. A metric without a plan scans.
     pub fn similar_terms_probe<M: toss_similarity::StringMetric>(
         &self,
         probe: &str,
@@ -251,15 +288,59 @@ impl Seo {
         if !self.enhanced_nodes_of_term(probe).is_empty() {
             return self.similar_terms(probe);
         }
+        let counters = probe_counters();
         let mut out = vec![probe.to_string()];
-        for t in self.original.all_terms() {
-            if metric.within(probe, &t, self.epsilon) {
-                out.push(t);
+        let verified = match metric.blocking(self.epsilon) {
+            Some(plan) => {
+                let index = self.probe_index_for(plan);
+                let candidates = index.candidates(probe);
+                for &id in &candidates {
+                    let t = index.term(id);
+                    if metric.within(probe, t, self.epsilon) {
+                        out.push(t.to_string());
+                    }
+                }
+                counters.indexed.inc();
+                toss_obs::record("probe_strategy", "indexed");
+                candidates.len()
             }
-        }
+            None => {
+                let terms = self.original.all_terms();
+                let scanned = terms.len();
+                for t in terms {
+                    if metric.within(probe, &t, self.epsilon) {
+                        out.push(t);
+                    }
+                }
+                counters.scanned.inc();
+                toss_obs::record("probe_strategy", "scanned");
+                scanned
+            }
+        };
+        counters.candidates.add(verified as u64);
+        toss_obs::record("probe_candidates", verified);
         out.sort();
         out.dedup();
         out
+    }
+
+    /// The candidate index for `plan`, compiled on first use. Racing
+    /// first probes may each compile one; the last stored wins and all
+    /// are equal.
+    fn probe_index_for(&self, plan: BlockPlan) -> Arc<TermIndex> {
+        if let Some(index) = self.compiled_probe_index().filter(|ix| *ix.plan() == plan) {
+            return index;
+        }
+        let index = Arc::new(TermIndex::build(plan, self.original.all_terms()));
+        probe_counters().index_builds.inc();
+        *self.probe_index.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&index));
+        index
+    }
+
+    fn compiled_probe_index(&self) -> Option<Arc<TermIndex>> {
+        // the lock is held only to clone or store the `Arc`, so a
+        // poisoned one still guards a valid value
+        self.probe_index.read().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Ordering on terms through the enhancement: `x ≤ y` iff some
@@ -470,6 +551,61 @@ mod tests {
         // known probes defer to similar_terms
         let known = seo.similar_terms_probe("relation", &Levenshtein);
         assert_eq!(known, seo.similar_terms("relation"));
+    }
+
+    /// Levenshtein without its blocking hooks: declares no plan.
+    struct Undeclared;
+    impl toss_similarity::StringMetric for Undeclared {
+        fn distance(&self, a: &str, b: &str) -> f64 {
+            Levenshtein.distance(a, b)
+        }
+        fn name(&self) -> &str {
+            "undeclared"
+        }
+    }
+
+    #[test]
+    fn indexed_probe_equals_the_scan_and_an_undeclared_metric_still_scans() {
+        use toss_similarity::StringMetric;
+        let seo = example11_seo();
+        let counter = |name: &str| {
+            toss_obs::metrics::snapshot()
+                .counter(&format!("toss.semantic.probe.{name}"))
+                .unwrap_or(0)
+        };
+        assert!(Levenshtein.blocking(seo.epsilon()).is_some());
+        assert!(Undeclared.blocking(seo.epsilon()).is_none());
+        let (indexed, scanned) = (counter("indexed"), counter("scanned"));
+        for probe in ["relatio", "modelz", "", "concep", "zzzzzzzzzzzz", "rel ational"] {
+            assert_eq!(
+                seo.similar_terms_probe(probe, &Levenshtein),
+                seo.similar_terms_probe(probe, &Undeclared),
+                "probe {probe:?}"
+            );
+        }
+        // counters are process-wide and other tests probe too: lower bounds
+        assert!(counter("indexed") >= indexed + 6);
+        assert!(counter("scanned") >= scanned + 6);
+        assert!(counter("index_builds") >= 1);
+    }
+
+    #[test]
+    fn probe_index_is_compiled_once_per_plan_and_survives_a_clone() {
+        use toss_similarity::{combinators::Scaled, StringMetric};
+        let seo = example11_seo();
+        seo.similar_terms_probe("relatio", &Levenshtein);
+        let first = seo.compiled_probe_index().expect("compiled on first probe");
+        seo.similar_terms_probe("modelz", &Levenshtein);
+        assert!(Arc::ptr_eq(&first, &seo.compiled_probe_index().unwrap()));
+        assert!(Arc::ptr_eq(&first, &seo.clone().compiled_probe_index().unwrap()));
+        // a metric declaring another plan compiles its own index
+        let halved = Scaled::new(Levenshtein, 2.0);
+        assert_ne!(halved.blocking(seo.epsilon()), Levenshtein.blocking(seo.epsilon()));
+        assert_eq!(
+            seo.similar_terms_probe("relatio", &halved),
+            vec!["relatio".to_string(), "relation".to_string()]
+        );
+        assert!(!Arc::ptr_eq(&first, &seo.compiled_probe_index().unwrap()));
     }
 
     #[test]

@@ -281,6 +281,10 @@ impl<M: StringMetric> StringMetric for CachedMetric<M> {
     fn bigram_edits_bound(&self) -> Option<f64> {
         self.inner.bigram_edits_bound()
     }
+
+    fn blocking(&self, epsilon: f64) -> Option<crate::blocking::BlockPlan> {
+        self.inner.blocking(epsilon)
+    }
 }
 
 #[cfg(test)]
@@ -465,5 +469,7 @@ mod tests {
         axioms::assert_axioms(&m);
         assert!(m.is_strong());
         assert_eq!(m.name(), "levenshtein");
+        axioms::assert_blocking_plan(&m);
+        assert_eq!(m.blocking(2.0), Levenshtein.blocking(2.0));
     }
 }

@@ -2,6 +2,7 @@
 //! minimum-of, used to tune measures to the paper's ε scale (ε ∈ {2, 3}
 //! assumes edit-distance-like magnitudes).
 
+use crate::blocking::{BlockPlan, TermGate};
 use crate::traits::StringMetric;
 
 /// Multiply an inner metric's distances by a constant factor — e.g.
@@ -53,6 +54,11 @@ impl<M: StringMetric> StringMetric for Scaled<M> {
     fn bigram_edits_bound(&self) -> Option<f64> {
         // shared ≥ max−1−B·d = max−1−(B/f)·d'
         self.inner.bigram_edits_bound().map(|b| b / self.factor)
+    }
+
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        // the threshold `within` hands the inner metric
+        self.inner.blocking(epsilon / self.factor)
     }
 }
 
@@ -119,6 +125,14 @@ impl<A: StringMetric, B: StringMetric> StringMetric for MinOf<A, B> {
     fn within(&self, x: &str, y: &str, epsilon: f64) -> bool {
         self.a.within(x, y, epsilon) || self.b.within(x, y, epsilon)
     }
+
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        // within under either side: the union of both plans
+        Some(BlockPlan::Any(vec![
+            self.a.blocking(epsilon)?,
+            self.b.blocking(epsilon)?,
+        ]))
+    }
 }
 
 /// Gate an inner metric to multi-word strings: two *different* strings
@@ -150,7 +164,7 @@ impl<M: StringMetric> MultiWordGate<M> {
     }
 }
 
-fn multi_word(s: &str) -> bool {
+pub(crate) fn multi_word(s: &str) -> bool {
     s.trim().contains(char::is_whitespace)
 }
 
@@ -191,6 +205,18 @@ impl<M: StringMetric> StringMetric for MultiWordGate<M> {
         // d_gate ≥ d_inner, so the inner q-gram filter stays admissible
         self.inner.bigram_edits_bound()
     }
+
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        let inner = self.inner.blocking(epsilon)?;
+        if epsilon < self.offset {
+            // a gated pair costs at least the offset: distinct strings
+            // within ε are both multi-word and within ε under the inner
+            Some(BlockPlan::Gate(TermGate::MultiWord, Box::new(inner)))
+        } else {
+            // d_gate ≥ d_inner: the inner plan alone stays admissible
+            Some(inner)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -209,6 +235,10 @@ mod tests {
         axioms::assert_axioms(&m);
         axioms::assert_triangle(&m);
         axioms::assert_within_consistent(&m);
+        axioms::assert_blocking_plan(&m);
+        axioms::assert_blocking_plan(&Scaled::new(Levenshtein, 0.1));
+        // the plan is the inner metric's at the rescaled threshold
+        assert_eq!(m.blocking(3.0), Levenshtein.blocking(1.5));
     }
 
     #[test]
@@ -258,6 +288,22 @@ mod tests {
     }
 
     #[test]
+    fn multiword_gate_plan_gates_below_the_offset_only() {
+        let m = MultiWordGate::new(Levenshtein);
+        axioms::assert_blocking_plan(&m);
+        let inner = Levenshtein.blocking(3.0).unwrap();
+        assert_eq!(
+            m.blocking(3.0),
+            Some(BlockPlan::Gate(TermGate::MultiWord, Box::new(inner)))
+        );
+        // at ε ≥ offset single-word pairs come back into reach
+        assert_eq!(m.blocking(1003.0), Levenshtein.blocking(1003.0));
+        assert!(m.within("title", "article", 1003.0));
+        // no inner plan, no plan
+        assert_eq!(MultiWordGate::new(Jaro).blocking(3.0), None);
+    }
+
+    #[test]
     fn min_of_takes_smaller_and_is_never_strong() {
         let m = MinOf::new(NameRules::default(), Levenshtein);
         // NameRules gives 0.5 for initials; Levenshtein gives more
@@ -265,5 +311,21 @@ mod tests {
         assert!(!m.is_strong());
         axioms::assert_axioms(&m);
         axioms::assert_within_consistent(&m);
+    }
+
+    #[test]
+    fn min_of_plan_is_the_union_and_needs_both_sides() {
+        let m = MinOf::new(NameRules::default(), Levenshtein);
+        axioms::assert_blocking_plan(&m);
+        // the experiment metric of every CLI, bench and benchmark path
+        let experiment = MinOf::new(
+            NameRules::with_costs(3.0, 2.0, 1000.0),
+            MultiWordGate::new(Levenshtein),
+        );
+        axioms::assert_blocking_plan(&experiment);
+        assert!(matches!(experiment.blocking(3.0), Some(BlockPlan::Any(ps)) if ps.len() == 2));
+        // one side without a plan leaves nothing to prune with
+        assert_eq!(MinOf::new(Levenshtein, Jaro).blocking(3.0), None);
+        assert_eq!(WeightedSum::new(Levenshtein, 0.5, Jaro, 0.5).blocking(3.0), None);
     }
 }

@@ -106,6 +106,7 @@ mod tests {
     #[test]
     fn blocking_bounds_hold() {
         axioms::assert_blocking_bounds(&DamerauOsa);
+        axioms::assert_blocking_plan(&DamerauOsa);
     }
 
     #[test]

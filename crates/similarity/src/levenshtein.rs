@@ -154,6 +154,7 @@ mod tests {
     #[test]
     fn blocking_bounds_hold() {
         axioms::assert_blocking_bounds(&Levenshtein);
+        axioms::assert_blocking_plan(&Levenshtein);
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! `3 + lev` when no rule fires (so it never collides with rule hits at
 //! the thresholds the paper uses, ε ∈ {2, 3}).
 
+use crate::blocking::{BlockPlan, TermKey};
 use crate::levenshtein::Levenshtein;
 use crate::tokenize::words;
 use crate::traits::StringMetric;
@@ -21,24 +22,23 @@ use crate::traits::StringMetric;
 /// deployment can decide which rules fire at which ε (e.g. cost 3 on
 /// initials puts "J. Ullman" ~ "Jeff Ullman" exactly at the paper's
 /// ε = 3 threshold, while a dropped middle name is caught at ε = 2).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct NameRules {
     /// Distance when surnames match and given names are initial-forms of
     /// each other.
-    pub initials_cost: f64,
+    initials_cost: f64,
     /// Distance when surnames match and a middle name was dropped.
-    pub dropped_middle_cost: f64,
+    dropped_middle_cost: f64,
     /// Offset added to the Levenshtein fallback when no rule fires.
-    pub fallback_offset: f64,
+    fallback_offset: f64,
+    /// `name-rules(i,d,o)`: differently costed rule sets are different
+    /// metrics, and whatever keys on the name must see that.
+    name: String,
 }
 
 impl Default for NameRules {
     fn default() -> Self {
-        NameRules {
-            initials_cost: 0.5,
-            dropped_middle_cost: 1.0,
-            fallback_offset: 3.0,
-        }
+        NameRules::with_costs(0.5, 1.0, 3.0)
     }
 }
 
@@ -49,6 +49,7 @@ impl NameRules {
             initials_cost: initials,
             dropped_middle_cost: dropped_middle,
             fallback_offset,
+            name: format!("name-rules({initials},{dropped_middle},{fallback_offset})"),
         }
     }
 }
@@ -139,7 +140,23 @@ impl StringMetric for NameRules {
     }
 
     fn name(&self) -> &str {
-        "name-rules"
+        &self.name
+    }
+
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        // every rule hit sits behind `classify`'s equal-surname check
+        // (token lists that are both empty count as equal)
+        let surname = BlockPlan::SharedKey(TermKey::LastWord);
+        if epsilon < self.fallback_offset {
+            // the fallback costs at least the offset: only rule hits fit
+            Some(surname)
+        } else {
+            // ... or no rule fired and lev ≤ ε − offset
+            Some(BlockPlan::Any(vec![
+                surname,
+                Levenshtein.blocking(epsilon - self.fallback_offset)?,
+            ]))
+        }
     }
 }
 
@@ -193,6 +210,38 @@ mod tests {
     fn axioms_hold() {
         axioms::assert_axioms(&NameRules::default());
         axioms::assert_within_consistent(&NameRules::default());
+    }
+
+    #[test]
+    fn name_tells_differently_costed_rules_apart() {
+        assert_eq!(NameRules::default().name(), "name-rules(0.5,1,3)");
+        assert_ne!(
+            NameRules::default().name(),
+            NameRules::with_costs(3.0, 2.0, 1000.0).name()
+        );
+    }
+
+    #[test]
+    fn blocking_plan_is_the_surname_until_the_fallback_is_in_reach() {
+        // default costs: ε ≥ 3 makes the Levenshtein fallback live
+        let m = NameRules::default();
+        axioms::assert_blocking_plan(&m);
+        assert_eq!(m.blocking(2.0), Some(BlockPlan::SharedKey(TermKey::LastWord)));
+        assert_eq!(
+            m.blocking(5.0),
+            Some(BlockPlan::Any(vec![
+                BlockPlan::SharedKey(TermKey::LastWord),
+                Levenshtein.blocking(2.0).unwrap(),
+            ]))
+        );
+        // different surnames, two edits apart: only the fallback finds it
+        assert!(m.within("Jeff Ullman", "Jeff Ullmen", 5.0));
+        // the experiment costs keep the fallback out of reach at ε = 3
+        let m = NameRules::with_costs(3.0, 2.0, 1000.0);
+        axioms::assert_blocking_plan(&m);
+        assert_eq!(m.blocking(3.0), Some(BlockPlan::SharedKey(TermKey::LastWord)));
+        // strings without a word token are all "exactly" each other
+        assert!(m.within("---", "?!", 0.0));
     }
 
     #[test]

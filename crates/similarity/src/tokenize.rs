@@ -19,6 +19,20 @@ pub fn words(s: &str) -> Vec<String> {
     out
 }
 
+/// The last token [`words`] would yield, or `""` when there is none —
+/// the surname under the bibliographic name rules — without tokenizing
+/// the whole string.
+pub fn last_word(s: &str) -> String {
+    let end = s.trim_end_matches(|c: char| !c.is_alphanumeric());
+    let start = end
+        .char_indices()
+        .rev()
+        .take_while(|(_, c)| c.is_alphanumeric())
+        .last()
+        .map_or(end.len(), |(i, _)| i);
+    end[start..].chars().flat_map(char::to_lowercase).collect()
+}
+
 /// Character n-grams of a string (lowercased, spaces preserved); strings
 /// shorter than `n` yield a single gram equal to the lowercased string.
 pub fn char_ngrams(s: &str, n: usize) -> Vec<String> {
@@ -53,6 +67,24 @@ mod tests {
     #[test]
     fn words_handles_unicode() {
         assert_eq!(words("Grüße Łukasz"), vec!["grüße", "łukasz"]);
+    }
+
+    #[test]
+    fn last_word_is_the_final_token_of_words() {
+        for s in [
+            "",
+            "---",
+            "J. Ullman",
+            "Jeffrey D. Ullman ",
+            "ullman",
+            "Grüße ŁUKASZ!",
+            "a-b",
+            "x İ",
+            "trailing, punctuation...",
+        ] {
+            let expected = words(s).pop().unwrap_or_default();
+            assert_eq!(last_word(s), expected, "on {s:?}");
+        }
     }
 
     #[test]

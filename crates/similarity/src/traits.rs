@@ -1,5 +1,7 @@
 //! The [`StringMetric`] trait — the paper's `d_s`.
 
+use crate::blocking::BlockPlan;
+
 /// A string similarity measure per Definition 7: non-negative, zero on
 /// identical strings, symmetric. Implementations report whether they are
 /// **strong** (satisfy the triangle inequality), which unlocks the
@@ -47,6 +49,21 @@ pub trait StringMetric: Send + Sync {
     fn bigram_edits_bound(&self) -> Option<f64> {
         None
     }
+
+    /// Blocking plan at threshold `epsilon`: `Some(plan)` promises that
+    /// every pair of distinct strings with `within(a, b, epsilon)` is in
+    /// the plan's relation (see [`crate::blocking`]), so a
+    /// [`crate::blocking::TermIndex`] built from it may stand in for
+    /// calling `within` on every term. The default derives the plan from
+    /// the two scalar bounds above; override only where the metric's
+    /// structure says more. `None` — callers compare exhaustively.
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        BlockPlan::from_bounds(
+            epsilon,
+            self.length_lower_bound(),
+            self.bigram_edits_bound(),
+        )
+    }
 }
 
 impl<M: StringMetric + ?Sized> StringMetric for &M {
@@ -67,6 +84,9 @@ impl<M: StringMetric + ?Sized> StringMetric for &M {
     }
     fn bigram_edits_bound(&self) -> Option<f64> {
         (**self).bigram_edits_bound()
+    }
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        (**self).blocking(epsilon)
     }
 }
 
@@ -89,6 +109,9 @@ impl<M: StringMetric + ?Sized> StringMetric for Box<M> {
     fn bigram_edits_bound(&self) -> Option<f64> {
         (**self).bigram_edits_bound()
     }
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        (**self).blocking(epsilon)
+    }
 }
 
 impl<M: StringMetric> StringMetric for std::sync::Arc<M> {
@@ -109,6 +132,9 @@ impl<M: StringMetric> StringMetric for std::sync::Arc<M> {
     }
     fn bigram_edits_bound(&self) -> Option<f64> {
         (**self).bigram_edits_bound()
+    }
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        (**self).blocking(epsilon)
     }
 }
 
@@ -211,6 +237,36 @@ pub(crate) mod axioms {
                         shared as f64 + 1e-9 >= need,
                         "{}: bigram bound violated on {x:?},{y:?}: shared={shared} < {need}",
                         m.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The declared blocking plan is admissible: at every threshold of
+    /// the sweep the metric declares a plan, and an index built from it
+    /// over the corpus offers, for each probe, every term `within` accepts.
+    pub fn assert_blocking_plan<M: StringMetric>(m: &M) {
+        use crate::blocking::TermIndex;
+        // beyond SAMPLES: no word token at all, and single-word schema terms
+        let corpus: Vec<String> = SAMPLES
+            .iter()
+            .chain(&["---", "?!", "title", "article", "ullman"])
+            .map(|s| s.to_string())
+            .collect();
+        for eps in [0.0, 0.5, 1.0, 2.0, 3.0, 10.0, 1003.0] {
+            let plan = m
+                .blocking(eps)
+                .unwrap_or_else(|| panic!("{}: no blocking plan at eps={eps}", m.name()));
+            let index = TermIndex::build(plan, corpus.clone());
+            for probe in &corpus {
+                let candidates = index.candidates(probe);
+                for (id, term) in corpus.iter().enumerate() {
+                    assert!(
+                        !m.within(probe, term, eps) || candidates.contains(&(id as u32)),
+                        "{}: {term:?} is within {eps} of {probe:?} but {:?} does not offer it",
+                        m.name(),
+                        index.plan()
                     );
                 }
             }

@@ -38,29 +38,33 @@ else
     echo "==> clippy not installed; skipping lint step"
 fi
 
+# --quick bench runs write target/bench-smoke/BENCH_*.json; the committed
+# BENCH_*.json at the root hold full runs and are not touched here
+SMOKE_OUT=target/bench-smoke
+
 echo "==> index segment bench smoke (BENCH_segments.json)"
 # probe-equivalence, cold-open-source, and alloc-free assertions always
 # run; the memory/latency gates only assert in the full (non-quick) run
 cargo run --release -p toss-bench --bin bench_segments -- --quick
-test -s BENCH_segments.json
+test -s "$SMOKE_OUT/BENCH_segments.json"
 
 echo "==> parallel query bench smoke (BENCH_query_parallel.json)"
 cargo run --release -p toss-bench --bin bench_query_parallel -- --quick
-test -s BENCH_query_parallel.json
+test -s "$SMOKE_OUT/BENCH_query_parallel.json"
 
 echo "==> semantic fast-path bench smoke (BENCH_semantic.json)"
 cargo run --release -p toss-bench --bin bench_semantic -- --quick
-test -s BENCH_semantic.json
+test -s "$SMOKE_OUT/BENCH_semantic.json"
 
 echo "==> similarity join bench smoke (BENCH_join.json)"
 # the byte-identical-output checksum equality and the planner-choice
 # assertions (refined fires on skew, nested holds on flat) always run;
 # the ≥50× / ≤1.1× timing gates only assert in the full (non-quick) run
 cargo run --release -p toss-bench --bin bench_join -- --quick
-test -s BENCH_join.json
+test -s "$SMOKE_OUT/BENCH_join.json"
 python3 - <<'PY'
 import json
-r = json.load(open("BENCH_join.json"))
+r = json.load(open("target/bench-smoke/BENCH_join.json"))
 assert r["skewed"]["equal"], "skewed: refined output checksum diverged from nested"
 assert r["flat"]["equal"], "flat: output checksums diverged across join paths"
 assert "speedup" in r["skewed"], "skewed speedup field missing"
@@ -73,16 +77,16 @@ echo "==> serving-layer load smoke (BENCH_serve.json)"
 # mid-frame fault, graceful drain with queries in flight — the binary
 # asserts the whole robustness contract and fails loudly otherwise
 cargo run --release -p toss-bench --bin bench_serve -- --quick
-test -s BENCH_serve.json
+test -s "$SMOKE_OUT/BENCH_serve.json"
 
 echo "==> observability bench smoke (BENCH_observability.json)"
 # asserts the per-request telemetry (flight recorder + windowed SLOs)
 # stays within the documented ≤8% overhead vs the no-op sink
 cargo run --release -p toss-bench --bin bench_obs -- --quick
-test -s BENCH_observability.json
+test -s "$SMOKE_OUT/BENCH_observability.json"
 python3 - <<'PY'
 import json
-r = json.load(open("BENCH_observability.json"))
+r = json.load(open("target/bench-smoke/BENCH_observability.json"))
 pct = r["throughput"]["flight_overhead_pct"]
 assert pct <= 8.0, f"flight-recorder overhead {pct:.2f}% exceeds the 8% budget"
 print(f"flight-recorder overhead {pct:.2f}% (budget 8%)")

@@ -1,15 +1,22 @@
 //! Property-based tests of the semantic fast path: the reachability
-//! index must agree with naive BFS on arbitrary DAGs, and the
+//! index must agree with naive BFS on arbitrary DAGs, the
 //! candidate-pruned SEA must be observationally identical to the
 //! exhaustive all-pairs algorithm — byte-identical persisted SEOs on
-//! consistent inputs, identical errors on inconsistent ones.
+//! consistent inputs, identical errors on inconsistent ones — and the
+//! blocked `~` probe expansion must return exactly what a scan of every
+//! ontology term returns.
 
 use proptest::prelude::*;
-use toss::core::{Executor, RewriteCache, TossCond, TossQuery, TossTerm};
-use toss::ontology::hierarchy::Hierarchy;
+use std::sync::Arc;
+use toss::core::executor::Mode;
+use toss::core::{
+    Executor, Limit, QueryBudget, QueryGovernor, RewriteCache, TossCond, TossQuery, TossTerm,
+};
+use toss::ontology::hierarchy::{from_pairs, Hierarchy};
 use toss::ontology::persist::seo_to_json;
-use toss::ontology::{enhance, enhance_exhaustive};
-use toss::similarity::{DamerauOsa, Levenshtein, StringMetric};
+use toss::ontology::{enhance, enhance_exhaustive, Seo};
+use toss::similarity::combinators::{MinOf, MultiWordGate, Scaled};
+use toss::similarity::{CachedMetric, DamerauOsa, Levenshtein, NameRules, StringMetric};
 use toss::tax::EdgeKind;
 use toss::tree::Forest;
 use toss::xmldb::{Database, DatabaseConfig};
@@ -191,5 +198,273 @@ proptest! {
         if cold.is_ok() {
             prop_assert!(with_cache.rewrite_cache.hits() >= 1);
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// blocked `~` probe expansion ≡ scan of every ontology term
+// ---------------------------------------------------------------------
+
+/// The same distances with no blocking plan declared: probe expansion
+/// under it is the scan of every term, the reference the index must match.
+struct Unplanned<M>(M);
+
+impl<M: StringMetric> StringMetric for Unplanned<M> {
+    fn distance(&self, a: &str, b: &str) -> f64 {
+        self.0.distance(a, b)
+    }
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn within(&self, a: &str, b: &str, epsilon: f64) -> bool {
+        self.0.within(a, b, epsilon)
+    }
+}
+
+/// The metric of every CLI, bench and benchmark path.
+fn experiment_metric() -> impl StringMetric {
+    MinOf::new(
+        NameRules::with_costs(3.0, 2.0, 1000.0),
+        MultiWordGate::new(Levenshtein),
+    )
+}
+
+fn assert_probe_equals_scan<M: StringMetric>(seo: &Seo, metric: &M, probes: &[String]) {
+    assert!(
+        metric.blocking(seo.epsilon()).is_some(),
+        "{} declares no plan at eps={}: nothing would be tested",
+        metric.name(),
+        seo.epsilon()
+    );
+    let scan = Unplanned(metric);
+    assert!(scan.blocking(seo.epsilon()).is_none());
+    for probe in probes {
+        assert_eq!(
+            seo.similar_terms_probe(probe, metric),
+            seo.similar_terms_probe(probe, &scan),
+            "{} at eps={}: blocked expansion of {probe:?} diverged from the scan",
+            metric.name(),
+            seo.epsilon()
+        );
+    }
+}
+
+/// Name-shaped terms: one to three short words over a tiny alphabet, with
+/// initials and stray punctuation, so surname keys collide, initials
+/// rules fire and edit distances stay within reach.
+fn name_term() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[ab .]{1,7}").expect("valid regex")
+}
+
+/// A flat ontology of name-shaped terms and single words under class
+/// roots (flat, so that nearly every draw is similarity consistent).
+fn name_hierarchy() -> impl Strategy<Value = Hierarchy> {
+    proptest::collection::vec((name_term(), word(), 0usize..2), 1..12).prop_map(|rows| {
+        let mut h = Hierarchy::new();
+        let classes = ["classx", "classy"];
+        for (name, single, c) in rows {
+            let _ = h.add_leq(&name, classes[c]);
+            let _ = h.add_leq(&single, classes[1 - c]);
+        }
+        h
+    })
+}
+
+/// Probes of every kind the rewrite can meet: name-shaped near misses
+/// (and the empty string), arbitrary unicode, punctuation with no word
+/// token, and single words.
+fn probes() -> impl Strategy<Value = Vec<String>> {
+    let some = |pattern: &str, n: std::ops::Range<usize>| {
+        proptest::collection::vec(
+            proptest::string::string_regex(pattern).expect("valid regex"),
+            n,
+        )
+    };
+    (
+        some("[ab .]{0,8}", 4..8),
+        some(".{0,6}", 2..4),
+        some("[.,;!? -]{1,4}", 1..3),
+        some("[ab]{1,4}", 1..3),
+    )
+        .prop_map(|(near, unicode, punctuation, single)| {
+            [near, unicode, punctuation, single].concat()
+        })
+}
+
+proptest! {
+    /// For every metric that declares a plan, over thresholds on both
+    /// sides of each combinator's branch point (NameRules' default
+    /// fallback offset is 3): the indexed expansion is the scan's.
+    #[test]
+    fn blocked_probe_is_byte_identical_to_the_scan(
+        h in name_hierarchy(),
+        unknown in probes(),
+        known in proptest::collection::vec(0usize..64, 2..4),
+    ) {
+        let terms = h.all_terms();
+        let mut all = unknown;
+        all.extend(known.iter().map(|&i| terms[i % terms.len()].clone()));
+        for eps in [0.0, 0.5, 1.0, 2.0, 3.0, 4.0] {
+            // the enhancement's own metric does not matter to a probe: SEA
+            // runs once per threshold, each metric then probes the result
+            let Ok(seo) = enhance(&h, &MultiWordGate::new(Levenshtein), eps) else {
+                continue; // similarity-inconsistent draw
+            };
+            assert_probe_equals_scan(&seo, &Levenshtein, &all);
+            assert_probe_equals_scan(&seo, &DamerauOsa, &all);
+            assert_probe_equals_scan(&seo, &Scaled::new(Levenshtein, 0.7), &all);
+            assert_probe_equals_scan(&seo, &MultiWordGate::new(Levenshtein), &all);
+            assert_probe_equals_scan(&seo, &NameRules::default(), &all);
+            assert_probe_equals_scan(&seo, &NameRules::with_costs(3.0, 2.0, 1000.0), &all);
+            assert_probe_equals_scan(&seo, &MinOf::new(NameRules::default(), DamerauOsa), &all);
+            assert_probe_equals_scan(&seo, &experiment_metric(), &all);
+            assert_probe_equals_scan(&seo, &CachedMetric::new(experiment_metric()), &all);
+        }
+    }
+}
+
+/// The corpus the benchmark's stores are cut from: every author under
+/// every name variant probes an ontology mined from the documents.
+#[test]
+fn blocked_probe_equals_scan_on_a_generated_corpus() {
+    use toss::core::{make_ontology, MakerConfig};
+    use toss::datagen::names::{render, VARIANTS};
+    use toss::datagen::{corpus::generate, CorpusConfig};
+    let corpus = generate(CorpusConfig::scalability(11, 2000));
+    let lexicon = toss::lexicon::data::bibliographic_lexicon();
+    // names and venues only, capped: the scan side of the comparison is
+    // probes × terms metric calls, and this suite runs unoptimized
+    let cfg = MakerConfig {
+        term_tags: vec!["author".into(), "booktitle".into()],
+        max_terms_per_tag: 150,
+    };
+    let ontology = make_ontology(&corpus.dblp, &lexicon, &cfg).expect("ontology mining succeeds");
+    // the gated edit half of the experiment metric declares scalar
+    // bounds, so this SEA run is itself blocked (and quick)
+    let seo = enhance(ontology.isa(), &MultiWordGate::new(Levenshtein), 3.0)
+        .expect("gated enhancement is consistent");
+    let mut probes: Vec<String> = corpus
+        .authors
+        .iter()
+        .flat_map(|e| VARIANTS.iter().map(move |&v| render(e, v)))
+        .collect();
+    probes.sort();
+    probes.dedup();
+    let unknown = probes
+        .iter()
+        .filter(|p| seo.enhanced_nodes_of_term(p).is_empty())
+        .count();
+    assert!(unknown > probes.len() / 2, "most renderings must take the probe path");
+    assert_probe_equals_scan(&seo, &experiment_metric(), &probes);
+}
+
+fn similar_author_query(probe: &str) -> TossQuery {
+    TossQuery {
+        collection: "dblp".into(),
+        pattern: toss::core::algebra::TossPattern::spine(
+            &[EdgeKind::ParentChild],
+            TossCond::all(vec![
+                TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
+                TossCond::similar(TossTerm::content(2), TossTerm::str(probe)),
+            ]),
+        )
+        .expect("spine pattern builds"),
+        expand_labels: vec![1],
+    }
+}
+
+fn author_hierarchy(authors: &[&str]) -> Hierarchy {
+    let pairs: Vec<(&str, &str)> = authors.iter().map(|a| (*a, "author")).collect();
+    from_pairs(&pairs).expect("flat hierarchy")
+}
+
+/// One `dblp` document per author, the SEO enhanced at ε = 1.
+fn author_executor(authors: &[&str], metric: Arc<dyn StringMetric>) -> Executor {
+    let mut db = Database::with_config(DatabaseConfig::unlimited());
+    let coll = db.create_collection("dblp").expect("fresh collection");
+    for a in authors {
+        coll.insert_xml(&format!("<inproceedings><author>{a}</author></inproceedings>"))
+            .expect("well-formed document");
+    }
+    let seo = enhance(&author_hierarchy(authors), &Levenshtein, 1.0).expect("consistent");
+    Executor::new(db, Arc::new(seo)).with_probe_metric(metric)
+}
+
+/// The expansion-term budget sees the same set either way: soft limits
+/// truncate to the same terms and report the same degradation, hard
+/// limits fail the same way, and the same number of terms is charged.
+#[test]
+fn probe_index_charges_and_truncates_like_the_scan() {
+    let authors = ["Jeff Ullman", "Jeff Ullmann", "Jeff Ullmaa", "E. Codd"];
+    let indexed = author_executor(&authors, Arc::new(Levenshtein));
+    let scanned = author_executor(&authors, Arc::new(Unplanned(Levenshtein)));
+    // not a term; one edit from each of the three Ullman spellings
+    let q = similar_author_query("Jeff Ullmaan");
+    for limit in [None, Some(Limit::soft(2)), Some(Limit::soft(0)), Some(Limit::hard(2))] {
+        let budget = || match limit {
+            Some(l) => QueryBudget::unlimited().with_max_expansion_terms(l),
+            None => QueryBudget::unlimited(),
+        };
+        let (gi, gs) = (QueryGovernor::new(budget()), QueryGovernor::new(budget()));
+        let oi = indexed.select_governed(&q, Mode::Toss, &gi);
+        let os = scanned.select_governed(&q, Mode::Toss, &gs);
+        assert_eq!(gi.terms_used(), gs.terms_used(), "charged terms under {limit:?}");
+        match (oi, os) {
+            (Ok(i), Ok(s)) => {
+                assert_eq!(i.xpath, s.xpath, "expansion under {limit:?}");
+                assert_eq!(i.forest.len(), s.forest.len());
+                assert_eq!(
+                    format!("{:?}", i.degradation),
+                    format!("{:?}", s.degradation),
+                    "degradation under {limit:?}"
+                );
+                assert_eq!(i.degradation.is_some(), matches!(limit, Some(l) if l != Limit::hard(2)));
+            }
+            (Err(i), Err(s)) => {
+                assert_eq!(format!("{i:?}"), format!("{s:?}"));
+                assert_eq!(limit, Some(Limit::hard(2)), "only the hard limit fails");
+            }
+            (i, s) => panic!("indexed {i:?} and scanned {s:?} disagree under {limit:?}"),
+        }
+    }
+}
+
+/// A write batch swaps the SEO; the next probes — from any number of
+/// threads at once, racing to compile the new ontology's index — see
+/// the new term and agree with the scan.
+#[test]
+fn probes_right_after_an_seo_swap_see_the_new_ontology() {
+    let before = ["Jeff Ullman", "E. Codd"];
+    let after = ["Jeff Ullman", "Jeff Ullmean", "E. Codd"];
+    let q = similar_author_query("Jeff Ullmaan");
+    for threads in [1usize, 2, 7] {
+        let mut indexed = author_executor(&before, Arc::new(Levenshtein)).with_threads(threads);
+        let mut scanned =
+            author_executor(&before, Arc::new(Unplanned(Levenshtein))).with_threads(threads);
+        let stale = indexed.select(&q, Mode::Toss).expect("select").xpath;
+        assert!(stale.contains("Jeff Ullman") && !stale.contains("Jeff Ullmean"));
+
+        let grown = Arc::new(
+            enhance(&author_hierarchy(&after), &Levenshtein, 1.0).expect("consistent"),
+        );
+        indexed.note_write_batch(Some(grown.clone()));
+        scanned.note_write_batch(Some(grown));
+        let expected = scanned.select(&q, Mode::Toss).expect("select").xpath;
+        assert!(expected.contains("Jeff Ullmean"));
+
+        let barrier = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        indexed.select(&q, Mode::Toss).expect("select").xpath
+                    })
+                })
+                .collect();
+            for h in handles {
+                assert_eq!(h.join().expect("prober thread"), expected, "{threads} thread(s)");
+            }
+        });
     }
 }
