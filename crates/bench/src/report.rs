@@ -57,38 +57,18 @@ impl Table {
     }
 }
 
-fn workspace_root() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench has two ancestors")
-}
-
-fn write_pretty(dir: &Path, file: &str, value: &Value) -> std::io::Result<std::path::PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(file);
-    std::fs::write(&path, value.to_json_pretty())?;
-    Ok(path)
-}
-
 /// Write a JSON result set to `results/<name>.json` under the workspace
 /// root (directory created on demand).
 pub fn write_json(name: &str, value: &Value) -> std::io::Result<std::path::PathBuf> {
-    write_pretty(&workspace_root().join("results"), &format!("{name}.json"), value)
-}
-
-/// Write a `bench_*` binary's result set as `BENCH_<name>.json`: a full
-/// run at the workspace root, where the file is committed; a `--quick`
-/// smoke run under `target/bench-smoke/`, so that `scripts/verify.sh`
-/// never overwrites a committed full result with a smoke one.
-pub fn write_bench(name: &str, quick: bool, value: &Value) -> std::io::Result<std::path::PathBuf> {
-    let root = workspace_root();
-    let dir = if quick {
-        root.join("target").join("bench-smoke")
-    } else {
-        root.to_path_buf()
-    };
-    write_pretty(&dir, &format!("BENCH_{name}.json"), value)
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench has two ancestors")
+        .join("results");
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, value.to_json_pretty())?;
+    Ok(path)
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 //!    right-group) pair, in exactly the order the nested path's
 //!    first-occurrence dedup would keep them — so the refined output is
 //!    **byte-identical** to the nested output, not merely set-equal
-//!    (asserted by `tests/join.rs` and `BENCH_join.json`).
+//!    (asserted by `tests/join.rs` and the `join` workload of `benchmark/`).
 //!
 //! **Planning.** The nested probe accumulates the bucket sizes it
 //! touches — exactly Σ over signature elements of (left occurrences ×
@@ -110,7 +110,7 @@ impl SimJoinConfig {
 }
 
 /// What one similarity join did (surfaced via `toss.join.*` counters,
-/// the query plan and `BENCH_join.json`).
+/// the query plan and the `join` workload of `benchmark/`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinStats {
     /// Whether the refined path ran.

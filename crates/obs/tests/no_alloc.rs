@@ -1,6 +1,7 @@
 //! The no-op path must not allocate: with no sink installed, opening,
 //! annotating and finishing spans is free of heap traffic, and nothing
-//! is collected.
+//! is collected. Neither does the serving layer's per-request telemetry
+//! (query-id context, flight-recorder stamp, windowed SLO record).
 //!
 //! This file holds a **single** test on purpose: it installs a counting
 //! global allocator and measures an allocation delta, which would race
@@ -8,6 +9,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
+use toss_obs::{FlightRecorder, QueryId, QueryOutcomeKind, QueryRecord, RollingWindow};
 
 struct CountingAlloc;
 
@@ -62,4 +65,39 @@ fn disabled_spans_do_not_allocate() {
     let scope = toss_obs::install_sink_scoped(sink.clone());
     assert_eq!(sink.len(), 0);
     drop(scope);
+
+    // Per-request telemetry: records (and their strings) are built
+    // outside the measured window; the ring is full, so every push evicts.
+    const REQUESTS: u64 = 10_000;
+    let record = |i: u64| QueryRecord {
+        query_id: i,
+        class: "interactive".to_string(),
+        query: format!("//inproceedings[author=\"A{i}\"]"),
+        plan: "index_probe(author)".to_string(),
+        total_ns: 100_000 + i,
+        ..QueryRecord::default()
+    };
+    let flight = FlightRecorder::new(512);
+    for i in 0..flight.capacity() as u64 {
+        flight.record(record(i));
+    }
+    let window = RollingWindow::new(Duration::from_secs(1), 10);
+    let records: Vec<QueryRecord> = (0..REQUESTS).map(record).collect();
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for rec in records {
+        let _ctx = toss_obs::set_current_query(QueryId(rec.query_id));
+        let total_ns = rec.total_ns;
+        flight.record(rec);
+        window.record(total_ns, QueryOutcomeKind::Ok);
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "per-request telemetry allocated {} time(s)",
+        after - before
+    );
+    assert_eq!(flight.recorded(), flight.capacity() as u64 + REQUESTS);
+    assert_eq!(flight.len(), flight.capacity());
 }
