@@ -33,7 +33,7 @@ use toss_tax::{Cond, PatternTree};
 use toss_tree::Forest;
 use toss_xmldb::xpath::{Expr, NameTest, RelPath, ValueExpr};
 use toss_xmldb::{
-    planned_partitions, Collection, Database, DocumentId, NodeRef, ScanBudget,
+    planned_partitions, Candidates, Collection, Database, NodeRef, ScanBudget,
     ScanControl, ScanStatus, XPath,
 };
 
@@ -328,45 +328,53 @@ fn probe_keys(xpath: &XPath) -> Vec<ProbeKey<'_>> {
 }
 
 /// The per-query planner: choose index-probe vs parallel-scan from
-/// postings statistics. A probe is taken when its postings bound proves
+/// postings statistics, then enumerate the chosen strategy's candidate
+/// visits — once; the same enumeration sizes the plan's `partitions` and
+/// feeds the evaluator. A probe is taken when its postings bound proves
 /// the candidate set is at most half the collection — below that the
 /// merged-postings lookup plus the filtered evaluation beats touching
 /// every document; above it the partitioned scan's better locality wins
 /// and the probe's merge would be pure overhead.
-fn plan_retrieval(
-    xpath: &XPath,
-    coll: &Collection,
+fn plan_retrieval<'a>(
+    xpath: &'a XPath,
+    coll: &'a Collection,
     workers: usize,
-) -> (QueryPlan, Option<Vec<DocumentId>>) {
-    let total = coll.documents().len();
+) -> (QueryPlan, Candidates<'a>) {
     let index = coll.index();
-    let best = probe_keys(xpath)
-        .into_iter()
-        .map(|k| (index.tag_content_any_len(k.tag, &k.terms), k))
-        .min_by_key(|(postings, _)| *postings);
-    if let Some((postings, key)) = best {
+    let probe = {
+        let _plan = toss_obs::span("toss.query.execute.plan");
         // `postings` bounds the candidate document count from above, so
         // this cheap statistic rejects unselective probes before any
         // postings list is materialized.
-        if 2 * postings <= total {
+        probe_keys(xpath)
+            .into_iter()
+            .map(|k| (index.tag_content_any_len(k.tag, &k.terms), k))
+            .min_by_key(|(postings, _)| *postings)
+            .filter(|(postings, _)| 2 * postings <= coll.documents().len())
+    };
+    let _probe = toss_obs::span("toss.query.execute.probe");
+    match probe {
+        Some((_, key)) => {
             let docs = index.docs_with_tag_content_any(key.tag, &key.terms);
-            let candidates = xpath.count_scan_candidates(coll, Some(&docs));
+            let visits = xpath.probe_candidates(coll, &docs);
             let plan = QueryPlan::IndexProbe {
                 tag: key.tag.to_string(),
                 terms: key.terms.len(),
                 candidates: docs.len(),
                 workers,
-                partitions: planned_partitions(candidates, workers),
+                partitions: planned_partitions(visits.len(), workers),
             };
-            return (plan, Some(docs));
+            (plan, visits)
+        }
+        None => {
+            let visits = xpath.scan_candidates(coll);
+            let plan = QueryPlan::ParallelScan {
+                workers,
+                partitions: planned_partitions(visits.len(), workers),
+            };
+            (plan, visits)
         }
     }
-    let candidates = xpath.count_scan_candidates(coll, None);
-    let plan = QueryPlan::ParallelScan {
-        workers,
-        partitions: planned_partitions(candidates, workers),
-    };
-    (plan, None)
 }
 
 /// Approximate heap bytes of one witness-tree node (tag + content +
@@ -707,7 +715,7 @@ impl Executor {
         gov.check()?;
         let ex = toss_obs::span("toss.query.execute");
         let coll = self.db.collection(&query.collection)?;
-        let (plan, probe_docs) = plan_retrieval(&xpath, coll, self.pool.workers());
+        let (plan, visits) = plan_retrieval(&xpath, coll, self.pool.workers());
         ex.record("plan", plan.strategy());
         match &plan {
             QueryPlan::IndexProbe {
@@ -732,12 +740,9 @@ impl Executor {
             // retrieval planning never yields a join plan
             QueryPlan::SimilarityJoin { .. } => {}
         }
-        let scan = GovernorScan(gov);
-        let (matches, status) = match &probe_docs {
-            Some(docs) => {
-                xpath.eval_collection_docs_budgeted(coll, docs, &scan, &self.pool)
-            }
-            None => xpath.eval_collection_parallel(coll, &scan, &self.pool),
+        let (matches, status) = {
+            let _residual = toss_obs::span("toss.query.execute.residual");
+            visits.eval(&GovernorScan(gov), &self.pool)
         };
         match status {
             ScanStatus::Complete { .. } => {}

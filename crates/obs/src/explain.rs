@@ -99,7 +99,11 @@ impl QueryTrace {
     /// ```text
     /// toss.query.select  1.23ms  results=2
     /// ├─ toss.query.rewrite  411µs  expansion_terms=5 xpath_len=64
-    /// ├─ toss.query.execute  550µs  docs_scanned=3 docs_matched=2
+    /// ├─ toss.query.execute  550µs  plan=index-probe matches=2
+    /// │  ├─ toss.query.execute.plan  12µs
+    /// │  ├─ toss.query.execute.probe  96µs
+    /// │  └─ toss.query.execute.residual  430µs
+    /// │     └─ xmldb.xpath.eval  421µs  docs_scanned=3 docs_matched=2
     /// └─ toss.query.convert  270µs  witnesses=2
     /// ```
     pub fn render(&self) -> String {

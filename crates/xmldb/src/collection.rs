@@ -38,8 +38,9 @@ pub struct StoredDocument {
 /// * `Building` — the live pointer index, updated on every mutation (the
 ///   only state a collection mutated since open can be in);
 /// * `Deferred` — snapshot restore in progress: documents are being
-///   inserted without indexing, because a frozen segment may attach when
-///   the restore finishes (or a single rebuild runs if it can't);
+///   inserted without indexing; when the restore finishes a frozen
+///   segment attaches, or a single rebuild runs over the documents in
+///   document order;
 /// * `Frozen` — a zero-copy segment-backed index is attached. The first
 ///   mutation thaws it: the pointer index is rebuilt from the documents
 ///   and takes over seamlessly.
@@ -164,16 +165,20 @@ impl Collection {
     /// counter advances past `id`, so ids are never reused; note that a
     /// gap *above* the largest live id is invisible here and must be
     /// restored separately (see the snapshot's `next_id` field).
+    ///
+    /// An id below the largest stored one lands at its sorted position in
+    /// [`Collection::documents`]; on a live pointer index its postings
+    /// are appended at the tail of their lists, as after a `replace`.
     pub fn insert_with_id(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
-        // Ids are monotonic, so the common case (id above every stored
-        // id) is one tail check; only out-of-order ids pay a full scan.
-        let maybe_dup = self.docs.last().is_some_and(|d| d.id >= id);
-        if maybe_dup && self.docs.iter().any(|d| d.id == id) {
+        // Ids are monotonic, so `pos` is the tail on every product path;
+        // a hand-edited snapshot listing ids out of order lands each
+        // document at its sorted position instead.
+        let Err(pos) = self.position(id) else {
             return Err(DbError::Storage(format!(
                 "duplicate document id {id} in collection `{}`",
                 self.name
             )));
-        }
+        };
         let size = tree_to_xml(&tree, Style::Compact).len();
         if let Some(limit) = self.size_limit {
             if self.size_bytes + size > limit {
@@ -189,11 +194,15 @@ impl Collection {
             self.index_mut().add_document(id, &tree);
         }
         self.size_bytes += size;
-        self.docs.push(StoredDocument {
-            id,
-            tree,
-            size_bytes: size,
-        });
+        self.docs.insert(
+            pos,
+            StoredDocument {
+                id,
+                tree,
+                size_bytes: size,
+            },
+        );
+        self.debug_check_order(pos);
         Ok(())
     }
 
@@ -203,22 +212,40 @@ impl Collection {
         self.insert(tree)
     }
 
-    /// Fetch a document by id.
+    /// Where `id` is (`Ok`) or would be inserted (`Err`) in `docs` — a
+    /// binary search over the ascending-id invariant stated on
+    /// [`Collection::documents`]. The one lookup behind `get`, `replace`,
+    /// `remove` and the duplicate check of `insert_with_id`.
+    fn position(&self, id: DocumentId) -> Result<usize, usize> {
+        self.docs.binary_search_by_key(&id, |d| d.id)
+    }
+
+    /// Every mutation ends here: the documents around the touched
+    /// position `pos` still ascend by id (the rest did before, so this is
+    /// the whole invariant by induction).
+    fn debug_check_order(&self, pos: usize) {
+        let around = &self.docs[pos.saturating_sub(1)..(pos + 2).min(self.docs.len())];
+        debug_assert!(
+            around.windows(2).all(|w| w[0].id < w[1].id),
+            "collection `{}`: documents must ascend by id",
+            self.name
+        );
+    }
+
+    /// Fetch a document by id — O(log n).
     pub fn get(&self, id: DocumentId) -> DbResult<&StoredDocument> {
-        self.docs
-            .iter()
-            .find(|d| d.id == id)
-            .ok_or(DbError::NoSuchDocument(id.0))
+        match self.position(id) {
+            Ok(pos) => Ok(&self.docs[pos]),
+            Err(_) => Err(DbError::NoSuchDocument(id.0)),
+        }
     }
 
     /// Replace a document's tree in place, keeping its id. Re-checks the
     /// size limit against the new total and re-indexes.
     pub fn replace(&mut self, id: DocumentId, tree: Tree) -> DbResult<Tree> {
         let pos = self
-            .docs
-            .iter()
-            .position(|d| d.id == id)
-            .ok_or(DbError::NoSuchDocument(id.0))?;
+            .position(id)
+            .map_err(|_| DbError::NoSuchDocument(id.0))?;
         let new_size = tree_to_xml(&tree, Style::Compact).len();
         let old_size = self.docs[pos].size_bytes;
         if let Some(limit) = self.size_limit {
@@ -236,25 +263,33 @@ impl Collection {
         self.size_bytes = self.size_bytes - old_size + new_size;
         let old = std::mem::replace(&mut self.docs[pos].tree, tree);
         self.docs[pos].size_bytes = new_size;
+        self.debug_check_order(pos);
         Ok(old)
     }
 
     /// Remove a document by id; returns the removed tree.
     pub fn remove(&mut self, id: DocumentId) -> DbResult<Tree> {
         let pos = self
-            .docs
-            .iter()
-            .position(|d| d.id == id)
-            .ok_or(DbError::NoSuchDocument(id.0))?;
+            .position(id)
+            .map_err(|_| DbError::NoSuchDocument(id.0))?;
         // Thaw before removing from `docs` so a frozen rebuild still
         // sees the document it must then un-index.
         self.index_mut().remove_document(id);
         let doc = self.docs.remove(pos);
         self.size_bytes -= doc.size_bytes;
+        self.debug_check_order(pos);
         Ok(doc.tree)
     }
 
-    /// All stored documents, in insertion order.
+    /// All stored documents, in document order.
+    ///
+    /// **Invariant: ascending by id.** Ids are allocated monotonically and
+    /// never reused, snapshots save in this order and journal replay
+    /// applies in sequence order, so insertion order *is* id order;
+    /// [`Collection::insert_with_id`] keeps it for an out-of-order id by
+    /// inserting at the sorted position. Lookups by id binary-search this
+    /// slice, and the XPath evaluator pairs index postings (also
+    /// ascending by document) with positions in it.
     pub fn documents(&self) -> &[StoredDocument] {
         &self.docs
     }
@@ -398,6 +433,56 @@ mod tests {
         // shrinking replacement is fine
         c.replace(id, TreeBuilder::new("a").build()).unwrap();
         assert!(c.size_bytes() < 60);
+    }
+
+    #[test]
+    fn out_of_order_ids_land_at_their_sorted_position() {
+        let mut c = Collection::new("x", None);
+        for id in [5u64, 2, 9, 0] {
+            c.insert_with_id(DocumentId(id), doc(id as usize)).unwrap();
+        }
+        let ids: Vec<u64> = c.documents().iter().map(|d| d.id.0).collect();
+        assert_eq!(ids, vec![0, 2, 5, 9]);
+        assert_eq!(c.next_id(), 10);
+        assert!(matches!(
+            c.insert_with_id(DocumentId(2), doc(2)),
+            Err(DbError::Storage(_))
+        ));
+        assert_eq!(c.get(DocumentId(5)).unwrap().id, DocumentId(5));
+        assert!(c.get(DocumentId(3)).is_err());
+    }
+
+    proptest::proptest! {
+        /// After any interleaving of `insert` / `insert_with_id` /
+        /// `replace` / `remove`, the binary-search lookup agrees with a
+        /// linear find, for present and absent ids alike.
+        #[test]
+        fn get_agrees_with_a_linear_find(
+            ops in proptest::collection::vec((0usize..4, 0u64..24), 0..60),
+        ) {
+            use proptest::prelude::*;
+            let mut c = Collection::new("x", None);
+            for (n, (op, id)) in ops.into_iter().enumerate() {
+                let id = DocumentId(id);
+                let present = c.documents().iter().any(|d| d.id == id);
+                match op {
+                    0 => {
+                        c.insert(doc(n)).unwrap();
+                    }
+                    1 => prop_assert_eq!(c.insert_with_id(id, doc(n)).is_ok(), !present),
+                    2 => prop_assert_eq!(c.replace(id, doc(n)).is_ok(), present),
+                    _ => prop_assert_eq!(c.remove(id).is_ok(), present),
+                }
+                for probe in (0..=c.next_id()).map(DocumentId) {
+                    let linear = c.documents().iter().find(|d| d.id == probe);
+                    prop_assert_eq!(
+                        c.get(probe).ok().map(|d| d as *const StoredDocument),
+                        linear.map(|d| d as *const StoredDocument)
+                    );
+                }
+                prop_assert_eq!(c.index().by_tag("article").len(), c.len());
+            }
+        }
     }
 
     #[test]

@@ -56,5 +56,5 @@ pub use journal::{Journal, JournalOp, JournalRecord};
 pub use parser::{parse_document, parse_forest};
 pub use vfs::{FaultMode, FaultSchedule, FaultVfs, ScheduledFault, StdVfs, Vfs};
 pub use xpath::{
-    planned_partitions, NodeRef, ScanBudget, ScanControl, ScanStatus, XPath,
+    planned_partitions, Candidates, NodeRef, ScanBudget, ScanControl, ScanStatus, XPath,
 };

@@ -157,9 +157,11 @@ fn db_from_data(data: &Value, seg: Option<&Arc<Segment>>) -> DbResult<(Database,
             .and_then(Value::as_str)
             .ok_or_else(|| bad("collection missing name"))?;
         let coll = db.create_collection(name)?;
-        if seg.is_some() {
-            coll.begin_deferred_restore();
-        }
+        // Index once, when every document is in place: a frozen segment
+        // may attach instead, and a rebuild walks `documents()` — so the
+        // postings ascend by document even if the snapshot listed ids out
+        // of order.
+        coll.begin_deferred_restore();
         let documents = cs
             .get("documents")
             .and_then(Value::as_array)

@@ -1,16 +1,19 @@
 //! XPath evaluation over trees and collections.
 //!
 //! Evaluation is node-set based. Results are returned in document order
-//! (documents in insertion order; nodes in preorder within a document),
-//! which is the order TAX's witness-tree semantics requires.
+//! (documents ascending by id, which is insertion order; nodes in
+//! preorder within a document), which is the order TAX's witness-tree
+//! semantics requires.
 //!
 //! The collection evaluator uses the tag index as a fast path for queries
 //! whose first step is `//name`: instead of scanning every subtree it
-//! starts from the index postings for `name`.
+//! starts from the index postings for `name`. Given a probe's candidate
+//! document list it touches only those documents
+//! ([`XPath::probe_candidates`]).
 
 use super::ast::{Axis, Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
-use crate::collection::{Collection, DocumentId};
-use std::collections::{BTreeMap, HashSet};
+use crate::collection::{Collection, DocumentId, StoredDocument};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use toss_pool::{partition_ranges, WorkerPool};
@@ -236,19 +239,15 @@ impl XPath {
         if pool.is_sequential() {
             return self.eval_collection_budgeted(coll, budget);
         }
-        let span = toss_obs::span("xmldb.xpath.eval");
-        let (candidates, path_counts) = collect_candidates(self, coll, None);
-        let (out, scanned, stopped, stop_ord) =
-            run_candidates_parallel(coll, &candidates, budget, pool);
-        let total = total_for_stop(&path_counts, candidates.len(), stop_ord);
-        finish_eval(span, out, scanned, total, stopped)
+        self.scan_candidates(coll).eval(budget, pool)
     }
 
     /// Evaluate against a pre-selected candidate document set — the
-    /// index-probe fast path. `docs` must be in document order (as
-    /// returned by the content index's merged probes); documents outside
-    /// the set are never visited *or charged*, while every document in
-    /// the set is charged through `budget` exactly like a scan visit, so
+    /// index-probe fast path. `docs` must be strictly ascending by id
+    /// (document order, as returned by the content index's merged
+    /// probes); documents outside the set are never visited *or
+    /// charged*, while every listed document with a root-step node is
+    /// charged through `budget` exactly like a scan visit, so
     /// `docs_scanned` accounting agrees with the scan path.
     pub fn eval_collection_docs_budgeted(
         &self,
@@ -257,32 +256,132 @@ impl XPath {
         budget: &(dyn ScanBudget + Sync),
         pool: &WorkerPool,
     ) -> (Vec<NodeRef>, ScanStatus) {
-        let span = toss_obs::span("xmldb.xpath.eval");
-        let filter: HashSet<DocumentId> = docs.iter().copied().collect();
-        let (candidates, path_counts) = collect_candidates(self, coll, Some(&filter));
-        let (out, scanned, stopped, stop_ord) = if pool.is_sequential() {
-            run_candidates_sequential(coll, &candidates, budget)
-        } else {
-            run_candidates_parallel(coll, &candidates, budget, pool)
-        };
-        let total = total_for_stop(&path_counts, candidates.len(), stop_ord);
-        finish_eval(span, out, scanned, total, stopped)
+        self.probe_candidates(coll, docs).eval(budget, pool)
     }
 
-    /// Number of budget-charged candidate visits a collection evaluation
-    /// would make: one per `(union branch, document)` pair, tag-index
-    /// seeded where the branch starts with `//name`, restricted to
-    /// `docs` when given (the index-probe path). This is the unit
-    /// [`planned_partitions`] partitions, exposed so the planner can
-    /// report exact partition counts without running the scan.
-    pub fn count_scan_candidates(
-        &self,
-        coll: &Collection,
-        docs: Option<&[DocumentId]>,
-    ) -> usize {
-        let filter: Option<HashSet<DocumentId>> =
-            docs.map(|d| d.iter().copied().collect());
-        collect_candidates(self, coll, filter.as_ref()).0.len()
+    /// Enumerate the budget-charged visits of a whole-collection
+    /// evaluation: one per `(union branch, document)` pair, tag-index
+    /// seeded where the branch starts with `//name`.
+    pub fn scan_candidates<'a>(&'a self, coll: &'a Collection) -> Candidates<'a> {
+        let mut set = Candidates::default();
+        for (path_ord, path) in self.paths.iter().enumerate() {
+            let before = set.visits.len();
+            match index_seed_tag(path) {
+                Some(name) => {
+                    let mut cursor = DocCursor::new(coll);
+                    for p in coll.index().by_tag(name) {
+                        match set.visits.last_mut() {
+                            Some(c) if c.path_ord == path_ord && c.doc.id == p.doc => {
+                                c.seeds.as_mut().expect("seeded visit").push(p.node);
+                            }
+                            _ => {
+                                let Some(doc) = cursor.seek(p.doc) else { continue };
+                                set.visits.push(Candidate {
+                                    path,
+                                    path_ord,
+                                    doc,
+                                    seeds: Some(vec![p.node]),
+                                });
+                            }
+                        }
+                    }
+                }
+                None => set.visits.extend(coll.documents().iter().map(|doc| Candidate {
+                    path,
+                    path_ord,
+                    doc,
+                    seeds: None,
+                })),
+            }
+            set.path_counts.push(set.visits.len() - before);
+        }
+        set
+    }
+
+    /// [`scan_candidates`](XPath::scan_candidates) restricted to `docs`
+    /// (strictly ascending by id) — the index-probe path. Costs
+    /// O(`docs` × (log collection + document size)): each listed document
+    /// is looked up and its own tree filtered for the seed tag, in the
+    /// order the tag index holds them, so no postings list of the whole
+    /// collection is walked. Visits follow `docs`, which fixes them to
+    /// document order on both index backends.
+    pub fn probe_candidates<'a>(
+        &'a self,
+        coll: &'a Collection,
+        docs: &[DocumentId],
+    ) -> Candidates<'a> {
+        debug_assert!(docs.windows(2).all(|w| w[0] < w[1]), "probe docs must ascend");
+        let stored: Vec<&StoredDocument> =
+            docs.iter().filter_map(|&id| coll.get(id).ok()).collect();
+        let mut set = Candidates::default();
+        for (path_ord, path) in self.paths.iter().enumerate() {
+            let before = set.visits.len();
+            let seed_tag = index_seed_tag(path);
+            for &doc in &stored {
+                let seeds = match seed_tag {
+                    Some(name) => {
+                        let tree = &doc.tree;
+                        let seeds: Vec<NodeId> = tree
+                            .preorder()
+                            .filter(|&n| tree.data(n).is_ok_and(|d| d.tag == name))
+                            .collect();
+                        if seeds.is_empty() {
+                            continue;
+                        }
+                        Some(seeds)
+                    }
+                    None => None,
+                };
+                set.visits.push(Candidate {
+                    path,
+                    path_ord,
+                    doc,
+                    seeds,
+                });
+            }
+            set.path_counts.push(set.visits.len() - before);
+        }
+        set
+    }
+}
+
+/// The tag whose index postings seed `path`: its first step is `//name`.
+fn index_seed_tag(path: &Path) -> Option<&str> {
+    match path.steps.first() {
+        Some(Step {
+            axis: Axis::Descendant,
+            test: NameTest::Name(name),
+            ..
+        }) => Some(name),
+        _ => None,
+    }
+}
+
+/// Resolves posting documents to stored documents. Postings and
+/// [`Collection::documents`] both ascend by id, so the next posting's
+/// document is usually the slot after the previous hit; anything else (a
+/// sparse tag, or a replaced document whose postings the pointer index
+/// re-appended at the tail) binary-searches.
+struct DocCursor<'a> {
+    docs: &'a [StoredDocument],
+    next: usize,
+}
+
+impl<'a> DocCursor<'a> {
+    fn new(coll: &'a Collection) -> Self {
+        DocCursor {
+            docs: coll.documents(),
+            next: 0,
+        }
+    }
+
+    fn seek(&mut self, id: DocumentId) -> Option<&'a StoredDocument> {
+        let pos = match self.docs.get(self.next) {
+            Some(d) if d.id == id => self.next,
+            _ => self.docs.binary_search_by_key(&id, |d| d.id).ok()?,
+        };
+        self.next = pos + 1;
+        Some(&self.docs[pos])
     }
 }
 
@@ -334,122 +433,94 @@ fn finish_eval(
 /// One budget-charged unit of work: evaluate one union branch against
 /// one document. The partitioned evaluator materializes the full
 /// candidate list up front — in exactly the order the sequential scan
-/// visits documents (path-major, documents in insertion order) — so
+/// visits documents (path-major, documents in document order) — so
 /// chunking it contiguously preserves the admission order.
 struct Candidate<'a> {
     path: &'a Path,
     /// Index of `path` within the union, for `docs_total` bookkeeping.
     path_ord: usize,
-    doc: DocumentId,
+    doc: &'a StoredDocument,
     /// `Some` when the tag index seeded this visit (first step
-    /// `//name`): the posting nodes, in preorder.
+    /// `//name`): the document's nodes with that tag, in preorder.
     seeds: Option<Vec<NodeId>>,
 }
 
-/// Enumerate candidates for every union branch, in sequential visit
-/// order. With a `filter`, only documents in the set become candidates
-/// (the index-probe fast path). Returns the candidates plus the
-/// per-branch candidate counts (for sequential-compatible `docs_total`
-/// reporting on truncation).
-fn collect_candidates<'a>(
-    xpath: &'a XPath,
-    coll: &Collection,
-    filter: Option<&HashSet<DocumentId>>,
-) -> (Vec<Candidate<'a>>, Vec<usize>) {
-    let mut cands: Vec<Candidate<'a>> = Vec::new();
-    let mut counts = Vec::with_capacity(xpath.paths.len());
-    for (path_ord, path) in xpath.paths.iter().enumerate() {
-        let before = cands.len();
-        let mut indexed = false;
-        if let Some(first) = path.steps.first() {
-            if first.axis == Axis::Descendant {
-                if let NameTest::Name(name) = &first.test {
-                    indexed = true;
-                    for p in coll.index().by_tag(name) {
-                        if filter.is_some_and(|f| !f.contains(&p.doc)) {
-                            continue;
-                        }
-                        match cands.last_mut() {
-                            Some(c) if c.path_ord == path_ord && c.doc == p.doc => {
-                                c.seeds.as_mut().expect("indexed candidates have seeds").push(p.node);
-                            }
-                            _ => cands.push(Candidate {
-                                path,
-                                path_ord,
-                                doc: p.doc,
-                                seeds: Some(vec![p.node]),
-                            }),
-                        }
-                    }
-                }
-            }
-        }
-        if !indexed {
-            for stored in coll.documents() {
-                if filter.is_some_and(|f| !f.contains(&stored.id)) {
-                    continue;
-                }
-                cands.push(Candidate {
-                    path,
-                    path_ord,
-                    doc: stored.id,
-                    seeds: None,
-                });
-            }
-        }
-        counts.push(cands.len() - before);
+/// The enumerated visits of one collection evaluation, in sequential
+/// visit order — built by [`XPath::scan_candidates`] or
+/// [`XPath::probe_candidates`], counted by the planner
+/// ([`planned_partitions`] partitions exactly [`Candidates::len`]) and
+/// then evaluated by [`Candidates::eval`], so a request enumerates once.
+#[derive(Default)]
+pub struct Candidates<'a> {
+    visits: Vec<Candidate<'a>>,
+    /// Visits per union branch, for sequential-compatible `docs_total`
+    /// reporting on truncation.
+    path_counts: Vec<usize>,
+}
+
+impl Candidates<'_> {
+    /// Number of budget-charged visits a full evaluation makes.
+    pub fn len(&self) -> usize {
+        self.visits.len()
     }
-    (cands, counts)
+
+    /// Whether no document would be visited.
+    pub fn is_empty(&self) -> bool {
+        self.visits.is_empty()
+    }
+
+    /// Evaluate the visits under `budget`, on `pool`'s workers when it
+    /// has more than one — result-, order- and charge-identical to the
+    /// sequential scan over the same documents.
+    pub fn eval(
+        &self,
+        budget: &(dyn ScanBudget + Sync),
+        pool: &WorkerPool,
+    ) -> (Vec<NodeRef>, ScanStatus) {
+        let span = toss_obs::span("xmldb.xpath.eval");
+        let (out, scanned, stopped, stop_ord) = if pool.is_sequential() {
+            run_candidates_sequential(&self.visits, budget)
+        } else {
+            run_candidates_parallel(&self.visits, budget, pool)
+        };
+        // The sequential evaluator counts a branch's candidates into the
+        // total when it *starts* the branch, so a stop inside branch `p`
+        // reports the candidates of branches `0..=p`.
+        let total = match stop_ord {
+            None => self.visits.len(),
+            Some(p) => self.path_counts[..=p].iter().sum(),
+        };
+        finish_eval(span, out, scanned, total, stopped)
+    }
 }
 
 /// Evaluate one candidate — identical work to the sequential scan's
-/// per-document body, pure over `&Collection` so it can run on any
-/// worker (or run twice, if a speculative result was discarded).
-fn eval_candidate(coll: &Collection, cand: &Candidate<'_>) -> Vec<NodeRef> {
-    let doc = cand.doc;
-    match &cand.seeds {
-        Some(seeds) => {
-            let Ok(stored) = coll.get(doc) else {
-                return Vec::new();
-            };
-            let tree = &stored.tree;
-            let first = &cand.path.steps[0];
-            let mut current = apply_predicates(tree, seeds.clone(), &first.predicates);
-            for step in &cand.path.steps[1..] {
-                current = advance_step(tree, &current, step);
-            }
-            current
-                .into_iter()
-                .map(|node| NodeRef { doc, node })
-                .collect()
-        }
-        None => {
-            let Ok(stored) = coll.get(doc) else {
-                return Vec::new();
-            };
-            eval_path_tree(cand.path, &stored.tree)
-                .into_iter()
-                .map(|node| NodeRef { doc, node })
-                .collect()
-        }
-    }
+/// per-document body, pure over the borrowed document so it can run on
+/// any worker (or run twice, if a speculative result was discarded).
+fn eval_candidate(cand: &Candidate<'_>) -> Vec<NodeRef> {
+    let doc = cand.doc.id;
+    let tree = &cand.doc.tree;
+    let nodes = match &cand.seeds {
+        Some(seeds) => eval_seeded(cand.path, tree, seeds.clone()),
+        None => eval_path_tree(cand.path, tree),
+    };
+    nodes.into_iter().map(|node| NodeRef { doc, node }).collect()
 }
 
-/// Sequential-visit-order `docs_total`: the sequential evaluator counts
-/// a branch's candidates into the total when it *starts* the branch, so
-/// a stop inside branch `p` reports the candidates of branches `0..=p`.
-fn total_for_stop(path_counts: &[usize], all: usize, stop_ord: Option<usize>) -> usize {
-    match stop_ord {
-        None => all,
-        Some(p) => path_counts[..=p].iter().sum(),
+/// The rest of an index-seeded branch: `seeds` are the document's nodes
+/// matching the first step's name test.
+fn eval_seeded(path: &Path, tree: &Tree, seeds: Vec<NodeId>) -> Vec<NodeId> {
+    let mut current = apply_predicates(tree, seeds, &path.steps[0].predicates);
+    for step in &path.steps[1..] {
+        current = advance_step(tree, &current, step);
     }
+    current
 }
 
 /// Drive the candidate list exactly like the sequential scan:
 /// admit-then-evaluate, one document at a time. Used for doc-filtered
 /// evaluation on a single-worker pool.
 fn run_candidates_sequential(
-    coll: &Collection,
     candidates: &[Candidate<'_>],
     budget: &dyn ScanBudget,
 ) -> (Vec<NodeRef>, usize, Option<ScanControl>, Option<usize>) {
@@ -459,7 +530,7 @@ fn run_candidates_sequential(
         match budget.before_document(scanned) {
             ScanControl::Continue => {
                 scanned += 1;
-                out.extend(eval_candidate(coll, cand));
+                out.extend(eval_candidate(cand));
             }
             control => return (out, scanned, Some(control), Some(cand.path_ord)),
         }
@@ -513,7 +584,6 @@ struct Frontier {
 /// in-order frontier that consults the budget exactly like the
 /// sequential scan. Returns `(matches, scanned, stopped, stop_ord)`.
 fn run_candidates_parallel(
-    coll: &Collection,
     candidates: &[Candidate<'_>],
     budget: &(dyn ScanBudget + Sync),
     pool: &WorkerPool,
@@ -521,7 +591,7 @@ fn run_candidates_parallel(
     let n = candidates.len();
     let ranges = partition_ranges(n, pool.workers() * CHUNKS_PER_WORKER, MIN_CHUNK_DOCS);
     if ranges.len() <= 1 {
-        return run_candidates_sequential(coll, candidates, budget);
+        return run_candidates_sequential(candidates, budget);
     }
     let stop = AtomicBool::new(false);
     let frontier = Mutex::new(Frontier {
@@ -553,7 +623,7 @@ fn run_candidates_parallel(
                     && budget.preflight(start) == ScanControl::Continue;
                 for candidate in &candidates[start..end] {
                     if speculate && !stop.load(Ordering::Acquire) {
-                        results.push(Some(eval_candidate(coll, candidate)));
+                        results.push(Some(eval_candidate(candidate)));
                         evaluated += 1;
                     } else {
                         results.push(None);
@@ -594,7 +664,7 @@ fn run_candidates_parallel(
                                     // after all (non-monotone budget):
                                     // evaluate now, on the commit path.
                                     None => {
-                                        fr.out.extend(eval_candidate(coll, &candidates[idx]));
+                                        fr.out.extend(eval_candidate(&candidates[idx]));
                                     }
                                 }
                             }
@@ -769,34 +839,26 @@ fn eval_path_collection(
     state: &mut ScanState<'_>,
 ) {
     // Fast path: `//name...` — seed from the tag index.
-    if let Some(first) = path.steps.first() {
-        if first.axis == Axis::Descendant {
-            if let NameTest::Name(name) = &first.test {
-                let postings = coll.index().by_tag(name);
-                // group postings by document
-                let mut by_doc: Vec<(DocumentId, Vec<NodeId>)> = Vec::new();
-                for p in postings {
-                    match by_doc.last_mut() {
-                        Some((d, v)) if *d == p.doc => v.push(p.node),
-                        _ => by_doc.push((p.doc, vec![p.node])),
-                    }
-                }
-                state.total += by_doc.len();
-                for (doc, seeds) in by_doc {
-                    if !state.admit_document() {
-                        return;
-                    }
-                    let Ok(stored) = coll.get(doc) else { continue };
-                    let tree = &stored.tree;
-                    let mut current = apply_predicates(tree, seeds, &first.predicates);
-                    for step in &path.steps[1..] {
-                        current = advance_step(tree, &current, step);
-                    }
-                    out.extend(current.into_iter().map(|node| NodeRef { doc, node }));
-                }
-                return;
+    if let Some(name) = index_seed_tag(path) {
+        // group postings by document
+        let mut by_doc: Vec<(DocumentId, Vec<NodeId>)> = Vec::new();
+        for p in coll.index().by_tag(name) {
+            match by_doc.last_mut() {
+                Some((d, v)) if *d == p.doc => v.push(p.node),
+                _ => by_doc.push((p.doc, vec![p.node])),
             }
         }
+        state.total += by_doc.len();
+        let mut cursor = DocCursor::new(coll);
+        for (doc, seeds) in by_doc {
+            if !state.admit_document() {
+                return;
+            }
+            let Some(stored) = cursor.seek(doc) else { continue };
+            let matched = eval_seeded(path, &stored.tree, seeds);
+            out.extend(matched.into_iter().map(|node| NodeRef { doc, node }));
+        }
+        return;
     }
     // General path: evaluate per document.
     state.total += coll.documents().len();
@@ -1004,18 +1066,21 @@ mod tests {
         }
     }
 
-    /// Mixed-shape collection: docs where `//b` is index-seeded, docs
-    /// without `b` at all, duplicate content for dedup pressure.
+    /// Mixed shapes: docs where `//b` is index-seeded, docs without `b`
+    /// at all, duplicate content for dedup pressure.
+    fn mixed_doc(i: usize) -> String {
+        match i % 4 {
+            0 => format!("<r><b>{}</b><b>dup</b></r>", i % 5),
+            1 => "<r><a>no-b-here</a></r>".to_string(),
+            2 => format!("<r><a><b>{}</b></a><c><b>deep</b></c></r>", i % 5),
+            _ => "<q><b>dup</b></q>".to_string(),
+        }
+    }
+
     fn mixed_collection(n: usize) -> crate::collection::Collection {
         let mut c = crate::collection::Collection::new("x", None);
         for i in 0..n {
-            match i % 4 {
-                0 => c.insert_xml(&format!("<r><b>{}</b><b>dup</b></r>", i % 5)),
-                1 => c.insert_xml("<r><a>no-b-here</a></r>"),
-                2 => c.insert_xml(&format!("<r><a><b>{}</b></a><c><b>deep</b></c></r>", i % 5)),
-                _ => c.insert_xml("<q><b>dup</b></q>"),
-            }
-            .unwrap();
+            c.insert_xml(&mixed_doc(i)).unwrap();
         }
         c
     }
@@ -1131,6 +1196,231 @@ mod tests {
                 docs_total: 10
             }
         );
+    }
+
+    /// The probe path as it was before it enumerated from the probe's
+    /// own doc list: walk every posting of the seed tag (or every
+    /// document) and test each against a set of the probe documents.
+    /// Kept as the reference the new enumeration must reproduce.
+    fn filtered_walk<'a>(
+        xpath: &'a XPath,
+        coll: &'a Collection,
+        docs: &[DocumentId],
+    ) -> Candidates<'a> {
+        let filter: std::collections::HashSet<DocumentId> = docs.iter().copied().collect();
+        let mut set = Candidates::default();
+        for (path_ord, path) in xpath.paths.iter().enumerate() {
+            let before = set.visits.len();
+            match index_seed_tag(path) {
+                Some(name) => {
+                    for p in coll.index().by_tag(name) {
+                        if !filter.contains(&p.doc) {
+                            continue;
+                        }
+                        match set.visits.last_mut() {
+                            Some(c) if c.path_ord == path_ord && c.doc.id == p.doc => {
+                                c.seeds.as_mut().unwrap().push(p.node);
+                            }
+                            _ => set.visits.push(Candidate {
+                                path,
+                                path_ord,
+                                doc: coll.get(p.doc).unwrap(),
+                                seeds: Some(vec![p.node]),
+                            }),
+                        }
+                    }
+                }
+                None => {
+                    for doc in coll.documents().iter().filter(|d| filter.contains(&d.id)) {
+                        set.visits.push(Candidate {
+                            path,
+                            path_ord,
+                            doc,
+                            seeds: None,
+                        });
+                    }
+                }
+            }
+            set.path_counts.push(set.visits.len() - before);
+        }
+        set
+    }
+
+    type Visit = (usize, DocumentId, Option<Vec<NodeId>>);
+
+    fn shape(set: &Candidates<'_>) -> (Vec<Visit>, Vec<usize>) {
+        let visits = set
+            .visits
+            .iter()
+            .map(|c| (c.path_ord, c.doc.id, c.seeds.clone()))
+            .collect();
+        (visits, set.path_counts.clone())
+    }
+
+    fn mixed_db(n: usize) -> crate::Database {
+        let mut db = crate::Database::with_config(crate::DatabaseConfig::unlimited());
+        let c = db.create_collection("x").unwrap();
+        for i in 0..n {
+            c.insert_xml(&mixed_doc(i)).unwrap();
+        }
+        db
+    }
+
+    /// `db` as a checkpoint + reopen leaves it: collections served from
+    /// a frozen segment.
+    fn frozen_twin(db: &crate::Database) -> crate::Database {
+        let seg = toss_segment::Segment::parse(crate::segidx::build_segment(db, 1)).unwrap();
+        let json = crate::storage::to_json_with_seq(db, 1).unwrap();
+        let (twin, _, frozen) =
+            crate::storage::from_json_with_seq_seg(&json, Some(&std::sync::Arc::new(seg)))
+                .unwrap();
+        assert_eq!(frozen, db.collections().count());
+        twin
+    }
+
+    /// A v2 snapshot of `mixed_doc`s whose ids are listed in the given
+    /// (not ascending) order.
+    fn out_of_order_db(ids: &[u64]) -> crate::Database {
+        let docs: Vec<String> = ids
+            .iter()
+            .map(|&id| format!(r#"{{"id":{id},"xml":"{}"}}"#, mixed_doc(id as usize)))
+            .collect();
+        let data = toss_json::Value::parse(&format!(
+            r#"{{"collection_size_limit":null,"last_seq":1,"collections":[
+                {{"name":"x","next_id":64,"documents":[{}]}}]}}"#,
+            docs.join(",")
+        ))
+        .unwrap()
+        .to_json();
+        let checksum = crate::crc32::crc32(data.as_bytes());
+        let json = format!(r#"{{"version":2,"checksum":{checksum},"data":{data}}}"#);
+        crate::storage::from_json(&json).unwrap()
+    }
+
+    #[test]
+    fn probe_enumeration_reproduces_the_filtered_walk() {
+        // id gaps from removes
+        let mut gaps = mixed_db(48);
+        for id in [3u64, 8, 9, 20, 47] {
+            gaps.collection_mut("x").unwrap().remove(DocumentId(id)).unwrap();
+        }
+        // a snapshot that lists its ids out of order
+        let ids: Vec<u64> = (0..48u64).map(|i| (i * 29) % 48).collect();
+        let shuffled = out_of_order_db(&ids);
+        assert!(shuffled
+            .collection("x")
+            .unwrap()
+            .documents()
+            .windows(2)
+            .all(|w| w[0].id < w[1].id));
+
+        // two of every three ids, removed and never-allocated ones included
+        let docs: Vec<DocumentId> = (0..60u64).filter(|i| i % 3 != 1).map(DocumentId).collect();
+        let queries = [
+            "//b | //a",           // union
+            "/r//b | //q",         // first step is not `//name`
+            "//*[b]",              // wildcard root
+            "//r[b='dup']/b | //c",
+            "//nothing",
+        ];
+        let sequential = WorkerPool::new(1);
+        for (label, db) in [("gaps", gaps), ("shuffled", shuffled)] {
+            for db in [frozen_twin(&db), db] {
+                let coll = db.collection("x").unwrap();
+                for query in queries {
+                    let xp = XPath::parse(query).unwrap();
+                    let at = format!("{label} frozen={} {query}", coll.is_frozen());
+                    let oracle = filtered_walk(&xp, coll, &docs);
+                    let new = xp.probe_candidates(coll, &docs);
+                    assert_eq!(shape(&new), shape(&oracle), "{at}");
+                    // truncation and abort at every cut, 1 and 4 workers
+                    for control in [ScanControl::Truncate, ScanControl::Abort] {
+                        for cap in 0..=oracle.len() + 1 {
+                            let budget = CapBudget { cap, control };
+                            let expected = oracle.eval(&budget, &sequential);
+                            for threads in [1usize, 4] {
+                                let pool = WorkerPool::new(threads);
+                                assert_eq!(
+                                    xp.eval_collection_docs_budgeted(coll, &docs, &budget, &pool),
+                                    expected,
+                                    "{at} cap {cap} {control:?} @ {threads}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_enumeration_matches_the_streaming_scan_on_both_backends() {
+        let mut db = mixed_db(40);
+        db.collection_mut("x").unwrap().remove(DocumentId(5)).unwrap();
+        for db in [frozen_twin(&db), db] {
+            let coll = db.collection("x").unwrap();
+            for query in ["//b | //a", "/r//b | //q", "//*[b]"] {
+                let xp = XPath::parse(query).unwrap();
+                for cap in [0usize, 1, 9, 33, 1000] {
+                    let budget = CapBudget {
+                        cap,
+                        control: ScanControl::Truncate,
+                    };
+                    let expected = xp.eval_collection_budgeted(coll, &budget);
+                    for threads in [1usize, 4] {
+                        let got = xp.scan_candidates(coll).eval(&budget, &WorkerPool::new(threads));
+                        assert_eq!(got, expected, "{query} cap {cap} @ {threads}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn probe_visits_a_replaced_document_in_document_order() {
+        // `replace` re-adds a document's postings at the tail of the
+        // pointer index's lists, the frozen index holds them in id order;
+        // driving the probe from the doc list makes both visit in
+        // document order, so a truncating budget cuts the same prefix.
+        let mut db = mixed_db(24);
+        let middle = DocumentId(8);
+        let tree = crate::parser::parse_document("<r><b>replaced</b><b>dup</b></r>").unwrap();
+        db.collection_mut("x").unwrap().replace(middle, tree).unwrap();
+        let pointer = db.collection("x").unwrap();
+        assert_eq!(pointer.index().by_tag("b").iter().last().unwrap().doc, middle);
+        let frozen_db = frozen_twin(&db);
+        let frozen = frozen_db.collection("x").unwrap();
+        assert!(frozen.is_frozen() && !pointer.is_frozen());
+
+        let docs: Vec<DocumentId> = (2..20u64).filter(|i| i % 2 == 0).map(DocumentId).collect();
+        // the reference: a sequential scan of a collection holding only
+        // the probe documents, under their own ids
+        let mut only = crate::collection::Collection::new("only", None);
+        for &id in &docs {
+            only.insert_with_id(id, pointer.get(id).unwrap().tree.clone()).unwrap();
+        }
+        for query in ["//b", "//b[text()='dup'] | //a", "//*[b]"] {
+            let xp = XPath::parse(query).unwrap();
+            let visits = xp.scan_candidates(&only).len();
+            for cap in 0..=visits + 1 {
+                let budget = CapBudget {
+                    cap,
+                    control: ScanControl::Truncate,
+                };
+                let expected = xp.eval_collection_budgeted(&only, &budget);
+                for threads in [1usize, 4] {
+                    let pool = WorkerPool::new(threads);
+                    for coll in [pointer, frozen] {
+                        assert_eq!(
+                            xp.eval_collection_docs_budgeted(coll, &docs, &budget, &pool),
+                            expected,
+                            "{query} cap {cap} @ {threads} frozen={}",
+                            coll.is_frozen()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

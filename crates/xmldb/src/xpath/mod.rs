@@ -36,7 +36,9 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
-pub use eval::{planned_partitions, NodeRef, ScanBudget, ScanControl, ScanStatus};
+pub use eval::{
+    planned_partitions, Candidates, NodeRef, ScanBudget, ScanControl, ScanStatus,
+};
 
 use crate::error::DbResult;
 

@@ -275,3 +275,54 @@ proptest! {
         }
     }
 }
+
+/// Scaling guard for the index-probe path: retrieval must cost what its
+/// candidates cost, not what the collection holds. The same 8-candidate
+/// probe (postings merge, candidate enumeration, evaluation) runs on a
+/// 1k- and a 64k-document collection; a per-request walk of the
+/// collection — every root-tag posting, or a linear document lookup —
+/// shows up as ≈ 64×. Release-only: a debug timing means nothing.
+#[cfg(not(debug_assertions))]
+#[test]
+fn probe_cost_follows_the_candidates_not_the_collection() {
+    use std::time::{Duration, Instant};
+
+    fn best_of_5(docs: usize) -> Duration {
+        let mut db = Database::with_config(DatabaseConfig::unlimited());
+        let c = db.create_collection("c").unwrap();
+        for i in 0..docs {
+            // eight evenly spread documents share the probed author
+            let author = if i % (docs / 8) == 0 { "Hot".to_string() } else { format!("A{i}") };
+            c.insert_xml(&format!(
+                "<inproceedings key=\"p{i}\"><author>{author}</author>\
+                 <booktitle>B{}</booktitle></inproceedings>",
+                i % 4
+            ))
+            .unwrap();
+        }
+        let coll = db.collection("c").unwrap();
+        let xpath = XPath::parse("//inproceedings[author='Hot']").unwrap();
+        let pool = WorkerPool::new(1);
+        let probe = || {
+            let docs = coll.index().docs_with_tag_content_any("author", &["Hot"]);
+            let (hits, status) =
+                xpath.eval_collection_docs_budgeted(coll, &docs, &SoftCap(usize::MAX), &pool);
+            assert_eq!(hits.len(), 8);
+            assert_eq!(status, ScanStatus::Complete { docs_scanned: 8 });
+        };
+        (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                (0..200).for_each(|_| probe());
+                start.elapsed()
+            })
+            .min()
+            .unwrap()
+    }
+
+    let (small, large) = (best_of_5(1_000), best_of_5(64_000));
+    assert!(
+        large < small * 4,
+        "8-candidate probe: {small:?} per 200 on 1k documents, {large:?} on 64k"
+    );
+}
