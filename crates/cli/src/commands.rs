@@ -615,8 +615,6 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
             "toss.semantic.index_builds",
             "toss.semantic.sea.blocked_runs",
             "toss.semantic.sea.candidate_pairs",
-            "toss.join.nested",
-            "toss.join.refined",
             "toss.join.groups",
             "toss.join.candidates",
             "toss.join.pairs_emitted",

@@ -1,20 +1,19 @@
-//! Similarity hash-join.
+//! Similarity hash-join: the key type and the four-argument entry point.
 //!
 //! The naive TOSS join (product then selection) enumerates |L|·|R| pairs,
 //! which is fine for the algebra's semantics but not for the Figure-16(b)
 //! scalability experiment. When the cross condition is a single `~` atom
 //! between one keyed leaf of each side — exactly the experiment's
-//! "5 tag matching and 1 similarTo" shape — the join can bucket both
-//! sides by the SEO classes of their key and only materialize matching
-//! pairs. The result is set-equal to product-then-select with the root
-//! expanded (verified by the equivalence test below).
+//! "5 tag matching and 1 similarTo" shape — the join can index one side
+//! by the SEO classes of its key (plus the literal key, so identical
+//! strings join outside the ontology) and only materialize matching
+//! pairs: [`super::simjoin`]. The result is set-equal to
+//! product-then-select with the root expanded (verified by the
+//! equivalence test below).
 
 use crate::error::TossResult;
-use crate::expand::seo_classes;
 use crate::oes::SeoInstance;
-use std::collections::HashMap;
-use toss_tax::ops::PROD_ROOT_TAG;
-use toss_tree::{Forest, NodeData, Tree};
+use toss_tree::Tree;
 
 /// How to extract the join key from one tree: the content of the first
 /// child (or descendant) with the given tag.
@@ -76,119 +75,23 @@ impl JoinKey {
 /// the SEO (identical strings always join). Equivalent to
 /// `σ(key_l ~ key_r)(L × R)` with the root's descendants expanded.
 ///
-/// This is the planned join with default knobs: the nested SEO-class
-/// hash join below, escaping to the skew-adaptive refined path
-/// ([`super::simjoin`]) when one hot class would otherwise degenerate
-/// to its cross product. The two paths produce byte-identical output.
+/// This is [`super::simjoin::similarity_join`] on a one-worker pool with
+/// an unlimited governor, without the stats.
 pub fn similarity_hash_join(
     left: &SeoInstance,
     right: &SeoInstance,
     left_key: &JoinKey,
     right_key: &JoinKey,
 ) -> TossResult<SeoInstance> {
-    let (out, _) = super::simjoin::similarity_join_planned(
+    let (out, _) = super::simjoin::similarity_join(
         left,
         right,
         left_key,
         right_key,
-        &super::simjoin::SimJoinConfig::default(),
         &toss_pool::WorkerPool::new(1),
         &crate::governor::QueryGovernor::unlimited(),
     )?;
     Ok(out)
-}
-
-/// Outcome of the nested hash join under an escape budget.
-pub(crate) enum NestedOutcome {
-    /// The join completed within budget.
-    Done {
-        /// The (deduplicated) join output.
-        out: SeoInstance,
-        /// Bucket work the probe observed (see below).
-        work: u64,
-    },
-    /// The observed bucket work crossed the escape budget: the planner
-    /// should switch to the refined path. Partial output is discarded.
-    Escaped {
-        /// Work observed up to the escape point.
-        work: u64,
-    },
-}
-
-/// The nested SEO-class hash join, instrumented as its own planner:
-/// while probing, it accumulates the sizes of every right-side bucket
-/// it touches — summed over the whole probe this is exactly
-/// Σ over signature elements of (left occurrences × right occurrences),
-/// the bucket size product that blows up under skew. The moment that
-/// observed work exceeds `escape_budget` the join abandons (returning
-/// [`NestedOutcome::Escaped`]) so the caller can refine; a flat
-/// workload pays one integer addition per bucket and never escapes.
-pub(crate) fn nested_join(
-    left: &SeoInstance,
-    right: &SeoInstance,
-    left_key: &JoinKey,
-    right_key: &JoinKey,
-    escape_budget: u64,
-) -> TossResult<NestedOutcome> {
-    let classes = seo_classes(&left.seo);
-    // bucket the right side: class id → tree indices; plus exact-string
-    // buckets for keys outside the ontology
-    let mut by_class: HashMap<u32, Vec<usize>> = HashMap::new();
-    let mut by_string: HashMap<String, Vec<usize>> = HashMap::new();
-    for (ri, rt) in right.forest.iter().enumerate() {
-        for key in right_key.extract(rt) {
-            for &c in classes.get(&key).map(Vec::as_slice).unwrap_or(&[]) {
-                let v = by_class.entry(c).or_default();
-                if v.last() != Some(&ri) {
-                    v.push(ri);
-                }
-            }
-            let v = by_string.entry(key).or_default();
-            if v.last() != Some(&ri) {
-                v.push(ri);
-            }
-        }
-    }
-
-    let mut work: u64 = 0;
-    let mut out = Forest::new();
-    for lt in &left.forest {
-        let mut matched: Vec<usize> = Vec::new();
-        for key in left_key.extract(lt) {
-            for &c in classes.get(&key).map(Vec::as_slice).unwrap_or(&[]) {
-                let b = by_class.get(&c).map(Vec::as_slice).unwrap_or(&[]);
-                work += b.len() as u64;
-                matched.extend(b.iter().copied());
-            }
-            if let Some(b) = by_string.get(&key) {
-                work += b.len() as u64;
-                matched.extend(b.iter().copied());
-            }
-        }
-        // check before grafting this tree's matches so the wasted work
-        // on escape stays bounded by the budget itself
-        if work > escape_budget {
-            return Ok(NestedOutcome::Escaped { work });
-        }
-        matched.sort_unstable();
-        matched.dedup();
-        for ri in matched {
-            let rt = &right.forest.trees()[ri];
-            let mut t = Tree::with_root(NodeData::element(PROD_ROOT_TAG));
-            let root = t.root().expect("with_root sets root");
-            if let Some(lr) = lt.root() {
-                t.graft(Some(root), lt, lr)?;
-            }
-            if let Some(rr) = rt.root() {
-                t.graft(Some(root), rt, rr)?;
-            }
-            out.push(t);
-        }
-    }
-    Ok(NestedOutcome::Done {
-        out: SeoInstance::new(out.dedup(), left.seo.clone()),
-        work,
-    })
 }
 
 #[cfg(test)]
@@ -202,8 +105,9 @@ mod tests {
     use toss_ontology::hierarchy::from_pairs;
     use toss_ontology::sea::enhance;
     use toss_similarity::Levenshtein;
+    use toss_tax::ops::PROD_ROOT_TAG;
     use toss_tax::{EdgeKind, PatternTree};
-    use toss_tree::TreeBuilder;
+    use toss_tree::{Forest, TreeBuilder};
 
     fn instances() -> (SeoInstance, SeoInstance) {
         let left = Forest::from_trees(vec![

@@ -1,25 +1,23 @@
-//! Skew-adaptive similarity join: prefix-filtered signatures with an
-//! adaptive overlap constraint.
+//! The similarity join: prefix-filtered signatures with an adaptive
+//! overlap constraint.
 //!
-//! The nested SEO-class hash join ([`super::hashjoin`]) buckets both
-//! sides by key class, so the common case is far from quadratic — but
-//! one *hot* class still degenerates to its full cross product: every
-//! left tree in the class is verified against every right tree. This
-//! module is the refinement ROADMAP item 2 calls for, in the style of
-//! *Efficient Taxonomic Similarity Joins with Adaptive Overlap
-//! Constraint* (PAPERS.md):
+//! Bucketing both sides by key class and verifying every bucket-mate is
+//! far from quadratic on flat inputs, but one *hot* class degenerates to
+//! its full cross product: every left tree in the class is grafted
+//! against every right tree, copies included. This join answers flat and
+//! skewed inputs alike, in the style of *Efficient Taxonomic Similarity
+//! Joins with Adaptive Overlap Constraint* (PAPERS.md):
 //!
 //! 1. **Signature generation.** Each tree's SEO node-set becomes a
 //!    signature: the enhanced-class ids of all its key renderings plus
 //!    the renderings themselves (identical strings join even outside
-//!    the ontology, so the literal key is itself a signature element —
-//!    mirroring the nested path's exact-string buckets). Two trees join
-//!    iff their signatures overlap in ≥ [`OVERLAP_T`] elements, which
-//!    makes the similarity join an exact *set-overlap join*. Trees are
-//!    first grouped by canonical fingerprint — duplicated trees (the
-//!    very thing a skewed corpus is full of) are signed, probed,
-//!    verified and charged **once per distinct tree**, not once per
-//!    copy.
+//!    the ontology, so the literal key is itself a signature element).
+//!    Two trees join iff their signatures overlap in ≥ [`OVERLAP_T`]
+//!    elements, which makes the similarity join an exact *set-overlap
+//!    join*. Trees are first grouped by canonical fingerprint —
+//!    duplicated trees (the very thing a skewed corpus is full of) are
+//!    signed, probed, verified and charged **once per distinct tree**,
+//!    not once per copy.
 //! 2. **Prefix-filter inverted index.** Signature elements are
 //!    renumbered rare-first: ascending by global frequency (how many
 //!    distinct trees on either side carry the element), tie-broken by
@@ -37,18 +35,11 @@
 //!    overlap still missing ([`verify_overlap`]).
 //! 4. **Exact verification last.** Only verified group pairs are
 //!    grafted into output trees, one per distinct (left-group,
-//!    right-group) pair, in exactly the order the nested path's
-//!    first-occurrence dedup would keep them — so the refined output is
-//!    **byte-identical** to the nested output, not merely set-equal
+//!    right-group) pair, ascending — groups are numbered by first
+//!    occurrence, so this is the order in which product-then-select
+//!    followed by a first-occurrence dedup keeps its pairs, and the
+//!    output equals that oracle as a *sequence*, not merely as a set
 //!    (asserted by `tests/join.rs` and the `join` workload of `benchmark/`).
-//!
-//! **Planning.** The nested probe accumulates the bucket sizes it
-//! touches — exactly Σ over signature elements of (left occurrences ×
-//! right occurrences), the bucket size product the planner watches.
-//! When that observed work crosses [`SimJoinConfig::refine_threshold`]
-//! the nested attempt abandons and the refined path runs; a flat
-//! workload never crosses, pays one integer addition per bucket, and
-//! keeps the nested fast path untouched.
 //!
 //! **Parallelism and governance.** Signature generation and the index
 //! probe fan out through [`toss_pool::WorkerPool`] with the same
@@ -57,9 +48,12 @@
 //! results in task order, charging candidate pairs against the
 //! join-cardinality budget ([`QueryGovernor::admit_join_candidates`])
 //! and truncating deterministically when a soft limit trips — so
-//! governor tallies are bit-identical at any worker count.
+//! governor tallies are bit-identical at any worker count. The index and
+//! group structures are charged once to the memory budget
+//! ([`QueryGovernor::charge_memory`]). Every join pays both charges,
+//! however small its inputs.
 
-use super::hashjoin::{nested_join, JoinKey, NestedOutcome};
+use super::hashjoin::JoinKey;
 use crate::error::TossResult;
 use crate::expand::{seo_class_frequencies, seo_classes};
 use crate::governor::{QueryGovernor, ScanDecision};
@@ -75,49 +69,10 @@ use toss_tree::{Forest, NodeData, Tree};
 /// written for general T and instantiated here.
 const OVERLAP_T: usize = 1;
 
-/// Planner knobs for the similarity join.
-#[derive(Debug, Clone, Copy)]
-pub struct SimJoinConfig {
-    /// Observed bucket-size-product work (Σ of the right-bucket sizes
-    /// the nested probe touches) above which the join abandons nested
-    /// verification and switches to the refined signature path. `0`
-    /// forces refinement, `u64::MAX` disables it.
-    pub refine_threshold: u64,
-}
-
-impl Default for SimJoinConfig {
-    fn default() -> Self {
-        SimJoinConfig {
-            refine_threshold: 16_384,
-        }
-    }
-}
-
-impl SimJoinConfig {
-    /// Always take the refined path (tests and benchmarks).
-    pub fn always_refine() -> Self {
-        SimJoinConfig {
-            refine_threshold: 0,
-        }
-    }
-
-    /// Never refine: the pure nested hash join (tests and benchmarks).
-    pub fn never_refine() -> Self {
-        SimJoinConfig {
-            refine_threshold: u64::MAX,
-        }
-    }
-}
-
 /// What one similarity join did (surfaced via `toss.join.*` counters,
 /// the query plan and the `join` workload of `benchmark/`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinStats {
-    /// Whether the refined path ran.
-    pub refined: bool,
-    /// Bucket-size-product work the nested probe observed before
-    /// finishing (or before escaping to the refined path).
-    pub nested_work: u64,
     /// Distinct probe-side (left) tree groups.
     pub groups_left: usize,
     /// Distinct build-side (right) tree groups.
@@ -152,17 +107,14 @@ enum Elem {
     Str(String),
 }
 
-/// The planned similarity join: nested SEO-class hash join with an
-/// escape counter, falling back to the refined signature path when the
-/// observed bucket work crosses the planner threshold. Output is
-/// byte-identical between the two paths. Returns the joined instance
-/// plus what the planner and (if it ran) the refined probe did.
-pub fn similarity_join_planned(
+/// The similarity join: signature groups → rare-first prefix index →
+/// stamped probe with commit-frontier charging → exact verification →
+/// ordered emission. Returns the joined instance plus what the probe did.
+pub fn similarity_join(
     left: &SeoInstance,
     right: &SeoInstance,
     left_key: &JoinKey,
     right_key: &JoinKey,
-    cfg: &SimJoinConfig,
     pool: &WorkerPool,
     gov: &QueryGovernor,
 ) -> TossResult<(SeoInstance, JoinStats)> {
@@ -170,40 +122,7 @@ pub fn similarity_join_planned(
         workers: pool.workers(),
         ..Default::default()
     };
-    if cfg.refine_threshold > 0 {
-        let span = toss_obs::span("toss.join.nested");
-        match nested_join(left, right, left_key, right_key, cfg.refine_threshold)? {
-            NestedOutcome::Done { out, work } => {
-                stats.nested_work = work;
-                span.record("bucket_work", work);
-                toss_obs::metrics::counter("toss.join.nested").inc();
-                return Ok((out, stats));
-            }
-            NestedOutcome::Escaped { work } => {
-                stats.nested_work = work;
-                span.record("escaped_at", work);
-            }
-        }
-    }
-    stats.refined = true;
-    toss_obs::metrics::counter("toss.join.refined").inc();
-    let out = refined_join(left, right, left_key, right_key, pool, gov, &mut stats)?;
-    Ok((out, stats))
-}
-
-/// The refined path: signature groups → rare-first prefix index →
-/// stamped probe with commit-frontier charging → exact verification →
-/// ordered emission.
-fn refined_join(
-    left: &SeoInstance,
-    right: &SeoInstance,
-    left_key: &JoinKey,
-    right_key: &JoinKey,
-    pool: &WorkerPool,
-    gov: &QueryGovernor,
-    stats: &mut JoinStats,
-) -> TossResult<SeoInstance> {
-    let span = toss_obs::span("toss.join.refined");
+    let span = toss_obs::span("toss.join");
     let classes = seo_classes(&left.seo);
 
     // --- 1. signatures + fingerprint grouping (pooled per side) ---
@@ -323,11 +242,11 @@ fn refined_join(
 
     // --- 4. emission: one graft per verified group pair ---
     // Group ids are first-occurrence order on both sides, so ascending
-    // (lg, rg) is exactly the order in which the nested enumeration
-    // (left index ascending, matched right indices ascending) first
-    // reaches each distinct pair — i.e. the order its first-occurrence
-    // dedup keeps. The frontier already yields (lg, rg) sorted; the
-    // sort is a cheap invariant guard.
+    // (lg, rg) is exactly the order in which enumerating L × R (left
+    // index ascending, right index ascending) first reaches each
+    // distinct pair — i.e. the order a first-occurrence dedup of
+    // product-then-select keeps. The frontier already yields (lg, rg)
+    // sorted; the sort is a cheap invariant guard.
     let emit_span = toss_obs::span("toss.join.emit");
     matched.sort_unstable();
     let ltrees = left.forest.trees();
@@ -356,7 +275,7 @@ fn refined_join(
     // Distinct group pairs graft distinct trees (both sides of a
     // matched pair are non-empty: empty trees have empty signatures),
     // and dedup order is reproduced above — no final dedup pass needed.
-    Ok(SeoInstance::new(out, left.seo.clone()))
+    Ok((SeoInstance::new(out, left.seo.clone()), stats))
 }
 
 /// How many leading elements of a signature the prefix filter must
@@ -521,6 +440,8 @@ fn verify_overlap(a: &[u32], b: &[u32], t: usize) -> bool {
 mod tests {
     use super::*;
     use crate::algebra::similarity_hash_join;
+    use crate::error::TossError;
+    use crate::governor::{Limit, QueryBudget};
     use std::sync::Arc;
     use toss_ontology::hierarchy::from_pairs;
     use toss_ontology::sea::enhance;
@@ -558,56 +479,11 @@ mod tests {
         )
     }
 
+    /// A flat join is governed like any other: it charges the candidate
+    /// pairs it generates and a hard join-cardinality limit aborts it.
     #[test]
-    fn refined_is_byte_identical_to_nested() {
-        let (l, r) = skewed_instances(60);
-        let key = JoinKey::child("k");
-        let pool = WorkerPool::new(2);
-        let gov = QueryGovernor::unlimited();
-        let (nested, ns) = similarity_join_planned(
-            &l,
-            &r,
-            &key,
-            &key,
-            &SimJoinConfig::never_refine(),
-            &pool,
-            &gov,
-        )
-        .unwrap();
-        let (refined, rs) = similarity_join_planned(
-            &l,
-            &r,
-            &key,
-            &key,
-            &SimJoinConfig::always_refine(),
-            &pool,
-            &QueryGovernor::unlimited(),
-        )
-        .unwrap();
-        assert!(!ns.refined);
-        assert!(rs.refined);
-        assert_eq!(fp_list(&nested), fp_list(&refined));
-        assert!(!refined.is_empty());
-    }
-
-    #[test]
-    fn default_planner_escapes_on_skew_and_not_on_flat() {
-        let (l, r) = skewed_instances(400);
-        let key = JoinKey::child("k");
-        let pool = WorkerPool::new(1);
-        let (_, s) = similarity_join_planned(
-            &l,
-            &r,
-            &key,
-            &key,
-            &SimJoinConfig::default(),
-            &pool,
-            &QueryGovernor::unlimited(),
-        )
-        .unwrap();
-        assert!(s.refined, "hot class must cross the planner threshold");
-
-        // flat: unique keys, tiny overlap — never refines
+    fn flat_join_charges_candidates_and_obeys_hard_limit() {
+        // unique keys, 50 of 500 shared between the sides
         let h = from_pairs(&[("a", "b")]).unwrap();
         let seo = Arc::new(enhance(&h, &Levenshtein, 0.0).unwrap());
         let lf: Forest = (0..500)
@@ -616,18 +492,20 @@ mod tests {
         let rf: Forest = (0..500)
             .map(|i| TreeBuilder::new("doc").leaf("k", format!("u{}", i + 450)).build())
             .collect();
-        let (out, s) = similarity_join_planned(
-            &SeoInstance::new(lf, seo.clone()),
-            &SeoInstance::new(rf, seo),
-            &key,
-            &key,
-            &SimJoinConfig::default(),
-            &pool,
-            &QueryGovernor::unlimited(),
-        )
-        .unwrap();
-        assert!(!s.refined, "flat workload must stay nested");
+        let (l, r) = (SeoInstance::new(lf, seo.clone()), SeoInstance::new(rf, seo));
+        let key = JoinKey::child("k");
+        let pool = WorkerPool::new(1);
+
+        let gov = QueryGovernor::unlimited();
+        let (out, stats) = similarity_join(&l, &r, &key, &key, &pool, &gov).unwrap();
         assert_eq!(out.len(), 50);
+        assert_eq!(stats.candidates, 50);
+        assert_eq!(gov.join_candidates(), 50);
+
+        let hard =
+            QueryGovernor::new(QueryBudget::unlimited().with_max_join_cardinality(Limit::hard(49)));
+        let err = similarity_join(&l, &r, &key, &key, &pool, &hard).unwrap_err();
+        assert!(matches!(err, TossError::BudgetExceeded(_)), "got {err:?}");
     }
 
     #[test]
@@ -638,16 +516,7 @@ mod tests {
         for workers in [1usize, 2, 7] {
             let pool = WorkerPool::new(workers);
             let gov = QueryGovernor::unlimited();
-            let (out, _) = similarity_join_planned(
-                &l,
-                &r,
-                &key,
-                &key,
-                &SimJoinConfig::always_refine(),
-                &pool,
-                &gov,
-            )
-            .unwrap();
+            let (out, _) = similarity_join(&l, &r, &key, &key, &pool, &gov).unwrap();
             let got = (fp_list(&out), gov.join_candidates());
             match &baseline {
                 None => baseline = Some(got),
@@ -661,17 +530,16 @@ mod tests {
         let (l, r) = skewed_instances(80);
         let key = JoinKey::child("k");
         let via_public = similarity_hash_join(&l, &r, &key, &key).unwrap();
-        let (refined, _) = similarity_join_planned(
+        let (direct, _) = similarity_join(
             &l,
             &r,
             &key,
             &key,
-            &SimJoinConfig::always_refine(),
             &WorkerPool::new(2),
             &QueryGovernor::unlimited(),
         )
         .unwrap();
-        assert_eq!(fp_list(&via_public), fp_list(&refined));
+        assert_eq!(fp_list(&via_public), fp_list(&direct));
     }
 
     #[test]

@@ -157,17 +157,18 @@ pub enum QueryPlan {
         /// Contiguous partitions the scan splits its candidates into.
         partitions: usize,
     },
-    /// Keyed similarity join: the nested SEO-class hash join, escaping
-    /// to the skew-adaptive refined path (fingerprint groups +
-    /// prefix-filter inverted index over rare-first signatures) when
-    /// the observed bucket-product work crossed the planner threshold.
+    /// Keyed similarity join: fingerprint groups + prefix-filter
+    /// inverted index over rare-first signatures
+    /// ([`crate::algebra::similarity_join`]).
     SimilarityJoin {
-        /// Whether the refined path ran.
+        /// Always `true`: there is one join. Kept for `benchmark/`,
+        /// which destructures it; removed when a [benchmark] slice
+        /// re-ports the read.
         refined: bool,
-        /// Distinct signature groups across both sides (refined only).
+        /// Distinct signature groups across both sides.
         groups: usize,
         /// Candidate pairs the prefix-filtered probe generated and the
-        /// commit frontier charged (refined only).
+        /// commit frontier charged.
         candidates: usize,
         /// Worker threads available to the signature/probe fan-out.
         workers: usize,
@@ -175,14 +176,12 @@ pub enum QueryPlan {
 }
 
 impl QueryPlan {
-    /// Short strategy name (`index-probe` / `parallel-scan` /
-    /// `simjoin-nested` / `simjoin-refined`).
+    /// Short strategy name (`index-probe` / `parallel-scan` / `simjoin`).
     pub fn strategy(&self) -> &'static str {
         match self {
             QueryPlan::IndexProbe { .. } => "index-probe",
             QueryPlan::ParallelScan { .. } => "parallel-scan",
-            QueryPlan::SimilarityJoin { refined: false, .. } => "simjoin-nested",
-            QueryPlan::SimilarityJoin { refined: true, .. } => "simjoin-refined",
+            QueryPlan::SimilarityJoin { .. } => "simjoin",
         }
     }
 }
@@ -206,19 +205,13 @@ impl fmt::Display for QueryPlan {
                 partitions,
             } => write!(f, "parallel-scan workers={workers} partitions={partitions}"),
             QueryPlan::SimilarityJoin {
-                refined: false,
-                workers,
-                ..
-            } => write!(f, "simjoin-nested workers={workers}"),
-            QueryPlan::SimilarityJoin {
-                refined: true,
                 groups,
                 candidates,
                 workers,
+                ..
             } => write!(
                 f,
-                "simjoin-refined groups={groups} candidates={candidates} \
-                 workers={workers}"
+                "simjoin groups={groups} candidates={candidates} workers={workers}"
             ),
         }
     }
@@ -466,10 +459,6 @@ pub struct Executor {
     /// to the machine's available parallelism; a one-worker pool runs
     /// the exact sequential code paths.
     pub pool: WorkerPool,
-    /// Planner knobs for the keyed similarity join: when the nested
-    /// hash join's observed bucket work crosses the threshold, the join
-    /// escapes to the refined signature path (`crate::algebra::simjoin`).
-    pub join_config: crate::algebra::SimJoinConfig,
     /// Bounded cache of SEO-expanded conditions keyed on the normalized
     /// condition, the SEO version stamps, ε, the probe metric and the
     /// expansion-term budget class. Only exact (never soft-truncated)
@@ -493,7 +482,6 @@ impl Executor {
             probe_metric: None,
             part_of_seo: None,
             pool: WorkerPool::with_available_parallelism(),
-            join_config: crate::algebra::SimJoinConfig::default(),
             rewrite_cache: RewriteCache::default(),
             revision: std::sync::atomic::AtomicU64::new(0),
         }
@@ -546,12 +534,6 @@ impl Executor {
     /// every query on the exact sequential code paths.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.pool = WorkerPool::new(n);
-        self
-    }
-
-    /// Set the similarity-join planner knobs (builder style).
-    pub fn with_join_config(mut self, cfg: crate::algebra::SimJoinConfig) -> Self {
-        self.join_config = cfg;
         self
     }
 
@@ -1044,37 +1026,26 @@ impl Executor {
         let (l, r) = self.select_both_governed(left, right, mode, gov)?;
         let combine = toss_obs::span("toss.query.convert");
         let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
-        let (joined, jstats) = match mode {
-            Mode::Toss => crate::algebra::similarity_join_planned(
-                &SeoInstance::new(lf, self.seo.clone()),
-                &SeoInstance::new(rf, self.seo.clone()),
-                left_key,
-                right_key,
-                &self.join_config,
-                &self.pool,
-                gov,
-            )?,
-            Mode::TaxBaseline => {
-                // exact-match join: an empty SEO leaves only the
-                // identical-string signature elements / buckets
-                let empty = Arc::new(toss_ontology::enhance(
-                    &toss_ontology::Hierarchy::new(),
-                    &toss_similarity::Levenshtein,
-                    0.0,
-                )?);
-                crate::algebra::similarity_join_planned(
-                    &SeoInstance::new(lf, empty.clone()),
-                    &SeoInstance::new(rf, empty),
-                    left_key,
-                    right_key,
-                    &self.join_config,
-                    &self.pool,
-                    gov,
-                )?
-            }
+        let seo = match mode {
+            Mode::Toss => self.seo.clone(),
+            // exact-match join: an empty SEO leaves only the
+            // identical-string signature elements
+            Mode::TaxBaseline => Arc::new(toss_ontology::enhance(
+                &toss_ontology::Hierarchy::new(),
+                &toss_similarity::Levenshtein,
+                0.0,
+            )?),
         };
+        let (joined, jstats) = crate::algebra::similarity_join(
+            &SeoInstance::new(lf, seo.clone()),
+            &SeoInstance::new(rf, seo),
+            left_key,
+            right_key,
+            &self.pool,
+            gov,
+        )?;
         let plan = QueryPlan::SimilarityJoin {
-            refined: jstats.refined,
+            refined: true,
             groups: jstats.groups_left + jstats.groups_right,
             candidates: jstats.candidates as usize,
             workers: jstats.workers,

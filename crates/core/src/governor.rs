@@ -274,8 +274,8 @@ pub struct QueryGovernor {
     docs_scanned: AtomicU64,
     witnesses_kept: AtomicU64,
     memory_bytes: AtomicU64,
-    /// Candidate pairs the refined similarity join generated (cumulative
-    /// across every join in the request). Charged against
+    /// Candidate pairs the similarity join generated (cumulative across
+    /// every join in the request). Charged against
     /// [`QueryBudget::max_join_cardinality`] at the probe commit
     /// frontier — see [`QueryGovernor::admit_join_candidates`].
     join_candidates: AtomicU64,
@@ -573,19 +573,19 @@ impl QueryGovernor {
         }
     }
 
-    /// Candidate pairs the refined similarity join has charged so far.
+    /// Candidate pairs the similarity join has charged so far.
     pub fn join_candidates(&self) -> u64 {
         self.join_candidates.load(Ordering::Relaxed)
     }
 
-    /// Admit `produced` candidate pairs generated by the refined
-    /// similarity join's inverted-index probe. Cumulative against
-    /// [`QueryBudget::max_join_cardinality`]: where the nested path is
-    /// bounded up front by [`QueryGovernor::admit_join_cardinality`]
-    /// (|L|·|R| can never exceed the limit once the inputs are clamped),
-    /// the refined path charges the pairs it *actually generates* — so a
-    /// hostile skewed join degrades under budget exactly like the nested
-    /// path, and a well-behaved one is charged for strictly less.
+    /// Admit `produced` candidate pairs generated by the similarity
+    /// join's inverted-index probe. Cumulative against
+    /// [`QueryBudget::max_join_cardinality`]: the join charges the pairs
+    /// it *actually generates*, never more than |L|·|R| — so behind the
+    /// executor's up-front [`QueryGovernor::admit_join_cardinality`]
+    /// clamp of the inputs a first join can never trip it, a
+    /// well-behaved join is charged for far less than the product, and a
+    /// direct caller (no clamp) is bounded by this charge alone.
     /// Returns how many of the produced pairs may be kept; a soft limit
     /// truncates (recording degradation), a hard limit errors.
     ///

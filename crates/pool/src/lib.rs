@@ -287,19 +287,27 @@ mod tests {
     fn panic_propagates_and_stops_new_tasks() {
         let pool = WorkerPool::new(2);
         let started = AtomicUsize::new(0);
+        let unwinding = AtomicBool::new(false);
         let result = catch_unwind(AssertUnwindSafe(|| {
             pool.run(
                 (0..16)
                     .map(|i| {
-                        let started = &started;
+                        let (started, unwinding) = (&started, &unwinding);
                         move || {
                             started.fetch_add(1, Ordering::SeqCst);
                             if i == 0 {
+                                let _unwinding = PoisonOnPanic(unwinding);
                                 panic!("task zero poisoned");
                             }
-                            // slow enough that the poison flag (set while
-                            // task zero unwinds) lands before the other
-                            // worker can drain the whole queue
+                            // The panic hook runs (and may print a
+                            // backtrace for as long as it likes) before
+                            // unwinding starts, so wait for task zero's
+                            // own guard: it drops one frame before the
+                            // pool's, and the short sleep covers the rest
+                            // of the unwind up to the poison flag.
+                            while !unwinding.load(Ordering::Acquire) {
+                                thread::yield_now();
+                            }
                             thread::sleep(Duration::from_millis(20));
                             i
                         }

@@ -14,11 +14,12 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> chaos suites (governance + serving fault injection + durability + segments) and the probe scaling guard, release"
+echo "==> chaos suites (governance + serving fault injection + durability + segments), the join suite and the probe scaling guard, release"
 # tests/parallel.rs carries the release-only guard
 # probe_cost_follows_the_candidates_not_the_collection (a debug timing
-# means nothing, so the debug run above compiles it out)
-cargo test --release --test chaos --test governance --test serve --test durability --test segments --test parallel -q
+# means nothing, so the debug run above compiles it out); tests/join.rs
+# guards the only similarity join there is, so it runs optimized too
+cargo test --release --test chaos --test governance --test serve --test durability --test segments --test parallel --test join -q
 
 echo "==> crash campaign smoke (quick: TOSS_CRASH_SEEDS=10)"
 # the deterministic kill-and-recover campaign (docs/robustness.md): a

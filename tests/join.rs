@@ -1,13 +1,12 @@
 //! Similarity-join equivalence suite (see `docs/performance.md`): the
-//! refined prefix-filtered path must return *exactly* the nested hash
-//! join's output — which in turn must equal the naive
-//! product-then-select oracle — across random ontologies, adversarial
-//! 100%-skew single-class workloads and zipf-skewed keys, at every
-//! worker count, with bit-identical governor candidate tallies.
+//! prefix-filtered signature join must return *exactly* the naive
+//! product-then-select oracle's output — across random ontologies,
+//! adversarial 100%-skew single-class workloads and zipf-skewed keys, at
+//! every worker count, with bit-identical governor candidate tallies.
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use toss::core::algebra::{similarity_join_planned, JoinKey, SimJoinConfig};
+use toss::core::algebra::{similarity_join, JoinKey};
 use toss::core::expand::seo_classes;
 use toss::core::governor::{BudgetKind, Limit, QueryBudget, QueryGovernor};
 use toss::core::{SeoInstance, TossError, WorkerPool};
@@ -127,7 +126,7 @@ fn graft_pair(lt: &Tree, rt: &Tree) -> Tree {
 
 /// The naive oracle: product, then select pairs where some key pair
 /// shares an enhanced class or matches exactly — grafted in (li, ri)
-/// order and deduplicated, exactly like the nested path.
+/// order and deduplicated keeping first occurrences.
 fn oracle(l: &SeoInstance, r: &SeoInstance, key: &JoinKey) -> Vec<String> {
     let classes = seo_classes(&l.seo);
     let mut out = Vec::new();
@@ -161,25 +160,19 @@ fn fp_list(inst: &SeoInstance) -> Vec<String> {
     inst.forest.iter().map(fingerprint).collect()
 }
 
-fn run(
-    l: &SeoInstance,
-    r: &SeoInstance,
-    cfg: &SimJoinConfig,
-    workers: usize,
-    gov: &QueryGovernor,
-) -> SeoInstance {
+fn run(l: &SeoInstance, r: &SeoInstance, workers: usize, gov: &QueryGovernor) -> SeoInstance {
     let key = JoinKey::child("k");
     let pool = WorkerPool::new(workers);
-    let (out, _) = similarity_join_planned(l, r, &key, &key, cfg, &pool, gov).expect("join");
+    let (out, _) = similarity_join(l, r, &key, &key, &pool, gov).expect("join");
     out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random ontology, random sides: refined ≡ nested ≡ oracle.
+    /// Random ontology, random sides: join ≡ oracle.
     #[test]
-    fn refined_equals_nested_equals_oracle(seed in 1u64..u64::MAX) {
+    fn join_equals_oracle(seed in 1u64..u64::MAX) {
         let mut rng = Rng::new(seed);
         let seo = random_seo(&mut rng);
         let nl = 8 + rng.below(25);
@@ -188,19 +181,12 @@ proptest! {
         let r = SeoInstance::new(random_side(&mut rng, nr, "r"), seo.clone());
         let expected = oracle(&l, &r, &JoinKey::child("k"));
 
-        let nested = run(&l, &r, &SimJoinConfig::never_refine(), 1, &QueryGovernor::unlimited());
-        let refined = run(&l, &r, &SimJoinConfig::always_refine(), 1, &QueryGovernor::unlimited());
-        let auto = run(&l, &r, &SimJoinConfig::default(), 1, &QueryGovernor::unlimited());
-
-        prop_assert_eq!(fp_list(&nested), expected.clone());
-        prop_assert_eq!(fp_list(&refined), expected.clone());
-        prop_assert_eq!(fp_list(&auto), expected);
+        let joined = run(&l, &r, 1, &QueryGovernor::unlimited());
+        prop_assert_eq!(fp_list(&joined), expected);
     }
 
     /// Adversarial 100% skew: every key in one enhanced class,
-    /// zipf-duplicated. A tiny escape threshold forces the planner
-    /// through the escape path; the refined result must still match
-    /// both the nested join and the oracle.
+    /// zipf-duplicated; the result must still match the oracle.
     #[test]
     fn single_class_adversarial_skew(seed in 1u64..u64::MAX) {
         let mut rng = Rng::new(seed);
@@ -211,15 +197,8 @@ proptest! {
         let r = SeoInstance::new(clique_side(&mut rng, nr), seo.clone());
         let expected = oracle(&l, &r, &JoinKey::child("k"));
 
-        let nested = run(&l, &r, &SimJoinConfig::never_refine(), 1, &QueryGovernor::unlimited());
-        let escaped = run(
-            &l, &r,
-            &SimJoinConfig { refine_threshold: 8 },
-            1,
-            &QueryGovernor::unlimited(),
-        );
-        prop_assert_eq!(fp_list(&nested), expected.clone());
-        prop_assert_eq!(fp_list(&escaped), expected);
+        let joined = run(&l, &r, 1, &QueryGovernor::unlimited());
+        prop_assert_eq!(fp_list(&joined), expected);
     }
 
     /// Worker-count independence: identical output *and* identical
@@ -236,7 +215,7 @@ proptest! {
         let mut outputs: Vec<(Vec<String>, u64)> = Vec::new();
         for &w in &THREADS {
             let gov = QueryGovernor::unlimited();
-            let out = run(&l, &r, &SimJoinConfig::always_refine(), w, &gov);
+            let out = run(&l, &r, w, &gov);
             outputs.push((fp_list(&out), gov.join_candidates()));
         }
         for pair in outputs.windows(2) {
@@ -256,10 +235,9 @@ fn join_cardinality_boundary() {
     let seo = clique_seo();
     let l = SeoInstance::new(clique_side(&mut rng, 40), seo.clone());
     let r = SeoInstance::new(clique_side(&mut rng, 40), seo.clone());
-    let cfg = SimJoinConfig::always_refine();
 
     let unlimited = QueryGovernor::unlimited();
-    let full = run(&l, &r, &cfg, 1, &unlimited);
+    let full = run(&l, &r, 1, &unlimited);
     let produced = unlimited.join_candidates();
     assert!(produced > 0, "workload must generate candidates");
 
@@ -267,7 +245,7 @@ fn join_cardinality_boundary() {
     let at = QueryGovernor::new(
         QueryBudget::unlimited().with_max_join_cardinality(Limit::soft(produced)),
     );
-    let out_at = run(&l, &r, &cfg, 1, &at);
+    let out_at = run(&l, &r, 1, &at);
     assert!(at.degradation().is_none());
     assert_eq!(fp_list(&out_at), fp_list(&full));
 
@@ -277,7 +255,7 @@ fn join_cardinality_boundary() {
         let soft = QueryGovernor::new(
             QueryBudget::unlimited().with_max_join_cardinality(Limit::soft(produced - 1)),
         );
-        let out = run(&l, &r, &cfg, w, &soft);
+        let out = run(&l, &r, w, &soft);
         let info = soft.degradation().expect("soft cap must trip");
         assert_eq!(info.tripped, BudgetKind::JoinCardinality);
         assert!(out.len() <= full.len());
@@ -292,7 +270,7 @@ fn join_cardinality_boundary() {
         QueryBudget::unlimited().with_max_join_cardinality(Limit::hard(produced - 1)),
     );
     let key = JoinKey::child("k");
-    let err = similarity_join_planned(&l, &r, &key, &key, &cfg, &WorkerPool::new(1), &hard)
+    let err = similarity_join(&l, &r, &key, &key, &WorkerPool::new(1), &hard)
         .expect_err("hard cap must abort");
     assert!(matches!(err, TossError::BudgetExceeded(_)), "got {err:?}");
 }
