@@ -17,7 +17,7 @@
 
 use crate::algebra::TossPattern;
 use crate::convert::Conversions;
-use crate::error::{TossError, TossResult};
+use crate::error::TossResult;
 use crate::expand::ExpandCtx;
 use crate::governor::{DegradationInfo, QueryGovernor, ScanDecision};
 use crate::rewrite::compile_xpath;
@@ -29,8 +29,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use toss_ontology::Seo;
 use toss_pool::WorkerPool;
-use toss_tax::{Cond, PatternTree};
-use toss_tree::Forest;
+use toss_tax::{Cond, Matcher, PatternTree};
+use toss_tree::{Forest, Tree};
 use toss_xmldb::xpath::{Expr, NameTest, RelPath, ValueExpr};
 use toss_xmldb::{
     planned_partitions, Candidates, Collection, Database, NodeRef, ScanBudget,
@@ -381,28 +381,23 @@ fn approx_tree_bytes(t: &toss_tree::Tree) -> u64 {
 }
 
 /// Keep at most the governor-admitted number of witness trees.
-fn clamp_witnesses(forest: Forest, gov: &QueryGovernor) -> TossResult<Forest> {
+fn clamp_witnesses(mut forest: Forest, gov: &QueryGovernor) -> TossResult<Forest> {
     let allowed = gov.admit_witnesses(forest.len())?;
-    if allowed < forest.len() {
-        Ok(forest.iter().take(allowed).cloned().collect())
-    } else {
-        Ok(forest)
-    }
+    forest.trees_mut().truncate(allowed);
+    Ok(forest)
 }
 
 /// Shrink the two sides of a join until |L| × |R| fits the budget.
 fn clamp_join_inputs(
-    left: Forest,
-    right: Forest,
+    mut left: Forest,
+    mut right: Forest,
     gov: &QueryGovernor,
 ) -> TossResult<(Forest, Forest)> {
-    match gov.admit_join_cardinality(left.len(), right.len())? {
-        None => Ok((left, right)),
-        Some((l, r)) => Ok((
-            left.iter().take(l).cloned().collect(),
-            right.iter().take(r).cloned().collect(),
-        )),
+    if let Some((l, r)) = gov.admit_join_cardinality(left.len(), right.len())? {
+        left.trees_mut().truncate(l);
+        right.trees_mut().truncate(r);
     }
+    Ok((left, right))
 }
 
 /// Number of expansion terms the SEO rewrite introduced into a compiled
@@ -427,14 +422,39 @@ fn publish_phase_metrics(rewrite: Duration, execute: Duration, convert: Duration
     histogram("toss.query.total_ns").observe_duration(rewrite + execute + convert);
 }
 
-/// What phases 1 + 2 of a governed query produce: the compiled pattern,
-/// the XPath, the collection and the matched node refs.
-struct Retrieval<'a> {
-    compiled: PatternTree,
+/// Everything phase 1 derives from a query, none of it from a request:
+/// the compiled pattern tree rendered to XPath text, that text parsed,
+/// and the pattern prepared as a `toss-tax` [`Matcher`] for phase 3.
+/// Built once per rewrite-cache entry (see [`crate::semcache`]) and
+/// shared by `Arc`; uncached compiles build one for the request.
+#[derive(Debug)]
+pub struct PreparedQuery {
     xpath_src: String,
+    xpath: XPath,
+    matcher: Matcher,
+    n_expansion: usize,
+}
+
+impl PreparedQuery {
+    fn new(compiled: PatternTree) -> TossResult<Self> {
+        let xpath_src = compile_xpath(&compiled)?;
+        let xpath = XPath::parse(&xpath_src)?;
+        let n_expansion = expansion_terms(compiled.condition());
+        Ok(PreparedQuery {
+            xpath_src,
+            xpath,
+            matcher: Matcher::new(compiled),
+            n_expansion,
+        })
+    }
+}
+
+/// What phases 1 + 2 of a governed query produce: the prepared query, the
+/// collection and the matched node refs.
+struct Retrieval<'a> {
+    prepared: Arc<PreparedQuery>,
     coll: &'a Collection,
     matches: Vec<NodeRef>,
-    n_expansion: usize,
     plan: QueryPlan,
     rewrite_time: Duration,
     execute_time: Duration,
@@ -571,14 +591,29 @@ impl Executor {
         }
     }
 
-    /// Cache key for the Toss-mode rewrite of `cond`: the normalized
-    /// condition fingerprint plus every executor-side input the
-    /// expansion depends on. SEO version stamps are unique per
-    /// enhancement, so fusing and re-enhancing an ontology can never be
-    /// served a stale expansion.
-    fn rewrite_key(&self, cond: &crate::condition::TossCond, gov: Option<&QueryGovernor>) -> String {
+    /// Cache key for the Toss-mode rewrite of `pattern`: the normalized
+    /// condition fingerprint, the pattern structure (the prepared form
+    /// compiles labels, parents and edge kinds into its XPath and its
+    /// matcher) plus every executor-side input the expansion depends on.
+    /// SEO version stamps are unique per enhancement, so fusing and
+    /// re-enhancing an ontology can never be served a stale expansion.
+    fn rewrite_key(&self, pattern: &TossPattern, gov: Option<&QueryGovernor>) -> String {
         use std::fmt::Write as _;
-        let mut key = fingerprint(cond);
+        let mut key = fingerprint(&pattern.condition);
+        key.push('^');
+        let structure = &pattern.structure;
+        for node in structure.preorder() {
+            let _ = write!(key, "{}", structure.label(node));
+            match structure.parent_edge(node) {
+                None => key.push(';'),
+                Some((parent, toss_tax::EdgeKind::ParentChild)) => {
+                    let _ = write!(key, "/{};", parent.0);
+                }
+                Some((parent, toss_tax::EdgeKind::AncestorDescendant)) => {
+                    let _ = write!(key, "//{};", parent.0);
+                }
+            }
+        }
         let _ = write!(
             key,
             "@seo{}~eps{:016x}",
@@ -604,29 +639,31 @@ impl Executor {
     /// is served only when the governor's remaining expansion-term
     /// headroom admits it in full, and is then charged through
     /// [`QueryGovernor::admit_expansion_terms`] exactly like a cold
-    /// rewrite. Fresh expansions are stored only when the compile
-    /// finished without soft truncation (the stored entry must be the
-    /// *exact* expansion, valid for any query of the same budget class
-    /// with enough headroom).
+    /// rewrite; the first such hit promotes the entry to its prepared
+    /// form and later hits share it. Fresh expansions are stored only
+    /// when the compile finished without soft truncation (the stored
+    /// entry must be the *exact* expansion, valid for any query of the
+    /// same budget class with enough headroom), and stored unprepared:
+    /// a query that never comes back costs the cache what it always did.
     fn compile_toss_cached(
         &self,
         pattern: &TossPattern,
         gov: Option<&QueryGovernor>,
-    ) -> TossResult<PatternTree> {
-        let key = self.rewrite_key(&pattern.condition, gov);
+    ) -> TossResult<Arc<PreparedQuery>> {
+        let key = self.rewrite_key(pattern, gov);
         if let Some(hit) = self.rewrite_cache.get(&key) {
-            let servable = match gov {
-                Some(g) => g.expansion_headroom() >= hit.terms as u64,
-                None => true,
-            };
+            let servable = gov.is_none_or(|g| g.expansion_headroom() >= hit.terms as u64);
             if servable {
                 if let Some(g) = gov {
                     g.admit_expansion_terms(hit.terms)?;
                 }
-                let mut p = pattern.structure.clone();
-                p.set_condition((*hit.cond).clone())?;
+                let prepared = hit.promote(|| {
+                    let mut p = pattern.structure.clone();
+                    p.set_condition((*hit.cond).clone())?;
+                    PreparedQuery::new(p)
+                })?;
                 self.rewrite_cache.record_hit();
-                return Ok(p);
+                return Ok(prepared);
             }
         }
         self.rewrite_cache.record_miss();
@@ -642,31 +679,26 @@ impl Executor {
         if exact {
             self.rewrite_cache.insert(
                 key,
-                CachedRewrite {
-                    cond: Arc::new(compiled.condition().clone()),
-                    terms: expansion_terms(compiled.condition()),
-                },
+                CachedRewrite::new(
+                    Arc::new(compiled.condition().clone()),
+                    expansion_terms(compiled.condition()),
+                ),
             );
         }
-        Ok(compiled)
+        Ok(Arc::new(PreparedQuery::new(compiled)?))
     }
 
-    fn compile(&self, pattern: &TossPattern, mode: Mode) -> TossResult<PatternTree> {
-        match mode {
-            Mode::Toss => self.compile_toss_cached(pattern, None),
-            Mode::TaxBaseline => pattern.compile_baseline(),
-        }
-    }
-
-    fn compile_governed(
+    /// Phase 1 for either mode. Only Toss-mode compiles go through the
+    /// cache: the TAX baseline never touches the SEO.
+    fn compile(
         &self,
         pattern: &TossPattern,
         mode: Mode,
-        gov: &QueryGovernor,
-    ) -> TossResult<PatternTree> {
+        gov: Option<&QueryGovernor>,
+    ) -> TossResult<Arc<PreparedQuery>> {
         match mode {
-            Mode::Toss => self.compile_toss_cached(pattern, Some(gov)),
-            Mode::TaxBaseline => pattern.compile_baseline(),
+            Mode::Toss => self.compile_toss_cached(pattern, gov),
+            Mode::TaxBaseline => Ok(Arc::new(PreparedQuery::new(pattern.compile_baseline()?)?)),
         }
     }
 
@@ -685,19 +717,16 @@ impl Executor {
 
         // phase 1: rewrite
         let rw = toss_obs::span("toss.query.rewrite");
-        let compiled = self.compile_governed(&query.pattern, mode, gov)?;
-        let xpath_src = compile_xpath(&compiled)?;
-        let xpath = XPath::parse(&xpath_src)?;
-        let n_expansion = expansion_terms(compiled.condition());
-        rw.record("expansion_terms", n_expansion);
-        rw.record("xpath_len", xpath_src.len());
+        let prepared = self.compile(&query.pattern, mode, Some(gov))?;
+        rw.record("expansion_terms", prepared.n_expansion);
+        rw.record("xpath_len", prepared.xpath_src.len());
         let rewrite_time = rw.finish();
 
         // phase 2: plan, then execute against the store
         gov.check()?;
         let ex = toss_obs::span("toss.query.execute");
         let coll = self.db.collection(&query.collection)?;
-        let (plan, visits) = plan_retrieval(&xpath, coll, self.pool.workers());
+        let (plan, visits) = plan_retrieval(&prepared.xpath, coll, self.pool.workers());
         ex.record("plan", plan.strategy());
         match &plan {
             QueryPlan::IndexProbe {
@@ -738,35 +767,33 @@ impl Executor {
         let execute_time = ex.finish();
 
         Ok(Retrieval {
-            compiled,
-            xpath_src,
+            prepared,
             coll,
             matches,
-            n_expansion,
             plan,
             rewrite_time,
             execute_time,
         })
     }
 
-    /// Load the matched documents as candidate witness trees, charging
-    /// the approximate-memory budget per tree. A tripped soft ceiling
-    /// stops loading further documents (graceful degradation); a hard
-    /// ceiling errors.
-    fn load_candidates_governed(
+    /// The matched documents as candidate trees, borrowed from the
+    /// collection, charging the approximate-memory budget per tree. A
+    /// tripped soft ceiling stops admitting further documents (graceful
+    /// degradation); a hard ceiling errors.
+    fn load_candidates_governed<'a>(
         &self,
-        coll: &Collection,
+        coll: &'a Collection,
         matches: &[NodeRef],
         gov: &QueryGovernor,
         cv: &toss_obs::SpanGuard,
-    ) -> TossResult<Forest> {
+    ) -> TossResult<Vec<&'a Tree>> {
         let docs: BTreeSet<_> = matches.iter().map(|m| m.doc).collect();
         cv.record("candidate_docs", docs.len());
-        let mut candidate = Forest::new();
+        let mut candidate = Vec::with_capacity(docs.len());
         for doc in docs {
             gov.check()?;
-            let tree = coll.get(doc)?.tree.clone();
-            let fits = gov.charge_memory(approx_tree_bytes(&tree))?;
+            let tree = &coll.get(doc)?.tree;
+            let fits = gov.charge_memory(approx_tree_bytes(tree))?;
             candidate.push(tree);
             if !fits {
                 cv.record("memory_truncated_at", candidate.len());
@@ -802,7 +829,7 @@ impl Executor {
         let cv = toss_obs::span("toss.query.convert");
         let candidate =
             self.load_candidates_governed(ret.coll, &ret.matches, gov, &cv)?;
-        let forest = toss_tax::select(&candidate, &ret.compiled, &query.expand_labels)?;
+        let forest = ret.prepared.matcher.select(candidate, &query.expand_labels)?;
         let forest = clamp_witnesses(forest, gov)?;
         cv.record("witnesses", forest.len());
         let convert_time = cv.finish();
@@ -814,13 +841,13 @@ impl Executor {
         span.record("results", forest.len());
         toss_obs::metrics::counter("toss.query.selects").inc();
         toss_obs::metrics::counter("toss.query.expansion_terms")
-            .add(ret.n_expansion as u64);
+            .add(ret.prepared.n_expansion as u64);
         publish_phase_metrics(ret.rewrite_time, ret.execute_time, convert_time);
         drop(span);
 
         Ok(QueryOutcome {
             forest,
-            xpath: ret.xpath_src,
+            xpath: ret.prepared.xpath_src.clone(),
             degradation,
             plan: Some(ret.plan),
             rewrite_time: ret.rewrite_time,
@@ -859,7 +886,7 @@ impl Executor {
         let cv = toss_obs::span("toss.query.convert");
         let candidate =
             self.load_candidates_governed(ret.coll, &ret.matches, gov, &cv)?;
-        let forest = toss_tax::project(&candidate, &ret.compiled, list)?;
+        let forest = ret.prepared.matcher.project(candidate, list)?;
         let forest = clamp_witnesses(forest, gov)?;
         cv.record("witnesses", forest.len());
         let convert_time = cv.finish();
@@ -871,13 +898,13 @@ impl Executor {
         span.record("results", forest.len());
         toss_obs::metrics::counter("toss.query.projects").inc();
         toss_obs::metrics::counter("toss.query.expansion_terms")
-            .add(ret.n_expansion as u64);
+            .add(ret.prepared.n_expansion as u64);
         publish_phase_metrics(ret.rewrite_time, ret.execute_time, convert_time);
         drop(span);
 
         Ok(QueryOutcome {
             forest,
-            xpath: ret.xpath_src,
+            xpath: ret.prepared.xpath_src.clone(),
             degradation,
             plan: Some(ret.plan),
             rewrite_time: ret.rewrite_time,
@@ -957,12 +984,14 @@ impl Executor {
         let (l, r) = self.select_both_governed(left, right, mode, gov)?;
 
         let cross_span = toss_obs::span("toss.query.rewrite");
-        let compiled_cross = self.compile_governed(cross, mode, gov)?;
+        let cross = self.compile(cross, mode, Some(gov))?;
         let rewrite_time = l.rewrite_time + r.rewrite_time + cross_span.finish();
 
         let combine = toss_obs::span("toss.query.convert");
         let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
-        let joined = toss_tax::join(&lf, &rf, &compiled_cross, expand_labels)?;
+        let joined = cross
+            .matcher
+            .select(&toss_tax::product(&lf, &rf)?, expand_labels)?;
         let joined = clamp_witnesses(joined, gov)?;
         combine.record("witnesses", joined.len());
         let convert_time = l.convert_time + r.convert_time + combine.finish();
@@ -1082,8 +1111,8 @@ impl Executor {
         expand_labels: &[u32],
         mode: Mode,
     ) -> TossResult<Forest> {
-        let compiled = self.compile(pattern, mode)?;
-        toss_tax::select(forest, &compiled, expand_labels).map_err(TossError::from)
+        let prepared = self.compile(pattern, mode, None)?;
+        Ok(prepared.matcher.select(forest, expand_labels)?)
     }
 }
 
@@ -1091,6 +1120,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::condition::{TossCond, TossTerm};
+    use crate::error::TossError;
     use crate::governor::{Limit, QueryBudget};
     use toss_ontology::hierarchy::from_pairs;
     use toss_ontology::sea::enhance;
@@ -1599,6 +1629,189 @@ mod tests {
         // a different probe is a different key
         ex.select(&author_query("E. Codd"), Mode::Toss).unwrap();
         assert_eq!(ex.rewrite_cache.misses(), 2);
+    }
+
+    /// `(xpath, plan, forest, terms charged, docs charged)` of one select.
+    fn observed(
+        ex: &Executor,
+        q: &TossQuery,
+        budget: &QueryBudget,
+    ) -> (String, Option<QueryPlan>, String, u64, u64) {
+        let gov = QueryGovernor::new(budget.clone());
+        let out = ex.select_governed(q, Mode::Toss, &gov).unwrap();
+        assert!(out.degradation.is_none());
+        (
+            out.xpath,
+            out.plan,
+            forest_to_xml(&out.forest, Style::Compact),
+            gov.terms_used(),
+            gov.docs_scanned(),
+        )
+    }
+
+    fn entry_is_promoted(ex: &Executor, q: &TossQuery, budget: &QueryBudget) -> bool {
+        let gov = QueryGovernor::new(budget.clone());
+        let key = ex.rewrite_key(&q.pattern, Some(&gov));
+        ex.rewrite_cache
+            .get(&key)
+            .expect("an exact rewrite is cached")
+            .is_promoted()
+    }
+
+    #[test]
+    fn miss_promotion_and_shared_hit_are_indistinguishable() {
+        let budgets = [
+            QueryBudget::unlimited(),
+            QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(100)),
+        ];
+        for workers in [1, 4] {
+            for budget in &budgets {
+                let ex = setup_wide(40).with_threads(workers);
+                for q in [
+                    wide_query("author", "A1", true), // probe-planned, SEO-expanded
+                    wide_query("venue", "V", false),  // scan-planned
+                ] {
+                    let miss = observed(&ex, &q, budget);
+                    assert!(
+                        !entry_is_promoted(&ex, &q, budget),
+                        "an entry that never hit holds no prepared form"
+                    );
+                    let promoting = observed(&ex, &q, budget);
+                    assert!(entry_is_promoted(&ex, &q, budget));
+                    let shared = observed(&ex, &q, budget);
+                    assert_eq!(miss, promoting, "workers={workers} {budget:?}");
+                    assert_eq!(miss, shared, "workers={workers} {budget:?}");
+                }
+                assert_eq!(
+                    (ex.rewrite_cache.hits(), ex.rewrite_cache.misses()),
+                    (4, 2)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn promotion_is_shared_not_repeated() {
+        let ex = setup();
+        let q = author_query("Jeff Ullman");
+        let gov = QueryGovernor::unlimited();
+        ex.select(&q, Mode::Toss).unwrap();
+        let first = ex.compile(&q.pattern, Mode::Toss, Some(&gov)).unwrap();
+        let second = ex.compile(&q.pattern, Mode::Toss, Some(&gov)).unwrap();
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "every hit after the promoting one shares its prepared query"
+        );
+    }
+
+    #[test]
+    fn pattern_structure_is_part_of_the_cache_key() {
+        let mut db = Database::with_config(DatabaseConfig::unlimited());
+        let c = db.create_collection("nested").unwrap();
+        c.insert_xml("<paper><author>Ann</author></paper>").unwrap();
+        c.insert_xml("<paper><credits><author>Ann</author></credits></paper>")
+            .unwrap();
+        let seo = Arc::new(enhance(&from_pairs(&[("Ann", "author")]).unwrap(), &Levenshtein, 0.0).unwrap());
+        let ex = Executor::new(db, seo);
+        let query = |edge| TossQuery {
+            collection: "nested".into(),
+            pattern: TossPattern::spine(
+                &[edge],
+                TossCond::all(vec![
+                    TossCond::eq(TossTerm::tag(1), TossTerm::str("paper")),
+                    TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
+                    TossCond::similar(TossTerm::content(2), TossTerm::str("Ann")),
+                ]),
+            )
+            .unwrap(),
+            expand_labels: vec![1],
+        };
+        let (pc, ad) = (
+            query(EdgeKind::ParentChild),
+            query(EdgeKind::AncestorDescendant),
+        );
+        // same condition, different structure: interleaved and repeated so
+        // each runs once cold, once promoting and once on the shared form
+        for round in 0..3 {
+            let child = ex.select(&pc, Mode::Toss).unwrap();
+            let descendant = ex.select(&ad, Mode::Toss).unwrap();
+            assert_eq!(child.forest.len(), 1, "round {round}");
+            assert_eq!(descendant.forest.len(), 2, "round {round}");
+            assert!(child.xpath.contains("[author["), "{}", child.xpath);
+            assert!(descendant.xpath.contains("[.//author["), "{}", descendant.xpath);
+        }
+        assert_eq!(ex.rewrite_cache.len(), 2);
+        assert_eq!((ex.rewrite_cache.hits(), ex.rewrite_cache.misses()), (4, 2));
+    }
+
+    #[test]
+    fn commuted_conditions_share_one_promoted_entry() {
+        let ex = setup();
+        let q = author_query("Jeff Ullman");
+        let TossCond::And(a, b) = q.pattern.condition.clone() else {
+            panic!("spine conditions are And chains");
+        };
+        let mut commuted = q.clone();
+        commuted.pattern.condition = TossCond::And(b, a);
+        let gov = QueryGovernor::unlimited();
+        ex.select(&q, Mode::Toss).unwrap();
+        let via_commuted = ex.compile(&commuted.pattern, Mode::Toss, Some(&gov)).unwrap();
+        let via_original = ex.compile(&q.pattern, Mode::Toss, Some(&gov)).unwrap();
+        assert!(Arc::ptr_eq(&via_commuted, &via_original));
+        assert_eq!(ex.rewrite_cache.len(), 1);
+    }
+
+    #[test]
+    fn an_seo_swap_leaves_promoted_entries_unreachable() {
+        let mut ex = setup();
+        let q = venue_query("conference");
+        for _ in 0..3 {
+            assert_eq!(ex.select(&q, Mode::Toss).unwrap().forest.len(), 2);
+        }
+        assert_eq!((ex.rewrite_cache.hits(), ex.rewrite_cache.misses()), (2, 1));
+        // the new ontology files TODS under conference: a stale prepared
+        // query (old XPath, old matcher) would still answer 2
+        let h = from_pairs(&[
+            ("SIGMOD Conference", "conference"),
+            ("VLDB", "conference"),
+            ("TODS", "conference"),
+        ])
+        .unwrap();
+        ex.note_write_batch(Some(Arc::new(enhance(&h, &Levenshtein, 1.0).unwrap())));
+        let out = ex.select(&q, Mode::Toss).unwrap();
+        assert_eq!(out.forest.len(), 3);
+        assert!(out.xpath.contains("TODS"));
+        assert_eq!((ex.rewrite_cache.hits(), ex.rewrite_cache.misses()), (2, 2));
+    }
+
+    #[test]
+    fn clamped_forests_are_prefixes_of_the_unclamped_ones() {
+        let ex = setup_wide(12);
+        let q = wide_query("venue", "V", false);
+        let full = ex.select(&q, Mode::Toss).unwrap().forest;
+        assert_eq!(full.len(), 12);
+        let prefix = |f: &Forest, n: usize| -> Vec<String> {
+            f.iter().take(n).map(toss_tree::eq::fingerprint).collect()
+        };
+        for cap in [0usize, 1, 5, 12, 40] {
+            let gov = QueryGovernor::new(
+                QueryBudget::unlimited().with_max_witnesses(Limit::soft(cap as u64)),
+            );
+            let clamped = clamp_witnesses(full.clone(), &gov).unwrap();
+            assert_eq!(clamped.len(), cap.min(12));
+            assert_eq!(prefix(&clamped, usize::MAX), prefix(&full, cap));
+        }
+        // 12 × 12 = 144 pairs against a budget of 30
+        let gov = QueryGovernor::new(
+            QueryBudget::unlimited().with_max_join_cardinality(Limit::soft(30)),
+        );
+        let (l, r) = clamp_join_inputs(full.clone(), full.clone(), &gov).unwrap();
+        assert_eq!((l.len(), r.len()), (12, 2), "the right side shrinks to fit");
+        assert_eq!(prefix(&l, usize::MAX), prefix(&full, l.len()));
+        assert_eq!(prefix(&r, usize::MAX), prefix(&full, r.len()));
+        let (l, r) = clamp_join_inputs(full.clone(), full.clone(), &QueryGovernor::unlimited())
+            .unwrap();
+        assert_eq!((l.len(), r.len()), (12, 12));
     }
 
     #[test]

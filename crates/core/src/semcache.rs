@@ -1,14 +1,35 @@
-//! Bounded rewrite cache for SEO-expanded conditions.
+//! Bounded rewrite cache: what phase 1 of a query produces, kept per query.
 //!
 //! Rewriting a [`TossCond`] walks the ontology: every `~` atom expands to
 //! a similarity class, every `below`/`isa` atom to a below-cone. With the
 //! semantic index those walks are already lookups, but the assembled
 //! [`Cond`] — term collection, governed dedup, set construction — is
-//! still rebuilt per query. This cache keys the *finished* expansion on
-//! everything the rewrite depends on:
+//! still rebuilt per query, and so is everything derived from it: the
+//! XPath text, its parsed AST and the matcher that converts candidates
+//! back to witness trees.
+//!
+//! **What an entry holds.** A [`CachedRewrite`] is inserted on a miss with
+//! the *finished* expansion (`cond`) and its expansion-term count
+//! (`terms`) — nothing else, so a stream of queries that never repeat
+//! retains exactly what it always did. On its **first servable hit** the
+//! entry is *promoted*: the executor builds the query's
+//! [`PreparedQuery`] (compiled pattern → XPath text → parsed XPath, plus
+//! the `toss-tax` [`Matcher`](toss_tax::Matcher)) into the entry's
+//! once-cell, and that hit and every later one share it by `Arc` — no
+//! render, no re-parse, no condition clone, no per-tree conjunct split.
+//! The map hands out the entry itself (`Arc<CachedRewrite>`), never a
+//! copy, so there is one cell per entry however many readers race to
+//! fill it. A promoted entry keeps its `cond`: the term sets that
+//! dominate its size are shared by `Arc` with the matcher's conjuncts.
+//!
+//! **The key** is everything the entry depends on:
 //!
 //! * the normalized condition fingerprint (And/Or chains flattened and
 //!   sorted, so `a ∧ b` and `b ∧ a` share an entry),
+//! * the pattern structure — labels, parents, pc/ad edge kinds — because
+//!   the prepared form compiles the structure into its XPath steps and
+//!   its matcher (the same condition over a `pc` and an `ad` spine are
+//!   different queries),
 //! * the SEO version stamp (fused-and-re-enhanced ontologies get fresh
 //!   stamps, so stale expansions can never be served),
 //! * ε, the probe metric, the part-of SEO version,
@@ -27,6 +48,8 @@
 //! [`QueryGovernor::admit_expansion_terms`]: crate::governor::QueryGovernor::admit_expansion_terms
 
 use crate::condition::TossCond;
+use crate::error::TossResult;
+use crate::executor::PreparedQuery;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,19 +76,51 @@ fn global_evictions() -> &'static Counter {
     global_counter(&C, "toss.semantic.rewrite_cache.evictions")
 }
 
-/// A cached expansion: the rewritten condition plus how many expansion
-/// terms it carries (what the governor must admit to serve it).
-#[derive(Debug, Clone)]
+/// A cached expansion: the rewritten condition, how many expansion terms
+/// it carries (what the governor must admit to serve it) and, once the
+/// entry has been hit, the query prepared from it.
+#[derive(Debug)]
 pub struct CachedRewrite {
-    /// The fully expanded condition, shared to keep hits allocation-light
-    /// until the pattern clone.
+    /// The fully expanded condition.
     pub cond: Arc<Cond>,
     /// Total expansion terms in `cond` (`InSet` + `SharedClass` sizes).
     pub terms: usize,
+    /// Filled on the first servable hit, never on insert.
+    prepared: OnceLock<Arc<PreparedQuery>>,
+}
+
+impl CachedRewrite {
+    /// An unpromoted entry.
+    pub fn new(cond: Arc<Cond>, terms: usize) -> Self {
+        CachedRewrite {
+            cond,
+            terms,
+            prepared: OnceLock::new(),
+        }
+    }
+
+    /// The entry's prepared query, built by `prepare` if this is the
+    /// first call to get that far. Racing first hits may each run
+    /// `prepare`; one result is kept and all of them return it.
+    pub fn promote(
+        &self,
+        prepare: impl FnOnce() -> TossResult<PreparedQuery>,
+    ) -> TossResult<Arc<PreparedQuery>> {
+        if let Some(p) = self.prepared.get() {
+            return Ok(p.clone());
+        }
+        let built = Arc::new(prepare()?);
+        Ok(self.prepared.get_or_init(|| built).clone())
+    }
+
+    /// Whether a hit has promoted this entry to its prepared form.
+    pub fn is_promoted(&self) -> bool {
+        self.prepared.get().is_some()
+    }
 }
 
 struct CacheState {
-    map: HashMap<String, CachedRewrite>,
+    map: HashMap<String, Arc<CachedRewrite>>,
     order: VecDeque<String>,
 }
 
@@ -118,8 +173,9 @@ impl RewriteCache {
     /// Look up a key without touching the hit/miss tallies — the caller
     /// decides whether a found entry can actually be *served* (budget
     /// headroom) and records the outcome via [`RewriteCache::record_hit`]
-    /// / [`RewriteCache::record_miss`].
-    pub fn get(&self, key: &str) -> Option<CachedRewrite> {
+    /// / [`RewriteCache::record_miss`]. Every caller gets the same entry,
+    /// so promoting it promotes it for all of them.
+    pub fn get(&self, key: &str) -> Option<Arc<CachedRewrite>> {
         self.state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -134,7 +190,7 @@ impl RewriteCache {
             return;
         }
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.map.insert(key.clone(), value).is_none() {
+        if state.map.insert(key.clone(), Arc::new(value)).is_none() {
             state.order.push_back(key);
             while state.map.len() > self.capacity {
                 let Some(oldest) = state.order.pop_front() else {
@@ -282,32 +338,23 @@ mod tests {
     #[test]
     fn fifo_eviction_is_bounded_and_tallied() {
         let cache = RewriteCache::new(2);
-        let entry = CachedRewrite {
-            cond: Arc::new(Cond::True),
-            terms: 0,
-        };
-        cache.insert("a".into(), entry.clone());
-        cache.insert("b".into(), entry.clone());
-        cache.insert("c".into(), entry.clone());
+        let entry = || CachedRewrite::new(Arc::new(Cond::True), 0);
+        cache.insert("a".into(), entry());
+        cache.insert("b".into(), entry());
+        cache.insert("c".into(), entry());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         assert!(cache.get("a").is_none(), "oldest entry evicted first");
         assert!(cache.get("b").is_some() && cache.get("c").is_some());
         // re-inserting an existing key does not grow the FIFO
-        cache.insert("c".into(), entry);
+        cache.insert("c".into(), entry());
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn zero_capacity_disables_storage() {
         let cache = RewriteCache::new(0);
-        cache.insert(
-            "a".into(),
-            CachedRewrite {
-                cond: Arc::new(Cond::True),
-                terms: 0,
-            },
-        );
+        cache.insert("a".into(), CachedRewrite::new(Arc::new(Cond::True), 0));
         assert!(cache.get("a").is_none());
         assert_eq!(cache.evictions(), 0);
     }

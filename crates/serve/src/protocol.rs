@@ -60,6 +60,24 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
+/// One `read` into `buf`: whatever has arrived, `0` at EOF. A socket
+/// read timeout surfaces as [`FrameError::Timeout`].
+fn read_some(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, FrameError> {
+    loop {
+        return match r.read(buf) {
+            Ok(n) => Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                Err(FrameError::Timeout)
+            }
+            Err(e) => Err(FrameError::Io(e)),
+        };
+    }
+}
+
 /// Fill `buf` from `r`, tolerating short reads. Returns how many bytes
 /// were read before EOF (== `buf.len()` on success). `deadline` bounds
 /// the *whole* fill: per-`read` socket timeouts alone would let a
@@ -71,22 +89,12 @@ fn read_full(
 ) -> Result<usize, FrameError> {
     let mut done = 0;
     while done < buf.len() {
-        if let Some(at) = deadline {
-            if Instant::now() >= at {
-                return Err(FrameError::Timeout);
-            }
+        if deadline.is_some_and(|at| Instant::now() >= at) {
+            return Err(FrameError::Timeout);
         }
-        match r.read(&mut buf[done..]) {
-            Ok(0) => break,
-            Ok(n) => done += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(FrameError::Timeout)
-            }
-            Err(e) => return Err(FrameError::Io(e)),
+        match read_some(r, &mut buf[done..])? {
+            0 => break,
+            n => done += n,
         }
     }
     Ok(done)
@@ -101,14 +109,17 @@ pub fn read_frame(
     timeout: Option<Duration>,
 ) -> Result<Vec<u8>, FrameError> {
     let mut prefix = [0u8; 4];
-    // The deadline starts at the first read: an idle connection waiting
-    // for its next request is not "slow", only a started-but-unfinished
-    // frame is. The socket's own read timeout bounds idle waits.
-    if read_full(r, &mut prefix[..1], None)? == 0 {
+    // The first read asks for the whole prefix and takes what has arrived
+    // (normally all four bytes: two reads per frame). The deadline starts
+    // when it returns: an idle connection waiting for its next request is
+    // not "slow", only a started-but-unfinished frame is. The socket's own
+    // read timeout bounds idle waits.
+    let first = read_some(r, &mut prefix)?;
+    if first == 0 {
         return Err(FrameError::Closed);
     }
     let deadline = timeout.map(|t| Instant::now() + t);
-    if read_full(r, &mut prefix[1..], deadline)? != 3 {
+    if first + read_full(r, &mut prefix[first..], deadline)? != prefix.len() {
         return Err(FrameError::HalfFrame);
     }
     let len = u32::from_be_bytes(prefix) as usize;
@@ -839,6 +850,58 @@ mod tests {
             read_frame(&mut cur, 1024, None),
             Err(FrameError::Oversize(0))
         ));
+    }
+
+    /// Hands out at most `chunk` bytes per `read`, counting the calls.
+    struct Trickle {
+        data: io::Cursor<Vec<u8>>,
+        chunk: usize,
+        reads: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let n = buf.len().min(self.chunk);
+            self.data.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn prefix_arriving_in_pieces_reads_the_same_frame() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"hello").unwrap();
+        // reads: prefix pieces, then the payload in `chunk`-sized reads
+        for (chunk, reads) in [(1, 4 + 5), (2, 2 + 3), (4, 1 + 2), (64, 1 + 1)] {
+            let mut r = Trickle {
+                data: io::Cursor::new(wire.clone()),
+                chunk,
+                reads: 0,
+            };
+            let got = read_frame(&mut r, DEFAULT_MAX_FRAME_BYTES, Some(Duration::from_secs(5)));
+            assert_eq!(got.unwrap(), b"hello", "chunk={chunk}");
+            assert_eq!(r.reads, reads, "chunk={chunk}");
+            // and the stream is left at the frame boundary
+            assert!(matches!(
+                read_frame(&mut r, DEFAULT_MAX_FRAME_BYTES, None),
+                Err(FrameError::Closed)
+            ));
+        }
+        // 1–3 prefix bytes then EOF is a half frame however they arrive
+        for (cut, chunk) in [(1, 1), (2, 1), (3, 2), (3, 4)] {
+            let mut r = Trickle {
+                data: io::Cursor::new(wire[..cut].to_vec()),
+                chunk,
+                reads: 0,
+            };
+            assert!(
+                matches!(
+                    read_frame(&mut r, DEFAULT_MAX_FRAME_BYTES, None),
+                    Err(FrameError::HalfFrame)
+                ),
+                "cut={cut} chunk={chunk}"
+            );
+        }
     }
 
     #[test]

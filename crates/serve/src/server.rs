@@ -356,10 +356,7 @@ impl Server {
                         log.offer(&rec);
                     }
                     stamp_shared.flight.record(rec);
-                    let w = stamp_shared.window_for(class);
-                    w.record(total_ns, outcome);
-                    w.snapshot()
-                        .publish_gauges(&format!("toss.serve.window.{}", class.as_str()));
+                    stamp_shared.window_for(class).record(total_ns, outcome);
                 });
                 let writer = WriterLoop::new(engine, executor, state, stamp);
                 Some(
@@ -510,6 +507,10 @@ impl Server {
             });
         }
 
+        // Nobody can ask for `metrics`/`stats` any more: leave the window
+        // gauges as of the drain for whoever exports the registry next
+        // (`toss-cli serve` persists it to `<store>.stats.json` on exit).
+        sh.publish_windows();
         sh.state.store(STATE_STOPPED, Ordering::Release);
         let duration = t0.elapsed();
         drain_span.record("cancelled", cancelled);
@@ -895,8 +896,9 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
 }
 
 /// Stamp one finished query into the telemetry pipeline: the flight
-/// recorder, the slow-query log, and the class's SLO window (whose
-/// gauges are refreshed in the same breath).
+/// recorder, the slow-query log, and the class's SLO window. The window's
+/// registry gauges are refreshed when somebody reads them (the `metrics`
+/// and `stats` frames call [`Shared::publish_windows`]), not here.
 #[allow(clippy::too_many_arguments)]
 fn stamp_query(
     shared: &Shared,
@@ -951,10 +953,7 @@ fn stamp_query(
         log.offer(&rec);
     }
     shared.flight.record(rec);
-    let w = shared.window_for(q.class);
-    w.record(total_ns, outcome);
-    w.snapshot()
-        .publish_gauges(&format!("toss.serve.window.{}", q.class.as_str()));
+    shared.window_for(q.class).record(total_ns, outcome);
 }
 
 fn handle_query(shared: &Arc<Shared>, entry: &Arc<ConnEntry>, q: &QueryRequest) -> String {

@@ -6,6 +6,7 @@
 //! predicate the paper uses as TAX's stand-in for `isa` conditions in the
 //! Section-6 experiments.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use toss_tree::Value;
@@ -280,38 +281,94 @@ impl Cond {
         go(self, &mut out);
         out
     }
+
+    /// [`Cond::conjuncts`] by value: the conjuncts are moved out, not
+    /// cloned.
+    pub fn into_conjuncts(self) -> Vec<Cond> {
+        fn go(c: Cond, out: &mut Vec<Cond>) {
+            match c {
+                Cond::And(a, b) => {
+                    go(*a, out);
+                    go(*b, out);
+                }
+                Cond::True => {}
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        go(self, &mut out);
+        out
+    }
 }
 
-/// Evaluate an atomic comparison between two concrete values.
-pub fn compare(lhs: &Value, op: CmpOp, rhs: &Value) -> bool {
-    match op {
-        CmpOp::Eq => lhs == rhs || compare_numeric_eq(lhs, rhs),
-        CmpOp::Ne => !compare(lhs, CmpOp::Eq, rhs),
-        CmpOp::Contains => match (lhs, rhs) {
-            (Value::Str(a), Value::Str(b)) => a.contains(b.as_str()),
-            // numeric content vs string needle: compare renderings
-            (a, Value::Str(b)) => a.render().contains(b.as_str()),
-            _ => false,
-        },
-        CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-            match lhs.partial_cmp_typed(rhs) {
-                Some(ord) => match op {
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                    _ => unreachable!("handled above"),
-                },
-                None => false,
-            }
+/// A borrowed view of an attribute value: what a term evaluates to
+/// without cloning the node's tag or content. Tags are plain strings in
+/// the tree, so this (not `&Value`) is the common currency of condition
+/// evaluation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ValueRef<'a> {
+    Str(&'a str),
+    Int(i64),
+    Real(f64),
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Real(r) => ValueRef::Real(*r),
         }
     }
 }
 
-fn compare_numeric_eq(lhs: &Value, rhs: &Value) -> bool {
-    match (lhs.as_real(), rhs.as_real()) {
-        (Some(a), Some(b)) => a == b,
-        _ => false,
+impl<'a> ValueRef<'a> {
+    fn as_real(self) -> Option<f64> {
+        match self {
+            ValueRef::Str(_) => None,
+            ValueRef::Int(i) => Some(i as f64),
+            ValueRef::Real(r) => Some(r),
+        }
+    }
+
+    /// The value as XML text content ([`Value::render`] without the
+    /// allocation for strings).
+    pub(crate) fn render(self) -> Cow<'a, str> {
+        match self {
+            ValueRef::Str(s) => Cow::Borrowed(s),
+            ValueRef::Int(i) => Cow::Owned(i.to_string()),
+            ValueRef::Real(r) => Cow::Owned(r.to_string()),
+        }
+    }
+}
+
+/// Evaluate an atomic comparison between two concrete values.
+pub fn compare(lhs: &Value, op: CmpOp, rhs: &Value) -> bool {
+    compare_refs(lhs.into(), op, rhs.into())
+}
+
+pub(crate) fn compare_refs(lhs: ValueRef<'_>, op: CmpOp, rhs: ValueRef<'_>) -> bool {
+    use std::cmp::Ordering;
+    // strings order lexicographically, numerics numerically (integers
+    // widen); a string never compares with a number
+    let ordering = || -> Option<Ordering> {
+        match (lhs, rhs) {
+            (ValueRef::Str(a), ValueRef::Str(b)) => Some(a.cmp(b)),
+            _ => lhs.as_real()?.partial_cmp(&rhs.as_real()?),
+        }
+    };
+    match op {
+        CmpOp::Eq => ordering() == Some(Ordering::Equal),
+        CmpOp::Ne => !compare_refs(lhs, CmpOp::Eq, rhs),
+        CmpOp::Contains => match rhs {
+            // numeric content vs string needle: compare renderings
+            ValueRef::Str(needle) => lhs.render().contains(needle),
+            _ => false,
+        },
+        CmpOp::Lt => ordering().is_some_and(Ordering::is_lt),
+        CmpOp::Le => ordering().is_some_and(Ordering::is_le),
+        CmpOp::Gt => ordering().is_some_and(Ordering::is_gt),
+        CmpOp::Ge => ordering().is_some_and(Ordering::is_ge),
     }
 }
 

@@ -6,12 +6,12 @@
 //! pattern preorder; single-label conjuncts of the condition are pushed
 //! down to the binding step so most candidates are rejected before the
 //! search branches (the tag-equality conjuncts of a typical bibliographic
-//! query prune almost everything).
+//! query prune almost everything). The split is a property of the pattern,
+//! so it is made once, in [`Matcher::new`], not per data tree.
 
-use crate::condition::{compare, Attr, Cond, Term};
+use crate::condition::{compare_refs, Attr, Cond, Term, ValueRef};
 use crate::pattern::{EdgeKind, PatternNodeId, PatternTree};
-use std::collections::HashMap;
-use toss_tree::{NodeId, Tree, Value};
+use toss_tree::{NodeId, Tree};
 
 /// One embedding: pattern node → data node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,74 +36,164 @@ impl Embedding {
     }
 }
 
-/// Read an attribute of a data node as a value (`None` when content is
-/// absent).
-fn attr_value(tree: &Tree, node: NodeId, attr: Attr) -> Option<Value> {
-    let data = tree.data(node).ok()?;
-    match attr {
-        Attr::Tag => Some(Value::Str(data.tag.clone())),
-        Attr::Content => data.content.clone(),
-    }
+/// A pattern tree prepared for matching: everything about the enumeration
+/// that depends on the pattern alone, computed once. The condition is
+/// split into its top-level conjuncts; those over a single label are
+/// attached to that label's pattern node and checked the moment the node
+/// is bound, the rest once the assignment is total. Evaluation borrows
+/// tags and contents from the data tree and resolves labels against the
+/// image list: no per-tree maps, no cloned values.
+///
+/// Build one per query (or keep it: it is `Send + Sync` and immutable) and
+/// run it over as many trees as needed; [`embeddings`] is the one-shot
+/// form.
+#[derive(Debug)]
+pub struct Matcher {
+    /// Labels and pc/ad edges. Its own condition is `True`: the pattern's
+    /// condition lives, split, in `local` and `global`.
+    structure: PatternTree,
+    /// Per pattern node, the conjuncts over that node's label alone.
+    local: Vec<Vec<Cond>>,
+    /// Conjuncts over several labels (or none).
+    global: Vec<Cond>,
 }
 
-/// Evaluate a term under a (possibly partial) assignment.
-fn term_value(
-    tree: &Tree,
-    assignment: &HashMap<u32, NodeId>,
-    term: &Term,
-) -> Option<Value> {
-    match term {
-        Term::Const(v) => Some(v.clone()),
-        Term::Attr { label, attr } => {
-            let node = assignment.get(label)?;
-            attr_value(tree, *node, *attr)
-        }
-    }
-}
-
-/// Evaluate a condition under a *total* assignment (all labels bound).
-/// Atoms whose attributes are absent (missing content) are false.
-pub fn eval_condition(
-    tree: &Tree,
-    assignment: &HashMap<u32, NodeId>,
-    cond: &Cond,
-) -> bool {
-    match cond {
-        Cond::True => true,
-        Cond::Cmp { lhs, op, rhs } => {
-            match (
-                term_value(tree, assignment, lhs),
-                term_value(tree, assignment, rhs),
-            ) {
-                (Some(a), Some(b)) => compare(&a, *op, &b),
-                _ => false,
-            }
-        }
-        Cond::And(a, b) => {
-            eval_condition(tree, assignment, a) && eval_condition(tree, assignment, b)
-        }
-        Cond::Or(a, b) => {
-            eval_condition(tree, assignment, a) || eval_condition(tree, assignment, b)
-        }
-        Cond::Not(c) => !eval_condition(tree, assignment, c),
-        Cond::InSet { term, set } => match term_value(tree, assignment, term) {
-            Some(v) => set.contains(&v.render()),
-            None => false,
-        },
-        Cond::SharedClass { lhs, rhs, classes } => {
-            let (Some(a), Some(b)) = (
-                term_value(tree, assignment, lhs),
-                term_value(tree, assignment, rhs),
-            ) else {
-                return false;
+impl Matcher {
+    /// Prepare `pattern` for matching.
+    pub fn new(mut pattern: PatternTree) -> Self {
+        let mut local = vec![Vec::new(); pattern.len()];
+        let mut global = Vec::new();
+        for c in pattern.take_condition().into_conjuncts() {
+            let labels = c.labels();
+            let node = match labels.len() {
+                1 => labels.first().and_then(|&l| pattern.node_by_label(l)),
+                _ => None,
             };
-            let (ra, rb) = (a.render(), b.render());
-            if ra == rb {
-                return true; // identical strings are trivially similar
+            match node {
+                Some(p) => local[p.0].push(c),
+                None => global.push(c),
             }
-            match (classes.get(&ra), classes.get(&rb)) {
-                (Some(ca), Some(cb)) => ca.iter().any(|c| cb.contains(c)),
-                _ => false,
+        }
+        Matcher {
+            structure: pattern,
+            local,
+            global,
+        }
+    }
+
+    /// Pattern node carrying a label.
+    pub(crate) fn node_by_label(&self, label: u32) -> Option<PatternNodeId> {
+        self.structure.node_by_label(label)
+    }
+
+    /// Enumerate all embeddings of the pattern into `tree`, in pattern
+    /// preorder over candidates in document order.
+    pub fn embeddings(&self, tree: &Tree) -> Vec<Embedding> {
+        let mut out = Vec::new();
+        let mut images = Vec::with_capacity(self.structure.len());
+        self.extend(tree, &mut images, &mut out);
+        out
+    }
+
+    /// Bind the next pattern node (preorder = index order, so a node's
+    /// parent is always bound before it) to each structurally admissible
+    /// data node in turn.
+    fn extend(&self, tree: &Tree, images: &mut Vec<NodeId>, out: &mut Vec<Embedding>) {
+        let depth = images.len();
+        if depth == self.structure.len() {
+            if self.global.iter().all(|c| self.holds(tree, images, c)) {
+                out.push(Embedding {
+                    map: images.clone(),
+                });
+            }
+            return;
+        }
+        match self.structure.parent_edge(PatternNodeId(depth)) {
+            None => {
+                for cand in tree.preorder() {
+                    self.bind(tree, cand, images, out);
+                }
+            }
+            Some((parent, EdgeKind::ParentChild)) => {
+                for cand in tree.children(images[parent.0]) {
+                    self.bind(tree, cand, images, out);
+                }
+            }
+            Some((parent, EdgeKind::AncestorDescendant)) => {
+                for cand in tree.descendants(images[parent.0]) {
+                    self.bind(tree, cand, images, out);
+                }
+            }
+        }
+    }
+
+    fn bind(
+        &self,
+        tree: &Tree,
+        cand: NodeId,
+        images: &mut Vec<NodeId>,
+        out: &mut Vec<Embedding>,
+    ) {
+        let local = &self.local[images.len()];
+        images.push(cand);
+        if local.iter().all(|c| self.holds(tree, images, c)) {
+            self.extend(tree, images, out);
+        }
+        images.pop();
+    }
+
+    /// Evaluate a term under the (possibly partial) assignment `images`;
+    /// `None` for an unbound label or absent content.
+    fn value<'a>(
+        &'a self,
+        tree: &'a Tree,
+        images: &[NodeId],
+        term: &'a Term,
+    ) -> Option<ValueRef<'a>> {
+        match term {
+            Term::Const(v) => Some(v.into()),
+            Term::Attr { label, attr } => {
+                let node = *images.get(self.structure.node_by_label(*label)?.0)?;
+                let data = tree.data(node).ok()?;
+                match attr {
+                    Attr::Tag => Some(ValueRef::Str(&data.tag)),
+                    Attr::Content => data.content.as_ref().map(ValueRef::from),
+                }
+            }
+        }
+    }
+
+    /// Whether `cond` holds under `images`. Atoms whose attributes are
+    /// absent (missing content) are false.
+    fn holds(&self, tree: &Tree, images: &[NodeId], cond: &Cond) -> bool {
+        match cond {
+            Cond::True => true,
+            Cond::Cmp { lhs, op, rhs } => {
+                match (self.value(tree, images, lhs), self.value(tree, images, rhs)) {
+                    (Some(a), Some(b)) => compare_refs(a, *op, b),
+                    _ => false,
+                }
+            }
+            Cond::And(a, b) => self.holds(tree, images, a) && self.holds(tree, images, b),
+            Cond::Or(a, b) => self.holds(tree, images, a) || self.holds(tree, images, b),
+            Cond::Not(c) => !self.holds(tree, images, c),
+            Cond::InSet { term, set } => self
+                .value(tree, images, term)
+                .is_some_and(|v| set.contains(v.render().as_ref())),
+            Cond::SharedClass { lhs, rhs, classes } => {
+                let (Some(a), Some(b)) =
+                    (self.value(tree, images, lhs), self.value(tree, images, rhs))
+                else {
+                    return false;
+                };
+                let (ra, rb) = (a.render(), b.render());
+                if ra == rb {
+                    return true; // identical strings are trivially similar
+                }
+                match (classes.get(ra.as_ref()), classes.get(rb.as_ref())) {
+                    (Some(ca), Some(cb)) => ca.iter().any(|c| cb.contains(c)),
+                    _ => false,
+                }
             }
         }
     }
@@ -111,112 +201,7 @@ pub fn eval_condition(
 
 /// Enumerate all embeddings of `pattern` into `tree`.
 pub fn embeddings(pattern: &PatternTree, tree: &Tree) -> Vec<Embedding> {
-    let Some(_root) = tree.root() else {
-        return Vec::new();
-    };
-    // Split the condition: conjuncts referencing exactly one label are
-    // checked at binding time; the rest once the assignment is total.
-    let conjuncts = pattern.condition().conjuncts();
-    let mut local: HashMap<u32, Vec<&Cond>> = HashMap::new();
-    let mut global: Vec<&Cond> = Vec::new();
-    for c in conjuncts {
-        let labels = c.labels();
-        if labels.len() == 1 && is_positive(c) {
-            local.entry(*labels.iter().next().expect("len 1")).or_default().push(c);
-        } else {
-            global.push(c);
-        }
-    }
-
-    let order: Vec<PatternNodeId> = pattern.preorder().collect();
-    let mut out = Vec::new();
-    let mut assignment: HashMap<u32, NodeId> = HashMap::new();
-    let mut images: Vec<NodeId> = Vec::with_capacity(order.len());
-
-    fn check_local(
-        tree: &Tree,
-        assignment: &HashMap<u32, NodeId>,
-        local: &HashMap<u32, Vec<&Cond>>,
-        label: u32,
-    ) -> bool {
-        local
-            .get(&label)
-            .map(|cs| cs.iter().all(|c| eval_condition(tree, assignment, c)))
-            .unwrap_or(true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        pattern: &PatternTree,
-        tree: &Tree,
-        order: &[PatternNodeId],
-        depth: usize,
-        local: &HashMap<u32, Vec<&Cond>>,
-        global: &[&Cond],
-        assignment: &mut HashMap<u32, NodeId>,
-        images: &mut Vec<NodeId>,
-        out: &mut Vec<Embedding>,
-    ) {
-        if depth == order.len() {
-            if global
-                .iter()
-                .all(|c| eval_condition(tree, assignment, c))
-            {
-                out.push(Embedding {
-                    map: images.clone(),
-                });
-            }
-            return;
-        }
-        let pnode = order[depth];
-        let label = pattern.label(pnode);
-        let candidates: Vec<NodeId> = match pattern.parent_edge(pnode) {
-            None => tree.preorder().collect(),
-            Some((parent, kind)) => {
-                // parent appears earlier in preorder, so it is bound
-                let pimg = images[parent.0];
-                match kind {
-                    EdgeKind::ParentChild => tree.children(pimg).collect(),
-                    EdgeKind::AncestorDescendant => tree.descendants(pimg).collect(),
-                }
-            }
-        };
-        for cand in candidates {
-            assignment.insert(label, cand);
-            images.push(cand);
-            if check_local(tree, assignment, local, label) {
-                recurse(
-                    pattern, tree, order, depth + 1, local, global, assignment, images, out,
-                );
-            }
-            images.pop();
-            assignment.remove(&label);
-        }
-    }
-
-    recurse(
-        pattern,
-        tree,
-        &order,
-        0,
-        &local,
-        &global,
-        &mut assignment,
-        &mut images,
-        &mut out,
-    );
-    out
-}
-
-/// Whether a condition can safely be evaluated early (it contains no
-/// negation whose inner labels might not yet be bound — with one label and
-/// total binding of that label this reduces to: evaluation at binding time
-/// equals evaluation at the end, true for any condition over one bound
-/// label). `Not` over a single fully-bound label is still safe; only
-/// conditions mixing bound and unbound labels are unsafe, which the
-/// single-label filter already excludes.
-fn is_positive(_c: &Cond) -> bool {
-    true
+    Matcher::new(pattern.clone()).embeddings(tree)
 }
 
 #[cfg(test)]

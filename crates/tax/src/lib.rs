@@ -26,10 +26,12 @@ pub mod embedding;
 pub mod error;
 pub mod ops;
 pub mod pattern;
+#[cfg(test)]
+mod reference;
 pub mod witness;
 
 pub use condition::{Attr, CmpOp, Cond, Term};
-pub use embedding::{embeddings, Embedding};
+pub use embedding::{embeddings, Embedding, Matcher};
 pub use error::{TaxError, TaxResult};
 pub use ops::{join, product, project, select, ProjectEntry};
 pub use pattern::{EdgeKind, PatternNodeId, PatternTree};

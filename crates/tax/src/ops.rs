@@ -1,6 +1,6 @@
 //! The TAX operators: σ, π, ×, join and the set operators.
 
-use crate::embedding::embeddings;
+use crate::embedding::Matcher;
 use crate::error::TaxResult;
 use crate::pattern::{PatternNodeId, PatternTree};
 use crate::witness::{build_forest_from_nodes, witness_tree};
@@ -16,17 +16,7 @@ pub fn select(
     pattern: &PatternTree,
     expand_labels: &[u32],
 ) -> TaxResult<Forest> {
-    let expand: Vec<PatternNodeId> = expand_labels
-        .iter()
-        .filter_map(|&l| pattern.node_by_label(l))
-        .collect();
-    let mut out = Forest::new();
-    for tree in input {
-        for e in embeddings(pattern, tree) {
-            out.push(witness_tree(tree, pattern, &e, &expand)?);
-        }
-    }
-    Ok(out.dedup())
+    Matcher::new(pattern.clone()).select(input, expand_labels)
 }
 
 /// One entry of a projection list: a pattern label, optionally keeping the
@@ -66,26 +56,59 @@ pub fn project(
     pattern: &PatternTree,
     list: &[ProjectEntry],
 ) -> TaxResult<Forest> {
-    let mut out = Forest::new();
-    for tree in input {
-        let mut included: HashSet<NodeId> = HashSet::new();
-        for e in embeddings(pattern, tree) {
-            for entry in list {
-                let Some(p) = pattern.node_by_label(entry.label) else {
-                    continue;
-                };
-                let img = e.image(p);
-                included.insert(img);
-                if entry.keep_descendants {
-                    included.extend(tree.descendants(img));
-                }
+    Matcher::new(pattern.clone()).project(input, list)
+}
+
+impl Matcher {
+    /// [`select`] over borrowed trees: the input can be any collection's
+    /// documents, and each witness is built once and moved into the
+    /// result.
+    pub fn select<'t>(
+        &self,
+        input: impl IntoIterator<Item = &'t Tree>,
+        expand_labels: &[u32],
+    ) -> TaxResult<Forest> {
+        let expand: Vec<PatternNodeId> = expand_labels
+            .iter()
+            .filter_map(|&l| self.node_by_label(l))
+            .collect();
+        let mut out = Forest::new();
+        for tree in input {
+            for e in self.embeddings(tree) {
+                out.push(witness_tree(tree, &e, &expand)?);
             }
         }
-        for t in build_forest_from_nodes(tree, &included)? {
-            out.push(t);
-        }
+        Ok(out.dedup())
     }
-    Ok(out.dedup())
+
+    /// [`project`] over borrowed trees.
+    pub fn project<'t>(
+        &self,
+        input: impl IntoIterator<Item = &'t Tree>,
+        list: &[ProjectEntry],
+    ) -> TaxResult<Forest> {
+        let entries: Vec<(PatternNodeId, bool)> = list
+            .iter()
+            .filter_map(|e| Some((self.node_by_label(e.label)?, e.keep_descendants)))
+            .collect();
+        let mut out = Forest::new();
+        for tree in input {
+            let mut included: HashSet<NodeId> = HashSet::new();
+            for e in self.embeddings(tree) {
+                for &(p, keep_descendants) in &entries {
+                    let img = e.image(p);
+                    included.insert(img);
+                    if keep_descendants {
+                        included.extend(tree.descendants(img));
+                    }
+                }
+            }
+            for t in build_forest_from_nodes(tree, &included)? {
+                out.push(t);
+            }
+        }
+        Ok(out.dedup())
+    }
 }
 
 /// Tag of the synthetic root created by [`product`].

@@ -98,6 +98,11 @@ impl PatternTree {
         &self.condition
     }
 
+    /// Move the attached condition out, leaving `True`.
+    pub fn take_condition(&mut self) -> Cond {
+        std::mem::replace(&mut self.condition, Cond::True)
+    }
+
     /// Number of pattern nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()

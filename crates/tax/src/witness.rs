@@ -8,32 +8,30 @@
 
 use crate::embedding::Embedding;
 use crate::error::TaxResult;
-use crate::pattern::{PatternNodeId, PatternTree};
-use std::collections::{BTreeMap, HashSet};
+use crate::pattern::PatternNodeId;
+use std::collections::HashSet;
 use toss_tree::{NodeId, Tree};
 
 /// Build the witness tree for `embedding`, including the descendant cones
 /// of the images of the pattern nodes in `expand` (the `SL` of selection).
 pub fn witness_tree(
     tree: &Tree,
-    _pattern: &PatternTree,
     embedding: &Embedding,
     expand: &[PatternNodeId],
 ) -> TaxResult<Tree> {
-    let mut included: HashSet<NodeId> = embedding.images().iter().copied().collect();
-    for &p in expand {
-        let img = embedding.image(p);
-        for d in tree.descendants(img) {
-            included.insert(d);
-        }
-    }
-    build_from_nodes(tree, &included)
+    // witness trees have a single root: the pattern root's image is an
+    // ancestor of every other image
+    let forest = build_forest(
+        tree,
+        |n| embedding.images().contains(&n),
+        |n| expand.iter().any(|&p| embedding.image(p) == n),
+    )?;
+    Ok(forest.into_iter().next().unwrap_or_default())
 }
 
-/// Build a tree (or the first tree of a forest — witness trees always have
-/// a single root because the pattern root's image is an ancestor of every
-/// other image) from an arbitrary included-node set, connecting each node
-/// to its closest included ancestor and keeping source preorder.
+/// Build a tree (or the first tree of a forest) from an arbitrary
+/// included-node set, connecting each node to its closest included
+/// ancestor and keeping source preorder.
 pub fn build_from_nodes(tree: &Tree, included: &HashSet<NodeId>) -> TaxResult<Tree> {
     let forest = build_forest_from_nodes(tree, included)?;
     Ok(forest.into_iter().next().unwrap_or_default())
@@ -41,49 +39,65 @@ pub fn build_from_nodes(tree: &Tree, included: &HashSet<NodeId>) -> TaxResult<Tr
 
 /// Like [`build_from_nodes`] but returns every resulting root as its own
 /// tree — projection needs this because projected nodes can be
-/// disconnected.
+/// disconnected. Ids that are not nodes of `tree` are ignored.
 pub fn build_forest_from_nodes(
     tree: &Tree,
     included: &HashSet<NodeId>,
 ) -> TaxResult<Vec<Tree>> {
-    // preorder rank of every node, to sort included nodes in document order
-    let rank: BTreeMap<NodeId, usize> = tree
-        .preorder()
-        .enumerate()
-        .map(|(i, n)| (n, i))
-        .collect();
-    let mut nodes: Vec<NodeId> = included
-        .iter()
-        .copied()
-        .filter(|n| rank.contains_key(n))
-        .collect();
-    nodes.sort_by_key(|n| rank[n]);
+    build_forest(tree, |n| included.contains(&n), |_| false)
+}
 
+/// One preorder walk of `tree` that copies every node which is `included`
+/// or lies below an included node that `opens_cone`, attaching each copy
+/// under the copy of its closest copied ancestor (a new output tree when
+/// there is none). Siblings keep source preorder because the walk does.
+fn build_forest(
+    tree: &Tree,
+    included: impl Fn(NodeId) -> bool,
+    opens_cone: impl Fn(NodeId) -> bool,
+) -> TaxResult<Vec<Tree>> {
+    /// A source node still to visit, with the copy of its closest copied
+    /// ancestor (output tree index, node) and whether it lies in an open
+    /// cone.
+    struct Visit {
+        node: NodeId,
+        attach: Option<(usize, NodeId)>,
+        in_cone: bool,
+    }
     let mut out: Vec<Tree> = Vec::new();
-    // stack of (source node, (tree index, new node)) along the current
-    // root-to-leaf path of included nodes
-    let mut stack: Vec<(NodeId, usize, toss_tree::NodeId)> = Vec::new();
-    for n in nodes {
-        // pop until the top is an ancestor of n
-        while let Some(&(top, _, _)) = stack.last() {
-            if tree.is_ancestor(top, n) {
-                break;
-            }
-            stack.pop();
+    let mut stack: Vec<Visit> = Vec::new();
+    stack.extend(tree.root().map(|node| Visit {
+        node,
+        attach: None,
+        in_cone: false,
+    }));
+    while let Some(Visit {
+        node,
+        mut attach,
+        mut in_cone,
+    }) = stack.pop()
+    {
+        if in_cone || included(node) {
+            let data = tree.data(node)?.clone();
+            attach = Some(match attach {
+                Some((ti, parent)) => (ti, out[ti].add_child(parent, data)?),
+                None => {
+                    let t = Tree::with_root(data);
+                    let root = t.root().expect("with_root sets root");
+                    out.push(t);
+                    (out.len() - 1, root)
+                }
+            });
+            in_cone = in_cone || opens_cone(node);
         }
-        let data = tree.data(n)?.clone();
-        match stack.last() {
-            Some(&(_, ti, parent_new)) => {
-                let new_id = out[ti].add_child(parent_new, data)?;
-                stack.push((n, ti, new_id));
-            }
-            None => {
-                let t = Tree::with_root(data);
-                let new_root = t.root().expect("with_root sets root");
-                out.push(t);
-                stack.push((n, out.len() - 1, new_root));
-            }
-        }
+        // children last-to-first, so the leftmost pops first
+        let first = stack.len();
+        stack.extend(tree.children(node).map(|node| Visit {
+            node,
+            attach,
+            in_cone,
+        }));
+        stack[first..].reverse();
     }
     Ok(out)
 }
@@ -125,7 +139,7 @@ mod tests {
         let p = pattern();
         let es = embeddings(&p, &t);
         assert_eq!(es.len(), 1);
-        let w = witness_tree(&t, &p, &es[0], &[]).unwrap();
+        let w = witness_tree(&t, &es[0], &[]).unwrap();
         // witness: inproceedings -> booktitle directly (venue not included)
         assert_eq!(
             tree_to_xml(&w, Style::Compact),
@@ -139,7 +153,7 @@ mod tests {
         let p = pattern();
         let es = embeddings(&p, &t);
         // expand the root pattern node: whole subtree appears
-        let w = witness_tree(&t, &p, &es[0], &[p.root()]).unwrap();
+        let w = witness_tree(&t, &es[0], &[p.root()]).unwrap();
         assert_eq!(w.node_count(), t.node_count());
         assert!(toss_tree::eq::trees_equal(&w, &t));
     }

@@ -149,7 +149,7 @@ mod tests {
             .collect();
         assert_eq!(kids, vec!["a", "c"]);
         let a = t.child_by_tag(r, "a").unwrap();
-        assert_eq!(t.child_by_tag(a, "b").is_some(), true);
+        assert!(t.child_by_tag(a, "b").is_some());
     }
 
     #[test]

@@ -111,9 +111,11 @@ impl Forest {
     }
 
     /// Remove duplicate trees (ordered isomorphism), keeping first
-    /// occurrences.
-    pub fn dedup(&self) -> Forest {
-        self.set_union(&Forest::new())
+    /// occurrences. Consumes the forest: kept trees are moved, not copied.
+    pub fn dedup(mut self) -> Forest {
+        let mut seen = HashSet::new();
+        self.trees.retain(|t| seen.insert(fingerprint(t)));
+        self
     }
 }
 
@@ -187,6 +189,28 @@ mod tests {
         assert_eq!(a.set_intersection(&e).len(), 0);
         assert_eq!(a.set_difference(&e).len(), 1);
         assert_eq!(e.set_difference(&a).len(), 0);
+    }
+
+    #[test]
+    fn dedup_keeps_first_occurrences_in_order() {
+        let mut first = t("a", "1");
+        let root = first.root().unwrap();
+        first.data_mut(root).unwrap().attrs.push(("k".into(), "first".into()));
+        let f = Forest::from_trees(vec![
+            t("b", "2"),
+            t("a", "1"),
+            t("b", "2"),
+            first.clone(),
+            t("a", "1"),
+            first,
+        ]);
+        let reference = f.set_union(&Forest::new());
+        let d = f.dedup();
+        assert_eq!(d.len(), 3);
+        let fps: Vec<String> = d.iter().map(fingerprint).collect();
+        assert_eq!(fps, reference.iter().map(fingerprint).collect::<Vec<_>>());
+        assert_eq!(fps[0], fingerprint(&t("b", "2")));
+        assert!(fps[2].contains("first"));
     }
 
     #[test]

@@ -282,6 +282,21 @@ fn query_is_findable_in_flight_recorder_with_phases_plan_and_class() {
     let text = client.metrics().unwrap();
     assert!(text.contains("toss_serve_window_interactive_p95_ns"), "{text}");
     assert!(text.contains("toss_serve_window_batch_requests"), "{text}");
+
+    // The gauges are refreshed by the `metrics` frame itself, not per
+    // request: one more query, and the very next export counts it. (The
+    // registry is process-wide and other tests' servers publish into the
+    // same gauge names at start-up, so allow a few tries.)
+    let before = client.stats().unwrap().window("interactive").unwrap().requests;
+    client.query(eq_query("E. Codd")).unwrap();
+    let exported_requests = |text: &str| -> u64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix("toss_serve_window_interactive_requests "))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no interactive requests gauge in:\n{text}"))
+    };
+    let refreshed = (0..50).any(|_| exported_requests(&client.metrics().unwrap()) > before);
+    assert!(refreshed, "the metrics frame must export the request stamped just before it");
     server.shutdown();
 }
 
