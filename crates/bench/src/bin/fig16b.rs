@@ -14,7 +14,7 @@ use toss_json::Value;
 use toss_bench::{build_executor, write_json, Table};
 use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
-use toss_core::{TossCond, TossQuery, TossTerm};
+use toss_core::{QueryGovernor, TossCond, TossQuery, TossTerm};
 use toss_datagen::{corpus::generate, CorpusConfig};
 use toss_tax::EdgeKind;
 
@@ -81,6 +81,7 @@ fn main() {
         let right = side("sigmod", "article", &["title"]);
         let lkey = JoinKey::child("title");
         let rkey = JoinKey::child("title");
+        let unlimited = QueryGovernor::unlimited();
         let total_bytes = sys.dblp_bytes + sys.sigmod_bytes;
 
         for mode in [Mode::Toss, Mode::TaxBaseline] {
@@ -88,7 +89,7 @@ fn main() {
             for _ in 0..REPS {
                 let out = sys
                     .executor
-                    .join_similarity(&left, &right, &lkey, &rkey, mode)
+                    .join_similarity_governed(&left, &right, &lkey, &rkey, mode, &unlimited)
                     .expect("join succeeds");
                 let cur = (
                     out.rewrite_time(),

@@ -15,7 +15,7 @@ use toss_json::Value;
 use toss_bench::{build_executor, write_json, Table};
 use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
-use toss_core::{TossCond, TossQuery, TossTerm};
+use toss_core::{QueryGovernor, TossCond, TossQuery, TossTerm};
 use toss_datagen::{corpus::generate, CorpusConfig};
 use toss_tax::EdgeKind;
 
@@ -153,12 +153,13 @@ fn main() {
         // join
         let (left, right) = join_sides();
         let (lkey, rkey) = (JoinKey::child("title"), JoinKey::child("title"));
+        let unlimited = QueryGovernor::unlimited();
         let mut best = Duration::MAX;
         let mut results = 0usize;
         for _ in 0..REPS {
             let out = sys
                 .executor
-                .join_similarity(&left, &right, &lkey, &rkey, Mode::Toss)
+                .join_similarity_governed(&left, &right, &lkey, &rkey, Mode::Toss, &unlimited)
                 .expect("join");
             if out.total_time() < best {
                 best = out.total_time();

@@ -11,9 +11,14 @@
 //!    trees (a local selection pass that also applies any conjuncts the
 //!    XPath fragment could not express, so results are exact).
 //!
-//! Joins retrieve each side by XPath, then run the product + selection
-//! locally — mirroring the paper's observation that Xindice returns
-//! intermediate results which "our code" then combines.
+//! Projection runs the same three phases with a TAX projection in phase
+//! 3. Joins retrieve each side by XPath, then run the product +
+//! selection locally — mirroring the paper's observation that Xindice
+//! returns intermediate results which "our code" then combines.
+//!
+//! Every operator has one entry, governed by a [`QueryGovernor`]; an
+//! ungoverned run passes [`QueryGovernor::unlimited`]. The only
+//! ungoverned convenience is [`Executor::select`].
 
 use crate::algebra::TossPattern;
 use crate::convert::Conversions;
@@ -449,15 +454,13 @@ impl PreparedQuery {
     }
 }
 
-/// What phases 1 + 2 of a governed query produce: the prepared query, the
-/// collection and the matched node refs.
-struct Retrieval<'a> {
-    prepared: Arc<PreparedQuery>,
-    coll: &'a Collection,
-    matches: Vec<NodeRef>,
-    plan: QueryPlan,
-    rewrite_time: Duration,
-    execute_time: Duration,
+/// The TAX operator phase 3 of a selection or projection applies.
+#[derive(Clone, Copy)]
+enum Convert<'a> {
+    /// σ: witness trees, with the query's expand labels.
+    Select,
+    /// π: the listed pattern nodes and their hierarchy.
+    Project(&'a [toss_tax::ProjectEntry]),
 }
 
 /// The TOSS Query Executor.
@@ -477,7 +480,7 @@ pub struct Executor {
     pub part_of_seo: Option<Arc<Seo>>,
     /// Worker pool for partitioned scans and join-side fan-out. Defaults
     /// to the machine's available parallelism; a one-worker pool runs
-    /// the exact sequential code paths.
+    /// every task inline (`Candidates::eval` on one worker).
     pub pool: WorkerPool,
     /// Bounded cache of SEO-expanded conditions keyed on the normalized
     /// condition, the SEO version stamps, ε, the probe metric and the
@@ -544,14 +547,10 @@ impl Executor {
         self
     }
 
-    /// Set the worker pool (builder style).
-    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = pool;
-        self
-    }
-
     /// Size the worker pool to `n` threads (builder style). `1` runs
-    /// every query on the exact sequential code paths.
+    /// every task inline: scans are `Candidates::eval` on one worker and
+    /// the two sides of a join run one after the other, with results
+    /// identical to any other worker count.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.pool = WorkerPool::new(n);
         self
@@ -573,21 +572,14 @@ impl Executor {
         self
     }
 
-    fn ctx(&self) -> ExpandCtx<'_> {
+    fn ctx<'a>(&'a self, gov: &'a QueryGovernor) -> ExpandCtx<'a> {
         ExpandCtx {
             seo: &self.seo,
             hierarchy: &self.hierarchy,
             conversions: &self.conversions,
             probe_metric: self.probe_metric.as_deref(),
             part_of: self.part_of_seo.as_deref(),
-            governor: None,
-        }
-    }
-
-    fn ctx_governed<'a>(&'a self, gov: &'a QueryGovernor) -> ExpandCtx<'a> {
-        ExpandCtx {
             governor: Some(gov),
-            ..self.ctx()
         }
     }
 
@@ -597,7 +589,7 @@ impl Executor {
     /// matcher) plus every executor-side input the expansion depends on.
     /// SEO version stamps are unique per enhancement, so fusing and
     /// re-enhancing an ontology can never be served a stale expansion.
-    fn rewrite_key(&self, pattern: &TossPattern, gov: Option<&QueryGovernor>) -> String {
+    fn rewrite_key(&self, pattern: &TossPattern, gov: &QueryGovernor) -> String {
         use std::fmt::Write as _;
         let mut key = fingerprint(&pattern.condition);
         key.push('^');
@@ -626,7 +618,7 @@ impl Executor {
         if let Some(m) = &self.probe_metric {
             let _ = write!(key, "#m:{}", m.name());
         }
-        match gov.and_then(|g| g.budget().max_expansion_terms) {
+        match gov.budget().max_expansion_terms {
             Some(limit) => {
                 let _ = write!(key, "|b:{limit:?}");
             }
@@ -648,15 +640,12 @@ impl Executor {
     fn compile_toss_cached(
         &self,
         pattern: &TossPattern,
-        gov: Option<&QueryGovernor>,
+        gov: &QueryGovernor,
     ) -> TossResult<Arc<PreparedQuery>> {
         let key = self.rewrite_key(pattern, gov);
         if let Some(hit) = self.rewrite_cache.get(&key) {
-            let servable = gov.is_none_or(|g| g.expansion_headroom() >= hit.terms as u64);
-            if servable {
-                if let Some(g) = gov {
-                    g.admit_expansion_terms(hit.terms)?;
-                }
+            if gov.expansion_headroom() >= hit.terms as u64 {
+                gov.admit_expansion_terms(hit.terms)?;
                 let prepared = hit.promote(|| {
                     let mut p = pattern.structure.clone();
                     p.set_condition((*hit.cond).clone())?;
@@ -667,16 +656,9 @@ impl Executor {
             }
         }
         self.rewrite_cache.record_miss();
-        let truncations_before = gov.map(QueryGovernor::expansion_truncations);
-        let compiled = match gov {
-            Some(g) => pattern.compile(self.ctx_governed(g))?,
-            None => pattern.compile(self.ctx())?,
-        };
-        let exact = match (truncations_before, gov) {
-            (Some(before), Some(g)) => g.expansion_truncations() == before,
-            _ => true,
-        };
-        if exact {
+        let truncations_before = gov.expansion_truncations();
+        let compiled = pattern.compile(self.ctx(gov))?;
+        if gov.expansion_truncations() == truncations_before {
             self.rewrite_cache.insert(
                 key,
                 CachedRewrite::new(
@@ -694,7 +676,7 @@ impl Executor {
         &self,
         pattern: &TossPattern,
         mode: Mode,
-        gov: Option<&QueryGovernor>,
+        gov: &QueryGovernor,
     ) -> TossResult<Arc<PreparedQuery>> {
         match mode {
             Mode::Toss => self.compile_toss_cached(pattern, gov),
@@ -702,27 +684,97 @@ impl Executor {
         }
     }
 
-    /// Phases 1 + 2 under governance: rewrite the pattern (expansion
-    /// terms budgeted), then scan the store through the governor's
-    /// cooperative [`ScanBudget`] hook. The deadline/cancel check at the
-    /// top guarantees an already-dead query is rejected before a single
-    /// document is visited.
-    fn retrieve_governed<'a>(
-        &'a self,
+    /// The matched documents as candidate trees, borrowed from the
+    /// collection, charging the approximate-memory budget per tree. A
+    /// tripped soft ceiling stops admitting further documents (graceful
+    /// degradation); a hard ceiling errors.
+    fn load_candidates_governed<'a>(
+        &self,
+        coll: &'a Collection,
+        matches: &[NodeRef],
+        gov: &QueryGovernor,
+        cv: &toss_obs::SpanGuard,
+    ) -> TossResult<Vec<&'a Tree>> {
+        let docs: BTreeSet<_> = matches.iter().map(|m| m.doc).collect();
+        cv.record("candidate_docs", docs.len());
+        let mut candidate = Vec::with_capacity(docs.len());
+        for doc in docs {
+            gov.check()?;
+            let tree = &coll.get(doc)?.tree;
+            let fits = gov.charge_memory(approx_tree_bytes(tree))?;
+            candidate.push(tree);
+            if !fits {
+                cv.record("memory_truncated_at", candidate.len());
+                break;
+            }
+        }
+        Ok(candidate)
+    }
+
+    /// Execute a selection query without budgets or a deadline:
+    /// [`Executor::select_governed`] under [`QueryGovernor::unlimited`].
+    pub fn select(&self, query: &TossQuery, mode: Mode) -> TossResult<QueryOutcome> {
+        self.select_governed(query, mode, &QueryGovernor::unlimited())
+    }
+
+    /// Execute a selection query under a [`QueryGovernor`].
+    ///
+    /// Soft budget trips degrade the result (fewer expansion terms,
+    /// documents, or witnesses than an exact run) and are reported in
+    /// [`QueryOutcome::degradation`]; hard trips, the deadline and
+    /// cancellation return typed errors.
+    pub fn select_governed(
+        &self,
         query: &TossQuery,
         mode: Mode,
         gov: &QueryGovernor,
-    ) -> TossResult<Retrieval<'a>> {
+    ) -> TossResult<QueryOutcome> {
+        self.run_unary(query, Convert::Select, mode, gov)
+    }
+
+    /// Execute a projection π_{P, PL} under a [`QueryGovernor`]: XPath
+    /// retrieval as in [`Executor::select_governed`], then the local TAX
+    /// projection keeps the matched nodes of the projection list (with
+    /// subtrees where requested) and their hierarchical relationships.
+    pub fn project_governed(
+        &self,
+        query: &TossQuery,
+        list: &[toss_tax::ProjectEntry],
+        mode: Mode,
+        gov: &QueryGovernor,
+    ) -> TossResult<QueryOutcome> {
+        self.run_unary(query, Convert::Project(list), mode, gov)
+    }
+
+    /// The one body of selection and projection: the three phases,
+    /// phase 3 applying `op` to the candidate documents borrowed from the
+    /// collection. The deadline/cancel check at the top rejects an
+    /// already-dead query before a single document is visited.
+    fn run_unary(
+        &self,
+        query: &TossQuery,
+        op: Convert<'_>,
+        mode: Mode,
+        gov: &QueryGovernor,
+    ) -> TossResult<QueryOutcome> {
+        let (span_name, counter) = match op {
+            Convert::Select => ("toss.query.select", "toss.query.selects"),
+            Convert::Project(_) => ("toss.query.project", "toss.query.projects"),
+        };
+        let span = toss_obs::span(span_name);
+        span.record("collection", query.collection.as_str());
+
         gov.check()?;
 
-        // phase 1: rewrite
+        // phase 1: rewrite, expansion terms budgeted
         let rw = toss_obs::span("toss.query.rewrite");
-        let prepared = self.compile(&query.pattern, mode, Some(gov))?;
+        let prepared = self.compile(&query.pattern, mode, gov)?;
         rw.record("expansion_terms", prepared.n_expansion);
         rw.record("xpath_len", prepared.xpath_src.len());
         let rewrite_time = rw.finish();
 
-        // phase 2: plan, then execute against the store
+        // phase 2: plan, then execute against the store through the
+        // governor's cooperative scan hook
         gov.check()?;
         let ex = toss_obs::span("toss.query.execute");
         let coll = self.db.collection(&query.collection)?;
@@ -766,70 +818,14 @@ impl Executor {
         ex.record("matches", matches.len());
         let execute_time = ex.finish();
 
-        Ok(Retrieval {
-            prepared,
-            coll,
-            matches,
-            plan,
-            rewrite_time,
-            execute_time,
-        })
-    }
-
-    /// The matched documents as candidate trees, borrowed from the
-    /// collection, charging the approximate-memory budget per tree. A
-    /// tripped soft ceiling stops admitting further documents (graceful
-    /// degradation); a hard ceiling errors.
-    fn load_candidates_governed<'a>(
-        &self,
-        coll: &'a Collection,
-        matches: &[NodeRef],
-        gov: &QueryGovernor,
-        cv: &toss_obs::SpanGuard,
-    ) -> TossResult<Vec<&'a Tree>> {
-        let docs: BTreeSet<_> = matches.iter().map(|m| m.doc).collect();
-        cv.record("candidate_docs", docs.len());
-        let mut candidate = Vec::with_capacity(docs.len());
-        for doc in docs {
-            gov.check()?;
-            let tree = &coll.get(doc)?.tree;
-            let fits = gov.charge_memory(approx_tree_bytes(tree))?;
-            candidate.push(tree);
-            if !fits {
-                cv.record("memory_truncated_at", candidate.len());
-                break;
-            }
-        }
-        Ok(candidate)
-    }
-
-    /// Execute a selection query (ungoverned: no budgets, no deadline).
-    pub fn select(&self, query: &TossQuery, mode: Mode) -> TossResult<QueryOutcome> {
-        self.select_governed(query, mode, &QueryGovernor::unlimited())
-    }
-
-    /// Execute a selection query under a [`QueryGovernor`].
-    ///
-    /// Soft budget trips degrade the result (fewer expansion terms,
-    /// documents, or witnesses than an exact run) and are reported in
-    /// [`QueryOutcome::degradation`]; hard trips, the deadline and
-    /// cancellation return typed errors.
-    pub fn select_governed(
-        &self,
-        query: &TossQuery,
-        mode: Mode,
-        gov: &QueryGovernor,
-    ) -> TossResult<QueryOutcome> {
-        let span = toss_obs::span("toss.query.select");
-        span.record("collection", query.collection.as_str());
-
-        let ret = self.retrieve_governed(query, mode, gov)?;
-
         // phase 3: convert matched documents back to witness trees
         let cv = toss_obs::span("toss.query.convert");
-        let candidate =
-            self.load_candidates_governed(ret.coll, &ret.matches, gov, &cv)?;
-        let forest = ret.prepared.matcher.select(candidate, &query.expand_labels)?;
+        let candidate = self.load_candidates_governed(coll, &matches, gov, &cv)?;
+        let matcher = &prepared.matcher;
+        let forest = match op {
+            Convert::Select => matcher.select(candidate, &query.expand_labels)?,
+            Convert::Project(list) => matcher.project(candidate, list)?,
+        };
         let forest = clamp_witnesses(forest, gov)?;
         cv.record("witnesses", forest.len());
         let convert_time = cv.finish();
@@ -839,138 +835,55 @@ impl Executor {
             span.record("degradation", d.to_string());
         }
         span.record("results", forest.len());
-        toss_obs::metrics::counter("toss.query.selects").inc();
+        toss_obs::metrics::counter(counter).inc();
         toss_obs::metrics::counter("toss.query.expansion_terms")
-            .add(ret.prepared.n_expansion as u64);
-        publish_phase_metrics(ret.rewrite_time, ret.execute_time, convert_time);
+            .add(prepared.n_expansion as u64);
+        publish_phase_metrics(rewrite_time, execute_time, convert_time);
         drop(span);
 
         Ok(QueryOutcome {
             forest,
-            xpath: ret.prepared.xpath_src.clone(),
+            xpath: prepared.xpath_src.clone(),
             degradation,
-            plan: Some(ret.plan),
-            rewrite_time: ret.rewrite_time,
-            execute_time: ret.execute_time,
+            plan: Some(plan),
+            rewrite_time,
+            execute_time,
             convert_time,
         })
     }
 
-    /// Execute a projection π_{P, PL}: XPath retrieval as in
-    /// [`Executor::select`], then the local TAX projection keeps the
-    /// matched nodes of the projection list (with subtrees where
-    /// requested) and their hierarchical relationships.
-    pub fn project(
-        &self,
-        query: &TossQuery,
-        list: &[toss_tax::ProjectEntry],
-        mode: Mode,
-    ) -> TossResult<QueryOutcome> {
-        self.project_governed(query, list, mode, &QueryGovernor::unlimited())
-    }
-
-    /// [`Executor::project`] under a [`QueryGovernor`] (same semantics
-    /// as [`Executor::select_governed`]).
-    pub fn project_governed(
-        &self,
-        query: &TossQuery,
-        list: &[toss_tax::ProjectEntry],
-        mode: Mode,
-        gov: &QueryGovernor,
-    ) -> TossResult<QueryOutcome> {
-        let span = toss_obs::span("toss.query.project");
-        span.record("collection", query.collection.as_str());
-
-        let ret = self.retrieve_governed(query, mode, gov)?;
-
-        let cv = toss_obs::span("toss.query.convert");
-        let candidate =
-            self.load_candidates_governed(ret.coll, &ret.matches, gov, &cv)?;
-        let forest = ret.prepared.matcher.project(candidate, list)?;
-        let forest = clamp_witnesses(forest, gov)?;
-        cv.record("witnesses", forest.len());
-        let convert_time = cv.finish();
-
-        let degradation = gov.degradation();
-        if let Some(d) = &degradation {
-            span.record("degradation", d.to_string());
-        }
-        span.record("results", forest.len());
-        toss_obs::metrics::counter("toss.query.projects").inc();
-        toss_obs::metrics::counter("toss.query.expansion_terms")
-            .add(ret.prepared.n_expansion as u64);
-        publish_phase_metrics(ret.rewrite_time, ret.execute_time, convert_time);
-        drop(span);
-
-        Ok(QueryOutcome {
-            forest,
-            xpath: ret.prepared.xpath_src.clone(),
-            degradation,
-            plan: Some(ret.plan),
-            rewrite_time: ret.rewrite_time,
-            execute_time: ret.execute_time,
-            convert_time,
-        })
-    }
-
-    /// Evaluate the two side selections of a join, fanning them out as
-    /// two pool tasks when the pool has more than one worker. Each side
-    /// still partitions its own scan on the same pool —
-    /// [`WorkerPool::run`] is re-entrant, so nesting cannot deadlock.
-    /// With a sequential pool the sides run in order and the right side
-    /// is skipped after a left-side error, exactly as before.
-    fn select_both_governed(
+    /// Select both sides of a join as two tasks on the pool. Each side
+    /// partitions its own scan on the same pool — [`WorkerPool::run`] is
+    /// re-entrant, so nesting cannot deadlock — and a one-worker pool
+    /// runs the two inline, left first. Both sides always run, so output
+    /// and errors are the same at every worker count; the left side's
+    /// error wins.
+    fn join_sides(
         &self,
         left: &TossQuery,
         right: &TossQuery,
         mode: Mode,
         gov: &QueryGovernor,
     ) -> TossResult<(QueryOutcome, QueryOutcome)> {
-        if self.pool.is_sequential() {
-            return Ok((
-                self.select_governed(left, mode, gov)?,
-                self.select_governed(right, mode, gov)?,
-            ));
-        }
-        type SideTask<'s> = Box<dyn FnOnce() -> TossResult<QueryOutcome> + Send + 's>;
-        let tasks: Vec<SideTask<'_>> = vec![
-            Box::new(move || self.select_governed(left, mode, gov)),
-            Box::new(move || self.select_governed(right, mode, gov)),
-        ];
+        let tasks: Vec<_> = [left, right]
+            .into_iter()
+            .map(|side| move || self.select_governed(side, mode, gov))
+            .collect();
         let mut sides = self.pool.run(tasks);
         let r = sides.pop().expect("two tasks yield two results");
         let l = sides.pop().expect("two tasks yield two results");
         Ok((l?, r?))
     }
 
-    /// Execute a join: retrieve each side by its own XPath, then product
-    /// + select locally with the cross condition.
+    /// Execute a join under a [`QueryGovernor`]: retrieve each side by
+    /// its own XPath, then product + select locally with the cross
+    /// condition. One governor covers the whole request: both side
+    /// selections, the product (bounded by the join-cardinality budget
+    /// *before* it is materialized) and the combine phase.
     ///
     /// `left`/`right` select the sides; `cross` is a pattern over the
     /// product (root = `tax_prod_root`) whose condition may reference
     /// labels bound on both sides.
-    pub fn join(
-        &self,
-        left: &TossQuery,
-        right: &TossQuery,
-        cross: &TossPattern,
-        expand_labels: &[u32],
-        mode: Mode,
-    ) -> TossResult<QueryOutcome> {
-        self.join_governed(
-            left,
-            right,
-            cross,
-            expand_labels,
-            mode,
-            &QueryGovernor::unlimited(),
-        )
-    }
-
-    /// [`Executor::join`] under a [`QueryGovernor`]. One governor covers
-    /// the whole request: both side selections, the product (bounded by
-    /// the join-cardinality budget *before* it is materialized) and the
-    /// combine phase.
     pub fn join_governed(
         &self,
         left: &TossQuery,
@@ -981,10 +894,10 @@ impl Executor {
         gov: &QueryGovernor,
     ) -> TossResult<QueryOutcome> {
         let span = toss_obs::span("toss.query.join");
-        let (l, r) = self.select_both_governed(left, right, mode, gov)?;
+        let (l, r) = self.join_sides(left, right, mode, gov)?;
 
         let cross_span = toss_obs::span("toss.query.rewrite");
-        let cross = self.compile(cross, mode, Some(gov))?;
+        let cross = self.compile(cross, mode, gov)?;
         let rewrite_time = l.rewrite_time + r.rewrite_time + cross_span.finish();
 
         let combine = toss_obs::span("toss.query.convert");
@@ -1017,30 +930,12 @@ impl Executor {
 
     /// Execute a keyed similarity join (the Figure-16(b) shape: tag
     /// conditions select each side, one `~` condition relates one keyed
-    /// leaf per side). Retrieval runs through the store; the join itself
-    /// is a similarity hash-join over the SEO ([`crate::algebra::similarity_hash_join`]).
-    /// Under [`Mode::TaxBaseline`] keys must match exactly (the SEO
-    /// classes are ignored), per the paper's baseline protocol.
-    pub fn join_similarity(
-        &self,
-        left: &TossQuery,
-        right: &TossQuery,
-        left_key: &crate::algebra::JoinKey,
-        right_key: &crate::algebra::JoinKey,
-        mode: Mode,
-    ) -> TossResult<QueryOutcome> {
-        self.join_similarity_governed(
-            left,
-            right,
-            left_key,
-            right_key,
-            mode,
-            &QueryGovernor::unlimited(),
-        )
-    }
-
-    /// [`Executor::join_similarity`] under a [`QueryGovernor`] (same
-    /// request-wide coverage as [`Executor::join_governed`]).
+    /// leaf per side) under a [`QueryGovernor`], with the same
+    /// request-wide coverage as [`Executor::join_governed`]. Retrieval
+    /// runs through the store; the join itself is the signature join
+    /// over the SEO ([`crate::algebra::similarity_join`]). Under
+    /// [`Mode::TaxBaseline`] keys must match exactly (the SEO classes are
+    /// ignored), per the paper's baseline protocol.
     pub fn join_similarity_governed(
         &self,
         left: &TossQuery,
@@ -1052,7 +947,7 @@ impl Executor {
     ) -> TossResult<QueryOutcome> {
         use crate::oes::SeoInstance;
         let span = toss_obs::span("toss.query.join_similarity");
-        let (l, r) = self.select_both_governed(left, right, mode, gov)?;
+        let (l, r) = self.join_sides(left, right, mode, gov)?;
         let combine = toss_obs::span("toss.query.convert");
         let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
         let seo = match mode {
@@ -1099,20 +994,6 @@ impl Executor {
             execute_time: l.execute_time + r.execute_time,
             convert_time,
         })
-    }
-
-    /// Convenience: run a selection purely in memory over a forest
-    /// (bypassing the store) — used by tests to cross-check the executor
-    /// against the direct algebra path.
-    pub fn select_in_memory(
-        &self,
-        forest: &Forest,
-        pattern: &TossPattern,
-        expand_labels: &[u32],
-        mode: Mode,
-    ) -> TossResult<Forest> {
-        let prepared = self.compile(pattern, mode, None)?;
-        Ok(prepared.matcher.select(forest, expand_labels)?)
     }
 }
 
@@ -1437,12 +1318,18 @@ mod tests {
         let ex = setup();
         let q = author_query("Jeff Ullmann");
         let via_store = ex.select(&q, Mode::Toss).unwrap().forest;
-        // collect the same docs as a forest
+        // the paper's σ over the same documents as a forest
         let coll = ex.db.collection("dblp").unwrap();
         let forest: Forest = coll.documents().iter().map(|d| d.tree.clone()).collect();
-        let in_mem = ex
-            .select_in_memory(&forest, &q.pattern, &q.expand_labels, Mode::Toss)
-            .unwrap();
+        let in_mem = crate::algebra::toss_select(
+            &crate::oes::SeoInstance::new(forest, ex.seo.clone()),
+            &q.pattern,
+            &q.expand_labels,
+            &ex.hierarchy,
+            &ex.conversions,
+        )
+        .unwrap()
+        .forest;
         assert_eq!(via_store.len(), in_mem.len());
         for t in &via_store {
             assert!(in_mem.contains_tree(t));
@@ -1502,10 +1389,15 @@ mod tests {
                 TossCond::similar(TossTerm::content(2), TossTerm::content(3)),
             ]),
         };
-        let toss = ex.join(&left, &right, &cross, &[], Mode::Toss).unwrap();
+        let unlimited = QueryGovernor::unlimited();
+        let toss = ex
+            .join_governed(&left, &right, &cross, &[], Mode::Toss, &unlimited)
+            .unwrap();
         // both dblp Ullmann papers join the single sigmod record
         assert!(toss.forest.len() >= 2, "got {}", toss.forest.len());
-        let tax = ex.join(&left, &right, &cross, &[], Mode::TaxBaseline).unwrap();
+        let tax = ex
+            .join_governed(&left, &right, &cross, &[], Mode::TaxBaseline, &unlimited)
+            .unwrap();
         assert!(tax.forest.len() < toss.forest.len());
     }
 
@@ -1539,8 +1431,9 @@ mod tests {
             .unwrap(),
             expand_labels: vec![],
         };
+        let list = [toss_tax::ProjectEntry::subtree(2)];
         let out = ex
-            .project(&q, &[toss_tax::ProjectEntry::subtree(2)], Mode::Toss)
+            .project_governed(&q, &list, Mode::Toss, &QueryGovernor::unlimited())
             .unwrap();
         let authors: Vec<String> = out
             .forest
@@ -1651,7 +1544,7 @@ mod tests {
 
     fn entry_is_promoted(ex: &Executor, q: &TossQuery, budget: &QueryBudget) -> bool {
         let gov = QueryGovernor::new(budget.clone());
-        let key = ex.rewrite_key(&q.pattern, Some(&gov));
+        let key = ex.rewrite_key(&q.pattern, &gov);
         ex.rewrite_cache
             .get(&key)
             .expect("an exact rewrite is cached")
@@ -1696,8 +1589,8 @@ mod tests {
         let q = author_query("Jeff Ullman");
         let gov = QueryGovernor::unlimited();
         ex.select(&q, Mode::Toss).unwrap();
-        let first = ex.compile(&q.pattern, Mode::Toss, Some(&gov)).unwrap();
-        let second = ex.compile(&q.pattern, Mode::Toss, Some(&gov)).unwrap();
+        let first = ex.compile(&q.pattern, Mode::Toss, &gov).unwrap();
+        let second = ex.compile(&q.pattern, Mode::Toss, &gov).unwrap();
         assert!(
             Arc::ptr_eq(&first, &second),
             "every hit after the promoting one shares its prepared query"
@@ -1755,8 +1648,8 @@ mod tests {
         commuted.pattern.condition = TossCond::And(b, a);
         let gov = QueryGovernor::unlimited();
         ex.select(&q, Mode::Toss).unwrap();
-        let via_commuted = ex.compile(&commuted.pattern, Mode::Toss, Some(&gov)).unwrap();
-        let via_original = ex.compile(&q.pattern, Mode::Toss, Some(&gov)).unwrap();
+        let via_commuted = ex.compile(&commuted.pattern, Mode::Toss, &gov).unwrap();
+        let via_original = ex.compile(&q.pattern, Mode::Toss, &gov).unwrap();
         assert!(Arc::ptr_eq(&via_commuted, &via_original));
         assert_eq!(ex.rewrite_cache.len(), 1);
     }

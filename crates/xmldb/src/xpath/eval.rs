@@ -5,11 +5,14 @@
 //! preorder within a document), which is the order TAX's witness-tree
 //! semantics requires.
 //!
-//! The collection evaluator uses the tag index as a fast path for queries
-//! whose first step is `//name`: instead of scanning every subtree it
-//! starts from the index postings for `name`. Given a probe's candidate
-//! document list it touches only those documents
-//! ([`XPath::probe_candidates`]).
+//! A collection evaluation has one path: enumerate the budget-charged
+//! visits ([`XPath::scan_candidates`], or [`XPath::probe_candidates`]
+//! given a probe's candidate document list, which touches only those
+//! documents), then run them with [`Candidates::eval`] — inline on a
+//! one-worker pool, partitioned across a larger one, with identical
+//! results, order and charges. The enumeration uses the tag index as a
+//! fast path for queries whose first step is `//name`: instead of
+//! scanning every subtree it starts from the index postings for `name`.
 
 use super::ast::{Axis, Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
 use crate::collection::{Collection, DocumentId, StoredDocument};
@@ -108,32 +111,6 @@ impl ScanBudget for NoBudget {
     }
 }
 
-/// Mutable state threaded through a budgeted evaluation.
-struct ScanState<'a> {
-    budget: &'a dyn ScanBudget,
-    scanned: usize,
-    /// Candidate documents across all union branches (including the
-    /// ones the budget prevented from being visited).
-    total: usize,
-    stopped: Option<ScanControl>,
-}
-
-impl ScanState<'_> {
-    /// Charge one document; returns false when scanning must stop.
-    fn admit_document(&mut self) -> bool {
-        match self.budget.before_document(self.scanned) {
-            ScanControl::Continue => {
-                self.scanned += 1;
-                true
-            }
-            control => {
-                self.stopped = Some(control);
-                false
-            }
-        }
-    }
-}
-
 /// The W3C-style string-value of a node: its own text content
 /// concatenated with the content of all descendants in preorder.
 /// Exposed as a helper; **comparisons in this engine use
@@ -178,85 +155,12 @@ impl XPath {
         out
     }
 
-    /// Evaluate against every document of a collection; results in
-    /// document order.
+    /// Evaluate against every document of a collection, unbudgeted and
+    /// on the calling thread; results in document order.
     pub fn eval_collection(&self, coll: &Collection) -> Vec<NodeRef> {
-        self.eval_collection_budgeted(coll, &NoBudget).0
-    }
-
-    /// Evaluate under a cooperative [`ScanBudget`]: the budget is asked
-    /// before each document visit, so a deadline, cancellation or
-    /// document-scan cap stops the scan promptly. Returns the matches
-    /// found plus a [`ScanStatus`] saying whether the scan completed,
-    /// was truncated (matches are a valid prefix) or aborted (the
-    /// caller should discard the matches and fail).
-    pub fn eval_collection_budgeted(
-        &self,
-        coll: &Collection,
-        budget: &dyn ScanBudget,
-    ) -> (Vec<NodeRef>, ScanStatus) {
-        let span = toss_obs::span("xmldb.xpath.eval");
-        let mut out: Vec<NodeRef> = Vec::new();
-        let mut state = ScanState {
-            budget,
-            scanned: 0,
-            total: 0,
-            stopped: None,
-        };
-        for path in &self.paths {
-            eval_path_collection(path, coll, &mut out, &mut state);
-            if state.stopped.is_some() {
-                break;
-            }
-        }
-        finish_eval(span, out, state.scanned, state.total, state.stopped)
-    }
-
-    /// Partitioned parallel evaluation: result- and order-identical to
-    /// [`eval_collection_budgeted`](XPath::eval_collection_budgeted), but
-    /// candidate documents are split into contiguous chunks evaluated on
-    /// `pool`'s workers.
-    ///
-    /// The budget still sees one document at a time, in document order:
-    /// chunks are evaluated *speculatively* and their per-document
-    /// results are committed through an in-order frontier that charges
-    /// [`ScanBudget::before_document`] exactly as the sequential scan
-    /// would, so the admitted document set — and therefore the matches
-    /// and the [`ScanStatus`] — equals the sequential run's for any
-    /// deterministic budget. A budget trip raises a shared stop flag
-    /// that far-ahead workers poll between documents, and
-    /// [`ScanBudget::preflight`] lets workers skip chunks that lie
-    /// entirely past a tripped limit without charging for them.
-    ///
-    /// With a single-worker pool this delegates to the sequential
-    /// evaluator: no threads, no speculation, no overhead.
-    pub fn eval_collection_parallel(
-        &self,
-        coll: &Collection,
-        budget: &(dyn ScanBudget + Sync),
-        pool: &WorkerPool,
-    ) -> (Vec<NodeRef>, ScanStatus) {
-        if pool.is_sequential() {
-            return self.eval_collection_budgeted(coll, budget);
-        }
-        self.scan_candidates(coll).eval(budget, pool)
-    }
-
-    /// Evaluate against a pre-selected candidate document set — the
-    /// index-probe fast path. `docs` must be strictly ascending by id
-    /// (document order, as returned by the content index's merged
-    /// probes); documents outside the set are never visited *or
-    /// charged*, while every listed document with a root-step node is
-    /// charged through `budget` exactly like a scan visit, so
-    /// `docs_scanned` accounting agrees with the scan path.
-    pub fn eval_collection_docs_budgeted(
-        &self,
-        coll: &Collection,
-        docs: &[DocumentId],
-        budget: &(dyn ScanBudget + Sync),
-        pool: &WorkerPool,
-    ) -> (Vec<NodeRef>, ScanStatus) {
-        self.probe_candidates(coll, docs).eval(budget, pool)
+        self.scan_candidates(coll)
+            .eval(&NoBudget, &WorkerPool::new(1))
+            .0
     }
 
     /// Enumerate the budget-charged visits of a whole-collection
@@ -299,7 +203,10 @@ impl XPath {
     }
 
     /// [`scan_candidates`](XPath::scan_candidates) restricted to `docs`
-    /// (strictly ascending by id) — the index-probe path. Costs
+    /// (strictly ascending by id) — the index-probe path. Documents
+    /// outside the set are never visited *or charged*, while every listed
+    /// document with a root-step node is charged exactly like a scan
+    /// visit, so `docs_scanned` accounting agrees with the scan. Costs
     /// O(`docs` × (log collection + document size)): each listed document
     /// is looked up and its own tree filtered for the seed tag, in the
     /// order the tag index holds them, so no postings list of the whole
@@ -385,11 +292,9 @@ impl<'a> DocCursor<'a> {
     }
 }
 
-/// Shared epilogue for every collection-evaluation strategy (sequential
-/// scan, partitioned parallel scan, index-probe doc filter): sort and
-/// deduplicate matches, derive the [`ScanStatus`], and emit the
-/// `xmldb.xpath.*` span records and metrics identically — so
-/// `docs_scanned` accounting cannot drift between strategies.
+/// Epilogue of [`Candidates::eval`] on either runner (inline or
+/// partitioned): sort and deduplicate matches, derive the
+/// [`ScanStatus`], and emit the `xmldb.xpath.*` span records and metrics.
 fn finish_eval(
     span: toss_obs::SpanGuard,
     mut out: Vec<NodeRef>,
@@ -431,10 +336,9 @@ fn finish_eval(
 }
 
 /// One budget-charged unit of work: evaluate one union branch against
-/// one document. The partitioned evaluator materializes the full
-/// candidate list up front — in exactly the order the sequential scan
-/// visits documents (path-major, documents in document order) — so
-/// chunking it contiguously preserves the admission order.
+/// one document. The candidate list is materialized up front in
+/// admission order (path-major, documents in document order), so
+/// chunking it contiguously preserves that order.
 struct Candidate<'a> {
     path: &'a Path,
     /// Index of `path` within the union, for `docs_total` bookkeeping.
@@ -469,9 +373,21 @@ impl Candidates<'_> {
         self.visits.is_empty()
     }
 
-    /// Evaluate the visits under `budget`, on `pool`'s workers when it
-    /// has more than one — result-, order- and charge-identical to the
-    /// sequential scan over the same documents.
+    /// Evaluate the visits under a cooperative [`ScanBudget`], asked
+    /// before each visit, so a deadline, cancellation or document-scan
+    /// cap stops the evaluation promptly. Returns the matches plus a
+    /// [`ScanStatus`]: complete, truncated (the matches are a prefix of
+    /// the full answer) or aborted (the caller discards them and fails).
+    ///
+    /// A one-worker pool runs the visits inline, admit-then-evaluate. A
+    /// larger pool splits them into contiguous chunks evaluated
+    /// *speculatively* on its workers and committed through an in-order
+    /// frontier that charges [`ScanBudget::before_document`] exactly as
+    /// the inline run does, so matches, order, status and charges are
+    /// identical at every worker count for any deterministic budget. A
+    /// budget trip raises a shared stop flag far-ahead workers poll
+    /// between documents, and [`ScanBudget::preflight`] lets them skip
+    /// chunks that lie entirely past a tripped limit without charging.
     pub fn eval(
         &self,
         budget: &(dyn ScanBudget + Sync),
@@ -483,9 +399,8 @@ impl Candidates<'_> {
         } else {
             run_candidates_parallel(&self.visits, budget, pool)
         };
-        // The sequential evaluator counts a branch's candidates into the
-        // total when it *starts* the branch, so a stop inside branch `p`
-        // reports the candidates of branches `0..=p`.
+        // A branch's visits count into the total once the branch starts,
+        // so a stop inside branch `p` reports the visits of `0..=p`.
         let total = match stop_ord {
             None => self.visits.len(),
             Some(p) => self.path_counts[..=p].iter().sum(),
@@ -494,9 +409,9 @@ impl Candidates<'_> {
     }
 }
 
-/// Evaluate one candidate — identical work to the sequential scan's
-/// per-document body, pure over the borrowed document so it can run on
-/// any worker (or run twice, if a speculative result was discarded).
+/// Evaluate one candidate — pure over the borrowed document so it can
+/// run on any worker (or run twice, if a speculative result was
+/// discarded).
 fn eval_candidate(cand: &Candidate<'_>) -> Vec<NodeRef> {
     let doc = cand.doc.id;
     let tree = &cand.doc.tree;
@@ -517,9 +432,9 @@ fn eval_seeded(path: &Path, tree: &Tree, seeds: Vec<NodeId>) -> Vec<NodeId> {
     current
 }
 
-/// Drive the candidate list exactly like the sequential scan:
-/// admit-then-evaluate, one document at a time. Used for doc-filtered
-/// evaluation on a single-worker pool.
+/// Drive the candidate list inline: admit-then-evaluate, one document
+/// at a time. The one-worker runner, and the partitioned runner's
+/// fallback when the list is too short to split.
 fn run_candidates_sequential(
     candidates: &[Candidate<'_>],
     budget: &dyn ScanBudget,
@@ -749,18 +664,18 @@ fn advance_step(tree: &Tree, context: &[NodeId], step: &Step) -> Vec<NodeId> {
     matched
 }
 
-fn apply_predicates(tree: &Tree, nodes: Vec<NodeId>, preds: &[Expr]) -> Vec<NodeId> {
-    let mut current = nodes;
+/// Filter `nodes` by each predicate in turn; a predicate sees the
+/// 1-based positions of the nodes the previous ones kept.
+fn apply_predicates(tree: &Tree, mut nodes: Vec<NodeId>, preds: &[Expr]) -> Vec<NodeId> {
     for p in preds {
-        let snapshot = current.clone();
-        current = snapshot
-            .iter()
-            .enumerate()
-            .filter(|&(i, &n)| eval_expr(tree, n, i + 1, p))
-            .map(|(_, &n)| n)
-            .collect();
+        // `retain` visits every element once, in order
+        let mut position = 0;
+        nodes.retain(|&n| {
+            position += 1;
+            eval_expr(tree, n, position, p)
+        });
     }
-    current
+    nodes
 }
 
 fn eval_expr(tree: &Tree, node: NodeId, position: usize, expr: &Expr) -> bool {
@@ -828,57 +743,105 @@ fn eval_rel_path(tree: &Tree, node: NodeId, p: &RelPath) -> Vec<NodeId> {
     current
 }
 
-/// Evaluate one union branch, charging each visited document to the
-/// scan state (the tag-index fast path touches only documents with a
-/// posting; the general path scans the whole collection). Stops early
-/// when the budget truncates or aborts the scan.
-fn eval_path_collection(
-    path: &Path,
-    coll: &Collection,
-    out: &mut Vec<NodeRef>,
-    state: &mut ScanState<'_>,
-) {
-    // Fast path: `//name...` — seed from the tag index.
-    if let Some(name) = index_seed_tag(path) {
-        // group postings by document
-        let mut by_doc: Vec<(DocumentId, Vec<NodeId>)> = Vec::new();
-        for p in coll.index().by_tag(name) {
-            match by_doc.last_mut() {
-                Some((d, v)) if *d == p.doc => v.push(p.node),
-                _ => by_doc.push((p.doc, vec![p.node])),
-            }
-        }
-        state.total += by_doc.len();
-        let mut cursor = DocCursor::new(coll);
-        for (doc, seeds) in by_doc {
-            if !state.admit_document() {
-                return;
-            }
-            let Some(stored) = cursor.seek(doc) else { continue };
-            let matched = eval_seeded(path, &stored.tree, seeds);
-            out.extend(matched.into_iter().map(|node| NodeRef { doc, node }));
-        }
-        return;
-    }
-    // General path: evaluate per document.
-    state.total += coll.documents().len();
-    for stored in coll.documents() {
-        if !state.admit_document() {
-            return;
-        }
-        for node in eval_path_tree(path, &stored.tree) {
-            out.push(NodeRef {
-                doc: stored.id,
-                node,
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_document;
+
+    /// The streaming scan [`Candidates::eval`] replaced, kept as the
+    /// independent sequential reference: walk each union branch's
+    /// documents (grouped postings of the seed tag, or every document)
+    /// that `keep` admits, charging and evaluating one at a time, with
+    /// no enumeration up front.
+    fn streaming_scan(
+        xpath: &XPath,
+        coll: &Collection,
+        keep: impl Fn(DocumentId) -> bool,
+        budget: &dyn ScanBudget,
+    ) -> (Vec<NodeRef>, ScanStatus) {
+        let mut out = Vec::new();
+        let (mut scanned, mut total) = (0usize, 0usize);
+        let mut status = None;
+        'paths: for path in &xpath.paths {
+            let seed_tag = index_seed_tag(path);
+            let visits: Vec<(&StoredDocument, Option<Vec<NodeId>>)> = match seed_tag {
+                Some(name) => {
+                    let mut by_doc: Vec<(DocumentId, Vec<NodeId>)> = Vec::new();
+                    for p in coll.index().by_tag(name) {
+                        if !keep(p.doc) {
+                            continue;
+                        }
+                        match by_doc.last_mut() {
+                            Some((d, v)) if *d == p.doc => v.push(p.node),
+                            _ => by_doc.push((p.doc, vec![p.node])),
+                        }
+                    }
+                    by_doc
+                        .into_iter()
+                        .map(|(doc, seeds)| (coll.get(doc).unwrap(), Some(seeds)))
+                        .collect()
+                }
+                None => coll
+                    .documents()
+                    .iter()
+                    .filter(|d| keep(d.id))
+                    .map(|d| (d, None))
+                    .collect(),
+            };
+            total += visits.len();
+            for (stored, seeds) in visits {
+                match budget.before_document(scanned) {
+                    ScanControl::Continue => scanned += 1,
+                    ScanControl::Truncate => {
+                        status = Some(ScanStatus::Truncated {
+                            docs_scanned: scanned,
+                            docs_total: total,
+                        });
+                        break 'paths;
+                    }
+                    ScanControl::Abort => {
+                        status = Some(ScanStatus::Aborted {
+                            docs_scanned: scanned,
+                        });
+                        break 'paths;
+                    }
+                }
+                let nodes = match seeds {
+                    Some(seeds) => eval_seeded(path, &stored.tree, seeds),
+                    None => eval_path_tree(path, &stored.tree),
+                };
+                let doc = stored.id;
+                out.extend(nodes.into_iter().map(|node| NodeRef { doc, node }));
+            }
+        }
+        out.sort();
+        out.dedup();
+        let status = status.unwrap_or(ScanStatus::Complete {
+            docs_scanned: scanned,
+        });
+        (out, status)
+    }
+
+    /// [`streaming_scan`] over the whole collection.
+    fn reference(
+        xpath: &XPath,
+        coll: &Collection,
+        budget: &dyn ScanBudget,
+    ) -> (Vec<NodeRef>, ScanStatus) {
+        streaming_scan(xpath, coll, |_| true, budget)
+    }
+
+    /// The product path over the whole collection on `threads` workers.
+    fn scan(
+        xpath: &XPath,
+        coll: &Collection,
+        budget: &(dyn ScanBudget + Sync),
+        threads: usize,
+    ) -> (Vec<NodeRef>, ScanStatus) {
+        xpath
+            .scan_candidates(coll)
+            .eval(budget, &WorkerPool::new(threads))
+    }
 
     fn tree() -> Tree {
         parse_document(
@@ -979,22 +942,26 @@ mod tests {
     fn budgeted_scan_truncates_with_prefix() {
         let c = budget_collection(10);
         let xp = XPath::parse("//b").unwrap();
-        let (full, status) = xp.eval_collection_budgeted(
+        let (full, status) = scan(
+            &xp,
             &c,
             &CapBudget {
                 cap: 100,
                 control: ScanControl::Truncate,
             },
+            1,
         );
         assert_eq!(status, ScanStatus::Complete { docs_scanned: 10 });
         assert_eq!(full.len(), 10);
 
-        let (partial, status) = xp.eval_collection_budgeted(
+        let (partial, status) = scan(
+            &xp,
             &c,
             &CapBudget {
                 cap: 4,
                 control: ScanControl::Truncate,
             },
+            1,
         );
         assert_eq!(
             status,
@@ -1010,21 +977,25 @@ mod tests {
     fn budgeted_scan_aborts() {
         let c = budget_collection(5);
         let xp = XPath::parse("//b").unwrap();
-        let (_, status) = xp.eval_collection_budgeted(
+        let (_, status) = scan(
+            &xp,
             &c,
             &CapBudget {
                 cap: 2,
                 control: ScanControl::Abort,
             },
+            1,
         );
         assert_eq!(status, ScanStatus::Aborted { docs_scanned: 2 });
         // zero-budget: aborted before any document
-        let (hits, status) = xp.eval_collection_budgeted(
+        let (hits, status) = scan(
+            &xp,
             &c,
             &CapBudget {
                 cap: 0,
                 control: ScanControl::Abort,
             },
+            1,
         );
         assert!(hits.is_empty());
         assert_eq!(status, ScanStatus::Aborted { docs_scanned: 0 });
@@ -1035,12 +1006,14 @@ mod tests {
         let c = budget_collection(6);
         // wildcard first step forces the general (non-indexed) path
         let xp = XPath::parse("//*").unwrap();
-        let (_, status) = xp.eval_collection_budgeted(
+        let (_, status) = scan(
+            &xp,
             &c,
             &CapBudget {
                 cap: 3,
                 control: ScanControl::Truncate,
             },
+            1,
         );
         assert_eq!(
             status,
@@ -1090,10 +1063,9 @@ mod tests {
         let c = mixed_collection(57);
         for query in ["//b", "//b[text()='dup'] | //a", "//*[b]", "/r//b | //q"] {
             let xp = XPath::parse(query).unwrap();
-            let (seq, seq_status) = xp.eval_collection_budgeted(&c, &NoBudget);
+            let (seq, seq_status) = reference(&xp, &c, &NoBudget);
             for threads in [1usize, 2, 7] {
-                let pool = WorkerPool::new(threads);
-                let (par, par_status) = xp.eval_collection_parallel(&c, &NoBudget, &pool);
+                let (par, par_status) = scan(&xp, &c, &NoBudget, threads);
                 assert_eq!(par, seq, "{query} @ {threads} threads");
                 assert_eq!(par_status, seq_status, "{query} @ {threads} threads");
             }
@@ -1109,10 +1081,9 @@ mod tests {
                 cap,
                 control: ScanControl::Truncate,
             };
-            let (seq, seq_status) = xp.eval_collection_budgeted(&c, &mk());
-            for threads in [2usize, 7] {
-                let pool = WorkerPool::new(threads);
-                let (par, par_status) = xp.eval_collection_parallel(&c, &mk(), &pool);
+            let (seq, seq_status) = reference(&xp, &c, &mk());
+            for threads in [1usize, 2, 7] {
+                let (par, par_status) = scan(&xp, &c, &mk(), threads);
                 assert_eq!(par, seq, "cap {cap} @ {threads} threads");
                 assert_eq!(par_status, seq_status, "cap {cap} @ {threads} threads");
             }
@@ -1128,10 +1099,11 @@ mod tests {
                 cap,
                 control: ScanControl::Abort,
             };
-            let (_, seq_status) = xp.eval_collection_budgeted(&c, &mk());
-            let pool = WorkerPool::new(4);
-            let (_, par_status) = xp.eval_collection_parallel(&c, &mk(), &pool);
-            assert_eq!(par_status, seq_status, "cap {cap}");
+            let (_, seq_status) = reference(&xp, &c, &mk());
+            for threads in [1usize, 4] {
+                let (_, par_status) = scan(&xp, &c, &mk(), threads);
+                assert_eq!(par_status, seq_status, "cap {cap} @ {threads} threads");
+            }
         }
     }
 
@@ -1143,10 +1115,8 @@ mod tests {
         let c = mixed_collection(64);
         let xp = XPath::parse("//b | //a").unwrap();
         for cap in [0usize, 7, 33] {
-            let (seq, seq_status) = xp.eval_collection_budgeted(&c, &BlindCapBudget(cap));
-            let pool = WorkerPool::new(7);
-            let (par, par_status) =
-                xp.eval_collection_parallel(&c, &BlindCapBudget(cap), &pool);
+            let (seq, seq_status) = reference(&xp, &c, &BlindCapBudget(cap));
+            let (par, par_status) = scan(&xp, &c, &BlindCapBudget(cap), 7);
             assert_eq!(par, seq, "cap {cap}");
             assert_eq!(par_status, seq_status, "cap {cap}");
         }
@@ -1164,8 +1134,7 @@ mod tests {
             .collect();
         for threads in [1usize, 4] {
             let pool = WorkerPool::new(threads);
-            let (hits, status) =
-                xp.eval_collection_docs_budgeted(&c, &docs, &NoBudget, &pool);
+            let (hits, status) = xp.probe_candidates(&c, &docs).eval(&NoBudget, &pool);
             assert_eq!(hits.len(), 5, "@ {threads} threads");
             assert!(hits.iter().all(|r| r.doc.0 % 2 == 0));
             // the filtered docs are charged like scan visits
@@ -1179,9 +1148,7 @@ mod tests {
         let xp = XPath::parse("//b").unwrap();
         let docs: Vec<DocumentId> = c.documents().iter().map(|d| d.id).collect();
         let pool = WorkerPool::new(1);
-        let (hits, status) = xp.eval_collection_docs_budgeted(
-            &c,
-            &docs,
+        let (hits, status) = xp.probe_candidates(&c, &docs).eval(
             &CapBudget {
                 cap: 3,
                 control: ScanControl::Truncate,
@@ -1323,7 +1290,7 @@ mod tests {
             "//r[b='dup']/b | //c",
             "//nothing",
         ];
-        let sequential = WorkerPool::new(1);
+        let in_docs: std::collections::HashSet<DocumentId> = docs.iter().copied().collect();
         for (label, db) in [("gaps", gaps), ("shuffled", shuffled)] {
             for db in [frozen_twin(&db), db] {
                 let coll = db.collection("x").unwrap();
@@ -1333,15 +1300,17 @@ mod tests {
                     let oracle = filtered_walk(&xp, coll, &docs);
                     let new = xp.probe_candidates(coll, &docs);
                     assert_eq!(shape(&new), shape(&oracle), "{at}");
-                    // truncation and abort at every cut, 1 and 4 workers
+                    // truncation and abort at every cut, 1 and 4 workers,
+                    // against the streaming scan over the probe documents
                     for control in [ScanControl::Truncate, ScanControl::Abort] {
                         for cap in 0..=oracle.len() + 1 {
                             let budget = CapBudget { cap, control };
-                            let expected = oracle.eval(&budget, &sequential);
+                            let expected =
+                                streaming_scan(&xp, coll, |d| in_docs.contains(&d), &budget);
                             for threads in [1usize, 4] {
                                 let pool = WorkerPool::new(threads);
                                 assert_eq!(
-                                    xp.eval_collection_docs_budgeted(coll, &docs, &budget, &pool),
+                                    new.eval(&budget, &pool),
                                     expected,
                                     "{at} cap {cap} {control:?} @ {threads}"
                                 );
@@ -1366,9 +1335,9 @@ mod tests {
                         cap,
                         control: ScanControl::Truncate,
                     };
-                    let expected = xp.eval_collection_budgeted(coll, &budget);
+                    let expected = reference(&xp, coll, &budget);
                     for threads in [1usize, 4] {
-                        let got = xp.scan_candidates(coll).eval(&budget, &WorkerPool::new(threads));
+                        let got = scan(&xp, coll, &budget, threads);
                         assert_eq!(got, expected, "{query} cap {cap} @ {threads}");
                     }
                 }
@@ -1407,12 +1376,12 @@ mod tests {
                     cap,
                     control: ScanControl::Truncate,
                 };
-                let expected = xp.eval_collection_budgeted(&only, &budget);
+                let expected = reference(&xp, &only, &budget);
                 for threads in [1usize, 4] {
                     let pool = WorkerPool::new(threads);
                     for coll in [pointer, frozen] {
                         assert_eq!(
-                            xp.eval_collection_docs_budgeted(coll, &docs, &budget, &pool),
+                            xp.probe_candidates(coll, &docs).eval(&budget, &pool),
                             expected,
                             "{query} cap {cap} @ {threads} frozen={}",
                             coll.is_frozen()

@@ -30,8 +30,8 @@ TOSS_CRASH_SEEDS=10 cargo test --release --test serve \
     crash_campaign_every_acknowledged_write_survives_kill_and_recover -q
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy -p toss-tree -p toss-tax --all-targets -- -D warnings"
-    cargo clippy -p toss-tree -p toss-tax --all-targets -- -D warnings
+    echo "==> cargo clippy -p toss-tree -p toss-tax -p toss-json -p toss-lexicon -p toss-datagen --all-targets -- -D warnings"
+    cargo clippy -p toss-tree -p toss-tax -p toss-json -p toss-lexicon -p toss-datagen --all-targets -- -D warnings
     echo "==> cargo clippy -p toss-xmldb -p toss-pool -p toss-segment --all-targets -- -D warnings"
     cargo clippy -p toss-xmldb -p toss-pool -p toss-segment --all-targets -- -D warnings
     echo "==> cargo clippy -p toss-obs -p toss-core -p toss-similarity -p toss-ontology --all-targets -- -D warnings"

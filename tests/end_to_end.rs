@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use toss::core::algebra::{similarity_hash_join, JoinKey, TossPattern};
+use toss::core::algebra::{similarity_hash_join, toss_select, JoinKey, TossPattern};
 use toss::core::executor::Mode;
 use toss::core::quality::{precision, recall, QualityRow};
 use toss::core::{
@@ -153,9 +153,15 @@ fn executor_agrees_with_in_memory_algebra() {
     for q in workload(&corpus, 21, 4) {
         let tq = toss_query(&q.author_probe, &q.venue_isa);
         let via_store = ex.select(&tq, Mode::Toss).unwrap().forest;
-        let in_mem = ex
-            .select_in_memory(&corpus.dblp, &tq.pattern, &tq.expand_labels, Mode::Toss)
-            .unwrap();
+        let in_mem = toss_select(
+            &SeoInstance::new(corpus.dblp.clone(), ex.seo.clone()),
+            &tq.pattern,
+            &tq.expand_labels,
+            &ex.hierarchy,
+            &ex.conversions,
+        )
+        .unwrap()
+        .forest;
         assert_eq!(via_store.len(), in_mem.len(), "query {}", q.id);
         for t in &via_store {
             assert!(in_mem.contains_tree(t));

@@ -1,21 +1,23 @@
 //! Budget edge cases for the query governor (see `docs/robustness.md`):
 //! zero budgets, exact-boundary budgets, a deadline that expired before
 //! admission, and cancellation raised during rewrite — all through the
-//! real executor against the real store.
+//! real executor against the real store — plus the same governance on
+//! projection and join, and join errors that do not depend on the
+//! worker count.
 
 use std::sync::Arc;
 use std::time::Duration;
-use toss_core::algebra::TossPattern;
+use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
 use toss_core::{
-    AdmissionController, CancelToken, Executor, Limit, QueryBudget, QueryGovernor,
-    TossCond, TossError, TossQuery, TossTerm,
+    AdmissionController, BudgetKind, CancelToken, Executor, Limit, QueryBudget,
+    QueryGovernor, QueryOutcome, TossCond, TossError, TossQuery, TossResult, TossTerm,
 };
 use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
 use toss_similarity::{Levenshtein, StringMetric};
-use toss_tax::EdgeKind;
-use toss_xmldb::{Database, DatabaseConfig};
+use toss_tax::{EdgeKind, PatternTree, ProjectEntry};
+use toss_xmldb::{Database, DatabaseConfig, DbError};
 
 fn executor() -> Executor {
     let mut db = Database::with_config(DatabaseConfig::unlimited());
@@ -180,4 +182,108 @@ fn cancellation_between_rewrite_and_execute() {
         0,
         "cancellation during rewrite must stop the query before the scan"
     );
+}
+
+/// A join of `dblp` with itself on similar authors: product root with
+/// one author below each side.
+fn author_cross() -> TossPattern {
+    let mut structure = PatternTree::new(1);
+    let root = structure.root();
+    structure
+        .add_child(root, 2, EdgeKind::AncestorDescendant)
+        .unwrap();
+    structure
+        .add_child(root, 3, EdgeKind::AncestorDescendant)
+        .unwrap();
+    TossPattern {
+        structure,
+        condition: TossCond::all(vec![
+            TossCond::eq(
+                TossTerm::tag(1),
+                TossTerm::str(toss_tax::ops::PROD_ROOT_TAG),
+            ),
+            TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
+            TossCond::eq(TossTerm::tag(3), TossTerm::str("author")),
+            TossCond::similar(TossTerm::content(2), TossTerm::content(3)),
+        ]),
+    }
+}
+
+/// Run one operator over [`author_query`] (both sides, for the join).
+fn run_op(ex: &Executor, op: &str, gov: &QueryGovernor) -> TossResult<QueryOutcome> {
+    let q = author_query("Jeff Ullmann");
+    match op {
+        "select" => ex.select_governed(&q, Mode::Toss, gov),
+        "project" => ex.project_governed(&q, &[ProjectEntry::subtree(2)], Mode::Toss, gov),
+        "join" => ex.join_governed(&q, &q, &author_cross(), &[], Mode::Toss, gov),
+        other => unreachable!("no operator {other}"),
+    }
+}
+
+#[test]
+fn project_and_join_are_governed_like_select() {
+    let ex = executor();
+    let soft_docs =
+        || QueryGovernor::new(QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(1)));
+    let tripped = |op| {
+        let out = run_op(&ex, op, &soft_docs()).expect("a soft cap degrades");
+        out.degradation.expect("the soft cap trips").tripped
+    };
+    let select_kind = tripped("select");
+    assert_eq!(select_kind, BudgetKind::DocsScanned);
+
+    for op in ["project", "join"] {
+        // a soft document cap degrades exactly like the select's
+        assert_eq!(tripped(op), select_kind, "{op}");
+
+        // a hard witness cap fails the request
+        let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_witnesses(Limit::hard(1)));
+        match run_op(&ex, op, &gov) {
+            Err(TossError::BudgetExceeded(b)) => assert_eq!(b.kind, BudgetKind::Witnesses, "{op}"),
+            other => panic!("{op}: expected a witness breach, got {other:?}"),
+        }
+
+        // an already-expired deadline is rejected before any scan
+        let gov = QueryGovernor::new(QueryBudget::unlimited().with_deadline(Duration::ZERO));
+        match run_op(&ex, op, &gov) {
+            Err(TossError::BudgetExceeded(b)) => assert_eq!(b.kind, BudgetKind::Deadline, "{op}"),
+            other => panic!("{op}: expected a deadline breach, got {other:?}"),
+        }
+        assert_eq!(
+            gov.docs_scanned(),
+            0,
+            "{op} touched the store after its deadline"
+        );
+    }
+}
+
+#[test]
+fn join_side_errors_do_not_depend_on_worker_count() {
+    let found = author_query("Jeff Ullmann");
+    let missing = |name: &str| TossQuery {
+        collection: name.into(),
+        ..found.clone()
+    };
+    let key = JoinKey::child("author");
+    let cases = [
+        (missing("left-gone"), found.clone(), "left-gone"),
+        (found.clone(), missing("right-gone"), "right-gone"),
+        // both sides fail: the left error wins
+        (missing("left-gone"), missing("right-gone"), "left-gone"),
+    ];
+    for (left, right, gone) in &cases {
+        let expected = TossError::Db(DbError::NoSuchCollection(gone.to_string()));
+        for threads in [1, 2, 7] {
+            let ex = executor().with_threads(threads);
+            let gov = QueryGovernor::unlimited();
+            let join = ex.join_governed(left, right, &author_cross(), &[], Mode::Toss, &gov);
+            assert_eq!(join.unwrap_err(), expected, "join @ {threads} threads");
+            let simjoin = ex.join_similarity_governed(left, right, &key, &key, Mode::Toss, &gov);
+            assert_eq!(
+                simjoin.unwrap_err(),
+                expected,
+                "simjoin @ {threads} threads"
+            );
+        }
+    }
 }

@@ -1,14 +1,16 @@
-//! Parallel-scan equivalence suite (see `docs/performance.md`): the
-//! partitioned evaluator must return *exactly* the sequential result —
-//! same matches, same order, same `ScanStatus`, same budget charges —
-//! at every worker count, including mid-scan truncation, hard aborts,
-//! cancellation and the index-probe candidate path.
+//! Parallel-scan equivalence suite (see `docs/performance.md`):
+//! `Candidates::eval` on 2 and 7 workers must return *exactly* what it
+//! returns on one — same matches, same order, same `ScanStatus`, same
+//! budget charges — including mid-scan truncation, hard aborts,
+//! cancellation and the index-probe candidate path. The one-worker run
+//! is pinned to an independent streaming scan by the unit tests in
+//! `crates/xmldb/src/xpath/eval.rs`.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use toss::core::WorkerPool;
 use toss::xmldb::{
-    Database, DatabaseConfig, ScanBudget, ScanControl, ScanStatus, XPath,
+    Collection, Database, DatabaseConfig, NodeRef, ScanBudget, ScanControl, ScanStatus, XPath,
 };
 
 /// Worker counts exercised everywhere: sequential, the smallest real
@@ -120,6 +122,16 @@ impl ScanBudget for Charging {
     }
 }
 
+/// Evaluate `xpath` over the whole collection on `threads` workers.
+fn scan(
+    xpath: &XPath,
+    coll: &Collection,
+    budget: &(dyn ScanBudget + Sync),
+    threads: usize,
+) -> (Vec<NodeRef>, ScanStatus) {
+    xpath.scan_candidates(coll).eval(budget, &WorkerPool::new(threads))
+}
+
 #[test]
 fn parallel_scan_equals_sequential_unbudgeted() {
     let db = build_db(53);
@@ -128,9 +140,7 @@ fn parallel_scan_equals_sequential_unbudgeted() {
         let xpath = XPath::parse(q).unwrap();
         let expected = xpath.eval_collection(coll);
         for threads in THREADS {
-            let pool = WorkerPool::new(threads);
-            let (got, status) =
-                xpath.eval_collection_parallel(coll, &SoftCap(usize::MAX), &pool);
+            let (got, status) = scan(&xpath, coll, &SoftCap(usize::MAX), threads);
             assert_eq!(got, expected, "query {q} threads {threads}");
             assert!(
                 matches!(status, ScanStatus::Complete { .. }),
@@ -147,10 +157,9 @@ fn soft_truncation_is_thread_count_invariant() {
     for q in QUERIES {
         let xpath = XPath::parse(q).unwrap();
         for cap in [0, 1, 3, 26, 53, 1000] {
-            let baseline = xpath.eval_collection_budgeted(coll, &SoftCap(cap));
+            let baseline = scan(&xpath, coll, &SoftCap(cap), 1);
             for threads in THREADS {
-                let pool = WorkerPool::new(threads);
-                let got = xpath.eval_collection_parallel(coll, &SoftCap(cap), &pool);
+                let got = scan(&xpath, coll, &SoftCap(cap), threads);
                 assert_eq!(got, baseline, "query {q} cap {cap} threads {threads}");
             }
         }
@@ -164,10 +173,9 @@ fn hard_abort_is_thread_count_invariant() {
     for q in QUERIES {
         let xpath = XPath::parse(q).unwrap();
         for cap in [0, 1, 7, 52] {
-            let baseline = xpath.eval_collection_budgeted(coll, &HardCap(cap));
+            let baseline = scan(&xpath, coll, &HardCap(cap), 1);
             for threads in THREADS {
-                let pool = WorkerPool::new(threads);
-                let got = xpath.eval_collection_parallel(coll, &HardCap(cap), &pool);
+                let got = scan(&xpath, coll, &HardCap(cap), threads);
                 assert_eq!(got.1, baseline.1, "query {q} cap {cap} threads {threads}");
                 assert_eq!(got.0, baseline.0, "query {q} cap {cap} threads {threads}");
             }
@@ -184,12 +192,11 @@ fn charging_budgets_are_charged_identically() {
         for (cap, hard) in [(0, false), (5, false), (26, false), (5, true), (1000, false)]
         {
             let seq_budget = Charging::new(cap, hard);
-            let baseline = xpath.eval_collection_budgeted(coll, &seq_budget);
+            let baseline = scan(&xpath, coll, &seq_budget, 1);
             let seq_charged = seq_budget.charged.load(Ordering::SeqCst);
             for threads in THREADS {
-                let pool = WorkerPool::new(threads);
                 let budget = Charging::new(cap, hard);
-                let got = xpath.eval_collection_parallel(coll, &budget, &pool);
+                let got = scan(&xpath, coll, &budget, threads);
                 assert_eq!(got, baseline, "query {q} cap {cap} threads {threads}");
                 assert_eq!(
                     budget.charged.load(Ordering::SeqCst),
@@ -208,8 +215,7 @@ fn pre_cancelled_budget_aborts_before_any_visit() {
     let coll = db.collection("c").unwrap();
     let xpath = XPath::parse("//author").unwrap();
     for threads in THREADS {
-        let pool = WorkerPool::new(threads);
-        let (out, status) = xpath.eval_collection_parallel(coll, &HardCap(0), &pool);
+        let (out, status) = scan(&xpath, coll, &HardCap(0), threads);
         assert!(out.is_empty());
         assert_eq!(status, ScanStatus::Aborted { docs_scanned: 0 });
     }
@@ -232,8 +238,7 @@ fn index_probe_candidates_reproduce_the_scan_result() {
     for threads in THREADS {
         let pool = WorkerPool::new(threads);
         let budget = Charging::new(usize::MAX, false);
-        let (got, status) =
-            xpath.eval_collection_docs_budgeted(coll, &docs, &budget, &pool);
+        let (got, status) = xpath.probe_candidates(coll, &docs).eval(&budget, &pool);
         assert_eq!(got, expected, "threads {threads}");
         assert_eq!(status, ScanStatus::Complete { docs_scanned: docs.len() });
         assert_eq!(
@@ -248,8 +253,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random corpus, random budget, random query, every thread count:
-    /// the parallel evaluator is indistinguishable from the sequential
-    /// one (result, order, status and charges).
+    /// the partitioned run is indistinguishable from the one-worker run
+    /// (result, order, status and charges).
     #[test]
     fn random_budgeted_scans_are_equivalent(
         docs in 0usize..40,
@@ -262,11 +267,10 @@ proptest! {
         let coll = db.collection("c").unwrap();
         let xpath = XPath::parse(QUERIES[query_idx]).unwrap();
         let seq_budget = Charging::new(cap, hard);
-        let baseline = xpath.eval_collection_budgeted(coll, &seq_budget);
+        let baseline = scan(&xpath, coll, &seq_budget, 1);
         for threads in THREADS {
-            let pool = WorkerPool::new(threads);
             let budget = Charging::new(cap, hard);
-            let got = xpath.eval_collection_parallel(coll, &budget, &pool);
+            let got = scan(&xpath, coll, &budget, threads);
             prop_assert_eq!(&got, &baseline, "threads {}", threads);
             prop_assert_eq!(
                 budget.charged.load(Ordering::SeqCst),
@@ -306,7 +310,7 @@ fn probe_cost_follows_the_candidates_not_the_collection() {
         let probe = || {
             let docs = coll.index().docs_with_tag_content_any("author", &["Hot"]);
             let (hits, status) =
-                xpath.eval_collection_docs_budgeted(coll, &docs, &SoftCap(usize::MAX), &pool);
+                xpath.probe_candidates(coll, &docs).eval(&SoftCap(usize::MAX), &pool);
             assert_eq!(hits.len(), 8);
             assert_eq!(status, ScanStatus::Complete { docs_scanned: 8 });
         };

@@ -348,9 +348,15 @@ proptest! {
             expand_labels: vec![1],
         };
         let via_store = ex.select(&q, Mode::Toss).expect("select");
-        let in_mem = ex
-            .select_in_memory(&forest, &pattern, &[1], Mode::Toss)
-            .expect("select");
+        let in_mem = toss::core::algebra::toss_select(
+            &toss::core::SeoInstance::new(forest, ex.seo.clone()),
+            &pattern,
+            &[1],
+            &ex.hierarchy,
+            &ex.conversions,
+        )
+        .expect("select")
+        .forest;
         prop_assert_eq!(via_store.forest.len(), in_mem.len());
         for t in &via_store.forest {
             prop_assert!(in_mem.contains_tree(t));
