@@ -216,23 +216,35 @@ fn write_seq(
     out.push(close);
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal, quotes included — the
+/// one escaping rule behind [`Value::to_json`], public so writers that
+/// stream JSON without building a [`Value`] emit identical bytes.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Everything that needs escaping is ASCII, so unescaped runs are
+    // copied as whole slices and every cut lands on a char boundary.
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        start = i + 1;
     }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -554,6 +566,21 @@ mod tests {
             Value::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
             Some("\u{1F600}")
         );
+    }
+
+    #[test]
+    fn every_control_character_escapes_and_round_trips() {
+        let s: String = (0u32..0x80)
+            .chain([0xe9, 0x6f22, 0x1f600])
+            .filter_map(char::from_u32)
+            .collect();
+        let mut out = String::new();
+        write_escaped(&mut out, &s);
+        assert!(out.starts_with(r#""\u0000\u0001"#), "{out}");
+        assert!(out.contains(r#"\b\t\n\u000b\f\r\u000e"#), "{out}");
+        assert!(out.contains(r##" !\"#"##) && out.contains(r#"[\\]"#), "{out}");
+        assert!(out.ends_with("\u{7f}é漢\u{1F600}\""), "{out}");
+        assert_eq!(Value::parse(&out).unwrap(), Value::Str(s));
     }
 
     #[test]

@@ -65,17 +65,62 @@ pub mod kinds {
     pub const REACH: u32 = 4;
 }
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the same polynomial the
-/// snapshot and journal checksums use, reimplemented here so the crate
-/// stays dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables, built at compile time: `CRC_TABLES[0]` is the
+/// classic bytewise table, and `CRC_TABLES[k][b]` advances the CRC of
+/// byte `b` over `k` further zero bytes, so eight table lookups fold
+/// eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ CRC_POLY } else { crc >> 1 };
+            bit += 1;
         }
+        t[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected, init and final XOR `0xFFFF_FFFF` —
+/// zlib's `crc32()`) over `bytes`. The one checksum of every TOSS file:
+/// segments, journal records and the JSON snapshot all use it.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -110,11 +155,62 @@ pub fn fnv1a_step(h: u64, b: u8) -> u64 {
 mod tests {
     use super::*;
 
+    /// The bit-at-a-time definition: the oracle the tables must match.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC_POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
-        // Same vectors the xmldb journal CRC is tested against.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        for (input, want) in [
+            (&b""[..], 0x0000_0000),
+            (b"a", 0xE8B7_BE43),
+            (b"123456789", 0xCBF4_3926),
+            (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+        ] {
+            assert_eq!(crc32(input), want);
+            assert_eq!(crc32_bitwise(input), want);
+        }
+    }
+
+    #[test]
+    fn crc32_detects_every_single_bit_flip() {
+        let mut bytes = b"hello world, sliced by eight".to_vec();
+        let base = crc32(&bytes);
+        for i in 0..bytes.len() * 8 {
+            bytes[i / 8] ^= 1 << (i % 8);
+            assert_ne!(crc32(&bytes), base, "bit {i} flip went undetected");
+            bytes[i / 8] ^= 1 << (i % 8);
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_definition_at_every_short_length() {
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&bytes[..len]), crc32_bitwise(&bytes[..len]), "len {len}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Random buffers read from every offset 0..8 (so the 8-byte
+        /// words straddle every alignment) agree with the definition.
+        #[test]
+        fn crc32_equals_the_bitwise_definition(
+            bytes in proptest::collection::vec(0u8..=255, 0..600),
+            offset in 0usize..8,
+        ) {
+            let tail = &bytes[offset.min(bytes.len())..];
+            proptest::prop_assert_eq!(crc32(tail), crc32_bitwise(tail));
+        }
     }
 
     #[test]

@@ -184,9 +184,16 @@ impl Shared {
         &self.windows.iter().find(|(c, _)| *c == class).unwrap().1
     }
 
-    /// Snapshot every class window, refresh its registry gauges
-    /// (`toss.serve.window.<class>.*`), and return the snapshots.
-    fn publish_windows(&self) -> Vec<(BudgetClass, WindowSnapshot)> {
+    /// Refresh the registry gauges this server owns from its own state
+    /// — `toss.serve.degraded` from its write state, when writable, and
+    /// every class window's `toss.serve.window.<class>.*` — and return
+    /// the window snapshots. The registry is process-global, so another
+    /// server in the same process may have set these since; the
+    /// `metrics` and `stats` frames call this just before they export.
+    fn publish_gauges(&self) -> Vec<(BudgetClass, WindowSnapshot)> {
+        if let Some(st) = &self.write_state {
+            toss_obs::metrics::gauge("toss.serve.degraded").set(st.is_degraded() as i64);
+        }
         self.windows
             .iter()
             .map(|(class, w)| {
@@ -343,10 +350,9 @@ impl Server {
         });
         // Publish the windowed gauges (as zeros) up front so scrapes of
         // an idle server already see the full gauge set.
-        shared.publish_windows();
+        shared.publish_gauges();
         let writer_thread = match (engine, write_rx, write_state) {
             (Some(engine), Some(rx), Some(state)) => {
-                toss_obs::metrics::gauge("toss.serve.degraded").set(0);
                 let stamp_shared = shared.clone();
                 let stamp = Box::new(move |rec: QueryRecord| {
                     let class =
@@ -507,10 +513,10 @@ impl Server {
             });
         }
 
-        // Nobody can ask for `metrics`/`stats` any more: leave the window
-        // gauges as of the drain for whoever exports the registry next
+        // Nobody can ask for `metrics`/`stats` any more: leave this
+        // server's gauges as of the drain for whoever exports the registry next
         // (`toss-cli serve` persists it to `<store>.stats.json` on exit).
-        sh.publish_windows();
+        sh.publish_gauges();
         sh.state.store(STATE_STOPPED, Ordering::Release);
         let duration = t0.elapsed();
         drain_span.record("cancelled", cancelled);
@@ -676,8 +682,8 @@ fn handle_payload(shared: &Arc<Shared>, entry: &Arc<ConnEntry>, payload: &[u8]) 
             Value::Str("ping".into()),
         )]),
         Request::Metrics => {
-            // refresh windowed gauges so the export is current
-            shared.publish_windows();
+            // refresh this server's gauges so the export is current
+            shared.publish_gauges();
             ok_payload(vec![(
                 "metrics".into(),
                 Value::Str(toss_obs::metrics::snapshot().to_prometheus()),
@@ -898,7 +904,7 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
 /// Stamp one finished query into the telemetry pipeline: the flight
 /// recorder, the slow-query log, and the class's SLO window. The window's
 /// registry gauges are refreshed when somebody reads them (the `metrics`
-/// and `stats` frames call [`Shared::publish_windows`]), not here.
+/// and `stats` frames call [`Shared::publish_gauges`]), not here.
 #[allow(clippy::too_many_arguments)]
 fn stamp_query(
     shared: &Shared,
@@ -1128,7 +1134,7 @@ fn window_value(s: &WindowSnapshot) -> Value {
 /// The `stats` admin frame: per-class windowed SLO figures plus process
 /// gauges, in one structured response (`toss-cli top` polls this).
 fn stats_payload(shared: &Arc<Shared>) -> String {
-    let windows = shared.publish_windows();
+    let windows = shared.publish_gauges();
     let window_fields: Vec<(String, Value)> = windows
         .iter()
         .map(|(class, s)| (class.as_str().to_string(), window_value(s)))

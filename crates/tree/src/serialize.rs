@@ -8,36 +8,29 @@
 use crate::arena::NodeId;
 use crate::forest::Forest;
 use crate::tree::Tree;
-use std::fmt::Write as _;
+use crate::value::Value;
+use std::fmt;
 
-/// Escape text content for XML.
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(ch),
-        }
+/// Write `s` with the XML escapes: `& < >` always, and `" '` too inside
+/// (double-quote delimited) attribute values. Unescaped runs go out as
+/// one slice — the escaped bytes are ASCII, so every cut is a char
+/// boundary.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str, attr: bool) -> fmt::Result {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if attr => "&quot;",
+            b'\'' if attr => "&apos;",
+            _ => continue,
+        };
+        out.write_str(&s[start..i])?;
+        out.write_str(entity)?;
+        start = i + 1;
     }
-    out
-}
-
-/// Escape an attribute value for XML (double-quote delimited).
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(ch),
-        }
-    }
-    out
+    out.write_str(&s[start..])
 }
 
 /// Serialization style.
@@ -49,59 +42,101 @@ pub enum Style {
     Pretty,
 }
 
-fn write_node(t: &Tree, n: NodeId, style: Style, depth: usize, out: &mut String) {
-    let Ok(d) = t.data(n) else { return };
-    if style == Style::Pretty {
+/// The one serializer: [`write_xml`] runs it into a `String`,
+/// [`compact_len`] into a byte counter, so the two cannot disagree.
+fn write_node<W: fmt::Write>(
+    t: &Tree,
+    n: NodeId,
+    style: Style,
+    depth: usize,
+    out: &mut W,
+) -> fmt::Result {
+    let Ok(d) = t.data(n) else { return Ok(()) };
+    let pretty = style == Style::Pretty;
+    if pretty {
         for _ in 0..depth {
-            out.push_str("  ");
+            out.write_str("  ")?;
         }
     }
-    out.push('<');
-    out.push_str(&d.tag);
+    out.write_char('<')?;
+    out.write_str(&d.tag)?;
     for (k, v) in &d.attrs {
-        let _ = write!(out, " {}=\"{}\"", k, escape_attr(v));
+        out.write_char(' ')?;
+        out.write_str(k)?;
+        out.write_str("=\"")?;
+        write_escaped(out, v, true)?;
+        out.write_char('"')?;
     }
-    let kids: Vec<NodeId> = t.children(n).collect();
-    let text = d.content.as_ref().map(|c| c.render());
-    if kids.is_empty() && text.is_none() {
-        out.push_str("/>");
-        if style == Style::Pretty {
-            out.push('\n');
+    let mut kids = t.children(n).peekable();
+    let has_kids = kids.peek().is_some();
+    if !has_kids && d.content.is_none() {
+        out.write_str("/>")?;
+        if pretty {
+            out.write_char('\n')?;
         }
-        return;
+        return Ok(());
     }
-    out.push('>');
-    if let Some(txt) = &text {
-        out.push_str(&escape_text(txt));
+    out.write_char('>')?;
+    match &d.content {
+        Some(Value::Str(s)) => write_escaped(out, s, false)?,
+        // digits, signs, `.`, `e`, `inf`, `NaN`: nothing to escape
+        Some(v) => write!(out, "{v}")?,
+        None => {}
     }
-    if !kids.is_empty() {
-        if style == Style::Pretty {
-            out.push('\n');
+    if has_kids {
+        if pretty {
+            out.write_char('\n')?;
         }
         for k in kids {
-            write_node(t, k, style, depth + 1, out);
+            write_node(t, k, style, depth + 1, out)?;
         }
-        if style == Style::Pretty {
+        if pretty {
             for _ in 0..depth {
-                out.push_str("  ");
+                out.write_str("  ")?;
             }
         }
     }
-    out.push_str("</");
-    out.push_str(&d.tag);
-    out.push('>');
-    if style == Style::Pretty {
-        out.push('\n');
+    out.write_str("</")?;
+    out.write_str(&d.tag)?;
+    out.write_char('>')?;
+    if pretty {
+        out.write_char('\n')?;
+    }
+    Ok(())
+}
+
+/// Append one tree's serialization to `out` — [`tree_to_xml`] without
+/// the fresh `String`, for callers that serialize many trees through one
+/// buffer.
+pub fn write_xml(t: &Tree, style: Style, out: &mut String) {
+    if let Some(r) = t.root() {
+        // writing into a `String` cannot fail
+        let _ = write_node(t, r, style, 0, out);
     }
 }
 
 /// Serialize one tree.
 pub fn tree_to_xml(t: &Tree, style: Style) -> String {
     let mut out = String::new();
-    if let Some(r) = t.root() {
-        write_node(t, r, style, 0, &mut out);
-    }
+    write_xml(t, style, &mut out);
     out
+}
+
+/// Byte length of `tree_to_xml(t, Style::Compact)`, counted without
+/// building the string: what a collection's size limit is measured in.
+pub fn compact_len(t: &Tree) -> usize {
+    struct Count(usize);
+    impl fmt::Write for Count {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut n = Count(0);
+    if let Some(r) = t.root() {
+        let _ = write_node(t, r, Style::Compact, 0, &mut n);
+    }
+    n.0
 }
 
 /// Serialize a forest as a sequence of documents separated by newlines
@@ -112,7 +147,7 @@ pub fn forest_to_xml(f: &Forest, style: Style) -> String {
         if i > 0 && style == Style::Compact {
             out.push('\n');
         }
-        out.push_str(&tree_to_xml(t, style));
+        write_xml(t, style, &mut out);
     }
     out
 }
@@ -121,7 +156,7 @@ pub fn forest_to_xml(f: &Forest, style: Style) -> String {
 /// Used by the scalability harness to report data sizes the way the paper
 /// does (bytes of XML).
 pub fn xml_size_bytes(f: &Forest) -> usize {
-    f.iter().map(|t| tree_to_xml(t, Style::Compact).len()).sum()
+    f.iter().map(compact_len).sum()
 }
 
 #[cfg(test)]
@@ -176,5 +211,53 @@ mod tests {
         ]);
         assert_eq!(forest_to_xml(&f, Style::Compact), "<a/>\n<b/>");
         assert_eq!(xml_size_bytes(&f), 8);
+    }
+
+    /// A tree from a script of builder steps: `(step, text)` where step
+    /// 0 opens a child, 1 closes, 2 adds a text leaf, 3 an empty element,
+    /// 4 an attribute, 5 sets (mixed) content, 6/7 numeric leaves.
+    fn scripted_tree(steps: &[(u8, String)]) -> crate::Tree {
+        let mut b = TreeBuilder::new("r");
+        for (i, (step, text)) in steps.iter().enumerate() {
+            b = match step {
+                0 => b.open(format!("e{i}")),
+                1 => b.close(),
+                2 => b.leaf("t", text.as_str()),
+                3 => b.empty("z"),
+                4 => b.attr(format!("a{i}"), text.as_str()),
+                5 => b.content(text.as_str()),
+                6 => b.leaf("n", text.len() as i64 - 3),
+                _ => b.leaf("x", text.len() as f64 / 4.0),
+            };
+        }
+        b.build()
+    }
+
+    proptest::proptest! {
+        /// `compact_len` counts exactly the bytes `tree_to_xml` writes,
+        /// escapes, multi-byte text and numeric content included.
+        #[test]
+        fn compact_len_is_the_compact_xml_length(
+            steps in proptest::collection::vec(
+                (0u8..8, "[a-c&<>\"' é漢😀\\\\]{0,6}"),
+                0..24,
+            ),
+        ) {
+            let t = scripted_tree(&steps);
+            proptest::prop_assert_eq!(compact_len(&t), tree_to_xml(&t, Style::Compact).len());
+        }
+    }
+
+    #[test]
+    fn compact_len_counts_escapes_and_multibyte_text() {
+        let t = TreeBuilder::new("a")
+            .attr("k", "'\"&")
+            .content("é<")
+            .leaf("n", -7i64)
+            .empty("e")
+            .build();
+        let xml = tree_to_xml(&t, Style::Compact);
+        assert_eq!(xml, "<a k=\"&apos;&quot;&amp;\">é&lt;<n>-7</n><e/></a>");
+        assert_eq!(compact_len(&t), xml.len());
     }
 }

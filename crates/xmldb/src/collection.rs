@@ -9,7 +9,7 @@
 use crate::error::{DbError, DbResult};
 use crate::index::{CollectionIndex, IndexView};
 use crate::segidx::FrozenIndex;
-use toss_tree::serialize::{tree_to_xml, Style};
+use toss_tree::serialize::compact_len;
 use toss_tree::Tree;
 
 /// Stable identifier of a document within a collection.
@@ -20,6 +20,31 @@ impl std::fmt::Display for DocumentId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "doc#{}", self.0)
     }
+}
+
+/// The size-limit rule every path that adds bytes to a collection runs:
+/// live inserts and replaces, batch validation, and the checkpoint's
+/// snapshot verify. `attempted` is the collection's size afterwards.
+pub(crate) fn check_size_limit(
+    collection: &str,
+    limit: Option<usize>,
+    attempted: usize,
+) -> DbResult<()> {
+    match limit {
+        Some(limit) if attempted > limit => Err(DbError::CollectionFull {
+            collection: collection.to_string(),
+            limit,
+            attempted,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// The error for a document id a collection already holds.
+pub(crate) fn duplicate_id(collection: &str, id: DocumentId) -> DbError {
+    DbError::Storage(format!(
+        "duplicate document id {id} in collection `{collection}`"
+    ))
 }
 
 /// A stored document: the parsed tree plus its compact-XML byte size.
@@ -174,21 +199,10 @@ impl Collection {
         // a hand-edited snapshot listing ids out of order lands each
         // document at its sorted position instead.
         let Err(pos) = self.position(id) else {
-            return Err(DbError::Storage(format!(
-                "duplicate document id {id} in collection `{}`",
-                self.name
-            )));
+            return Err(duplicate_id(&self.name, id));
         };
-        let size = tree_to_xml(&tree, Style::Compact).len();
-        if let Some(limit) = self.size_limit {
-            if self.size_bytes + size > limit {
-                return Err(DbError::CollectionFull {
-                    collection: self.name.clone(),
-                    limit,
-                    attempted: self.size_bytes + size,
-                });
-            }
-        }
+        let size = compact_len(&tree);
+        check_size_limit(&self.name, self.size_limit, self.size_bytes + size)?;
         self.next_id = self.next_id.max(id.0 + 1);
         if !matches!(self.index, IndexState::Deferred) {
             self.index_mut().add_document(id, &tree);
@@ -246,17 +260,13 @@ impl Collection {
         let pos = self
             .position(id)
             .map_err(|_| DbError::NoSuchDocument(id.0))?;
-        let new_size = tree_to_xml(&tree, Style::Compact).len();
+        let new_size = compact_len(&tree);
         let old_size = self.docs[pos].size_bytes;
-        if let Some(limit) = self.size_limit {
-            if self.size_bytes - old_size + new_size > limit {
-                return Err(DbError::CollectionFull {
-                    collection: self.name.clone(),
-                    limit,
-                    attempted: self.size_bytes - old_size + new_size,
-                });
-            }
-        }
+        check_size_limit(
+            &self.name,
+            self.size_limit,
+            self.size_bytes - old_size + new_size,
+        )?;
         let ix = self.index_mut();
         ix.remove_document(id);
         ix.add_document(id, &tree);

@@ -1,68 +1,10 @@
 //! CRC-32 (IEEE 802.3 polynomial) used to checksum journal records and
 //! snapshot payloads.
 //!
-//! Table-driven, reflected, initial value `0xFFFF_FFFF`, final XOR
-//! `0xFFFF_FFFF` — the same parameterization as zlib's `crc32()`, so the
-//! on-disk format can be verified with standard tooling.
+//! Reflected, initial value `0xFFFF_FFFF`, final XOR `0xFFFF_FFFF` — the
+//! same parameterization as zlib's `crc32()`, so the on-disk format can
+//! be verified with standard tooling. There is one implementation in the
+//! workspace, the slicing-by-8 [`toss_segment::crc32`] that also seals
+//! `.seg` containers; this module re-exports it under its old path.
 
-/// The reflected IEEE polynomial.
-const POLY: u32 = 0xEDB8_8320;
-
-/// The 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = build_table();
-
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-/// CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn known_vectors() {
-        // Standard check value for the IEEE CRC-32.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-    }
-
-    #[test]
-    fn sensitive_to_single_bit_flips() {
-        let base = crc32(b"hello world");
-        let mut flipped = b"hello world".to_vec();
-        for i in 0..flipped.len() * 8 {
-            flipped[i / 8] ^= 1 << (i % 8);
-            assert_ne!(crc32(&flipped), base, "bit {i} flip went undetected");
-            flipped[i / 8] ^= 1 << (i % 8);
-        }
-    }
-
-    #[test]
-    fn incremental_equals_whole() {
-        // Sanity: the function is deterministic over concatenated input.
-        assert_eq!(crc32(b"abcdef"), crc32("abcdef".as_bytes()));
-    }
-}
+pub use toss_segment::crc32;

@@ -11,7 +11,8 @@
 //! operation; a crash after it loses nothing: the next
 //! [`DurableDatabase::open`] replays the journal over the newest
 //! snapshot. [`DurableDatabase::checkpoint`] folds the journal into a new
-//! atomic snapshot and truncates it; sequence numbers make the protocol
+//! atomic snapshot, verified before it replaces the old one, and
+//! truncates it; sequence numbers make the protocol
 //! idempotent, so a crash between those two steps merely leaves records
 //! that the next replay skips.
 //!
@@ -22,6 +23,7 @@
 //! journal prefix, makes that state durable again, and reports exactly
 //! what was lost in a [`RecoveryReport`].
 
+use crate::collection::check_size_limit;
 use crate::database::{Database, DatabaseConfig};
 use crate::error::{DbError, DbResult};
 use crate::journal::{Journal, JournalOp};
@@ -30,7 +32,7 @@ use crate::vfs::{StdVfs, Vfs};
 use crate::DocumentId;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use toss_tree::serialize::{tree_to_xml, Style};
+use toss_tree::serialize::{compact_len, tree_to_xml, Style};
 use toss_tree::Tree;
 
 /// What a lenient [`DurableDatabase::recover`] found and did.
@@ -83,19 +85,18 @@ impl RecoveryReport {
     }
 }
 
-/// A [`Database`] with crash-safe persistence.
+/// A [`Database`] with crash-safe persistence: the database plus the
+/// [`DurableWriter`] that journals its mutations and checkpoints it.
 pub struct DurableDatabase {
     db: Database,
-    journal: Journal,
-    snapshot_path: PathBuf,
-    vfs: Arc<dyn Vfs>,
+    writer: DurableWriter,
 }
 
 impl std::fmt::Debug for DurableDatabase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableDatabase")
-            .field("snapshot_path", &self.snapshot_path)
-            .field("journal", &self.journal)
+            .field("snapshot_path", &self.writer.snapshot_path)
+            .field("journal", &self.writer.journal)
             .field("collections", &self.db.collection_names())
             .finish()
     }
@@ -142,9 +143,11 @@ impl DurableDatabase {
         let scan = journal.scan()?;
         let mut this = DurableDatabase {
             db,
-            journal,
-            snapshot_path,
-            vfs,
+            writer: DurableWriter {
+                journal,
+                snapshot_path,
+                vfs,
+            },
         };
         for rec in &scan.records {
             if rec.seq < cursor {
@@ -251,9 +254,11 @@ impl DurableDatabase {
         journal.bump_seq(cursor);
         let mut this = DurableDatabase {
             db,
-            journal,
-            snapshot_path,
-            vfs,
+            writer: DurableWriter {
+                journal,
+                snapshot_path,
+                vfs,
+            },
         };
         for rec in &scan.records {
             if rec.seq < cursor {
@@ -288,14 +293,14 @@ impl DurableDatabase {
 
     /// The snapshot path this database persists to.
     pub fn snapshot_path(&self) -> &Path {
-        &self.snapshot_path
+        self.writer.snapshot_path()
     }
 
     /// Number of operations currently recorded in the journal (i.e. not
     /// yet folded into a snapshot by [`DurableDatabase::checkpoint`]).
     /// O(1): the count is tracked incrementally, not rescanned.
     pub fn pending_journal_ops(&self) -> DbResult<usize> {
-        Ok(self.journal.record_count())
+        self.writer.pending_journal_ops()
     }
 
     /// Create a collection, durably.
@@ -353,24 +358,17 @@ impl DurableDatabase {
         Ok(())
     }
 
-    /// Fold the journal into a fresh atomic snapshot (plus its `.seg`
-    /// index-segment sidecar) and truncate it.
+    /// Fold the journal into a fresh verified snapshot (plus its `.seg`
+    /// index-segment sidecar) and truncate it — the one checkpoint
+    /// routine, [`DurableWriter::checkpoint`].
     pub fn checkpoint(&mut self) -> DbResult<()> {
-        let cursor = self.journal.next_seq();
-        storage::save_with_vfs_seq(&self.db, cursor, &self.snapshot_path, &*self.vfs)?;
-        // After the snapshot rename: a crash in between leaves a stale
-        // stamp the loader rejects. Best effort — a failed sidecar
-        // write only costs the next open a rebuild.
-        let seg = crate::segidx::build_segment(&self.db, cursor);
-        crate::segidx::write_segment(&*self.vfs, &self.snapshot_path, &seg);
-        self.journal.reset()?;
-        Ok(())
+        self.writer.checkpoint(&self.db)
     }
 
     /// The WAL discipline: validate, journal + fsync, apply.
     fn commit(&mut self, op: JournalOp) -> DbResult<Option<DocumentId>> {
         check_op(&self.db, &op)?;
-        self.journal.append(&op)?;
+        self.writer.journal.append(&op)?;
         apply_op(&mut self.db, &op)
     }
 
@@ -379,7 +377,7 @@ impl DurableDatabase {
     /// [`JournalOp::AddTerm`]/[`JournalOp::AddEdge`] — replay the
     /// relevant ops from here on startup.
     pub fn journal_records(&self) -> DbResult<Vec<crate::journal::JournalRecord>> {
-        Ok(self.journal.scan()?.records)
+        self.writer.journal_records()
     }
 
     /// Split into the in-memory [`Database`] and a [`DurableWriter`]
@@ -393,14 +391,7 @@ impl DurableDatabase {
     ///
     /// [`commit`]: DurableDatabase::commit
     pub fn into_parts(self) -> (Database, DurableWriter) {
-        (
-            self.db,
-            DurableWriter {
-                journal: self.journal,
-                snapshot_path: self.snapshot_path,
-                vfs: self.vfs,
-            },
-        )
+        (self.db, self.writer)
     }
 }
 
@@ -491,28 +482,33 @@ impl DurableWriter {
         }
     }
 
-    /// Checkpoint from an already-serialized snapshot (produced by
-    /// [`storage::to_json_with_seq`] with `cursor` as its `last_seq`,
-    /// typically under a brief read lock on the live database):
-    ///
-    /// 1. persist the snapshot atomically (temp + fsync + rename),
-    /// 2. **verify** it by re-loading it through the same vfs,
-    /// 3. only then truncate the journal — retaining any record with
-    ///    `seq >= cursor` (appended after serialization), so nothing
-    ///    the snapshot does not contain is ever dropped.
-    ///
-    /// A crash at any point leaves a recoverable store: before the
-    /// rename the old snapshot + full journal stand; after it, the new
-    /// snapshot's cursor makes stale journal records replay as no-ops.
+    /// [`DurableWriter::checkpoint_json_seg`] without a `.seg` sidecar.
     pub fn checkpoint_json(&mut self, json: &str, cursor: u64) -> DbResult<()> {
         self.checkpoint_json_seg(json, cursor, None)
     }
 
-    /// [`DurableWriter::checkpoint_json`] that also writes pre-built
-    /// `.seg` index-segment bytes (stamped with the same `cursor`) as a
-    /// sidecar, after the snapshot rename and before the journal
-    /// truncates. The sidecar write is best effort: a failure costs the
-    /// next open a rebuild, never the checkpoint.
+    /// Checkpoint from an already-serialized snapshot (produced by
+    /// [`storage::to_json_with_seq`] with `cursor` as its `last_seq`,
+    /// typically under a brief read lock on the live database):
+    ///
+    /// 1. write the snapshot to a temp file and fsync it;
+    /// 2. **verify** it: read the temp file back and run every check a
+    ///    load makes — UTF-8, JSON, version, checksum, header fields,
+    ///    each document's id and XML, taken names, duplicate ids, the
+    ///    size limit — without building a database. A failure returns
+    ///    the load's error and leaves the old snapshot in place;
+    /// 3. rename it over the old snapshot;
+    /// 4. write the pre-built `.seg` index-segment bytes (stamped with
+    ///    the same `cursor`) as a sidecar — best effort: a failure costs
+    ///    the next open a rebuild, never the checkpoint;
+    /// 5. only then truncate the journal, retaining any record with
+    ///    `seq >= cursor` (appended after serialization), so nothing the
+    ///    snapshot does not contain is ever dropped.
+    ///
+    /// A crash or an error at any point leaves a recoverable store:
+    /// before the rename the old snapshot + full journal stand; after
+    /// it, the new snapshot's cursor makes stale journal records replay
+    /// as no-ops.
     pub fn checkpoint_json_seg(
         &mut self,
         json: &str,
@@ -520,18 +516,22 @@ impl DurableWriter {
         segment: Option<&[u8]>,
     ) -> DbResult<()> {
         let span = toss_obs::span("xmldb.checkpoint");
-        storage::save_json_with_vfs(json, &self.snapshot_path, &*self.vfs)?;
-        storage::load_with_vfs_seq(&self.snapshot_path, &*self.vfs)?;
+        storage::save_verified_json(json, &self.snapshot_path, &*self.vfs)?;
         if let Some(bytes) = segment {
             crate::segidx::write_segment(&*self.vfs, &self.snapshot_path, bytes);
         }
-        let tail: Vec<_> = self
-            .journal
-            .scan_lenient()?
-            .records
-            .into_iter()
-            .filter(|r| r.seq >= cursor)
-            .collect();
+        // Every record's seq is below `next_seq`: at that cursor there is
+        // no tail to keep, and no need to read the journal to find it.
+        let tail: Vec<_> = if cursor >= self.journal.next_seq() {
+            Vec::new()
+        } else {
+            self.journal
+                .scan_lenient()?
+                .records
+                .into_iter()
+                .filter(|r| r.seq >= cursor)
+                .collect()
+        };
         span.record("retained", tail.len());
         self.journal.rewrite(&tail)?;
         toss_obs::metrics::counter("xmldb.checkpoint.runs").inc();
@@ -540,9 +540,9 @@ impl DurableWriter {
     }
 
     /// Serialize `db` (stamped with the current cursor) and checkpoint,
-    /// including the `.seg` sidecar. Convenience for callers that can
-    /// hold `&Database` across the whole operation; live servers
-    /// serialize under a read lock and call
+    /// including the `.seg` sidecar. For callers that can hold
+    /// `&Database` across the whole operation, [`DurableDatabase`]
+    /// among them; live servers serialize under a read lock and call
     /// [`DurableWriter::checkpoint_json_seg`] instead.
     pub fn checkpoint(&mut self, db: &Database) -> DbResult<()> {
         let cursor = self.journal.next_seq();
@@ -671,18 +671,9 @@ impl<'a> BatchValidator<'a> {
                 if !self.collection_exists(collection) {
                     return Err(DbError::NoSuchCollection(collection.clone()));
                 }
-                let tree = crate::parser::parse_document(xml)?;
-                let size = tree_to_xml(&tree, Style::Compact).len();
+                let size = compact_len(&crate::parser::parse_document(xml)?);
                 let cur = self.cur_size(collection);
-                if let Some(limit) = self.size_limit(collection) {
-                    if cur + size > limit {
-                        return Err(DbError::CollectionFull {
-                            collection: collection.clone(),
-                            limit,
-                            attempted: cur + size,
-                        });
-                    }
-                }
+                check_size_limit(collection, self.size_limit(collection), cur + size)?;
                 self.sizes.insert(collection.clone(), cur + size);
                 Ok(())
             }
@@ -706,19 +697,9 @@ impl<'a> BatchValidator<'a> {
                     return Err(DbError::NoSuchCollection(collection.clone()));
                 }
                 let old = self.doc_size(collection, *doc_id)?;
-                let tree = crate::parser::parse_document(xml)?;
-                let new_size = tree_to_xml(&tree, Style::Compact).len();
-                let cur = self.cur_size(collection);
-                let attempted = cur - old + new_size;
-                if let Some(limit) = self.size_limit(collection) {
-                    if attempted > limit {
-                        return Err(DbError::CollectionFull {
-                            collection: collection.clone(),
-                            limit,
-                            attempted,
-                        });
-                    }
-                }
+                let new_size = compact_len(&crate::parser::parse_document(xml)?);
+                let attempted = self.cur_size(collection) - old + new_size;
+                check_size_limit(collection, self.size_limit(collection), attempted)?;
                 self.sizes.insert(collection.clone(), attempted);
                 self.doc_sizes
                     .insert((collection.clone(), *doc_id), new_size);
@@ -801,18 +782,8 @@ pub fn check_op(db: &Database, op: &JournalOp) -> DbResult<()> {
         JournalOp::DropCollection { name } => db.collection(name).map(|_| ()),
         JournalOp::Insert { collection, xml } => {
             let coll = db.collection(collection)?;
-            let tree = crate::parser::parse_document(xml)?;
-            let size = tree_to_xml(&tree, Style::Compact).len();
-            if let Some(limit) = coll.size_limit() {
-                if coll.size_bytes() + size > limit {
-                    return Err(DbError::CollectionFull {
-                        collection: collection.clone(),
-                        limit,
-                        attempted: coll.size_bytes() + size,
-                    });
-                }
-            }
-            Ok(())
+            let size = compact_len(&crate::parser::parse_document(xml)?);
+            check_size_limit(collection, coll.size_limit(), coll.size_bytes() + size)
         }
         JournalOp::Remove { collection, doc_id } => db
             .collection(collection)?
@@ -825,19 +796,12 @@ pub fn check_op(db: &Database, op: &JournalOp) -> DbResult<()> {
         } => {
             let coll = db.collection(collection)?;
             let old = coll.get(DocumentId(*doc_id))?;
-            let tree = crate::parser::parse_document(xml)?;
-            let new_size = tree_to_xml(&tree, Style::Compact).len();
-            if let Some(limit) = coll.size_limit() {
-                let attempted = coll.size_bytes() - old.size_bytes + new_size;
-                if attempted > limit {
-                    return Err(DbError::CollectionFull {
-                        collection: collection.clone(),
-                        limit,
-                        attempted,
-                    });
-                }
-            }
-            Ok(())
+            let new_size = compact_len(&crate::parser::parse_document(xml)?);
+            check_size_limit(
+                collection,
+                coll.size_limit(),
+                coll.size_bytes() - old.size_bytes + new_size,
+            )
         }
         // Ontology ops and probes never touch the store; they are
         // validated (cycle checks etc.) by whoever owns the hierarchy.

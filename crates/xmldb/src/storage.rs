@@ -23,84 +23,105 @@
 //! Version 1 snapshots (the pre-checksum flat layout) are still accepted
 //! by [`from_json`], so existing stores open unchanged.
 //!
+//! ## Writing
+//!
+//! [`to_json_with_seq`] streams `data` straight from the collections into
+//! one `String` — each document's compact XML escaped by
+//! [`toss_json::write_escaped`], the rule `Value::to_json` uses — CRCs it
+//! once and wraps the envelope around it. No `Value` of the store is
+//! built; the bytes are the ones rendering such a `Value` would give.
+//!
+//! ## Reading and verifying
+//!
+//! One decoding walk reads a snapshot. It checks the envelope (UTF-8,
+//! JSON, version, checksum) and the header fields, then hands each
+//! collection header and each `(id, parsed tree)` to a sink. Open's sink
+//! builds the [`Database`]. A checkpoint's verify runs the same walk into
+//! a sink that checks only what building would check — a taken collection
+//! name, a duplicate id, the size limit — and drops each tree. It returns
+//! exactly the error a load of the same bytes would, without building
+//! collections or indexes.
+//!
 //! ## Atomicity
 //!
-//! [`save`] never writes the target file in place. It writes a temp file,
-//! fsyncs it, and renames it over the target — so a crash at any moment
-//! leaves either the complete old snapshot or the complete new one, never
-//! a torn mixture. The same protocol runs against any [`Vfs`] via
-//! [`save_with_vfs`], which is how the fault-injection suite proves it.
+//! [`save_json_with_vfs`] never writes the target file in place. It writes
+//! a temp file, fsyncs it, and renames it over the target — so a crash at
+//! any moment leaves either the complete old snapshot or the complete new
+//! one, never a torn mixture. A checkpoint ([`save_verified_json`]) also
+//! reads the temp file back and verifies it *before* the rename, so a
+//! snapshot that would not load never replaces one that does. The
+//! protocol runs against any [`Vfs`], which is how the fault-injection
+//! suite proves it.
 
+use crate::collection::{check_size_limit, duplicate_id, DocumentId};
 use crate::crc32::crc32;
 use crate::database::{Database, DatabaseConfig};
 use crate::error::{DbError, DbResult};
 use crate::segidx::FrozenIndex;
 use crate::vfs::{StdVfs, Vfs};
+use std::collections::{BTreeSet, HashSet};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
-use toss_json::Value;
+use toss_json::{write_escaped, Value};
 use toss_segment::Segment;
-use toss_tree::serialize::{tree_to_xml, Style};
+use toss_tree::serialize::{compact_len, write_xml, Style};
+use toss_tree::Tree;
 
 /// Snapshot format version written by this build.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Build the inner `data` object (config + collections + journal cursor).
-fn data_value(db: &Database, last_seq: u64) -> Value {
-    let collections: Vec<Value> = db
-        .collections()
-        .map(|c| {
-            Value::object(vec![
-                ("name", c.name().into()),
-                // The id counter is stored explicitly: ids are monotonic
-                // and never reused, so a gap above the largest live id
-                // (highest-numbered document removed) must survive the
-                // round trip too.
-                ("next_id", (c.next_id() as i64).into()),
-                (
-                    "documents",
-                    Value::Array(
-                        c.documents()
-                            .iter()
-                            .map(|d| {
-                                Value::object(vec![
-                                    ("id", (d.id.0 as i64).into()),
-                                    ("xml", tree_to_xml(&d.tree, Style::Compact).into()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    Value::object(vec![
-        (
-            "collection_size_limit",
-            match db.config().collection_size_limit {
-                Some(n) => n.into(),
-                None => Value::Null,
-            },
-        ),
-        // The journal cursor: every journal record with seq < last_seq
-        // is already reflected in this snapshot and must be skipped on
-        // replay. This is what makes checkpointing crash-idempotent.
-        ("last_seq", last_seq.into()),
-        ("collections", Value::Array(collections)),
-    ])
+/// Append the inner `data` object (config + collections + journal
+/// cursor) to `out`. Integers are written the way `Value::Int` renders
+/// them, `as i64` casts included, so the bytes match the `Value` route.
+fn write_data(db: &Database, last_seq: u64, out: &mut String) {
+    out.push_str("{\"collection_size_limit\":");
+    match db.config().collection_size_limit {
+        Some(n) => {
+            let _ = write!(out, "{}", n as i64);
+        }
+        None => out.push_str("null"),
+    }
+    // The journal cursor: every journal record with seq < last_seq is
+    // already reflected in this snapshot and must be skipped on replay.
+    // This is what makes checkpointing crash-idempotent.
+    let _ = write!(out, ",\"last_seq\":{},\"collections\":[", last_seq as i64);
+    let mut xml = String::new();
+    for (i, c) in db.collections().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        write_escaped(out, c.name());
+        // The id counter is stored explicitly: ids are monotonic and
+        // never reused, so a gap above the largest live id (highest-
+        // numbered document removed) must survive the round trip too.
+        let _ = write!(out, ",\"next_id\":{},\"documents\":[", c.next_id() as i64);
+        for (j, d) in c.documents().iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{{\"id\":{},\"xml\":", d.id.0 as i64);
+            xml.clear();
+            write_xml(&d.tree, Style::Compact, &mut xml);
+            write_escaped(out, &xml);
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
 }
 
 /// Serialize a database to a checksummed (version 2) JSON snapshot that
 /// records `last_seq` as the highest journal sequence it contains.
 pub fn to_json_with_seq(db: &Database, last_seq: u64) -> DbResult<String> {
-    let data = data_value(db, last_seq);
-    let checksum = crc32(data.to_json().as_bytes());
-    let snap = Value::object(vec![
-        ("version", (SNAPSHOT_VERSION as i64).into()),
-        ("checksum", checksum.into()),
-        ("data", data),
-    ]);
-    Ok(snap.to_json())
+    let mut out = String::new();
+    write_data(db, last_seq, &mut out);
+    let checksum = crc32(out.as_bytes());
+    let envelope = format!("{{\"version\":{SNAPSHOT_VERSION},\"checksum\":{checksum},\"data\":");
+    out.insert_str(0, &envelope);
+    out.push('}');
+    Ok(out)
 }
 
 /// Serialize a database to a checksummed (version 2) JSON snapshot.
@@ -108,20 +129,62 @@ pub fn to_json(db: &Database) -> DbResult<String> {
     to_json_with_seq(db, 0)
 }
 
-/// Rebuild a database (and journal cursor) from the inner `data` object.
-///
-/// With a verified segment whose `last_seq` stamp matches the
-/// snapshot's cursor exactly, collections attach frozen zero-copy
-/// indexes instead of re-indexing their documents; any collection the
-/// segment can't serve (absent sections, count mismatch) rebuilds as
-/// before. Returns the number of collections that attached frozen.
-fn db_from_data(data: &Value, seg: Option<&Arc<Segment>>) -> DbResult<(Database, u64, usize)> {
-    let bad = |m: &str| DbError::Storage(format!("malformed snapshot: {m}"));
+/// Snapshot bytes as text; anything else is corruption.
+fn snapshot_text(bytes: Vec<u8>) -> DbResult<String> {
+    String::from_utf8(bytes)
+        .map_err(|_| DbError::snapshot_corruption("snapshot is not valid UTF-8"))
+}
+
+fn parse_json(json: &str) -> DbResult<Value> {
+    Value::parse(json).map_err(|e| DbError::Storage(format!("snapshot is not JSON: {e}")))
+}
+
+/// Check a parsed snapshot's envelope — the version, and for version 2
+/// the checksum over the compact rendering of `data` — and return its
+/// payload: the whole document for version 1, `data` for version 2,
+/// with whether it is version 2 (the only kind a segment may serve).
+fn checked_payload(value: &Value) -> DbResult<(&Value, bool)> {
+    let version = value
+        .get("version")
+        .and_then(Value::as_i64)
+        .ok_or_else(|| DbError::Storage("snapshot missing version field".into()))?;
+    match version {
+        1 => Ok((value, false)),
+        2 => {
+            let expected = value
+                .get("checksum")
+                .and_then(Value::as_i64)
+                .and_then(|v| u32::try_from(v).ok())
+                .ok_or_else(|| DbError::Storage("snapshot missing checksum field".into()))?;
+            let data = value
+                .get("data")
+                .ok_or_else(|| DbError::Storage("snapshot missing data field".into()))?;
+            let actual = crc32(data.to_json().as_bytes());
+            if actual != expected {
+                return Err(DbError::snapshot_corruption(format!(
+                    "checksum mismatch: stored {expected:#010x}, computed {actual:#010x}"
+                )));
+            }
+            Ok((data, true))
+        }
+        other => Err(DbError::Storage(format!(
+            "unsupported snapshot version {other}"
+        ))),
+    }
+}
+
+fn malformed(m: &str) -> DbError {
+    DbError::Storage(format!("malformed snapshot: {m}"))
+}
+
+/// The snapshot-wide fields of `data`: the collection size limit and the
+/// journal cursor.
+fn data_header(data: &Value) -> DbResult<(Option<usize>, u64)> {
     let limit = match data.get("collection_size_limit") {
         None | Some(Value::Null) => None,
         Some(v) => Some(
             v.as_usize()
-                .ok_or_else(|| bad("collection_size_limit is not an integer"))?,
+                .ok_or_else(|| malformed("collection_size_limit is not an integer"))?,
         ),
     };
     // Absent in version-1 snapshots, which predate the journal.
@@ -130,81 +193,156 @@ fn db_from_data(data: &Value, seg: Option<&Arc<Segment>>) -> DbResult<(Database,
         Some(v) => v
             .as_i64()
             .and_then(|n| u64::try_from(n).ok())
-            .ok_or_else(|| bad("last_seq is not a non-negative integer"))?,
+            .ok_or_else(|| malformed("last_seq is not a non-negative integer"))?,
     };
-    // The staleness rule: a segment serves this snapshot only when its
-    // stamp equals the snapshot's cursor exactly. A stale sidecar (the
-    // residue of a crash between snapshot rename and segment write) is
-    // silently ignored — rebuild, never guess.
-    let seg = match seg {
-        Some(s) if s.last_seq() != last_seq => {
-            toss_obs::metrics::counter("xmldb.segment.stale").inc();
-            None
-        }
-        other => other,
-    };
-    let mut frozen = 0usize;
-    let mut db = Database::with_config(DatabaseConfig {
-        collection_size_limit: limit,
-    });
+    Ok((limit, last_seq))
+}
+
+/// Where the decoding walk delivers a snapshot's collections.
+trait Restore {
+    /// A collection starts; `Err` if the name is already taken.
+    fn collection(&mut self, name: &str) -> DbResult<()>;
+    /// One document of the current collection.
+    fn document(&mut self, id: DocumentId, tree: Tree) -> DbResult<()>;
+    /// The current collection ends, with its stored id counter, if any.
+    fn end_collection(&mut self, next_id: Option<u64>) -> DbResult<()>;
+}
+
+/// The one decoding walk over `data.collections`: every structural
+/// check, every id and every XML parse happens here, in file order, for
+/// open and verify alike.
+fn walk_collections(data: &Value, sink: &mut impl Restore) -> DbResult<()> {
     let collections = data
         .get("collections")
         .and_then(Value::as_array)
-        .ok_or_else(|| bad("missing collections array"))?;
+        .ok_or_else(|| malformed("missing collections array"))?;
     for cs in collections {
         let name = cs
             .get("name")
             .and_then(Value::as_str)
-            .ok_or_else(|| bad("collection missing name"))?;
-        let coll = db.create_collection(name)?;
-        // Index once, when every document is in place: a frozen segment
-        // may attach instead, and a rebuild walks `documents()` — so the
-        // postings ascend by document even if the snapshot listed ids out
-        // of order.
-        coll.begin_deferred_restore();
+            .ok_or_else(|| malformed("collection missing name"))?;
+        sink.collection(name)?;
         let documents = cs
             .get("documents")
             .and_then(Value::as_array)
-            .ok_or_else(|| bad("collection missing documents array"))?;
+            .ok_or_else(|| malformed("collection missing documents array"))?;
+        // The id `Collection::insert` would assign next, which is what
+        // an id-less version-1 entry gets.
+        let mut next = 0u64;
         for doc in documents {
-            match doc {
+            let (id, xml) = match doc {
                 // Version-1 layout: bare XML strings, ids assigned 0..n.
-                Value::Str(xml) => {
-                    coll.insert_xml(xml)?;
-                }
+                Value::Str(xml) => (next, xml.as_str()),
                 // Version-2 layout: explicit ids, preserved exactly.
                 Value::Object(_) => {
                     let id = doc
                         .get("id")
                         .and_then(Value::as_i64)
                         .and_then(|n| u64::try_from(n).ok())
-                        .ok_or_else(|| bad("document entry missing id"))?;
+                        .ok_or_else(|| malformed("document entry missing id"))?;
                     let xml = doc
                         .get("xml")
                         .and_then(Value::as_str)
-                        .ok_or_else(|| bad("document entry missing xml"))?;
-                    let tree = crate::parser::parse_document(xml)?;
-                    coll.insert_with_id(crate::collection::DocumentId(id), tree)?;
+                        .ok_or_else(|| malformed("document entry missing xml"))?;
+                    (id, xml)
                 }
-                _ => return Err(bad("document entry is neither string nor object")),
-            }
+                _ => return Err(malformed("document entry is neither string nor object")),
+            };
+            let tree = crate::parser::parse_document(xml)?;
+            sink.document(DocumentId(id), tree)?;
+            next = next.max(id + 1);
         }
-        if let Some(n) = cs.get("next_id") {
-            let n = n
-                .as_i64()
-                .and_then(|n| u64::try_from(n).ok())
-                .ok_or_else(|| bad("next_id is not a non-negative integer"))?;
+        let next_id = match cs.get("next_id") {
+            None => None,
+            Some(n) => Some(
+                n.as_i64()
+                    .and_then(|n| u64::try_from(n).ok())
+                    .ok_or_else(|| malformed("next_id is not a non-negative integer"))?,
+            ),
+        };
+        sink.end_collection(next_id)?;
+    }
+    Ok(())
+}
+
+/// Open's sink: builds the [`Database`].
+///
+/// With a verified segment whose `last_seq` stamp matches the snapshot's
+/// cursor exactly, collections attach frozen zero-copy indexes instead of
+/// re-indexing their documents; any collection the segment can't serve
+/// (absent sections, count mismatch) rebuilds as before.
+struct Open<'s> {
+    db: Database,
+    seg: Option<&'s Arc<Segment>>,
+    /// Collections that attached frozen.
+    frozen: usize,
+    current: String,
+}
+
+impl Restore for Open<'_> {
+    fn collection(&mut self, name: &str) -> DbResult<()> {
+        // Index once, when every document is in place: a frozen segment
+        // may attach instead, and a rebuild walks `documents()` — so the
+        // postings ascend by document even if the snapshot listed ids
+        // out of order.
+        self.db.create_collection(name)?.begin_deferred_restore();
+        name.clone_into(&mut self.current);
+        Ok(())
+    }
+
+    fn document(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
+        self.db.collection_mut(&self.current)?.insert_with_id(id, tree)
+    }
+
+    fn end_collection(&mut self, next_id: Option<u64>) -> DbResult<()> {
+        let coll = self.db.collection_mut(&self.current)?;
+        if let Some(n) = next_id {
             coll.set_next_id_at_least(n);
         }
-        if let Some(seg) = seg {
-            if FrozenIndex::attach(seg, name).is_some_and(|f| coll.attach_frozen(f)) {
-                frozen += 1;
+        if let Some(seg) = self.seg {
+            if FrozenIndex::attach(seg, &self.current).is_some_and(|f| coll.attach_frozen(f)) {
+                self.frozen += 1;
             }
         }
         // no-op when a frozen index attached; otherwise one rebuild
         coll.ensure_index();
+        Ok(())
     }
-    Ok((db, last_seq, frozen))
+}
+
+/// The checkpoint verify's sink: every check [`Open`] makes while
+/// building — a taken collection name, a duplicate id, the size limit —
+/// with nothing built. Each tree is measured and dropped.
+struct Verify {
+    limit: Option<usize>,
+    names: BTreeSet<String>,
+    current: String,
+    ids: HashSet<u64>,
+    size: usize,
+}
+
+impl Restore for Verify {
+    fn collection(&mut self, name: &str) -> DbResult<()> {
+        if !self.names.insert(name.to_string()) {
+            return Err(DbError::CollectionExists(name.to_string()));
+        }
+        name.clone_into(&mut self.current);
+        self.ids.clear();
+        self.size = 0;
+        Ok(())
+    }
+
+    fn document(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
+        if !self.ids.insert(id.0) {
+            return Err(duplicate_id(&self.current, id));
+        }
+        self.size += compact_len(&tree);
+        check_size_limit(&self.current, self.limit, self.size)
+    }
+
+    fn end_collection(&mut self, _next_id: Option<u64>) -> DbResult<()> {
+        Ok(())
+    }
 }
 
 /// Restore a database and its journal cursor from a JSON snapshot
@@ -221,36 +359,52 @@ pub fn from_json_with_seq_seg(
     json: &str,
     seg: Option<&Arc<Segment>>,
 ) -> DbResult<(Database, u64, usize)> {
-    let value =
-        Value::parse(json).map_err(|e| DbError::Storage(format!("snapshot is not JSON: {e}")))?;
-    let version = value
-        .get("version")
-        .and_then(Value::as_i64)
-        .ok_or_else(|| DbError::Storage("snapshot missing version field".into()))?;
-    match version {
-        // v1 snapshots predate segments; never attach one to them.
-        1 => db_from_data(&value, None),
-        2 => {
-            let expected = value
-                .get("checksum")
-                .and_then(Value::as_i64)
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| DbError::Storage("snapshot missing checksum field".into()))?;
-            let data = value
-                .get("data")
-                .ok_or_else(|| DbError::Storage("snapshot missing data field".into()))?;
-            let actual = crc32(data.to_json().as_bytes());
-            if actual != expected {
-                return Err(DbError::snapshot_corruption(format!(
-                    "checksum mismatch: stored {expected:#010x}, computed {actual:#010x}"
-                )));
-            }
-            db_from_data(data, seg)
+    let value = parse_json(json)?;
+    let (data, v2) = checked_payload(&value)?;
+    let (limit, last_seq) = data_header(data)?;
+    // v1 snapshots predate segments; never attach one to them. The
+    // staleness rule: a segment serves this snapshot only when its stamp
+    // equals the snapshot's cursor exactly. A stale sidecar (the residue
+    // of a crash between snapshot rename and segment write) is silently
+    // ignored — rebuild, never guess.
+    let seg = match seg.filter(|_| v2) {
+        Some(s) if s.last_seq() != last_seq => {
+            toss_obs::metrics::counter("xmldb.segment.stale").inc();
+            None
         }
-        other => Err(DbError::Storage(format!(
-            "unsupported snapshot version {other}"
-        ))),
-    }
+        other => other,
+    };
+    let mut open = Open {
+        db: Database::with_config(DatabaseConfig {
+            collection_size_limit: limit,
+        }),
+        seg,
+        frozen: 0,
+        current: String::new(),
+    };
+    walk_collections(data, &mut open)?;
+    Ok((open.db, last_seq, open.frozen))
+}
+
+/// Check snapshot bytes exactly as a load would — UTF-8, JSON, version,
+/// checksum, header fields, every document's id and XML, taken names,
+/// duplicate ids, the size limit — and return the load's error, without
+/// building a [`Database`].
+fn verify_snapshot(bytes: Vec<u8>) -> DbResult<()> {
+    let json = snapshot_text(bytes)?;
+    let value = parse_json(&json)?;
+    let (data, _) = checked_payload(&value)?;
+    let (limit, _) = data_header(data)?;
+    walk_collections(
+        data,
+        &mut Verify {
+            limit,
+            names: BTreeSet::new(),
+            current: String::new(),
+            ids: HashSet::new(),
+            size: 0,
+        },
+    )
 }
 
 /// Restore a database from a JSON snapshot, discarding the journal cursor.
@@ -258,23 +412,36 @@ pub fn from_json(json: &str) -> DbResult<Database> {
     from_json_with_seq(json).map(|(db, _)| db)
 }
 
-/// Write a snapshot atomically through an arbitrary [`Vfs`]:
-/// temp file → fsync → rename over the target.
-pub fn save_with_vfs_seq(
-    db: &Database,
-    last_seq: u64,
-    path: &Path,
-    vfs: &dyn Vfs,
-) -> DbResult<()> {
-    let json = to_json_with_seq(db, last_seq)?;
-    save_json_with_vfs(&json, path, vfs)
+/// Persist an already-serialized snapshot (produced by
+/// [`to_json_with_seq`]) atomically through an arbitrary [`Vfs`]:
+/// temp file → fsync → rename over the target. A live server serializes
+/// under a short read lock and does this (slow) durable write with no
+/// lock held at all.
+pub fn save_json_with_vfs(json: &str, path: &Path, vfs: &dyn Vfs) -> DbResult<()> {
+    save_checked(json, path, vfs, |_| Ok(()))
 }
 
-/// Persist an already-serialized snapshot (produced by
-/// [`to_json_with_seq`]) with the same atomic protocol. Separated from
-/// [`save_with_vfs_seq`] so a live server can serialize under a short
-/// read lock and do the (slow) durable write with no lock held at all.
-pub fn save_json_with_vfs(json: &str, path: &Path, vfs: &dyn Vfs) -> DbResult<()> {
+/// The checkpoint's write: [`save_json_with_vfs`] with a verify between
+/// the fsync and the rename. The temp file is read back and must pass
+/// every check a load makes (see [`verify_snapshot`]); if it does not,
+/// the load's error is returned and the target is never replaced, so the
+/// old snapshot and the journal records it needs stay usable.
+pub(crate) fn save_verified_json(json: &str, path: &Path, vfs: &dyn Vfs) -> DbResult<()> {
+    save_checked(json, path, vfs, |tmp| {
+        let bytes = vfs
+            .read(tmp)
+            .map_err(|e| DbError::Storage(format!("snapshot read-back failed: {e}")))?;
+        verify_snapshot(bytes)
+    })
+}
+
+/// temp file → fsync → `check` the temp file → rename over the target.
+fn save_checked(
+    json: &str,
+    path: &Path,
+    vfs: &dyn Vfs,
+    check: impl FnOnce(&Path) -> DbResult<()>,
+) -> DbResult<()> {
     let span = toss_obs::span("xmldb.snapshot.write");
     span.record("bytes", json.len());
     let tmp = path.with_extension("snap.tmp");
@@ -282,6 +449,7 @@ pub fn save_json_with_vfs(json: &str, path: &Path, vfs: &dyn Vfs) -> DbResult<()
         .map_err(|e| DbError::Storage(format!("snapshot write failed: {e}")))?;
     vfs.sync(&tmp)
         .map_err(|e| DbError::Storage(format!("snapshot fsync failed: {e}")))?;
+    check(&tmp)?;
     vfs.rename(&tmp, path)
         .map_err(|e| DbError::Storage(format!("snapshot rename failed: {e}")))?;
     toss_obs::metrics::counter("xmldb.snapshot.writes").inc();
@@ -293,7 +461,7 @@ pub fn save_json_with_vfs(json: &str, path: &Path, vfs: &dyn Vfs) -> DbResult<()
 /// Write a snapshot atomically through an arbitrary [`Vfs`] with a zero
 /// journal cursor (for databases not using a journal).
 pub fn save_with_vfs(db: &Database, path: &Path, vfs: &dyn Vfs) -> DbResult<()> {
-    save_with_vfs_seq(db, 0, path, vfs)
+    save_json_with_vfs(&to_json(db)?, path, vfs)
 }
 
 /// Load a snapshot and its journal cursor through an arbitrary [`Vfs`].
@@ -313,8 +481,7 @@ pub fn load_with_vfs_seq_seg(
         .read(path)
         .map_err(|e| DbError::Storage(format!("snapshot read failed: {e}")))?;
     span.record("bytes", bytes.len());
-    let json = String::from_utf8(bytes)
-        .map_err(|_| DbError::snapshot_corruption("snapshot is not valid UTF-8"))?;
+    let json = snapshot_text(bytes)?;
     let loaded = from_json_with_seq_seg(&json, seg)?;
     toss_obs::metrics::counter("xmldb.snapshot.loads").inc();
     toss_obs::metrics::histogram("xmldb.snapshot.load_ns").observe_duration(span.finish());
@@ -341,6 +508,8 @@ mod tests {
     use super::*;
     use crate::vfs::{FaultMode, FaultVfs};
     use std::path::PathBuf;
+    use toss_tree::serialize::tree_to_xml;
+    use toss_tree::TreeBuilder;
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -349,6 +518,228 @@ mod tests {
         c.insert_xml("<c k=\"v\"/>").unwrap();
         db.create_collection("empty").unwrap();
         db
+    }
+
+    /// The `Value` route the streaming writer replaced: build the whole
+    /// `data` object, render it for the CRC, render the envelope again.
+    /// Kept as the oracle [`to_json_with_seq`] must equal byte for byte.
+    fn data_value(db: &Database, last_seq: u64) -> Value {
+        let collections: Vec<Value> = db
+            .collections()
+            .map(|c| {
+                Value::object(vec![
+                    ("name", c.name().into()),
+                    ("next_id", (c.next_id() as i64).into()),
+                    (
+                        "documents",
+                        Value::Array(
+                            c.documents()
+                                .iter()
+                                .map(|d| {
+                                    Value::object(vec![
+                                        ("id", (d.id.0 as i64).into()),
+                                        ("xml", tree_to_xml(&d.tree, Style::Compact).into()),
+                                    ])
+                                })
+                                .collect(),
+                        ),
+                    ),
+                ])
+            })
+            .collect();
+        Value::object(vec![
+            (
+                "collection_size_limit",
+                match db.config().collection_size_limit {
+                    Some(n) => n.into(),
+                    None => Value::Null,
+                },
+            ),
+            ("last_seq", last_seq.into()),
+            ("collections", Value::Array(collections)),
+        ])
+    }
+
+    fn value_route_json(db: &Database, last_seq: u64) -> String {
+        let data = data_value(db, last_seq);
+        let checksum = crc32(data.to_json().as_bytes());
+        Value::object(vec![
+            ("version", (SNAPSHOT_VERSION as i64).into()),
+            ("checksum", checksum.into()),
+            ("data", data),
+        ])
+        .to_json()
+    }
+
+    /// A database from a script: per collection a name and documents of
+    /// four kinds — 0 a built tree (attributes, mixed content, control
+    /// characters allowed), 1 parsed XML with a CDATA section, 2 numeric
+    /// leaves, 3 a document inserted and then removed (an id gap).
+    fn scripted_db(colls: &[(String, Vec<(u8, String)>)], limited: bool) -> Database {
+        let mut db = Database::with_config(DatabaseConfig {
+            collection_size_limit: limited.then_some(1 << 30),
+        });
+        for (i, (name, docs)) in colls.iter().enumerate() {
+            let c = db.create_collection(&format!("{i}{name}")).unwrap();
+            for (kind, text) in docs {
+                match kind {
+                    0 => {
+                        let t = TreeBuilder::new("p")
+                            .attr("k", text.as_str())
+                            .content(text.as_str())
+                            .leaf("t", text.as_str())
+                            .empty("e")
+                            .build();
+                        c.insert(t).unwrap();
+                    }
+                    1 => {
+                        let cdata = text.replace(['\u{1}', '\u{1f}', '\u{8}'], "");
+                        c.insert_xml(&format!("<p><![CDATA[{cdata}]]></p>")).unwrap();
+                    }
+                    2 => {
+                        let t = TreeBuilder::new("n")
+                            .leaf("i", -(text.len() as i64))
+                            .leaf("r", text.len() as f64 / 8.0)
+                            .build();
+                        c.insert(t).unwrap();
+                    }
+                    _ => {
+                        let id = c.insert_xml("<gone/>").unwrap();
+                        c.remove(id).unwrap();
+                    }
+                }
+            }
+        }
+        db
+    }
+
+    proptest::proptest! {
+        /// The streaming writer is byte-identical to the `Value` route,
+        /// and verifying its output agrees with loading it.
+        #[test]
+        fn streaming_writer_equals_the_value_route(
+            colls in proptest::collection::vec(
+                (
+                    "[a\"\\\\é😀]{0,4}",
+                    proptest::collection::vec(
+                        (0u8..4, "[ab\"\\\\\u{1}\u{1f}\u{8}\n\t é漢😀<&>']{0,8}"),
+                        0..6,
+                    ),
+                ),
+                0..4,
+            ),
+            limited in 0u8..2,
+            seq in 0usize..3,
+        ) {
+            let db = scripted_db(&colls, limited == 1);
+            let last_seq = [0, 7, u32::MAX as u64 + 12_345][seq];
+            let json = to_json_with_seq(&db, last_seq).unwrap();
+            proptest::prop_assert_eq!(&json, &value_route_json(&db, last_seq));
+            proptest::prop_assert_eq!(
+                verify_snapshot(json.clone().into_bytes()),
+                from_json_with_seq(&json).map(|_| ())
+            );
+        }
+    }
+
+    /// `data` sealed in a v2 envelope with a correct checksum.
+    fn sealed(data: &str) -> Vec<u8> {
+        let data = Value::parse(data).unwrap().to_json();
+        format!(
+            r#"{{"version":2,"checksum":{},"data":{data}}}"#,
+            crc32(data.as_bytes())
+        )
+        .into_bytes()
+    }
+
+    /// Snapshots a load refuses, one per check it makes.
+    fn damaged_snapshots() -> Vec<(&'static str, Vec<u8>)> {
+        let docs = |docs: &str| {
+            sealed(&format!(
+                r#"{{"collection_size_limit":null,"last_seq":0,"collections":[
+                    {{"name":"c","next_id":9,"documents":[{docs}]}}]}}"#
+            ))
+        };
+        let good = to_json(&sample_db()).unwrap();
+        vec![
+            ("utf-8", b"{\"version\":2,\xff}".to_vec()),
+            ("json", b"{".to_vec()),
+            ("version", br#"{"version":99}"#.to_vec()),
+            ("no checksum", br#"{"version":2,"data":{}}"#.to_vec()),
+            ("no data", br#"{"version":2,"checksum":0}"#.to_vec()),
+            ("checksum", good.replacen("x &amp; y", "x &amp; z", 1).into_bytes()),
+            ("limit", sealed(r#"{"collection_size_limit":"x","collections":[]}"#)),
+            ("last_seq", sealed(r#"{"last_seq":-1,"collections":[]}"#)),
+            ("collections", sealed(r#"{"last_seq":1}"#)),
+            ("name", sealed(r#"{"collections":[{"documents":[]}]}"#)),
+            (
+                "taken name",
+                sealed(r#"{"collections":[{"name":"c","documents":[]},{"name":"c","documents":[]}]}"#),
+            ),
+            ("documents", sealed(r#"{"collections":[{"name":"c"}]}"#)),
+            ("id", docs(r#"{"xml":"<a/>"}"#)),
+            ("negative id", docs(r#"{"id":-2,"xml":"<a/>"}"#)),
+            ("xml", docs(r#"{"id":1}"#)),
+            ("entry", docs("7")),
+            ("parse", docs(r#"{"id":1,"xml":"<a/>"},{"id":2,"xml":"<a><b></a>"}"#)),
+            ("duplicate", docs(r#"{"id":4,"xml":"<a/>"},{"id":4,"xml":"<b/>"}"#)),
+            (
+                "full",
+                sealed(
+                    r#"{"collection_size_limit":9,"collections":[{"name":"c","documents":[
+                        {"id":0,"xml":"<abc/>"},{"id":1,"xml":"<abc/>"}]}]}"#,
+                ),
+            ),
+            (
+                "next_id",
+                sealed(r#"{"collections":[{"name":"c","next_id":"n","documents":[]}]}"#),
+            ),
+            (
+                "v1 parse",
+                br#"{"version":1,"collections":[{"name":"c","documents":["<a/>","<b"]}]}"#.to_vec(),
+            ),
+            (
+                "v1 full",
+                br#"{"version":1,"collection_size_limit":5,"collections":[
+                    {"name":"c","documents":["<a/>","<a/>"]}]}"#
+                    .to_vec(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn verify_returns_the_load_error_before_the_rename() {
+        for (label, bytes) in damaged_snapshots() {
+            let vfs = FaultVfs::new();
+            let path = PathBuf::from("snap.json");
+            vfs.corrupt(&path, bytes.clone());
+            let load = load_with_vfs_seq(&path, &vfs).map(|_| ()).unwrap_err();
+            assert_eq!(verify_snapshot(bytes.clone()), Err(load.clone()), "{label}");
+            // The checkpoint write refuses the same bytes with the same
+            // error, and the good snapshot it would have replaced stays.
+            let Ok(text) = String::from_utf8(bytes) else {
+                continue;
+            };
+            save_with_vfs(&sample_db(), &path, &vfs).unwrap();
+            assert_eq!(save_verified_json(&text, &path, &vfs), Err(load), "{label}");
+            let kept = load_with_vfs(&path, &vfs).unwrap();
+            assert_eq!(kept.collection_names(), vec!["dblp", "empty"], "{label}");
+        }
+    }
+
+    #[test]
+    fn verify_accepts_what_loads() {
+        let mut db = sample_db();
+        db.collection_mut("dblp").unwrap().remove(DocumentId(0)).unwrap();
+        for json in [
+            to_json_with_seq(&db, u64::MAX >> 1).unwrap(),
+            r#"{"version":1,"collection_size_limit":77,
+                "collections":[{"name":"old","documents":["<a><b>1</b></a>"]}]}"#
+                .to_string(),
+        ] {
+            from_json_with_seq(&json).unwrap();
+            verify_snapshot(json.into_bytes()).unwrap();
+        }
     }
 
     #[test]
@@ -421,7 +812,6 @@ mod tests {
 
     #[test]
     fn document_ids_and_counter_survive_round_trip() {
-        use crate::collection::DocumentId;
         let mut db = Database::new();
         let c = db.create_collection("dblp").unwrap();
         c.insert_xml("<a/>").unwrap(); // id 0

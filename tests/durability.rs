@@ -510,3 +510,42 @@ fn kill_mid_snapshot_falls_back_to_previous_snapshot_plus_journal_tail() {
     // no .corrupt artifact was manufactured for the aborted temp file
     assert!(vfs.read(Path::new("store.json.corrupt")).is_err());
 }
+
+/// A checkpoint verifies the new snapshot *before* it renames it over
+/// the old one. Hand `checkpoint_json_seg` a snapshot whose checksum is
+/// right but one of whose documents does not parse: the checkpoint
+/// fails with the parse error, and a reopen still finds the
+/// pre-checkpoint state — the old snapshot with the journal replayed.
+/// (Before the verify moved ahead of the rename, the bad snapshot
+/// replaced the good one first and this reopen failed.)
+#[test]
+fn checkpoint_refuses_an_unloadable_snapshot_before_replacing_the_old_one() {
+    let vfs = Arc::new(FaultVfs::new());
+    let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
+    let mut shadow = Database::with_config(DatabaseConfig::unlimited());
+    let mut db = DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs.clone())
+        .expect("open");
+    // ends with a journal tail past the last good checkpoint
+    for step in workload() {
+        apply_durable(&mut db, &step).expect("clean workload step");
+        apply_shadow(&mut shadow, &step);
+    }
+    let (_, mut writer) = db.into_parts();
+    let cursor = writer.next_seq();
+    let data = format!(
+        r#"{{"collection_size_limit":null,"last_seq":{cursor},"collections":[{{"name":"dblp","next_id":2,"documents":[{{"id":0,"xml":"<a/>"}},{{"id":1,"xml":"<a><b></a>"}}]}}]}}"#
+    );
+    let json = format!(
+        r#"{{"version":2,"checksum":{},"data":{data}}}"#,
+        toss_xmldb::crc32::crc32(data.as_bytes())
+    );
+    let err = writer
+        .checkpoint_json_seg(&json, cursor, None)
+        .expect_err("a snapshot that does not load must fail the checkpoint");
+    assert!(matches!(err, DbError::Parse { .. }), "got {err}");
+    drop(writer);
+    vfs.crash();
+    let reopened = DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs)
+        .expect("the old snapshot and its journal still open");
+    assert_same_state(reopened.db(), &shadow, "after a refused checkpoint");
+}

@@ -898,8 +898,18 @@ fn persistent_journal_faults_degrade_to_read_only_then_self_heal() {
     let stats = client.stats().unwrap();
     assert!(stats.write.degraded, "{:?}", stats.write);
     assert!(!stats.write.reason.is_empty(), "{:?}", stats.write);
-    // the degraded state is exported as a gauge for alerting
-    let text = client.metrics().unwrap();
+    // the degraded state is exported as a gauge for alerting. The
+    // registry is process-global: another test's server starting or
+    // exporting between this server's refresh and its export can leave
+    // its own value there, so read a bounded number of times.
+    let mut text = String::new();
+    for _ in 0..50 {
+        text = client.metrics().unwrap();
+        if text.contains("toss_serve_degraded 1") {
+            break;
+        }
+        thread::sleep(Duration::from_millis(20));
+    }
     assert!(text.contains("toss_serve_degraded 1"), "{text}");
 
     // the disk comes back; a probe write self-heals the server
