@@ -598,10 +598,8 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
             "toss.planner.probe_candidates",
             "toss.pool.runs",
             "toss.pool.partitions",
-            "toss.pool.speculative_waste",
             "xmldb.xpath.docs_scanned",
             "xmldb.xpath.nodes_matched",
-            "xmldb.xpath.scans_truncated",
             "similarity.cache.hits",
             "similarity.cache.misses",
             "similarity.cache.evictions",

@@ -42,21 +42,22 @@
 //!    (asserted by `tests/join.rs` and the `join` workload of `benchmark/`).
 //!
 //! **Parallelism and governance.** Signature generation and the index
-//! probe fan out through [`toss_pool::WorkerPool`] with the same
-//! commit-frontier discipline as partitioned scans: probe tasks are
-//! *speculative* and never charge; the sequential frontier walks their
-//! results in task order, charging candidate pairs against the
-//! join-cardinality budget ([`QueryGovernor::admit_join_candidates`])
-//! and truncating deterministically when a soft limit trips — so
-//! governor tallies are bit-identical at any worker count. The index and
-//! group structures are charged once to the memory budget
+//! probe fan out through [`toss_pool::WorkerPool`], which returns task
+//! results in task order. The join evaluates, then charges: probe tasks
+//! never charge, and one sequential pass walks their results in task
+//! order — the join's commit frontier — charging candidate pairs
+//! against the join-cardinality budget
+//! ([`QueryGovernor::admit_join_candidates`]) and truncating
+//! deterministically when a soft limit trips — so governor tallies are
+//! bit-identical at any worker count. The index and group structures
+//! are charged once to the memory budget
 //! ([`QueryGovernor::charge_memory`]). Every join pays both charges,
 //! however small its inputs.
 
 use super::hashjoin::JoinKey;
 use crate::error::TossResult;
 use crate::expand::{seo_class_frequencies, seo_classes};
-use crate::governor::{QueryGovernor, ScanDecision};
+use crate::governor::QueryGovernor;
 use crate::oes::SeoInstance;
 use std::collections::HashMap;
 use toss_pool::{partition_ranges, WorkerPool};
@@ -181,7 +182,7 @@ pub fn similarity_join(
                 let mut stamp: Vec<u32> = vec![u32::MAX; nr];
                 let mut out: Vec<(u32, Vec<u32>)> = Vec::new();
                 for (lg, lgroup) in lgroups_ref.iter().enumerate().take(e).skip(s) {
-                    if gov.join_candidates_preflight() != ScanDecision::Continue {
+                    if !gov.join_candidates_preflight() {
                         // Budget exhausted before this join (or the
                         // query was cancelled): stop speculating. The
                         // frontier below reproduces the decision

@@ -24,7 +24,7 @@ use crate::algebra::TossPattern;
 use crate::convert::Conversions;
 use crate::error::TossResult;
 use crate::expand::ExpandCtx;
-use crate::governor::{DegradationInfo, QueryGovernor, ScanDecision};
+use crate::governor::{DegradationInfo, QueryGovernor};
 use crate::rewrite::compile_xpath;
 use crate::semcache::{fingerprint, CachedRewrite, RewriteCache};
 use crate::typesys::TypeHierarchy;
@@ -37,10 +37,7 @@ use toss_pool::WorkerPool;
 use toss_tax::{Cond, Matcher, PatternTree};
 use toss_tree::{Forest, Tree};
 use toss_xmldb::xpath::{Expr, NameTest, RelPath, ValueExpr};
-use toss_xmldb::{
-    planned_partitions, Candidates, Collection, Database, NodeRef, ScanBudget,
-    ScanControl, ScanStatus, XPath,
-};
+use toss_xmldb::{planned_partitions, Candidates, Collection, Database, NodeRef, XPath};
 
 /// Which semantics to execute a query under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,28 +109,6 @@ impl QueryOutcome {
     }
 }
 
-/// Bridge from the governor to `toss-xmldb`'s cooperative [`ScanBudget`]
-/// hook (the store crate stays ignorant of `toss-core`'s budget types).
-struct GovernorScan<'a>(&'a QueryGovernor);
-
-impl ScanBudget for GovernorScan<'_> {
-    fn before_document(&self, _docs_scanned: usize) -> ScanControl {
-        match self.0.scan_control() {
-            ScanDecision::Continue => ScanControl::Continue,
-            ScanDecision::Truncate => ScanControl::Truncate,
-            ScanDecision::Abort => ScanControl::Abort,
-        }
-    }
-
-    fn preflight(&self, _docs_scanned: usize) -> ScanControl {
-        match self.0.scan_preflight() {
-            ScanDecision::Continue => ScanControl::Continue,
-            ScanDecision::Truncate => ScanControl::Truncate,
-            ScanDecision::Abort => ScanControl::Abort,
-        }
-    }
-}
-
 /// The retrieval strategy phase 2 chose for a query. Recorded in the
 /// `toss.query.execute` span, counted in the `toss.planner.*` metrics
 /// and surfaced on [`QueryOutcome::plan`] (the CLI prints it under
@@ -167,7 +142,7 @@ pub enum QueryPlan {
     /// ([`crate::algebra::similarity_join`]).
     SimilarityJoin {
         /// Always `true`: there is one join. Kept for `benchmark/`,
-        /// which destructures it; removed when a [benchmark] slice
+        /// which destructures it; removed when a \[benchmark\] slice
         /// re-ports the read.
         refined: bool,
         /// Distinct signature groups across both sides.
@@ -773,8 +748,8 @@ impl Executor {
         rw.record("xpath_len", prepared.xpath_src.len());
         let rewrite_time = rw.finish();
 
-        // phase 2: plan, then execute against the store through the
-        // governor's cooperative scan hook
+        // phase 2: plan, admit the plan's documents in one charge, then
+        // evaluate exactly those, polling the governor for a stop
         gov.check()?;
         let ex = toss_obs::span("toss.query.execute");
         let coll = self.db.collection(&query.collection)?;
@@ -803,18 +778,16 @@ impl Executor {
             // retrieval planning never yields a join plan
             QueryPlan::SimilarityJoin { .. } => {}
         }
-        let (matches, status) = {
+        let admitted = gov.admit_docs(visits.len())?;
+        let matches = {
             let _residual = toss_obs::span("toss.query.execute.residual");
-            visits.eval(&GovernorScan(gov), &self.pool)
+            visits.eval(admitted, &|| gov.interrupted(), &self.pool)
         };
-        match status {
-            ScanStatus::Complete { .. } => {}
-            ScanStatus::Truncated {
-                docs_scanned,
-                docs_total,
-            } => gov.note_scan_truncated(docs_scanned as u64, docs_total as u64),
-            ScanStatus::Aborted { .. } => return Err(gov.scan_abort_error()),
-        }
+        let Some(matches) = matches else {
+            // a stop is a cancellation or a passed deadline, both final
+            gov.check()?;
+            unreachable!("an interrupted scan leaves its governor failing `check`");
+        };
         ex.record("matches", matches.len());
         let execute_time = ex.finish();
 

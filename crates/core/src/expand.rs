@@ -149,7 +149,7 @@ pub fn seo_classes(seo: &Seo) -> HashMap<String, Vec<u32>> {
 /// id, i.e. the same ids [`seo_classes`] hands out). A class that many
 /// terms collapsed into is *common* — it matches broadly — while a
 /// near-singleton class is *rare*. The refined similarity join
-/// ([`crate::algebra::simjoin`]) orders signature elements by these
+/// ([`crate::algebra::similarity_join`]) orders signature elements by these
 /// frequencies so rare classes come first and the prefix filter prunes
 /// candidates as early as possible.
 pub fn seo_class_frequencies(seo: &Seo) -> Vec<u32> {

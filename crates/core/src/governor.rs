@@ -17,8 +17,12 @@
 //!   long-running loop; tripping it yields [`TossError::Cancelled`].
 //! * [`QueryGovernor`] — one per query: owns the budget, the token and
 //!   the start instant, tallies work done, and records the first soft
-//!   trip. The executor, the expansion context and the `xmldb` scan hook
-//!   all consult the same governor.
+//!   trip. Every counted dimension is charged through one admission rule
+//!   (unlimited / fits / hard error / soft truncate and record): the
+//!   expansion context admits terms, the executor admits a scan's
+//!   documents in one bulk charge before the store evaluates any, then
+//!   witnesses and join candidates. The store's scan only polls
+//!   [`QueryGovernor::interrupted`], which charges nothing.
 //! * [`AdmissionController`] — bounded concurrent query slots with a
 //!   wait-queue timeout; when the queue wait expires the query is shed
 //!   with [`TossError::Overloaded`] instead of queueing unboundedly.
@@ -263,7 +267,8 @@ impl fmt::Display for BudgetBreach {
 /// One governor is created per query (or per query *request*: a join
 /// threads the same governor through both sides and the combine phase).
 /// All counters are atomic so the governor can be consulted from the
-/// scan hook, the expansion context and the executor concurrently.
+/// store's scan workers, the expansion context and both sides of a
+/// join concurrently.
 #[derive(Debug)]
 pub struct QueryGovernor {
     budget: QueryBudget,
@@ -419,115 +424,71 @@ impl QueryGovernor {
         })
     }
 
+    /// The one admission rule behind every `admit_*`: charge `requested`
+    /// units against `tally` under `limit`. Returns how many may be
+    /// used — all of them when unlimited or when they fit; under a soft
+    /// limit what is left of it, recording the first trip as
+    /// degradation; under a hard limit a breach reporting the full
+    /// demand, with nothing charged. One atomic update, so concurrent
+    /// admissions (the two sides of a join) never lose a charge.
+    fn admit(
+        &self,
+        kind: BudgetKind,
+        limit: Option<Limit>,
+        tally: &AtomicU64,
+        requested: usize,
+    ) -> TossResult<usize> {
+        self.check()?;
+        let requested = requested as u64;
+        let cap = limit.map_or(u64::MAX, |l| l.max);
+        let hard = limit.is_some_and(|l| l.enforcement == Enforcement::Hard);
+        let update = tally.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
+            match used.saturating_add(requested) {
+                demanded if demanded <= cap => Some(demanded),
+                _ if hard => None,
+                _ => Some(cap.max(used)),
+            }
+        });
+        let (Ok(used) | Err(used)) = update;
+        let demanded = used.saturating_add(requested);
+        if demanded <= cap {
+            return Ok(requested as usize);
+        }
+        if update.is_err() {
+            return Err(self.hard_breach(kind, cap, demanded));
+        }
+        let allowed = cap.saturating_sub(used);
+        self.trip_soft(DegradationInfo::new(kind, cap, demanded, used + allowed));
+        Ok(allowed as usize)
+    }
+
     /// Admit up to `requested` new SEO expansion terms. Returns how many
     /// may actually be used; under a soft limit the overflow is recorded
     /// as degradation, under a hard limit the query errors.
     pub fn admit_expansion_terms(&self, requested: usize) -> TossResult<usize> {
-        self.check()?;
-        let used = self.terms_used.load(Ordering::Relaxed);
-        let demanded = used + requested as u64;
-        let Some(limit) = self.budget.max_expansion_terms else {
-            self.terms_used.store(demanded, Ordering::Relaxed);
-            return Ok(requested);
-        };
-        if demanded <= limit.max {
-            self.terms_used.store(demanded, Ordering::Relaxed);
-            return Ok(requested);
+        let limit = self.budget.max_expansion_terms;
+        let allowed = self.admit(BudgetKind::ExpansionTerms, limit, &self.terms_used, requested)?;
+        if allowed < requested {
+            self.terms_truncations.fetch_add(1, Ordering::Relaxed);
         }
-        match limit.enforcement {
-            Enforcement::Hard => {
-                Err(self.hard_breach(BudgetKind::ExpansionTerms, limit.max, demanded))
-            }
-            Enforcement::Soft => {
-                let allowed = limit.max.saturating_sub(used) as usize;
-                self.terms_used
-                    .store(used + allowed as u64, Ordering::Relaxed);
-                self.terms_truncations.fetch_add(1, Ordering::Relaxed);
-                self.trip_soft(DegradationInfo::new(
-                    BudgetKind::ExpansionTerms,
-                    limit.max,
-                    demanded,
-                    used + allowed as u64,
-                ));
-                Ok(allowed)
-            }
-        }
+        Ok(allowed)
     }
 
-    /// Per-document scan hook: decide whether the next document may be
-    /// visited. `Continue` also charges one document.
-    pub fn scan_control(&self) -> ScanDecision {
-        if self.token.is_cancelled() || self.deadline_expired() {
-            return ScanDecision::Abort;
-        }
-        let scanned = self.docs_scanned.load(Ordering::Relaxed);
-        if let Some(limit) = self.budget.max_docs_scanned {
-            if scanned >= limit.max {
-                return match limit.enforcement {
-                    Enforcement::Soft => ScanDecision::Truncate,
-                    Enforcement::Hard => ScanDecision::Abort,
-                };
-            }
-        }
-        self.docs_scanned.fetch_add(1, Ordering::Relaxed);
-        ScanDecision::Continue
+    /// Admit `requested` store visits in one charge, before any is
+    /// evaluated; returns how many the scan may evaluate (a prefix, in
+    /// visit order). A soft document cap truncates and records
+    /// degradation; a hard one fails before a single document is read.
+    pub fn admit_docs(&self, requested: usize) -> TossResult<usize> {
+        let limit = self.budget.max_docs_scanned;
+        self.admit(BudgetKind::DocsScanned, limit, &self.docs_scanned, requested)
     }
 
-    /// Non-charging companion to [`QueryGovernor::scan_control`]:
-    /// *would* the next document be admitted right now? The parallel
-    /// scan's speculation preflight asks this before evaluating
-    /// partitions that have not reached the in-order commit frontier, so
-    /// a tripped budget stops far-ahead workers without being charged
-    /// for documents that were never admitted. Never counts against any
-    /// limit; the charging [`QueryGovernor::scan_control`] on the commit
-    /// path stays authoritative.
-    pub fn scan_preflight(&self) -> ScanDecision {
-        if self.token.is_cancelled() || self.deadline_expired() {
-            return ScanDecision::Abort;
-        }
-        if let Some(limit) = self.budget.max_docs_scanned {
-            if self.docs_scanned.load(Ordering::Relaxed) >= limit.max {
-                return match limit.enforcement {
-                    Enforcement::Soft => ScanDecision::Truncate,
-                    Enforcement::Hard => ScanDecision::Abort,
-                };
-            }
-        }
-        ScanDecision::Continue
-    }
-
-    /// The error explaining why a scan aborted: cancellation and the
-    /// deadline take precedence, else the hard document limit.
-    pub fn scan_abort_error(&self) -> TossError {
-        if let Err(e) = self.check() {
-            return e;
-        }
-        let limit = self
-            .budget
-            .max_docs_scanned
-            .map(|l| l.max)
-            .unwrap_or_default();
-        self.hard_breach(
-            BudgetKind::DocsScanned,
-            limit,
-            self.docs_scanned.load(Ordering::Relaxed) + 1,
-        )
-    }
-
-    /// Record a soft scan truncation: `scanned` of `total` documents
-    /// were visited before the soft limit stopped the scan.
-    pub fn note_scan_truncated(&self, scanned: u64, total: u64) {
-        let limit = self
-            .budget
-            .max_docs_scanned
-            .map(|l| l.max)
-            .unwrap_or(scanned);
-        self.trip_soft(DegradationInfo::new(
-            BudgetKind::DocsScanned,
-            limit,
-            total,
-            scanned,
-        ));
+    /// Whether the query must stop now: cancelled or past its deadline.
+    /// The store's scan polls this before every visit, so it charges
+    /// nothing, bumps no counter and takes no lock; the error that
+    /// explains the stop comes from [`QueryGovernor::check`].
+    pub fn interrupted(&self) -> bool {
+        self.token.is_cancelled() || self.deadline_expired()
     }
 
     /// Admit a join/product of `left × right` intermediate pairs.
@@ -593,87 +554,28 @@ impl QueryGovernor {
     /// are speculative and never charge), so the tally is bit-identical
     /// at any worker count.
     pub fn admit_join_candidates(&self, produced: usize) -> TossResult<usize> {
-        self.check()?;
-        let charged = self.join_candidates.load(Ordering::Relaxed);
-        let demanded = charged + produced as u64;
-        let Some(limit) = self.budget.max_join_cardinality else {
-            self.join_candidates.store(demanded, Ordering::Relaxed);
-            return Ok(produced);
-        };
-        if demanded <= limit.max {
-            self.join_candidates.store(demanded, Ordering::Relaxed);
-            return Ok(produced);
-        }
-        match limit.enforcement {
-            Enforcement::Hard => {
-                Err(self.hard_breach(BudgetKind::JoinCardinality, limit.max, demanded))
-            }
-            Enforcement::Soft => {
-                let allowed = limit.max.saturating_sub(charged) as usize;
-                self.join_candidates
-                    .store(charged + allowed as u64, Ordering::Relaxed);
-                self.trip_soft(DegradationInfo::new(
-                    BudgetKind::JoinCardinality,
-                    limit.max,
-                    demanded,
-                    charged + allowed as u64,
-                ));
-                Ok(allowed)
-            }
-        }
+        let limit = self.budget.max_join_cardinality;
+        self.admit(BudgetKind::JoinCardinality, limit, &self.join_candidates, produced)
     }
 
-    /// Non-charging companion to [`QueryGovernor::admit_join_candidates`]
-    /// (the analogue of [`QueryGovernor::scan_preflight`]): *would* one
-    /// more candidate pair be admitted right now? Speculative probe
-    /// tasks ask this between probe groups so a budget that was already
-    /// exhausted before the join stops far-ahead workers; the charging
-    /// call on the commit frontier stays authoritative.
-    pub fn join_candidates_preflight(&self) -> ScanDecision {
-        if self.token.is_cancelled() || self.deadline_expired() {
-            return ScanDecision::Abort;
-        }
-        if let Some(limit) = self.budget.max_join_cardinality {
-            if self.join_candidates.load(Ordering::Relaxed) >= limit.max {
-                return match limit.enforcement {
-                    Enforcement::Soft => ScanDecision::Truncate,
-                    Enforcement::Hard => ScanDecision::Abort,
-                };
-            }
-        }
-        ScanDecision::Continue
+    /// Non-charging companion to [`QueryGovernor::admit_join_candidates`]:
+    /// *would* one more candidate pair be admitted right now? Probe tasks
+    /// ask this between probe groups so a budget that was already
+    /// exhausted before the join (or a cancelled or expired query) stops
+    /// them early; the charging call on the commit frontier stays
+    /// authoritative.
+    pub fn join_candidates_preflight(&self) -> bool {
+        let spent = matches!(
+            self.budget.max_join_cardinality,
+            Some(limit) if self.join_candidates() >= limit.max
+        );
+        !self.interrupted() && !spent
     }
 
     /// Admit `produced` witness trees; returns how many to keep.
     pub fn admit_witnesses(&self, produced: usize) -> TossResult<usize> {
-        self.check()?;
-        let kept_before = self.witnesses_kept.load(Ordering::Relaxed);
-        let demanded = kept_before + produced as u64;
-        let Some(limit) = self.budget.max_witnesses else {
-            self.witnesses_kept.store(demanded, Ordering::Relaxed);
-            return Ok(produced);
-        };
-        if demanded <= limit.max {
-            self.witnesses_kept.store(demanded, Ordering::Relaxed);
-            return Ok(produced);
-        }
-        match limit.enforcement {
-            Enforcement::Hard => {
-                Err(self.hard_breach(BudgetKind::Witnesses, limit.max, demanded))
-            }
-            Enforcement::Soft => {
-                let allowed = limit.max.saturating_sub(kept_before) as usize;
-                self.witnesses_kept
-                    .store(kept_before + allowed as u64, Ordering::Relaxed);
-                self.trip_soft(DegradationInfo::new(
-                    BudgetKind::Witnesses,
-                    limit.max,
-                    demanded,
-                    kept_before + allowed as u64,
-                ));
-                Ok(allowed)
-            }
-        }
+        let limit = self.budget.max_witnesses;
+        self.admit(BudgetKind::Witnesses, limit, &self.witnesses_kept, produced)
     }
 
     /// Charge `bytes` of approximate intermediate-result memory.
@@ -700,17 +602,6 @@ impl QueryGovernor {
             }
         }
     }
-}
-
-/// The per-document decision of [`QueryGovernor::scan_control`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanDecision {
-    /// Visit the document (it has been charged).
-    Continue,
-    /// Stop scanning but keep the matches found so far (soft limit).
-    Truncate,
-    /// Stop scanning and fail the query (cancel / deadline / hard limit).
-    Abort,
 }
 
 /// Bounded concurrent query slots with a wait-queue timeout.
@@ -865,7 +756,7 @@ mod tests {
         let g = QueryGovernor::unlimited();
         assert!(g.check().is_ok());
         assert_eq!(g.admit_expansion_terms(1_000_000).unwrap(), 1_000_000);
-        assert_eq!(g.scan_control(), ScanDecision::Continue);
+        assert_eq!(g.admit_docs(1_000_000).unwrap(), 1_000_000);
         assert_eq!(g.admit_join_cardinality(10_000, 10_000).unwrap(), None);
         assert_eq!(g.admit_witnesses(500).unwrap(), 500);
         assert!(g.charge_memory(1 << 40).unwrap());
@@ -911,8 +802,7 @@ mod tests {
         assert!(g.check().is_ok());
         t.cancel();
         assert!(matches!(g.check(), Err(TossError::Cancelled)));
-        assert_eq!(g.scan_control(), ScanDecision::Abort);
-        assert!(matches!(g.scan_abort_error(), TossError::Cancelled));
+        assert!(g.interrupted());
     }
 
     #[test]
@@ -925,57 +815,86 @@ mod tests {
             other => panic!("expected deadline breach, got {other:?}"),
         }
         assert!(g.deadline_expired());
-        assert_eq!(g.scan_control(), ScanDecision::Abort);
+        assert!(g.interrupted());
     }
 
     #[test]
-    fn doc_scan_soft_and_hard() {
+    fn admit_docs_is_one_charge_per_scan() {
+        // unlimited: everything, charged
+        let g = QueryGovernor::unlimited();
+        assert_eq!(g.admit_docs(30).unwrap(), 30);
+        assert_eq!(g.docs_scanned(), 30);
+
+        // fits, then exactly at the limit: no degradation
+        let fits = QueryGovernor::new(
+            QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(10)),
+        );
+        assert_eq!(fits.admit_docs(4).unwrap(), 4);
+        assert_eq!(fits.admit_docs(6).unwrap(), 6);
+        assert_eq!(fits.docs_scanned(), 10);
+        assert!(fits.degradation().is_none());
+
+        // soft: a prefix, and the select's degradation line
         let soft = QueryGovernor::new(
             QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(2)),
         );
-        assert_eq!(soft.scan_control(), ScanDecision::Continue);
-        assert_eq!(soft.scan_control(), ScanDecision::Continue);
-        assert_eq!(soft.scan_control(), ScanDecision::Truncate);
-        soft.note_scan_truncated(2, 10);
+        assert_eq!(soft.admit_docs(30).unwrap(), 2);
+        assert_eq!(soft.docs_scanned(), 2);
         let d = soft.degradation().unwrap();
         assert_eq!(d.tripped, BudgetKind::DocsScanned);
-        assert!((d.estimated_recall_loss - 0.8).abs() < 1e-9);
+        assert_eq!((d.limit, d.demanded, d.work_done), (2, 30, 2));
+        assert!(d.to_string().contains("did 2 of 30 (limit 2)"), "{d}");
+        // a second scan under the same governor is charged cumulatively
+        assert_eq!(soft.admit_docs(5).unwrap(), 0);
+        assert_eq!(soft.docs_scanned(), 2);
 
+        // hard: fails before any document, charging nothing and reporting
+        // the full demand
         let hard = QueryGovernor::new(
             QueryBudget::unlimited().with_max_docs_scanned(Limit::hard(1)),
         );
-        assert_eq!(hard.scan_control(), ScanDecision::Continue);
-        assert_eq!(hard.scan_control(), ScanDecision::Abort);
-        assert!(matches!(
-            hard.scan_abort_error(),
-            TossError::BudgetExceeded(BudgetBreach {
-                kind: BudgetKind::DocsScanned,
-                ..
-            })
-        ));
+        match hard.admit_docs(7) {
+            Err(TossError::BudgetExceeded(b)) => assert_eq!(
+                b,
+                BudgetBreach {
+                    kind: BudgetKind::DocsScanned,
+                    limit: 1,
+                    observed: 7
+                }
+            ),
+            other => panic!("expected a docs-scanned breach, got {other:?}"),
+        }
+        assert_eq!(hard.docs_scanned(), 0);
+        assert_eq!(hard.admit_docs(1).unwrap(), 1, "boundary ok");
+
+        // cancelled and expired: the query's own error, nothing charged
+        let cancelled = QueryGovernor::unlimited();
+        cancelled.token().cancel();
+        assert!(matches!(cancelled.admit_docs(3), Err(TossError::Cancelled)));
+        assert_eq!(cancelled.docs_scanned(), 0);
+        let expired = QueryGovernor::new(QueryBudget::unlimited().with_deadline(Duration::ZERO));
+        match expired.admit_docs(3) {
+            Err(TossError::BudgetExceeded(b)) => assert_eq!(b.kind, BudgetKind::Deadline),
+            other => panic!("expected a deadline breach, got {other:?}"),
+        }
+        assert_eq!(expired.docs_scanned(), 0);
     }
 
     #[test]
-    fn scan_preflight_never_charges() {
+    fn interrupted_never_charges() {
         let g = QueryGovernor::new(
             QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(2)),
         );
         for _ in 0..10 {
-            assert_eq!(g.scan_preflight(), ScanDecision::Continue);
+            assert!(!g.interrupted());
         }
-        assert_eq!(g.docs_scanned(), 0, "preflight must not charge");
-        assert_eq!(g.scan_control(), ScanDecision::Continue);
-        assert_eq!(g.scan_control(), ScanDecision::Continue);
-        assert_eq!(g.scan_preflight(), ScanDecision::Truncate);
-
-        let hard = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_docs_scanned(Limit::hard(0)),
-        );
-        assert_eq!(hard.scan_preflight(), ScanDecision::Abort);
-
-        let cancelled = QueryGovernor::unlimited();
-        cancelled.token().cancel();
-        assert_eq!(cancelled.scan_preflight(), ScanDecision::Abort);
+        g.token().cancel();
+        for _ in 0..10 {
+            assert!(g.interrupted());
+        }
+        assert_eq!(g.docs_scanned(), 0, "a poll must not charge");
+        assert!(g.degradation().is_none());
+        assert!(matches!(g.check(), Err(TossError::Cancelled)));
     }
 
     #[test]

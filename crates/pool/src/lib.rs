@@ -67,11 +67,6 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Whether `run` would execute tasks inline (single worker).
-    pub fn is_sequential(&self) -> bool {
-        self.workers == 1
-    }
-
     /// Run every task, returning results in task order.
     ///
     /// Spawns `min(workers, tasks.len())` scoped threads that pull tasks
@@ -233,7 +228,6 @@ mod tests {
     #[test]
     fn single_worker_runs_inline() {
         let pool = WorkerPool::new(1);
-        assert!(pool.is_sequential());
         let caller: ThreadId = thread::current().id();
         let seen = Mutex::new(Vec::new());
         pool.run(

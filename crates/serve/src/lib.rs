@@ -33,7 +33,7 @@
 //! write carries the same key, and the server's dedupe table collapses
 //! replays onto the original ack.
 //!
-//! The [`write`] module is the live write path ([`server::Server::start_writable`]):
+//! The [`write`](mod@write) module is the live write path ([`server::Server::start_writable`]):
 //! mutation frames (`insert_doc`, `delete_doc`, `add_term`, `add_edge`,
 //! `checkpoint`) flow through a single writer thread with group-commit
 //! WAL batching — a write is acknowledged only after its batch's fsync

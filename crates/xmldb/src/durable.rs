@@ -153,7 +153,7 @@ impl DurableDatabase {
             if rec.seq < cursor {
                 continue; // already folded into the snapshot
             }
-            check_op(&this.db, &rec.op)?;
+            BatchValidator::new(&this.db).check(&rec.op)?;
             apply_op(&mut this.db, &rec.op)?;
         }
         publish_index_gauges(&this.db, frozen);
@@ -194,7 +194,7 @@ impl DurableDatabase {
             if rec.seq < cursor {
                 continue;
             }
-            check_op(&db, &rec.op)?;
+            BatchValidator::new(&db).check(&rec.op)?;
             apply_op(&mut db, &rec.op)?;
         }
         publish_index_gauges(&db, frozen);
@@ -264,7 +264,8 @@ impl DurableDatabase {
             if rec.seq < cursor {
                 continue;
             }
-            match check_op(&this.db, &rec.op).and_then(|()| apply_op(&mut this.db, &rec.op)) {
+            let checked = BatchValidator::new(&this.db).check(&rec.op);
+            match checked.and_then(|()| apply_op(&mut this.db, &rec.op)) {
                 Ok(_) => report.replayed_ops += 1,
                 Err(err) => report.skipped_ops.push((rec.seq, err)),
             }
@@ -367,7 +368,7 @@ impl DurableDatabase {
 
     /// The WAL discipline: validate, journal + fsync, apply.
     fn commit(&mut self, op: JournalOp) -> DbResult<Option<DocumentId>> {
-        check_op(&self.db, &op)?;
+        BatchValidator::new(&self.db).check(&op)?;
         self.writer.journal.append(&op)?;
         apply_op(&mut self.db, &op)
     }
@@ -386,10 +387,9 @@ impl DurableDatabase {
     /// This is how a live server shares the store: the database goes
     /// behind a read/write lock for concurrent readers, while a single
     /// writer thread owns the `DurableWriter` and runs the same
-    /// validate → journal+fsync → apply discipline [`commit`] runs —
-    /// with [`Journal::append_batch`] providing group commit.
-    ///
-    /// [`commit`]: DurableDatabase::commit
+    /// validate → journal+fsync → apply discipline every
+    /// `DurableDatabase` mutation runs — with [`Journal::append_batch`]
+    /// providing group commit.
     pub fn into_parts(self) -> (Database, DurableWriter) {
         (self.db, self.writer)
     }
@@ -556,12 +556,13 @@ impl DurableWriter {
 /// plus the accumulated effects of the batch's earlier ops — without
 /// mutating anything.
 ///
-/// [`check_op`] alone cannot validate a batch: an `Insert` may target a
-/// collection a `CreateCollection` earlier in the same batch brings into
-/// existence, and size-limit math must count bytes earlier ops added.
-/// `BatchValidator` tracks that overlay. After every op of a batch passes
-/// [`BatchValidator::check`] in order, applying them in order with
-/// [`apply_op`] cannot fail.
+/// The one write-validation rule: a single op is a batch of one. Ops
+/// cannot be validated one by one against the base alone: an `Insert`
+/// may target a collection a `CreateCollection` earlier in the same
+/// batch brings into existence, and size-limit math must count bytes
+/// earlier ops added. `BatchValidator` tracks that overlay. After every
+/// op of a batch passes [`BatchValidator::check`] in order, applying
+/// them in order with [`apply_op`] cannot fail.
 pub struct BatchValidator<'a> {
     db: &'a Database,
     /// Collection-existence overlay: `true` = exists (created in batch),
@@ -763,56 +764,12 @@ fn quarantine(vfs: &dyn Vfs, path: &Path, report: &mut RecoveryReport) {
     }
 }
 
-/// Validate that `op` can be applied to `db` without mutating anything.
-/// After this returns `Ok`, [`apply_op`] cannot fail.
-///
-/// Public so external write paths (the serving layer's single-writer
-/// loop) can run the same validate → journal → apply discipline over a
-/// database they own; see also [`BatchValidator`] for validating a whole
-/// batch whose later ops depend on earlier ones.
-pub fn check_op(db: &Database, op: &JournalOp) -> DbResult<()> {
-    match op {
-        JournalOp::CreateCollection { name } => {
-            if db.collection(name).is_ok() {
-                Err(DbError::CollectionExists(name.clone()))
-            } else {
-                Ok(())
-            }
-        }
-        JournalOp::DropCollection { name } => db.collection(name).map(|_| ()),
-        JournalOp::Insert { collection, xml } => {
-            let coll = db.collection(collection)?;
-            let size = compact_len(&crate::parser::parse_document(xml)?);
-            check_size_limit(collection, coll.size_limit(), coll.size_bytes() + size)
-        }
-        JournalOp::Remove { collection, doc_id } => db
-            .collection(collection)?
-            .get(DocumentId(*doc_id))
-            .map(|_| ()),
-        JournalOp::Replace {
-            collection,
-            doc_id,
-            xml,
-        } => {
-            let coll = db.collection(collection)?;
-            let old = coll.get(DocumentId(*doc_id))?;
-            let new_size = compact_len(&crate::parser::parse_document(xml)?);
-            check_size_limit(
-                collection,
-                coll.size_limit(),
-                coll.size_bytes() - old.size_bytes + new_size,
-            )
-        }
-        // Ontology ops and probes never touch the store; they are
-        // validated (cycle checks etc.) by whoever owns the hierarchy.
-        JournalOp::AddTerm { .. } | JournalOp::AddEdge { .. } | JournalOp::Noop => Ok(()),
-    }
-}
-
 /// Apply a validated operation. Shared by live commits and replay, so
 /// recovery reconstructs exactly the state the live path built.
 ///
-/// Public for the same reason as [`check_op`].
+/// Public so external write paths (the serving layer's single-writer
+/// loop) can run the same validate → journal → apply discipline over a
+/// database they own, validating with [`BatchValidator`].
 pub fn apply_op(db: &mut Database, op: &JournalOp) -> DbResult<Option<DocumentId>> {
     match op {
         JournalOp::CreateCollection { name } => {
@@ -1154,8 +1111,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, DbError::NoSuchDocument(_)));
 
-        // A validated batch applies without error, and matches check_op
-        // semantics op-by-op once applied.
+        // A validated batch applies without error.
         let mut db = base;
         let batch = vec![
             JournalOp::Remove {

@@ -15,7 +15,7 @@
 //!
 //! A collection answers probes from one of two interchangeable backends
 //! behind the [`IndexView`] facade: this live pointer index, or a frozen
-//! zero-copy [`segidx::FrozenIndex`] loaded from a `.seg` snapshot
+//! zero-copy [`crate::segidx::FrozenIndex`] loaded from a `.seg` snapshot
 //! sidecar (see [`crate::segidx`]). Callers never see which one they hit;
 //! postings come back as [`Postings`], identical in content and order
 //! from either side.
@@ -126,48 +126,6 @@ impl CollectionIndex {
             .and_then(|m| m.get(content))
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Batched multi-term probe: all nodes whose tag is `tag` and whose
-    /// content renders as *any* of `terms`, merged into one
-    /// document-order postings list. This is the SEO fast path — a
-    /// rewritten predicate with N expanded terms becomes one merged
-    /// lookup instead of N separate probes (or N full scans).
-    pub fn by_tag_content_any<S: AsRef<str>>(&self, tag: &str, terms: &[S]) -> Vec<Posting> {
-        let mut merged: Vec<Posting> = Vec::new();
-        for term in terms {
-            merged.extend_from_slice(self.by_tag_content(tag, term.as_ref()));
-        }
-        merged.sort();
-        merged.dedup();
-        merged
-    }
-
-    /// The distinct documents holding a `tag` node whose content is any
-    /// of `terms`, in document order. The candidate set an index-probe
-    /// query plan feeds to the doc-filtered evaluator.
-    pub fn docs_with_tag_content_any<S: AsRef<str>>(
-        &self,
-        tag: &str,
-        terms: &[S],
-    ) -> Vec<DocumentId> {
-        let mut docs: Vec<DocumentId> = self
-            .by_tag_content_any(tag, terms)
-            .into_iter()
-            .map(|p| p.doc)
-            .collect();
-        docs.dedup(); // merged postings are already in document order
-        docs
-    }
-
-    /// Total postings for `(tag, term)` pairs across `terms` — the
-    /// planner's selectivity estimate, cheaper than materializing the
-    /// merge (no sort, no dedup).
-    pub fn tag_content_any_len<S: AsRef<str>>(&self, tag: &str, terms: &[S]) -> usize {
-        terms
-            .iter()
-            .map(|t| self.by_tag_content(tag, t.as_ref()).len())
-            .sum()
     }
 
     /// Distinct indexed tags.
@@ -339,24 +297,24 @@ impl<'a> IndexView<'a> {
         }
     }
 
-    /// Merged multi-term probe; see [`CollectionIndex::by_tag_content_any`].
+    /// Batched multi-term probe: all nodes whose tag is `tag` and whose
+    /// content renders as *any* of `terms`, merged into one
+    /// document-order postings list. This is the SEO fast path — a
+    /// rewritten predicate with N expanded terms becomes one merged
+    /// lookup instead of N separate probes (or N full scans).
     pub fn by_tag_content_any<S: AsRef<str>>(&self, tag: &str, terms: &[S]) -> Vec<Posting> {
-        match self {
-            IndexView::Pointer(ix) => ix.by_tag_content_any(tag, terms),
-            IndexView::Frozen(_) => {
-                let mut merged: Vec<Posting> = Vec::new();
-                for term in terms {
-                    merged.extend(self.by_tag_content(tag, term.as_ref()).iter());
-                }
-                merged.sort();
-                merged.dedup();
-                merged
-            }
+        let mut merged: Vec<Posting> = Vec::new();
+        for term in terms {
+            merged.extend(self.by_tag_content(tag, term.as_ref()).iter());
         }
+        merged.sort();
+        merged.dedup();
+        merged
     }
 
-    /// Candidate documents for a multi-term probe; see
-    /// [`CollectionIndex::docs_with_tag_content_any`].
+    /// The distinct documents holding a `tag` node whose content is any
+    /// of `terms`, in document order. The candidate set an index-probe
+    /// query plan feeds to the doc-filtered evaluator.
     pub fn docs_with_tag_content_any<S: AsRef<str>>(
         &self,
         tag: &str,
@@ -367,13 +325,14 @@ impl<'a> IndexView<'a> {
             .into_iter()
             .map(|p| p.doc)
             .collect();
-        docs.dedup();
+        docs.dedup(); // merged postings are already in document order
         docs
     }
 
-    /// Planner selectivity estimate; see
-    /// [`CollectionIndex::tag_content_any_len`]. O(terms) on both
-    /// backends (frozen blocks carry their length in the header).
+    /// Total postings for `(tag, term)` pairs across `terms` — the
+    /// planner's selectivity estimate, cheaper than materializing the
+    /// merge (no sort, no dedup). O(terms) on both backends (frozen
+    /// blocks carry their length in the header).
     pub fn tag_content_any_len<S: AsRef<str>>(&self, tag: &str, terms: &[S]) -> usize {
         terms
             .iter()
@@ -436,6 +395,7 @@ mod tests {
         idx.add_document(DocumentId(1), &tree("A"));
         idx.add_document(DocumentId(2), &tree("B"));
         idx.add_document(DocumentId(3), &tree("C"));
+        let idx = IndexView::Pointer(&idx);
         let merged = idx.by_tag_content_any("author", &["A", "B", "A"]);
         assert_eq!(
             merged.iter().map(|p| p.doc).collect::<Vec<_>>(),
@@ -509,15 +469,6 @@ mod tests {
         assert_eq!(view.by_tag("author").len(), 2);
         assert_eq!(view.by_tag("author").to_vec(), idx.by_tag("author"));
         assert_eq!(view.by_tag_content("author", "A").len(), 1);
-        assert_eq!(
-            view.by_tag_content_any("author", &["A", "B"]),
-            idx.by_tag_content_any("author", &["A", "B"])
-        );
-        assert_eq!(
-            view.docs_with_tag_content_any("author", &["B"]),
-            vec![DocumentId(1)]
-        );
-        assert_eq!(view.tag_content_any_len("author", &["A", "B"]), 2);
         assert_eq!(view.tag_count(), idx.tag_count());
         // iteration yields postings by value
         let nodes: Vec<usize> = view.by_tag("year").iter().map(|p| p.node.index()).collect();

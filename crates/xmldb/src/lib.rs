@@ -47,14 +47,10 @@ pub mod xpath;
 
 pub use collection::{Collection, DocumentId};
 pub use database::{Database, DatabaseConfig};
-pub use durable::{
-    apply_op, check_op, BatchValidator, DurableDatabase, DurableWriter, RecoveryReport,
-};
+pub use durable::{apply_op, BatchValidator, DurableDatabase, DurableWriter, RecoveryReport};
 pub use error::{CorruptionSite, DbError, DbResult};
 pub use index::{IndexView, Posting, Postings};
 pub use journal::{Journal, JournalOp, JournalRecord};
 pub use parser::{parse_document, parse_forest};
 pub use vfs::{FaultMode, FaultSchedule, FaultVfs, ScheduledFault, StdVfs, Vfs};
-pub use xpath::{
-    planned_partitions, Candidates, NodeRef, ScanBudget, ScanControl, ScanStatus, XPath,
-};
+pub use xpath::{planned_partitions, Candidates, NodeRef, XPath};

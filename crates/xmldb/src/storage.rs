@@ -47,9 +47,10 @@
 //! [`save_json_with_vfs`] never writes the target file in place. It writes
 //! a temp file, fsyncs it, and renames it over the target — so a crash at
 //! any moment leaves either the complete old snapshot or the complete new
-//! one, never a torn mixture. A checkpoint ([`save_verified_json`]) also
-//! reads the temp file back and verifies it *before* the rename, so a
-//! snapshot that would not load never replaces one that does. The
+//! one, never a torn mixture. A checkpoint (`save_verified_json`, behind
+//! [`crate::DurableWriter::checkpoint`]) also reads the temp file back
+//! and verifies it *before* the rename, so a snapshot that would not
+//! load never replaces one that does. The
 //! protocol runs against any [`Vfs`], which is how the fault-injection
 //! suite proves it.
 

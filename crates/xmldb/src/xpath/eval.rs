@@ -5,20 +5,24 @@
 //! preorder within a document), which is the order TAX's witness-tree
 //! semantics requires.
 //!
-//! A collection evaluation has one path: enumerate the budget-charged
-//! visits ([`XPath::scan_candidates`], or [`XPath::probe_candidates`]
-//! given a probe's candidate document list, which touches only those
+//! A collection evaluation has one path: enumerate the visits
+//! ([`XPath::scan_candidates`], or [`XPath::probe_candidates`] given a
+//! probe's candidate document list, which touches only those
 //! documents), then run them with [`Candidates::eval`] — inline on a
 //! one-worker pool, partitioned across a larger one, with identical
-//! results, order and charges. The enumeration uses the tag index as a
-//! fast path for queries whose first step is `//name`: instead of
-//! scanning every subtree it starts from the index postings for `name`.
+//! results and order. The enumeration uses the tag index as a fast path
+//! for queries whose first step is `//name`: instead of scanning every
+//! subtree it starts from the index postings for `name`.
+//!
+//! The store knows no budgets. A caller that governs a query admits the
+//! visits first — `toss-core`'s executor charges [`Candidates::len`]
+//! against its document budget in one bulk admission — and then asks
+//! `eval` for exactly the admitted number, passing a poll that reports a
+//! deadline or a cancellation. Admit, then evaluate.
 
 use super::ast::{Axis, Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
 use crate::collection::{Collection, DocumentId, StoredDocument};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use toss_pool::{partition_ranges, WorkerPool};
 use toss_tree::{NodeId, Tree};
 
@@ -29,86 +33,6 @@ pub struct NodeRef {
     pub doc: DocumentId,
     /// The node within the document's tree.
     pub node: NodeId,
-}
-
-/// A cooperative per-document scan budget.
-///
-/// The evaluator calls [`ScanBudget::before_document`] before visiting
-/// each document. This keeps the DB layer decoupled from any particular
-/// governance policy: `toss-core`'s query governor implements this trait
-/// to enforce deadlines, cancellation and document-scan limits, and the
-/// evaluator only needs to know *continue / truncate / abort*.
-///
-/// # Monotonicity
-///
-/// Budgets must be **monotone**: once `before_document(n)` (or
-/// [`preflight`](ScanBudget::preflight)`(n)`) returns `Truncate` or
-/// `Abort`, every later call with the same or a larger `docs_scanned`
-/// must also stop. Document caps, cancellation flags and deadlines all
-/// satisfy this naturally (counts only grow, time only advances). The
-/// parallel evaluator stays *correct* for a non-monotone budget — it
-/// re-evaluates any document the budget admits after all — but its
-/// speculation-skipping becomes pessimal.
-pub trait ScanBudget {
-    /// Decide whether the next document may be visited. `docs_scanned`
-    /// counts documents already visited by this evaluation.
-    fn before_document(&self, docs_scanned: usize) -> ScanControl;
-
-    /// Non-charging probe: *would* a visit be allowed if `docs_scanned`
-    /// documents had already been admitted? The parallel evaluator asks
-    /// this before speculatively evaluating a partition whose documents
-    /// have not reached the in-order commit frontier yet, so a tripped
-    /// budget stops far-ahead workers without being charged for
-    /// documents that were never admitted. Implementations must not
-    /// count this call against any limit. The default speculates freely.
-    fn preflight(&self, _docs_scanned: usize) -> ScanControl {
-        ScanControl::Continue
-    }
-}
-
-/// The decision a [`ScanBudget`] returns for the next document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanControl {
-    /// Visit the document.
-    Continue,
-    /// Stop scanning but keep the matches found so far (a soft limit:
-    /// the caller turns the partial result into a degraded answer).
-    Truncate,
-    /// Stop scanning and discard nothing — the caller decides how to
-    /// fail (cancellation, deadline, or a hard limit).
-    Abort,
-}
-
-/// How a budgeted collection evaluation ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanStatus {
-    /// Every candidate document was visited.
-    Complete {
-        /// Documents visited.
-        docs_scanned: usize,
-    },
-    /// The budget truncated the scan; the matches are a prefix of the
-    /// full answer.
-    Truncated {
-        /// Documents visited before the budget stopped the scan.
-        docs_scanned: usize,
-        /// Documents a full evaluation would have visited.
-        docs_total: usize,
-    },
-    /// The budget aborted the scan; the matches must be discarded.
-    Aborted {
-        /// Documents visited before the abort.
-        docs_scanned: usize,
-    },
-}
-
-/// The always-continue budget backing [`XPath::eval_collection`].
-struct NoBudget;
-
-impl ScanBudget for NoBudget {
-    fn before_document(&self, _docs_scanned: usize) -> ScanControl {
-        ScanControl::Continue
-    }
 }
 
 /// The W3C-style string-value of a node: its own text content
@@ -159,30 +83,29 @@ impl XPath {
     /// on the calling thread; results in document order.
     pub fn eval_collection(&self, coll: &Collection) -> Vec<NodeRef> {
         self.scan_candidates(coll)
-            .eval(&NoBudget, &WorkerPool::new(1))
-            .0
+            .eval(usize::MAX, &|| false, &WorkerPool::new(1))
+            .expect("an evaluation that is never interrupted completes")
     }
 
-    /// Enumerate the budget-charged visits of a whole-collection
-    /// evaluation: one per `(union branch, document)` pair, tag-index
-    /// seeded where the branch starts with `//name`.
+    /// Enumerate the visits of a whole-collection evaluation: one per
+    /// `(union branch, document)` pair, tag-index seeded where the
+    /// branch starts with `//name`.
     pub fn scan_candidates<'a>(&'a self, coll: &'a Collection) -> Candidates<'a> {
         let mut set = Candidates::default();
-        for (path_ord, path) in self.paths.iter().enumerate() {
-            let before = set.visits.len();
+        for path in &self.paths {
+            let branch = set.visits.len();
             match index_seed_tag(path) {
                 Some(name) => {
                     let mut cursor = DocCursor::new(coll);
                     for p in coll.index().by_tag(name) {
-                        match set.visits.last_mut() {
-                            Some(c) if c.path_ord == path_ord && c.doc.id == p.doc => {
+                        match set.visits[branch..].last_mut() {
+                            Some(c) if c.doc.id == p.doc => {
                                 c.seeds.as_mut().expect("seeded visit").push(p.node);
                             }
                             _ => {
                                 let Some(doc) = cursor.seek(p.doc) else { continue };
                                 set.visits.push(Candidate {
                                     path,
-                                    path_ord,
                                     doc,
                                     seeds: Some(vec![p.node]),
                                 });
@@ -192,21 +115,20 @@ impl XPath {
                 }
                 None => set.visits.extend(coll.documents().iter().map(|doc| Candidate {
                     path,
-                    path_ord,
                     doc,
                     seeds: None,
                 })),
             }
-            set.path_counts.push(set.visits.len() - before);
         }
         set
     }
 
     /// [`scan_candidates`](XPath::scan_candidates) restricted to `docs`
     /// (strictly ascending by id) — the index-probe path. Documents
-    /// outside the set are never visited *or charged*, while every listed
-    /// document with a root-step node is charged exactly like a scan
-    /// visit, so `docs_scanned` accounting agrees with the scan. Costs
+    /// outside the set are never visited, while every listed document
+    /// with a root-step node is a visit exactly like a scan visit, so a
+    /// caller that admits [`Candidates::len`] visits charges the probe
+    /// and the scan alike. Costs
     /// O(`docs` × (log collection + document size)): each listed document
     /// is looked up and its own tree filtered for the seed tag, in the
     /// order the tag index holds them, so no postings list of the whole
@@ -221,8 +143,7 @@ impl XPath {
         let stored: Vec<&StoredDocument> =
             docs.iter().filter_map(|&id| coll.get(id).ok()).collect();
         let mut set = Candidates::default();
-        for (path_ord, path) in self.paths.iter().enumerate() {
-            let before = set.visits.len();
+        for path in &self.paths {
             let seed_tag = index_seed_tag(path);
             for &doc in &stored {
                 let seeds = match seed_tag {
@@ -239,14 +160,8 @@ impl XPath {
                     }
                     None => None,
                 };
-                set.visits.push(Candidate {
-                    path,
-                    path_ord,
-                    doc,
-                    seeds,
-                });
+                set.visits.push(Candidate { path, doc, seeds });
             }
-            set.path_counts.push(set.visits.len() - before);
         }
         set
     }
@@ -292,78 +207,30 @@ impl<'a> DocCursor<'a> {
     }
 }
 
-/// Epilogue of [`Candidates::eval`] on either runner (inline or
-/// partitioned): sort and deduplicate matches, derive the
-/// [`ScanStatus`], and emit the `xmldb.xpath.*` span records and metrics.
-fn finish_eval(
-    span: toss_obs::SpanGuard,
-    mut out: Vec<NodeRef>,
-    docs_scanned: usize,
-    docs_total: usize,
-    stopped: Option<ScanControl>,
-) -> (Vec<NodeRef>, ScanStatus) {
-    let status = match stopped {
-        None => ScanStatus::Complete { docs_scanned },
-        Some(ScanControl::Truncate) => {
-            toss_obs::metrics::counter("xmldb.xpath.scans_truncated").inc();
-            ScanStatus::Truncated {
-                docs_scanned,
-                docs_total: docs_total.max(docs_scanned),
-            }
-        }
-        Some(_) => {
-            toss_obs::metrics::counter("xmldb.xpath.scans_aborted").inc();
-            ScanStatus::Aborted { docs_scanned }
-        }
-    };
-    out.sort();
-    out.dedup();
-    if span.is_recording() {
-        let docs_matched = {
-            let mut docs: Vec<DocumentId> = out.iter().map(|r| r.doc).collect();
-            docs.dedup(); // `out` is sorted by (doc, node)
-            docs.len()
-        };
-        span.record("docs_scanned", docs_scanned);
-        span.record("docs_matched", docs_matched);
-        span.record("nodes_matched", out.len());
-    }
-    toss_obs::metrics::counter("xmldb.xpath.evals").inc();
-    toss_obs::metrics::counter("xmldb.xpath.docs_scanned").add(docs_scanned as u64);
-    toss_obs::metrics::counter("xmldb.xpath.nodes_matched").add(out.len() as u64);
-    toss_obs::metrics::histogram("xmldb.xpath.eval_ns").observe_duration(span.finish());
-    (out, status)
-}
-
-/// One budget-charged unit of work: evaluate one union branch against
-/// one document. The candidate list is materialized up front in
-/// admission order (path-major, documents in document order), so
-/// chunking it contiguously preserves that order.
+/// One unit of work: evaluate one union branch against one document.
+/// The candidate list is materialized up front in visit order
+/// (path-major, documents in document order), so chunking it
+/// contiguously preserves that order.
 struct Candidate<'a> {
     path: &'a Path,
-    /// Index of `path` within the union, for `docs_total` bookkeeping.
-    path_ord: usize,
     doc: &'a StoredDocument,
     /// `Some` when the tag index seeded this visit (first step
     /// `//name`): the document's nodes with that tag, in preorder.
     seeds: Option<Vec<NodeId>>,
 }
 
-/// The enumerated visits of one collection evaluation, in sequential
-/// visit order — built by [`XPath::scan_candidates`] or
-/// [`XPath::probe_candidates`], counted by the planner
-/// ([`planned_partitions`] partitions exactly [`Candidates::len`]) and
-/// then evaluated by [`Candidates::eval`], so a request enumerates once.
+/// The enumerated visits of one collection evaluation, in visit order —
+/// built by [`XPath::scan_candidates`] or [`XPath::probe_candidates`],
+/// counted by the planner and the caller's admission
+/// ([`Candidates::len`]) and then evaluated by [`Candidates::eval`], so
+/// a request enumerates once.
 #[derive(Default)]
 pub struct Candidates<'a> {
     visits: Vec<Candidate<'a>>,
-    /// Visits per union branch, for sequential-compatible `docs_total`
-    /// reporting on truncation.
-    path_counts: Vec<usize>,
 }
 
 impl Candidates<'_> {
-    /// Number of budget-charged visits a full evaluation makes.
+    /// Number of visits a full evaluation makes.
     pub fn len(&self) -> usize {
         self.visits.len()
     }
@@ -373,45 +240,75 @@ impl Candidates<'_> {
         self.visits.is_empty()
     }
 
-    /// Evaluate the visits under a cooperative [`ScanBudget`], asked
-    /// before each visit, so a deadline, cancellation or document-scan
-    /// cap stops the evaluation promptly. Returns the matches plus a
-    /// [`ScanStatus`]: complete, truncated (the matches are a prefix of
-    /// the full answer) or aborted (the caller discards them and fails).
+    /// Evaluate the first `limit` visits (all of them when `limit` is at
+    /// least [`Candidates::len`]) and return their matches in document
+    /// order, or `None` when `interrupted` reported a stop.
     ///
-    /// A one-worker pool runs the visits inline, admit-then-evaluate. A
-    /// larger pool splits them into contiguous chunks evaluated
-    /// *speculatively* on its workers and committed through an in-order
-    /// frontier that charges [`ScanBudget::before_document`] exactly as
-    /// the inline run does, so matches, order, status and charges are
-    /// identical at every worker count for any deterministic budget. A
-    /// budget trip raises a shared stop flag far-ahead workers poll
-    /// between documents, and [`ScanBudget::preflight`] lets them skip
-    /// chunks that lie entirely past a tripped limit without charging.
+    /// The visits are split into the contiguous chunks
+    /// [`planned_partitions`] reports and run through
+    /// [`WorkerPool::run`], which runs them inline on a one-worker pool
+    /// and returns the chunks' matches in chunk order, so the result is
+    /// the same at every worker count. Each task polls `interrupted`
+    /// before each visit. The first poll that reports a stop raises a
+    /// flag every task reads before it polls, so after the stop each
+    /// worker thread polls at most once more.
     pub fn eval(
         &self,
-        budget: &(dyn ScanBudget + Sync),
+        limit: usize,
+        interrupted: &(dyn Fn() -> bool + Sync),
         pool: &WorkerPool,
-    ) -> (Vec<NodeRef>, ScanStatus) {
+    ) -> Option<Vec<NodeRef>> {
         let span = toss_obs::span("xmldb.xpath.eval");
-        let (out, scanned, stopped, stop_ord) = if pool.is_sequential() {
-            run_candidates_sequential(&self.visits, budget)
-        } else {
-            run_candidates_parallel(&self.visits, budget, pool)
-        };
-        // A branch's visits count into the total once the branch starts,
-        // so a stop inside branch `p` reports the visits of `0..=p`.
-        let total = match stop_ord {
-            None => self.visits.len(),
-            Some(p) => self.path_counts[..=p].iter().sum(),
-        };
-        finish_eval(span, out, scanned, total, stopped)
+        let visits = &self.visits[..limit.min(self.visits.len())];
+        let partitions = planned_partitions(visits.len(), pool.workers());
+        let stopped = AtomicBool::new(false);
+        let tasks: Vec<_> = partition_ranges(visits.len(), partitions, 1)
+            .into_iter()
+            .map(|(start, end)| {
+                let stopped = &stopped;
+                move || {
+                    let mut out = Vec::new();
+                    for cand in &visits[start..end] {
+                        if stopped.load(Ordering::Relaxed) || interrupted() {
+                            stopped.store(true, Ordering::Relaxed);
+                            return None;
+                        }
+                        out.extend(eval_candidate(cand));
+                    }
+                    Some(out)
+                }
+            })
+            .collect();
+        if partitions > 1 {
+            toss_obs::metrics::counter("toss.pool.runs").inc();
+            toss_obs::metrics::counter("toss.pool.partitions").add(partitions as u64);
+        }
+        let mut out = Vec::new();
+        for chunk in pool.run(tasks) {
+            out.extend(chunk?);
+        }
+        out.sort();
+        out.dedup();
+        if span.is_recording() {
+            let docs_matched = {
+                let mut docs: Vec<DocumentId> = out.iter().map(|r| r.doc).collect();
+                docs.dedup(); // `out` is sorted by (doc, node)
+                docs.len()
+            };
+            span.record("docs_scanned", visits.len());
+            span.record("docs_matched", docs_matched);
+            span.record("nodes_matched", out.len());
+        }
+        toss_obs::metrics::counter("xmldb.xpath.evals").inc();
+        toss_obs::metrics::counter("xmldb.xpath.docs_scanned").add(visits.len() as u64);
+        toss_obs::metrics::counter("xmldb.xpath.nodes_matched").add(out.len() as u64);
+        toss_obs::metrics::histogram("xmldb.xpath.eval_ns").observe_duration(span.finish());
+        Some(out)
     }
 }
 
 /// Evaluate one candidate — pure over the borrowed document so it can
-/// run on any worker (or run twice, if a speculative result was
-/// discarded).
+/// run on any worker.
 fn eval_candidate(cand: &Candidate<'_>) -> Vec<NodeRef> {
     let doc = cand.doc.id;
     let tree = &cand.doc.tree;
@@ -432,27 +329,6 @@ fn eval_seeded(path: &Path, tree: &Tree, seeds: Vec<NodeId>) -> Vec<NodeId> {
     current
 }
 
-/// Drive the candidate list inline: admit-then-evaluate, one document
-/// at a time. The one-worker runner, and the partitioned runner's
-/// fallback when the list is too short to split.
-fn run_candidates_sequential(
-    candidates: &[Candidate<'_>],
-    budget: &dyn ScanBudget,
-) -> (Vec<NodeRef>, usize, Option<ScanControl>, Option<usize>) {
-    let mut out = Vec::new();
-    let mut scanned = 0usize;
-    for cand in candidates {
-        match budget.before_document(scanned) {
-            ScanControl::Continue => {
-                scanned += 1;
-                out.extend(eval_candidate(cand));
-            }
-            control => return (out, scanned, Some(control), Some(cand.path_ord)),
-        }
-    }
-    (out, scanned, None, None)
-}
-
 /// Aim for this many chunks per worker, so a fast worker steals the
 /// slack of a slow one instead of idling at a barrier.
 const CHUNKS_PER_WORKER: usize = 4;
@@ -460,10 +336,10 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// cost would dominate.
 const MIN_CHUNK_DOCS: usize = 8;
 
-/// How many contiguous partitions a parallel evaluation over
-/// `candidates` candidate visits would use on a pool of `workers`
-/// workers. Exposed so the planner / EXPLAIN can report the partition
-/// count without running the scan.
+/// How many contiguous chunks [`Candidates::eval`] splits `candidates`
+/// visits into on a pool of `workers` workers — the one chunking rule,
+/// exposed so the planner / EXPLAIN can report the partition count
+/// without running the scan.
 pub fn planned_partitions(candidates: usize, workers: usize) -> usize {
     if workers <= 1 || candidates == 0 {
         return 1;
@@ -471,139 +347,6 @@ pub fn planned_partitions(candidates: usize, workers: usize) -> usize {
     partition_ranges(candidates, workers * CHUNKS_PER_WORKER, MIN_CHUNK_DOCS)
         .len()
         .max(1)
-}
-
-/// The in-order commit frontier shared by all workers of one parallel
-/// evaluation.
-struct Frontier {
-    /// Next chunk index allowed to commit.
-    next: usize,
-    /// Documents admitted by the budget so far (the sequential
-    /// `docs_scanned`).
-    scanned: usize,
-    stopped: Option<ScanControl>,
-    /// `path_ord` of the candidate on which the budget tripped.
-    stop_ord: Option<usize>,
-    /// Finished chunks waiting for their turn: chunk index →
-    /// per-candidate speculative results (`None` = skipped, re-evaluate
-    /// on commit if the budget admits the document after all).
-    pending: BTreeMap<usize, Vec<Option<Vec<NodeRef>>>>,
-    /// Committed matches, in candidate order.
-    out: Vec<NodeRef>,
-    /// Speculative evaluations whose result was committed (the rest is
-    /// waste, reported via `toss.pool.speculative_waste`).
-    used: usize,
-}
-
-/// Evaluate candidate chunks on the pool, committing results through an
-/// in-order frontier that consults the budget exactly like the
-/// sequential scan. Returns `(matches, scanned, stopped, stop_ord)`.
-fn run_candidates_parallel(
-    candidates: &[Candidate<'_>],
-    budget: &(dyn ScanBudget + Sync),
-    pool: &WorkerPool,
-) -> (Vec<NodeRef>, usize, Option<ScanControl>, Option<usize>) {
-    let n = candidates.len();
-    let ranges = partition_ranges(n, pool.workers() * CHUNKS_PER_WORKER, MIN_CHUNK_DOCS);
-    if ranges.len() <= 1 {
-        return run_candidates_sequential(candidates, budget);
-    }
-    let stop = AtomicBool::new(false);
-    let frontier = Mutex::new(Frontier {
-        next: 0,
-        scanned: 0,
-        stopped: None,
-        stop_ord: None,
-        pending: BTreeMap::new(),
-        out: Vec::new(),
-        used: 0,
-    });
-    let evaluated_total = std::sync::atomic::AtomicUsize::new(0);
-
-    let tasks: Vec<_> = ranges
-        .iter()
-        .enumerate()
-        .map(|(chunk, &(start, end))| {
-            let (stop, frontier, ranges, evaluated_total) =
-                (&stop, &frontier, &ranges, &evaluated_total);
-            move || {
-                let pspan = toss_obs::span("xmldb.xpath.partition");
-                let mut results: Vec<Option<Vec<NodeRef>>> = Vec::with_capacity(end - start);
-                let mut evaluated = 0usize;
-                // `scanned` before this chunk can only be `start` (every
-                // earlier candidate admitted) or smaller with the budget
-                // already tripped — so for a monotone budget a failing
-                // preflight at `start` proves nothing here will commit.
-                let speculate = !stop.load(Ordering::Acquire)
-                    && budget.preflight(start) == ScanControl::Continue;
-                for candidate in &candidates[start..end] {
-                    if speculate && !stop.load(Ordering::Acquire) {
-                        results.push(Some(eval_candidate(candidate)));
-                        evaluated += 1;
-                    } else {
-                        results.push(None);
-                    }
-                }
-                evaluated_total.fetch_add(evaluated, Ordering::Relaxed);
-                if pspan.is_recording() {
-                    pspan.record("chunk", chunk);
-                    pspan.record("candidates", end - start);
-                    pspan.record("evaluated", evaluated);
-                }
-                drop(pspan);
-
-                // Commit every chunk that has reached the frontier, in
-                // chunk order; admission happens here, single-file.
-                let mut fr = frontier.lock().unwrap_or_else(|e| e.into_inner());
-                fr.pending.insert(chunk, results);
-                loop {
-                    let turn = fr.next;
-                    let Some(chunk_results) = fr.pending.remove(&turn) else {
-                        break;
-                    };
-                    let (c_start, c_end) = ranges[turn];
-                    fr.next = turn + 1;
-                    if fr.stopped.is_some() {
-                        continue; // drain without committing
-                    }
-                    for (idx, spec) in (c_start..c_end).zip(chunk_results) {
-                        match budget.before_document(fr.scanned) {
-                            ScanControl::Continue => {
-                                fr.scanned += 1;
-                                match spec {
-                                    Some(matches) => {
-                                        fr.used += 1;
-                                        fr.out.extend(matches);
-                                    }
-                                    // Skipped speculatively but admitted
-                                    // after all (non-monotone budget):
-                                    // evaluate now, on the commit path.
-                                    None => {
-                                        fr.out.extend(eval_candidate(&candidates[idx]));
-                                    }
-                                }
-                            }
-                            control => {
-                                fr.stopped = Some(control);
-                                fr.stop_ord = Some(candidates[idx].path_ord);
-                                stop.store(true, Ordering::Release);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        })
-        .collect();
-    pool.run(tasks);
-
-    let fr = frontier.into_inner().unwrap_or_else(|e| e.into_inner());
-    let evaluated = evaluated_total.load(Ordering::Relaxed);
-    toss_obs::metrics::counter("toss.pool.runs").inc();
-    toss_obs::metrics::counter("toss.pool.partitions").add(ranges.len() as u64);
-    toss_obs::metrics::counter("toss.pool.speculative_waste")
-        .add(evaluated.saturating_sub(fr.used) as u64);
-    (fr.out, fr.scanned, fr.stopped, fr.stop_ord)
 }
 
 fn eval_path_tree(path: &Path, tree: &Tree) -> Vec<NodeId> {
@@ -747,21 +490,21 @@ fn eval_rel_path(tree: &Tree, node: NodeId, p: &RelPath) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::parser::parse_document;
+    use std::sync::atomic::AtomicUsize;
 
     /// The streaming scan [`Candidates::eval`] replaced, kept as the
     /// independent sequential reference: walk each union branch's
     /// documents (grouped postings of the seed tag, or every document)
-    /// that `keep` admits, charging and evaluating one at a time, with
-    /// no enumeration up front.
+    /// that `keep` admits, evaluating one at a time until `limit` visits
+    /// are done, with no enumeration up front.
     fn streaming_scan(
         xpath: &XPath,
         coll: &Collection,
         keep: impl Fn(DocumentId) -> bool,
-        budget: &dyn ScanBudget,
-    ) -> (Vec<NodeRef>, ScanStatus) {
+        limit: usize,
+    ) -> Vec<NodeRef> {
         let mut out = Vec::new();
-        let (mut scanned, mut total) = (0usize, 0usize);
-        let mut status = None;
+        let mut scanned = 0usize;
         'paths: for path in &xpath.paths {
             let seed_tag = index_seed_tag(path);
             let visits: Vec<(&StoredDocument, Option<Vec<NodeId>>)> = match seed_tag {
@@ -788,24 +531,11 @@ mod tests {
                     .map(|d| (d, None))
                     .collect(),
             };
-            total += visits.len();
             for (stored, seeds) in visits {
-                match budget.before_document(scanned) {
-                    ScanControl::Continue => scanned += 1,
-                    ScanControl::Truncate => {
-                        status = Some(ScanStatus::Truncated {
-                            docs_scanned: scanned,
-                            docs_total: total,
-                        });
-                        break 'paths;
-                    }
-                    ScanControl::Abort => {
-                        status = Some(ScanStatus::Aborted {
-                            docs_scanned: scanned,
-                        });
-                        break 'paths;
-                    }
+                if scanned == limit {
+                    break 'paths;
                 }
+                scanned += 1;
                 let nodes = match seeds {
                     Some(seeds) => eval_seeded(path, &stored.tree, seeds),
                     None => eval_path_tree(path, &stored.tree),
@@ -816,31 +546,20 @@ mod tests {
         }
         out.sort();
         out.dedup();
-        let status = status.unwrap_or(ScanStatus::Complete {
-            docs_scanned: scanned,
-        });
-        (out, status)
+        out
     }
 
     /// [`streaming_scan`] over the whole collection.
-    fn reference(
-        xpath: &XPath,
-        coll: &Collection,
-        budget: &dyn ScanBudget,
-    ) -> (Vec<NodeRef>, ScanStatus) {
-        streaming_scan(xpath, coll, |_| true, budget)
+    fn reference(xpath: &XPath, coll: &Collection, limit: usize) -> Vec<NodeRef> {
+        streaming_scan(xpath, coll, |_| true, limit)
     }
 
     /// The product path over the whole collection on `threads` workers.
-    fn scan(
-        xpath: &XPath,
-        coll: &Collection,
-        budget: &(dyn ScanBudget + Sync),
-        threads: usize,
-    ) -> (Vec<NodeRef>, ScanStatus) {
+    fn scan(xpath: &XPath, coll: &Collection, limit: usize, threads: usize) -> Vec<NodeRef> {
         xpath
             .scan_candidates(coll)
-            .eval(budget, &WorkerPool::new(threads))
+            .eval(limit, &|| false, &WorkerPool::new(threads))
+            .expect("never interrupted")
     }
 
     fn tree() -> Tree {
@@ -912,24 +631,6 @@ mod tests {
         assert_eq!(q(&t, "//a").len(), 0);
     }
 
-    struct CapBudget {
-        cap: usize,
-        control: ScanControl,
-    }
-
-    impl ScanBudget for CapBudget {
-        fn before_document(&self, docs_scanned: usize) -> ScanControl {
-            if docs_scanned < self.cap {
-                ScanControl::Continue
-            } else {
-                self.control
-            }
-        }
-        fn preflight(&self, docs_scanned: usize) -> ScanControl {
-            self.before_document(docs_scanned)
-        }
-    }
-
     fn budget_collection(n: usize) -> crate::collection::Collection {
         let mut c = crate::collection::Collection::new("x", None);
         for i in 0..n {
@@ -939,103 +640,67 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_scan_truncates_with_prefix() {
+    fn limited_scan_returns_a_prefix() {
         let c = budget_collection(10);
         let xp = XPath::parse("//b").unwrap();
-        let (full, status) = scan(
-            &xp,
-            &c,
-            &CapBudget {
-                cap: 100,
-                control: ScanControl::Truncate,
-            },
-            1,
-        );
-        assert_eq!(status, ScanStatus::Complete { docs_scanned: 10 });
+        let full = scan(&xp, &c, usize::MAX, 1);
         assert_eq!(full.len(), 10);
-
-        let (partial, status) = scan(
-            &xp,
-            &c,
-            &CapBudget {
-                cap: 4,
-                control: ScanControl::Truncate,
-            },
-            1,
-        );
-        assert_eq!(
-            status,
-            ScanStatus::Truncated {
-                docs_scanned: 4,
-                docs_total: 10
-            }
-        );
-        assert_eq!(partial, full[..4].to_vec());
-    }
-
-    #[test]
-    fn budgeted_scan_aborts() {
-        let c = budget_collection(5);
-        let xp = XPath::parse("//b").unwrap();
-        let (_, status) = scan(
-            &xp,
-            &c,
-            &CapBudget {
-                cap: 2,
-                control: ScanControl::Abort,
-            },
-            1,
-        );
-        assert_eq!(status, ScanStatus::Aborted { docs_scanned: 2 });
-        // zero-budget: aborted before any document
-        let (hits, status) = scan(
-            &xp,
-            &c,
-            &CapBudget {
-                cap: 0,
-                control: ScanControl::Abort,
-            },
-            1,
-        );
-        assert!(hits.is_empty());
-        assert_eq!(status, ScanStatus::Aborted { docs_scanned: 0 });
-    }
-
-    #[test]
-    fn budgeted_scan_covers_general_path_too() {
-        let c = budget_collection(6);
-        // wildcard first step forces the general (non-indexed) path
+        assert_eq!(scan(&xp, &c, 4, 1), full[..4].to_vec());
+        assert!(scan(&xp, &c, 0, 1).is_empty());
+        // a wildcard first step takes the general (non-indexed) path: one
+        // visit per document, each matching `r` and `b`
         let xp = XPath::parse("//*").unwrap();
-        let (_, status) = scan(
-            &xp,
-            &c,
-            &CapBudget {
-                cap: 3,
-                control: ScanControl::Truncate,
-            },
-            1,
-        );
-        assert_eq!(
-            status,
-            ScanStatus::Truncated {
-                docs_scanned: 3,
-                docs_total: 6
-            }
-        );
+        let full = scan(&xp, &c, usize::MAX, 1);
+        assert_eq!(full.len(), 20);
+        assert_eq!(scan(&xp, &c, 3, 1), full[..6].to_vec());
     }
 
-    /// A budget that only stops on `before_document` — its `preflight`
-    /// always continues (the trait default), so speculative skipping
-    /// gets no help and the commit path must stay correct on its own.
-    struct BlindCapBudget(usize);
+    /// An interrupt poll that reports a stop from its `k+1`-th call on,
+    /// counting every call.
+    struct FlipAfter {
+        k: usize,
+        polls: AtomicUsize,
+    }
 
-    impl ScanBudget for BlindCapBudget {
-        fn before_document(&self, docs_scanned: usize) -> ScanControl {
-            if docs_scanned < self.0 {
-                ScanControl::Continue
-            } else {
-                ScanControl::Truncate
+    impl FlipAfter {
+        fn new(k: usize) -> Self {
+            FlipAfter {
+                k,
+                polls: AtomicUsize::new(0),
             }
+        }
+
+        fn poll(&self) -> bool {
+            self.polls.fetch_add(1, Ordering::SeqCst) >= self.k
+        }
+    }
+
+    #[test]
+    fn interrupted_scan_returns_none_and_stops_polling() {
+        let c = mixed_collection(64);
+        let xp = XPath::parse("//b | //a").unwrap();
+        let visits = xp.scan_candidates(&c);
+        let n = visits.len();
+        for threads in [1usize, 2, 7] {
+            let pool = WorkerPool::new(threads);
+            for k in 0..n {
+                let flip = FlipAfter::new(k);
+                assert_eq!(
+                    visits.eval(usize::MAX, &|| flip.poll(), &pool),
+                    None,
+                    "k {k} @ {threads}"
+                );
+                let polls = flip.polls.load(Ordering::SeqCst);
+                assert!(polls <= k + threads, "k {k} @ {threads}: {polls} polls");
+            }
+            // one poll per visit: a flag that would flip after the last
+            // visit is never seen
+            let flip = FlipAfter::new(n);
+            assert_eq!(
+                visits.eval(usize::MAX, &|| flip.poll(), &pool),
+                Some(reference(&xp, &c, usize::MAX))
+            );
+            assert_eq!(flip.polls.load(Ordering::SeqCst), n);
         }
     }
 
@@ -1063,67 +728,19 @@ mod tests {
         let c = mixed_collection(57);
         for query in ["//b", "//b[text()='dup'] | //a", "//*[b]", "/r//b | //q"] {
             let xp = XPath::parse(query).unwrap();
-            let (seq, seq_status) = reference(&xp, &c, &NoBudget);
-            for threads in [1usize, 2, 7] {
-                let (par, par_status) = scan(&xp, &c, &NoBudget, threads);
-                assert_eq!(par, seq, "{query} @ {threads} threads");
-                assert_eq!(par_status, seq_status, "{query} @ {threads} threads");
+            let n = xp.scan_candidates(&c).len();
+            for limit in 0..=n + 1 {
+                let expected = reference(&xp, &c, limit);
+                for threads in [1usize, 2, 7] {
+                    let got = scan(&xp, &c, limit, threads);
+                    assert_eq!(got, expected, "{query} limit {limit} @ {threads} threads");
+                }
             }
         }
     }
 
     #[test]
-    fn parallel_eval_matches_sequential_under_truncation() {
-        let c = mixed_collection(64);
-        let xp = XPath::parse("//b | //a").unwrap();
-        for cap in [0usize, 1, 5, 30, 1000] {
-            let mk = || CapBudget {
-                cap,
-                control: ScanControl::Truncate,
-            };
-            let (seq, seq_status) = reference(&xp, &c, &mk());
-            for threads in [1usize, 2, 7] {
-                let (par, par_status) = scan(&xp, &c, &mk(), threads);
-                assert_eq!(par, seq, "cap {cap} @ {threads} threads");
-                assert_eq!(par_status, seq_status, "cap {cap} @ {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_eval_matches_sequential_under_abort() {
-        let c = mixed_collection(40);
-        let xp = XPath::parse("//b").unwrap();
-        for cap in [0usize, 3, 17] {
-            let mk = || CapBudget {
-                cap,
-                control: ScanControl::Abort,
-            };
-            let (_, seq_status) = reference(&xp, &c, &mk());
-            for threads in [1usize, 4] {
-                let (_, par_status) = scan(&xp, &c, &mk(), threads);
-                assert_eq!(par_status, seq_status, "cap {cap} @ {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_commit_is_exact_without_preflight_help() {
-        // A budget whose preflight never trips exercises the path where
-        // workers speculate past the stop point and the in-order commit
-        // alone must reproduce the sequential prefix.
-        let c = mixed_collection(64);
-        let xp = XPath::parse("//b | //a").unwrap();
-        for cap in [0usize, 7, 33] {
-            let (seq, seq_status) = reference(&xp, &c, &BlindCapBudget(cap));
-            let (par, par_status) = scan(&xp, &c, &BlindCapBudget(cap), 7);
-            assert_eq!(par, seq, "cap {cap}");
-            assert_eq!(par_status, seq_status, "cap {cap}");
-        }
-    }
-
-    #[test]
-    fn doc_filtered_eval_visits_and_charges_only_the_filter() {
+    fn doc_filtered_eval_visits_only_the_filter() {
         let c = budget_collection(10);
         let xp = XPath::parse("//b").unwrap();
         let docs: Vec<DocumentId> = c
@@ -1132,37 +749,26 @@ mod tests {
             .map(|d| d.id)
             .filter(|d| d.0 % 2 == 0)
             .collect();
+        let visits = xp.probe_candidates(&c, &docs);
+        // the filtered docs are visits like scan visits
+        assert_eq!(visits.len(), 5);
         for threads in [1usize, 4] {
             let pool = WorkerPool::new(threads);
-            let (hits, status) = xp.probe_candidates(&c, &docs).eval(&NoBudget, &pool);
+            let hits = visits.eval(usize::MAX, &|| false, &pool).unwrap();
             assert_eq!(hits.len(), 5, "@ {threads} threads");
             assert!(hits.iter().all(|r| r.doc.0 % 2 == 0));
-            // the filtered docs are charged like scan visits
-            assert_eq!(status, ScanStatus::Complete { docs_scanned: 5 });
         }
     }
 
     #[test]
-    fn doc_filtered_eval_respects_budget() {
+    fn doc_filtered_eval_respects_the_limit() {
         let c = budget_collection(10);
         let xp = XPath::parse("//b").unwrap();
         let docs: Vec<DocumentId> = c.documents().iter().map(|d| d.id).collect();
         let pool = WorkerPool::new(1);
-        let (hits, status) = xp.probe_candidates(&c, &docs).eval(
-            &CapBudget {
-                cap: 3,
-                control: ScanControl::Truncate,
-            },
-            &pool,
-        );
+        let hits = xp.probe_candidates(&c, &docs).eval(3, &|| false, &pool).unwrap();
+        assert_eq!(hits, reference(&xp, &c, 3));
         assert_eq!(hits.len(), 3);
-        assert_eq!(
-            status,
-            ScanStatus::Truncated {
-                docs_scanned: 3,
-                docs_total: 10
-            }
-        );
     }
 
     /// The probe path as it was before it enumerated from the probe's
@@ -1176,21 +782,20 @@ mod tests {
     ) -> Candidates<'a> {
         let filter: std::collections::HashSet<DocumentId> = docs.iter().copied().collect();
         let mut set = Candidates::default();
-        for (path_ord, path) in xpath.paths.iter().enumerate() {
-            let before = set.visits.len();
+        for path in &xpath.paths {
+            let branch = set.visits.len();
             match index_seed_tag(path) {
                 Some(name) => {
                     for p in coll.index().by_tag(name) {
                         if !filter.contains(&p.doc) {
                             continue;
                         }
-                        match set.visits.last_mut() {
-                            Some(c) if c.path_ord == path_ord && c.doc.id == p.doc => {
+                        match set.visits[branch..].last_mut() {
+                            Some(c) if c.doc.id == p.doc => {
                                 c.seeds.as_mut().unwrap().push(p.node);
                             }
                             _ => set.visits.push(Candidate {
                                 path,
-                                path_ord,
                                 doc: coll.get(p.doc).unwrap(),
                                 seeds: Some(vec![p.node]),
                             }),
@@ -1201,27 +806,23 @@ mod tests {
                     for doc in coll.documents().iter().filter(|d| filter.contains(&d.id)) {
                         set.visits.push(Candidate {
                             path,
-                            path_ord,
                             doc,
                             seeds: None,
                         });
                     }
                 }
             }
-            set.path_counts.push(set.visits.len() - before);
         }
         set
     }
 
-    type Visit = (usize, DocumentId, Option<Vec<NodeId>>);
+    type Visit = (*const Path, DocumentId, Option<Vec<NodeId>>);
 
-    fn shape(set: &Candidates<'_>) -> (Vec<Visit>, Vec<usize>) {
-        let visits = set
-            .visits
+    fn shape(set: &Candidates<'_>) -> Vec<Visit> {
+        set.visits
             .iter()
-            .map(|c| (c.path_ord, c.doc.id, c.seeds.clone()))
-            .collect();
-        (visits, set.path_counts.clone())
+            .map(|c| (c.path as *const Path, c.doc.id, c.seeds.clone()))
+            .collect()
     }
 
     fn mixed_db(n: usize) -> crate::Database {
@@ -1300,21 +901,18 @@ mod tests {
                     let oracle = filtered_walk(&xp, coll, &docs);
                     let new = xp.probe_candidates(coll, &docs);
                     assert_eq!(shape(&new), shape(&oracle), "{at}");
-                    // truncation and abort at every cut, 1 and 4 workers,
-                    // against the streaming scan over the probe documents
-                    for control in [ScanControl::Truncate, ScanControl::Abort] {
-                        for cap in 0..=oracle.len() + 1 {
-                            let budget = CapBudget { cap, control };
-                            let expected =
-                                streaming_scan(&xp, coll, |d| in_docs.contains(&d), &budget);
-                            for threads in [1usize, 4] {
-                                let pool = WorkerPool::new(threads);
-                                assert_eq!(
-                                    new.eval(&budget, &pool),
-                                    expected,
-                                    "{at} cap {cap} {control:?} @ {threads}"
-                                );
-                            }
+                    // every cut, 1 and 4 workers, against the streaming
+                    // scan over the probe documents
+                    for limit in 0..=oracle.len() + 1 {
+                        let expected =
+                            streaming_scan(&xp, coll, |d| in_docs.contains(&d), limit);
+                        for threads in [1usize, 4] {
+                            let pool = WorkerPool::new(threads);
+                            assert_eq!(
+                                new.eval(limit, &|| false, &pool),
+                                Some(expected.clone()),
+                                "{at} limit {limit} @ {threads}"
+                            );
                         }
                     }
                 }
@@ -1330,15 +928,11 @@ mod tests {
             let coll = db.collection("x").unwrap();
             for query in ["//b | //a", "/r//b | //q", "//*[b]"] {
                 let xp = XPath::parse(query).unwrap();
-                for cap in [0usize, 1, 9, 33, 1000] {
-                    let budget = CapBudget {
-                        cap,
-                        control: ScanControl::Truncate,
-                    };
-                    let expected = reference(&xp, coll, &budget);
+                for limit in [0usize, 1, 9, 33, 1000] {
+                    let expected = reference(&xp, coll, limit);
                     for threads in [1usize, 4] {
-                        let got = scan(&xp, coll, &budget, threads);
-                        assert_eq!(got, expected, "{query} cap {cap} @ {threads}");
+                        let got = scan(&xp, coll, limit, threads);
+                        assert_eq!(got, expected, "{query} limit {limit} @ {threads}");
                     }
                 }
             }
@@ -1350,7 +944,7 @@ mod tests {
         // `replace` re-adds a document's postings at the tail of the
         // pointer index's lists, the frozen index holds them in id order;
         // driving the probe from the doc list makes both visit in
-        // document order, so a truncating budget cuts the same prefix.
+        // document order, so a limit cuts the same prefix.
         let mut db = mixed_db(24);
         let middle = DocumentId(8);
         let tree = crate::parser::parse_document("<r><b>replaced</b><b>dup</b></r>").unwrap();
@@ -1371,19 +965,15 @@ mod tests {
         for query in ["//b", "//b[text()='dup'] | //a", "//*[b]"] {
             let xp = XPath::parse(query).unwrap();
             let visits = xp.scan_candidates(&only).len();
-            for cap in 0..=visits + 1 {
-                let budget = CapBudget {
-                    cap,
-                    control: ScanControl::Truncate,
-                };
-                let expected = reference(&xp, &only, &budget);
+            for limit in 0..=visits + 1 {
+                let expected = reference(&xp, &only, limit);
                 for threads in [1usize, 4] {
                     let pool = WorkerPool::new(threads);
                     for coll in [pointer, frozen] {
                         assert_eq!(
-                            xp.probe_candidates(coll, &docs).eval(&budget, &pool),
-                            expected,
-                            "{query} cap {cap} @ {threads} frozen={}",
+                            xp.probe_candidates(coll, &docs).eval(limit, &|| false, &pool),
+                            Some(expected.clone()),
+                            "{query} limit {limit} @ {threads} frozen={}",
                             coll.is_frozen()
                         );
                     }

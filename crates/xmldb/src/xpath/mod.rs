@@ -36,9 +36,7 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
-pub use eval::{
-    planned_partitions, Candidates, NodeRef, ScanBudget, ScanControl, ScanStatus,
-};
+pub use eval::{planned_partitions, Candidates, NodeRef};
 
 use crate::error::DbResult;
 

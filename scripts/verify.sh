@@ -44,6 +44,12 @@ else
     echo "==> clippy not installed; skipping lint step"
 fi
 
+echo "==> cargo doc --workspace --no-deps (broken or private intra-doc links fail)"
+# a doc comment that links to a deleted or private name is an error, so
+# a change that removes an item must also fix the docs that named it
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps --offline
+
 echo "==> benchmark harness unit tests"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml -q
 

@@ -1,17 +1,26 @@
 //! Parallel-scan equivalence suite (see `docs/performance.md`):
 //! `Candidates::eval` on 2 and 7 workers must return *exactly* what it
-//! returns on one — same matches, same order, same `ScanStatus`, same
-//! budget charges — including mid-scan truncation, hard aborts,
-//! cancellation and the index-probe candidate path. The one-worker run
-//! is pinned to an independent streaming scan by the unit tests in
-//! `crates/xmldb/src/xpath/eval.rs`.
+//! returns on one — same matches, same order — for every visit limit,
+//! and must stop at an interrupt on every worker count; an executor
+//! select must admit, charge, degrade and fail identically at every
+//! worker count. The one-worker run is pinned to an independent
+//! streaming scan by the unit tests in `crates/xmldb/src/xpath/eval.rs`.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use toss::core::WorkerPool;
-use toss::xmldb::{
-    Collection, Database, DatabaseConfig, NodeRef, ScanBudget, ScanControl, ScanStatus, XPath,
+use std::sync::Arc;
+use toss::core::algebra::TossPattern;
+use toss::core::executor::Mode;
+use toss::core::{
+    DegradationInfo, Executor, Limit, QueryBudget, QueryGovernor, QueryPlan, TossCond,
+    TossError, TossQuery, TossTerm, WorkerPool,
 };
+use toss::ontology::hierarchy::from_pairs;
+use toss::ontology::sea::enhance;
+use toss::similarity::Levenshtein;
+use toss::tax::EdgeKind;
+use toss::tree::serialize::{forest_to_xml, Style};
+use toss::xmldb::{Collection, Database, DatabaseConfig, NodeRef, XPath};
 
 /// Worker counts exercised everywhere: sequential, the smallest real
 /// pool, and an odd count that never divides the partition count evenly.
@@ -51,85 +60,32 @@ const QUERIES: [&str; 6] = [
     "//inproceedings[not(booktitle='B1')]",
 ];
 
-/// Stateless soft cap driven by the evaluator's own `docs_scanned`.
-struct SoftCap(usize);
-impl ScanBudget for SoftCap {
-    fn before_document(&self, n: usize) -> ScanControl {
-        if n >= self.0 {
-            ScanControl::Truncate
-        } else {
-            ScanControl::Continue
-        }
-    }
-    fn preflight(&self, n: usize) -> ScanControl {
-        self.before_document(n)
-    }
+/// Evaluate the first `limit` visits of `xpath` over the whole
+/// collection on `threads` workers, never interrupted.
+fn scan(xpath: &XPath, coll: &Collection, limit: usize, threads: usize) -> Vec<NodeRef> {
+    xpath
+        .scan_candidates(coll)
+        .eval(limit, &|| false, &WorkerPool::new(threads))
+        .expect("never interrupted")
 }
 
-/// Stateless hard cap: aborts the scan at the limit.
-struct HardCap(usize);
-impl ScanBudget for HardCap {
-    fn before_document(&self, n: usize) -> ScanControl {
-        if n >= self.0 {
-            ScanControl::Abort
-        } else {
-            ScanControl::Continue
-        }
-    }
-    fn preflight(&self, n: usize) -> ScanControl {
-        self.before_document(n)
-    }
+/// An interrupt poll that reports a stop from its `k+1`-th call on.
+struct FlipAfter {
+    k: usize,
+    polls: AtomicUsize,
 }
 
-/// A charging budget in the style of the query governor's bridge: it
-/// keeps its own shared counter (ignoring the evaluator's argument) and
-/// only `before_document` charges it; `preflight` never does.
-struct Charging {
-    charged: AtomicUsize,
-    cap: usize,
-    hard: bool,
-}
-impl Charging {
-    fn new(cap: usize, hard: bool) -> Self {
-        Charging {
-            charged: AtomicUsize::new(0),
-            cap,
-            hard,
+impl FlipAfter {
+    fn new(k: usize) -> Self {
+        FlipAfter {
+            k,
+            polls: AtomicUsize::new(0),
         }
     }
-    fn stop(&self) -> ScanControl {
-        if self.hard {
-            ScanControl::Abort
-        } else {
-            ScanControl::Truncate
-        }
-    }
-}
-impl ScanBudget for Charging {
-    fn before_document(&self, _n: usize) -> ScanControl {
-        if self.charged.load(Ordering::SeqCst) >= self.cap {
-            return self.stop();
-        }
-        self.charged.fetch_add(1, Ordering::SeqCst);
-        ScanControl::Continue
-    }
-    fn preflight(&self, _n: usize) -> ScanControl {
-        if self.charged.load(Ordering::SeqCst) >= self.cap {
-            self.stop()
-        } else {
-            ScanControl::Continue
-        }
-    }
-}
 
-/// Evaluate `xpath` over the whole collection on `threads` workers.
-fn scan(
-    xpath: &XPath,
-    coll: &Collection,
-    budget: &(dyn ScanBudget + Sync),
-    threads: usize,
-) -> (Vec<NodeRef>, ScanStatus) {
-    xpath.scan_candidates(coll).eval(budget, &WorkerPool::new(threads))
+    fn poll(&self) -> bool {
+        self.polls.fetch_add(1, Ordering::SeqCst) >= self.k
+    }
 }
 
 #[test]
@@ -140,11 +96,10 @@ fn parallel_scan_equals_sequential_unbudgeted() {
         let xpath = XPath::parse(q).unwrap();
         let expected = xpath.eval_collection(coll);
         for threads in THREADS {
-            let (got, status) = scan(&xpath, coll, &SoftCap(usize::MAX), threads);
-            assert_eq!(got, expected, "query {q} threads {threads}");
-            assert!(
-                matches!(status, ScanStatus::Complete { .. }),
-                "query {q} threads {threads}: {status:?}"
+            assert_eq!(
+                scan(&xpath, coll, usize::MAX, threads),
+                expected,
+                "query {q} threads {threads}"
             );
         }
     }
@@ -156,54 +111,17 @@ fn soft_truncation_is_thread_count_invariant() {
     let coll = db.collection("c").unwrap();
     for q in QUERIES {
         let xpath = XPath::parse(q).unwrap();
-        for cap in [0, 1, 3, 26, 53, 1000] {
-            let baseline = scan(&xpath, coll, &SoftCap(cap), 1);
+        let n = xpath.scan_candidates(coll).len();
+        let full = scan(&xpath, coll, usize::MAX, 1);
+        for limit in 0..=n + 1 {
+            let baseline = scan(&xpath, coll, limit, 1);
+            assert!(
+                baseline.iter().all(|m| full.contains(m)),
+                "query {q} limit {limit}: a cut scan finds a subset"
+            );
             for threads in THREADS {
-                let got = scan(&xpath, coll, &SoftCap(cap), threads);
-                assert_eq!(got, baseline, "query {q} cap {cap} threads {threads}");
-            }
-        }
-    }
-}
-
-#[test]
-fn hard_abort_is_thread_count_invariant() {
-    let db = build_db(53);
-    let coll = db.collection("c").unwrap();
-    for q in QUERIES {
-        let xpath = XPath::parse(q).unwrap();
-        for cap in [0, 1, 7, 52] {
-            let baseline = scan(&xpath, coll, &HardCap(cap), 1);
-            for threads in THREADS {
-                let got = scan(&xpath, coll, &HardCap(cap), threads);
-                assert_eq!(got.1, baseline.1, "query {q} cap {cap} threads {threads}");
-                assert_eq!(got.0, baseline.0, "query {q} cap {cap} threads {threads}");
-            }
-        }
-    }
-}
-
-#[test]
-fn charging_budgets_are_charged_identically() {
-    let db = build_db(53);
-    let coll = db.collection("c").unwrap();
-    for q in QUERIES {
-        let xpath = XPath::parse(q).unwrap();
-        for (cap, hard) in [(0, false), (5, false), (26, false), (5, true), (1000, false)]
-        {
-            let seq_budget = Charging::new(cap, hard);
-            let baseline = scan(&xpath, coll, &seq_budget, 1);
-            let seq_charged = seq_budget.charged.load(Ordering::SeqCst);
-            for threads in THREADS {
-                let budget = Charging::new(cap, hard);
-                let got = scan(&xpath, coll, &budget, threads);
-                assert_eq!(got, baseline, "query {q} cap {cap} threads {threads}");
-                assert_eq!(
-                    budget.charged.load(Ordering::SeqCst),
-                    seq_charged,
-                    "budget charges must not depend on threads \
-                     (query {q} cap {cap} threads {threads})"
-                );
+                let got = scan(&xpath, coll, limit, threads);
+                assert_eq!(got, baseline, "query {q} limit {limit} threads {threads}");
             }
         }
     }
@@ -211,13 +129,17 @@ fn charging_budgets_are_charged_identically() {
 
 #[test]
 fn pre_cancelled_budget_aborts_before_any_visit() {
-    let db = build_db(20);
+    let db = build_db(53);
     let coll = db.collection("c").unwrap();
-    let xpath = XPath::parse("//author").unwrap();
+    let visits = XPath::parse("//author").unwrap();
+    let visits = visits.scan_candidates(coll);
     for threads in THREADS {
-        let (out, status) = scan(&xpath, coll, &HardCap(0), threads);
-        assert!(out.is_empty());
-        assert_eq!(status, ScanStatus::Aborted { docs_scanned: 0 });
+        // the first poll on every worker reports the stop, and a poll
+        // precedes every visit: nothing is evaluated
+        let stop = FlipAfter::new(0);
+        let out = visits.eval(usize::MAX, &|| stop.poll(), &WorkerPool::new(threads));
+        assert_eq!(out, None, "threads {threads}");
+        assert!(stop.polls.load(Ordering::SeqCst) <= threads);
     }
 }
 
@@ -235,47 +157,141 @@ fn index_probe_candidates_reproduce_the_scan_result() {
         docs.len() < coll.documents().len(),
         "probe must be selective for this fixture"
     );
+    let visits = xpath.probe_candidates(coll, &docs);
+    assert_eq!(
+        visits.len(),
+        docs.len(),
+        "every candidate is one visit, admitted like a scan visit"
+    );
     for threads in THREADS {
         let pool = WorkerPool::new(threads);
-        let budget = Charging::new(usize::MAX, false);
-        let (got, status) = xpath.probe_candidates(coll, &docs).eval(&budget, &pool);
-        assert_eq!(got, expected, "threads {threads}");
-        assert_eq!(status, ScanStatus::Complete { docs_scanned: docs.len() });
-        assert_eq!(
-            budget.charged.load(Ordering::SeqCst),
-            docs.len(),
-            "every candidate visit must be charged like a scan visit"
-        );
+        let got = visits.eval(usize::MAX, &|| false, &pool);
+        assert_eq!(got, Some(expected.clone()), "threads {threads}");
+    }
+}
+
+/// An executor over [`build_db`] on `threads` workers; `A1` and `A2`
+/// fuse in its SEO.
+fn executor(threads: usize) -> Executor {
+    let h = from_pairs(&[("A1", "author"), ("A2", "author")]).unwrap();
+    let seo = Arc::new(enhance(&h, &Levenshtein, 1.0).unwrap());
+    Executor::new(build_db(53), seo).with_threads(threads)
+}
+
+/// `inproceedings` with a `child` leaf, optionally similar to `value`.
+fn query(child: &str, similar: Option<&str>) -> TossQuery {
+    let mut conds = vec![
+        TossCond::eq(TossTerm::tag(1), TossTerm::str("inproceedings")),
+        TossCond::eq(TossTerm::tag(2), TossTerm::str(child)),
+    ];
+    if let Some(v) = similar {
+        conds.push(TossCond::similar(TossTerm::content(2), TossTerm::str(v)));
+    }
+    TossQuery {
+        collection: "c".into(),
+        pattern: TossPattern::spine(&[EdgeKind::ParentChild], TossCond::all(conds)).unwrap(),
+        expand_labels: vec![1],
+    }
+}
+
+/// The tag-only query (no probe key: a parallel scan of 43 visits) and
+/// the SEO-expanded author query (an index probe of 2 candidates).
+fn executor_queries() -> [(TossQuery, usize); 2] {
+    [(query("year", None), 43), (query("author", Some("A1")), 2)]
+}
+
+type Observed = (Result<(String, Option<DegradationInfo>), TossError>, u64);
+
+/// One governed select: its forest and degradation (or its error), and
+/// the documents the governor charged.
+fn observe(ex: &Executor, q: &TossQuery, budget: &QueryBudget) -> Observed {
+    let gov = QueryGovernor::new(budget.clone());
+    let out = ex
+        .select_governed(q, Mode::Toss, &gov)
+        .map(|o| (forest_to_xml(&o.forest, Style::Compact), o.degradation));
+    (out, gov.docs_scanned())
+}
+
+#[test]
+fn charging_budgets_are_charged_identically() {
+    for (q, demand) in executor_queries() {
+        let plan = executor(2).select(&q, Mode::Toss).unwrap().plan;
+        match demand {
+            2 => assert!(matches!(plan, Some(QueryPlan::IndexProbe { .. })), "{plan:?}"),
+            _ => assert!(matches!(plan, Some(QueryPlan::ParallelScan { .. })), "{plan:?}"),
+        }
+        for cap in [0u64, 1, 5, 26, 1000] {
+            let budget = QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(cap));
+            let baseline = observe(&executor(1), &q, &budget);
+            let (out, charged) = &baseline;
+            assert_eq!(*charged, cap.min(demand as u64), "cap {cap}: one bulk admission");
+            let (_, degradation) = out.as_ref().expect("a soft cap degrades");
+            assert_eq!(degradation.is_some(), (cap as usize) < demand, "cap {cap}");
+            for threads in THREADS {
+                let got = observe(&executor(threads), &q, &budget);
+                assert_eq!(got, baseline, "cap {cap} threads {threads}");
+            }
+        }
+    }
+}
+
+#[test]
+fn hard_abort_is_thread_count_invariant() {
+    for (q, demand) in executor_queries() {
+        for cap in [0u64, 1, 7, 52] {
+            let budget = QueryBudget::unlimited().with_max_docs_scanned(Limit::hard(cap));
+            let baseline = observe(&executor(1), &q, &budget);
+            if (cap as usize) < demand {
+                // fails before any document is evaluated: nothing charged,
+                // the full demand reported
+                match &baseline {
+                    (Err(TossError::BudgetExceeded(b)), 0) => {
+                        assert_eq!((b.limit, b.observed), (cap, demand as u64), "cap {cap}")
+                    }
+                    other => panic!("cap {cap}: expected a docs-scanned breach, got {other:?}"),
+                }
+            } else {
+                assert!(baseline.0.is_ok(), "cap {cap} covers the demand");
+            }
+            for threads in THREADS {
+                let got = observe(&executor(threads), &q, &budget);
+                assert_eq!(got, baseline, "cap {cap} threads {threads}");
+            }
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random corpus, random budget, random query, every thread count:
-    /// the partitioned run is indistinguishable from the one-worker run
-    /// (result, order, status and charges).
+    /// Random corpus, random cut, random query, every thread count: the
+    /// partitioned run is indistinguishable from the one-worker run —
+    /// for a visit limit, and for an interrupt after that many polls
+    /// (which stops the scan exactly when it comes before the last visit).
     #[test]
     fn random_budgeted_scans_are_equivalent(
         docs in 0usize..40,
-        cap in 0usize..45,
-        hard_bit in 0usize..2,
+        cut in 0usize..45,
+        interrupt_bit in 0usize..2,
         query_idx in 0usize..QUERIES.len(),
     ) {
-        let hard = hard_bit == 1;
         let db = build_db(docs);
         let coll = db.collection("c").unwrap();
         let xpath = XPath::parse(QUERIES[query_idx]).unwrap();
-        let seq_budget = Charging::new(cap, hard);
-        let baseline = scan(&xpath, coll, &seq_budget, 1);
+        let visits = xpath.scan_candidates(coll);
+        let baseline = scan(&xpath, coll, cut, 1);
         for threads in THREADS {
-            let budget = Charging::new(cap, hard);
-            let got = scan(&xpath, coll, &budget, threads);
-            prop_assert_eq!(&got, &baseline, "threads {}", threads);
-            prop_assert_eq!(
-                budget.charged.load(Ordering::SeqCst),
-                seq_budget.charged.load(Ordering::SeqCst)
-            );
+            let pool = WorkerPool::new(threads);
+            if interrupt_bit == 1 {
+                let flip = FlipAfter::new(cut);
+                let got = visits.eval(usize::MAX, &|| flip.poll(), &pool);
+                let expected = (cut >= visits.len()).then(|| baseline.clone());
+                prop_assert_eq!(got, expected, "threads {}", threads);
+                prop_assert!(flip.polls.load(Ordering::SeqCst) <= cut + threads);
+            } else {
+                let got = visits.eval(cut, &|| false, &pool);
+                prop_assert_eq!(got, Some(baseline.clone()), "threads {}", threads);
+            }
         }
     }
 }
@@ -309,10 +325,10 @@ fn probe_cost_follows_the_candidates_not_the_collection() {
         let pool = WorkerPool::new(1);
         let probe = || {
             let docs = coll.index().docs_with_tag_content_any("author", &["Hot"]);
-            let (hits, status) =
-                xpath.probe_candidates(coll, &docs).eval(&SoftCap(usize::MAX), &pool);
+            let visits = xpath.probe_candidates(coll, &docs);
+            assert_eq!(visits.len(), 8);
+            let hits = visits.eval(usize::MAX, &|| false, &pool).unwrap();
             assert_eq!(hits.len(), 8);
-            assert_eq!(status, ScanStatus::Complete { docs_scanned: 8 });
         };
         (0..5)
             .map(|_| {
