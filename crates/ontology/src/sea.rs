@@ -13,7 +13,11 @@
 //!    exactly the node sets satisfying conditions 2 (pairwise similar),
 //!    3 (every similar pair co-resident somewhere) and 4 (no subsumed
 //!    node) — each clique becomes one `H'` node whose term set is the
-//!    union of its members' terms.
+//!    union of its members' terms. The graph is a similarity self-join
+//!    of `H`'s terms, filter and verify: a [`TermIndex`] compiled from the
+//!    metric's [`BlockPlan`] at ε proposes the node pairs, and the exact
+//!    `node_within` keeps those within ε. A metric with no plan is
+//!    verified on all `n(n−1)/2` pairs.
 //! 2. `μ(A)` = the cliques containing `A`.
 //! 3. Required paths (condition 1, forward): for every `H`-path `A → B`
 //!    and every `A₀ ∈ μ(A)`, `B₀ ∈ μ(B)` with `A₀ ≠ B₀`, `H'` must have a
@@ -29,20 +33,18 @@ use crate::error::{OntologyError, OntologyResult};
 use crate::graph::{DiGraph, UnGraph};
 use crate::hierarchy::{HNodeId, Hierarchy};
 use crate::seo::Seo;
-use std::collections::HashMap;
 use toss_similarity::node::node_within;
-use toss_similarity::StringMetric;
+use toss_similarity::{BlockPlan, StringMetric, TermIndex};
 
 /// Run the SEA algorithm: enhance `h` with similarity under `metric` and
 /// threshold `epsilon`.
 ///
-/// When the metric declares blocking bounds ([`StringMetric::length_lower_bound`]
-/// / [`StringMetric::bigram_edits_bound`]), the ε-similarity graph is built
-/// from a candidate set pruned by a length window and an inverted bigram
-/// index, so only plausible pairs reach the exact `node_within` check.
-/// Metrics without bounds (rule-based, min-combinators) transparently use
-/// the exhaustive all-pairs loop. Output is identical either way — see
-/// [`enhance_exhaustive`] and the equivalence proptests.
+/// When the metric declares a blocking plan at ε
+/// ([`StringMetric::blocking`]), only the node pairs a [`TermIndex`] over
+/// `h`'s terms proposes reach the exact `node_within` check. Metrics
+/// without a plan (`Jaro`, `WeightedSum`) use the exhaustive all-pairs
+/// loop. Output is identical either way — see [`enhance_exhaustive`] and
+/// the equivalence proptests.
 ///
 /// Returns [`OntologyError::SimilarityInconsistent`] when `(H, d, ε)` is
 /// similarity inconsistent (Definition 9).
@@ -55,7 +57,7 @@ pub fn enhance<M: StringMetric>(
 }
 
 /// The reference SEA: always runs the all-pairs ε-similarity loop,
-/// ignoring any blocking bounds the metric declares. Exists so benches
+/// ignoring any blocking plan the metric declares. Exists so benches
 /// and equivalence tests can compare against [`enhance`]'s pruned path.
 pub fn enhance_exhaustive<M: StringMetric>(
     h: &Hierarchy,
@@ -80,37 +82,35 @@ fn enhance_impl<M: StringMetric>(
     let sim_span = toss_obs::span("ontology.sea.similarity_graph");
     let mut sim = UnGraph::new(n);
     let mut sim_edges = 0usize;
-    let candidates = if blocked {
-        candidate_node_pairs(h, metric, epsilon)
+    let mut verify = |a: usize, b: usize| {
+        let ta = h.terms_of(HNodeId(a)).expect("dense ids");
+        let tb = h.terms_of(HNodeId(b)).expect("dense ids");
+        if node_within(metric, ta, tb, epsilon) {
+            sim.add_edge(a, b);
+            sim_edges += 1;
+        }
+    };
+    let plan = if blocked {
+        metric.blocking(epsilon)
     } else {
         None
     };
-    match &candidates {
-        Some(pairs) => {
+    match plan {
+        Some(plan) => {
+            let pairs = candidate_pairs(h, plan);
             sim_span.record("strategy", "blocked");
             sim_span.record("candidate_pairs", pairs.len());
             toss_obs::metrics::counter("toss.semantic.sea.blocked_runs").inc();
-            toss_obs::metrics::counter("toss.semantic.sea.candidate_pairs")
-                .add(pairs.len() as u64);
-            for &(a, b) in pairs {
-                let ta = h.terms_of(HNodeId(a)).expect("dense ids");
-                let tb = h.terms_of(HNodeId(b)).expect("dense ids");
-                if node_within(metric, ta, tb, epsilon) {
-                    sim.add_edge(a, b);
-                    sim_edges += 1;
-                }
+            toss_obs::metrics::counter("toss.semantic.sea.candidate_pairs").add(pairs.len() as u64);
+            for (a, b) in pairs {
+                verify(a, b);
             }
         }
         None => {
             sim_span.record("strategy", "exhaustive");
             for a in 0..n {
                 for b in a + 1..n {
-                    let ta = h.terms_of(HNodeId(a)).expect("dense ids");
-                    let tb = h.terms_of(HNodeId(b)).expect("dense ids");
-                    if node_within(metric, ta, tb, epsilon) {
-                        sim.add_edge(a, b);
-                        sim_edges += 1;
-                    }
+                    verify(a, b);
                 }
             }
         }
@@ -178,28 +178,17 @@ fn enhance_impl<M: StringMetric>(
     // ---- step 5: materialize H' ------------------------------------------
     let reduced = req.transitive_reduction();
     let mut hp = Hierarchy::new();
-    let mut clique_nodes: Vec<HNodeId> = Vec::with_capacity(cliques.len());
-    for clique in &cliques {
-        let mut terms: Vec<String> = Vec::new();
-        for &a in clique {
-            for t in h.terms_of(HNodeId(a)).expect("dense ids") {
-                if !terms.contains(t) {
-                    terms.push(t.clone());
-                }
-            }
-        }
-        // Multiple cliques can share terms (overlapping cliques, e.g. the
-        // paper's {A,B}/{A,C} case). Hierarchy requires globally unique
-        // terms, so Seo stores term sets itself; here we must bypass the
-        // uniqueness check by building the hierarchy nodes without term
-        // registration conflicts. We register the node with a synthetic
-        // unique alias and keep the real term sets in the Seo.
-        clique_nodes.push(
-            hp.add_node(vec![format!("\u{1}clique{}", clique_nodes.len())])
-                .expect("synthetic term is unique"),
-        );
-        let _ = terms;
-    }
+    // Multiple cliques can share terms (overlapping cliques, e.g. the
+    // paper's {A,B}/{A,C} case). Hierarchy requires globally unique terms,
+    // so Seo derives each node's term set from the clique's members
+    // itself; here each H' node is registered under a synthetic unique
+    // alias.
+    let clique_nodes: Vec<HNodeId> = (0..cliques.len())
+        .map(|ci| {
+            hp.add_node(vec![format!("\u{1}clique{ci}")])
+                .expect("synthetic term is unique")
+        })
+        .collect();
     for (u, v) in reduced.edges() {
         hp.add_edge(clique_nodes[u], clique_nodes[v])
             .expect("req graph is acyclic");
@@ -227,160 +216,37 @@ fn enhance_impl<M: StringMetric>(
     ))
 }
 
-/// One term of the hierarchy, flattened for the blocking index.
-struct BlockTerm {
-    node: usize,
-    /// Char count (the unit the length bound speaks in).
-    len: usize,
-    /// Sorted `(bigram, multiplicity)` pairs; bigram = two chars packed.
-    grams: Vec<(u64, u32)>,
-}
-
-fn bigram_counts(chars: &[char]) -> Vec<(u64, u32)> {
-    let mut keys: Vec<u64> = chars
-        .windows(2)
-        .map(|w| ((w[0] as u64) << 32) | w[1] as u64)
-        .collect();
-    keys.sort_unstable();
-    let mut out: Vec<(u64, u32)> = Vec::new();
-    for k in keys {
-        match out.last_mut() {
-            Some((prev, c)) if *prev == k => *c += 1,
-            _ => out.push((k, 1)),
-        }
-    }
-    out
-}
-
-/// Candidate node pairs `(a, b)` with `a < b` that could possibly be
-/// within ε, derived from the metric's declared blocking bounds:
+/// The node pairs `(a, b)`, `a < b`, ascending and distinct, that `plan`
+/// cannot rule out: every term of `h` goes into one [`TermIndex`], each
+/// term probes it, and each candidate term maps to the node that owns it.
 ///
-/// * **length window** — `d(x, y) ≥ c·|len(x) − len(y)|` means any pair
-///   whose char lengths differ by more than `ε/c` is out;
-/// * **bigram count filter** — `shared_bigrams(x, y) ≥ max(len) − 1 − B·d`
-///   (the classic q-gram lemma with q = 2) means a surviving pair must
-///   share at least `max(len) − 1 − B·ε` bigrams, which an inverted
-///   bigram index finds without touching non-overlapping pairs. Length
-///   pairs where that threshold is ≤ 0 (short strings) are enumerated
-///   wholesale — the filter has no power there.
-///
-/// Both filters are *necessary* conditions for `d ≤ ε` on each term pair,
-/// and a within-ε node pair has every (strong metric: the first) cross
-/// term pair within ε, so the pair surfaces through its own terms; the
-/// exact `node_within` verification then decides. Returns `None` when the
-/// metric declares no length bound — the caller falls back to the
-/// exhaustive loop, keeping unsupported metrics (rule-based,
-/// min-combinators) correct by construction.
-fn candidate_node_pairs<M: StringMetric>(
-    h: &Hierarchy,
-    metric: &M,
-    epsilon: f64,
-) -> Option<Vec<(usize, usize)>> {
-    let n = h.len();
-    if epsilon < 0.0 || n < 2 {
-        // a metric never goes below 0, and fewer than two nodes have no pairs
-        return Some(Vec::new());
-    }
-    let len_cost = metric.length_lower_bound()?;
-    if len_cost <= 0.0 || len_cost.is_nan() {
-        return None; // declared bound carries no information
-    }
-    let bigram_bound = metric.bigram_edits_bound();
-
-    let mut terms: Vec<BlockTerm> = Vec::new();
-    for node in 0..n {
+/// No pair within ε is missed. `node_within(A, B)` holds only if some
+/// cross pair `(x, y)` is within ε — the min-lifting of Definition 7, or
+/// under Lemma 1 the first pair — and `candidates(x)` is a superset of
+/// the terms within ε of `x` (the plan's admissibility), so probing with
+/// `x` proposes `(A, B)`.
+fn candidate_pairs(h: &Hierarchy, plan: BlockPlan) -> Vec<(usize, usize)> {
+    let mut terms: Vec<String> = Vec::new();
+    let mut owner: Vec<usize> = Vec::new();
+    for node in 0..h.len() {
         for t in h.terms_of(HNodeId(node)).expect("dense ids") {
-            let chars: Vec<char> = t.chars().collect();
-            terms.push(BlockTerm {
-                node,
-                len: chars.len(),
-                grams: bigram_counts(&chars),
-            });
+            terms.push(t.clone());
+            owner.push(node);
         }
     }
-    let m = terms.len();
-    let max_len_diff = (epsilon / len_cost).floor() as usize;
-    // Pairs at or below this length bypass the bigram filter: beyond it,
-    // the threshold max(la,lb) − 1 − B·ε exceeds 1, so every surviving
-    // pair shares at least one bigram and the inverted index cannot miss
-    // it (a cutoff at threshold 0 would drop pairs with no shared bigram
-    // whose threshold rounds to 0).
-    let short_cutoff = match bigram_bound {
-        Some(b) if b > 0.0 => (2.0 + b * epsilon).floor() as usize,
-        _ => usize::MAX, // no bigram filter: length window only
-    };
-
-    let mut cand: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    let mut push = |na: usize, nb: usize| {
-        if na != nb {
-            cand.insert((na.min(nb), na.max(nb)));
-        }
-    };
-
-    // short-short pairs: length window only
-    let mut by_len: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (i, t) in terms.iter().enumerate() {
-        if t.len <= short_cutoff {
-            by_len.entry(t.len).or_default().push(i);
-        }
-    }
-    let mut lens: Vec<usize> = by_len.keys().copied().collect();
-    lens.sort_unstable();
-    for &la in &lens {
-        for lb in la..=la.saturating_add(max_len_diff).min(short_cutoff) {
-            let Some(bucket_b) = by_len.get(&lb) else {
-                continue;
-            };
-            for &i in &by_len[&la] {
-                for &j in bucket_b {
-                    if la < lb || i < j {
-                        push(terms[i].node, terms[j].node);
-                    }
-                }
+    let index = TermIndex::build(plan, terms);
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for (id, &a) in (0u32..).zip(&owner) {
+        for c in index.candidates(index.term(id)) {
+            let b = owner[c as usize];
+            if a != b {
+                pairs.push((a.min(b), a.max(b)));
             }
         }
     }
-
-    // everything else must share ≥ max(la,lb) − 1 − B·ε ≥ 1 bigrams:
-    // probe an inverted bigram index, accumulating the exact shared
-    // multiset count Σ min(cnt_a, cnt_b) per already-indexed term
-    if short_cutoff != usize::MAX {
-        let bigram_b = bigram_bound.expect("cutoff is finite only with a bigram bound");
-        let mut postings: HashMap<u64, Vec<(usize, u32)>> = HashMap::new();
-        let mut shared = vec![0u32; m];
-        let mut touched: Vec<usize> = Vec::new();
-        for (i, t) in terms.iter().enumerate() {
-            for &(g, ca) in &t.grams {
-                if let Some(list) = postings.get(&g) {
-                    for &(j, cb) in list {
-                        if shared[j] == 0 {
-                            touched.push(j);
-                        }
-                        shared[j] += ca.min(cb);
-                    }
-                }
-            }
-            for &j in &touched {
-                let (la, lb) = (t.len, terms[j].len);
-                let max_len = la.max(lb);
-                if max_len > short_cutoff && la.abs_diff(lb) <= max_len_diff {
-                    let threshold = max_len as f64 - 1.0 - bigram_b * epsilon;
-                    if f64::from(shared[j]) >= threshold - 1e-9 {
-                        push(t.node, terms[j].node);
-                    }
-                }
-                shared[j] = 0;
-            }
-            touched.clear();
-            for &(g, ca) in &t.grams {
-                postings.entry(g).or_default().push((i, ca));
-            }
-        }
-    }
-
-    let mut out: Vec<(usize, usize)> = cand.into_iter().collect();
-    out.sort_unstable();
-    Some(out)
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
 }
 
 fn render(h: &Hierarchy, clique: &[usize]) -> String {
@@ -527,5 +393,92 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// About a thousand bibliographic terms, generated deterministically:
+    /// author names over shared surnames (full, initials, middle initial
+    /// and near-miss spellings), venue names and single-word schema tags.
+    fn bibliographic_hierarchy() -> Hierarchy {
+        let given: Vec<&str> = "Jeffrey Jennifer Michael Hector Rakesh Surajit Elisa Gerhard \
+            Christos David Joseph Laura Raghu Divesh Alon Serge Victor Moshe Philip Anastasia \
+            Samuel Umeshwar Edward Maria"
+            .split_whitespace()
+            .collect();
+        let surnames: Vec<&str> = "Ullman Widom Stonebraker Garcia-Molina Agrawal Chaudhuri \
+            Bertino Weikum Faloutsos DeWitt Hellerstein Haas Ramakrishnan Srivastava Halevy \
+            Abiteboul Vianu Vardi Bernstein Ailamaki Madden Dayal Hung Subrahmanian Gray Codd \
+            Chen Naughton Jagadish Lakshmanan"
+            .split_whitespace()
+            .collect();
+        let venues = [
+            "International Conference on Very Large Data Bases",
+            "ACM SIGMOD International Conference on Management of Data",
+            "IEEE International Conference on Data Engineering",
+            "Symposium on Principles of Database Systems",
+            "International Conference on Database Theory",
+            "Conference on Innovative Data Systems Research",
+        ];
+        let tags = "author title year booktitle article inproceedings journal pages volume \
+            publisher editor series";
+        let mut h = Hierarchy::new();
+        for tag in tags.split_whitespace() {
+            let _ = h.add_leq(tag, "schema");
+        }
+        for venue in venues {
+            for year in 1995..2003 {
+                let _ = h.add_leq(&format!("{venue} {year}"), "venue");
+            }
+        }
+        // xorshift64: a fixed, dependency-free sequence
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut pick = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        while h.len() < 1000 {
+            let first = given[pick(given.len())];
+            let last = surnames[pick(surnames.len())];
+            let middle = char::from(b'A' + pick(26) as u8);
+            let name = match pick(5) {
+                0 | 1 => format!("{first} {last}"),
+                2 => format!("{}. {last}", &first[..1]),
+                3 => format!("{first} {middle}. {last}"),
+                // a near-miss spelling: one surname letter doubled
+                _ => {
+                    let at = 1 + pick(last.len() - 1);
+                    format!("{first} {}{}", &last[..at], &last[at - 1..])
+                }
+            };
+            let _ = h.add_leq(&name, "author");
+        }
+        h
+    }
+
+    /// A count, not a timing: the experiment metric must build the
+    /// ε-graph from its plan, and the plan must prune. If a metric edit
+    /// made `blocking()` return `None`, SEA would silently fall back to
+    /// all pairs and this fails.
+    #[test]
+    fn experiment_metric_takes_the_blocked_branch_and_prunes() {
+        use toss_similarity::combinators::{MinOf, MultiWordGate};
+        use toss_similarity::NameRules;
+        let h = bibliographic_hierarchy();
+        let n = h.len();
+        assert!((1000..1100).contains(&n), "{n} nodes");
+        let metric = MinOf::new(
+            NameRules::with_costs(3.0, 2.0, 1000.0),
+            MultiWordGate::new(Levenshtein),
+        );
+        let plan = metric
+            .blocking(3.0)
+            .expect("the experiment metric declares a blocking plan at ε = 3");
+        let candidates = candidate_pairs(&h, plan).len();
+        let all_pairs = n * (n - 1) / 2;
+        assert!(
+            candidates * 10 < all_pairs,
+            "{candidates} candidate pairs of {all_pairs}: the plan no longer prunes"
+        );
     }
 }

@@ -872,7 +872,7 @@ impl WriterLoop {
         .map_err(|e| e.to_string())?;
         self.engine
             .writer
-            .checkpoint_json_seg(&db_json, cursor, Some(&seg))
+            .checkpoint_json_seg(db_json, cursor, Some(&seg))
             .map_err(|e| e.to_string())?;
         self.state.checkpoints.fetch_add(1, Ordering::Relaxed);
         toss_obs::metrics::counter("toss.serve.write.checkpoints").inc();

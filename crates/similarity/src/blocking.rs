@@ -79,29 +79,33 @@ pub enum BlockPlan {
 }
 
 impl BlockPlan {
-    /// The plan implied by the two scalar blocking hooks
-    /// ([`crate::StringMetric::length_lower_bound`] `= c`,
-    /// [`crate::StringMetric::bigram_edits_bound`] `= B`) at threshold
-    /// `epsilon`: `d ≥ c·Δlen` caps the length difference at `ε / c`, and
-    /// `shared ≥ max − 1 − B·d` with `d ≤ ε` is the bigram filter. `None`
-    /// when there is no usable length bound or ε is NaN.
+    /// The one `Edits` constructor: the plan at threshold `epsilon` of an
+    /// edit-like metric that promises, for every pair,
+    ///
+    /// * `d(a, b) ≥ c·‖a│ − │b‖` (`c` = `length_cost`, the least one
+    ///   unit of length difference costs), which caps a within-ε pair's
+    ///   length difference at `ε / c`; and
+    /// * the q = 2 count filter `shared_bigrams(a, b) ≥ max(│a│, │b│) − 1
+    ///   − B·d(a, b)` (`B` = `bigrams_per_edit`, the most bigrams one edit
+    ///   can destroy: 2 for insert/delete/substitute, 3 once adjacent
+    ///   transpositions are allowed), which with `d ≤ ε` bounds the loss
+    ///   at `B·ε`. A non-positive `B` applies the length window alone.
+    ///
+    /// `None` when `c` carries no information (not positive) or ε is NaN.
     pub(crate) fn from_bounds(
         epsilon: f64,
-        length_lower_bound: Option<f64>,
-        bigram_edits_bound: Option<f64>,
+        length_cost: f64,
+        bigrams_per_edit: f64,
     ) -> Option<BlockPlan> {
-        let c = length_lower_bound?;
-        if epsilon.is_nan() || c.is_nan() || c <= 0.0 {
+        if epsilon.is_nan() || length_cost.is_nan() || length_cost <= 0.0 {
             return None;
         }
         Some(BlockPlan::Edits {
             // the slack keeps a quotient that rounded just under an
             // integer admissible; `as` saturates (ε < 0 → 0, ∞ → MAX)
-            max_len_diff: (epsilon / c + 1e-9).floor() as usize,
-            bigram_edits: bigram_edits_bound
-                .filter(|&b| b > 0.0)
-                .map(|b| b * epsilon)
-                .filter(|l| !l.is_nan()),
+            max_len_diff: (epsilon / length_cost + 1e-9).floor() as usize,
+            bigram_edits: Some(bigrams_per_edit * epsilon)
+                .filter(|l| bigrams_per_edit > 0.0 && !l.is_nan()),
         })
     }
 }
@@ -359,11 +363,11 @@ mod tests {
 
     #[test]
     fn from_bounds_needs_a_positive_length_bound() {
-        assert_eq!(BlockPlan::from_bounds(2.0, None, Some(2.0)), None);
-        assert_eq!(BlockPlan::from_bounds(2.0, Some(0.0), None), None);
-        assert_eq!(BlockPlan::from_bounds(f64::NAN, Some(1.0), None), None);
+        assert_eq!(BlockPlan::from_bounds(2.0, 0.0, 2.0), None);
+        assert_eq!(BlockPlan::from_bounds(2.0, f64::NAN, 2.0), None);
+        assert_eq!(BlockPlan::from_bounds(f64::NAN, 1.0, 2.0), None);
         assert_eq!(
-            BlockPlan::from_bounds(2.5, Some(1.0), Some(2.0)),
+            BlockPlan::from_bounds(2.5, 1.0, 2.0),
             Some(BlockPlan::Edits {
                 max_len_diff: 2,
                 bigram_edits: Some(5.0)
@@ -371,7 +375,7 @@ mod tests {
         );
         // a non-positive bigram bound carries no information
         assert_eq!(
-            BlockPlan::from_bounds(-1.0, Some(1.0), Some(0.0)),
+            BlockPlan::from_bounds(-1.0, 1.0, 0.0),
             Some(BlockPlan::Edits {
                 max_len_diff: 0,
                 bigram_edits: None
@@ -420,7 +424,7 @@ mod tests {
 
     #[test]
     fn infinite_threshold_admits_everything() {
-        let plan = BlockPlan::from_bounds(f64::INFINITY, Some(1.0), Some(2.0)).unwrap();
+        let plan = BlockPlan::from_bounds(f64::INFINITY, 1.0, 2.0).unwrap();
         let ix = index(plan, &["a", "relational model", ""]);
         assert_eq!(ix.candidates("anything at all").len(), 3);
     }

@@ -1,6 +1,6 @@
 //! A memoizing metric wrapper.
 //!
-//! The SEA algorithm evaluates `d` on all pairs of hierarchy terms and the
+//! The SEA algorithm evaluates `d` on pairs of hierarchy terms and the
 //! Query Executor re-evaluates `~` conditions against the same term pool;
 //! [`CachedMetric`] memoizes distances under a canonicalized (sorted) key
 //! so symmetric lookups share one entry.
@@ -272,14 +272,6 @@ impl<M: StringMetric> StringMetric for CachedMetric<M> {
 
     fn name(&self) -> &str {
         self.inner.name()
-    }
-
-    fn length_lower_bound(&self) -> Option<f64> {
-        self.inner.length_lower_bound()
-    }
-
-    fn bigram_edits_bound(&self) -> Option<f64> {
-        self.inner.bigram_edits_bound()
     }
 
     fn blocking(&self, epsilon: f64) -> Option<crate::blocking::BlockPlan> {

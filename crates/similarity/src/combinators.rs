@@ -46,16 +46,6 @@ impl<M: StringMetric> StringMetric for Scaled<M> {
         self.inner.within(a, b, epsilon / self.factor)
     }
 
-    fn length_lower_bound(&self) -> Option<f64> {
-        // d' = f·d ≥ f·c·|Δlen|
-        self.inner.length_lower_bound().map(|c| c * self.factor)
-    }
-
-    fn bigram_edits_bound(&self) -> Option<f64> {
-        // shared ≥ max−1−B·d = max−1−(B/f)·d'
-        self.inner.bigram_edits_bound().map(|b| b / self.factor)
-    }
-
     fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
         // the threshold `within` hands the inner metric
         self.inner.blocking(epsilon / self.factor)
@@ -193,17 +183,6 @@ impl<M: StringMetric> StringMetric for MultiWordGate<M> {
         } else {
             epsilon >= self.offset && self.inner.within(a, b, epsilon - self.offset)
         }
-    }
-
-    fn length_lower_bound(&self) -> Option<f64> {
-        // the gate only ever adds to the inner distance, so any lower
-        // bound on the inner metric still holds
-        self.inner.length_lower_bound()
-    }
-
-    fn bigram_edits_bound(&self) -> Option<f64> {
-        // d_gate ≥ d_inner, so the inner q-gram filter stays admissible
-        self.inner.bigram_edits_bound()
     }
 
     fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {

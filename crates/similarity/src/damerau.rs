@@ -6,6 +6,7 @@
 //! overlap a transposed pair), so `is_strong()` is `false`; the SEA
 //! algorithm treats it like any other non-strong measure.
 
+use crate::blocking::BlockPlan;
 use crate::traits::StringMetric;
 
 /// Optimal-string-alignment Damerau-Levenshtein distance.
@@ -56,15 +57,11 @@ impl StringMetric for DamerauOsa {
         "damerau-osa"
     }
 
-    fn length_lower_bound(&self) -> Option<f64> {
-        // every operation (transpositions included) shifts length ≤ 1
-        Some(1.0)
-    }
-
-    fn bigram_edits_bound(&self) -> Option<f64> {
-        // a transposition can touch three bigrams (the two around the
-        // swapped pair plus the pair itself)
-        Some(3.0)
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        // every operation (transpositions included) shifts length ≤ 1,
+        // and a transposition can touch three bigrams (the two around
+        // the swapped pair plus the pair itself)
+        BlockPlan::from_bounds(epsilon, 1.0, 3.0)
     }
 }
 
@@ -105,8 +102,14 @@ mod tests {
 
     #[test]
     fn blocking_bounds_hold() {
-        axioms::assert_blocking_bounds(&DamerauOsa);
         axioms::assert_blocking_plan(&DamerauOsa);
+        assert_eq!(
+            DamerauOsa.blocking(2.0),
+            Some(BlockPlan::Edits {
+                max_len_diff: 2,
+                bigram_edits: Some(6.0)
+            })
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Levenshtein edit distance — the paper's canonical *strong* measure
 //! (unit cost per insert, delete or substitute; footnote to Definition 7).
 
+use crate::blocking::BlockPlan;
 use crate::traits::StringMetric;
 
 /// Unit-cost Levenshtein distance.
@@ -8,7 +9,7 @@ use crate::traits::StringMetric;
 /// `distance` runs the classic two-row dynamic program in `O(|a|·|b|)`
 /// time and `O(min(|a|,|b|))` space; `within` uses a banded variant that
 /// bails out as soon as the band exceeds the threshold, which is what the
-/// SEA algorithm's all-pairs phase calls.
+/// SEA algorithm's candidate verification calls.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Levenshtein;
 
@@ -99,14 +100,10 @@ impl StringMetric for Levenshtein {
         Self::raw_within(a, b, epsilon.floor() as usize)
     }
 
-    fn length_lower_bound(&self) -> Option<f64> {
-        // every edit changes the length by at most one
-        Some(1.0)
-    }
-
-    fn bigram_edits_bound(&self) -> Option<f64> {
-        // an insert/delete/substitute touches at most two bigrams
-        Some(2.0)
+    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
+        // every edit changes the length by at most one, and an
+        // insert/delete/substitute touches at most two bigrams
+        BlockPlan::from_bounds(epsilon, 1.0, 2.0)
     }
 }
 
@@ -153,8 +150,14 @@ mod tests {
 
     #[test]
     fn blocking_bounds_hold() {
-        axioms::assert_blocking_bounds(&Levenshtein);
         axioms::assert_blocking_plan(&Levenshtein);
+        assert_eq!(
+            Levenshtein.blocking(2.0),
+            Some(BlockPlan::Edits {
+                max_len_diff: 2,
+                bigram_edits: Some(4.0)
+            })
+        );
     }
 
     #[test]

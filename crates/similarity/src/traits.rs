@@ -29,40 +29,18 @@ pub trait StringMetric: Send + Sync {
         self.distance(a, b) <= epsilon
     }
 
-    /// Blocking bound: `Some(c)` promises
-    /// `distance(a, b) ≥ c · |chars(a) − chars(b)|` for every pair, so a
-    /// candidate generator may discard pairs whose char-length difference
-    /// exceeds `ε / c` without calling [`StringMetric::distance`]. Return
-    /// `None` (the default) when no such guarantee holds — callers then
-    /// fall back to exhaustive comparison, which is always correct.
-    fn length_lower_bound(&self) -> Option<f64> {
-        None
-    }
-
-    /// Blocking bound: `Some(B)` promises the q-gram count filter at
-    /// q = 2 — `shared_bigrams(a, b) ≥ max(chars(a), chars(b)) − 1 − B·d`
-    /// where `shared_bigrams` is the bigram *multiset* intersection size
-    /// and `d = distance(a, b)`. Edit metrics satisfy this with `B` =
-    /// the most bigrams one edit operation can destroy (2 for
-    /// insert/delete/substitute, 3 once transpositions are allowed).
-    /// Return `None` (the default) when no such guarantee holds.
-    fn bigram_edits_bound(&self) -> Option<f64> {
-        None
-    }
-
     /// Blocking plan at threshold `epsilon`: `Some(plan)` promises that
     /// every pair of distinct strings with `within(a, b, epsilon)` is in
     /// the plan's relation (see [`crate::blocking`]), so a
     /// [`crate::blocking::TermIndex`] built from it may stand in for
-    /// calling `within` on every term. The default derives the plan from
-    /// the two scalar bounds above; override only where the metric's
-    /// structure says more. `None` — callers compare exhaustively.
-    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
-        BlockPlan::from_bounds(
-            epsilon,
-            self.length_lower_bound(),
-            self.bigram_edits_bound(),
-        )
+    /// calling `within` on every term. Two callers rely on it: the `~`
+    /// probe expansion (`Seo::similar_terms_probe`) and SEA's ε-similarity
+    /// graph (`toss_ontology::enhance`), a self-join of the ontology's
+    /// terms. Edit metrics declare a [`BlockPlan::Edits`]; combinators
+    /// compose their inner plans. The default, `None`, means no pair can
+    /// be ruled out, and callers compare exhaustively.
+    fn blocking(&self, _epsilon: f64) -> Option<BlockPlan> {
+        None
     }
 }
 
@@ -78,12 +56,6 @@ impl<M: StringMetric + ?Sized> StringMetric for &M {
     }
     fn within(&self, a: &str, b: &str, epsilon: f64) -> bool {
         (**self).within(a, b, epsilon)
-    }
-    fn length_lower_bound(&self) -> Option<f64> {
-        (**self).length_lower_bound()
-    }
-    fn bigram_edits_bound(&self) -> Option<f64> {
-        (**self).bigram_edits_bound()
     }
     fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
         (**self).blocking(epsilon)
@@ -103,12 +75,6 @@ impl<M: StringMetric + ?Sized> StringMetric for Box<M> {
     fn within(&self, a: &str, b: &str, epsilon: f64) -> bool {
         (**self).within(a, b, epsilon)
     }
-    fn length_lower_bound(&self) -> Option<f64> {
-        (**self).length_lower_bound()
-    }
-    fn bigram_edits_bound(&self) -> Option<f64> {
-        (**self).bigram_edits_bound()
-    }
     fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
         (**self).blocking(epsilon)
     }
@@ -126,12 +92,6 @@ impl<M: StringMetric> StringMetric for std::sync::Arc<M> {
     }
     fn within(&self, a: &str, b: &str, epsilon: f64) -> bool {
         (**self).within(a, b, epsilon)
-    }
-    fn length_lower_bound(&self) -> Option<f64> {
-        (**self).length_lower_bound()
-    }
-    fn bigram_edits_bound(&self) -> Option<f64> {
-        (**self).bigram_edits_bound()
     }
     fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
         (**self).blocking(epsilon)
@@ -193,49 +153,6 @@ pub(crate) mod axioms {
                     assert!(
                         lhs <= rhs + 1e-9,
                         "{}: triangle violated: d({x:?},{z:?})={lhs} > {rhs}",
-                        m.name()
-                    );
-                }
-            }
-        }
-    }
-
-    /// Any declared blocking bounds actually hold on the sample corpus:
-    /// `d ≥ c·|Δchars|` for the length bound, and the q = 2 count filter
-    /// `shared_bigrams ≥ max(len) − 1 − B·d` for the bigram bound.
-    pub fn assert_blocking_bounds<M: StringMetric>(m: &M) {
-        use std::collections::HashMap;
-        fn bigrams(s: &str) -> HashMap<(char, char), usize> {
-            let cs: Vec<char> = s.chars().collect();
-            let mut out = HashMap::new();
-            for w in cs.windows(2) {
-                *out.entry((w[0], w[1])).or_default() += 1;
-            }
-            out
-        }
-        for &x in SAMPLES {
-            for &y in SAMPLES {
-                let d = m.distance(x, y);
-                let (lx, ly) = (x.chars().count(), y.chars().count());
-                if let Some(c) = m.length_lower_bound() {
-                    let dl = lx.abs_diff(ly) as f64;
-                    assert!(
-                        d + 1e-9 >= c * dl,
-                        "{}: length bound violated on {x:?},{y:?}: d={d} < {c}*{dl}",
-                        m.name()
-                    );
-                }
-                if let Some(bb) = m.bigram_edits_bound() {
-                    let gx = bigrams(x);
-                    let gy = bigrams(y);
-                    let shared: usize = gx
-                        .iter()
-                        .map(|(g, nx)| nx.min(gy.get(g).unwrap_or(&0)))
-                        .sum();
-                    let need = lx.max(ly) as f64 - 1.0 - bb * d;
-                    assert!(
-                        shared as f64 + 1e-9 >= need,
-                        "{}: bigram bound violated on {x:?},{y:?}: shared={shared} < {need}",
                         m.name()
                     );
                 }

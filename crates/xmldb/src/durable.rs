@@ -482,16 +482,12 @@ impl DurableWriter {
         }
     }
 
-    /// [`DurableWriter::checkpoint_json_seg`] without a `.seg` sidecar.
-    pub fn checkpoint_json(&mut self, json: &str, cursor: u64) -> DbResult<()> {
-        self.checkpoint_json_seg(json, cursor, None)
-    }
-
     /// Checkpoint from an already-serialized snapshot (produced by
     /// [`storage::to_json_with_seq`] with `cursor` as its `last_seq`,
     /// typically under a brief read lock on the live database):
     ///
-    /// 1. write the snapshot to a temp file and fsync it;
+    /// 1. write the snapshot to a temp file, fsync it and free `json`,
+    ///    so only one copy of the snapshot is ever held;
     /// 2. **verify** it: read the temp file back and run every check a
     ///    load makes — UTF-8, JSON, version, checksum, header fields,
     ///    each document's id and XML, taken names, duplicate ids, the
@@ -511,7 +507,7 @@ impl DurableWriter {
     /// as no-ops.
     pub fn checkpoint_json_seg(
         &mut self,
-        json: &str,
+        json: String,
         cursor: u64,
         segment: Option<&[u8]>,
     ) -> DbResult<()> {
@@ -548,7 +544,7 @@ impl DurableWriter {
         let cursor = self.journal.next_seq();
         let json = storage::to_json_with_seq(db, cursor)?;
         let seg = crate::segidx::build_segment(db, cursor);
-        self.checkpoint_json_seg(&json, cursor, Some(&seg))
+        self.checkpoint_json_seg(json, cursor, Some(&seg))
     }
 }
 
@@ -1143,10 +1139,12 @@ mod tests {
         // Fail the snapshot temp write: the checkpoint errors and the
         // journal still holds everything.
         fs.fail_op(fs.op_count(), FaultMode::Error);
-        assert!(writer.checkpoint_json(&json, cursor).is_err());
+        assert!(writer
+            .checkpoint_json_seg(json.clone(), cursor, None)
+            .is_err());
         assert_eq!(writer.pending_journal_ops().unwrap(), 2);
         // Unfaulted, the checkpoint lands and truncates.
-        writer.checkpoint_json(&json, cursor).unwrap();
+        writer.checkpoint_json_seg(json, cursor, None).unwrap();
         assert_eq!(writer.pending_journal_ops().unwrap(), 0);
         fs.crash();
         let db = open_mem(vfs);

@@ -116,12 +116,22 @@ fn write_data(db: &Database, last_seq: u64, out: &mut String) {
 /// Serialize a database to a checksummed (version 2) JSON snapshot that
 /// records `last_seq` as the highest journal sequence it contains.
 pub fn to_json_with_seq(db: &Database, last_seq: u64) -> DbResult<String> {
-    let mut out = String::new();
+    // Reserve once instead of doubling up to the snapshot's size: the
+    // documents' compact XML, plus per document its id, keys, quotes and
+    // an escaped attribute-quote pair, plus the collection headers and
+    // the envelope.
+    let capacity = 160
+        + db.collections()
+            .map(|c| c.size_bytes() + 48 * c.documents().len() + 64 + 2 * c.name().len())
+            .sum::<usize>();
+    let mut out = String::with_capacity(capacity);
     write_data(db, last_seq, &mut out);
     let checksum = crc32(out.as_bytes());
     let envelope = format!("{{\"version\":{SNAPSHOT_VERSION},\"checksum\":{checksum},\"data\":");
     out.insert_str(0, &envelope);
     out.push('}');
+    // hand back the estimate's slack
+    out.shrink_to_fit();
     Ok(out)
 }
 
@@ -392,8 +402,8 @@ pub fn from_json_with_seq_seg(
 /// duplicate ids, the size limit — and return the load's error, without
 /// building a [`Database`].
 fn verify_snapshot(bytes: Vec<u8>) -> DbResult<()> {
-    let json = snapshot_text(bytes)?;
-    let value = parse_json(&json)?;
+    // the text goes as soon as it is parsed: the walk needs only `value`
+    let value = parse_json(&snapshot_text(bytes)?)?;
     let (data, _) = checked_payload(&value)?;
     let (limit, _) = data_header(data)?;
     walk_collections(
@@ -426,8 +436,9 @@ pub fn save_json_with_vfs(json: &str, path: &Path, vfs: &dyn Vfs) -> DbResult<()
 /// the fsync and the rename. The temp file is read back and must pass
 /// every check a load makes (see [`verify_snapshot`]); if it does not,
 /// the load's error is returned and the target is never replaced, so the
-/// old snapshot and the journal records it needs stay usable.
-pub(crate) fn save_verified_json(json: &str, path: &Path, vfs: &dyn Vfs) -> DbResult<()> {
+/// old snapshot and the journal records it needs stay usable. `json` is
+/// freed once it is on disk, so the read-back never lives beside it.
+pub(crate) fn save_verified_json(json: String, path: &Path, vfs: &dyn Vfs) -> DbResult<()> {
     save_checked(json, path, vfs, |tmp| {
         let bytes = vfs
             .read(tmp)
@@ -436,25 +447,28 @@ pub(crate) fn save_verified_json(json: &str, path: &Path, vfs: &dyn Vfs) -> DbRe
     })
 }
 
-/// temp file → fsync → `check` the temp file → rename over the target.
+/// temp file → fsync → drop `json` → `check` the temp file → rename over
+/// the target.
 fn save_checked(
-    json: &str,
+    json: impl AsRef<str>,
     path: &Path,
     vfs: &dyn Vfs,
     check: impl FnOnce(&Path) -> DbResult<()>,
 ) -> DbResult<()> {
     let span = toss_obs::span("xmldb.snapshot.write");
-    span.record("bytes", json.len());
+    let len = json.as_ref().len();
+    span.record("bytes", len);
     let tmp = path.with_extension("snap.tmp");
-    vfs.write(&tmp, json.as_bytes())
+    vfs.write(&tmp, json.as_ref().as_bytes())
         .map_err(|e| DbError::Storage(format!("snapshot write failed: {e}")))?;
     vfs.sync(&tmp)
         .map_err(|e| DbError::Storage(format!("snapshot fsync failed: {e}")))?;
+    drop(json);
     check(&tmp)?;
     vfs.rename(&tmp, path)
         .map_err(|e| DbError::Storage(format!("snapshot rename failed: {e}")))?;
     toss_obs::metrics::counter("xmldb.snapshot.writes").inc();
-    toss_obs::metrics::counter("xmldb.snapshot.bytes_written").add(json.len() as u64);
+    toss_obs::metrics::counter("xmldb.snapshot.bytes_written").add(len as u64);
     toss_obs::metrics::histogram("xmldb.snapshot.write_ns").observe_duration(span.finish());
     Ok(())
 }
@@ -722,7 +736,7 @@ mod tests {
                 continue;
             };
             save_with_vfs(&sample_db(), &path, &vfs).unwrap();
-            assert_eq!(save_verified_json(&text, &path, &vfs), Err(load), "{label}");
+            assert_eq!(save_verified_json(text, &path, &vfs), Err(load), "{label}");
             let kept = load_with_vfs(&path, &vfs).unwrap();
             assert_eq!(kept.collection_names(), vec!["dblp", "empty"], "{label}");
         }

@@ -16,7 +16,7 @@ use toss::ontology::hierarchy::{from_pairs, Hierarchy};
 use toss::ontology::persist::seo_to_json;
 use toss::ontology::{enhance, enhance_exhaustive, Seo};
 use toss::similarity::combinators::{MinOf, MultiWordGate, Scaled};
-use toss::similarity::{CachedMetric, DamerauOsa, Levenshtein, NameRules, StringMetric};
+use toss::similarity::{CachedMetric, DamerauOsa, Jaro, Levenshtein, NameRules, StringMetric};
 use toss::tax::EdgeKind;
 use toss::xmldb::{Database, DatabaseConfig};
 
@@ -143,6 +143,62 @@ fn assert_sea_equivalent<M: StringMetric>(h: &Hierarchy, metric: &M, eps: f64) {
     }
 }
 
+/// [`assert_sea_equivalent`] for a metric that declares a plan at `eps`,
+/// so that `enhance` really takes the blocked branch.
+fn assert_blocked_sea_equivalent<M: StringMetric>(h: &Hierarchy, metric: &M, eps: f64) {
+    assert!(
+        metric.blocking(eps).is_some(),
+        "{} declares no plan at eps={eps}: nothing would be tested",
+        metric.name()
+    );
+    assert_sea_equivalent(h, metric, eps);
+}
+
+/// Multi-word names of every kind the experiment metric tells apart:
+/// given names and their initials (with and without a middle initial)
+/// over a few shared surnames, near-miss spellings of those surnames,
+/// and a few single-word schema terms.
+fn multi_word_name() -> impl Strategy<Value = String> {
+    const GIVEN: [&str; 4] = ["Jeff", "Jeffrey", "Jan", "Edgar"];
+    const SURNAME: [&str; 4] = ["Ullman", "Ulman", "Codd", "Cod"];
+    const MIDDLE: [&str; 3] = ["D", "E", "J"];
+    const SCHEMA: [&str; 4] = ["title", "article", "author", "year"];
+    (0usize..7, 0usize..4, 0usize..4, 0usize..3).prop_map(|(shape, g, s, m)| {
+        let (given, surname, middle) = (GIVEN[g], SURNAME[s], MIDDLE[m]);
+        let initial = &given[..1];
+        match shape {
+            0 => format!("{given} {surname}"),
+            1 => format!("{initial}. {surname}"),
+            2 => format!("{given} {middle}. {surname}"),
+            3 => format!("{initial}. {middle}. {surname}"),
+            // one letter off: appended, or a vowel swapped
+            4 => format!("{given} {surname}{}", ["n", "s", "e"][m]),
+            5 => format!("{given} {}", surname.replacen(['a', 'o', 'u'], "e", 1)),
+            _ => SCHEMA[g].to_string(),
+        }
+    })
+}
+
+/// Names under class roots plus a few chains among the names, so that
+/// overlapping cliques and similarity-inconsistent draws both occur.
+fn multi_word_hierarchy() -> impl Strategy<Value = Hierarchy> {
+    (
+        proptest::collection::vec((multi_word_name(), 0usize..3), 1..16),
+        proptest::collection::vec((multi_word_name(), multi_word_name()), 0..4),
+    )
+        .prop_map(|(unders, chains)| {
+            let mut h = Hierarchy::new();
+            let classes = ["classx", "classy", "classz"];
+            for (name, c) in unders {
+                let _ = h.add_leq(&name, classes[c]);
+            }
+            for (lo, hi) in chains {
+                let _ = h.add_leq(&lo, &hi);
+            }
+            h
+        })
+}
+
 proptest! {
     /// Candidate pruning is invisible: same persisted SEO bytes, or the
     /// same error, as the all-pairs loop — across metrics (with and
@@ -151,8 +207,22 @@ proptest! {
     #[test]
     fn blocked_sea_is_byte_identical_to_exhaustive(h in hierarchy()) {
         for eps in [0.0, 0.5, 1.0, 2.0] {
-            assert_sea_equivalent(&h, &Levenshtein, eps);
-            assert_sea_equivalent(&h, &DamerauOsa, eps);
+            assert_blocked_sea_equivalent(&h, &Levenshtein, eps);
+            assert_blocked_sea_equivalent(&h, &DamerauOsa, eps);
+        }
+    }
+
+    /// The same for the experiment metric, its rule half alone and a
+    /// rescaled edit metric, on multi-word names. The thresholds sit on
+    /// both sides of every branch point: the rule costs (2, 3), and at
+    /// 1003 the `NameRules` fallback and the `MultiWordGate` offset
+    /// (both 1000) come into reach.
+    #[test]
+    fn blocked_sea_on_names_is_byte_identical_to_exhaustive(h in multi_word_hierarchy()) {
+        for eps in [0.0, 0.5, 1.0, 2.0, 3.0, 1003.0] {
+            assert_blocked_sea_equivalent(&h, &experiment_metric(), eps);
+            assert_blocked_sea_equivalent(&h, &NameRules::with_costs(3.0, 2.0, 1000.0), eps);
+            assert_blocked_sea_equivalent(&h, &Scaled::new(Levenshtein, 0.5), eps);
         }
     }
 
@@ -199,6 +269,24 @@ proptest! {
         if cold.starts_with("Ok") {
             prop_assert!(with_cache.rewrite_cache.hits() >= 1);
         }
+    }
+}
+
+/// A metric that declares no plan (`Jaro`) takes the all-pairs loop in
+/// `enhance` as well, and so equals `enhance_exhaustive`.
+#[test]
+fn unplanned_metric_sea_equals_exhaustive() {
+    let h = from_pairs(&[
+        ("Jeff Ullman", "author"),
+        ("Jeff Ulman", "author"),
+        ("J. Ullman", "author"),
+        ("Edgar Codd", "author"),
+        ("title", "schema"),
+    ])
+    .expect("flat hierarchy");
+    for eps in [0.0, 0.1, 0.3, 1.0] {
+        assert!(Jaro.blocking(eps).is_none());
+        assert_sea_equivalent(&h, &Jaro, eps);
     }
 }
 
@@ -340,8 +428,8 @@ fn blocked_probe_equals_scan_on_a_generated_corpus() {
         max_terms_per_tag: 150,
     };
     let ontology = make_ontology(&corpus.dblp, &lexicon, &cfg).expect("ontology mining succeeds");
-    // the gated edit half of the experiment metric declares scalar
-    // bounds, so this SEA run is itself blocked (and quick)
+    // the gated edit half of the experiment metric declares a plan, so
+    // this SEA run is itself blocked (and quick)
     let seo = enhance(ontology.isa(), &MultiWordGate::new(Levenshtein), 3.0)
         .expect("gated enhancement is consistent");
     let mut probes: Vec<String> = corpus
