@@ -8,8 +8,9 @@
 //! request can all be joined on one identifier without threading a
 //! parameter through every signature.
 //!
-//! The context is thread-local (like span nesting): worker threads a
-//! query fans out to via `toss-pool` do not inherit it, which is fine —
+//! The context is thread-local (like span nesting): threads `toss-pool`
+//! spawns for a query's fan-out do not inherit it, while tasks the
+//! request thread runs itself (the pool's worker 0) do. That is fine —
 //! the per-phase spans that matter for attribution open on the request
 //! thread.
 

@@ -246,10 +246,14 @@ mod tests {
 
     #[test]
     fn scoped_install_uninstalls() {
+        // Every installed sink also receives the spans of tests running
+        // beside this one, so count only this test's own.
         struct Counting(AtomicUsize);
         impl TraceSink for Counting {
-            fn on_span(&self, _: &SpanRecord) {
-                self.0.fetch_add(1, Ordering::SeqCst);
+            fn on_span(&self, record: &SpanRecord) {
+                if matches!(record.name, "test.scoped" | "test.after") {
+                    self.0.fetch_add(1, Ordering::SeqCst);
+                }
             }
         }
         let sink = Arc::new(Counting(AtomicUsize::new(0)));

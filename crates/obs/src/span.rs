@@ -296,9 +296,11 @@ mod tests {
     #[test]
     fn disabled_spans_are_inert_but_still_time() {
         // no sink installed in this test → only if another test in this
-        // process has one; guard on the flag to stay hermetic.
+        // process has one; guard on the flag, on both sides of the open
+        // (a sink may come and go meanwhile), to stay hermetic.
+        let before = tracing_enabled();
         let g = span("test.disabled");
-        if !tracing_enabled() {
+        if !before && !tracing_enabled() {
             assert!(!g.is_recording());
         }
         let d = g.finish();

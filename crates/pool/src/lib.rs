@@ -3,10 +3,11 @@
 //! A zero-dependency fan-out primitive built from `std::thread::scope`
 //! plus an `mpsc` channel used as a work queue. A [`WorkerPool`] is a
 //! *sizing policy*, not a set of live threads: each [`WorkerPool::run`]
-//! call spawns up to `workers` scoped threads that drain the queue of
-//! tasks and then join, so tasks may freely borrow from the caller's
-//! stack (the collection being scanned, the query governor, …) without
-//! `Arc`-wrapping or `'static` bounds — and without any `unsafe`.
+//! call spawns up to `workers − 1` scoped threads, drains the queue of
+//! tasks beside them on the calling thread, and joins them, so tasks may
+//! freely borrow from the caller's stack (the collection being scanned,
+//! the query governor, …) without `Arc`-wrapping or `'static` bounds —
+//! and without any `unsafe`.
 //!
 //! Design points:
 //!
@@ -20,7 +21,8 @@
 //!   sequential code path, not a pool with extra overhead.
 //! * **Panic propagation.** A panicking task stops the pool from
 //!   starting further tasks and the first panic payload is re-raised on
-//!   the calling thread once every worker has joined, so the caller's
+//!   the calling thread once every spawned worker has joined — a panic
+//!   in a task the caller itself ran included — so the caller's
 //!   `catch_unwind`-based isolation (`toss-core`'s governor) sees the
 //!   same panic a sequential run would produce.
 //! * **Re-entrancy.** `run` may be called from inside a task (a join
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::thread;
@@ -69,11 +72,16 @@ impl WorkerPool {
 
     /// Run every task, returning results in task order.
     ///
-    /// Spawns `min(workers, tasks.len())` scoped threads that pull tasks
-    /// from a shared channel until it drains. With one worker or at most
-    /// one task, everything runs inline on the calling thread. If a task
-    /// panics, no further tasks are started and the first panic is
-    /// re-raised here after all workers joined.
+    /// The calling thread is worker 0: it spawns `min(workers,
+    /// tasks.len()) − 1` scoped threads and then drains the same shared
+    /// queue beside them instead of blocking in `join`. With one worker
+    /// or at most one task, everything runs inline on the calling
+    /// thread. A task the caller runs sees the caller's thread-locals
+    /// (its `toss-obs` query id and span parent); a task on a spawned
+    /// worker does not. If a task panics — on the caller or on a spawned
+    /// worker — no further tasks are started and the first panic (the
+    /// caller's first, then in spawn order) is re-raised here after
+    /// every spawned worker joined.
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -98,37 +106,34 @@ impl WorkerPool {
         drop(tx);
         let queue = Mutex::new(rx);
         let poisoned = AtomicBool::new(false);
+        // One worker's loop; it captures two shared references, so it is
+        // `Copy` and each spawned thread and the caller get their own.
+        let drain = || {
+            let mut local: Vec<(usize, T)> = Vec::new();
+            loop {
+                if poisoned.load(Ordering::Acquire) {
+                    break;
+                }
+                let job = queue.lock().unwrap_or_else(|e| e.into_inner()).try_recv();
+                let Ok((idx, task)) = job else { break };
+                // Flag before unwinding so siblings stop picking up new
+                // tasks promptly.
+                let flag = PoisonOnPanic(&poisoned);
+                local.push((idx, task()));
+                std::mem::forget(flag);
+            }
+            local
+        };
 
         let mut indexed: Vec<(usize, T)> = thread::scope(|s| {
-            let queue = &queue;
-            let poisoned = &poisoned;
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            if poisoned.load(Ordering::Acquire) {
-                                break;
-                            }
-                            let job = queue
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .try_recv();
-                            let Ok((idx, task)) = job else { break };
-                            // Flag before unwinding so siblings stop
-                            // picking up new tasks promptly.
-                            let flag = PoisonOnPanic(poisoned);
-                            local.push((idx, task()));
-                            std::mem::forget(flag);
-                        }
-                        local
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (1..workers).map(|_| s.spawn(drain)).collect();
             let mut all: Vec<(usize, T)> = Vec::with_capacity(n);
             let mut first_panic: Option<Box<dyn Any + Send>> = None;
-            for h in handles {
-                match h.join() {
+            // The caller's own panic is held, not raised, until the
+            // spawned workers have joined.
+            let own = std::panic::catch_unwind(AssertUnwindSafe(drain));
+            for part in std::iter::once(own).chain(handles.into_iter().map(|h| h.join())) {
+                match part {
                     Ok(part) => all.extend(part),
                     Err(payload) => {
                         if first_panic.is_none() {
@@ -312,6 +317,85 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the caller");
         let ran = started.load(Ordering::SeqCst);
         assert!(ran < 16, "poison flag should stop later tasks, ran {ran}");
+    }
+
+    /// Spin until `flag` is set, giving up after five seconds so a broken
+    /// pool fails its assertion instead of hanging the suite.
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !flag.load(Ordering::Acquire) && std::time::Instant::now() < deadline {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn the_caller_is_worker_zero() {
+        // Each task waits until both have started, so neither thread can
+        // take both: with two workers one task must run on the caller.
+        let caller = thread::current().id();
+        let started = AtomicUsize::new(0);
+        let both = AtomicBool::new(false);
+        let out = WorkerPool::new(2).run(
+            (0..2)
+                .map(|i| {
+                    let (started, both) = (&started, &both);
+                    move || {
+                        if started.fetch_add(1, Ordering::SeqCst) == 1 {
+                            both.store(true, Ordering::Release);
+                        }
+                        wait_for(both);
+                        (i, thread::current().id())
+                    }
+                })
+                .collect(),
+        );
+        assert_eq!(out.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![0, 1]);
+        let on_caller = out.iter().filter(|&&(_, id)| id == caller).count();
+        assert_eq!(on_caller, 1, "{out:?}");
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_waits_for_the_spawned_worker() {
+        let caller = thread::current().id();
+        let (worker_busy, unwinding) = (AtomicBool::new(false), AtomicBool::new(false));
+        let (worker_started, worker_finished) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            WorkerPool::new(2).run(
+                (0..16)
+                    .map(|_| {
+                        let (worker_busy, unwinding) = (&worker_busy, &unwinding);
+                        let (started, finished) = (&worker_started, &worker_finished);
+                        move || {
+                            if thread::current().id() == caller {
+                                // panic while the spawned worker is mid-task
+                                wait_for(worker_busy);
+                                let _unwinding = PoisonOnPanic(unwinding);
+                                panic!("caller's task poisoned");
+                            }
+                            started.fetch_add(1, Ordering::SeqCst);
+                            worker_busy.store(true, Ordering::Release);
+                            // Outlast the caller's unwind up to the pool's
+                            // poison flag (as in
+                            // `panic_propagates_and_stops_new_tasks`).
+                            wait_for(unwinding);
+                            thread::sleep(Duration::from_millis(20));
+                            finished.fetch_add(1, Ordering::SeqCst);
+                        }
+                    })
+                    .collect::<Vec<_>>(),
+            )
+        }));
+        assert!(result.is_err(), "the caller's panic must propagate");
+        // Re-raised only after the spawned worker finished every task it
+        // had started and joined.
+        let ran_on_worker = worker_started.load(Ordering::SeqCst);
+        assert!(ran_on_worker >= 1);
+        assert_eq!(worker_finished.load(Ordering::SeqCst), ran_on_worker);
+        // the caller ran exactly one task: the one that panicked
+        assert!(
+            ran_on_worker + 1 < 16,
+            "poison flag should stop later tasks"
+        );
     }
 
     #[test]

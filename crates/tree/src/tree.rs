@@ -155,8 +155,7 @@ impl Tree {
             Some(p) => self.add_child(p, data)?,
             None => self.set_root(data)?,
         };
-        let children: Vec<NodeId> = other.children(src).collect();
-        for c in children {
+        for c in other.children(src) {
             self.graft(Some(new_id), other, c)?;
         }
         Ok(new_id)

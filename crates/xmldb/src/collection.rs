@@ -121,10 +121,10 @@ impl Collection {
         }
     }
 
-    /// Switch into deferred-restore mode: subsequent
-    /// [`Collection::insert_with_id`] calls skip indexing. Only the
-    /// snapshot loader uses this; it must end the restore with
-    /// [`Collection::attach_frozen`] or [`Collection::ensure_index`].
+    /// Switch into deferred-restore mode: subsequent inserts skip
+    /// indexing. Only the snapshot loader uses this; it must end the
+    /// restore with [`Collection::attach_frozen`] or
+    /// [`Collection::ensure_index`].
     pub(crate) fn begin_deferred_restore(&mut self) {
         self.index = IndexState::Deferred;
     }
@@ -195,13 +195,21 @@ impl Collection {
     /// [`Collection::documents`]; on a live pointer index its postings
     /// are appended at the tail of their lists, as after a `replace`.
     pub fn insert_with_id(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
+        let size = compact_len(&tree);
+        self.insert_sized(id, tree, size)
+    }
+
+    /// [`Collection::insert_with_id`] for a tree whose compact size the
+    /// caller already measured: snapshot restore measures each document
+    /// where it parses it.
+    pub(crate) fn insert_sized(&mut self, id: DocumentId, tree: Tree, size: usize) -> DbResult<()> {
         // Ids are monotonic, so `pos` is the tail on every product path;
         // a hand-edited snapshot listing ids out of order lands each
         // document at its sorted position instead.
         let Err(pos) = self.position(id) else {
             return Err(duplicate_id(&self.name, id));
         };
-        let size = compact_len(&tree);
+        debug_assert_eq!(size, compact_len(&tree));
         check_size_limit(&self.name, self.size_limit, self.size_bytes + size)?;
         self.next_id = self.next_id.max(id.0 + 1);
         if !matches!(self.index, IndexState::Deferred) {

@@ -11,7 +11,7 @@
 //! CRC-32 so load can prove the bytes were not damaged after the write:
 //!
 //! ```json
-//! {"version":2,"checksum":<crc32 of compact data JSON>,"data":{
+//! {"version":2,"checksum":<crc32 of data as written>,"data":{
 //!     "collection_size_limit":...,"last_seq":...,"collections":[
 //!         {"name":...,"next_id":...,"documents":[{"id":...,"xml":...},...]}]}}
 //! ```
@@ -35,12 +35,26 @@
 //!
 //! One decoding walk reads a snapshot. It checks the envelope (UTF-8,
 //! JSON, version, checksum) and the header fields, then hands each
-//! collection header and each `(id, parsed tree)` to a sink. Open's sink
-//! builds the [`Database`]. A checkpoint's verify runs the same walk into
-//! a sink that checks only what building would check — a taken collection
-//! name, a duplicate id, the size limit — and drops each tree. It returns
-//! exactly the error a load of the same bytes would, without building
-//! collections or indexes.
+//! collection header and each document to a sink. Open's sink builds the
+//! [`Database`]. A checkpoint's verify runs the same walk into a sink that
+//! checks only what building would check — a taken collection name, a
+//! duplicate id, the size limit — and keeps no tree. It returns exactly
+//! the error a load of the same bytes would, without building collections
+//! or indexes.
+//!
+//! The checksum is the CRC of `data` as written, and the writer writes
+//! `data` in its compact rendering. So a load first CRCs the stored bytes
+//! between the writer's envelope and the closing `}`; only a snapshot
+//! laid out differently (reformatted, padded) is checked by re-rendering
+//! its parsed `data`, and a mismatch reports that rendering's CRC.
+//!
+//! The walk gathers a collection's `(id, xml)` entries up to the first
+//! structurally broken one, then parses and measures them on a
+//! [`WorkerPool`] in bounded rounds (each tree once, on the thread that
+//! parsed it; the verify's trees are dropped there too). The sink sees
+//! the documents in file order, so the error is the one-at-a-time walk's:
+//! the first failing document's first failing check — structural, XML,
+//! then the sink's.
 //!
 //! ## Atomicity
 //!
@@ -65,6 +79,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 use toss_json::{write_escaped, Value};
+use toss_pool::{partition_ranges, WorkerPool};
 use toss_segment::Segment;
 use toss_tree::serialize::{compact_len, write_xml, Style};
 use toss_tree::Tree;
@@ -126,9 +141,7 @@ pub fn to_json_with_seq(db: &Database, last_seq: u64) -> DbResult<String> {
             .sum::<usize>();
     let mut out = String::with_capacity(capacity);
     write_data(db, last_seq, &mut out);
-    let checksum = crc32(out.as_bytes());
-    let envelope = format!("{{\"version\":{SNAPSHOT_VERSION},\"checksum\":{checksum},\"data\":");
-    out.insert_str(0, &envelope);
+    out.insert_str(0, &envelope_prefix(crc32(out.as_bytes())));
     out.push('}');
     // hand back the estimate's slack
     out.shrink_to_fit();
@@ -138,6 +151,20 @@ pub fn to_json_with_seq(db: &Database, last_seq: u64) -> DbResult<String> {
 /// Serialize a database to a checksummed (version 2) JSON snapshot.
 pub fn to_json(db: &Database) -> DbResult<String> {
     to_json_with_seq(db, 0)
+}
+
+/// The version-2 envelope up to `data`'s value, exactly as the writer
+/// puts it in front of the `data` it streamed.
+fn envelope_prefix(checksum: u32) -> String {
+    format!("{{\"version\":{SNAPSHOT_VERSION},\"checksum\":{checksum},\"data\":")
+}
+
+/// `data` as the writer stored it: the bytes between the writer's
+/// envelope for `checksum` and the closing `}`. `None` when `text` is not
+/// framed that way (reformatted by hand, padded, not this writer's).
+fn stored_data(text: &str, checksum: u32) -> Option<&str> {
+    text.strip_prefix(envelope_prefix(checksum).as_str())?
+        .strip_suffix('}')
 }
 
 /// Snapshot bytes as text; anything else is corruption.
@@ -151,10 +178,17 @@ fn parse_json(json: &str) -> DbResult<Value> {
 }
 
 /// Check a parsed snapshot's envelope — the version, and for version 2
-/// the checksum over the compact rendering of `data` — and return its
-/// payload: the whole document for version 1, `data` for version 2,
-/// with whether it is version 2 (the only kind a segment may serve).
-fn checked_payload(value: &Value) -> DbResult<(&Value, bool)> {
+/// the checksum of `data` — and return its payload: the whole document
+/// for version 1, `data` for version 2, with whether it is version 2 (the
+/// only kind a segment may serve). `text` is what `value` was parsed
+/// from.
+///
+/// The checksum is the CRC of `data` as written, and the writer writes
+/// it in its compact rendering. So the stored bytes are checked first,
+/// without rendering anything; an intact snapshot laid out some other way
+/// passes on the CRC of `data` re-rendered compactly, and a mismatch
+/// reports that re-rendering's CRC.
+fn checked_payload<'v>(value: &'v Value, text: &str) -> DbResult<(&'v Value, bool)> {
     let version = value
         .get("version")
         .and_then(Value::as_i64)
@@ -170,6 +204,9 @@ fn checked_payload(value: &Value) -> DbResult<(&Value, bool)> {
             let data = value
                 .get("data")
                 .ok_or_else(|| DbError::Storage("snapshot missing data field".into()))?;
+            if stored_data(text, expected).is_some_and(|d| crc32(d.as_bytes()) == expected) {
+                return Ok((data, true));
+            }
             let actual = crc32(data.to_json().as_bytes());
             if actual != expected {
                 return Err(DbError::snapshot_corruption(format!(
@@ -211,18 +248,33 @@ fn data_header(data: &Value) -> DbResult<(Option<usize>, u64)> {
 
 /// Where the decoding walk delivers a snapshot's collections.
 trait Restore {
+    /// What [`Restore::document`] receives for one parsed tree. It is
+    /// built on the pool worker that parsed the tree, so whatever the
+    /// sink does not keep is dropped there.
+    type Doc: Send;
+    /// The `Doc` of a tree whose compact XML is `size` bytes.
+    fn keep(tree: Tree, size: usize) -> Self::Doc;
     /// A collection starts; `Err` if the name is already taken.
     fn collection(&mut self, name: &str) -> DbResult<()>;
     /// One document of the current collection.
-    fn document(&mut self, id: DocumentId, tree: Tree) -> DbResult<()>;
+    fn document(&mut self, id: DocumentId, doc: Self::Doc) -> DbResult<()>;
     /// The current collection ends, with its stored id counter, if any.
     fn end_collection(&mut self, next_id: Option<u64>) -> DbResult<()>;
 }
 
+/// Documents parsed per pool round. A round's documents wait for the
+/// sink together, so the bound caps how many parsed trees are in flight.
+const DECODE_ROUND: usize = 4096;
+/// The smallest share of a round one pool task parses.
+const DECODE_CHUNK: usize = 128;
+
 /// The one decoding walk over `data.collections`: every structural
-/// check, every id and every XML parse happens here, in file order, for
-/// open and verify alike.
-fn walk_collections(data: &Value, sink: &mut impl Restore) -> DbResult<()> {
+/// check, every id and every XML parse happens here, for open and verify
+/// alike. Documents are parsed on `pool`, but the sink sees them in file
+/// order and the walk returns the error a one-document-at-a-time walk
+/// would: the first failing document's first failing check, structural,
+/// then XML, then the sink's.
+fn walk_collections<S: Restore>(data: &Value, pool: &WorkerPool, sink: &mut S) -> DbResult<()> {
     let collections = data
         .get("collections")
         .and_then(Value::as_array)
@@ -237,31 +289,29 @@ fn walk_collections(data: &Value, sink: &mut impl Restore) -> DbResult<()> {
             .get("documents")
             .and_then(Value::as_array)
             .ok_or_else(|| malformed("collection missing documents array"))?;
-        // The id `Collection::insert` would assign next, which is what
-        // an id-less version-1 entry gets.
-        let mut next = 0u64;
-        for doc in documents {
-            let (id, xml) = match doc {
-                // Version-1 layout: bare XML strings, ids assigned 0..n.
-                Value::Str(xml) => (next, xml.as_str()),
-                // Version-2 layout: explicit ids, preserved exactly.
-                Value::Object(_) => {
-                    let id = doc
-                        .get("id")
-                        .and_then(Value::as_i64)
-                        .and_then(|n| u64::try_from(n).ok())
-                        .ok_or_else(|| malformed("document entry missing id"))?;
-                    let xml = doc
-                        .get("xml")
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| malformed("document entry missing xml"))?;
-                    (id, xml)
-                }
-                _ => return Err(malformed("document entry is neither string nor object")),
-            };
-            let tree = crate::parser::parse_document(xml)?;
-            sink.document(DocumentId(id), tree)?;
-            next = next.max(id + 1);
+        let (entries, fault) = document_entries(documents);
+        for round in entries.chunks(DECODE_ROUND) {
+            let tasks: Vec<_> = partition_ranges(round.len(), pool.workers() * 4, DECODE_CHUNK)
+                .into_iter()
+                .map(|(start, end)| {
+                    let chunk = &round[start..end];
+                    move || {
+                        chunk
+                            .iter()
+                            .map(|&(_, xml)| decode::<S>(xml))
+                            .collect::<Vec<_>>()
+                    }
+                })
+                .collect();
+            // one result per entry, the chunks in task order: file order
+            let decoded = pool.run(tasks).into_iter().flatten();
+            for (&(id, _), doc) in round.iter().zip(decoded) {
+                sink.document(id, doc?)?;
+            }
+        }
+        // every entry before the structural fault has passed
+        if let Some(e) = fault {
+            return Err(e);
         }
         let next_id = match cs.get("next_id") {
             None => None,
@@ -274,6 +324,51 @@ fn walk_collections(data: &Value, sink: &mut impl Restore) -> DbResult<()> {
         sink.end_collection(next_id)?;
     }
     Ok(())
+}
+
+/// A collection's `(id, xml)` entries in file order, up to its first
+/// structurally broken entry, whose error comes back beside them: it is
+/// the walk's error only if every entry before it parses and is accepted.
+fn document_entries(documents: &[Value]) -> (Vec<(DocumentId, &str)>, Option<DbError>) {
+    let mut entries = Vec::with_capacity(documents.len());
+    // The id `Collection::insert` would assign next, which is what an
+    // id-less version-1 entry gets.
+    let mut next = 0u64;
+    for doc in documents {
+        let (id, xml) = match doc {
+            // Version-1 layout: bare XML strings, ids assigned 0..n.
+            Value::Str(xml) => (next, xml.as_str()),
+            // Version-2 layout: explicit ids, preserved exactly.
+            Value::Object(_) => {
+                let Some(id) = doc
+                    .get("id")
+                    .and_then(Value::as_i64)
+                    .and_then(|n| u64::try_from(n).ok())
+                else {
+                    return (entries, Some(malformed("document entry missing id")));
+                };
+                let Some(xml) = doc.get("xml").and_then(Value::as_str) else {
+                    return (entries, Some(malformed("document entry missing xml")));
+                };
+                (id, xml)
+            }
+            _ => {
+                let e = malformed("document entry is neither string nor object");
+                return (entries, Some(e));
+            }
+        };
+        entries.push((DocumentId(id), xml));
+        next = next.max(id + 1);
+    }
+    (entries, None)
+}
+
+/// Parse one document and measure its compact XML, once each; runs on a
+/// pool worker.
+fn decode<S: Restore>(xml: &str) -> DbResult<S::Doc> {
+    let tree = crate::parser::parse_document(xml)?;
+    let size = compact_len(&tree);
+    Ok(S::keep(tree, size))
 }
 
 /// Open's sink: builds the [`Database`].
@@ -291,6 +386,12 @@ struct Open<'s> {
 }
 
 impl Restore for Open<'_> {
+    type Doc = (Tree, usize);
+
+    fn keep(tree: Tree, size: usize) -> Self::Doc {
+        (tree, size)
+    }
+
     fn collection(&mut self, name: &str) -> DbResult<()> {
         // Index once, when every document is in place: a frozen segment
         // may attach instead, and a rebuild walks `documents()` — so the
@@ -301,8 +402,10 @@ impl Restore for Open<'_> {
         Ok(())
     }
 
-    fn document(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
-        self.db.collection_mut(&self.current)?.insert_with_id(id, tree)
+    fn document(&mut self, id: DocumentId, (tree, size): Self::Doc) -> DbResult<()> {
+        self.db
+            .collection_mut(&self.current)?
+            .insert_sized(id, tree, size)
     }
 
     fn end_collection(&mut self, next_id: Option<u64>) -> DbResult<()> {
@@ -323,7 +426,8 @@ impl Restore for Open<'_> {
 
 /// The checkpoint verify's sink: every check [`Open`] makes while
 /// building — a taken collection name, a duplicate id, the size limit —
-/// with nothing built. Each tree is measured and dropped.
+/// with nothing built. Each tree is measured and dropped by the worker
+/// that parsed it; only its size comes back.
 struct Verify {
     limit: Option<usize>,
     names: BTreeSet<String>,
@@ -333,6 +437,12 @@ struct Verify {
 }
 
 impl Restore for Verify {
+    type Doc = usize;
+
+    fn keep(_tree: Tree, size: usize) -> usize {
+        size
+    }
+
     fn collection(&mut self, name: &str) -> DbResult<()> {
         if !self.names.insert(name.to_string()) {
             return Err(DbError::CollectionExists(name.to_string()));
@@ -343,11 +453,11 @@ impl Restore for Verify {
         Ok(())
     }
 
-    fn document(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
+    fn document(&mut self, id: DocumentId, size: usize) -> DbResult<()> {
         if !self.ids.insert(id.0) {
             return Err(duplicate_id(&self.current, id));
         }
-        self.size += compact_len(&tree);
+        self.size += size;
         check_size_limit(&self.current, self.limit, self.size)
     }
 
@@ -370,8 +480,17 @@ pub fn from_json_with_seq_seg(
     json: &str,
     seg: Option<&Arc<Segment>>,
 ) -> DbResult<(Database, u64, usize)> {
+    from_json_on(json, seg, &WorkerPool::with_available_parallelism())
+}
+
+/// [`from_json_with_seq_seg`], parsing the documents on `pool`.
+fn from_json_on(
+    json: &str,
+    seg: Option<&Arc<Segment>>,
+    pool: &WorkerPool,
+) -> DbResult<(Database, u64, usize)> {
     let value = parse_json(json)?;
-    let (data, v2) = checked_payload(&value)?;
+    let (data, v2) = checked_payload(&value, json)?;
     let (limit, last_seq) = data_header(data)?;
     // v1 snapshots predate segments; never attach one to them. The
     // staleness rule: a segment serves this snapshot only when its stamp
@@ -393,7 +512,7 @@ pub fn from_json_with_seq_seg(
         frozen: 0,
         current: String::new(),
     };
-    walk_collections(data, &mut open)?;
+    walk_collections(data, pool, &mut open)?;
     Ok((open.db, last_seq, open.frozen))
 }
 
@@ -402,12 +521,21 @@ pub fn from_json_with_seq_seg(
 /// duplicate ids, the size limit — and return the load's error, without
 /// building a [`Database`].
 fn verify_snapshot(bytes: Vec<u8>) -> DbResult<()> {
-    // the text goes as soon as it is parsed: the walk needs only `value`
-    let value = parse_json(&snapshot_text(bytes)?)?;
-    let (data, _) = checked_payload(&value)?;
+    verify_snapshot_on(bytes, &WorkerPool::with_available_parallelism())
+}
+
+/// [`verify_snapshot`], parsing the documents on `pool`.
+fn verify_snapshot_on(bytes: Vec<u8>, pool: &WorkerPool) -> DbResult<()> {
+    let text = snapshot_text(bytes)?;
+    let value = parse_json(&text)?;
+    let (data, _) = checked_payload(&value, &text)?;
+    // the text goes once its checksum is checked: the walk needs only
+    // `value`
+    drop(text);
     let (limit, _) = data_header(data)?;
     walk_collections(
         data,
+        pool,
         &mut Verify {
             limit,
             names: BTreeSet::new(),
@@ -755,6 +883,165 @@ mod tests {
             from_json_with_seq(&json).unwrap();
             verify_snapshot(json.into_bytes()).unwrap();
         }
+    }
+
+    /// The collection size limit of [`fault_snapshot`]: far above its
+    /// small documents, below its one oversized document.
+    const LIMIT: usize = 40_000;
+
+    /// Sites for a pair of faults: the same round in different chunks,
+    /// and different rounds of [`fault_snapshot`]'s collection.
+    const SITES: [(usize, usize); 4] = [(150, 4200), (3000, 3900), (4500, 8300), (900, 8250)];
+
+    /// Each way a document can fail the walk, and a piece of its error.
+    const FAULTS: [(&str, &str); 6] = [
+        ("id", "missing id"),
+        ("xml", "missing xml"),
+        ("entry", "neither string nor object"),
+        ("parse", "Parse"),
+        ("duplicate", "duplicate document id"),
+        ("full", "CollectionFull"),
+    ];
+
+    /// A one-collection snapshot over two decode rounds long, with each
+    /// `(kind, position)` fault replacing the document at that position.
+    fn fault_snapshot(faults: &[(&str, usize)]) -> String {
+        let n = 2 * DECODE_ROUND + 200;
+        let docs: Vec<String> = (0..n)
+            .map(|i| match faults.iter().find(|&&(_, at)| at == i).map(|&(k, _)| k) {
+                None => format!(r#"{{"id":{i},"xml":"<a/>"}}"#),
+                Some("id") => r#"{"xml":"<a/>"}"#.to_string(),
+                Some("xml") => format!(r#"{{"id":{i}}}"#),
+                Some("entry") => "7".to_string(),
+                Some("parse") => format!(r#"{{"id":{i},"xml":"<a><b></a>"}}"#),
+                Some("duplicate") => r#"{"id":0,"xml":"<a/>"}"#.to_string(),
+                Some(_) => format!(r#"{{"id":{i},"xml":"<a>{}</a>"}}"#, "x".repeat(LIMIT)),
+            })
+            .collect();
+        let data = format!(
+            r#"{{"collection_size_limit":{LIMIT},"last_seq":0,"collections":[
+                {{"name":"c","next_id":{n},"documents":[{}]}}]}}"#,
+            docs.join(",")
+        );
+        String::from_utf8(sealed(&data)).unwrap()
+    }
+
+    /// The load's and the verify's error for `json` at 1, 2 and 7
+    /// workers.
+    fn errors_at_every_worker_count(json: &str) -> Vec<(DbError, DbError)> {
+        [1, 2, 7]
+            .into_iter()
+            .map(|w| {
+                let pool = WorkerPool::new(w);
+                let load = from_json_on(json, None, &pool).map(|_| ()).unwrap_err();
+                let verify = verify_snapshot_on(json.as_bytes().to_vec(), &pool).unwrap_err();
+                (load, verify)
+            })
+            .collect()
+    }
+
+    /// The one-worker load's error for `fault` alone at `at`.
+    fn one_worker_error(fault: (&str, &str), at: usize) -> DbError {
+        let json = fault_snapshot(&[(fault.0, at)]);
+        let error = from_json_on(&json, None, &WorkerPool::new(1)).map(|_| ()).unwrap_err();
+        assert!(format!("{error:?}").contains(fault.1), "{fault:?}: {error:?}");
+        error
+    }
+
+    #[test]
+    fn the_decode_error_does_not_depend_on_the_worker_count() {
+        for (&fault, &(at, _)) in FAULTS.iter().zip(SITES.iter().cycle()) {
+            let expected = one_worker_error(fault, at);
+            for (load, verify) in errors_at_every_worker_count(&fault_snapshot(&[(fault.0, at)])) {
+                assert_eq!(load, expected, "{fault:?}@{at}");
+                assert_eq!(verify, expected, "{fault:?}@{at}");
+            }
+        }
+        // Each pair of faults in both orders: the first one's error wins.
+        let pairs = FAULTS
+            .iter()
+            .enumerate()
+            .flat_map(|(i, a)| FAULTS[i + 1..].iter().map(move |b| (*a, *b)));
+        for ((a, b), &(x, y)) in pairs.zip(SITES.iter().cycle()) {
+            for (first, second) in [(a, b), (b, a)] {
+                let expected = one_worker_error(first, x);
+                let json = fault_snapshot(&[(first.0, x), (second.0, y)]);
+                for (load, verify) in errors_at_every_worker_count(&json) {
+                    assert_eq!(load, expected, "{first:?}@{x} then {second:?}@{y}");
+                    assert_eq!(verify, expected, "{first:?}@{x} then {second:?}@{y}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_pooled_load_is_byte_identical_at_any_worker_count() {
+        let mut db = Database::new();
+        let c = db.create_collection("dblp").unwrap();
+        for i in 0..2 * DECODE_ROUND + 300 {
+            c.insert_xml(&format!("<p k=\"{i}\"><t>T &amp; {i}</t></p>")).unwrap();
+        }
+        c.remove(DocumentId(17)).unwrap();
+        db.create_collection("small").unwrap().insert_xml("<a/>").unwrap();
+        let json = to_json_with_seq(&db, 9).unwrap();
+        for w in [1, 2, 7] {
+            let pool = WorkerPool::new(w);
+            let (back, seq, _) = from_json_on(&json, None, &pool).unwrap();
+            assert_eq!(to_json_with_seq(&back, seq).unwrap(), json, "{w} workers");
+            verify_snapshot_on(json.clone().into_bytes(), &pool).unwrap();
+        }
+    }
+
+    fn stored_checksum(json: &str) -> u32 {
+        let value = Value::parse(json).unwrap();
+        value.get("checksum").and_then(Value::as_i64).unwrap() as u32
+    }
+
+    #[test]
+    fn the_writers_own_output_takes_the_stored_bytes_path() {
+        let json = to_json_with_seq(&sample_db(), 3).unwrap();
+        let checksum = stored_checksum(&json);
+        let stored = stored_data(&json, checksum).expect("the writer's own envelope");
+        let data = Value::parse(&json).unwrap().get("data").unwrap().to_json();
+        assert_eq!(stored, data, "the writer stores the compact rendering");
+        assert_eq!(crc32(stored.as_bytes()), checksum);
+        // A `data` whose rendering cannot match passes only on the
+        // stored bytes.
+        let unrenderable = Value::object(vec![
+            ("version", 2i64.into()),
+            ("checksum", checksum.into()),
+            ("data", Value::Null),
+        ]);
+        assert!(checked_payload(&unrenderable, &json).is_ok());
+    }
+
+    #[test]
+    fn a_reformatted_intact_snapshot_loads_through_the_rendering() {
+        let json = to_json_with_seq(&sample_db(), 4).unwrap();
+        let checksum = stored_checksum(&json);
+        for text in [
+            format!(" {json}\n"),
+            json.replacen("\"data\":", "\"data\" : ", 1),
+            Value::parse(&json).unwrap().to_json_pretty(),
+        ] {
+            assert_eq!(stored_data(&text, checksum), None, "{text}");
+            let (back, seq) = from_json_with_seq(&text).unwrap();
+            assert_eq!(to_json_with_seq(&back, seq).unwrap(), json);
+            verify_snapshot(text.into_bytes()).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_checksum_mismatch_reports_the_rendered_crc() {
+        let broken = to_json(&sample_db()).unwrap().replacen("x &amp; y", "x &amp; z", 1);
+        let stored = stored_checksum(&broken);
+        let value = Value::parse(&broken).unwrap();
+        let computed = crc32(value.get("data").unwrap().to_json().as_bytes());
+        let error = DbError::snapshot_corruption(format!(
+            "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
+        ));
+        assert_eq!(from_json(&broken).unwrap_err(), error);
+        assert_eq!(verify_snapshot(broken.into_bytes()), Err(error));
     }
 
     #[test]
