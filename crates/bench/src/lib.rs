@@ -1,10 +1,10 @@
 //! # toss-bench — the experiment harness
 //!
 //! Shared machinery for the figure-regeneration binaries (`fig15`,
-//! `fig16a`, `fig16b`, `fig16c`) and the Criterion microbenches: corpus →
-//! store → ontologies → fusion → SEO → executor, query compilation from
-//! `toss-datagen` workload specs, answer scoring against ground truth,
-//! and tabular/JSON reporting.
+//! `fig16a`, `fig16b`, `fig16c`): corpus → store → ontologies → fusion
+//! → SEO → executor, query compilation from `toss-datagen` workload
+//! specs, answer scoring against ground truth, and tabular/JSON
+//! reporting.
 //!
 //! Engineering performance is measured by the standalone `benchmark/`
 //! package (`BENCHMARK.json`), not here.

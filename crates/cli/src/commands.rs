@@ -600,9 +600,6 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
             "toss.pool.partitions",
             "xmldb.xpath.docs_scanned",
             "xmldb.xpath.nodes_matched",
-            "similarity.cache.hits",
-            "similarity.cache.misses",
-            "similarity.cache.evictions",
             "toss.semantic.rewrite_cache.hits",
             "toss.semantic.rewrite_cache.misses",
             "toss.semantic.rewrite_cache.evictions",

@@ -41,9 +41,9 @@
 //! [`QueryGovernor::admit_expansion_terms`] exactly like a cold rewrite,
 //! so accounting and degradation behavior are identical either way.
 //!
-//! The cache is FIFO-bounded like `CachedMetric` in `toss-similarity`:
-//! a `VecDeque` insertion order, per-instance hit/miss/eviction tallies,
-//! and `toss.semantic.rewrite_cache.*` global counters.
+//! The cache is FIFO-bounded: a `VecDeque` insertion order,
+//! per-instance hit/miss/eviction tallies, and
+//! `toss.semantic.rewrite_cache.*` global counters.
 //!
 //! [`QueryGovernor::admit_expansion_terms`]: crate::governor::QueryGovernor::admit_expansion_terms
 

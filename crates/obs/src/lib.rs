@@ -2,7 +2,7 @@
 //!
 //! The paper's entire evaluation (Section 6, Figs 15–16) rests on phase
 //! timings, yet most of the pipeline — SEO construction, the XPath
-//! engine, the similarity cache, the WAL — is otherwise dark. This crate
+//! engine, the similarity probes, the WAL — is otherwise dark. This crate
 //! is the observability substrate every layer of the workspace plugs
 //! into. It is deliberately **dependency-free** (the build is offline)
 //! and hand-rolls the two idioms it needs in the style of the `tracing`
@@ -32,7 +32,7 @@
 //!
 //! Span and metric names are dot-separated, lowercase, and prefixed by
 //! subsystem (`toss.query.rewrite`, `xmldb.journal.append`,
-//! `ontology.sea`, `similarity.cache.hits`, …); see
+//! `ontology.sea`, `toss.semantic.probe.indexed`, …); see
 //! `docs/observability.md` for the full naming scheme.
 
 #![forbid(unsafe_code)]

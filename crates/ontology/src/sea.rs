@@ -57,8 +57,8 @@ pub fn enhance<M: StringMetric>(
 }
 
 /// The reference SEA: always runs the all-pairs ε-similarity loop,
-/// ignoring any blocking plan the metric declares. Exists so benches
-/// and equivalence tests can compare against [`enhance`]'s pruned path.
+/// ignoring any blocking plan the metric declares. Exists so the
+/// equivalence tests can compare against [`enhance`]'s pruned path.
 pub fn enhance_exhaustive<M: StringMetric>(
     h: &Hierarchy,
     metric: &M,

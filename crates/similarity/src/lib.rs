@@ -10,16 +10,15 @@
 //! cosine token distance, and rule-based measures for proper nouns; TOSS is
 //! explicitly agnostic — any such implementation can be plugged in. This
 //! crate supplies all the named measures behind one trait,
-//! [`StringMetric`], plus combinators, a memoizing cache, the node-level
-//! measure with the Lemma-1 fast path for strong metrics, and
-//! metric-declared [`blocking`] plans that turn "which terms are within ε
-//! of this probe?" into an index lookup plus a few exact checks.
+//! [`StringMetric`], plus combinators, the node-level measure with the
+//! Lemma-1 fast path for strong metrics, and metric-declared
+//! [`blocking`] plans that turn "which terms are within ε of this
+//! probe?" into an index lookup plus a few exact checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocking;
-pub mod cache;
 pub mod combinators;
 pub mod cosine;
 pub mod damerau;
@@ -36,7 +35,6 @@ pub mod tokenize;
 pub mod traits;
 
 pub use blocking::{BlockPlan, TermIndex};
-pub use cache::CachedMetric;
 pub use cosine::Cosine;
 pub use damerau::DamerauOsa;
 pub use jaccard::JaccardTokens;

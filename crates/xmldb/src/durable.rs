@@ -26,7 +26,7 @@
 use crate::collection::check_size_limit;
 use crate::database::{Database, DatabaseConfig};
 use crate::error::{DbError, DbResult};
-use crate::journal::{Journal, JournalOp};
+use crate::journal::{Journal, JournalOp, JournalRecord};
 use crate::storage;
 use crate::vfs::{StdVfs, Vfs};
 use crate::DocumentId;
@@ -127,15 +127,8 @@ impl DurableDatabase {
         vfs: Arc<dyn Vfs>,
     ) -> DbResult<Self> {
         let snapshot_path = snapshot.into();
-        let (db, cursor, frozen) = if vfs.exists(&snapshot_path) {
-            // A verified `.seg` sidecar lets collections come up frozen
-            // (zero-copy) instead of re-indexing; any sidecar problem
-            // falls back to rebuild inside the loader.
-            let seg = crate::segidx::load_segment(&*vfs, &snapshot_path);
-            storage::load_with_vfs_seq_seg(&snapshot_path, &*vfs, seg.as_ref())?
-        } else {
-            (Database::with_config(config), 0, 0)
-        };
+        let (db, cursor, frozen) =
+            load_snapshot(&snapshot_path, &*vfs)?.unwrap_or_else(|| empty(config));
         // Journal::open trims any torn tail itself, so the strict scan
         // below only fails on genuine corruption.
         let mut journal = Journal::open(Self::wal_path(&snapshot_path), vfs.clone())?;
@@ -149,13 +142,7 @@ impl DurableDatabase {
                 vfs,
             },
         };
-        for rec in &scan.records {
-            if rec.seq < cursor {
-                continue; // already folded into the snapshot
-            }
-            BatchValidator::new(&this.db).check(&rec.op)?;
-            apply_op(&mut this.db, &rec.op)?;
-        }
+        replay(&mut this.db, &scan.records, cursor)?;
         publish_index_gauges(&this.db, frozen);
         Ok(this)
     }
@@ -180,23 +167,13 @@ impl DurableDatabase {
         config: DatabaseConfig,
         vfs: &dyn Vfs,
     ) -> DbResult<Database> {
-        let (mut db, cursor, frozen) = if vfs.exists(snapshot) {
-            let seg = crate::segidx::load_segment(vfs, snapshot);
-            storage::load_with_vfs_seq_seg(snapshot, vfs, seg.as_ref())?
-        } else {
-            (Database::with_config(config), 0, 0)
-        };
+        let (mut db, cursor, frozen) =
+            load_snapshot(snapshot, vfs)?.unwrap_or_else(|| empty(config));
         let scan = Journal::scan_file(&Self::wal_path(snapshot), vfs)?;
         if let Some(err) = scan.corruption {
             return Err(err);
         }
-        for rec in &scan.records {
-            if rec.seq < cursor {
-                continue;
-            }
-            BatchValidator::new(&db).check(&rec.op)?;
-            apply_op(&mut db, &rec.op)?;
-        }
+        replay(&mut db, &scan.records, cursor)?;
         publish_index_gauges(&db, frozen);
         Ok(db)
     }
@@ -221,24 +198,20 @@ impl DurableDatabase {
         let span = toss_obs::span("xmldb.recover");
         let snapshot_path = snapshot.into();
         let mut report = RecoveryReport::default();
-        let (db, cursor, frozen) = if vfs.exists(&snapshot_path) {
-            let seg = crate::segidx::load_segment(&*vfs, &snapshot_path);
-            match storage::load_with_vfs_seq_seg(&snapshot_path, &*vfs, seg.as_ref()) {
-                Ok(loaded) => {
-                    report.snapshot_loaded = true;
-                    loaded
-                }
-                Err(err) => {
-                    // Only the snapshot is quarantined — the `.seg`
-                    // sidecar is derived data; a damaged one is simply
-                    // ignored and overwritten by the next checkpoint.
-                    quarantine(&*vfs, &snapshot_path, &mut report);
-                    report.snapshot_error = Some(err);
-                    (Database::with_config(config), 0, 0)
-                }
+        let (db, cursor, frozen) = match load_snapshot(&snapshot_path, &*vfs) {
+            Ok(Some(loaded)) => {
+                report.snapshot_loaded = true;
+                loaded
             }
-        } else {
-            (Database::with_config(config), 0, 0)
+            Ok(None) => empty(config),
+            Err(err) => {
+                // Only the snapshot is quarantined — the `.seg` sidecar
+                // is derived data; a damaged one is simply ignored and
+                // overwritten by the next checkpoint.
+                quarantine(&*vfs, &snapshot_path, &mut report);
+                report.snapshot_error = Some(err);
+                empty(config)
+            }
         };
         let wal = Self::wal_path(&snapshot_path);
         // Scan before Journal::open so the report (and any quarantine
@@ -260,10 +233,9 @@ impl DurableDatabase {
                 vfs,
             },
         };
-        for rec in &scan.records {
-            if rec.seq < cursor {
-                continue;
-            }
+        // lenient, unlike `replay`: an op that no longer applies is
+        // reported and skipped
+        for rec in scan.records.iter().filter(|rec| rec.seq >= cursor) {
             let checked = BatchValidator::new(&this.db).check(&rec.op);
             match checked.and_then(|()| apply_op(&mut this.db, &rec.op)) {
                 Ok(_) => report.replayed_ops += 1,
@@ -705,6 +677,38 @@ impl<'a> BatchValidator<'a> {
             JournalOp::AddTerm { .. } | JournalOp::AddEdge { .. } | JournalOp::Noop => Ok(()),
         }
     }
+}
+
+/// A database loaded from a snapshot: the database, its journal cursor
+/// (the first sequence not folded in) and its frozen-collection count.
+type Loaded = (Database, u64, usize);
+
+/// The snapshot at `path`, with its `.seg` sidecar attached, or `None`
+/// when there is no snapshot yet. A verified sidecar lets collections
+/// come up frozen (zero-copy) instead of re-indexing; any sidecar
+/// problem falls back to a rebuild inside the loader.
+fn load_snapshot(path: &Path, vfs: &dyn Vfs) -> DbResult<Option<Loaded>> {
+    if !vfs.exists(path) {
+        return Ok(None);
+    }
+    let seg = crate::segidx::load_segment(vfs, path);
+    storage::load_with_vfs_seq_seg(path, vfs, seg.as_ref()).map(Some)
+}
+
+/// The starting state of a store that has no snapshot.
+fn empty(config: DatabaseConfig) -> Loaded {
+    (Database::with_config(config), 0, 0)
+}
+
+/// Strict replay: apply every journal record from `cursor` on (earlier
+/// ones are already folded into the snapshot), failing on the first op
+/// that no longer validates or applies.
+fn replay(db: &mut Database, records: &[JournalRecord], cursor: u64) -> DbResult<()> {
+    for rec in records.iter().filter(|rec| rec.seq >= cursor) {
+        BatchValidator::new(db).check(&rec.op)?;
+        apply_op(db, &rec.op)?;
+    }
+    Ok(())
 }
 
 /// Publish the index-footprint gauges after a cold open.

@@ -365,45 +365,8 @@ impl Journal {
     /// fresh open, because a new record could otherwise land after torn
     /// bytes mid-file.
     pub fn append(&mut self, op: &JournalOp) -> DbResult<u64> {
-        if self.poisoned {
-            return Err(DbError::Storage(
-                "journal is poisoned after an unrepaired append failure; \
-                 reopen or checkpoint to continue"
-                    .into(),
-            ));
-        }
-        let span = toss_obs::span("xmldb.journal.append");
-        let seq = self.next_seq;
-        let rec = frame(&encode_payload(seq, op, None));
-        span.record("bytes", rec.len());
-        let appended = self
-            .vfs
-            .append(&self.path, &rec)
-            .map_err(|e| DbError::Storage(format!("journal append failed: {e}")))
-            .and_then(|()| {
-                self.vfs
-                    .sync(&self.path)
-                    .map_err(|e| DbError::Storage(format!("journal fsync failed: {e}")))
-            });
-        match appended {
-            Ok(()) => {
-                self.good_len += rec.len();
-                self.next_seq = seq + 1;
-                self.record_count += 1;
-                toss_obs::metrics::counter("xmldb.journal.appends").inc();
-                toss_obs::metrics::counter("xmldb.journal.fsyncs").inc();
-                toss_obs::metrics::counter("xmldb.journal.bytes_appended").add(rec.len() as u64);
-                toss_obs::metrics::histogram("xmldb.journal.append_ns")
-                    .observe_duration(span.finish());
-                Ok(seq)
-            }
-            Err(err) => {
-                toss_obs::metrics::counter("xmldb.journal.append_failures").inc();
-                span.record("failed", true);
-                self.truncate_to_good_len();
-                Err(err)
-            }
-        }
+        self.append_records(std::iter::once((op, None)))
+            .map(|seqs| seqs.start)
     }
 
     /// Group commit: append `ops` as consecutive records with **one**
@@ -418,9 +381,8 @@ impl Journal {
     ///
     /// An empty batch is a no-op returning no sequences.
     pub fn append_batch(&mut self, ops: &[JournalOp]) -> DbResult<Vec<u64>> {
-        let keyed: Vec<(JournalOp, Option<String>)> =
-            ops.iter().map(|op| (op.clone(), None)).collect();
-        self.append_batch_keyed(&keyed)
+        self.append_records(ops.iter().map(|op| (op, None)))
+            .map(Iterator::collect)
     }
 
     /// [`Journal::append_batch`], with each op's idempotency key (if
@@ -432,8 +394,23 @@ impl Journal {
         &mut self,
         ops: &[(JournalOp, Option<String>)],
     ) -> DbResult<Vec<u64>> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
+        self.append_records(ops.iter().map(|(op, key)| (op, key.as_deref())))
+            .map(Iterator::collect)
+    }
+
+    /// The one append path: frame `ops` (each with its optional
+    /// idempotency key) as consecutive records, append them with one
+    /// write and one fsync, and return the sequence numbers they took.
+    /// On failure the partial bytes are truncated away and no sequence
+    /// is consumed (see [`Journal::append`]).
+    fn append_records<'a>(
+        &mut self,
+        ops: impl ExactSizeIterator<Item = (&'a JournalOp, Option<&'a str>)>,
+    ) -> DbResult<std::ops::Range<u64>> {
+        let first = self.next_seq;
+        let n = ops.len() as u64;
+        if n == 0 {
+            return Ok(first..first);
         }
         if self.poisoned {
             return Err(DbError::Storage(
@@ -442,14 +419,11 @@ impl Journal {
                     .into(),
             ));
         }
-        let span = toss_obs::span("xmldb.journal.append_batch");
-        span.record("ops", ops.len());
+        let span = toss_obs::span("xmldb.journal.append");
+        span.record("ops", n);
         let mut rec = Vec::new();
-        let mut seqs = Vec::with_capacity(ops.len());
-        for (i, (op, key)) in ops.iter().enumerate() {
-            let seq = self.next_seq + i as u64;
-            rec.extend_from_slice(&frame(&encode_payload(seq, op, key.as_deref())));
-            seqs.push(seq);
+        for (seq, (op, key)) in (first..).zip(ops) {
+            rec.extend_from_slice(&frame(&encode_payload(seq, op, key)));
         }
         span.record("bytes", rec.len());
         let appended = self
@@ -464,15 +438,15 @@ impl Journal {
         match appended {
             Ok(()) => {
                 self.good_len += rec.len();
-                self.next_seq += ops.len() as u64;
-                self.record_count += ops.len();
-                toss_obs::metrics::counter("xmldb.journal.appends").add(ops.len() as u64);
+                self.next_seq = first + n;
+                self.record_count += n as usize;
+                toss_obs::metrics::counter("xmldb.journal.appends").add(n);
                 toss_obs::metrics::counter("xmldb.journal.fsyncs").inc();
                 toss_obs::metrics::counter("xmldb.journal.bytes_appended").add(rec.len() as u64);
-                toss_obs::metrics::histogram("xmldb.journal.batch_ops").observe(ops.len() as u64);
+                toss_obs::metrics::histogram("xmldb.journal.batch_ops").observe(n);
                 toss_obs::metrics::histogram("xmldb.journal.append_ns")
                     .observe_duration(span.finish());
-                Ok(seqs)
+                Ok(first..first + n)
             }
             Err(err) => {
                 toss_obs::metrics::counter("xmldb.journal.append_failures").inc();

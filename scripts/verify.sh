@@ -3,7 +3,7 @@
 #
 # This is the same sequence CI runs (.github/workflows/ci.yml); run it
 # locally before pushing. Everything must pass with zero warnings from
-# clippy on the durability-critical crate.
+# clippy on every package, root tests and examples included.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,16 +30,8 @@ TOSS_CRASH_SEEDS=10 cargo test --release --test serve \
     crash_campaign_every_acknowledged_write_survives_kill_and_recover -q
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy -p toss-tree -p toss-tax -p toss-json -p toss-lexicon -p toss-datagen --all-targets -- -D warnings"
-    cargo clippy -p toss-tree -p toss-tax -p toss-json -p toss-lexicon -p toss-datagen --all-targets -- -D warnings
-    echo "==> cargo clippy -p toss-xmldb -p toss-pool -p toss-segment --all-targets -- -D warnings"
-    cargo clippy -p toss-xmldb -p toss-pool -p toss-segment --all-targets -- -D warnings
-    echo "==> cargo clippy -p toss-obs -p toss-core -p toss-similarity -p toss-ontology --all-targets -- -D warnings"
-    cargo clippy -p toss-obs -p toss-core -p toss-similarity -p toss-ontology --all-targets -- -D warnings
-    echo "==> cargo clippy -p toss-serve --all-targets -- -D warnings"
-    cargo clippy -p toss-serve --all-targets -- -D warnings
-    echo "==> cargo clippy -p toss-cli -p toss-bench --all-targets -- -D warnings"
-    cargo clippy -p toss-cli -p toss-bench --all-targets -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+    cargo clippy --workspace --all-targets -- -D warnings
 else
     echo "==> clippy not installed; skipping lint step"
 fi

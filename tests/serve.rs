@@ -352,8 +352,10 @@ fn dropped_connection_mid_request_is_a_clean_half_frame_fault() {
 
 #[test]
 fn oversize_frame_is_refused_with_a_reason() {
-    let mut cfg = ServerConfig::default();
-    cfg.max_frame_bytes = 1024;
+    let cfg = ServerConfig {
+        max_frame_bytes: 1024,
+        ..ServerConfig::default()
+    };
     let server = start(cfg);
     let mut s = TcpStream::connect(server.local_addr()).unwrap();
     s.write_all(&(1u32 << 21).to_be_bytes()).unwrap();
@@ -370,8 +372,10 @@ fn oversize_frame_is_refused_with_a_reason() {
 
 #[test]
 fn slow_loris_client_is_disconnected() {
-    let mut cfg = ServerConfig::default();
-    cfg.read_timeout = Duration::from_millis(200);
+    let cfg = ServerConfig {
+        read_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
     let server = start(cfg);
     let before = counter_value("toss.serve.faults.read_timeout");
 
@@ -392,8 +396,10 @@ fn slow_loris_client_is_disconnected() {
 
 #[test]
 fn stalled_reader_is_disconnected_by_the_write_deadline() {
-    let mut cfg = ServerConfig::default();
-    cfg.write_timeout = Duration::from_millis(200);
+    let cfg = ServerConfig {
+        write_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
     // big documents => multi-megabyte responses that cannot fit in
     // kernel socket buffers once the reader stops draining
     let server = Server::start(executor(100, 20_000), "127.0.0.1:0", cfg).unwrap();
@@ -450,9 +456,11 @@ fn budget_class_deadline_is_enforced_as_a_typed_error() {
 
 #[test]
 fn overload_is_shed_with_a_retry_hint_and_queue_wait_is_recorded() {
-    let mut cfg = ServerConfig::default();
-    cfg.max_concurrent_queries = 1;
-    cfg.max_queue_wait = Duration::from_millis(10);
+    let cfg = ServerConfig {
+        max_concurrent_queries: 1,
+        max_queue_wait: Duration::from_millis(10),
+        ..ServerConfig::default()
+    };
     let server = start(cfg);
     let addr = server.local_addr();
     let wait_hist_before = toss_obs::metrics::snapshot()
@@ -504,8 +512,10 @@ fn overload_is_shed_with_a_retry_hint_and_queue_wait_is_recorded() {
 
 #[test]
 fn connection_limit_rejects_with_overloaded_frame() {
-    let mut cfg = ServerConfig::default();
-    cfg.max_connections = 1;
+    let cfg = ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    };
     let server = start(cfg);
     let mut first = Client::connect(server.local_addr()).unwrap();
     first.ping().unwrap(); // guarantees registration completed
@@ -525,8 +535,10 @@ fn connection_limit_rejects_with_overloaded_frame() {
 
 #[test]
 fn shutdown_verb_drains_when_enabled() {
-    let mut cfg = ServerConfig::default();
-    cfg.allow_shutdown_verb = true;
+    let cfg = ServerConfig {
+        allow_shutdown_verb: true,
+        ..ServerConfig::default()
+    };
     let server = start(cfg);
     let addr = server.local_addr();
     let waiter = thread::spawn(move || server.serve_until_shutdown());
@@ -541,8 +553,10 @@ fn shutdown_verb_drains_when_enabled() {
 /// window; every client reads a *whole* frame; nothing panics.
 #[test]
 fn drain_completes_or_cancels_in_flight_queries_without_partial_frames() {
-    let mut cfg = ServerConfig::default();
-    cfg.drain_deadline = Duration::from_millis(400);
+    let cfg = ServerConfig {
+        drain_deadline: Duration::from_millis(400),
+        ..ServerConfig::default()
+    };
     let server = start(cfg);
     let addr = server.local_addr();
     let panics_before = counter_value("toss.governor.panics");
@@ -1044,7 +1058,7 @@ fn crash_campaign_every_acknowledged_write_survives_kill_and_recover() {
                 let marker: String =
                     tail.chars().take_while(|c| *c != '"').collect();
                 assert!(
-                    sent.iter().any(|m| *m == marker),
+                    sent.contains(&marker),
                     "seed {seed}: phantom write {marker} appeared"
                 );
             }
