@@ -137,8 +137,8 @@ pub enum QueryPlan {
         /// Contiguous partitions the scan splits its candidates into.
         partitions: usize,
     },
-    /// Keyed similarity join: fingerprint groups + prefix-filter
-    /// inverted index over rare-first signatures
+    /// Keyed similarity join: fingerprint groups + an inverted index
+    /// from signature elements to right-side groups
     /// ([`crate::algebra::similarity_join`]).
     SimilarityJoin {
         /// Always `true`: there is one join. Kept for `benchmark/`,
@@ -147,10 +147,10 @@ pub enum QueryPlan {
         refined: bool,
         /// Distinct signature groups across both sides.
         groups: usize,
-        /// Candidate pairs the prefix-filtered probe generated and the
-        /// commit frontier charged.
+        /// Matched group pairs the index lookup found and the commit
+        /// frontier charged.
         candidates: usize,
-        /// Worker threads available to the signature/probe fan-out.
+        /// Worker threads available to the signature/lookup fan-out.
         workers: usize,
     },
 }

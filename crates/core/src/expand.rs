@@ -144,24 +144,6 @@ pub fn seo_classes(seo: &Seo) -> HashMap<String, Vec<u32>> {
     out
 }
 
-/// Per-class term frequencies of the SEO: `freq[c]` is the number of
-/// term renderings co-resident in enhanced node `c` (indexed by class
-/// id, i.e. the same ids [`seo_classes`] hands out). A class that many
-/// terms collapsed into is *common* — it matches broadly — while a
-/// near-singleton class is *rare*. The refined similarity join
-/// ([`crate::algebra::similarity_join`]) orders signature elements by these
-/// frequencies so rare classes come first and the prefix filter prunes
-/// candidates as early as possible.
-pub fn seo_class_frequencies(seo: &Seo) -> Vec<u32> {
-    let mut freq = vec![0u32; seo.enhanced().nodes().count()];
-    for e in seo.enhanced().nodes() {
-        if let Some(slot) = freq.get_mut(e.0) {
-            *slot = seo.terms_of_enhanced(e).len() as u32;
-        }
-    }
-    freq
-}
-
 const TRUE_FALSE: fn(bool) -> Cond = |b| {
     if b {
         Cond::True

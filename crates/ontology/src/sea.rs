@@ -41,9 +41,9 @@ use toss_similarity::{BlockPlan, StringMetric, TermIndex};
 ///
 /// When the metric declares a blocking plan at ε
 /// ([`StringMetric::blocking`]), only the node pairs a [`TermIndex`] over
-/// `h`'s terms proposes reach the exact `node_within` check. Metrics
-/// without a plan (`Jaro`, `WeightedSum`) use the exhaustive all-pairs
-/// loop. Output is identical either way — see [`enhance_exhaustive`] and
+/// `h`'s terms proposes reach the exact `node_within` check. A metric
+/// without a plan (`Jaro`, or a `MinOf` with a plan-less side) uses the
+/// exhaustive all-pairs loop. Output is identical either way — see [`enhance_exhaustive`] and
 /// the equivalence proptests.
 ///
 /// Returns [`OntologyError::SimilarityInconsistent`] when `(H, d, ε)` is

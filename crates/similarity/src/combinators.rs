@@ -1,6 +1,6 @@
-//! Metric combinators: scaling, capping, weighted combination and
-//! minimum-of, used to tune measures to the paper's ε scale (ε ∈ {2, 3}
-//! assumes edit-distance-like magnitudes).
+//! Metric combinators: scaling, minimum-of and the multi-word gate, used
+//! to tune measures to the paper's ε scale (ε ∈ {2, 3} assumes
+//! edit-distance-like magnitudes) and to build the experiment metric.
 
 use crate::blocking::{BlockPlan, TermGate};
 use crate::traits::StringMetric;
@@ -49,40 +49,6 @@ impl<M: StringMetric> StringMetric for Scaled<M> {
     fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
         // the threshold `within` hands the inner metric
         self.inner.blocking(epsilon / self.factor)
-    }
-}
-
-/// Weighted sum of two metrics. A sum of metrics is a metric, so strength
-/// is preserved when both inputs are strong.
-#[derive(Debug, Clone)]
-pub struct WeightedSum<A, B> {
-    a: A,
-    b: B,
-    wa: f64,
-    wb: f64,
-    name: String,
-}
-
-impl<A: StringMetric, B: StringMetric> WeightedSum<A, B> {
-    /// Build with non-negative weights (not both zero).
-    pub fn new(a: A, wa: f64, b: B, wb: f64) -> Self {
-        assert!(wa >= 0.0 && wb >= 0.0 && wa + wb > 0.0, "bad weights");
-        let name = format!("{}*{}+{}*{}", wa, a.name(), wb, b.name());
-        WeightedSum { a, b, wa, wb, name }
-    }
-}
-
-impl<A: StringMetric, B: StringMetric> StringMetric for WeightedSum<A, B> {
-    fn distance(&self, x: &str, y: &str) -> f64 {
-        self.wa * self.a.distance(x, y) + self.wb * self.b.distance(x, y)
-    }
-
-    fn is_strong(&self) -> bool {
-        self.a.is_strong() && self.b.is_strong()
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -235,20 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_sum_combines() {
-        let m = WeightedSum::new(Levenshtein, 0.5, Levenshtein, 0.5);
-        assert_eq!(m.distance("abc", "abd"), 1.0);
-        assert!(m.is_strong());
-        axioms::assert_axioms(&m);
-    }
-
-    #[test]
-    fn weighted_sum_with_non_strong_is_non_strong() {
-        let m = WeightedSum::new(Levenshtein, 0.5, Jaro, 0.5);
-        assert!(!m.is_strong());
-    }
-
-    #[test]
     fn multiword_gate_blocks_single_word_merges() {
         let m = MultiWordGate::new(Levenshtein);
         // the pair that motivated the gate
@@ -305,6 +257,5 @@ mod tests {
         assert!(matches!(experiment.blocking(3.0), Some(BlockPlan::Any(ps)) if ps.len() == 2));
         // one side without a plan leaves nothing to prune with
         assert_eq!(MinOf::new(Levenshtein, Jaro).blocking(3.0), None);
-        assert_eq!(WeightedSum::new(Levenshtein, 0.5, Jaro, 0.5).blocking(3.0), None);
     }
 }

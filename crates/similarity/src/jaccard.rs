@@ -50,6 +50,8 @@ mod tests {
     #[test]
     fn identical_token_sets_have_distance_zero() {
         assert_eq!(JaccardTokens.distance("a b c", "c b a"), 0.0);
+        // sets, not multisets: how often a token repeats does not matter
+        assert_eq!(JaccardTokens.distance("a a b", "a b b"), 0.0);
         // case and punctuation are normalized away
         assert_eq!(JaccardTokens.distance("J. Ullman", "j ullman"), 0.0);
     }

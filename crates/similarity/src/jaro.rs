@@ -1,7 +1,8 @@
-//! Jaro and Jaro-Winkler metrics, expressed as distances (`1 − similarity`)
-//! so they fit the paper's distance convention. Cited as the "Jaro
-//! metric" \[9\] in Definition 7's discussion. Not strong (the triangle
-//! inequality fails), so they never enable the Lemma-1 fast path.
+//! The Jaro metric, expressed as a distance (`1 − similarity`) so it fits
+//! the paper's distance convention. Cited as the "Jaro metric" \[9\] in
+//! Definition 7's discussion. Not strong (the triangle inequality fails),
+//! so it never enables the Lemma-1 fast path. It declares no blocking
+//! plan, which makes it the metric the exhaustive paths are tested with.
 
 use crate::traits::StringMetric;
 
@@ -66,44 +67,6 @@ impl StringMetric for Jaro {
     }
 }
 
-/// Jaro-Winkler distance: boosts the Jaro similarity for strings sharing a
-/// common prefix (up to 4 chars) with scaling factor `p` (default 0.1).
-#[derive(Debug, Clone, Copy)]
-pub struct JaroWinkler {
-    /// Prefix scaling factor, conventionally `0.1` and at most `0.25`.
-    pub prefix_scale: f64,
-}
-
-impl Default for JaroWinkler {
-    fn default() -> Self {
-        JaroWinkler { prefix_scale: 0.1 }
-    }
-}
-
-impl JaroWinkler {
-    /// Jaro-Winkler similarity in `[0, 1]`.
-    pub fn similarity(&self, a: &str, b: &str) -> f64 {
-        let jaro = Jaro::similarity(a, b);
-        let prefix = a
-            .chars()
-            .zip(b.chars())
-            .take(4)
-            .take_while(|(x, y)| x == y)
-            .count() as f64;
-        jaro + prefix * self.prefix_scale * (1.0 - jaro)
-    }
-}
-
-impl StringMetric for JaroWinkler {
-    fn distance(&self, a: &str, b: &str) -> f64 {
-        1.0 - self.similarity(a, b)
-    }
-
-    fn name(&self) -> &str {
-        "jaro-winkler"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,8 +85,6 @@ mod tests {
         assert!((s - 0.944444).abs() < 1e-4, "martha/marhta = {s}");
         let s = Jaro::similarity("dixon", "dicksonx");
         assert!((s - 0.766667).abs() < 1e-4, "dixon/dicksonx = {s}");
-        let jw = JaroWinkler::default().similarity("martha", "marhta");
-        assert!((jw - 0.961111).abs() < 1e-4, "jw martha/marhta = {jw}");
     }
 
     #[test]
@@ -133,19 +94,9 @@ mod tests {
     }
 
     #[test]
-    fn axioms_hold_for_both() {
+    fn axioms_hold() {
         axioms::assert_axioms(&Jaro);
-        axioms::assert_axioms(&JaroWinkler::default());
         axioms::assert_within_consistent(&Jaro);
-    }
-
-    #[test]
-    fn winkler_boosts_shared_prefixes() {
-        let j = Jaro::similarity("prefixed", "prefixes");
-        let jw = JaroWinkler::default().similarity("prefixed", "prefixes");
-        assert!(jw > j);
-        // but never exceeds 1
-        assert!(jw <= 1.0);
     }
 
     #[test]

@@ -9,41 +9,35 @@
 //! The paper names Levenshtein, Monge-Elkan, the Jaro metric, Jaccard and
 //! cosine token distance, and rule-based measures for proper nouns; TOSS is
 //! explicitly agnostic — any such implementation can be plugged in. This
-//! crate supplies all the named measures behind one trait,
-//! [`StringMetric`], plus combinators, the node-level measure with the
-//! Lemma-1 fast path for strong metrics, and metric-declared
-//! [`blocking`] plans that turn "which terms are within ε of this
-//! probe?" into an index lookup plus a few exact checks.
+//! crate keeps the measures something in the system runs, behind one
+//! trait, [`StringMetric`]: the edit metrics ([`Levenshtein`],
+//! [`DamerauOsa`]) and the bibliographic [`NameRules`] that the
+//! experiment metric combines, [`JaccardTokens`] (strong), and [`Jaro`],
+//! the reference metric that declares no blocking plan. Around them sit
+//! the combinators, the node-level measure with the Lemma-1 fast path
+//! for strong metrics, and metric-declared [`blocking`] plans that turn
+//! "which terms are within ε of this probe?" into an index lookup plus a
+//! few exact checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod blocking;
 pub mod combinators;
-pub mod cosine;
 pub mod damerau;
 pub mod jaccard;
 pub mod jaro;
 pub mod levenshtein;
-pub mod monge_elkan;
-pub mod ngram;
 pub mod node;
 pub mod rules;
-pub mod smith_waterman;
-pub mod soft_tfidf;
 pub mod tokenize;
 pub mod traits;
 
 pub use blocking::{BlockPlan, TermIndex};
-pub use cosine::Cosine;
 pub use damerau::DamerauOsa;
 pub use jaccard::JaccardTokens;
-pub use jaro::{Jaro, JaroWinkler};
+pub use jaro::Jaro;
 pub use levenshtein::Levenshtein;
-pub use monge_elkan::MongeElkan;
-pub use ngram::NGram;
 pub use node::node_distance;
 pub use rules::NameRules;
-pub use smith_waterman::SmithWaterman;
-pub use soft_tfidf::SoftTfIdf;
 pub use traits::StringMetric;

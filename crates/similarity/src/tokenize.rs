@@ -1,4 +1,5 @@
-//! Tokenization shared by the token-based measures.
+//! Word tokenization shared by the Jaccard measure, the name rules and
+//! the surname blocking key.
 
 /// Split a string into lowercase word tokens (alphanumeric runs).
 pub fn words(s: &str) -> Vec<String> {
@@ -31,22 +32,6 @@ pub fn last_word(s: &str) -> String {
         .last()
         .map_or(end.len(), |(i, _)| i);
     end[start..].chars().flat_map(char::to_lowercase).collect()
-}
-
-/// Character n-grams of a string (lowercased, spaces preserved); strings
-/// shorter than `n` yield a single gram equal to the lowercased string.
-pub fn char_ngrams(s: &str, n: usize) -> Vec<String> {
-    assert!(n > 0, "n-gram size must be positive");
-    let chars: Vec<char> = s.to_lowercase().chars().collect();
-    if chars.is_empty() {
-        return Vec::new();
-    }
-    if chars.len() <= n {
-        return vec![chars.iter().collect()];
-    }
-    (0..=chars.len() - n)
-        .map(|i| chars[i..i + n].iter().collect())
-        .collect()
 }
 
 #[cfg(test)]
@@ -85,19 +70,5 @@ mod tests {
             let expected = words(s).pop().unwrap_or_default();
             assert_eq!(last_word(s), expected, "on {s:?}");
         }
-    }
-
-    #[test]
-    fn ngrams_basic() {
-        assert_eq!(char_ngrams("abcd", 2), vec!["ab", "bc", "cd"]);
-        assert_eq!(char_ngrams("ab", 3), vec!["ab"]);
-        assert_eq!(char_ngrams("", 2), Vec::<String>::new());
-        assert_eq!(char_ngrams("ABC", 3), vec!["abc"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "n-gram size must be positive")]
-    fn zero_gram_panics() {
-        char_ngrams("abc", 0);
     }
 }

@@ -62,42 +62,6 @@ impl<M: StringMetric + ?Sized> StringMetric for &M {
     }
 }
 
-impl<M: StringMetric + ?Sized> StringMetric for Box<M> {
-    fn distance(&self, a: &str, b: &str) -> f64 {
-        (**self).distance(a, b)
-    }
-    fn is_strong(&self) -> bool {
-        (**self).is_strong()
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn within(&self, a: &str, b: &str, epsilon: f64) -> bool {
-        (**self).within(a, b, epsilon)
-    }
-    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
-        (**self).blocking(epsilon)
-    }
-}
-
-impl<M: StringMetric> StringMetric for std::sync::Arc<M> {
-    fn distance(&self, a: &str, b: &str) -> f64 {
-        (**self).distance(a, b)
-    }
-    fn is_strong(&self) -> bool {
-        (**self).is_strong()
-    }
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn within(&self, a: &str, b: &str, epsilon: f64) -> bool {
-        (**self).within(a, b, epsilon)
-    }
-    fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
-        (**self).blocking(epsilon)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod axioms {
     //! Shared test helpers asserting the Definition-7 axioms on sample

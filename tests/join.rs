@@ -1,8 +1,9 @@
 //! Similarity-join equivalence suite (see `docs/performance.md`): the
-//! prefix-filtered signature join must return *exactly* the naive
+//! signature join's inverted-index lookup must return *exactly* the naive
 //! product-then-select oracle's output — across random ontologies,
 //! adversarial 100%-skew single-class workloads and zipf-skewed keys, at
-//! every worker count, with bit-identical governor candidate tallies.
+//! every worker count, with a governor candidate tally equal to the
+//! oracle's pair count and bit-identical at every worker count.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -181,7 +182,9 @@ proptest! {
         let r = SeoInstance::new(random_side(&mut rng, nr, "r"), seo.clone());
         let expected = oracle(&l, &r, &JoinKey::child("k"));
 
-        let joined = run(&l, &r, 1, &QueryGovernor::unlimited());
+        let gov = QueryGovernor::unlimited();
+        let joined = run(&l, &r, 1, &gov);
+        prop_assert_eq!(gov.join_candidates(), expected.len() as u64);
         prop_assert_eq!(fp_list(&joined), expected);
     }
 
@@ -197,7 +200,9 @@ proptest! {
         let r = SeoInstance::new(clique_side(&mut rng, nr), seo.clone());
         let expected = oracle(&l, &r, &JoinKey::child("k"));
 
-        let joined = run(&l, &r, 1, &QueryGovernor::unlimited());
+        let gov = QueryGovernor::unlimited();
+        let joined = run(&l, &r, 1, &gov);
+        prop_assert_eq!(gov.join_candidates(), expected.len() as u64);
         prop_assert_eq!(fp_list(&joined), expected);
     }
 
