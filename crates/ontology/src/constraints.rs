@@ -19,7 +19,7 @@ pub struct TermRef {
 
 impl TermRef {
     /// Build a `term:source` reference.
-    pub fn new(term: impl Into<String>, source: usize) -> Self {
+    pub(crate) fn new(term: impl Into<String>, source: usize) -> Self {
         TermRef {
             term: term.into(),
             source,
@@ -47,11 +47,6 @@ impl Constraint {
     /// `x:i ≤ y:j`.
     pub fn leq(x: impl Into<String>, i: usize, y: impl Into<String>, j: usize) -> Self {
         Constraint::Leq(TermRef::new(x, i), TermRef::new(y, j))
-    }
-
-    /// `x:i ≠ y:j`.
-    pub fn neq(x: impl Into<String>, i: usize, y: impl Into<String>, j: usize) -> Self {
-        Constraint::Neq(TermRef::new(x, i), TermRef::new(y, j))
     }
 
     /// `x:i = y:j`, desugared to the two `≤` constraints.
@@ -105,12 +100,15 @@ mod tests {
             Constraint::leq("x", 1, "y", 2).to_string(),
             "x:1 ≤ y:2"
         );
-        assert_eq!(Constraint::neq("x", 1, "y", 2).to_string(), "x:1 ≠ y:2");
+        assert_eq!(
+            Constraint::Neq(TermRef::new("x", 1), TermRef::new("y", 2)).to_string(),
+            "x:1 ≠ y:2"
+        );
     }
 
     #[test]
     fn endpoints_accessor() {
-        let c = Constraint::neq("a", 0, "b", 1);
+        let c = Constraint::Neq(TermRef::new("a", 0), TermRef::new("b", 1));
         let (l, r) = c.endpoints();
         assert_eq!(l.term, "a");
         assert_eq!(r.source, 1);

@@ -1,33 +1,11 @@
-//! Graphviz DOT export for hierarchies and SEOs — the quickest way to
-//! eyeball what the Ontology Maker mined and what SEA merged.
+//! Graphviz DOT export for SEOs — the quickest way to eyeball what the
+//! Ontology Maker mined and what SEA merged.
 
-use crate::hierarchy::Hierarchy;
 use crate::seo::Seo;
 use std::fmt::Write as _;
 
 fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Render a hierarchy as a DOT digraph (edges point from below to above,
-/// i.e. along ≤).
-pub fn hierarchy_to_dot(h: &Hierarchy, name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "digraph \"{}\" {{", escape(name));
-    let _ = writeln!(out, "  rankdir=BT;");
-    let _ = writeln!(out, "  node [shape=box, fontsize=10];");
-    for n in h.nodes() {
-        let label = h
-            .terms_of(n)
-            .map(|ts| ts.iter().map(|t| escape(t)).collect::<Vec<_>>().join("\\n"))
-            .unwrap_or_default();
-        let _ = writeln!(out, "  n{} [label=\"{}\"];", n.0, label);
-    }
-    for (a, b) in h.edges() {
-        let _ = writeln!(out, "  n{} -> n{};", a.0, b.0);
-    }
-    out.push_str("}\n");
-    out
 }
 
 /// Render an SEO as a DOT digraph: enhanced nodes labelled with their
@@ -57,20 +35,21 @@ pub fn seo_to_dot(seo: &Seo, name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::from_pairs;
+    use crate::hierarchy::{from_pairs, Hierarchy};
     use crate::sea::enhance;
     use toss_similarity::Levenshtein;
 
     #[test]
-    fn hierarchy_dot_contains_nodes_and_edges() {
+    fn seo_dot_contains_nodes_and_edges() {
         let h = from_pairs(&[("author", "article"), ("title", "article")]).unwrap();
-        let dot = hierarchy_to_dot(&h, "part-of");
+        let seo = enhance(&h, &Levenshtein, 0.0).unwrap();
+        let dot = seo_to_dot(&seo, "part-of");
         assert!(dot.starts_with("digraph \"part-of\" {"));
         assert!(dot.contains("label=\"author\""));
-        assert!(dot.contains("->"));
         assert!(dot.ends_with("}\n"));
-        // edge count matches
+        // edge count matches, and nothing merged at ε = 0
         assert_eq!(dot.matches("->").count(), 2);
+        assert!(!dot.contains("lightyellow"));
     }
 
     #[test]
@@ -86,7 +65,8 @@ mod tests {
     fn labels_are_escaped() {
         let mut h = Hierarchy::new();
         h.add_leq("a\"quote", "top").unwrap();
-        let dot = hierarchy_to_dot(&h, "x\"y");
+        let seo = enhance(&h, &Levenshtein, 0.0).unwrap();
+        let dot = seo_to_dot(&seo, "x\"y");
         assert!(dot.contains("a\\\"quote"));
         assert!(dot.contains("digraph \"x\\\"y\""));
     }

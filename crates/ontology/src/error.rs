@@ -14,6 +14,11 @@ pub enum OntologyError {
     },
     /// A referenced term does not exist in the hierarchy.
     UnknownTerm(String),
+    /// A node was given a term that already belongs to another node
+    /// (terms are unique across a hierarchy's nodes).
+    DuplicateTerm(String),
+    /// A stored SEO (`.ont.json`) could not be decoded; says which part.
+    MalformedSeo(String),
     /// A node id did not belong to the hierarchy.
     InvalidNode(usize),
     /// Fusion failed: a `≠` constraint's endpoints were forced equal.
@@ -43,6 +48,8 @@ impl fmt::Display for OntologyError {
                 write!(f, "edge {below} ≤ {above} would create a cycle")
             }
             OntologyError::UnknownTerm(t) => write!(f, "unknown term `{t}`"),
+            OntologyError::DuplicateTerm(t) => write!(f, "term `{t}` already belongs to a node"),
+            OntologyError::MalformedSeo(why) => write!(f, "malformed SEO JSON: {why}"),
             OntologyError::InvalidNode(i) => write!(f, "invalid hierarchy node id {i}"),
             OntologyError::InequalityViolated { left, right } => {
                 write!(f, "constraint {left} ≠ {right} violated by fusion")
@@ -60,7 +67,7 @@ impl fmt::Display for OntologyError {
 impl std::error::Error for OntologyError {}
 
 /// Result alias for ontology operations.
-pub type OntologyResult<T> = Result<T, OntologyError>;
+pub(crate) type OntologyResult<T> = Result<T, OntologyError>;
 
 #[cfg(test)]
 mod tests {

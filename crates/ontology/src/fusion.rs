@@ -36,17 +36,6 @@ impl Fusion {
     pub fn image(&self, source: usize, node: HNodeId) -> Option<HNodeId> {
         self.witness.get(source)?.get(&node).copied()
     }
-
-    /// Fused node containing the given source term.
-    pub fn image_of_term(
-        &self,
-        sources: &[Hierarchy],
-        source: usize,
-        term: &str,
-    ) -> Option<HNodeId> {
-        let node = sources.get(source)?.node_of(term)?;
-        self.image(source, node)
-    }
 }
 
 /// Fuse hierarchies under interoperation constraints into the canonical
@@ -211,6 +200,7 @@ pub fn fuse(hierarchies: &[Hierarchy], constraints: &[Constraint]) -> OntologyRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraints::TermRef;
     use crate::hierarchy::from_pairs;
 
     /// Simplified SIGMOD part-of hierarchy (paper Figure 9a).
@@ -249,6 +239,11 @@ mod tests {
         cs.extend(Constraint::eq("year", 0, "year", 1));
         cs.extend(Constraint::eq("confYear", 0, "year", 1));
         cs
+    }
+
+    /// `x:i ≠ y:j`.
+    fn neq(x: &str, i: usize, y: &str, j: usize) -> Constraint {
+        Constraint::Neq(TermRef::new(x, i), TermRef::new(y, j))
     }
 
     #[test]
@@ -290,8 +285,11 @@ mod tests {
         let f = fuse(&sources, &cs).unwrap();
         for c in &cs {
             if let Constraint::Leq(x, y) = c {
-                let ix = f.image_of_term(&sources, x.source, &x.term).unwrap();
-                let iy = f.image_of_term(&sources, y.source, &y.term).unwrap();
+                let image = |t: &TermRef| {
+                    let node = sources[t.source].node_of(&t.term).unwrap();
+                    f.image(t.source, node).unwrap()
+                };
+                let (ix, iy) = (image(x), image(y));
                 assert!(f.hierarchy.leq(ix, iy), "constraint {c} not preserved");
             }
         }
@@ -311,7 +309,7 @@ mod tests {
     #[test]
     fn neq_violation_detected() {
         let mut cs = Constraint::eq("author", 0, "author", 1);
-        cs.push(Constraint::neq("author", 0, "author", 1));
+        cs.push(neq("author", 0, "author", 1));
         let e = fuse(&[sigmod(), dblp()], &cs).unwrap_err();
         assert!(matches!(e, OntologyError::InequalityViolated { .. }));
     }
@@ -319,7 +317,7 @@ mod tests {
     #[test]
     fn neq_between_distinct_terms_is_fine() {
         let mut cs = example10_constraints();
-        cs.push(Constraint::neq("pages", 1, "author", 0));
+        cs.push(neq("pages", 1, "author", 0));
         assert!(fuse(&[sigmod(), dblp()], &cs).is_ok());
     }
 
@@ -352,7 +350,7 @@ mod tests {
 
     #[test]
     fn neq_between_same_string_terms_is_unsatisfiable() {
-        let cs = vec![Constraint::neq("author", 0, "author", 1)];
+        let cs = vec![neq("author", 0, "author", 1)];
         let e = fuse(&[sigmod(), dblp()], &cs).unwrap_err();
         assert!(matches!(e, OntologyError::InequalityViolated { .. }));
     }

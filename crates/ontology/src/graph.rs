@@ -8,89 +8,72 @@ use std::collections::HashSet;
 /// and reachability computations use it instead of `Vec<Vec<bool>>` so a
 /// 5000-node hierarchy costs ~3 MB instead of ~25 MB and row unions are
 /// word-parallel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitMatrix {
-    n: usize,
+#[derive(Debug, Clone)]
+pub(crate) struct BitMatrix {
     words: usize,
     bits: Vec<u64>,
 }
 
 impl BitMatrix {
     /// An all-zero `n × n` matrix.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         let words = n.div_ceil(64);
         BitMatrix {
-            n,
             words,
             bits: vec![0u64; words * n],
         }
     }
 
-    /// Side length of the matrix.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the matrix is 0 × 0.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// The bit at `(row, col)`.
-    pub fn get(&self, row: usize, col: usize) -> bool {
+    pub(crate) fn get(&self, row: usize, col: usize) -> bool {
         self.bits[row * self.words + col / 64] & (1u64 << (col % 64)) != 0
     }
 
     /// Set the bit at `(row, col)`.
-    pub fn set(&mut self, row: usize, col: usize) {
+    pub(crate) fn set(&mut self, row: usize, col: usize) {
         self.bits[row * self.words + col / 64] |= 1u64 << (col % 64);
     }
 
     /// The words of `row`.
-    pub fn row(&self, row: usize) -> &[u64] {
+    pub(crate) fn row(&self, row: usize) -> &[u64] {
         &self.bits[row * self.words..(row + 1) * self.words]
     }
 
     /// OR `row` of this matrix into `acc` (which must have row width).
-    pub fn or_row_into(&self, row: usize, acc: &mut [u64]) {
+    pub(crate) fn or_row_into(&self, row: usize, acc: &mut [u64]) {
         for (a, w) in acc.iter_mut().zip(self.row(row)) {
             *a |= w;
         }
     }
 
     /// Column indices of the set bits in `row`, ascending.
-    pub fn iter_row(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter_row(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
         iter_word_bits(self.row(row))
     }
 
-    /// Number of set bits in `row`.
-    pub fn row_count(&self, row: usize) -> usize {
-        self.row(row).iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Words per row (the row stride).
-    pub fn words_per_row(&self) -> usize {
+    pub(crate) fn words_per_row(&self) -> usize {
         self.words
     }
 
     /// The full matrix as row-major words — the persisted form.
-    pub fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         &self.bits
     }
 
     /// Rebuild an `n × n` matrix from row-major words, as produced by
     /// [`BitMatrix::words`]. `None` if the word count does not match.
-    pub fn from_words(n: usize, bits: Vec<u64>) -> Option<Self> {
+    pub(crate) fn from_words(n: usize, bits: Vec<u64>) -> Option<Self> {
         let words = n.div_ceil(64);
         if bits.len() != words * n {
             return None;
         }
-        Some(BitMatrix { n, words, bits })
+        Some(BitMatrix { words, bits })
     }
 }
 
 /// Iterate the set-bit indices of a word slice, ascending.
-pub fn iter_word_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+pub(crate) fn iter_word_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     words.iter().enumerate().flat_map(|(i, &w)| {
         let mut rest = w;
         std::iter::from_fn(move || {
@@ -113,7 +96,7 @@ pub struct DiGraph {
 
 impl DiGraph {
     /// A graph with `n` vertices and no edges.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         DiGraph {
             succ: vec![Vec::new(); n],
         }
@@ -124,31 +107,26 @@ impl DiGraph {
         self.succ.len()
     }
 
-    /// Whether the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.succ.is_empty()
-    }
-
     /// Add a vertex; returns its id.
-    pub fn add_vertex(&mut self) -> usize {
+    pub(crate) fn add_vertex(&mut self) -> usize {
         self.succ.push(Vec::new());
         self.succ.len() - 1
     }
 
     /// Add a directed edge `u → v` (idempotent).
-    pub fn add_edge(&mut self, u: usize, v: usize) {
+    pub(crate) fn add_edge(&mut self, u: usize, v: usize) {
         if !self.succ[u].contains(&v) {
             self.succ[u].push(v);
         }
     }
 
     /// Successors of `u`.
-    pub fn successors(&self, u: usize) -> &[usize] {
+    pub(crate) fn successors(&self, u: usize) -> &[usize] {
         &self.succ[u]
     }
 
     /// All edges as `(u, v)` pairs.
-    pub fn edges(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn edges(&self) -> Vec<(usize, usize)> {
         self.succ
             .iter()
             .enumerate()
@@ -157,7 +135,7 @@ impl DiGraph {
     }
 
     /// Number of edges.
-    pub fn edge_count(&self) -> usize {
+    pub(crate) fn edge_count(&self) -> usize {
         self.succ.iter().map(Vec::len).sum()
     }
 
@@ -175,7 +153,7 @@ impl DiGraph {
     }
 
     /// Whether there is a non-empty path `u →+ v`.
-    pub fn has_path(&self, u: usize, v: usize) -> bool {
+    pub(crate) fn has_path(&self, u: usize, v: usize) -> bool {
         self.reachable_from(u).contains(&v)
     }
 
@@ -216,7 +194,7 @@ impl DiGraph {
     /// mapping each vertex to its component index; components are numbered
     /// in reverse topological order (a component's successors have smaller
     /// indices).
-    pub fn tarjan_scc(&self) -> Vec<usize> {
+    pub(crate) fn tarjan_scc(&self) -> Vec<usize> {
         let n = self.len();
         let mut index = vec![usize::MAX; n];
         let mut lowlink = vec![0usize; n];
@@ -274,10 +252,10 @@ impl DiGraph {
         comp
     }
 
-    /// Transitive closure as a boolean reachability matrix. Kept for
-    /// callers that want the simple `Vec<Vec<bool>>` shape; the semantic
-    /// fast path uses [`DiGraph::transitive_closure_bits`] directly.
-    pub fn transitive_closure(&self) -> Vec<Vec<bool>> {
+    /// Transitive closure as a boolean reachability matrix: the simple
+    /// shape the tests check [`DiGraph::transitive_closure_bits`] against.
+    #[cfg(test)]
+    fn transitive_closure(&self) -> Vec<Vec<bool>> {
         let n = self.len();
         let bits = self.transitive_closure_bits();
         (0..n)
@@ -289,7 +267,7 @@ impl DiGraph {
     /// there is a non-empty path `u →+ v`. DAGs use a bitset dynamic
     /// program over the reverse topological order (`O(V·E/64)`); cyclic
     /// graphs fall back to per-vertex DFS.
-    pub fn transitive_closure_bits(&self) -> BitMatrix {
+    pub(crate) fn transitive_closure_bits(&self) -> BitMatrix {
         let n = self.len();
         let mut out = BitMatrix::new(n);
         match self.topological_order() {
@@ -319,7 +297,7 @@ impl DiGraph {
     }
 
     /// A topological order of the vertices (Kahn), or `None` if cyclic.
-    pub fn topological_order(&self) -> Option<Vec<usize>> {
+    pub(crate) fn topological_order(&self) -> Option<Vec<usize>> {
         let n = self.len();
         let mut indeg = vec![0usize; n];
         for vs in &self.succ {
@@ -345,7 +323,7 @@ impl DiGraph {
     /// same reachability (the Hasse diagram when the DAG encodes ≤).
     ///
     /// Panics in debug builds if the graph has a cycle.
-    pub fn transitive_reduction(&self) -> DiGraph {
+    pub(crate) fn transitive_reduction(&self) -> DiGraph {
         debug_assert!(!self.has_cycle(), "transitive reduction requires a DAG");
         let closure = self.transitive_closure_bits();
         let mut out = DiGraph::new(self.len());
@@ -364,39 +342,29 @@ impl DiGraph {
 
 /// An undirected graph used for clique enumeration.
 #[derive(Debug, Clone)]
-pub struct UnGraph {
+pub(crate) struct UnGraph {
     adj: Vec<HashSet<usize>>,
 }
 
 impl UnGraph {
     /// A graph with `n` vertices and no edges.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         UnGraph {
             adj: vec![HashSet::new(); n],
         }
     }
 
     /// Number of vertices.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.adj.len()
     }
 
-    /// Whether the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
     /// Add an undirected edge (self-loops ignored).
-    pub fn add_edge(&mut self, u: usize, v: usize) {
+    pub(crate) fn add_edge(&mut self, u: usize, v: usize) {
         if u != v {
             self.adj[u].insert(v);
             self.adj[v].insert(u);
         }
-    }
-
-    /// Whether `u` and `v` are adjacent.
-    pub fn adjacent(&self, u: usize, v: usize) -> bool {
-        self.adj[u].contains(&v)
     }
 
     /// All maximal cliques (Bron-Kerbosch with pivoting). Every vertex
@@ -404,7 +372,7 @@ impl UnGraph {
     /// cliques). Cliques are returned with sorted members, in
     /// lexicographic order of their member lists, so output is
     /// deterministic.
-    pub fn maximal_cliques(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn maximal_cliques(&self) -> Vec<Vec<usize>> {
         let n = self.len();
         if n == 0 {
             return Vec::new(); // the empty set is not a clique here
@@ -608,7 +576,6 @@ mod tests {
             let row: Vec<usize> = bits.iter_row(u).collect();
             let expect: Vec<usize> = (0..g.len()).filter(|&v| brow[v]).collect();
             assert_eq!(row, expect, "iter_row is the ascending set-bit list");
-            assert_eq!(bits.row_count(u), expect.len());
         }
     }
 

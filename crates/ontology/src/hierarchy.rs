@@ -33,11 +33,9 @@ pub struct Hierarchy {
     /// term → node containing it (terms are unique across nodes).
     by_term: HashMap<String, HNodeId>,
     /// Lazily built reachability index for the current graph snapshot.
-    /// Every mutation drops it (and bumps `rev`), so the index can never
-    /// serve stale cones after fusion or re-enhancement.
+    /// Every mutation drops it, so the index can never serve stale cones
+    /// after fusion or re-enhancement.
     reach: OnceLock<Arc<ReachIndex>>,
-    /// Monotone revision counter, bumped on every structural mutation.
-    rev: u64,
 }
 
 impl Hierarchy {
@@ -57,16 +55,14 @@ impl Hierarchy {
     }
 
     /// Add a node containing a set of terms. Errors with
-    /// [`OntologyError::UnknownTerm`]'s sibling semantics if any term is
-    /// already in another node (terms are unique across nodes).
-    pub fn add_node(&mut self, mut terms: Vec<String>) -> OntologyResult<HNodeId> {
+    /// [`OntologyError::DuplicateTerm`] if any term is already in another
+    /// node (terms are unique across nodes).
+    pub(crate) fn add_node(&mut self, mut terms: Vec<String>) -> OntologyResult<HNodeId> {
         terms.sort();
         terms.dedup();
         for t in &terms {
             if self.by_term.contains_key(t) {
-                return Err(OntologyError::UnknownTerm(format!(
-                    "term `{t}` already belongs to a node"
-                )));
+                return Err(OntologyError::DuplicateTerm(t.clone()));
             }
         }
         self.invalidate_reach();
@@ -81,18 +77,10 @@ impl Hierarchy {
     /// Drop the cached reachability index after a structural mutation.
     fn invalidate_reach(&mut self) {
         self.reach = OnceLock::new();
-        self.rev += 1;
-    }
-
-    /// Structural revision of this hierarchy; bumped on every mutation.
-    /// Callers that cache derived structures (the rewrite cache, the SEO
-    /// version stamp) key on this to detect re-enhanced ontologies.
-    pub fn revision(&self) -> u64 {
-        self.rev
     }
 
     /// The reachability index for the current graph snapshot, building it
-    /// on first use. Cone queries (`below`, `above`, `below_many`) always
+    /// on first use. Cone queries (`below`, `above`, `below_terms`) always
     /// come from here; `leq` only consults it when already built so a
     /// single ≤ probe never pays an index build.
     pub fn reach_index(&self) -> Arc<ReachIndex> {
@@ -100,12 +88,6 @@ impl Hierarchy {
             self.reach
                 .get_or_init(|| Arc::new(ReachIndex::build(&self.graph))),
         )
-    }
-
-    /// The reachability index if one has already been built (or
-    /// installed), without triggering a build.
-    pub fn cached_reach_index(&self) -> Option<Arc<ReachIndex>> {
-        self.reach.get().map(Arc::clone)
     }
 
     /// Install a persisted reachability index for the current graph
@@ -122,7 +104,7 @@ impl Hierarchy {
 
     /// Assert `below ≤ above`. Rejects edges that would create a cycle
     /// (hierarchies are acyclic by definition).
-    pub fn add_edge(&mut self, below: HNodeId, above: HNodeId) -> OntologyResult<()> {
+    pub(crate) fn add_edge(&mut self, below: HNodeId, above: HNodeId) -> OntologyResult<()> {
         if below == above || self.graph.has_path(above.0, below.0) {
             return Err(OntologyError::CycleDetected {
                 below: self.render_node(below),
@@ -177,17 +159,8 @@ impl Hierarchy {
     /// hierarchy this is the paper's `below_H(τ)` restricted to types —
     /// domain values are appended by the caller that owns the type system.
     pub fn below(&self, id: HNodeId) -> Vec<HNodeId> {
-        self.below_many(&[id])
-    }
-
-    /// All nodes ≤ *some* target (union of below cones, including the
-    /// targets themselves). Served from the shared reachability index —
-    /// a word-parallel OR over precomputed descendant bitsets, replacing
-    /// the old per-call reverse-adjacency rebuild + BFS.
-    pub fn below_many(&self, targets: &[HNodeId]) -> Vec<HNodeId> {
-        let ids: Vec<usize> = targets.iter().map(|t| t.0).collect();
         self.reach_index()
-            .below_many(&ids)
+            .below_many(&[id.0])
             .into_iter()
             .map(HNodeId)
             .collect()
@@ -275,7 +248,7 @@ impl Hierarchy {
     }
 
     /// Render a node as `{t1, t2}` for error messages.
-    pub fn render_node(&self, id: HNodeId) -> String {
+    pub(crate) fn render_node(&self, id: HNodeId) -> String {
         match self.terms.get(id.0) {
             Some(ts) => format!("{{{}}}", ts.join(", ")),
             None => format!("<invalid {id}>"),
@@ -354,7 +327,9 @@ mod tests {
     fn duplicate_term_across_nodes_rejected() {
         let mut h = Hierarchy::new();
         h.add_term("x");
-        assert!(h.add_node(vec!["x".into(), "y".into()]).is_err());
+        let e = h.add_node(vec!["x".into(), "y".into()]).unwrap_err();
+        assert_eq!(e, OntologyError::DuplicateTerm("x".into()));
+        assert_eq!(e.to_string(), "term `x` already belongs to a node");
     }
 
     #[test]
@@ -441,22 +416,39 @@ mod tests {
 
     #[test]
     fn reach_index_invalidated_on_mutation() {
+        // each step builds the index, mutates, then asks again: `leq`,
+        // `below` and `above` must answer for the new graph
         let mut h = from_pairs(&[("b", "a")]).unwrap();
-        let rev0 = h.revision();
-        // force the index, then mutate: cones must reflect the new edge
-        assert_eq!(h.below_terms("a"), vec!["a", "b"]);
-        h.add_leq("c", "b").unwrap();
-        assert!(h.revision() > rev0);
-        assert_eq!(h.below_terms("a"), vec!["a", "b", "c"]);
-        let b = h.node_of("b").unwrap();
-        let c = h.node_of("c").unwrap();
-        assert!(h.leq(c, b));
-        // reduce also invalidates (and preserves order)
-        h.add_leq("c", "a").unwrap();
-        let rev1 = h.revision();
-        h.reduce();
-        assert!(h.revision() > rev1);
-        assert!(h.leq_terms("c", "a"));
+        let (b, a) = (HNodeId(0), HNodeId(1));
+        let c = h.add_term("c");
+
+        // add_edge: c ≤ b puts c under both b and a
+        let built = h.reach_index();
+        assert!(!h.leq(c, a));
+        h.add_edge(c, b).unwrap();
+        assert!(!Arc::ptr_eq(&built, &h.reach_index()));
+        assert!(h.leq(c, b) && h.leq(c, a));
+        assert_eq!(h.below(a), vec![b, a, c]);
+        assert_eq!(h.above(c), vec![b, a, c]);
+
+        // add_node: the new node's cones hold only itself
+        let built = h.reach_index();
+        let d = h.add_node(vec!["d".into()]).unwrap();
+        assert!(!Arc::ptr_eq(&built, &h.reach_index()));
+        assert!(!h.leq(d, a) && !h.leq(c, d));
+        assert_eq!(h.below(d), vec![d]);
+        assert_eq!(h.above(d), vec![d]);
+        assert_eq!(h.below(a), vec![b, a, c]);
+
+        // reduce: drops the shortcut c ≤ a and keeps the order
+        h.add_edge(c, a).unwrap();
+        let built = h.reach_index();
+        assert_eq!(h.reduce(), 1);
+        assert!(!Arc::ptr_eq(&built, &h.reach_index()));
+        assert_eq!(h.parents(c), vec![b]);
+        assert!(h.leq(c, a) && !h.leq(a, c));
+        assert_eq!(h.below(a), vec![b, a, c]);
+        assert_eq!(h.above(c), vec![b, a, c]);
     }
 
     #[test]
@@ -484,7 +476,6 @@ mod tests {
 
         // a structurally identical hierarchy accepts the persisted index
         let twin = from_pairs(&[("b", "a"), ("c", "a")]).unwrap();
-        assert!(twin.cached_reach_index().is_none());
         let loaded =
             Arc::new(ReachIndex::from_segment_payload(&payload).unwrap());
         assert!(twin.install_reach_index(Arc::clone(&loaded)));

@@ -12,31 +12,31 @@ use std::sync::Arc;
 
 /// An interned term symbol: a dense `u32` handle into a [`SymbolTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Sym(pub u32);
+pub(crate) struct Sym(pub(crate) u32);
 
 impl Sym {
     /// The symbol as a usize index (for memo tables keyed by symbol).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
 
 /// A string interner mapping terms to dense [`Sym`] handles and back.
 #[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
+pub(crate) struct SymbolTable {
     by_name: HashMap<Arc<str>, Sym>,
     names: Vec<Arc<str>>,
 }
 
 impl SymbolTable {
     /// An empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Intern `term`, returning its symbol. Re-interning an existing
     /// term returns the original symbol.
-    pub fn intern(&mut self, term: &str) -> Sym {
+    pub(crate) fn intern(&mut self, term: &str) -> Sym {
         if let Some(&sym) = self.by_name.get(term) {
             return sym;
         }
@@ -48,7 +48,7 @@ impl SymbolTable {
     }
 
     /// Look up an already-interned term without inserting.
-    pub fn lookup(&self, term: &str) -> Option<Sym> {
+    pub(crate) fn lookup(&self, term: &str) -> Option<Sym> {
         self.by_name.get(term).copied()
     }
 
@@ -56,18 +56,13 @@ impl SymbolTable {
     ///
     /// # Panics
     /// Panics if `sym` was not produced by this table.
-    pub fn resolve(&self, sym: Sym) -> &str {
+    pub(crate) fn resolve(&self, sym: Sym) -> &str {
         &self.names[sym.index()]
     }
 
     /// Number of interned terms.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.names.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 }
 

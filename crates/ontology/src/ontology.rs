@@ -6,9 +6,9 @@ use crate::hierarchy::Hierarchy;
 use std::collections::BTreeMap;
 
 /// The distinguished `isa` relationship name.
-pub const ISA: &str = "isa";
+pub(crate) const ISA: &str = "isa";
 /// The distinguished `part-of` relationship name.
-pub const PART_OF: &str = "part-of";
+pub(crate) const PART_OF: &str = "part-of";
 
 /// An ontology: named hierarchies. `isa` and `part-of` are always defined
 /// (empty hierarchies until populated), matching the paper's standing
@@ -33,7 +33,7 @@ impl Ontology {
     }
 
     /// Mutable access, creating the hierarchy if absent.
-    pub fn hierarchy_mut(&mut self, relation: &str) -> &mut Hierarchy {
+    pub(crate) fn hierarchy_mut(&mut self, relation: &str) -> &mut Hierarchy {
         self.hierarchies.entry(relation.to_string()).or_default()
     }
 
@@ -60,11 +60,6 @@ impl Ontology {
     /// Defined relationship names, sorted.
     pub fn relations(&self) -> Vec<&str> {
         self.hierarchies.keys().map(String::as_str).collect()
-    }
-
-    /// Total number of terms across all hierarchies.
-    pub fn term_count(&self) -> usize {
-        self.hierarchies.values().map(Hierarchy::term_count).sum()
     }
 }
 
@@ -93,13 +88,5 @@ mod tests {
         o.hierarchy_mut("ora").add_leq("google", "company").unwrap();
         assert!(o.hierarchy("ora").unwrap().leq_terms("google", "company"));
         assert_eq!(o.relations().len(), 3);
-    }
-
-    #[test]
-    fn term_count_sums_hierarchies() {
-        let mut o = Ontology::new();
-        o.isa_mut().add_leq("cat", "animal").unwrap();
-        o.part_of_mut().add_leq("author", "article").unwrap();
-        assert_eq!(o.term_count(), 4);
     }
 }

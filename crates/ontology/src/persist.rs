@@ -1,254 +1,152 @@
-//! Persistence for hierarchies and SEOs.
+//! Persistence for SEOs: the `.ont.json` format.
 //!
 //! The paper's architecture *precomputes* the similarity enhanced (fused)
 //! ontology during integration and reuses it across queries; a deployment
-//! therefore needs to save it. Serialization goes through plain data
-//! transfer structs (term lists + edge lists + clique index lists) so the
-//! on-disk format is independent of in-memory layout, and loading
-//! re-validates structure (acyclicity via the hierarchy builder).
+//! therefore needs to save it. The JSON holds term lists, edge lists and
+//! clique index lists, so the on-disk format is independent of in-memory
+//! layout, and loading re-validates structure (acyclicity via the
+//! hierarchy builder):
+//!
+//! ```text
+//! {"original": {"nodes": [[term, …], …], "edges": [[below, above], …]},
+//!  "enhanced_edges": [[below, above], …],
+//!  "cliques": [[original node, …], …],
+//!  "epsilon": ε}
+//! ```
 
 use crate::error::{OntologyError, OntologyResult};
 use crate::hierarchy::{HNodeId, Hierarchy};
 use crate::seo::Seo;
 use toss_json::Value;
 
-/// Serializable form of a [`Hierarchy`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HierarchyDto {
-    /// Term sets per node, in node-id order.
-    pub nodes: Vec<Vec<String>>,
-    /// Hasse edges as `(below, above)` node indices.
-    pub edges: Vec<(usize, usize)>,
+/// Serialize an SEO to JSON.
+pub fn seo_to_json(seo: &Seo) -> String {
+    let cliques = (0..seo.len())
+        .map(|e| {
+            Value::Array(
+                seo.members_of(HNodeId(e))
+                    .iter()
+                    .map(|m| m.0.into())
+                    .collect(),
+            )
+        })
+        .collect();
+    Value::object(vec![
+        ("original", hierarchy_to_value(seo.original())),
+        ("enhanced_edges", edges_to_value(seo.enhanced())),
+        ("cliques", Value::Array(cliques)),
+        ("epsilon", seo.epsilon().into()),
+    ])
+    .to_json()
 }
 
-impl HierarchyDto {
-    /// Capture a hierarchy.
-    pub fn from_hierarchy(h: &Hierarchy) -> Self {
-        HierarchyDto {
-            nodes: h
-                .nodes()
-                .map(|n| h.terms_of(n).expect("dense ids").to_vec())
-                .collect(),
-            edges: h.edges().into_iter().map(|(a, b)| (a.0, b.0)).collect(),
-        }
-    }
-
-    /// Rebuild the hierarchy, re-checking term uniqueness and acyclicity.
-    pub fn into_hierarchy(self) -> OntologyResult<Hierarchy> {
-        let mut h = Hierarchy::new();
-        for terms in self.nodes {
-            h.add_node(terms)?;
-        }
-        for (a, b) in self.edges {
-            if a >= h.len() || b >= h.len() {
-                return Err(OntologyError::InvalidNode(a.max(b)));
-            }
-            h.add_edge(HNodeId(a), HNodeId(b))?;
-        }
-        Ok(h)
-    }
+fn hierarchy_to_value(h: &Hierarchy) -> Value {
+    let nodes = h
+        .nodes()
+        .map(|n| {
+            let terms = h.terms_of(n).expect("dense ids");
+            Value::Array(terms.iter().map(|t| t.as_str().into()).collect())
+        })
+        .collect();
+    Value::object(vec![
+        ("nodes", Value::Array(nodes)),
+        ("edges", edges_to_value(h)),
+    ])
 }
 
-/// Serializable form of an [`Seo`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeoDto {
-    /// The original hierarchy `H`.
-    pub original: HierarchyDto,
-    /// Edges of the enhanced hierarchy `H'` as `(below, above)` pairs of
-    /// enhanced-node indices.
-    pub enhanced_edges: Vec<(usize, usize)>,
-    /// Per enhanced node: the original node indices it merged (μ⁻¹).
-    pub cliques: Vec<Vec<usize>>,
-    /// The ε the enhancement was built with.
-    pub epsilon: f64,
-}
-
-impl SeoDto {
-    /// Capture an SEO.
-    pub fn from_seo(seo: &Seo) -> Self {
-        SeoDto {
-            original: HierarchyDto::from_hierarchy(seo.original()),
-            enhanced_edges: seo
-                .enhanced()
-                .edges()
-                .into_iter()
-                .map(|(a, b)| (a.0, b.0))
-                .collect(),
-            cliques: (0..seo.len())
-                .map(|e| {
-                    seo.members_of(HNodeId(e))
-                        .iter()
-                        .map(|m| m.0)
-                        .collect()
-                })
-                .collect(),
-            epsilon: seo.epsilon(),
-        }
-    }
-
-    /// Rebuild the SEO. Structure (acyclicity, id ranges) is re-checked;
-    /// semantic validity against a metric can be re-checked with
-    /// [`Seo::validate`].
-    pub fn into_seo(self) -> OntologyResult<Seo> {
-        let original = self.original.into_hierarchy()?;
-        let mut enhanced = Hierarchy::new();
-        for i in 0..self.cliques.len() {
-            enhanced.add_node(vec![format!("\u{1}clique{i}")])?;
-        }
-        for (a, b) in self.enhanced_edges {
-            if a >= enhanced.len() || b >= enhanced.len() {
-                return Err(OntologyError::InvalidNode(a.max(b)));
-            }
-            enhanced.add_edge(HNodeId(a), HNodeId(b))?;
-        }
-        for clique in &self.cliques {
-            for &m in clique {
-                if m >= original.len() {
-                    return Err(OntologyError::InvalidNode(m));
-                }
-            }
-        }
-        Ok(Seo::from_parts(original, enhanced, self.cliques, self.epsilon))
-    }
-}
-
-// -------------------------------------------------------------------
-// JSON mapping (hand-rolled over `toss_json::Value`; field names match
-// the original serde derive layout so existing SEO files keep loading)
-// -------------------------------------------------------------------
-
-fn pairs_to_value(pairs: &[(usize, usize)]) -> Value {
+fn edges_to_value(h: &Hierarchy) -> Value {
     Value::Array(
-        pairs
-            .iter()
-            .map(|&(a, b)| Value::Array(vec![a.into(), b.into()]))
+        h.edges()
+            .into_iter()
+            .map(|(a, b)| Value::Array(vec![a.0.into(), b.0.into()]))
             .collect(),
     )
 }
 
-fn value_to_pairs(v: &Value, what: &str) -> OntologyResult<Vec<(usize, usize)>> {
-    let malformed = || OntologyError::UnknownTerm(format!("malformed SEO JSON: bad `{what}`"));
-    v.as_array()
-        .ok_or_else(malformed)?
+/// Load an SEO from JSON produced by [`seo_to_json`]. Every field is
+/// decoded before anything is built; then structure (term uniqueness,
+/// acyclicity, id ranges) is re-checked. Semantic validity against a
+/// metric can be re-checked with [`Seo::validate`].
+pub fn seo_from_json(json: &str) -> OntologyResult<Seo> {
+    let value = Value::parse(json).map_err(|e| OntologyError::MalformedSeo(e.to_string()))?;
+    let original = field(&value, "original")?;
+    let nodes = array(field(original, "nodes")?, "nodes")?
+        .iter()
+        .map(|terms| {
+            array(terms, "nodes")?
+                .iter()
+                .map(|t| {
+                    t.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| malformed("nodes"))
+                })
+                .collect()
+        })
+        .collect::<OntologyResult<Vec<Vec<String>>>>()?;
+    let edges = pairs(field(original, "edges")?, "edges")?;
+    let enhanced_edges = pairs(field(&value, "enhanced_edges")?, "enhanced_edges")?;
+    let cliques = array(field(&value, "cliques")?, "cliques")?
+        .iter()
+        .map(|c| {
+            array(c, "cliques")?
+                .iter()
+                .map(|m| m.as_usize().ok_or_else(|| malformed("cliques")))
+                .collect()
+        })
+        .collect::<OntologyResult<Vec<Vec<usize>>>>()?;
+    let epsilon = field(&value, "epsilon")?
+        .as_f64()
+        .ok_or_else(|| malformed("epsilon"))?;
+
+    let mut original = Hierarchy::new();
+    for terms in nodes {
+        original.add_node(terms)?;
+    }
+    add_edges(&mut original, edges)?;
+    let mut enhanced = Hierarchy::new();
+    for i in 0..cliques.len() {
+        enhanced.add_node(vec![format!("\u{1}clique{i}")])?;
+    }
+    add_edges(&mut enhanced, enhanced_edges)?;
+    if let Some(&m) = cliques.iter().flatten().find(|&&m| m >= original.len()) {
+        return Err(OntologyError::InvalidNode(m));
+    }
+    Ok(Seo::new(original, enhanced, cliques, epsilon))
+}
+
+fn malformed(what: &str) -> OntologyError {
+    OntologyError::MalformedSeo(format!("bad `{what}`"))
+}
+
+fn field<'v>(v: &'v Value, name: &str) -> OntologyResult<&'v Value> {
+    v.get(name).ok_or_else(|| malformed(name))
+}
+
+fn array<'v>(v: &'v Value, what: &str) -> OntologyResult<&'v [Value]> {
+    v.as_array().ok_or_else(|| malformed(what))
+}
+
+fn pairs(v: &Value, what: &str) -> OntologyResult<Vec<(usize, usize)>> {
+    array(v, what)?
         .iter()
         .map(|pair| match pair.as_array() {
             Some([a, b]) => Ok((
-                a.as_usize().ok_or_else(malformed)?,
-                b.as_usize().ok_or_else(malformed)?,
+                a.as_usize().ok_or_else(|| malformed(what))?,
+                b.as_usize().ok_or_else(|| malformed(what))?,
             )),
-            _ => Err(malformed()),
+            _ => Err(malformed(what)),
         })
         .collect()
 }
 
-impl HierarchyDto {
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            (
-                "nodes",
-                Value::Array(
-                    self.nodes
-                        .iter()
-                        .map(|terms| {
-                            Value::Array(terms.iter().map(|t| t.as_str().into()).collect())
-                        })
-                        .collect(),
-                ),
-            ),
-            ("edges", pairs_to_value(&self.edges)),
-        ])
+fn add_edges(h: &mut Hierarchy, edges: Vec<(usize, usize)>) -> OntologyResult<()> {
+    for (a, b) in edges {
+        if a >= h.len() || b >= h.len() {
+            return Err(OntologyError::InvalidNode(a.max(b)));
+        }
+        h.add_edge(HNodeId(a), HNodeId(b))?;
     }
-
-    fn from_value(v: &Value) -> OntologyResult<Self> {
-        let malformed =
-            |w: &str| OntologyError::UnknownTerm(format!("malformed SEO JSON: bad `{w}`"));
-        let nodes = v
-            .get("nodes")
-            .and_then(Value::as_array)
-            .ok_or_else(|| malformed("nodes"))?
-            .iter()
-            .map(|terms| {
-                terms
-                    .as_array()
-                    .ok_or_else(|| malformed("nodes"))?
-                    .iter()
-                    .map(|t| {
-                        t.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| malformed("nodes"))
-                    })
-                    .collect::<OntologyResult<Vec<String>>>()
-            })
-            .collect::<OntologyResult<Vec<Vec<String>>>>()?;
-        let edges = value_to_pairs(v.get("edges").ok_or_else(|| malformed("edges"))?, "edges")?;
-        Ok(HierarchyDto { nodes, edges })
-    }
-}
-
-impl SeoDto {
-    fn to_value(&self) -> Value {
-        Value::object(vec![
-            ("original", self.original.to_value()),
-            ("enhanced_edges", pairs_to_value(&self.enhanced_edges)),
-            (
-                "cliques",
-                Value::Array(
-                    self.cliques
-                        .iter()
-                        .map(|c| Value::Array(c.iter().map(|&m| m.into()).collect()))
-                        .collect(),
-                ),
-            ),
-            ("epsilon", self.epsilon.into()),
-        ])
-    }
-
-    fn from_value(v: &Value) -> OntologyResult<Self> {
-        let malformed =
-            |w: &str| OntologyError::UnknownTerm(format!("malformed SEO JSON: bad `{w}`"));
-        let original =
-            HierarchyDto::from_value(v.get("original").ok_or_else(|| malformed("original"))?)?;
-        let enhanced_edges = value_to_pairs(
-            v.get("enhanced_edges")
-                .ok_or_else(|| malformed("enhanced_edges"))?,
-            "enhanced_edges",
-        )?;
-        let cliques = v
-            .get("cliques")
-            .and_then(Value::as_array)
-            .ok_or_else(|| malformed("cliques"))?
-            .iter()
-            .map(|c| {
-                c.as_array()
-                    .ok_or_else(|| malformed("cliques"))?
-                    .iter()
-                    .map(|m| m.as_usize().ok_or_else(|| malformed("cliques")))
-                    .collect::<OntologyResult<Vec<usize>>>()
-            })
-            .collect::<OntologyResult<Vec<Vec<usize>>>>()?;
-        let epsilon = v
-            .get("epsilon")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| malformed("epsilon"))?;
-        Ok(SeoDto {
-            original,
-            enhanced_edges,
-            cliques,
-            epsilon,
-        })
-    }
-}
-
-/// Serialize an SEO to JSON.
-pub fn seo_to_json(seo: &Seo) -> String {
-    SeoDto::from_seo(seo).to_value().to_json()
-}
-
-/// Load an SEO from JSON produced by [`seo_to_json`].
-pub fn seo_from_json(json: &str) -> OntologyResult<Seo> {
-    let value = Value::parse(json)
-        .map_err(|e| OntologyError::UnknownTerm(format!("malformed SEO JSON: {e}")))?;
-    SeoDto::from_value(&value)?.into_seo()
+    Ok(())
 }
 
 #[cfg(test)]
@@ -269,12 +167,39 @@ mod tests {
         enhance(&h, &Levenshtein, 2.0).unwrap()
     }
 
+    /// `sample_seo()`'s `.ont.json`, byte for byte: the format stored
+    /// SEOs are read back with.
+    const SAMPLE_JSON: &str = concat!(
+        r#"{"original":{"nodes":[["relation"],["concept"],["relational"],["model"],["models"]],"#,
+        r#""edges":[[0,1],[2,1],[3,1],[4,1]]},"enhanced_edges":[[0,1],[2,1]],"#,
+        r#""cliques":[[0,2],[1],[3,4]],"epsilon":2}"#
+    );
+
+    /// `SAMPLE_JSON` with `from` replaced by `to` exactly once.
+    fn edited(from: &str, to: &str) -> String {
+        assert_eq!(SAMPLE_JSON.matches(from).count(), 1, "{from}");
+        SAMPLE_JSON.replace(from, to)
+    }
+
+    #[test]
+    fn the_json_format_is_pinned() {
+        assert_eq!(seo_to_json(&sample_seo()), SAMPLE_JSON);
+        assert_eq!(
+            seo_to_json(&seo_from_json(SAMPLE_JSON).unwrap()),
+            SAMPLE_JSON
+        );
+    }
+
     #[test]
     fn hierarchy_round_trip() {
         let h = from_pairs(&[("a", "b"), ("b", "c"), ("x", "c")]).unwrap();
-        let dto = HierarchyDto::from_hierarchy(&h);
-        let h2 = dto.clone().into_hierarchy().unwrap();
-        assert_eq!(dto, HierarchyDto::from_hierarchy(&h2));
+        let seo = enhance(&h, &Levenshtein, 0.0).unwrap();
+        let back = seo_from_json(&seo_to_json(&seo)).unwrap();
+        let h2 = back.original();
+        assert_eq!(h2.edges(), h.edges());
+        for n in h.nodes() {
+            assert_eq!(h2.terms_of(n).unwrap(), h.terms_of(n).unwrap());
+        }
         assert!(h2.leq_terms("a", "c"));
         assert!(!h2.leq_terms("c", "a"));
     }
@@ -300,21 +225,50 @@ mod tests {
     fn corrupt_json_is_rejected() {
         assert!(seo_from_json("{").is_err());
         // out-of-range clique member
-        let mut dto = SeoDto::from_seo(&sample_seo());
-        dto.cliques[0].push(999);
-        assert!(dto.into_seo().is_err());
+        let json = edited(r#""cliques":[[0,2]"#, r#""cliques":[[0,2,999]"#);
+        assert_eq!(
+            seo_from_json(&json).unwrap_err(),
+            OntologyError::InvalidNode(999)
+        );
+        // a term stored in two nodes
+        let json = edited(r#"["concept"],"#, r#"["relation"],"#);
+        assert_eq!(
+            seo_from_json(&json).unwrap_err(),
+            OntologyError::DuplicateTerm("relation".into())
+        );
     }
 
     #[test]
     fn cyclic_edges_rejected_on_load() {
-        let mut dto = SeoDto::from_seo(&sample_seo());
-        // add a back edge among enhanced nodes to force a cycle
-        if let Some(&(a, b)) = dto.enhanced_edges.first() {
-            dto.enhanced_edges.push((b, a));
-            assert!(matches!(
-                dto.into_seo(),
-                Err(OntologyError::CycleDetected { .. })
-            ));
-        }
+        // a back edge among enhanced nodes forces a cycle
+        let json = edited(
+            r#""enhanced_edges":[[0,1]"#,
+            r#""enhanced_edges":[[0,1],[1,0]"#,
+        );
+        assert!(matches!(
+            seo_from_json(&json),
+            Err(OntologyError::CycleDetected { .. })
+        ));
+    }
+
+    #[test]
+    fn malformed_json_says_so() {
+        let message = |json: &str| seo_from_json(json).unwrap_err().to_string();
+        assert_eq!(
+            message("{"),
+            "malformed SEO JSON: JSON error at byte 1: expected `\"`"
+        );
+        assert_eq!(
+            message(&edited(r#"[["relation"]"#, r#"[[7]"#)),
+            "malformed SEO JSON: bad `nodes`"
+        );
+        assert_eq!(
+            message(&edited(r#""epsilon":2"#, r#""epsilon":"two""#)),
+            "malformed SEO JSON: bad `epsilon`"
+        );
+        assert_eq!(
+            message(&edited(r#""edges":[[0,1],"#, r#""edges":[[0],"#)),
+            "malformed SEO JSON: bad `edges`"
+        );
     }
 }

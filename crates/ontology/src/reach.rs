@@ -43,7 +43,7 @@ pub struct ReachIndex {
 
 impl ReachIndex {
     /// Build the index from a graph snapshot. `O(V·E/64 + V²/64)`.
-    pub fn build(graph: &DiGraph) -> Self {
+    pub(crate) fn build(graph: &DiGraph) -> Self {
         let t0 = Instant::now();
         let n = graph.len();
         let topo = graph.topological_order();
@@ -63,14 +63,7 @@ impl ReachIndex {
                 }
             }
         }
-        let index = ReachIndex {
-            n,
-            desc,
-            anc,
-            topo,
-            below_memo: (0..n).map(|_| OnceLock::new()).collect(),
-            above_memo: (0..n).map(|_| OnceLock::new()).collect(),
-        };
+        let index = ReachIndex::new(n, desc, anc, topo);
         toss_obs::metrics::counter("toss.semantic.index_builds").inc();
         toss_obs::metrics::histogram("toss.semantic.index_build_ns")
             .observe_duration(t0.elapsed());
@@ -78,17 +71,13 @@ impl ReachIndex {
     }
 
     /// Number of nodes covered by the index.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.n
     }
 
-    /// Whether the indexed graph had no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// A topological order of the indexed graph, if it is a DAG.
-    pub fn topological_order(&self) -> Option<&[usize]> {
+    #[cfg(test)]
+    fn topological_order(&self) -> Option<&[usize]> {
         self.topo.as_deref()
     }
 
@@ -127,30 +116,16 @@ impl ReachIndex {
         iter_word_bits(&acc).collect()
     }
 
-    /// Assemble an index from persisted closure matrices, skipping the
-    /// topo-order DP entirely. `None` if the matrices are not both `n × n`.
-    pub fn from_parts(
-        n: usize,
-        desc: BitMatrix,
-        anc: BitMatrix,
-        topo: Option<Vec<usize>>,
-    ) -> Option<Self> {
-        if desc.len() != n || anc.len() != n {
-            return None;
-        }
-        if let Some(t) = &topo {
-            if t.len() != n {
-                return None;
-            }
-        }
-        Some(ReachIndex {
+    /// An index over `n × n` closure matrices, its cones not yet memoized.
+    fn new(n: usize, desc: BitMatrix, anc: BitMatrix, topo: Option<Vec<usize>>) -> Self {
+        ReachIndex {
             n,
             desc,
             anc,
             topo,
             below_memo: (0..n).map(|_| OnceLock::new()).collect(),
             above_memo: (0..n).map(|_| OnceLock::new()).collect(),
-        })
+        }
     }
 
     /// Serialize into a segment-section payload:
@@ -190,7 +165,8 @@ impl ReachIndex {
 
     /// Rebuild an index from [`ReachIndex::to_segment_payload`] bytes.
     /// `None` on any structural mismatch (truncation, wrong matrix
-    /// shape) — the caller falls back to [`ReachIndex::build`].
+    /// shape) — the caller falls back to building one through
+    /// [`Hierarchy::reach_index`](crate::Hierarchy::reach_index).
     pub fn from_segment_payload(bytes: &[u8]) -> Option<Self> {
         if bytes.len() < 16 {
             return None;
@@ -230,7 +206,8 @@ impl ReachIndex {
         };
         let desc = matrix(&mut at)?;
         let anc = matrix(&mut at)?;
-        let loaded = ReachIndex::from_parts(n, desc, anc, topo)?;
+        // `matrix` checked both are n × n, and `topo` holds n entries
+        let loaded = ReachIndex::new(n, desc, anc, topo);
         toss_obs::metrics::counter("toss.semantic.index_loads").inc();
         Some(loaded)
     }

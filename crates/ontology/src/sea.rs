@@ -205,15 +205,8 @@ fn enhance_impl<M: StringMetric>(
     toss_obs::metrics::counter("ontology.sea.runs").inc();
     toss_obs::metrics::histogram("ontology.sea.ns").observe_duration(obs_span.finish());
 
-    Ok(Seo::new(
-        h.clone(),
-        hp,
-        cliques,
-        mu.into_iter()
-            .map(|cs| cs.into_iter().map(|c| clique_nodes[c]).collect())
-            .collect(),
-        epsilon,
-    ))
+    // H' node `ci` is clique `ci`, so `Seo::new` derives the same μ
+    Ok(Seo::new(h.clone(), hp, cliques, epsilon))
 }
 
 /// The node pairs `(a, b)`, `a < b`, ascending and distinct, that `plan`

@@ -78,16 +78,25 @@ pub struct Seo {
 }
 
 impl Seo {
-    /// Assemble an SEO from the SEA algorithm's outputs. `cliques` holds,
-    /// per enhanced node, the *original* node indices it merged; `mu`
-    /// maps each original node to its enhanced nodes.
+    /// Assemble an SEO from SEA's output or a stored one. `cliques`
+    /// holds, per enhanced node in id order, the *original* node indices
+    /// it merged; μ is derived. The caller is responsible for the parts
+    /// actually satisfying Definition 8 (use [`Seo::validate`] after
+    /// loading untrusted data).
     pub(crate) fn new(
         original: Hierarchy,
         enhanced: Hierarchy,
         cliques: Vec<Vec<usize>>,
-        mu: Vec<Vec<HNodeId>>,
         epsilon: f64,
     ) -> Self {
+        let mut mu: Vec<Vec<HNodeId>> = vec![Vec::new(); original.len()];
+        for (ci, clique) in cliques.iter().enumerate() {
+            for &a in clique {
+                if a < mu.len() {
+                    mu[a].push(HNodeId(ci));
+                }
+            }
+        }
         let members: Vec<Vec<HNodeId>> = cliques
             .iter()
             .map(|c| c.iter().map(|&i| HNodeId(i)).collect())
@@ -147,28 +156,6 @@ impl Seo {
         }
     }
 
-    /// Rebuild an SEO from its parts — used by persistence. `cliques`
-    /// holds, per enhanced node in id order, the original node indices it
-    /// merged; μ is derived. The caller is responsible for the parts
-    /// actually satisfying Definition 8 (use [`Seo::validate`] after
-    /// loading untrusted data).
-    pub fn from_parts(
-        original: Hierarchy,
-        enhanced: Hierarchy,
-        cliques: Vec<Vec<usize>>,
-        epsilon: f64,
-    ) -> Self {
-        let mut mu: Vec<Vec<HNodeId>> = vec![Vec::new(); original.len()];
-        for (ci, clique) in cliques.iter().enumerate() {
-            for &a in clique {
-                if a < mu.len() {
-                    mu[a].push(HNodeId(ci));
-                }
-            }
-        }
-        Seo::new(original, enhanced, cliques, mu, epsilon)
-    }
-
     /// The original hierarchy `H`.
     pub fn original(&self) -> &Hierarchy {
         &self.original
@@ -192,19 +179,13 @@ impl Seo {
         self.version
     }
 
-    /// The interned vocabulary of this enhancement (lexicographic symbol
-    /// order).
-    pub fn symbols(&self) -> &SymbolTable {
-        &self.symbols
-    }
-
     /// `μ(a)`: enhanced nodes containing original node `a`.
-    pub fn mu(&self, a: HNodeId) -> &[HNodeId] {
+    pub(crate) fn mu(&self, a: HNodeId) -> &[HNodeId] {
         self.mu.get(a.0).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// `μ⁻¹(e)`: original nodes merged into enhanced node `e`.
-    pub fn members_of(&self, e: HNodeId) -> &[HNodeId] {
+    pub(crate) fn members_of(&self, e: HNodeId) -> &[HNodeId] {
         self.members.get(e.0).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -244,7 +225,7 @@ impl Seo {
     /// The similarity class of a known term as memoized symbols (sorted
     /// ascending — lexicographic term order), or `None` for unknown
     /// terms. Repeated calls return the same allocation.
-    pub fn similar_terms_interned(&self, term: &str) -> Option<Arc<[Sym]>> {
+    pub(crate) fn similar_terms_interned(&self, term: &str) -> Option<Arc<[Sym]>> {
         let sym = self.symbols.lookup(term)?;
         Some(Arc::clone(self.similar_memo[sym.index()].get_or_init(
             || {
@@ -371,7 +352,7 @@ impl Seo {
     /// ascending — lexicographic term order), or `None` for unknown
     /// terms. This is the allocation-free hot path: repeated calls
     /// return the same `Arc<[Sym]>`.
-    pub fn below_terms_interned(&self, term: &str) -> Option<Arc<[Sym]>> {
+    pub(crate) fn below_terms_interned(&self, term: &str) -> Option<Arc<[Sym]>> {
         let sym = self.symbols.lookup(term)?;
         Some(Arc::clone(self.below_memo[sym.index()].get_or_init(
             || {
@@ -626,17 +607,9 @@ mod tests {
         let c1 = seo.below_terms_interned("concept").unwrap();
         let c2 = seo.below_terms_interned("concept").unwrap();
         assert!(std::sync::Arc::ptr_eq(&c1, &c2), "cone is shared");
-        let resolved: Vec<String> = c1
-            .iter()
-            .map(|&s| seo.symbols().resolve(s).to_string())
-            .collect();
-        assert_eq!(resolved, seo.below_terms("concept"));
+        assert_eq!(seo.resolve_all(&c1), seo.below_terms("concept"));
         let s1 = seo.similar_terms_interned("relation").unwrap();
-        let resolved: Vec<String> = s1
-            .iter()
-            .map(|&s| seo.symbols().resolve(s).to_string())
-            .collect();
-        assert_eq!(resolved, seo.similar_terms("relation"));
+        assert_eq!(seo.resolve_all(&s1), seo.similar_terms("relation"));
         assert!(seo.below_terms_interned("ghost").is_none());
     }
 
