@@ -18,7 +18,7 @@ use toss_similarity::{Levenshtein, NameRules, StringMetric};
 use toss_tax::EdgeKind;
 use toss_tree::serialize::{tree_to_xml, Style};
 use toss_tree::Forest;
-use toss_xmldb::{Database, DatabaseConfig, DurableDatabase, XPath};
+use toss_xmldb::{Database, DatabaseConfig, DurableDatabase, StdVfs, XPath};
 
 /// Usage text shown on errors.
 pub const USAGE: &str = "\
@@ -146,7 +146,7 @@ pub fn run(argv: &[String]) -> Result<(), CliFailure> {
 /// no `.wal` appears for a store that lacks one, and a torn journal tail
 /// is skipped rather than trimmed, so querying works on read-only media.
 fn load_db(path: &str) -> Result<Database, String> {
-    DurableDatabase::open_read_only(Path::new(path), DatabaseConfig::unlimited())
+    DurableDatabase::open_read_only_with(Path::new(path), DatabaseConfig::unlimited(), &StdVfs)
         .map_err(|e| e.to_string())
 }
 
@@ -325,9 +325,12 @@ fn cmd_db(args: &Args) -> Result<(), String> {
             Ok(())
         }
         "recover" => {
-            let (db, report) =
-                DurableDatabase::recover(db_path, DatabaseConfig::unlimited())
-                    .map_err(|e| e.to_string())?;
+            let (db, report) = DurableDatabase::recover_with(
+                db_path,
+                DatabaseConfig::unlimited(),
+                Arc::new(StdVfs),
+            )
+            .map_err(|e| e.to_string())?;
             if report.is_clean() {
                 println!("store is clean: nothing to repair");
             }
@@ -706,7 +709,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // the checkpoint sidecar beats the --seo file: it already folds
         // every ontology mutation up to its cursor
         let sidecar =
-            toss_serve::load_sidecar(&toss_xmldb::StdVfs, Path::new(db_path));
+            toss_serve::load_sidecar(&StdVfs, Path::new(db_path));
         let had_sidecar = sidecar.is_some();
         let (cursor, base_seo) = sidecar.unwrap_or((0, file_seo));
         let epsilon = base_seo.epsilon();
@@ -730,7 +733,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         // sidecar cursor.
         if had_sidecar && replayed == 0 {
             if let Some(seg) = toss_xmldb::segidx::load_segment(
-                &toss_xmldb::StdVfs,
+                &StdVfs,
                 Path::new(db_path),
             ) {
                 if seg.last_seq() == cursor {

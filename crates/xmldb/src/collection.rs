@@ -194,7 +194,7 @@ impl Collection {
     /// An id below the largest stored one lands at its sorted position in
     /// [`Collection::documents`]; on a live pointer index its postings
     /// are appended at the tail of their lists, as after a `replace`.
-    pub fn insert_with_id(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
+    pub(crate) fn insert_with_id(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
         let size = compact_len(&tree);
         self.insert_sized(id, tree, size)
     }
@@ -304,7 +304,7 @@ impl Collection {
     /// **Invariant: ascending by id.** Ids are allocated monotonically and
     /// never reused, snapshots save in this order and journal replay
     /// applies in sequence order, so insertion order *is* id order;
-    /// [`Collection::insert_with_id`] keeps it for an out-of-order id by
+    /// `Collection::insert_with_id` keeps it for an out-of-order id by
     /// inserting at the sorted position. Lookups by id binary-search this
     /// slice, and the XPath evaluator pairs index postings (also
     /// ascending by document) with positions in it.
@@ -314,7 +314,7 @@ impl Collection {
 
     /// The id the next inserted document will receive. Monotonic: removes
     /// leave gaps, ids are never reused.
-    pub fn next_id(&self) -> u64 {
+    pub(crate) fn next_id(&self) -> u64 {
         self.next_id
     }
 
@@ -341,7 +341,7 @@ impl Collection {
     }
 
     /// The configured size limit, if any.
-    pub fn size_limit(&self) -> Option<usize> {
+    pub(crate) fn size_limit(&self) -> Option<usize> {
         self.size_limit
     }
 

@@ -40,7 +40,7 @@ pub struct Database {
 
 impl Database {
     /// A database with the default (Xindice-like) configuration.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_config(DatabaseConfig::default())
     }
 
@@ -53,7 +53,7 @@ impl Database {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &DatabaseConfig {
+    pub(crate) fn config(&self) -> &DatabaseConfig {
         &self.config
     }
 

@@ -18,7 +18,7 @@
 //!
 //! [`DurableDatabase::open`] is *strict*: damaged bytes surface as
 //! [`DbError::Corruption`] and nothing is guessed.
-//! [`DurableDatabase::recover`] is *lenient*: it quarantines damaged
+//! [`DurableDatabase::recover_with`] is *lenient*: it quarantines damaged
 //! files, rebuilds the best state reachable from the valid snapshot and
 //! journal prefix, makes that state durable again, and reports exactly
 //! what was lost in a [`RecoveryReport`].
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use toss_tree::serialize::{compact_len, tree_to_xml, Style};
 use toss_tree::Tree;
 
-/// What a lenient [`DurableDatabase::recover`] found and did.
+/// What a lenient [`DurableDatabase::recover_with`] found and did.
 #[derive(Debug, Default)]
 pub struct RecoveryReport {
     /// Whether a snapshot was loaded successfully.
@@ -69,7 +69,7 @@ impl RecoveryReport {
     /// Fold this report into the global `xmldb.recovery.*` counters (see
     /// `docs/durability.md` for how to read them via `toss stats`).
     /// Called once per recovery run.
-    pub fn publish_metrics(&self) {
+    pub(crate) fn publish_metrics(&self) {
         use toss_obs::metrics::counter;
         counter("xmldb.recovery.runs").inc();
         counter("xmldb.recovery.replayed_ops").add(self.replayed_ops as u64);
@@ -147,21 +147,13 @@ impl DurableDatabase {
         Ok(this)
     }
 
-    /// Load the committed state **without mutating any on-disk file**:
-    /// no `.wal` is created for a store that lacks one, and a torn
-    /// journal tail is skipped rather than trimmed. Strict like
+    /// Load the committed state through `vfs` **without mutating any
+    /// on-disk file**: no `.wal` is created for a store that lacks one,
+    /// and a torn journal tail is skipped rather than trimmed. Strict like
     /// [`DurableDatabase::open`] — corruption is an error — but safe on
     /// read-only media and for query paths that should not write.
     /// Returns a plain [`Database`], since nothing can be committed
     /// through it.
-    pub fn open_read_only(
-        snapshot: impl AsRef<Path>,
-        config: DatabaseConfig,
-    ) -> DbResult<Database> {
-        Self::open_read_only_with(snapshot.as_ref(), config, &StdVfs)
-    }
-
-    /// [`DurableDatabase::open_read_only`] against an explicit [`Vfs`].
     pub fn open_read_only_with(
         snapshot: &Path,
         config: DatabaseConfig,
@@ -176,14 +168,6 @@ impl DurableDatabase {
         replay(&mut db, &scan.records, cursor)?;
         publish_index_gauges(&db, frozen);
         Ok(db)
-    }
-
-    /// Lenient recovery on the real filesystem.
-    pub fn recover(
-        snapshot: impl Into<PathBuf>,
-        config: DatabaseConfig,
-    ) -> DbResult<(Self, RecoveryReport)> {
-        Self::recover_with(snapshot, config, Arc::new(StdVfs))
     }
 
     /// Lenient recovery against an explicit [`Vfs`]: fall back to the
@@ -262,11 +246,6 @@ impl DurableDatabase {
     /// not yet checkpointed stays recoverable from the journal.
     pub fn into_inner(self) -> Database {
         self.db
-    }
-
-    /// The snapshot path this database persists to.
-    pub fn snapshot_path(&self) -> &Path {
-        self.writer.snapshot_path()
     }
 
     /// Number of operations currently recorded in the journal (i.e. not
@@ -360,7 +339,7 @@ impl DurableDatabase {
     /// behind a read/write lock for concurrent readers, while a single
     /// writer thread owns the `DurableWriter` and runs the same
     /// validate → journal+fsync → apply discipline every
-    /// `DurableDatabase` mutation runs — with [`Journal::append_batch`]
+    /// `DurableDatabase` mutation runs — with [`DurableWriter::append_batch`]
     /// providing group commit.
     pub fn into_parts(self) -> (Database, DurableWriter) {
         (self.db, self.writer)
@@ -692,7 +671,7 @@ fn load_snapshot(path: &Path, vfs: &dyn Vfs) -> DbResult<Option<Loaded>> {
         return Ok(None);
     }
     let seg = crate::segidx::load_segment(vfs, path);
-    storage::load_with_vfs_seq_seg(path, vfs, seg.as_ref()).map(Some)
+    storage::load(path, vfs, seg.as_ref()).map(Some)
 }
 
 /// The starting state of a store that has no snapshot.
@@ -725,7 +704,7 @@ fn replay(db: &mut Database, records: &[JournalRecord], cursor: u64) -> DbResult
 /// snapshot load, before journal replay (replay mutations may thaw some
 /// — the cold-open source doesn't change retroactively, but the byte
 /// gauges reflect the post-replay state).
-pub fn publish_index_gauges(db: &Database, frozen_at_load: usize) {
+pub(crate) fn publish_index_gauges(db: &Database, frozen_at_load: usize) {
     use toss_obs::metrics::gauge;
     let (mut pointer, mut segment) = (0usize, 0usize);
     let mut total = 0usize;

@@ -69,7 +69,7 @@ pub enum DbError {
 
 impl DbError {
     /// Shorthand for a snapshot-corruption error.
-    pub fn snapshot_corruption(detail: impl Into<String>) -> Self {
+    pub(crate) fn snapshot_corruption(detail: impl Into<String>) -> Self {
         DbError::Corruption {
             site: CorruptionSite::Snapshot,
             detail: detail.into(),
@@ -77,7 +77,7 @@ impl DbError {
     }
 
     /// Shorthand for a journal-corruption error.
-    pub fn journal_corruption(detail: impl Into<String>) -> Self {
+    pub(crate) fn journal_corruption(detail: impl Into<String>) -> Self {
         DbError::Corruption {
             site: CorruptionSite::Journal,
             detail: detail.into(),

@@ -53,12 +53,12 @@ pub struct CollectionIndex {
 
 impl CollectionIndex {
     /// An empty index.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Index every node of `tree` under document id `doc`.
-    pub fn add_document(&mut self, doc: DocumentId, tree: &Tree) {
+    pub(crate) fn add_document(&mut self, doc: DocumentId, tree: &Tree) {
         let keys = self.doc_keys.entry(doc).or_default();
         for node in tree.preorder() {
             let Ok(data) = tree.data(node) else { continue };
@@ -88,7 +88,7 @@ impl CollectionIndex {
 
     /// Drop all postings for a document — touching only the keys the
     /// document actually contributed (recorded at insert time).
-    pub fn remove_document(&mut self, doc: DocumentId) {
+    pub(crate) fn remove_document(&mut self, doc: DocumentId) {
         let Some(keys) = self.doc_keys.remove(&doc) else { return };
         for tag in keys.tags {
             if let Some(v) = self.tag.get_mut(&tag) {
@@ -114,13 +114,13 @@ impl CollectionIndex {
     }
 
     /// All nodes with the given tag, in document order.
-    pub fn by_tag(&self, tag: &str) -> &[Posting] {
+    pub(crate) fn by_tag(&self, tag: &str) -> &[Posting] {
         self.tag.get(tag).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// All nodes with the given tag and exact content rendering.
     /// Allocation-free: two borrowed map lookups.
-    pub fn by_tag_content(&self, tag: &str, content: &str) -> &[Posting] {
+    pub(crate) fn by_tag_content(&self, tag: &str, content: &str) -> &[Posting] {
         self.content
             .get(tag)
             .and_then(|m| m.get(content))
@@ -129,28 +129,23 @@ impl CollectionIndex {
     }
 
     /// Distinct indexed tags.
-    pub fn tags(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn tags(&self) -> impl Iterator<Item = &str> {
         self.tag.keys().map(String::as_str)
     }
 
     /// Distinct `(tag, content)` pairs — the raw material the Ontology
     /// Maker mines for terms.
-    pub fn tag_content_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn tag_content_pairs(&self) -> impl Iterator<Item = (&str, &str)> {
         self.content
             .iter()
             .flat_map(|(t, m)| m.keys().map(move |c| (t.as_str(), c.as_str())))
-    }
-
-    /// Number of distinct indexed tags.
-    pub fn tag_count(&self) -> usize {
-        self.tag.len()
     }
 
     /// Approximate resident heap bytes of this pointer index: string
     /// keys, postings vectors, per-entry map overhead, and the
     /// reverse-key lists. An estimate for the `toss.index.pointer_bytes`
     /// gauge and the bench comparison, not an allocator ledger.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         // String ≈ 24B header + capacity; Vec<Posting> ≈ 24B + 16B/elem;
         // hash-map entry bookkeeping ≈ 48B.
         const STR: usize = 24;
@@ -192,20 +187,15 @@ pub enum Postings<'a> {
 
 impl<'a> Postings<'a> {
     /// Number of postings — O(1) for both backends.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Postings::Slice(s) => s.len(),
             Postings::Block(b) => b.map(|b| b.len()).unwrap_or(0),
         }
     }
 
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Iterate the postings in document order.
-    pub fn iter(&self) -> PostingsIter<'a> {
+    pub(crate) fn iter(&self) -> PostingsIter<'a> {
         match self {
             Postings::Slice(s) => PostingsIter::Slice(s.iter()),
             // raw-encoded blocks (the tag map) iterate their key bytes
@@ -339,19 +329,6 @@ impl<'a> IndexView<'a> {
             .map(|t| self.by_tag_content(tag, t.as_ref()).len())
             .sum()
     }
-
-    /// Number of distinct indexed tags.
-    pub fn tag_count(&self) -> usize {
-        match self {
-            IndexView::Pointer(ix) => ix.tag_count(),
-            IndexView::Frozen(f) => f.tag_count(),
-        }
-    }
-
-    /// Whether this view reads from a frozen segment.
-    pub fn is_frozen(&self) -> bool {
-        matches!(self, IndexView::Frozen(_))
-    }
 }
 
 #[cfg(test)]
@@ -433,8 +410,7 @@ mod tests {
         assert!(!idx.tag_content_pairs().any(|(_, c)| c == "A"));
         assert!(idx.tag_content_pairs().any(|(_, c)| c == "B"));
         idx.remove_document(DocumentId(1));
-        assert_eq!(idx.tag_count(), 0);
-        assert_eq!(idx.tag_content_pairs().count(), 0);
+        assert_eq!(idx.approx_bytes(), 0, "no key, list or reverse entry is left");
         // removing an unknown document is a no-op
         idx.remove_document(DocumentId(7));
     }
@@ -465,11 +441,10 @@ mod tests {
         idx.add_document(DocumentId(0), &tree("A"));
         idx.add_document(DocumentId(1), &tree("B"));
         let view = IndexView::Pointer(&idx);
-        assert!(!view.is_frozen());
         assert_eq!(view.by_tag("author").len(), 2);
         assert_eq!(view.by_tag("author").to_vec(), idx.by_tag("author"));
         assert_eq!(view.by_tag_content("author", "A").len(), 1);
-        assert_eq!(view.tag_count(), idx.tag_count());
+        assert_eq!(view.by_tag("missing").len(), 0);
         // iteration yields postings by value
         let nodes: Vec<usize> = view.by_tag("year").iter().map(|p| p.node.index()).collect();
         assert_eq!(nodes.len(), 2);

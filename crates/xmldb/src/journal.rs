@@ -16,7 +16,7 @@
 //!
 //! The payload is the compact JSON encoding of a sequence number plus a
 //! [`JournalOp`]. Sequence numbers are assigned monotonically and never
-//! reused, even across [`Journal::reset`]; snapshots record the last
+//! reused, even across a [`Journal::rewrite`]; snapshots record the last
 //! sequence they contain, which makes checkpointing crash-idempotent — a
 //! crash between "snapshot written" and "journal truncated" merely leaves
 //! records that replay skips as already-applied.
@@ -40,7 +40,7 @@ use std::sync::Arc;
 use toss_json::Value;
 
 /// Magic bytes identifying a TOSS write-ahead journal, version 1.
-pub const JOURNAL_MAGIC: &[u8; 8] = b"TOSSWAL1";
+pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"TOSSWAL1";
 
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,7 +254,7 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 
 /// Result of scanning a journal file.
 #[derive(Debug)]
-pub struct JournalScan {
+pub(crate) struct JournalScan {
     /// The decoded records of the valid prefix, in append order.
     pub records: Vec<JournalRecord>,
     /// Byte offset (including the magic) at which the valid record
@@ -271,7 +271,7 @@ pub struct JournalScan {
 }
 
 /// An append-only, checksummed operation log bound to one file.
-pub struct Journal {
+pub(crate) struct Journal {
     path: PathBuf,
     vfs: Arc<dyn Vfs>,
     next_seq: u64,
@@ -283,7 +283,7 @@ pub struct Journal {
     /// Set when the bytes past `good_len` are damaged and could not be
     /// repaired (the truncation itself failed, or the file has a corrupt
     /// suffix). A poisoned journal refuses appends until a successful
-    /// [`Journal::rewrite`]/[`Journal::reset`] or a fresh open.
+    /// [`Journal::rewrite`] or a fresh open.
     poisoned: bool,
     /// Number of records in the known-good prefix, maintained
     /// incrementally so [`Journal::record_count`] never rescans the
@@ -310,7 +310,7 @@ impl Journal {
     /// here, so appends always land on a record boundary; a corrupt
     /// suffix is left in place for forensics, but poisons the journal
     /// against appends until it is rewritten.
-    pub fn open(path: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> DbResult<Journal> {
+    pub(crate) fn open(path: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> DbResult<Journal> {
         let mut journal = Journal {
             path: path.into(),
             vfs,
@@ -337,20 +337,15 @@ impl Journal {
         Ok(journal)
     }
 
-    /// The journal's file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// The sequence number the next append will use.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Raise the next sequence number to at least `min_next`. Used after
     /// loading a snapshot whose cursor is ahead of the (reset) journal,
     /// so fresh appends are never numbered below the snapshot cursor.
-    pub fn bump_seq(&mut self, min_next: u64) {
+    pub(crate) fn bump_seq(&mut self, min_next: u64) {
         self.next_seq = self.next_seq.max(min_next);
     }
 
@@ -361,10 +356,9 @@ impl Journal {
     /// are truncated away *before* this returns, so a later successful
     /// append still produces a contiguous, valid journal. If that repair
     /// itself fails, the journal is poisoned: further appends are
-    /// refused until a [`Journal::rewrite`]/[`Journal::reset`] or a
-    /// fresh open, because a new record could otherwise land after torn
-    /// bytes mid-file.
-    pub fn append(&mut self, op: &JournalOp) -> DbResult<u64> {
+    /// refused until a [`Journal::rewrite`] or a fresh open, because a
+    /// new record could otherwise land after torn bytes mid-file.
+    pub(crate) fn append(&mut self, op: &JournalOp) -> DbResult<u64> {
         self.append_records(std::iter::once((op, None)))
             .map(|seqs| seqs.start)
     }
@@ -380,7 +374,7 @@ impl Journal {
     /// contract: none of these ops were acknowledged.)
     ///
     /// An empty batch is a no-op returning no sequences.
-    pub fn append_batch(&mut self, ops: &[JournalOp]) -> DbResult<Vec<u64>> {
+    pub(crate) fn append_batch(&mut self, ops: &[JournalOp]) -> DbResult<Vec<u64>> {
         self.append_records(ops.iter().map(|op| (op, None)))
             .map(Iterator::collect)
     }
@@ -390,7 +384,7 @@ impl Journal {
     /// replay; they let a restarted server rebuild its dedupe table
     /// from the journal tail, so acknowledged-then-retried writes stay
     /// deduplicated across a crash.
-    pub fn append_batch_keyed(
+    pub(crate) fn append_batch_keyed(
         &mut self,
         ops: &[(JournalOp, Option<String>)],
     ) -> DbResult<Vec<u64>> {
@@ -482,7 +476,7 @@ impl Journal {
     /// Scan the whole journal strictly. Torn tails are tolerated and
     /// reported; CRC mismatches on complete records are
     /// [`DbError::Corruption`].
-    pub fn scan(&self) -> DbResult<JournalScan> {
+    pub(crate) fn scan(&self) -> DbResult<JournalScan> {
         let scan = self.scan_lenient()?;
         match scan.corruption {
             Some(err) => Err(err),
@@ -496,7 +490,7 @@ impl Journal {
     /// Scan leniently: corruption does not fail the call, it is returned
     /// in [`JournalScan::corruption`] alongside the valid prefix. I/O
     /// errors still fail.
-    pub fn scan_lenient(&self) -> DbResult<JournalScan> {
+    pub(crate) fn scan_lenient(&self) -> DbResult<JournalScan> {
         Self::scan_file(&self.path, &*self.vfs)
     }
 
@@ -505,7 +499,7 @@ impl Journal {
     /// state. This is what read-only opens use, so querying a store does
     /// not create or rewrite its WAL. Semantics match
     /// [`Journal::scan_lenient`]; a missing file reads as empty.
-    pub fn scan_file(path: &Path, vfs: &dyn Vfs) -> DbResult<JournalScan> {
+    pub(crate) fn scan_file(path: &Path, vfs: &dyn Vfs) -> DbResult<JournalScan> {
         let bytes = if vfs.exists(path) {
             vfs.read(path)
                 .map_err(|e| DbError::Storage(format!("journal read failed: {e}")))?
@@ -601,7 +595,7 @@ impl Journal {
     /// atomic: a fresh file is written and synced, then renamed over the
     /// old journal — on failure the old file is untouched. A successful
     /// rewrite clears any append poisoning.
-    pub fn rewrite(&mut self, records: &[JournalRecord]) -> DbResult<()> {
+    pub(crate) fn rewrite(&mut self, records: &[JournalRecord]) -> DbResult<()> {
         let mut bytes = JOURNAL_MAGIC.to_vec();
         for rec in records {
             bytes.extend_from_slice(&frame(&encode_payload(
@@ -629,15 +623,8 @@ impl Journal {
     /// Number of records in the known-good prefix. Maintained
     /// incrementally — no file I/O — so per-batch pending-op checks
     /// stay O(1) instead of rescanning the whole journal.
-    pub fn record_count(&self) -> usize {
+    pub(crate) fn record_count(&self) -> usize {
         self.record_count
-    }
-
-    /// Truncate the journal to empty (magic only). Called after a
-    /// checkpoint has durably captured everything the journal recorded.
-    /// Sequence numbers keep counting up — they are never reused.
-    pub fn reset(&mut self) -> DbResult<()> {
-        self.rewrite(&[])
     }
 }
 
@@ -697,6 +684,52 @@ mod tests {
         }
     }
 
+    /// The journal bytes are pinned: a change the encoder and the decoder
+    /// make together round-trips, but fails here.
+    #[test]
+    fn the_journal_format_is_pinned() {
+        let (_fs, vfs) = mem();
+        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        j.append_batch_keyed(&[
+            (
+                JournalOp::CreateCollection {
+                    name: "dblp".into(),
+                },
+                Some("wk-1".into()),
+            ),
+            (
+                JournalOp::Insert {
+                    collection: "dblp".into(),
+                    xml: "<a>\"q\" &amp; é</a>".into(),
+                },
+                None,
+            ),
+        ])
+        .unwrap();
+        j.append_batch(&[
+            JournalOp::Remove {
+                collection: "dblp".into(),
+                doc_id: 0,
+            },
+            JournalOp::AddTerm {
+                terms: vec!["data base".into()],
+            },
+        ])
+        .unwrap();
+        // the magic, then four `[len][crc][payload]` records
+        let expected: &[u8] =
+            b"TOSSWAL1\
+              8\x00\x00\x00\xbf{\x19\xfa\
+              {\"seq\":0,\"key\":\"wk-1\",\"op\":\"create\",\"collection\":\"dblp\"}\
+              I\x00\x00\x00F\xbe5K\
+              {\"seq\":1,\"op\":\"insert\",\"collection\":\"dblp\",\"xml\":\"<a>\\\"q\\\" &amp; \xc3\xa9</a>\"}\
+              3\x00\x00\x00\xc9VE\xb2\
+              {\"seq\":2,\"op\":\"remove\",\"collection\":\"dblp\",\"doc\":0}\
+              /\x00\x00\x00m47\x9c\
+              {\"seq\":3,\"op\":\"add_term\",\"terms\":[\"data base\"]}";
+        assert_eq!(vfs.read(Path::new("db.wal")).unwrap(), expected);
+    }
+
     #[test]
     fn keyed_batch_keys_survive_scan_rewrite_and_crash() {
         let (fs, vfs) = mem();
@@ -736,12 +769,11 @@ mod tests {
         // A failed append leaves the count untouched.
         fs.fail_op(fs.op_count(), FaultMode::Error);
         assert!(j.append(&sample_ops()[4]).is_err());
-        fs.clear_fault();
         assert_eq!(j.record_count(), 4);
         let records = j.scan().unwrap().records;
         j.rewrite(&records[..2]).unwrap();
         assert_eq!(j.record_count(), 2);
-        j.reset().unwrap();
+        j.rewrite(&[]).unwrap();
         assert_eq!(j.record_count(), 0);
         // Reopen recomputes the count from the file.
         j.append(&sample_ops()[0]).unwrap();
@@ -884,7 +916,7 @@ mod tests {
         let scan = j.scan().unwrap();
         j.rewrite(&scan.records[..2]).unwrap();
         assert_eq!(ops_of(&j.scan().unwrap()), sample_ops()[..2]);
-        j.reset().unwrap();
+        j.rewrite(&[]).unwrap();
         assert!(j.scan().unwrap().records.is_empty());
     }
 
@@ -893,7 +925,7 @@ mod tests {
         let (fs, vfs) = mem();
         let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
         j.append(&sample_ops()[0]).unwrap();
-        j.reset().unwrap();
+        j.rewrite(&[]).unwrap();
         // In-process the journal still hands out fresh sequence numbers.
         assert_eq!(j.append(&sample_ops()[4]).unwrap(), 1);
         fs.crash();
@@ -909,7 +941,6 @@ mod tests {
         j.append(&sample_ops()[0]).unwrap();
         fs.fail_op(fs.op_count(), FaultMode::Error);
         assert!(j.append(&sample_ops()[1]).is_err());
-        fs.clear_fault();
         assert_eq!(ops_of(&j.scan().unwrap()), vec![sample_ops()[0].clone()]);
         // The unconsumed sequence number is reused by the next append.
         assert_eq!(j.append(&sample_ops()[1]).unwrap(), 1);

@@ -148,7 +148,7 @@ pub fn segment_builder(db: &Database, last_seq: u64) -> SegmentBuilder {
 /// a missing or torn file just means the next open rebuilds. Written
 /// *after* the snapshot rename so a crash in between leaves a stale
 /// stamp, which the load path rejects.
-pub fn write_segment(vfs: &dyn Vfs, snapshot: &Path, bytes: &[u8]) {
+pub(crate) fn write_segment(vfs: &dyn Vfs, snapshot: &Path, bytes: &[u8]) {
     let path = seg_path(snapshot);
     let ok = vfs.write(&path, bytes).is_ok() && vfs.sync(&path).is_ok();
     if ok {
@@ -203,7 +203,7 @@ impl FrozenIndex {
     /// Attach to collection `name`'s sections inside `segment`. Returns
     /// `None` unless all three sections exist and both maps parse —
     /// callers then rebuild the pointer index instead.
-    pub fn attach(segment: &Arc<Segment>, name: &str) -> Option<FrozenIndex> {
+    pub(crate) fn attach(segment: &Arc<Segment>, name: &str) -> Option<FrozenIndex> {
         let tag = segment.section_range(kinds::TAG_MAP, name)?;
         let content = segment.section_range(kinds::CONTENT_MAP, name)?;
         let meta = segment.section(kinds::COLLECTION_META, name)?;
@@ -219,7 +219,7 @@ impl FrozenIndex {
     }
 
     /// Document count recorded at build time (attach-time sanity check).
-    pub fn doc_count(&self) -> u64 {
+    pub(crate) fn doc_count(&self) -> u64 {
         self.doc_count
     }
 
@@ -243,7 +243,7 @@ impl FrozenIndex {
     }
 
     /// All nodes with the given tag, in document order.
-    pub fn by_tag(&self, tag: &str) -> Postings<'_> {
+    pub(crate) fn by_tag(&self, tag: &str) -> Postings<'_> {
         Postings::Block(
             self.tag_map()
                 .get(tag.as_bytes())
@@ -254,7 +254,7 @@ impl FrozenIndex {
     /// All nodes with the given tag and exact content rendering.
     /// Allocation-free: the composite key is hashed incrementally and
     /// compared piecewise, never materialized.
-    pub fn by_tag_content(&self, tag: &str, content: &str) -> Postings<'_> {
+    pub(crate) fn by_tag_content(&self, tag: &str, content: &str) -> Postings<'_> {
         Postings::Block(
             self.content_map()
                 .get_composite(tag, content)
@@ -262,14 +262,9 @@ impl FrozenIndex {
         )
     }
 
-    /// Number of distinct indexed tags.
-    pub fn tag_count(&self) -> usize {
-        self.tag_map().len()
-    }
-
     /// Bytes of this collection's sections within the segment (the
     /// `toss.index.segment_bytes` contribution).
-    pub fn section_bytes(&self) -> usize {
+    pub(crate) fn section_bytes(&self) -> usize {
         (self.tag.1 - self.tag.0) + (self.content.1 - self.content.0)
     }
 }
@@ -322,12 +317,11 @@ mod tests {
                 "({tag}, {content})"
             );
         }
-        assert_eq!(frozen.tag_count(), view.tag_count());
         assert!(frozen.section_bytes() > 0);
         // empty collection has sections too, all empty
         let e = FrozenIndex::attach(&seg, "empty").unwrap();
         assert_eq!(e.doc_count(), 0);
-        assert_eq!(e.tag_count(), 0);
+        assert_eq!(e.by_tag("article").len(), 0);
         // unknown collection does not attach
         assert!(FrozenIndex::attach(&seg, "nope").is_none());
     }

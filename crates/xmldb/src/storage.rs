@@ -73,7 +73,7 @@ use crate::crc32::crc32;
 use crate::database::{Database, DatabaseConfig};
 use crate::error::{DbError, DbResult};
 use crate::segidx::FrozenIndex;
-use crate::vfs::{StdVfs, Vfs};
+use crate::vfs::Vfs;
 use std::collections::{BTreeSet, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -85,7 +85,7 @@ use toss_tree::serialize::{compact_len, write_xml, Style};
 use toss_tree::Tree;
 
 /// Snapshot format version written by this build.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub(crate) const SNAPSHOT_VERSION: u32 = 2;
 
 /// Append the inner `data` object (config + collections + journal
 /// cursor) to `out`. Integers are written the way `Value::Int` renders
@@ -466,25 +466,19 @@ impl Restore for Verify {
     }
 }
 
-/// Restore a database and its journal cursor from a JSON snapshot
-/// produced by [`to_json_with_seq`] (version 2, checksummed) or by older
-/// builds (version 1, flat, cursor 0).
-pub fn from_json_with_seq(json: &str) -> DbResult<(Database, u64)> {
-    from_json_with_seq_seg(json, None).map(|(db, seq, _)| (db, seq))
+/// Restore a database from a JSON snapshot produced by
+/// [`to_json_with_seq`] (version 2, checksummed) or by older builds
+/// (version 1, flat), discarding the journal cursor.
+pub fn from_json(json: &str) -> DbResult<Database> {
+    from_json_on(json, None, &WorkerPool::with_available_parallelism()).map(|(db, _, _)| db)
 }
 
-/// [`from_json_with_seq`] with an optional verified segment sidecar to
-/// attach frozen indexes from; additionally returns how many collections
-/// attached frozen (0 when `seg` is `None`, stale, or unusable).
-pub fn from_json_with_seq_seg(
-    json: &str,
-    seg: Option<&Arc<Segment>>,
-) -> DbResult<(Database, u64, usize)> {
-    from_json_on(json, seg, &WorkerPool::with_available_parallelism())
-}
-
-/// [`from_json_with_seq_seg`], parsing the documents on `pool`.
-fn from_json_on(
+/// Restore a database and its journal cursor (0 for version 1) from a
+/// JSON snapshot, parsing the documents on `pool`. A verified segment
+/// sidecar `seg` lets collections attach frozen indexes instead of
+/// re-indexing; also returns how many did (0 when `seg` is `None`,
+/// stale, or unusable).
+pub(crate) fn from_json_on(
     json: &str,
     seg: Option<&Arc<Segment>>,
     pool: &WorkerPool,
@@ -546,11 +540,6 @@ fn verify_snapshot_on(bytes: Vec<u8>, pool: &WorkerPool) -> DbResult<()> {
     )
 }
 
-/// Restore a database from a JSON snapshot, discarding the journal cursor.
-pub fn from_json(json: &str) -> DbResult<Database> {
-    from_json_with_seq(json).map(|(db, _)| db)
-}
-
 /// Persist an already-serialized snapshot (produced by
 /// [`to_json_with_seq`]) atomically through an arbitrary [`Vfs`]:
 /// temp file → fsync → rename over the target. A live server serializes
@@ -601,20 +590,10 @@ fn save_checked(
     Ok(())
 }
 
-/// Write a snapshot atomically through an arbitrary [`Vfs`] with a zero
-/// journal cursor (for databases not using a journal).
-pub fn save_with_vfs(db: &Database, path: &Path, vfs: &dyn Vfs) -> DbResult<()> {
-    save_json_with_vfs(&to_json(db)?, path, vfs)
-}
-
-/// Load a snapshot and its journal cursor through an arbitrary [`Vfs`].
-pub fn load_with_vfs_seq(path: &Path, vfs: &dyn Vfs) -> DbResult<(Database, u64)> {
-    load_with_vfs_seq_seg(path, vfs, None).map(|(db, seq, _)| (db, seq))
-}
-
-/// [`load_with_vfs_seq`] attaching frozen indexes from an optional
-/// verified segment; also returns the frozen-collection count.
-pub fn load_with_vfs_seq_seg(
+/// Read the snapshot at `path` through `vfs` and decode it with
+/// [`from_json_on`] on a pool of the machine's cores: the database, its
+/// journal cursor and how many collections attached frozen from `seg`.
+pub(crate) fn load(
     path: &Path,
     vfs: &dyn Vfs,
     seg: Option<&Arc<Segment>>,
@@ -625,31 +604,16 @@ pub fn load_with_vfs_seq_seg(
         .map_err(|e| DbError::Storage(format!("snapshot read failed: {e}")))?;
     span.record("bytes", bytes.len());
     let json = snapshot_text(bytes)?;
-    let loaded = from_json_with_seq_seg(&json, seg)?;
+    let loaded = from_json_on(&json, seg, &WorkerPool::with_available_parallelism())?;
     toss_obs::metrics::counter("xmldb.snapshot.loads").inc();
     toss_obs::metrics::histogram("xmldb.snapshot.load_ns").observe_duration(span.finish());
     Ok(loaded)
 }
 
-/// Load a snapshot through an arbitrary [`Vfs`].
-pub fn load_with_vfs(path: &Path, vfs: &dyn Vfs) -> DbResult<Database> {
-    load_with_vfs_seq(path, vfs).map(|(db, _)| db)
-}
-
-/// Write a snapshot to disk (atomically: temp file + fsync + rename).
-pub fn save(db: &Database, path: &Path) -> DbResult<()> {
-    save_with_vfs(db, path, &StdVfs)
-}
-
-/// Load a snapshot from disk.
-pub fn load(path: &Path) -> DbResult<Database> {
-    load_with_vfs(path, &StdVfs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{FaultMode, FaultVfs};
+    use crate::vfs::{FaultMode, FaultVfs, StdVfs};
     use std::path::PathBuf;
     use toss_tree::serialize::tree_to_xml;
     use toss_tree::TreeBuilder;
@@ -661,6 +625,21 @@ mod tests {
         c.insert_xml("<c k=\"v\"/>").unwrap();
         db.create_collection("empty").unwrap();
         db
+    }
+
+    /// Write `db`'s snapshot, cursor 0, to `path` atomically.
+    fn save(db: &Database, path: &Path, vfs: &dyn Vfs) -> DbResult<()> {
+        save_json_with_vfs(&to_json(db)?, path, vfs)
+    }
+
+    /// The database of the snapshot at `path`.
+    fn load_db(path: &Path, vfs: &dyn Vfs) -> DbResult<Database> {
+        load(path, vfs, None).map(|(db, _, _)| db)
+    }
+
+    /// A snapshot's database and journal cursor.
+    fn with_cursor(json: &str) -> DbResult<(Database, u64)> {
+        from_json_on(json, None, &WorkerPool::new(2)).map(|(db, seq, _)| (db, seq))
     }
 
     /// The `Value` route the streaming writer replaced: build the whole
@@ -780,7 +759,7 @@ mod tests {
             proptest::prop_assert_eq!(&json, &value_route_json(&db, last_seq));
             proptest::prop_assert_eq!(
                 verify_snapshot(json.clone().into_bytes()),
-                from_json_with_seq(&json).map(|_| ())
+                from_json(&json).map(|_| ())
             );
         }
     }
@@ -856,16 +835,16 @@ mod tests {
             let vfs = FaultVfs::new();
             let path = PathBuf::from("snap.json");
             vfs.corrupt(&path, bytes.clone());
-            let load = load_with_vfs_seq(&path, &vfs).map(|_| ()).unwrap_err();
-            assert_eq!(verify_snapshot(bytes.clone()), Err(load.clone()), "{label}");
+            let error = load(&path, &vfs, None).map(|_| ()).unwrap_err();
+            assert_eq!(verify_snapshot(bytes.clone()), Err(error.clone()), "{label}");
             // The checkpoint write refuses the same bytes with the same
             // error, and the good snapshot it would have replaced stays.
             let Ok(text) = String::from_utf8(bytes) else {
                 continue;
             };
-            save_with_vfs(&sample_db(), &path, &vfs).unwrap();
-            assert_eq!(save_verified_json(text, &path, &vfs), Err(load), "{label}");
-            let kept = load_with_vfs(&path, &vfs).unwrap();
+            save(&sample_db(), &path, &vfs).unwrap();
+            assert_eq!(save_verified_json(text, &path, &vfs), Err(error), "{label}");
+            let kept = load_db(&path, &vfs).unwrap();
             assert_eq!(kept.collection_names(), vec!["dblp", "empty"], "{label}");
         }
     }
@@ -880,7 +859,7 @@ mod tests {
                 "collections":[{"name":"old","documents":["<a><b>1</b></a>"]}]}"#
                 .to_string(),
         ] {
-            from_json_with_seq(&json).unwrap();
+            from_json(&json).unwrap();
             verify_snapshot(json.into_bytes()).unwrap();
         }
     }
@@ -992,6 +971,22 @@ mod tests {
         }
     }
 
+    /// The snapshot bytes are pinned: a change the writer and the reader
+    /// make together round-trips, but fails here.
+    #[test]
+    fn the_snapshot_format_is_pinned() {
+        let json = to_json_with_seq(&sample_db(), 3).unwrap();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"version":2,"checksum":562589807,"data":{"collection_size_limit":5242880,"#,
+                r#""last_seq":3,"collections":[{"name":"dblp","next_id":2,"documents":["#,
+                r#"{"id":0,"xml":"<a><b>x &amp; y</b></a>"},{"id":1,"xml":"<c k=\"v\"/>"}]},"#,
+                r#"{"name":"empty","next_id":0,"documents":[]}]}}"#
+            )
+        );
+    }
+
     fn stored_checksum(json: &str) -> u32 {
         let value = Value::parse(json).unwrap();
         value.get("checksum").and_then(Value::as_i64).unwrap() as u32
@@ -1025,7 +1020,7 @@ mod tests {
             Value::parse(&json).unwrap().to_json_pretty(),
         ] {
             assert_eq!(stored_data(&text, checksum), None, "{text}");
-            let (back, seq) = from_json_with_seq(&text).unwrap();
+            let (back, seq) = with_cursor(&text).unwrap();
             assert_eq!(to_json_with_seq(&back, seq).unwrap(), json);
             verify_snapshot(text.into_bytes()).unwrap();
         }
@@ -1077,8 +1072,8 @@ mod tests {
         let dir = std::env::temp_dir().join("toss-xmldb-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
-        save(&db, &path).unwrap();
-        let db2 = load(&path).unwrap();
+        save(&db, &path, &StdVfs).unwrap();
+        let db2 = load_db(&path, &StdVfs).unwrap();
         assert_eq!(db2.collection("dblp").unwrap().len(), 2);
         std::fs::remove_file(&path).ok();
     }
@@ -1106,7 +1101,7 @@ mod tests {
     fn legacy_v1_snapshots_still_load() {
         let v1 = r#"{"version":1,"collection_size_limit":77,
             "collections":[{"name":"old","documents":["<a><b>1</b></a>"]}]}"#;
-        let (db, last_seq) = from_json_with_seq(v1).unwrap();
+        let (db, last_seq) = with_cursor(v1).unwrap();
         assert_eq!(db.config().collection_size_limit, Some(77));
         assert_eq!(db.collection("old").unwrap().len(), 1);
         assert_eq!(last_seq, 0, "v1 snapshots predate the journal");
@@ -1133,7 +1128,7 @@ mod tests {
     #[test]
     fn journal_cursor_round_trips() {
         let json = to_json_with_seq(&sample_db(), 41).unwrap();
-        let (_, last_seq) = from_json_with_seq(&json).unwrap();
+        let (_, last_seq) = with_cursor(&json).unwrap();
         assert_eq!(last_seq, 41);
     }
 
@@ -1164,22 +1159,22 @@ mod tests {
         // Establish a durable old snapshot.
         let mut old = Database::new();
         old.create_collection("old").unwrap();
-        save_with_vfs(&old, &path, &vfs).unwrap();
+        save(&old, &path, &vfs).unwrap();
         // Crash the new save at every protocol step; the old snapshot
         // must remain loadable (or the new one, once the rename landed).
         let new = sample_db();
         for step in 0..3 {
             let base = vfs.op_count();
             vfs.fail_op(base + step, FaultMode::Error);
-            assert!(save_with_vfs(&new, &path, &vfs).is_err());
+            assert!(save(&new, &path, &vfs).is_err());
             vfs.crash();
-            let db = load_with_vfs(&path, &vfs).unwrap();
+            let db = load_db(&path, &vfs).unwrap();
             assert_eq!(db.collection_names(), vec!["old"], "step {step}");
         }
         // No fault: the save completes and replaces the old snapshot.
-        save_with_vfs(&new, &path, &vfs).unwrap();
+        save(&new, &path, &vfs).unwrap();
         vfs.crash();
-        let db = load_with_vfs(&path, &vfs).unwrap();
+        let db = load_db(&path, &vfs).unwrap();
         assert_eq!(db.collection_names(), vec!["dblp", "empty"]);
     }
 
@@ -1189,12 +1184,12 @@ mod tests {
         let path = PathBuf::from("snap.json");
         let mut old = Database::new();
         old.create_collection("old").unwrap();
-        save_with_vfs(&old, &path, &vfs).unwrap();
+        save(&old, &path, &vfs).unwrap();
         // Tear the temp-file write; the target is untouched.
         vfs.fail_op(vfs.op_count(), FaultMode::Tear { keep: 10 });
-        assert!(save_with_vfs(&sample_db(), &path, &vfs).is_err());
+        assert!(save(&sample_db(), &path, &vfs).is_err());
         vfs.crash();
-        let db = load_with_vfs(&path, &vfs).unwrap();
+        let db = load_db(&path, &vfs).unwrap();
         assert_eq!(db.collection_names(), vec!["old"]);
     }
 }

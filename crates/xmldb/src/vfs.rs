@@ -167,13 +167,6 @@ impl FaultVfs {
         self.lock().faults.insert(op, mode);
     }
 
-    /// Disarm all pending faults (one-shot and sticky).
-    pub fn clear_fault(&self) {
-        let mut st = self.lock();
-        st.faults.clear();
-        st.sticky = None;
-    }
-
     /// Arm a sticky fault: every mutating operation from `op` (0-based on
     /// the absolute counter) onward fails with `mode` until [`heal`] is
     /// called. Models persistent faults — ENOSPC, a failing device — or a
@@ -188,13 +181,6 @@ impl FaultVfs {
     /// operations succeed again. One-shot faults are left armed.
     pub fn heal(&self) {
         self.lock().sticky = None;
-    }
-
-    /// Whether a sticky fault is currently active (armed and its start op
-    /// has been reached).
-    pub fn sticky_active(&self) -> bool {
-        let st = self.lock();
-        matches!(st.sticky, Some((from, _)) if st.ops >= from)
     }
 
     /// Number of mutating operations performed so far.
@@ -540,11 +526,10 @@ mod tests {
         fs.fail_from(1, FaultMode::Error);
         assert!(fs.write(&p("a"), b"2").is_err()); // op 1
         assert!(fs.sync(&p("a")).is_err()); // op 2 — still failing
-        assert!(fs.sticky_active());
         fs.heal();
         fs.write(&p("a"), b"3").unwrap(); // op 3 fine again
+        fs.sync(&p("a")).unwrap(); // op 4 too
         assert_eq!(fs.read(&p("a")).unwrap(), b"3");
-        assert!(!fs.sticky_active());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub enum NameTest {
 
 impl NameTest {
     /// Whether a tag satisfies the test.
-    pub fn matches(&self, tag: &str) -> bool {
+    pub(crate) fn matches(&self, tag: &str) -> bool {
         match self {
             NameTest::Name(n) => n == tag,
             NameTest::Wildcard => true,

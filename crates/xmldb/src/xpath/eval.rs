@@ -35,22 +35,6 @@ pub struct NodeRef {
     pub node: NodeId,
 }
 
-/// The W3C-style string-value of a node: its own text content
-/// concatenated with the content of all descendants in preorder.
-/// Exposed as a helper; **comparisons in this engine use
-/// [`own_text`]** — see the deviation note below.
-pub fn string_value(tree: &Tree, node: NodeId) -> String {
-    let mut out = String::new();
-    for n in tree.subtree(node) {
-        if let Ok(d) = tree.data(n) {
-            if let Some(c) = &d.content {
-                out.push_str(&c.render());
-            }
-        }
-    }
-    out
-}
-
 /// The element's *own* text content ("" when absent).
 ///
 /// Deviation from W3C XPath, by design: this store keys text content to
@@ -60,7 +44,7 @@ pub fn string_value(tree: &Tree, node: NodeId) -> String {
 /// elements whose descendants also carry text, losing true matches; the
 /// own-content semantics makes `[a='v']`, `text()`, `contains(...)` agree
 /// exactly with the data model.
-pub fn own_text(tree: &Tree, node: NodeId) -> String {
+pub(crate) fn own_text(tree: &Tree, node: NodeId) -> String {
     tree.data(node)
         .ok()
         .and_then(|d| d.content.as_ref().map(|c| c.render()))
@@ -574,12 +558,9 @@ mod tests {
     }
 
     #[test]
-    fn string_value_helper_concatenates_but_comparisons_use_own_text() {
+    fn comparisons_use_own_text() {
         let t = tree();
-        let root = t.root().unwrap();
-        assert_eq!(string_value(&t, root), "xyzdeep");
-        let a2 = t.children(root).nth(1).unwrap();
-        assert_eq!(string_value(&t, a2), "zdeep");
+        let a2 = t.children(t.root().unwrap()).nth(1).unwrap();
         assert_eq!(own_text(&t, a2), "");
         // an element with text AND content-bearing children still matches
         // its own text exactly (the rewriter-soundness requirement)
@@ -839,9 +820,9 @@ mod tests {
     fn frozen_twin(db: &crate::Database) -> crate::Database {
         let seg = toss_segment::Segment::parse(crate::segidx::build_segment(db, 1)).unwrap();
         let json = crate::storage::to_json_with_seq(db, 1).unwrap();
+        let pool = toss_pool::WorkerPool::new(2);
         let (twin, _, frozen) =
-            crate::storage::from_json_with_seq_seg(&json, Some(&std::sync::Arc::new(seg)))
-                .unwrap();
+            crate::storage::from_json_on(&json, Some(&std::sync::Arc::new(seg)), &pool).unwrap();
         assert_eq!(frozen, db.collections().count());
         twin
     }

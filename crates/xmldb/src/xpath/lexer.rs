@@ -4,7 +4,7 @@ use crate::error::{DbError, DbResult};
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// `/` — child axis separator.
     Slash,
     /// `//` — descendant-or-self axis separator.
@@ -40,7 +40,7 @@ pub enum Token {
 }
 
 /// Tokenize an XPath expression.
-pub fn tokenize(input: &str) -> DbResult<Vec<Token>> {
+pub(crate) fn tokenize(input: &str) -> DbResult<Vec<Token>> {
     let bytes = input.as_bytes();
     let mut out = Vec::new();
     let mut i = 0;

@@ -30,10 +30,10 @@
 //! the standard). The TOSS rewriter never emits positional predicates;
 //! they exist for hand-written queries.
 
-pub mod ast;
-pub mod eval;
-pub mod lexer;
-pub mod parser;
+mod ast;
+mod eval;
+mod lexer;
+mod parser;
 
 pub use ast::{Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
 pub use eval::{planned_partitions, Candidates, NodeRef};
@@ -190,6 +190,33 @@ mod tests {
         let mut sorted = refs.clone();
         sorted.sort();
         assert_eq!(refs, sorted);
+    }
+
+    /// A 200 000-operand `and` chain and `or` chain parse, evaluate and
+    /// drop on a 2 MB thread, the stack size of pool workers and
+    /// connection threads.
+    #[test]
+    fn long_and_or_chains_run_on_a_small_stack() {
+        const OPERANDS: usize = 200_000;
+        let run = || {
+            let c = sample_collection();
+            // true only for the Abiteboul–Vianu paper
+            let and = ["author='Serge Abiteboul'", "author='Victor Vianu'"]
+                .repeat(OPERANDS / 2)
+                .join(" and ");
+            let docs = |q: String| eval(&c, &q).iter().map(|h| h.doc.0).collect::<Vec<_>>();
+            assert_eq!(docs(format!("//inproceedings[{and}]")), [1]);
+            // only the last operand holds, and only for Ullman's paper
+            let mut or: Vec<String> = (1..OPERANDS).map(|i| format!("year='y{i}'")).collect();
+            or.push("author='Jeffrey D. Ullman'".into());
+            assert_eq!(docs(format!("//inproceedings[{}]", or.join(" or "))), [0]);
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(run)
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

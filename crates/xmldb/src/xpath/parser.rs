@@ -9,10 +9,10 @@ use crate::error::{DbError, DbResult};
 /// `not(not(…))`, `(((…)))`) would overflow the stack; deeper inputs
 /// are rejected with a parse error instead. The TOSS rewriter emits
 /// nesting proportional to the pattern-tree depth, far below this.
-pub const MAX_EXPR_DEPTH: usize = 128;
+pub(crate) const MAX_EXPR_DEPTH: usize = 128;
 
 /// Parse an XPath expression string into an AST.
-pub fn parse(input: &str) -> DbResult<XPath> {
+pub(crate) fn parse(input: &str) -> DbResult<XPath> {
     let tokens = tokenize(input)?;
     let mut p = P {
         tokens,
@@ -24,6 +24,29 @@ pub fn parse(input: &str) -> DbResult<XPath> {
         return Err(p.err("trailing tokens after expression"));
     }
     Ok(x)
+}
+
+/// A binary connective's constructor, `Expr::And` or `Expr::Or`.
+type Join = fn(Box<Expr>, Box<Expr>) -> Expr;
+
+/// Join a chain's operands (at least one) with `join` into a balanced
+/// tree, so that evaluating, walking and dropping it recurses
+/// logarithmically, not once per operand: a left-deep `a and b and …`
+/// of 20 000 operands overflows a 2 MB thread. The left half takes the
+/// odd operand, so chains of up to three keep the left-deep shape. The
+/// operands have no side effects, so the grouping does not change the
+/// answer.
+fn balanced(operands: Vec<Expr>, join: Join) -> Expr {
+    fn fold(operands: &mut impl Iterator<Item = Expr>, n: usize, join: Join) -> Expr {
+        if n == 1 {
+            return operands.next().expect("one operand per count");
+        }
+        let left = fold(operands, n.div_ceil(2), join);
+        let right = fold(operands, n / 2, join);
+        join(Box::new(left), Box::new(right))
+    }
+    let n = operands.len();
+    fold(&mut operands.into_iter(), n, join)
 }
 
 struct P {
@@ -137,23 +160,21 @@ impl P {
     }
 
     fn or_expr(&mut self) -> DbResult<Expr> {
-        let mut lhs = self.and_expr()?;
+        let mut operands = vec![self.and_expr()?];
         while matches!(self.peek(), Some(Token::Name(n)) if n == "or") {
             self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
+            operands.push(self.and_expr()?);
         }
-        Ok(lhs)
+        Ok(balanced(operands, Expr::Or))
     }
 
     fn and_expr(&mut self) -> DbResult<Expr> {
-        let mut lhs = self.unary()?;
+        let mut operands = vec![self.unary()?];
         while matches!(self.peek(), Some(Token::Name(n)) if n == "and") {
             self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
+            operands.push(self.unary()?);
         }
-        Ok(lhs)
+        Ok(balanced(operands, Expr::And))
     }
 
     fn unary(&mut self) -> DbResult<Expr> {
@@ -450,6 +471,33 @@ mod tests {
         assert!(parse(&not_bomb).is_err());
         let paren_bomb = format!("//a[{}b='v'{}]", "(".repeat(10_000), ")".repeat(10_000));
         assert!(parse(&paren_bomb).is_err());
+    }
+
+    #[test]
+    fn chains_fold_into_balanced_trees() {
+        let x = |q: &str| {
+            let mut x = parse(&format!("//x[{q}]")).unwrap();
+            x.paths[0].steps[0].predicates.remove(0)
+        };
+        let leaf = |n: &str| {
+            Expr::Exists(RelPath {
+                from_descendants: false,
+                steps: vec![Step {
+                    axis: Axis::Child,
+                    test: NameTest::Name(n.into()),
+                    predicates: vec![],
+                }],
+            })
+        };
+        let and = |a, b| Expr::And(Box::new(a), Box::new(b));
+        // up to three operands: left-deep, as a left fold builds them
+        assert_eq!(x("a and b and c"), and(and(leaf("a"), leaf("b")), leaf("c")));
+        // from four on: halves, the left one taking the odd operand
+        assert_eq!(
+            x("a and b and c and d and e"),
+            and(and(and(leaf("a"), leaf("b")), leaf("c")), and(leaf("d"), leaf("e")))
+        );
+        assert_eq!(x("a or b or c or d").to_string(), "((a or b) or (c or d))");
     }
 
     #[test]

@@ -50,7 +50,7 @@ echo "==> benchmark quick run (BENCHMARK.json: six workloads, every output check
 # writes only the ignored benchmark/out/
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --quick
 
-echo "==> toss-cli stats smoke test"
+echo "==> toss-cli stats, xpath and db recover smoke test"
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 cat > "$SMOKE/doc.xml" <<'XML'
@@ -61,6 +61,14 @@ CLI=target/release/toss-cli
 "$CLI" stats --db "$SMOKE/store.json" | grep -q "^xmldb_journal_appends"
 "$CLI" stats --db "$SMOKE/store.json" --json | grep -q '"xmldb.journal.appends"'
 "$CLI" stats --db "$SMOKE/store.json" --json | grep -q '"windows"'
+# the read-only open behind every query command, and the lenient
+# recovery; their output is captured whole, since a `grep -q` pipe can
+# close before the CLI has printed its last line
+XPATH_OUT=$("$CLI" xpath --db "$SMOKE/store.json" --collection dblp \
+    "//inproceedings[author='Smoke Test']")
+grep -q "1 match(es)" <<< "$XPATH_OUT"
+RECOVER_OUT=$("$CLI" db recover --db "$SMOKE/store.json")
+grep -q "store is clean" <<< "$RECOVER_OUT"
 
 echo "==> flight recorder + toss-cli top smoke test"
 # a live server with a slow-query log, one query over the wire, then
