@@ -641,11 +641,7 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
                 println!("{name} = {v}");
             }
         }
-        for name in [
-            "xmldb.segment.loads",
-            "xmldb.segment.load_failures",
-            "xmldb.segment.thaws",
-        ] {
+        for name in ["xmldb.segment.loads", "xmldb.segment.load_failures"] {
             if let Some(v) = snap.counter(name) {
                 println!("{name} = {v}");
             }

@@ -22,6 +22,7 @@
 //! iteration, so two builders fed the same pairs produce identical bytes.
 
 use crate::{fnv1a, fnv1a_seed, fnv1a_step};
+use std::borrow::Cow;
 
 const HEADER: usize = 32;
 const ENTRY: usize = 16;
@@ -37,21 +38,25 @@ pub fn composite_key(tag: &str, content: &str) -> Vec<u8> {
     k
 }
 
-/// Accumulates key/value pairs, then writes the frozen layout.
+/// Bytes a builder either owns or borrows.
+type Bytes<'a> = Cow<'a, [u8]>;
+
+/// Accumulates key/value pairs, owned or borrowed (a pair copied from
+/// another map need not be cloned first), then writes the frozen layout.
 #[derive(Debug, Default)]
-pub struct KeyMapBuilder {
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
+pub struct KeyMapBuilder<'a> {
+    entries: Vec<(Bytes<'a>, Bytes<'a>)>,
 }
 
-impl KeyMapBuilder {
+impl<'a> KeyMapBuilder<'a> {
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Add one pair. Keys must be unique; duplicates are rejected at
     /// `finish` time with a panic (builder misuse, not a data error).
-    pub fn insert(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.entries.push((key, value));
+    pub fn insert(&mut self, key: impl Into<Bytes<'a>>, value: impl Into<Bytes<'a>>) {
+        self.entries.push((key.into(), value.into()));
     }
 
     pub fn len(&self) -> usize {

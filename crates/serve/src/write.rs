@@ -874,6 +874,16 @@ impl WriterLoop {
             .writer
             .checkpoint_json_seg(db_json, cursor, Some(&seg))
             .map_err(|e| e.to_string())?;
+        // Rebase the indexes onto the segment just written, so the
+        // delta of writes since the last checkpoint starts empty again:
+        // parse without a lock, attach under the write lock. This
+        // thread is the only writer, so the database is still the one
+        // the segment was built from.
+        if let Ok(seg) = toss_xmldb::segidx::Segment::parse(seg) {
+            let seg = Arc::new(seg);
+            let mut exec = self.executor.write().unwrap_or_else(|e| e.into_inner());
+            toss_xmldb::segidx::rebase(&mut exec.db, &seg);
+        }
         self.state.checkpoints.fetch_add(1, Ordering::Relaxed);
         toss_obs::metrics::counter("toss.serve.write.checkpoints").inc();
         Ok(before)

@@ -7,7 +7,7 @@
 //! descendant-axis fast path.
 
 use crate::error::{DbError, DbResult};
-use crate::index::{CollectionIndex, IndexView};
+use crate::index::{IndexView, LayeredIndex};
 use crate::segidx::FrozenIndex;
 use toss_tree::serialize::compact_len;
 use toss_tree::Tree;
@@ -58,24 +58,6 @@ pub struct StoredDocument {
     pub size_bytes: usize,
 }
 
-/// Which backend currently answers index probes for a collection.
-///
-/// * `Building` — the live pointer index, updated on every mutation (the
-///   only state a collection mutated since open can be in);
-/// * `Deferred` — snapshot restore in progress: documents are being
-///   inserted without indexing; when the restore finishes a frozen
-///   segment attaches, or a single rebuild runs over the documents in
-///   document order;
-/// * `Frozen` — a zero-copy segment-backed index is attached. The first
-///   mutation thaws it: the pointer index is rebuilt from the documents
-///   and takes over seamlessly.
-#[derive(Debug)]
-enum IndexState {
-    Building(CollectionIndex),
-    Deferred,
-    Frozen(FrozenIndex),
-}
-
 /// A named collection of documents.
 #[derive(Debug)]
 pub struct Collection {
@@ -84,7 +66,7 @@ pub struct Collection {
     next_id: u64,
     size_bytes: usize,
     size_limit: Option<usize>,
-    index: IndexState,
+    index: LayeredIndex,
 }
 
 impl Collection {
@@ -96,76 +78,47 @@ impl Collection {
             next_id: 0,
             size_bytes: 0,
             size_limit,
-            index: IndexState::Building(CollectionIndex::new()),
+            index: LayeredIndex::default(),
         }
     }
 
-    /// The mutable pointer index, thawing a frozen or deferred index
-    /// first (one rebuild from the stored documents). Every mutation
-    /// path funnels through this, which is what makes the frozen →
-    /// pointer handover seamless.
-    fn index_mut(&mut self) -> &mut CollectionIndex {
-        if !matches!(self.index, IndexState::Building(_)) {
-            let mut ix = CollectionIndex::new();
-            for d in &self.docs {
-                ix.add_document(d.id, &d.tree);
-            }
-            if matches!(self.index, IndexState::Frozen(_)) {
-                toss_obs::metrics::counter("xmldb.segment.thaws").inc();
-            }
-            self.index = IndexState::Building(ix);
-        }
-        match &mut self.index {
-            IndexState::Building(ix) => ix,
-            _ => unreachable!("index state set to Building above"),
-        }
-    }
-
-    /// Switch into deferred-restore mode: subsequent inserts skip
-    /// indexing. Only the snapshot loader uses this; it must end the
-    /// restore with [`Collection::attach_frozen`] or
-    /// [`Collection::ensure_index`].
-    pub(crate) fn begin_deferred_restore(&mut self) {
-        self.index = IndexState::Deferred;
-    }
-
-    /// Attach a frozen segment-backed index, ending a deferred restore.
-    /// Refuses (and leaves the state deferred) when the segment's
-    /// recorded document count disagrees with what was restored.
-    pub(crate) fn attach_frozen(&mut self, frozen: FrozenIndex) -> bool {
-        if frozen.doc_count() != self.docs.len() as u64 {
+    /// Make `base` the whole index, emptying the delta and the
+    /// tombstones: the end of a snapshot restore that found a usable
+    /// `.seg` section, and a checkpoint's rebase onto the segment it
+    /// wrote. `base` must index exactly the documents held now; refuses
+    /// (changing nothing) when its recorded document count disagrees.
+    pub(crate) fn attach_base(&mut self, base: FrozenIndex) -> bool {
+        if base.doc_count() != self.docs.len() as u64 {
             return false;
         }
-        self.index = IndexState::Frozen(frozen);
+        self.index = LayeredIndex {
+            base: Some(base),
+            ..LayeredIndex::default()
+        };
         true
     }
 
-    /// Make sure a pointer index exists (rebuilding from documents if
-    /// the state is deferred). The fallback end of a restore.
-    pub(crate) fn ensure_index(&mut self) {
-        if matches!(self.index, IndexState::Deferred) {
-            let mut ix = CollectionIndex::new();
-            for d in &self.docs {
-                ix.add_document(d.id, &d.tree);
-            }
-            self.index = IndexState::Building(ix);
+    /// Index every document in the delta: the end of a snapshot restore
+    /// that found no usable base. Walks [`Collection::documents`], so
+    /// the postings ascend by document even if the snapshot listed ids
+    /// out of order.
+    pub(crate) fn index_documents(&mut self) {
+        for d in &self.docs {
+            self.index.add_document(d.id, &d.tree);
         }
     }
 
-    /// Whether probes currently read from a frozen segment.
+    /// Whether a frozen segment base is attached. A write keeps it: the
+    /// write lands in the delta.
     pub fn is_frozen(&self) -> bool {
-        matches!(self.index, IndexState::Frozen(_))
+        self.index.base.is_some()
     }
 
-    /// Approximate resident bytes of the index backend: pointer-index
-    /// heap estimate, or this collection's section bytes within the
-    /// loaded segment. `(pointer, segment)` — one of the two is 0.
+    /// Approximate resident bytes of the index, `(pointer, segment)`:
+    /// the delta and tombstones' heap estimate, and this collection's
+    /// section bytes within the attached segment.
     pub fn index_bytes(&self) -> (usize, usize) {
-        match &self.index {
-            IndexState::Building(ix) => (ix.approx_bytes(), 0),
-            IndexState::Deferred => (0, 0),
-            IndexState::Frozen(f) => (0, f.section_bytes()),
-        }
+        self.index.approx_bytes()
     }
 
     /// The collection's name.
@@ -192,17 +145,25 @@ impl Collection {
     /// restored separately (see the snapshot's `next_id` field).
     ///
     /// An id below the largest stored one lands at its sorted position in
-    /// [`Collection::documents`]; on a live pointer index its postings
-    /// are appended at the tail of their lists, as after a `replace`.
+    /// [`Collection::documents`]; its postings are appended at the tail
+    /// of the delta's lists, as after a `replace`.
     pub(crate) fn insert_with_id(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
         let size = compact_len(&tree);
-        self.insert_sized(id, tree, size)
+        let pos = self.restore_document(id, tree, size)?;
+        self.index.add_document(id, &self.docs[pos].tree);
+        Ok(())
     }
 
-    /// [`Collection::insert_with_id`] for a tree whose compact size the
-    /// caller already measured: snapshot restore measures each document
-    /// where it parses it.
-    pub(crate) fn insert_sized(&mut self, id: DocumentId, tree: Tree, size: usize) -> DbResult<()> {
+    /// Store a document without indexing it, returning its position:
+    /// snapshot restore, which measured the tree's compact size where it
+    /// parsed it, and ends each collection with
+    /// [`Collection::attach_base`] or [`Collection::index_documents`].
+    pub(crate) fn restore_document(
+        &mut self,
+        id: DocumentId,
+        tree: Tree,
+        size: usize,
+    ) -> DbResult<usize> {
         // Ids are monotonic, so `pos` is the tail on every product path;
         // a hand-edited snapshot listing ids out of order lands each
         // document at its sorted position instead.
@@ -212,9 +173,6 @@ impl Collection {
         debug_assert_eq!(size, compact_len(&tree));
         check_size_limit(&self.name, self.size_limit, self.size_bytes + size)?;
         self.next_id = self.next_id.max(id.0 + 1);
-        if !matches!(self.index, IndexState::Deferred) {
-            self.index_mut().add_document(id, &tree);
-        }
         self.size_bytes += size;
         self.docs.insert(
             pos,
@@ -225,7 +183,7 @@ impl Collection {
             },
         );
         self.debug_check_order(pos);
-        Ok(())
+        Ok(pos)
     }
 
     /// Insert raw XML text (parsed with [`crate::parse_document`]).
@@ -275,9 +233,8 @@ impl Collection {
             self.size_limit,
             self.size_bytes - old_size + new_size,
         )?;
-        let ix = self.index_mut();
-        ix.remove_document(id);
-        ix.add_document(id, &tree);
+        self.index.remove_document(id, &self.docs[pos].tree);
+        self.index.add_document(id, &tree);
         self.size_bytes = self.size_bytes - old_size + new_size;
         let old = std::mem::replace(&mut self.docs[pos].tree, tree);
         self.docs[pos].size_bytes = new_size;
@@ -290,10 +247,8 @@ impl Collection {
         let pos = self
             .position(id)
             .map_err(|_| DbError::NoSuchDocument(id.0))?;
-        // Thaw before removing from `docs` so a frozen rebuild still
-        // sees the document it must then un-index.
-        self.index_mut().remove_document(id);
         let doc = self.docs.remove(pos);
+        self.index.remove_document(id, &doc.tree);
         self.size_bytes -= doc.size_bytes;
         self.debug_check_order(pos);
         Ok(doc.tree)
@@ -345,19 +300,11 @@ impl Collection {
         self.size_limit
     }
 
-    /// The collection's inverted index (tag → document/node postings) —
-    /// a facade over the live pointer index or, right after a snapshot
-    /// load with a valid `.seg` sidecar, a zero-copy frozen segment.
+    /// The collection's inverted index (tag → document/node postings):
+    /// the frozen segment base a checkpoint or a snapshot load attached,
+    /// if any, plus the documents written since.
     pub fn index(&self) -> IndexView<'_> {
-        static EMPTY: std::sync::OnceLock<CollectionIndex> = std::sync::OnceLock::new();
-        match &self.index {
-            IndexState::Building(ix) => IndexView::Pointer(ix),
-            // mid-restore; nothing probes here, but stay total
-            IndexState::Deferred => {
-                IndexView::Pointer(EMPTY.get_or_init(CollectionIndex::new))
-            }
-            IndexState::Frozen(f) => IndexView::Frozen(f),
-        }
+        IndexView(&self.index)
     }
 }
 

@@ -100,6 +100,11 @@ impl Database {
         self.collections.values()
     }
 
+    /// Iterate mutably over collections in name order.
+    pub(crate) fn collections_mut(&mut self) -> impl Iterator<Item = &mut Collection> {
+        self.collections.values_mut()
+    }
+
     /// Total size in bytes across all collections.
     pub fn total_size_bytes(&self) -> usize {
         self.collections.values().map(Collection::size_bytes).sum()

@@ -27,6 +27,7 @@ use crate::collection::check_size_limit;
 use crate::database::{Database, DatabaseConfig};
 use crate::error::{DbError, DbResult};
 use crate::journal::{Journal, JournalOp, JournalRecord};
+use crate::segidx::Segment;
 use crate::storage;
 use crate::vfs::{StdVfs, Vfs};
 use crate::DocumentId;
@@ -312,9 +313,15 @@ impl DurableDatabase {
 
     /// Fold the journal into a fresh verified snapshot (plus its `.seg`
     /// index-segment sidecar) and truncate it — the one checkpoint
-    /// routine, [`DurableWriter::checkpoint`].
+    /// routine, [`DurableWriter::checkpoint`] — then rebase every
+    /// collection's index onto the segment just written, so the delta
+    /// of writes since the last checkpoint starts empty again.
     pub fn checkpoint(&mut self) -> DbResult<()> {
-        self.writer.checkpoint(&self.db)
+        let seg = self.writer.checkpoint_segment(&self.db)?;
+        if let Ok(seg) = Segment::parse(seg) {
+            crate::segidx::rebase(&mut self.db, &Arc::new(seg));
+        }
+        Ok(())
     }
 
     /// The WAL discipline: validate, journal + fsync, apply.
@@ -492,10 +499,16 @@ impl DurableWriter {
     /// among them; live servers serialize under a read lock and call
     /// [`DurableWriter::checkpoint_json_seg`] instead.
     pub fn checkpoint(&mut self, db: &Database) -> DbResult<()> {
+        self.checkpoint_segment(db).map(drop)
+    }
+
+    /// [`DurableWriter::checkpoint`], returning the `.seg` bytes it wrote.
+    fn checkpoint_segment(&mut self, db: &Database) -> DbResult<Vec<u8>> {
         let cursor = self.journal.next_seq();
         let json = storage::to_json_with_seq(db, cursor)?;
         let seg = crate::segidx::build_segment(db, cursor);
-        self.checkpoint_json_seg(json, cursor, Some(&seg))
+        self.checkpoint_json_seg(json, cursor, Some(&seg))?;
+        Ok(seg)
     }
 }
 
@@ -692,8 +705,8 @@ fn replay(db: &mut Database, records: &[JournalRecord], cursor: u64) -> DbResult
 
 /// Publish the index-footprint gauges after a cold open.
 ///
-/// * `toss.index.pointer_bytes` — approximate heap bytes of live
-///   pointer indexes;
+/// * `toss.index.pointer_bytes` — approximate heap bytes of the pointer
+///   deltas and tombstones;
 /// * `toss.index.segment_bytes` — bytes of frozen segment sections
 ///   currently serving probes;
 /// * `toss.index.cold_open_source` — 1 when *every* collection in the
@@ -701,9 +714,8 @@ fn replay(db: &mut Database, records: &[JournalRecord], cursor: u64) -> DbResult
 ///   when any had to rebuild ("rebuilt").
 ///
 /// `frozen_at_load` counts collections that attached frozen during the
-/// snapshot load, before journal replay (replay mutations may thaw some
-/// — the cold-open source doesn't change retroactively, but the byte
-/// gauges reflect the post-replay state).
+/// snapshot load. Journal replay writes into the delta beside the
+/// frozen base; the byte gauges reflect the post-replay state.
 pub(crate) fn publish_index_gauges(db: &Database, frozen_at_load: usize) {
     use toss_obs::metrics::gauge;
     let (mut pointer, mut segment) = (0usize, 0usize);

@@ -10,6 +10,13 @@
 //! back to the rebuild path; the sidecar is derived data and is never
 //! quarantined, and its loss never implicates the snapshot.
 //!
+//! The attached segment stays a collection's **base** across writes:
+//! writes land in a small pointer delta plus tombstones (see
+//! [`crate::IndexView`]). A checkpoint builds the next segment by merging
+//! that delta into the base map by map — every key the delta and the
+//! tombstones did not touch keeps its encoded block byte for byte — and
+//! [`rebase`] then attaches it as the new base.
+//!
 //! ## Per-collection sections
 //!
 //! * `TAG_MAP` (name = collection): tag → postings, **raw** fixed-width
@@ -27,18 +34,18 @@
 //! node index ≥ 2³² (never seen in practice) simply don't get sections
 //! and rebuild as before.
 
-use crate::collection::DocumentId;
+use crate::collection::{Collection, DocumentId};
 use crate::database::Database;
 use crate::index::{Posting, Postings};
 use crate::vfs::Vfs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use toss_segment::{
-    composite_key, encode_postings, encode_postings_raw, KeyMapBuilder, KeyMapRef, Segment,
+    composite_key, encode_postings, encode_postings_raw, KeyMapBuilder, KeyMapRef, PostingsBlock,
     SegmentBuilder,
 };
 
-pub use toss_segment::kinds;
+pub use toss_segment::{kinds, Segment};
 
 /// The segment sidecar path for a snapshot: `store.json` → `store.seg`.
 pub fn seg_path(snapshot: &Path) -> PathBuf {
@@ -65,14 +72,13 @@ fn key_from_posting(p: &Posting) -> Option<u64> {
     Some((p.doc.0 << 32) | node)
 }
 
-fn posting_keys(list: &[Posting]) -> Option<Vec<u64>> {
+fn posting_keys(list: Postings<'_>) -> Option<Vec<u64>> {
     let mut keys = Vec::with_capacity(list.len());
     for p in list {
-        keys.push(key_from_posting(p)?);
+        keys.push(key_from_posting(&p)?);
     }
-    // insertion order is already (doc, preorder) — i.e. strictly
-    // increasing keys — but postings appended after an interleaved
-    // remove/re-add can interleave, so sort defensively
+    // base postings ascend, and so does a delta of inserts; a replaced
+    // document's postings sit at the tail, so sort those lists
     if !keys.windows(2).all(|w| w[0] < w[1]) {
         keys.sort_unstable();
         keys.dedup();
@@ -80,43 +86,99 @@ fn posting_keys(list: &[Posting]) -> Option<Vec<u64>> {
     Some(keys)
 }
 
-/// Serialize one collection's pointer index into `builder`. Returns
-/// `false` (adding nothing) when a posting doesn't fit the packed key.
-fn add_collection_sections(
-    builder: &mut SegmentBuilder,
-    name: &str,
-    coll: &crate::collection::Collection,
-) -> bool {
-    match coll.index() {
-        crate::index::IndexView::Pointer(ix) => {
-            let mut tag_map = KeyMapBuilder::new();
-            for tag in ix.tags() {
-                let Some(keys) = posting_keys(ix.by_tag(tag)) else {
-                    return false;
-                };
-                tag_map.insert(tag.as_bytes().to_vec(), encode_postings_raw(&keys));
-            }
-            let mut content_map = KeyMapBuilder::new();
-            for (tag, content) in ix.tag_content_pairs() {
-                let Some(keys) = posting_keys(ix.by_tag_content(tag, content)) else {
-                    return false;
-                };
-                content_map.insert(composite_key(tag, content), encode_postings(&keys));
-            }
-            let mut tag_bytes = Vec::new();
-            tag_map.finish(&mut tag_bytes);
-            let mut content_bytes = Vec::new();
-            content_map.finish(&mut content_bytes);
-            builder.add_section(kinds::TAG_MAP, name, tag_bytes);
-            builder.add_section(kinds::CONTENT_MAP, name, content_bytes);
+/// One key map of the next segment: `base`'s entries merged, in key
+/// order, with `changed` — every key the delta or a tombstone touched,
+/// sorted, with its live postings. An untouched base entry is copied
+/// verbatim (borrowed until the map is written); a changed one is
+/// re-encoded with `encode` from its live postings, or dropped when none
+/// are left. `None` when a posting does not fit the packed key.
+fn merge_map(
+    base: Option<KeyMapRef<'_>>,
+    changed: Vec<(Vec<u8>, Postings<'_>)>,
+    encode: fn(&[u64]) -> Vec<u8>,
+) -> Option<Vec<u8>> {
+    let mut map = KeyMapBuilder::new();
+    let mut base = base.iter().flat_map(|m| m.iter()).peekable();
+    for (key, postings) in changed {
+        while let Some((k, v)) = base.next_if(|(k, _)| *k < key.as_slice()) {
+            map.insert(k, v);
         }
-        // A clean frozen collection re-emits its section payloads
-        // verbatim — no decode/re-encode, no doc walk.
-        crate::index::IndexView::Frozen(f) => {
-            builder.add_section(kinds::TAG_MAP, name, f.tag_payload().to_vec());
-            builder.add_section(kinds::CONTENT_MAP, name, f.content_payload().to_vec());
+        base.next_if(|(k, _)| *k == key.as_slice());
+        let keys = posting_keys(postings)?;
+        if !keys.is_empty() {
+            map.insert(key, encode(&keys));
         }
     }
+    for (k, v) in base {
+        map.insert(k, v);
+    }
+    let mut out = Vec::new();
+    map.finish(&mut out);
+    Some(out)
+}
+
+/// Sort `changed` by key and drop repeated keys (a key both the delta
+/// and a tombstone touched is listed twice, with the same postings).
+fn sorted(mut changed: Vec<(Vec<u8>, Postings<'_>)>) -> Vec<(Vec<u8>, Postings<'_>)> {
+    changed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    changed.dedup_by(|a, b| a.0 == b.0);
+    changed
+}
+
+/// Serialize one collection's index into `builder`: its base merged with
+/// its delta and tombstones. Returns `false` (adding nothing) when a
+/// posting doesn't fit the packed key.
+fn add_collection_sections(builder: &mut SegmentBuilder, name: &str, coll: &Collection) -> bool {
+    let view = coll.index();
+    let ix = view.0;
+    let (tag_bytes, content_bytes) = match &ix.base {
+        // nothing written since the base: its sections, verbatim
+        Some(base) if ix.delta.is_empty() && ix.tombstones.docs.is_empty() => {
+            (base.tag_payload().to_vec(), base.content_payload().to_vec())
+        }
+        base => {
+            let tags = ix
+                .delta
+                .tag_lists()
+                .map(|(t, list)| (t, ix.tag_postings(t, list)));
+            let dead = ix
+                .tombstones
+                .tag
+                .keys()
+                .map(|t| (t.as_str(), view.by_tag(t)));
+            let tags = sorted(
+                tags.chain(dead)
+                    .map(|(t, p)| (t.as_bytes().to_vec(), p))
+                    .collect(),
+            );
+            let contents = ix
+                .delta
+                .content_lists()
+                .map(|(t, c, list)| (composite_key(t, c), ix.content_postings(t, c, list)));
+            let dead = ix.tombstones.content.iter().flat_map(|(t, m)| {
+                m.keys()
+                    .map(move |c| (composite_key(t, c), view.by_tag_content(t, c)))
+            });
+            let contents = sorted(contents.chain(dead).collect());
+            let Some(tag_bytes) = merge_map(
+                base.as_ref().map(FrozenIndex::tag_map),
+                tags,
+                encode_postings_raw,
+            ) else {
+                return false;
+            };
+            let Some(content_bytes) = merge_map(
+                base.as_ref().map(FrozenIndex::content_map),
+                contents,
+                encode_postings,
+            ) else {
+                return false;
+            };
+            (tag_bytes, content_bytes)
+        }
+    };
+    builder.add_section(kinds::TAG_MAP, name, tag_bytes);
+    builder.add_section(kinds::CONTENT_MAP, name, content_bytes);
     builder.add_section(
         kinds::COLLECTION_META,
         name,
@@ -141,6 +203,18 @@ pub fn segment_builder(db: &Database, last_seq: u64) -> SegmentBuilder {
         add_collection_sections(&mut builder, coll.name(), coll);
     }
     builder
+}
+
+/// Attach `segment` — built by [`segment_builder`] from `db` as it is
+/// now, with no write in between (the store has one writer) — as each
+/// collection's new base, emptying its delta and tombstones. A
+/// collection the segment has no sections for keeps its index.
+pub fn rebase(db: &mut Database, segment: &Arc<Segment>) {
+    for coll in db.collections_mut() {
+        if let Some(base) = FrozenIndex::attach(segment, coll.name()) {
+            coll.attach_base(base);
+        }
+    }
 }
 
 /// Best-effort write of segment bytes next to the snapshot. Sidecar
@@ -223,13 +297,13 @@ impl FrozenIndex {
         self.doc_count
     }
 
-    fn tag_map(&self) -> KeyMapRef<'_> {
+    pub(crate) fn tag_map(&self) -> KeyMapRef<'_> {
         // parse validated at attach; re-parsing is a header read
         KeyMapRef::parse(&self.segment.bytes()[self.tag.0..self.tag.1])
             .expect("tag map validated at attach")
     }
 
-    fn content_map(&self) -> KeyMapRef<'_> {
+    pub(crate) fn content_map(&self) -> KeyMapRef<'_> {
         KeyMapRef::parse(&self.segment.bytes()[self.content.0..self.content.1])
             .expect("content map validated at attach")
     }
@@ -242,24 +316,20 @@ impl FrozenIndex {
         &self.segment.bytes()[self.content.0..self.content.1]
     }
 
-    /// All nodes with the given tag, in document order.
-    pub(crate) fn by_tag(&self, tag: &str) -> Postings<'_> {
-        Postings::Block(
-            self.tag_map()
-                .get(tag.as_bytes())
-                .and_then(toss_segment::PostingsBlock::parse),
-        )
+    /// The block of all nodes with the given tag, in document order.
+    pub(crate) fn by_tag(&self, tag: &str) -> Option<PostingsBlock<'_>> {
+        self.tag_map()
+            .get(tag.as_bytes())
+            .and_then(PostingsBlock::parse)
     }
 
-    /// All nodes with the given tag and exact content rendering.
-    /// Allocation-free: the composite key is hashed incrementally and
-    /// compared piecewise, never materialized.
-    pub(crate) fn by_tag_content(&self, tag: &str, content: &str) -> Postings<'_> {
-        Postings::Block(
-            self.content_map()
-                .get_composite(tag, content)
-                .and_then(toss_segment::PostingsBlock::parse),
-        )
+    /// The block of all nodes with the given tag and exact content
+    /// rendering. Allocation-free: the composite key is hashed
+    /// incrementally and compared piecewise, never materialized.
+    pub(crate) fn by_tag_content(&self, tag: &str, content: &str) -> Option<PostingsBlock<'_>> {
+        self.content_map()
+            .get_composite(tag, content)
+            .and_then(PostingsBlock::parse)
     }
 
     /// Bytes of this collection's sections within the segment (the
@@ -287,6 +357,10 @@ mod tests {
         db
     }
 
+    fn decoded(block: Option<PostingsBlock<'_>>) -> Vec<Posting> {
+        block.map_or_else(Vec::new, |b| b.iter().map(posting_from_key).collect())
+    }
+
     #[test]
     fn frozen_probes_match_pointer_probes() {
         let db = sample_db();
@@ -299,7 +373,7 @@ mod tests {
         let view = coll.index();
         for tag in ["article", "author", "year", "missing"] {
             assert_eq!(
-                frozen.by_tag(tag).to_vec(),
+                decoded(frozen.by_tag(tag)),
                 view.by_tag(tag).to_vec(),
                 "tag {tag}"
             );
@@ -312,7 +386,7 @@ mod tests {
             ("missing", "A"),
         ] {
             assert_eq!(
-                frozen.by_tag_content(tag, content).to_vec(),
+                decoded(frozen.by_tag_content(tag, content)),
                 view.by_tag_content(tag, content).to_vec(),
                 "({tag}, {content})"
             );
@@ -321,7 +395,7 @@ mod tests {
         // empty collection has sections too, all empty
         let e = FrozenIndex::attach(&seg, "empty").unwrap();
         assert_eq!(e.doc_count(), 0);
-        assert_eq!(e.by_tag("article").len(), 0);
+        assert!(e.by_tag("article").is_none());
         // unknown collection does not attach
         assert!(FrozenIndex::attach(&seg, "nope").is_none());
     }

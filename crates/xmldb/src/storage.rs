@@ -394,10 +394,8 @@ impl Restore for Open<'_> {
 
     fn collection(&mut self, name: &str) -> DbResult<()> {
         // Index once, when every document is in place: a frozen segment
-        // may attach instead, and a rebuild walks `documents()` — so the
-        // postings ascend by document even if the snapshot listed ids
-        // out of order.
-        self.db.create_collection(name)?.begin_deferred_restore();
+        // may attach instead (see `end_collection`).
+        self.db.create_collection(name)?;
         name.clone_into(&mut self.current);
         Ok(())
     }
@@ -405,7 +403,8 @@ impl Restore for Open<'_> {
     fn document(&mut self, id: DocumentId, (tree, size): Self::Doc) -> DbResult<()> {
         self.db
             .collection_mut(&self.current)?
-            .insert_sized(id, tree, size)
+            .restore_document(id, tree, size)
+            .map(drop)
     }
 
     fn end_collection(&mut self, next_id: Option<u64>) -> DbResult<()> {
@@ -413,13 +412,14 @@ impl Restore for Open<'_> {
         if let Some(n) = next_id {
             coll.set_next_id_at_least(n);
         }
-        if let Some(seg) = self.seg {
-            if FrozenIndex::attach(seg, &self.current).is_some_and(|f| coll.attach_frozen(f)) {
-                self.frozen += 1;
-            }
+        let base = self
+            .seg
+            .and_then(|seg| FrozenIndex::attach(seg, &self.current));
+        if base.is_some_and(|base| coll.attach_base(base)) {
+            self.frozen += 1;
+        } else {
+            coll.index_documents();
         }
-        // no-op when a frozen index attached; otherwise one rebuild
-        coll.ensure_index();
         Ok(())
     }
 }

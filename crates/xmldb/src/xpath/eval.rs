@@ -166,7 +166,7 @@ fn index_seed_tag(path: &Path) -> Option<&str> {
 /// Resolves posting documents to stored documents. Postings and
 /// [`Collection::documents`] both ascend by id, so the next posting's
 /// document is usually the slot after the previous hit; anything else (a
-/// sparse tag, or a replaced document whose postings the pointer index
+/// sparse tag, or a replaced document whose postings the index's delta
 /// re-appended at the tail) binary-searches.
 struct DocCursor<'a> {
     docs: &'a [StoredDocument],

@@ -56,8 +56,14 @@ trap 'rm -rf "$SMOKE"' EXIT
 cat > "$SMOKE/doc.xml" <<'XML'
 <inproceedings key="s1"><author>Smoke Test</author><year>2004</year></inproceedings>
 XML
+cat > "$SMOKE/doc2.xml" <<'XML'
+<inproceedings key="s2"><author>Second Smoke</author><year>2005</year></inproceedings>
+XML
 CLI=target/release/toss-cli
 "$CLI" load --db "$SMOKE/store.json" --collection dblp "$SMOKE/doc.xml" >/dev/null
+# a second load opens the store on its frozen `.seg` base, writes into
+# the delta beside it and takes the checkpoint that merges the two
+"$CLI" load --db "$SMOKE/store.json" --collection dblp "$SMOKE/doc2.xml" >/dev/null
 "$CLI" stats --db "$SMOKE/store.json" | grep -q "^xmldb_journal_appends"
 "$CLI" stats --db "$SMOKE/store.json" --json | grep -q '"xmldb.journal.appends"'
 "$CLI" stats --db "$SMOKE/store.json" --json | grep -q '"windows"'
@@ -67,6 +73,11 @@ CLI=target/release/toss-cli
 XPATH_OUT=$("$CLI" xpath --db "$SMOKE/store.json" --collection dblp \
     "//inproceedings[author='Smoke Test']")
 grep -q "1 match(es)" <<< "$XPATH_OUT"
+BOTH_OUT=$("$CLI" xpath --db "$SMOKE/store.json" --collection dblp "//inproceedings")
+grep -q "2 match(es)" <<< "$BOTH_OUT"
+SECOND_OUT=$("$CLI" xpath --db "$SMOKE/store.json" --collection dblp \
+    "//inproceedings[author='Second Smoke']")
+grep -q "1 match(es)" <<< "$SECOND_OUT"
 RECOVER_OUT=$("$CLI" db recover --db "$SMOKE/store.json")
 grep -q "store is clean" <<< "$RECOVER_OUT"
 

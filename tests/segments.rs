@@ -2,10 +2,13 @@
 //!
 //! Three invariants, end to end over the durable layer:
 //!
-//! * **Equivalence** — a collection probing its segment answers exactly
-//!   like one probing the pointer index, on every probe shape, for
-//!   arbitrary generated documents and after any mutation prefix (the
-//!   first mutation thaws the frozen index back to pointers);
+//! * **Equivalence** — a collection probing its segment base plus the
+//!   delta of later writes answers exactly like one that rebuilt its
+//!   index from the documents, on every probe shape, for arbitrary
+//!   generated documents and after every step of any interleaving of
+//!   inserts, replaces and removes; the base stays attached throughout,
+//!   and the segment a checkpoint then merges is byte-identical to one
+//!   built from scratch;
 //! * **Fault tolerance** — a truncated, bit-flipped, or stale `.seg` is
 //!   detected (checksum / `last_seq` stamp) and silently falls back to a
 //!   rebuild: the open succeeds, data is intact, and the snapshot is
@@ -13,7 +16,8 @@
 //! * **Cold open** — a store restarted from a checkpoint with its
 //!   sidecar answers its first probe-planned query straight from the
 //!   segment: `toss.index.cold_open_source` reads 1, the planner takes
-//!   an index probe, and the collection is still frozen afterwards.
+//!   an index probe, and the collection is still frozen afterwards, and
+//!   after a write.
 //!
 //! The metrics registry is process-global and the cold-open gauge is
 //! rewritten by every durable open, so each test holds [`test_lock`]
@@ -29,7 +33,7 @@ use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
 use toss_similarity::Levenshtein;
 use toss_tax::EdgeKind;
-use toss_xmldb::{DatabaseConfig, DocumentId, DurableDatabase, FaultVfs, Vfs};
+use toss_xmldb::{apply_op, DatabaseConfig, DocumentId, DurableDatabase, FaultVfs, JournalOp, Vfs};
 
 const STORE: &str = "/segments/store.json";
 const SEG: &str = "/segments/store.seg";
@@ -78,7 +82,9 @@ fn seed(vfs: &Arc<FaultVfs>, docs: usize) {
 }
 
 /// Every probe shape the index API offers, on both tag alphabets the
-/// tests use, compared between two collections as decoded vectors.
+/// tests use, compared between two collections as decoded vectors; each
+/// side's O(1) `tag_content_any_len` must also count exactly what it
+/// iterates.
 fn assert_probes_equal(
     a: &toss_xmldb::Collection,
     b: &toss_xmldb::Collection,
@@ -98,6 +104,13 @@ fn assert_probes_equal(
                 b.index().by_tag_content(tag, content).to_vec(),
                 "{ctx}: by_tag_content({tag}, {content})"
             );
+            for c in [a, b] {
+                assert_eq!(
+                    c.index().tag_content_any_len(tag, &[content]),
+                    c.index().by_tag_content(tag, content).to_vec().len(),
+                    "{ctx}: exact tag_content_any_len({tag}, [{content}])"
+                );
+            }
         }
         assert_eq!(
             a.index().by_tag_content_any(tag, contents),
@@ -113,10 +126,10 @@ fn assert_probes_equal(
 }
 
 // ---------------------------------------------------------------------
-// Equivalence: segment probes ≡ pointer probes, before and after thaw
+// Equivalence: base ∪ delta probes ≡ rebuilt probes, write by write
 // ---------------------------------------------------------------------
 
-const TAGS: &[&str] = &["doc", "a", "b", "absent"];
+const TAGS: &[&str] = &["doc", "a", "b", "title", "absent"];
 const WORDS: &[&str] = &["x", "y", "xy", "nothing"];
 
 /// A generated document: 1–4 children, tags and contents drawn from
@@ -134,75 +147,169 @@ fn doc_strategy() -> impl Strategy<Value = String> {
     })
 }
 
+/// A copy of `vfs`'s snapshot without its `.seg` sidecar: opening it
+/// rebuilds every index from the documents.
+fn without_segment(vfs: &FaultVfs) -> Arc<FaultVfs> {
+    let copy = Arc::new(FaultVfs::new());
+    copy.corrupt(Path::new(STORE), vfs.read(Path::new(STORE)).unwrap());
+    copy
+}
+
+/// One write, applied to both twins of the equivalence test.
+#[derive(Debug, Clone, Copy)]
+enum Write<'a> {
+    Insert(&'a str),
+    Replace(DocumentId, &'a str),
+    Remove(DocumentId),
+}
+
+fn apply(db: &mut DurableDatabase, write: Write<'_>) {
+    match write {
+        Write::Insert(xml) => drop(db.insert_xml(COLL, xml).unwrap()),
+        Write::Replace(id, xml) => db.replace_document(COLL, id, xml).unwrap(),
+        Write::Remove(id) => drop(db.remove_document(COLL, id).unwrap()),
+    }
+}
+
+/// Check the base ∪ delta store `frozen` against `pointer`, which had
+/// no segment at open and took the same writes, and then against a
+/// rebuild after `frozen` checkpoints: the checkpoint rebases `frozen`
+/// onto the segment it merged, which must be byte for byte the segment
+/// built from scratch over the same documents.
+fn check_writes(
+    frozen: &mut DurableDatabase,
+    pointer: &mut DurableDatabase,
+    writes: &[Write<'_>],
+    vfs: &FaultVfs,
+) {
+    for (step, &write) in writes.iter().enumerate() {
+        apply(frozen, write);
+        apply(pointer, write);
+        let ctx = format!("after write {step} ({write:?})");
+        let coll = frozen.db().collection(COLL).unwrap();
+        assert!(coll.is_frozen(), "{ctx}: still frozen after a write");
+        assert!(!pointer.db().collection(COLL).unwrap().is_frozen());
+        assert_probes_equal(
+            coll,
+            pointer.db().collection(COLL).unwrap(),
+            TAGS,
+            WORDS,
+            &ctx,
+        );
+    }
+
+    frozen.checkpoint().unwrap();
+    let coll = frozen.db().collection(COLL).unwrap();
+    assert!(coll.is_frozen(), "the checkpoint rebases onto its segment");
+    assert_eq!(coll.index_bytes().0, 0, "the rebase empties the delta");
+    let merged = vfs.read(Path::new(SEG)).unwrap();
+    let rebuilt = open(&without_segment(vfs));
+    let rebuilt_coll = rebuilt.db().collection(COLL).unwrap();
+    assert!(!rebuilt_coll.is_frozen());
+    assert_probes_equal(coll, rebuilt_coll, TAGS, WORDS, "after the rebase");
+    let last_seq = toss_segment::Segment::parse(merged.clone())
+        .unwrap()
+        .last_seq();
+    assert!(
+        merged == toss_xmldb::segidx::build_segment(rebuilt.db(), last_seq),
+        "the merged segment is byte-identical to a rebuild's"
+    );
+}
+
+/// Seed a store with `docs`, checkpoint, and open it twice: with the
+/// sidecar (frozen base) and without (everything in the delta).
+fn twins(vfs: &Arc<FaultVfs>, docs: &[String]) -> (DurableDatabase, DurableDatabase) {
+    {
+        let mut db = open(vfs);
+        db.create_collection(COLL).unwrap();
+        for xml in docs {
+            db.insert_xml(COLL, xml).unwrap();
+        }
+        db.checkpoint().unwrap();
+    }
+    let frozen = open(vfs);
+    assert!(frozen.db().collection(COLL).unwrap().is_frozen());
+    let pointer = open(&without_segment(vfs));
+    assert!(!pointer.db().collection(COLL).unwrap().is_frozen());
+    assert_probes_equal(
+        frozen.db().collection(COLL).unwrap(),
+        pointer.db().collection(COLL).unwrap(),
+        TAGS,
+        WORDS,
+        "after cold open",
+    );
+    (frozen, pointer)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Generate a collection, checkpoint it, reopen twice — once with
-    /// the sidecar (frozen) and once without (pointer rebuild) — and
-    /// require identical answers on every probe shape; then apply a
-    /// generated mutation prefix to both (thawing the frozen one) and
-    /// require equivalence again.
+    /// Generate a collection, checkpoint it, reopen it with its sidecar
+    /// (a frozen base) and without (a rebuild), and drive both through
+    /// a generated interleaving of inserts, replaces and removes whose
+    /// targets are drawn from the live documents — base documents,
+    /// documents written since, documents replaced twice, removed after
+    /// a replace. After every write the two answer alike on every probe
+    /// shape and the frozen one keeps its base (`check_writes`).
     #[test]
-    fn frozen_probes_equal_pointer_probes(
+    fn base_plus_delta_equals_rebuild(
         docs in proptest::collection::vec(doc_strategy(), 1..20),
-        removes in proptest::collection::vec(0usize..20, 0..4),
+        script in proptest::collection::vec((0usize..3, 0usize..64, doc_strategy()), 0..16),
     ) {
         let _guard = test_lock();
         let vfs = Arc::new(FaultVfs::new());
-        {
-            let mut db = open(&vfs);
-            db.create_collection(COLL).unwrap();
-            for xml in &docs {
-                db.insert_xml(COLL, xml).unwrap();
+        let (mut frozen, mut pointer) = twins(&vfs, &docs);
+        let mut live: Vec<DocumentId> = (0..docs.len() as u64).map(DocumentId).collect();
+        let mut next = docs.len() as u64;
+        let mut writes = Vec::new();
+        for (kind, pick, xml) in &script {
+            let target = (!live.is_empty()).then(|| live[pick % live.len()]);
+            match (kind, target) {
+                (1, Some(id)) => writes.push(Write::Replace(id, xml)),
+                (2, Some(id)) => {
+                    live.retain(|&d| d != id);
+                    writes.push(Write::Remove(id));
+                }
+                _ => {
+                    live.push(DocumentId(next));
+                    next += 1;
+                    writes.push(Write::Insert(xml));
+                }
             }
-            db.checkpoint().unwrap();
         }
-
-        // frozen twin: sidecar present
-        let mut frozen = open(&vfs);
-        prop_assert!(frozen.db().collection(COLL).unwrap().is_frozen());
-
-        // pointer twin: drop the sidecar on a forked vfs, forcing rebuild
-        let vfs2 = Arc::new(FaultVfs::new());
-        for p in [STORE, SEG] {
-            if let Ok(bytes) = vfs.read(Path::new(p)) {
-                vfs2.corrupt(Path::new(p), bytes);
-            }
-        }
-        vfs2.remove(Path::new(SEG)).unwrap();
-        let mut pointer = open(&vfs2);
-        prop_assert!(!pointer.db().collection(COLL).unwrap().is_frozen());
-
-        assert_probes_equal(
-            frozen.db().collection(COLL).unwrap(),
-            pointer.db().collection(COLL).unwrap(),
-            TAGS, WORDS, "after cold open",
-        );
-
-        // a mutation prefix thaws the frozen index; equivalence must
-        // hold (a remove of a nonexistent id fails without mutating, so
-        // only a successful remove proves the thaw)
-        let mut mutated = false;
-        for &r in &removes {
-            let id = DocumentId(r as u64);
-            let a = frozen.remove_document(COLL, id);
-            let b = pointer.remove_document(COLL, id);
-            prop_assert_eq!(a.is_ok(), b.is_ok(), "remove {} diverged", r);
-            mutated |= a.is_ok();
-        }
-        if mutated {
-            prop_assert!(!frozen.db().collection(COLL).unwrap().is_frozen());
-        }
-        frozen.insert_xml(COLL, "<doc><a>x</a></doc>").unwrap();
-        pointer.insert_xml(COLL, "<doc><a>x</a></doc>").unwrap();
-        prop_assert!(!frozen.db().collection(COLL).unwrap().is_frozen());
-
-        assert_probes_equal(
-            frozen.db().collection(COLL).unwrap(),
-            pointer.db().collection(COLL).unwrap(),
-            TAGS, WORDS, "after mutation prefix",
-        );
+        check_writes(&mut frozen, &mut pointer, &writes, &vfs);
     }
+}
+
+/// The corner cases of base ∪ delta, each at least once: a base
+/// document replaced twice, then removed; a base document removed; a
+/// delta document replaced, then removed; a key emptied in the base
+/// and refilled by the delta; a key only the delta has.
+#[test]
+fn base_plus_delta_checkpoint_segment_is_byte_identical_to_a_rebuild() {
+    let _guard = test_lock();
+    let vfs = Arc::new(FaultVfs::new());
+    let docs: Vec<String> = [
+        "<doc><a>x</a><b>y</b></doc>",
+        "<doc><a>y</a></doc>",
+        "<doc><title>xy</title></doc>",
+        "<doc><b>x</b><b>x</b></doc>",
+    ]
+    .map(String::from)
+    .to_vec();
+    let (mut frozen, mut pointer) = twins(&vfs, &docs);
+    let writes = [
+        Write::Replace(DocumentId(1), "<doc><b>y</b></doc>"),
+        Write::Replace(DocumentId(1), "<doc><a>xy</a></doc>"),
+        Write::Remove(DocumentId(2)),
+        Write::Insert("<doc><title>xy</title><absent>nothing</absent></doc>"),
+        Write::Replace(DocumentId(4), "<doc><a>x</a></doc>"),
+        Write::Remove(DocumentId(1)),
+        Write::Insert("<doc><b>x</b></doc>"),
+        Write::Remove(DocumentId(5)),
+        Write::Remove(DocumentId(3)),
+    ];
+    check_writes(&mut frozen, &mut pointer, &writes, &vfs);
 }
 
 // ---------------------------------------------------------------------
@@ -313,11 +420,10 @@ fn restarted_store_answers_first_probe_query_from_the_segment() {
 
     // run the first query through the full executor: a selective eq
     // predicate the planner answers with an index probe
-    let thaws = counter("xmldb.segment.thaws");
     let (database, _writer) = db.into_parts();
     let h = from_pairs(&[("A1", "author"), ("A2", "author")]).unwrap();
     let seo = Arc::new(enhance(&h, &Levenshtein, 1.0).unwrap());
-    let ex = Executor::new(database, seo);
+    let mut ex = Executor::new(database, seo);
     let query = TossQuery {
         collection: COLL.into(),
         pattern: toss_core::algebra::TossPattern::spine(
@@ -340,14 +446,23 @@ fn restarted_store_answers_first_probe_query_from_the_segment() {
     // A3 authors: i % 7 == 3 over 30 docs → 4 papers
     assert_eq!(out.forest.len(), 4, "probe answers must be exact");
 
-    // ...and answering it neither rebuilt nor thawed the index
-    assert_eq!(
-        counter("xmldb.segment.thaws"),
-        thaws,
-        "a read-only query must not thaw the frozen index"
-    );
+    // ...and neither answering it nor a write detaches the base
     assert!(
         ex.db.collection(COLL).unwrap().is_frozen(),
         "the collection still probes the segment after the query"
+    );
+    let insert = JournalOp::Insert {
+        collection: COLL.into(),
+        xml: "<paper key=\"late\"><author>A3</author></paper>".into(),
+    };
+    apply_op(&mut ex.db, &insert).unwrap();
+    let coll = ex.db.collection(COLL).unwrap();
+    assert!(
+        coll.is_frozen(),
+        "a write lands beside the base, which stays"
+    );
+    assert_eq!(
+        coll.index().by_tag_content("author", "A3").to_vec().len(),
+        5
     );
 }

@@ -137,6 +137,15 @@ fn seed_writable(vfs: &Arc<FaultVfs>, docs: usize) {
 /// sidecar (when present) plus the journal tail, `WriteEngine` split
 /// off the durable layer.
 fn start_writable(vfs: &Arc<FaultVfs>, cfg: ServerConfig, wcfg: WriteConfig) -> Server {
+    start_writable_with_executor(vfs, cfg, wcfg).0
+}
+
+/// [`start_writable`], also returning the executor the server shares.
+fn start_writable_with_executor(
+    vfs: &Arc<FaultVfs>,
+    cfg: ServerConfig,
+    wcfg: WriteConfig,
+) -> (Server, Arc<RwLock<Executor>>) {
     let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
     let durable =
         DurableDatabase::open_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs).unwrap();
@@ -153,9 +162,11 @@ fn start_writable(vfs: &Arc<FaultVfs>, cfg: ServerConfig, wcfg: WriteConfig) -> 
         enhancer: Box::new(|h| enhance(h, &Levenshtein, 1.0).map_err(|e| e.to_string())),
         config: wcfg,
     };
-    let exec = Executor::new(db, seo).with_probe_metric(Arc::new(ChaosMetric));
-    Server::start_writable(Arc::new(RwLock::new(exec)), engine, "127.0.0.1:0", cfg)
-        .unwrap()
+    let exec = Arc::new(RwLock::new(
+        Executor::new(db, seo).with_probe_metric(Arc::new(ChaosMetric)),
+    ));
+    let server = Server::start_writable(Arc::clone(&exec), engine, "127.0.0.1:0", cfg).unwrap();
+    (server, exec)
 }
 
 fn insert_op(marker: &str, author: &str) -> WriteOp {
@@ -812,7 +823,10 @@ fn ontology_writes_grow_the_live_seo_for_below_queries() {
 /// Background checkpoint + restart: an explicit `checkpoint` frame
 /// folds the journal after a verified snapshot; the ontology sidecar
 /// is written first, so a crash after the checkpoint restores both the
-/// documents and the grown ontology on the next (strict) startup.
+/// documents and the grown ontology on the next (strict) startup. The
+/// checkpoint also rebases the live index onto the segment it wrote:
+/// the delta holding the insert empties, and every probe still answers
+/// like an index rebuilt from the snapshot.
 #[test]
 fn checkpoint_survives_crash_and_sidecar_restores_the_ontology() {
     let vfs = Arc::new(FaultVfs::new());
@@ -821,7 +835,13 @@ fn checkpoint_survives_crash_and_sidecar_restores_the_ontology() {
         checkpoint_every: 0, // only explicit checkpoint frames
         ..WriteConfig::default()
     };
-    let server = start_writable(&vfs, ServerConfig::default(), wcfg);
+    let (server, exec) = start_writable_with_executor(&vfs, ServerConfig::default(), wcfg);
+    let delta_bytes = || {
+        let exec = exec.read().unwrap();
+        let coll = exec.db.collection("chaos").unwrap();
+        assert!(coll.is_frozen(), "writes land beside the frozen base");
+        coll.index_bytes().0
+    };
     {
         let mut client = Client::connect(server.local_addr()).unwrap();
         client
@@ -837,10 +857,39 @@ fn checkpoint_survives_crash_and_sidecar_restores_the_ontology() {
                 &next_write_key(),
             )
             .unwrap();
+        assert!(delta_bytes() > 0, "the insert is in the delta");
         let folded = client.checkpoint().expect("checkpoint frame");
         assert!(folded >= 2, "both journaled writes are folded, got {folded}");
         let stats = client.stats().unwrap();
         assert!(stats.write.checkpoints >= 1, "{:?}", stats.write);
+        assert_eq!(delta_bytes(), 0, "the checkpoint rebased the index");
+    }
+    // a rebuild: the snapshot alone, without its `.seg` sidecar
+    let rebuild_vfs = FaultVfs::new();
+    rebuild_vfs.corrupt(Path::new(SNAP), vfs.read(Path::new(SNAP)).unwrap());
+    let rebuilt = DurableDatabase::open_read_only_with(
+        Path::new(SNAP),
+        DatabaseConfig::unlimited(),
+        &rebuild_vfs,
+    )
+    .unwrap();
+    let rebuilt = rebuilt.collection("chaos").unwrap();
+    assert!(!rebuilt.is_frozen());
+    {
+        let exec = exec.read().unwrap();
+        let live = exec.db.collection("chaos").unwrap();
+        for tag in ["inproceedings", "author", "booktitle"] {
+            assert_eq!(
+                live.index().by_tag(tag).to_vec(),
+                rebuilt.index().by_tag(tag).to_vec()
+            );
+        }
+        for author in ["Jeff Ullman", "E. Codd", "Checkpoint Author"] {
+            assert_eq!(
+                live.index().by_tag_content("author", author).to_vec(),
+                rebuilt.index().by_tag_content("author", author).to_vec(),
+            );
+        }
     }
     server.shutdown();
     vfs.crash(); // power loss after the checkpoint: it must all be durable
