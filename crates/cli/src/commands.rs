@@ -4,18 +4,16 @@ use crate::args::{tag_value, Args};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-use toss_core::algebra::TossPattern;
-use toss_core::executor::Mode;
 use toss_core::{
     enhance_sdb_full, make_ontology, suggest_constraints, AdmissionController, Executor,
-    Limit, MakerConfig, OesInstance, QueryBudget, QueryGovernor, TossCond, TossError,
-    TossOp, TossQuery, TossTerm,
+    Limit, MakerConfig, OesInstance, QueryBudget, QueryGovernor, TossError,
 };
 use toss_lexicon::LexiconBuilder;
 use toss_ontology::persist::{seo_from_json, seo_to_json};
+use toss_serve::protocol::build_query;
+use toss_serve::QueryRequest;
 use toss_similarity::combinators::{MinOf, MultiWordGate};
 use toss_similarity::{Levenshtein, NameRules, StringMetric};
-use toss_tax::EdgeKind;
 use toss_tree::serialize::{tree_to_xml, Style};
 use toss_tree::Forest;
 use toss_xmldb::{Database, DatabaseConfig, DurableDatabase, StdVfs, XPath};
@@ -482,48 +480,29 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
     let db = load_db(args.required("db")?)?;
     let seo_json = std::fs::read_to_string(args.required("seo")?).map_err(|e| e.to_string())?;
     let seo = Arc::new(seo_from_json(&seo_json).map_err(|e| e.to_string())?);
-    let collection = args.required("collection")?.to_string();
-    let root = args.required("root")?.to_string();
-
-    // build the condition: root tag + one child per tag=value flag
-    let mut conds = vec![TossCond::eq(TossTerm::tag(1), TossTerm::str(&root))];
-    let mut edges = Vec::new();
-    let mut next_label = 2u32;
-    let add = |flag_values: &[String],
-                   op: TossOp,
-                   conds: &mut Vec<TossCond>,
-                   edges: &mut Vec<EdgeKind>,
-                   next_label: &mut u32|
-     -> Result<(), String> {
-        for tv in flag_values {
+    let mut request = QueryRequest::new(args.required("collection")?, args.required("root")?);
+    // one child per tag=value flag, under the root tag
+    for (flag, preds) in [
+        ("eq", &mut request.eq),
+        ("contains", &mut request.contains),
+        ("similar", &mut request.similar),
+        ("below", &mut request.below),
+    ] {
+        for tv in args.many(flag) {
             let (tag, value) = tag_value(tv)?;
-            let l = *next_label;
-            *next_label += 1;
-            edges.push(EdgeKind::ParentChild);
-            conds.push(TossCond::eq(TossTerm::tag(l), TossTerm::str(tag)));
-            let rhs = if matches!(op, TossOp::Below | TossOp::PartOf) {
-                TossTerm::ty(value)
-            } else {
-                TossTerm::str(value)
-            };
-            conds.push(TossCond::cmp(TossTerm::content(l), op, rhs));
+            preds.push((tag.to_string(), value.to_string()));
         }
-        Ok(())
-    };
-    add(args.many("eq"), TossOp::Eq, &mut conds, &mut edges, &mut next_label)?;
-    add(args.many("contains"), TossOp::Contains, &mut conds, &mut edges, &mut next_label)?;
-    add(args.many("similar"), TossOp::Similar, &mut conds, &mut edges, &mut next_label)?;
-    add(args.many("below"), TossOp::Below, &mut conds, &mut edges, &mut next_label)?;
-    if edges.is_empty() {
+    }
+    if request.eq.is_empty()
+        && request.contains.is_empty()
+        && request.similar.is_empty()
+        && request.below.is_empty()
+    {
         return Err("give at least one of --eq/--contains/--similar/--below".into());
     }
+    request.tax = args.switch("tax");
+    let (query, mode) = build_query(&request).map_err(|e| e.to_string())?;
 
-    let pattern = TossPattern::spine(&edges, TossCond::all(conds)).map_err(|e| e.to_string())?;
-    let query = TossQuery {
-        collection,
-        pattern,
-        expand_labels: vec![1],
-    };
     // --threads bounds the scan worker pool; the default sizes it from
     // the machine's available parallelism
     let mut executor =
@@ -534,12 +513,6 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
         }
         executor = executor.with_threads(n as usize);
     }
-    let mode = if args.switch("tax") {
-        Mode::TaxBaseline
-    } else {
-        Mode::Toss
-    };
-
     // Optional trace consumers. Keeping the scopes alive for the whole
     // query keeps tracing enabled; they uninstall on drop.
     let mut scopes: Vec<toss_obs::SinkScope> = Vec::new();

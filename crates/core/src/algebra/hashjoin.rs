@@ -34,14 +34,6 @@ impl JoinKey {
         }
     }
 
-    /// Key on any descendant with the given tag.
-    pub fn descendant(tag: &str) -> Self {
-        JoinKey {
-            tag: tag.to_string(),
-            descendants: true,
-        }
-    }
-
     /// Extract all key renderings from a tree (a tree can carry several
     /// key leaves, e.g. multiple authors). Repeated renderings are
     /// deduplicated keeping the first occurrence: a tree with duplicate
@@ -263,7 +255,10 @@ mod tests {
         let hit = similarity_hash_join(
             &l,
             &r,
-            &JoinKey::descendant("title"),
+            &JoinKey {
+                tag: "title".into(),
+                descendants: true,
+            },
             &JoinKey::child("title"),
         )
         .unwrap();

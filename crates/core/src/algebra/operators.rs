@@ -37,14 +37,14 @@ impl TossPattern {
 
     /// Compile to a plain TAX pattern by expanding the condition through
     /// the SEO.
-    pub fn compile(&self, ctx: ExpandCtx<'_>) -> TossResult<PatternTree> {
+    pub(crate) fn compile(&self, ctx: ExpandCtx<'_>) -> TossResult<PatternTree> {
         let mut p = self.structure.clone();
         p.set_condition(expand(&self.condition, ctx)?)?;
         Ok(p)
     }
 
     /// Compile against the TAX baseline semantics instead of the SEO.
-    pub fn compile_baseline(&self) -> TossResult<PatternTree> {
+    pub(crate) fn compile_baseline(&self) -> TossResult<PatternTree> {
         let mut p = self.structure.clone();
         p.set_condition(crate::expand::expand_tax_baseline(&self.condition)?)?;
         Ok(p)
@@ -93,7 +93,7 @@ pub fn toss_project(
 }
 
 /// TOSS cross product (the SEOs must be the same shared ontology —
-/// guaranteed when both inputs came from one [`crate::enhancer`] run).
+/// guaranteed when both inputs came from one [`crate::enhance_sdb`] run).
 pub fn toss_product(left: &SeoInstance, right: &SeoInstance) -> TossResult<SeoInstance> {
     let forest = toss_tax::product(&left.forest, &right.forest)?;
     Ok(SeoInstance::new(forest, left.seo.clone()))

@@ -8,7 +8,6 @@
 
 use crate::error::{TossError, TossResult};
 use crate::typesys::TypeHierarchy;
-use std::collections::BTreeSet;
 use toss_tax::Attr;
 use toss_tree::Value;
 
@@ -60,14 +59,6 @@ impl TossTerm {
         }
     }
 
-    /// An integer constant.
-    pub fn int(i: i64) -> Self {
-        TossTerm::Value {
-            value: Value::Int(i),
-            ty: None,
-        }
-    }
-
     /// A typed value `v : τ`.
     pub fn typed(value: Value, ty: &str) -> Self {
         TossTerm::Value {
@@ -81,19 +72,11 @@ impl TossTerm {
         TossTerm::Type(name.to_string())
     }
 
-    /// The pattern label referenced, if any.
-    pub fn label(&self) -> Option<u32> {
-        match self {
-            TossTerm::Attr { label, .. } => Some(*label),
-            _ => None,
-        }
-    }
-
     /// The type of the term in the context of a type hierarchy — the
     /// paper's `type(X)` (attribute types are only known per-binding, so
     /// attributes report `None` here and well-typedness of comparisons
     /// involving attributes is checked structurally).
-    pub fn static_type(&self) -> Option<String> {
+    pub(crate) fn static_type(&self) -> Option<String> {
         match self {
             TossTerm::Attr { .. } => None,
             TossTerm::Value { value, ty } => Some(match ty {
@@ -181,11 +164,6 @@ impl TossCond {
         Self::cmp(lhs, TossOp::Below, rhs)
     }
 
-    /// `lhs part_of rhs` — ordering in the part-of hierarchy.
-    pub fn part_of(lhs: TossTerm, rhs: TossTerm) -> Self {
-        Self::cmp(lhs, TossOp::PartOf, rhs)
-    }
-
     /// Conjunction, flattening `True`.
     pub fn and(self, other: TossCond) -> TossCond {
         match (self, other) {
@@ -209,31 +187,6 @@ impl TossCond {
     /// Conjunction of many.
     pub fn all(conds: impl IntoIterator<Item = TossCond>) -> TossCond {
         conds.into_iter().fold(TossCond::True, TossCond::and)
-    }
-
-    /// Labels referenced by the condition.
-    pub fn labels(&self) -> BTreeSet<u32> {
-        let mut out = BTreeSet::new();
-        fn go(c: &TossCond, out: &mut BTreeSet<u32>) {
-            match c {
-                TossCond::True => {}
-                TossCond::Cmp { lhs, rhs, .. } => {
-                    if let Some(l) = lhs.label() {
-                        out.insert(l);
-                    }
-                    if let Some(l) = rhs.label() {
-                        out.insert(l);
-                    }
-                }
-                TossCond::And(a, b) | TossCond::Or(a, b) => {
-                    go(a, out);
-                    go(b, out);
-                }
-                TossCond::Not(c) => go(c, out),
-            }
-        }
-        go(self, &mut out);
-        out
     }
 
     /// Well-typedness check (Section 5.1.1): `=, ≠, ≤, ≥` require a least
@@ -297,21 +250,17 @@ mod tests {
     use crate::convert::Conversions;
     use toss_tree::types::Domain;
 
-    #[test]
-    fn builders_and_labels() {
-        let c = TossCond::all(vec![
-            TossCond::eq(TossTerm::tag(1), TossTerm::str("inproceedings")),
-            TossCond::similar(TossTerm::content(2), TossTerm::str("J. Ullman")),
-            TossCond::below(TossTerm::content(3), TossTerm::ty("conference")),
-        ]);
-        let labels: Vec<u32> = c.labels().into_iter().collect();
-        assert_eq!(labels, vec![1, 2, 3]);
+    fn int(i: i64) -> TossTerm {
+        TossTerm::Value {
+            value: Value::Int(i),
+            ty: None,
+        }
     }
 
     #[test]
     fn static_types() {
         assert_eq!(TossTerm::str("x").static_type(), Some("string".into()));
-        assert_eq!(TossTerm::int(3).static_type(), Some("int".into()));
+        assert_eq!(int(3).static_type(), Some("int".into()));
         assert_eq!(
             TossTerm::typed(Value::Real(2.0), "mm").static_type(),
             Some("mm".into())
@@ -324,18 +273,18 @@ mod tests {
     fn well_typedness_of_builtins() {
         let th = TypeHierarchy::new();
         let cv = Conversions::new();
-        TossCond::eq(TossTerm::int(1), TossTerm::int(2))
+        TossCond::eq(int(1), int(2))
             .well_typed(&th, &cv)
             .unwrap();
         // int vs real: numeric, fine
-        TossCond::cmp(TossTerm::int(1), TossOp::Le, TossTerm::Value {
+        TossCond::cmp(int(1), TossOp::Le, TossTerm::Value {
             value: Value::Real(2.0),
             ty: None,
         })
         .well_typed(&th, &cv)
         .unwrap();
         // string vs int: ill-typed
-        let e = TossCond::eq(TossTerm::str("1"), TossTerm::int(1))
+        let e = TossCond::eq(TossTerm::str("1"), int(1))
             .well_typed(&th, &cv)
             .unwrap_err();
         assert!(matches!(e, TossError::IllTyped(_)));
@@ -366,7 +315,7 @@ mod tests {
     fn similarity_and_ontology_ops_always_well_typed() {
         let th = TypeHierarchy::new();
         let cv = Conversions::new();
-        TossCond::similar(TossTerm::str("a"), TossTerm::int(1))
+        TossCond::similar(TossTerm::str("a"), int(1))
             .well_typed(&th, &cv)
             .unwrap();
         TossCond::below(TossTerm::str("a"), TossTerm::ty("b"))

@@ -69,7 +69,7 @@ impl Conversions {
 
     /// Look up a conversion, falling back to the identity for `τ2τ`
     /// (constraint 1) and to transitive composition (constraint 2).
-    pub fn lookup(&self, from: &str, to: &str) -> Option<ConvFn> {
+    pub(crate) fn lookup(&self, from: &str, to: &str) -> Option<ConvFn> {
         if from == to {
             return Some(Arc::new(|x| x));
         }
@@ -91,7 +91,7 @@ impl Conversions {
 
     /// Convert a numeric value between types; `None` when no conversion
     /// exists or the value is not numeric.
-    pub fn convert(&self, v: &Value, from: &str, to: &str) -> Option<Value> {
+    pub(crate) fn convert(&self, v: &Value, from: &str, to: &str) -> Option<Value> {
         let f = self.lookup(from, to)?;
         Some(Value::Real(f(v.as_real()?)))
     }

@@ -102,11 +102,6 @@ impl QueryOutcome {
     pub fn total_time(&self) -> Duration {
         self.rewrite_time + self.execute_time + self.convert_time
     }
-
-    /// Whether a soft budget degraded this result.
-    pub fn is_degraded(&self) -> bool {
-        self.degradation.is_some()
-    }
 }
 
 /// The retrieval strategy phase 2 chose for a query. Recorded in the
@@ -157,7 +152,7 @@ pub enum QueryPlan {
 
 impl QueryPlan {
     /// Short strategy name (`index-probe` / `parallel-scan` / `simjoin`).
-    pub fn strategy(&self) -> &'static str {
+    pub(crate) fn strategy(&self) -> &'static str {
         match self {
             QueryPlan::IndexProbe { .. } => "index-probe",
             QueryPlan::ParallelScan { .. } => "parallel-scan",
@@ -383,7 +378,7 @@ fn clamp_join_inputs(
 /// Number of expansion terms the SEO rewrite introduced into a compiled
 /// condition: the sizes of every `InSet` membership set plus the number
 /// of renderings admitted by every `SharedClass` map.
-pub fn expansion_terms(cond: &Cond) -> usize {
+pub(crate) fn expansion_terms(cond: &Cond) -> usize {
     match cond {
         Cond::True | Cond::Cmp { .. } => 0,
         Cond::And(a, b) | Cond::Or(a, b) => expansion_terms(a) + expansion_terms(b),
@@ -405,7 +400,7 @@ fn publish_phase_metrics(rewrite: Duration, execute: Duration, convert: Duration
 /// Everything phase 1 derives from a query, none of it from a request:
 /// the compiled pattern tree rendered to XPath text, that text parsed,
 /// and the pattern prepared as a `toss-tax` [`Matcher`] for phase 3.
-/// Built once per rewrite-cache entry (see [`crate::semcache`]) and
+/// Built once per rewrite-cache entry (see [`RewriteCache`]) and
 /// shared by `Arc`; uncached compiles build one for the request.
 #[derive(Debug)]
 pub struct PreparedQuery {
@@ -417,7 +412,7 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     fn new(compiled: PatternTree) -> TossResult<Self> {
-        let xpath_src = compile_xpath(&compiled)?;
+        let xpath_src = compile_xpath(&compiled);
         let xpath = XPath::parse(&xpath_src)?;
         let n_expansion = expansion_terms(compiled.condition());
         Ok(PreparedQuery {
@@ -460,7 +455,7 @@ pub struct Executor {
     /// Bounded cache of SEO-expanded conditions keyed on the normalized
     /// condition, the SEO version stamps, ε, the probe metric and the
     /// expansion-term budget class. Only exact (never soft-truncated)
-    /// expansions are stored; see [`crate::semcache`].
+    /// expansions are stored.
     pub rewrite_cache: RewriteCache,
     /// Write-visibility revision: bumped exactly once per applied write
     /// batch by [`Executor::note_write_batch`]. Readers that captured a
@@ -514,12 +509,6 @@ impl Executor {
         1 + self
             .revision
             .fetch_add(1, std::sync::atomic::Ordering::AcqRel)
-    }
-
-    /// Set the part-of SEO (builder style).
-    pub fn with_part_of(mut self, seo: Arc<Seo>) -> Self {
-        self.part_of_seo = Some(seo);
-        self
     }
 
     /// Size the worker pool to `n` threads (builder style). `1` runs
@@ -1438,14 +1427,18 @@ mod tests {
             ("year", "inproceedings"),
         ])
         .unwrap();
-        ex = ex.with_part_of(Arc::new(enhance(&part_of, &Levenshtein, 0.0).unwrap()));
+        ex.part_of_seo = Some(Arc::new(enhance(&part_of, &Levenshtein, 0.0).unwrap()));
         let q = TossQuery {
             collection: "dblp".into(),
             pattern: TossPattern::spine(
                 &[EdgeKind::AncestorDescendant],
                 TossCond::all(vec![
                     TossCond::eq(TossTerm::tag(1), TossTerm::str("inproceedings")),
-                    TossCond::part_of(TossTerm::tag(2), TossTerm::ty("inproceedings")),
+                    TossCond::cmp(
+                        TossTerm::tag(2),
+                        crate::TossOp::PartOf,
+                        TossTerm::ty("inproceedings"),
+                    ),
                     TossCond::cmp(
                         TossTerm::content(2),
                         crate::TossOp::Contains,
@@ -1515,13 +1508,16 @@ mod tests {
         )
     }
 
+    /// Whether a hit has promoted the query's cache entry: promoting an
+    /// unpromoted entry runs `prepare`, which here fails and stores nothing.
     fn entry_is_promoted(ex: &Executor, q: &TossQuery, budget: &QueryBudget) -> bool {
         let gov = QueryGovernor::new(budget.clone());
         let key = ex.rewrite_key(&q.pattern, &gov);
         ex.rewrite_cache
             .get(&key)
             .expect("an exact rewrite is cached")
-            .is_promoted()
+            .promote(|| Err(TossError::Internal("not promoted".into())))
+            .is_ok()
     }
 
     #[test]
@@ -1711,7 +1707,7 @@ mod tests {
         assert_eq!(ex.rewrite_cache.len(), 1);
 
         let ex = ex.with_probe_metric(Arc::new(Anonymous(initials_beyond)));
-        assert!(ex.rewrite_cache.is_empty(), "rewrites under the old metric are dropped");
+        assert_eq!(ex.rewrite_cache.len(), 0, "rewrites under the old metric are dropped");
         let out = ex.select(&q, Mode::Toss).unwrap();
         assert_eq!(out.forest.len(), 0, "initials rule at 3 > ε reaches nobody");
         assert!(!out.xpath.contains("Jeff Ullman"));
@@ -1731,8 +1727,9 @@ mod tests {
             assert_eq!(ex.rewrite_cache.hits(), 0, "truncated rewrites never hit");
             assert_eq!(ex.rewrite_cache.misses(), expected_misses);
         }
-        assert!(
-            ex.rewrite_cache.is_empty(),
+        assert_eq!(
+            ex.rewrite_cache.len(),
+            0,
             "an inexact expansion must not be stored"
         );
     }

@@ -18,7 +18,7 @@
 //!   least common supertype, then ordinary TAX comparison;
 //! * everything else passes through unchanged.
 //!
-//! A second expander, [`expand_tax_baseline`], produces the paper's TAX
+//! A second expander, `expand_tax_baseline`, produces the paper's TAX
 //! baseline: `isa`-style conditions become `contains` and `~` becomes
 //! exact equality ("For isa and similarTo conditions, 'contains' and
 //! exact match are used for TAX respectively").
@@ -284,7 +284,7 @@ fn expand_cmp(
 
 /// The paper's TAX baseline: `~` → exact equality, `below`/`isa` →
 /// substring `contains`, everything else unchanged.
-pub fn expand_tax_baseline(cond: &TossCond) -> TossResult<Cond> {
+pub(crate) fn expand_tax_baseline(cond: &TossCond) -> TossResult<Cond> {
     match cond {
         TossCond::True => Ok(Cond::True),
         TossCond::And(a, b) => Ok(expand_tax_baseline(a)?.and(expand_tax_baseline(b)?)),

@@ -22,13 +22,14 @@
 //!   expansion context admits terms, the executor admits a scan's
 //!   documents in one bulk charge before the store evaluates any, then
 //!   witnesses and join candidates. The store's scan only polls
-//!   [`QueryGovernor::interrupted`], which charges nothing.
+//!   `QueryGovernor::interrupted`, which charges nothing.
 //! * [`AdmissionController`] — bounded concurrent query slots with a
 //!   wait-queue timeout; when the queue wait expires the query is shed
 //!   with [`TossError::Overloaded`] instead of queueing unboundedly.
-//! * [`isolate`] — `catch_unwind` around query execution converting
-//!   panics into [`TossError::Internal`] so a poisoned query cannot
-//!   unwind through a serving loop.
+//! * `isolate` — `catch_unwind` around query execution (inside
+//!   [`AdmissionController::run`]) converting panics into
+//!   [`TossError::Internal`] so a poisoned query cannot unwind through a
+//!   serving loop.
 //!
 //! Every trip, shed, cancel and panic is counted in the
 //! `toss.governor.*` metric family (see `docs/robustness.md`).
@@ -186,7 +187,7 @@ impl CancelToken {
     }
 
     /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 }
@@ -323,7 +324,7 @@ impl QueryGovernor {
     }
 
     /// The budget under enforcement.
-    pub fn budget(&self) -> &QueryBudget {
+    pub(crate) fn budget(&self) -> &QueryBudget {
         &self.budget
     }
 
@@ -333,7 +334,7 @@ impl QueryGovernor {
     }
 
     /// Wall time since the governor was created.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
@@ -345,7 +346,7 @@ impl QueryGovernor {
     /// How many expansion terms could still be admitted without tripping
     /// the expansion-term budget (`u64::MAX` when unlimited). A peek —
     /// nothing is charged.
-    pub fn expansion_headroom(&self) -> u64 {
+    pub(crate) fn expansion_headroom(&self) -> u64 {
         match self.budget.max_expansion_terms {
             Some(limit) => limit.max.saturating_sub(self.terms_used()),
             None => u64::MAX,
@@ -356,7 +357,7 @@ impl QueryGovernor {
     /// far. A rewrite whose compile left this unchanged was admitted in
     /// full — the signal the rewrite cache uses to store only exact
     /// expansions.
-    pub fn expansion_truncations(&self) -> u64 {
+    pub(crate) fn expansion_truncations(&self) -> u64 {
         self.terms_truncations.load(Ordering::Relaxed)
     }
 
@@ -381,7 +382,7 @@ impl QueryGovernor {
     /// Cooperative checkpoint: errors if the token is cancelled or the
     /// deadline has passed. Called at phase boundaries and inside every
     /// long-running loop.
-    pub fn check(&self) -> TossResult<()> {
+    pub(crate) fn check(&self) -> TossResult<()> {
         if self.token.is_cancelled() {
             toss_obs::metrics::counter("toss.governor.cancelled").inc();
             return Err(TossError::Cancelled);
@@ -401,7 +402,7 @@ impl QueryGovernor {
     }
 
     /// Whether the deadline has already passed (without raising).
-    pub fn deadline_expired(&self) -> bool {
+    pub(crate) fn deadline_expired(&self) -> bool {
         matches!(self.deadline_at, Some(at) if Instant::now() >= at)
     }
 
@@ -465,7 +466,7 @@ impl QueryGovernor {
     /// Admit up to `requested` new SEO expansion terms. Returns how many
     /// may actually be used; under a soft limit the overflow is recorded
     /// as degradation, under a hard limit the query errors.
-    pub fn admit_expansion_terms(&self, requested: usize) -> TossResult<usize> {
+    pub(crate) fn admit_expansion_terms(&self, requested: usize) -> TossResult<usize> {
         let limit = self.budget.max_expansion_terms;
         let allowed = self.admit(BudgetKind::ExpansionTerms, limit, &self.terms_used, requested)?;
         if allowed < requested {
@@ -478,7 +479,7 @@ impl QueryGovernor {
     /// evaluated; returns how many the scan may evaluate (a prefix, in
     /// visit order). A soft document cap truncates and records
     /// degradation; a hard one fails before a single document is read.
-    pub fn admit_docs(&self, requested: usize) -> TossResult<usize> {
+    pub(crate) fn admit_docs(&self, requested: usize) -> TossResult<usize> {
         let limit = self.budget.max_docs_scanned;
         self.admit(BudgetKind::DocsScanned, limit, &self.docs_scanned, requested)
     }
@@ -487,7 +488,7 @@ impl QueryGovernor {
     /// The store's scan polls this before every visit, so it charges
     /// nothing, bumps no counter and takes no lock; the error that
     /// explains the stop comes from [`QueryGovernor::check`].
-    pub fn interrupted(&self) -> bool {
+    pub(crate) fn interrupted(&self) -> bool {
         self.token.is_cancelled() || self.deadline_expired()
     }
 
@@ -495,7 +496,7 @@ impl QueryGovernor {
     /// Returns `None` when the product fits, or `Some((l, r))` — the
     /// truncated side sizes — when a soft limit forces a smaller
     /// product. A hard limit errors.
-    pub fn admit_join_cardinality(
+    pub(crate) fn admit_join_cardinality(
         &self,
         left: usize,
         right: usize,
@@ -553,7 +554,7 @@ impl QueryGovernor {
     /// Only ever called from the sequential commit frontier (probe tasks
     /// are speculative and never charge), so the tally is bit-identical
     /// at any worker count.
-    pub fn admit_join_candidates(&self, produced: usize) -> TossResult<usize> {
+    pub(crate) fn admit_join_candidates(&self, produced: usize) -> TossResult<usize> {
         let limit = self.budget.max_join_cardinality;
         self.admit(BudgetKind::JoinCardinality, limit, &self.join_candidates, produced)
     }
@@ -564,7 +565,7 @@ impl QueryGovernor {
     /// exhausted before the join (or a cancelled or expired query) stops
     /// them early; the charging call on the commit frontier stays
     /// authoritative.
-    pub fn join_candidates_preflight(&self) -> bool {
+    pub(crate) fn join_candidates_preflight(&self) -> bool {
         let spent = matches!(
             self.budget.max_join_cardinality,
             Some(limit) if self.join_candidates() >= limit.max
@@ -573,7 +574,7 @@ impl QueryGovernor {
     }
 
     /// Admit `produced` witness trees; returns how many to keep.
-    pub fn admit_witnesses(&self, produced: usize) -> TossResult<usize> {
+    pub(crate) fn admit_witnesses(&self, produced: usize) -> TossResult<usize> {
         let limit = self.budget.max_witnesses;
         self.admit(BudgetKind::Witnesses, limit, &self.witnesses_kept, produced)
     }
@@ -581,7 +582,7 @@ impl QueryGovernor {
     /// Charge `bytes` of approximate intermediate-result memory.
     /// Returns `false` under a tripped soft ceiling (the caller should
     /// stop accumulating); errors under a hard ceiling.
-    pub fn charge_memory(&self, bytes: u64) -> TossResult<bool> {
+    pub(crate) fn charge_memory(&self, bytes: u64) -> TossResult<bool> {
         let total = self.memory_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
         let Some(limit) = self.budget.max_memory_bytes else {
             return Ok(true);
@@ -626,21 +627,6 @@ impl AdmissionController {
             active: Mutex::new(0),
             freed: Condvar::new(),
         }
-    }
-
-    /// Queries currently holding a slot.
-    pub fn active(&self) -> usize {
-        *self.active.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The configured number of concurrent slots.
-    pub fn max_concurrent(&self) -> usize {
-        self.max_concurrent
-    }
-
-    /// The configured queue-wait ceiling before a query is shed.
-    pub fn max_queue_wait(&self) -> Duration {
-        self.max_queue_wait
     }
 
     /// Acquire a slot, waiting at most the configured queue timeout.
@@ -730,7 +716,7 @@ impl Drop for AdmissionPermit<'_> {
 /// Run `f`, converting a panic into [`TossError::Internal`] so one
 /// poisoned query cannot unwind through a serving loop. Counted in
 /// `toss.governor.panics`.
-pub fn isolate<T>(f: impl FnOnce() -> TossResult<T>) -> TossResult<T> {
+pub(crate) fn isolate<T>(f: impl FnOnce() -> TossResult<T>) -> TossResult<T> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(result) => result,
         Err(payload) => {
@@ -750,6 +736,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::thread;
+
+    /// Queries currently holding a slot.
+    fn active(ctrl: &AdmissionController) -> usize {
+        *ctrl.active.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn unlimited_governor_admits_everything() {
@@ -933,14 +924,14 @@ mod tests {
     fn admission_sheds_rather_than_queueing() {
         let ctrl = Arc::new(AdmissionController::new(1, Duration::from_millis(20)));
         let p = ctrl.admit().unwrap();
-        assert_eq!(ctrl.active(), 1);
+        assert_eq!(active(&ctrl), 1);
         let c2 = ctrl.clone();
         let shed = thread::spawn(move || c2.admit().map(|_| ()))
             .join()
             .unwrap();
         assert!(matches!(shed, Err(TossError::Overloaded(_))));
         drop(p);
-        assert_eq!(ctrl.active(), 0);
+        assert_eq!(active(&ctrl), 0);
         let _again = ctrl.admit().unwrap(); // slot is reusable
     }
 
@@ -1012,7 +1003,7 @@ mod tests {
         });
         assert!(matches!(out, Err(TossError::BudgetExceeded(_))));
         assert_eq!(ran.load(Ordering::SeqCst), 0, "body must not run");
-        assert_eq!(ctrl.active(), 0, "no slot leaked");
+        assert_eq!(active(&ctrl), 0, "no slot leaked");
     }
 
     #[test]
@@ -1034,6 +1025,6 @@ mod tests {
         let g = QueryGovernor::unlimited();
         let out: TossResult<()> = ctrl.run(&g, || panic!("boom"));
         assert!(matches!(out, Err(TossError::Internal(_))));
-        assert_eq!(ctrl.active(), 0, "slot must be released after a panic");
+        assert_eq!(active(&ctrl), 0, "slot must be released after a panic");
     }
 }

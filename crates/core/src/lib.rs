@@ -6,8 +6,9 @@
 //! * [`typesys`] / [`convert`] — type hierarchies and conversion functions
 //!   with the Section-5 closure constraints (identity, composition
 //!   consistency, `τ₁ ≤_H τ₂ ⇒` a conversion exists).
-//! * [`oes`] — ontology-extended and SEO semistructured instances.
-//! * [`condition`] — TOSS selection conditions: TAX's comparisons plus
+//! * [`OesInstance`] / [`SeoInstance`] — ontology-extended and SEO
+//!   semistructured instances.
+//! * [`TossCond`] — TOSS selection conditions: TAX's comparisons plus
 //!   `~` (similarTo), `instance_of`, `subtype_of`, `above` and `below`,
 //!   with well-typedness checking.
 //! * [`expand`] — the semantic-rewrite core: a TOSS condition plus an SEO
@@ -18,44 +19,45 @@
 //! * [`algebra`] — the TOSS operators σ, π, ×, join, ∪, ∩, −, delegating
 //!   to TAX after expansion (Proposition 1's closure holds by
 //!   construction).
-//! * [`maker`] — the Ontology Maker: mines tag structure and content
-//!   terms from XML instances, consults the lexicon, and emits
-//!   interoperation constraints between instances.
-//! * [`enhancer`] — the Similarity Enhancer: fuses the per-instance
+//! * [`make_ontology`] / [`suggest_constraints`] — the Ontology Maker:
+//!   mines tag structure and content terms from XML instances, consults
+//!   the lexicon, and emits interoperation constraints between instances.
+//! * [`enhance_sdb`] — the Similarity Enhancer: fuses the per-instance
 //!   ontologies and runs the SEA algorithm to produce the single SEO.
-//! * [`executor`] / [`rewrite`] — the Query Executor: compiles TOSS
-//!   selections into XPath against the `toss-xmldb` store, executes them,
-//!   and converts results back into TAX witness trees, reporting the
-//!   paper's three timed phases.
-//! * [`mod@quality`] — precision, recall and quality = √(precision · recall).
+//! * [`executor`] — the Query Executor: compiles TOSS selections into
+//!   XPath against the `toss-xmldb` store, executes them, and converts
+//!   results back into TAX witness trees, reporting the paper's three
+//!   timed phases.
+//! * [`quality`] — precision, recall and quality = √(precision · recall).
 //! * [`governor`] — query resource governance: per-query budgets and
 //!   deadlines, cooperative cancellation, admission control (load
 //!   shedding) and panic isolation, so adversarial or unlucky queries
 //!   degrade gracefully or are cancelled instead of pinning a core.
-//! * [`semcache`] — a bounded rewrite cache: repeated queries reuse
+//! * [`RewriteCache`] — a bounded rewrite cache: repeated queries reuse
 //!   their SEO expansion instead of re-walking the ontology, keyed on
 //!   the normalized condition, SEO version, ε and budget class.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod algebra;
-pub mod condition;
+mod condition;
 pub mod convert;
-pub mod enhancer;
-pub mod error;
+mod enhancer;
+mod error;
 pub mod executor;
 pub mod expand;
 pub mod governor;
-pub mod maker;
-pub mod oes;
+mod maker;
+mod oes;
 pub mod quality;
-pub mod rewrite;
-pub mod semcache;
+mod rewrite;
+mod semcache;
 pub mod typesys;
 
 pub use condition::{TossCond, TossOp, TossTerm};
-pub use enhancer::{enhance_sdb, enhance_sdb_full, SdbSeo};
+pub use enhancer::{enhance_sdb, enhance_sdb_full};
 pub use error::{TossError, TossResult};
 pub use executor::{Executor, QueryOutcome, QueryPlan, TossQuery};
 pub use toss_pool::WorkerPool;
@@ -64,6 +66,5 @@ pub use governor::{
     QueryBudget, QueryGovernor,
 };
 pub use maker::{make_ontology, suggest_constraints, MakerConfig};
-pub use semcache::{CachedRewrite, RewriteCache};
+pub use semcache::RewriteCache;
 pub use oes::{OesInstance, SeoInstance};
-pub use quality::{precision, quality, recall};

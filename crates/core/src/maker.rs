@@ -190,33 +190,13 @@ pub fn suggest_constraints(
     right_index: usize,
     lexicon: &Lexicon,
 ) -> Vec<Constraint> {
-    suggest_constraints_for(left, left_index, right, right_index, lexicon, None)
-}
-
-/// Like [`suggest_constraints`] but restricted to the terms of one named
-/// hierarchy (e.g. `"isa"`) — fusion is per-relation, so constraints fed
-/// to it must only mention terms of the hierarchies being fused.
-pub fn suggest_constraints_for(
-    left: &Ontology,
-    left_index: usize,
-    right: &Ontology,
-    right_index: usize,
-    lexicon: &Lexicon,
-    relation: Option<&str>,
-) -> Vec<Constraint> {
     let mut out = Vec::new();
     let collect = |o: &Ontology| -> BTreeSet<String> {
-        match relation {
-            Some(r) => o.hierarchy(r).map(|h| h.all_terms()).unwrap_or_default(),
-            None => o
-                .relations()
-                .iter()
-                .filter_map(|r| o.hierarchy(r))
-                .flat_map(|h| h.all_terms())
-                .collect::<Vec<_>>(),
-        }
-        .into_iter()
-        .collect()
+        o.relations()
+            .iter()
+            .filter_map(|r| o.hierarchy(r))
+            .flat_map(|h| h.all_terms())
+            .collect()
     };
     let left_terms: BTreeSet<String> = collect(left);
     let right_terms: BTreeSet<String> = collect(right);

@@ -30,16 +30,6 @@ impl OesInstance {
             ontology,
         }
     }
-
-    /// Number of trees.
-    pub fn len(&self) -> usize {
-        self.forest.len()
-    }
-
-    /// Whether the instance holds no trees.
-    pub fn is_empty(&self) -> bool {
-        self.forest.is_empty()
-    }
 }
 
 /// An SEO semistructured instance: the forest plus the *fused, similarity
@@ -83,8 +73,7 @@ mod tests {
     fn construction_and_sizes() {
         let f = Forest::from_trees(vec![TreeBuilder::new("a").build()]);
         let oes = OesInstance::new("dblp", f.clone(), Ontology::new());
-        assert_eq!(oes.len(), 1);
-        assert!(!oes.is_empty());
+        assert_eq!(oes.forest.len(), 1);
 
         let h = from_pairs(&[("a", "b")]).unwrap();
         let seo = Arc::new(enhance(&h, &Levenshtein, 0.0).unwrap());

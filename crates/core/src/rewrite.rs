@@ -9,17 +9,16 @@
 //! — which re-applies the full condition anyway, so results are always
 //! exact; the XPath merely has to be *sound as a superset filter*.
 
-use crate::error::{TossError, TossResult};
 use std::collections::HashMap;
 use toss_tax::{Attr, CmpOp, Cond, EdgeKind, PatternNodeId, PatternTree, Term};
 
 /// Compile a TAX pattern tree (with its — typically SEO-expanded —
 /// condition) into one XPath expression selecting the images of the
 /// pattern root.
-pub fn compile_xpath(pattern: &PatternTree) -> TossResult<String> {
+pub(crate) fn compile_xpath(pattern: &PatternTree) -> String {
     let per_node = assign_conjuncts(pattern);
     let root = pattern.root();
-    let root_name = node_name(pattern, &per_node, root);
+    let root_name = node_name(&per_node, root);
     let mut predicates: Vec<String> = Vec::new();
     // root's own content/attr constraints
     for c in per_node.get(&root).into_iter().flatten() {
@@ -39,7 +38,7 @@ pub fn compile_xpath(pattern: &PatternTree) -> TossResult<String> {
         out.push_str(&p);
         out.push(']');
     }
-    Ok(out)
+    out
 }
 
 /// Split the pattern's condition into top-level conjuncts and attach each
@@ -61,12 +60,7 @@ fn assign_conjuncts(pattern: &PatternTree) -> HashMap<PatternNodeId, Vec<Cond>> 
 
 /// The element-name test for a node: a specific tag when some conjunct
 /// pins `tag = const`, else `*`.
-fn node_name(
-    pattern: &PatternTree,
-    per_node: &HashMap<PatternNodeId, Vec<Cond>>,
-    node: PatternNodeId,
-) -> String {
-    let _ = pattern;
+fn node_name(per_node: &HashMap<PatternNodeId, Vec<Cond>>, node: PatternNodeId) -> String {
     for c in per_node.get(&node).into_iter().flatten() {
         if let Cond::Cmp {
             lhs: Term::Attr {
@@ -145,7 +139,7 @@ fn child_predicate(
     per_node: &HashMap<PatternNodeId, Vec<Cond>>,
     node: PatternNodeId,
 ) -> Option<String> {
-    let name = node_name(pattern, per_node, node);
+    let name = node_name(per_node, node);
     let (_, kind) = pattern.parent_edge(node).expect("non-root");
     let prefix = match kind {
         EdgeKind::ParentChild => String::new(),
@@ -231,17 +225,15 @@ fn disjunction<'a>(
     Some(format!("({})", parts.join(" or ")))
 }
 
-/// Validate that the compiled XPath parses in the engine — used by tests
-/// and debug assertions.
-pub fn check_compiles(pattern: &PatternTree) -> TossResult<toss_xmldb::XPath> {
-    let s = compile_xpath(pattern)?;
-    toss_xmldb::XPath::parse(&s).map_err(TossError::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use toss_tax::{Cond, Term};
+
+    /// Validate that the compiled XPath parses in the engine.
+    fn check_compiles(pattern: &PatternTree) {
+        toss_xmldb::XPath::parse(&compile_xpath(pattern)).unwrap();
+    }
 
     fn spine(tags: &[(&str, EdgeKind)], extra: Vec<Cond>) -> PatternTree {
         let mut p = PatternTree::new(1);
@@ -267,9 +259,9 @@ mod tests {
             ],
             vec![Cond::eq(Term::content(3), Term::int(1999))],
         );
-        let x = compile_xpath(&p).unwrap();
+        let x = compile_xpath(&p);
         assert_eq!(x, "//inproceedings[author][year='1999']");
-        check_compiles(&p).unwrap();
+        check_compiles(&p);
     }
 
     #[test]
@@ -284,12 +276,12 @@ mod tests {
                 ["J. Ullman".to_string(), "Jeff Ullman".to_string()],
             )],
         );
-        let x = compile_xpath(&p).unwrap();
+        let x = compile_xpath(&p);
         assert_eq!(
             x,
             "//inproceedings[author[(text()='J. Ullman' or text()='Jeff Ullman')]]"
         );
-        check_compiles(&p).unwrap();
+        check_compiles(&p);
     }
 
     #[test]
@@ -301,9 +293,9 @@ mod tests {
             ],
             vec![Cond::eq(Term::content(2), Term::str("SIGMOD Conference"))],
         );
-        let x = compile_xpath(&p).unwrap();
+        let x = compile_xpath(&p);
         assert_eq!(x, "//inproceedings[.//booktitle='SIGMOD Conference']");
-        check_compiles(&p).unwrap();
+        check_compiles(&p);
     }
 
     #[test]
@@ -315,12 +307,12 @@ mod tests {
             ],
             vec![Cond::contains(Term::content(2), Term::str("SIGMOD"))],
         );
-        let x = compile_xpath(&p).unwrap();
+        let x = compile_xpath(&p);
         assert_eq!(
             x,
             "//inproceedings[booktitle[contains(text(),'SIGMOD')]]"
         );
-        check_compiles(&p).unwrap();
+        check_compiles(&p);
     }
 
     #[test]
@@ -330,9 +322,9 @@ mod tests {
         p.add_child(root, 2, EdgeKind::ParentChild).unwrap();
         p.set_condition(Cond::eq(Term::content(2), Term::str("x")))
             .unwrap();
-        let x = compile_xpath(&p).unwrap();
+        let x = compile_xpath(&p);
         assert_eq!(x, "//*[*='x']");
-        check_compiles(&p).unwrap();
+        check_compiles(&p);
     }
 
     #[test]
@@ -346,9 +338,9 @@ mod tests {
             Cond::eq(Term::content(2), Term::content(3)),
         ]))
         .unwrap();
-        let x = compile_xpath(&p).unwrap();
+        let x = compile_xpath(&p);
         assert_eq!(x, "//r[*][*]");
-        check_compiles(&p).unwrap();
+        check_compiles(&p);
     }
 
     #[test]
@@ -360,9 +352,9 @@ mod tests {
             ],
             vec![Cond::eq(Term::content(2), Term::str("O'Neil"))],
         );
-        let x = compile_xpath(&p).unwrap();
+        let x = compile_xpath(&p);
         assert!(x.contains("\"O'Neil\""));
-        check_compiles(&p).unwrap();
+        check_compiles(&p);
     }
 
     #[test]
@@ -378,9 +370,9 @@ mod tests {
             Cond::eq(Term::content(3), Term::str("PODS")),
         ]))
         .unwrap();
-        let x = compile_xpath(&p).unwrap();
+        let x = compile_xpath(&p);
         assert_eq!(x, "//paper[venue[booktitle='PODS']]");
-        check_compiles(&p).unwrap();
+        check_compiles(&p);
     }
 
     #[test]
@@ -391,8 +383,8 @@ mod tests {
             Cond::eq(Term::content(1), Term::int(1999)),
         ]))
         .unwrap();
-        let x = compile_xpath(&p).unwrap();
+        let x = compile_xpath(&p);
         assert_eq!(x, "//year[text()='1999']");
-        check_compiles(&p).unwrap();
+        check_compiles(&p);
     }
 }

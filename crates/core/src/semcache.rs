@@ -80,18 +80,18 @@ fn global_evictions() -> &'static Counter {
 /// it carries (what the governor must admit to serve it) and, once the
 /// entry has been hit, the query prepared from it.
 #[derive(Debug)]
-pub struct CachedRewrite {
+pub(crate) struct CachedRewrite {
     /// The fully expanded condition.
-    pub cond: Arc<Cond>,
+    pub(crate) cond: Arc<Cond>,
     /// Total expansion terms in `cond` (`InSet` + `SharedClass` sizes).
-    pub terms: usize,
+    pub(crate) terms: usize,
     /// Filled on the first servable hit, never on insert.
     prepared: OnceLock<Arc<PreparedQuery>>,
 }
 
 impl CachedRewrite {
     /// An unpromoted entry.
-    pub fn new(cond: Arc<Cond>, terms: usize) -> Self {
+    pub(crate) fn new(cond: Arc<Cond>, terms: usize) -> Self {
         CachedRewrite {
             cond,
             terms,
@@ -102,7 +102,7 @@ impl CachedRewrite {
     /// The entry's prepared query, built by `prepare` if this is the
     /// first call to get that far. Racing first hits may each run
     /// `prepare`; one result is kept and all of them return it.
-    pub fn promote(
+    pub(crate) fn promote(
         &self,
         prepare: impl FnOnce() -> TossResult<PreparedQuery>,
     ) -> TossResult<Arc<PreparedQuery>> {
@@ -111,11 +111,6 @@ impl CachedRewrite {
         }
         let built = Arc::new(prepare()?);
         Ok(self.prepared.get_or_init(|| built).clone())
-    }
-
-    /// Whether a hit has promoted this entry to its prepared form.
-    pub fn is_promoted(&self) -> bool {
-        self.prepared.get().is_some()
     }
 }
 
@@ -154,7 +149,7 @@ impl Default for RewriteCache {
 impl RewriteCache {
     /// Default bound: generous for repeated workloads, small enough that
     /// even pathological conditions stay a few MB.
-    pub const DEFAULT_CAPACITY: usize = 512;
+    pub(crate) const DEFAULT_CAPACITY: usize = 512;
 
     /// A cache bounded to `capacity` entries (0 disables storage).
     pub fn new(capacity: usize) -> Self {
@@ -175,7 +170,7 @@ impl RewriteCache {
     /// headroom) and records the outcome via [`RewriteCache::record_hit`]
     /// / [`RewriteCache::record_miss`]. Every caller gets the same entry,
     /// so promoting it promotes it for all of them.
-    pub fn get(&self, key: &str) -> Option<Arc<CachedRewrite>> {
+    pub(crate) fn get(&self, key: &str) -> Option<Arc<CachedRewrite>> {
         self.state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -185,7 +180,7 @@ impl RewriteCache {
     }
 
     /// Insert an exact expansion; FIFO-evicts past capacity.
-    pub fn insert(&self, key: String, value: CachedRewrite) {
+    pub(crate) fn insert(&self, key: String, value: CachedRewrite) {
         if self.capacity == 0 {
             return;
         }
@@ -204,21 +199,21 @@ impl RewriteCache {
     }
 
     /// Drop every stored expansion (capacity and tallies are kept).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.map.clear();
         state.order.clear();
     }
 
     /// Tally a served hit (instance + global counters).
-    pub fn record_hit(&self) {
+    pub(crate) fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         global_hits().inc();
     }
 
     /// Tally a miss — including found-but-unservable entries, which take
     /// the cold path (instance + global counters).
-    pub fn record_miss(&self) {
+    pub(crate) fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         global_misses().inc();
     }
@@ -234,22 +229,17 @@ impl RewriteCache {
     }
 
     /// FIFO evictions so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
     /// Entries currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .map
             .len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -257,7 +247,7 @@ impl RewriteCache {
 /// their operands sorted, so semantically identical orderings share a
 /// cache entry; everything else renders through the stable `Debug` forms
 /// of the term/operator enums.
-pub fn fingerprint(cond: &TossCond) -> String {
+pub(crate) fn fingerprint(cond: &TossCond) -> String {
     let mut out = String::new();
     render(cond, &mut out);
     out

@@ -1,13 +1,12 @@
 //! Type hierarchies (Section 5: "Types, Domain Values, and Hierarchies").
 //!
-//! A type hierarchy `H = (T_H, ≤_H)` orders type names; `below_H(τ)`
-//! extends the order's down-set with `dom(τ)` — "each value of a type may
-//! also be viewed as a type". Type hierarchies reuse the ontology crate's
-//! [`Hierarchy`] with type names as terms and pair it with a
-//! `toss_tree::TypeSystem` for domains.
+//! A type hierarchy `H = (T_H, ≤_H)` orders type names. Type hierarchies
+//! reuse the ontology crate's [`Hierarchy`] with type names as terms and
+//! pair it with a `toss_tree::TypeSystem` for domains; well-typedness
+//! asks them for least common supertypes.
 
 use toss_ontology::Hierarchy;
-use toss_tree::{TypeId, TypeSystem, Value};
+use toss_tree::TypeSystem;
 
 /// A type hierarchy: a partial order on registered type names plus the
 /// domain registry.
@@ -38,34 +37,9 @@ impl TypeHierarchy {
             .map_err(crate::TossError::from)
     }
 
-    /// `τ₁ ≤_H τ₂` on names (reflexive).
-    pub fn subtype(&self, below: &str, above: &str) -> bool {
-        below == above || self.order.leq_terms(below, above)
-    }
-
-    /// `below_H(τ)`: all type names ≤ τ. (Domain values join via
-    /// [`TypeHierarchy::value_below`].)
-    pub fn below(&self, ty: &str) -> Vec<String> {
-        let mut out = self.order.below_terms(ty);
-        if out.is_empty() && self.types.lookup(ty).is_some() {
-            out.push(ty.to_string());
-        }
-        out
-    }
-
-    /// Whether value `v` lies in `below_H(τ)` — i.e. `v ∈ dom(τ')` for
-    /// some `τ' ≤_H τ`.
-    pub fn value_below(&self, v: &Value, ty: &str) -> bool {
-        self.below(ty).iter().any(|name| {
-            self.types
-                .lookup(name)
-                .is_some_and(|id| self.types.value_in_domain(v, id))
-        })
-    }
-
     /// Least upper bound of two type names in the hierarchy, if one
     /// exists — the *least common supertype* used by well-typedness.
-    pub fn least_common_supertype(&self, a: &str, b: &str) -> Option<String> {
+    pub(crate) fn least_common_supertype(&self, a: &str, b: &str) -> Option<String> {
         let na = self.order.node_of(a)?;
         let nb = self.order.node_of(b)?;
         // candidates: nodes above both
@@ -84,10 +58,6 @@ impl TypeHierarchy {
         self.order.terms_of(least).ok()?.first().cloned()
     }
 
-    /// Resolve a type name to its id, if registered.
-    pub fn type_id(&self, name: &str) -> Option<TypeId> {
-        self.types.lookup(name)
-    }
 }
 
 impl Default for TypeHierarchy {
@@ -112,36 +82,6 @@ mod tests {
         th.add_subtype("cm", "length").unwrap();
         th.add_subtype("length", "quantity").unwrap();
         th
-    }
-
-    #[test]
-    fn subtype_is_reflexive_transitive() {
-        let th = length_hierarchy();
-        assert!(th.subtype("mm", "mm"));
-        assert!(th.subtype("mm", "length"));
-        assert!(th.subtype("mm", "quantity"));
-        assert!(!th.subtype("length", "mm"));
-        assert!(!th.subtype("mm", "cm"));
-    }
-
-    #[test]
-    fn below_collects_down_set() {
-        let th = length_hierarchy();
-        let below = th.below("length");
-        assert!(below.contains(&"mm".to_string()));
-        assert!(below.contains(&"cm".to_string()));
-        assert!(below.contains(&"length".to_string()));
-        assert!(!below.contains(&"quantity".to_string()));
-    }
-
-    #[test]
-    fn value_below_uses_domains() {
-        let th = length_hierarchy();
-        assert!(th.value_below(&Value::Real(2.5), "length"));
-        assert!(!th.value_below(&Value::Real(-1.0), "length"));
-        // quantity admits negatives through its own domain
-        assert!(th.value_below(&Value::Real(-1.0), "quantity"));
-        assert!(!th.value_below(&Value::Str("x".into()), "length"));
     }
 
     #[test]

@@ -779,7 +779,7 @@ pub fn build_query(
             next_label += 1;
             edges.push(toss_tax::EdgeKind::ParentChild);
             conds.push(TossCond::eq(TossTerm::tag(l), TossTerm::str(tag)));
-            let rhs = if matches!(op, TossOp::Below | TossOp::PartOf) {
+            let rhs = if matches!(op, TossOp::Below) {
                 TossTerm::ty(value)
             } else {
                 TossTerm::str(value)

@@ -13,9 +13,8 @@
 //!   read deadline, so a slow-loris peer (trickling bytes) or a stalled
 //!   reader (never draining its responses) is disconnected instead of
 //!   pinning a thread.
-//! * **Panic isolation.** Query panics are caught by
-//!   [`toss_core::governor::isolate`] inside the admission controller
-//!   and surface as an `internal` error **frame** — the connection
+//! * **Panic isolation.** Query panics are caught inside
+//!   [`toss_core::AdmissionController::run`] and surface as an `internal` error **frame** — the connection
 //!   survives, the server survives.
 //! * **No partial frames.** A response is written with a single
 //!   `write_all`; drain kills only the *read* half of sockets, so a

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Count product lines: every `crates/*/src/**/*.rs` file, counting the
 # lines before its first `#[cfg(test)]` (the whole file when it has
-# none). Prints one `<crate> <lines>` row per crate, then the total.
+# none). A file whose module is declared under `#[cfg(test)]`
+# (`#[cfg(test)] mod reference;`) is test code and is skipped, together
+# with its submodule directory. Prints one `<crate> <lines>` row per
+# crate, then the total.
 #
 #   bash scripts/product_lines.sh            # every crate
 #   bash scripts/product_lines.sh ontology   # only the named crates
@@ -18,16 +21,48 @@ else
     done
 fi
 
+# Print the path prefix of every module declared as `#[cfg(test)] mod x;`
+# in the given files: `<dir>/x`, where `<dir>` is the declaring file's
+# own module directory.
+test_modules() {
+    awk '
+        FNR == 1 { gated = 0 }
+        gated && match($0, /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*;/) {
+            name = $0
+            sub(/^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]+/, "", name)
+            sub(/[[:space:]]*;.*$/, "", name)
+            dir = FILENAME
+            if (dir ~ /\/(lib|main|mod)\.rs$/) sub(/\/[^\/]*$/, "", dir)
+            else sub(/\.rs$/, "", dir)
+            print dir "/" name
+        }
+        { gated = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) }' "$@"
+}
+
 total=0
 for crate in "${crates[@]}"; do
     [ -d "crates/$crate/src" ] || { echo "no such crate: $crate" >&2; exit 1; }
-    lines=$(find "crates/$crate/src" -name '*.rs' -print0 | sort -z |
-        xargs -0 -r awk '
+    files=()
+    while IFS= read -r -d '' f; do files+=("$f"); done \
+        < <(find "crates/$crate/src" -name '*.rs' -print0 | sort -z)
+    skip=()
+    [ "${#files[@]}" -gt 0 ] && mapfile -t skip < <(test_modules "${files[@]}")
+    product=()
+    for f in "${files[@]}"; do
+        keep=1
+        for prefix in "${skip[@]}"; do
+            case "$f" in "$prefix.rs" | "$prefix"/*) keep=0 ;; esac
+        done
+        [ "$keep" = 1 ] && product+=("$f")
+    done
+    lines=0
+    if [ "${#product[@]}" -gt 0 ]; then
+        lines=$(awk '
             FNR == 1 { done = 0 }
             /^[[:space:]]*#\[cfg\(test\)\]/ { done = 1 }
             !done { n++ }
-            END { print n + 0 }' |
-        awk '{ s += $1 } END { print s + 0 }')
+            END { print n + 0 }' "${product[@]}")
+    fi
     printf '%-12s %6d\n' "$crate" "$lines"
     total=$((total + lines))
 done

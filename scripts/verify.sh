@@ -81,10 +81,17 @@ grep -q "1 match(es)" <<< "$SECOND_OUT"
 RECOVER_OUT=$("$CLI" db recover --db "$SMOKE/store.json")
 grep -q "store is clean" <<< "$RECOVER_OUT"
 
-echo "==> flight recorder + toss-cli top smoke test"
+echo "==> toss-cli query, flight recorder + toss-cli top smoke test"
+"$CLI" build-seo --db "$SMOKE/store.json" --epsilon 1 --out "$SMOKE/seo.json" >/dev/null
+# the release `query` path, TOSS and the TAX baseline
+QUERY_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings --eq author='Smoke Test')
+grep -q "^1 answer(s)" <<< "$QUERY_OUT"
+TAX_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings --eq author='Smoke Test' --tax)
+grep -q "^1 answer(s)" <<< "$TAX_OUT"
 # a live server with a slow-query log, one query over the wire, then
 # one non-interactive `top` refresh against it
-"$CLI" build-seo --db "$SMOKE/store.json" --epsilon 1 --out "$SMOKE/seo.json" >/dev/null
 mkfifo "$SMOKE/serve-stdin"
 "$CLI" serve --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
     --addr 127.0.0.1:0 --slow-log "$SMOKE/slow.jsonl" \
