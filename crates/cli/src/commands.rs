@@ -787,7 +787,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         server.local_addr(),
         if writable { " (writable)" } else { "" }
     );
-    println!("budget classes: {}", toss_serve::server::budget_class_summary());
+    println!("budget classes: {}", budget_class_summary());
     println!("send EOF or a `shutdown` line on stdin to drain and exit");
 
     // Stdin watcher: the lowest-common-denominator shutdown signal that
@@ -819,6 +819,25 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     );
     persist_stats(args.required("db")?);
     Ok(())
+}
+
+/// Each budget class's default deadline, term and document ceilings,
+/// for the `serve` banner.
+fn budget_class_summary() -> String {
+    toss_serve::BudgetClass::ALL
+        .iter()
+        .map(|c| {
+            let b = c.budget(None, None, None);
+            format!(
+                "{}: deadline {:?}, terms {}, docs {}",
+                c.as_str(),
+                b.deadline.unwrap(),
+                b.max_expansion_terms.unwrap().max,
+                b.max_docs_scanned.unwrap().max,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("; ")
 }
 
 /// Nanoseconds → a fixed-width milliseconds column.

@@ -52,7 +52,7 @@ impl BudgetClass {
     }
 
     /// Parse the wire string.
-    pub fn parse(s: &str) -> Option<BudgetClass> {
+    pub(crate) fn parse(s: &str) -> Option<BudgetClass> {
         Some(match s {
             "best_effort" => BudgetClass::BestEffort,
             "interactive" => BudgetClass::Interactive,
@@ -62,7 +62,7 @@ impl BudgetClass {
     }
 
     /// The class's deadline ceiling.
-    pub fn max_deadline(self) -> Duration {
+    pub(crate) fn max_deadline(self) -> Duration {
         match self {
             BudgetClass::BestEffort => Duration::from_millis(250),
             BudgetClass::Interactive => Duration::from_secs(2),
@@ -103,7 +103,7 @@ impl BudgetClass {
     /// clamps the window down so a human-facing mutation is not held
     /// hostage to batching. A mixed batch closes at the *smallest*
     /// window of its members.
-    pub fn group_commit_window(self) -> Duration {
+    pub(crate) fn group_commit_window(self) -> Duration {
         match self {
             BudgetClass::BestEffort => Duration::from_millis(5),
             BudgetClass::Interactive => Duration::from_millis(2),
@@ -114,7 +114,7 @@ impl BudgetClass {
     /// Ceiling on one write frame's document payload for this class
     /// (the `batch` ceiling is the largest; a class may only see its
     /// writes *rejected* above its ceiling, never silently truncated).
-    pub fn max_write_bytes(self) -> usize {
+    pub(crate) fn max_write_bytes(self) -> usize {
         match self {
             BudgetClass::BestEffort => 64 << 10,
             BudgetClass::Interactive => 256 << 10,

@@ -1,14 +1,13 @@
-//! `toss-client` — the client side of the protocol, plus the retry
-//! discipline a well-behaved caller of a load-shedding server needs:
-//! jittered exponential backoff that honors the server's
-//! `retry_after_ms` hint and retries **only** errors the server marked
-//! retryable (shed load, drain) — never budget or request errors, which
-//! would fail identically on every attempt.
+//! `toss-client` — the client side of the protocol: one typed call per
+//! verb, and typed errors that keep the server's error code and its
+//! `retry_after_ms` hint. A caller that retries a write resends
+//! [`Client::write_keyed`] with the same key, which the server's dedupe
+//! table answers with the original ack.
 
 use crate::budget::BudgetClass;
 use crate::protocol::{
-    read_frame, record_from_value, write_frame, ErrorCode, FrameError, QueryRequest,
-    Request, WriteOp, WriteRequest, DEFAULT_MAX_FRAME_BYTES,
+    read_frame, record_from_value, u64_or_zero, write_frame, ErrorCode, FrameError,
+    QueryRequest, Request, WriteOp, WriteRequest, DEFAULT_MAX_FRAME_BYTES,
 };
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -52,29 +51,6 @@ impl std::error::Error for ClientError {}
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e)
-    }
-}
-
-impl ClientError {
-    /// Whether retrying the same request can succeed: transport errors
-    /// (the server may be back) and server errors it marked retryable.
-    pub fn is_retryable(&self) -> bool {
-        match self {
-            ClientError::Io(_) => true,
-            ClientError::Protocol(_) => false,
-            ClientError::Server { code, .. } => code.is_retryable(),
-        }
-    }
-
-    /// The server's retry hint, if this error carries one.
-    pub fn retry_after(&self) -> Option<Duration> {
-        match self {
-            ClientError::Server {
-                retry_after_ms: Some(ms),
-                ..
-            } => Some(Duration::from_millis(*ms)),
-            _ => None,
-        }
     }
 }
 
@@ -198,45 +174,34 @@ impl StatsReply {
     }
 }
 
+/// The client's I/O timeout: longer than every budget-class deadline,
+/// so slow-but-progressing batch queries are not abandoned by their own
+/// client.
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// A connected client. One request/response at a time per client; open
 /// several clients for concurrency.
 pub struct Client {
     stream: TcpStream,
-    max_frame_bytes: usize,
-    io_timeout: Duration,
 }
 
 impl Client {
-    /// Connect with a default 60 s I/O timeout (longer than every
-    /// budget-class deadline, so slow-but-progressing batch queries are
-    /// not abandoned by their own client).
+    /// Connect, with a 60 s I/O timeout.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        Client::connect_with(addr, Duration::from_secs(60))
-    }
-
-    /// Connect with an explicit I/O timeout.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        io_timeout: Duration,
-    ) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(io_timeout))?;
-        stream.set_write_timeout(Some(io_timeout))?;
-        Ok(Client {
-            stream,
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            io_timeout,
-        })
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        Ok(Client { stream })
     }
 
     /// Send one request and read its response value.
-    pub fn call(&mut self, req: &Request) -> Result<Value, ClientError> {
+    pub(crate) fn call(&mut self, req: &Request) -> Result<Value, ClientError> {
         write_frame(&mut self.stream, req.to_payload().as_bytes())?;
         let payload = match read_frame(
             &mut self.stream,
-            self.max_frame_bytes,
-            Some(self.io_timeout),
+            DEFAULT_MAX_FRAME_BYTES,
+            Some(IO_TIMEOUT),
         ) {
             Ok(p) => p,
             Err(FrameError::Io(e)) => return Err(ClientError::Io(e)),
@@ -294,9 +259,7 @@ impl Client {
     /// figures, in-flight/connection gauges, flight-recorder occupancy.
     pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
         let v = self.call(&Request::Stats)?;
-        let u = |val: &Value, key: &str| {
-            val.get(key).and_then(Value::as_i64).unwrap_or(0).max(0) as u64
-        };
+        let u = u64_or_zero;
         let windows = match v.get("windows") {
             Some(Value::Object(fields)) => fields
                 .iter()
@@ -320,7 +283,7 @@ impl Client {
             _ => Vec::new(),
         };
         let flight = v.get("flight");
-        let fu = |key: &str| flight.map(|f| u(f, key)).unwrap_or(0);
+        let fu = |key: &str| flight.map_or(0, |f| u(f, key));
         let write = match v.get("write") {
             Some(wv) => WriteStats {
                 writable: matches!(wv.get("writable"), Some(Value::Bool(true))),
@@ -388,16 +351,8 @@ impl Client {
             })
             .unwrap_or_default();
         Ok(QueryReply {
-            query_id: v
-                .get("query_id")
-                .and_then(Value::as_i64)
-                .unwrap_or(0)
-                .max(0) as u64,
-            answers: v
-                .get("answers")
-                .and_then(Value::as_i64)
-                .unwrap_or(0)
-                .max(0) as usize,
+            query_id: u64_or_zero(&v, "query_id"),
+            answers: u64_or_zero(&v, "answers") as usize,
             returned: results.len(),
             xpath: v
                 .get("xpath")
@@ -409,11 +364,7 @@ impl Client {
                 .and_then(Value::as_str)
                 .map(str::to_string),
             results,
-            server_us: v
-                .get("server_us")
-                .and_then(Value::as_i64)
-                .unwrap_or(0)
-                .max(0) as u64,
+            server_us: u64_or_zero(&v, "server_us"),
         })
     }
 
@@ -432,7 +383,7 @@ impl Client {
             key: key.to_string(),
             class,
         })))?;
-        let u = |k: &str| v.get(k).and_then(Value::as_i64).unwrap_or(0).max(0) as u64;
+        let u = |k: &str| u64_or_zero(&v, k);
         Ok(WriteReply {
             query_id: u("query_id"),
             seq: u("seq"),
@@ -447,61 +398,6 @@ impl Client {
         })
     }
 
-    /// Insert a document (fresh idempotency key, batch class).
-    pub fn insert_doc(
-        &mut self,
-        collection: &str,
-        xml: &str,
-    ) -> Result<WriteReply, ClientError> {
-        self.write_keyed(
-            WriteOp::InsertDoc {
-                collection: collection.to_string(),
-                xml: xml.to_string(),
-            },
-            BudgetClass::Batch,
-            &next_write_key(),
-        )
-    }
-
-    /// Delete a document by id (fresh idempotency key, batch class).
-    pub fn delete_doc(
-        &mut self,
-        collection: &str,
-        doc_id: u64,
-    ) -> Result<WriteReply, ClientError> {
-        self.write_keyed(
-            WriteOp::DeleteDoc {
-                collection: collection.to_string(),
-                doc_id,
-            },
-            BudgetClass::Batch,
-            &next_write_key(),
-        )
-    }
-
-    /// Add terms to the live ontology (fresh idempotency key).
-    pub fn add_term(&mut self, terms: &[&str]) -> Result<WriteReply, ClientError> {
-        self.write_keyed(
-            WriteOp::AddTerm {
-                terms: terms.iter().map(|t| t.to_string()).collect(),
-            },
-            BudgetClass::Batch,
-            &next_write_key(),
-        )
-    }
-
-    /// Add a `below ≤ above` ontology edge (fresh idempotency key).
-    pub fn add_edge(&mut self, below: &str, above: &str) -> Result<WriteReply, ClientError> {
-        self.write_keyed(
-            WriteOp::AddEdge {
-                below: below.to_string(),
-                above: above.to_string(),
-            },
-            BudgetClass::Batch,
-            &next_write_key(),
-        )
-    }
-
     /// Ask the server to checkpoint now: snapshot, verify, fold the
     /// journal. Returns how many journal records were folded away.
     pub fn checkpoint(&mut self) -> Result<u64, ClientError> {
@@ -510,22 +406,7 @@ impl Client {
             key: String::new(),
             class: BudgetClass::Batch,
         })))?;
-        Ok(v.get("folded").and_then(Value::as_i64).unwrap_or(0).max(0) as u64)
-    }
-
-    /// Run one mutation under the retry policy, reconnecting on
-    /// transport failure. The idempotency key is generated **once** and
-    /// attached to every resend, so an ack lost to a timeout or a
-    /// dropped connection cannot double-apply: the server answers the
-    /// replay from its dedupe table.
-    pub fn write_with_retry(
-        addr: impl ToSocketAddrs + Copy,
-        policy: &RetryPolicy,
-        op: WriteOp,
-        class: BudgetClass,
-    ) -> Result<WriteReply, ClientError> {
-        let key = next_write_key();
-        policy.run(|_| Client::connect(addr)?.write_keyed(op.clone(), class, &key))
+        Ok(u64_or_zero(&v, "folded"))
     }
 }
 
@@ -559,180 +440,9 @@ pub fn next_write_key() -> String {
     format!("wk-{seed:016x}-{n}")
 }
 
-/// Jittered exponential backoff: `base·2ⁿ` capped at `cap`, each delay
-/// scaled by a uniform jitter in `[0.5, 1.0]` (full-jitter halves
-/// synchronized retry storms), and floored at the server's
-/// `retry_after_ms` hint when one was given.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts (the first try counts; 1 = no retries).
-    pub max_attempts: u32,
-    /// First backoff delay.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base: Duration::from_millis(20),
-            cap: Duration::from_secs(2),
-        }
-    }
-}
-
-/// A tiny xorshift PRNG for jitter — deterministic given its seed, no
-/// dependency, good enough for decorrelating retry storms.
-struct Jitter(u64);
-
-impl Jitter {
-    fn new() -> Jitter {
-        // seed from wall clock + thread identity; quality is irrelevant,
-        // distinctness across clients is what decorrelates retries
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
-            .unwrap_or(0x9e3779b97f4a7c15);
-        let tid = &t as *const _ as u64;
-        Jitter(t ^ tid.rotate_left(17) | 1)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        (x >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-impl RetryPolicy {
-    /// The delay before retry number `attempt` (1-based), jittered and
-    /// floored at `hint` (the server's `retry_after_ms`).
-    pub fn delay(&self, attempt: u32, hint: Option<Duration>, jitter01: f64) -> Duration {
-        let exp = self
-            .base
-            .saturating_mul(1u32 << attempt.min(16).saturating_sub(1))
-            .min(self.cap);
-        let jittered = exp.mul_f64(0.5 + 0.5 * jitter01.clamp(0.0, 1.0));
-        match hint {
-            Some(h) => jittered.max(h),
-            None => jittered,
-        }
-    }
-
-    /// Run `f` until it succeeds, fails non-retryably, or the attempt
-    /// budget is spent. Sleeps between attempts per [`RetryPolicy::delay`].
-    pub fn run<T>(
-        &self,
-        mut f: impl FnMut(u32) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut jitter = Jitter::new();
-        let mut attempt = 1u32;
-        loop {
-            match f(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_retryable() && attempt < self.max_attempts => {
-                    toss_obs::metrics::counter("toss.client.retries").inc();
-                    std::thread::sleep(self.delay(
-                        attempt,
-                        e.retry_after(),
-                        jitter.next_f64(),
-                    ));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_grows_caps_and_honors_hint() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base: Duration::from_millis(10),
-            cap: Duration::from_millis(200),
-        };
-        // zero jitter scales to the 0.5 floor of each exponential step
-        assert_eq!(p.delay(1, None, 0.0), Duration::from_millis(5));
-        assert_eq!(p.delay(2, None, 0.0), Duration::from_millis(10));
-        assert_eq!(p.delay(3, None, 0.0), Duration::from_millis(20));
-        // capped regardless of attempt
-        assert!(p.delay(30, None, 1.0) <= Duration::from_millis(200));
-        // the server hint is a floor
-        assert_eq!(
-            p.delay(1, Some(Duration::from_millis(150)), 0.0),
-            Duration::from_millis(150)
-        );
-    }
-
-    #[test]
-    fn retry_runs_until_success_and_respects_budget() {
-        let p = RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(2),
-        };
-        let mut calls = 0;
-        let out = p.run(|_| {
-            calls += 1;
-            if calls < 3 {
-                Err(ClientError::Server {
-                    code: ErrorCode::Overloaded,
-                    message: "busy".into(),
-                    retry_after_ms: Some(1),
-                })
-            } else {
-                Ok(42)
-            }
-        });
-        assert_eq!(out.unwrap(), 42);
-        assert_eq!(calls, 3);
-
-        // the attempt budget is a ceiling
-        let mut calls = 0;
-        let out: Result<(), _> = p.run(|_| {
-            calls += 1;
-            Err(ClientError::Server {
-                code: ErrorCode::Overloaded,
-                message: "busy".into(),
-                retry_after_ms: None,
-            })
-        });
-        assert!(out.is_err());
-        assert_eq!(calls, 4);
-    }
-
-    #[test]
-    fn non_retryable_errors_fail_fast() {
-        let p = RetryPolicy::default();
-        let mut calls = 0;
-        let out: Result<(), _> = p.run(|_| {
-            calls += 1;
-            Err(ClientError::Server {
-                code: ErrorCode::BudgetExceeded,
-                message: "deadline".into(),
-                retry_after_ms: None,
-            })
-        });
-        assert!(out.is_err());
-        assert_eq!(calls, 1, "budget errors must not be retried");
-        let mut calls = 0;
-        let out: Result<(), _> = p.run(|_| {
-            calls += 1;
-            Err(ClientError::Protocol("garbled".into()))
-        });
-        assert!(out.is_err());
-        assert_eq!(calls, 1, "protocol errors must not be retried");
-    }
 
     #[test]
     fn write_keys_are_unique_and_stable_prefix() {
@@ -748,15 +458,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn jitter_is_in_unit_interval_and_varies() {
-        let mut j = Jitter::new();
-        let mut distinct = std::collections::BTreeSet::new();
-        for _ in 0..100 {
-            let x = j.next_f64();
-            assert!((0.0..1.0).contains(&x), "jitter {x} outside [0,1)");
-            distinct.insert((x * 1e9) as u64);
-        }
-        assert!(distinct.len() > 90, "jitter must actually vary");
-    }
 }

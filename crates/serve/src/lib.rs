@@ -13,27 +13,26 @@
 //!   queue past the configured wait is *rejected* with a typed
 //!   `overloaded` error carrying a `retry_after_ms` hint — never an
 //!   unbounded queue, never a dropped connection.
-//! - **Deadlines**: every query runs under a [`budget::BudgetClass`]
+//! - **Deadlines**: every query runs under a [`BudgetClass`]
 //!   with a hard deadline; connections have read/write deadlines so a
 //!   slow-loris client is disconnected rather than pinning a thread.
 //! - **Panic isolation**: a panicking query is caught by the executor's
 //!   isolation layer and surfaced as a typed `internal` error frame; the
 //!   connection (and server) live on.
-//! - **Graceful drain**: [`server::Server::shutdown`] stops accepting,
+//! - **Graceful drain**: [`Server::shutdown`] stops accepting,
 //!   lets in-flight queries finish up to a drain deadline, then cancels
 //!   stragglers through their [`toss_core::CancelToken`]s. Responses are
 //!   single-write frames, so a drained client never observes a partial
 //!   frame.
 //!
-//! The [`client`] module is the matching `toss-client` library: typed
-//! errors, and a jittered-exponential [`client::RetryPolicy`] that
-//! honors the server's retry hints and refuses to retry non-retryable
-//! failures — which, thanks to client-generated idempotency keys on
-//! every mutation frame, now safely includes **writes**: a retried
-//! write carries the same key, and the server's dedupe table collapses
-//! replays onto the original ack.
+//! [`Client`] is the matching client: one typed call per verb, and a
+//! typed [`ClientError`] that keeps the server's [`ErrorCode`] and its
+//! `retry_after_ms` hint. Every mutation frame carries a
+//! client-generated idempotency key ([`next_write_key`]), so a write
+//! resent under the same key is collapsed onto the original ack by the
+//! server's dedupe table instead of applying twice.
 //!
-//! The [`write`](mod@write) module is the live write path ([`server::Server::start_writable`]):
+//! [`Server::start_writable`] enables the live write path:
 //! mutation frames (`insert_doc`, `delete_doc`, `add_term`, `add_edge`,
 //! `checkpoint`) flow through a single writer thread with group-commit
 //! WAL batching — a write is acknowledged only after its batch's fsync
@@ -41,20 +40,21 @@
 //! mode on persistent journal faults (typed `degraded` frames with a
 //! retry hint; probe writes self-heal).
 
-pub mod budget;
-pub mod client;
+#![warn(unreachable_pub)]
+
+mod budget;
+mod client;
 pub mod protocol;
-pub mod server;
-pub mod write;
+mod server;
+mod write;
 
 pub use budget::BudgetClass;
 pub use client::{
-    next_write_key, Client, ClientError, QueryReply, RetryPolicy, StatsReply, WindowStats,
-    WriteReply, WriteStats,
+    next_write_key, Client, ClientError, QueryReply, StatsReply, WindowStats, WriteReply,
+    WriteStats,
 };
 pub use protocol::{ErrorCode, FrameError, QueryRequest, Request, WriteOp, WriteRequest};
 pub use server::{DrainReport, Server, ServerConfig, ShutdownHandle};
 pub use write::{
     load_sidecar, recover_ontology, sidecar_path, Enhancer, WriteConfig, WriteEngine,
-    WriteState,
 };

@@ -15,21 +15,23 @@
 //! * [`FrameError::Timeout`] — the per-frame read deadline expired
 //!   (slow-loris clients trickle bytes forever; the overall deadline
 //!   caps them regardless of per-`read` progress).
-//! * [`FrameError::Oversize`] — the declared length exceeds the
-//!   configured frame ceiling; the frame is rejected without buffering.
+//! * [`FrameError::Oversize`] — the declared length is zero or exceeds
+//!   the configured frame ceiling; the frame is rejected without
+//!   buffering.
 //!
 //! Every response carries a `status` of `"ok"` or `"error"`; error
 //! responses carry a stable machine-readable [`ErrorCode`] plus an
-//! optional `retry_after_ms` hint that well-behaved clients (see
-//! [`crate::client`]) honor before retrying.
+//! optional `retry_after_ms` hint that well-behaved clients honor
+//! before retrying.
 
+use crate::budget::BudgetClass;
 use std::io::{self, Read, Write};
 use std::time::{Duration, Instant};
 use toss_core::{TossError, TossResult};
 use toss_json::Value;
 
 /// Default ceiling on a single frame's payload (1 MiB).
-pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
+pub(crate) const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// A framing-layer failure.
 #[derive(Debug)]
@@ -40,7 +42,8 @@ pub enum FrameError {
     HalfFrame,
     /// The read deadline expired before the frame completed.
     Timeout,
-    /// Declared payload length exceeds the configured ceiling.
+    /// Declared payload length is zero or exceeds the configured
+    /// ceiling.
     Oversize(usize),
     /// Any other I/O error (connection reset, …).
     Io(io::Error),
@@ -52,6 +55,7 @@ impl std::fmt::Display for FrameError {
             FrameError::Closed => write!(f, "connection closed"),
             FrameError::HalfFrame => write!(f, "connection dropped mid-frame"),
             FrameError::Timeout => write!(f, "frame read timed out"),
+            FrameError::Oversize(0) => write!(f, "frame is empty"),
             FrameError::Oversize(n) => write!(f, "frame of {n} bytes exceeds the limit"),
             FrameError::Io(e) => write!(f, "i/o error: {e}"),
         }
@@ -172,7 +176,7 @@ pub enum ErrorCode {
 
 impl ErrorCode {
     /// The wire string (`snake_case`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ErrorCode::BadRequest => "bad_request",
             ErrorCode::Overloaded => "overloaded",
@@ -185,7 +189,7 @@ impl ErrorCode {
     }
 
     /// Parse the wire string.
-    pub fn parse(s: &str) -> Option<ErrorCode> {
+    pub(crate) fn parse(s: &str) -> Option<ErrorCode> {
         Some(match s {
             "bad_request" => ErrorCode::BadRequest,
             "overloaded" => ErrorCode::Overloaded,
@@ -215,7 +219,7 @@ impl ErrorCode {
 /// are the client's fault (`bad_request`); the governance outcomes keep
 /// their identity so clients can tell shed load (retry) from a blown
 /// budget (don't).
-pub fn error_code_of(e: &TossError) -> ErrorCode {
+pub(crate) fn error_code_of(e: &TossError) -> ErrorCode {
     match e {
         TossError::Overloaded(_) => ErrorCode::Overloaded,
         TossError::BudgetExceeded(_) => ErrorCode::BudgetExceeded,
@@ -226,10 +230,8 @@ pub fn error_code_of(e: &TossError) -> ErrorCode {
 }
 
 /// One `tag=value` style predicate of a query request.
-pub type Predicate = (String, String);
+pub(crate) type Predicate = (String, String);
 
-/// The budget class a request runs under; see [`crate::budget`].
-pub use crate::budget::BudgetClass;
 
 /// A parsed `query` request.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,7 +332,7 @@ impl WriteOp {
     }
 
     /// A short human-readable target, for telemetry records.
-    pub fn target(&self) -> String {
+    pub(crate) fn target(&self) -> String {
         match self {
             WriteOp::InsertDoc { collection, .. } => collection.clone(),
             WriteOp::DeleteDoc {
@@ -344,7 +346,7 @@ impl WriteOp {
 
     /// Approximate payload size, checked against the class's
     /// [`BudgetClass::max_write_bytes`] ceiling at admission.
-    pub fn payload_bytes(&self) -> usize {
+    pub(crate) fn payload_bytes(&self) -> usize {
         match self {
             WriteOp::InsertDoc { xml, .. } => xml.len(),
             WriteOp::AddTerm { terms } => terms.iter().map(String::len).sum(),
@@ -424,6 +426,25 @@ fn predicates(v: &Value, key: &str) -> Result<Vec<Predicate>, String> {
     Ok(out)
 }
 
+/// A non-negative integer field of a wire object, or 0 when it is absent,
+/// negative or not an integer.
+pub(crate) fn u64_or_zero(v: &Value, key: &str) -> u64 {
+    v.get(key).and_then(Value::as_i64).unwrap_or(0).max(0) as u64
+}
+
+/// The optional `class` field; `None` when it is absent or null.
+fn class_field(v: &Value) -> Result<Option<BudgetClass>, String> {
+    match v.get("class") {
+        None | Some(Value::Null) => Ok(None),
+        Some(c) => {
+            let s = c.as_str().ok_or("field `class` must be a string")?;
+            BudgetClass::parse(s)
+                .map(Some)
+                .ok_or_else(|| format!("unknown budget class `{s}`"))
+        }
+    }
+}
+
 fn u64_field(v: &Value, key: &str) -> Result<Option<u64>, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
@@ -450,28 +471,12 @@ impl Request {
                     .map(|n| n as usize)
                     .unwrap_or(20)
                     .max(1);
-                let class = match v.get("class") {
-                    None | Some(Value::Null) => None,
-                    Some(c) => {
-                        let s = c.as_str().ok_or("field `class` must be a string")?;
-                        Some(
-                            BudgetClass::parse(s)
-                                .ok_or_else(|| format!("unknown budget class `{s}`"))?,
-                        )
-                    }
-                };
+                let class = class_field(&v)?;
                 Ok(Request::Slow { limit, class })
             }
             "shutdown" => Ok(Request::Shutdown),
             "query" => {
-                let class = match v.get("class") {
-                    None | Some(Value::Null) => BudgetClass::Interactive,
-                    Some(c) => {
-                        let s = c.as_str().ok_or("field `class` must be a string")?;
-                        BudgetClass::parse(s)
-                            .ok_or_else(|| format!("unknown budget class `{s}`"))?
-                    }
-                };
+                let class = class_field(&v)?.unwrap_or(BudgetClass::Interactive);
                 let q = QueryRequest {
                     collection: str_field(&v, "collection")?,
                     root: str_field(&v, "root")?,
@@ -549,17 +554,10 @@ impl Request {
                         k.to_string()
                     }
                 };
-                let class = match v.get("class") {
-                    // unlike queries, writes default to the batch class:
-                    // throughput-oriented group commit unless the client
-                    // explicitly asks for an interactive ack
-                    None | Some(Value::Null) => BudgetClass::Batch,
-                    Some(c) => {
-                        let s = c.as_str().ok_or("field `class` must be a string")?;
-                        BudgetClass::parse(s)
-                            .ok_or_else(|| format!("unknown budget class `{s}`"))?
-                    }
-                };
+                // unlike queries, writes default to the batch class:
+                // throughput-oriented group commit unless the client
+                // explicitly asks for an interactive ack
+                let class = class_field(&v)?.unwrap_or(BudgetClass::Batch);
                 Ok(Request::Write(Box::new(WriteRequest { op, key, class })))
             }
             other => Err(format!("unknown verb `{other}`")),
@@ -663,7 +661,7 @@ impl Request {
 }
 
 /// Encode a flight-recorder entry as the `slow`-frame wire object.
-pub fn record_to_value(r: &toss_obs::QueryRecord) -> Value {
+pub(crate) fn record_to_value(r: &toss_obs::QueryRecord) -> Value {
     Value::Object(vec![
         ("query_id".into(), Value::Int(r.query_id as i64)),
         ("class".into(), Value::Str(r.class.clone())),
@@ -693,8 +691,8 @@ pub fn record_to_value(r: &toss_obs::QueryRecord) -> Value {
 
 /// Decode a `slow`-frame wire object back into a flight-recorder entry
 /// (the client side of [`record_to_value`]).
-pub fn record_from_value(v: &Value) -> Option<toss_obs::QueryRecord> {
-    let u = |key: &str| v.get(key).and_then(Value::as_i64).unwrap_or(0).max(0) as u64;
+pub(crate) fn record_from_value(v: &Value) -> Option<toss_obs::QueryRecord> {
+    let u = |key: &str| u64_or_zero(v, key);
     let s = |key: &str| {
         v.get(key)
             .and_then(Value::as_str)
@@ -744,7 +742,7 @@ pub fn ok_payload(fields: Vec<(String, Value)>) -> String {
 }
 
 /// Build an error response payload.
-pub fn error_payload(code: ErrorCode, message: &str, retry_after_ms: Option<u64>) -> String {
+pub(crate) fn error_payload(code: ErrorCode, message: &str, retry_after_ms: Option<u64>) -> String {
     let mut fields = vec![
         ("status".to_string(), Value::Str("error".into())),
         ("code".to_string(), Value::Str(code.as_str().into())),

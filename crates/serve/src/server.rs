@@ -92,10 +92,11 @@ pub struct ServerConfig {
     /// Number of window buckets (windowed gauges cover
     /// `window_bucket × window_buckets` of trailing traffic).
     pub window_buckets: usize,
-    /// Depth of the writer thread's mutation queue; frames past it are
-    /// shed with `overloaded` instead of queueing unboundedly.
-    pub write_queue_depth: usize,
 }
+
+/// Depth of the writer thread's mutation queue; frames past it are shed
+/// with `overloaded` instead of queueing unboundedly.
+const WRITE_QUEUE_DEPTH: usize = 256;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -114,7 +115,6 @@ impl Default for ServerConfig {
             slow_sample_every: 128,
             window_bucket: Duration::from_secs(1),
             window_buckets: 10,
-            write_queue_depth: 256,
         }
     }
 }
@@ -324,7 +324,7 @@ impl Server {
         let write_state = engine.as_ref().map(|_| Arc::new(WriteState::default()));
         let (write_tx, write_rx) = match engine {
             Some(_) => {
-                let (tx, rx) = mpsc::sync_channel(cfg.write_queue_depth.max(1));
+                let (tx, rx) = mpsc::sync_channel(WRITE_QUEUE_DEPTH);
                 (Some(tx), Some(rx))
             }
             None => (None, None),
@@ -382,11 +382,6 @@ impl Server {
             accept_thread: Some(accept_thread),
             writer_thread,
         })
-    }
-
-    /// Observable writer state (`None` on a read-only server).
-    pub fn write_state(&self) -> Option<Arc<WriteState>> {
-        self.shared.write_state.clone()
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -633,17 +628,17 @@ fn conn_loop(shared: &Arc<Shared>, mut stream: TcpStream, entry: &Arc<ConnEntry>
             Err(FrameError::Oversize(n)) => {
                 toss_obs::metrics::counter("toss.serve.faults.oversize").inc();
                 // tell the peer why before hanging up (best effort)
+                let reason = if n == 0 {
+                    "frame is empty: a request needs a JSON payload".to_string()
+                } else {
+                    format!(
+                        "frame of {n} bytes exceeds the {} byte limit",
+                        shared.cfg.max_frame_bytes
+                    )
+                };
                 let _ = write_frame(
                     &mut stream,
-                    error_payload(
-                        ErrorCode::BadRequest,
-                        &format!(
-                            "frame of {n} bytes exceeds the {} byte limit",
-                            shared.cfg.max_frame_bytes
-                        ),
-                        None,
-                    )
-                    .as_bytes(),
+                    error_payload(ErrorCode::BadRequest, &reason, None).as_bytes(),
                 );
                 break;
             }
@@ -1222,27 +1217,4 @@ fn slow_payload(shared: &Arc<Shared>, limit: usize, class: Option<BudgetClass>) 
         .map(|r| record_to_value(&r))
         .collect();
     ok_payload(vec![("queries".into(), Value::Array(entries))])
-}
-
-/// Convenience: build the default budget-class table description used
-/// by docs and the CLI banner.
-pub fn budget_class_summary() -> String {
-    [
-        BudgetClass::BestEffort,
-        BudgetClass::Interactive,
-        BudgetClass::Batch,
-    ]
-    .iter()
-    .map(|c| {
-        let b = c.budget(None, None, None);
-        format!(
-            "{}: deadline {:?}, terms {}, docs {}",
-            c.as_str(),
-            b.deadline.unwrap(),
-            b.max_expansion_terms.unwrap().max,
-            b.max_docs_scanned.unwrap().max,
-        )
-    })
-    .collect::<Vec<_>>()
-    .join("; ")
 }

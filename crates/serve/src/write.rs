@@ -31,15 +31,15 @@
 //! Every mutation frame carries a client-generated key. Acknowledged
 //! keys go into a bounded FIFO dedupe table; a replayed key (a retry of
 //! a write whose ack was lost) is answered from the table without
-//! re-applying. This is what makes `toss-client`'s jittered retry safe
-//! for writes. Three layers close the retry window:
+//! re-applying. This is what makes resending a write under its key
+//! safe. Three layers close the retry window:
 //!
 //! * **in-batch** — a retry that lands in the *same* group-commit batch
 //!   as the original (the original was still queued when the client
 //!   timed out) is parked during validation and collapsed onto the
 //!   first job's outcome, never validated or applied twice;
 //! * **in-process** — the bounded table answers replays for the most
-//!   recent [`WriteConfig::dedupe_capacity`] acknowledged keys;
+//!   recent 1 024 acknowledged keys;
 //! * **across restart** — each key is journaled inside its record
 //!   ([`toss_xmldb::DurableWriter::append_batch_keyed`]), and the table
 //!   is reseeded from the journal tail on startup, so a retry of a
@@ -47,10 +47,8 @@
 //!   ack carries the original `seq` but no `doc_id`).
 //!
 //! The guarantee is therefore *bounded*, not absolute: a key evicted
-//! from the table (more than `dedupe_capacity` newer acks) or folded
-//! out of the journal by a checkpoint no longer dedupes. Size
-//! `dedupe_capacity` to at least the peak write rate times the client
-//! retry policy's maximum backoff window.
+//! from the table (more than 1 024 newer acks) or folded out of the
+//! journal by a checkpoint no longer dedupes.
 //!
 //! ## Degradation and self-healing
 //!
@@ -104,12 +102,14 @@ use toss_xmldb::{
 /// metric and ε the original SEO was built with.
 pub type Enhancer = Box<dyn Fn(&Hierarchy) -> Result<Seo, String> + Send>;
 
+/// Ceiling on ops per group-commit batch.
+const MAX_BATCH: usize = 64;
+
+/// Bounded recent-keys dedupe table size (FIFO eviction).
+const DEDUPE_CAPACITY: usize = 1024;
+
 /// Tunables for the writer thread.
 pub struct WriteConfig {
-    /// Ceiling on ops per group-commit batch.
-    pub max_batch: usize,
-    /// Bounded recent-keys dedupe table size (FIFO eviction).
-    pub dedupe_capacity: usize,
     /// Journal-append retries before flipping to degraded.
     pub append_retries: u32,
     /// Backoff between append retries.
@@ -124,8 +124,6 @@ pub struct WriteConfig {
 impl Default for WriteConfig {
     fn default() -> Self {
         WriteConfig {
-            max_batch: 64,
-            dedupe_capacity: 1024,
             append_retries: 2,
             append_backoff: Duration::from_millis(5),
             checkpoint_every: 4096,
@@ -151,7 +149,7 @@ pub struct WriteEngine {
 /// Observable writer state, shared with connection threads (ingress
 /// rejection) and the `stats` admin frame.
 #[derive(Debug, Default)]
-pub struct WriteState {
+pub(crate) struct WriteState {
     degraded: AtomicBool,
     /// A fatal degradation (journal ahead of memory) that must not
     /// self-heal: the idle-tick probe skips it, only a restart clears it.
@@ -175,17 +173,17 @@ pub struct WriteState {
 
 impl WriteState {
     /// Whether the server is in read-only degraded mode.
-    pub fn is_degraded(&self) -> bool {
+    pub(crate) fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::Acquire)
     }
 
     /// The degradation reason ("" when healthy).
-    pub fn degraded_reason(&self) -> String {
+    pub(crate) fn degraded_reason(&self) -> String {
         self.reason.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Whether the degradation is fatal (read-only until restart).
-    pub fn is_fatal(&self) -> bool {
+    pub(crate) fn is_fatal(&self) -> bool {
         self.fatal.load(Ordering::Acquire)
     }
 
@@ -263,7 +261,7 @@ struct DedupeTable {
 impl DedupeTable {
     fn new(capacity: usize) -> Self {
         DedupeTable {
-            capacity: capacity.max(1),
+            capacity,
             map: HashMap::new(),
             order: VecDeque::new(),
         }
@@ -377,7 +375,7 @@ impl WriterLoop {
         state: Arc<WriteState>,
         stamp: Box<dyn Fn(QueryRecord) + Send>,
     ) -> Self {
-        let mut dedupe = DedupeTable::new(engine.config.dedupe_capacity);
+        let mut dedupe = DedupeTable::new(DEDUPE_CAPACITY);
         // Reseed from the journal tail: every record journaled under an
         // idempotency key was acknowledged (or was about to be), so a
         // client retrying across our restart must dedupe, not re-apply.
@@ -453,7 +451,7 @@ impl WriterLoop {
         };
         let closed = push(first, &mut window, &mut batch, &mut checkpoint);
         if !closed {
-            while batch.len() < self.engine.config.max_batch {
+            while batch.len() < MAX_BATCH {
                 let left = window.checked_sub(t0.elapsed()).unwrap_or_default();
                 if left.is_zero() {
                     break;

@@ -378,6 +378,18 @@ fn oversize_frame_is_refused_with_a_reason() {
         Err(FrameError::Closed) => {}
         other => panic!("expected close after oversize refusal, got {other:?}"),
     }
+    // a zero-length prefix is refused and closed the same way, but its
+    // reason must not claim the limit was exceeded
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    s.write_all(&0u32.to_be_bytes()).unwrap();
+    let resp = read_frame(&mut s, 1 << 20, Some(Duration::from_secs(5))).unwrap();
+    let text = std::str::from_utf8(&resp).unwrap();
+    assert!(text.contains("bad_request") && text.contains("empty"), "{text}");
+    assert!(!text.contains("exceeds") && !text.contains("limit"), "{text}");
+    match read_frame(&mut s, 1 << 20, Some(Duration::from_secs(5))) {
+        Err(FrameError::Closed) => {}
+        other => panic!("expected close after empty-frame refusal, got {other:?}"),
+    }
     server.shutdown();
 }
 
@@ -918,7 +930,6 @@ fn persistent_journal_faults_degrade_to_read_only_then_self_heal() {
         append_backoff: Duration::from_millis(1),
         tick: Duration::from_millis(10), // fast probe cadence
         checkpoint_every: 0,
-        ..WriteConfig::default()
     };
     let server = start_writable(&vfs, ServerConfig::default(), wcfg);
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -1025,7 +1036,6 @@ fn crash_campaign_every_acknowledged_write_survives_kill_and_recover() {
             append_backoff: Duration::from_millis(1),
             tick: Duration::from_millis(5),
             checkpoint_every: 4, // checkpoints land mid-campaign too
-            ..WriteConfig::default()
         };
         let server = start_writable(&vfs, ServerConfig::default(), wcfg);
         let addr = server.local_addr();
