@@ -58,8 +58,9 @@ records accumulate (0 disables auto-checkpoints). With
 --allow-shutdown, clients may stop it via the protocol
 `shutdown` verb. --slow-log appends always-sampled slow/failed queries
 (and 1-in-<n> of the rest, --slow-sample; 0 disables sampling) as JSON
-lines; --flight-capacity bounds the in-memory flight recorder the
-`slow` admin frame reads.
+lines; --flight-capacity (at most 1048576) bounds the in-memory flight
+recorder the `slow` admin frame reads. The SLO window gauges cover
+--window-buckets (at most 3600) buckets of --window-ms each.
 
 top polls a live server's `stats` frame every --interval-ms (default
 1000) and renders per-class windowed SLOs plus the newest --slow
@@ -72,6 +73,13 @@ pub const EXIT_USAGE: u8 = 1;
 pub const EXIT_BUDGET: u8 = 3;
 /// Exit code when the query was shed by admission control.
 pub const EXIT_OVERLOADED: u8 = 4;
+
+/// Ceiling of `serve --flight-capacity`: the flight recorder reserves
+/// its whole ring up front.
+const MAX_FLIGHT_CAPACITY: u64 = 1 << 20;
+/// Ceiling of `serve --window-buckets`: each bucket holds a latency
+/// histogram (about 2 KB) per budget class.
+const MAX_WINDOW_BUCKETS: u64 = 3_600;
 
 /// A command failure: a message plus the process exit code it maps to.
 #[derive(Debug)]
@@ -182,15 +190,11 @@ fn stats_document(snap: &toss_obs::metrics::MetricsSnapshot) -> String {
 /// that never published gauges are simply absent.
 fn windows_from_gauges(snap: &toss_obs::metrics::MetricsSnapshot) -> toss_json::Value {
     use toss_json::Value;
-    const FIELDS: [&str; 9] = [
-        "requests", "errors", "shed", "p50_ns", "p95_ns", "p99_ns",
-        "error_rate_bps", "shed_rate_bps", "window_ms",
-    ];
     let mut classes: Vec<(String, Vec<(String, Value)>)> = Vec::new();
     for (name, level) in &snap.gauges {
         let Some(rest) = name.strip_prefix("toss.serve.window.") else { continue };
         let Some((class, field)) = rest.split_once('.') else { continue };
-        if !FIELDS.contains(&field) {
+        if !toss_obs::WindowSnapshot::FIELDS.contains(&field) {
             continue;
         }
         let slot = match classes.iter_mut().find(|(c, _)| c == class) {
@@ -456,6 +460,14 @@ fn parse_u64_flag(args: &Args, name: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// Parse `--name` like [`parse_u64_flag`], refusing values above `max`.
+fn parse_capped_flag(args: &Args, name: &str, max: u64) -> Result<Option<u64>, String> {
+    match parse_u64_flag(args, name)? {
+        Some(n) if n > max => Err(format!("--{name} must be at most {max}")),
+        n => Ok(n),
+    }
+}
+
 /// Assemble the query's resource budget from the command line:
 /// `--timeout-ms` is a hard wall-clock deadline (`0` = no deadline),
 /// `--max-terms` and `--max-docs` are soft limits that degrade the
@@ -665,6 +677,40 @@ fn cmd_dot(args: &Args) -> Result<(), String> {
 /// for fresh stores.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use toss_serve::{Server, ServerConfig, WriteConfig, WriteEngine};
+    // the server flags first: a bad one fails before any file is read
+    let mut cfg = ServerConfig {
+        allow_shutdown_verb: args.switch("allow-shutdown"),
+        ..ServerConfig::default()
+    };
+    if let Some(n) = parse_u64_flag(args, "max-conns")? {
+        cfg.max_connections = n.max(1) as usize;
+    }
+    if let Some(n) = parse_u64_flag(args, "max-concurrent")? {
+        cfg.max_concurrent_queries = n.max(1) as usize;
+    }
+    if let Some(ms) = parse_u64_flag(args, "drain-ms")? {
+        cfg.drain_deadline = Duration::from_millis(ms.max(1));
+    }
+    if let Some(n) = parse_capped_flag(args, "flight-capacity", MAX_FLIGHT_CAPACITY)? {
+        cfg.flight_capacity = n.max(1) as usize;
+    }
+    if let Some(path) = args.one("slow-log")? {
+        cfg.slow_query_log = Some(Path::new(path).to_path_buf());
+    }
+    if let Some(ms) = parse_u64_flag(args, "slow-threshold-ms")? {
+        cfg.slow_threshold = Duration::from_millis(ms);
+    }
+    if let Some(n) = parse_u64_flag(args, "slow-sample")? {
+        // 0 is meaningful: sample nothing but the always-kept slow/error
+        // records
+        cfg.slow_sample_every = n;
+    }
+    if let Some(ms) = parse_u64_flag(args, "window-ms")? {
+        cfg.window_bucket = Duration::from_millis(ms.max(1));
+    }
+    if let Some(n) = parse_capped_flag(args, "window-buckets", MAX_WINDOW_BUCKETS)? {
+        cfg.window_buckets = n.max(2) as usize;
+    }
     let db_path = args.required("db")?;
     let seo_json = std::fs::read_to_string(args.required("seo")?).map_err(|e| e.to_string())?;
     let file_seo = seo_from_json(&seo_json).map_err(|e| e.to_string())?;
@@ -742,39 +788,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         executor = executor.with_threads(n as usize);
     }
 
-    let mut cfg = ServerConfig {
-        allow_shutdown_verb: args.switch("allow-shutdown"),
-        ..ServerConfig::default()
-    };
-    if let Some(n) = parse_u64_flag(args, "max-conns")? {
-        cfg.max_connections = n.max(1) as usize;
-    }
-    if let Some(n) = parse_u64_flag(args, "max-concurrent")? {
-        cfg.max_concurrent_queries = n.max(1) as usize;
-    }
-    if let Some(ms) = parse_u64_flag(args, "drain-ms")? {
-        cfg.drain_deadline = Duration::from_millis(ms.max(1));
-    }
-    if let Some(n) = parse_u64_flag(args, "flight-capacity")? {
-        cfg.flight_capacity = n.max(1) as usize;
-    }
-    if let Some(path) = args.one("slow-log")? {
-        cfg.slow_query_log = Some(Path::new(path).to_path_buf());
-    }
-    if let Some(ms) = parse_u64_flag(args, "slow-threshold-ms")? {
-        cfg.slow_threshold = Duration::from_millis(ms);
-    }
-    if let Some(n) = parse_u64_flag(args, "slow-sample")? {
-        // 0 is meaningful: sample nothing but the always-kept slow/error
-        // records
-        cfg.slow_sample_every = n;
-    }
-    if let Some(ms) = parse_u64_flag(args, "window-ms")? {
-        cfg.window_bucket = Duration::from_millis(ms.max(1));
-    }
-    if let Some(n) = parse_u64_flag(args, "window-buckets")? {
-        cfg.window_buckets = n.max(2) as usize;
-    }
     let addr = args.one("addr")?.unwrap_or("127.0.0.1:7464");
     let executor = Arc::new(std::sync::RwLock::new(executor));
     let server = match write_engine {
@@ -1312,5 +1325,28 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.code, EXIT_USAGE);
         assert!(e.message.contains("timeout-ms"));
+    }
+
+    #[test]
+    fn serve_refuses_flags_above_their_ceiling() {
+        // refused before the (absent) store or SEO file is opened
+        for (flag, value) in [
+            ("flight-capacity", MAX_FLIGHT_CAPACITY + 1),
+            ("window-buckets", MAX_WINDOW_BUCKETS + 1),
+            ("flight-capacity", u64::MAX),
+        ] {
+            let e = run(&argv(&format!(
+                "serve --db {} --seo {} --{flag} {value}",
+                tmp("no-such-store.json").display(),
+                tmp("no-such-seo.json").display(),
+            )))
+            .unwrap_err();
+            assert_eq!(e.code, EXIT_USAGE);
+            assert!(
+                e.message.contains(&format!("--{flag} must be at most")),
+                "{flag}: {}",
+                e.message
+            );
+        }
     }
 }

@@ -50,7 +50,7 @@ pub fn set_current_query(id: QueryId) -> QueryIdGuard {
 }
 
 /// The calling thread's current query id, if one is set.
-pub fn current_query_id() -> Option<QueryId> {
+pub(crate) fn current_query_id() -> Option<QueryId> {
     CURRENT.with(|c| c.get()).map(QueryId)
 }
 

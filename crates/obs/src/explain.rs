@@ -19,11 +19,6 @@ pub struct TraceNode {
 }
 
 impl TraceNode {
-    /// Total spans in this subtree (including self).
-    pub fn size(&self) -> usize {
-        1 + self.children.iter().map(TraceNode::size).sum::<usize>()
-    }
-
     /// Depth-first search for the first node named `name`.
     pub fn find(&self, name: &str) -> Option<&TraceNode> {
         if self.record.name == name {
@@ -41,19 +36,10 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Build from records (all threads).
-    pub fn build(records: &[SpanRecord]) -> QueryTrace {
-        Self::build_filtered(records, |_| true)
-    }
-
     /// Build from one thread's records only.
     pub fn for_thread(records: &[SpanRecord], thread: u64) -> QueryTrace {
-        Self::build_filtered(records, |r| r.thread == thread)
-    }
-
-    fn build_filtered(records: &[SpanRecord], keep: impl Fn(&SpanRecord) -> bool) -> QueryTrace {
         use std::collections::HashMap;
-        let kept: Vec<&SpanRecord> = records.iter().filter(|r| keep(r)).collect();
+        let kept: Vec<&SpanRecord> = records.iter().filter(|r| r.thread == thread).collect();
         let ids: std::collections::HashSet<u64> = kept.iter().map(|r| r.id).collect();
         // children listed per parent, then assembled bottom-up by id
         let mut children_of: HashMap<u64, Vec<&SpanRecord>> = HashMap::new();
@@ -82,16 +68,6 @@ impl QueryTrace {
             roots.into_iter().map(|r| assemble(r, &children_of)).collect();
         root_nodes.sort_by_key(|n| n.record.start_ns);
         QueryTrace { roots: root_nodes }
-    }
-
-    /// Total spans across all trees.
-    pub fn size(&self) -> usize {
-        self.roots.iter().map(TraceNode::size).sum()
-    }
-
-    /// Depth-first search across roots for the first node named `name`.
-    pub fn find(&self, name: &str) -> Option<&TraceNode> {
-        self.roots.iter().find_map(|r| r.find(name))
     }
 
     /// Render as an indented tree:
@@ -168,16 +144,15 @@ mod tests {
             rec(4, Some(1), "toss.query.convert", 1, 30),
             rec(1, None, "toss.query.select", 1, 0),
         ];
-        let t = QueryTrace::build(&records);
+        let t = QueryTrace::for_thread(&records, 1);
         assert_eq!(t.roots.len(), 1);
-        assert_eq!(t.size(), 4);
         let names: Vec<&str> = t.roots[0].children.iter().map(|c| c.record.name).collect();
         assert_eq!(
             names,
             vec!["toss.query.rewrite", "toss.query.execute", "toss.query.convert"]
         );
-        assert!(t.find("toss.query.execute").is_some());
-        assert!(t.find("nope").is_none());
+        assert!(t.roots[0].find("toss.query.execute").is_some());
+        assert!(t.roots[0].find("nope").is_none());
     }
 
     #[test]
@@ -188,19 +163,17 @@ mod tests {
             rec(3, None, "toss.query.select", 2, 0),
             rec(4, Some(3), "toss.query.rewrite", 2, 1),
         ];
-        let all = QueryTrace::build(&records);
-        assert_eq!(all.roots.len(), 2);
         let t1 = QueryTrace::for_thread(&records, 1);
         assert_eq!(t1.roots.len(), 1);
-        assert_eq!(t1.size(), 2);
         assert_eq!(t1.roots[0].record.id, 1);
+        assert_eq!(t1.roots[0].children.len(), 1);
     }
 
     #[test]
     fn orphan_parent_becomes_root() {
         // parent id outside the record set (e.g. filtered away)
         let records = vec![rec(2, Some(99), "toss.query.rewrite", 1, 0)];
-        let t = QueryTrace::build(&records);
+        let t = QueryTrace::for_thread(&records, 1);
         assert_eq!(t.roots.len(), 1);
     }
 
@@ -211,7 +184,7 @@ mod tests {
             rec(2, Some(1), "toss.query.rewrite", 1, 1),
             rec(3, Some(1), "toss.query.execute", 1, 2),
         ];
-        let text = QueryTrace::build(&records).render();
+        let text = QueryTrace::for_thread(&records, 1).render();
         assert!(text.starts_with("toss.query.select  10.0µs"), "{text}");
         assert!(text.contains("├─ toss.query.rewrite"));
         assert!(text.contains("expansion_terms=5"));

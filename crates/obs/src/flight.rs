@@ -16,9 +16,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// How a recorded query ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryOutcomeKind {
     /// Completed and returned answers (possibly degraded).
+    #[default]
     Ok,
     /// Rejected by admission control (overloaded).
     Shed,
@@ -47,8 +48,10 @@ impl QueryOutcomeKind {
     }
 }
 
-/// One completed query, as stamped by the serving layer.
-#[derive(Debug, Clone)]
+/// One completed query, as stamped by the serving layer. The default
+/// is an all-zero, all-empty record with outcome `Ok`; the serving
+/// layer fills in what it knows and leaves the rest.
+#[derive(Debug, Clone, Default)]
 pub struct QueryRecord {
     /// The request's [`crate::QueryId`] value.
     pub query_id: u64,
@@ -98,38 +101,9 @@ pub struct QueryRecord {
     pub deduped: bool,
 }
 
-impl Default for QueryRecord {
-    /// An all-zero / all-empty record with outcome `Ok` — the base
-    /// constructors fill in what they know and leave the rest.
-    fn default() -> QueryRecord {
-        QueryRecord {
-            query_id: 0,
-            class: String::new(),
-            query: String::new(),
-            plan: String::new(),
-            outcome: QueryOutcomeKind::Ok,
-            cause: String::new(),
-            total_ns: 0,
-            queue_wait_ns: 0,
-            rewrite_ns: 0,
-            execute_ns: 0,
-            convert_ns: 0,
-            terms_used: 0,
-            docs_scanned: 0,
-            memory_bytes: 0,
-            answers: 0,
-            degraded: Vec::new(),
-            op: String::new(),
-            batch_size: 0,
-            fsync_ns: 0,
-            deduped: false,
-        }
-    }
-}
-
 impl QueryRecord {
     /// Render as a single-line JSON object (the slow-query-log format).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str(&format!("{{\"query_id\":{}", self.query_id));
         out.push_str(",\"class\":");
@@ -174,12 +148,6 @@ impl QueryRecord {
         }
         out.push('}');
         out
-    }
-
-    /// Whether this record describes a write (mutation frame) rather
-    /// than a query.
-    pub fn is_write(&self) -> bool {
-        !self.op.is_empty()
     }
 }
 
@@ -253,7 +221,6 @@ pub struct SlowQueryLog {
     threshold_ns: u64,
     sample_every: u64,
     seen: AtomicU64,
-    written: AtomicU64,
 }
 
 impl SlowQueryLog {
@@ -273,8 +240,8 @@ impl SlowQueryLog {
         ))
     }
 
-    /// Log to an arbitrary writer (tests, stderr).
-    pub fn to_writer(
+    /// Log to an arbitrary writer.
+    pub(crate) fn to_writer(
         out: Box<dyn Write + Send>,
         threshold_ns: u64,
         sample_every: u64,
@@ -284,13 +251,7 @@ impl SlowQueryLog {
             threshold_ns,
             sample_every,
             seen: AtomicU64::new(0),
-            written: AtomicU64::new(0),
         }
-    }
-
-    /// Lines written so far.
-    pub fn written(&self) -> u64 {
-        self.written.load(Ordering::Relaxed)
     }
 
     /// Decide-and-write: always logs slow/shed/error records, samples
@@ -306,12 +267,7 @@ impl SlowQueryLog {
         }
         let line = rec.to_json();
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        if writeln!(out, "{line}").and_then(|_| out.flush()).is_ok() {
-            self.written.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+        writeln!(out, "{line}").and_then(|_| out.flush()).is_ok()
     }
 }
 
@@ -375,7 +331,6 @@ mod tests {
         r.batch_size = 4;
         r.fsync_ns = 12_345;
         r.deduped = true;
-        assert!(r.is_write());
         let json = r.to_json();
         assert!(json.contains("\"op\":\"insert_doc\""));
         assert!(json.contains("\"batch_size\":4"));
@@ -384,7 +339,6 @@ mod tests {
         // Query records stay byte-compatible with the PR-7 shape: no
         // write fields at all.
         let q = rec(8, 500, QueryOutcomeKind::Ok);
-        assert!(!q.is_write());
         assert!(!q.to_json().contains("\"op\""));
     }
 
@@ -403,10 +357,10 @@ mod tests {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let log = SlowQueryLog::to_writer(Box::new(Shared(buf.clone())), 1_000_000, 10);
         // 100 fast+ok records: only the 1-in-10 samples land
-        for i in 0..100 {
-            log.offer(&rec(i, 100, QueryOutcomeKind::Ok));
-        }
-        assert_eq!(log.written(), 10);
+        let written = (0..100)
+            .filter(|&i| log.offer(&rec(i, 100, QueryOutcomeKind::Ok)))
+            .count();
+        assert_eq!(written, 10);
         // slow, shed and error records always land
         assert!(log.offer(&rec(200, 2_000_000, QueryOutcomeKind::Ok)));
         assert!(log.offer(&rec(201, 100, QueryOutcomeKind::Shed)));
@@ -414,7 +368,6 @@ mod tests {
         let mut degraded = rec(203, 100, QueryOutcomeKind::Ok);
         degraded.degraded.push("terms clamped".into());
         assert!(log.offer(&degraded));
-        assert_eq!(log.written(), 14);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         assert_eq!(text.lines().count(), 14);
         assert!(text.lines().all(|l| l.starts_with("{\"query_id\":")));
@@ -424,9 +377,8 @@ mod tests {
     fn sampling_disabled_with_zero() {
         let log = SlowQueryLog::to_writer(Box::new(std::io::sink()), 1_000_000, 0);
         for i in 0..50 {
-            log.offer(&rec(i, 100, QueryOutcomeKind::Ok));
+            assert!(!log.offer(&rec(i, 100, QueryOutcomeKind::Ok)));
         }
-        assert_eq!(log.written(), 0);
     }
 
     #[test]

@@ -16,19 +16,22 @@
 //! * [`sink`] — pluggable span consumers: [`sink::MemorySink`] (an
 //!   in-memory collector for EXPLAIN and tests) and
 //!   [`sink::JsonLinesSink`] (one JSON object per finished span, for
-//!   `--trace-out`). The "no-op sink" is the absence of any sink.
+//!   `--trace-out`), installed with [`install_sink_scoped`]. The
+//!   "no-op sink" is the absence of any sink.
 //! * [`metrics`] — a global registry of named monotonic counters,
 //!   up/down gauges and log-linear-bucketed histograms with
 //!   Prometheus-text and JSON exporters.
-//! * [`explain`] — reassembles the span records of one query into a
+//! * [`QueryTrace`] — reassembles the span records of one query into a
 //!   human-readable EXPLAIN tree.
-//! * [`context`] — per-request [`QueryId`] propagation: the serving
-//!   layer sets the current query at ingress and every span collected
-//!   underneath is stamped with it.
-//! * [`flight`] — the flight recorder: a bounded ring of structured
-//!   [`QueryRecord`]s plus a sampling JSON-lines slow-query log.
-//! * [`window`] — rolling time-bucketed aggregation yielding windowed
-//!   p50/p95/p99, error-rate and shed-rate SLO gauges.
+//! * [`QueryId`] / [`set_current_query`] — per-request id propagation:
+//!   the serving layer sets the current query at ingress and every span
+//!   collected underneath is stamped with it.
+//! * [`FlightRecorder`] — a bounded ring of structured
+//!   [`QueryRecord`]s, beside [`SlowQueryLog`], a sampling JSON-lines
+//!   slow-query log.
+//! * [`RollingWindow`] — rolling time-bucketed aggregation; its
+//!   [`WindowSnapshot`] holds windowed p50/p95/p99, error-rate and
+//!   shed-rate SLO figures under one field schema.
 //!
 //! Span and metric names are dot-separated, lowercase, and prefixed by
 //! subsystem (`toss.query.rewrite`, `xmldb.journal.append`,
@@ -37,19 +40,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod context;
-pub mod explain;
-pub mod flight;
+mod context;
+mod explain;
+mod flight;
 pub mod metrics;
 pub mod sink;
 mod span;
-pub mod window;
+mod window;
 
-pub use context::{current_query_id, set_current_query, QueryId, QueryIdGuard};
-pub use explain::{QueryTrace, TraceNode};
+pub use context::{set_current_query, QueryId};
+pub use explain::QueryTrace;
 pub use flight::{FlightRecorder, QueryOutcomeKind, QueryRecord, SlowQueryLog};
-pub use sink::{install_sink, install_sink_scoped, uninstall_sink, SinkScope, TraceSink};
+pub use sink::{install_sink_scoped, SinkScope};
 pub use span::{
     current_thread_id, record, span, tracing_enabled, FieldValue, SpanGuard, SpanRecord,
 };
@@ -75,7 +79,7 @@ pub(crate) fn push_json_str(out: &mut String, s: &str) {
 }
 
 /// Render a duration compactly (`412ns`, `3.2µs`, `1.24ms`, `2.50s`).
-pub fn fmt_duration(d: std::time::Duration) -> String {
+pub(crate) fn fmt_duration(d: std::time::Duration) -> String {
     let ns = d.as_nanos();
     if ns < 1_000 {
         format!("{ns}ns")

@@ -43,10 +43,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time level that can go up **and** down (active
@@ -64,7 +60,7 @@ impl Gauge {
     }
 
     /// Add `n` (may be negative).
-    pub fn add(&self, n: i64) {
+    pub(crate) fn add(&self, n: i64) {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -79,12 +75,8 @@ impl Gauge {
     }
 
     /// Current level.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -173,12 +165,12 @@ impl Histogram {
     }
 
     /// Sum of observations.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Snapshot the bucket counts.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<(u64, u64)> = self
             .buckets
             .iter()
@@ -193,11 +185,10 @@ impl Histogram {
         }
     }
 
-    /// Zero the histogram in place (used by [`MetricsRegistry::reset`]
-    /// and by rolling-window slots that recycle a histogram per time
-    /// bucket). Not atomic as a whole: concurrent observers may land in
-    /// either epoch.
-    pub fn reset(&self) {
+    /// Zero the histogram in place (rolling-window slots recycle a
+    /// histogram per time bucket). Not atomic as a whole: concurrent
+    /// observers may land in either epoch.
+    pub(crate) fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         for b in &self.buckets {
@@ -222,7 +213,7 @@ impl HistogramSnapshot {
     /// Estimate the `q`-quantile (0 ≤ q ≤ 1): exact for observations
     /// below 16, otherwise the midpoint of the log-linear bucket holding
     /// the rank — within 12.5% of the true value.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -242,17 +233,17 @@ impl HistogramSnapshot {
     }
 
     /// Median estimate.
-    pub fn p50(&self) -> f64 {
+    pub(crate) fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
 
     /// 95th-percentile estimate.
-    pub fn p95(&self) -> f64 {
+    pub(crate) fn p95(&self) -> f64 {
         self.quantile(0.95)
     }
 
     /// 99th-percentile estimate.
-    pub fn p99(&self) -> f64 {
+    pub(crate) fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
 
@@ -274,123 +265,53 @@ pub struct MetricsRegistry {
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
 }
 
+/// The registry's read-then-write lookup: a read lock finds an existing
+/// metric; only a new name takes the write lock.
+fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    if let Some(m) = map.read().unwrap_or_else(|e| e.into_inner()).get(name) {
+        return m.clone();
+    }
+    map.write()
+        .unwrap_or_else(|e| e.into_inner())
+        .entry(name.to_string())
+        .or_default()
+        .clone()
+}
+
 impl MetricsRegistry {
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-        {
-            return c.clone();
-        }
-        self.counters
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_create(&self.counters, name)
     }
 
     /// Get or create the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self
-            .gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-        {
-            return g.clone();
-        }
-        self.gauges
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        get_or_create(&self.gauges, name)
     }
 
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self
-            .histograms
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)
-        {
-            return h.clone();
-        }
-        self.histograms
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// Zero every metric **in place** (handles cached elsewhere stay
-    /// registered). For benchmarks and tests that need a clean slate.
-    pub fn reset(&self) {
-        for c in self
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            c.reset();
-        }
-        for g in self
-            .gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            g.reset();
-        }
-        for h in self
-            .histograms
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            h.reset();
-        }
+        get_or_create(&self.histograms, name)
     }
 
     /// Snapshot every metric, names sorted.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
-            .collect();
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: export(&self.counters, Counter::get),
+            gauges: export(&self.gauges, Gauge::get),
+            histograms: export(&self.histograms, Histogram::snapshot),
         }
     }
 }
 
+/// Every `(name, value)` of one map of the registry, names sorted.
+fn export<T, V>(map: &RwLock<BTreeMap<String, Arc<T>>>, value: fn(&T) -> V) -> Vec<(String, V)> {
+    let map = map.read().unwrap_or_else(|e| e.into_inner());
+    map.iter().map(|(k, v)| (k.clone(), value(v))).collect()
+}
+
 /// The process-global registry.
-pub fn registry() -> &'static MetricsRegistry {
+pub(crate) fn registry() -> &'static MetricsRegistry {
     static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
     REGISTRY.get_or_init(MetricsRegistry::default)
 }
@@ -550,8 +471,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(r.counter("t.count").get(), 5); // same handle by name
-        r.reset();
-        assert_eq!(c.get(), 0); // reset zeroes in place
     }
 
     #[test]
@@ -568,8 +487,6 @@ mod tests {
         assert_eq!(snap.gauge("t.level"), Some(-3));
         assert!(snap.to_prometheus().contains("# TYPE t_level gauge\nt_level -3\n"));
         assert!(snap.to_json().contains("\"t.level\": -3"));
-        r.reset();
-        assert_eq!(g.get(), 0);
     }
 
     #[test]

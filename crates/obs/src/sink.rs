@@ -32,7 +32,7 @@ fn lock_write() -> std::sync::RwLockWriteGuard<'static, Vec<Arc<dyn TraceSink>>>
 }
 
 /// Install a sink process-wide. Tracing turns on with the first sink.
-pub fn install_sink(sink: Arc<dyn TraceSink>) {
+fn install_sink(sink: Arc<dyn TraceSink>) {
     let mut s = lock_write();
     s.push(sink);
     TRACING_ENABLED.store(true, Ordering::Relaxed);
@@ -40,7 +40,7 @@ pub fn install_sink(sink: Arc<dyn TraceSink>) {
 
 /// Remove a previously installed sink (matched by identity). Tracing
 /// turns off when the last sink goes.
-pub fn uninstall_sink(sink: &Arc<dyn TraceSink>) {
+fn uninstall_sink(sink: &Arc<dyn TraceSink>) {
     let mut s = lock_write();
     s.retain(|x| !Arc::ptr_eq(x, sink));
     if s.is_empty() {
@@ -132,15 +132,15 @@ impl TraceSink for MemorySink {
 ///  "start_ns":123,"dur_ns":4567,"fields":{"docs_scanned":3}}
 /// ```
 ///
-/// Lines are buffered by the underlying writer; call
-/// [`JsonLinesSink::flush`] (or drop the sink) to force them out.
+/// Lines are buffered by the underlying writer; dropping the sink
+/// flushes them.
 pub struct JsonLinesSink {
     out: Mutex<Box<dyn Write + Send>>,
 }
 
 impl JsonLinesSink {
     /// Wrap any writer (a `File`, a `Vec<u8>` in tests, …).
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
+    pub(crate) fn new(out: Box<dyn Write + Send>) -> Self {
         JsonLinesSink {
             out: Mutex::new(out),
         }
@@ -150,11 +150,6 @@ impl JsonLinesSink {
     pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
         Ok(Self::new(Box::new(std::io::BufWriter::new(file))))
-    }
-
-    /// Flush buffered lines to the underlying writer.
-    pub fn flush(&self) -> std::io::Result<()> {
-        self.out.lock().unwrap_or_else(|e| e.into_inner()).flush()
     }
 }
 
@@ -199,7 +194,8 @@ impl TraceSink for JsonLinesSink {
 
 impl Drop for JsonLinesSink {
     fn drop(&mut self) {
-        let _ = self.flush();
+        let out = self.out.get_mut().unwrap_or_else(|e| e.into_inner());
+        let _ = out.flush();
     }
 }
 

@@ -137,13 +137,6 @@ pub struct SpanRecord {
     pub fields: Vec<(&'static str, FieldValue)>,
 }
 
-impl SpanRecord {
-    /// Look up a recorded field by key (last write wins).
-    pub fn field(&self, key: &str) -> Option<&FieldValue> {
-        self.fields.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-}
-
 struct ActiveSpan {
     id: u64,
     parent: Option<u64>,
@@ -248,11 +241,6 @@ impl SpanGuard {
         elapsed
     }
 
-    /// Elapsed time so far, without closing.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
     fn close(&mut self, elapsed: Duration) {
         let Some(id) = self.id.take() else { return };
         let popped = STACK.with(|s| {
@@ -292,6 +280,17 @@ mod tests {
     use super::*;
     use crate::sink::MemorySink;
     use std::sync::Arc;
+
+    impl SpanRecord {
+        /// Look up a recorded field by key (last write wins).
+        pub(crate) fn field(&self, key: &str) -> Option<&FieldValue> {
+            self.fields
+                .iter()
+                .rev()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v)
+        }
+    }
 
     #[test]
     fn disabled_spans_are_inert_but_still_time() {

@@ -67,12 +67,6 @@ impl RollingWindow {
         }
     }
 
-    /// Total span the window covers when every bucket is live.
-    pub fn span(&self) -> Duration {
-        let n = self.slots.lock().unwrap_or_else(|e| e.into_inner()).len();
-        self.bucket_len * n as u32
-    }
-
     fn period_now(&self) -> u64 {
         (self.origin.elapsed().as_nanos() / self.bucket_len.as_nanos().max(1)) as u64
     }
@@ -137,7 +131,11 @@ impl RollingWindow {
             p50_ns: hist.p50(),
             p95_ns: hist.p95(),
             p99_ns: hist.p99(),
-            window: self.bucket_len * slots.len() as u32,
+            // saturates: an operator may ask for a window longer than
+            // a `Duration` can hold
+            window: self
+                .bucket_len
+                .saturating_mul(u32::try_from(slots.len()).unwrap_or(u32::MAX)),
         }
     }
 }
@@ -162,43 +160,51 @@ pub struct WindowSnapshot {
 }
 
 impl WindowSnapshot {
-    /// Errors as a fraction of requests (0 when the window is empty).
-    pub fn error_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.errors as f64 / self.requests as f64
-        }
+    /// The window schema: the field names of [`WindowSnapshot::fields`],
+    /// in order. The `stats` frame, the `toss.serve.window.<class>.*`
+    /// gauges and the persisted stats document all use these names.
+    pub const FIELDS: [&'static str; 9] = [
+        "requests",
+        "errors",
+        "shed",
+        "p50_ns",
+        "p95_ns",
+        "p99_ns",
+        "error_rate_bps",
+        "shed_rate_bps",
+        "window_ms",
+    ];
+
+    /// This snapshot as `(field, value)` pairs in [`WindowSnapshot::FIELDS`]
+    /// order, as every exporter writes it: latencies in whole
+    /// nanoseconds, the error and shed rates in basis points (1/10000 of
+    /// the window's requests; 0 when it is empty) and the span in
+    /// milliseconds.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, i64)> {
+        // errors and shed are counted among the requests, so an empty
+        // window divides 0 by 1
+        let bps = |n: u64| (n as f64 / self.requests.max(1) as f64 * 10_000.0).round() as i64;
+        let values = [
+            self.requests as i64,
+            self.errors as i64,
+            self.shed as i64,
+            self.p50_ns as i64,
+            self.p95_ns as i64,
+            self.p99_ns as i64,
+            bps(self.errors),
+            bps(self.shed),
+            self.window.as_millis().min(i64::MAX as u128) as i64,
+        ];
+        Self::FIELDS.into_iter().zip(values)
     }
 
-    /// Shed requests as a fraction of requests.
-    pub fn shed_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.shed as f64 / self.requests as f64
-        }
-    }
-
-    /// Publish this snapshot into the global metrics registry as gauges
-    /// named `{prefix}.requests`, `.errors`, `.shed`, `.p50_ns`,
-    /// `.p95_ns`, `.p99_ns`, `.error_rate_bps`, `.shed_rate_bps` (rates
-    /// in basis points, 1/10000) and `.window_ms`, so windowed SLO
-    /// figures flow through the existing Prometheus and JSON exports —
-    /// the full `stats`-frame window schema, gauge by gauge.
+    /// Publish this snapshot into the global metrics registry as one
+    /// gauge per field, `{prefix}.{field}`, so windowed SLO figures flow
+    /// through the existing Prometheus and JSON exports.
     pub fn publish_gauges(&self, prefix: &str) {
-        let g = |suffix: &str, v: i64| {
-            crate::metrics::gauge(&format!("{prefix}.{suffix}")).set(v);
-        };
-        g("requests", self.requests as i64);
-        g("errors", self.errors as i64);
-        g("shed", self.shed as i64);
-        g("p50_ns", self.p50_ns as i64);
-        g("p95_ns", self.p95_ns as i64);
-        g("p99_ns", self.p99_ns as i64);
-        g("error_rate_bps", (self.error_rate() * 10_000.0).round() as i64);
-        g("shed_rate_bps", (self.shed_rate() * 10_000.0).round() as i64);
-        g("window_ms", self.window.as_millis().min(i64::MAX as u128) as i64);
+        for (field, value) in self.fields() {
+            crate::metrics::gauge(&format!("{prefix}.{field}")).set(value);
+        }
     }
 }
 
@@ -206,13 +212,21 @@ impl WindowSnapshot {
 mod tests {
     use super::*;
 
+    fn field(s: &WindowSnapshot, name: &str) -> i64 {
+        s.fields()
+            .find(|(k, _)| *k == name)
+            .expect("schema field")
+            .1
+    }
+
     #[test]
     fn empty_window_is_zero() {
         let w = RollingWindow::new(Duration::from_secs(1), 5);
         let s = w.snapshot();
         assert_eq!(s.requests, 0);
         assert_eq!(s.p95_ns, 0.0);
-        assert_eq!(s.error_rate(), 0.0);
+        assert_eq!(field(&s, "error_rate_bps"), 0);
+        assert_eq!(field(&s, "window_ms"), 5_000);
     }
 
     #[test]
@@ -225,7 +239,8 @@ mod tests {
         assert_eq!(s.requests, 3);
         assert_eq!(s.errors, 1);
         assert_eq!(s.shed, 1);
-        assert!((s.error_rate() - 1.0 / 3.0).abs() < 1e-9);
+        assert_eq!(field(&s, "error_rate_bps"), 3_333);
+        assert_eq!(field(&s, "shed_rate_bps"), 3_333);
         // p50 (rank 2 of 3) falls in the bucket holding 2_000
         assert!(s.p50_ns >= 1_750.0 && s.p50_ns <= 2_047.0, "p50 = {}", s.p50_ns);
     }
@@ -268,5 +283,13 @@ mod tests {
         let p95 = snap.gauge("test.window.unit.p95_ns").unwrap();
         assert!((36_000..=45_000).contains(&p95), "p95 gauge = {p95}");
         assert!(snap.to_prometheus().contains("test_window_unit_p95_ns"));
+    }
+
+    #[test]
+    fn an_overlong_window_saturates_instead_of_panicking() {
+        // u64::MAX ms × 1001 buckets overflows a `Duration`
+        let s = RollingWindow::new(Duration::from_millis(u64::MAX), 1001).snapshot();
+        assert_eq!(s.window, Duration::MAX);
+        assert_eq!(field(&s, "window_ms"), i64::MAX);
     }
 }

@@ -1106,23 +1106,7 @@ fn handle_query(shared: &Arc<Shared>, entry: &Arc<ConnEntry>, q: &QueryRequest) 
 
 /// Build one class window's wire object for the `stats` frame.
 fn window_value(s: &WindowSnapshot) -> Value {
-    Value::Object(vec![
-        ("requests".into(), Value::Int(s.requests as i64)),
-        ("errors".into(), Value::Int(s.errors as i64)),
-        ("shed".into(), Value::Int(s.shed as i64)),
-        ("p50_ns".into(), Value::Int(s.p50_ns as i64)),
-        ("p95_ns".into(), Value::Int(s.p95_ns as i64)),
-        ("p99_ns".into(), Value::Int(s.p99_ns as i64)),
-        (
-            "error_rate_bps".into(),
-            Value::Int((s.error_rate() * 10_000.0).round() as i64),
-        ),
-        (
-            "shed_rate_bps".into(),
-            Value::Int((s.shed_rate() * 10_000.0).round() as i64),
-        ),
-        ("window_ms".into(), Value::Int(s.window.as_millis() as i64)),
-    ])
+    Value::Object(s.fields().map(|(k, v)| (k.into(), Value::Int(v))).collect())
 }
 
 /// The `stats` admin frame: per-class windowed SLO figures plus process

@@ -90,6 +90,19 @@ grep -q "^1 answer(s)" <<< "$QUERY_OUT"
 TAX_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
     --collection dblp --root inproceedings --eq author='Smoke Test' --tax)
 grep -q "^1 answer(s)" <<< "$TAX_OUT"
+# --explain renders the query's span tree (the one product caller of
+# QueryTrace::for_thread and render); --trace-out writes each span as
+# one JSON object per line
+EXPLAIN_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings --eq author='Smoke Test' \
+    --explain --trace-out "$SMOKE/spans.jsonl")
+grep -q "^EXPLAIN$" <<< "$EXPLAIN_OUT"
+grep -q "^toss\.query\.select " <<< "$EXPLAIN_OUT"
+grep -q "^└─ " <<< "$EXPLAIN_OUT"
+test -s "$SMOKE/spans.jsonl" || { echo "--trace-out file is empty"; exit 1; }
+if grep -qv '^{"id":' "$SMOKE/spans.jsonl"; then
+    echo "--trace-out wrote a line that is not a span object"; exit 1
+fi
 # a live server with a slow-query log, one query over the wire, then
 # one non-interactive `top` refresh against it
 mkfifo "$SMOKE/serve-stdin"
