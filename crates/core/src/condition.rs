@@ -248,7 +248,6 @@ impl TossCond {
 mod tests {
     use super::*;
     use crate::convert::Conversions;
-    use toss_tree::types::Domain;
 
     fn int(i: i64) -> TossTerm {
         TossTerm::Value {
@@ -293,9 +292,6 @@ mod tests {
     #[test]
     fn well_typedness_with_unit_types() {
         let mut th = TypeHierarchy::new();
-        th.types.register("mm", Domain::NonNegative);
-        th.types.register("cm", Domain::NonNegative);
-        th.types.register("length", Domain::NonNegative);
         th.add_subtype("mm", "length").unwrap();
         th.add_subtype("cm", "length").unwrap();
         let mut cv = Conversions::new();

@@ -149,7 +149,6 @@ fn agree(f: &ConvFn, g: &ConvFn) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use toss_tree::types::Domain;
 
     fn registry() -> Conversions {
         let mut c = Conversions::new();
@@ -182,6 +181,8 @@ mod tests {
             Some(Value::Real(3.0))
         );
         assert_eq!(c.convert(&Value::Str("x".into()), "mm", "cm"), None);
+        // non-canonical numeric text is a string, so it does not convert
+        assert_eq!(c.convert(&Value::parse_lexical("30.0"), "mm", "cm"), None);
         assert_eq!(c.convert(&Value::Int(1), "mm", "kg"), None);
     }
 
@@ -212,8 +213,6 @@ mod tests {
     #[test]
     fn hierarchy_requires_conversions() {
         let mut th = TypeHierarchy::new();
-        th.types.register("mm", Domain::NonNegative);
-        th.types.register("length", Domain::NonNegative);
         th.add_subtype("mm", "length").unwrap();
         let c = registry();
         let e = c.validate(&th).unwrap_err();

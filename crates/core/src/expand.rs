@@ -422,12 +422,8 @@ mod tests {
 
     #[test]
     fn unit_constants_convert_before_comparing() {
-        use toss_tree::types::Domain;
         let s = seo();
         let mut th = TypeHierarchy::new();
-        th.types.register("mm", Domain::NonNegative);
-        th.types.register("cm", Domain::NonNegative);
-        th.types.register("length", Domain::NonNegative);
         th.add_subtype("mm", "length").unwrap();
         th.add_subtype("cm", "length").unwrap();
         let mut cv = Conversions::new();

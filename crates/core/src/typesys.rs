@@ -1,36 +1,30 @@
 //! Type hierarchies (Section 5: "Types, Domain Values, and Hierarchies").
 //!
 //! A type hierarchy `H = (T_H, ≤_H)` orders type names. Type hierarchies
-//! reuse the ontology crate's [`Hierarchy`] with type names as terms and
-//! pair it with a `toss_tree::TypeSystem` for domains; well-typedness
-//! asks them for least common supertypes.
+//! reuse the ontology crate's [`Hierarchy`] with type names as terms;
+//! well-typedness asks them for least common supertypes. A type is known
+//! by its name alone: the hierarchy's order and the registered conversion
+//! functions are all that well-typedness and evaluation read.
 
 use toss_ontology::Hierarchy;
-use toss_tree::TypeSystem;
 
-/// A type hierarchy: a partial order on registered type names plus the
-/// domain registry.
+/// A type hierarchy: a partial order on type names.
 #[derive(Debug, Clone)]
 pub struct TypeHierarchy {
     /// The ordered type names (`≤_H` as a Hasse diagram).
     pub order: Hierarchy,
-    /// The domain registry.
-    pub types: TypeSystem,
 }
 
 impl TypeHierarchy {
-    /// A hierarchy over a fresh [`TypeSystem`] (builtins registered, no
-    /// order yet).
+    /// An empty hierarchy (no type names, no order yet).
     pub fn new() -> Self {
         TypeHierarchy {
             order: Hierarchy::new(),
-            types: TypeSystem::new(),
         }
     }
 
     /// Register a subtype relation `below ≤_H above`, creating type names
-    /// in the order as needed (domains must be registered separately in
-    /// `types`).
+    /// in the order as needed.
     pub fn add_subtype(&mut self, below: &str, above: &str) -> crate::TossResult<()> {
         self.order
             .add_leq(below, above)
@@ -69,15 +63,10 @@ impl Default for TypeHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use toss_tree::types::Domain;
 
     fn length_hierarchy() -> TypeHierarchy {
         // mm ≤ length, cm ≤ length, length ≤ quantity
         let mut th = TypeHierarchy::new();
-        th.types.register("mm", Domain::NonNegative);
-        th.types.register("cm", Domain::NonNegative);
-        th.types.register("length", Domain::NonNegative);
-        th.types.register("quantity", Domain::AnyReal);
         th.add_subtype("mm", "length").unwrap();
         th.add_subtype("cm", "length").unwrap();
         th.add_subtype("length", "quantity").unwrap();

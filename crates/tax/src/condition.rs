@@ -377,6 +377,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn non_canonical_numeric_text_is_a_string_to_conditions() {
+        // the loader keeps `12.50` as text so it serializes unchanged, and
+        // a string never compares with a number: numeric conditions do not
+        // match it, string ones do
+        let price = Value::parse_lexical("12.50");
+        assert_eq!(price, Value::Str("12.50".into()));
+        assert!(!compare(&price, CmpOp::Eq, &Value::Real(12.5)));
+        assert!(!compare(&price, CmpOp::Le, &Value::Int(20)));
+        assert!(compare(&price, CmpOp::Eq, &Value::Str("12.50".into())));
+        // canonical text is still a number
+        let price = Value::parse_lexical("12.5");
+        assert!(compare(&price, CmpOp::Eq, &Value::Real(12.5)));
+        assert!(compare(&price, CmpOp::Le, &Value::Int(20)));
+    }
+
+    #[test]
     fn compare_equality_and_numeric_coercion() {
         assert!(compare(&Value::Int(1999), CmpOp::Eq, &Value::Int(1999)));
         assert!(compare(&Value::Int(2), CmpOp::Eq, &Value::Real(2.0)));

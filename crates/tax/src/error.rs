@@ -46,7 +46,7 @@ mod tests {
     fn displays() {
         assert_eq!(TaxError::DuplicateLabel(2).to_string(), "duplicate pattern label $2");
         assert_eq!(TaxError::UnknownLabel(9).to_string(), "unknown pattern label $9");
-        let e: TaxError = TreeError::EmptyTree.into();
+        let e: TaxError = TreeError::InvalidNodeId(0).into();
         assert!(e.to_string().contains("tree error"));
     }
 }

@@ -4,8 +4,7 @@
 //! encoded with first-child / next-sibling / parent indices, which keeps the
 //! representation compact and preorder traversal allocation-free. Node ids
 //! are indices into the arena and are stable for the life of the tree
-//! (removal is by *detach*, which unlinks a subtree without reusing slots —
-//! detached slots are skipped by traversals).
+//! (nodes are only ever appended).
 
 use crate::error::{TreeError, TreeResult};
 use crate::node::NodeData;
@@ -42,32 +41,22 @@ pub(crate) struct Slot {
     pub first_child: Option<NodeId>,
     pub last_child: Option<NodeId>,
     pub next_sibling: Option<NodeId>,
-    pub prev_sibling: Option<NodeId>,
-    /// True once the node has been detached from the tree.
-    pub detached: bool,
 }
 
 /// The arena: a flat vector of slots.
 #[derive(Debug, Clone, Default)]
-pub struct Arena {
+pub(crate) struct Arena {
     pub(crate) slots: Vec<Slot>,
 }
 
 impl Arena {
     /// An empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Arena { slots: Vec::new() }
     }
 
-    /// Pre-allocate capacity for `n` nodes.
-    pub fn with_capacity(n: usize) -> Self {
-        Arena {
-            slots: Vec::with_capacity(n),
-        }
-    }
-
     /// Allocate a new unattached node.
-    pub fn alloc(&mut self, data: NodeData) -> NodeId {
+    pub(crate) fn alloc(&mut self, data: NodeData) -> NodeId {
         let id = NodeId(self.slots.len() as u32);
         self.slots.push(Slot {
             data,
@@ -75,8 +64,6 @@ impl Arena {
             first_child: None,
             last_child: None,
             next_sibling: None,
-            prev_sibling: None,
-            detached: false,
         });
         id
     }
@@ -98,7 +85,7 @@ impl Arena {
     /// Errors if either id is invalid, `child` already has a parent, or the
     /// append would create a cycle (i.e. `child` is an ancestor of
     /// `parent`).
-    pub fn append_child(&mut self, parent: NodeId, child: NodeId) -> TreeResult<()> {
+    pub(crate) fn append_child(&mut self, parent: NodeId, child: NodeId) -> TreeResult<()> {
         if parent == child {
             return Err(TreeError::StructureViolation(
                 "cannot append a node to itself".into(),
@@ -123,7 +110,6 @@ impl Arena {
         {
             let cs = self.slot_mut(child)?;
             cs.parent = Some(parent);
-            cs.prev_sibling = old_last;
             cs.next_sibling = None;
         }
         if let Some(last) = old_last {
@@ -133,42 +119,6 @@ impl Arena {
         }
         self.slot_mut(parent)?.last_child = Some(child);
         Ok(())
-    }
-
-    /// Unlink `node` (and implicitly its whole subtree) from its parent.
-    /// The subtree stays allocated but is marked detached; traversals from
-    /// the root will no longer reach it.
-    pub fn detach(&mut self, node: NodeId) -> TreeResult<()> {
-        let (parent, prev, next) = {
-            let s = self.slot(node)?;
-            (s.parent, s.prev_sibling, s.next_sibling)
-        };
-        if let Some(p) = prev {
-            self.slot_mut(p)?.next_sibling = next;
-        } else if let Some(par) = parent {
-            self.slot_mut(par)?.first_child = next;
-        }
-        if let Some(n) = next {
-            self.slot_mut(n)?.prev_sibling = prev;
-        } else if let Some(par) = parent {
-            self.slot_mut(par)?.last_child = prev;
-        }
-        let s = self.slot_mut(node)?;
-        s.parent = None;
-        s.prev_sibling = None;
-        s.next_sibling = None;
-        s.detached = true;
-        Ok(())
-    }
-
-    /// Number of allocated slots (including detached ones).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the arena holds no nodes at all.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -191,7 +141,6 @@ mod tests {
         assert_eq!(a.slot(root).unwrap().first_child, Some(c1));
         assert_eq!(a.slot(root).unwrap().last_child, Some(c2));
         assert_eq!(a.slot(c1).unwrap().next_sibling, Some(c2));
-        assert_eq!(a.slot(c2).unwrap().prev_sibling, Some(c1));
         assert_eq!(a.slot(c2).unwrap().parent, Some(root));
     }
 
@@ -222,39 +171,6 @@ mod tests {
             a.append_child(r, r),
             Err(TreeError::StructureViolation(_))
         ));
-    }
-
-    #[test]
-    fn detach_unlinks_middle_sibling() {
-        let mut a = Arena::new();
-        let r = a.alloc(data("r"));
-        let c1 = a.alloc(data("c1"));
-        let c2 = a.alloc(data("c2"));
-        let c3 = a.alloc(data("c3"));
-        for c in [c1, c2, c3] {
-            a.append_child(r, c).unwrap();
-        }
-        a.detach(c2).unwrap();
-        assert_eq!(a.slot(c1).unwrap().next_sibling, Some(c3));
-        assert_eq!(a.slot(c3).unwrap().prev_sibling, Some(c1));
-        assert!(a.slot(c2).unwrap().detached);
-        assert_eq!(a.slot(r).unwrap().first_child, Some(c1));
-        assert_eq!(a.slot(r).unwrap().last_child, Some(c3));
-    }
-
-    #[test]
-    fn detach_first_and_last() {
-        let mut a = Arena::new();
-        let r = a.alloc(data("r"));
-        let c1 = a.alloc(data("c1"));
-        let c2 = a.alloc(data("c2"));
-        a.append_child(r, c1).unwrap();
-        a.append_child(r, c2).unwrap();
-        a.detach(c1).unwrap();
-        assert_eq!(a.slot(r).unwrap().first_child, Some(c2));
-        a.detach(c2).unwrap();
-        assert_eq!(a.slot(r).unwrap().first_child, None);
-        assert_eq!(a.slot(r).unwrap().last_child, None);
     }
 
     #[test]

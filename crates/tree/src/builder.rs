@@ -41,16 +41,6 @@ impl TreeBuilder {
         }
     }
 
-    /// Start a tree from prebuilt root data (e.g. carrying attributes).
-    pub fn from_data(root: NodeData) -> Self {
-        let tree = Tree::with_root(root);
-        let r = tree.root().expect("with_root always sets a root");
-        TreeBuilder {
-            tree,
-            stack: vec![r],
-        }
-    }
-
     fn cursor(&self) -> NodeId {
         *self.stack.last().expect("builder stack is never empty")
     }
@@ -60,16 +50,6 @@ impl TreeBuilder {
         let id = self
             .tree
             .add_child(self.cursor(), NodeData::element(tag))
-            .expect("cursor is always valid");
-        self.stack.push(id);
-        self
-    }
-
-    /// Open a child element built from explicit [`NodeData`].
-    pub fn open_data(mut self, data: NodeData) -> Self {
-        let id = self
-            .tree
-            .add_child(self.cursor(), data)
             .expect("cursor is always valid");
         self.stack.push(id);
         self
@@ -105,11 +85,10 @@ impl TreeBuilder {
     /// Set text content on the currently open element.
     pub fn content(mut self, content: impl Into<Value>) -> Self {
         let cur = self.cursor();
-        let value = content.into();
-        let ty = crate::types::TypeSystem::infer(&value);
-        let data = self.tree.data_mut(cur).expect("cursor is always valid");
-        data.content = Some(value);
-        data.content_type = Some(ty);
+        self.tree
+            .data_mut(cur)
+            .expect("cursor is always valid")
+            .content = Some(content.into());
         self
     }
 

@@ -151,14 +151,4 @@ mod tests {
         let d = TreeBuilder::new("x").leaf("a", "b").build();
         assert_ne!(fingerprint(&c), fingerprint(&d));
     }
-
-    #[test]
-    fn equality_ignores_detached_slots() {
-        let mut a = TreeBuilder::new("r").leaf("a", "1").leaf("b", "2").build();
-        let b = TreeBuilder::new("r").leaf("b", "2").build();
-        let ra = a.root().unwrap();
-        let first = a.children(ra).next().unwrap();
-        a.detach(first).unwrap();
-        assert!(trees_equal(&a, &b));
-    }
 }

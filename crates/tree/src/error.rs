@@ -8,31 +8,15 @@ pub enum TreeError {
     /// A [`crate::NodeId`] referred to a node not present in the arena
     /// (stale id or id from a different tree).
     InvalidNodeId(usize),
-    /// An operation required a root but the tree had none.
-    EmptyTree,
     /// Attaching a node would create a cycle or a second parent.
     StructureViolation(String),
-    /// A type was referenced that is not registered in the [`crate::TypeSystem`].
-    UnknownType(String),
-    /// A value did not belong to the domain of its declared type.
-    DomainViolation {
-        /// Name of the violated type.
-        type_name: String,
-        /// Rendering of the offending value.
-        value: String,
-    },
 }
 
 impl fmt::Display for TreeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TreeError::InvalidNodeId(id) => write!(f, "invalid node id {id}"),
-            TreeError::EmptyTree => write!(f, "operation requires a non-empty tree"),
             TreeError::StructureViolation(msg) => write!(f, "structure violation: {msg}"),
-            TreeError::UnknownType(name) => write!(f, "unknown type `{name}`"),
-            TreeError::DomainViolation { type_name, value } => {
-                write!(f, "value `{value}` is not in dom({type_name})")
-            }
         }
     }
 }
@@ -40,7 +24,7 @@ impl fmt::Display for TreeError {
 impl std::error::Error for TreeError {}
 
 /// Result alias used throughout the crate.
-pub type TreeResult<T> = Result<T, TreeError>;
+pub(crate) type TreeResult<T> = Result<T, TreeError>;
 
 #[cfg(test)]
 mod tests {
@@ -50,18 +34,9 @@ mod tests {
     fn display_formats_are_stable() {
         assert_eq!(TreeError::InvalidNodeId(3).to_string(), "invalid node id 3");
         assert_eq!(
-            TreeError::EmptyTree.to_string(),
-            "operation requires a non-empty tree"
+            TreeError::StructureViolation("x".into()).to_string(),
+            "structure violation: x"
         );
-        assert_eq!(
-            TreeError::UnknownType("mm".into()).to_string(),
-            "unknown type `mm`"
-        );
-        let e = TreeError::DomainViolation {
-            type_name: "int".into(),
-            value: "x".into(),
-        };
-        assert_eq!(e.to_string(), "value `x` is not in dom(int)");
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl Forest {
         self.trees.iter()
     }
 
-    /// Total node count across all trees.
-    pub fn total_nodes(&self) -> usize {
-        self.trees.iter().map(Tree::node_count).sum()
-    }
-
     /// Whether some member tree equals `t` under ordered isomorphism.
     pub fn contains_tree(&self, t: &Tree) -> bool {
         self.trees.iter().any(|x| trees_equal(x, t))
@@ -211,12 +206,6 @@ mod tests {
         assert_eq!(fps, reference.iter().map(fingerprint).collect::<Vec<_>>());
         assert_eq!(fps[0], fingerprint(&t("b", "2")));
         assert!(fps[2].contains("first"));
-    }
-
-    #[test]
-    fn total_nodes_sums() {
-        let a = Forest::from_trees(vec![t("a", "1"), t("b", "2")]);
-        assert_eq!(a.total_nodes(), 4);
     }
 
     #[test]

@@ -86,7 +86,7 @@ impl Iterator for Descendants<'_> {
 }
 
 /// Strict ancestors of a node, nearest first.
-pub struct Ancestors<'a> {
+pub(crate) struct Ancestors<'a> {
     arena: &'a Arena,
     cur: Option<NodeId>,
 }

@@ -3,44 +3,44 @@
 //! This crate implements the data model of Definition 1 in the TOSS paper
 //! (Hung, Deng, Subrahmanian, SIGMOD 2004): a *semistructured instance* is a
 //! set of rooted, ordered, directed trees whose objects carry two attributes
-//! — a **tag** (the label of the edge to the parent) and a **content** — each
-//! of which has a *type* drawn from a type system `T` with domains
-//! `dom(τ)`.
+//! — a **tag** (the label of the edge to the parent) and a **content**. A
+//! content is a [`Value`] (string, integer or real); the paper's named
+//! types, their order and the conversions between them live in
+//! `toss-core`'s type hierarchy.
 //!
 //! The central abstractions:
 //!
-//! * [`Tree`] — one rooted ordered tree, stored in an arena ([`arena`]).
+//! * [`Tree`] — one rooted ordered tree, stored in an arena of
+//!   [`NodeId`]-addressed [`NodeData`] slots.
 //! * [`Forest`] — an ordered collection of trees; a semistructured database
 //!   (SDB) is a [`Forest`] (the paper's finite set of instances).
-//! * [`Value`] / [`TypeId`] / [`TypeSystem`] — typed attribute values and the
-//!   type registry used by the TOSS type hierarchy and conversion functions.
 //! * [`TreeBuilder`] — ergonomic construction of trees.
 //! * ordered-isomorphism equality ([`eq`]) used by TAX's set-theoretic
 //!   operators (union, intersection, difference).
 //!
 //! The XML serialization in [`serialize`] round-trips with the parser in the
-//! `toss-xmldb` crate.
+//! `toss-xmldb` crate. `eq` and `serialize` are the only public modules;
+//! everything else is re-exported at the root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod arena;
-pub mod builder;
+mod arena;
+mod builder;
 pub mod eq;
-pub mod error;
-pub mod forest;
-pub mod iter;
-pub mod node;
+mod error;
+mod forest;
+mod iter;
+mod node;
 pub mod serialize;
-pub mod tree;
-pub mod types;
-pub mod value;
+mod tree;
+mod value;
 
 pub use arena::NodeId;
 pub use builder::TreeBuilder;
-pub use error::{TreeError, TreeResult};
+pub use error::TreeError;
 pub use forest::Forest;
 pub use node::NodeData;
 pub use tree::Tree;
-pub use types::{TypeId, TypeSystem};
 pub use value::Value;

@@ -1,23 +1,19 @@
-//! Node payloads: tag + content attributes with their types.
+//! Node payloads: the tag and content attributes of one object.
 
-use crate::types::{TypeId, TypeSystem};
 use crate::value::Value;
 
 /// The data stored at one object of a semistructured instance.
 ///
 /// Per Definition 1, an object `o` has two attributes: `o.tag` (the label of
 /// the edge between `o` and its parent) and `o.content` (possibly empty for
-/// interior elements). The mapping `t` assigns each attribute a type.
+/// interior elements). A content's type is its [`Value`] variant; type
+/// hierarchies over unit types live in `toss-core`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeData {
     /// The element tag, e.g. `author`, `inproceedings`.
     pub tag: String,
-    /// Type of the tag attribute (`t(o, tag)`), normally `string`.
-    pub tag_type: TypeId,
     /// Text content of the object, if any.
     pub content: Option<Value>,
-    /// Type of the content attribute (`t(o, content)`), if content exists.
-    pub content_type: Option<TypeId>,
     /// XML attributes (`name="value"` pairs), preserved in document order.
     /// TAX folds attributes into the tree model; we retain them so XML
     /// round-trips losslessly.
@@ -29,40 +25,23 @@ impl NodeData {
     pub fn element(tag: impl Into<String>) -> Self {
         NodeData {
             tag: tag.into(),
-            tag_type: TypeSystem::STRING,
             content: None,
-            content_type: None,
             attrs: Vec::new(),
         }
     }
 
-    /// Create a node with a tag and text content, inferring the content type.
+    /// Create a node with a tag and content.
     pub fn with_content(tag: impl Into<String>, content: impl Into<Value>) -> Self {
-        let content = content.into();
-        let content_type = TypeSystem::infer(&content);
         NodeData {
             tag: tag.into(),
-            tag_type: TypeSystem::STRING,
-            content: Some(content),
-            content_type: Some(content_type),
+            content: Some(content.into()),
             attrs: Vec::new(),
         }
-    }
-
-    /// Attach an XML attribute, builder-style.
-    pub fn attr(mut self, name: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attrs.push((name.into(), value.into()));
-        self
     }
 
     /// Content rendered as a string ("" when absent).
     pub fn content_str(&self) -> String {
         self.content.as_ref().map(Value::render).unwrap_or_default()
-    }
-
-    /// Content as `&str` when it is a string value.
-    pub fn content_as_str(&self) -> Option<&str> {
-        self.content.as_ref().and_then(Value::as_str)
     }
 
     /// Value of a named XML attribute.
@@ -83,23 +62,22 @@ mod tests {
         let n = NodeData::element("article");
         assert_eq!(n.tag, "article");
         assert!(n.content.is_none());
-        assert!(n.content_type.is_none());
         assert_eq!(n.content_str(), "");
     }
 
     #[test]
-    fn with_content_infers_type() {
+    fn with_content_keeps_the_value() {
         let n = NodeData::with_content("year", 1999i64);
         assert_eq!(n.content, Some(Value::Int(1999)));
-        assert_eq!(n.content_type, Some(TypeSystem::INT));
         let s = NodeData::with_content("author", "Paolo Ciancarini");
-        assert_eq!(s.content_type, Some(TypeSystem::STRING));
-        assert_eq!(s.content_as_str(), Some("Paolo Ciancarini"));
+        assert_eq!(s.content, Some(Value::Str("Paolo Ciancarini".into())));
     }
 
     #[test]
     fn attrs_are_ordered_and_queryable() {
-        let n = NodeData::element("article").attr("key", "a/1").attr("mdate", "2004");
+        let mut n = NodeData::element("article");
+        n.attrs.push(("key".into(), "a/1".into()));
+        n.attrs.push(("mdate".into(), "2004".into()));
         assert_eq!(n.attr_value("key"), Some("a/1"));
         assert_eq!(n.attr_value("mdate"), Some("2004"));
         assert_eq!(n.attr_value("missing"), None);

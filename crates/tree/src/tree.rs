@@ -37,11 +37,6 @@ impl Tree {
         self.root
     }
 
-    /// The root id, or an error for an empty tree.
-    pub fn root_or_err(&self) -> TreeResult<NodeId> {
-        self.root.ok_or(TreeError::EmptyTree)
-    }
-
     /// Set the root of an empty tree.
     pub fn set_root(&mut self, data: NodeData) -> TreeResult<NodeId> {
         if self.root.is_some() {
@@ -58,16 +53,6 @@ impl Tree {
         let id = self.arena.alloc(data);
         self.arena.append_child(parent, id)?;
         Ok(id)
-    }
-
-    /// Detach the subtree rooted at `node`. Detaching the root empties the
-    /// tree.
-    pub fn detach(&mut self, node: NodeId) -> TreeResult<()> {
-        self.arena.detach(node)?;
-        if self.root == Some(node) {
-            self.root = None;
-        }
-        Ok(())
     }
 
     /// Payload of a node.
@@ -95,18 +80,13 @@ impl Tree {
         Descendants::new(&self.arena, id)
     }
 
-    /// `id` followed by its descendants in preorder.
-    pub fn subtree(&self, id: NodeId) -> Preorder<'_> {
-        Preorder::new(&self.arena, Some(id))
-    }
-
     /// All nodes of the tree in preorder.
     pub fn preorder(&self) -> Preorder<'_> {
         Preorder::new(&self.arena, self.root)
     }
 
     /// Strict ancestors of a node, nearest first.
-    pub fn ancestors(&self, id: NodeId) -> Ancestors<'_> {
+    pub(crate) fn ancestors(&self, id: NodeId) -> Ancestors<'_> {
         Ancestors::new(&self.arena, id)
     }
 
@@ -115,12 +95,7 @@ impl Tree {
         self.ancestors(desc).any(|a| a == anc)
     }
 
-    /// Whether `desc` lies in the subtree of `anc` (reflexive).
-    pub fn in_subtree(&self, anc: NodeId, desc: NodeId) -> bool {
-        anc == desc || self.is_ancestor(anc, desc)
-    }
-
-    /// Number of live (attached, root-reachable) nodes.
+    /// Number of nodes reachable from the root.
     pub fn node_count(&self) -> usize {
         self.preorder().count()
     }
@@ -128,11 +103,6 @@ impl Tree {
     /// Whether the tree has no root.
     pub fn is_empty(&self) -> bool {
         self.root.is_none()
-    }
-
-    /// Depth of a node (root = 0).
-    pub fn depth(&self, id: NodeId) -> usize {
-        self.ancestors(id).count()
     }
 
     /// First child with the given tag.
@@ -217,31 +187,13 @@ mod tests {
         assert!(t.is_ancestor(r, sub));
         assert!(!t.is_ancestor(sub, r));
         assert!(!t.is_ancestor(a, ti));
-        assert!(t.in_subtree(ti, sub));
-        assert!(t.in_subtree(ti, ti));
+        assert!(!t.is_ancestor(ti, ti));
     }
 
     #[test]
-    fn depth_and_count() {
-        let (t, r, _a, _ti, sub) = sample();
-        assert_eq!(t.depth(r), 0);
-        assert_eq!(t.depth(sub), 2);
+    fn node_count_counts_every_node() {
+        let (t, ..) = sample();
         assert_eq!(t.node_count(), 4);
-    }
-
-    #[test]
-    fn detach_subtree_hides_descendants() {
-        let (mut t, _r, _a, ti, _sub) = sample();
-        t.detach(ti).unwrap();
-        assert_eq!(t.node_count(), 2);
-    }
-
-    #[test]
-    fn detach_root_empties() {
-        let (mut t, r, ..) = sample();
-        t.detach(r).unwrap();
-        assert!(t.is_empty());
-        assert_eq!(t.node_count(), 0);
     }
 
     #[test]

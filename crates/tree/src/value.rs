@@ -1,16 +1,14 @@
-//! Typed attribute values.
+//! Attribute values.
 //!
-//! Every object attribute (tag or content) in a semistructured instance
-//! carries a value plus a type from the [`crate::TypeSystem`]. Values are
-//! deliberately a small closed enum: the paper's model only needs strings,
-//! integers, reals and unit-bearing quantities (e.g. `mm`, `USD`) — the
-//! latter are represented as a numeric payload whose *type* identifies the
-//! unit, so conversion functions in `toss-core` can reinterpret them.
+//! The content of an object is a value from a small closed enum: the
+//! paper's model only needs strings, integers and reals. Unit-bearing
+//! quantities (e.g. `mm`, `USD`) are numeric payloads whose type name lives
+//! in `toss-core`'s type hierarchy, where conversion functions
+//! reinterpret them.
 
-use std::cmp::Ordering;
 use std::fmt;
 
-/// A typed attribute value.
+/// An attribute value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A UTF-8 string (the dominant case in XML content).
@@ -22,23 +20,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// View the value as a string slice if it is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// View the value as an integer, converting a whole `Real` losslessly.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::Real(r) if r.fract() == 0.0 && r.is_finite() => Some(*r as i64),
-            _ => None,
-        }
-    }
-
     /// View the value as a float (integers widen losslessly).
     pub fn as_real(&self) -> Option<f64> {
         match self {
@@ -53,36 +34,38 @@ impl Value {
         self.to_string()
     }
 
-    /// Parse a string into the "most specific" value: integer, then real,
-    /// then string. This mirrors how the XML loader assigns types to raw
-    /// text content.
+    /// Parse text content into the "most specific" value: integer, then
+    /// real, then string. A number is kept only when it renders back to
+    /// exactly `text`, so loading and re-serializing a document never
+    /// rewrites its content (`007`, `1.0`, `+5` and `1e3` stay strings,
+    /// and so compare as strings, not numbers).
     pub fn parse_lexical(text: &str) -> Value {
-        let t = text.trim();
-        if let Ok(i) = t.parse::<i64>() {
-            return Value::Int(i);
+        if let Ok(i) = text.parse::<i64>() {
+            if displays_as(i, text) {
+                return Value::Int(i);
+            }
         }
-        if let Ok(r) = t.parse::<f64>() {
-            if r.is_finite() {
+        if let Ok(r) = text.parse::<f64>() {
+            if r.is_finite() && displays_as(r, text) {
                 return Value::Real(r);
             }
         }
         Value::Str(text.to_string())
     }
+}
 
-    /// Compare two values under the natural order of their common
-    /// supertype: numerics compare numerically, strings lexicographically.
-    /// Mixed string/number comparisons are not ordered (returns `None`),
-    /// matching the paper's well-typedness requirement that comparands have
-    /// a least common supertype.
-    pub fn partial_cmp_typed(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            (a, b) => {
-                let (x, y) = (a.as_real()?, b.as_real()?);
-                x.partial_cmp(&y)
-            }
+/// Whether `n` displays as exactly `text`, compared piece by piece as
+/// the formatter writes so that no `String` is built.
+fn displays_as(n: impl fmt::Display, text: &str) -> bool {
+    struct Rest<'a>(&'a str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+            Ok(())
         }
     }
+    let mut rest = Rest(text);
+    fmt::write(&mut rest, format_args!("{n}")).is_ok() && rest.0.is_empty()
 }
 
 impl fmt::Display for Value {
@@ -126,7 +109,7 @@ mod tests {
     #[test]
     fn parse_lexical_prefers_int() {
         assert_eq!(Value::parse_lexical("1999"), Value::Int(1999));
-        assert_eq!(Value::parse_lexical(" 42 "), Value::Int(42));
+        assert_eq!(Value::parse_lexical("-42"), Value::Int(-42));
     }
 
     #[test]
@@ -136,6 +119,20 @@ mod tests {
             Value::parse_lexical("SIGMOD Conference"),
             Value::Str("SIGMOD Conference".into())
         );
+        // a number that would not render back to its text stays text
+        for text in ["007", "1.0", "+5", "1e3", "-0.50", " 42 ", "0x10"] {
+            assert_eq!(
+                Value::parse_lexical(text),
+                Value::Str(text.into()),
+                "{text}"
+            );
+        }
+        // `-0` is not a canonical integer, but it is the canonical real -0.0
+        assert_eq!(Value::parse_lexical("-0").render(), "-0");
+        // the check compares with the full rendering, however long
+        assert_eq!(Value::parse_lexical("1e2"), Value::Str("1e2".into()));
+        let long = format!("1{}", "0".repeat(40));
+        assert_eq!(Value::parse_lexical(&long), Value::Real(1e40));
     }
 
     #[test]
@@ -143,26 +140,6 @@ mod tests {
         // "inf" parses as f64 infinity; we keep it a string.
         assert_eq!(Value::parse_lexical("inf"), Value::Str("inf".into()));
         assert_eq!(Value::parse_lexical("NaN"), Value::Str("NaN".into()));
-    }
-
-    #[test]
-    fn as_int_accepts_whole_reals() {
-        assert_eq!(Value::Real(2.0).as_int(), Some(2));
-        assert_eq!(Value::Real(2.5).as_int(), None);
-        assert_eq!(Value::Str("2".into()).as_int(), None);
-    }
-
-    #[test]
-    fn typed_comparison_mixes_numerics_only() {
-        assert_eq!(
-            Value::Int(3).partial_cmp_typed(&Value::Real(3.5)),
-            Some(Ordering::Less)
-        );
-        assert_eq!(
-            Value::Str("a".into()).partial_cmp_typed(&Value::Str("b".into())),
-            Some(Ordering::Less)
-        );
-        assert_eq!(Value::Str("3".into()).partial_cmp_typed(&Value::Int(3)), None);
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl DurableDatabase {
         // lenient, unlike `replay`: an op that no longer applies is
         // reported and skipped
         for rec in scan.records.iter().filter(|rec| rec.seq >= cursor) {
-            let checked = BatchValidator::new(&this.db).check(&rec.op);
+            let checked = BatchValidator::replaying(&this.db).check(&rec.op);
             match checked.and_then(|()| apply_op(&mut this.db, &rec.op)) {
                 Ok(_) => report.replayed_ops += 1,
                 Err(err) => report.skipped_ops.push((rec.seq, err)),
@@ -537,10 +537,14 @@ pub struct BatchValidator<'a> {
     doc_sizes: std::collections::BTreeMap<(String, u64), usize>,
     /// Documents removed within the batch.
     removed: std::collections::BTreeSet<(String, u64)>,
+    /// How an op's XML is parsed: with the parser's depth limit for new
+    /// writes, without it for journal records the store already holds.
+    parse: fn(&str) -> DbResult<Tree>,
 }
 
 impl<'a> BatchValidator<'a> {
-    /// Start validating a batch against `db`'s current state.
+    /// Start validating a batch of new writes against `db`'s current
+    /// state.
     pub fn new(db: &'a Database) -> Self {
         BatchValidator {
             db,
@@ -549,6 +553,17 @@ impl<'a> BatchValidator<'a> {
             sizes: Default::default(),
             doc_sizes: Default::default(),
             removed: Default::default(),
+            parse: crate::parser::parse_document,
+        }
+    }
+
+    /// Start validating journal records being replayed: their documents
+    /// were accepted when written, so they are not held to a depth
+    /// limit introduced since.
+    fn replaying(db: &'a Database) -> Self {
+        BatchValidator {
+            parse: crate::parser::parse_stored,
+            ..BatchValidator::new(db)
         }
     }
 
@@ -632,7 +647,7 @@ impl<'a> BatchValidator<'a> {
                 if !self.collection_exists(collection) {
                     return Err(DbError::NoSuchCollection(collection.clone()));
                 }
-                let size = compact_len(&crate::parser::parse_document(xml)?);
+                let size = compact_len(&(self.parse)(xml)?);
                 let cur = self.cur_size(collection);
                 check_size_limit(collection, self.size_limit(collection), cur + size)?;
                 self.sizes.insert(collection.clone(), cur + size);
@@ -658,7 +673,7 @@ impl<'a> BatchValidator<'a> {
                     return Err(DbError::NoSuchCollection(collection.clone()));
                 }
                 let old = self.doc_size(collection, *doc_id)?;
-                let new_size = compact_len(&crate::parser::parse_document(xml)?);
+                let new_size = compact_len(&(self.parse)(xml)?);
                 let attempted = self.cur_size(collection) - old + new_size;
                 check_size_limit(collection, self.size_limit(collection), attempted)?;
                 self.sizes.insert(collection.clone(), attempted);
@@ -697,7 +712,7 @@ fn empty(config: DatabaseConfig) -> Loaded {
 /// that no longer validates or applies.
 fn replay(db: &mut Database, records: &[JournalRecord], cursor: u64) -> DbResult<()> {
     for rec in records.iter().filter(|rec| rec.seq >= cursor) {
-        BatchValidator::new(db).check(&rec.op)?;
+        BatchValidator::replaying(db).check(&rec.op)?;
         apply_op(db, &rec.op)?;
     }
     Ok(())
@@ -756,7 +771,9 @@ fn quarantine(vfs: &dyn Vfs, path: &Path, report: &mut RecoveryReport) {
 }
 
 /// Apply a validated operation. Shared by live commits and replay, so
-/// recovery reconstructs exactly the state the live path built.
+/// recovery reconstructs exactly the state the live path built. Its XML
+/// is parsed without the depth limit: the validator already enforced it
+/// on new writes, and replay must not.
 ///
 /// Public so external write paths (the serving layer's single-writer
 /// loop) can run the same validate → journal → apply discipline over a
@@ -772,7 +789,8 @@ pub fn apply_op(db: &mut Database, op: &JournalOp) -> DbResult<Option<DocumentId
             Ok(None)
         }
         JournalOp::Insert { collection, xml } => {
-            let id = db.collection_mut(collection)?.insert_xml(xml)?;
+            let tree = crate::parser::parse_stored(xml)?;
+            let id = db.collection_mut(collection)?.insert(tree)?;
             Ok(Some(id))
         }
         JournalOp::Remove { collection, doc_id } => {
@@ -784,7 +802,7 @@ pub fn apply_op(db: &mut Database, op: &JournalOp) -> DbResult<Option<DocumentId
             doc_id,
             xml,
         } => {
-            let tree = crate::parser::parse_document(xml)?;
+            let tree = crate::parser::parse_stored(xml)?;
             db.collection_mut(collection)?
                 .replace(DocumentId(*doc_id), tree)?;
             Ok(None)
@@ -1000,6 +1018,67 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DbError::Corruption { .. }), "got {err:?}");
+    }
+
+    /// `depth` nested `<a>` elements around one text leaf.
+    fn nested(depth: usize) -> String {
+        format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    #[test]
+    fn documents_nested_past_the_parse_limit_still_open_but_are_not_accepted_anew() {
+        // a store written before the parser's depth limit existed: one
+        // 300-deep document in the snapshot, an insert and a replace of
+        // such documents in the journal
+        let (deep, deeper) = (nested(300), nested(301));
+        let (_fs, vfs) = mem();
+        let mut store = open_mem(vfs.clone());
+        store.create_collection("d").unwrap();
+        let (mut db, mut writer) = store.into_parts();
+        let tree = crate::parser::parse_stored(&deep).unwrap();
+        db.collection_mut("d").unwrap().insert(tree).unwrap();
+        writer.checkpoint(&db).unwrap();
+        writer
+            .append_batch(&[
+                JournalOp::Insert {
+                    collection: "d".into(),
+                    xml: deep.clone(),
+                },
+                JournalOp::Replace {
+                    collection: "d".into(),
+                    doc_id: 0,
+                    xml: deeper.clone(),
+                },
+            ])
+            .unwrap();
+        drop(writer);
+
+        let stored = |db: &Database| -> Vec<String> {
+            let c = db.collection("d").unwrap();
+            c.documents()
+                .iter()
+                .map(|d| tree_to_xml(&d.tree, Style::Compact))
+                .collect()
+        };
+        let mut store = open_mem(vfs.clone());
+        assert_eq!(stored(store.db()), [deeper.clone(), deep.clone()]);
+        let (recovered, report) =
+            DurableDatabase::recover_with("store.json", DatabaseConfig::unlimited(), vfs).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(stored(recovered.db()), [deeper.clone(), deep.clone()]);
+
+        // new writes of such a document are refused, through the
+        // store's own API and through a server's validator alike
+        let refused = |r: DbResult<()>| {
+            let e = r.unwrap_err();
+            assert!(e.to_string().contains("exceeds the limit"), "{e}");
+        };
+        refused(store.insert_xml("d", &deep).map(drop));
+        refused(store.replace_document("d", DocumentId(1), &deep));
+        refused(BatchValidator::new(store.db()).check(&JournalOp::Insert {
+            collection: "d".into(),
+            xml: deep,
+        }));
     }
 
     #[test]

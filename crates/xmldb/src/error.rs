@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn tree_error_converts() {
-        let e: DbError = TreeError::EmptyTree.into();
+        let e: DbError = TreeError::InvalidNodeId(0).into();
         assert!(matches!(e, DbError::Tree(_)));
     }
 

@@ -8,7 +8,8 @@
 //!   dependency-free XML parser producing `toss_tree::Tree` values
 //!   (elements, attributes, text, CDATA, comments, processing
 //!   instructions, the five standard entities and numeric character
-//!   references).
+//!   references). New documents may nest at most 256 levels; documents
+//!   a store already holds are read back without that limit.
 //! * [`Database`] / [`Collection`] — named collections of documents with
 //!   a configurable per-collection size limit ([`DatabaseConfig`];
 //!   defaults to Xindice's 5 MB, so the paper's Fig. 16(a) end-of-range

@@ -8,18 +8,47 @@
 //! tag name), which matches how Xindice-era tools handled them.
 //!
 //! Whitespace-only text between elements is dropped; significant text is
-//! stored on the enclosing element's `content` attribute with a lexically
-//! inferred type (`int`, `real`, else `string`).
+//! stored on the enclosing element's `content` attribute as an `int` or
+//! `real` when it is a number written in canonical form, else as a string
+//! ([`Value::parse_lexical`]), so serializing the tree gives the text back.
+//!
+//! New XML ([`parse_document`], [`parse_forest`]) may nest elements at
+//! most [`MAX_DEPTH`] levels; a document the store already holds is read
+//! back without that limit ([`parse_stored`]).
 
 use crate::error::{DbError, DbResult};
-use toss_tree::{Forest, NodeData, Tree, TypeSystem, Value};
+use toss_tree::{Forest, NodeData, Tree, Value};
+
+/// Deepest element nesting a document may have (the root is level 1).
+/// The parser, the serializer, tree equality, fingerprints and grafting
+/// all recurse once per level, and a server parses inserts on threads
+/// with std's default 2 MiB stack, so deeper input is a parse error
+/// rather than a stack overflow that aborts the process.
+const MAX_DEPTH: usize = 256;
 
 /// Parse a single XML document into a tree.
 ///
 /// Errors if the input contains no element, more than one top-level
-/// element, or malformed markup.
+/// element, elements nested deeper than 256 levels, or malformed markup.
 pub fn parse_document(input: &str) -> DbResult<Tree> {
-    let mut f = parse_forest(input)?;
+    single(parse_with_limit(input, MAX_DEPTH)?)
+}
+
+/// Parse a sequence of XML documents (e.g. a file of concatenated records)
+/// into a forest, one tree per top-level element, each nested at most
+/// 256 levels.
+pub fn parse_forest(input: &str) -> DbResult<Forest> {
+    parse_with_limit(input, MAX_DEPTH)
+}
+
+/// Parse a document the store has already accepted (a snapshot entry or
+/// a journal record) without the depth limit: a store written before
+/// the limit existed may hold deeper documents, and it must still open.
+pub(crate) fn parse_stored(input: &str) -> DbResult<Tree> {
+    single(parse_with_limit(input, usize::MAX)?)
+}
+
+fn single(mut f: Forest) -> DbResult<Tree> {
     match f.len() {
         0 => Err(err(0, "no root element found")),
         1 => Ok(f.trees_mut().remove(0)),
@@ -27,10 +56,8 @@ pub fn parse_document(input: &str) -> DbResult<Tree> {
     }
 }
 
-/// Parse a sequence of XML documents (e.g. a file of concatenated records)
-/// into a forest, one tree per top-level element.
-pub fn parse_forest(input: &str) -> DbResult<Forest> {
-    let mut p = Parser::new(input);
+fn parse_with_limit(input: &str, max_depth: usize) -> DbResult<Forest> {
+    let mut p = Parser::new(input, max_depth);
     let mut forest = Forest::new();
     loop {
         p.skip_misc()?;
@@ -53,13 +80,15 @@ fn err(offset: usize, message: impl Into<String>) -> DbError {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    max_depth: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
+    fn new(input: &'a str, max_depth: usize) -> Self {
         Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            max_depth,
         }
     }
 
@@ -193,7 +222,7 @@ impl<'a> Parser<'a> {
     /// Parse one element and its subtree into a new [`Tree`].
     fn parse_element_tree(&mut self) -> DbResult<Tree> {
         let mut tree = Tree::new();
-        let root = self.parse_element_into(&mut tree, None)?;
+        let root = self.parse_element_into(&mut tree, None, 1)?;
         debug_assert_eq!(tree.root(), Some(root));
         Ok(tree)
     }
@@ -202,7 +231,17 @@ impl<'a> Parser<'a> {
         &mut self,
         tree: &mut Tree,
         parent: Option<toss_tree::NodeId>,
+        depth: usize,
     ) -> DbResult<toss_tree::NodeId> {
+        if depth > self.max_depth {
+            return Err(err(
+                self.pos,
+                format!(
+                    "element nesting depth {depth} exceeds the limit of {}",
+                    self.max_depth
+                ),
+            ));
+        }
         self.expect(b'<')?;
         let tag = self.parse_name()?;
         let mut data = NodeData::element(tag.clone());
@@ -265,7 +304,7 @@ impl<'a> Parser<'a> {
                 self.expect(b'>')?;
                 break;
             } else if self.peek() == Some(b'<') {
-                self.parse_element_into(tree, Some(node))?;
+                self.parse_element_into(tree, Some(node), depth + 1)?;
             } else {
                 let start = self.pos;
                 while let Some(b) = self.peek() {
@@ -282,11 +321,7 @@ impl<'a> Parser<'a> {
 
         let trimmed = text.trim();
         if !trimmed.is_empty() {
-            let value = Value::parse_lexical(trimmed);
-            let ty = TypeSystem::infer(&value);
-            let d = tree.data_mut(node)?;
-            d.content = Some(value);
-            d.content_type = Some(ty);
+            tree.data_mut(node)?.content = Some(Value::parse_lexical(trimmed));
         }
         Ok(node)
     }
@@ -435,11 +470,61 @@ mod tests {
 
     #[test]
     fn round_trip_with_serializer() {
-        let src = "<article key=\"conf/sigmod/1\"><author>Dana Florescu</author><title>Storing &amp; Querying XML</title><year>1999</year></article>";
-        let t = parse_document(src).unwrap();
-        let xml = tree_to_xml(&t, Style::Compact);
-        let t2 = parse_document(&xml).unwrap();
-        assert!(toss_tree::eq::trees_equal(&t, &t2));
+        let sources = [
+            "<article key=\"conf/sigmod/1\"><author>Dana Florescu</author><title>Storing &amp; Querying XML</title><year>1999</year></article>",
+            // numeric-looking text that is not a canonical number stays text
+            "<a><x>007</x><y>1.0</y><z>+5</z><w>1e3</w><v>-0</v></a>",
+        ];
+        for src in sources {
+            let t = parse_document(src).unwrap();
+            let xml = tree_to_xml(&t, Style::Compact);
+            assert_eq!(xml, src);
+            let t2 = parse_document(&xml).unwrap();
+            assert!(toss_tree::eq::trees_equal(&t, &t2));
+        }
+    }
+
+    /// `depth` nested `<a>` elements around one text leaf.
+    fn nested(depth: usize) -> String {
+        format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_at_the_cap_fits_a_default_thread_stack_and_deeper_is_refused() {
+        // std's default spawned-thread stack, as a server's workers use
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let src = nested(MAX_DEPTH);
+                let t = parse_document(&src).unwrap();
+                assert_eq!(t.node_count(), MAX_DEPTH);
+                let xml = tree_to_xml(&t, Style::Compact);
+                assert_eq!(xml, src);
+                assert_eq!(toss_tree::serialize::compact_len(&t), src.len());
+                let copy = t.extract(t.root().unwrap()).unwrap();
+                assert!(toss_tree::eq::trees_equal(&t, &copy));
+                assert_eq!(
+                    toss_tree::eq::fingerprint(&t),
+                    toss_tree::eq::fingerprint(&copy)
+                );
+
+                let deeper = nested(MAX_DEPTH + 1);
+                let e = parse_document(&deeper).unwrap_err();
+                let DbError::Parse { offset, .. } = &e else {
+                    panic!("expected a parse error, got {e}");
+                };
+                assert_eq!(*offset, 3 * MAX_DEPTH);
+                assert!(
+                    e.to_string().contains(&format!(
+                        "depth {} exceeds the limit of {MAX_DEPTH}",
+                        MAX_DEPTH + 1
+                    )),
+                    "{e}"
+                );
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

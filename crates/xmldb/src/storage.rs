@@ -366,7 +366,7 @@ fn document_entries(documents: &[Value]) -> (Vec<(DocumentId, &str)>, Option<DbE
 /// Parse one document and measure its compact XML, once each; runs on a
 /// pool worker.
 fn decode<S: Restore>(xml: &str) -> DbResult<S::Doc> {
-    let tree = crate::parser::parse_document(xml)?;
+    let tree = crate::parser::parse_stored(xml)?;
     let size = compact_len(&tree);
     Ok(S::keep(tree, size))
 }

@@ -16,20 +16,11 @@ use toss::core::typesys::TypeHierarchy;
 use toss::core::{TossCond, TossOp, TossTerm};
 use toss::ontology::hierarchy::Hierarchy;
 use toss::similarity::Levenshtein;
-use toss::tree::types::Domain;
 use toss::tree::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. a type hierarchy: mm ≤ length, cm ≤ length, inch ≤ length
     let mut th = TypeHierarchy::new();
-    for (name, dom) in [
-        ("mm", Domain::NonNegative),
-        ("cm", Domain::NonNegative),
-        ("inch", Domain::NonNegative),
-        ("length", Domain::NonNegative),
-    ] {
-        th.types.register(name, dom);
-    }
     th.add_subtype("mm", "length")?;
     th.add_subtype("cm", "length")?;
     th.add_subtype("inch", "length")?;
@@ -65,8 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. an ill-typed comparison is rejected before evaluation
     let mut th2 = TypeHierarchy::new();
-    th2.types.register("usd", Domain::NonNegative);
-    th2.types.register("mm", Domain::NonNegative);
     th2.add_subtype("usd", "money")?;
     th2.add_subtype("mm", "length")?;
     let bad = TossCond::cmp(

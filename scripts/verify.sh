@@ -80,6 +80,27 @@ SECOND_OUT=$("$CLI" xpath --db "$SMOKE/store.json" --collection dblp \
 grep -q "1 match(es)" <<< "$SECOND_OUT"
 RECOVER_OUT=$("$CLI" db recover --db "$SMOKE/store.json")
 grep -q "store is clean" <<< "$RECOVER_OUT"
+# content is stored losslessly: numeric-looking text that is not a
+# canonical number survives load, checkpoint and query unchanged
+NUM_DOC='<a><x>007</x><y>1.0</y><z>+5</z><w>1e3</w><v>-0</v></a>'
+echo "$NUM_DOC" > "$SMOKE/num.xml"
+"$CLI" load --db "$SMOKE/lossless.json" --collection nums "$SMOKE/num.xml" >/dev/null
+"$CLI" db checkpoint --db "$SMOKE/lossless.json" >/dev/null
+NUM_OUT=$("$CLI" xpath --db "$SMOKE/lossless.json" --collection nums "//a")
+grep -qF "$NUM_DOC" <<< "$NUM_OUT" || { echo "xpath rewrote stored content: $NUM_OUT"; exit 1; }
+# a document nested past the parser's depth cap is refused with exit 1
+# and a message naming the depth, instead of overflowing the stack
+python3 -c "print('<dblp>' + '<a>' * 16000 + 'x' + '</a>' * 16000 + '</dblp>')" > "$SMOKE/deep.xml"
+DEEP_STATUS=0
+DEEP_OUT=$("$CLI" load --db "$SMOKE/lossless.json" --collection nums "$SMOKE/deep.xml" 2>&1) || DEEP_STATUS=$?
+[ "$DEEP_STATUS" -eq 1 ] || { echo "over-deep load exited $DEEP_STATUS, expected 1"; exit 1; }
+grep -q "nesting depth 257 exceeds the limit of 256" <<< "$DEEP_OUT"
+# and the store it was refused from still opens, unchanged
+LOSSLESS_STATS=$("$CLI" stats --db "$SMOKE/lossless.json")
+grep -q "^xmldb_snapshot_loads" <<< "$LOSSLESS_STATS"
+NUM_OUT=$("$CLI" xpath --db "$SMOKE/lossless.json" --collection nums "//a")
+grep -q "^1 match(es)" <<< "$NUM_OUT"
+grep -qF "$NUM_DOC" <<< "$NUM_OUT"
 
 echo "==> toss-cli query, flight recorder + toss-cli top smoke test"
 "$CLI" build-seo --db "$SMOKE/store.json" --epsilon 1 --out "$SMOKE/seo.json" >/dev/null
