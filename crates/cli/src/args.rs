@@ -1,5 +1,7 @@
 //! Minimal flag parsing (no external dependencies): `--flag value` pairs,
-//! repeatable flags, and positional arguments.
+//! repeatable flags, and positional arguments. Each subcommand names the
+//! flags it reads; any other flag is an error, so a misspelt one fails
+//! instead of being ignored.
 
 use std::collections::HashMap;
 
@@ -16,7 +18,6 @@ pub struct Args {
 const SWITCHES: &[&str] = &[
     "tax",
     "pretty",
-    "part-of",
     "explain",
     "json",
     "allow-shutdown",
@@ -24,14 +25,18 @@ const SWITCHES: &[&str] = &[
 ];
 
 impl Args {
-    /// Parse `argv` (without the subcommand). Every `--flag` not in the
-    /// switch list consumes the next token as its value.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Parse `argv` (without the subcommand), accepting only the flags
+    /// in `known`. Every `--flag` not in the switch list consumes the
+    /// next token as its value.
+    pub fn parse(argv: &[String], known: &[&str]) -> Result<Args, String> {
         let mut out = Args::default();
         let mut i = 0;
         while i < argv.len() {
             let a = &argv[i];
             if let Some(name) = a.strip_prefix("--") {
+                if !known.contains(&name) {
+                    return Err(format!("unknown flag --{name}"));
+                }
                 if SWITCHES.contains(&name) {
                     out.switches.push(name.to_string());
                     i += 1;
@@ -98,10 +103,15 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    const KNOWN: &[&str] = &["db", "eq", "tax", "pretty"];
+
     #[test]
     fn flags_switches_positionals() {
-        let a = Args::parse(&argv("--db store.json f1.xml --eq a=1 --eq b=2 --tax f2.xml"))
-            .unwrap();
+        let a = Args::parse(
+            &argv("--db store.json f1.xml --eq a=1 --eq b=2 --tax f2.xml"),
+            KNOWN,
+        )
+        .unwrap();
         assert_eq!(a.required("db").unwrap(), "store.json");
         assert_eq!(a.many("eq"), &["a=1".to_string(), "b=2".to_string()]);
         assert!(a.switch("tax"));
@@ -111,18 +121,35 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Args::parse(&argv("--db")).is_err());
+        assert!(Args::parse(&argv("--db"), KNOWN).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        // a misspelt value flag, a misspelt switch, and a real flag of
+        // another subcommand are all refused, each named in the error
+        for (line, flag) in [
+            ("--db a --timeout 1", "--timeout"),
+            ("--explian x", "--explian"),
+            ("--db a --writable", "--writable"),
+            ("--part-of", "--part-of"),
+        ] {
+            let err = Args::parse(&argv(line), KNOWN).unwrap_err();
+            assert!(err.contains(flag), "{line}: {err}");
+        }
+        // positionals are not flags
+        assert!(Args::parse(&argv("timeout"), KNOWN).is_ok());
     }
 
     #[test]
     fn duplicate_single_flag_rejected() {
-        let a = Args::parse(&argv("--db a --db b")).unwrap();
+        let a = Args::parse(&argv("--db a --db b"), KNOWN).unwrap();
         assert!(a.one("db").is_err());
     }
 
     #[test]
     fn required_missing() {
-        let a = Args::parse(&argv("x")).unwrap();
+        let a = Args::parse(&argv("x"), KNOWN).unwrap();
         assert!(a.required("db").is_err());
         assert_eq!(a.one("db").unwrap(), None);
     }

@@ -2,16 +2,16 @@
 
 use crate::args::{tag_value, Args};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 use toss_core::{
-    enhance_sdb_full, make_ontology, suggest_constraints, AdmissionController, Executor,
-    Limit, MakerConfig, OesInstance, QueryBudget, QueryGovernor, TossError,
+    enhance_sdb_full, make_ontology, suggest_constraints, Executor, MakerConfig, OesInstance,
 };
 use toss_lexicon::LexiconBuilder;
 use toss_ontology::persist::{seo_from_json, seo_to_json};
-use toss_serve::protocol::build_query;
-use toss_serve::QueryRequest;
+use toss_serve::{
+    BudgetClass, ErrorCode, QueryRequest, ServerConfig, Service, WriteConfig, WriteEngine,
+};
 use toss_similarity::combinators::{MinOf, MultiWordGate};
 use toss_similarity::{Levenshtein, NameRules, StringMetric};
 use toss_tree::serialize::{tree_to_xml, Style};
@@ -44,10 +44,17 @@ usage:
   toss-cli top       [--addr <host:port>] [--interval-ms <n>]
                      [--iterations <n>] [--slow <n>]
 
-query resource limits: --timeout-ms is a hard wall-clock deadline
-(exit code 3 when exceeded; 0 means no deadline); --max-terms /
---max-docs are soft budgets — the query degrades gracefully (exit 0,
-warning on stderr). Exit code 4 means the query was shed under load.
+query runs in-process through the same service as a server's `query`
+frame, in budget class `batch`: --timeout-ms is a hard wall-clock
+deadline (exit code 3 when exceeded); --max-terms / --max-docs are soft
+budgets — the query degrades gracefully (exit 0, warning on stderr).
+Each only tightens the class ceiling (30 s, 8192 terms, 2000000 docs);
+0 means the ceiling. Exit code 4 means the query was shed under load.
+
+query and serve open the store by one rule: the store's ontology
+sidecar (<store>.ont.json, written at each checkpoint) plus the journal
+tail past it; --seo is only the baseline for a store with no sidecar.
+Every subcommand accepts only the flags listed for it above.
 
 serve runs until stdin closes or reads a `shutdown` line, then drains
 gracefully. With --writable the store opens through the WAL and accepts
@@ -99,23 +106,15 @@ impl From<String> for CliFailure {
     }
 }
 
-impl From<&str> for CliFailure {
-    fn from(message: &str) -> Self {
-        CliFailure::from(message.to_string())
-    }
-}
-
-impl From<TossError> for CliFailure {
-    fn from(e: TossError) -> Self {
-        let code = match &e {
-            TossError::BudgetExceeded(_) | TossError::Cancelled => EXIT_BUDGET,
-            TossError::Overloaded(_) => EXIT_OVERLOADED,
+impl From<(ErrorCode, String)> for CliFailure {
+    /// A failed query: budget and shed outcomes keep their exit codes.
+    fn from((code, message): (ErrorCode, String)) -> Self {
+        let code = match code {
+            ErrorCode::BudgetExceeded | ErrorCode::Cancelled => EXIT_BUDGET,
+            ErrorCode::Overloaded => EXIT_OVERLOADED,
             _ => EXIT_USAGE,
         };
-        CliFailure {
-            code,
-            message: e.to_string(),
-        }
+        CliFailure { code, message }
     }
 }
 
@@ -132,17 +131,16 @@ pub fn run(argv: &[String]) -> Result<(), CliFailure> {
     let (cmd, rest) = argv
         .split_first()
         .ok_or_else(|| "no subcommand given".to_string())?;
-    let args = Args::parse(rest)?;
     match cmd.as_str() {
-        "load" => cmd_load(&args).map_err(CliFailure::from),
-        "xpath" => cmd_xpath(&args).map_err(CliFailure::from),
-        "build-seo" => cmd_build_seo(&args).map_err(CliFailure::from),
-        "query" => cmd_query(&args),
-        "stats" => cmd_stats(&args).map_err(CliFailure::from),
-        "db" => cmd_db(&args).map_err(CliFailure::from),
-        "dot" => cmd_dot(&args).map_err(CliFailure::from),
-        "serve" => cmd_serve(&args).map_err(CliFailure::from),
-        "top" => cmd_top(&args).map_err(CliFailure::from),
+        "load" => cmd_load(rest).map_err(CliFailure::from),
+        "xpath" => cmd_xpath(rest).map_err(CliFailure::from),
+        "build-seo" => cmd_build_seo(rest).map_err(CliFailure::from),
+        "query" => cmd_query(rest),
+        "stats" => cmd_stats(rest).map_err(CliFailure::from),
+        "db" => cmd_db(rest).map_err(CliFailure::from),
+        "dot" => cmd_dot(rest).map_err(CliFailure::from),
+        "serve" => cmd_serve(rest).map_err(CliFailure::from),
+        "top" => cmd_top(rest).map_err(CliFailure::from),
         other => Err(CliFailure::from(format!("unknown subcommand `{other}`"))),
     }
 }
@@ -153,7 +151,48 @@ pub fn run(argv: &[String]) -> Result<(), CliFailure> {
 /// is skipped rather than trimmed, so querying works on read-only media.
 fn load_db(path: &str) -> Result<Database, String> {
     DurableDatabase::open_read_only_with(Path::new(path), DatabaseConfig::unlimited(), &StdVfs)
+        .map(|(db, _)| db)
         .map_err(|e| e.to_string())
+}
+
+/// Open `--db` the way every front door does ([`toss_serve::open_store`]:
+/// the ontology sidecar and journal tail beat the `--seo` baseline) and
+/// put an executor with `--threads` scan workers over it. `write` opens
+/// it writable and returns its write engine.
+fn open_executor(
+    args: &Args,
+    write: Option<WriteConfig>,
+) -> Result<(Executor, Option<WriteEngine>), String> {
+    // --threads bounds the scan worker pool; the default sizes it from
+    // the machine's available parallelism
+    let threads = parse_u64_flag(args, "threads")?;
+    if threads == Some(0) {
+        return Err("--threads must be at least 1".into());
+    }
+    let db_path = args.required("db")?;
+    let seo_json = std::fs::read_to_string(args.required("seo")?).map_err(|e| e.to_string())?;
+    let baseline = seo_from_json(&seo_json).map_err(|e| e.to_string())?;
+    let opened = toss_serve::open_store(
+        Arc::new(StdVfs),
+        Path::new(db_path),
+        baseline,
+        |epsilon| {
+            let metric = default_metric();
+            Box::new(move |h| {
+                toss_ontology::enhance(h, &metric, epsilon).map_err(|e| e.to_string())
+            })
+        },
+        write,
+    )?;
+    if opened.replayed > 0 {
+        eprintln!("replayed {} ontology journal record(s) past the sidecar", opened.replayed);
+    }
+    let mut executor = Executor::new(opened.db, Arc::new(opened.seo))
+        .with_probe_metric(Arc::new(default_metric()));
+    if let Some(n) = threads {
+        executor = executor.with_threads(n as usize);
+    }
+    Ok((executor, opened.engine))
 }
 
 /// Where a store's metrics snapshot lives.
@@ -186,72 +225,54 @@ fn stats_document(snap: &toss_obs::metrics::MetricsSnapshot) -> String {
 }
 
 /// Group `toss.serve.window.<class>.<field>` gauges back into the
-/// `stats`-frame `windows` object (`{class: {requests, …}}`); classes
-/// that never published gauges are simply absent.
+/// `stats`-frame `windows` object (`{class: {requests, …}}`), in the
+/// frame's class and field order; classes that never published gauges
+/// are simply absent.
 fn windows_from_gauges(snap: &toss_obs::metrics::MetricsSnapshot) -> toss_json::Value {
     use toss_json::Value;
-    let mut classes: Vec<(String, Vec<(String, Value)>)> = Vec::new();
-    for (name, level) in &snap.gauges {
-        let Some(rest) = name.strip_prefix("toss.serve.window.") else { continue };
-        let Some((class, field)) = rest.split_once('.') else { continue };
-        if !toss_obs::WindowSnapshot::FIELDS.contains(&field) {
-            continue;
-        }
-        let slot = match classes.iter_mut().find(|(c, _)| c == class) {
-            Some(s) => s,
-            None => {
-                classes.push((class.to_string(), Vec::new()));
-                classes.last_mut().expect("just pushed")
-            }
-        };
-        slot.1.push((field.to_string(), Value::Int(*level)));
-    }
-    Value::Object(
-        classes
-            .into_iter()
-            .map(|(c, fields)| (c, Value::Object(fields)))
-            .collect(),
-    )
+    let classes = BudgetClass::ALL.iter().filter_map(|class| {
+        let fields: Vec<(String, Value)> = toss_obs::WindowSnapshot::FIELDS
+            .iter()
+            .filter_map(|f| {
+                let level = snap.gauge(&format!("toss.serve.window.{}.{f}", class.as_str()))?;
+                Some((f.to_string(), Value::Int(level)))
+            })
+            .collect();
+        (!fields.is_empty()).then(|| (class.as_str().to_string(), Value::Object(fields)))
+    });
+    Value::Object(classes.collect())
 }
 
 /// Rebuild a [`toss_obs::metrics::MetricsSnapshot`] from the JSON that
 /// [`persist_stats`] wrote.
 fn snapshot_from_json(text: &str) -> Result<toss_obs::metrics::MetricsSnapshot, String> {
+    use toss_json::Value;
     use toss_obs::metrics::{HistogramSnapshot, MetricsSnapshot};
-    let v = toss_json::Value::parse(text).map_err(|e| e.to_string())?;
+    let v = Value::parse(text).map_err(|e| e.to_string())?;
+    let num = |x: Option<&Value>| x.and_then(Value::as_f64).unwrap_or(0.0);
+    let count = |x: Option<&Value>| num(x).max(0.0) as u64;
+    let section = |key| v.get(key).and_then(Value::as_object).unwrap_or(&[]);
     let mut snap = MetricsSnapshot::default();
-    if let Some(cs) = v.get("counters").and_then(|c| c.as_object()) {
-        for (name, val) in cs {
-            let n = val.as_f64().unwrap_or(0.0).max(0.0) as u64;
-            snap.counters.push((name.clone(), n));
-        }
+    for (name, x) in section("counters") {
+        snap.counters.push((name.clone(), count(Some(x))));
     }
-    if let Some(gs) = v.get("gauges").and_then(|g| g.as_object()) {
-        for (name, val) in gs {
-            let n = val.as_f64().unwrap_or(0.0) as i64;
-            snap.gauges.push((name.clone(), n));
-        }
+    for (name, x) in section("gauges") {
+        snap.gauges.push((name.clone(), num(Some(x)) as i64));
     }
-    if let Some(hs) = v.get("histograms").and_then(|h| h.as_object()) {
-        for (name, hv) in hs {
-            let mut buckets = Vec::new();
-            for pair in hv.get("buckets").and_then(|b| b.as_array()).unwrap_or(&[]) {
-                if let Some([upper, count]) = pair.as_array() {
-                    buckets.push((
-                        upper.as_f64().unwrap_or(0.0).max(0.0) as u64,
-                        count.as_f64().unwrap_or(0.0).max(0.0) as u64,
-                    ));
-                }
-            }
-            snap.histograms.push((
-                name.clone(),
-                HistogramSnapshot {
-                    count: hv.get("count").and_then(|x| x.as_f64()).unwrap_or(0.0) as u64,
-                    sum: hv.get("sum").and_then(|x| x.as_f64()).unwrap_or(0.0) as u64,
-                    buckets,
-                },
-            ));
-        }
+    for (name, h) in section("histograms") {
+        let pairs = h.get("buckets").and_then(Value::as_array).unwrap_or(&[]);
+        let buckets = pairs.iter().filter_map(|pair| match pair.as_array() {
+            Some([upper, n]) => Some((count(Some(upper)), count(Some(n)))),
+            _ => None,
+        });
+        snap.histograms.push((
+            name.clone(),
+            HistogramSnapshot {
+                count: count(h.get("count")),
+                sum: count(h.get("sum")),
+                buckets: buckets.collect(),
+            },
+        ));
     }
     Ok(snap)
 }
@@ -260,7 +281,8 @@ fn snapshot_from_json(text: &str) -> Result<toss_obs::metrics::MetricsSnapshot, 
 /// snapshot the last instrumented command persisted beside the store.
 /// Default output is the Prometheus text exposition format; `--json`
 /// prints the snapshot JSON verbatim.
-fn cmd_stats(args: &Args) -> Result<(), String> {
+fn cmd_stats(argv: &[String]) -> Result<(), String> {
+    let args = &Args::parse(argv, &["db", "json"])?;
     let db_path = args.required("db")?;
     let path = stats_path(db_path);
     let text = std::fs::read_to_string(&path).map_err(|e| {
@@ -275,7 +297,8 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_load(args: &Args) -> Result<(), String> {
+fn cmd_load(argv: &[String]) -> Result<(), String> {
+    let args = &Args::parse(argv, &["db", "collection"])?;
     let db_path = args.required("db")?.to_string();
     let coll_name = args.required("collection")?.to_string();
     if args.positionals().is_empty() {
@@ -309,7 +332,8 @@ fn cmd_load(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_db(args: &Args) -> Result<(), String> {
+fn cmd_db(argv: &[String]) -> Result<(), String> {
+    let args = &Args::parse(argv, &["db"])?;
     let [action] = args.positionals() else {
         return Err("expected `db checkpoint` or `db recover`".into());
     };
@@ -366,7 +390,8 @@ fn cmd_db(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_xpath(args: &Args) -> Result<(), String> {
+fn cmd_xpath(argv: &[String]) -> Result<(), String> {
+    let args = &Args::parse(argv, &["db", "collection"])?;
     let db = load_db(args.required("db")?)?;
     let coll = db
         .collection(args.required("collection")?)
@@ -389,7 +414,8 @@ fn cmd_xpath(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_build_seo(args: &Args) -> Result<(), String> {
+fn cmd_build_seo(argv: &[String]) -> Result<(), String> {
+    let args = &Args::parse(argv, &["db", "epsilon", "out", "rules", "max-terms"])?;
     let db = load_db(args.required("db")?)?;
     let epsilon: f64 = args
         .required("epsilon")?
@@ -468,30 +494,10 @@ fn parse_capped_flag(args: &Args, name: &str, max: u64) -> Result<Option<u64>, S
     }
 }
 
-/// Assemble the query's resource budget from the command line:
-/// `--timeout-ms` is a hard wall-clock deadline (`0` = no deadline),
-/// `--max-terms` and `--max-docs` are soft limits that degrade the
-/// result instead of failing it.
-fn budget_from_args(args: &Args) -> Result<QueryBudget, String> {
-    let mut budget = QueryBudget::unlimited();
-    if let Some(ms) = parse_u64_flag(args, "timeout-ms")? {
-        if ms > 0 {
-            budget = budget.with_deadline(Duration::from_millis(ms));
-        }
-    }
-    if let Some(n) = parse_u64_flag(args, "max-terms")? {
-        budget = budget.with_max_expansion_terms(Limit::soft(n));
-    }
-    if let Some(n) = parse_u64_flag(args, "max-docs")? {
-        budget = budget.with_max_docs_scanned(Limit::soft(n));
-    }
-    Ok(budget)
-}
-
-fn cmd_query(args: &Args) -> Result<(), CliFailure> {
-    let db = load_db(args.required("db")?)?;
-    let seo_json = std::fs::read_to_string(args.required("seo")?).map_err(|e| e.to_string())?;
-    let seo = Arc::new(seo_from_json(&seo_json).map_err(|e| e.to_string())?);
+/// The `query` flags as the request a remote client would send: class
+/// `batch`, with `--timeout-ms`, `--max-terms` and `--max-docs` as its
+/// overrides (clamped to the class ceilings; 0 means the ceiling).
+fn query_request(args: &Args) -> Result<QueryRequest, String> {
     let mut request = QueryRequest::new(args.required("collection")?, args.required("root")?);
     // one child per tag=value flag, under the root tag
     for (flag, preds) in [
@@ -513,18 +519,28 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
         return Err("give at least one of --eq/--contains/--similar/--below".into());
     }
     request.tax = args.switch("tax");
-    let (query, mode) = build_query(&request).map_err(|e| e.to_string())?;
+    request.class = BudgetClass::Batch;
+    request.timeout_ms = parse_u64_flag(args, "timeout-ms")?;
+    request.max_terms = parse_u64_flag(args, "max-terms")?;
+    request.max_docs = parse_u64_flag(args, "max-docs")?;
+    Ok(request)
+}
 
-    // --threads bounds the scan worker pool; the default sizes it from
-    // the machine's available parallelism
-    let mut executor =
-        Executor::new(db, seo).with_probe_metric(Arc::new(default_metric()));
-    if let Some(n) = parse_u64_flag(args, "threads")? {
-        if n == 0 {
-            return Err("--threads must be at least 1".to_string().into());
-        }
-        executor = executor.with_threads(n as usize);
-    }
+/// `toss-cli query` — run one query in-process through a
+/// [`Service`], the same path a server's `query` frame takes.
+fn cmd_query(argv: &[String]) -> Result<(), CliFailure> {
+    let args = &Args::parse(
+        argv,
+        &[
+            "db", "seo", "collection", "root", "eq", "contains", "similar", "below", "tax",
+            "pretty", "explain", "trace-out", "threads", "timeout-ms", "max-terms", "max-docs",
+        ],
+    )?;
+    let request = query_request(args)?;
+    let (executor, _) = open_executor(args, None)?;
+    let workers = executor.pool.workers();
+    let service = Service::new(Arc::new(RwLock::new(executor)), &ServerConfig::default())
+        .map_err(|e| e.to_string())?;
     // Optional trace consumers. Keeping the scopes alive for the whole
     // query keeps tracing enabled; they uninstall on drop.
     let mut scopes: Vec<toss_obs::SinkScope> = Vec::new();
@@ -541,13 +557,9 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
         scopes.push(toss_obs::install_sink_scoped(Arc::new(sink)));
     }
 
-    // One governed slot: the CLI serves one query per process, so the
-    // admission controller mainly exercises the same code path a serving
-    // loop would use (expired deadlines are rejected before any scan).
-    let gov = QueryGovernor::new(budget_from_args(args)?);
-    let admission = AdmissionController::new(1, Duration::from_millis(100));
-    let out = admission.run(&gov, || executor.select_governed(&query, mode, &gov))?;
+    let served = service.query(&request);
     drop(scopes);
+    let out = served.result?;
 
     println!(
         "{} answer(s) in {:?} (rewrite {:?}, execute {:?}, convert {:?})",
@@ -566,8 +578,28 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
         let trace =
             toss_obs::QueryTrace::for_thread(&records, toss_obs::current_thread_id());
         println!("\nEXPLAIN");
-        if let Some(plan) = &out.plan {
-            println!("plan: {plan} (threads {})", executor.pool.workers());
+        // the record the server's `slow` frame would carry for it
+        if let Some(r) = service.recent(1, None).first() {
+            println!(
+                "query q{} class {} outcome {} answers {}\n\
+                 queue wait {} ms, rewrite {} ms, execute {} ms, convert {} ms, total {} ms\n\
+                 charged: {} expansion term(s), {} doc(s) scanned, {} byte(s)",
+                r.query_id,
+                r.class,
+                r.outcome.as_str(),
+                r.answers,
+                fmt_ms(r.queue_wait_ns),
+                fmt_ms(r.rewrite_ns),
+                fmt_ms(r.execute_ns),
+                fmt_ms(r.convert_ns),
+                fmt_ms(r.total_ns),
+                r.terms_used,
+                r.docs_scanned,
+                r.memory_bytes,
+            );
+            if !r.plan.is_empty() {
+                println!("plan: {} (threads {workers})", r.plan);
+            }
         }
         print!("{}", trace.render());
         let total = out.total_time().as_nanos().max(1) as f64;
@@ -652,11 +684,13 @@ fn cmd_query(args: &Args) -> Result<(), CliFailure> {
     for t in &out.forest {
         println!("{}", tree_to_xml(t, style));
     }
+    service.publish_gauges();
     persist_stats(args.required("db")?);
     Ok(())
 }
 
-fn cmd_dot(args: &Args) -> Result<(), String> {
+fn cmd_dot(argv: &[String]) -> Result<(), String> {
+    let args = &Args::parse(argv, &["seo"])?;
     let seo_json = std::fs::read_to_string(args.required("seo")?).map_err(|e| e.to_string())?;
     let seo = seo_from_json(&seo_json).map_err(|e| e.to_string())?;
     print!("{}", toss_ontology::dot::seo_to_dot(&seo, "seo"));
@@ -665,18 +699,24 @@ fn cmd_dot(args: &Args) -> Result<(), String> {
 
 /// `toss-cli serve` — run the toss-serve TCP front-end over a store +
 /// SEO. Serves until stdin closes (or reads a `shutdown` line), then
-/// drains gracefully and reports what the drain did.
+/// drains gracefully and reports what the drain did. The store opens by
+/// the rule every front door follows (see [`open_executor`]).
 ///
 /// With `--writable`, the store is opened through the durable layer
 /// (WAL + snapshot) and mutation frames are accepted: a single writer
 /// thread group-commits them to the journal, the ontology grows live
 /// (SEO re-enhanced with the same metric/ε the loaded SEO was built
-/// with), and background checkpoints fold the journal. The serving
-/// ontology prefers the `<store>.ont.json` sidecar (written at each
-/// checkpoint) plus the journal tail; the `--seo` file is the baseline
-/// for fresh stores.
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    use toss_serve::{Server, ServerConfig, WriteConfig, WriteEngine};
+/// with), and background checkpoints fold the journal.
+fn cmd_serve(argv: &[String]) -> Result<(), String> {
+    use toss_serve::Server;
+    let args = &Args::parse(
+        argv,
+        &[
+            "db", "seo", "addr", "writable", "checkpoint-every", "max-conns",
+            "max-concurrent", "threads", "drain-ms", "allow-shutdown", "flight-capacity",
+            "slow-log", "slow-threshold-ms", "slow-sample", "window-ms", "window-buckets",
+        ],
+    )?;
     // the server flags first: a bad one fails before any file is read
     let mut cfg = ServerConfig {
         allow_shutdown_verb: args.switch("allow-shutdown"),
@@ -711,85 +751,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if let Some(n) = parse_capped_flag(args, "window-buckets", MAX_WINDOW_BUCKETS)? {
         cfg.window_buckets = n.max(2) as usize;
     }
-    let db_path = args.required("db")?;
-    let seo_json = std::fs::read_to_string(args.required("seo")?).map_err(|e| e.to_string())?;
-    let file_seo = seo_from_json(&seo_json).map_err(|e| e.to_string())?;
-    let writable = args.switch("writable");
-
-    let (db, write_engine) = if writable {
-        let durable =
-            DurableDatabase::open(Path::new(db_path), DatabaseConfig::unlimited())
-                .map_err(|e| e.to_string())?;
-        let records = durable.journal_records().map_err(|e| e.to_string())?;
-        // the checkpoint sidecar beats the --seo file: it already folds
-        // every ontology mutation up to its cursor
-        let sidecar =
-            toss_serve::load_sidecar(&StdVfs, Path::new(db_path));
-        let had_sidecar = sidecar.is_some();
-        let (cursor, base_seo) = sidecar.unwrap_or((0, file_seo));
-        let epsilon = base_seo.epsilon();
-        let mut hierarchy = base_seo.original().clone();
-        let replayed = toss_serve::recover_ontology(&mut hierarchy, &records, cursor);
-        let metric = default_metric();
-        let enhancer: toss_serve::Enhancer = Box::new(move |h| {
-            toss_ontology::enhance(h, &metric, epsilon).map_err(|e| e.to_string())
-        });
-        let seo = if replayed > 0 {
-            println!("replayed {replayed} ontology journal record(s) past the sidecar");
-            (enhancer)(&hierarchy)?
-        } else {
-            base_seo
-        };
-        // Seed the enhanced hierarchy's reachability closure from the
-        // `.seg` index sidecar, so the first ontology cone query skips
-        // the topo-order DP. Only trusted when the served SEO is exactly
-        // the checkpointed one: the ontology sidecar existed, no journal
-        // tail re-grew the hierarchy, and the segment stamp matches the
-        // sidecar cursor.
-        if had_sidecar && replayed == 0 {
-            if let Some(seg) = toss_xmldb::segidx::load_segment(
-                &StdVfs,
-                Path::new(db_path),
-            ) {
-                if seg.last_seq() == cursor {
-                    if let Some(ix) = seg
-                        .section(toss_xmldb::segidx::kinds::REACH, "seo.enhanced")
-                        .and_then(toss_ontology::ReachIndex::from_segment_payload)
-                    {
-                        seo.enhanced().install_reach_index(Arc::new(ix));
-                    }
-                }
-            }
-        }
-        let (db, writer) = durable.into_parts();
-        let mut write_cfg = WriteConfig::default();
-        if let Some(n) = parse_u64_flag(args, "checkpoint-every")? {
-            write_cfg.checkpoint_every = n as usize;
-        }
-        let engine = WriteEngine {
-            writer,
-            hierarchy,
-            enhancer,
-            config: write_cfg,
-        };
-        ((db, Arc::new(seo)), Some(engine))
-    } else {
-        (
-            (load_db(db_path)?, Arc::new(file_seo)),
-            None,
-        )
-    };
-    let (db, seo) = db;
-    let mut executor = Executor::new(db, seo).with_probe_metric(Arc::new(default_metric()));
-    if let Some(n) = parse_u64_flag(args, "threads")? {
-        if n == 0 {
-            return Err("--threads must be at least 1".into());
-        }
-        executor = executor.with_threads(n as usize);
+    let mut write = args.switch("writable").then(WriteConfig::default);
+    if let (Some(w), Some(n)) = (&mut write, parse_u64_flag(args, "checkpoint-every")?) {
+        w.checkpoint_every = n as usize;
     }
+    let writable = write.is_some();
+    let (executor, write_engine) = open_executor(args, write)?;
 
     let addr = args.one("addr")?.unwrap_or("127.0.0.1:7464");
-    let executor = Arc::new(std::sync::RwLock::new(executor));
+    let executor = Arc::new(RwLock::new(executor));
     let server = match write_engine {
         Some(engine) => Server::start_writable(executor, engine, addr, cfg),
         None => Server::start(executor, addr, cfg),
@@ -968,8 +938,9 @@ fn render_top(
 /// frames and render a refreshing per-class SLO dashboard. The screen
 /// is cleared between refreshes only when stdout is a terminal, so
 /// piped output stays a readable log.
-fn cmd_top(args: &Args) -> Result<(), String> {
+fn cmd_top(argv: &[String]) -> Result<(), String> {
     use std::io::IsTerminal;
+    let args = &Args::parse(argv, &["addr", "interval-ms", "iterations", "slow"])?;
     let addr = args.one("addr")?.unwrap_or("127.0.0.1:7464").to_string();
     let interval = Duration::from_millis(
         parse_u64_flag(args, "interval-ms")?.unwrap_or(1_000).max(50),
@@ -1191,21 +1162,68 @@ mod tests {
         (db_path, seo_path)
     }
 
+    /// Serializes the tests that read the process-global
+    /// `toss.serve.window.*` gauges against the one that runs a server.
+    static SERVE_GAUGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
-    fn zero_timeout_means_no_deadline() {
+    fn zero_timeout_means_the_batch_class_ceiling() {
         let (db_path, seo_path) = store_and_seo("timeout");
-        // --timeout-ms 0 disables the deadline entirely; the query runs
-        // to completion instead of being rejected before the scan
-        run(&argv(&format!(
+        let line = format!(
             "query --db {} --seo {} --collection dblp --root inproceedings \
              --eq author=Jeff:Ullman --timeout-ms 0",
             db_path.display(),
             seo_path.display()
-        ))
-        .iter()
-        .map(|s| s.replace(':', " "))
-        .collect::<Vec<_>>())
-        .expect("--timeout-ms 0 must mean no deadline");
+        );
+        let line: Vec<String> = argv(&line).iter().map(|s| s.replace(':', " ")).collect();
+        // --timeout-ms 0 asks for no override: the query runs under the
+        // `batch` class's 30 s deadline, and completes
+        let args = Args::parse(&line[1..], &["db", "seo", "collection", "root", "eq", "timeout-ms"])
+            .expect("flags parse");
+        let request = query_request(&args).expect("request");
+        assert_eq!(request.class, BudgetClass::Batch);
+        let budget = request
+            .class
+            .budget(request.timeout_ms, request.max_terms, request.max_docs);
+        assert_eq!(budget.deadline, Some(Duration::from_secs(30)));
+        run(&line).expect("--timeout-ms 0 must run under the class ceiling");
+    }
+
+    #[test]
+    fn query_runs_through_the_service_telemetry() {
+        let (db_path, seo_path) = store_and_seo("telemetry");
+        let _gauges = SERVE_GAUGES.lock().unwrap_or_else(|e| e.into_inner());
+        run(&argv(&format!(
+            "query --db {} --seo {} --collection dblp --root inproceedings \
+             --contains author=Jeff",
+            db_path.display(),
+            seo_path.display()
+        )))
+        .expect("query");
+        // the query was recorded in the service's `batch` SLO window,
+        // and the window reached the persisted stats document
+        let text = std::fs::read_to_string(stats_path(&db_path.display().to_string()))
+            .expect("stats document");
+        let doc = toss_json::Value::parse(&text).expect("stats document parses");
+        let requests = doc
+            .get("gauges")
+            .and_then(|g| g.get("toss.serve.window.batch.requests"))
+            .and_then(|v| v.as_i64());
+        assert_eq!(requests, Some(1), "{text}");
+    }
+
+    #[test]
+    fn misspelt_query_flag_is_a_usage_error_naming_it() {
+        // refused before any store is opened
+        let e = run(&argv(&format!(
+            "query --db {} --seo {} --collection dblp --root inproceedings \
+             --eq author=A --timeout 1",
+            tmp("no-such-store.json").display(),
+            tmp("no-such-seo.json").display(),
+        )))
+        .unwrap_err();
+        assert_eq!(e.code, EXIT_USAGE);
+        assert!(e.message.contains("--timeout"), "{}", e.message);
     }
 
     #[test]
@@ -1275,6 +1293,7 @@ mod tests {
     #[test]
     fn top_polls_a_live_server_and_renders_every_class() {
         let (db_path, seo_path) = store_and_seo("top");
+        let _gauges = SERVE_GAUGES.lock().unwrap_or_else(|e| e.into_inner());
         let db = load_db(&db_path.display().to_string()).expect("open store");
         let seo_json = std::fs::read_to_string(&seo_path).expect("read seo");
         let seo = Arc::new(seo_from_json(&seo_json).expect("parse seo"));

@@ -11,6 +11,11 @@
 //! toss-cli stats --db store.json [--json]
 //! toss-cli dot --seo seo.json
 //! ```
+//!
+//! `query` runs in-process through `toss_serve::Service` in budget class
+//! `batch` (`--timeout-ms 0` means its 30 s ceiling); `query` and `serve`
+//! open the store by `toss_serve::open_store`. A subcommand accepts only
+//! the flags it reads (there is no `--part-of`); any other is an error.
 
 mod args;
 mod commands;

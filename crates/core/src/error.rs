@@ -30,7 +30,7 @@ pub enum TossError {
     /// unboundedly (load shedding under overload).
     Overloaded(String),
     /// A panic during query execution was caught and isolated
-    /// ([`crate::AdmissionController::run`]); the serving loop survives.
+    /// ([`crate::AdmissionController::run_with_wait`]); the serving loop survives.
     Internal(String),
 }
 

@@ -27,7 +27,7 @@
 //!   wait-queue timeout; when the queue wait expires the query is shed
 //!   with [`TossError::Overloaded`] instead of queueing unboundedly.
 //! * `isolate` — `catch_unwind` around query execution (inside
-//!   [`AdmissionController::run`]) converting panics into
+//!   [`AdmissionController::run_with_wait`]) converting panics into
 //!   [`TossError::Internal`] so a poisoned query cannot unwind through a
 //!   serving loop.
 //!
@@ -666,20 +666,10 @@ impl AdmissionController {
     /// The full governed entry point for a serving loop: reject an
     /// already-expired deadline or cancelled token *before* admission
     /// (and before any document is scanned), acquire a slot or shed,
-    /// then run `f` with panic isolation.
-    pub fn run<T>(
-        &self,
-        governor: &QueryGovernor,
-        f: impl FnOnce() -> TossResult<T>,
-    ) -> TossResult<T> {
-        self.run_with_wait(governor, f).1
-    }
-
-    /// Like [`AdmissionController::run`], but also reports how long this
-    /// request queued for a slot (zero when rejected before admission) —
-    /// the per-request figure telemetry stamps into its flight-recorder
-    /// entry, complementing the aggregate `toss.governor.queue_wait_ns`
-    /// histogram.
+    /// then run `f` with panic isolation. Also returns how long the
+    /// request queued for a slot (zero when rejected before admission),
+    /// the per-request figure beside the aggregate
+    /// `toss.governor.queue_wait_ns` histogram.
     pub fn run_with_wait<T>(
         &self,
         governor: &QueryGovernor,
@@ -997,7 +987,7 @@ mod tests {
             QueryBudget::unlimited().with_deadline(Duration::ZERO),
         );
         let ran = AtomicUsize::new(0);
-        let out = ctrl.run(&g, || {
+        let (_, out) = ctrl.run_with_wait(&g, || {
             ran.fetch_add(1, Ordering::SeqCst);
             Ok(())
         });
@@ -1023,7 +1013,7 @@ mod tests {
     fn permit_released_even_on_panic_inside_run() {
         let ctrl = AdmissionController::new(1, Duration::from_millis(10));
         let g = QueryGovernor::unlimited();
-        let out: TossResult<()> = ctrl.run(&g, || panic!("boom"));
+        let (_, out): (_, TossResult<()>) = ctrl.run_with_wait(&g, || panic!("boom"));
         assert!(matches!(out, Err(TossError::Internal(_))));
         assert_eq!(active(&ctrl), 0, "slot must be released after a panic");
     }

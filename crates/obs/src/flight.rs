@@ -102,8 +102,9 @@ pub struct QueryRecord {
 }
 
 impl QueryRecord {
-    /// Render as a single-line JSON object (the slow-query-log format).
-    pub(crate) fn to_json(&self) -> String {
+    /// Render as a single-line JSON object: a slow-query-log line, and
+    /// the entry a server's `slow` frame carries.
+    pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str(&format!("{{\"query_id\":{}", self.query_id));
         out.push_str(",\"class\":");

@@ -7,6 +7,10 @@
 //! ([`toss_core::AdmissionController`], [`toss_core::QueryGovernor`])
 //! deciding who runs and who is shed.
 //!
+//! One request path: [`Service`] runs every query, the [`Server`] wraps
+//! it in framing, connection limits and drain, and `toss-cli query`
+//! calls it in-process. One way to open a store: [`open_store`].
+//!
 //! The robustness contract, end to end:
 //!
 //! - **Backpressure**: admission slots are bounded; a request that would
@@ -44,8 +48,10 @@
 
 mod budget;
 mod client;
+mod open;
 pub mod protocol;
 mod server;
+mod service;
 mod write;
 
 pub use budget::BudgetClass;
@@ -53,8 +59,10 @@ pub use client::{
     next_write_key, Client, ClientError, QueryReply, StatsReply, WindowStats, WriteReply,
     WriteStats,
 };
+pub use open::{open_store, OpenStore};
 pub use protocol::{ErrorCode, FrameError, QueryRequest, Request, WriteOp, WriteRequest};
 pub use server::{DrainReport, Server, ServerConfig, ShutdownHandle};
+pub use service::{Served, Service};
 pub use write::{
     load_sidecar, recover_ontology, sidecar_path, Enhancer, WriteConfig, WriteEngine,
 };

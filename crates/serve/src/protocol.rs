@@ -660,37 +660,8 @@ impl Request {
     }
 }
 
-/// Encode a flight-recorder entry as the `slow`-frame wire object.
-pub(crate) fn record_to_value(r: &toss_obs::QueryRecord) -> Value {
-    Value::Object(vec![
-        ("query_id".into(), Value::Int(r.query_id as i64)),
-        ("class".into(), Value::Str(r.class.clone())),
-        ("query".into(), Value::Str(r.query.clone())),
-        ("plan".into(), Value::Str(r.plan.clone())),
-        ("outcome".into(), Value::Str(r.outcome.as_str().into())),
-        ("cause".into(), Value::Str(r.cause.clone())),
-        ("total_ns".into(), Value::Int(r.total_ns as i64)),
-        ("queue_wait_ns".into(), Value::Int(r.queue_wait_ns as i64)),
-        ("rewrite_ns".into(), Value::Int(r.rewrite_ns as i64)),
-        ("execute_ns".into(), Value::Int(r.execute_ns as i64)),
-        ("convert_ns".into(), Value::Int(r.convert_ns as i64)),
-        ("terms_used".into(), Value::Int(r.terms_used as i64)),
-        ("docs_scanned".into(), Value::Int(r.docs_scanned as i64)),
-        ("memory_bytes".into(), Value::Int(r.memory_bytes as i64)),
-        ("answers".into(), Value::Int(r.answers as i64)),
-        (
-            "degraded".into(),
-            Value::Array(r.degraded.iter().map(|d| Value::Str(d.clone())).collect()),
-        ),
-        ("op".into(), Value::Str(r.op.clone())),
-        ("batch_size".into(), Value::Int(r.batch_size as i64)),
-        ("fsync_ns".into(), Value::Int(r.fsync_ns as i64)),
-        ("deduped".into(), Value::Bool(r.deduped)),
-    ])
-}
-
-/// Decode a `slow`-frame wire object back into a flight-recorder entry
-/// (the client side of [`record_to_value`]).
+/// Decode a `slow`-frame wire object — a [`toss_obs::QueryRecord::to_json`]
+/// line — back into a flight-recorder entry; absent fields are zero.
 pub(crate) fn record_from_value(v: &Value) -> Option<toss_obs::QueryRecord> {
     let u = |key: &str| u64_or_zero(v, key);
     let s = |key: &str| {
@@ -1025,7 +996,7 @@ mod tests {
             fsync_ns: 42_000,
             deduped: true,
         };
-        let v = record_to_value(&rec);
+        let v = Value::parse(&rec.to_json()).unwrap();
         let back = record_from_value(&v).unwrap();
         assert_eq!(back.query_id, rec.query_id);
         assert_eq!(back.class, rec.class);

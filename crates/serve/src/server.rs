@@ -1,5 +1,6 @@
-//! The serving loop: thread-per-connection TCP front-end over the
-//! [`Executor`] and [`AdmissionController`].
+//! The serving loop: thread-per-connection TCP front-end over a
+//! [`Service`]. The server owns framing, connection limits, drain and
+//! payload encoding; the [`Service`] runs each query.
 //!
 //! ## Robustness contract
 //!
@@ -14,7 +15,7 @@
 //!   reader (never draining its responses) is disconnected instead of
 //!   pinning a thread.
 //! * **Panic isolation.** Query panics are caught inside
-//!   [`toss_core::AdmissionController::run`] and surface as an `internal` error **frame** — the connection
+//!   [`toss_core::AdmissionController::run_with_wait`] and surface as an `internal` error **frame** — the connection
 //!   survives, the server survives.
 //! * **No partial frames.** A response is written with a single
 //!   `write_all`; drain kills only the *read* half of sockets, so a
@@ -30,10 +31,11 @@
 
 use crate::budget::BudgetClass;
 use crate::protocol::{
-    error_code_of, error_payload, ok_payload, read_frame, record_to_value, write_frame,
-    ErrorCode, FrameError, QueryRequest, Request, WriteRequest, DEFAULT_MAX_FRAME_BYTES,
+    error_payload, ok_payload, read_frame, write_frame, ErrorCode, FrameError, QueryRequest,
+    Request, WriteRequest, DEFAULT_MAX_FRAME_BYTES,
 };
-use crate::write::{WriteEngine, WriteJob, WriteResult, WriteState, WriterLoop};
+use crate::service::{Door, Service};
+use crate::write::{write_record, WriteEngine, WriteJob, WriteResult, WriteState, WriterLoop};
 use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -42,13 +44,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
-use toss_core::executor::QueryOutcome;
-use toss_core::{AdmissionController, CancelToken, Executor, QueryGovernor};
+use toss_core::{CancelToken, Executor};
 use toss_json::Value;
-use toss_obs::{
-    FlightRecorder, QueryId, QueryOutcomeKind, QueryRecord, RollingWindow, SlowQueryLog,
-    WindowSnapshot,
-};
+use toss_obs::{QueryId, QueryOutcomeKind, WindowSnapshot};
 use toss_tree::serialize::{tree_to_xml, Style};
 
 /// Tunables for a [`Server`]. The defaults are sized for a small
@@ -147,17 +145,14 @@ struct ConnEntry {
 
 struct Shared {
     cfg: ServerConfig,
-    /// The executor behind a read/write lock: connection threads read,
-    /// the single writer thread takes the write lock briefly per
-    /// applied batch. Read-only servers simply never write.
-    executor: Arc<RwLock<Executor>>,
+    /// The query path: executor, admission and query telemetry.
+    service: Arc<Service>,
     /// Mutation queue into the writer thread; `None` on read-only
     /// servers, and taken (dropped) during drain so the writer exits
     /// after committing what was already enqueued.
     write_tx: Mutex<Option<mpsc::SyncSender<WriteJob>>>,
     /// Observable writer state (`None` on read-only servers).
     write_state: Option<Arc<WriteState>>,
-    admission: AdmissionController,
     state: AtomicU8,
     shutdown_requested: AtomicBool,
     conns: Mutex<HashMap<u64, Arc<ConnEntry>>>,
@@ -168,39 +163,17 @@ struct Shared {
     change: Condvar,
     change_lock: Mutex<()>,
     started: Instant,
-    /// Ring of the most recent completed queries (the `slow` frame).
-    flight: FlightRecorder,
-    /// Optional JSON-lines log of slow/failed (+ sampled) queries.
-    slow_log: Option<SlowQueryLog>,
-    /// One rolling SLO window per budget class, in `BudgetClass::ALL`
-    /// order.
-    windows: Vec<(BudgetClass, RollingWindow)>,
 }
 
 impl Shared {
-    fn window_for(&self, class: BudgetClass) -> &RollingWindow {
-        // ALL covers every variant, so the lookup always succeeds.
-        &self.windows.iter().find(|(c, _)| *c == class).unwrap().1
-    }
-
-    /// Refresh the registry gauges this server owns from its own state
-    /// — `toss.serve.degraded` from its write state, when writable, and
-    /// every class window's `toss.serve.window.<class>.*` — and return
-    /// the window snapshots. The registry is process-global, so another
-    /// server in the same process may have set these since; the
-    /// `metrics` and `stats` frames call this just before they export.
+    /// Refresh `toss.serve.degraded` (when writable) and the service's
+    /// window gauges, and return the window snapshots; the `metrics` and
+    /// `stats` frames call this just before they export.
     fn publish_gauges(&self) -> Vec<(BudgetClass, WindowSnapshot)> {
         if let Some(st) = &self.write_state {
             toss_obs::metrics::gauge("toss.serve.degraded").set(st.is_degraded() as i64);
         }
-        self.windows
-            .iter()
-            .map(|(class, w)| {
-                let snap = w.snapshot();
-                snap.publish_gauges(&format!("toss.serve.window.{}", class.as_str()));
-                (*class, snap)
-            })
-            .collect()
+        self.service.publish_gauges()
     }
 
     fn state(&self) -> u8 {
@@ -231,6 +204,19 @@ impl Shared {
         }
     }
 
+    /// Count a request in flight, so a drain waits for it.
+    fn begin(&self) {
+        self.inflight.fetch_add(1, Ordering::AcqRel);
+        toss_obs::metrics::gauge("toss.serve.inflight").inc();
+    }
+
+    /// Count a request out again and wake a waiting drain.
+    fn end(&self) {
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+        toss_obs::metrics::gauge("toss.serve.inflight").dec();
+        self.notify();
+    }
+
     fn conn_count(&self) -> usize {
         self.conns.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
@@ -240,6 +226,12 @@ impl Shared {
     /// saturated and the client should back off further on its own).
     fn retry_after_ms(&self) -> u64 {
         self.cfg.max_queue_wait.as_millis().max(10) as u64
+    }
+
+    /// The retry hint for work a drain refused or cancelled: the drain
+    /// window, after which a replacement should be up.
+    fn drain_hint_ms(&self) -> u64 {
+        self.cfg.drain_deadline.as_millis().max(10) as u64
     }
 }
 
@@ -307,37 +299,21 @@ impl Server {
         // Nonblocking accept + poll: the accept loop must notice a
         // drain request even when no client ever connects again.
         listener.set_nonblocking(true)?;
-        let admission =
-            AdmissionController::new(cfg.max_concurrent_queries, cfg.max_queue_wait);
-        let slow_log = match &cfg.slow_query_log {
-            Some(path) => Some(SlowQueryLog::create(
-                path,
-                cfg.slow_threshold.as_nanos().min(u64::MAX as u128) as u64,
-                cfg.slow_sample_every,
-            )?),
-            None => None,
-        };
-        let windows = BudgetClass::ALL
-            .iter()
-            .map(|c| (*c, RollingWindow::new(cfg.window_bucket, cfg.window_buckets)))
-            .collect();
-        let write_state = engine.as_ref().map(|_| Arc::new(WriteState::default()));
-        let (write_tx, write_rx) = match engine {
-            Some(_) => {
+        let service = Arc::new(Service::new(executor, &cfg)?);
+        let (write_tx, write_state, writer) = match engine {
+            Some(engine) => {
                 let (tx, rx) = mpsc::sync_channel(WRITE_QUEUE_DEPTH);
-                (Some(tx), Some(rx))
+                let state = Arc::new(WriteState::default());
+                let writer = WriterLoop::new(engine, service.clone(), state.clone());
+                (Some(tx), Some(state), Some((writer, rx)))
             }
-            None => (None, None),
+            None => (None, None, None),
         };
         let shared = Arc::new(Shared {
-            flight: FlightRecorder::new(cfg.flight_capacity),
-            slow_log,
-            windows,
             cfg,
-            executor: executor.clone(),
+            service,
             write_tx: Mutex::new(write_tx),
-            write_state: write_state.clone(),
-            admission,
+            write_state,
             state: AtomicU8::new(STATE_RUNNING),
             shutdown_requested: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
@@ -350,28 +326,13 @@ impl Server {
         // Publish the windowed gauges (as zeros) up front so scrapes of
         // an idle server already see the full gauge set.
         shared.publish_gauges();
-        let writer_thread = match (engine, write_rx, write_state) {
-            (Some(engine), Some(rx), Some(state)) => {
-                let stamp_shared = shared.clone();
-                let stamp = Box::new(move |rec: QueryRecord| {
-                    let class =
-                        BudgetClass::parse(&rec.class).unwrap_or(BudgetClass::Batch);
-                    let (total_ns, outcome) = (rec.total_ns, rec.outcome);
-                    if let Some(log) = &stamp_shared.slow_log {
-                        log.offer(&rec);
-                    }
-                    stamp_shared.flight.record(rec);
-                    stamp_shared.window_for(class).record(total_ns, outcome);
-                });
-                let writer = WriterLoop::new(engine, executor, state, stamp);
-                Some(
-                    thread::Builder::new()
-                        .name("toss-serve-writer".into())
-                        .spawn(move || writer.run(rx))?,
-                )
-            }
-            _ => None,
-        };
+        let writer_thread = writer
+            .map(|(writer, rx)| {
+                thread::Builder::new()
+                    .name("toss-serve-writer".into())
+                    .spawn(move || writer.run(rx))
+            })
+            .transpose()?;
         let accept_shared = shared.clone();
         let accept_thread = thread::Builder::new()
             .name("toss-serve-accept".into())
@@ -409,21 +370,9 @@ impl Server {
     /// Block until some [`ShutdownHandle`] (or the `shutdown` verb)
     /// requests shutdown, then drain and return the report.
     pub fn serve_until_shutdown(self) -> DrainReport {
-        {
-            let mut guard = self
-                .shared
-                .change_lock
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            while !self.shared.shutdown_requested.load(Ordering::Acquire) {
-                let (g, _) = self
-                    .shared
-                    .change
-                    .wait_timeout(guard, Duration::from_millis(200))
-                    .unwrap_or_else(|e| e.into_inner());
-                guard = g;
-            }
-        }
+        let sh = &self.shared;
+        let requested = || sh.shutdown_requested.load(Ordering::Acquire);
+        while !sh.wait_until(Instant::now() + Duration::from_secs(60), requested) {}
         self.shutdown()
     }
 
@@ -703,31 +652,6 @@ fn handle_payload(shared: &Arc<Shared>, entry: &Arc<ConnEntry>, payload: &[u8]) 
     }
 }
 
-/// Stamp an ingress-rejected write (degraded, draining, oversize,
-/// shed): the writer thread never saw it, so telemetry happens here.
-fn stamp_write_rejection(shared: &Shared, qid: QueryId, w: &WriteRequest, code: ErrorCode, total: Duration) {
-    let rec = QueryRecord {
-        query_id: qid.0,
-        class: w.class.as_str().to_string(),
-        query: w.op.target(),
-        op: w.op.verb().to_string(),
-        outcome: QueryOutcomeKind::Error,
-        cause: code.as_str().to_string(),
-        total_ns: total.as_nanos().min(u64::MAX as u128) as u64,
-        ..QueryRecord::default()
-    };
-    if let Some(log) = &shared.slow_log {
-        log.offer(&rec);
-    }
-    shared.flight.record(rec);
-    let win = shared.window_for(w.class);
-    win.record(rec_total_ns(total), QueryOutcomeKind::Error);
-}
-
-fn rec_total_ns(total: Duration) -> u64 {
-    total.as_nanos().min(u64::MAX as u128) as u64
-}
-
 /// Dispatch one mutation frame into the writer thread's group-commit
 /// queue and block (bounded by the class deadline) for its fsynced ack.
 fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
@@ -735,6 +659,16 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
     let _ctx = toss_obs::set_current_query(qid);
     let started = Instant::now();
     toss_obs::metrics::counter("toss.serve.write.requests").inc();
+    // An ingress rejection (draining, degraded, oversize, shed): the
+    // writer thread never sees it, so its telemetry is stamped here.
+    let reject = |code: ErrorCode, counter: &str, message: &str, retry: Option<u64>| {
+        toss_obs::metrics::counter(counter).inc();
+        let mut rec = write_record(qid.0, w.class, &w.op, started.elapsed());
+        rec.outcome = QueryOutcomeKind::Error;
+        rec.cause = code.as_str().to_string();
+        shared.service.record(w.class, rec);
+        error_payload(code, message, retry)
+    };
 
     let Some(state) = &shared.write_state else {
         toss_obs::metrics::counter("toss.serve.errors.bad_request").inc();
@@ -745,41 +679,26 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
         );
     };
     if shared.state() != STATE_RUNNING {
-        toss_obs::metrics::counter("toss.serve.errors.shutting_down").inc();
-        stamp_write_rejection(shared, qid, w, ErrorCode::ShuttingDown, started.elapsed());
-        return error_payload(
-            ErrorCode::ShuttingDown,
-            "server is draining",
-            Some(shared.cfg.drain_deadline.as_millis().max(10) as u64),
-        );
+        let (counter, hint) = ("toss.serve.errors.shutting_down", Some(shared.drain_hint_ms()));
+        return reject(ErrorCode::ShuttingDown, counter, "server is draining", hint);
     }
     // Read-only degraded mode: reject at ingress with the reason and a
     // retry hint. Reads keep flowing; the writer thread's probe loop
     // clears the flag once the journal is healthy again.
     if state.is_degraded() {
-        toss_obs::metrics::counter("toss.serve.errors.degraded").inc();
-        stamp_write_rejection(shared, qid, w, ErrorCode::Degraded, started.elapsed());
-        return error_payload(
-            ErrorCode::Degraded,
-            &format!("server is read-only: {}", state.degraded_reason()),
-            Some(500),
-        );
+        let message = format!("server is read-only: {}", state.degraded_reason());
+        return reject(ErrorCode::Degraded, "toss.serve.errors.degraded", &message, Some(500));
     }
     // The class's write-size ceiling (cheap pre-admission check; the
     // batch validator still owns semantic validation).
     let bytes = w.op.payload_bytes();
     if bytes > w.class.max_write_bytes() {
-        toss_obs::metrics::counter("toss.serve.errors.bad_request").inc();
-        stamp_write_rejection(shared, qid, w, ErrorCode::BadRequest, started.elapsed());
-        return error_payload(
-            ErrorCode::BadRequest,
-            &format!(
-                "write of {bytes} bytes exceeds the {} byte ceiling of class `{}`",
-                w.class.max_write_bytes(),
-                w.class.as_str()
-            ),
-            None,
+        let message = format!(
+            "write of {bytes} bytes exceeds the {} byte ceiling of class `{}`",
+            w.class.max_write_bytes(),
+            w.class.as_str()
         );
+        return reject(ErrorCode::BadRequest, "toss.serve.errors.bad_request", &message, None);
     }
 
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
@@ -791,49 +710,26 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
         enqueued: started,
         reply: reply_tx,
     };
-    {
-        let guard = shared.write_tx.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(tx) = guard.as_ref() else {
-            return error_payload(
-                ErrorCode::ShuttingDown,
-                "server is draining",
-                Some(shared.cfg.drain_deadline.as_millis().max(10) as u64),
-            );
-        };
-        match tx.try_send(job) {
-            Ok(()) => {}
-            Err(mpsc::TrySendError::Full(_)) => {
-                toss_obs::metrics::counter("toss.serve.write.shed").inc();
-                stamp_write_rejection(
-                    shared,
-                    qid,
-                    w,
-                    ErrorCode::Overloaded,
-                    started.elapsed(),
-                );
-                return error_payload(
-                    ErrorCode::Overloaded,
-                    "write queue is full",
-                    Some(shared.retry_after_ms()),
-                );
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => {
-                return error_payload(
-                    ErrorCode::ShuttingDown,
-                    "server is draining",
-                    Some(shared.cfg.drain_deadline.as_millis().max(10) as u64),
-                );
-            }
+    let sent = match shared.write_tx.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
+        Some(tx) => tx.try_send(job),
+        None => Err(mpsc::TrySendError::Disconnected(job)),
+    };
+    match sent {
+        Ok(()) => {}
+        Err(mpsc::TrySendError::Full(_)) => {
+            let (counter, hint) = ("toss.serve.write.shed", Some(shared.retry_after_ms()));
+            return reject(ErrorCode::Overloaded, counter, "write queue is full", hint);
+        }
+        Err(mpsc::TrySendError::Disconnected(_)) => {
+            let hint = Some(shared.drain_hint_ms());
+            return error_payload(ErrorCode::ShuttingDown, "server is draining", hint);
         }
     }
 
     // Count ourselves in flight so drain waits for the pending ack.
-    shared.inflight.fetch_add(1, Ordering::AcqRel);
-    toss_obs::metrics::gauge("toss.serve.inflight").inc();
+    shared.begin();
     let outcome = reply_rx.recv_timeout(w.class.max_deadline());
-    shared.inflight.fetch_sub(1, Ordering::AcqRel);
-    toss_obs::metrics::gauge("toss.serve.inflight").dec();
-    shared.notify();
+    shared.end();
     let elapsed = started.elapsed();
     toss_obs::metrics::histogram("toss.serve.request_ns").observe_duration(elapsed);
 
@@ -895,154 +791,34 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
     }
 }
 
-/// Stamp one finished query into the telemetry pipeline: the flight
-/// recorder, the slow-query log, and the class's SLO window. The window's
-/// registry gauges are refreshed when somebody reads them (the `metrics`
-/// and `stats` frames call [`Shared::publish_gauges`]), not here.
-#[allow(clippy::too_many_arguments)]
-fn stamp_query(
-    shared: &Shared,
-    qid: QueryId,
-    q: &QueryRequest,
-    total: Duration,
-    queue_wait: Duration,
-    gov: Option<&QueryGovernor>,
-    out: Option<&QueryOutcome>,
-    outcome: QueryOutcomeKind,
-    cause: &str,
-) {
-    let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
-    let mut degraded = Vec::new();
-    if let Some(d) = out.and_then(|o| o.degradation.as_ref()) {
-        degraded.push(d.to_string());
-    } else if let Some(d) = gov.and_then(|g| g.degradation()) {
-        degraded.push(d.to_string());
-    }
-    let rec = QueryRecord {
-        query_id: qid.0,
-        class: q.class.as_str().to_string(),
-        query: match out {
-            Some(o) => o.xpath.clone(),
-            None => format!("{}//{}", q.collection, q.root),
-        },
-        plan: out
-            .and_then(|o| o.plan.as_ref())
-            .map(|p| p.to_string())
-            .unwrap_or_default(),
-        outcome,
-        cause: cause.to_string(),
-        total_ns,
-        queue_wait_ns: queue_wait.as_nanos().min(u64::MAX as u128) as u64,
-        rewrite_ns: out
-            .map(|o| o.rewrite_time().as_nanos() as u64)
-            .unwrap_or(0),
-        execute_ns: out
-            .map(|o| o.execute_time().as_nanos() as u64)
-            .unwrap_or(0),
-        convert_ns: out
-            .map(|o| o.convert_time().as_nanos() as u64)
-            .unwrap_or(0),
-        terms_used: gov.map(|g| g.terms_used()).unwrap_or(0),
-        docs_scanned: gov.map(|g| g.docs_scanned()).unwrap_or(0),
-        memory_bytes: gov.map(|g| g.memory_used()).unwrap_or(0),
-        answers: out.map(|o| o.forest.len() as u64).unwrap_or(0),
-        degraded,
-        ..QueryRecord::default()
-    };
-    if let Some(log) = &shared.slow_log {
-        log.offer(&rec);
-    }
-    shared.flight.record(rec);
-    shared.window_for(q.class).record(total_ns, outcome);
+/// One connection's side of a query: the drain check, the cancel token
+/// the drain trips, and the in-flight count the drain waits on.
+struct ConnDoor<'a> {
+    shared: &'a Shared,
+    entry: &'a ConnEntry,
 }
 
-fn handle_query(shared: &Arc<Shared>, entry: &Arc<ConnEntry>, q: &QueryRequest) -> String {
-    // Ingress: every query request gets a process-unique id, set as the
-    // thread's current query so every span underneath (admission,
-    // planner, executor, xmldb) is stamped with it.
-    let qid = QueryId::next();
-    let _ctx = toss_obs::set_current_query(qid);
-    let started = Instant::now();
-
-    if shared.state() != STATE_RUNNING {
-        toss_obs::metrics::counter("toss.serve.errors.shutting_down").inc();
-        stamp_query(
-            shared,
-            qid,
-            q,
-            started.elapsed(),
-            Duration::ZERO,
-            None,
-            None,
-            QueryOutcomeKind::Error,
-            ErrorCode::ShuttingDown.as_str(),
-        );
-        return error_payload(
-            ErrorCode::ShuttingDown,
-            "server is draining",
-            Some(shared.cfg.drain_deadline.as_millis().max(10) as u64),
-        );
+impl Door for ConnDoor<'_> {
+    fn open(&self) -> bool {
+        self.shared.state() == STATE_RUNNING
     }
-    let (query, mode) = match crate::protocol::build_query(q) {
-        Ok(x) => x,
-        Err(e) => {
-            toss_obs::metrics::counter("toss.serve.errors.bad_request").inc();
-            stamp_query(
-                shared,
-                qid,
-                q,
-                started.elapsed(),
-                Duration::ZERO,
-                None,
-                None,
-                QueryOutcomeKind::Error,
-                ErrorCode::BadRequest.as_str(),
-            );
-            return error_payload(ErrorCode::BadRequest, &e.to_string(), None);
-        }
-    };
-    let budget = q.class.budget(q.timeout_ms, q.max_terms, q.max_docs);
-    let gov = QueryGovernor::new(budget);
 
-    // Expose the token so drain can cancel us, and count ourselves
-    // in-flight so drain waits for us.
-    *entry.token.lock().unwrap_or_else(|e| e.into_inner()) = Some(gov.token());
-    shared.inflight.fetch_add(1, Ordering::AcqRel);
-    toss_obs::metrics::gauge("toss.serve.inflight").inc();
+    fn enter(&self, token: CancelToken) {
+        *self.entry.token.lock().unwrap_or_else(|e| e.into_inner()) = Some(token);
+        self.shared.begin();
+    }
 
-    // Hold the executor read lock for the query's whole execution:
-    // in-flight reads keep a consistent snapshot (the writer thread's
-    // apply phase takes the write lock, so a batch becomes visible
-    // between queries, never inside one). The lock is taken *inside*
-    // the admission closure — after the permit is granted — so a query
-    // waiting in the admission queue does not hold a read guard that
-    // would stall the writer's apply phase (and inflate write ack
-    // latency into the client's retry window).
-    let (queue_wait, result) = shared.admission.run_with_wait(&gov, || {
-        let executor = shared.executor.read().unwrap_or_else(|e| e.into_inner());
-        executor.select_governed(&query, mode, &gov)
-    });
-    let elapsed = started.elapsed();
+    fn exit(&self) {
+        *self.entry.token.lock().unwrap_or_else(|e| e.into_inner()) = None;
+        self.shared.end();
+    }
+}
 
-    shared.inflight.fetch_sub(1, Ordering::AcqRel);
-    toss_obs::metrics::gauge("toss.serve.inflight").dec();
-    *entry.token.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    shared.notify();
-    toss_obs::metrics::histogram("toss.serve.request_ns").observe_duration(elapsed);
-
-    match result {
+/// Run one `query` frame through the service and encode its reply.
+fn handle_query(shared: &Shared, entry: &ConnEntry, q: &QueryRequest) -> String {
+    let served = shared.service.run(q, &ConnDoor { shared, entry });
+    match served.result {
         Ok(out) => {
-            stamp_query(
-                shared,
-                qid,
-                q,
-                elapsed,
-                queue_wait,
-                Some(&gov),
-                Some(&out),
-                QueryOutcomeKind::Ok,
-                "",
-            );
             let results: Vec<Value> = out
                 .forest
                 .iter()
@@ -1050,56 +826,31 @@ fn handle_query(shared: &Arc<Shared>, entry: &Arc<ConnEntry>, q: &QueryRequest) 
                 .map(|t| Value::Str(tree_to_xml(t, Style::Compact)))
                 .collect();
             ok_payload(vec![
-                ("query_id".into(), Value::Int(qid.0 as i64)),
+                ("query_id".into(), Value::Int(served.query_id.0 as i64)),
                 ("answers".into(), Value::Int(out.forest.len() as i64)),
                 ("returned".into(), Value::Int(results.len() as i64)),
-                ("xpath".into(), Value::Str(out.xpath.clone())),
+                ("xpath".into(), Value::Str(out.xpath)),
                 (
                     "degraded".into(),
-                    match &out.degradation {
-                        Some(d) => Value::Str(d.to_string()),
-                        None => Value::Null,
-                    },
+                    out.degradation.map_or(Value::Null, |d| Value::Str(d.to_string())),
                 ),
                 ("results".into(), Value::Array(results)),
-                ("server_us".into(), Value::Int(elapsed.as_micros() as i64)),
+                ("server_us".into(), Value::Int(served.elapsed.as_micros() as i64)),
             ])
         }
-        Err(e) => {
-            let code = error_code_of(&e);
-            toss_obs::metrics::counter(match code {
-                ErrorCode::Overloaded => "toss.serve.errors.overloaded",
-                ErrorCode::BudgetExceeded => "toss.serve.errors.budget_exceeded",
-                ErrorCode::Cancelled => "toss.serve.errors.cancelled",
-                ErrorCode::Internal => "toss.serve.errors.internal",
-                _ => "toss.serve.errors.bad_request",
-            })
-            .inc();
-            stamp_query(
-                shared,
-                qid,
-                q,
-                elapsed,
-                queue_wait,
-                Some(&gov),
-                None,
-                if code == ErrorCode::Overloaded {
-                    QueryOutcomeKind::Shed
-                } else {
-                    QueryOutcomeKind::Error
-                },
-                code.as_str(),
-            );
+        Err((code, message)) => {
             let retry = match code {
                 ErrorCode::Overloaded => Some(shared.retry_after_ms()),
-                // cancelled-by-drain: the peer should come back once a
-                // replacement is up; give it the drain window as a hint
-                ErrorCode::Cancelled if shared.state() != STATE_RUNNING => {
-                    Some(shared.cfg.drain_deadline.as_millis().max(10) as u64)
+                // refused or cancelled by a drain: the peer should come
+                // back once a replacement is up
+                ErrorCode::ShuttingDown | ErrorCode::Cancelled
+                    if shared.state() != STATE_RUNNING =>
+                {
+                    Some(shared.drain_hint_ms())
                 }
                 _ => None,
             };
-            error_payload(code, &e.to_string(), retry)
+            error_payload(code, &message, retry)
         }
     }
 }
@@ -1137,12 +888,12 @@ fn stats_payload(shared: &Arc<Shared>) -> String {
             Value::Object(vec![
                 (
                     "recorded".into(),
-                    Value::Int(shared.flight.recorded() as i64),
+                    Value::Int(shared.service.flight.recorded() as i64),
                 ),
-                ("retained".into(), Value::Int(shared.flight.len() as i64)),
+                ("retained".into(), Value::Int(shared.service.flight.len() as i64)),
                 (
                     "capacity".into(),
-                    Value::Int(shared.flight.capacity() as i64),
+                    Value::Int(shared.service.flight.capacity() as i64),
                 ),
             ]),
         ),
@@ -1153,6 +904,7 @@ fn stats_payload(shared: &Arc<Shared>) -> String {
 /// (with its reason), the executor revision, and the writer's counters.
 fn write_stats_value(shared: &Arc<Shared>) -> Value {
     let revision = shared
+        .service
         .executor
         .read()
         .unwrap_or_else(|e| e.into_inner())
@@ -1185,20 +937,11 @@ fn write_stats_value(shared: &Arc<Shared>) -> Value {
 /// The `slow` admin frame: recent flight-recorder entries, newest
 /// first, optionally filtered to one budget class.
 fn slow_payload(shared: &Arc<Shared>, limit: usize, class: Option<BudgetClass>) -> String {
-    // With a class filter, look back over the whole ring so the limit
-    // counts *matching* entries, not scanned ones.
-    let lookback = if class.is_some() {
-        shared.flight.capacity()
-    } else {
-        limit
-    };
     let entries: Vec<Value> = shared
-        .flight
-        .recent(lookback)
-        .into_iter()
-        .filter(|r| class.is_none_or(|c| r.class == c.as_str()))
-        .take(limit)
-        .map(|r| record_to_value(&r))
+        .service
+        .recent(limit, class)
+        .iter()
+        .filter_map(|r| Value::parse(&r.to_json()).ok())
         .collect();
     ok_payload(vec![("queries".into(), Value::Array(entries))])
 }

@@ -1,6 +1,6 @@
 //! The live write path: a single writer thread draining mutation frames
 //! into the WAL with **group commit**, then applying them to the shared
-//! [`Executor`] under a short write lock.
+//! [`toss_core::Executor`] under a short write lock.
 //!
 //! ## The ack contract
 //!
@@ -22,7 +22,7 @@
 //! journaling — nothing fallible may run between fsync and ack),
 //! journals it with a single fsync, applies it under the executor
 //! write lock, bumps the revision **once** via
-//! [`Executor::note_write_batch`] — which also swaps in the
+//! [`toss_core::Executor::note_write_batch`] — which also swaps in the
 //! re-enhanced SEO, invalidating the version-keyed rewrite cache
 //! exactly once — and only then acks every waiter.
 //!
@@ -81,15 +81,15 @@
 
 use crate::budget::BudgetClass;
 use crate::protocol::{ErrorCode, WriteOp};
+use crate::service::Service;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use toss_core::Executor;
 use toss_json::Value;
-use toss_obs::QueryRecord;
+use toss_obs::{QueryOutcomeKind, QueryRecord};
 use toss_ontology::hierarchy::Hierarchy;
 use toss_ontology::seo::Seo;
 use toss_xmldb::storage::save_json_with_vfs;
@@ -360,21 +360,15 @@ fn to_journal_op(op: &WriteOp) -> Option<JournalOp> {
 /// Everything the writer thread owns while running.
 pub(crate) struct WriterLoop {
     engine: WriteEngine,
-    executor: Arc<RwLock<Executor>>,
+    /// The server's service: its executor, and the telemetry every
+    /// job's record goes to.
+    service: Arc<Service>,
     state: Arc<WriteState>,
     dedupe: DedupeTable,
-    /// Telemetry sink provided by the server (flight recorder +
-    /// slow-query log + SLO window for the job's class).
-    stamp: Box<dyn Fn(QueryRecord) + Send>,
 }
 
 impl WriterLoop {
-    pub(crate) fn new(
-        engine: WriteEngine,
-        executor: Arc<RwLock<Executor>>,
-        state: Arc<WriteState>,
-        stamp: Box<dyn Fn(QueryRecord) + Send>,
-    ) -> Self {
+    pub(crate) fn new(engine: WriteEngine, service: Arc<Service>, state: Arc<WriteState>) -> Self {
         let mut dedupe = DedupeTable::new(DEDUPE_CAPACITY);
         // Reseed from the journal tail: every record journaled under an
         // idempotency key was acknowledged (or was about to be), so a
@@ -395,10 +389,9 @@ impl WriterLoop {
         }
         WriterLoop {
             engine,
-            executor,
+            service,
             state,
             dedupe,
-            stamp,
         }
     }
 
@@ -435,38 +428,19 @@ impl WriterLoop {
         let t0 = Instant::now();
         let mut window = first.class.group_commit_window();
         let mut batch = Vec::new();
-        let mut checkpoint = None;
-        let push = |job: WriteJob,
-                        window: &mut Duration,
-                        batch: &mut Vec<WriteJob>,
-                        checkpoint: &mut Option<WriteJob>| {
+        let mut next = Some(first);
+        while let Some(job) = next.take() {
             if matches!(job.op, WriteOp::Checkpoint) {
-                *checkpoint = Some(job);
-                true // checkpoint closes the batch
-            } else {
-                *window = (*window).min(job.class.group_commit_window());
-                batch.push(job);
-                false
+                return (batch, Some(job)); // a checkpoint closes the batch
             }
-        };
-        let closed = push(first, &mut window, &mut batch, &mut checkpoint);
-        if !closed {
-            while batch.len() < MAX_BATCH {
-                let left = window.checked_sub(t0.elapsed()).unwrap_or_default();
-                if left.is_zero() {
-                    break;
-                }
-                match rx.recv_timeout(left) {
-                    Ok(job) => {
-                        if push(job, &mut window, &mut batch, &mut checkpoint) {
-                            break;
-                        }
-                    }
-                    Err(_) => break,
-                }
+            window = window.min(job.class.group_commit_window());
+            batch.push(job);
+            let left = window.saturating_sub(t0.elapsed());
+            if batch.len() < MAX_BATCH && !left.is_zero() {
+                next = rx.recv_timeout(left).ok();
             }
         }
-        (batch, checkpoint)
+        (batch, None)
     }
 
     /// Degraded-mode self-heal: probe the journal; the first successful
@@ -521,7 +495,7 @@ impl WriterLoop {
         let mut batch_keys: HashSet<String> = HashSet::new();
         let mut ontology_scratch: Option<Hierarchy> = None;
         {
-            let exec = self.executor.read().unwrap_or_else(|e| e.into_inner());
+            let exec = self.service.executor.read().unwrap_or_else(|e| e.into_inner());
             let mut validator = BatchValidator::new(&exec.db);
             for job in batch {
                 if let Some(hit) = self.dedupe.get(&job.key) {
@@ -742,7 +716,7 @@ impl WriterLoop {
         let mut doc_ids: Vec<Option<u64>> = Vec::with_capacity(accepted.len());
         let mut apply_err: Option<String> = None;
         {
-            let mut exec = self.executor.write().unwrap_or_else(|e| e.into_inner());
+            let mut exec = self.service.executor.write().unwrap_or_else(|e| e.into_inner());
             for (_, op) in &accepted {
                 match apply_op(&mut exec.db, op) {
                     Ok(id) => doc_ids.push(id.map(|d| d.0)),
@@ -841,7 +815,7 @@ impl WriterLoop {
         // Readers keep running: only the serialization itself holds
         // the read lock, the I/O below does not.
         let (db_json, seo_json, seg) = {
-            let exec = self.executor.read().unwrap_or_else(|e| e.into_inner());
+            let exec = self.service.executor.read().unwrap_or_else(|e| e.into_inner());
             let db_json = toss_xmldb::storage::to_json_with_seq(&exec.db, cursor)
                 .map_err(|e| e.to_string())?;
             let seo_json = toss_ontology::persist::seo_to_json(&exec.seo);
@@ -879,7 +853,7 @@ impl WriterLoop {
         // the segment was built from.
         if let Ok(seg) = toss_xmldb::segidx::Segment::parse(seg) {
             let seg = Arc::new(seg);
-            let mut exec = self.executor.write().unwrap_or_else(|e| e.into_inner());
+            let mut exec = self.service.executor.write().unwrap_or_else(|e| e.into_inner());
             toss_xmldb::segidx::rebase(&mut exec.db, &seg);
         }
         self.state.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -912,55 +886,50 @@ impl WriterLoop {
     /// connection thread may have timed out and gone — a dead channel
     /// is fine, the outcome is already durable or already rejected).
     fn finish(&self, job: WriteJob, result: WriteResult) {
-        let total_ns = job
-            .enqueued
-            .elapsed()
-            .as_nanos()
-            .min(u64::MAX as u128) as u64;
-        let (outcome, cause, batch_size, fsync_ns, deduped) = match &result {
+        let mut rec = write_record(job.query_id, job.class, &job.op, job.enqueued.elapsed());
+        match &result {
             WriteResult::Applied {
                 batch_size,
                 fsync_ns,
                 deduped,
                 ..
-            } => (
-                toss_obs::QueryOutcomeKind::Ok,
-                String::new(),
-                *batch_size,
-                *fsync_ns,
-                *deduped,
-            ),
-            WriteResult::CheckpointDone { .. } => {
-                (toss_obs::QueryOutcomeKind::Ok, String::new(), 0, 0, false)
+            } => (rec.batch_size, rec.fsync_ns, rec.deduped) = (*batch_size, *fsync_ns, *deduped),
+            WriteResult::CheckpointDone { .. } => {}
+            WriteResult::Failed { code, .. } => {
+                rec.outcome = QueryOutcomeKind::Error;
+                rec.cause = code.as_str().to_string();
             }
-            WriteResult::Failed { code, .. } => (
-                toss_obs::QueryOutcomeKind::Error,
-                code.as_str().to_string(),
-                0,
-                0,
-                false,
-            ),
-        };
-        (self.stamp)(QueryRecord {
-            query_id: job.query_id,
-            class: job.class.as_str().to_string(),
-            query: job.op.target(),
-            op: job.op.verb().to_string(),
-            outcome,
-            cause,
-            total_ns,
-            batch_size,
-            fsync_ns,
-            deduped,
-            ..QueryRecord::default()
-        });
+        }
+        self.service.record(job.class, rec);
         let _ = job.reply.send(result);
+    }
+}
+
+/// The telemetry record of one write request — run by the writer, or
+/// rejected at ingress — with outcome `ok` until the caller says
+/// otherwise.
+pub(crate) fn write_record(
+    query_id: u64,
+    class: BudgetClass,
+    op: &WriteOp,
+    total: Duration,
+) -> QueryRecord {
+    QueryRecord {
+        query_id,
+        class: class.as_str().to_string(),
+        query: op.target(),
+        op: op.verb().to_string(),
+        total_ns: total.as_nanos().min(u64::MAX as u128) as u64,
+        ..QueryRecord::default()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServerConfig;
+    use std::sync::RwLock;
+    use toss_core::Executor;
     use toss_ontology::sea::enhance;
     use toss_similarity::Levenshtein;
     use toss_xmldb::{DatabaseConfig, DurableDatabase, FaultVfs};
@@ -999,8 +968,8 @@ mod tests {
             enhancer,
             config: WriteConfig::default(),
         };
-        let wl =
-            WriterLoop::new(engine, executor.clone(), state.clone(), Box::new(|_| {}));
+        let service = Service::new(executor.clone(), &ServerConfig::default()).unwrap();
+        let wl = WriterLoop::new(engine, Arc::new(service), state.clone());
         (wl, state, executor)
     }
 

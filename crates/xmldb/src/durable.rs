@@ -154,12 +154,12 @@ impl DurableDatabase {
     /// [`DurableDatabase::open`] — corruption is an error — but safe on
     /// read-only media and for query paths that should not write.
     /// Returns a plain [`Database`], since nothing can be committed
-    /// through it.
+    /// through it, and the journal records the open scanned.
     pub fn open_read_only_with(
         snapshot: &Path,
         config: DatabaseConfig,
         vfs: &dyn Vfs,
-    ) -> DbResult<Database> {
+    ) -> DbResult<(Database, Vec<crate::journal::JournalRecord>)> {
         let (mut db, cursor, frozen) =
             load_snapshot(snapshot, vfs)?.unwrap_or_else(|| empty(config));
         let scan = Journal::scan_file(&Self::wal_path(snapshot), vfs)?;
@@ -168,7 +168,7 @@ impl DurableDatabase {
         }
         replay(&mut db, &scan.records, cursor)?;
         publish_index_gauges(&db, frozen);
-        Ok(db)
+        Ok((db, scan.records))
     }
 
     /// Lenient recovery against an explicit [`Vfs`]: fall back to the
@@ -974,18 +974,19 @@ mod tests {
         bytes.extend_from_slice(&[1, 2, 3]);
         fs.corrupt(&wal, bytes.clone());
         let before_ops = fs.op_count();
-        let db = DurableDatabase::open_read_only_with(
+        let (db, records) = DurableDatabase::open_read_only_with(
             Path::new("store.json"),
             DatabaseConfig::unlimited(),
             &*vfs,
         )
         .unwrap();
         assert_eq!(db.collection("c").unwrap().len(), 1);
+        assert_eq!(records.len(), 2, "the scanned journal comes back with the store");
         // No file was created, rewritten, or trimmed.
         assert_eq!(fs.op_count(), before_ops, "read-only open performed writes");
         assert_eq!(vfs.read(&wal).unwrap(), bytes, "torn tail was trimmed");
         // A store that never existed gains no snapshot and no WAL.
-        let db = DurableDatabase::open_read_only_with(
+        let (db, _) = DurableDatabase::open_read_only_with(
             Path::new("missing.json"),
             DatabaseConfig::unlimited(),
             &*vfs,

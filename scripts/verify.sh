@@ -120,6 +120,9 @@ EXPLAIN_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
 grep -q "^EXPLAIN$" <<< "$EXPLAIN_OUT"
 grep -q "^toss\.query\.select " <<< "$EXPLAIN_OUT"
 grep -q "^└─ " <<< "$EXPLAIN_OUT"
+# above the tree, the query's flight-recorder record (the one a server's
+# `slow` frame carries): the CLI query ran through the serving Service
+grep -q "^queue wait " <<< "$EXPLAIN_OUT"
 test -s "$SMOKE/spans.jsonl" || { echo "--trace-out file is empty"; exit 1; }
 if grep -qv '^{"id":' "$SMOKE/spans.jsonl"; then
     echo "--trace-out wrote a line that is not a span object"; exit 1
@@ -172,8 +175,8 @@ grep -q '"query_id"' "$SMOKE/slow.jsonl"
 echo "==> toss-cli serve --writable smoke test"
 # the writable open recipe (durable open, ontology sidecar and journal
 # tail, write engine) behind a live server: one keyed insert over the
-# wire, a query that finds it, and a resend under the same key that the
-# dedupe table answers
+# wire, a query that finds it, a resend under the same key that the
+# dedupe table answers, and one ontology edge
 mkfifo "$SMOKE/serve-w-stdin"
 "$CLI" serve --writable --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
     --addr 127.0.0.1:0 < "$SMOKE/serve-w-stdin" > "$SMOKE/serve-w.log" &
@@ -214,7 +217,12 @@ found = call({"verb": "query", "collection": "dblp", "root": "inproceedings",
 assert found["answers"] == 1, found
 again = call(insert)
 assert again["deduped"] is True and again["seq"] == first["seq"], again
-print(f"wire write ok: seq={first['seq']}, resend deduped")
+call({"verb": "add_edge", "below": "Smoke Test", "above": "smoke-pioneer",
+      "key": "verify-smoke-edge"})
+below = call({"verb": "query", "collection": "dblp", "root": "inproceedings",
+              "below": [["author", "smoke-pioneer"]]})
+assert below["answers"] == 1, below
+print(f"wire write ok: seq={first['seq']}, resend deduped, edge served")
 PY
 echo "shutdown" >&9
 wait "$SERVE_PID"
@@ -223,6 +231,12 @@ exec 9>&-
 # all three papers and recovers clean
 WRITTEN_OUT=$("$CLI" xpath --db "$SMOKE/store.json" --collection dblp "//inproceedings")
 grep -q "3 match(es)" <<< "$WRITTEN_OUT"
+# and so does the acknowledged edge, for the in-process query too: it
+# opens the store by the same rule as the server (the journal tail past
+# the ontology sidecar beats --seo)
+BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings --below author=smoke-pioneer)
+grep -q "^1 answer(s)" <<< "$BELOW_OUT"
 WRITTEN_RECOVER_OUT=$("$CLI" db recover --db "$SMOKE/store.json")
 grep -q "store is clean" <<< "$WRITTEN_RECOVER_OUT"
 

@@ -114,7 +114,7 @@ fn attempt(
     stats: &mut Stats,
 ) -> Result<(), String> {
     let gov = QueryGovernor::new(budget);
-    match ctrl.run(&gov, || ex.select_governed(query, Mode::Toss, &gov)) {
+    match ctrl.run_with_wait(&gov, || ex.select_governed(query, Mode::Toss, &gov)).1 {
         Ok(out) => {
             stats.ok += 1;
             if let Some(d) = &out.degradation {
@@ -252,7 +252,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
                     QueryBudget::unlimited()
                 };
                 let gov = QueryGovernor::new(budget);
-                match ctrl.run(&gov, || ex.select_governed(&q, Mode::Toss, &gov)) {
+                match ctrl.run_with_wait(&gov, || ex.select_governed(&q, Mode::Toss, &gov)).1 {
                     Ok(out) => {
                         stats.ok += 1;
                         match &out.degradation {
@@ -368,7 +368,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
     let p2 = ctrl.admit().unwrap();
     let gov = QueryGovernor::unlimited();
     let begun = Instant::now();
-    let out = ctrl.run(&gov, || {
+    let (_, out) = ctrl.run_with_wait(&gov, || {
         ex.select_governed(&author_query("Jeff Ullmann"), Mode::Toss, &gov)
     });
     assert!(matches!(out, Err(TossError::Overloaded(_))), "{out:?}");
@@ -379,9 +379,10 @@ fn chaos_mixed_load_never_escapes_a_panic() {
     // exactly (the chaos left no poisoned shared state behind)
     let gov = QueryGovernor::unlimited();
     let out = ctrl
-        .run(&gov, || {
+        .run_with_wait(&gov, || {
             ex.select_governed(&author_query("Jeff Ullmann"), Mode::Toss, &gov)
         })
+        .1
         .expect("post-chaos query must succeed");
     assert_eq!(out.forest.len(), 20, "both Ullman spellings across 30 docs");
     assert!(out.degradation.is_none());

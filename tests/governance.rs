@@ -132,9 +132,10 @@ fn expired_deadline_is_rejected_before_any_scan() {
         QueryGovernor::new(QueryBudget::unlimited().with_deadline(Duration::ZERO));
     let admission = AdmissionController::new(1, Duration::from_millis(50));
     let err = admission
-        .run(&gov, || {
+        .run_with_wait(&gov, || {
             ex.select_governed(&author_query("Jeff Ullmann"), Mode::Toss, &gov)
         })
+        .1
         .unwrap_err();
     match err {
         TossError::BudgetExceeded(b) => {

@@ -28,8 +28,8 @@ use toss_ontology::hierarchy::{from_pairs, Hierarchy};
 use toss_ontology::sea::enhance;
 use toss_serve::protocol::{read_frame, write_frame, FrameError, Request};
 use toss_serve::{
-    next_write_key, BudgetClass, Client, ClientError, ErrorCode, QueryRequest, Server,
-    ServerConfig, WriteConfig, WriteEngine, WriteOp,
+    next_write_key, BudgetClass, Client, ClientError, ErrorCode, OpenStore, QueryRequest,
+    Server, ServerConfig, Service, WriteConfig, WriteOp,
 };
 use toss_similarity::{Levenshtein, StringMetric};
 use toss_tree::serialize::{tree_to_xml, Style};
@@ -132,10 +132,28 @@ fn seed_writable(vfs: &Arc<FaultVfs>, docs: usize) {
     d.checkpoint().unwrap();
 }
 
+/// Open the seeded store by [`toss_serve::open_store`], the rule every
+/// front door follows, with the chaos SEO as the baseline for a store
+/// that has no ontology sidecar yet; `write` opens it writable.
+fn open_seeded(vfs: &Arc<FaultVfs>, write: Option<WriteConfig>) -> OpenStore {
+    toss_serve::open_store(
+        vfs.clone(),
+        Path::new(SNAP),
+        enhance(&chaos_hierarchy(), &Levenshtein, 1.0).unwrap(),
+        |epsilon| Box::new(move |h| enhance(h, &Levenshtein, epsilon).map_err(|e| e.to_string())),
+        write,
+    )
+    .unwrap()
+}
+
+/// An executor over an opened store, probing with the chaos metric.
+fn chaos_executor(opened: OpenStore) -> Executor {
+    Executor::new(opened.db, Arc::new(opened.seo)).with_probe_metric(Arc::new(ChaosMetric))
+}
+
 /// Open the seeded store writable and serve it: the same startup path
-/// `toss-cli serve --writable` runs — strict open, ontology from the
-/// sidecar (when present) plus the journal tail, `WriteEngine` split
-/// off the durable layer.
+/// `toss-cli serve --writable` runs — [`open_seeded`], then the server
+/// over its write engine.
 fn start_writable(vfs: &Arc<FaultVfs>, cfg: ServerConfig, wcfg: WriteConfig) -> Server {
     start_writable_with_executor(vfs, cfg, wcfg).0
 }
@@ -146,25 +164,9 @@ fn start_writable_with_executor(
     cfg: ServerConfig,
     wcfg: WriteConfig,
 ) -> (Server, Arc<RwLock<Executor>>) {
-    let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
-    let durable =
-        DurableDatabase::open_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs).unwrap();
-    let records = durable.journal_records().unwrap();
-    let (cursor, mut hierarchy) = toss_serve::load_sidecar(&**vfs, Path::new(SNAP))
-        .map(|(c, s)| (c, s.original().clone()))
-        .unwrap_or_else(|| (0, chaos_hierarchy()));
-    toss_serve::recover_ontology(&mut hierarchy, &records, cursor);
-    let seo = Arc::new(enhance(&hierarchy, &Levenshtein, 1.0).unwrap());
-    let (db, writer) = durable.into_parts();
-    let engine = WriteEngine {
-        writer,
-        hierarchy,
-        enhancer: Box::new(|h| enhance(h, &Levenshtein, 1.0).map_err(|e| e.to_string())),
-        config: wcfg,
-    };
-    let exec = Arc::new(RwLock::new(
-        Executor::new(db, seo).with_probe_metric(Arc::new(ChaosMetric)),
-    ));
+    let mut opened = open_seeded(vfs, Some(wcfg));
+    let engine = opened.engine.take().expect("opened writable");
+    let exec = Arc::new(RwLock::new(chaos_executor(opened)));
     let server = Server::start_writable(Arc::clone(&exec), engine, "127.0.0.1:0", cfg).unwrap();
     (server, exec)
 }
@@ -832,6 +834,51 @@ fn ontology_writes_grow_the_live_seo_for_below_queries() {
     server.shutdown();
 }
 
+/// One store, one ontology, whichever front door opens it: an edge a
+/// writable server acknowledged answers the same `below` query after a
+/// read-only open of the store — from the journal tail before any
+/// checkpoint, and from the ontology sidecar after a `checkpoint` frame
+/// has folded it.
+#[test]
+fn read_only_open_serves_the_ontology_the_writable_server_acked() {
+    for checkpoint in [false, true] {
+        let vfs = Arc::new(FaultVfs::new());
+        seed_writable(&vfs, 6);
+        let wcfg = WriteConfig {
+            checkpoint_every: 0, // only the explicit checkpoint frame
+            ..WriteConfig::default()
+        };
+        let server = start_writable(&vfs, ServerConfig::default(), wcfg);
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let edge = WriteOp::AddEdge {
+            below: "E. Codd".into(),
+            above: "relational-pioneer".into(),
+        };
+        client
+            .write_keyed(edge, BudgetClass::Interactive, &next_write_key())
+            .expect("add_edge commits");
+        let mut below = QueryRequest::new("chaos", "inproceedings");
+        below.below.push(("author".into(), "relational-pioneer".into()));
+        let live = client.query(below.clone()).expect("live below query").answers;
+        assert_eq!(live, 2, "E. Codd docs resolve below the new term");
+        if checkpoint {
+            client.checkpoint().expect("checkpoint frame");
+            assert!(vfs.exists(&toss_serve::sidecar_path(Path::new(SNAP))));
+        }
+        server.shutdown();
+
+        let opened = open_seeded(&vfs, None);
+        assert!(opened.engine.is_none(), "a read-only open has no write path");
+        let service = Service::new(
+            Arc::new(RwLock::new(chaos_executor(opened))),
+            &ServerConfig::default(),
+        )
+        .unwrap();
+        let out = service.query(&below).result.expect("read-only below query");
+        assert_eq!(out.forest.len(), live, "checkpointed: {checkpoint}");
+    }
+}
+
 /// Background checkpoint + restart: an explicit `checkpoint` frame
 /// folds the journal after a verified snapshot; the ontology sidecar
 /// is written first, so a crash after the checkpoint restores both the
@@ -879,7 +926,7 @@ fn checkpoint_survives_crash_and_sidecar_restores_the_ontology() {
     // a rebuild: the snapshot alone, without its `.seg` sidecar
     let rebuild_vfs = FaultVfs::new();
     rebuild_vfs.corrupt(Path::new(SNAP), vfs.read(Path::new(SNAP)).unwrap());
-    let rebuilt = DurableDatabase::open_read_only_with(
+    let (rebuilt, _) = DurableDatabase::open_read_only_with(
         Path::new(SNAP),
         DatabaseConfig::unlimited(),
         &rebuild_vfs,
