@@ -416,11 +416,15 @@ fn cmd_xpath(argv: &[String]) -> Result<(), String> {
 
 fn cmd_build_seo(argv: &[String]) -> Result<(), String> {
     let args = &Args::parse(argv, &["db", "epsilon", "out", "rules", "max-terms"])?;
-    let db = load_db(args.required("db")?)?;
-    let epsilon: f64 = args
-        .required("epsilon")?
+    let raw_epsilon = args.required("epsilon")?;
+    let epsilon: f64 = raw_epsilon
         .parse()
-        .map_err(|_| "epsilon must be a number".to_string())?;
+        .ok()
+        .filter(|e: &f64| e.is_finite() && *e >= 0.0)
+        .ok_or_else(|| {
+            format!("--epsilon must be a finite non-negative number, got `{raw_epsilon}`")
+        })?;
+    let db = load_db(args.required("db")?)?;
     let out_path = args.required("out")?.to_string();
     let max_terms: usize = match args.one("max-terms")? {
         Some(v) => v.parse().map_err(|_| "max-terms must be an integer".to_string())?,
@@ -1033,6 +1037,40 @@ mod tests {
         .collect::<Vec<_>>())
         .expect("query");
         run(&argv(&format!("dot --seo {}", seo_path.display()))).expect("dot");
+    }
+
+    #[test]
+    fn build_seo_refuses_an_epsilon_no_seo_can_carry() {
+        let xml_path = tmp("epsilon.xml");
+        std::fs::write(
+            &xml_path,
+            "<inproceedings><author>A</author></inproceedings>",
+        )
+        .expect("write xml");
+        let db_path = tmp("epsilon-store.json");
+        let seo_path = tmp("epsilon-seo.json");
+        std::fs::remove_file(&db_path).ok();
+        run(&argv(&format!(
+            "load --db {} --collection dblp {}",
+            db_path.display(),
+            xml_path.display()
+        )))
+        .expect("load");
+        for eps in ["nan", "inf", "-1", "x"] {
+            std::fs::remove_file(&seo_path).ok();
+            let err = run(&argv(&format!(
+                "build-seo --db {} --epsilon {eps} --out {}",
+                db_path.display(),
+                seo_path.display()
+            )))
+            .expect_err("a threshold no stored SEO can carry");
+            assert_eq!(err.code, EXIT_USAGE, "--epsilon {eps}");
+            assert_eq!(
+                err.message,
+                format!("--epsilon must be a finite non-negative number, got `{eps}`")
+            );
+            assert!(!seo_path.exists(), "--epsilon {eps} wrote an SEO");
+        }
     }
 
     #[test]

@@ -39,6 +39,9 @@ pub enum OntologyError {
     /// No similarity enhancement exists for the requested measure and ε
     /// (Definition 9: the triple is *similarity inconsistent*).
     SimilarityInconsistent(String),
+    /// SEA was asked for a threshold that is not a finite non-negative
+    /// number (the value as written), which no stored SEO could carry.
+    BadEpsilon(String),
 }
 
 impl fmt::Display for OntologyError {
@@ -59,6 +62,9 @@ impl fmt::Display for OntologyError {
             }
             OntologyError::SimilarityInconsistent(why) => {
                 write!(f, "similarity inconsistent: {why}")
+            }
+            OntologyError::BadEpsilon(e) => {
+                write!(f, "ε must be a finite non-negative number, got {e}")
             }
         }
     }

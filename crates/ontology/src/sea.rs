@@ -47,7 +47,8 @@ use toss_similarity::{BlockPlan, StringMetric, TermIndex};
 /// the equivalence proptests.
 ///
 /// Returns [`OntologyError::SimilarityInconsistent`] when `(H, d, ε)` is
-/// similarity inconsistent (Definition 9).
+/// similarity inconsistent (Definition 9), and [`OntologyError::BadEpsilon`]
+/// when ε is NaN, infinite or negative.
 pub fn enhance<M: StringMetric>(
     h: &Hierarchy,
     metric: &M,
@@ -73,6 +74,9 @@ fn enhance_impl<M: StringMetric>(
     epsilon: f64,
     blocked: bool,
 ) -> OntologyResult<Seo> {
+    if !(epsilon.is_finite() && epsilon >= 0.0) {
+        return Err(OntologyError::BadEpsilon(epsilon.to_string()));
+    }
     let n = h.len();
     let obs_span = toss_obs::span("ontology.sea");
     obs_span.record("nodes", n);
@@ -310,6 +314,23 @@ mod tests {
         assert!(seo.similar("abcd", "abcde"));
         assert!(seo.similar("abcd", "abcf"));
         assert!(!seo.similar("abcde", "abcf"));
+    }
+
+    #[test]
+    fn thresholds_no_seo_can_carry_are_refused() {
+        let h = example11();
+        for eps in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            for e in [
+                enhance(&h, &Levenshtein, eps).unwrap_err(),
+                enhance_exhaustive(&h, &Levenshtein, eps).unwrap_err(),
+            ] {
+                assert_eq!(e, OntologyError::BadEpsilon(eps.to_string()));
+            }
+        }
+        assert_eq!(
+            OntologyError::BadEpsilon("NaN".into()).to_string(),
+            "ε must be a finite non-negative number, got NaN"
+        );
     }
 
     #[test]

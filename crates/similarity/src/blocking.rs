@@ -14,14 +14,13 @@
 //!
 //! | plan | `P(a, b)` |
 //! |---|---|
-//! | `Edits { max_len_diff: D, bigram_edits: L }` | `‖a│−│b‖ ≤ D` and, when `L` is given, `shared_bigrams(a, b) ≥ max(│a│, │b│) − 1 − L` (char lengths, bigram *multiset* intersection) |
+//! | `Edits { max_len_diff: D, bigram_edits: L }` | `‖a│−│b‖ ≤ D` and, when `L` is given and `need = max(│a│, │b│) − 1 − L` exceeds 1, `shared_bigrams(a, b) ≥ need` (char lengths, bigram *multiset* intersection, 10⁻⁹ of float slack) |
 //! | `SharedKey(k)` | `k(a) = k(b)` |
 //! | `Gate(g, p)` | `g(a) ∧ g(b) ∧ p(a, b)` |
 //! | `Any(ps)` | some `p ∈ ps` has `p(a, b)` |
 
 use crate::combinators::multi_word;
-use crate::tokenize::last_word;
-use std::collections::{BTreeMap, HashMap};
+use crate::tokenize::{last_word, lower, word_slices};
 
 /// A string → key function two strings must agree on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,6 +35,13 @@ impl TermKey {
     pub fn of(self, s: &str) -> String {
         match self {
             TermKey::LastWord => last_word(s),
+        }
+    }
+
+    /// The slice of `s` whose lowercased chars are its key.
+    fn source(self, s: &str) -> &str {
+        match self {
+            TermKey::LastWord => word_slices(s).next_back().unwrap_or(""),
         }
     }
 }
@@ -127,18 +133,54 @@ fn bigram_counts(chars: &[char]) -> Vec<(u64, u32)> {
     out
 }
 
-/// Length buckets and inverted bigram postings over one term subset.
+/// Values grouped under their distinct keys in one flat array: the
+/// keys ascend, and key `i`'s values are `values[starts[i]..starts[i + 1]]`.
+struct Postings<K, V> {
+    keys: Vec<K>,
+    starts: Vec<usize>,
+    values: Vec<V>,
+}
+
+impl<K: PartialEq, V> Postings<K, V> {
+    /// Group `(key, value)` pairs sorted by key.
+    fn from_sorted(entries: impl IntoIterator<Item = (K, V)>) -> Self {
+        let mut p = Postings {
+            keys: Vec::new(),
+            starts: Vec::new(),
+            values: Vec::new(),
+        };
+        for (k, v) in entries {
+            if p.keys.last() != Some(&k) {
+                p.keys.push(k);
+                p.starts.push(p.values.len());
+            }
+            p.values.push(v);
+        }
+        p.starts.push(p.values.len());
+        p
+    }
+
+    /// The values of the key `cmp` orders as equal (`cmp` compares a
+    /// stored key with the one sought).
+    fn find(&self, cmp: impl FnMut(&K) -> std::cmp::Ordering) -> &[V] {
+        match self.keys.binary_search_by(cmp) {
+            Ok(at) => &self.values[self.starts[at]..self.starts[at + 1]],
+            Err(_) => &[],
+        }
+    }
+}
+
+/// Inverted bigram postings over one term subset, in length order.
 struct EditsIndex {
     max_len_diff: usize,
     bigram_edits: Option<f64>,
-    /// Local slot → term id.
+    /// Local slot → term id; slots ascend by term char length.
     ids: Vec<u32>,
-    /// Local slot → char length.
+    /// Local slot → char length (ascending).
     lens: Vec<usize>,
-    /// Char length → local slots.
-    by_len: BTreeMap<usize, Vec<u32>>,
-    /// Bigram → `(local slot, multiplicity)`; empty without a filter.
-    postings: HashMap<u64, Vec<(u32, u32)>>,
+    /// Bigram → `(local slot, multiplicity)`, ascending by slot — so by
+    /// length; empty without a filter.
+    postings: Postings<u64, (u32, u32)>,
 }
 
 impl EditsIndex {
@@ -148,66 +190,67 @@ impl EditsIndex {
         terms: &[String],
         ids: &[u32],
     ) -> Self {
-        let mut ix = EditsIndex {
+        let mut by_len: Vec<(usize, u32)> = ids
+            .iter()
+            .map(|&id| (terms[id as usize].chars().count(), id))
+            .collect();
+        by_len.sort_unstable();
+        let mut entries: Vec<(u64, u32, u32)> = Vec::new();
+        if bigram_edits.is_some() {
+            for (slot, &(_, id)) in (0u32..).zip(&by_len) {
+                let chars: Vec<char> = terms[id as usize].chars().collect();
+                entries.extend(bigram_counts(&chars).into_iter().map(|(g, n)| (g, slot, n)));
+            }
+            entries.sort_unstable();
+        }
+        EditsIndex {
             max_len_diff,
             bigram_edits,
-            ids: ids.to_vec(),
-            lens: Vec::with_capacity(ids.len()),
-            by_len: BTreeMap::new(),
-            postings: HashMap::new(),
-        };
-        for (slot, &id) in ids.iter().enumerate() {
-            let slot = slot as u32;
-            let chars: Vec<char> = terms[id as usize].chars().collect();
-            ix.lens.push(chars.len());
-            ix.by_len.entry(chars.len()).or_default().push(slot);
-            if bigram_edits.is_some() {
-                for (g, n) in bigram_counts(&chars) {
-                    ix.postings.entry(g).or_default().push((slot, n));
-                }
-            }
+            ids: by_len.iter().map(|&(_, id)| id).collect(),
+            lens: by_len.iter().map(|&(l, _)| l).collect(),
+            postings: Postings::from_sorted(entries.into_iter().map(|(g, slot, n)| (g, (slot, n)))),
         }
-        ix
     }
 
     fn candidates(&self, probe: &str, out: &mut Vec<u32>) {
         let chars: Vec<char> = probe.chars().collect();
         let lp = chars.len();
-        let lo = lp.saturating_sub(self.max_len_diff);
-        let hi = lp.saturating_add(self.max_len_diff);
         // shared bigrams a term of char length `l` needs
         let need = |l: usize| match self.bigram_edits {
             Some(loss) => lp.max(l) as f64 - 1.0 - loss,
             None => f64::NEG_INFINITY,
         };
+        // the length window, as a slot range
+        let lo = self
+            .lens
+            .partition_point(|&l| l < lp.saturating_sub(self.max_len_diff));
+        let hi = self
+            .lens
+            .partition_point(|&l| l <= lp.saturating_add(self.max_len_diff));
         // The count filter is only trusted above one full shared bigram:
         // such a term is on some posting list of the probe's bigrams, so
         // the inverted index cannot miss it. At or below, a within-ε term
-        // may share no bigram at all (short strings), and the whole
-        // length bucket goes through.
-        for (&l, slots) in self.by_len.range(lo..=hi) {
-            if need(l) <= 1.0 {
-                out.extend(slots.iter().map(|&s| self.ids[s as usize]));
-            }
+        // may share no bigram at all (short strings), and it goes through
+        // unfiltered. `need` grows with the length, so those terms are
+        // the front of the window.
+        let mid = lo + self.lens[lo..hi].partition_point(|&l| need(l) <= 1.0);
+        out.extend_from_slice(&self.ids[lo..mid]);
+        if mid == hi {
+            return;
         }
-        if need(hi) <= 1.0 {
-            return; // `need` grows with `l`: every bucket went wholesale
-        }
-        let mut shared = vec![0u32; self.ids.len()];
-        let mut touched: Vec<u32> = Vec::new();
+        // count shared bigrams for the rest of the window only
+        let mut shared = vec![0u32; hi - mid];
+        let (mid, hi) = (mid as u32, hi as u32);
         for (g, in_probe) in bigram_counts(&chars) {
-            for &(slot, in_term) in self.postings.get(&g).map_or(&[][..], Vec::as_slice) {
-                if shared[slot as usize] == 0 {
-                    touched.push(slot);
-                }
-                shared[slot as usize] += in_probe.min(in_term);
+            let list = self.postings.find(|k| k.cmp(&g));
+            let first = list.partition_point(|&(slot, _)| slot < mid);
+            for &(slot, in_term) in list[first..].iter().take_while(|&&(slot, _)| slot < hi) {
+                shared[(slot - mid) as usize] += in_probe.min(in_term);
             }
         }
-        for slot in touched {
-            let l = self.lens[slot as usize];
-            let n = need(l);
-            if (lo..=hi).contains(&l) && n > 1.0 && f64::from(shared[slot as usize]) >= n - 1e-9 {
-                out.push(self.ids[slot as usize]);
+        for (slot, &n) in (mid as usize..).zip(&shared) {
+            if f64::from(n) >= need(self.lens[slot]) - 1e-9 {
+                out.push(self.ids[slot]);
             }
         }
     }
@@ -216,7 +259,8 @@ impl EditsIndex {
 /// One plan node compiled over the terms that reach it.
 enum Node {
     Edits(EditsIndex),
-    Key(TermKey, HashMap<String, Vec<u32>>),
+    /// Key → term ids.
+    Key(TermKey, Postings<String, u32>),
     Gate(TermGate, Box<Node>),
     Any(Vec<Node>),
 }
@@ -229,14 +273,12 @@ impl Node {
                 bigram_edits,
             } => Node::Edits(EditsIndex::build(*max_len_diff, *bigram_edits, terms, ids)),
             BlockPlan::SharedKey(key) => {
-                let mut postings: HashMap<String, Vec<u32>> = HashMap::new();
-                for &id in ids {
-                    postings
-                        .entry(key.of(&terms[id as usize]))
-                        .or_default()
-                        .push(id);
-                }
-                Node::Key(*key, postings)
+                let mut entries: Vec<(String, u32)> = ids
+                    .iter()
+                    .map(|&id| (key.of(&terms[id as usize]), id))
+                    .collect();
+                entries.sort_unstable();
+                Node::Key(*key, Postings::from_sorted(entries))
             }
             BlockPlan::Gate(gate, inner) => {
                 // a term failing the gate pairs with nothing but itself
@@ -257,9 +299,9 @@ impl Node {
         match self {
             Node::Edits(ix) => ix.candidates(probe, out),
             Node::Key(key, postings) => {
-                if let Some(ids) = postings.get(&key.of(probe)) {
-                    out.extend_from_slice(ids);
-                }
+                // the probe's key, compared char by char: no allocation
+                let source = key.source(probe);
+                out.extend_from_slice(postings.find(|k| k.chars().cmp(lower(source))));
             }
             Node::Gate(gate, inner) => {
                 if gate.admits(probe) {
@@ -276,15 +318,14 @@ impl Node {
 }
 
 /// A candidate index over a fixed term list, compiled from a
-/// [`BlockPlan`]: key postings, length buckets and inverted bigram
-/// postings, mirroring the plan's shape.
+/// [`BlockPlan`]: key postings, and length-ordered terms with inverted
+/// bigram postings, mirroring the plan's shape.
 ///
-/// For the plan `metric.blocking(ε)` returned,
-/// [`TermIndex::candidates`]`(probe)` is a superset of
-/// `{ t : metric.within(probe, t, ε) }` — each plan node enumerates
-/// every term its relation admits for the probe (the bigram filter falls
-/// back to whole length buckets where it has no power), and a term equal
-/// to the probe is always offered.
+/// [`TermIndex::candidates`]`(probe)` is exactly the terms `t` with
+/// `P(probe, t)` (the module docs' relation) plus every term equal to
+/// the probe — each plan node enumerates the terms its relation admits,
+/// no more — so for the plan `metric.blocking(ε)` returned it is a
+/// superset of `{ t : metric.within(probe, t, ε) }`.
 pub struct TermIndex {
     plan: BlockPlan,
     terms: Vec<String>,
@@ -359,6 +400,123 @@ mod tests {
             .into_iter()
             .map(|id| ix.term(id).to_string())
             .collect()
+    }
+
+    /// `P(a, b)` of the module docs' table, computed pair by pair.
+    fn relation(plan: &BlockPlan, a: &str, b: &str) -> bool {
+        match plan {
+            BlockPlan::Edits {
+                max_len_diff,
+                bigram_edits,
+            } => {
+                let (ca, cb): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+                let need = |loss: f64| ca.len().max(cb.len()) as f64 - 1.0 - loss;
+                let shared = || {
+                    let (ga, gb) = (bigram_counts(&ca), bigram_counts(&cb));
+                    ga.iter()
+                        .filter_map(|&(g, n)| {
+                            gb.iter().find(|&&(h, _)| h == g).map(|&(_, m)| n.min(m))
+                        })
+                        .sum::<u32>()
+                };
+                ca.len().abs_diff(cb.len()) <= *max_len_diff
+                    && bigram_edits.is_none_or(|loss| {
+                        need(loss) <= 1.0 || f64::from(shared()) >= need(loss) - 1e-9
+                    })
+            }
+            BlockPlan::SharedKey(key) => key.of(a) == key.of(b),
+            BlockPlan::Gate(gate, inner) => {
+                gate.admits(a) && gate.admits(b) && relation(inner, a, b)
+            }
+            BlockPlan::Any(plans) => plans.iter().any(|p| relation(p, a, b)),
+        }
+    }
+
+    /// Names over shared surnames (full, initials, middle initials, near
+    /// misses, non-ASCII) beside 34–74-char titles and single-word tags,
+    /// generated deterministically.
+    fn mixed_corpus() -> Vec<String> {
+        let given: Vec<&str> = "Jeffrey Jennifer Hector Élisa Jürgen Surajit Laura"
+            .split(' ')
+            .collect();
+        let surnames: Vec<&str> = "Ullman Widom Garcia-Molina Bertino Müller Chaudhuri"
+            .split(' ')
+            .collect();
+        let words: Vec<&str> = "efficient similarity joins over taxonomies XML query \
+            processing semistructured data ontologies integration of the"
+            .split_whitespace()
+            .collect();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut pick = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut corpus: Vec<String> = ["title", "author", "article", "", "?!", "db"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        for _ in 0..120 {
+            let (first, last) = (given[pick(given.len())], surnames[pick(surnames.len())]);
+            corpus.push(match pick(4) {
+                0 => format!("{first} {last}"),
+                1 => format!("{}. {last}", first.chars().next().unwrap()),
+                2 => format!("{first} {}. {last}", char::from(b'A' + pick(26) as u8)),
+                _ => format!("{first} {last}{}", &last[last.len() - 1..]),
+            });
+        }
+        while corpus.len() < 240 {
+            let mut title = String::new();
+            let target = 34 + pick(41);
+            while title.chars().count() < target {
+                title.push_str(words[pick(words.len())]);
+                title.push(' ');
+            }
+            corpus.push(title.chars().take(target).collect());
+        }
+        corpus
+    }
+
+    #[test]
+    fn candidates_are_exactly_the_plan_relation_plus_identity() {
+        use crate::combinators::{MinOf, MultiWordGate};
+        use crate::{DamerauOsa, Levenshtein, NameRules, StringMetric};
+        let corpus = mixed_corpus();
+        let experiment = MinOf::new(
+            NameRules::with_costs(3.0, 2.0, 1000.0),
+            MultiWordGate::new(Levenshtein),
+        );
+        let plans = [
+            experiment.blocking(3.0).unwrap(),
+            NameRules::default().blocking(5.0).unwrap(),
+            Levenshtein.blocking(0.0).unwrap(),
+            Levenshtein.blocking(1.0).unwrap(),
+            Levenshtein.blocking(3.0).unwrap(),
+            Levenshtein.blocking(12.0).unwrap(),
+            DamerauOsa.blocking(2.0).unwrap(),
+            BlockPlan::Edits {
+                max_len_diff: 4,
+                bigram_edits: None,
+            },
+        ];
+        // every term, plus probes the index does not hold: an unknown
+        // author, typos of titles, and strings of no word at all
+        let mut probes = corpus.clone();
+        let typos = corpus.iter().skip(126).step_by(9);
+        probes.extend(typos.map(|t| t.replacen('e', "", 1)));
+        probes.extend(["Jeff Ullmann", "J. Müler", "---", "x"].map(String::from));
+        for plan in plans {
+            let index = TermIndex::build(plan.clone(), corpus.clone());
+            for probe in &probes {
+                let expected: Vec<u32> = (0u32..)
+                    .zip(&corpus)
+                    .filter(|&(_, t)| t == probe || relation(&plan, probe, t))
+                    .map(|(id, _)| id)
+                    .collect();
+                assert_eq!(index.candidates(probe), expected, "{plan:?} on {probe:?}");
+            }
+        }
     }
 
     #[test]

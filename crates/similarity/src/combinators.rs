@@ -254,6 +254,7 @@ mod tests {
             MultiWordGate::new(Levenshtein),
         );
         axioms::assert_blocking_plan(&experiment);
+        axioms::assert_within_consistent(&experiment);
         assert!(matches!(experiment.blocking(3.0), Some(BlockPlan::Any(ps)) if ps.len() == 2));
         // one side without a plan leaves nothing to prune with
         assert_eq!(MinOf::new(Levenshtein, Jaro).blocking(3.0), None);

@@ -15,7 +15,7 @@
 
 use crate::blocking::{BlockPlan, TermKey};
 use crate::levenshtein::Levenshtein;
-use crate::tokenize::words;
+use crate::tokenize::{lower, word_slices};
 use crate::traits::StringMetric;
 
 /// Rule-based similarity over person names, with configurable costs so a
@@ -66,81 +66,106 @@ enum NameMatch {
     None,
 }
 
-/// Whether `a` is an initial form of `b` or vice versa (or equal).
-fn token_compatible(a: &str, b: &str) -> bool {
-    if a == b {
-        return true;
+/// Whether two word tokens are the same word once lowercased.
+fn same_word(a: &str, b: &str) -> bool {
+    if a.is_ascii() && b.is_ascii() {
+        a.eq_ignore_ascii_case(b)
+    } else {
+        // not bytewise: some non-ASCII chars lowercase to ASCII ones
+        lower(a).eq(lower(b))
     }
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    short.chars().count() == 1 && long.starts_with(short)
 }
 
+/// Whether `a` is an initial form of `b` or vice versa (or equal).
+fn token_compatible(a: &str, b: &str) -> bool {
+    same_word(a, b) || is_initial_of(a, b) || is_initial_of(b, a)
+}
+
+/// Whether `initial` lowercases to one char that `word` lowercased
+/// starts with.
+fn is_initial_of(initial: &str, word: &str) -> bool {
+    let mut chars = lower(initial);
+    match (chars.next(), chars.next()) {
+        (Some(c), None) => lower(word).next() == Some(c),
+        _ => false,
+    }
+}
+
+/// Classify a pair by its word tokens, compared lowercased in place:
+/// the surnames (final tokens) and then the first given names, which
+/// every rule needs compatible, before anything is counted.
 fn classify(a: &str, b: &str) -> NameMatch {
-    let ta = words(a);
-    let tb = words(b);
-    if ta.is_empty() || tb.is_empty() {
-        return if ta == tb { NameMatch::Exact } else { NameMatch::None };
+    let (mut ga, mut gb) = (word_slices(a), word_slices(b));
+    match (ga.next_back(), gb.next_back()) {
+        (None, None) => return NameMatch::Exact,
+        (Some(x), Some(y)) if same_word(x, y) => {}
+        _ => return NameMatch::None,
     }
-    if ta == tb {
-        return NameMatch::Exact;
-    }
-    // surname = final token
-    if ta.last() != tb.last() {
-        return NameMatch::None;
-    }
-    let ga = &ta[..ta.len() - 1];
-    let gb = &tb[..tb.len() - 1];
-    if ga.len() == gb.len() {
-        if ga
-            .iter()
-            .zip(gb.iter())
-            .all(|(x, y)| token_compatible(x, y))
-        {
+    // what is left of `ga` and `gb` are the given names
+    let (fa, fb) = match (ga.next(), gb.next()) {
+        (None, None) => return NameMatch::Exact,
+        (Some(x), Some(y)) if token_compatible(x, y) => (x, y),
+        // including a surname-only match, e.g. "Ullman" vs "Jeff
+        // Ullman": too weak a rule
+        _ => return NameMatch::None,
+    };
+    let (na, nb) = (ga.clone().count(), gb.clone().count());
+    if na == nb {
+        if same_word(fa, fb) && ga.clone().zip(gb.clone()).all(|(x, y)| same_word(x, y)) {
+            return NameMatch::Exact;
+        }
+        if ga.zip(gb).all(|(x, y)| token_compatible(x, y)) {
             return NameMatch::Initials;
         }
         return NameMatch::None;
     }
     // dropped middle names: the shorter given-name list must be a
-    // compatible subsequence of the longer one starting at the first token
-    let (short, long) = if ga.len() < gb.len() { (ga, gb) } else { (gb, ga) };
-    if short.is_empty() {
-        // e.g. "Ullman" vs "Jeff Ullman" — surname-only is too weak a rule
-        return NameMatch::None;
-    }
-    if !token_compatible(&short[0], &long[0]) {
-        return NameMatch::None;
-    }
-    let mut li = 1;
-    for s in &short[1..] {
-        let mut found = false;
-        while li < long.len() {
-            if token_compatible(s, &long[li]) {
-                found = true;
-                li += 1;
-                break;
-            }
-            li += 1;
-        }
-        if !found {
+    // compatible subsequence of the longer one starting at the first
+    // token (checked above)
+    let (short, mut long) = if na < nb { (ga, gb) } else { (gb, ga) };
+    for s in short {
+        if !long.any(|l| token_compatible(s, l)) {
             return NameMatch::None;
         }
     }
     NameMatch::DroppedMiddle
 }
 
+impl NameRules {
+    /// The distance a rule hit costs; `None` when no rule fired.
+    fn rule_cost(&self, m: NameMatch) -> Option<f64> {
+        match m {
+            NameMatch::Exact => Some(0.0),
+            NameMatch::Initials => Some(self.initials_cost),
+            NameMatch::DroppedMiddle => Some(self.dropped_middle_cost),
+            NameMatch::None => None,
+        }
+    }
+}
+
 impl StringMetric for NameRules {
     fn distance(&self, a: &str, b: &str) -> f64 {
         // symmetrize via classify being symmetric by construction
-        match classify(a, b) {
-            NameMatch::Exact => 0.0,
-            NameMatch::Initials => self.initials_cost,
-            NameMatch::DroppedMiddle => self.dropped_middle_cost,
-            NameMatch::None => self.fallback_offset + Levenshtein::raw(a, b) as f64,
-        }
+        self.rule_cost(classify(a, b))
+            .unwrap_or_else(|| self.fallback_offset + Levenshtein::raw(a, b) as f64)
     }
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn within(&self, a: &str, b: &str, epsilon: f64) -> bool {
+        if let Some(cost) = self.rule_cost(classify(a, b)) {
+            return cost <= epsilon;
+        }
+        // `offset + lev ≤ ε` needs `ε ≥ offset` (false for NaN) and lev
+        // at most ε − offset: compute no edit distance past that bound,
+        // with one edit of slack for the rounding of the subtraction
+        epsilon >= self.fallback_offset && {
+            let bound = ((epsilon - self.fallback_offset) as usize).saturating_add(1);
+            Levenshtein::bounded(a, b, bound)
+                .is_some_and(|lev| self.fallback_offset + lev as f64 <= epsilon)
+        }
     }
 
     fn blocking(&self, epsilon: f64) -> Option<BlockPlan> {
@@ -163,6 +188,7 @@ impl StringMetric for NameRules {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenize::words;
     use crate::traits::axioms;
 
     #[test]
@@ -210,6 +236,8 @@ mod tests {
     fn axioms_hold() {
         axioms::assert_axioms(&NameRules::default());
         axioms::assert_within_consistent(&NameRules::default());
+        // the experiment costs: the fallback sits past the 1000 offset
+        axioms::assert_within_consistent(&NameRules::with_costs(3.0, 2.0, 1000.0));
     }
 
     #[test]
@@ -242,6 +270,64 @@ mod tests {
         assert_eq!(m.blocking(3.0), Some(BlockPlan::SharedKey(TermKey::LastWord)));
         // strings without a word token are all "exactly" each other
         assert!(m.within("---", "?!", 0.0));
+    }
+
+    /// The rules over [`words`]' lowercased token lists, as they read:
+    /// the reference for `classify`, which compares in place.
+    fn classify_lists(a: &str, b: &str) -> NameMatch {
+        let compatible = |x: &String, y: &String| {
+            let (short, long) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+            x == y || (short.chars().count() == 1 && long.starts_with(short.as_str()))
+        };
+        let (ta, tb) = (words(a), words(b));
+        if ta == tb {
+            return NameMatch::Exact;
+        }
+        if ta.is_empty() || tb.is_empty() || ta.last() != tb.last() {
+            return NameMatch::None;
+        }
+        let (ga, gb) = (&ta[..ta.len() - 1], &tb[..tb.len() - 1]);
+        if ga.len() == gb.len() {
+            return match ga.iter().zip(gb).all(|(x, y)| compatible(x, y)) {
+                true => NameMatch::Initials,
+                false => NameMatch::None,
+            };
+        }
+        let (short, long) = if ga.len() < gb.len() {
+            (ga, gb)
+        } else {
+            (gb, ga)
+        };
+        match (short.first(), long.first()) {
+            (Some(s), Some(l)) if compatible(s, l) => {}
+            _ => return NameMatch::None,
+        }
+        let mut rest = long[1..].iter();
+        match short[1..].iter().all(|s| rest.any(|l| compatible(s, l))) {
+            true => NameMatch::DroppedMiddle,
+            false => NameMatch::None,
+        }
+    }
+
+    #[test]
+    fn in_place_classification_matches_the_token_lists() {
+        let mut names: Vec<String> = ["", "---", "Ullman", "ullman!", "SIGMOD Conference"]
+            .map(String::from)
+            .to_vec();
+        // initials against full forms, case, non-ASCII, and chars whose
+        // lowercase is ASCII (the Kelvin sign) or two chars long (İ)
+        for given in "Jeffrey J. j JEFF Jürgen Ü. \u{212A}. K İlker i".split(' ') {
+            for middle in ["", "D.", "David", "d"] {
+                for surname in ["Ullman", "ULLMAN", "Müller", "Ullmann"] {
+                    names.push(format!("{given} {middle} {surname}"));
+                }
+            }
+        }
+        for a in &names {
+            for b in &names {
+                assert_eq!(classify(a, b), classify_lists(a, b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

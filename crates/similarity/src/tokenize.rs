@@ -3,35 +3,26 @@
 
 /// Split a string into lowercase word tokens (alphanumeric runs).
 pub fn words(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    for ch in s.chars() {
-        if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                cur.push(lc);
-            }
-        } else if !cur.is_empty() {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
+    word_slices(s).map(|w| lower(w).collect()).collect()
+}
+
+/// The word tokens [`words`] yields, as slices of `s` in their original
+/// case — no allocation; compare them through [`lower`].
+pub(crate) fn word_slices(s: &str) -> impl DoubleEndedIterator<Item = &str> + Clone {
+    s.split(|c: char| !c.is_alphanumeric())
+        .filter(|w| !w.is_empty())
+}
+
+/// The chars of `w` lowercased, as [`words`] emits them.
+pub(crate) fn lower(w: &str) -> impl Iterator<Item = char> + '_ {
+    w.chars().flat_map(char::to_lowercase)
 }
 
 /// The last token [`words`] would yield, or `""` when there is none —
 /// the surname under the bibliographic name rules — without tokenizing
 /// the whole string.
 pub fn last_word(s: &str) -> String {
-    let end = s.trim_end_matches(|c: char| !c.is_alphanumeric());
-    let start = end
-        .char_indices()
-        .rev()
-        .take_while(|(_, c)| c.is_alphanumeric())
-        .last()
-        .map_or(end.len(), |(i, _)| i);
-    end[start..].chars().flat_map(char::to_lowercase).collect()
+    lower(word_slices(s).next_back().unwrap_or("")).collect()
 }
 
 #[cfg(test)]

@@ -82,6 +82,9 @@ pub(crate) mod axioms {
         "ACM SIGMOD International Conference on Management of Data",
         "relational model",
         "relation models",
+        "Jürgen Müller",
+        "Élisa Bertino",
+        "Efficient Similarity Joins over Taxonomies of XML Data Trees",
     ];
 
     /// `d(x,x) = 0` and symmetry and non-negativity on the sample corpus.
@@ -154,12 +157,30 @@ pub(crate) mod axioms {
         }
     }
 
-    /// `within` agrees with `distance` against a sweep of thresholds.
+    /// `within` agrees with `distance` against a sweep of thresholds:
+    /// the usual ones, NaN (never within), thresholds past every edit
+    /// count, and the boundaries of the 1000 offsets that gate
+    /// single-word pairs and push [`crate::NameRules`]' fallback away.
     pub fn assert_within_consistent<M: StringMetric>(m: &M) {
+        let sweep = [
+            0.0,
+            0.5,
+            1.0,
+            2.0,
+            3.0,
+            10.0,
+            999.0,
+            1000.0,
+            1000.5,
+            1003.0,
+            1e30,
+            f64::INFINITY,
+            f64::NAN,
+        ];
         for &x in SAMPLES {
             for &y in SAMPLES {
                 let d = m.distance(x, y);
-                for eps in [0.0, 0.5, 1.0, 2.0, 3.0, 10.0] {
+                for eps in sweep {
                     assert_eq!(
                         m.within(x, y, eps),
                         d <= eps,

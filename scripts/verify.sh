@@ -14,12 +14,14 @@ cargo build --workspace --release
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> chaos suites (governance + serving fault injection + durability + segments), the join suite and the probe scaling guard, release"
+echo "==> chaos suites (governance + serving fault injection + durability + segments), the join suite, the probe scaling guard and the SEA equivalence suite, release"
 # tests/parallel.rs carries the release-only guard
 # probe_cost_follows_the_candidates_not_the_collection (a debug timing
 # means nothing, so the debug run above compiles it out); tests/join.rs
-# guards the only similarity join there is, so it runs optimized too
-cargo test --release --test chaos --test governance --test serve --test durability --test segments --test parallel --test join -q
+# guards the only similarity join there is, so it runs optimized too;
+# tests/semantic.rs runs again optimized because the edit-distance
+# kernel's arithmetic would wrap there where the debug build panics
+cargo test --release --test chaos --test governance --test serve --test durability --test segments --test parallel --test join --test semantic -q
 
 echo "==> crash campaign smoke (quick: TOSS_CRASH_SEEDS=10)"
 # the deterministic kill-and-recover campaign (docs/robustness.md): a
@@ -103,6 +105,16 @@ grep -q "^1 match(es)" <<< "$NUM_OUT"
 grep -qF "$NUM_DOC" <<< "$NUM_OUT"
 
 echo "==> toss-cli query, flight recorder + toss-cli top smoke test"
+# a threshold no stored SEO can carry is a usage error naming the flag,
+# and writes nothing
+for EPS in nan inf -1; do
+    EPS_STATUS=0
+    EPS_OUT=$("$CLI" build-seo --db "$SMOKE/store.json" --epsilon "$EPS" \
+        --out "$SMOKE/bad-seo.json" 2>&1) || EPS_STATUS=$?
+    [ "$EPS_STATUS" -eq 1 ] || { echo "build-seo --epsilon $EPS exited $EPS_STATUS, expected 1"; exit 1; }
+    grep -q "^error: --epsilon must be a finite non-negative number" <<< "$EPS_OUT"
+    [ ! -e "$SMOKE/bad-seo.json" ] || { echo "build-seo --epsilon $EPS wrote an SEO"; exit 1; }
+done
 "$CLI" build-seo --db "$SMOKE/store.json" --epsilon 1 --out "$SMOKE/seo.json" >/dev/null
 # the release `query` path, TOSS and the TAX baseline
 QUERY_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
