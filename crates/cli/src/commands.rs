@@ -344,8 +344,19 @@ fn cmd_db(argv: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string())?;
             let pending = db.pending_journal_ops().map_err(|e| e.to_string())?;
             db.checkpoint().map_err(|e| e.to_string())?;
+            // this checkpoint writes no ontology sidecar, so it keeps the
+            // journal's ontology records for the next open to replay
+            let kept = db.pending_journal_ops().map_err(|e| e.to_string())?;
+            let journal = match kept {
+                0 => "journal truncated".to_string(),
+                n => format!(
+                    "kept {n} ontology record(s) in the journal \
+                     (a writable server's checkpoint folds them into the ontology sidecar)"
+                ),
+            };
             println!(
-                "checkpointed {pending} journaled op(s) into {db_path}; journal truncated"
+                "checkpointed {} journaled op(s) into {db_path}; {journal}",
+                pending - kept
             );
             persist_stats(db_path);
             Ok(())

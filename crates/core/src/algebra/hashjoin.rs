@@ -97,7 +97,7 @@ mod tests {
     use toss_ontology::hierarchy::from_pairs;
     use toss_ontology::sea::enhance;
     use toss_similarity::Levenshtein;
-    use toss_tax::ops::PROD_ROOT_TAG;
+    use toss_tax::PROD_ROOT_TAG;
     use toss_tax::{EdgeKind, PatternTree};
     use toss_tree::{Forest, TreeBuilder};
 

@@ -255,7 +255,7 @@ mod tests {
         let pattern = TossPattern {
             structure,
             condition: TossCond::all(vec![
-                TossCond::eq(TossTerm::tag(1), TossTerm::str(toss_tax::ops::PROD_ROOT_TAG)),
+                TossCond::eq(TossTerm::tag(1), TossTerm::str(toss_tax::PROD_ROOT_TAG)),
                 TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
                 TossCond::eq(TossTerm::tag(3), TossTerm::str("author")),
                 TossCond::similar(TossTerm::content(2), TossTerm::content(3)),

@@ -51,7 +51,7 @@ use crate::governor::QueryGovernor;
 use crate::oes::SeoInstance;
 use std::collections::{HashMap, HashSet};
 use toss_pool::{partition_ranges, WorkerPool};
-use toss_tax::ops::PROD_ROOT_TAG;
+use toss_tax::PROD_ROOT_TAG;
 use toss_tree::{Forest, NodeData, Tree};
 
 /// What one similarity join did (surfaced via `toss.join.*` counters,

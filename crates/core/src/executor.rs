@@ -1345,7 +1345,7 @@ mod tests {
         let cross = TossPattern {
             structure: cross_structure,
             condition: TossCond::all(vec![
-                TossCond::eq(TossTerm::tag(1), TossTerm::str(toss_tax::ops::PROD_ROOT_TAG)),
+                TossCond::eq(TossTerm::tag(1), TossTerm::str(toss_tax::PROD_ROOT_TAG)),
                 TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
                 TossCond::eq(TossTerm::tag(3), TossTerm::str("author")),
                 TossCond::similar(TossTerm::content(2), TossTerm::content(3)),

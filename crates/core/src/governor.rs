@@ -732,6 +732,15 @@ mod tests {
         *ctrl.active.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Serializes the tests that admit queries: every admit observes the
+    /// process-global `toss.governor.queue_wait_ns` histogram, which
+    /// `accepted_queries_record_queue_wait` counts exactly.
+    static ADMISSIONS: Mutex<()> = Mutex::new(());
+
+    fn admissions() -> std::sync::MutexGuard<'static, ()> {
+        ADMISSIONS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn unlimited_governor_admits_everything() {
         let g = QueryGovernor::unlimited();
@@ -912,6 +921,7 @@ mod tests {
 
     #[test]
     fn admission_sheds_rather_than_queueing() {
+        let _admissions = admissions();
         let ctrl = Arc::new(AdmissionController::new(1, Duration::from_millis(20)));
         let p = ctrl.admit().unwrap();
         assert_eq!(active(&ctrl), 1);
@@ -927,6 +937,7 @@ mod tests {
 
     #[test]
     fn shed_queries_record_queue_wait() {
+        let _admissions = admissions();
         let hist = toss_obs::metrics::histogram("toss.governor.queue_wait_ns");
         let before = hist.count();
         let ctrl = Arc::new(AdmissionController::new(1, Duration::from_millis(5)));
@@ -948,6 +959,7 @@ mod tests {
 
     #[test]
     fn accepted_queries_record_queue_wait() {
+        let _admissions = admissions();
         let hist = toss_obs::metrics::histogram("toss.governor.queue_wait_ns");
         let before = hist.count();
         let ctrl = AdmissionController::new(2, Duration::from_millis(50));
@@ -965,6 +977,7 @@ mod tests {
 
     #[test]
     fn run_with_wait_reports_shed_wait() {
+        let _admissions = admissions();
         let ctrl = Arc::new(AdmissionController::new(1, Duration::from_millis(5)));
         let p = ctrl.admit().unwrap();
         let c2 = ctrl.clone();
@@ -982,6 +995,7 @@ mod tests {
 
     #[test]
     fn admission_run_rejects_expired_deadline_before_slot() {
+        let _admissions = admissions();
         let ctrl = AdmissionController::new(1, Duration::from_millis(10));
         let g = QueryGovernor::new(
             QueryBudget::unlimited().with_deadline(Duration::ZERO),
@@ -1011,6 +1025,7 @@ mod tests {
 
     #[test]
     fn permit_released_even_on_panic_inside_run() {
+        let _admissions = admissions();
         let ctrl = AdmissionController::new(1, Duration::from_millis(10));
         let g = QueryGovernor::unlimited();
         let (_, out): (_, TossResult<()>) = ctrl.run_with_wait(&g, || panic!("boom"));

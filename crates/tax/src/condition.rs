@@ -52,11 +52,6 @@ impl Term {
         }
     }
 
-    /// Shorthand for an attribute term.
-    pub fn attr(label: u32, attr: Attr) -> Term {
-        Term::Attr { label, attr }
-    }
-
     /// A string constant.
     pub fn str(s: &str) -> Term {
         Term::Const(Value::Str(s.to_string()))
@@ -68,7 +63,7 @@ impl Term {
     }
 
     /// The label this term references, if any.
-    pub fn label(&self) -> Option<u32> {
+    pub(crate) fn label(&self) -> Option<u32> {
         match self {
             Term::Attr { label, .. } => Some(*label),
             Term::Const(_) => None,
@@ -214,16 +209,6 @@ impl Cond {
         conds.into_iter().fold(Cond::True, Cond::and)
     }
 
-    /// Disjunction of many conditions (empty input is `True`'s negation —
-    /// i.e. an empty `or` is unsatisfiable, here rendered as `not True`).
-    pub fn any(conds: impl IntoIterator<Item = Cond>) -> Cond {
-        let mut it = conds.into_iter();
-        match it.next() {
-            None => Cond::True.not(),
-            Some(first) => it.fold(first, Cond::or),
-        }
-    }
-
     /// All pattern labels referenced by the condition.
     pub fn labels(&self) -> BTreeSet<u32> {
         let mut out = BTreeSet::new();
@@ -284,7 +269,7 @@ impl Cond {
 
     /// [`Cond::conjuncts`] by value: the conjuncts are moved out, not
     /// cloned.
-    pub fn into_conjuncts(self) -> Vec<Cond> {
+    pub(crate) fn into_conjuncts(self) -> Vec<Cond> {
         fn go(c: Cond, out: &mut Vec<Cond>) {
             match c {
                 Cond::And(a, b) => {
@@ -342,11 +327,6 @@ impl<'a> ValueRef<'a> {
     }
 }
 
-/// Evaluate an atomic comparison between two concrete values.
-pub fn compare(lhs: &Value, op: CmpOp, rhs: &Value) -> bool {
-    compare_refs(lhs.into(), op, rhs.into())
-}
-
 pub(crate) fn compare_refs(lhs: ValueRef<'_>, op: CmpOp, rhs: ValueRef<'_>) -> bool {
     use std::cmp::Ordering;
     // strings order lexicographically, numerics numerically (integers
@@ -375,6 +355,10 @@ pub(crate) fn compare_refs(lhs: ValueRef<'_>, op: CmpOp, rhs: ValueRef<'_>) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn compare(lhs: &Value, op: CmpOp, rhs: &Value) -> bool {
+        compare_refs(lhs.into(), op, rhs.into())
+    }
 
     #[test]
     fn non_canonical_numeric_text_is_a_string_to_conditions() {
@@ -456,12 +440,6 @@ mod tests {
         assert!(matches!(c, Cond::Cmp { .. }));
         let all = Cond::all(vec![]);
         assert_eq!(all, Cond::True);
-    }
-
-    #[test]
-    fn any_of_empty_is_unsatisfiable_marker() {
-        let c = Cond::any(vec![]);
-        assert!(matches!(c, Cond::Not(_)));
     }
 
     #[test]

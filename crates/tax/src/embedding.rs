@@ -21,13 +21,8 @@ pub struct Embedding {
 
 impl Embedding {
     /// Image of a pattern node.
-    pub fn image(&self, p: PatternNodeId) -> NodeId {
+    pub(crate) fn image(&self, p: PatternNodeId) -> NodeId {
         self.map[p.0]
-    }
-
-    /// Image of the pattern node carrying `label`.
-    pub fn image_of_label(&self, pattern: &PatternTree, label: u32) -> Option<NodeId> {
-        pattern.node_by_label(label).map(|p| self.image(p))
     }
 
     /// All images in pattern-node order.
@@ -88,7 +83,7 @@ impl Matcher {
 
     /// Enumerate all embeddings of the pattern into `tree`, in pattern
     /// preorder over candidates in document order.
-    pub fn embeddings(&self, tree: &Tree) -> Vec<Embedding> {
+    pub(crate) fn embeddings(&self, tree: &Tree) -> Vec<Embedding> {
         let mut out = Vec::new();
         let mut images = Vec::with_capacity(self.structure.len());
         self.extend(tree, &mut images, &mut out);
@@ -241,8 +236,8 @@ mod tests {
         let t = dblp_tree();
         let es = embeddings(&figure3_pattern(2001), &t);
         assert_eq!(es.len(), 1);
-        let e = &es[0];
-        assert_eq!(e.image_of_label(&figure3_pattern(2001), 1), Some(t.root().unwrap()));
+        let p = figure3_pattern(2001);
+        assert_eq!(es[0].image(p.node_by_label(1).unwrap()), t.root().unwrap());
     }
 
     #[test]

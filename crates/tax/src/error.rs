@@ -36,7 +36,7 @@ impl From<TreeError> for TaxError {
 }
 
 /// Result alias for TAX operations.
-pub type TaxResult<T> = Result<T, TaxError>;
+pub(crate) type TaxResult<T> = Result<T, TaxError>;
 
 #[cfg(test)]
 mod tests {

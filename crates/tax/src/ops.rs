@@ -1,4 +1,4 @@
-//! The TAX operators: σ, π, ×, join and the set operators.
+//! The TAX operators: σ, π, × and join.
 
 use crate::embedding::Matcher;
 use crate::error::TaxResult;
@@ -24,20 +24,12 @@ pub fn select(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProjectEntry {
     /// The pattern-node label whose images are kept.
-    pub label: u32,
+    pub(crate) label: u32,
     /// Whether to also keep all descendants of each image.
-    pub keep_descendants: bool,
+    pub(crate) keep_descendants: bool,
 }
 
 impl ProjectEntry {
-    /// Keep only the matched nodes themselves.
-    pub fn node(label: u32) -> Self {
-        ProjectEntry {
-            label,
-            keep_descendants: false,
-        }
-    }
-
     /// Keep the matched nodes and their subtrees (`$label.*`).
     pub fn subtree(label: u32) -> Self {
         ProjectEntry {
@@ -247,7 +239,11 @@ mod tests {
             Cond::eq(Term::tag(2), Term::str("author")),
         ]))
         .unwrap();
-        let out = project(&dblp(), &p, &[ProjectEntry::node(1), ProjectEntry::node(2)]).unwrap();
+        let nodes = [1, 2].map(|label| ProjectEntry {
+            label,
+            keep_descendants: false,
+        });
+        let out = project(&dblp(), &p, &nodes).unwrap();
         assert_eq!(out.len(), 3);
         for t in &out {
             let root = t.root().unwrap();
@@ -322,7 +318,7 @@ mod tests {
         let e = Forest::new();
         assert!(select(&e, &year_pattern(1999), &[]).unwrap().is_empty());
         assert!(product(&e, &dblp()).unwrap().is_empty());
-        assert!(project(&e, &year_pattern(1999), &[ProjectEntry::node(1)])
+        assert!(project(&e, &year_pattern(1999), &[ProjectEntry::subtree(1)])
             .unwrap()
             .is_empty());
     }

@@ -99,19 +99,13 @@ impl PatternTree {
     }
 
     /// Move the attached condition out, leaving `True`.
-    pub fn take_condition(&mut self) -> Cond {
+    pub(crate) fn take_condition(&mut self) -> Cond {
         std::mem::replace(&mut self.condition, Cond::True)
     }
 
     /// Number of pattern nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Whether the pattern is empty — never true (a root always exists),
-    /// kept for API symmetry.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Node ids in pattern preorder (parents before children — the order
@@ -144,59 +138,12 @@ impl PatternTree {
     pub fn children(&self, id: PatternNodeId) -> &[PatternNodeId] {
         &self.nodes[id.0].children
     }
-
-    /// All labels in the pattern.
-    pub fn labels(&self) -> Vec<u32> {
-        self.nodes.iter().map(|n| n.label).collect()
-    }
-}
-
-/// Builder for the common "spine" patterns used throughout the paper:
-/// a root with a list of pc/ad children, e.g. Figure 3's
-/// `$1 inproceedings` with `$2 title`, `$3 year` children.
-#[derive(Debug)]
-pub struct SpineBuilder {
-    tree: PatternTree,
-}
-
-impl SpineBuilder {
-    /// Start with a root labelled `1`.
-    pub fn root() -> Self {
-        SpineBuilder {
-            tree: PatternTree::new(1),
-        }
-    }
-
-    /// Add a pc child of the root with the next label.
-    pub fn pc_child(mut self, label: u32) -> TaxResult<Self> {
-        self.tree
-            .add_child(self.tree.root(), label, EdgeKind::ParentChild)?;
-        Ok(self)
-    }
-
-    /// Add an ad child of the root with the next label.
-    pub fn ad_child(mut self, label: u32) -> TaxResult<Self> {
-        self.tree
-            .add_child(self.tree.root(), label, EdgeKind::AncestorDescendant)?;
-        Ok(self)
-    }
-
-    /// Attach the condition and finish.
-    pub fn condition(mut self, cond: Cond) -> TaxResult<PatternTree> {
-        self.tree.set_condition(cond)?;
-        Ok(self.tree)
-    }
-
-    /// Finish without a condition.
-    pub fn build(self) -> PatternTree {
-        self.tree
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condition::{Attr, Cond, Term};
+    use crate::condition::{Cond, Term};
 
     #[test]
     fn build_figure3_shape() {
@@ -228,7 +175,7 @@ mod tests {
         let mut p = PatternTree::new(1);
         let bad = Cond::eq(Term::tag(9), Term::str("x"));
         assert!(matches!(p.set_condition(bad), Err(TaxError::UnknownLabel(9))));
-        let good = Cond::eq(Term::attr(1, Attr::Tag), Term::str("inproceedings"));
+        let good = Cond::eq(Term::tag(1), Term::str("inproceedings"));
         p.set_condition(good).unwrap();
     }
 
@@ -240,7 +187,8 @@ mod tests {
         assert_eq!(p.node_by_label(7), Some(r));
         assert_eq!(p.node_by_label(9), Some(c));
         assert_eq!(p.node_by_label(1), None);
-        assert_eq!(p.labels(), vec![7, 9]);
+        let labels: Vec<u32> = p.preorder().map(|n| p.label(n)).collect();
+        assert_eq!(labels, vec![7, 9]);
     }
 
     #[test]
@@ -257,18 +205,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn spine_builder() {
-        let p = SpineBuilder::root()
-            .pc_child(2)
-            .unwrap()
-            .ad_child(3)
-            .unwrap()
-            .build();
-        assert_eq!(p.len(), 3);
-        assert_eq!(
-            p.parent_edge(PatternNodeId(2)).unwrap().1,
-            EdgeKind::AncestorDescendant
-        );
-    }
 }

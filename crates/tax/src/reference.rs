@@ -4,7 +4,7 @@
 //! per witness — kept test-only and compared with the prepared forms on
 //! random patterns × trees.
 
-use crate::condition::{compare, Attr, CmpOp, Cond, Term};
+use crate::condition::{compare_refs, Attr, CmpOp, Cond, Term};
 use crate::embedding::Matcher;
 use crate::ops::{project, select, ProjectEntry};
 use crate::pattern::{EdgeKind, PatternNodeId, PatternTree};
@@ -37,7 +37,7 @@ fn eval_condition(tree: &Tree, assignment: &HashMap<u32, NodeId>, cond: &Cond) -
                 term_value(tree, assignment, lhs),
                 term_value(tree, assignment, rhs),
             ) {
-                (Some(a), Some(b)) => compare(&a, *op, &b),
+                (Some(a), Some(b)) => compare_refs((&a).into(), *op, (&b).into()),
                 _ => false,
             }
         }

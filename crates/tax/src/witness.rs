@@ -14,7 +14,7 @@ use toss_tree::{NodeId, Tree};
 
 /// Build the witness tree for `embedding`, including the descendant cones
 /// of the images of the pattern nodes in `expand` (the `SL` of selection).
-pub fn witness_tree(
+pub(crate) fn witness_tree(
     tree: &Tree,
     embedding: &Embedding,
     expand: &[PatternNodeId],
@@ -29,18 +29,11 @@ pub fn witness_tree(
     Ok(forest.into_iter().next().unwrap_or_default())
 }
 
-/// Build a tree (or the first tree of a forest) from an arbitrary
-/// included-node set, connecting each node to its closest included
-/// ancestor and keeping source preorder.
-pub fn build_from_nodes(tree: &Tree, included: &HashSet<NodeId>) -> TaxResult<Tree> {
-    let forest = build_forest_from_nodes(tree, included)?;
-    Ok(forest.into_iter().next().unwrap_or_default())
-}
-
-/// Like [`build_from_nodes`] but returns every resulting root as its own
-/// tree — projection needs this because projected nodes can be
+/// Build a forest from an arbitrary included-node set, connecting each
+/// node to its closest included ancestor and keeping source preorder;
+/// every resulting root is its own tree, because projected nodes can be
 /// disconnected. Ids that are not nodes of `tree` are ignored.
-pub fn build_forest_from_nodes(
+pub(crate) fn build_forest_from_nodes(
     tree: &Tree,
     included: &HashSet<NodeId>,
 ) -> TaxResult<Vec<Tree>> {
@@ -175,14 +168,15 @@ mod tests {
     fn preorder_is_preserved() {
         let t = data_tree();
         let all: HashSet<NodeId> = t.preorder().collect();
-        let rebuilt = build_from_nodes(&t, &all).unwrap();
-        assert!(toss_tree::eq::trees_equal(&rebuilt, &t));
+        let rebuilt = build_forest_from_nodes(&t, &all).unwrap();
+        assert_eq!(rebuilt.len(), 1);
+        assert!(toss_tree::eq::trees_equal(&rebuilt[0], &t));
     }
 
     #[test]
-    fn empty_included_set_gives_empty_tree() {
+    fn empty_included_set_gives_empty_forest() {
         let t = data_tree();
-        let w = build_from_nodes(&t, &HashSet::new()).unwrap();
+        let w = build_forest_from_nodes(&t, &HashSet::new()).unwrap();
         assert!(w.is_empty());
     }
 
@@ -194,7 +188,8 @@ mod tests {
         let mut included: HashSet<NodeId> = HashSet::new();
         included.insert(other.root().unwrap());
         included.insert(t.root().unwrap());
-        let w = build_from_nodes(&t, &included).unwrap();
-        assert_eq!(w.node_count(), 1);
+        let w = build_forest_from_nodes(&t, &included).unwrap();
+        assert_eq!(w.len(), 1);
+        assert_eq!(w[0].node_count(), 1);
     }
 }

@@ -249,8 +249,9 @@ impl DurableDatabase {
         self.db
     }
 
-    /// Number of operations currently recorded in the journal (i.e. not
-    /// yet folded into a snapshot by [`DurableDatabase::checkpoint`]).
+    /// Number of operations currently recorded in the journal: those
+    /// not yet folded into a snapshot by [`DurableDatabase::checkpoint`],
+    /// plus the ontology records it keeps.
     /// O(1): the count is tracked incrementally, not rescanned.
     pub fn pending_journal_ops(&self) -> DbResult<usize> {
         self.writer.pending_journal_ops()
@@ -313,9 +314,10 @@ impl DurableDatabase {
 
     /// Fold the journal into a fresh verified snapshot (plus its `.seg`
     /// index-segment sidecar) and truncate it — the one checkpoint
-    /// routine, [`DurableWriter::checkpoint`] — then rebase every
-    /// collection's index onto the segment just written, so the delta
-    /// of writes since the last checkpoint starts empty again.
+    /// routine, [`DurableWriter::checkpoint`], which keeps the ontology
+    /// records — then rebase every collection's index onto the segment
+    /// just written, so the delta of writes since the last checkpoint
+    /// starts empty again.
     pub fn checkpoint(&mut self) -> DbResult<()> {
         let seg = self.writer.checkpoint_segment(&self.db)?;
         if let Ok(seg) = Segment::parse(seg) {
@@ -459,6 +461,11 @@ impl DurableWriter {
     ///    `seq >= cursor` (appended after serialization), so nothing the
     ///    snapshot does not contain is ever dropped.
     ///
+    /// This is the serving checkpoint: its caller has already written
+    /// the ontology sidecar at `cursor`, so the [`JournalOp::AddTerm`]/
+    /// [`JournalOp::AddEdge`] records below `cursor` go with the rest.
+    /// Every other checkpoint ([`DurableWriter::checkpoint`]) keeps them.
+    ///
     /// A crash or an error at any point leaves a recoverable store:
     /// before the rename the old snapshot + full journal stand; after
     /// it, the new snapshot's cursor makes stale journal records replay
@@ -469,21 +476,38 @@ impl DurableWriter {
         cursor: u64,
         segment: Option<&[u8]>,
     ) -> DbResult<()> {
+        self.fold_journal(json, cursor, segment, false)
+    }
+
+    /// [`DurableWriter::checkpoint_json_seg`]'s steps. `keep_ontology`
+    /// also retains every ontology record below `cursor`, with its seq:
+    /// the snapshot does not hold them (they are store no-ops), and a
+    /// checkpoint that writes no ontology sidecar must leave them for
+    /// the next open to replay past the sidecar's cursor.
+    fn fold_journal(
+        &mut self,
+        json: String,
+        cursor: u64,
+        segment: Option<&[u8]>,
+        keep_ontology: bool,
+    ) -> DbResult<()> {
         let span = toss_obs::span("xmldb.checkpoint");
         storage::save_verified_json(json, &self.snapshot_path, &*self.vfs)?;
         if let Some(bytes) = segment {
             crate::segidx::write_segment(&*self.vfs, &self.snapshot_path, bytes);
         }
-        // Every record's seq is below `next_seq`: at that cursor there is
-        // no tail to keep, and no need to read the journal to find it.
-        let tail: Vec<_> = if cursor >= self.journal.next_seq() {
+        // Every record's seq is below `next_seq`: at that cursor, with
+        // no ontology record to keep, there is no tail, and no need to
+        // read the journal to find it.
+        let keep_ontology = keep_ontology && self.journal.ontology_count() > 0;
+        let tail: Vec<_> = if cursor >= self.journal.next_seq() && !keep_ontology {
             Vec::new()
         } else {
             self.journal
                 .scan_lenient()?
                 .records
                 .into_iter()
-                .filter(|r| r.seq >= cursor)
+                .filter(|r| r.seq >= cursor || (keep_ontology && r.op.is_ontology()))
                 .collect()
         };
         span.record("retained", tail.len());
@@ -496,8 +520,11 @@ impl DurableWriter {
     /// Serialize `db` (stamped with the current cursor) and checkpoint,
     /// including the `.seg` sidecar. For callers that can hold
     /// `&Database` across the whole operation, [`DurableDatabase`]
-    /// among them; live servers serialize under a read lock and call
-    /// [`DurableWriter::checkpoint_json_seg`] instead.
+    /// among them; live servers serialize under a read lock, write the
+    /// ontology sidecar and call [`DurableWriter::checkpoint_json_seg`]
+    /// instead. This checkpoint writes no ontology sidecar, so it keeps
+    /// every [`JournalOp::AddTerm`]/[`JournalOp::AddEdge`] record in the
+    /// journal.
     pub fn checkpoint(&mut self, db: &Database) -> DbResult<()> {
         self.checkpoint_segment(db).map(drop)
     }
@@ -507,7 +534,7 @@ impl DurableWriter {
         let cursor = self.journal.next_seq();
         let json = storage::to_json_with_seq(db, cursor)?;
         let seg = crate::segidx::build_segment(db, cursor);
-        self.checkpoint_json_seg(json, cursor, Some(&seg))?;
+        self.fold_journal(json, cursor, Some(&seg), true)?;
         Ok(seg)
     }
 }
@@ -1199,6 +1226,117 @@ mod tests {
             apply_op(&mut db, op).unwrap();
         }
         assert_eq!(db.collection("c").unwrap().len(), 1);
+    }
+
+    /// A [`Vfs`] that counts reads of the journal file.
+    struct WalReads {
+        inner: Arc<dyn Vfs>,
+        count: std::sync::atomic::AtomicUsize,
+    }
+
+    impl WalReads {
+        fn count(&self) -> usize {
+            self.count.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl Vfs for WalReads {
+        fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+            if path.extension().is_some_and(|e| e == "wal") {
+                self.count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+            self.inner.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.write(path, bytes)
+        }
+        fn append(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+            self.inner.append(path, bytes)
+        }
+        fn sync(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.sync(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> std::io::Result<()> {
+            self.inner.remove(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+    }
+
+    /// A checkpoint that writes no ontology sidecar keeps the journal's
+    /// `add_term`/`add_edge` records, with their seqs, through
+    /// `DurableDatabase::checkpoint`, `recover_with` and a strict
+    /// reopen; the serving checkpoint (`checkpoint_json_seg`, called
+    /// after the sidecar is written) folds them. With no ontology record
+    /// in the journal, a checkpoint reads no journal bytes.
+    #[test]
+    fn sidecar_less_checkpoints_keep_ontology_records_with_their_seqs() {
+        let (_fs, inner) = mem();
+        let reads = Arc::new(WalReads {
+            inner,
+            count: Default::default(),
+        });
+        let vfs: Arc<dyn Vfs> = reads.clone();
+        let mut db = open_mem(vfs.clone());
+        db.create_collection("c").unwrap(); // seq 0
+        db.insert_xml("c", "<a/>").unwrap(); // seq 1
+        let before = reads.count();
+        db.checkpoint().unwrap();
+        assert_eq!(reads.count(), before, "no ontology record, no journal read");
+
+        let term = JournalOp::AddTerm {
+            terms: vec!["index".into()],
+        };
+        let edge = JournalOp::AddEdge {
+            below: "b-tree".into(),
+            above: "index".into(),
+        };
+        db.commit(term.clone()).unwrap(); // seq 2
+        db.insert_xml("c", "<b/>").unwrap(); // seq 3
+        db.commit(edge.clone()).unwrap(); // seq 4
+        let kept = |db: &DurableDatabase| -> Vec<(u64, JournalOp)> {
+            let records = db.journal_records().unwrap();
+            records.into_iter().map(|r| (r.seq, r.op)).collect()
+        };
+        let ontology = vec![(2, term), (4, edge)];
+        db.checkpoint().unwrap();
+        assert_eq!(kept(&db), ontology);
+        assert_eq!(db.pending_journal_ops().unwrap(), 2);
+        // the next write continues after the snapshot cursor
+        db.insert_xml("c", "<c/>").unwrap(); // seq 5
+        let mut expected = ontology.clone();
+        expected.push((
+            5,
+            JournalOp::Insert {
+                collection: "c".into(),
+                xml: "<c/>".into(),
+            },
+        ));
+        assert_eq!(kept(&db), expected);
+        drop(db);
+
+        // recovery replays the insert and re-persists, keeping both
+        let (db, report) =
+            DurableDatabase::recover_with("store.json", DatabaseConfig::unlimited(), vfs.clone())
+                .unwrap();
+        assert_eq!((report.replayed_ops, report.skipped_ops.len()), (1, 0));
+        assert_eq!(kept(&db), ontology);
+        assert_eq!(db.db().collection("c").unwrap().len(), 3);
+        drop(db);
+        let db = open_mem(vfs);
+        assert_eq!(kept(&db), ontology);
+        assert_eq!(db.db().collection("c").unwrap().len(), 3);
+
+        let (db, mut writer) = db.into_parts();
+        let cursor = writer.next_seq();
+        assert_eq!(cursor, 6);
+        let json = storage::to_json_with_seq(&db, cursor).unwrap();
+        writer.checkpoint_json_seg(json, cursor, None).unwrap();
+        assert!(writer.journal_records().unwrap().is_empty());
     }
 
     #[test]

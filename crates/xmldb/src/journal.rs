@@ -98,6 +98,14 @@ pub enum JournalOp {
     Noop,
 }
 
+impl JournalOp {
+    /// Whether the op feeds the serving ontology
+    /// ([`JournalOp::AddTerm`], [`JournalOp::AddEdge`]).
+    pub(crate) fn is_ontology(&self) -> bool {
+        matches!(self, JournalOp::AddTerm { .. } | JournalOp::AddEdge { .. })
+    }
+}
+
 /// A sequenced journal record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalRecord {
@@ -289,6 +297,10 @@ pub(crate) struct Journal {
     /// incrementally so [`Journal::record_count`] never rescans the
     /// file (pending-op checks run on the write-latency path).
     record_count: usize,
+    /// How many of those records are ontology ops, maintained the same
+    /// way, so a checkpoint that must keep them knows without a scan
+    /// whether there are any.
+    ontology_count: usize,
 }
 
 impl std::fmt::Debug for Journal {
@@ -318,12 +330,14 @@ impl Journal {
             good_len: JOURNAL_MAGIC.len(),
             poisoned: false,
             record_count: 0,
+            ontology_count: 0,
         };
         if journal.vfs.exists(&journal.path) {
             let scan = journal.scan_lenient()?;
             journal.next_seq = scan.records.last().map(|r| r.seq + 1).unwrap_or(0);
             journal.good_len = scan.valid_bytes;
             journal.record_count = scan.records.len();
+            journal.ontology_count = ontology_count(&scan.records);
             if scan.corruption.is_some() {
                 journal.poisoned = true;
             } else if scan.torn_tail_bytes > 0 || scan.valid_bytes < JOURNAL_MAGIC.len() {
@@ -416,8 +430,10 @@ impl Journal {
         let span = toss_obs::span("xmldb.journal.append");
         span.record("ops", n);
         let mut rec = Vec::new();
+        let mut ontology = 0;
         for (seq, (op, key)) in (first..).zip(ops) {
             rec.extend_from_slice(&frame(&encode_payload(seq, op, key)));
+            ontology += usize::from(op.is_ontology());
         }
         span.record("bytes", rec.len());
         let appended = self
@@ -434,6 +450,7 @@ impl Journal {
                 self.good_len += rec.len();
                 self.next_seq = first + n;
                 self.record_count += n as usize;
+                self.ontology_count += ontology;
                 toss_obs::metrics::counter("xmldb.journal.appends").add(n);
                 toss_obs::metrics::counter("xmldb.journal.fsyncs").inc();
                 toss_obs::metrics::counter("xmldb.journal.bytes_appended").add(rec.len() as u64);
@@ -617,6 +634,7 @@ impl Journal {
         self.good_len = bytes.len();
         self.poisoned = false;
         self.record_count = records.len();
+        self.ontology_count = ontology_count(records);
         Ok(())
     }
 
@@ -626,6 +644,16 @@ impl Journal {
     pub(crate) fn record_count(&self) -> usize {
         self.record_count
     }
+
+    /// How many of [`Journal::record_count`]'s records are ontology ops.
+    /// Maintained the same way, with no file I/O.
+    pub(crate) fn ontology_count(&self) -> usize {
+        self.ontology_count
+    }
+}
+
+fn ontology_count(records: &[JournalRecord]) -> usize {
+    records.iter().filter(|r| r.op.is_ontology()).count()
 }
 
 #[cfg(test)]
@@ -783,6 +811,26 @@ mod tests {
     }
 
     #[test]
+    fn ontology_count_tracks_appends_rewrites_and_reopens() {
+        let (fs, vfs) = mem();
+        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        j.append_batch(&sample_ops()[..5]).unwrap();
+        assert_eq!(j.ontology_count(), 0);
+        // sample ops 5 and 6 are the add_term and add_edge
+        j.append_batch(&sample_ops()[5..]).unwrap();
+        assert_eq!((j.record_count(), j.ontology_count()), (8, 2));
+        fs.fail_op(fs.op_count(), FaultMode::Error);
+        assert!(j.append(&sample_ops()[5]).is_err());
+        assert_eq!(j.ontology_count(), 2);
+        let records = j.scan().unwrap().records;
+        j.rewrite(&records[6..]).unwrap();
+        assert_eq!((j.record_count(), j.ontology_count()), (2, 1));
+        fs.crash();
+        let j = Journal::open("db.wal", vfs).unwrap();
+        assert_eq!((j.record_count(), j.ontology_count()), (2, 1));
+    }
+
+    #[test]
     fn append_scan_round_trip_with_sequences() {
         let (_fs, vfs) = mem();
         let mut j = Journal::open("db.wal", vfs).unwrap();
@@ -902,6 +950,7 @@ mod tests {
             good_len: 0,
             poisoned: true,
             record_count: 0,
+            ontology_count: 0,
         };
         assert!(matches!(j.scan(), Err(DbError::Corruption { .. })));
     }

@@ -251,5 +251,16 @@ BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
 grep -q "^1 answer(s)" <<< "$BELOW_OUT"
 WRITTEN_RECOVER_OUT=$("$CLI" db recover --db "$SMOKE/store.json")
 grep -q "store is clean" <<< "$WRITTEN_RECOVER_OUT"
+# recover and checkpoint re-persist the store without writing the
+# ontology sidecar, so they keep the edge's journal record: the query
+# still finds it after each
+BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings --below author=smoke-pioneer)
+grep -q "^1 answer(s)" <<< "$BELOW_OUT"
+CHECKPOINT_OUT=$("$CLI" db checkpoint --db "$SMOKE/store.json")
+grep -q "kept 1 ontology record(s)" <<< "$CHECKPOINT_OUT"
+BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings --below author=smoke-pioneer)
+grep -q "^1 answer(s)" <<< "$BELOW_OUT"
 
 echo "==> verify OK"

@@ -201,7 +201,7 @@ fn author_cross() -> TossPattern {
         condition: TossCond::all(vec![
             TossCond::eq(
                 TossTerm::tag(1),
-                TossTerm::str(toss_tax::ops::PROD_ROOT_TAG),
+                TossTerm::str(toss_tax::PROD_ROOT_TAG),
             ),
             TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
             TossCond::eq(TossTerm::tag(3), TossTerm::str("author")),

@@ -8,7 +8,7 @@ use toss::core::{SeoInstance, TossCond, TossTerm};
 use toss::ontology::hierarchy::from_pairs;
 use toss::ontology::{enhance, fuse, Constraint};
 use toss::similarity::Levenshtein;
-use toss::tax::ops::PROD_ROOT_TAG;
+use toss::tax::PROD_ROOT_TAG;
 use toss::tax::{embeddings, Cond, EdgeKind, PatternTree, ProjectEntry, Term};
 use toss::tree::{Forest, Tree, TreeBuilder};
 use toss::xmldb::parse_forest;

@@ -837,11 +837,23 @@ fn ontology_writes_grow_the_live_seo_for_below_queries() {
 /// One store, one ontology, whichever front door opens it: an edge a
 /// writable server acknowledged answers the same `below` query after a
 /// read-only open of the store — from the journal tail before any
-/// checkpoint, and from the ontology sidecar after a `checkpoint` frame
-/// has folded it.
+/// checkpoint, from the ontology sidecar after a `checkpoint` frame has
+/// folded it, and from the journal tail again after the CLI's
+/// `db checkpoint` and `db recover` (`DurableDatabase::checkpoint`, then
+/// `recover_with`), which write no sidecar and so keep the record.
 #[test]
 fn read_only_open_serves_the_ontology_the_writable_server_acked() {
-    for checkpoint in [false, true] {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fold {
+        None,
+        ServingCheckpoint,
+        CheckpointThenRecover,
+    }
+    for fold in [
+        Fold::None,
+        Fold::ServingCheckpoint,
+        Fold::CheckpointThenRecover,
+    ] {
         let vfs = Arc::new(FaultVfs::new());
         seed_writable(&vfs, 6);
         let wcfg = WriteConfig {
@@ -861,11 +873,19 @@ fn read_only_open_serves_the_ontology_the_writable_server_acked() {
         below.below.push(("author".into(), "relational-pioneer".into()));
         let live = client.query(below.clone()).expect("live below query").answers;
         assert_eq!(live, 2, "E. Codd docs resolve below the new term");
-        if checkpoint {
+        if fold == Fold::ServingCheckpoint {
             client.checkpoint().expect("checkpoint frame");
             assert!(vfs.exists(&toss_serve::sidecar_path(Path::new(SNAP))));
         }
         server.shutdown();
+        if fold == Fold::CheckpointThenRecover {
+            let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
+            DurableDatabase::open_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs.clone())
+                .unwrap()
+                .checkpoint()
+                .unwrap();
+            DurableDatabase::recover_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs).unwrap();
+        }
 
         let opened = open_seeded(&vfs, None);
         assert!(opened.engine.is_none(), "a read-only open has no write path");
@@ -875,7 +895,7 @@ fn read_only_open_serves_the_ontology_the_writable_server_acked() {
         )
         .unwrap();
         let out = service.query(&below).result.expect("read-only below query");
-        assert_eq!(out.forest.len(), live, "checkpointed: {checkpoint}");
+        assert_eq!(out.forest.len(), live, "folded by: {fold:?}");
     }
 }
 
