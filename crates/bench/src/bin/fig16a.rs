@@ -15,9 +15,9 @@ use toss_json::Value;
 use toss_bench::{build_executor, write_json, Table};
 use toss_core::algebra::TossPattern;
 use toss_core::executor::Mode;
+use toss_core::tax::EdgeKind;
 use toss_core::{TossCond, TossOp, TossQuery, TossTerm};
 use toss_datagen::{corpus::generate, CorpusConfig};
-use toss_tax::EdgeKind;
 
 /// The 2-isa + 4-tag conjunctive selection of the experiment.
 fn selection_query() -> TossQuery {

@@ -14,9 +14,9 @@ use toss_json::Value;
 use toss_bench::{build_executor, write_json, Table};
 use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
+use toss_core::tax::EdgeKind;
 use toss_core::{QueryGovernor, TossCond, TossQuery, TossTerm};
 use toss_datagen::{corpus::generate, CorpusConfig};
-use toss_tax::EdgeKind;
 
 /// One side of the join: tag conditions only (the similarTo lives in the
 /// keyed hash-join). DBLP side carries 3 tag conditions, SIGMOD side 2 —

@@ -15,9 +15,9 @@ use toss_json::Value;
 use toss_bench::{build_executor, write_json, Table};
 use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
+use toss_core::tax::EdgeKind;
 use toss_core::{QueryGovernor, TossCond, TossQuery, TossTerm};
 use toss_datagen::{corpus::generate, CorpusConfig};
-use toss_tax::EdgeKind;
 
 /// A similarity selection: `author ~ probe` plus an isa condition. The
 /// `~` expansion is what grows with ε — more name variants share SEO

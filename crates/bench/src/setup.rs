@@ -4,6 +4,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use toss_core::algebra::TossPattern;
+use toss_core::tax::EdgeKind;
 use toss_core::{
     enhance_sdb, make_ontology, suggest_constraints, Executor, MakerConfig, OesInstance,
     TossCond, TossQuery, TossTerm,
@@ -12,7 +13,6 @@ use toss_datagen::{Corpus, QuerySpec};
 use toss_lexicon::{Lexicon, LexiconBuilder};
 use toss_similarity::combinators::{MinOf, MultiWordGate};
 use toss_similarity::{Levenshtein, NameRules, StringMetric};
-use toss_tax::EdgeKind;
 use toss_tree::Forest;
 use toss_xmldb::{Database, DatabaseConfig};
 

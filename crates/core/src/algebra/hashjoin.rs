@@ -92,13 +92,12 @@ mod tests {
     use crate::algebra::{toss_join, TossPattern};
     use crate::condition::{TossCond, TossTerm};
     use crate::convert::Conversions;
+    use crate::tax::{EdgeKind, PatternTree, PROD_ROOT_TAG};
     use crate::typesys::TypeHierarchy;
     use std::sync::Arc;
     use toss_ontology::hierarchy::from_pairs;
     use toss_ontology::sea::enhance;
     use toss_similarity::Levenshtein;
-    use toss_tax::PROD_ROOT_TAG;
-    use toss_tax::{EdgeKind, PatternTree};
     use toss_tree::{Forest, TreeBuilder};
 
     fn instances() -> (SeoInstance, SeoInstance) {

@@ -2,7 +2,7 @@
 //!
 //! Every operator takes SEO instances sharing one similarity enhanced
 //! (fused) ontology, expands its TOSS condition into TAX machinery via
-//! [`crate::expand`], and delegates to `toss-tax` — so Proposition 1
+//! [`crate::expand`], and delegates to [`crate::tax`] — so Proposition 1
 //! (closure: results are again SEO instances) holds by construction: the
 //! output forest is paired with the same shared SEO.
 

@@ -5,8 +5,8 @@ use crate::convert::Conversions;
 use crate::error::TossResult;
 use crate::expand::{expand, ExpandCtx};
 use crate::oes::SeoInstance;
+use crate::tax::{product, EdgeKind, Matcher, PatternTree, ProjectEntry};
 use crate::typesys::TypeHierarchy;
-use toss_tax::{EdgeKind, PatternTree, ProjectEntry};
 use toss_tree::Forest;
 
 /// A TOSS pattern: the structural pattern tree (labels + pc/ad edges,
@@ -75,7 +75,7 @@ pub fn toss_select(
     conversions: &Conversions,
 ) -> TossResult<SeoInstance> {
     let compiled = pattern.compile(ctx_of(input, hierarchy, conversions))?;
-    let forest = toss_tax::select(&input.forest, &compiled, expand_labels)?;
+    let forest = Matcher::new(compiled).select(&input.forest, expand_labels)?;
     Ok(SeoInstance::new(forest, input.seo.clone()))
 }
 
@@ -88,14 +88,14 @@ pub fn toss_project(
     conversions: &Conversions,
 ) -> TossResult<SeoInstance> {
     let compiled = pattern.compile(ctx_of(input, hierarchy, conversions))?;
-    let forest = toss_tax::project(&input.forest, &compiled, list)?;
+    let forest = Matcher::new(compiled).project(&input.forest, list)?;
     Ok(SeoInstance::new(forest, input.seo.clone()))
 }
 
 /// TOSS cross product (the SEOs must be the same shared ontology —
 /// guaranteed when both inputs came from one [`crate::enhance_sdb`] run).
 pub fn toss_product(left: &SeoInstance, right: &SeoInstance) -> TossResult<SeoInstance> {
-    let forest = toss_tax::product(&left.forest, &right.forest)?;
+    let forest = product(&left.forest, &right.forest)?;
     Ok(SeoInstance::new(forest, left.seo.clone()))
 }
 
@@ -224,7 +224,7 @@ mod tests {
         let base = author_similar_pattern("J. Ullmann")
             .compile_baseline()
             .unwrap();
-        let tax_out = toss_tax::select(&inst.forest, &base, &[1]).unwrap();
+        let tax_out = Matcher::new(base).select(&inst.forest, &[1]).unwrap();
         assert_eq!(tax_out.len(), 1);
     }
 
@@ -255,7 +255,7 @@ mod tests {
         let pattern = TossPattern {
             structure,
             condition: TossCond::all(vec![
-                TossCond::eq(TossTerm::tag(1), TossTerm::str(toss_tax::PROD_ROOT_TAG)),
+                TossCond::eq(TossTerm::tag(1), TossTerm::str(crate::tax::PROD_ROOT_TAG)),
                 TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
                 TossCond::eq(TossTerm::tag(3), TossTerm::str("author")),
                 TossCond::similar(TossTerm::content(2), TossTerm::content(3)),

@@ -49,9 +49,9 @@ use crate::error::TossResult;
 use crate::expand::seo_classes;
 use crate::governor::QueryGovernor;
 use crate::oes::SeoInstance;
+use crate::tax::PROD_ROOT_TAG;
 use std::collections::{HashMap, HashSet};
 use toss_pool::{partition_ranges, WorkerPool};
-use toss_tax::PROD_ROOT_TAG;
 use toss_tree::{Forest, NodeData, Tree};
 
 /// What one similarity join did (surfaced via `toss.join.*` counters,

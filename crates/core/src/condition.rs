@@ -7,8 +7,8 @@
 //! both operands. Composites close under `and` / `or` / `not`.
 
 use crate::error::{TossError, TossResult};
+use crate::tax::Attr;
 use crate::typesys::TypeHierarchy;
-use toss_tax::Attr;
 use toss_tree::Value;
 
 /// A term in a TOSS condition.

@@ -13,8 +13,15 @@ pub enum TossError {
     BadConversion(String),
     /// An ontology operation failed.
     Ontology(toss_ontology::OntologyError),
-    /// A TAX operation failed.
-    Tax(toss_tax::TaxError),
+    /// A pattern-node label was used twice.
+    DuplicateLabel(u32),
+    /// A condition or list referenced a label not present in the pattern.
+    UnknownLabel(u32),
+    /// A pattern node id did not belong to the pattern tree.
+    InvalidPatternNode(usize),
+    /// A tree operation of the TAX algebra failed (internal invariant
+    /// breach).
+    Tree(toss_tree::TreeError),
     /// A database operation failed.
     Db(toss_xmldb::DbError),
     /// The executor was asked to compile a query shape it does not
@@ -40,7 +47,12 @@ impl fmt::Display for TossError {
             TossError::IllTyped(m) => write!(f, "ill-typed condition: {m}"),
             TossError::BadConversion(m) => write!(f, "bad conversion function: {m}"),
             TossError::Ontology(e) => write!(f, "ontology error: {e}"),
-            TossError::Tax(e) => write!(f, "tax error: {e}"),
+            TossError::DuplicateLabel(l) => write!(f, "tax error: duplicate pattern label ${l}"),
+            TossError::UnknownLabel(l) => write!(f, "tax error: unknown pattern label ${l}"),
+            TossError::InvalidPatternNode(i) => {
+                write!(f, "tax error: invalid pattern node id {i}")
+            }
+            TossError::Tree(e) => write!(f, "tax error: tree error: {e}"),
             TossError::Db(e) => write!(f, "database error: {e}"),
             TossError::Unsupported(m) => write!(f, "unsupported query shape: {m}"),
             TossError::BudgetExceeded(b) => write!(f, "{b}"),
@@ -59,12 +71,6 @@ impl From<toss_ontology::OntologyError> for TossError {
     }
 }
 
-impl From<toss_tax::TaxError> for TossError {
-    fn from(e: toss_tax::TaxError) -> Self {
-        TossError::Tax(e)
-    }
-}
-
 impl From<toss_xmldb::DbError> for TossError {
     fn from(e: toss_xmldb::DbError) -> Self {
         TossError::Db(e)
@@ -73,7 +79,7 @@ impl From<toss_xmldb::DbError> for TossError {
 
 impl From<toss_tree::TreeError> for TossError {
     fn from(e: toss_tree::TreeError) -> Self {
-        TossError::Tax(toss_tax::TaxError::Tree(e))
+        TossError::Tree(e)
     }
 }
 
@@ -86,12 +92,35 @@ mod tests {
 
     #[test]
     fn conversions_from_substrate_errors() {
-        let e: TossError = toss_tax::TaxError::DuplicateLabel(1).into();
-        assert!(e.to_string().contains("tax error"));
         let e: TossError = toss_xmldb::DbError::NoSuchCollection("x".into()).into();
         assert!(e.to_string().contains("database error"));
         let e: TossError =
             toss_ontology::OntologyError::UnknownTerm("t".into()).into();
         assert!(e.to_string().contains("ontology error"));
+    }
+
+    #[test]
+    fn pattern_errors_display() {
+        let cases = [
+            (
+                TossError::DuplicateLabel(1),
+                "tax error: duplicate pattern label $1",
+            ),
+            (
+                TossError::UnknownLabel(9),
+                "tax error: unknown pattern label $9",
+            ),
+            (
+                TossError::InvalidPatternNode(3),
+                "tax error: invalid pattern node id 3",
+            ),
+            (
+                toss_tree::TreeError::InvalidNodeId(0).into(),
+                "tax error: tree error: invalid node id 0",
+            ),
+        ];
+        for (e, text) in cases {
+            assert_eq!(e.to_string(), text);
+        }
     }
 }

@@ -27,6 +27,7 @@ use crate::expand::ExpandCtx;
 use crate::governor::{DegradationInfo, QueryGovernor};
 use crate::rewrite::compile_xpath;
 use crate::semcache::{fingerprint, CachedRewrite, RewriteCache};
+use crate::tax::{product, Cond, Matcher, PatternTree};
 use crate::typesys::TypeHierarchy;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -34,7 +35,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use toss_ontology::Seo;
 use toss_pool::WorkerPool;
-use toss_tax::{Cond, Matcher, PatternTree};
 use toss_tree::{Forest, Tree};
 use toss_xmldb::xpath::{Expr, NameTest, RelPath, ValueExpr};
 use toss_xmldb::{planned_partitions, Candidates, Collection, Database, NodeRef, XPath};
@@ -399,7 +399,7 @@ fn publish_phase_metrics(rewrite: Duration, execute: Duration, convert: Duration
 
 /// Everything phase 1 derives from a query, none of it from a request:
 /// the compiled pattern tree rendered to XPath text, that text parsed,
-/// and the pattern prepared as a `toss-tax` [`Matcher`] for phase 3.
+/// and the pattern prepared as a TAX [`Matcher`] for phase 3.
 /// Built once per rewrite-cache entry (see [`RewriteCache`]) and
 /// shared by `Arc`; uncached compiles build one for the request.
 #[derive(Debug)]
@@ -430,7 +430,7 @@ enum Convert<'a> {
     /// σ: witness trees, with the query's expand labels.
     Select,
     /// π: the listed pattern nodes and their hierarchy.
-    Project(&'a [toss_tax::ProjectEntry]),
+    Project(&'a [crate::tax::ProjectEntry]),
 }
 
 /// The TOSS Query Executor.
@@ -562,10 +562,10 @@ impl Executor {
             let _ = write!(key, "{}", structure.label(node));
             match structure.parent_edge(node) {
                 None => key.push(';'),
-                Some((parent, toss_tax::EdgeKind::ParentChild)) => {
+                Some((parent, crate::tax::EdgeKind::ParentChild)) => {
                     let _ = write!(key, "/{};", parent.0);
                 }
-                Some((parent, toss_tax::EdgeKind::AncestorDescendant)) => {
+                Some((parent, crate::tax::EdgeKind::AncestorDescendant)) => {
                     let _ = write!(key, "//{};", parent.0);
                 }
             }
@@ -703,7 +703,7 @@ impl Executor {
     pub fn project_governed(
         &self,
         query: &TossQuery,
-        list: &[toss_tax::ProjectEntry],
+        list: &[crate::tax::ProjectEntry],
         mode: Mode,
         gov: &QueryGovernor,
     ) -> TossResult<QueryOutcome> {
@@ -864,9 +864,7 @@ impl Executor {
 
         let combine = toss_obs::span("toss.query.convert");
         let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
-        let joined = cross
-            .matcher
-            .select(&toss_tax::product(&lf, &rf)?, expand_labels)?;
+        let joined = cross.matcher.select(&product(&lf, &rf)?, expand_labels)?;
         let joined = clamp_witnesses(joined, gov)?;
         combine.record("witnesses", joined.len());
         let convert_time = l.convert_time + r.convert_time + combine.finish();
@@ -965,11 +963,11 @@ mod tests {
     use crate::condition::{TossCond, TossTerm};
     use crate::error::TossError;
     use crate::governor::{Limit, QueryBudget};
+    use crate::tax::EdgeKind;
     use toss_ontology::hierarchy::from_pairs;
     use toss_ontology::sea::enhance;
     use toss_similarity::Levenshtein;
     use toss_tree::serialize::{forest_to_xml, Style};
-    use toss_tax::EdgeKind;
     use toss_xmldb::DatabaseConfig;
 
     fn setup() -> Executor {
@@ -1345,7 +1343,7 @@ mod tests {
         let cross = TossPattern {
             structure: cross_structure,
             condition: TossCond::all(vec![
-                TossCond::eq(TossTerm::tag(1), TossTerm::str(toss_tax::PROD_ROOT_TAG)),
+                TossCond::eq(TossTerm::tag(1), TossTerm::str(crate::tax::PROD_ROOT_TAG)),
                 TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
                 TossCond::eq(TossTerm::tag(3), TossTerm::str("author")),
                 TossCond::similar(TossTerm::content(2), TossTerm::content(3)),
@@ -1393,7 +1391,7 @@ mod tests {
             .unwrap(),
             expand_labels: vec![],
         };
-        let list = [toss_tax::ProjectEntry::subtree(2)];
+        let list = [crate::tax::ProjectEntry::subtree(2)];
         let out = ex
             .project_governed(&q, &list, Mode::Toss, &QueryGovernor::unlimited())
             .unwrap();

@@ -6,9 +6,9 @@
 //! ontology/similarity operator is rewritten into plain TAX machinery:
 //!
 //! * `X ~ s` (attribute vs string) → `X ∈ similar_terms(s)` — one
-//!   [`toss_tax::Cond::InSet`] over the terms co-resident with `s` in
+//!   [`crate::tax::Cond::InSet`] over the terms co-resident with `s` in
 //!   some SEO node;
-//! * `X ~ Y` (attribute vs attribute) → [`toss_tax::Cond::SharedClass`]
+//! * `X ~ Y` (attribute vs attribute) → [`crate::tax::Cond::SharedClass`]
 //!   over the SEO's enhanced nodes;
 //! * `X below τ` / `X instance_of τ` / `X subtype_of τ` →
 //!   `X ∈ below_terms(τ)` in the enhanced order (which already folds
@@ -27,10 +27,10 @@ use crate::condition::{TossCond, TossOp, TossTerm};
 use crate::convert::Conversions;
 use crate::error::{TossError, TossResult};
 use crate::governor::QueryGovernor;
+use crate::tax::{CmpOp, Cond, Term};
 use crate::typesys::TypeHierarchy;
 use std::collections::HashMap;
 use toss_ontology::Seo;
-use toss_tax::{CmpOp, Cond, Term};
 use toss_tree::Value;
 
 /// Context for semantic expansion.

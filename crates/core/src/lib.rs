@@ -1,7 +1,7 @@
 //! # toss-core — the TOSS system
 //!
 //! The paper's primary contribution (Sections 3, 5 and 6), assembled from
-//! the substrate crates:
+//! the substrate crates and the TAX algebra it extends:
 //!
 //! * [`typesys`] / [`convert`] — type hierarchies and conversion functions
 //!   with the Section-5 closure constraints (identity, composition
@@ -16,6 +16,10 @@
 //!   disjunctions over the SEO's term sets. This is exactly the paper's
 //!   strategy ("transforms a user query into a query that takes the
 //!   single similarity enhanced ontology into account").
+//! * [`tax`] — the TAX algebra of Jagadish et al. that TOSS extends
+//!   (Section 2): pattern trees with pc/ad edges, selection conditions,
+//!   the [`tax::Matcher`] that enumerates embeddings and builds witness
+//!   trees for σ and π, and ×.
 //! * [`algebra`] — the TOSS operators σ, π, ×, join, ∪, ∩, −, delegating
 //!   to TAX after expansion (Proposition 1's closure holds by
 //!   construction).
@@ -54,6 +58,7 @@ mod oes;
 pub mod quality;
 mod rewrite;
 mod semcache;
+pub mod tax;
 pub mod typesys;
 
 pub use condition::{TossCond, TossOp, TossTerm};

@@ -9,8 +9,8 @@
 //! — which re-applies the full condition anyway, so results are always
 //! exact; the XPath merely has to be *sound as a superset filter*.
 
+use crate::tax::{Attr, CmpOp, Cond, EdgeKind, PatternNodeId, PatternTree, Term};
 use std::collections::HashMap;
-use toss_tax::{Attr, CmpOp, Cond, EdgeKind, PatternNodeId, PatternTree, Term};
 
 /// Compile a TAX pattern tree (with its — typically SEO-expanded —
 /// condition) into one XPath expression selecting the images of the
@@ -228,7 +228,7 @@ fn disjunction<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use toss_tax::{Cond, Term};
+    use crate::tax::{Cond, Term};
 
     /// Validate that the compiled XPath parses in the engine.
     fn check_compiles(pattern: &PatternTree) {

@@ -14,7 +14,7 @@
 //! retains exactly what it always did. On its **first servable hit** the
 //! entry is *promoted*: the executor builds the query's
 //! [`PreparedQuery`] (compiled pattern → XPath text → parsed XPath, plus
-//! the `toss-tax` [`Matcher`](toss_tax::Matcher)) into the entry's
+//! the TAX [`Matcher`](crate::tax::Matcher)) into the entry's
 //! once-cell, and that hit and every later one share it by `Arc` — no
 //! render, no re-parse, no condition clone, no per-tree conjunct split.
 //! The map hands out the entry itself (`Arc<CachedRewrite>`), never a
@@ -50,12 +50,12 @@
 use crate::condition::TossCond;
 use crate::error::TossResult;
 use crate::executor::PreparedQuery;
+use crate::tax::Cond;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use toss_obs::metrics::Counter;
-use toss_tax::Cond;
 
 fn global_counter<'a>(cell: &'a OnceLock<Arc<Counter>>, name: &'static str) -> &'a Counter {
     cell.get_or_init(|| toss_obs::metrics::counter(name))

@@ -168,7 +168,7 @@ impl Cond {
     }
 
     /// Conjunction, flattening `True`.
-    pub fn and(self, other: Cond) -> Cond {
+    pub(crate) fn and(self, other: Cond) -> Cond {
         match (self, other) {
             (Cond::True, c) | (c, Cond::True) => c,
             (a, b) => Cond::And(Box::new(a), Box::new(b)),
@@ -188,7 +188,7 @@ impl Cond {
     }
 
     /// Membership of `term` in a string set.
-    pub fn in_set(term: Term, set: impl IntoIterator<Item = String>) -> Cond {
+    pub(crate) fn in_set(term: Term, set: impl IntoIterator<Item = String>) -> Cond {
         Cond::InSet {
             term,
             set: Arc::new(set.into_iter().collect()),
@@ -196,7 +196,7 @@ impl Cond {
     }
 
     /// Shared-class condition over a rendering → class-ids map.
-    pub fn shared_class(lhs: Term, rhs: Term, classes: HashMap<String, Vec<u32>>) -> Cond {
+    pub(crate) fn shared_class(lhs: Term, rhs: Term, classes: HashMap<String, Vec<u32>>) -> Cond {
         Cond::SharedClass {
             lhs,
             rhs,
@@ -210,7 +210,7 @@ impl Cond {
     }
 
     /// All pattern labels referenced by the condition.
-    pub fn labels(&self) -> BTreeSet<u32> {
+    pub(crate) fn labels(&self) -> BTreeSet<u32> {
         let mut out = BTreeSet::new();
         self.collect_labels(&mut out);
         out
@@ -251,7 +251,7 @@ impl Cond {
     /// Split a top-level conjunction into its conjuncts (used by the
     /// embedding enumerator to push single-label conjuncts down to the
     /// node-binding step).
-    pub fn conjuncts(&self) -> Vec<&Cond> {
+    pub(crate) fn conjuncts(&self) -> Vec<&Cond> {
         let mut out = Vec::new();
         fn go<'a>(c: &'a Cond, out: &mut Vec<&'a Cond>) {
             match c {

@@ -9,8 +9,8 @@
 //! query prune almost everything). The split is a property of the pattern,
 //! so it is made once, in [`Matcher::new`], not per data tree.
 
-use crate::condition::{compare_refs, Attr, Cond, Term, ValueRef};
-use crate::pattern::{EdgeKind, PatternNodeId, PatternTree};
+use crate::tax::condition::{compare_refs, Attr, Cond, Term, ValueRef};
+use crate::tax::pattern::{EdgeKind, PatternNodeId, PatternTree};
 use toss_tree::{NodeId, Tree};
 
 /// One embedding: pattern node → data node.
@@ -40,8 +40,7 @@ impl Embedding {
 /// image list: no per-tree maps, no cloned values.
 ///
 /// Build one per query (or keep it: it is `Send + Sync` and immutable) and
-/// run it over as many trees as needed; [`embeddings`] is the one-shot
-/// form.
+/// run it over as many trees as needed.
 #[derive(Debug)]
 pub struct Matcher {
     /// Labels and pc/ad edges. Its own condition is `True`: the pattern's
@@ -83,7 +82,7 @@ impl Matcher {
 
     /// Enumerate all embeddings of the pattern into `tree`, in pattern
     /// preorder over candidates in document order.
-    pub(crate) fn embeddings(&self, tree: &Tree) -> Vec<Embedding> {
+    pub fn embeddings(&self, tree: &Tree) -> Vec<Embedding> {
         let mut out = Vec::new();
         let mut images = Vec::with_capacity(self.structure.len());
         self.extend(tree, &mut images, &mut out);
@@ -194,16 +193,15 @@ impl Matcher {
     }
 }
 
-/// Enumerate all embeddings of `pattern` into `tree`.
-pub fn embeddings(pattern: &PatternTree, tree: &Tree) -> Vec<Embedding> {
-    Matcher::new(pattern.clone()).embeddings(tree)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::{EdgeKind, PatternTree};
+    use crate::tax::pattern::{EdgeKind, PatternTree};
     use toss_tree::TreeBuilder;
+
+    fn embeddings(pattern: &PatternTree, tree: &Tree) -> Vec<Embedding> {
+        Matcher::new(pattern.clone()).embeddings(tree)
+    }
 
     fn dblp_tree() -> Tree {
         // inproceedings(author, title, year(1999))

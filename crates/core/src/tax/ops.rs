@@ -1,23 +1,11 @@
 //! The TAX operators: σ, π, × and join.
 
-use crate::embedding::Matcher;
-use crate::error::TaxResult;
-use crate::pattern::{PatternNodeId, PatternTree};
-use crate::witness::{build_forest_from_nodes, witness_tree};
+use crate::error::TossResult;
+use crate::tax::embedding::Matcher;
+use crate::tax::pattern::PatternNodeId;
+use crate::tax::witness::{build_forest_from_nodes, witness_tree};
 use std::collections::HashSet;
 use toss_tree::{Forest, NodeData, NodeId, Tree};
-
-/// Selection σ_{P, SL}: all witness trees of `pattern` against every tree
-/// of the input, where the nodes bound to labels in `expand_labels` (the
-/// paper's `SL`) additionally contribute their full descendant cones.
-/// Results are deduplicated (set semantics under ordered isomorphism).
-pub fn select(
-    input: &Forest,
-    pattern: &PatternTree,
-    expand_labels: &[u32],
-) -> TaxResult<Forest> {
-    Matcher::new(pattern.clone()).select(input, expand_labels)
-}
 
 /// One entry of a projection list: a pattern label, optionally keeping the
 /// matched node's whole subtree (TAX's `$i.*` notation).
@@ -39,27 +27,19 @@ impl ProjectEntry {
     }
 }
 
-/// Projection π_{P, PL}: per input tree, keep every node that is the image
-/// of a projection-list label under *some* embedding (plus subtrees where
-/// requested), preserving hierarchical relationships; disconnected pieces
-/// become separate output trees. Results are deduplicated.
-pub fn project(
-    input: &Forest,
-    pattern: &PatternTree,
-    list: &[ProjectEntry],
-) -> TaxResult<Forest> {
-    Matcher::new(pattern.clone()).project(input, list)
-}
-
 impl Matcher {
-    /// [`select`] over borrowed trees: the input can be any collection's
+    /// Selection σ_{P, SL}: all witness trees of the pattern against
+    /// every tree of `input`, where the nodes bound to labels in
+    /// `expand_labels` (the paper's `SL`) additionally contribute their
+    /// full descendant cones. Results are deduplicated (set semantics
+    /// under ordered isomorphism). The input can be any collection's
     /// documents, and each witness is built once and moved into the
     /// result.
     pub fn select<'t>(
         &self,
         input: impl IntoIterator<Item = &'t Tree>,
         expand_labels: &[u32],
-    ) -> TaxResult<Forest> {
+    ) -> TossResult<Forest> {
         let expand: Vec<PatternNodeId> = expand_labels
             .iter()
             .filter_map(|&l| self.node_by_label(l))
@@ -73,12 +53,16 @@ impl Matcher {
         Ok(out.dedup())
     }
 
-    /// [`project`] over borrowed trees.
+    /// Projection π_{P, PL}: per input tree, keep every node that is the
+    /// image of a projection-list label under *some* embedding (plus
+    /// subtrees where requested), preserving hierarchical relationships;
+    /// disconnected pieces become separate output trees. Results are
+    /// deduplicated.
     pub fn project<'t>(
         &self,
         input: impl IntoIterator<Item = &'t Tree>,
         list: &[ProjectEntry],
-    ) -> TaxResult<Forest> {
+    ) -> TossResult<Forest> {
         let entries: Vec<(PatternNodeId, bool)> = list
             .iter()
             .filter_map(|e| Some((self.node_by_label(e.label)?, e.keep_descendants)))
@@ -108,8 +92,9 @@ pub const PROD_ROOT_TAG: &str = "tax_prod_root";
 
 /// Product SDB₁ × SDB₂: for each pair of trees, a new tree whose root is
 /// a fresh `tax_prod_root` node with the left tree as first child and the
-/// right tree as second child.
-pub fn product(left: &Forest, right: &Forest) -> TaxResult<Forest> {
+/// right tree as second child. A condition join (Section 2.1.2) is this
+/// followed by [`Matcher::select`].
+pub fn product(left: &Forest, right: &Forest) -> TossResult<Forest> {
     let mut out = Forest::new();
     for l in left {
         for r in right {
@@ -127,22 +112,11 @@ pub fn product(left: &Forest, right: &Forest) -> TaxResult<Forest> {
     Ok(out)
 }
 
-/// Condition join: product followed by selection (Section 2.1.2).
-pub fn join(
-    left: &Forest,
-    right: &Forest,
-    pattern: &PatternTree,
-    expand_labels: &[u32],
-) -> TaxResult<Forest> {
-    let prod = product(left, right)?;
-    select(&prod, pattern, expand_labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condition::{Cond, Term};
-    use crate::pattern::{EdgeKind, PatternTree};
+    use crate::tax::condition::{Cond, Term};
+    use crate::tax::pattern::{EdgeKind, PatternTree};
     use toss_tree::serialize::{tree_to_xml, Style};
     use toss_tree::TreeBuilder;
 
@@ -175,6 +149,10 @@ mod tests {
         ]))
         .unwrap();
         p
+    }
+
+    fn select(input: &Forest, pattern: &PatternTree, expand: &[u32]) -> TossResult<Forest> {
+        Matcher::new(pattern.clone()).select(input, expand)
     }
 
     #[test]
@@ -219,7 +197,9 @@ mod tests {
             Cond::eq(Term::content(3), Term::int(1999)),
         ]))
         .unwrap();
-        let out = project(&dblp(), &p, &[ProjectEntry::subtree(2)]).unwrap();
+        let out = Matcher::new(p)
+            .project(&dblp(), &[ProjectEntry::subtree(2)])
+            .unwrap();
         assert_eq!(out.len(), 2);
         let authors: Vec<String> = out
             .iter()
@@ -243,7 +223,7 @@ mod tests {
             label,
             keep_descendants: false,
         });
-        let out = project(&dblp(), &p, &nodes).unwrap();
+        let out = Matcher::new(p).project(&dblp(), &nodes).unwrap();
         assert_eq!(out.len(), 3);
         for t in &out {
             let root = t.root().unwrap();
@@ -286,7 +266,7 @@ mod tests {
             Cond::eq(Term::content(2), Term::content(3)),
         ]))
         .unwrap();
-        let out = join(&l, &r, &p, &[]).unwrap();
+        let out = select(&product(&l, &r).unwrap(), &p, &[]).unwrap();
         // matches: (Shared,Shared) both directions within one product tree?
         // Each product tree has two titles; the condition binds ($2,$3) in
         // any order, but identical content ⇒ the two bindings give the
@@ -318,7 +298,8 @@ mod tests {
         let e = Forest::new();
         assert!(select(&e, &year_pattern(1999), &[]).unwrap().is_empty());
         assert!(product(&e, &dblp()).unwrap().is_empty());
-        assert!(project(&e, &year_pattern(1999), &[ProjectEntry::subtree(1)])
+        assert!(Matcher::new(year_pattern(1999))
+            .project(&e, &[ProjectEntry::subtree(1)])
             .unwrap()
             .is_empty());
     }

@@ -5,12 +5,12 @@
 //! each edge is `pc` (parent-child) or `ad` (ancestor-descendant), and a
 //! selection condition `F` applies to the whole pattern.
 
-use crate::condition::Cond;
-use crate::error::{TaxError, TaxResult};
+use crate::error::{TossError, TossResult};
+use crate::tax::condition::Cond;
 
 /// Index of a node within a [`PatternTree`] (0 is always the root).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PatternNodeId(pub usize);
+pub struct PatternNodeId(pub(crate) usize);
 
 /// Edge kind between a pattern node and its parent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,12 +63,12 @@ impl PatternTree {
         parent: PatternNodeId,
         label: u32,
         edge: EdgeKind,
-    ) -> TaxResult<PatternNodeId> {
+    ) -> TossResult<PatternNodeId> {
         if self.nodes.iter().any(|n| n.label == label) {
-            return Err(TaxError::DuplicateLabel(label));
+            return Err(TossError::DuplicateLabel(label));
         }
         if parent.0 >= self.nodes.len() {
-            return Err(TaxError::InvalidPatternNode(parent.0));
+            return Err(TossError::InvalidPatternNode(parent.0));
         }
         let id = PatternNodeId(self.nodes.len());
         self.nodes.push(PNode {
@@ -83,10 +83,10 @@ impl PatternTree {
 
     /// Attach the selection condition `F`. Errors if the condition
     /// references labels not present in the pattern.
-    pub fn set_condition(&mut self, cond: Cond) -> TaxResult<()> {
+    pub fn set_condition(&mut self, cond: Cond) -> TossResult<()> {
         for l in cond.labels() {
             if self.node_by_label(l).is_none() {
-                return Err(TaxError::UnknownLabel(l));
+                return Err(TossError::UnknownLabel(l));
             }
         }
         self.condition = cond;
@@ -94,7 +94,7 @@ impl PatternTree {
     }
 
     /// The attached condition.
-    pub fn condition(&self) -> &Cond {
+    pub(crate) fn condition(&self) -> &Cond {
         &self.condition
     }
 
@@ -111,17 +111,17 @@ impl PatternTree {
     /// Node ids in pattern preorder (parents before children — the order
     /// they were added groups under parents, and index order suffices
     /// because children always follow their parent).
-    pub fn preorder(&self) -> impl Iterator<Item = PatternNodeId> {
+    pub(crate) fn preorder(&self) -> impl Iterator<Item = PatternNodeId> {
         (0..self.nodes.len()).map(PatternNodeId)
     }
 
     /// Integer label of a pattern node.
-    pub fn label(&self, id: PatternNodeId) -> u32 {
+    pub(crate) fn label(&self, id: PatternNodeId) -> u32 {
         self.nodes[id.0].label
     }
 
     /// Pattern node carrying a label.
-    pub fn node_by_label(&self, label: u32) -> Option<PatternNodeId> {
+    pub(crate) fn node_by_label(&self, label: u32) -> Option<PatternNodeId> {
         self.nodes
             .iter()
             .position(|n| n.label == label)
@@ -129,13 +129,13 @@ impl PatternTree {
     }
 
     /// Parent and edge kind of a pattern node (None at the root).
-    pub fn parent_edge(&self, id: PatternNodeId) -> Option<(PatternNodeId, EdgeKind)> {
+    pub(crate) fn parent_edge(&self, id: PatternNodeId) -> Option<(PatternNodeId, EdgeKind)> {
         let n = &self.nodes[id.0];
         Some((n.parent?, n.edge.expect("non-root has an edge")))
     }
 
     /// Children of a pattern node.
-    pub fn children(&self, id: PatternNodeId) -> &[PatternNodeId] {
+    pub(crate) fn children(&self, id: PatternNodeId) -> &[PatternNodeId] {
         &self.nodes[id.0].children
     }
 }
@@ -143,7 +143,7 @@ impl PatternTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condition::{Cond, Term};
+    use crate::tax::condition::{Cond, Term};
 
     #[test]
     fn build_figure3_shape() {
@@ -166,7 +166,7 @@ mod tests {
         let r = p.root();
         assert!(matches!(
             p.add_child(r, 1, EdgeKind::ParentChild),
-            Err(TaxError::DuplicateLabel(1))
+            Err(TossError::DuplicateLabel(1))
         ));
     }
 
@@ -174,7 +174,10 @@ mod tests {
     fn condition_labels_validated() {
         let mut p = PatternTree::new(1);
         let bad = Cond::eq(Term::tag(9), Term::str("x"));
-        assert!(matches!(p.set_condition(bad), Err(TaxError::UnknownLabel(9))));
+        assert!(matches!(
+            p.set_condition(bad),
+            Err(TossError::UnknownLabel(9))
+        ));
         let good = Cond::eq(Term::tag(1), Term::str("inproceedings"));
         p.set_condition(good).unwrap();
     }

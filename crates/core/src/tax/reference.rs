@@ -4,11 +4,11 @@
 //! per witness — kept test-only and compared with the prepared forms on
 //! random patterns × trees.
 
-use crate::condition::{compare_refs, Attr, CmpOp, Cond, Term};
-use crate::embedding::Matcher;
-use crate::ops::{project, select, ProjectEntry};
-use crate::pattern::{EdgeKind, PatternNodeId, PatternTree};
-use crate::witness::build_forest_from_nodes;
+use crate::tax::condition::{compare_refs, Attr, CmpOp, Cond, Term};
+use crate::tax::embedding::Matcher;
+use crate::tax::ops::ProjectEntry;
+use crate::tax::pattern::{EdgeKind, PatternNodeId, PatternTree};
+use crate::tax::witness::build_forest_from_nodes;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use toss_tree::eq::fingerprint;
@@ -350,8 +350,8 @@ proptest! {
         prop_assert_eq!(got, embeddings(&p, &t));
     }
 
-    /// Selection and projection over borrowed trees, through the forest
-    /// wrappers, and the old way agree tree for tree.
+    /// Selection and projection over borrowed trees, over the forest,
+    /// and the old way agree tree for tree.
     #[test]
     fn select_and_project_equal_reference(
         p in pattern(),
@@ -366,7 +366,7 @@ proptest! {
         let expected = fingerprints(&select_reference(&forest, &p, &labels));
         let borrowed = matcher.select(ts.iter(), &labels).expect("select succeeds");
         prop_assert_eq!(fingerprints(&borrowed), expected.clone());
-        let wrapped = select(&forest, &p, &labels).expect("select succeeds");
+        let wrapped = matcher.select(&forest, &labels).expect("select succeeds");
         prop_assert_eq!(fingerprints(&wrapped), expected);
 
         let list: Vec<ProjectEntry> = labels
@@ -376,7 +376,7 @@ proptest! {
         let expected = fingerprints(&project_reference(&forest, &p, &list));
         let borrowed = matcher.project(ts.iter(), &list).expect("project succeeds");
         prop_assert_eq!(fingerprints(&borrowed), expected.clone());
-        let wrapped = project(&forest, &p, &list).expect("project succeeds");
+        let wrapped = matcher.project(&forest, &list).expect("project succeeds");
         prop_assert_eq!(fingerprints(&wrapped), expected);
     }
 

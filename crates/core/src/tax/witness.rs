@@ -6,9 +6,9 @@
 //! order following the source preorder. Selection additionally pulls in
 //! the full descendant cones of designated nodes.
 
-use crate::embedding::Embedding;
-use crate::error::TaxResult;
-use crate::pattern::PatternNodeId;
+use crate::error::TossResult;
+use crate::tax::embedding::Embedding;
+use crate::tax::pattern::PatternNodeId;
 use std::collections::HashSet;
 use toss_tree::{NodeId, Tree};
 
@@ -18,7 +18,7 @@ pub(crate) fn witness_tree(
     tree: &Tree,
     embedding: &Embedding,
     expand: &[PatternNodeId],
-) -> TaxResult<Tree> {
+) -> TossResult<Tree> {
     // witness trees have a single root: the pattern root's image is an
     // ancestor of every other image
     let forest = build_forest(
@@ -36,7 +36,7 @@ pub(crate) fn witness_tree(
 pub(crate) fn build_forest_from_nodes(
     tree: &Tree,
     included: &HashSet<NodeId>,
-) -> TaxResult<Vec<Tree>> {
+) -> TossResult<Vec<Tree>> {
     build_forest(tree, |n| included.contains(&n), |_| false)
 }
 
@@ -48,7 +48,7 @@ fn build_forest(
     tree: &Tree,
     included: impl Fn(NodeId) -> bool,
     opens_cone: impl Fn(NodeId) -> bool,
-) -> TaxResult<Vec<Tree>> {
+) -> TossResult<Vec<Tree>> {
     /// A source node still to visit, with the copy of its closest copied
     /// ancestor (output tree index, node) and whether it lies in an open
     /// cone.
@@ -98,9 +98,9 @@ fn build_forest(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condition::{Cond, Term};
-    use crate::embedding::embeddings;
-    use crate::pattern::{EdgeKind, PatternTree};
+    use crate::tax::condition::{Cond, Term};
+    use crate::tax::embedding::Matcher;
+    use crate::tax::pattern::{EdgeKind, PatternTree};
     use toss_tree::serialize::{tree_to_xml, Style};
     use toss_tree::TreeBuilder;
 
@@ -130,7 +130,7 @@ mod tests {
     fn witness_connects_via_closest_ancestor() {
         let t = data_tree();
         let p = pattern();
-        let es = embeddings(&p, &t);
+        let es = Matcher::new(p.clone()).embeddings(&t);
         assert_eq!(es.len(), 1);
         let w = witness_tree(&t, &es[0], &[]).unwrap();
         // witness: inproceedings -> booktitle directly (venue not included)
@@ -144,7 +144,7 @@ mod tests {
     fn expand_pulls_in_descendants() {
         let t = data_tree();
         let p = pattern();
-        let es = embeddings(&p, &t);
+        let es = Matcher::new(p.clone()).embeddings(&t);
         // expand the root pattern node: whole subtree appears
         let w = witness_tree(&t, &es[0], &[p.root()]).unwrap();
         assert_eq!(w.node_count(), t.node_count());

@@ -6,13 +6,13 @@
 use std::sync::Arc;
 use toss_core::algebra::TossPattern;
 use toss_core::executor::Mode;
+use toss_core::tax::EdgeKind;
 use toss_core::{Executor, TossCond, TossQuery, TossTerm};
 use toss_obs::sink::MemorySink;
 use toss_obs::QueryTrace;
 use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
 use toss_similarity::Levenshtein;
-use toss_tax::EdgeKind;
 use toss_xmldb::{Database, DatabaseConfig};
 
 fn setup() -> Executor {

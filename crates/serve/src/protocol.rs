@@ -725,12 +725,26 @@ pub(crate) fn error_payload(code: ErrorCode, message: &str, retry_after_ms: Opti
     Value::Object(fields).to_json()
 }
 
+/// The most predicates (`eq`, `contains`, `similar` and `below` pairs
+/// together) one query may carry. Each one adds a pattern node and two
+/// conjuncts to a condition that rewrite, cache keying and drop all walk
+/// recursively, so an unbounded list could overflow a connection
+/// thread's stack and abort the process.
+pub(crate) const MAX_PREDICATES: usize = 64;
+
 /// Compile a [`QueryRequest`] into the executor's query form. Shared by
 /// the server and by in-process callers that want identical semantics.
+/// More than `MAX_PREDICATES` (64) predicates is an unsupported shape.
 pub fn build_query(
     q: &QueryRequest,
 ) -> TossResult<(toss_core::TossQuery, toss_core::executor::Mode)> {
     use toss_core::{TossCond, TossOp, TossTerm};
+    let predicates = q.eq.len() + q.contains.len() + q.similar.len() + q.below.len();
+    if predicates > MAX_PREDICATES {
+        return Err(TossError::Unsupported(format!(
+            "{predicates} predicates exceed the limit of {MAX_PREDICATES}"
+        )));
+    }
     let mut conds = vec![TossCond::eq(
         TossTerm::tag(1),
         TossTerm::str(&q.root),
@@ -746,7 +760,7 @@ pub fn build_query(
         for (tag, value) in preds.iter() {
             let l = next_label;
             next_label += 1;
-            edges.push(toss_tax::EdgeKind::ParentChild);
+            edges.push(toss_core::tax::EdgeKind::ParentChild);
             conds.push(TossCond::eq(TossTerm::tag(l), TossTerm::str(tag)));
             let rhs = if matches!(op, TossOp::Below) {
                 TossTerm::ty(value)
@@ -1089,5 +1103,28 @@ mod tests {
         assert_eq!(v.get("retry_after_ms").unwrap().as_i64(), Some(40));
         let p = error_payload(ErrorCode::Internal, "boom", None);
         assert!(Value::parse(&p).unwrap().get("retry_after_ms").is_none());
+    }
+
+    #[test]
+    fn build_query_caps_the_predicate_count() {
+        let mut q = QueryRequest::new("dblp", "inproceedings");
+        // split across the four predicate kinds: the limit counts them all
+        for i in 0..MAX_PREDICATES {
+            let preds = match i % 4 {
+                0 => &mut q.eq,
+                1 => &mut q.contains,
+                2 => &mut q.similar,
+                _ => &mut q.below,
+            };
+            preds.push(("author".into(), format!("a{i}")));
+        }
+        build_query(&q).expect("the limit itself is accepted");
+        q.eq.push(("author".into(), "one too many".into()));
+        let err = build_query(&q).expect_err("limit + 1 is refused");
+        assert_eq!(error_code_of(&err), ErrorCode::BadRequest);
+        assert_eq!(
+            err.to_string(),
+            "unsupported query shape: 65 predicates exceed the limit of 64"
+        );
     }
 }

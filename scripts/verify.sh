@@ -123,6 +123,15 @@ grep -q "^1 answer(s)" <<< "$QUERY_OUT"
 TAX_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
     --collection dblp --root inproceedings --eq author='Smoke Test' --tax)
 grep -q "^1 answer(s)" <<< "$TAX_OUT"
+# a query with more predicates than the request ceiling is refused with
+# exit 1 and a message naming the limit, instead of overflowing the stack
+MANY_EQ=()
+for i in $(seq 1 65); do MANY_EQ+=(--eq "author=a$i"); done
+MANY_STATUS=0
+MANY_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings "${MANY_EQ[@]}" 2>&1) || MANY_STATUS=$?
+[ "$MANY_STATUS" -eq 1 ] || { echo "65-predicate query exited $MANY_STATUS, expected 1"; exit 1; }
+grep -q "65 predicates exceed the limit of 64" <<< "$MANY_OUT"
 # --explain renders the query's span tree (the one product caller of
 # QueryTrace::for_thread and render); --trace-out writes each span as
 # one JSON object per line

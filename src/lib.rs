@@ -22,10 +22,10 @@
 #![forbid(unsafe_code)]
 
 pub use toss_core as core;
+pub use toss_core::tax;
 pub use toss_datagen as datagen;
 pub use toss_lexicon as lexicon;
 pub use toss_ontology as ontology;
 pub use toss_similarity as similarity;
-pub use toss_tax as tax;
 pub use toss_tree as tree;
 pub use toss_xmldb as xmldb;

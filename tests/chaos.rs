@@ -17,6 +17,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use toss_core::algebra::TossPattern;
 use toss_core::executor::Mode;
+use toss_core::tax::EdgeKind;
 use toss_core::{
     AdmissionController, BudgetKind, Executor, Limit, QueryBudget, QueryGovernor,
     TossCond, TossError, TossQuery, TossTerm,
@@ -24,7 +25,6 @@ use toss_core::{
 use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
 use toss_similarity::{Levenshtein, StringMetric};
-use toss_tax::EdgeKind;
 use toss_xmldb::{Database, DatabaseConfig, DurableDatabase, FaultMode, FaultVfs};
 
 /// Probe string that makes the metric panic (a poisoned query).

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
+use toss_core::tax::{EdgeKind, PatternTree, ProjectEntry, PROD_ROOT_TAG};
 use toss_core::{
     AdmissionController, BudgetKind, CancelToken, Executor, Limit, QueryBudget,
     QueryGovernor, QueryOutcome, TossCond, TossError, TossQuery, TossResult, TossTerm,
@@ -16,7 +17,6 @@ use toss_core::{
 use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
 use toss_similarity::{Levenshtein, StringMetric};
-use toss_tax::{EdgeKind, PatternTree, ProjectEntry};
 use toss_xmldb::{Database, DatabaseConfig, DbError};
 
 fn executor() -> Executor {
@@ -199,10 +199,7 @@ fn author_cross() -> TossPattern {
     TossPattern {
         structure,
         condition: TossCond::all(vec![
-            TossCond::eq(
-                TossTerm::tag(1),
-                TossTerm::str(toss_tax::PROD_ROOT_TAG),
-            ),
+            TossCond::eq(TossTerm::tag(1), TossTerm::str(PROD_ROOT_TAG)),
             TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
             TossCond::eq(TossTerm::tag(3), TossTerm::str("author")),
             TossCond::similar(TossTerm::content(2), TossTerm::content(3)),

@@ -114,7 +114,7 @@ fn clique_side(rng: &mut Rng, n: usize) -> Forest {
 }
 
 fn graft_pair(lt: &Tree, rt: &Tree) -> Tree {
-    let mut t = Tree::with_root(NodeData::element(toss_tax::PROD_ROOT_TAG));
+    let mut t = Tree::with_root(NodeData::element(toss::tax::PROD_ROOT_TAG));
     let root = t.root().expect("with_root sets root");
     if let Some(lr) = lt.root() {
         t.graft(Some(root), lt, lr).expect("graft left");

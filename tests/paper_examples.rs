@@ -8,8 +8,7 @@ use toss::core::{SeoInstance, TossCond, TossTerm};
 use toss::ontology::hierarchy::from_pairs;
 use toss::ontology::{enhance, fuse, Constraint};
 use toss::similarity::Levenshtein;
-use toss::tax::PROD_ROOT_TAG;
-use toss::tax::{embeddings, Cond, EdgeKind, PatternTree, ProjectEntry, Term};
+use toss::tax::{product, Cond, EdgeKind, Matcher, PatternTree, ProjectEntry, Term, PROD_ROOT_TAG};
 use toss::tree::{Forest, Tree, TreeBuilder};
 use toss::xmldb::parse_forest;
 
@@ -96,7 +95,9 @@ fn figure3_pattern() -> PatternTree {
 #[test]
 fn example3_selection_with_expansion() {
     // σ_{P1}({$1}) keeps the full matched papers
-    let out = toss::tax::select(&dblp(), &figure3_pattern(), &[1]).unwrap();
+    let out = Matcher::new(figure3_pattern())
+        .select(&dblp(), &[1])
+        .unwrap();
     assert_eq!(out.len(), 1);
     let t = &out.trees()[0];
     assert_eq!(t.node_count(), 5); // whole 1999 paper
@@ -106,9 +107,9 @@ fn example3_selection_with_expansion() {
 #[test]
 fn example4_witness_trees() {
     let f = dblp();
-    let es = embeddings(&figure3_pattern(), &f.trees()[0]);
+    let es = Matcher::new(figure3_pattern()).embeddings(&f.trees()[0]);
     assert_eq!(es.len(), 1);
-    let out = toss::tax::select(&f, &figure3_pattern(), &[]).unwrap();
+    let out = Matcher::new(figure3_pattern()).select(&f, &[]).unwrap();
     assert_eq!(out.len(), 1);
     // witness: inproceedings with title + year children only
     let t = &out.trees()[0];
@@ -129,7 +130,9 @@ fn example5_projection() {
         Cond::eq(Term::content(3), Term::int(1999)),
     ]))
     .unwrap();
-    let out = toss::tax::project(&dblp(), &p, &[ProjectEntry::subtree(2)]).unwrap();
+    let out = Matcher::new(p)
+        .project(&dblp(), &[ProjectEntry::subtree(2)])
+        .unwrap();
     assert_eq!(out.len(), 1);
     assert_eq!(
         out.trees()[0]
@@ -157,7 +160,9 @@ fn example6_join_on_title_equality() {
         // side's companion tag to be booktitle and the other conference
     ]))
     .unwrap();
-    let out = toss::tax::join(&dblp(), &sigmod(), &p, &[]).unwrap();
+    let out = Matcher::new(p)
+        .select(&product(&dblp(), &sigmod()).unwrap(), &[])
+        .unwrap();
     // "Materialized View ..." matches exactly across sources (the paper's
     // Figure 7 result); "Securing XML Documents" differs by one character
     // so equality misses it — exactly TAX's shortcoming
@@ -249,7 +254,7 @@ fn example12_wildcard_condition() {
         Cond::contains(Term::content(3), Term::str("Microsoft")),
     ]))
     .unwrap();
-    let out = toss::tax::select(&dblp(), &p, &[1]).unwrap();
+    let out = Matcher::new(p).select(&dblp(), &[1]).unwrap();
     assert_eq!(out.len(), 1);
     let xml = toss::tree::serialize::tree_to_xml(
         &out.trees()[0],

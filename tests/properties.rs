@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use toss::ontology::hierarchy::Hierarchy;
 use toss::ontology::{enhance, fuse, Constraint};
 use toss::similarity::{JaccardTokens, Levenshtein, StringMetric};
-use toss::tax::{embeddings, select, Cond, EdgeKind, PatternTree, Term};
+use toss::tax::{Cond, EdgeKind, Matcher, PatternTree, Term};
 use toss::tree::eq::{fingerprint, trees_equal};
 use toss::tree::{Forest, NodeData, Tree};
 use toss::xmldb::{parse_document, XPath};
@@ -264,7 +264,7 @@ proptest! {
         let root = p.root();
         p.add_child(root, 2, EdgeKind::ParentChild).expect("fresh label");
         p.add_child(root, 3, EdgeKind::AncestorDescendant).expect("fresh label");
-        for e in embeddings(&p, &t) {
+        for e in Matcher::new(p).embeddings(&t) {
             let (r, c2, c3) = (e.images()[0], e.images()[1], e.images()[2]);
             prop_assert_eq!(t.parent(c2).expect("valid id"), Some(r));
             prop_assert!(t.is_ancestor(r, c3));
@@ -278,7 +278,7 @@ proptest! {
         let mut p = PatternTree::new(1);
         p.set_condition(Cond::eq(Term::tag(1), Term::str(&tag))).expect("label 1 exists");
         let f = Forest::from_trees(vec![t]);
-        let out = select(&f, &p, &[]).expect("select succeeds");
+        let out = Matcher::new(p).select(&f, &[]).expect("select succeeds");
         for w in &out {
             let root = w.root().expect("witness has root");
             prop_assert_eq!(&w.data(root).expect("valid root").tag, &tag);

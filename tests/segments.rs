@@ -28,11 +28,11 @@ use proptest::prelude::*;
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use toss_core::executor::Mode;
+use toss_core::tax::EdgeKind;
 use toss_core::{Executor, QueryPlan, TossCond, TossQuery, TossTerm};
 use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
 use toss_similarity::Levenshtein;
-use toss_tax::EdgeKind;
 use toss_xmldb::{apply_op, DatabaseConfig, DocumentId, DurableDatabase, FaultVfs, JournalOp, Vfs};
 
 const STORE: &str = "/segments/store.json";

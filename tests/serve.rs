@@ -341,6 +341,41 @@ fn garbage_and_unknown_requests_get_typed_errors_on_a_live_connection() {
     server.shutdown();
 }
 
+/// A query frame far under the frame cap can still carry thousands of
+/// predicates; each one deepens the condition every phase walks
+/// recursively. The server refuses the frame instead of letting a
+/// connection thread overflow its stack (which aborts the process), and
+/// keeps serving.
+#[test]
+fn too_many_predicates_get_bad_request_and_the_server_keeps_serving() {
+    let server = start(ServerConfig::default());
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    let pairs: Vec<String> = (0..5_000)
+        .map(|i| format!(r#"["author","a{i}"]"#))
+        .collect();
+    let payload = format!(
+        r#"{{"verb":"query","collection":"chaos","root":"inproceedings","eq":[{}]}}"#,
+        pairs.join(",")
+    );
+    write_frame(&mut s, payload.as_bytes()).unwrap();
+    let resp = read_frame(&mut s, 1 << 20, Some(Duration::from_secs(30))).unwrap();
+    let v = toss_json::Value::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
+    assert_eq!(v.get("code").and_then(|x| x.as_str()), Some("bad_request"));
+    let message = v.get("message").and_then(|x| x.as_str()).unwrap();
+    assert!(
+        message.contains("5000 predicates exceed the limit of 64"),
+        "{message}"
+    );
+    // the same connection, and the server, still answer a normal query
+    let normal = Request::Query(Box::new(eq_query("E. Codd"))).to_payload();
+    write_frame(&mut s, normal.as_bytes()).unwrap();
+    let resp = read_frame(&mut s, 1 << 20, Some(Duration::from_secs(30))).unwrap();
+    let v = toss_json::Value::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
+    assert_eq!(v.get("status").and_then(|x| x.as_str()), Some("ok"));
+    assert_eq!(v.get("answers").and_then(|x| x.as_i64()), Some(10));
+    server.shutdown();
+}
+
 #[test]
 fn dropped_connection_mid_request_is_a_clean_half_frame_fault() {
     let server = start(ServerConfig::default());
