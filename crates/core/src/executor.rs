@@ -5,7 +5,8 @@
 //! selection runs in the paper's three timed phases:
 //!
 //! 1. **rewrite** — expand the TOSS condition through the SEO and compile
-//!    the pattern tree into an XPath query;
+//!    the pattern tree into an XPath syntax tree (built directly; its
+//!    text is only shown);
 //! 2. **execute** — evaluate the XPath against the collection;
 //! 3. **convert** — parse the matched subtrees back into TAX witness
 //!    trees (a local selection pass that also applies any conjuncts the
@@ -398,8 +399,8 @@ fn publish_phase_metrics(rewrite: Duration, execute: Duration, convert: Duration
 }
 
 /// Everything phase 1 derives from a query, none of it from a request:
-/// the compiled pattern tree rendered to XPath text, that text parsed,
-/// and the pattern prepared as a TAX [`Matcher`] for phase 3.
+/// the XPath compiled from the pattern tree, the text it shows, and the
+/// pattern prepared as a TAX [`Matcher`] for phase 3.
 /// Built once per rewrite-cache entry (see [`RewriteCache`]) and
 /// shared by `Arc`; uncached compiles build one for the request.
 #[derive(Debug)]
@@ -412,8 +413,8 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     fn new(compiled: PatternTree) -> TossResult<Self> {
-        let xpath_src = compile_xpath(&compiled);
-        let xpath = XPath::parse(&xpath_src)?;
+        let xpath = compile_xpath(&compiled)?;
+        let xpath_src = xpath.to_string();
         let n_expansion = expansion_terms(compiled.condition());
         Ok(PreparedQuery {
             xpath_src,
@@ -1370,6 +1371,93 @@ mod tests {
             ex.select(&q, Mode::Toss),
             Err(TossError::Db(_))
         ));
+    }
+
+    /// The text a query shows is the rendering of the XPath it ran.
+    #[test]
+    fn shown_xpath_parses_to_the_executed_tree() {
+        let ex = setup();
+        let gov = QueryGovernor::unlimited();
+        for q in [author_query("Jeff Ullmann"), venue_query("conference")] {
+            for mode in [Mode::Toss, Mode::TaxBaseline] {
+                let prepared = ex.compile(&q.pattern, mode, &gov).unwrap();
+                let shown = ex.select(&q, mode).unwrap().xpath;
+                assert_eq!(shown, prepared.xpath_src);
+                assert_eq!(XPath::parse(&shown).unwrap(), prepared.xpath);
+            }
+        }
+    }
+
+    /// A `below` cone holding a value with both quote kinds answers as
+    /// the in-memory σ does: the set gives the XPath no predicate rather
+    /// than one that drops that member's documents.
+    #[test]
+    fn a_set_member_with_both_quotes_keeps_its_answers() {
+        let mut db = Database::with_config(DatabaseConfig::unlimited());
+        let c = db.create_collection("q").unwrap();
+        for v in ["alpha", "x'y\"z", "omega"] {
+            c.insert_xml(&format!("<r><b>{v}</b></r>")).unwrap();
+        }
+        let h = from_pairs(&[("alpha", "Thing"), ("x'y\"z", "Thing")]).unwrap();
+        let ex = Executor::new(db, Arc::new(enhance(&h, &Levenshtein, 1.0).unwrap()));
+        let q = TossQuery {
+            collection: "q".into(),
+            pattern: TossPattern::spine(
+                &[EdgeKind::ParentChild],
+                TossCond::all(vec![
+                    TossCond::eq(TossTerm::tag(1), TossTerm::str("r")),
+                    TossCond::eq(TossTerm::tag(2), TossTerm::str("b")),
+                    TossCond::below(TossTerm::content(2), TossTerm::ty("Thing")),
+                ]),
+            )
+            .unwrap(),
+            expand_labels: vec![1],
+        };
+        let via_store = ex.select(&q, Mode::Toss).unwrap().forest;
+        let coll = ex.db.collection("q").unwrap();
+        let forest: Forest = coll.documents().iter().map(|d| d.tree.clone()).collect();
+        let in_mem = crate::algebra::toss_select(
+            &crate::oes::SeoInstance::new(forest, ex.seo.clone()),
+            &q.pattern,
+            &q.expand_labels,
+            &ex.hierarchy,
+            &ex.conversions,
+        )
+        .unwrap()
+        .forest;
+        assert_eq!(in_mem.len(), 2);
+        assert_eq!(via_store.len(), in_mem.len());
+        for t in &via_store {
+            assert!(in_mem.contains_tree(t));
+        }
+    }
+
+    /// A pattern whose XPath would nest past the parser's depth limit is
+    /// refused with the parser's error before anything walks the tree.
+    #[test]
+    fn a_too_deep_pattern_gets_the_depth_error() {
+        let ex = setup();
+        let mut structure = PatternTree::new(1);
+        let mut node = structure.root();
+        for label in 2..=200 {
+            node = structure
+                .add_child(node, label, EdgeKind::ParentChild)
+                .unwrap();
+        }
+        let q = TossQuery {
+            collection: "dblp".into(),
+            pattern: TossPattern {
+                structure,
+                condition: TossCond::eq(TossTerm::tag(1), TossTerm::str("inproceedings")),
+            },
+            expand_labels: vec![],
+        };
+        match ex.select(&q, Mode::Toss) {
+            Err(TossError::Db(toss_xmldb::DbError::XPathSyntax(m))) => {
+                assert!(m.contains("depth limit of 128"), "{m}")
+            }
+            other => panic!("expected the depth-limit error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,18 +5,19 @@
 //! semantic index those walks are already lookups, but the assembled
 //! [`Cond`] — term collection, governed dedup, set construction — is
 //! still rebuilt per query, and so is everything derived from it: the
-//! XPath text, its parsed AST and the matcher that converts candidates
-//! back to witness trees.
+//! compiled XPath, the text it shows and the matcher that converts
+//! candidates back to witness trees.
 //!
 //! **What an entry holds.** A [`CachedRewrite`] is inserted on a miss with
 //! the *finished* expansion (`cond`) and its expansion-term count
 //! (`terms`) — nothing else, so a stream of queries that never repeat
 //! retains exactly what it always did. On its **first servable hit** the
 //! entry is *promoted*: the executor builds the query's
-//! [`PreparedQuery`] (compiled pattern → XPath text → parsed XPath, plus
-//! the TAX [`Matcher`](crate::tax::Matcher)) into the entry's
-//! once-cell, and that hit and every later one share it by `Arc` — no
-//! render, no re-parse, no condition clone, no per-tree conjunct split.
+//! [`PreparedQuery`] (compiled pattern → XPath syntax tree, its text
+//! for display, plus the TAX [`Matcher`](crate::tax::Matcher)) into the
+//! entry's once-cell, and that hit and every later one share it by
+//! `Arc` — no compile, no render, no condition clone, no per-tree
+//! conjunct split.
 //! The map hands out the entry itself (`Arc<CachedRewrite>`), never a
 //! copy, so there is one cell per entry however many readers race to
 //! fill it. A promoted entry keeps its `cond`: the term sets that

@@ -1,4 +1,9 @@
 //! XPath abstract syntax.
+//!
+//! The parser builds this tree from text, and so does the TOSS rewriter
+//! from a pattern tree, with no text in between. Both build `and` / `or`
+//! chains with [`Expr::all`] / [`Expr::any`], and [`fmt::Display`]
+//! renders a chain flat, so the parse of a rendered tree is that tree.
 
 use std::fmt;
 
@@ -81,6 +86,87 @@ pub enum Expr {
     Not(Box<Expr>),
 }
 
+/// A binary connective's constructor, `Expr::And` or `Expr::Or`.
+type Join = fn(Box<Expr>, Box<Expr>) -> Expr;
+
+/// Join a chain's operands (at least one) with `join` into a balanced
+/// tree, so that evaluating, walking and dropping it recurses
+/// logarithmically, not once per operand: a left-deep `a and b and …`
+/// of 20 000 operands overflows a 2 MB thread. The left half takes the
+/// odd operand, so chains of up to three keep the left-deep shape. The
+/// operands have no side effects, so the grouping does not change the
+/// answer.
+fn balanced(operands: Vec<Expr>, join: Join) -> Expr {
+    fn fold(operands: &mut impl Iterator<Item = Expr>, n: usize, join: Join) -> Expr {
+        if n == 1 {
+            return operands.next().expect("one operand per count");
+        }
+        let left = fold(operands, n.div_ceil(2), join);
+        let right = fold(operands, n / 2, join);
+        join(Box::new(left), Box::new(right))
+    }
+    let n = operands.len();
+    fold(&mut operands.into_iter(), n, join)
+}
+
+impl Expr {
+    /// `a or b or …`: the operands joined into the balanced tree the
+    /// parser builds for the same chain.
+    ///
+    /// # Panics
+    /// On an empty `operands`.
+    pub fn any(operands: Vec<Expr>) -> Expr {
+        balanced(operands, Expr::Or)
+    }
+
+    /// `a and b and …`: the operands joined into the balanced tree the
+    /// parser builds for the same chain.
+    ///
+    /// # Panics
+    /// On an empty `operands`.
+    pub fn all(operands: Vec<Expr>) -> Expr {
+        balanced(operands, Expr::And)
+    }
+
+    /// How deep the parser nests below a predicate's `[` when it reads
+    /// this expression's rendering: one level per parenthesised `or`
+    /// chain, per `not(…)` and per step of a relative path.
+    fn depth(&self) -> usize {
+        match self {
+            Expr::Eq(v, _) | Expr::Ne(v, _) | Expr::Contains(v, _) | Expr::StartsWith(v, _) => {
+                v.depth()
+            }
+            Expr::AttrExists(_) | Expr::Position(_) => 0,
+            Expr::Exists(p) => p.depth(),
+            Expr::And(a, b) => a.depth().max(b.depth()),
+            Expr::Or(..) => 1 + self.or_operands_depth(),
+            Expr::Not(e) => 1 + e.depth(),
+        }
+    }
+
+    /// The deepest operand of the `or` chain this node heads, which
+    /// [`fmt::Display`] renders inside one pair of parentheses.
+    fn or_operands_depth(&self) -> usize {
+        match self {
+            Expr::Or(a, b) => a.or_operands_depth().max(b.or_operands_depth()),
+            other => other.depth(),
+        }
+    }
+
+    /// Write the operands of the `or` chain this node heads, without the
+    /// parentheses around them.
+    fn fmt_or_operands(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expr::Or(a, b) => {
+                a.fmt_or_operands(f)?;
+                f.write_str(" or ")?;
+                b.fmt_or_operands(f)
+            }
+            other => write!(f, "{other}"),
+        }
+    }
+}
+
 /// A value inside a comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValueExpr {
@@ -101,6 +187,56 @@ pub struct RelPath {
     pub from_descendants: bool,
     /// Steps of the relative path.
     pub steps: Vec<Step>,
+}
+
+impl ValueExpr {
+    fn depth(&self) -> usize {
+        match self {
+            ValueExpr::Text | ValueExpr::Attr(_) => 0,
+            ValueExpr::Rel(p) => p.depth(),
+        }
+    }
+}
+
+impl RelPath {
+    fn depth(&self) -> usize {
+        self.steps.iter().map(Step::depth).max().unwrap_or(0)
+    }
+}
+
+impl Step {
+    /// The parser's nesting depth for this step's rendering: the step
+    /// itself, then one level per predicate's `[`.
+    fn depth(&self) -> usize {
+        1 + self
+            .predicates
+            .iter()
+            .map(|p| 1 + p.depth())
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+impl XPath {
+    /// The deepest nesting the parser reaches when it reads this
+    /// expression's rendering; [`MAX_EXPR_DEPTH`](super::MAX_EXPR_DEPTH)
+    /// bounds it.
+    pub(crate) fn depth(&self) -> usize {
+        let steps = self.paths.iter().flat_map(|p| &p.steps);
+        steps.map(Step::depth).max().unwrap_or(0)
+    }
+}
+
+/// A string literal as XPath text: in `'…'`, or in `"…"` when it holds a
+/// `'`. A literal holding both quote kinds has no XPath rendering; it is
+/// written in `'…'` and does not parse back.
+struct Literal<'a>(&'a str);
+
+impl fmt::Display for Literal<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let quote = if self.0.contains('\'') { '"' } else { '\'' };
+        write!(f, "{quote}{}{quote}", self.0)
+    }
 }
 
 impl fmt::Display for XPath {
@@ -140,15 +276,19 @@ impl fmt::Display for Step {
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Eq(v, s) => write!(f, "{v}='{s}'"),
-            Expr::Ne(v, s) => write!(f, "{v}!='{s}'"),
-            Expr::Contains(v, s) => write!(f, "contains({v},'{s}')"),
-            Expr::StartsWith(v, s) => write!(f, "starts-with({v},'{s}')"),
+            Expr::Eq(v, s) => write!(f, "{v}={}", Literal(s)),
+            Expr::Ne(v, s) => write!(f, "{v}!={}", Literal(s)),
+            Expr::Contains(v, s) => write!(f, "contains({v},{})", Literal(s)),
+            Expr::StartsWith(v, s) => write!(f, "starts-with({v},{})", Literal(s)),
             Expr::AttrExists(a) => write!(f, "@{a}"),
             Expr::Exists(p) => write!(f, "{p}"),
             Expr::Position(n) => write!(f, "{n}"),
             Expr::And(a, b) => write!(f, "{a} and {b}"),
-            Expr::Or(a, b) => write!(f, "({a} or {b})"),
+            Expr::Or(..) => {
+                f.write_str("(")?;
+                self.fmt_or_operands(f)?;
+                f.write_str(")")
+            }
             Expr::Not(e) => write!(f, "not({e})"),
         }
     }
@@ -200,6 +340,8 @@ mod tests {
             "//a[.//b='v']",
             "//a[not(b='x')]",
             "//a[starts-with(b,'x') and @k]",
+            "//a[b=\"O'Neil\"]",
+            "//a[(b='1' or c='2' or d='3' or e='4') and f]",
         ];
         for src in cases {
             let p1 = XPath::parse(src).unwrap();

@@ -35,10 +35,11 @@ mod eval;
 mod lexer;
 mod parser;
 
-pub use ast::{Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
+pub use ast::{Axis, Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
 pub use eval::{planned_partitions, Candidates, NodeRef};
+pub use parser::MAX_EXPR_DEPTH;
 
-use crate::error::DbResult;
+use crate::error::{DbError, DbResult};
 
 impl XPath {
     /// Parse an XPath expression.
@@ -51,6 +52,17 @@ impl XPath {
             toss_obs::metrics::counter("xmldb.xpath.parse_errors").inc();
         }
         parsed
+    }
+
+    /// Refuse a tree built without the parser whose rendering nests past
+    /// [`MAX_EXPR_DEPTH`], with the parser's depth-limit error: evaluating,
+    /// walking and dropping a tree recurse once per nesting level, so a
+    /// deeper one must never reach them.
+    pub fn check_depth(&self) -> DbResult<()> {
+        if self.depth() > MAX_EXPR_DEPTH {
+            return Err(DbError::XPathSyntax(parser::depth_limit_message()));
+        }
+        Ok(())
     }
 }
 
@@ -217,6 +229,63 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
+    }
+
+    fn rel(name: &str, predicates: Vec<Expr>) -> RelPath {
+        RelPath {
+            from_descendants: false,
+            steps: vec![Step {
+                axis: Axis::Child,
+                test: NameTest::Name(name.into()),
+                predicates,
+            }],
+        }
+    }
+
+    /// `//r[…]` around `a='v'`, `levels` wrappers deep, cycling through
+    /// a predicated step, `not(…)` and an `or` chain.
+    fn nested(levels: usize) -> XPath {
+        let leaf = |n: &str| Expr::Eq(ValueExpr::Rel(rel(n, vec![])), "v".into());
+        let mut e = leaf("a");
+        for i in 0..levels {
+            e = match i % 3 {
+                0 => Expr::Exists(rel("b", vec![e])),
+                1 => Expr::Not(Box::new(e)),
+                _ => Expr::any(vec![leaf("c"), e, leaf("d")]),
+            };
+        }
+        XPath {
+            paths: vec![Path {
+                steps: vec![Step {
+                    axis: Axis::Descendant,
+                    test: NameTest::Name("r".into()),
+                    predicates: vec![e],
+                }],
+            }],
+        }
+    }
+
+    /// A tree built without the parser passes `check_depth` exactly when
+    /// its rendering parses, and then parses back to itself.
+    #[test]
+    fn check_depth_refuses_exactly_what_the_parser_refuses() {
+        let mut refused = 0;
+        for levels in 0..150 {
+            let x = nested(levels);
+            match XPath::parse(&x.to_string()) {
+                Ok(parsed) => {
+                    assert_eq!(parsed, x, "at {levels} levels");
+                    x.check_depth().unwrap();
+                }
+                Err(e) => {
+                    refused += 1;
+                    assert!(e.to_string().contains("depth limit"), "{e}");
+                    let e = x.check_depth().unwrap_err();
+                    assert!(e.to_string().contains("depth limit"), "{e}");
+                }
+            }
+        }
+        assert!(refused > 0, "the limit lies inside the tested range");
     }
 
     #[test]

@@ -7,9 +7,16 @@ use crate::error::{DbError, DbResult};
 /// Maximum nesting depth of predicate expressions. Parsing is
 /// recursive-descent, so unbounded nesting (`//a[b[c[…]]]`,
 /// `not(not(…))`, `(((…)))`) would overflow the stack; deeper inputs
-/// are rejected with a parse error instead. The TOSS rewriter emits
-/// nesting proportional to the pattern-tree depth, far below this.
-pub(crate) const MAX_EXPR_DEPTH: usize = 128;
+/// are rejected with a parse error instead. The TOSS rewriter builds
+/// its tree without text and holds it to the same limit
+/// ([`XPath::check_depth`](super::XPath::check_depth)), so every tree
+/// it hands the evaluator is one the parser could have built.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
+/// The message of the error that refuses nesting past [`MAX_EXPR_DEPTH`].
+pub(super) fn depth_limit_message() -> String {
+    format!("expression nesting exceeds the depth limit of {MAX_EXPR_DEPTH}")
+}
 
 /// Parse an XPath expression string into an AST.
 pub(crate) fn parse(input: &str) -> DbResult<XPath> {
@@ -24,29 +31,6 @@ pub(crate) fn parse(input: &str) -> DbResult<XPath> {
         return Err(p.err("trailing tokens after expression"));
     }
     Ok(x)
-}
-
-/// A binary connective's constructor, `Expr::And` or `Expr::Or`.
-type Join = fn(Box<Expr>, Box<Expr>) -> Expr;
-
-/// Join a chain's operands (at least one) with `join` into a balanced
-/// tree, so that evaluating, walking and dropping it recurses
-/// logarithmically, not once per operand: a left-deep `a and b and …`
-/// of 20 000 operands overflows a 2 MB thread. The left half takes the
-/// odd operand, so chains of up to three keep the left-deep shape. The
-/// operands have no side effects, so the grouping does not change the
-/// answer.
-fn balanced(operands: Vec<Expr>, join: Join) -> Expr {
-    fn fold(operands: &mut impl Iterator<Item = Expr>, n: usize, join: Join) -> Expr {
-        if n == 1 {
-            return operands.next().expect("one operand per count");
-        }
-        let left = fold(operands, n.div_ceil(2), join);
-        let right = fold(operands, n / 2, join);
-        join(Box::new(left), Box::new(right))
-    }
-    let n = operands.len();
-    fold(&mut operands.into_iter(), n, join)
 }
 
 struct P {
@@ -66,9 +50,7 @@ impl P {
     fn descend(&mut self) -> DbResult<()> {
         self.depth += 1;
         if self.depth > MAX_EXPR_DEPTH {
-            return Err(self.err(&format!(
-                "expression nesting exceeds the depth limit of {MAX_EXPR_DEPTH}"
-            )));
+            return Err(self.err(&depth_limit_message()));
         }
         Ok(())
     }
@@ -165,7 +147,7 @@ impl P {
             self.bump();
             operands.push(self.and_expr()?);
         }
-        Ok(balanced(operands, Expr::Or))
+        Ok(Expr::any(operands))
     }
 
     fn and_expr(&mut self) -> DbResult<Expr> {
@@ -174,7 +156,7 @@ impl P {
             self.bump();
             operands.push(self.unary()?);
         }
-        Ok(balanced(operands, Expr::And))
+        Ok(Expr::all(operands))
     }
 
     fn unary(&mut self) -> DbResult<Expr> {
@@ -497,7 +479,8 @@ mod tests {
             x("a and b and c and d and e"),
             and(and(and(leaf("a"), leaf("b")), leaf("c")), and(leaf("d"), leaf("e")))
         );
-        assert_eq!(x("a or b or c or d").to_string(), "((a or b) or (c or d))");
+        // an `or` chain renders flat, so its text parses back to itself
+        assert_eq!(x("a or b or c or d").to_string(), "(a or b or c or d)");
     }
 
     #[test]

@@ -144,6 +144,10 @@ grep -q "^└─ " <<< "$EXPLAIN_OUT"
 # above the tree, the query's flight-recorder record (the one a server's
 # `slow` frame carries): the CLI query ran through the serving Service
 grep -q "^queue wait " <<< "$EXPLAIN_OUT"
+# the rewrite builds the XPath tree itself: no parse span under a query
+if grep -q "─ xmldb\.xpath\.parse " <<< "$EXPLAIN_OUT"; then
+    echo "--explain shows an XPath parse on the query path"; exit 1
+fi
 test -s "$SMOKE/spans.jsonl" || { echo "--trace-out file is empty"; exit 1; }
 if grep -qv '^{"id":' "$SMOKE/spans.jsonl"; then
     echo "--trace-out wrote a line that is not a span object"; exit 1
