@@ -9,8 +9,10 @@ use toss_core::{
 };
 use toss_lexicon::LexiconBuilder;
 use toss_ontology::persist::{seo_from_json, seo_to_json};
+use toss_ontology::seo::Seo;
 use toss_serve::{
-    BudgetClass, ErrorCode, QueryRequest, ServerConfig, Service, WriteConfig, WriteEngine,
+    BudgetClass, Enhancer, ErrorCode, QueryRequest, ServerConfig, Service, WriteConfig,
+    WriteEngine,
 };
 use toss_similarity::combinators::{MinOf, MultiWordGate};
 use toss_similarity::{Levenshtein, NameRules, StringMetric};
@@ -52,8 +54,10 @@ Each only tightens the class ceiling (30 s, 8192 terms, 2000000 docs);
 0 means the ceiling. Exit code 4 means the query was shed under load.
 
 query and serve open the store by one rule: the store's ontology
-sidecar (<store>.ont.json, written at each checkpoint) plus the journal
-tail past it; --seo is only the baseline for a store with no sidecar.
+sidecar (<store>.ont.json) plus the journal tail past it; --seo is only
+the baseline for a store with no sidecar. Every checkpoint (load, db
+checkpoint, db recover, a server's) writes the sidecar of a store that
+has one, a writable serve seeds it, and a damaged one is an error.
 Every subcommand accepts only the flags listed for it above.
 
 serve runs until stdin closes or reads a `shutdown` line, then drains
@@ -176,12 +180,7 @@ fn open_executor(
         Arc::new(StdVfs),
         Path::new(db_path),
         baseline,
-        |epsilon| {
-            let metric = default_metric();
-            Box::new(move |h| {
-                toss_ontology::enhance(h, &metric, epsilon).map_err(|e| e.to_string())
-            })
-        },
+        enhancer,
         write,
     )?;
     if opened.replayed > 0 {
@@ -193,6 +192,22 @@ fn open_executor(
         executor = executor.with_threads(n as usize);
     }
     Ok((executor, opened.engine))
+}
+
+/// SEA with the default metric at `epsilon`: how a store's ontology is
+/// re-enhanced after ontology writes.
+fn enhancer(epsilon: f64) -> Enhancer {
+    let metric = default_metric();
+    Box::new(move |h| toss_ontology::enhance(h, &metric, epsilon).map_err(|e| e.to_string()))
+}
+
+/// The store's own ontology ([`toss_serve::store_ontology`]: its sidecar
+/// plus the journal's ontology tail); `None` for a store with no sidecar.
+fn own_ontology(db_path: &str, store: &DurableDatabase) -> Result<Option<Seo>, String> {
+    let records = store.journal_records().map_err(|e| e.to_string())?;
+    let ontology =
+        toss_serve::store_ontology(&StdVfs, Path::new(db_path), &records, None, enhancer)?;
+    Ok(ontology.map(|o| o.seo))
 }
 
 /// Where a store's metrics snapshot lives.
@@ -306,9 +321,11 @@ fn cmd_load(argv: &[String]) -> Result<(), String> {
     }
     // Every insert is journaled and fsynced before it applies, so a crash
     // mid-load keeps the documents inserted so far; the final checkpoint
-    // folds the journal into a fresh atomic snapshot.
+    // folds the journal into a fresh atomic snapshot, with the store's
+    // ontology, read before the first insert.
     let mut db = DurableDatabase::open(db_path.as_str(), DatabaseConfig::unlimited())
         .map_err(|e| e.to_string())?;
+    let seo = own_ontology(&db_path, &db)?;
     if db.db().collection(&coll_name).is_err() {
         db.create_collection(&coll_name).map_err(|e| e.to_string())?;
     }
@@ -322,11 +339,12 @@ fn cmd_load(argv: &[String]) -> Result<(), String> {
             docs += 1;
         }
     }
-    db.checkpoint().map_err(|e| e.to_string())?;
+    let (db, mut writer) = db.into_parts();
+    toss_serve::checkpoint_store(&mut writer, &db, seo.as_ref())?;
     println!(
         "loaded {docs} document(s) into `{coll_name}`; store now {} bytes across {} collection(s)",
-        db.db().total_size_bytes(),
-        db.db().collection_names().len()
+        db.total_size_bytes(),
+        db.collection_names().len()
     );
     persist_stats(&db_path);
     Ok(())
@@ -340,19 +358,16 @@ fn cmd_db(argv: &[String]) -> Result<(), String> {
     let db_path = args.required("db")?;
     match action.as_str() {
         "checkpoint" => {
-            let mut db = DurableDatabase::open(db_path, DatabaseConfig::unlimited())
+            let db = DurableDatabase::open(db_path, DatabaseConfig::unlimited())
                 .map_err(|e| e.to_string())?;
             let pending = db.pending_journal_ops().map_err(|e| e.to_string())?;
-            db.checkpoint().map_err(|e| e.to_string())?;
-            // this checkpoint writes no ontology sidecar, so it keeps the
-            // journal's ontology records for the next open to replay
-            let kept = db.pending_journal_ops().map_err(|e| e.to_string())?;
+            let seo = own_ontology(db_path, &db)?;
+            let (db, mut writer) = db.into_parts();
+            toss_serve::checkpoint_store(&mut writer, &db, seo.as_ref())?;
+            let kept = writer.pending_journal_ops().map_err(|e| e.to_string())?;
             let journal = match kept {
                 0 => "journal truncated".to_string(),
-                n => format!(
-                    "kept {n} ontology record(s) in the journal \
-                     (a writable server's checkpoint folds them into the ontology sidecar)"
-                ),
+                n => format!("kept {n} ontology record(s): the store has no ontology sidecar"),
             };
             println!(
                 "checkpointed {} journaled op(s) into {db_path}; {journal}",
@@ -368,6 +383,13 @@ fn cmd_db(argv: &[String]) -> Result<(), String> {
                 Arc::new(StdVfs),
             )
             .map_err(|e| e.to_string())?;
+            // recovery re-persists with no ontology, keeping its records;
+            // a store with its own ontology folds them into its sidecar
+            let seo = own_ontology(db_path, &db)?;
+            let (db, mut writer) = db.into_parts();
+            if seo.is_some() {
+                toss_serve::checkpoint_store(&mut writer, &db, seo.as_ref())?;
+            }
             if report.is_clean() {
                 println!("store is clean: nothing to repair");
             }
@@ -389,8 +411,8 @@ fn cmd_db(argv: &[String]) -> Result<(), String> {
             }
             println!(
                 "recovered state: {} collection(s), {} bytes; re-persisted to {db_path}",
-                db.db().collection_names().len(),
-                db.db().total_size_bytes()
+                db.collection_names().len(),
+                db.total_size_bytes()
             );
             persist_stats(db_path);
             Ok(())

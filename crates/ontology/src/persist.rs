@@ -69,7 +69,13 @@ fn edges_to_value(h: &Hierarchy) -> Value {
 /// metric can be re-checked with [`Seo::validate`].
 pub fn seo_from_json(json: &str) -> OntologyResult<Seo> {
     let value = Value::parse(json).map_err(|e| OntologyError::MalformedSeo(e.to_string()))?;
-    let original = field(&value, "original")?;
+    seo_from_value(&value)
+}
+
+/// [`seo_from_json`] over an already-parsed value, for an SEO embedded in
+/// a larger JSON document.
+pub fn seo_from_value(value: &Value) -> OntologyResult<Seo> {
+    let original = field(value, "original")?;
     let nodes = array(field(original, "nodes")?, "nodes")?
         .iter()
         .map(|terms| {
@@ -84,8 +90,8 @@ pub fn seo_from_json(json: &str) -> OntologyResult<Seo> {
         })
         .collect::<OntologyResult<Vec<Vec<String>>>>()?;
     let edges = pairs(field(original, "edges")?, "edges")?;
-    let enhanced_edges = pairs(field(&value, "enhanced_edges")?, "enhanced_edges")?;
-    let cliques = array(field(&value, "cliques")?, "cliques")?
+    let enhanced_edges = pairs(field(value, "enhanced_edges")?, "enhanced_edges")?;
+    let cliques = array(field(value, "cliques")?, "cliques")?
         .iter()
         .map(|c| {
             array(c, "cliques")?
@@ -94,7 +100,7 @@ pub fn seo_from_json(json: &str) -> OntologyResult<Seo> {
                 .collect()
         })
         .collect::<OntologyResult<Vec<Vec<usize>>>>()?;
-    let epsilon = field(&value, "epsilon")?
+    let epsilon = field(value, "epsilon")?
         .as_f64()
         .ok_or_else(|| malformed("epsilon"))?;
 

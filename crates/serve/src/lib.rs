@@ -9,7 +9,8 @@
 //!
 //! One request path: [`Service`] runs every query, the [`Server`] wraps
 //! it in framing, connection limits and drain, and `toss-cli query`
-//! calls it in-process. One way to open a store: [`open_store`].
+//! calls it in-process. One way to open a store: [`open_store`]; one
+//! checkpoint, which carries the store's ontology: [`checkpoint_store`].
 //!
 //! The robustness contract, end to end:
 //!
@@ -59,10 +60,11 @@ pub use client::{
     next_write_key, Client, ClientError, QueryReply, StatsReply, WindowStats, WriteReply,
     WriteStats,
 };
-pub use open::{open_store, OpenStore};
+pub use open::{
+    checkpoint_store, load_sidecar, open_store, recover_ontology, sidecar_path, store_ontology,
+    OpenStore, StoreOntology,
+};
 pub use protocol::{ErrorCode, FrameError, QueryRequest, Request, WriteOp, WriteRequest};
 pub use server::{DrainReport, Server, ServerConfig, ShutdownHandle};
 pub use service::{Served, Service};
-pub use write::{
-    load_sidecar, recover_ontology, sidecar_path, Enhancer, WriteConfig, WriteEngine,
-};
+pub use write::{Enhancer, WriteConfig, WriteEngine};

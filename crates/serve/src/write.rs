@@ -72,30 +72,25 @@
 //!
 //! ## Checkpoints
 //!
-//! A checkpoint serializes the store and the SEO sidecar under a *read*
-//! lock (readers keep running), persists both lock-free, verifies the
-//! snapshot by reloading it, and only then truncates the journal to the
-//! records at or past the cursor. Ontology mutations are store no-ops,
-//! so the sidecar (`<snapshot>.ont.json`) plus the journal tail is what
-//! reconstructs the hierarchy on restart — see [`recover_ontology`].
+//! A checkpoint serializes the store, the `.seg` and the live SEO under
+//! a *read* lock (readers keep running), then runs the store's one
+//! checkpoint lock-free ([`crate::checkpoint_store`]): the ontology
+//! sidecar, then the snapshot, verified by reloading it, then the
+//! journal truncated to the records at or past the cursor.
 
 use crate::budget::BudgetClass;
+use crate::open::Checkpoint;
 use crate::protocol::{ErrorCode, WriteOp};
 use crate::service::Service;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use toss_json::Value;
 use toss_obs::{QueryOutcomeKind, QueryRecord};
 use toss_ontology::hierarchy::Hierarchy;
 use toss_ontology::seo::Seo;
-use toss_xmldb::storage::save_json_with_vfs;
-use toss_xmldb::{
-    apply_op, BatchValidator, DurableWriter, JournalOp, JournalRecord, Vfs,
-};
+use toss_xmldb::{apply_op, BatchValidator, DurableWriter, JournalOp};
 
 /// Rebuild a [`Seo`] from a grown hierarchy. The serving layer is
 /// metric-agnostic: the embedder (CLI, tests) closes over whatever
@@ -281,57 +276,6 @@ impl DedupeTable {
             }
         }
     }
-}
-
-/// The sidecar path holding the persisted SEO next to the snapshot.
-pub fn sidecar_path(snapshot: &Path) -> PathBuf {
-    snapshot.with_extension("ont.json")
-}
-
-/// Load the ontology sidecar, returning its journal cursor and the
-/// persisted SEO. `None` when absent or unreadable (fresh store, or a
-/// sidecar torn by a crash — the caller falls back to its baseline
-/// ontology plus a full journal replay).
-pub fn load_sidecar(vfs: &dyn Vfs, snapshot: &Path) -> Option<(u64, Seo)> {
-    let bytes = vfs.read(&sidecar_path(snapshot)).ok()?;
-    let text = String::from_utf8(bytes).ok()?;
-    let v = Value::parse(&text).ok()?;
-    let cursor = v.get("cursor").and_then(Value::as_i64)?.max(0) as u64;
-    let seo =
-        toss_ontology::persist::seo_from_json(&v.get("seo")?.to_json()).ok()?;
-    Some((cursor, seo))
-}
-
-/// Replay the ontology tail of a journal scan onto `hierarchy`: every
-/// `add_term`/`add_edge` record with `seq >= cursor` (doc ops and
-/// no-ops are skipped — the store replay handled those). Returns how
-/// many records mutated the hierarchy.
-pub fn recover_ontology(
-    hierarchy: &mut Hierarchy,
-    records: &[JournalRecord],
-    cursor: u64,
-) -> usize {
-    let mut applied = 0;
-    for rec in records.iter().filter(|r| r.seq >= cursor) {
-        match &rec.op {
-            JournalOp::AddTerm { terms } => {
-                for t in terms {
-                    hierarchy.add_term(t);
-                }
-                applied += 1;
-            }
-            // a cycle here means the edge was journaled against a
-            // different hierarchy state; skip rather than die — the
-            // journal is replayed leniently, like store recovery
-            JournalOp::AddEdge { below, above }
-                if hierarchy.add_leq(below, above).is_ok() =>
-            {
-                applied += 1;
-            }
-            _ => {}
-        }
-    }
-    applied
 }
 
 /// Convert a wire mutation into its journal form. `Checkpoint` has no
@@ -814,38 +758,11 @@ impl WriterLoop {
             .unwrap_or_default() as u64;
         // Readers keep running: only the serialization itself holds
         // the read lock, the I/O below does not.
-        let (db_json, seo_json, seg) = {
+        let checkpoint = {
             let exec = self.service.executor.read().unwrap_or_else(|e| e.into_inner());
-            let db_json = toss_xmldb::storage::to_json_with_seq(&exec.db, cursor)
-                .map_err(|e| e.to_string())?;
-            let seo_json = toss_ontology::persist::seo_to_json(&exec.seo);
-            // The `.seg` index sidecar: frozen collection indexes plus
-            // the enhanced hierarchy's reachability closure, all stamped
-            // with the snapshot cursor so a restart can attach them only
-            // when they are exactly current.
-            let mut sb =
-                toss_xmldb::segidx::segment_builder(&exec.db, cursor);
-            let reach = exec.seo.enhanced().reach_index();
-            sb.add_section(
-                toss_xmldb::segidx::kinds::REACH,
-                "seo.enhanced",
-                reach.to_segment_payload(),
-            );
-            (db_json, seo_json, sb.finish())
+            Checkpoint::build(&exec.db, Some(&exec.seo), cursor)?
         };
-        // Sidecar first: if it fails, the journal is untouched and the
-        // old snapshot + full journal still recover everything.
-        let envelope = format!("{{\"cursor\":{cursor},\"seo\":{seo_json}}}");
-        save_json_with_vfs(
-            &envelope,
-            &sidecar_path(self.engine.writer.snapshot_path()),
-            &**self.engine.writer.vfs(),
-        )
-        .map_err(|e| e.to_string())?;
-        self.engine
-            .writer
-            .checkpoint_json_seg(db_json, cursor, Some(&seg))
-            .map_err(|e| e.to_string())?;
+        let seg = checkpoint.write(&mut self.engine.writer)?;
         // Rebase the indexes onto the segment just written, so the
         // delta of writes since the last checkpoint starts empty again:
         // parse without a lock, attach under the write lock. This
@@ -932,7 +849,7 @@ mod tests {
     use toss_core::Executor;
     use toss_ontology::sea::enhance;
     use toss_similarity::Levenshtein;
-    use toss_xmldb::{DatabaseConfig, DurableDatabase, FaultVfs};
+    use toss_xmldb::{DatabaseConfig, DurableDatabase, FaultVfs, Vfs};
 
     fn ok_enhancer() -> Enhancer {
         Box::new(|h| enhance(h, &Levenshtein, 1.0).map_err(|e| e.to_string()))
@@ -1187,55 +1104,6 @@ mod tests {
         );
         assert_eq!(t.get("k4").unwrap().seq, 99);
         assert_eq!(t.order.len(), 3);
-    }
-
-    #[test]
-    fn ontology_replay_applies_tail_and_skips_cycles() {
-        let mut h = Hierarchy::default();
-        h.add_leq("SIGMOD", "conference").unwrap();
-        let records = vec![
-            JournalRecord {
-                seq: 5,
-                key: None,
-                op: JournalOp::AddTerm {
-                    terms: vec!["PODS".into()],
-                },
-            },
-            JournalRecord {
-                seq: 6,
-                key: None,
-                op: JournalOp::AddEdge {
-                    below: "PODS".into(),
-                    above: "conference".into(),
-                },
-            },
-            // below the cursor: already folded into the sidecar
-            JournalRecord {
-                seq: 2,
-                key: None,
-                op: JournalOp::AddTerm {
-                    terms: vec!["stale".into()],
-                },
-            },
-            // a cycle is skipped, not fatal
-            JournalRecord {
-                seq: 7,
-                key: None,
-                op: JournalOp::AddEdge {
-                    below: "conference".into(),
-                    above: "PODS".into(),
-                },
-            },
-            JournalRecord {
-                seq: 8,
-                key: None,
-                op: JournalOp::Noop,
-            },
-        ];
-        let applied = recover_ontology(&mut h, &records, 4);
-        assert_eq!(applied, 2, "one term batch + one edge");
-        assert!(h.node_of("PODS").is_some());
-        assert!(h.node_of("stale").is_none(), "pre-cursor records are folded");
     }
 
     #[test]

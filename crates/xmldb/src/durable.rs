@@ -112,6 +112,13 @@ impl DurableDatabase {
         PathBuf::from(os)
     }
 
+    /// The ontology file of a snapshot at `snapshot`, which
+    /// [`DurableWriter::checkpoint_json_seg`] writes: the extension
+    /// replaced by `ont.json` (`store.json` → `store.ont.json`).
+    pub fn ontology_path(snapshot: &Path) -> PathBuf {
+        snapshot.with_extension("ont.json")
+    }
+
     /// Open (or create) a durable database on the real filesystem.
     /// `config` applies only when no snapshot exists yet.
     pub fn open(snapshot: impl Into<PathBuf>, config: DatabaseConfig) -> DbResult<Self> {
@@ -314,8 +321,8 @@ impl DurableDatabase {
 
     /// Fold the journal into a fresh verified snapshot (plus its `.seg`
     /// index-segment sidecar) and truncate it — the one checkpoint
-    /// routine, [`DurableWriter::checkpoint`], which keeps the ontology
-    /// records — then rebase every collection's index onto the segment
+    /// routine, with no ontology, so it keeps the ontology records —
+    /// then rebase every collection's index onto the segment
     /// just written, so the delta of writes since the last checkpoint
     /// starts empty again.
     pub fn checkpoint(&mut self) -> DbResult<()> {
@@ -405,16 +412,6 @@ impl DurableWriter {
         self.journal.next_seq()
     }
 
-    /// The snapshot path this writer persists to.
-    pub fn snapshot_path(&self) -> &Path {
-        &self.snapshot_path
-    }
-
-    /// The vfs all durable I/O goes through.
-    pub fn vfs(&self) -> &Arc<dyn Vfs> {
-        &self.vfs
-    }
-
     /// Number of operations currently in the journal (not yet folded
     /// into a snapshot). O(1): tracked incrementally, not rescanned —
     /// the writer loop consults this after every committed batch.
@@ -442,56 +439,48 @@ impl DurableWriter {
         }
     }
 
-    /// Checkpoint from an already-serialized snapshot (produced by
-    /// [`storage::to_json_with_seq`] with `cursor` as its `last_seq`,
-    /// typically under a brief read lock on the live database):
+    /// The one checkpoint routine, from an already-serialized snapshot
+    /// (produced by [`storage::to_json_with_seq`] with `cursor` as its
+    /// `last_seq`, typically under a brief read lock on the live
+    /// database):
     ///
-    /// 1. write the snapshot to a temp file, fsync it and free `json`,
+    /// 1. when given `ontology` — opaque bytes to this crate, the
+    ///    embedder's ontology as of `cursor` — write it over
+    ///    [`DurableDatabase::ontology_path`] (temp file, fsync, rename);
+    /// 2. write the snapshot to a temp file, fsync it and free `json`,
     ///    so only one copy of the snapshot is ever held;
-    /// 2. **verify** it: read the temp file back and run every check a
+    /// 3. **verify** it: read the temp file back and run every check a
     ///    load makes — UTF-8, JSON, version, checksum, header fields,
     ///    each document's id and XML, taken names, duplicate ids, the
     ///    size limit — without building a database. A failure returns
     ///    the load's error and leaves the old snapshot in place;
-    /// 3. rename it over the old snapshot;
-    /// 4. write the pre-built `.seg` index-segment bytes (stamped with
+    /// 4. rename it over the old snapshot;
+    /// 5. write the pre-built `.seg` index-segment bytes (stamped with
     ///    the same `cursor`) as a sidecar — best effort: a failure costs
     ///    the next open a rebuild, never the checkpoint;
-    /// 5. only then truncate the journal, retaining any record with
+    /// 6. only then truncate the journal, retaining any record with
     ///    `seq >= cursor` (appended after serialization), so nothing the
-    ///    snapshot does not contain is ever dropped.
-    ///
-    /// This is the serving checkpoint: its caller has already written
-    /// the ontology sidecar at `cursor`, so the [`JournalOp::AddTerm`]/
-    /// [`JournalOp::AddEdge`] records below `cursor` go with the rest.
-    /// Every other checkpoint ([`DurableWriter::checkpoint`]) keeps them.
+    ///    snapshot does not contain is ever dropped — and, without an
+    ///    `ontology`, every [`JournalOp::AddTerm`]/[`JournalOp::AddEdge`]
+    ///    record with its seq: the snapshot does not hold them.
     ///
     /// A crash or an error at any point leaves a recoverable store:
     /// before the rename the old snapshot + full journal stand; after
     /// it, the new snapshot's cursor makes stale journal records replay
-    /// as no-ops.
+    /// as no-ops. An ontology written at `cursor` covers every ontology
+    /// record below it, whichever snapshot stands.
     pub fn checkpoint_json_seg(
         &mut self,
         json: String,
         cursor: u64,
         segment: Option<&[u8]>,
-    ) -> DbResult<()> {
-        self.fold_journal(json, cursor, segment, false)
-    }
-
-    /// [`DurableWriter::checkpoint_json_seg`]'s steps. `keep_ontology`
-    /// also retains every ontology record below `cursor`, with its seq:
-    /// the snapshot does not hold them (they are store no-ops), and a
-    /// checkpoint that writes no ontology sidecar must leave them for
-    /// the next open to replay past the sidecar's cursor.
-    fn fold_journal(
-        &mut self,
-        json: String,
-        cursor: u64,
-        segment: Option<&[u8]>,
-        keep_ontology: bool,
+        ontology: Option<&str>,
     ) -> DbResult<()> {
         let span = toss_obs::span("xmldb.checkpoint");
+        if let Some(ontology) = ontology {
+            let path = DurableDatabase::ontology_path(&self.snapshot_path);
+            storage::save_json_with_vfs(ontology, &path, &*self.vfs)?;
+        }
         storage::save_verified_json(json, &self.snapshot_path, &*self.vfs)?;
         if let Some(bytes) = segment {
             crate::segidx::write_segment(&*self.vfs, &self.snapshot_path, bytes);
@@ -499,15 +488,15 @@ impl DurableWriter {
         // Every record's seq is below `next_seq`: at that cursor, with
         // no ontology record to keep, there is no tail, and no need to
         // read the journal to find it.
-        let keep_ontology = keep_ontology && self.journal.ontology_count() > 0;
-        let tail: Vec<_> = if cursor >= self.journal.next_seq() && !keep_ontology {
+        let kept_ontology = ontology.is_none() && self.journal.ontology_count() > 0;
+        let tail: Vec<_> = if cursor >= self.journal.next_seq() && !kept_ontology {
             Vec::new()
         } else {
             self.journal
                 .scan_lenient()?
                 .records
                 .into_iter()
-                .filter(|r| r.seq >= cursor || (keep_ontology && r.op.is_ontology()))
+                .filter(|r| r.seq >= cursor || (kept_ontology && r.op.is_ontology()))
                 .collect()
         };
         span.record("retained", tail.len());
@@ -518,13 +507,10 @@ impl DurableWriter {
     }
 
     /// Serialize `db` (stamped with the current cursor) and checkpoint,
-    /// including the `.seg` sidecar. For callers that can hold
-    /// `&Database` across the whole operation, [`DurableDatabase`]
-    /// among them; live servers serialize under a read lock, write the
-    /// ontology sidecar and call [`DurableWriter::checkpoint_json_seg`]
-    /// instead. This checkpoint writes no ontology sidecar, so it keeps
-    /// every [`JournalOp::AddTerm`]/[`JournalOp::AddEdge`] record in the
-    /// journal.
+    /// including the `.seg` sidecar, with no ontology: it keeps every
+    /// [`JournalOp::AddTerm`]/[`JournalOp::AddEdge`] record in the
+    /// journal. An embedder that holds the store's ontology passes it to
+    /// [`DurableWriter::checkpoint_json_seg`] instead.
     pub fn checkpoint(&mut self, db: &Database) -> DbResult<()> {
         self.checkpoint_segment(db).map(drop)
     }
@@ -534,7 +520,7 @@ impl DurableWriter {
         let cursor = self.journal.next_seq();
         let json = storage::to_json_with_seq(db, cursor)?;
         let seg = crate::segidx::build_segment(db, cursor);
-        self.fold_journal(json, cursor, Some(&seg), true)?;
+        self.checkpoint_json_seg(json, cursor, Some(&seg), None)?;
         Ok(seg)
     }
 }
@@ -1267,12 +1253,12 @@ mod tests {
         }
     }
 
-    /// A checkpoint that writes no ontology sidecar keeps the journal's
+    /// A checkpoint with no ontology keeps the journal's
     /// `add_term`/`add_edge` records, with their seqs, through
     /// `DurableDatabase::checkpoint`, `recover_with` and a strict
-    /// reopen; the serving checkpoint (`checkpoint_json_seg`, called
-    /// after the sidecar is written) folds them. With no ontology record
-    /// in the journal, a checkpoint reads no journal bytes.
+    /// reopen; a checkpoint given the ontology writes it to the ontology
+    /// file and folds them. With no ontology record in the journal, a
+    /// checkpoint reads no journal bytes.
     #[test]
     fn sidecar_less_checkpoints_keep_ontology_records_with_their_seqs() {
         let (_fs, inner) = mem();
@@ -1327,7 +1313,7 @@ mod tests {
         assert_eq!(kept(&db), ontology);
         assert_eq!(db.db().collection("c").unwrap().len(), 3);
         drop(db);
-        let db = open_mem(vfs);
+        let db = open_mem(vfs.clone());
         assert_eq!(kept(&db), ontology);
         assert_eq!(db.db().collection("c").unwrap().len(), 3);
 
@@ -1335,8 +1321,13 @@ mod tests {
         let cursor = writer.next_seq();
         assert_eq!(cursor, 6);
         let json = storage::to_json_with_seq(&db, cursor).unwrap();
-        writer.checkpoint_json_seg(json, cursor, None).unwrap();
+        let envelope = r#"{"cursor":6,"seo":{}}"#;
+        writer
+            .checkpoint_json_seg(json, cursor, None, Some(envelope))
+            .unwrap();
         assert!(writer.journal_records().unwrap().is_empty());
+        let ontology = DurableDatabase::ontology_path(Path::new("store.json"));
+        assert_eq!(vfs.read(&ontology).unwrap(), envelope.as_bytes());
     }
 
     #[test]
@@ -1353,11 +1344,13 @@ mod tests {
         // journal still holds everything.
         fs.fail_op(fs.op_count(), FaultMode::Error);
         assert!(writer
-            .checkpoint_json_seg(json.clone(), cursor, None)
+            .checkpoint_json_seg(json.clone(), cursor, None, None)
             .is_err());
         assert_eq!(writer.pending_journal_ops().unwrap(), 2);
         // Unfaulted, the checkpoint lands and truncates.
-        writer.checkpoint_json_seg(json, cursor, None).unwrap();
+        writer
+            .checkpoint_json_seg(json, cursor, None, None)
+            .unwrap();
         assert_eq!(writer.pending_journal_ops().unwrap(), 0);
         fs.crash();
         let db = open_mem(vfs);

@@ -256,24 +256,45 @@ exec 9>&-
 # all three papers and recovers clean
 WRITTEN_OUT=$("$CLI" xpath --db "$SMOKE/store.json" --collection dblp "//inproceedings")
 grep -q "3 match(es)" <<< "$WRITTEN_OUT"
-# and so does the acknowledged edge, for the in-process query too: it
-# opens the store by the same rule as the server (the journal tail past
-# the ontology sidecar beats --seo)
+# the writable open seeded the store's own ontology sidecar
+test -s "$SMOKE/store.ont.json" || { echo "writable open wrote no store.ont.json"; exit 1; }
+# and the acknowledged edge answers the in-process query too: it opens
+# the store by the same rule as the server (the journal tail past the
+# ontology sidecar beats --seo)
 BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
     --collection dblp --root inproceedings --below author=smoke-pioneer)
 grep -q "^1 answer(s)" <<< "$BELOW_OUT"
 WRITTEN_RECOVER_OUT=$("$CLI" db recover --db "$SMOKE/store.json")
 grep -q "store is clean" <<< "$WRITTEN_RECOVER_OUT"
-# recover and checkpoint re-persist the store without writing the
-# ontology sidecar, so they keep the edge's journal record: the query
-# still finds it after each
+# every checkpoint that knows the store's ontology writes it: after
+# recover and after checkpoint the journal holds no ontology record, and
+# the query finds the edge in the sidecar without replaying (no SEA)
 BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
-    --collection dblp --root inproceedings --below author=smoke-pioneer)
+    --collection dblp --root inproceedings --below author=smoke-pioneer \
+    2> "$SMOKE/below.err")
 grep -q "^1 answer(s)" <<< "$BELOW_OUT"
+if grep -q "replayed" "$SMOKE/below.err"; then
+    echo "query replayed ontology records after db recover"; exit 1
+fi
 CHECKPOINT_OUT=$("$CLI" db checkpoint --db "$SMOKE/store.json")
-grep -q "kept 1 ontology record(s)" <<< "$CHECKPOINT_OUT"
+grep -q "journal truncated" <<< "$CHECKPOINT_OUT"
 BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
-    --collection dblp --root inproceedings --below author=smoke-pioneer)
+    --collection dblp --root inproceedings --below author=smoke-pioneer \
+    2> "$SMOKE/below.err")
 grep -q "^1 answer(s)" <<< "$BELOW_OUT"
+if grep -q "replayed" "$SMOKE/below.err"; then
+    echo "query replayed ontology records after db checkpoint"; exit 1
+fi
+# a damaged ontology sidecar is an error naming the file, never a
+# silent fall-back to --seo (the edge's journal record is folded away)
+truncate -s 40 "$SMOKE/store.ont.json"
+set +e
+"$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings --below author=smoke-pioneer \
+    > /dev/null 2> "$SMOKE/damaged.err"
+DAMAGED_EXIT=$?
+set -e
+[ "$DAMAGED_EXIT" = 1 ] || { echo "damaged sidecar: query exited $DAMAGED_EXIT, want 1"; exit 1; }
+grep -q "store.ont.json" "$SMOKE/damaged.err"
 
 echo "==> verify OK"

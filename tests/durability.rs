@@ -540,7 +540,7 @@ fn checkpoint_refuses_an_unloadable_snapshot_before_replacing_the_old_one() {
         toss_xmldb::crc32::crc32(data.as_bytes())
     );
     let err = writer
-        .checkpoint_json_seg(json, cursor, None)
+        .checkpoint_json_seg(json, cursor, None, None)
         .expect_err("a snapshot that does not load must fail the checkpoint");
     assert!(matches!(err, DbError::Parse { .. }), "got {err}");
     drop(writer);

@@ -26,10 +26,11 @@ use std::time::{Duration, Instant};
 use toss_core::Executor;
 use toss_ontology::hierarchy::{from_pairs, Hierarchy};
 use toss_ontology::sea::enhance;
+use toss_ontology::seo::Seo;
 use toss_serve::protocol::{read_frame, write_frame, FrameError, Request};
 use toss_serve::{
-    next_write_key, BudgetClass, Client, ClientError, ErrorCode, OpenStore, QueryRequest,
-    Server, ServerConfig, Service, WriteConfig, WriteOp,
+    next_write_key, BudgetClass, Client, ClientError, Enhancer, ErrorCode, OpenStore,
+    QueryRequest, Server, ServerConfig, Service, WriteConfig, WriteOp,
 };
 use toss_similarity::{Levenshtein, StringMetric};
 use toss_tree::serialize::{tree_to_xml, Style};
@@ -132,18 +133,59 @@ fn seed_writable(vfs: &Arc<FaultVfs>, docs: usize) {
     d.checkpoint().unwrap();
 }
 
+/// SEA under Levenshtein at `epsilon`, as the stores here re-enhance.
+fn levenshtein_enhancer(epsilon: f64) -> Enhancer {
+    Box::new(move |h| enhance(h, &Levenshtein, epsilon).map_err(|e| e.to_string()))
+}
+
 /// Open the seeded store by [`toss_serve::open_store`], the rule every
 /// front door follows, with the chaos SEO as the baseline for a store
 /// that has no ontology sidecar yet; `write` opens it writable.
 fn open_seeded(vfs: &Arc<FaultVfs>, write: Option<WriteConfig>) -> OpenStore {
+    try_open_seeded(vfs, write).unwrap()
+}
+
+/// [`open_seeded`], returning the open's error.
+fn try_open_seeded(vfs: &Arc<FaultVfs>, write: Option<WriteConfig>) -> Result<OpenStore, String> {
     toss_serve::open_store(
         vfs.clone(),
         Path::new(SNAP),
         enhance(&chaos_hierarchy(), &Levenshtein, 1.0).unwrap(),
-        |epsilon| Box::new(move |h| enhance(h, &Levenshtein, epsilon).map_err(|e| e.to_string())),
+        levenshtein_enhancer,
         write,
     )
-    .unwrap()
+}
+
+/// The seeded store opened by `DurableDatabase`, as `toss-cli load`,
+/// `db checkpoint` and `db recover` open it, with the store's own
+/// ontology as `toss-cli` reads it: [`toss_serve::store_ontology`] over
+/// the journal at open, with no baseline.
+fn cli_open(vfs: &Arc<FaultVfs>) -> (DurableDatabase, Result<Option<Seo>, String>) {
+    let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
+    let store = DurableDatabase::open_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs).unwrap();
+    let seo = cli_ontology(vfs, &store);
+    (store, seo)
+}
+
+/// `toss-cli`'s read of the store's own ontology.
+fn cli_ontology(vfs: &Arc<FaultVfs>, store: &DurableDatabase) -> Result<Option<Seo>, String> {
+    let records = store.journal_records().unwrap();
+    let ontology = toss_serve::store_ontology(
+        &**vfs,
+        Path::new(SNAP),
+        &records,
+        None,
+        levenshtein_enhancer,
+    )?;
+    Ok(ontology.map(|o| o.seo))
+}
+
+/// `toss-cli`'s checkpoint: [`toss_serve::checkpoint_store`] with the
+/// store's own ontology. Returns the journal records it kept.
+fn cli_checkpoint(store: DurableDatabase, seo: Option<&Seo>) -> usize {
+    let (db, mut writer) = store.into_parts();
+    toss_serve::checkpoint_store(&mut writer, &db, seo).unwrap();
+    writer.pending_journal_ops().unwrap()
 }
 
 /// An executor over an opened store, probing with the chaos metric.
@@ -871,31 +913,45 @@ fn ontology_writes_grow_the_live_seo_for_below_queries() {
 
 /// One store, one ontology, whichever front door opens it: an edge a
 /// writable server acknowledged answers the same `below` query after a
-/// read-only open of the store — from the journal tail before any
-/// checkpoint, from the ontology sidecar after a `checkpoint` frame has
-/// folded it, and from the journal tail again after the CLI's
-/// `db checkpoint` and `db recover` (`DurableDatabase::checkpoint`, then
-/// `recover_with`), which write no sidecar and so keep the record.
+/// read-only open of the store. Before any checkpoint it comes from the
+/// journal tail past the sidecar the writable open seeded. After every
+/// front door's checkpoint — the `checkpoint` frame, `toss-cli db
+/// checkpoint`, `load` and `db recover` — it comes from the sidecar that
+/// checkpoint wrote, the journal keeps no ontology record, and the open
+/// re-runs no SEA (`replayed == 0`).
 #[test]
 fn read_only_open_serves_the_ontology_the_writable_server_acked() {
     #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Fold {
+    enum Door {
         None,
-        ServingCheckpoint,
-        CheckpointThenRecover,
+        CheckpointFrame,
+        DbCheckpoint,
+        Load,
+        DbRecover,
     }
-    for fold in [
-        Fold::None,
-        Fold::ServingCheckpoint,
-        Fold::CheckpointThenRecover,
+    for door in [
+        Door::None,
+        Door::CheckpointFrame,
+        Door::DbCheckpoint,
+        Door::Load,
+        Door::DbRecover,
     ] {
         let vfs = Arc::new(FaultVfs::new());
         seed_writable(&vfs, 6);
+        let sidecar = toss_serve::sidecar_path(Path::new(SNAP));
+        assert!(
+            !vfs.exists(&sidecar),
+            "a fresh store has no ontology of its own"
+        );
         let wcfg = WriteConfig {
             checkpoint_every: 0, // only the explicit checkpoint frame
             ..WriteConfig::default()
         };
         let server = start_writable(&vfs, ServerConfig::default(), wcfg);
+        assert!(
+            vfs.exists(&sidecar),
+            "the writable open seeds the store's ontology"
+        );
         let mut client = Client::connect(server.local_addr()).unwrap();
         let edge = WriteOp::AddEdge {
             below: "E. Codd".into(),
@@ -905,32 +961,211 @@ fn read_only_open_serves_the_ontology_the_writable_server_acked() {
             .write_keyed(edge, BudgetClass::Interactive, &next_write_key())
             .expect("add_edge commits");
         let mut below = QueryRequest::new("chaos", "inproceedings");
-        below.below.push(("author".into(), "relational-pioneer".into()));
-        let live = client.query(below.clone()).expect("live below query").answers;
+        below
+            .below
+            .push(("author".into(), "relational-pioneer".into()));
+        let live = client
+            .query(below.clone())
+            .expect("live below query")
+            .answers;
         assert_eq!(live, 2, "E. Codd docs resolve below the new term");
-        if fold == Fold::ServingCheckpoint {
+        if door == Door::CheckpointFrame {
             client.checkpoint().expect("checkpoint frame");
-            assert!(vfs.exists(&toss_serve::sidecar_path(Path::new(SNAP))));
         }
         server.shutdown();
-        if fold == Fold::CheckpointThenRecover {
-            let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
-            DurableDatabase::open_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs.clone())
-                .unwrap()
-                .checkpoint()
-                .unwrap();
-            DurableDatabase::recover_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs).unwrap();
-        }
+        let kept = match door {
+            Door::None | Door::CheckpointFrame => None,
+            Door::DbCheckpoint => {
+                let (store, seo) = cli_open(&vfs);
+                Some(cli_checkpoint(store, seo.unwrap().as_ref()))
+            }
+            Door::Load => {
+                let (mut store, seo) = cli_open(&vfs);
+                store
+                    .insert_xml(
+                        "chaos",
+                        "<inproceedings key=\"l1\"><author>Loaded Author</author></inproceedings>",
+                    )
+                    .unwrap();
+                Some(cli_checkpoint(store, seo.unwrap().as_ref()))
+            }
+            Door::DbRecover => {
+                let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
+                let (store, report) =
+                    DurableDatabase::recover_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs)
+                        .unwrap();
+                assert!(report.is_clean(), "{report:?}");
+                let seo = cli_ontology(&vfs, &store).unwrap();
+                Some(cli_checkpoint(store, seo.as_ref()))
+            }
+        };
+        assert_eq!(kept.unwrap_or(0), 0, "{door:?} left journal records");
 
         let opened = open_seeded(&vfs, None);
-        assert!(opened.engine.is_none(), "a read-only open has no write path");
+        assert!(
+            opened.engine.is_none(),
+            "a read-only open has no write path"
+        );
+        let want_replayed = usize::from(door == Door::None);
+        assert_eq!(opened.replayed, want_replayed, "replayed after {door:?}");
         let service = Service::new(
             Arc::new(RwLock::new(chaos_executor(opened))),
             &ServerConfig::default(),
         )
         .unwrap();
         let out = service.query(&below).result.expect("read-only below query");
-        assert_eq!(out.forest.len(), live, "folded by: {fold:?}");
+        assert_eq!(out.forest.len(), live, "checkpointed by: {door:?}");
+    }
+}
+
+/// A damaged ontology sidecar is an error, as a damaged snapshot is:
+/// after a checkpoint folded the acked edge into the sidecar, its
+/// journal record is gone, so an open that fell back to the baseline
+/// would silently drop the edge. Every open — read-only, writable, the
+/// CLI's read of the store's ontology — fails naming the file, and the
+/// writable open's seed does not overwrite it.
+#[test]
+fn a_damaged_ontology_sidecar_fails_every_open_and_is_never_overwritten() {
+    let vfs = Arc::new(FaultVfs::new());
+    seed_writable(&vfs, 6);
+    let wcfg = WriteConfig {
+        checkpoint_every: 0,
+        ..WriteConfig::default()
+    };
+    let server = start_writable(&vfs, ServerConfig::default(), wcfg);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .write_keyed(
+            WriteOp::AddEdge {
+                below: "E. Codd".into(),
+                above: "relational-pioneer".into(),
+            },
+            BudgetClass::Interactive,
+            &next_write_key(),
+        )
+        .expect("add_edge commits");
+    client.checkpoint().expect("checkpoint frame");
+    server.shutdown();
+
+    let sidecar = toss_serve::sidecar_path(Path::new(SNAP));
+    let mut damaged = vfs.read(&sidecar).unwrap();
+    damaged.truncate(40);
+    vfs.corrupt(&sidecar, damaged.clone());
+    let names_the_file = |err: String| {
+        assert!(err.contains(&sidecar.display().to_string()), "{err}");
+    };
+    names_the_file(
+        try_open_seeded(&vfs, None)
+            .err()
+            .expect("read-only open fails"),
+    );
+    names_the_file(
+        try_open_seeded(&vfs, Some(WriteConfig::default()))
+            .err()
+            .expect("writable open fails"),
+    );
+    names_the_file(cli_open(&vfs).1.expect_err("the CLI's read fails"));
+    assert_eq!(
+        vfs.read(&sidecar).unwrap(),
+        damaged,
+        "no open rewrote the sidecar"
+    );
+    assert!(toss_serve::load_sidecar(&*vfs, Path::new(SNAP)).is_none());
+}
+
+/// Fault sweep over one checkpoint that carries the ontology: every I/O
+/// op it makes — the sidecar's temp write, fsync and rename, the
+/// snapshot's write, fsync and rename (its verify reads between them),
+/// the `.seg` write and fsync, the journal rewrite — fails in turn, and
+/// the process is killed after each. After a crash and a reopen, the
+/// acked insert and the acked `add_edge` answer, nothing phantom
+/// appears, and the edge is in the replayed journal tail or in the
+/// sidecar — never in neither.
+#[test]
+fn every_fault_in_an_ontology_checkpoint_keeps_the_acked_writes() {
+    let insert = toss_xmldb::JournalOp::Insert {
+        collection: "chaos".into(),
+        xml: "<inproceedings key=\"s1\"><author>Sweep Author</author></inproceedings>".into(),
+    };
+    let edge = toss_xmldb::JournalOp::AddEdge {
+        below: "E. Codd".into(),
+        above: "relational-pioneer".into(),
+    };
+    // A writable open, one acked batch (an insert and the edge), and the
+    // checkpoint as the writer thread runs it; `arm` injects the fault
+    // once the batch is acked. Returns the checkpoint's result and how
+    // many mutating ops it made.
+    let run = |vfs: &Arc<FaultVfs>, arm: &dyn Fn(usize)| {
+        seed_writable(vfs, 6);
+        let mut opened = open_seeded(vfs, Some(WriteConfig::default()));
+        let mut engine = opened.engine.take().unwrap();
+        engine
+            .writer
+            .append_batch(&[insert.clone(), edge.clone()])
+            .expect("acked");
+        toss_xmldb::apply_op(&mut opened.db, &insert).unwrap();
+        engine
+            .hierarchy
+            .add_leq("E. Codd", "relational-pioneer")
+            .unwrap();
+        let seo = (engine.enhancer)(&engine.hierarchy).unwrap();
+        let start = vfs.op_count();
+        arm(start);
+        let result = toss_serve::checkpoint_store(&mut engine.writer, &opened.db, Some(&seo));
+        (result, vfs.op_count() - start)
+    };
+    let clean = Arc::new(FaultVfs::new());
+    let (result, ops) = run(&clean, &|_| {});
+    result.expect("an unfaulted checkpoint lands");
+    assert_eq!(
+        ops, 11,
+        "sidecar 3 + snapshot 3 + .seg 2 + journal rewrite 3"
+    );
+
+    let mut below = QueryRequest::new("chaos", "inproceedings");
+    below
+        .below
+        .push(("author".into(), "relational-pioneer".into()));
+    for k in 0..=ops {
+        for kill in [false, true] {
+            if k == ops && !kill {
+                continue; // a one-shot fault past the last op never fires
+            }
+            let vfs = Arc::new(FaultVfs::new());
+            // the checkpoint fails, or lands when only the best-effort
+            // `.seg` write was hit; either way it must leave the writes
+            let _ = run(&vfs, &|start| {
+                if kill {
+                    vfs.fail_from(start + k, FaultMode::Error);
+                } else {
+                    vfs.fail_op(start + k, FaultMode::Error);
+                }
+            });
+            vfs.crash();
+            let case = if kill { "killed after op" } else { "failed op" };
+            let opened = try_open_seeded(&vfs, None)
+                .unwrap_or_else(|e| panic!("{case} {k}: reopen failed: {e}"));
+            let in_sidecar = toss_serve::load_sidecar(&*vfs, Path::new(SNAP))
+                .is_some_and(|(_, seo)| seo.original().leq_terms("E. Codd", "relational-pioneer"));
+            assert!(
+                opened.replayed > 0 || in_sidecar,
+                "{case} {k}: the edge is in neither the journal tail nor the sidecar"
+            );
+            assert_eq!(
+                opened.db.collection("chaos").unwrap().len(),
+                7,
+                "{case} {k}"
+            );
+            let service = Service::new(
+                Arc::new(RwLock::new(chaos_executor(opened))),
+                &ServerConfig::default(),
+            )
+            .unwrap();
+            let sweep = service.query(&eq_query("Sweep Author")).result.unwrap();
+            assert_eq!(sweep.forest.len(), 1, "{case} {k}: the acked insert");
+            let found = service.query(&below).result.unwrap();
+            assert_eq!(found.forest.len(), 2, "{case} {k}: the acked edge");
+        }
     }
 }
 
