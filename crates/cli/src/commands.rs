@@ -18,7 +18,7 @@ use toss_similarity::combinators::{MinOf, MultiWordGate};
 use toss_similarity::{Levenshtein, NameRules, StringMetric};
 use toss_tree::serialize::{tree_to_xml, Style};
 use toss_tree::Forest;
-use toss_xmldb::{Database, DatabaseConfig, DurableDatabase, StdVfs, XPath};
+use toss_xmldb::{Database, DatabaseConfig, DurableDatabase, JournalRecord, StdVfs, XPath};
 
 /// Usage text shown on errors.
 pub const USAGE: &str = "\
@@ -202,11 +202,11 @@ fn enhancer(epsilon: f64) -> Enhancer {
 }
 
 /// The store's own ontology ([`toss_serve::store_ontology`]: its sidecar
-/// plus the journal's ontology tail); `None` for a store with no sidecar.
-fn own_ontology(db_path: &str, store: &DurableDatabase) -> Result<Option<Seo>, String> {
-    let records = store.journal_records().map_err(|e| e.to_string())?;
+/// plus the ontology tail of the journal `records` its open replayed);
+/// `None` for a store with no sidecar.
+fn own_ontology(db_path: &str, records: &[JournalRecord]) -> Result<Option<Seo>, String> {
     let ontology =
-        toss_serve::store_ontology(&StdVfs, Path::new(db_path), &records, None, enhancer)?;
+        toss_serve::store_ontology(&StdVfs, Path::new(db_path), records, None, enhancer)?;
     Ok(ontology.map(|o| o.seo))
 }
 
@@ -323,9 +323,10 @@ fn cmd_load(argv: &[String]) -> Result<(), String> {
     // mid-load keeps the documents inserted so far; the final checkpoint
     // folds the journal into a fresh atomic snapshot, with the store's
     // ontology, read before the first insert.
-    let mut db = DurableDatabase::open(db_path.as_str(), DatabaseConfig::unlimited())
-        .map_err(|e| e.to_string())?;
-    let seo = own_ontology(&db_path, &db)?;
+    let (mut db, records) =
+        DurableDatabase::open_with(db_path.as_str(), DatabaseConfig::unlimited(), Arc::new(StdVfs))
+            .map_err(|e| e.to_string())?;
+    let seo = own_ontology(&db_path, &records)?;
     if db.db().collection(&coll_name).is_err() {
         db.create_collection(&coll_name).map_err(|e| e.to_string())?;
     }
@@ -358,10 +359,11 @@ fn cmd_db(argv: &[String]) -> Result<(), String> {
     let db_path = args.required("db")?;
     match action.as_str() {
         "checkpoint" => {
-            let db = DurableDatabase::open(db_path, DatabaseConfig::unlimited())
-                .map_err(|e| e.to_string())?;
+            let (db, records) =
+                DurableDatabase::open_with(db_path, DatabaseConfig::unlimited(), Arc::new(StdVfs))
+                    .map_err(|e| e.to_string())?;
             let pending = db.pending_journal_ops().map_err(|e| e.to_string())?;
-            let seo = own_ontology(db_path, &db)?;
+            let seo = own_ontology(db_path, &records)?;
             let (db, mut writer) = db.into_parts();
             toss_serve::checkpoint_store(&mut writer, &db, seo.as_ref())?;
             let kept = writer.pending_journal_ops().map_err(|e| e.to_string())?;
@@ -377,19 +379,17 @@ fn cmd_db(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "recover" => {
-            let (db, report) = DurableDatabase::recover_with(
+            let (db, records, report) = DurableDatabase::recover_with(
                 db_path,
                 DatabaseConfig::unlimited(),
                 Arc::new(StdVfs),
             )
             .map_err(|e| e.to_string())?;
-            // recovery re-persists with no ontology, keeping its records;
-            // a store with its own ontology folds them into its sidecar
-            let seo = own_ontology(db_path, &db)?;
+            // the one checkpoint makes the recovered state durable again,
+            // with the store's own ontology when it has one
+            let seo = own_ontology(db_path, &records)?;
             let (db, mut writer) = db.into_parts();
-            if seo.is_some() {
-                toss_serve::checkpoint_store(&mut writer, &db, seo.as_ref())?;
-            }
+            toss_serve::checkpoint_store(&mut writer, &db, seo.as_ref())?;
             if report.is_clean() {
                 println!("store is clean: nothing to repair");
             }

@@ -48,9 +48,8 @@ pub fn open_store(
 ) -> Result<OpenStore, String> {
     let config = DatabaseConfig::unlimited();
     let (db, records, writer) = if write.is_some() {
-        let durable =
+        let (durable, records) =
             DurableDatabase::open_with(snapshot, config, vfs.clone()).map_err(|e| e.to_string())?;
-        let records = durable.journal_records().map_err(|e| e.to_string())?;
         let (db, writer) = durable.into_parts();
         (db, records, Some(writer))
     } else {

@@ -16,17 +16,20 @@
 //! idempotent, so a crash between those two steps merely leaves records
 //! that the next replay skips.
 //!
-//! [`DurableDatabase::open`] is *strict*: damaged bytes surface as
-//! [`DbError::Corruption`] and nothing is guessed.
-//! [`DurableDatabase::recover_with`] is *lenient*: it quarantines damaged
-//! files, rebuilds the best state reachable from the valid snapshot and
-//! journal prefix, makes that state durable again, and reports exactly
-//! what was lost in a [`RecoveryReport`].
+//! Each open reads the journal once and returns the records it
+//! scanned. [`DurableDatabase::open_with`] is *strict*: damaged bytes
+//! surface as [`DbError::Corruption`] and nothing is guessed;
+//! [`DurableDatabase::open_read_only_with`] is as strict and writes
+//! nothing. [`DurableDatabase::recover_with`] is *lenient*: it
+//! quarantines damaged files, rebuilds the best state reachable from
+//! the valid snapshot and journal prefix, and reports exactly what was
+//! lost in a [`RecoveryReport`]; the caller's checkpoint then makes that
+//! state durable again.
 
 use crate::collection::check_size_limit;
 use crate::database::{Database, DatabaseConfig};
 use crate::error::{DbError, DbResult};
-use crate::journal::{Journal, JournalOp, JournalRecord};
+use crate::journal::{Journal, JournalOp, JournalRecord, JournalScan};
 use crate::segidx::Segment;
 use crate::storage;
 use crate::vfs::{StdVfs, Vfs};
@@ -122,37 +125,28 @@ impl DurableDatabase {
     /// Open (or create) a durable database on the real filesystem.
     /// `config` applies only when no snapshot exists yet.
     pub fn open(snapshot: impl Into<PathBuf>, config: DatabaseConfig) -> DbResult<Self> {
-        Self::open_with(snapshot, config, Arc::new(StdVfs))
+        Self::open_with(snapshot, config, Arc::new(StdVfs)).map(|(this, _)| this)
     }
 
     /// Open against an explicit [`Vfs`] (the fault-injection harness uses
-    /// this). Strict: corruption anywhere fails the open; only a torn
-    /// journal tail — the normal residue of a crashed append — is
-    /// tolerated, and it is trimmed before the call returns.
+    /// this), returning the journal records the open scanned. Strict:
+    /// corruption anywhere fails the open; only a torn journal tail — the
+    /// normal residue of a crashed append — is tolerated, and it is
+    /// trimmed before the call returns.
     pub fn open_with(
         snapshot: impl Into<PathBuf>,
         config: DatabaseConfig,
         vfs: Arc<dyn Vfs>,
-    ) -> DbResult<Self> {
+    ) -> DbResult<(Self, Vec<JournalRecord>)> {
         let snapshot_path = snapshot.into();
-        let (db, cursor, frozen) =
-            load_snapshot(&snapshot_path, &*vfs)?.unwrap_or_else(|| empty(config));
-        // Journal::open trims any torn tail itself, so the strict scan
-        // below only fails on genuine corruption.
-        let mut journal = Journal::open(Self::wal_path(&snapshot_path), vfs.clone())?;
-        journal.bump_seq(cursor);
-        let scan = journal.scan()?;
-        let mut this = DurableDatabase {
-            db,
-            writer: DurableWriter {
-                journal,
-                snapshot_path,
-                vfs,
-            },
+        let journal = |wal: &Path, cursor| Journal::open(wal, vfs.clone(), cursor);
+        let (db, journal, records) = load(&snapshot_path, config, &*vfs, None, journal)?;
+        let writer = DurableWriter {
+            journal,
+            snapshot_path,
+            vfs,
         };
-        replay(&mut this.db, &scan.records, cursor)?;
-        publish_index_gauges(&this.db, frozen);
-        Ok(this)
+        Ok((DurableDatabase { db, writer }, records))
     }
 
     /// Load the committed state through `vfs` **without mutating any
@@ -166,83 +160,38 @@ impl DurableDatabase {
         snapshot: &Path,
         config: DatabaseConfig,
         vfs: &dyn Vfs,
-    ) -> DbResult<(Database, Vec<crate::journal::JournalRecord>)> {
-        let (mut db, cursor, frozen) =
-            load_snapshot(snapshot, vfs)?.unwrap_or_else(|| empty(config));
-        let scan = Journal::scan_file(&Self::wal_path(snapshot), vfs)?;
-        if let Some(err) = scan.corruption {
-            return Err(err);
-        }
-        replay(&mut db, &scan.records, cursor)?;
-        publish_index_gauges(&db, frozen);
-        Ok((db, scan.records))
+    ) -> DbResult<(Database, Vec<JournalRecord>)> {
+        let journal = |wal: &Path, _| Ok(((), Journal::scan_file(wal, vfs)?));
+        let (db, (), records) = load(snapshot, config, vfs, None, journal)?;
+        Ok((db, records))
     }
 
     /// Lenient recovery against an explicit [`Vfs`]: fall back to the
-    /// last valid state, quarantine damaged files, re-persist the
-    /// recovered state (checkpoint), and report what happened. Only I/O
-    /// failures can make this return `Err`.
+    /// last valid state, quarantine damaged files, and report what
+    /// happened, beside the journal records it scanned. Only I/O
+    /// failures can make this return `Err`. It writes no snapshot: the
+    /// caller's checkpoint makes the recovered state durable again.
     pub fn recover_with(
         snapshot: impl Into<PathBuf>,
         config: DatabaseConfig,
         vfs: Arc<dyn Vfs>,
-    ) -> DbResult<(Self, RecoveryReport)> {
+    ) -> DbResult<(Self, Vec<JournalRecord>, RecoveryReport)> {
         let span = toss_obs::span("xmldb.recover");
         let snapshot_path = snapshot.into();
         let mut report = RecoveryReport::default();
-        let (db, cursor, frozen) = match load_snapshot(&snapshot_path, &*vfs) {
-            Ok(Some(loaded)) => {
-                report.snapshot_loaded = true;
-                loaded
-            }
-            Ok(None) => empty(config),
-            Err(err) => {
-                // Only the snapshot is quarantined — the `.seg` sidecar
-                // is derived data; a damaged one is simply ignored and
-                // overwritten by the next checkpoint.
-                quarantine(&*vfs, &snapshot_path, &mut report);
-                report.snapshot_error = Some(err);
-                empty(config)
-            }
-        };
-        let wal = Self::wal_path(&snapshot_path);
-        // Scan before Journal::open so the report (and any quarantine
-        // copy) captures the file as the crash left it — open itself
-        // trims torn tails.
-        let scan = Journal::scan_file(&wal, &*vfs)?;
-        if scan.corruption.is_some() {
-            quarantine(&*vfs, &wal, &mut report);
-        }
-        report.journal_error = scan.corruption;
-        report.torn_tail_bytes = scan.torn_tail_bytes;
-        let mut journal = Journal::open(wal, vfs.clone())?;
-        journal.bump_seq(cursor);
-        let mut this = DurableDatabase {
-            db,
-            writer: DurableWriter {
-                journal,
-                snapshot_path,
-                vfs,
-            },
-        };
-        // lenient, unlike `replay`: an op that no longer applies is
-        // reported and skipped
-        for rec in scan.records.iter().filter(|rec| rec.seq >= cursor) {
-            let checked = BatchValidator::replaying(&this.db).check(&rec.op);
-            match checked.and_then(|()| apply_op(&mut this.db, &rec.op)) {
-                Ok(_) => report.replayed_ops += 1,
-                Err(err) => report.skipped_ops.push((rec.seq, err)),
-            }
-        }
-        // Make the recovered state durable again: fresh snapshot, clean
-        // journal. After this, a plain strict open succeeds.
-        this.checkpoint()?;
-        publish_index_gauges(&this.db, frozen);
+        let journal = |wal: &Path, cursor| Journal::open(wal, vfs.clone(), cursor);
+        let (db, journal, records) =
+            load(&snapshot_path, config, &*vfs, Some(&mut report), journal)?;
         report.publish_metrics();
         span.record("replayed_ops", report.replayed_ops);
         span.record("clean", report.is_clean());
         drop(span);
-        Ok((this, report))
+        let writer = DurableWriter {
+            journal,
+            snapshot_path,
+            vfs,
+        };
+        Ok((DurableDatabase { db, writer }, records, report))
     }
 
     /// The underlying database (for queries).
@@ -340,11 +289,10 @@ impl DurableDatabase {
         apply_op(&mut self.db, &op)
     }
 
-    /// The journal's current records (strict scan). Callers that keep
-    /// state *outside* the [`Database`] — a serving ontology fed by
-    /// [`JournalOp::AddTerm`]/[`JournalOp::AddEdge`] — replay the
-    /// relevant ops from here on startup.
-    pub fn journal_records(&self) -> DbResult<Vec<crate::journal::JournalRecord>> {
+    /// The journal's current records (a strict scan, which re-reads the
+    /// whole file). An open already returns the records it replayed;
+    /// this is for a caller that opened by [`DurableDatabase::open`].
+    pub fn journal_records(&self) -> DbResult<Vec<JournalRecord>> {
         self.writer.journal_records()
     }
 
@@ -400,10 +348,9 @@ impl DurableWriter {
         self.journal.append_batch_keyed(ops)
     }
 
-    /// The journal's current records (strict scan). The serving layer
-    /// replays the ontology tail and reseeds its idempotency dedupe
-    /// table from here on startup.
-    pub fn journal_records(&self) -> DbResult<Vec<crate::journal::JournalRecord>> {
+    /// The journal's current records (strict scan). A starting server
+    /// reseeds its idempotency dedupe table from here.
+    pub fn journal_records(&self) -> DbResult<Vec<JournalRecord>> {
         Ok(self.journal.scan()?.records)
     }
 
@@ -720,15 +667,61 @@ fn empty(config: DatabaseConfig) -> Loaded {
     (Database::with_config(config), 0, 0)
 }
 
-/// Strict replay: apply every journal record from `cursor` on (earlier
-/// ones are already folded into the snapshot), failing on the first op
-/// that no longer validates or applies.
-fn replay(db: &mut Database, records: &[JournalRecord], cursor: u64) -> DbResult<()> {
-    for rec in records.iter().filter(|rec| rec.seq >= cursor) {
-        BatchValidator::replaying(db).check(&rec.op)?;
-        apply_op(db, &rec.op)?;
+/// The one loader behind every open: load the snapshot (or start empty
+/// under `config`), open the `.wal` by `journal` at the snapshot's
+/// cursor and replay its scan from there, then publish the index
+/// gauges. Strict with no `report`: a damaged snapshot, journal
+/// corruption or an op that no longer applies fails the load. Lenient
+/// with one: a damaged snapshot or journal is quarantined (never the
+/// derived `.seg`, which the next checkpoint overwrites), replay stops
+/// at the journal's valid prefix and skips what no longer applies, and
+/// the report records it all.
+fn load<J>(
+    snapshot: &Path,
+    config: DatabaseConfig,
+    vfs: &dyn Vfs,
+    mut report: Option<&mut RecoveryReport>,
+    journal: impl FnOnce(&Path, u64) -> DbResult<(J, JournalScan)>,
+) -> DbResult<(Database, J, Vec<JournalRecord>)> {
+    let (mut db, cursor, frozen) = match (load_snapshot(snapshot, vfs), report.as_deref_mut()) {
+        (Ok(loaded), report) => {
+            if let Some(report) = report {
+                report.snapshot_loaded = loaded.is_some();
+            }
+            loaded.unwrap_or_else(|| empty(config))
+        }
+        (Err(err), Some(report)) => {
+            quarantine(vfs, snapshot, report);
+            report.snapshot_error = Some(err);
+            empty(config)
+        }
+        (Err(err), None) => return Err(err),
+    };
+    // an open leaves a corrupt journal as it found it, for the quarantine
+    let wal = DurableDatabase::wal_path(snapshot);
+    let (opened, scan) = journal(&wal, cursor)?;
+    match (scan.corruption, report.as_deref_mut()) {
+        (Some(err), None) => return Err(err),
+        (corruption, Some(report)) => {
+            if corruption.is_some() {
+                quarantine(vfs, &wal, report);
+            }
+            report.journal_error = corruption;
+            report.torn_tail_bytes = scan.torn_tail_bytes;
+        }
+        (None, None) => {}
     }
-    Ok(())
+    for rec in scan.records.iter().filter(|rec| rec.seq >= cursor) {
+        let checked = BatchValidator::replaying(&db).check(&rec.op);
+        match (checked.and_then(|()| apply_op(&mut db, &rec.op)), report.as_deref_mut()) {
+            (Ok(_), Some(report)) => report.replayed_ops += 1,
+            (Ok(_), None) => {}
+            (Err(err), Some(report)) => report.skipped_ops.push((rec.seq, err)),
+            (Err(err), None) => return Err(err),
+        }
+    }
+    publish_index_gauges(&db, frozen);
+    Ok((db, opened, scan.records))
 }
 
 /// Publish the index-footprint gauges after a cold open.
@@ -836,7 +829,7 @@ mod tests {
     }
 
     fn open_mem(vfs: Arc<dyn Vfs>) -> DurableDatabase {
-        DurableDatabase::open_with("store.json", DatabaseConfig::unlimited(), vfs).unwrap()
+        DurableDatabase::open_with("store.json", DatabaseConfig::unlimited(), vfs).unwrap().0
     }
 
     #[test]
@@ -911,7 +904,8 @@ mod tests {
             },
             vfs.clone(),
         )
-        .unwrap();
+        .unwrap()
+        .0;
         db.create_collection("tiny").unwrap();
         db.insert_xml("tiny", "<a><b>123456</b></a>").unwrap(); // 20 bytes
         let err = db.insert_xml("tiny", "<a><b>123456</b></a>").unwrap_err();
@@ -923,7 +917,8 @@ mod tests {
             DatabaseConfig::unlimited(),
             vfs,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(db.db().collection("tiny").unwrap().len(), 1);
     }
 
@@ -952,12 +947,12 @@ mod tests {
             db.checkpoint().unwrap();
         }
         fs.corrupt(Path::new("store.json"), b"first garbage".to_vec());
-        let (_, r1) =
+        let (_, _, r1) =
             DurableDatabase::recover_with("store.json", DatabaseConfig::unlimited(), vfs.clone())
                 .unwrap();
         assert_eq!(r1.quarantined, vec![PathBuf::from("store.json.corrupt")]);
         fs.corrupt(Path::new("store.json"), b"second garbage".to_vec());
-        let (_, r2) =
+        let (_, _, r2) =
             DurableDatabase::recover_with("store.json", DatabaseConfig::unlimited(), vfs.clone())
                 .unwrap();
         assert_eq!(r2.quarantined, vec![PathBuf::from("store.json.corrupt.1")]);
@@ -1076,7 +1071,7 @@ mod tests {
         };
         let mut store = open_mem(vfs.clone());
         assert_eq!(stored(store.db()), [deeper.clone(), deep.clone()]);
-        let (recovered, report) =
+        let (recovered, _, report) =
             DurableDatabase::recover_with("store.json", DatabaseConfig::unlimited(), vfs).unwrap();
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(stored(recovered.db()), [deeper.clone(), deep.clone()]);
@@ -1305,11 +1300,12 @@ mod tests {
         assert_eq!(kept(&db), expected);
         drop(db);
 
-        // recovery replays the insert and re-persists, keeping both
-        let (db, report) =
+        // recovery replays the insert; its caller's checkpoint keeps both
+        let (mut db, _, report) =
             DurableDatabase::recover_with("store.json", DatabaseConfig::unlimited(), vfs.clone())
                 .unwrap();
         assert_eq!((report.replayed_ops, report.skipped_ops.len()), (1, 0));
+        db.checkpoint().unwrap();
         assert_eq!(kept(&db), ontology);
         assert_eq!(db.db().collection("c").unwrap().len(), 3);
         drop(db);
@@ -1414,7 +1410,7 @@ mod tests {
         assert!(matches!(err, DbError::Corruption { .. }));
         // Lenient recovery falls back to the journal suffix only (the
         // snapshot's contents are gone) and quarantines the bad file.
-        let (db, report) =
+        let (mut db, _, report) =
             DurableDatabase::recover_with("store.json", DatabaseConfig::unlimited(), vfs.clone())
                 .unwrap();
         assert!(report.snapshot_error.is_some());
@@ -1428,7 +1424,8 @@ mod tests {
             DbError::NoSuchCollection(_)
         ));
         assert!(db.db().collection("c").is_err());
-        // Recovery re-persisted: a strict open now succeeds.
+        // The caller's checkpoint re-persists: a strict open now succeeds.
+        db.checkpoint().unwrap();
         drop(db);
         DurableDatabase::open_with("store.json", DatabaseConfig::unlimited(), vfs).unwrap();
     }

@@ -315,14 +315,21 @@ impl std::fmt::Debug for Journal {
 }
 
 impl Journal {
-    /// Open (creating if needed) the journal at `path`. A brand-new file
-    /// gets the magic header written and synced immediately. The next
-    /// sequence number continues after the last valid record on disk. A
-    /// torn tail (the residue of a crashed append) is trimmed right
+    /// Open (creating if needed) the journal at `path`, returning it with
+    /// the lenient scan of the file as found — the open's one read. A
+    /// brand-new file gets the magic header written and synced
+    /// immediately. The next sequence number continues after the last
+    /// valid record on disk, and is at least `min_next` (a snapshot's
+    /// cursor, which may be ahead of a journal its checkpoint emptied).
+    /// A torn tail (the residue of a crashed append) is trimmed right
     /// here, so appends always land on a record boundary; a corrupt
     /// suffix is left in place for forensics, but poisons the journal
     /// against appends until it is rewritten.
-    pub(crate) fn open(path: impl Into<PathBuf>, vfs: Arc<dyn Vfs>) -> DbResult<Journal> {
+    pub(crate) fn open(
+        path: impl Into<PathBuf>,
+        vfs: Arc<dyn Vfs>,
+        min_next: u64,
+    ) -> DbResult<(Journal, JournalScan)> {
         let mut journal = Journal {
             path: path.into(),
             vfs,
@@ -332,35 +339,26 @@ impl Journal {
             record_count: 0,
             ontology_count: 0,
         };
-        if journal.vfs.exists(&journal.path) {
-            let scan = journal.scan_lenient()?;
-            journal.next_seq = scan.records.last().map(|r| r.seq + 1).unwrap_or(0);
-            journal.good_len = scan.valid_bytes;
-            journal.record_count = scan.records.len();
-            journal.ontology_count = ontology_count(&scan.records);
-            if scan.corruption.is_some() {
-                journal.poisoned = true;
-            } else if scan.torn_tail_bytes > 0 || scan.valid_bytes < JOURNAL_MAGIC.len() {
-                // Torn tail, or a file too short to even hold the magic
-                // (e.g. created empty): rewrite to the clean prefix.
-                journal.rewrite(&scan.records)?;
-            }
-        } else {
-            journal.rewrite(&[])?;
+        let exists = journal.vfs.exists(&journal.path);
+        // a missing file scans as the bare magic: no records
+        let scan = journal.scan_lenient()?;
+        journal.next_seq = scan.records.last().map_or(0, |r| r.seq + 1).max(min_next);
+        journal.good_len = scan.valid_bytes;
+        journal.record_count = scan.records.len();
+        journal.ontology_count = ontology_count(&scan.records);
+        if scan.corruption.is_some() {
+            journal.poisoned = true;
+        } else if !exists || scan.torn_tail_bytes > 0 || scan.valid_bytes < JOURNAL_MAGIC.len() {
+            // A new file, a torn tail, or a file too short to even hold
+            // the magic (e.g. created empty): rewrite to the clean prefix.
+            journal.rewrite(&scan.records)?;
         }
-        Ok(journal)
+        Ok((journal, scan))
     }
 
     /// The sequence number the next append will use.
     pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Raise the next sequence number to at least `min_next`. Used after
-    /// loading a snapshot whose cursor is ahead of the (reset) journal,
-    /// so fresh appends are never numbered below the snapshot cursor.
-    pub(crate) fn bump_seq(&mut self, min_next: u64) {
-        self.next_seq = self.next_seq.max(min_next);
     }
 
     /// Append one operation and fsync, returning its sequence number.
@@ -717,7 +715,7 @@ mod tests {
     #[test]
     fn the_journal_format_is_pinned() {
         let (_fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         j.append_batch_keyed(&[
             (
                 JournalOp::CreateCollection {
@@ -761,7 +759,7 @@ mod tests {
     #[test]
     fn keyed_batch_keys_survive_scan_rewrite_and_crash() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         let keyed: Vec<(JournalOp, Option<String>)> = sample_ops()
             .into_iter()
             .enumerate()
@@ -781,14 +779,14 @@ mod tests {
         j.rewrite(&records).unwrap();
         check(&j);
         fs.crash();
-        let j = Journal::open("db.wal", vfs).unwrap();
+        let j = Journal::open("db.wal", vfs, 0).unwrap().0;
         check(&j);
     }
 
     #[test]
     fn record_count_tracks_appends_and_rewrites_without_scanning() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         assert_eq!(j.record_count(), 0);
         j.append(&sample_ops()[0]).unwrap();
         j.append_batch(&sample_ops()[1..4]).unwrap();
@@ -806,14 +804,14 @@ mod tests {
         // Reopen recomputes the count from the file.
         j.append(&sample_ops()[0]).unwrap();
         fs.crash();
-        let j = Journal::open("db.wal", vfs).unwrap();
+        let j = Journal::open("db.wal", vfs, 0).unwrap().0;
         assert_eq!(j.record_count(), 1);
     }
 
     #[test]
     fn ontology_count_tracks_appends_rewrites_and_reopens() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         j.append_batch(&sample_ops()[..5]).unwrap();
         assert_eq!(j.ontology_count(), 0);
         // sample ops 5 and 6 are the add_term and add_edge
@@ -826,14 +824,14 @@ mod tests {
         j.rewrite(&records[6..]).unwrap();
         assert_eq!((j.record_count(), j.ontology_count()), (2, 1));
         fs.crash();
-        let j = Journal::open("db.wal", vfs).unwrap();
+        let j = Journal::open("db.wal", vfs, 0).unwrap().0;
         assert_eq!((j.record_count(), j.ontology_count()), (2, 1));
     }
 
     #[test]
     fn append_scan_round_trip_with_sequences() {
         let (_fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs).unwrap();
+        let mut j = Journal::open("db.wal", vfs, 0).unwrap().0;
         for (i, op) in sample_ops().iter().enumerate() {
             assert_eq!(j.append(op).unwrap(), i as u64);
         }
@@ -849,7 +847,7 @@ mod tests {
     #[test]
     fn batch_append_is_one_fsync_and_scans_identically() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         let before = fs.op_count();
         let seqs = j.append_batch(&sample_ops()).unwrap();
         // One append + one sync, regardless of batch size.
@@ -859,7 +857,7 @@ mod tests {
         assert!(j.append_batch(&[]).unwrap().is_empty());
         // The batch is durable: it survives a crash.
         fs.crash();
-        let j = Journal::open("db.wal", vfs).unwrap();
+        let j = Journal::open("db.wal", vfs, 0).unwrap().0;
         assert_eq!(ops_of(&j.scan().unwrap()), sample_ops());
         assert_eq!(j.next_seq(), sample_ops().len() as u64);
     }
@@ -867,7 +865,7 @@ mod tests {
     #[test]
     fn failed_batch_consumes_nothing_and_repairs() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         j.append(&sample_ops()[0]).unwrap();
         fs.fail_op(fs.op_count(), FaultMode::Tear { keep: 11 });
         assert!(j.append_batch(&sample_ops()[1..3]).is_err());
@@ -880,12 +878,12 @@ mod tests {
     #[test]
     fn appends_survive_crash_and_seq_continues() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         for op in sample_ops() {
             j.append(&op).unwrap();
         }
         fs.crash();
-        let j = Journal::open("db.wal", vfs).unwrap();
+        let j = Journal::open("db.wal", vfs, 0).unwrap().0;
         assert_eq!(ops_of(&j.scan().unwrap()), sample_ops());
         assert_eq!(j.next_seq(), sample_ops().len() as u64);
     }
@@ -896,7 +894,7 @@ mod tests {
         // failure path repairs itself immediately, so model the crash
         // residue directly on the durable image.)
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         j.append(&sample_ops()[0]).unwrap();
         let mut bytes = vfs.read(Path::new("db.wal")).unwrap();
         bytes.extend_from_slice(&[7, 7, 7, 7, 7]); // 5 torn bytes
@@ -907,7 +905,7 @@ mod tests {
         assert_eq!(scan.torn_tail_bytes, 5);
         assert!(scan.corruption.is_none());
         // Open trims the tail; the scan afterwards is clean.
-        let scan = Journal::open("db.wal", vfs).unwrap().scan().unwrap();
+        let scan = Journal::open("db.wal", vfs, 0).unwrap().0.scan().unwrap();
         assert_eq!(ops_of(&scan), vec![sample_ops()[0].clone()]);
         assert_eq!(scan.torn_tail_bytes, 0);
     }
@@ -915,7 +913,7 @@ mod tests {
     #[test]
     fn bit_flip_in_complete_record_is_corruption() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         j.append(&sample_ops()[0]).unwrap();
         j.append(&sample_ops()[1]).unwrap();
         let mut bytes = vfs.read(Path::new("db.wal")).unwrap();
@@ -958,7 +956,7 @@ mod tests {
     #[test]
     fn rewrite_trims_to_given_records() {
         let (_fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs).unwrap();
+        let mut j = Journal::open("db.wal", vfs, 0).unwrap().0;
         for op in sample_ops() {
             j.append(&op).unwrap();
         }
@@ -972,13 +970,13 @@ mod tests {
     #[test]
     fn reset_survives_crash_and_seq_not_reused() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         j.append(&sample_ops()[0]).unwrap();
         j.rewrite(&[]).unwrap();
         // In-process the journal still hands out fresh sequence numbers.
         assert_eq!(j.append(&sample_ops()[4]).unwrap(), 1);
         fs.crash();
-        let scan = Journal::open("db.wal", vfs).unwrap().scan().unwrap();
+        let scan = Journal::open("db.wal", vfs, 0).unwrap().0.scan().unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.records[0].seq, 1);
     }
@@ -986,7 +984,7 @@ mod tests {
     #[test]
     fn failed_append_leaves_journal_unchanged() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         j.append(&sample_ops()[0]).unwrap();
         fs.fail_op(fs.op_count(), FaultMode::Error);
         assert!(j.append(&sample_ops()[1]).is_err());
@@ -1002,7 +1000,7 @@ mod tests {
         // successful append would land after, corrupting the journal
         // mid-file.
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         j.append(&sample_ops()[0]).unwrap();
         fs.fail_op(fs.op_count(), FaultMode::Tear { keep: 5 });
         assert!(j.append(&sample_ops()[1]).is_err());
@@ -1015,7 +1013,7 @@ mod tests {
         );
         // And it survives a crash: strict reopen sees both records.
         fs.crash();
-        let j = Journal::open("db.wal", vfs).unwrap();
+        let j = Journal::open("db.wal", vfs, 0).unwrap().0;
         assert_eq!(
             ops_of(&j.scan().unwrap()),
             vec![sample_ops()[0].clone(), sample_ops()[1].clone()]
@@ -1025,7 +1023,7 @@ mod tests {
     #[test]
     fn unrepairable_torn_append_poisons_until_rewrite() {
         let (fs, vfs) = mem();
-        let mut j = Journal::open("db.wal", vfs.clone()).unwrap();
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
         j.append(&sample_ops()[0]).unwrap();
         // Tear the append, then fail the repair's temp-file write too
         // (ops: torn append fires at op N, repair writes at op N+1).

@@ -50,7 +50,7 @@ fn doc_xml(i: usize) -> String {
 
 fn open(vfs: &Arc<FaultVfs>) -> DurableDatabase {
     let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
-    DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs).expect("open store")
+    DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs).expect("open store").0
 }
 
 fn assert_alloc_free(coll: &Collection, label: &str) {

@@ -285,7 +285,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
             barrier.wait();
             let vfs = Arc::new(FaultVfs::new());
             let path = "/chaos/store.json";
-            let mut db = DurableDatabase::open_with(
+            let (mut db, _) = DurableDatabase::open_with(
                 path,
                 DatabaseConfig::unlimited(),
                 vfs.clone(),
@@ -300,29 +300,31 @@ fn chaos_mixed_load_never_escapes_a_panic() {
                 match db.insert_xml("w", &format!("<d><n>{i}</n></d>")) {
                     Ok(_) => inserted += 1,
                     Err(_) => {
-                        let (recovered, _report) = DurableDatabase::recover_with(
+                        let (recovered, _, _report) = DurableDatabase::recover_with(
                             path,
                             DatabaseConfig::unlimited(),
                             vfs.clone(),
                         )
                         .map_err(|e| e.to_string())?;
                         db = recovered;
+                        db.checkpoint().map_err(|e| e.to_string())?;
                     }
                 }
                 if i % 10 == 9 && db.checkpoint().is_err() {
-                    let (recovered, _report) = DurableDatabase::recover_with(
+                    let (recovered, _, _report) = DurableDatabase::recover_with(
                         path,
                         DatabaseConfig::unlimited(),
                         vfs.clone(),
                     )
                     .map_err(|e| e.to_string())?;
                     db = recovered;
+                    db.checkpoint().map_err(|e| e.to_string())?;
                 }
             }
             drop(db);
             // final recovery must produce a consistent store with every
             // successfully inserted document
-            let (final_db, _report) = DurableDatabase::recover_with(
+            let (final_db, _, _report) = DurableDatabase::recover_with(
                 path,
                 DatabaseConfig::unlimited(),
                 vfs,

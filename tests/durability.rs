@@ -124,7 +124,7 @@ fn run_with_fault(vfs: Arc<FaultVfs>, fault_op: usize, mode: FaultMode) -> (Data
     let mut shadow = Database::with_config(DatabaseConfig::unlimited());
     let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
     let mut db = match DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs) {
-        Ok(db) => db,
+        Ok((db, _)) => db,
         Err(_) => return (shadow, false), // faulted during open: nothing acked
     };
     for step in workload() {
@@ -149,7 +149,7 @@ fn crash_matrix(mode: FaultMode) {
         // fault fired iff the workload got past its armed index.
         let fault_was_beyond_workload = completed && vfs.op_count() <= fault_op;
         vfs.crash();
-        let reopened =
+        let (reopened, _) =
             DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), vfs.clone())
                 .unwrap_or_else(|e| panic!("reopen after fault at op {fault_op} ({mode:?}): {e}"));
         assert_same_state(
@@ -190,11 +190,11 @@ fn run_continuing_past_fault(vfs: Arc<FaultVfs>, fault_op: usize, mode: FaultMod
     let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
     let mut db = match DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs.clone())
     {
-        Ok(db) => db,
+        Ok((db, _)) => db,
         // Faulted during open: the one-shot fault is consumed, so a
         // retry must succeed on the residue the failed open left.
         Err(_) => DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs)
-            .unwrap_or_else(|e| panic!("reopen after faulted open at op {fault_op}: {e}")),
+            .unwrap_or_else(|e| panic!("reopen after faulted open at op {fault_op}: {e}")).0,
     };
     for step in workload() {
         if apply_durable(&mut db, &step).is_ok() {
@@ -229,7 +229,7 @@ fn continue_matrix(mode: FaultMode) {
         let reopened = DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), vfs.clone())
             .unwrap_or_else(|e| {
                 panic!("reopen after continuing past fault at op {fault_op} ({mode:?}): {e}")
-            });
+            }).0;
         assert_same_state(
             reopened.db(),
             &shadow,
@@ -258,14 +258,14 @@ fn crash_and_resume_repeatedly_loses_nothing_acknowledged() {
     for step in workload() {
         let mut db =
             DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs.clone())
-                .expect("reopen");
+                .expect("reopen").0;
         assert_same_state(db.db(), &shadow, "resume point");
         apply_durable(&mut db, &step).expect("step applies");
         apply_shadow(&mut shadow, &step);
         vfs.crash();
     }
     let db = DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs)
-        .expect("final reopen");
+        .expect("final reopen").0;
     assert_same_state(db.db(), &shadow, "final state");
 }
 
@@ -279,7 +279,7 @@ fn journal_truncated_at_every_byte_never_panics_and_opens_a_prefix() {
     {
         let mut db =
             DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs.clone())
-                .expect("open");
+                .expect("open").0;
         db.create_collection("c").expect("create");
         db.insert_xml("c", "<a><b>one</b></a>").expect("insert");
         db.insert_xml("c", "<a><b>two</b></a>").expect("insert");
@@ -293,7 +293,7 @@ fn journal_truncated_at_every_byte_never_panics_and_opens_a_prefix() {
         vfs2.corrupt(&wal, full[..cut].to_vec());
         let dyn2: Arc<dyn Vfs> = vfs2.clone();
         let db = DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn2)
-            .unwrap_or_else(|e| panic!("open with wal cut at {cut}: {e}"));
+            .unwrap_or_else(|e| panic!("open with wal cut at {cut}: {e}")).0;
         let n = db.db().collection("c").map(|c| c.len()).unwrap_or(0);
         doc_counts.insert(n);
         // After the torn tail was trimmed, a second open sees a clean
@@ -319,7 +319,7 @@ fn bit_flips_in_journal_are_detected_and_recoverable() {
     {
         let mut db =
             DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs.clone())
-                .expect("open");
+                .expect("open").0;
         db.create_collection("c").expect("create");
         db.insert_xml("c", "<a><b>payload</b></a>").expect("insert");
         db.insert_xml("c", "<a><b>payload two</b></a>").expect("insert");
@@ -339,14 +339,14 @@ fn bit_flips_in_journal_are_detected_and_recoverable() {
             Err(DbError::Corruption { .. }) => {
                 corrupt_count += 1;
                 // Lenient recovery must still produce a working store.
-                let (rec, report) =
+                let (rec, _, report) =
                     DurableDatabase::recover_with(STORE, DatabaseConfig::unlimited(), dyn2)
                         .unwrap_or_else(|e| panic!("recover with flip at {pos}: {e}"));
                 assert!(report.journal_error.is_some());
                 assert!(rec.db().collection("c").map(|c| c.len()).unwrap_or(0) <= 2);
             }
             Err(e) => panic!("flip at {pos}: expected corruption, got {e}"),
-            Ok(db) => {
+            Ok((db, _)) => {
                 // A flip in a length prefix can turn a record into a
                 // plausible torn tail, which open trims as usual. The
                 // surviving state must still be a valid prefix.
@@ -368,7 +368,7 @@ fn bit_flipped_snapshot_is_corruption_and_recover_falls_back() {
     {
         let mut db =
             DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs.clone())
-                .expect("open");
+                .expect("open").0;
         db.create_collection("c").expect("create");
         db.insert_xml("c", "<a><b>snapshotted</b></a>").expect("insert");
         db.checkpoint().expect("checkpoint");
@@ -385,7 +385,7 @@ fn bit_flipped_snapshot_is_corruption_and_recover_falls_back() {
         .expect_err("strict open must refuse a corrupt snapshot");
     assert!(matches!(err, DbError::Corruption { .. }), "got {err}");
 
-    let (db, report) =
+    let (mut db, _, report) =
         DurableDatabase::recover_with(STORE, DatabaseConfig::unlimited(), dyn_vfs.clone())
             .expect("recover");
     assert!(report.snapshot_error.is_some());
@@ -393,8 +393,9 @@ fn bit_flipped_snapshot_is_corruption_and_recover_falls_back() {
     // The snapshot-only history is gone; the journaled suffix could not
     // apply without it and is reported, not silently dropped.
     assert_eq!(report.skipped_ops.len(), 1);
-    // Recovery re-persisted a consistent (if empty) store: strict opens
-    // work again.
+    // The checkpoint after recovery re-persists a consistent (if empty)
+    // store: strict opens work again.
+    db.checkpoint().expect("re-persist");
     drop(db);
     DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs)
         .expect("store is consistent after recovery");
@@ -411,7 +412,7 @@ fn size_limit_is_enforced_on_replay_with_shrunk_config() {
     {
         let mut db =
             DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs.clone())
-                .expect("open");
+                .expect("open").0;
         db.create_collection("c").expect("create");
         db.insert_xml("c", "<a><b>0123456789012345678901234567890123456789</b></a>")
             .expect("insert");
@@ -424,7 +425,7 @@ fn size_limit_is_enforced_on_replay_with_shrunk_config() {
         .expect_err("replay over the limit must fail a strict open");
     assert!(matches!(err, DbError::CollectionFull { .. }), "got {err}");
 
-    let (db, report) = DurableDatabase::recover_with(STORE, tiny, dyn_vfs).expect("recover");
+    let (db, _, report) = DurableDatabase::recover_with(STORE, tiny, dyn_vfs).expect("recover");
     assert_eq!(report.skipped_ops.len(), 1);
     assert!(matches!(
         report.skipped_ops[0].1,
@@ -479,7 +480,7 @@ fn kill_mid_snapshot_falls_back_to_previous_snapshot_plus_journal_tail() {
     {
         let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
         let mut db =
-            DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs).unwrap();
+            DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs).unwrap().0;
         // the full workload lands cleanly (ends with a journal tail
         // past the last good checkpoint)
         for step in workload() {
@@ -494,7 +495,7 @@ fn kill_mid_snapshot_falls_back_to_previous_snapshot_plus_journal_tail() {
     }
     vfs.crash();
 
-    let (recovered, report) =
+    let (recovered, _, report) =
         DurableDatabase::recover_with(STORE, DatabaseConfig::unlimited(), vfs.clone())
             .expect("recovery after mid-snapshot kill");
     assert!(
@@ -524,7 +525,7 @@ fn checkpoint_refuses_an_unloadable_snapshot_before_replacing_the_old_one() {
     let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
     let mut shadow = Database::with_config(DatabaseConfig::unlimited());
     let mut db = DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs.clone())
-        .expect("open");
+        .expect("open").0;
     // ends with a journal tail past the last good checkpoint
     for step in workload() {
         apply_durable(&mut db, &step).expect("clean workload step");
@@ -546,6 +547,6 @@ fn checkpoint_refuses_an_unloadable_snapshot_before_replacing_the_old_one() {
     drop(writer);
     vfs.crash();
     let reopened = DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs)
-        .expect("the old snapshot and its journal still open");
+        .expect("the old snapshot and its journal still open").0;
     assert_same_state(reopened.db(), &shadow, "after a refused checkpoint");
 }

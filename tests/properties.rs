@@ -430,6 +430,7 @@ proptest! {
         let open = || {
             DurableDatabase::open_with("s.json", DatabaseConfig::unlimited(), vfs.clone())
                 .expect("no faults armed: open succeeds")
+                .0
         };
         let mut durable = open();
         let mut shadow = Database::with_config(DatabaseConfig::unlimited());

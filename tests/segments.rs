@@ -50,6 +50,7 @@ fn open(vfs: &Arc<FaultVfs>) -> DurableDatabase {
     let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
     DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs)
         .expect("open durable store")
+        .0
 }
 
 fn gauge(name: &str) -> i64 {

@@ -20,6 +20,7 @@
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -35,7 +36,7 @@ use toss_serve::{
 use toss_similarity::{Levenshtein, StringMetric};
 use toss_tree::serialize::{tree_to_xml, Style};
 use toss_xmldb::{
-    Database, DatabaseConfig, DurableDatabase, FaultMode, FaultSchedule, FaultVfs,
+    Database, DatabaseConfig, DurableDatabase, FaultMode, FaultSchedule, FaultVfs, JournalRecord,
     ScheduledFault, Vfs,
 };
 
@@ -112,7 +113,7 @@ const SNAP: &str = "/serve-store.json";
 /// documents, checkpointed so the journal starts empty.
 fn seed_writable(vfs: &Arc<FaultVfs>, docs: usize) {
     let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
-    let mut d =
+    let (mut d, _) =
         DurableDatabase::open_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs).unwrap();
     d.create_collection("chaos").unwrap();
     for i in 0..docs {
@@ -156,27 +157,23 @@ fn try_open_seeded(vfs: &Arc<FaultVfs>, write: Option<WriteConfig>) -> Result<Op
     )
 }
 
-/// The seeded store opened by `DurableDatabase`, as `toss-cli load`,
-/// `db checkpoint` and `db recover` open it, with the store's own
-/// ontology as `toss-cli` reads it: [`toss_serve::store_ontology`] over
-/// the journal at open, with no baseline.
-fn cli_open(vfs: &Arc<FaultVfs>) -> (DurableDatabase, Result<Option<Seo>, String>) {
-    let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
-    let store = DurableDatabase::open_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs).unwrap();
-    let seo = cli_ontology(vfs, &store);
+/// The seeded store opened by `DurableDatabase`, as `toss-cli load`
+/// and `db checkpoint` open it, with the store's own ontology as
+/// `toss-cli` reads it: [`cli_ontology`] over the records the open
+/// replayed.
+fn cli_open(vfs: Arc<dyn Vfs>) -> (DurableDatabase, Result<Option<Seo>, String>) {
+    let (store, records) =
+        DurableDatabase::open_with(SNAP, DatabaseConfig::unlimited(), vfs.clone()).unwrap();
+    let seo = cli_ontology(&*vfs, &records);
     (store, seo)
 }
 
-/// `toss-cli`'s read of the store's own ontology.
-fn cli_ontology(vfs: &Arc<FaultVfs>, store: &DurableDatabase) -> Result<Option<Seo>, String> {
-    let records = store.journal_records().unwrap();
-    let ontology = toss_serve::store_ontology(
-        &**vfs,
-        Path::new(SNAP),
-        &records,
-        None,
-        levenshtein_enhancer,
-    )?;
+/// `toss-cli`'s read of the store's own ontology:
+/// [`toss_serve::store_ontology`] over the journal `records` an open
+/// returned, with no baseline.
+fn cli_ontology(vfs: &dyn Vfs, records: &[JournalRecord]) -> Result<Option<Seo>, String> {
+    let ontology =
+        toss_serve::store_ontology(vfs, Path::new(SNAP), records, None, levenshtein_enhancer)?;
     Ok(ontology.map(|o| o.seo))
 }
 
@@ -976,11 +973,11 @@ fn read_only_open_serves_the_ontology_the_writable_server_acked() {
         let kept = match door {
             Door::None | Door::CheckpointFrame => None,
             Door::DbCheckpoint => {
-                let (store, seo) = cli_open(&vfs);
+                let (store, seo) = cli_open(vfs.clone());
                 Some(cli_checkpoint(store, seo.unwrap().as_ref()))
             }
             Door::Load => {
-                let (mut store, seo) = cli_open(&vfs);
+                let (mut store, seo) = cli_open(vfs.clone());
                 store
                     .insert_xml(
                         "chaos",
@@ -991,11 +988,11 @@ fn read_only_open_serves_the_ontology_the_writable_server_acked() {
             }
             Door::DbRecover => {
                 let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
-                let (store, report) =
+                let (store, records, report) =
                     DurableDatabase::recover_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs)
                         .unwrap();
                 assert!(report.is_clean(), "{report:?}");
-                let seo = cli_ontology(&vfs, &store).unwrap();
+                let seo = cli_ontology(&*vfs, &records).unwrap();
                 Some(cli_checkpoint(store, seo.as_ref()))
             }
         };
@@ -1016,6 +1013,187 @@ fn read_only_open_serves_the_ontology_the_writable_server_acked() {
         let out = service.query(&below).result.expect("read-only below query");
         assert_eq!(out.forest.len(), live, "checkpointed by: {door:?}");
     }
+}
+
+/// A [`Vfs`] over a [`FaultVfs`] that counts reads of the store's
+/// journal and renames onto its snapshot (one per snapshot written).
+struct CountingVfs {
+    inner: Arc<FaultVfs>,
+    wal_reads: AtomicUsize,
+    snapshot_writes: AtomicUsize,
+}
+
+impl CountingVfs {
+    /// (journal reads, snapshot writes) since the last call.
+    fn take(&self) -> (usize, usize) {
+        (
+            self.wal_reads.swap(0, Ordering::SeqCst),
+            self.snapshot_writes.swap(0, Ordering::SeqCst),
+        )
+    }
+}
+
+impl Vfs for CountingVfs {
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        if path == DurableDatabase::wal_path(Path::new(SNAP)) {
+            self.wal_reads.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.read(path)
+    }
+    fn write(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.write(path, bytes)
+    }
+    fn append(&self, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+        self.inner.append(path, bytes)
+    }
+    fn sync(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.sync(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        if to == Path::new(SNAP) {
+            self.snapshot_writes.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> std::io::Result<()> {
+        self.inner.remove(path)
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+}
+
+/// Every open reads the journal once and hands the records it replayed
+/// on: a read-only and a writable `open_store`, the CLI's open with the
+/// store's ontology and its checkpoint, and `db recover`'s recovery
+/// with its checkpoint, which is the one snapshot it writes. Starting a
+/// writable server reads the journal once more, to reseed its dedupe
+/// table.
+#[test]
+fn every_open_reads_the_journal_once_and_recover_writes_the_snapshot_once() {
+    let vfs = Arc::new(FaultVfs::new());
+    seed_writable(&vfs, 6);
+    // a sidecar, and a journal tail past it: an acked edge and insert
+    let wcfg = WriteConfig {
+        checkpoint_every: 0,
+        ..WriteConfig::default()
+    };
+    let server = start_writable(&vfs, ServerConfig::default(), wcfg);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let edge = WriteOp::AddEdge {
+        below: "E. Codd".into(),
+        above: "relational-pioneer".into(),
+    };
+    for op in [edge, insert_op("k1", "Keyed Author")] {
+        client
+            .write_keyed(op, BudgetClass::Interactive, &next_write_key())
+            .unwrap();
+    }
+    server.shutdown();
+
+    let counted = Arc::new(CountingVfs {
+        inner: vfs.clone(),
+        wal_reads: AtomicUsize::new(0),
+        snapshot_writes: AtomicUsize::new(0),
+    });
+    let dyn_vfs: Arc<dyn Vfs> = counted.clone();
+    let open = |write| {
+        let baseline = enhance(&chaos_hierarchy(), &Levenshtein, 1.0).unwrap();
+        toss_serve::open_store(
+            dyn_vfs.clone(),
+            Path::new(SNAP),
+            baseline,
+            levenshtein_enhancer,
+            write,
+        )
+        .unwrap()
+    };
+    assert_eq!(open(None).replayed, 1);
+    assert_eq!(counted.take(), (1, 0), "read-only open_store");
+
+    let mut opened = open(Some(WriteConfig::default()));
+    assert_eq!(counted.take(), (1, 0), "writable open_store");
+    let engine = opened.engine.take().unwrap();
+    let exec = Arc::new(RwLock::new(chaos_executor(opened)));
+    let server = Server::start_writable(exec, engine, "127.0.0.1:0", ServerConfig::default());
+    let (reads, _) = counted.take();
+    assert!(reads <= 1, "start_writable read the journal {reads} more times");
+    server.unwrap().shutdown();
+
+    let (store, seo) = cli_open(dyn_vfs.clone());
+    assert_eq!(cli_checkpoint(store, seo.unwrap().as_ref()), 0);
+    assert_eq!(counted.take(), (1, 1), "the CLI's open and checkpoint");
+
+    // a new tail for recovery to replay: an insert and a term
+    let (store, _) =
+        DurableDatabase::open_with(SNAP, DatabaseConfig::unlimited(), vfs.clone()).unwrap();
+    let (_, mut writer) = store.into_parts();
+    let tail = [
+        toss_xmldb::JournalOp::Insert {
+            collection: "chaos".into(),
+            xml: "<inproceedings key=\"r1\"><author>Recovered Author</author></inproceedings>"
+                .into(),
+        },
+        toss_xmldb::JournalOp::AddTerm {
+            terms: vec!["PODS".into()],
+        },
+    ];
+    writer.append_batch(&tail).unwrap();
+    drop(writer);
+    let (store, records, report) =
+        DurableDatabase::recover_with(SNAP, DatabaseConfig::unlimited(), dyn_vfs.clone())
+            .unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.replayed_ops, 2);
+    let seo = cli_ontology(&*dyn_vfs, &records).unwrap();
+    assert_eq!(cli_checkpoint(store, seo.as_ref()), 0);
+    assert_eq!(counted.take(), (1, 1), "recover_with and its checkpoint");
+
+    let opened = open_seeded(&vfs, None);
+    assert_eq!(opened.replayed, 0, "the checkpoint folded the term");
+    assert!(opened.seo.original().node_of("PODS").is_some());
+    assert_eq!(opened.db.collection("chaos").unwrap().len(), 8);
+    let service = Service::new(
+        Arc::new(RwLock::new(chaos_executor(opened))),
+        &ServerConfig::default(),
+    )
+    .unwrap();
+    let mut below = QueryRequest::new("chaos", "inproceedings");
+    below
+        .below
+        .push(("author".into(), "relational-pioneer".into()));
+    let out = service.query(&below).result.unwrap();
+    assert_eq!(out.forest.len(), 2, "the acked edge survives recovery");
+}
+
+/// A writable server reseeds its dedupe table from the journal; when
+/// that read fails (here the journal was damaged after the store
+/// opened), the server does not start, rather than start with an empty
+/// table that would let a retried write apply twice.
+#[test]
+fn a_journal_the_writer_cannot_reseed_from_fails_the_server_start() {
+    let vfs = Arc::new(FaultVfs::new());
+    seed_writable(&vfs, 3);
+    let mut opened = open_seeded(&vfs, Some(WriteConfig::default()));
+    let mut engine = opened.engine.take().unwrap();
+    engine
+        .writer
+        .append_batch_keyed(&[(
+            toss_xmldb::JournalOp::AddTerm {
+                terms: vec!["PODS".into()],
+            },
+            Some(next_write_key()),
+        )])
+        .unwrap();
+    let wal = DurableDatabase::wal_path(Path::new(SNAP));
+    let mut bytes = vfs.read(&wal).unwrap();
+    bytes[18] ^= 0x40; // inside the record's payload: a CRC mismatch
+    vfs.corrupt(&wal, bytes);
+    let exec = Arc::new(RwLock::new(chaos_executor(opened)));
+    let err = Server::start_writable(exec, engine, "127.0.0.1:0", ServerConfig::default())
+        .err()
+        .expect("the start fails");
+    assert!(err.to_string().contains("corruption"), "{err}");
 }
 
 /// A damaged ontology sidecar is an error, as a damaged snapshot is:
@@ -1064,7 +1242,7 @@ fn a_damaged_ontology_sidecar_fails_every_open_and_is_never_overwritten() {
             .err()
             .expect("writable open fails"),
     );
-    names_the_file(cli_open(&vfs).1.expect_err("the CLI's read fails"));
+    names_the_file(cli_open(vfs.clone()).1.expect_err("the CLI's read fails"));
     assert_eq!(
         vfs.read(&sidecar).unwrap(),
         damaged,
@@ -1423,7 +1601,7 @@ fn crash_campaign_every_acknowledged_write_survives_kill_and_recover() {
         server.shutdown(); // drain: every enqueued write commits or fails
         vfs.crash(); // power loss: unsynced bytes are gone, faults cleared
 
-        let (recovered, _report) = DurableDatabase::recover_with(
+        let (recovered, _, _report) = DurableDatabase::recover_with(
             SNAP,
             DatabaseConfig::unlimited(),
             vfs.clone() as Arc<dyn Vfs>,
