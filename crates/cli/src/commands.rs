@@ -379,22 +379,27 @@ fn cmd_db(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         "recover" => {
-            let (db, records, report) = DurableDatabase::recover_with(
+            let (db, records, mut report) = DurableDatabase::recover_with(
                 db_path,
                 DatabaseConfig::unlimited(),
                 Arc::new(StdVfs),
             )
             .map_err(|e| e.to_string())?;
+            let damaged_sidecar =
+                toss_serve::discard_damaged_sidecar(&StdVfs, Path::new(db_path), &mut report)?;
             // the one checkpoint makes the recovered state durable again,
             // with the store's own ontology when it has one
             let seo = own_ontology(db_path, &records)?;
             let (db, mut writer) = db.into_parts();
             toss_serve::checkpoint_store(&mut writer, &db, seo.as_ref())?;
-            if report.is_clean() {
+            if report.is_clean() && damaged_sidecar.is_none() {
                 println!("store is clean: nothing to repair");
             }
             if let Some(e) = &report.snapshot_error {
                 println!("snapshot discarded: {e}");
+            }
+            if let Some(why) = &damaged_sidecar {
+                println!("ontology sidecar discarded: {why}");
             }
             if let Some(e) = &report.journal_error {
                 println!("journal cut short: {e}");
@@ -1173,6 +1178,32 @@ mod tests {
         .expect("xpath");
         assert!(run(&argv(&format!("db frob --db {}", db_path.display()))).is_err());
         assert!(run(&argv("db")).is_err());
+    }
+
+    /// `db recover` sets a damaged ontology sidecar aside and writes the
+    /// store without it, so strict opens work again.
+    #[test]
+    fn db_recover_discards_a_damaged_ontology_sidecar() {
+        let xml_path = tmp("ont-damaged.xml");
+        std::fs::write(&xml_path, "<a><b>1</b></a>").expect("write xml");
+        let db_path = tmp("ont-damaged-store.json");
+        let sidecar = DurableDatabase::ontology_path(&db_path);
+        let corrupt = sidecar.with_extension("json.corrupt");
+        for path in [&db_path, &sidecar, &corrupt] {
+            std::fs::remove_file(path).ok();
+        }
+        std::fs::remove_file(DurableDatabase::wal_path(&db_path)).ok();
+        let db = db_path.display();
+        run(&argv(&format!("load --db {db} --collection c {}", xml_path.display())))
+            .expect("load");
+        std::fs::write(&sidecar, "{\"cursor\":").expect("damage the sidecar");
+        assert!(run(&argv(&format!("db checkpoint --db {db}"))).is_err());
+
+        run(&argv(&format!("db recover --db {db}"))).expect("recover");
+        assert_eq!(std::fs::read(&corrupt).expect("quarantined"), b"{\"cursor\":");
+        assert!(!sidecar.exists());
+        run(&argv(&format!("db checkpoint --db {db}"))).expect("checkpoint");
+        run(&argv(&format!("xpath --db {db} --collection c //b"))).expect("xpath");
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! 1. **rewrite** — expand the TOSS condition through the SEO and compile
 //!    the pattern tree into an XPath syntax tree (built directly; its
 //!    text is only shown);
-//! 2. **execute** — evaluate the XPath against the collection;
+//! 2. **execute** — choose index probe or partitioned scan from the
+//!    postings of the probe keys the rewrite gives the prepared query
+//!    (`rewrite::probe_keys`; nothing is read back out of the XPath),
+//!    then evaluate the XPath over the chosen candidates;
 //! 3. **convert** — parse the matched subtrees back into TAX witness
 //!    trees (a local selection pass that also applies any conjuncts the
 //!    XPath fragment could not express, so results are exact).
@@ -26,7 +29,7 @@ use crate::convert::Conversions;
 use crate::error::TossResult;
 use crate::expand::ExpandCtx;
 use crate::governor::{DegradationInfo, QueryGovernor};
-use crate::rewrite::compile_xpath;
+use crate::rewrite::{compile_xpath, probe_keys};
 use crate::semcache::{fingerprint, CachedRewrite, RewriteCache};
 use crate::tax::{product, Cond, Matcher, PatternTree};
 use crate::typesys::TypeHierarchy;
@@ -37,7 +40,6 @@ use std::time::Duration;
 use toss_ontology::Seo;
 use toss_pool::WorkerPool;
 use toss_tree::{Forest, Tree};
-use toss_xmldb::xpath::{Expr, NameTest, RelPath, ValueExpr};
 use toss_xmldb::{planned_partitions, Candidates, Collection, Database, NodeRef, XPath};
 
 /// Which semantics to execute a query under.
@@ -193,141 +195,38 @@ impl fmt::Display for QueryPlan {
     }
 }
 
-/// A necessary-condition content probe extracted from a compiled XPath:
-/// any document matching the query must contain a `tag` node whose own
-/// text is one of `terms`, so the content index's merged postings for
-/// `(tag, terms)` bound the candidate document set from above. The probe
-/// only *filters* candidates — the full XPath is still evaluated over
-/// them — so extraction errs on the side of returning nothing rather
-/// than an unsound key.
-struct ProbeKey<'a> {
-    tag: &'a str,
-    terms: Vec<&'a str>,
-}
-
-/// Flatten an `and` tree into its conjuncts (never descends into `or` /
-/// `not`, whose branches are not individually necessary).
-fn conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    match e {
-        Expr::And(a, b) => {
-            conjuncts(a, out);
-            conjuncts(b, out);
-        }
-        other => out.push(other),
-    }
-}
-
-/// An `or` tree whose every leaf is `text()='lit'` with a non-empty
-/// literal — the shape the SEO rewrite's `InSet` compiles to. Empty
-/// literals are rejected: a node with no content satisfies
-/// `text()=''` but has no content-index entry, so probing for it would
-/// lose matches.
-fn text_disjunction(e: &Expr) -> Option<Vec<&str>> {
-    match e {
-        Expr::Eq(ValueExpr::Text, lit) if !lit.is_empty() => Some(vec![lit.as_str()]),
-        Expr::Or(a, b) => {
-            let mut terms = text_disjunction(a)?;
-            terms.extend(text_disjunction(b)?);
-            Some(terms)
-        }
-        _ => None,
-    }
-}
-
-/// The tag any node reached by `rel` must carry: the name test of the
-/// final step (`None` for wildcards — no postings to probe).
-fn rel_target_tag(rel: &RelPath) -> Option<&str> {
-    match &rel.steps.last()?.test {
-        NameTest::Name(n) => Some(n),
-        NameTest::Wildcard => None,
-    }
-}
-
-/// Every sound probe key extractable from the root step of a compiled
-/// XPath. Union queries are not probed (each branch would need its own
-/// probe); conjuncts under `not` / `ne` / `or` are never used.
-fn probe_keys(xpath: &XPath) -> Vec<ProbeKey<'_>> {
-    let [path] = xpath.paths.as_slice() else {
-        return Vec::new();
-    };
-    let Some(root) = path.steps.first() else {
-        return Vec::new();
-    };
-    let mut flat: Vec<&Expr> = Vec::new();
-    for pred in &root.predicates {
-        conjuncts(pred, &mut flat);
-    }
-    let mut keys = Vec::new();
-    for e in flat {
-        match e {
-            // [child='lit'] / [a/b='lit'] — the reached node's own text
-            // must equal the literal
-            Expr::Eq(ValueExpr::Rel(rel), lit) if !lit.is_empty() => {
-                if let Some(tag) = rel_target_tag(rel) {
-                    keys.push(ProbeKey {
-                        tag,
-                        terms: vec![lit.as_str()],
-                    });
-                }
-            }
-            // [text()='lit'] on the root step itself
-            Expr::Eq(ValueExpr::Text, lit) if !lit.is_empty() => {
-                if let NameTest::Name(tag) = &root.test {
-                    keys.push(ProbeKey {
-                        tag,
-                        terms: vec![lit.as_str()],
-                    });
-                }
-            }
-            // [child[(text()='a' or text()='b')]] — the SEO-expanded
-            // InSet shape; the disjunction sits on the reached step
-            Expr::Exists(rel) => {
-                let Some(last) = rel.steps.last() else { continue };
-                let NameTest::Name(tag) = &last.test else { continue };
-                if let Some(terms) =
-                    last.predicates.iter().find_map(text_disjunction)
-                {
-                    keys.push(ProbeKey { tag, terms });
-                }
-            }
-            _ => {}
-        }
-    }
-    keys
-}
-
-/// The per-query planner: choose index-probe vs parallel-scan from
-/// postings statistics, then enumerate the chosen strategy's candidate
-/// visits — once; the same enumeration sizes the plan's `partitions` and
-/// feeds the evaluator. A probe is taken when its postings bound proves
+/// The per-query planner: choose index-probe vs parallel-scan from the
+/// postings statistics of the prepared query's probe keys, then
+/// enumerate the chosen strategy's candidate visits — once; the same
+/// enumeration sizes the plan's `partitions` and feeds the evaluator. A probe is taken when its postings bound proves
 /// the candidate set is at most half the collection — below that the
 /// merged-postings lookup plus the filtered evaluation beats touching
 /// every document; above it the partitioned scan's better locality wins
 /// and the probe's merge would be pure overhead.
 fn plan_retrieval<'a>(
-    xpath: &'a XPath,
+    prepared: &'a PreparedQuery,
     coll: &'a Collection,
     workers: usize,
 ) -> (QueryPlan, Candidates<'a>) {
-    let index = coll.index();
+    let (xpath, index) = (&prepared.xpath, coll.index());
     let probe = {
         let _plan = toss_obs::span("toss.query.execute.plan");
         // `postings` bounds the candidate document count from above, so
         // this cheap statistic rejects unselective probes before any
         // postings list is materialized.
-        probe_keys(xpath)
+        probe_keys(&prepared.matcher)
             .into_iter()
-            .map(|k| (index.tag_content_any_len(k.tag, &k.terms), k))
+            .map(|k| (index.tag_content_any_len(&k.tag, &k.terms), k))
             .min_by_key(|(postings, _)| *postings)
             .filter(|(postings, _)| 2 * postings <= coll.documents().len())
     };
     let _probe = toss_obs::span("toss.query.execute.probe");
     match probe {
         Some((_, key)) => {
-            let docs = index.docs_with_tag_content_any(key.tag, &key.terms);
+            let docs = index.docs_with_tag_content_any(&key.tag, &key.terms);
             let visits = xpath.probe_candidates(coll, &docs);
             let plan = QueryPlan::IndexProbe {
-                tag: key.tag.to_string(),
+                tag: key.tag.into_owned(),
                 terms: key.terms.len(),
                 candidates: docs.len(),
                 workers,
@@ -399,8 +298,9 @@ fn publish_phase_metrics(rewrite: Duration, execute: Duration, convert: Duration
 }
 
 /// Everything phase 1 derives from a query, none of it from a request:
-/// the XPath compiled from the pattern tree, the text it shows, and the
-/// pattern prepared as a TAX [`Matcher`] for phase 3.
+/// the pattern prepared as a TAX [`Matcher`] for phase 3, the XPath
+/// compiled from its per-node conjuncts and the text it shows. Phase 2
+/// reads its probe keys off the matcher.
 /// Built once per rewrite-cache entry (see [`RewriteCache`]) and
 /// shared by `Arc`; uncached compiles build one for the request.
 #[derive(Debug)]
@@ -413,13 +313,14 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     fn new(compiled: PatternTree) -> TossResult<Self> {
-        let xpath = compile_xpath(&compiled)?;
-        let xpath_src = xpath.to_string();
         let n_expansion = expansion_terms(compiled.condition());
+        let matcher = Matcher::new(compiled);
+        let xpath = compile_xpath(&matcher)?;
+        let xpath_src = xpath.to_string();
         Ok(PreparedQuery {
             xpath_src,
             xpath,
-            matcher: Matcher::new(compiled),
+            matcher,
             n_expansion,
         })
     }
@@ -743,7 +644,7 @@ impl Executor {
         gov.check()?;
         let ex = toss_obs::span("toss.query.execute");
         let coll = self.db.collection(&query.collection)?;
-        let (plan, visits) = plan_retrieval(&prepared.xpath, coll, self.pool.workers());
+        let (plan, visits) = plan_retrieval(&prepared, coll, self.pool.workers());
         ex.record("plan", plan.strategy());
         match &plan {
             QueryPlan::IndexProbe {

@@ -452,7 +452,7 @@ mod tests {
             TossCond::below(TossTerm::content(3), TossTerm::ty("conference")),
         ]);
         let e = expand_tax_baseline(&c).unwrap();
-        let cs = e.conjuncts();
+        let cs = e.into_conjuncts();
         assert!(matches!(
             cs[0],
             Cond::Cmp {

@@ -15,36 +15,39 @@
 //! witness-construction pass — which re-applies the full condition
 //! anyway, so results are exact; the XPath merely has to be *sound as a
 //! superset filter*.
+//!
+//! This module is the one place that decides what a conjunct contributes
+//! to retrieval (`carried`): the predicate it puts on its step, and the
+//! content-index probe key (`probe_keys`) a text equality or a set
+//! disjunction on a tag-pinned step gives the planner.
 
-use crate::tax::{Attr, CmpOp, Cond, EdgeKind, PatternNodeId, PatternTree, Term};
-use std::collections::{BTreeSet, HashMap};
+use crate::tax::{Attr, CmpOp, Cond, EdgeKind, Matcher, PatternNodeId, Term};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+use toss_tree::Value;
 use toss_xmldb::xpath::{Axis, Expr, NameTest, Path, RelPath, Step, ValueExpr};
 use toss_xmldb::{DbResult, XPath};
 
-/// Each pattern node's single-label conjuncts, borrowed from the
-/// pattern's condition.
-type PerNode<'a> = HashMap<PatternNodeId, Vec<&'a Cond>>;
-
-/// Compile a TAX pattern tree (with its — typically SEO-expanded —
-/// condition) into one XPath expression selecting the images of the
-/// pattern root. A pattern whose XPath would nest past
+/// Compile a prepared TAX pattern (with its — typically SEO-expanded —
+/// condition, split per node) into one XPath expression selecting the
+/// images of the pattern root. A pattern whose XPath would nest past
 /// [`toss_xmldb::xpath::MAX_EXPR_DEPTH`] is refused with the parser's
 /// depth-limit error.
-pub(crate) fn compile_xpath(pattern: &PatternTree) -> DbResult<XPath> {
-    let per_node = assign_conjuncts(pattern);
+pub(crate) fn compile_xpath(query: &Matcher) -> DbResult<XPath> {
+    let pattern = query.structure();
     let root = pattern.root();
     // root's own content constraints, then its children as nested
     // predicates
-    let own = per_node.get(&root).into_iter().flatten();
-    let mut predicates: Vec<Expr> = own.filter_map(|c| own_predicate(c)).collect();
+    let own = query.local(root).iter().filter_map(carried);
+    let mut predicates: Vec<Expr> = own.map(|c| c.predicate()).collect();
     for &child in pattern.children(root) {
-        predicates.push(child_predicate(pattern, &per_node, child));
+        predicates.push(child_predicate(query, child));
     }
     let xpath = XPath {
         paths: vec![Path {
             steps: vec![Step {
                 axis: Axis::Descendant,
-                test: node_test(&per_node, root),
+                test: node_test(query.local(root)),
                 predicates,
             }],
         }],
@@ -53,42 +56,57 @@ pub(crate) fn compile_xpath(pattern: &PatternTree) -> DbResult<XPath> {
     Ok(xpath)
 }
 
-/// Split the pattern's condition into top-level conjuncts and attach each
-/// single-label conjunct to its pattern node; multi-label conjuncts are
-/// dropped (handled by the local pass).
-fn assign_conjuncts(pattern: &PatternTree) -> PerNode<'_> {
-    let mut out = PerNode::new();
-    for c in pattern.condition().conjuncts() {
-        let labels = c.labels();
-        if labels.len() == 1 {
-            let label = *labels.iter().next().expect("len 1");
-            if let Some(node) = pattern.node_by_label(label) {
-                out.entry(node).or_default().push(c);
-            }
-        }
-    }
-    out
+/// A necessary condition on the documents a compiled query selects: each
+/// holds a `tag` node whose own content is one of `terms`, so the content
+/// index's merged postings for `(tag, terms)` bound them from above.
+pub(crate) struct ProbeKey<'a> {
+    pub(crate) tag: Cow<'a, str>,
+    pub(crate) terms: Vec<Cow<'a, str>>,
 }
 
-/// The element-name test for a node: a specific tag when some conjunct
-/// pins `tag = const`, else `*`.
-fn node_test(per_node: &PerNode<'_>, node: PatternNodeId) -> NameTest {
-    for c in per_node.get(&node).into_iter().flatten() {
-        if let Cond::Cmp {
+/// The probe keys of a prepared query, borrowed from it: one per
+/// conjunct that puts a text equality or a set disjunction with
+/// non-empty terms on a tag-pinned step of [`compile_xpath`]'s XPath.
+/// Every step of that XPath is required — its predicates nest under
+/// `and` only — so each key holds for every document it selects.
+pub(crate) fn probe_keys(query: &Matcher) -> Vec<ProbeKey<'_>> {
+    let mut keys = Vec::new();
+    for node in query.structure().preorder() {
+        let local = query.local(node);
+        let Some(tag) = pinned_tag(local) else {
+            continue;
+        };
+        for terms in local.iter().filter_map(carried).filter_map(Carried::terms) {
+            keys.push(ProbeKey {
+                tag: tag.clone(),
+                terms,
+            });
+        }
+    }
+    keys
+}
+
+/// The tag some conjunct pins with `tag = const`, when it is a valid
+/// element name.
+fn pinned_tag(local: &[Cond]) -> Option<Cow<'_, str>> {
+    local.iter().find_map(|c| match c {
+        Cond::Cmp {
             lhs: Term::Attr {
                 attr: Attr::Tag, ..
             },
             op: CmpOp::Eq,
             rhs: Term::Const(v),
-        } = c
-        {
-            let name = v.render();
-            if is_valid_name(&name) {
-                return NameTest::Name(name);
-            }
-        }
+        } => Some(literal(v)).filter(|name| is_valid_name(name)),
+        _ => None,
+    })
+}
+
+/// The element-name test for a node: its pinned tag, else `*`.
+fn node_test(local: &[Cond]) -> NameTest {
+    match pinned_tag(local) {
+        Some(name) => NameTest::Name(name.into_owned()),
+        None => NameTest::Wildcard,
     }
-    NameTest::Wildcard
 }
 
 fn is_valid_name(s: &str) -> bool {
@@ -100,14 +118,36 @@ fn is_valid_name(s: &str) -> bool {
             .is_some_and(|c| c.is_alphabetic() || c == '_')
 }
 
+/// A constant as XPath compares it: its rendering, borrowed when it is a
+/// string.
+fn literal(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Str(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.render()),
+    }
+}
+
 /// Whether a literal has XPath text: not when it holds both quote kinds.
 fn quotable(s: &str) -> bool {
     !(s.contains('\'') && s.contains('"'))
 }
 
-/// `text() op 'v'` for a content comparison with a constant whose
-/// literal has XPath text; `None` for any other conjunct.
-fn text_cmp(c: &Cond) -> Option<(CmpOp, String)> {
+/// A content conjunct the XPath carries on its node's step: a comparison
+/// of the node's own text with a literal, for the operators the XPath
+/// fragment has, or membership in a set.
+enum Carried<'a> {
+    Eq(Cow<'a, str>),
+    Ne(Cow<'a, str>),
+    Contains(Cow<'a, str>),
+    In(&'a BTreeSet<String>),
+}
+
+/// What `c` contributes to retrieval; `None` for a conjunct left to the
+/// local pass. A set is carried only whole: dropping a member with no
+/// XPath text would make the filter exclude documents holding exactly
+/// it, which the local pass accepts; with no predicate the filter stays
+/// a superset.
+fn carried(c: &Cond) -> Option<Carried<'_>> {
     match c {
         Cond::Cmp {
             lhs: Term::Attr {
@@ -116,53 +156,68 @@ fn text_cmp(c: &Cond) -> Option<(CmpOp, String)> {
             },
             op,
             rhs: Term::Const(v),
-        } => Some((*op, v.render())).filter(|(_, lit)| quotable(lit)),
-        _ => None,
-    }
-}
-
-/// A comparison of the context node's own text, for the operators the
-/// XPath fragment has.
-fn text_predicate(op: CmpOp, lit: String) -> Option<Expr> {
-    match op {
-        CmpOp::Eq => Some(Expr::Eq(ValueExpr::Text, lit)),
-        CmpOp::Contains => Some(Expr::Contains(ValueExpr::Text, lit)),
-        CmpOp::Ne => Some(Expr::Ne(ValueExpr::Text, lit)),
-        _ => None,
-    }
-}
-
-/// The disjunction a content membership test compiles to; `None` for
-/// any other conjunct.
-fn set_predicate(c: &Cond) -> Option<Expr> {
-    match c {
+        } => {
+            let lit = literal(v);
+            if !quotable(&lit) {
+                return None;
+            }
+            match op {
+                CmpOp::Eq => Some(Carried::Eq(lit)),
+                CmpOp::Ne => Some(Carried::Ne(lit)),
+                CmpOp::Contains => Some(Carried::Contains(lit)),
+                _ => None,
+            }
+        }
         Cond::InSet {
             term: Term::Attr {
                 attr: Attr::Content,
                 ..
             },
             set,
-        } => disjunction(set),
+        } if !set.is_empty() && set.iter().all(|v| quotable(v)) => Some(Carried::In(set)),
         _ => None,
     }
 }
 
-/// Predicate expressing a node's conjunct on its own text value.
-fn own_predicate(c: &Cond) -> Option<Expr> {
-    match text_cmp(c) {
-        Some((op, lit)) => text_predicate(op, lit),
-        None => set_predicate(c),
+impl<'a> Carried<'a> {
+    /// The predicate on the node's own text: `text() op 'v'`, or
+    /// `(text()='a' or text()='b' or …)` for a set.
+    fn predicate(&self) -> Expr {
+        match self {
+            Carried::Eq(v) => Expr::Eq(ValueExpr::Text, v.to_string()),
+            Carried::Ne(v) => Expr::Ne(ValueExpr::Text, v.to_string()),
+            Carried::Contains(v) => Expr::Contains(ValueExpr::Text, v.to_string()),
+            Carried::In(set) => {
+                let parts = set.iter().map(|v| Expr::Eq(ValueExpr::Text, v.clone()));
+                Expr::any(parts.collect())
+            }
+        }
+    }
+
+    /// The terms one of which the node's content must be for the
+    /// predicate to hold; `None` for `!=` and `contains`, and when a
+    /// term is empty: a node without content satisfies `text()=''` but
+    /// has no content-index entry.
+    fn terms(self) -> Option<Vec<Cow<'a, str>>> {
+        let terms = match self {
+            Carried::Eq(v) => vec![v],
+            Carried::In(set) => set.iter().map(|v| Cow::Borrowed(v.as_str())).collect(),
+            Carried::Ne(_) | Carried::Contains(_) => return None,
+        };
+        terms.iter().all(|t| !t.is_empty()).then_some(terms)
     }
 }
 
 /// Predicate for a child pattern node, nested under its parent.
-fn child_predicate(pattern: &PatternTree, per_node: &PerNode<'_>, node: PatternNodeId) -> Expr {
+fn child_predicate(query: &Matcher, node: PatternNodeId) -> Expr {
+    let pattern = query.structure();
     let (_, kind) = pattern.parent_edge(node).expect("non-root");
+    let local = query.local(node);
     let step = |predicates| RelPath {
         from_descendants: kind == EdgeKind::AncestorDescendant,
         steps: vec![Step {
             axis: Axis::Child,
-            test: node_test(per_node, node),
+            test: node_test(local),
             predicates,
         }],
     };
@@ -171,16 +226,17 @@ fn child_predicate(pattern: &PatternTree, per_node: &PerNode<'_>, node: PatternN
     // precedes it, compares the step itself (`b='v'`)
     let mut inner: Vec<Expr> = Vec::new();
     let mut direct: Option<String> = None;
-    for &c in per_node.get(&node).into_iter().flatten() {
-        match text_cmp(c) {
-            Some((CmpOp::Eq, lit)) if direct.is_none() && inner.is_empty() => direct = Some(lit),
-            Some((op, lit)) => inner.extend(text_predicate(op, lit)),
-            None => inner.extend(set_predicate(c)),
+    for c in local.iter().filter_map(carried) {
+        match c {
+            Carried::Eq(lit) if direct.is_none() && inner.is_empty() => {
+                direct = Some(lit.into_owned())
+            }
+            c => inner.push(c.predicate()),
         }
     }
     // grandchildren nest further
     for &g in pattern.children(node) {
-        inner.push(child_predicate(pattern, per_node, g));
+        inner.push(child_predicate(query, g));
     }
 
     match (direct, inner.is_empty()) {
@@ -195,22 +251,10 @@ fn child_predicate(pattern: &PatternTree, per_node: &PerNode<'_>, node: PatternN
     }
 }
 
-/// `(text()='a' or text()='b' or …)`; `None` when the set is empty or a
-/// member has no XPath text. Dropping only that member would make the
-/// filter exclude documents holding exactly it, which the local pass
-/// accepts; with no predicate the filter stays a superset.
-fn disjunction(set: &BTreeSet<String>) -> Option<Expr> {
-    if set.is_empty() || !set.iter().all(|v| quotable(v)) {
-        return None;
-    }
-    let parts = set.iter().map(|v| Expr::Eq(ValueExpr::Text, v.clone()));
-    Some(Expr::any(parts.collect()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tax::{Cond, Matcher, Term};
+    use crate::tax::{Cond, PatternTree, Term};
     use proptest::prelude::*;
     use toss_tree::{NodeData, NodeId, Tree, Value};
     use toss_xmldb::Collection;
@@ -218,7 +262,7 @@ mod tests {
     /// Compile `pattern` and check that the text it shows parses back to
     /// the tree that runs; that text.
     fn check_compiles(pattern: &PatternTree) -> String {
-        let x = compile_xpath(pattern).unwrap();
+        let x = compile_xpath(&Matcher::new(pattern.clone())).unwrap();
         let text = x.to_string();
         assert_eq!(XPath::parse(&text).unwrap(), x, "{text}");
         text
@@ -374,25 +418,29 @@ mod tests {
     /// Pattern-root images as `(document, node)`.
     type Images = BTreeSet<(u64, NodeId)>;
 
-    /// The pattern root's images among `docs`, by the compiled XPath and
-    /// by the matcher.
-    fn candidates_and_matches(pattern: &PatternTree, docs: Vec<Tree>) -> (Images, Images) {
+    /// The documents of `docs` as a collection.
+    fn collection(docs: Vec<Tree>) -> Collection {
         let mut coll = Collection::new("c", None);
         for t in docs {
             coll.insert(t).unwrap();
         }
-        let candidates = compile_xpath(pattern)
+        coll
+    }
+
+    /// The pattern root's images in `coll`, by the compiled XPath and by
+    /// the matcher.
+    fn candidates_and_matches(query: &Matcher, coll: &Collection) -> (Images, Images) {
+        let candidates = compile_xpath(query)
             .unwrap()
-            .eval_collection(&coll)
+            .eval_collection(coll)
             .into_iter()
             .map(|r| (r.doc.0, r.node))
             .collect();
-        let matcher = Matcher::new(pattern.clone());
         let matches = coll
             .documents()
             .iter()
             .flat_map(|d| {
-                let roots: Vec<NodeId> = matcher
+                let roots: Vec<NodeId> = query
                     .embeddings(&d.tree)
                     .iter()
                     .map(|e| e.images()[0])
@@ -401,6 +449,27 @@ mod tests {
             })
             .collect();
         (candidates, matches)
+    }
+
+    /// For each probe key, the documents of `coll` it admits: those
+    /// holding a node with the key's tag whose content is a key term.
+    fn admitted(query: &Matcher, coll: &Collection) -> Vec<BTreeSet<u64>> {
+        let index = coll.index();
+        let admits = |k: &ProbeKey<'_>| {
+            let docs = index.docs_with_tag_content_any(&k.tag, &k.terms);
+            docs.into_iter().map(|d| d.0).collect()
+        };
+        probe_keys(query).iter().map(admits).collect()
+    }
+
+    /// The probe keys as `(tag, terms)`.
+    fn keys(p: &PatternTree) -> Vec<(String, Vec<String>)> {
+        let query = Matcher::new(p.clone());
+        let key = |k: ProbeKey<'_>| {
+            let terms = k.terms.iter().map(|t| t.to_string()).collect();
+            (k.tag.into_owned(), terms)
+        };
+        probe_keys(&query).into_iter().map(key).collect()
     }
 
     fn doc(children: &[(&str, &str)]) -> Tree {
@@ -434,7 +503,8 @@ mod tests {
             doc(&[("b", "x'y\"z")]),
             doc(&[("b", "q")]),
         ];
-        let (candidates, matches) = candidates_and_matches(&p, docs);
+        let coll = collection(docs);
+        let (candidates, matches) = candidates_and_matches(&Matcher::new(p), &coll);
         assert_eq!(matches.len(), 2);
         assert!(
             candidates.is_superset(&matches),
@@ -442,8 +512,69 @@ mod tests {
         );
     }
 
+    /// A child holding a set and a grandchild compiles to a conjunction
+    /// on the child's step; the set still gives the child's probe key.
+    #[test]
+    fn a_set_beside_a_grandchild_gives_a_probe_key() {
+        let mut p = PatternTree::new(1);
+        let b = p.add_child(p.root(), 2, EdgeKind::ParentChild).unwrap();
+        p.add_child(b, 3, EdgeKind::ParentChild).unwrap();
+        p.set_condition(Cond::all(vec![
+            Cond::eq(Term::tag(1), Term::str("r")),
+            Cond::eq(Term::tag(2), Term::str("b")),
+            Cond::eq(Term::tag(3), Term::str("c")),
+            Cond::in_set(Term::content(2), ["x".to_string(), "y".to_string()]),
+        ]))
+        .unwrap();
+        assert_eq!(
+            check_compiles(&p),
+            "//r[b[(text()='x' or text()='y') and c]]"
+        );
+        let terms = vec!["x".to_string(), "y".to_string()];
+        assert_eq!(keys(&p), vec![("b".to_string(), terms)]);
+    }
+
+    /// Only an equality or a set the XPath carries, with non-empty
+    /// terms, on a tag-pinned step gives a probe key.
+    #[test]
+    fn probe_keys_come_only_from_carried_equalities_and_sets() {
+        let set = |members: &[&str]| {
+            let members = members.iter().map(|m| m.to_string());
+            Cond::in_set(Term::content(2), members)
+        };
+        let none = [
+            Cond::ne(Term::content(2), Term::str("x")),
+            Cond::contains(Term::content(2), Term::str("x")),
+            Cond::eq(Term::content(2), Term::str("")),
+            Cond::eq(Term::content(2), Term::str("x'y\"z")),
+            Cond::eq(Term::content(2), Term::str("x")).not(),
+            set(&["x", ""]),
+            set(&["x", "x'y\"z"]),
+        ];
+        for c in none {
+            let p = spine(
+                &[("r", EdgeKind::ParentChild), ("b", EdgeKind::ParentChild)],
+                vec![c.clone()],
+            );
+            assert_eq!(keys(&p), vec![], "{c:?}");
+        }
+        // a wildcard step gives none either
+        let mut p = PatternTree::new(1);
+        p.add_child(p.root(), 2, EdgeKind::ParentChild).unwrap();
+        p.set_condition(Cond::eq(Term::content(2), Term::str("x")))
+            .unwrap();
+        assert_eq!(keys(&p), vec![]);
+        // an integer constant is compared by its rendering
+        let p = spine(
+            &[("r", EdgeKind::ParentChild), ("y", EdgeKind::ParentChild)],
+            vec![Cond::eq(Term::content(2), Term::int(1999))],
+        );
+        let terms = vec!["1999".to_string()];
+        assert_eq!(keys(&p), vec![("y".to_string(), terms)]);
+    }
+
     const TAGS: [&str; 3] = ["r", "b", "c"];
-    const VALUES: [&str; 6] = ["a", "ab", "O'Neil", "say \"hi\"", "x'y\"z", "b"];
+    const VALUES: [&str; 7] = ["a", "ab", "O'Neil", "say \"hi\"", "x'y\"z", "b", ""];
 
     /// One single-label conjunct on `label`, chosen by `kind`: `=`, `!=`
     /// or `contains` against a value, or a set of 1–64 members drawn
@@ -524,26 +655,33 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(4096))]
 
         /// The text a compiled query shows parses back to the tree that
         /// runs, whatever quotes its literals hold.
         #[test]
         fn compiled_text_parses_back_to_the_compiled_tree(p in pattern()) {
-            let x = compile_xpath(&p).unwrap();
+            let x = compile_xpath(&Matcher::new(p)).unwrap();
             let text = x.to_string();
             prop_assert_eq!(XPath::parse(&text).unwrap(), x);
         }
 
         /// The compiled XPath is a sound retrieval filter: it selects
-        /// every pattern-root image the matcher finds.
+        /// every pattern-root image the matcher finds, and the probe keys
+        /// admit every document it selects.
         #[test]
         fn compiled_candidates_cover_the_matches(
             p in pattern(),
             docs in proptest::collection::vec(tree(), 1..4),
         ) {
-            let (candidates, matches) = candidates_and_matches(&p, docs);
+            let (query, coll) = (Matcher::new(p), collection(docs));
+            let (candidates, matches) = candidates_and_matches(&query, &coll);
             prop_assert!(candidates.is_superset(&matches));
+            // and every probe key admits each document the XPath selects
+            let selected: BTreeSet<u64> = candidates.iter().map(|&(d, _)| d).collect();
+            for docs in admitted(&query, &coll) {
+                prop_assert!(docs.is_superset(&selected), "{:?} ⊉ {:?}", docs, selected);
+            }
         }
     }
 }

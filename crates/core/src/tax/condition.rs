@@ -248,27 +248,9 @@ impl Cond {
         }
     }
 
-    /// Split a top-level conjunction into its conjuncts (used by the
-    /// embedding enumerator to push single-label conjuncts down to the
-    /// node-binding step).
-    pub(crate) fn conjuncts(&self) -> Vec<&Cond> {
-        let mut out = Vec::new();
-        fn go<'a>(c: &'a Cond, out: &mut Vec<&'a Cond>) {
-            match c {
-                Cond::And(a, b) => {
-                    go(a, out);
-                    go(b, out);
-                }
-                Cond::True => {}
-                other => out.push(other),
-            }
-        }
-        go(self, &mut out);
-        out
-    }
-
-    /// [`Cond::conjuncts`] by value: the conjuncts are moved out, not
-    /// cloned.
+    /// Split a top-level conjunction into its conjuncts, moved out, not
+    /// cloned (the embedding enumerator pushes the single-label ones down
+    /// to the node-binding step).
     pub(crate) fn into_conjuncts(self) -> Vec<Cond> {
         fn go(c: Cond, out: &mut Vec<Cond>) {
             match c {
@@ -449,7 +431,7 @@ mod tests {
             Cond::eq(Term::tag(2), Term::str("b")),
             Cond::eq(Term::tag(3), Term::str("c")).or(Cond::True),
         ]);
-        assert_eq!(c.conjuncts().len(), 3);
-        assert_eq!(Cond::True.conjuncts().len(), 0);
+        assert_eq!(c.into_conjuncts().len(), 3);
+        assert_eq!(Cond::True.into_conjuncts().len(), 0);
     }
 }

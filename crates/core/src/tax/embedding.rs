@@ -80,6 +80,16 @@ impl Matcher {
         self.structure.node_by_label(label)
     }
 
+    /// The pattern's labels and edges (its condition is `True`).
+    pub(crate) fn structure(&self) -> &PatternTree {
+        &self.structure
+    }
+
+    /// The conjuncts over `node`'s label alone.
+    pub(crate) fn local(&self, node: PatternNodeId) -> &[Cond] {
+        &self.local[node.0]
+    }
+
     /// Enumerate all embeddings of the pattern into `tree`, in pattern
     /// preorder over candidates in document order.
     pub fn embeddings(&self, tree: &Tree) -> Vec<Embedding> {

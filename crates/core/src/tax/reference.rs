@@ -79,7 +79,8 @@ fn embeddings(pattern: &PatternTree, tree: &Tree) -> Vec<Vec<NodeId>> {
     }
     let mut local: HashMap<u32, Vec<&Cond>> = HashMap::new();
     let mut global: Vec<&Cond> = Vec::new();
-    for c in pattern.condition().conjuncts() {
+    let conjuncts = pattern.condition().clone().into_conjuncts();
+    for c in &conjuncts {
         let labels = c.labels();
         if labels.len() == 1 {
             local.entry(*labels.iter().next().expect("len 1")).or_default().push(c);

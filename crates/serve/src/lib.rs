@@ -61,8 +61,8 @@ pub use client::{
     WriteStats,
 };
 pub use open::{
-    checkpoint_store, load_sidecar, open_store, recover_ontology, sidecar_path, store_ontology,
-    OpenStore, StoreOntology,
+    checkpoint_store, discard_damaged_sidecar, load_sidecar, open_store, recover_ontology,
+    sidecar_path, store_ontology, OpenStore, StoreOntology,
 };
 pub use protocol::{ErrorCode, FrameError, QueryRequest, Request, WriteOp, WriteRequest};
 pub use server::{DrainReport, Server, ServerConfig, ShutdownHandle};

@@ -13,7 +13,8 @@ use toss_ontology::seo::Seo;
 use toss_xmldb::segidx::{kinds, load_segment, segment_builder};
 use toss_xmldb::storage::{save_json_with_vfs, to_json_with_seq};
 use toss_xmldb::{
-    Database, DatabaseConfig, DurableDatabase, DurableWriter, JournalOp, JournalRecord, Vfs,
+    Database, DatabaseConfig, DurableDatabase, DurableWriter, JournalOp, JournalRecord,
+    RecoveryReport, Vfs,
 };
 
 /// A store opened for serving.
@@ -221,6 +222,29 @@ fn read_sidecar(vfs: &dyn Vfs, snapshot: &Path) -> Result<Option<(u64, Seo)>, St
     let seo = v.get("seo").ok_or_else(|| damaged("no `seo`".into()))?;
     let seo = toss_ontology::persist::seo_from_value(seo).map_err(|e| damaged(e.to_string()))?;
     Ok(Some((cursor as u64, seo)))
+}
+
+/// For `db recover`: set a damaged ontology sidecar aside the way
+/// recovery sets aside a damaged snapshot — a `.corrupt` copy listed in
+/// `report` — and remove it, so the recovered store's one checkpoint
+/// runs without it. Returns why the sidecar was damaged; `None` when it
+/// is absent or decodes. A sidecar no copy could be kept of stays where
+/// it is, and is an error. Every other open stays strict
+/// ([`store_ontology`]).
+pub fn discard_damaged_sidecar(
+    vfs: &dyn Vfs,
+    snapshot: &Path,
+    report: &mut RecoveryReport,
+) -> Result<Option<String>, String> {
+    let Err(why) = read_sidecar(vfs, snapshot) else {
+        return Ok(None);
+    };
+    let path = sidecar_path(snapshot);
+    if !report.quarantine(vfs, &path) {
+        return Err(format!("{why}; no copy of it could be kept"));
+    }
+    vfs.remove(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(Some(why))
 }
 
 /// Replay the ontology tail of a journal scan onto `hierarchy`: every

@@ -70,6 +70,34 @@ impl RecoveryReport {
             && self.skipped_ops.is_empty()
     }
 
+    /// Best-effort copy of the damaged file at `path` to `<path>.corrupt`
+    /// for forensics, listed in [`RecoveryReport::quarantined`]. If that
+    /// name is taken by an earlier corruption event, a numeric suffix is
+    /// added (`.corrupt.1`, `.corrupt.2`, …) so no forensic copy is ever
+    /// overwritten. Returns whether the copy was kept.
+    pub fn quarantine(&mut self, vfs: &dyn Vfs, path: &Path) -> bool {
+        let Ok(bytes) = vfs.read(path) else {
+            return false;
+        };
+        let mut os = path.as_os_str().to_os_string();
+        os.push(".corrupt");
+        let base = PathBuf::from(os);
+        let mut dest = base.clone();
+        let mut n = 0u64;
+        while vfs.exists(&dest) {
+            n += 1;
+            let mut os = base.as_os_str().to_os_string();
+            os.push(format!(".{n}"));
+            dest = PathBuf::from(os);
+        }
+        if vfs.write(&dest, &bytes).is_err() {
+            return false;
+        }
+        let _ = vfs.sync(&dest);
+        self.quarantined.push(dest);
+        true
+    }
+
     /// Fold this report into the global `xmldb.recovery.*` counters (see
     /// `docs/durability.md` for how to read them via `toss stats`).
     /// Called once per recovery run.
@@ -691,7 +719,7 @@ fn load<J>(
             loaded.unwrap_or_else(|| empty(config))
         }
         (Err(err), Some(report)) => {
-            quarantine(vfs, snapshot, report);
+            report.quarantine(vfs, snapshot);
             report.snapshot_error = Some(err);
             empty(config)
         }
@@ -704,7 +732,7 @@ fn load<J>(
         (Some(err), None) => return Err(err),
         (corruption, Some(report)) => {
             if corruption.is_some() {
-                quarantine(vfs, &wal, report);
+                report.quarantine(vfs, &wal);
             }
             report.journal_error = corruption;
             report.torn_tail_bytes = scan.torn_tail_bytes;
@@ -750,30 +778,6 @@ pub(crate) fn publish_index_gauges(db: &Database, frozen_at_load: usize) {
     gauge("toss.index.pointer_bytes").set(pointer as i64);
     gauge("toss.index.segment_bytes").set(segment as i64);
     gauge("toss.index.cold_open_source").set((total > 0 && frozen_at_load == total) as i64);
-}
-
-/// Best-effort copy of a damaged file to `<path>.corrupt` for forensics.
-/// If that name is taken by an earlier corruption event, a numeric
-/// suffix is added (`.corrupt.1`, `.corrupt.2`, …) so no forensic copy
-/// is ever overwritten.
-fn quarantine(vfs: &dyn Vfs, path: &Path, report: &mut RecoveryReport) {
-    if let Ok(bytes) = vfs.read(path) {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".corrupt");
-        let base = PathBuf::from(os);
-        let mut dest = base.clone();
-        let mut n = 0u64;
-        while vfs.exists(&dest) {
-            n += 1;
-            let mut os = base.as_os_str().to_os_string();
-            os.push(format!(".{n}"));
-            dest = PathBuf::from(os);
-        }
-        if vfs.write(&dest, &bytes).is_ok() {
-            let _ = vfs.sync(&dest);
-            report.quarantined.push(dest);
-        }
-    }
 }
 
 /// Apply a validated operation. Shared by live commits and replay, so

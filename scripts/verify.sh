@@ -144,6 +144,9 @@ grep -q "^└─ " <<< "$EXPLAIN_OUT"
 # above the tree, the query's flight-recorder record (the one a server's
 # `slow` frame carries): the CLI query ran through the serving Service
 grep -q "^queue wait " <<< "$EXPLAIN_OUT"
+# the planner probes the content index with the key the rewrite gave the
+# author equality: one term, one of the two papers
+grep -q "^plan: index-probe tag=author terms=1 candidates=1 " <<< "$EXPLAIN_OUT"
 # the rewrite builds the XPath tree itself: no parse span under a query
 if grep -q "─ xmldb\.xpath\.parse " <<< "$EXPLAIN_OUT"; then
     echo "--explain shows an XPath parse on the query path"; exit 1
@@ -296,5 +299,14 @@ DAMAGED_EXIT=$?
 set -e
 [ "$DAMAGED_EXIT" = 1 ] || { echo "damaged sidecar: query exited $DAMAGED_EXIT, want 1"; exit 1; }
 grep -q "store.ont.json" "$SMOKE/damaged.err"
+# db recover sets the damaged sidecar aside and re-persists the store
+# without it; the edge lived only in that sidecar, so the query now runs
+# on --seo and finds nothing below smoke-pioneer
+SIDECAR_RECOVER_OUT=$("$CLI" db recover --db "$SMOKE/store.json")
+grep -q "^ontology sidecar discarded: .*store.ont.json" <<< "$SIDECAR_RECOVER_OUT"
+test -s "$SMOKE/store.ont.json.corrupt" || { echo "db recover kept no store.ont.json.corrupt"; exit 1; }
+BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings --below author=smoke-pioneer)
+grep -q "^0 answer(s)" <<< "$BELOW_OUT"
 
 echo "==> verify OK"
