@@ -30,7 +30,7 @@ usage:
   toss-cli query     --db <store.json> --seo <seo.json> --collection <name>
                      --root <tag> [--eq tag=value]… [--contains tag=value]…
                      [--similar tag=value]… [--below tag=term]… [--tax] [--pretty]
-                     [--explain] [--trace-out <spans.jsonl>] [--threads <n>]
+                     [--explain] [--trace-out <spans.jsonl>]
                      [--timeout-ms <n>] [--max-terms <n>] [--max-docs <n>]
   toss-cli stats     --db <store.json> [--json]
   toss-cli db        checkpoint --db <store.json>
@@ -38,7 +38,7 @@ usage:
   toss-cli dot       --seo <seo.json>
   toss-cli serve     --db <store.json> --seo <seo.json> [--addr <host:port>]
                      [--writable] [--checkpoint-every <n>]
-                     [--max-conns <n>] [--max-concurrent <n>] [--threads <n>]
+                     [--max-conns <n>] [--max-concurrent <n>]
                      [--drain-ms <n>] [--allow-shutdown]
                      [--flight-capacity <n>] [--slow-log <file.jsonl>]
                      [--slow-threshold-ms <n>] [--slow-sample <n>]
@@ -161,18 +161,12 @@ fn load_db(path: &str) -> Result<Database, String> {
 
 /// Open `--db` the way every front door does ([`toss_serve::open_store`]:
 /// the ontology sidecar and journal tail beat the `--seo` baseline) and
-/// put an executor with `--threads` scan workers over it. `write` opens
-/// it writable and returns its write engine.
+/// put an executor over it. `write` opens it writable and returns its
+/// write engine.
 fn open_executor(
     args: &Args,
     write: Option<WriteConfig>,
 ) -> Result<(Executor, Option<WriteEngine>), String> {
-    // --threads bounds the scan worker pool; the default sizes it from
-    // the machine's available parallelism
-    let threads = parse_u64_flag(args, "threads")?;
-    if threads == Some(0) {
-        return Err("--threads must be at least 1".into());
-    }
     let db_path = args.required("db")?;
     let seo_json = std::fs::read_to_string(args.required("seo")?).map_err(|e| e.to_string())?;
     let baseline = seo_from_json(&seo_json).map_err(|e| e.to_string())?;
@@ -186,11 +180,8 @@ fn open_executor(
     if opened.replayed > 0 {
         eprintln!("replayed {} ontology journal record(s) past the sidecar", opened.replayed);
     }
-    let mut executor = Executor::new(opened.db, Arc::new(opened.seo))
+    let executor = Executor::new(opened.db, Arc::new(opened.seo))
         .with_probe_metric(Arc::new(default_metric()));
-    if let Some(n) = threads {
-        executor = executor.with_threads(n as usize);
-    }
     Ok((executor, opened.engine))
 }
 
@@ -575,12 +566,11 @@ fn cmd_query(argv: &[String]) -> Result<(), CliFailure> {
         argv,
         &[
             "db", "seo", "collection", "root", "eq", "contains", "similar", "below", "tax",
-            "pretty", "explain", "trace-out", "threads", "timeout-ms", "max-terms", "max-docs",
+            "pretty", "explain", "trace-out", "timeout-ms", "max-terms", "max-docs",
         ],
     )?;
     let request = query_request(args)?;
     let (executor, _) = open_executor(args, None)?;
-    let workers = executor.pool.workers();
     let service = Service::new(Arc::new(RwLock::new(executor)), &ServerConfig::default())
         .map_err(|e| e.to_string())?;
     // Optional trace consumers. Keeping the scopes alive for the whole
@@ -640,7 +630,7 @@ fn cmd_query(argv: &[String]) -> Result<(), CliFailure> {
                 r.memory_bytes,
             );
             if !r.plan.is_empty() {
-                println!("plan: {} (threads {workers})", r.plan);
+                println!("plan: {}", r.plan);
             }
         }
         print!("{}", trace.render());
@@ -656,10 +646,8 @@ fn cmd_query(argv: &[String]) -> Result<(), CliFailure> {
         for name in [
             "toss.query.expansion_terms",
             "toss.planner.index_probe",
-            "toss.planner.parallel_scan",
+            "toss.planner.scan",
             "toss.planner.probe_candidates",
-            "toss.pool.runs",
-            "toss.pool.partitions",
             "xmldb.xpath.docs_scanned",
             "xmldb.xpath.nodes_matched",
             "toss.semantic.rewrite_cache.hits",
@@ -755,7 +743,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), String> {
         argv,
         &[
             "db", "seo", "addr", "writable", "checkpoint-every", "max-conns",
-            "max-concurrent", "threads", "drain-ms", "allow-shutdown", "flight-capacity",
+            "max-concurrent", "drain-ms", "allow-shutdown", "flight-capacity",
             "slow-log", "slow-threshold-ms", "slow-sample", "window-ms", "window-buckets",
         ],
     )?;
@@ -1111,8 +1099,10 @@ mod tests {
         }
     }
 
+    /// Selections run on the calling thread, so neither front door takes
+    /// a thread count: `--threads` is an unknown flag like any other.
     #[test]
-    fn query_accepts_explicit_thread_count() {
+    fn query_and_serve_refuse_a_thread_count() {
         let xml_path = tmp("threaded.xml");
         std::fs::write(
             &xml_path,
@@ -1135,23 +1125,22 @@ mod tests {
             seo_path.display()
         )))
         .expect("build-seo");
-        for threads in ["1", "4"] {
-            run(&argv(&format!(
-                "query --db {} --seo {} --collection dblp --root inproceedings \
-                 --eq author=A --threads {threads} --explain",
-                db_path.display(),
-                seo_path.display()
-            )))
-            .expect("query with --threads");
-        }
+        let query = format!(
+            "query --db {} --seo {} --collection dblp --root inproceedings --eq author=A",
+            db_path.display(),
+            seo_path.display()
+        );
+        run(&argv(&query)).expect("the query without --threads");
+        let err = run(&argv(&format!("{query} --threads 4")))
+            .expect_err("--threads is not a query flag");
+        assert!(err.message.contains("unknown flag --threads"), "{}", err.message);
         let err = run(&argv(&format!(
-            "query --db {} --seo {} --collection dblp --root inproceedings \
-             --eq author=A --threads 0",
+            "serve --db {} --seo {} --threads 2",
             db_path.display(),
             seo_path.display()
         )))
-        .expect_err("--threads 0 must be rejected");
-        assert!(err.message.contains("--threads"), "{}", err.message);
+        .expect_err("--threads is not a serve flag");
+        assert!(err.message.contains("unknown flag --threads"), "{}", err.message);
     }
 
     #[test]

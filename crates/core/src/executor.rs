@@ -7,10 +7,11 @@
 //! 1. **rewrite** — expand the TOSS condition through the SEO and compile
 //!    the pattern tree into an XPath syntax tree (built directly; its
 //!    text is only shown);
-//! 2. **execute** — choose index probe or partitioned scan from the
-//!    postings of the probe keys the rewrite gives the prepared query
+//! 2. **execute** — choose index probe or scan from the postings of the
+//!    probe keys the rewrite gives the prepared query
 //!    (`rewrite::probe_keys`; nothing is read back out of the XPath),
-//!    then evaluate the XPath over the chosen candidates;
+//!    then evaluate the XPath over the chosen candidates, in order on
+//!    the calling thread;
 //! 3. **convert** — parse the matched subtrees back into TAX witness
 //!    trees (a local selection pass that also applies any conjuncts the
 //!    XPath fragment could not express, so results are exact).
@@ -18,7 +19,9 @@
 //! Projection runs the same three phases with a TAX projection in phase
 //! 3. Joins retrieve each side by XPath, then run the product +
 //! selection locally — mirroring the paper's observation that Xindice
-//! returns intermediate results which "our code" then combines.
+//! returns intermediate results which "our code" then combines. Joins
+//! are the executor's only fan-out: the two sides, and the signature
+//! join's fingerprint and lookup tasks, run on [`Executor::pool`].
 //!
 //! Every operator has one entry, governed by a [`QueryGovernor`]; an
 //! ungoverned run passes [`QueryGovernor::unlimited`]. The only
@@ -40,7 +43,7 @@ use std::time::Duration;
 use toss_ontology::Seo;
 use toss_pool::WorkerPool;
 use toss_tree::{Forest, Tree};
-use toss_xmldb::{planned_partitions, Candidates, Collection, Database, NodeRef, XPath};
+use toss_xmldb::{Candidates, Collection, Database, NodeRef, XPath};
 
 /// Which semantics to execute a query under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,18 +126,9 @@ pub enum QueryPlan {
         terms: usize,
         /// Candidate documents the probe admitted.
         candidates: usize,
-        /// Worker threads available to evaluate the candidates.
-        workers: usize,
-        /// Contiguous partitions the candidate evaluation uses.
-        partitions: usize,
     },
-    /// Partitioned scan over the collection's candidate documents.
-    ParallelScan {
-        /// Worker threads available to the scan.
-        workers: usize,
-        /// Contiguous partitions the scan splits its candidates into.
-        partitions: usize,
-    },
+    /// Scan over the collection's candidate documents.
+    Scan,
     /// Keyed similarity join: fingerprint groups + an inverted index
     /// from signature elements to right-side groups
     /// ([`crate::algebra::similarity_join`]).
@@ -154,11 +148,11 @@ pub enum QueryPlan {
 }
 
 impl QueryPlan {
-    /// Short strategy name (`index-probe` / `parallel-scan` / `simjoin`).
+    /// Short strategy name (`index-probe` / `scan` / `simjoin`).
     pub(crate) fn strategy(&self) -> &'static str {
         match self {
             QueryPlan::IndexProbe { .. } => "index-probe",
-            QueryPlan::ParallelScan { .. } => "parallel-scan",
+            QueryPlan::Scan => "scan",
             QueryPlan::SimilarityJoin { .. } => "simjoin",
         }
     }
@@ -171,17 +165,8 @@ impl fmt::Display for QueryPlan {
                 tag,
                 terms,
                 candidates,
-                workers,
-                partitions,
-            } => write!(
-                f,
-                "index-probe tag={tag} terms={terms} candidates={candidates} \
-                 workers={workers} partitions={partitions}"
-            ),
-            QueryPlan::ParallelScan {
-                workers,
-                partitions,
-            } => write!(f, "parallel-scan workers={workers} partitions={partitions}"),
+            } => write!(f, "index-probe tag={tag} terms={terms} candidates={candidates}"),
+            QueryPlan::Scan => write!(f, "scan"),
             QueryPlan::SimilarityJoin {
                 groups,
                 candidates,
@@ -195,18 +180,17 @@ impl fmt::Display for QueryPlan {
     }
 }
 
-/// The per-query planner: choose index-probe vs parallel-scan from the
-/// postings statistics of the prepared query's probe keys, then
-/// enumerate the chosen strategy's candidate visits — once; the same
-/// enumeration sizes the plan's `partitions` and feeds the evaluator. A probe is taken when its postings bound proves
-/// the candidate set is at most half the collection — below that the
-/// merged-postings lookup plus the filtered evaluation beats touching
-/// every document; above it the partitioned scan's better locality wins
-/// and the probe's merge would be pure overhead.
+/// The per-query planner: choose index-probe vs scan from the postings
+/// statistics of the prepared query's probe keys, then enumerate the
+/// chosen strategy's candidate visits — once; the same enumeration is
+/// admitted and then evaluated. A probe is taken when its postings bound
+/// proves the candidate set is at most half the collection — below that
+/// the merged-postings lookup plus the filtered evaluation beats touching
+/// every document; above it the scan's better locality wins and the
+/// probe's merge would be pure overhead.
 fn plan_retrieval<'a>(
     prepared: &'a PreparedQuery,
     coll: &'a Collection,
-    workers: usize,
 ) -> (QueryPlan, Candidates<'a>) {
     let (xpath, index) = (&prepared.xpath, coll.index());
     let probe = {
@@ -224,24 +208,14 @@ fn plan_retrieval<'a>(
     match probe {
         Some((_, key)) => {
             let docs = index.docs_with_tag_content_any(&key.tag, &key.terms);
-            let visits = xpath.probe_candidates(coll, &docs);
             let plan = QueryPlan::IndexProbe {
                 tag: key.tag.into_owned(),
                 terms: key.terms.len(),
                 candidates: docs.len(),
-                workers,
-                partitions: planned_partitions(visits.len(), workers),
             };
-            (plan, visits)
+            (plan, xpath.probe_candidates(coll, &docs))
         }
-        None => {
-            let visits = xpath.scan_candidates(coll);
-            let plan = QueryPlan::ParallelScan {
-                workers,
-                partitions: planned_partitions(visits.len(), workers),
-            };
-            (plan, visits)
-        }
+        None => (QueryPlan::Scan, xpath.scan_candidates(coll)),
     }
 }
 
@@ -350,9 +324,10 @@ pub struct Executor {
     pub probe_metric: Option<Arc<dyn toss_similarity::StringMetric>>,
     /// Optional part-of SEO enabling `part_of` conditions.
     pub part_of_seo: Option<Arc<Seo>>,
-    /// Worker pool for partitioned scans and join-side fan-out. Defaults
-    /// to the machine's available parallelism; a one-worker pool runs
-    /// every task inline (`Candidates::eval` on one worker).
+    /// Worker pool for joins: the two sides of a join, and the
+    /// signature join's fingerprint and lookup tasks. Selections and
+    /// projections never use it. Defaults to the machine's available
+    /// parallelism; a one-worker pool runs every task inline.
     pub pool: WorkerPool,
     /// Bounded cache of SEO-expanded conditions keyed on the normalized
     /// condition, the SEO version stamps, ε, the probe metric and the
@@ -413,10 +388,9 @@ impl Executor {
             .fetch_add(1, std::sync::atomic::Ordering::AcqRel)
     }
 
-    /// Size the worker pool to `n` threads (builder style). `1` runs
-    /// every task inline: scans are `Candidates::eval` on one worker and
-    /// the two sides of a join run one after the other, with results
-    /// identical to any other worker count.
+    /// Size the join worker pool to `n` threads (builder style). `1`
+    /// runs every join task inline — the two sides of a join one after
+    /// the other — with results identical to any other worker count.
     pub fn with_threads(mut self, n: usize) -> Self {
         self.pool = WorkerPool::new(n);
         self
@@ -644,35 +618,29 @@ impl Executor {
         gov.check()?;
         let ex = toss_obs::span("toss.query.execute");
         let coll = self.db.collection(&query.collection)?;
-        let (plan, visits) = plan_retrieval(&prepared, coll, self.pool.workers());
+        let (plan, visits) = plan_retrieval(&prepared, coll);
         ex.record("plan", plan.strategy());
         match &plan {
             QueryPlan::IndexProbe {
                 tag,
                 terms,
                 candidates,
-                partitions,
-                ..
             } => {
                 ex.record("probe_tag", tag.as_str());
                 ex.record("probe_terms", *terms);
                 ex.record("probe_candidates", *candidates);
-                ex.record("partitions", *partitions);
                 toss_obs::metrics::counter("toss.planner.index_probe").inc();
                 toss_obs::metrics::counter("toss.planner.probe_candidates")
                     .add(*candidates as u64);
             }
-            QueryPlan::ParallelScan { partitions, .. } => {
-                ex.record("partitions", *partitions);
-                toss_obs::metrics::counter("toss.planner.parallel_scan").inc();
-            }
+            QueryPlan::Scan => toss_obs::metrics::counter("toss.planner.scan").inc(),
             // retrieval planning never yields a join plan
             QueryPlan::SimilarityJoin { .. } => {}
         }
         let admitted = gov.admit_docs(visits.len())?;
         let matches = {
             let _residual = toss_obs::span("toss.query.execute.residual");
-            visits.eval(admitted, &|| gov.interrupted(), &self.pool)
+            visits.eval(admitted, &|| gov.interrupted())
         };
         let Some(matches) = matches else {
             // a stop is a cancellation or a passed deadline, both final
@@ -716,12 +684,10 @@ impl Executor {
         })
     }
 
-    /// Select both sides of a join as two tasks on the pool. Each side
-    /// partitions its own scan on the same pool — [`WorkerPool::run`] is
-    /// re-entrant, so nesting cannot deadlock — and a one-worker pool
-    /// runs the two inline, left first. Both sides always run, so output
-    /// and errors are the same at every worker count; the left side's
-    /// error wins.
+    /// Select both sides of a join as two tasks on the pool; a
+    /// one-worker pool runs the two inline, left first. Both sides always
+    /// run, so output and errors are the same at every worker count; the
+    /// left side's error wins.
     fn join_sides(
         &self,
         left: &TossQuery,
@@ -1019,7 +985,7 @@ mod tests {
         let out = ex.select(&wide_query("venue", "V", false), Mode::Toss).unwrap();
         assert_eq!(out.forest.len(), 20);
         assert!(
-            matches!(out.plan, Some(QueryPlan::ParallelScan { .. })),
+            matches!(out.plan, Some(QueryPlan::Scan)),
             "unselective probe must fall back to a scan: {:?}",
             out.plan
         );
@@ -1049,73 +1015,10 @@ mod tests {
         let out = ex.select(&q, Mode::Toss).unwrap();
         assert_eq!(out.forest.len(), 19);
         assert!(
-            matches!(out.plan, Some(QueryPlan::ParallelScan { .. })),
+            matches!(out.plan, Some(QueryPlan::Scan)),
             "negated predicates must not drive a probe: {:?}",
             out.plan
         );
-    }
-
-    #[test]
-    fn parallel_select_is_identical_to_sequential() {
-        let n = 40;
-        let queries = [
-            wide_query("author", "A1", true),
-            wide_query("author", "A7", false),
-            wide_query("venue", "V", false),
-            wide_query("booktitle", "B2", false),
-        ];
-        for q in &queries {
-            let baseline = setup_wide(n)
-                .with_threads(1)
-                .select(q, Mode::Toss)
-                .unwrap();
-            for threads in [2, 7] {
-                let out = setup_wide(n)
-                    .with_threads(threads)
-                    .select(q, Mode::Toss)
-                    .unwrap();
-                assert_eq!(out.xpath, baseline.xpath);
-                assert_eq!(
-                    forest_to_xml(&out.forest, Style::Compact),
-                    forest_to_xml(&baseline.forest, Style::Compact),
-                    "threads={threads} must preserve order: {}",
-                    baseline.xpath
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_select_matches_sequential_under_budgets() {
-        let n = 40;
-        let q = wide_query("venue", "V", false); // scan-planned: all docs
-        for cap in [0u64, 1, 5, 100] {
-            let budget =
-                QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(cap));
-            let gov1 = QueryGovernor::new(budget.clone());
-            let base = setup_wide(n)
-                .with_threads(1)
-                .select_governed(&q, Mode::Toss, &gov1)
-                .unwrap();
-            for threads in [2, 7] {
-                let gov = QueryGovernor::new(budget.clone());
-                let out = setup_wide(n)
-                    .with_threads(threads)
-                    .select_governed(&q, Mode::Toss, &gov)
-                    .unwrap();
-                assert_eq!(
-                    forest_to_xml(&out.forest, Style::Compact),
-                    forest_to_xml(&base.forest, Style::Compact),
-                    "cap={cap} threads={threads}"
-                );
-                assert_eq!(
-                    gov.docs_scanned(),
-                    gov1.docs_scanned(),
-                    "budget charging must not depend on threads (cap={cap})"
-                );
-                assert_eq!(out.degradation, base.degradation, "cap={cap}");
-            }
-        }
     }
 
     #[test]
@@ -1513,29 +1416,27 @@ mod tests {
             QueryBudget::unlimited(),
             QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(100)),
         ];
-        for workers in [1, 4] {
-            for budget in &budgets {
-                let ex = setup_wide(40).with_threads(workers);
-                for q in [
-                    wide_query("author", "A1", true), // probe-planned, SEO-expanded
-                    wide_query("venue", "V", false),  // scan-planned
-                ] {
-                    let miss = observed(&ex, &q, budget);
-                    assert!(
-                        !entry_is_promoted(&ex, &q, budget),
-                        "an entry that never hit holds no prepared form"
-                    );
-                    let promoting = observed(&ex, &q, budget);
-                    assert!(entry_is_promoted(&ex, &q, budget));
-                    let shared = observed(&ex, &q, budget);
-                    assert_eq!(miss, promoting, "workers={workers} {budget:?}");
-                    assert_eq!(miss, shared, "workers={workers} {budget:?}");
-                }
-                assert_eq!(
-                    (ex.rewrite_cache.hits(), ex.rewrite_cache.misses()),
-                    (4, 2)
+        for budget in &budgets {
+            let ex = setup_wide(40);
+            for q in [
+                wide_query("author", "A1", true), // probe-planned, SEO-expanded
+                wide_query("venue", "V", false),  // scan-planned
+            ] {
+                let miss = observed(&ex, &q, budget);
+                assert!(
+                    !entry_is_promoted(&ex, &q, budget),
+                    "an entry that never hit holds no prepared form"
                 );
+                let promoting = observed(&ex, &q, budget);
+                assert!(entry_is_promoted(&ex, &q, budget));
+                let shared = observed(&ex, &q, budget);
+                assert_eq!(miss, promoting, "{budget:?}");
+                assert_eq!(miss, shared, "{budget:?}");
             }
+            assert_eq!(
+                (ex.rewrite_cache.hits(), ex.rewrite_cache.misses()),
+                (4, 2)
+            );
         }
     }
 

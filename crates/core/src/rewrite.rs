@@ -596,15 +596,38 @@ mod tests {
         }
     }
 
+    /// The literal a content conjunct compares with, or a set's members.
+    fn literals(c: &Cond) -> Vec<String> {
+        match c {
+            Cond::Cmp {
+                rhs: Term::Const(v),
+                ..
+            } => vec![literal(v).into_owned()],
+            Cond::InSet { set, .. } => set.iter().cloned().collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// One generated pattern node: its parent's index (none for the
+    /// root), its pinned tag (an index into [`TAGS`]; `*` past the end)
+    /// and the literals of each content conjunct on it.
+    #[derive(Debug)]
+    struct Shape {
+        parent: Option<usize>,
+        tag: usize,
+        values: Vec<Vec<String>>,
+    }
+
     /// A pattern of one to six nodes under pc and ad edges, every tag
-    /// pinned or left as `*`, with content conjuncts on any node.
-    fn pattern() -> impl Strategy<Value = PatternTree> {
+    /// pinned or left as `*`, with content conjuncts on any node; and the
+    /// shape of each node, in pattern-node order.
+    fn pattern() -> impl Strategy<Value = (PatternTree, Vec<Shape>)> {
         let structure = proptest::collection::vec((0usize..6, 0usize..2, 0usize..4), 0..6);
         let conds = proptest::collection::vec(
             (
                 0usize..6,
                 0usize..4,
-                0usize..6,
+                0usize..VALUES.len(),
                 proptest::collection::vec(0usize..6 * VALUES.len(), 1..65),
             ),
             0..5,
@@ -612,45 +635,105 @@ mod tests {
         (0usize..4, structure, conds).prop_map(|(root_tag, children, conds)| {
             let mut p = PatternTree::new(1);
             let mut all = Vec::new();
-            let mut pin = |label: u32, tag: usize| {
+            let mut shapes = Vec::new();
+            let mut pin = |label: u32, parent: Option<usize>, tag: usize| {
                 if let Some(t) = TAGS.get(tag) {
                     all.push(Cond::eq(Term::tag(label), Term::str(t)));
                 }
+                shapes.push(Shape {
+                    parent,
+                    tag,
+                    values: Vec::new(),
+                });
             };
-            pin(1, root_tag);
+            pin(1, None, root_tag);
             for (i, (parent, edge, tag)) in children.into_iter().enumerate() {
                 let kind = match edge {
                     0 => EdgeKind::ParentChild,
                     _ => EdgeKind::AncestorDescendant,
                 };
                 let label = i as u32 + 2;
-                p.add_child(PatternNodeId(parent % (i + 1)), label, kind)
-                    .unwrap();
-                pin(label, tag);
+                let parent = parent % (i + 1);
+                p.add_child(PatternNodeId(parent), label, kind).unwrap();
+                pin(label, Some(parent), tag);
             }
             let n = p.len();
             for (node, kind, v, members) in conds {
-                all.push(conjunct((node % n) as u32 + 1, kind, v, &members));
+                let c = conjunct((node % n) as u32 + 1, kind, v, &members);
+                shapes[node % n].values.push(literals(&c));
+                all.push(c);
             }
             p.set_condition(Cond::all(all)).unwrap();
-            p
+            (p, shapes)
         })
     }
 
-    /// A document of up to eight nodes with the pattern's tags and values.
-    fn tree() -> impl Strategy<Value = Tree> {
-        proptest::collection::vec((0usize..3, 0usize..8, 0usize..8), 0..8).prop_map(|nodes| {
-            let mut t = Tree::new();
-            let root = t.set_root(NodeData::element("r")).unwrap();
-            let mut ids = vec![root];
-            for (tag, value, parent) in nodes {
-                let data = NodeData {
-                    content: VALUES.get(value).map(|v| Value::Str(v.to_string())),
-                    ..NodeData::element(TAGS[tag])
-                };
-                ids.push(t.add_child(ids[parent % ids.len()], data).unwrap());
+    /// The content `pick` chooses for a node whose conjuncts hold
+    /// `values`: one time in four none, which `text()=''` accepts but the
+    /// content index does not hold; else a literal of one of them, or one
+    /// of [`VALUES`] for a node without conjuncts.
+    fn content(values: &[Vec<String>], pick: usize) -> Option<String> {
+        let (source, pick) = (pick % 4, pick / 4);
+        match source {
+            0 => None,
+            _ if !values.is_empty() => {
+                let v = &values[pick % values.len()];
+                Some(v[pick / values.len() % v.len()].clone())
             }
-            t
+            _ => Some(VALUES[pick % VALUES.len()].to_string()),
+        }
+    }
+
+    /// A document under an `r` root: when `mirror`, a copy of the
+    /// pattern's own shape — each node with its pinned tag (or one of
+    /// [`TAGS`]) as a child of its parent's copy, its content picked by
+    /// [`content`] — so a keyed conjunct is often met; then `extra`
+    /// `(tag, content pick, parent)` nodes anywhere.
+    fn tree(
+        shapes: &[Shape],
+        mirror: bool,
+        picks: &[usize],
+        extra: Vec<(usize, usize, usize)>,
+    ) -> Tree {
+        let mut t = Tree::new();
+        let root = t.set_root(NodeData::element("r")).unwrap();
+        let mut ids = vec![root];
+        let add = |t: &mut Tree, parent, tag: usize, content: Option<String>| {
+            let data = NodeData {
+                content: content.map(Value::Str),
+                ..NodeData::element(TAGS[tag % TAGS.len()])
+            };
+            t.add_child(parent, data).unwrap()
+        };
+        if mirror {
+            for (shape, &pick) in shapes.iter().zip(picks) {
+                // the root's copy is the second node, each other node's
+                // copy follows its parent's
+                let parent = shape.parent.map_or(root, |p| ids[p + 1]);
+                let tag = if shape.tag < TAGS.len() { shape.tag } else { pick };
+                let copy = add(&mut t, parent, tag, content(&shape.values, pick / TAGS.len()));
+                ids.push(copy);
+            }
+        }
+        for (tag, pick, parent) in extra {
+            let parent = ids[parent % ids.len()];
+            ids.push(add(&mut t, parent, tag, content(&[], pick)));
+        }
+        t
+    }
+
+    /// A pattern and one to three documents, each a mirror of the
+    /// pattern (three in four) with up to eight more nodes.
+    fn pattern_and_docs() -> impl Strategy<Value = (PatternTree, Vec<Tree>)> {
+        let picks = proptest::collection::vec(0usize..1 << 16, 6..7);
+        let extra = proptest::collection::vec((0usize..3, 0usize..64, 0usize..16), 0..8);
+        let docs = proptest::collection::vec((0usize..4, picks, extra), 1..4);
+        (pattern(), docs).prop_map(|((p, shapes), docs)| {
+            let docs = docs
+                .into_iter()
+                .map(|(mirror, picks, extra)| tree(&shapes, mirror != 0, &picks, extra))
+                .collect();
+            (p, docs)
         })
     }
 
@@ -660,7 +743,7 @@ mod tests {
         /// The text a compiled query shows parses back to the tree that
         /// runs, whatever quotes its literals hold.
         #[test]
-        fn compiled_text_parses_back_to_the_compiled_tree(p in pattern()) {
+        fn compiled_text_parses_back_to_the_compiled_tree((p, _) in pattern()) {
             let x = compile_xpath(&Matcher::new(p)).unwrap();
             let text = x.to_string();
             prop_assert_eq!(XPath::parse(&text).unwrap(), x);
@@ -668,12 +751,11 @@ mod tests {
 
         /// The compiled XPath is a sound retrieval filter: it selects
         /// every pattern-root image the matcher finds, and the probe keys
-        /// admit every document it selects.
+        /// admit every document it selects. The documents draw their
+        /// content from the pattern's literals, so a case with a probe
+        /// key often has a document the XPath selects.
         #[test]
-        fn compiled_candidates_cover_the_matches(
-            p in pattern(),
-            docs in proptest::collection::vec(tree(), 1..4),
-        ) {
+        fn compiled_candidates_cover_the_matches((p, docs) in pattern_and_docs()) {
             let (query, coll) = (Matcher::new(p), collection(docs));
             let (candidates, matches) = candidates_and_matches(&query, &coll);
             prop_assert!(candidates.is_superset(&matches));

@@ -59,8 +59,9 @@ pub struct QueryRecord {
     pub class: String,
     /// The query itself (XPath / condition description), possibly long.
     pub query: String,
-    /// Plan strategy chosen by the planner (`index_probe(...)`,
-    /// `parallel_scan(...)`), empty when the query never reached it.
+    /// The plan the planner chose, as the executor renders it
+    /// (`index-probe tag=author terms=2 candidates=4`, `scan`); empty
+    /// when the query never reached the planner.
     pub plan: String,
     /// How the query ended.
     pub outcome: QueryOutcomeKind,
@@ -282,7 +283,7 @@ mod tests {
             query_id: id,
             class: "interactive".into(),
             query: "//inproceedings[author=\"Smith\"]".into(),
-            plan: "index_probe(author)".into(),
+            plan: "index-probe tag=author terms=1 candidates=1".into(),
             outcome,
             cause: String::new(),
             total_ns,

@@ -142,7 +142,7 @@ fn slow_query_log_lines_golden() {
         query_id: 42,
         class: "interactive".into(),
         query: "//inproceedings[author=\"Smith\"]".into(),
-        plan: "index_probe(author)".into(),
+        plan: "index-probe tag=author terms=1 candidates=1".into(),
         outcome: QueryOutcomeKind::Error,
         cause: "deadline \"exceeded\"".into(),
         total_ns: 1_500,
@@ -177,7 +177,7 @@ fn slow_query_log_lines_golden() {
     let _ = std::fs::remove_file(&path);
     let expected = concat!(
         r#"{"query_id":42,"class":"interactive","query":"//inproceedings[author=\"Smith\"]","#,
-        r#""plan":"index_probe(author)","outcome":"error","cause":"deadline \"exceeded\"","#,
+        r#""plan":"index-probe tag=author terms=1 candidates=1","outcome":"error","cause":"deadline \"exceeded\"","#,
         r#""total_ns":1500,"queue_wait_ns":10,"rewrite_ns":1,"execute_ns":2,"convert_ns":3,"#,
         r#""terms_used":4,"docs_scanned":5,"memory_bytes":6,"answers":7,"#,
         r#""degraded":["witnesses clamped","terms\tclamped"]}"#,

@@ -73,7 +73,7 @@ fn disabled_spans_do_not_allocate() {
         query_id: i,
         class: "interactive".to_string(),
         query: format!("//inproceedings[author=\"A{i}\"]"),
-        plan: "index_probe(author)".to_string(),
+        plan: "index-probe tag=author terms=1 candidates=1".to_string(),
         total_ns: 100_000 + i,
         ..QueryRecord::default()
     };

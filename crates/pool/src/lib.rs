@@ -1,11 +1,13 @@
-//! # toss-pool — a scoped worker pool for partitioned query execution
+//! # toss-pool — a scoped worker pool for joins and snapshot decoding
 //!
 //! A zero-dependency fan-out primitive built from `std::thread::scope`
-//! plus an `mpsc` channel used as a work queue. A [`WorkerPool`] is a
+//! plus an `mpsc` channel used as a work queue, for a join's two sides,
+//! the signature join and the snapshot decode at open (a selection runs
+//! on the calling thread). A [`WorkerPool`] is a
 //! *sizing policy*, not a set of live threads: each [`WorkerPool::run`]
 //! call spawns up to `workers − 1` scoped threads, drains the queue of
 //! tasks beside them on the calling thread, and joins them, so tasks may
-//! freely borrow from the caller's stack (the collection being scanned,
+//! freely borrow from the caller's stack (the snapshot being decoded,
 //! the query governor, …) without `Arc`-wrapping or `'static` bounds —
 //! and without any `unsafe`.
 //!
@@ -13,22 +15,21 @@
 //!
 //! * **Deterministic results.** `run` returns task results in task
 //!   order, regardless of which worker executed what. Callers that need
-//!   order-sensitive merging (the partitioned XPath scan's strict
-//!   document order) rely on this.
+//!   order-sensitive merging (the snapshot decode's file order, the
+//!   signature join's group order) rely on this.
 //! * **Sequential fast path.** With one worker — or one task — the pool
 //!   runs everything inline on the calling thread: no threads are
-//!   spawned, so a `--threads 1` configuration is *exactly* the
-//!   sequential code path, not a pool with extra overhead.
+//!   spawned, so a one-worker pool is *exactly* the sequential code
+//!   path, not a pool with extra overhead.
 //! * **Panic propagation.** A panicking task stops the pool from
 //!   starting further tasks and the first panic payload is re-raised on
 //!   the calling thread once every spawned worker has joined — a panic
 //!   in a task the caller itself ran included — so the caller's
 //!   `catch_unwind`-based isolation (`toss-core`'s governor) sees the
 //!   same panic a sequential run would produce.
-//! * **Re-entrancy.** `run` may be called from inside a task (a join
-//!   evaluates both sides on the pool, and each side partitions its own
-//!   scan). Every call scopes its own threads, so nesting cannot
-//!   deadlock on a shared queue.
+//! * **Re-entrancy.** `run` may be called from inside a task. Every
+//!   call scopes its own threads, so nesting cannot deadlock on a shared
+//!   queue.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +48,7 @@ pub struct WorkerPool {
 }
 
 /// Upper bound on workers per pool — a guard against pathological
-/// `--threads` values, far above any real core count this store targets.
+/// sizes, far above any real core count this store targets.
 const MAX_WORKERS: usize = 256;
 
 impl WorkerPool {
@@ -178,9 +179,9 @@ pub fn available_parallelism() -> usize {
 
 /// Split `total` items into contiguous chunks of at least `min_chunk`
 /// items, using at most `max_chunks` chunks; returns the `(start, end)`
-/// half-open ranges in order. The building block for partitioned scans:
-/// contiguity preserves document order within each chunk, and the
-/// `min_chunk` floor keeps tiny workloads on one thread.
+/// half-open ranges in order. The building block for partitioned work:
+/// contiguity preserves order within each chunk, and the `min_chunk`
+/// floor keeps tiny workloads on one thread.
 pub fn partition_ranges(
     total: usize,
     max_chunks: usize,

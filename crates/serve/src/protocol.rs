@@ -992,7 +992,7 @@ mod tests {
             query_id: 99,
             class: "batch".into(),
             query: "//inproceedings[author=\"A\"]".into(),
-            plan: "index_probe(author)".into(),
+            plan: "index-probe tag=author terms=1 candidates=1".into(),
             outcome: toss_obs::QueryOutcomeKind::Error,
             cause: "budget_exceeded".into(),
             total_ns: 123_456,

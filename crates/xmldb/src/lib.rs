@@ -57,4 +57,4 @@ pub use index::{IndexView, Posting, Postings};
 pub use journal::{JournalOp, JournalRecord};
 pub use parser::{parse_document, parse_forest};
 pub use vfs::{FaultMode, FaultSchedule, FaultVfs, ScheduledFault, StdVfs, Vfs};
-pub use xpath::{planned_partitions, Candidates, NodeRef, XPath};
+pub use xpath::{Candidates, NodeRef, XPath};

@@ -8,9 +8,8 @@
 //! A collection evaluation has one path: enumerate the visits
 //! ([`XPath::scan_candidates`], or [`XPath::probe_candidates`] given a
 //! probe's candidate document list, which touches only those
-//! documents), then run them with [`Candidates::eval`] — inline on a
-//! one-worker pool, partitioned across a larger one, with identical
-//! results and order. The enumeration uses the tag index as a fast path
+//! documents), then run them in order on the calling thread with
+//! [`Candidates::eval`]. The enumeration uses the tag index as a fast path
 //! for queries whose first step is `//name`: instead of scanning every
 //! subtree it starts from the index postings for `name`.
 //!
@@ -22,8 +21,6 @@
 
 use super::ast::{Axis, Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
 use crate::collection::{Collection, DocumentId, StoredDocument};
-use std::sync::atomic::{AtomicBool, Ordering};
-use toss_pool::{partition_ranges, WorkerPool};
 use toss_tree::{NodeId, Tree};
 
 /// A query result: one node in one document.
@@ -63,11 +60,11 @@ impl XPath {
         out
     }
 
-    /// Evaluate against every document of a collection, unbudgeted and
-    /// on the calling thread; results in document order.
+    /// Evaluate against every document of a collection, unbudgeted;
+    /// results in document order.
     pub fn eval_collection(&self, coll: &Collection) -> Vec<NodeRef> {
         self.scan_candidates(coll)
-            .eval(usize::MAX, &|| false, &WorkerPool::new(1))
+            .eval(usize::MAX, &|| false)
             .expect("an evaluation that is never interrupted completes")
     }
 
@@ -193,8 +190,8 @@ impl<'a> DocCursor<'a> {
 
 /// One unit of work: evaluate one union branch against one document.
 /// The candidate list is materialized up front in visit order
-/// (path-major, documents in document order), so chunking it
-/// contiguously preserves that order.
+/// (path-major, documents in document order), so a limit cuts a prefix
+/// of it.
 struct Candidate<'a> {
     path: &'a Path,
     doc: &'a StoredDocument,
@@ -225,51 +222,21 @@ impl Candidates<'_> {
     }
 
     /// Evaluate the first `limit` visits (all of them when `limit` is at
-    /// least [`Candidates::len`]) and return their matches in document
-    /// order, or `None` when `interrupted` reported a stop.
-    ///
-    /// The visits are split into the contiguous chunks
-    /// [`planned_partitions`] reports and run through
-    /// [`WorkerPool::run`], which runs them inline on a one-worker pool
-    /// and returns the chunks' matches in chunk order, so the result is
-    /// the same at every worker count. Each task polls `interrupted`
-    /// before each visit. The first poll that reports a stop raises a
-    /// flag every task reads before it polls, so after the stop each
-    /// worker thread polls at most once more.
-    pub fn eval(
-        &self,
-        limit: usize,
-        interrupted: &(dyn Fn() -> bool + Sync),
-        pool: &WorkerPool,
-    ) -> Option<Vec<NodeRef>> {
+    /// least [`Candidates::len`]) in order on the calling thread and
+    /// return their matches in document order, or `None` when
+    /// `interrupted` reported a stop. `interrupted` is polled once before
+    /// each visit, so a stop is seen before the next document is touched.
+    pub fn eval(self, limit: usize, interrupted: &dyn Fn() -> bool) -> Option<Vec<NodeRef>> {
         let span = toss_obs::span("xmldb.xpath.eval");
-        let visits = &self.visits[..limit.min(self.visits.len())];
-        let partitions = planned_partitions(visits.len(), pool.workers());
-        let stopped = AtomicBool::new(false);
-        let tasks: Vec<_> = partition_ranges(visits.len(), partitions, 1)
-            .into_iter()
-            .map(|(start, end)| {
-                let stopped = &stopped;
-                move || {
-                    let mut out = Vec::new();
-                    for cand in &visits[start..end] {
-                        if stopped.load(Ordering::Relaxed) || interrupted() {
-                            stopped.store(true, Ordering::Relaxed);
-                            return None;
-                        }
-                        out.extend(eval_candidate(cand));
-                    }
-                    Some(out)
-                }
-            })
-            .collect();
-        if partitions > 1 {
-            toss_obs::metrics::counter("toss.pool.runs").inc();
-            toss_obs::metrics::counter("toss.pool.partitions").add(partitions as u64);
-        }
+        let mut visits = self.visits;
+        visits.truncate(limit);
+        let scanned = visits.len();
         let mut out = Vec::new();
-        for chunk in pool.run(tasks) {
-            out.extend(chunk?);
+        for cand in visits {
+            if interrupted() {
+                return None;
+            }
+            eval_candidate(cand, &mut out);
         }
         out.sort();
         out.dedup();
@@ -279,28 +246,28 @@ impl Candidates<'_> {
                 docs.dedup(); // `out` is sorted by (doc, node)
                 docs.len()
             };
-            span.record("docs_scanned", visits.len());
+            span.record("docs_scanned", scanned);
             span.record("docs_matched", docs_matched);
             span.record("nodes_matched", out.len());
         }
         toss_obs::metrics::counter("xmldb.xpath.evals").inc();
-        toss_obs::metrics::counter("xmldb.xpath.docs_scanned").add(visits.len() as u64);
+        toss_obs::metrics::counter("xmldb.xpath.docs_scanned").add(scanned as u64);
         toss_obs::metrics::counter("xmldb.xpath.nodes_matched").add(out.len() as u64);
         toss_obs::metrics::histogram("xmldb.xpath.eval_ns").observe_duration(span.finish());
         Some(out)
     }
 }
 
-/// Evaluate one candidate — pure over the borrowed document so it can
-/// run on any worker.
-fn eval_candidate(cand: &Candidate<'_>) -> Vec<NodeRef> {
+/// Evaluate one candidate, appending its matches to `out`; a seeded
+/// visit hands its seed list to [`eval_seeded`].
+fn eval_candidate(cand: Candidate<'_>, out: &mut Vec<NodeRef>) {
     let doc = cand.doc.id;
     let tree = &cand.doc.tree;
-    let nodes = match &cand.seeds {
-        Some(seeds) => eval_seeded(cand.path, tree, seeds.clone()),
+    let nodes = match cand.seeds {
+        Some(seeds) => eval_seeded(cand.path, tree, seeds),
         None => eval_path_tree(cand.path, tree),
     };
-    nodes.into_iter().map(|node| NodeRef { doc, node }).collect()
+    out.extend(nodes.into_iter().map(|node| NodeRef { doc, node }));
 }
 
 /// The rest of an index-seeded branch: `seeds` are the document's nodes
@@ -311,26 +278,6 @@ fn eval_seeded(path: &Path, tree: &Tree, seeds: Vec<NodeId>) -> Vec<NodeId> {
         current = advance_step(tree, &current, step);
     }
     current
-}
-
-/// Aim for this many chunks per worker, so a fast worker steals the
-/// slack of a slow one instead of idling at a barrier.
-const CHUNKS_PER_WORKER: usize = 4;
-/// Don't split fewer documents than this across threads — the spawn
-/// cost would dominate.
-const MIN_CHUNK_DOCS: usize = 8;
-
-/// How many contiguous chunks [`Candidates::eval`] splits `candidates`
-/// visits into on a pool of `workers` workers — the one chunking rule,
-/// exposed so the planner / EXPLAIN can report the partition count
-/// without running the scan.
-pub fn planned_partitions(candidates: usize, workers: usize) -> usize {
-    if workers <= 1 || candidates == 0 {
-        return 1;
-    }
-    partition_ranges(candidates, workers * CHUNKS_PER_WORKER, MIN_CHUNK_DOCS)
-        .len()
-        .max(1)
 }
 
 fn eval_path_tree(path: &Path, tree: &Tree) -> Vec<NodeId> {
@@ -474,7 +421,7 @@ fn eval_rel_path(tree: &Tree, node: NodeId, p: &RelPath) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::parser::parse_document;
-    use std::sync::atomic::AtomicUsize;
+    use std::cell::Cell;
 
     /// The streaming scan [`Candidates::eval`] replaced, kept as the
     /// independent sequential reference: walk each union branch's
@@ -538,11 +485,11 @@ mod tests {
         streaming_scan(xpath, coll, |_| true, limit)
     }
 
-    /// The product path over the whole collection on `threads` workers.
-    fn scan(xpath: &XPath, coll: &Collection, limit: usize, threads: usize) -> Vec<NodeRef> {
+    /// The product path over the whole collection.
+    fn scan(xpath: &XPath, coll: &Collection, limit: usize) -> Vec<NodeRef> {
         xpath
             .scan_candidates(coll)
-            .eval(limit, &|| false, &WorkerPool::new(threads))
+            .eval(limit, &|| false)
             .expect("never interrupted")
     }
 
@@ -624,35 +571,37 @@ mod tests {
     fn limited_scan_returns_a_prefix() {
         let c = budget_collection(10);
         let xp = XPath::parse("//b").unwrap();
-        let full = scan(&xp, &c, usize::MAX, 1);
+        let full = scan(&xp, &c, usize::MAX);
         assert_eq!(full.len(), 10);
-        assert_eq!(scan(&xp, &c, 4, 1), full[..4].to_vec());
-        assert!(scan(&xp, &c, 0, 1).is_empty());
+        assert_eq!(scan(&xp, &c, 4), full[..4].to_vec());
+        assert!(scan(&xp, &c, 0).is_empty());
         // a wildcard first step takes the general (non-indexed) path: one
         // visit per document, each matching `r` and `b`
         let xp = XPath::parse("//*").unwrap();
-        let full = scan(&xp, &c, usize::MAX, 1);
+        let full = scan(&xp, &c, usize::MAX);
         assert_eq!(full.len(), 20);
-        assert_eq!(scan(&xp, &c, 3, 1), full[..6].to_vec());
+        assert_eq!(scan(&xp, &c, 3), full[..6].to_vec());
     }
 
     /// An interrupt poll that reports a stop from its `k+1`-th call on,
     /// counting every call.
     struct FlipAfter {
         k: usize,
-        polls: AtomicUsize,
+        polls: Cell<usize>,
     }
 
     impl FlipAfter {
         fn new(k: usize) -> Self {
             FlipAfter {
                 k,
-                polls: AtomicUsize::new(0),
+                polls: Cell::new(0),
             }
         }
 
         fn poll(&self) -> bool {
-            self.polls.fetch_add(1, Ordering::SeqCst) >= self.k
+            let polls = self.polls.get();
+            self.polls.set(polls + 1);
+            polls >= self.k
         }
     }
 
@@ -660,29 +609,21 @@ mod tests {
     fn interrupted_scan_returns_none_and_stops_polling() {
         let c = mixed_collection(64);
         let xp = XPath::parse("//b | //a").unwrap();
-        let visits = xp.scan_candidates(&c);
-        let n = visits.len();
-        for threads in [1usize, 2, 7] {
-            let pool = WorkerPool::new(threads);
-            for k in 0..n {
-                let flip = FlipAfter::new(k);
-                assert_eq!(
-                    visits.eval(usize::MAX, &|| flip.poll(), &pool),
-                    None,
-                    "k {k} @ {threads}"
-                );
-                let polls = flip.polls.load(Ordering::SeqCst);
-                assert!(polls <= k + threads, "k {k} @ {threads}: {polls} polls");
-            }
-            // one poll per visit: a flag that would flip after the last
-            // visit is never seen
-            let flip = FlipAfter::new(n);
-            assert_eq!(
-                visits.eval(usize::MAX, &|| flip.poll(), &pool),
-                Some(reference(&xp, &c, usize::MAX))
-            );
-            assert_eq!(flip.polls.load(Ordering::SeqCst), n);
+        let n = xp.scan_candidates(&c).len();
+        for k in 0..n {
+            let flip = FlipAfter::new(k);
+            assert_eq!(xp.scan_candidates(&c).eval(usize::MAX, &|| flip.poll()), None, "k {k}");
+            // the poll that reports the stop is the last one
+            assert_eq!(flip.polls.get(), k + 1, "k {k}");
         }
+        // one poll per visit: a flag that would flip after the last
+        // visit is never seen
+        let flip = FlipAfter::new(n);
+        assert_eq!(
+            xp.scan_candidates(&c).eval(usize::MAX, &|| flip.poll()),
+            Some(reference(&xp, &c, usize::MAX))
+        );
+        assert_eq!(flip.polls.get(), n);
     }
 
     /// Mixed shapes: docs where `//b` is index-seeded, docs without `b`
@@ -705,22 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_eval_is_identical_to_sequential() {
-        let c = mixed_collection(57);
-        for query in ["//b", "//b[text()='dup'] | //a", "//*[b]", "/r//b | //q"] {
-            let xp = XPath::parse(query).unwrap();
-            let n = xp.scan_candidates(&c).len();
-            for limit in 0..=n + 1 {
-                let expected = reference(&xp, &c, limit);
-                for threads in [1usize, 2, 7] {
-                    let got = scan(&xp, &c, limit, threads);
-                    assert_eq!(got, expected, "{query} limit {limit} @ {threads} threads");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn doc_filtered_eval_visits_only_the_filter() {
         let c = budget_collection(10);
         let xp = XPath::parse("//b").unwrap();
@@ -733,12 +658,9 @@ mod tests {
         let visits = xp.probe_candidates(&c, &docs);
         // the filtered docs are visits like scan visits
         assert_eq!(visits.len(), 5);
-        for threads in [1usize, 4] {
-            let pool = WorkerPool::new(threads);
-            let hits = visits.eval(usize::MAX, &|| false, &pool).unwrap();
-            assert_eq!(hits.len(), 5, "@ {threads} threads");
-            assert!(hits.iter().all(|r| r.doc.0 % 2 == 0));
-        }
+        let hits = visits.eval(usize::MAX, &|| false).unwrap();
+        assert_eq!(hits.len(), 5);
+        assert!(hits.iter().all(|r| r.doc.0 % 2 == 0));
     }
 
     #[test]
@@ -746,8 +668,7 @@ mod tests {
         let c = budget_collection(10);
         let xp = XPath::parse("//b").unwrap();
         let docs: Vec<DocumentId> = c.documents().iter().map(|d| d.id).collect();
-        let pool = WorkerPool::new(1);
-        let hits = xp.probe_candidates(&c, &docs).eval(3, &|| false, &pool).unwrap();
+        let hits = xp.probe_candidates(&c, &docs).eval(3, &|| false).unwrap();
         assert_eq!(hits, reference(&xp, &c, 3));
         assert_eq!(hits.len(), 3);
     }
@@ -820,9 +741,10 @@ mod tests {
     fn frozen_twin(db: &crate::Database) -> crate::Database {
         let seg = toss_segment::Segment::parse(crate::segidx::build_segment(db, 1)).unwrap();
         let json = crate::storage::to_json_with_seq(db, 1).unwrap();
-        let pool = toss_pool::WorkerPool::new(2);
-        let (twin, _, frozen) =
-            crate::storage::from_json_on(&json, Some(&std::sync::Arc::new(seg)), &pool).unwrap();
+        let (vfs, path) = (crate::FaultVfs::new(), std::path::Path::new("/twin.json"));
+        crate::storage::save_json_with_vfs(&json, path, &vfs).unwrap();
+        let seg = Some(std::sync::Arc::new(seg));
+        let (twin, _, frozen) = crate::storage::load(path, &vfs, seg.as_ref()).unwrap();
         assert_eq!(frozen, db.collections().count());
         twin
     }
@@ -880,21 +802,18 @@ mod tests {
                     let xp = XPath::parse(query).unwrap();
                     let at = format!("{label} frozen={} {query}", coll.is_frozen());
                     let oracle = filtered_walk(&xp, coll, &docs);
-                    let new = xp.probe_candidates(coll, &docs);
-                    assert_eq!(shape(&new), shape(&oracle), "{at}");
-                    // every cut, 1 and 4 workers, against the streaming
-                    // scan over the probe documents
+                    let new = || xp.probe_candidates(coll, &docs);
+                    assert_eq!(shape(&new()), shape(&oracle), "{at}");
+                    // every cut against the streaming scan over the probe
+                    // documents
                     for limit in 0..=oracle.len() + 1 {
                         let expected =
                             streaming_scan(&xp, coll, |d| in_docs.contains(&d), limit);
-                        for threads in [1usize, 4] {
-                            let pool = WorkerPool::new(threads);
-                            assert_eq!(
-                                new.eval(limit, &|| false, &pool),
-                                Some(expected.clone()),
-                                "{at} limit {limit} @ {threads}"
-                            );
-                        }
+                        assert_eq!(
+                            new().eval(limit, &|| false),
+                            Some(expected),
+                            "{at} limit {limit}"
+                        );
                     }
                 }
             }
@@ -907,14 +826,12 @@ mod tests {
         db.collection_mut("x").unwrap().remove(DocumentId(5)).unwrap();
         for db in [frozen_twin(&db), db] {
             let coll = db.collection("x").unwrap();
-            for query in ["//b | //a", "/r//b | //q", "//*[b]"] {
+            for query in ["//b", "//b[text()='dup'] | //a", "//b | //a", "/r//b | //q", "//*[b]"] {
                 let xp = XPath::parse(query).unwrap();
-                for limit in [0usize, 1, 9, 33, 1000] {
-                    let expected = reference(&xp, coll, limit);
-                    for threads in [1usize, 4] {
-                        let got = scan(&xp, coll, limit, threads);
-                        assert_eq!(got, expected, "{query} limit {limit} @ {threads}");
-                    }
+                let n = xp.scan_candidates(coll).len();
+                for limit in 0..=n + 1 {
+                    let got = scan(&xp, coll, limit);
+                    assert_eq!(got, reference(&xp, coll, limit), "{query} limit {limit}");
                 }
             }
         }
@@ -948,16 +865,13 @@ mod tests {
             let visits = xp.scan_candidates(&only).len();
             for limit in 0..=visits + 1 {
                 let expected = reference(&xp, &only, limit);
-                for threads in [1usize, 4] {
-                    let pool = WorkerPool::new(threads);
-                    for coll in [pointer, frozen] {
-                        assert_eq!(
-                            xp.probe_candidates(coll, &docs).eval(limit, &|| false, &pool),
-                            Some(expected.clone()),
-                            "{query} limit {limit} @ {threads} frozen={}",
-                            coll.is_frozen()
-                        );
-                    }
+                for coll in [pointer, frozen] {
+                    assert_eq!(
+                        xp.probe_candidates(coll, &docs).eval(limit, &|| false),
+                        Some(expected.clone()),
+                        "{query} limit {limit} frozen={}",
+                        coll.is_frozen()
+                    );
                 }
             }
         }

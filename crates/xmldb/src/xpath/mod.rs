@@ -36,7 +36,7 @@ mod lexer;
 mod parser;
 
 pub use ast::{Axis, Expr, NameTest, Path, RelPath, Step, ValueExpr, XPath};
-pub use eval::{planned_partitions, Candidates, NodeRef};
+pub use eval::{Candidates, NodeRef};
 pub use parser::MAX_EXPR_DEPTH;
 
 use crate::error::{DbError, DbResult};

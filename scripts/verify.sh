@@ -145,8 +145,17 @@ grep -q "^└─ " <<< "$EXPLAIN_OUT"
 # `slow` frame carries): the CLI query ran through the serving Service
 grep -q "^queue wait " <<< "$EXPLAIN_OUT"
 # the planner probes the content index with the key the rewrite gave the
-# author equality: one term, one of the two papers
-grep -q "^plan: index-probe tag=author terms=1 candidates=1 " <<< "$EXPLAIN_OUT"
+# author equality: one term, one of the two papers, and nothing else on
+# the line (a selection names no worker or partition count)
+grep -q "^plan: index-probe tag=author terms=1 candidates=1$" <<< "$EXPLAIN_OUT"
+# a selection runs on the calling thread, so query takes no thread
+# count: --threads is refused as an unknown flag
+THREADS_STATUS=0
+THREADS_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
+    --collection dblp --root inproceedings --eq author='Smoke Test' --threads 2 2>&1) \
+    || THREADS_STATUS=$?
+[ "$THREADS_STATUS" -ne 0 ] || { echo "query --threads 2 exited 0"; exit 1; }
+grep -q "^error: unknown flag --threads" <<< "$THREADS_OUT"
 # the rewrite builds the XPath tree itself: no parse span under a query
 if grep -q "─ xmldb\.xpath\.parse " <<< "$EXPLAIN_OUT"; then
     echo "--explain shows an XPath parse on the query path"; exit 1

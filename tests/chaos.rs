@@ -235,9 +235,10 @@ fn chaos_mixed_load_never_escapes_a_panic() {
         }));
     }
 
-    // a parallel-scan thread: its executor fans scans out over a
-    // 4-worker pool while the shared admission controller is under the
-    // same chaos; results must stay exact whenever nothing degraded
+    // a 4-worker executor's selections (which run on the calling
+    // thread; the pool serves only joins) while the shared admission
+    // controller is under the same chaos; results must stay exact
+    // whenever nothing degraded
     {
         let (ctrl, barrier) = (ctrl.clone(), barrier.clone());
         handles.push(thread::spawn(move || {
@@ -260,7 +261,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
                             None => {
                                 if out.forest.len() != 20 {
                                     return Err(format!(
-                                        "parallel scan returned {} matches, expected 20",
+                                        "select returned {} matches, expected 20",
                                         out.forest.len()
                                     ));
                                 }
@@ -269,7 +270,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
                     }
                     Err(TossError::Overloaded(_)) => stats.shed += 1,
                     Err(other) => {
-                        return Err(format!("unexpected parallel-scan error: {other:?}"))
+                        return Err(format!("unexpected select error: {other:?}"))
                     }
                 }
             }

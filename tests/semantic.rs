@@ -530,9 +530,8 @@ fn probes_right_after_an_seo_swap_see_the_new_ontology() {
     let after = ["Jeff Ullman", "Jeff Ullmean", "E. Codd"];
     let q = similar_author_query("Jeff Ullmaan");
     for threads in [1usize, 2, 7] {
-        let mut indexed = author_executor(&before, Arc::new(Levenshtein)).with_threads(threads);
-        let mut scanned =
-            author_executor(&before, Arc::new(Unplanned(Levenshtein))).with_threads(threads);
+        let mut indexed = author_executor(&before, Arc::new(Levenshtein));
+        let mut scanned = author_executor(&before, Arc::new(Unplanned(Levenshtein)));
         let stale = indexed.select(&q, Mode::Toss).expect("select").xpath;
         assert!(stale.contains("Jeff Ullman") && !stale.contains("Jeff Ullmean"));
 
