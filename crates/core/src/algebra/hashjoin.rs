@@ -13,7 +13,8 @@
 
 use crate::error::TossResult;
 use crate::oes::SeoInstance;
-use toss_tree::Tree;
+use std::borrow::Cow;
+use toss_tree::{Tree, Value};
 
 /// How to extract the join key from one tree: the content of the first
 /// child (or descendant) with the given tag.
@@ -35,29 +36,37 @@ impl JoinKey {
     }
 
     /// Extract all key renderings from a tree (a tree can carry several
-    /// key leaves, e.g. multiple authors). Repeated renderings are
-    /// deduplicated keeping the first occurrence: a tree with duplicate
-    /// key leaves joins exactly like one with a single copy, so the
-    /// duplicates would only inflate buckets, verification work and
-    /// governor charges for no extra matches.
-    pub fn extract(&self, tree: &Tree) -> Vec<String> {
+    /// key leaves, e.g. multiple authors), borrowing string content.
+    /// Repeated renderings are deduplicated keeping the first
+    /// occurrence: a tree with duplicate key leaves joins exactly like
+    /// one with a single copy, so the duplicates would only inflate
+    /// buckets, verification work and governor charges for no extra
+    /// matches. The dedup scans the renderings kept so far, which a tree
+    /// has a handful of.
+    pub fn extract<'t>(&self, tree: &'t Tree) -> Vec<Cow<'t, str>> {
         let Some(root) = tree.root() else {
             return Vec::new();
         };
-        let nodes: Vec<_> = if self.descendants {
-            tree.descendants(root).collect()
+        let (all, kids) = if self.descendants {
+            (Some(tree.descendants(root)), None)
         } else {
-            tree.children(root).collect()
+            (None, Some(tree.children(root)))
         };
-        let mut keys: Vec<String> = nodes
-            .into_iter()
-            .filter_map(|n| {
-                let d = tree.data(n).ok()?;
-                (d.tag == self.tag).then(|| d.content_str())
-            })
-            .collect();
-        let mut seen = std::collections::HashSet::with_capacity(keys.len());
-        keys.retain(|k| seen.insert(k.clone()));
+        let mut keys: Vec<Cow<'t, str>> = Vec::new();
+        for n in all.into_iter().flatten().chain(kids.into_iter().flatten()) {
+            let Ok(d) = tree.data(n) else { continue };
+            if d.tag != self.tag {
+                continue;
+            }
+            let key = match &d.content {
+                None => Cow::Borrowed(""),
+                Some(Value::Str(s)) => Cow::Borrowed(s.as_str()),
+                Some(v) => Cow::Owned(v.render()),
+            };
+            if !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
         keys
     }
 }

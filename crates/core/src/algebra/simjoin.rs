@@ -13,9 +13,10 @@
 //!    key is itself a signature element). Two trees join iff their
 //!    signatures share an element, which makes the similarity join an
 //!    exact set-overlap join at threshold T = 1. Trees are first grouped
-//!    by canonical fingerprint — duplicated trees (the very thing a
-//!    skewed corpus is full of) are signed, probed and charged **once
-//!    per distinct tree**, not once per copy.
+//!    by identity ([`toss_tree::eq::TreeSet`]: a keyed structural hash,
+//!    confirmed by comparison; no tree is rendered to text) — duplicated
+//!    trees (the very thing a skewed corpus is full of) are signed,
+//!    probed and charged **once per distinct tree**, not once per copy.
 //! 2. **Inverted index.** Signature elements are interned to dense ids,
 //!    and the build (right) side gets one posting list per element.
 //! 3. **Lookup.** A left group's matches are the union of its elements'
@@ -50,8 +51,10 @@ use crate::expand::seo_classes;
 use crate::governor::QueryGovernor;
 use crate::oes::SeoInstance;
 use crate::tax::PROD_ROOT_TAG;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use toss_pool::{partition_ranges, WorkerPool};
+use toss_tree::eq::TreeSet;
 use toss_tree::{Forest, NodeData, Tree};
 
 /// What one similarity join did (surfaced via `toss.join.*` counters,
@@ -82,9 +85,9 @@ struct Group {
 /// A signature element before interning: an SEO enhanced-class id or a
 /// literal key rendering.
 #[derive(PartialEq, Eq, Hash)]
-enum Elem {
+enum Elem<'t> {
     Class(u32),
-    Str(String),
+    Str(Cow<'t, str>),
 }
 
 /// The similarity join: signature groups → inverted index over the right
@@ -105,7 +108,7 @@ pub fn similarity_join(
     let span = toss_obs::span("toss.join");
     let classes = seo_classes(&left.seo);
 
-    // --- 1. signatures + fingerprint grouping (pooled per side) ---
+    // --- 1. signatures + identity grouping (pooled per side) ---
     let sig_span = toss_obs::span("toss.join.signatures");
     let mut ids: HashMap<Elem, u32> = HashMap::new();
     let lgroups = side_groups(&left.forest, left_key, &classes, pool, &mut ids);
@@ -231,20 +234,22 @@ pub fn similarity_join(
     Ok((SeoInstance::new(out, left.seo.clone()), stats))
 }
 
-/// One side's trees, fingerprint-grouped, each group signed with the
+/// One side's trees, grouped by identity, each group signed with the
 /// interned ids of its key renderings' classes and of the renderings
-/// themselves. Fingerprint + key extraction fans out through the pool
+/// themselves. Hashing + key extraction fans out through the pool
 /// (tasks are range-partitioned and results concatenate in task order,
 /// so the outcome is identical at any worker count); grouping and
 /// interning are sequential.
-fn side_groups(
-    forest: &Forest,
+fn side_groups<'t>(
+    forest: &'t Forest,
     key: &JoinKey,
     classes: &HashMap<String, Vec<u32>>,
     pool: &WorkerPool,
-    ids: &mut HashMap<Elem, u32>,
+    ids: &mut HashMap<Elem<'t>, u32>,
 ) -> Vec<Group> {
     let trees = forest.trees();
+    let mut distinct = TreeSet::with_capacity(trees.len());
+    let keyed = &distinct;
     let ranges = partition_ranges(trees.len(), pool.workers().max(1) * 4, 128);
     let tasks: Vec<_> = ranges
         .into_iter()
@@ -252,23 +257,22 @@ fn side_groups(
             move || {
                 trees[s..e]
                     .iter()
-                    .map(|t| (toss_tree::eq::fingerprint(t), key.extract(t)))
+                    .map(|t| (keyed.hash_of(t), key.extract(t)))
                     .collect::<Vec<_>>()
             }
         })
         .collect();
-    let signed: Vec<(String, Vec<String>)> = pool.run(tasks).into_iter().flatten().collect();
+    let signed: Vec<(u64, Vec<Cow<'t, str>>)> = pool.run(tasks).into_iter().flatten().collect();
 
-    let mut seen: HashSet<String> = HashSet::with_capacity(signed.len());
     let mut groups: Vec<Group> = Vec::new();
-    for (i, (fp, keys)) in signed.into_iter().enumerate() {
+    for (i, (t, (hash, keys))) in trees.iter().zip(signed).enumerate() {
         // identical tree ⇒ identical signature
-        if !seen.insert(fp) {
+        if !distinct.insert_hashed(hash, t) {
             continue;
         }
         let mut cls: Vec<u32> = keys
             .iter()
-            .flat_map(|k| classes.get(k).map(Vec::as_slice).unwrap_or(&[]))
+            .flat_map(|k| classes.get(k.as_ref()).map(Vec::as_slice).unwrap_or(&[]))
             .copied()
             .collect();
         cls.sort_unstable();

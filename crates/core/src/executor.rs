@@ -21,7 +21,7 @@
 //! selection locally — mirroring the paper's observation that Xindice
 //! returns intermediate results which "our code" then combines. Joins
 //! are the executor's only fan-out: the two sides, and the signature
-//! join's fingerprint and lookup tasks, run on [`Executor::pool`].
+//! join's hashing and lookup tasks, run on [`Executor::pool`].
 //!
 //! Every operator has one entry, governed by a [`QueryGovernor`]; an
 //! ungoverned run passes [`QueryGovernor::unlimited`]. The only
@@ -129,7 +129,7 @@ pub enum QueryPlan {
     },
     /// Scan over the collection's candidate documents.
     Scan,
-    /// Keyed similarity join: fingerprint groups + an inverted index
+    /// Keyed similarity join: identity groups + an inverted index
     /// from signature elements to right-side groups
     /// ([`crate::algebra::similarity_join`]).
     SimilarityJoin {
@@ -325,7 +325,7 @@ pub struct Executor {
     /// Optional part-of SEO enabling `part_of` conditions.
     pub part_of_seo: Option<Arc<Seo>>,
     /// Worker pool for joins: the two sides of a join, and the
-    /// signature join's fingerprint and lookup tasks. Selections and
+    /// signature join's hashing and lookup tasks. Selections and
     /// projections never use it. Defaults to the machine's available
     /// parallelism; a one-worker pool runs every task inline.
     pub pool: WorkerPool,

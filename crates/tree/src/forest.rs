@@ -6,9 +6,8 @@
 //! order for operator results) and offers set-theoretic helpers built on
 //! ordered-isomorphism equality.
 
-use crate::eq::{fingerprint, trees_equal};
+use crate::eq::{trees_equal, TreeSet};
 use crate::tree::Tree;
-use std::collections::HashSet;
 
 /// An ordered collection of trees — a semistructured instance, a TAX
 /// operator input, or a TAX operator output.
@@ -67,49 +66,44 @@ impl Forest {
     /// present (by ordered isomorphism). Duplicates within each operand are
     /// also collapsed, matching set semantics.
     pub fn set_union(&self, other: &Forest) -> Forest {
-        let mut seen = HashSet::new();
-        let mut out = Forest::new();
-        for t in self.trees.iter().chain(other.trees.iter()) {
-            if seen.insert(fingerprint(t)) {
-                out.push(t.clone());
-            }
-        }
-        out
+        let mut seen = TreeSet::with_capacity(self.len() + other.len());
+        self.trees
+            .iter()
+            .chain(&other.trees)
+            .filter(|&t| seen.insert(t))
+            .cloned()
+            .collect()
     }
 
     /// Set intersection under ordered isomorphism (order follows `self`).
     pub fn set_intersection(&self, other: &Forest) -> Forest {
-        let theirs: HashSet<String> = other.trees.iter().map(fingerprint).collect();
-        let mut seen = HashSet::new();
-        let mut out = Forest::new();
-        for t in &self.trees {
-            let fp = fingerprint(t);
-            if theirs.contains(&fp) && seen.insert(fp) {
-                out.push(t.clone());
-            }
-        }
-        out
+        let theirs: TreeSet = other.trees.iter().collect();
+        let mut seen = TreeSet::with_capacity(self.len());
+        self.trees
+            .iter()
+            .filter(|&t| theirs.contains(t) && seen.insert(t))
+            .cloned()
+            .collect()
     }
 
     /// Set difference `self − other` under ordered isomorphism.
     pub fn set_difference(&self, other: &Forest) -> Forest {
-        let theirs: HashSet<String> = other.trees.iter().map(fingerprint).collect();
-        let mut seen = HashSet::new();
-        let mut out = Forest::new();
-        for t in &self.trees {
-            let fp = fingerprint(t);
-            if !theirs.contains(&fp) && seen.insert(fp) {
-                out.push(t.clone());
-            }
-        }
-        out
+        let theirs: TreeSet = other.trees.iter().collect();
+        let mut seen = TreeSet::with_capacity(self.len());
+        self.trees
+            .iter()
+            .filter(|&t| !theirs.contains(t) && seen.insert(t))
+            .cloned()
+            .collect()
     }
 
     /// Remove duplicate trees (ordered isomorphism), keeping first
     /// occurrences. Consumes the forest: kept trees are moved, not copied.
     pub fn dedup(mut self) -> Forest {
-        let mut seen = HashSet::new();
-        self.trees.retain(|t| seen.insert(fingerprint(t)));
+        let mut seen = TreeSet::with_capacity(self.trees.len());
+        let keep: Vec<bool> = self.trees.iter().map(|t| seen.insert(t)).collect();
+        let mut keep = keep.into_iter();
+        self.trees.retain(|_| keep.next() == Some(true));
         self
     }
 }
@@ -144,6 +138,7 @@ impl FromIterator<Tree> for Forest {
 mod tests {
     use super::*;
     use crate::builder::TreeBuilder;
+    use crate::eq::fingerprint;
 
     fn t(tag: &str, val: &str) -> Tree {
         TreeBuilder::new("p").leaf(tag, val).build()

@@ -15,7 +15,8 @@
 //! * [`Forest`] — an ordered collection of trees; a semistructured database
 //!   (SDB) is a [`Forest`] (the paper's finite set of instances).
 //! * [`TreeBuilder`] — ergonomic construction of trees.
-//! * ordered-isomorphism equality ([`eq`]) used by TAX's set-theoretic
+//! * tree identity ([`eq`]): ordered-isomorphism equality and a keyed
+//!   structural hash, used by deduplication and TAX's set-theoretic
 //!   operators (union, intersection, difference).
 //!
 //! The XML serialization in [`serialize`] round-trips with the parser in the

@@ -56,7 +56,7 @@ impl Value {
 
 /// Whether `n` displays as exactly `text`, compared piece by piece as
 /// the formatter writes so that no `String` is built.
-fn displays_as(n: impl fmt::Display, text: &str) -> bool {
+pub(crate) fn displays_as(n: impl fmt::Display, text: &str) -> bool {
     struct Rest<'a>(&'a str);
     impl fmt::Write for Rest<'_> {
         fn write_str(&mut self, s: &str) -> fmt::Result {

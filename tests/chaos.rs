@@ -15,7 +15,7 @@
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
-use toss_core::algebra::TossPattern;
+use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
 use toss_core::tax::EdgeKind;
 use toss_core::{
@@ -52,8 +52,20 @@ impl StringMetric for ChaosMetric {
     }
 }
 
+/// Documents in the join collection: one per author, enough that both
+/// phases of the similarity join fan out over four workers.
+const JOIN_DOCS: usize = 300;
+
 fn executor() -> Executor {
     let mut db = Database::with_config(DatabaseConfig::unlimited());
+    let j = db.create_collection("chaos-join").unwrap();
+    for i in 0..JOIN_DOCS {
+        j.insert_xml(&format!(
+            "<inproceedings><author>Author {i}</author>\
+             <booktitle>VLDB</booktitle></inproceedings>"
+        ))
+        .unwrap();
+    }
     let c = db.create_collection("chaos").unwrap();
     for i in 0..30 {
         let author = match i % 3 {
@@ -89,6 +101,23 @@ fn author_query(probe: &str) -> TossQuery {
                 TossCond::eq(TossTerm::tag(1), TossTerm::str("inproceedings")),
                 TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
                 TossCond::similar(TossTerm::content(2), TossTerm::str(probe)),
+            ]),
+        )
+        .unwrap(),
+        expand_labels: vec![1],
+    }
+}
+
+/// Every document of the join collection, whole.
+fn venue_query() -> TossQuery {
+    TossQuery {
+        collection: "chaos-join".into(),
+        pattern: TossPattern::spine(
+            &[EdgeKind::ParentChild],
+            TossCond::all(vec![
+                TossCond::eq(TossTerm::tag(1), TossTerm::str("inproceedings")),
+                TossCond::eq(TossTerm::tag(2), TossTerm::str("booktitle")),
+                TossCond::eq(TossTerm::content(2), TossTerm::str("VLDB")),
             ]),
         )
         .unwrap(),
@@ -236,9 +265,9 @@ fn chaos_mixed_load_never_escapes_a_panic() {
     }
 
     // a 4-worker executor's selections (which run on the calling
-    // thread; the pool serves only joins) while the shared admission
-    // controller is under the same chaos; results must stay exact
-    // whenever nothing degraded
+    // thread) and similarity joins (whose grouping and lookup fan out
+    // over its pool) while the shared admission controller is under the
+    // same chaos; results must stay exact whenever nothing degraded
     {
         let (ctrl, barrier) = (ctrl.clone(), barrier.clone());
         handles.push(thread::spawn(move || {
@@ -246,13 +275,38 @@ fn chaos_mixed_load_never_escapes_a_panic() {
             let ex = executor().with_threads(4);
             let mut stats = Stats::default();
             let q = author_query("Jeff Ullmann");
+            let (side, key) = (venue_query(), JoinKey::child("author"));
             for i in 0..15 {
-                let budget = if i % 3 == 2 {
-                    QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(7))
-                } else {
-                    QueryBudget::unlimited()
+                let budget = || {
+                    if i % 3 == 2 {
+                        QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(7))
+                    } else {
+                        QueryBudget::unlimited()
+                    }
                 };
-                let gov = QueryGovernor::new(budget);
+                let gov = QueryGovernor::new(budget());
+                let joined = ctrl.run_with_wait(&gov, || {
+                    ex.join_similarity_governed(&side, &side, &key, &key, Mode::Toss, &gov)
+                });
+                match joined.1 {
+                    Ok(out) => {
+                        stats.ok += 1;
+                        match &out.degradation {
+                            Some(_) => stats.degraded += 1,
+                            // each author is its own key: one pair per document
+                            None if out.forest.len() != JOIN_DOCS => {
+                                return Err(format!(
+                                    "join returned {} pairs, expected {JOIN_DOCS}",
+                                    out.forest.len()
+                                ))
+                            }
+                            None => {}
+                        }
+                    }
+                    Err(TossError::Overloaded(_)) => stats.shed += 1,
+                    Err(other) => return Err(format!("unexpected join error: {other:?}")),
+                }
+                let gov = QueryGovernor::new(budget());
                 match ctrl.run_with_wait(&gov, || ex.select_governed(&q, Mode::Toss, &gov)).1 {
                     Ok(out) => {
                         stats.ok += 1;

@@ -6,6 +6,7 @@
 //! oracle's pair count and bit-identical at every worker count.
 
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 use toss::core::algebra::{similarity_join, JoinKey};
 use toss::core::expand::seo_classes;
@@ -127,9 +128,11 @@ fn graft_pair(lt: &Tree, rt: &Tree) -> Tree {
 
 /// The naive oracle: product, then select pairs where some key pair
 /// shares an enhanced class or matches exactly — grafted in (li, ri)
-/// order and deduplicated keeping first occurrences.
+/// order and deduplicated keeping first occurrences, by fingerprint
+/// string rather than by the tree identity the join uses.
 fn oracle(l: &SeoInstance, r: &SeoInstance, key: &JoinKey) -> Vec<String> {
     let classes = seo_classes(&l.seo);
+    let mut seen = HashSet::new();
     let mut out = Vec::new();
     for lt in &l.forest {
         let lks = key.extract(lt);
@@ -140,21 +143,20 @@ fn oracle(l: &SeoInstance, r: &SeoInstance, key: &JoinKey) -> Vec<String> {
                     if kl == kr {
                         return true;
                     }
-                    let cl = classes.get(kl).map(Vec::as_slice).unwrap_or(&[]);
-                    let cr = classes.get(kr).map(Vec::as_slice).unwrap_or(&[]);
+                    let cl = classes.get(kl.as_ref()).map(Vec::as_slice).unwrap_or(&[]);
+                    let cr = classes.get(kr.as_ref()).map(Vec::as_slice).unwrap_or(&[]);
                     cl.iter().any(|c| cr.contains(c))
                 })
             });
             if hit {
-                out.push(graft_pair(lt, rt));
+                let fp = fingerprint(&graft_pair(lt, rt));
+                if seen.insert(fp.clone()) {
+                    out.push(fp);
+                }
             }
         }
     }
-    Forest::from_trees(out)
-        .dedup()
-        .iter()
-        .map(fingerprint)
-        .collect()
+    out
 }
 
 fn fp_list(inst: &SeoInstance) -> Vec<String> {
