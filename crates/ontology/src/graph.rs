@@ -50,26 +50,6 @@ impl BitMatrix {
     pub(crate) fn iter_row(&self, row: usize) -> impl Iterator<Item = usize> + '_ {
         iter_word_bits(self.row(row))
     }
-
-    /// Words per row (the row stride).
-    pub(crate) fn words_per_row(&self) -> usize {
-        self.words
-    }
-
-    /// The full matrix as row-major words — the persisted form.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Rebuild an `n × n` matrix from row-major words, as produced by
-    /// [`BitMatrix::words`]. `None` if the word count does not match.
-    pub(crate) fn from_words(n: usize, bits: Vec<u64>) -> Option<Self> {
-        let words = n.div_ceil(64);
-        if bits.len() != words * n {
-            return None;
-        }
-        Some(BitMatrix { words, bits })
-    }
 }
 
 /// Iterate the set-bit indices of a word slice, ascending.

@@ -90,18 +90,6 @@ impl Hierarchy {
         )
     }
 
-    /// Install a persisted reachability index for the current graph
-    /// snapshot, so the first cone query skips the closure DP. Rejected
-    /// (returns `false`) when the index covers a different node count or
-    /// when one is already cached — the persisted copy is only trusted
-    /// as a cache seed, never as an override.
-    pub fn install_reach_index(&self, index: Arc<ReachIndex>) -> bool {
-        if index.len() != self.graph.len() {
-            return false;
-        }
-        self.reach.set(index).is_ok()
-    }
-
     /// Assert `below ≤ above`. Rejects edges that would create a cycle
     /// (hierarchies are acyclic by definition).
     pub(crate) fn add_edge(&mut self, below: HNodeId, above: HNodeId) -> OntologyResult<()> {
@@ -466,26 +454,6 @@ mod tests {
             .map(|(a, b)| h.leq(a, b))
             .collect();
         assert_eq!(cold, warm);
-    }
-
-    #[test]
-    fn install_reach_index_seeds_the_cache_once() {
-        let h = from_pairs(&[("b", "a"), ("c", "a")]).unwrap();
-        let built = h.reach_index();
-        let payload = built.to_segment_payload();
-
-        // a structurally identical hierarchy accepts the persisted index
-        let twin = from_pairs(&[("b", "a"), ("c", "a")]).unwrap();
-        let loaded =
-            Arc::new(ReachIndex::from_segment_payload(&payload).unwrap());
-        assert!(twin.install_reach_index(Arc::clone(&loaded)));
-        assert!(Arc::ptr_eq(&twin.reach_index(), &loaded), "no rebuild");
-        assert_eq!(twin.below_terms("a"), vec!["a", "b", "c"]);
-
-        // wrong node count is rejected; an occupied cache is not replaced
-        let small = from_pairs(&[("b", "a")]).unwrap();
-        assert!(!small.install_reach_index(Arc::clone(&loaded)));
-        assert!(!twin.install_reach_index(loaded));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * [`persist`] — an SEO's `.ont.json` form; [`dot`] — its Graphviz
 //!   rendering.
 //! * [`ReachIndex`] — the semantic fast path: per-hierarchy reachability
-//!   bitsets with memoized cones, persisted in a store's `.seg` sidecar.
+//!   bitsets with memoized cones, built from a hierarchy on first use.
 //!
 //! Inside the crate, a small digraph toolkit (Tarjan SCC, transitive
 //! closure and reduction, Bron-Kerbosch maximal cliques) does the graph

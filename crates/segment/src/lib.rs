@@ -4,11 +4,10 @@
 //! holding the compressed form of the indexes TOSS otherwise rebuilds on
 //! every open: inverted postings lists (varint-gap or Elias-Fano encoded,
 //! whichever is smaller per list) behind a sorted string-key offset table
-//! with a hash acceleration index, and fixed-width bitmap rows for
-//! transitive-closure matrices. The whole file is loaded in one read into
-//! a single `Vec<u8>`; every accessor borrows directly from that buffer
-//! (zero-copy — no pointer fix-up, no re-parse), so cold-open cost is the
-//! read itself, not a rebuild.
+//! with a hash acceleration index. The whole file is loaded in one read
+//! into a single `Vec<u8>`; every accessor borrows directly from that
+//! buffer (zero-copy — no pointer fix-up, no re-parse), so cold-open cost
+//! is the read itself, not a rebuild.
 //!
 //! The layout is kept mmap-compatible on purpose: a fixed little-endian
 //! header, 8-byte-aligned sections, offsets instead of pointers, and one
@@ -41,13 +40,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bitrows;
 pub mod container;
 pub mod map;
 pub mod postings;
 pub mod varint;
 
-pub use bitrows::{BitRowsBuilder, BitRowsRef};
 pub use container::{Segment, SegmentBuilder, SegmentError};
 pub use map::{composite_key, KeyMapBuilder, KeyMapRef};
 pub use postings::{encode_postings, encode_postings_raw, PostingsBlock};
@@ -61,8 +58,7 @@ pub mod kinds {
     pub const CONTENT_MAP: u32 = 2;
     /// Per-collection metadata stamp (doc count, posting totals).
     pub const COLLECTION_META: u32 = 3;
-    /// Ontology reachability closure rows (see `toss-ontology`).
-    pub const REACH: u32 = 4;
+    // Kind 4 (an ontology reachability closure) is retired: never reuse it.
 }
 
 /// The reflected IEEE 802.3 polynomial.

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use toss_json::Value;
 use toss_ontology::hierarchy::Hierarchy;
 use toss_ontology::seo::Seo;
-use toss_xmldb::segidx::{kinds, load_segment, segment_builder};
+use toss_xmldb::segidx::build_segment;
 use toss_xmldb::storage::{save_json_with_vfs, to_json_with_seq};
 use toss_xmldb::{
     Database, DatabaseConfig, DurableDatabase, DurableWriter, JournalOp, JournalRecord,
@@ -33,10 +33,8 @@ pub struct OpenStore {
 /// given (strict through the WAL), read-only otherwise (nothing on disk
 /// is created or trimmed). The served SEO is [`store_ontology`], with
 /// `baseline` standing in for a missing sidecar; a writable open then
-/// writes it as the sidecar, at the writer's cursor. When the SEO is
-/// exactly the checkpointed one and the `.seg` index sidecar is stamped
-/// at its cursor, its reachability closure is seeded from the `.seg`,
-/// so the first ontology cone query skips the topo-order DP.
+/// writes it as the sidecar, at the writer's cursor. The SEO's
+/// reachability closure is not stored: its first cone query builds it.
 ///
 /// `enhancer` is a factory over ε because this crate is metric-agnostic:
 /// the embedder closes over the metric.
@@ -60,25 +58,11 @@ pub fn open_store(
     };
     let ontology = store_ontology(&*vfs, snapshot, &records, Some(baseline), enhancer)?
         .expect("the baseline stands in for a missing sidecar");
-    match (ontology.cursor, &writer) {
-        (None, Some(writer)) => {
-            let path = sidecar_path(snapshot);
-            let envelope = envelope(&ontology.seo, writer.next_seq());
-            save_json_with_vfs(&envelope, &path, &*vfs)
-                .map_err(|e| format!("{}: {e}", path.display()))?
-        }
-        (Some(cursor), _) if ontology.replayed == 0 => {
-            if let Some(ix) = load_segment(&*vfs, snapshot)
-                .filter(|seg| seg.last_seq() == cursor)
-                .and_then(|seg| {
-                    seg.section(kinds::REACH, "seo.enhanced")
-                        .and_then(toss_ontology::ReachIndex::from_segment_payload)
-                })
-            {
-                ontology.seo.enhanced().install_reach_index(Arc::new(ix));
-            }
-        }
-        _ => {}
+    if let (None, Some(writer)) = (ontology.cursor, &writer) {
+        let path = sidecar_path(snapshot);
+        let envelope = envelope(&ontology.seo, writer.next_seq());
+        save_json_with_vfs(&envelope, &path, &*vfs)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
     }
     let engine = writer.zip(write).map(|(writer, config)| WriteEngine {
         writer,
@@ -154,8 +138,8 @@ pub fn checkpoint_store(
 }
 
 /// A checkpoint serialized at one cursor: the snapshot JSON, the
-/// sidecar's envelope and the `.seg` with the SEO's reachability
-/// closure. The writer thread builds it under its read lock.
+/// sidecar's envelope and the `.seg` index sidecar. The writer thread
+/// builds it under its read lock.
 pub(crate) struct Checkpoint {
     cursor: u64,
     json: String,
@@ -165,16 +149,11 @@ pub(crate) struct Checkpoint {
 
 impl Checkpoint {
     pub(crate) fn build(db: &Database, seo: Option<&Seo>, cursor: u64) -> Result<Self, String> {
-        let mut seg = segment_builder(db, cursor);
-        if let Some(seo) = seo {
-            let reach = seo.enhanced().reach_index().to_segment_payload();
-            seg.add_section(kinds::REACH, "seo.enhanced", reach);
-        }
         Ok(Checkpoint {
             cursor,
             json: to_json_with_seq(db, cursor).map_err(|e| e.to_string())?,
             envelope: seo.map(|seo| envelope(seo, cursor)),
-            seg: seg.finish(),
+            seg: build_segment(db, cursor),
         })
     }
 

@@ -1,4 +1,4 @@
-//! Allocation-light traversal iterators over the arena representation.
+//! Allocation-free traversal iterators over the arena representation.
 
 use crate::arena::{Arena, NodeId};
 
@@ -25,21 +25,40 @@ impl Iterator for Children<'_> {
     }
 }
 
-/// Preorder iterator over `start` and its subtree.
+/// Preorder iterator over `start` and its subtree. It follows the
+/// arena's child, sibling and parent links, so it holds no stack.
 pub struct Preorder<'a> {
     arena: &'a Arena,
-    /// Explicit stack of nodes still to visit; children are pushed in
-    /// reverse so the leftmost pops first.
-    stack: Vec<NodeId>,
+    /// The subtree's root: the walk back up stops here.
+    start: Option<NodeId>,
+    next: Option<NodeId>,
 }
 
 impl<'a> Preorder<'a> {
     pub(crate) fn new(arena: &'a Arena, start: Option<NodeId>) -> Self {
-        let stack = match start {
-            Some(s) => vec![s],
-            None => Vec::new(),
-        };
-        Preorder { arena, stack }
+        Preorder {
+            arena,
+            start,
+            next: start,
+        }
+    }
+
+    /// The node after `cur` in preorder: its first child, else the next
+    /// sibling of the nearest node on the way up to `start`.
+    fn after(&self, cur: NodeId) -> Option<NodeId> {
+        let mut slot = self.arena.slot(cur).ok()?;
+        if slot.first_child.is_some() {
+            return slot.first_child;
+        }
+        let mut at = cur;
+        while Some(at) != self.start {
+            if slot.next_sibling.is_some() {
+                return slot.next_sibling;
+            }
+            at = slot.parent?;
+            slot = self.arena.slot(at).ok()?;
+        }
+        None
     }
 }
 
@@ -47,19 +66,8 @@ impl Iterator for Preorder<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let cur = self.stack.pop()?;
-        // push children reversed
-        let mut children = Vec::new();
-        if let Ok(slot) = self.arena.slot(cur) {
-            let mut c = slot.first_child;
-            while let Some(id) = c {
-                children.push(id);
-                c = self.arena.slot(id).ok().and_then(|s| s.next_sibling);
-            }
-        }
-        for &c in children.iter().rev() {
-            self.stack.push(c);
-        }
+        let cur = self.next?;
+        self.next = self.after(cur);
         Some(cur)
     }
 }
@@ -162,6 +170,11 @@ mod tests {
         let e = t.add_child(d, NodeData::element("e")).unwrap();
         let got: Vec<_> = t.preorder().collect();
         assert_eq!(got, vec![r, a, b, c, d, e]);
+        // a subtree's walk ends at its root, not at the root's sibling
+        let below_a: Vec<_> = t.descendants(a).collect();
+        assert_eq!(below_a, vec![b, c]);
+        let below_c: Vec<_> = t.descendants(c).collect();
+        assert!(below_c.is_empty());
         let ch: Vec<_> = t.children(r).collect();
         assert_eq!(ch, vec![a, d]);
     }

@@ -1,32 +1,41 @@
-//! Tree identity must not allocate: hashing and comparing trees with
-//! `Str`, `Int` and `Real` content builds no string, and
+//! Tree identity and traversal must not allocate: hashing and comparing
+//! trees with `Str`, `Int` and `Real` content builds no string,
 //! `Forest::dedup` makes as many allocations for 50-node trees as for
-//! 5-node ones (its set and keep mask, none per node).
+//! 5-node ones (its set and keep mask, none per node), and a preorder
+//! walk allocates nothing.
 //!
-//! A **single** test on purpose: the counting global allocator's delta
-//! would race with sibling tests in the same binary.
+//! The allocator counts per thread, so tests running beside each other
+//! on other threads do not show up in a test's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use toss_tree::eq::{trees_equal, TreeSet};
 use toss_tree::{Forest, NodeData, Tree, Value};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // const-initialised and without a destructor: reading it never
+    // allocates, at any point of the thread's life
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates directly to the system allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -64,11 +73,11 @@ fn tree(nodes: usize, salt: i64, as_text: bool) -> Tree {
     t
 }
 
-/// Allocations `f` makes.
+/// Allocations `f` makes on this thread.
 fn allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// Twelve trees of `nodes` nodes, four distinct, duplicates spread out.
@@ -111,4 +120,19 @@ fn tree_identity_does_not_allocate() {
         small_allocs, large_allocs,
         "dedup allocations must not grow with tree size"
     );
+}
+
+#[test]
+fn preorder_and_descendants_do_not_allocate() {
+    let t = tree(50, 1, false);
+    let root = t.root().expect("root");
+    let mut seen = (0, 0);
+    let delta = allocs(|| {
+        seen = (
+            black_box(t.preorder()).count(),
+            black_box(t.descendants(root)).count(),
+        );
+    });
+    assert_eq!(seen, (50, 49));
+    assert_eq!(delta, 0, "a preorder walk must not allocate, saw {delta}");
 }

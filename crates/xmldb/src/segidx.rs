@@ -188,24 +188,16 @@ fn add_collection_sections(builder: &mut SegmentBuilder, name: &str, coll: &Coll
 }
 
 /// Build the `.seg` container bytes for `db`, stamped with `last_seq`
-/// (the journal cursor of the snapshot being checkpointed). Extra
-/// sections — e.g. the ontology reachability closure — can be added by
-/// building through [`segment_builder`] instead.
+/// (the journal cursor of the snapshot being checkpointed).
 pub fn build_segment(db: &Database, last_seq: u64) -> Vec<u8> {
-    segment_builder(db, last_seq).finish()
-}
-
-/// Like [`build_segment`] but returns the open builder so callers (the
-/// serving layer) can append their own sections before finishing.
-pub fn segment_builder(db: &Database, last_seq: u64) -> SegmentBuilder {
     let mut builder = SegmentBuilder::new(last_seq);
     for coll in db.collections() {
         add_collection_sections(&mut builder, coll.name(), coll);
     }
-    builder
+    builder.finish()
 }
 
-/// Attach `segment` — built by [`segment_builder`] from `db` as it is
+/// Attach `segment` — built by [`build_segment`] from `db` as it is
 /// now, with no write in between (the store has one writer) — as each
 /// collection's new base, emptying its delta and tombstones. A
 /// collection the segment has no sections for keeps its index.

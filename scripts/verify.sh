@@ -290,10 +290,15 @@ if grep -q "replayed" "$SMOKE/below.err"; then
 fi
 CHECKPOINT_OUT=$("$CLI" db checkpoint --db "$SMOKE/store.json")
 grep -q "journal truncated" <<< "$CHECKPOINT_OUT"
+# the sidecar is now at the `.seg`'s cursor, and the open still reads
+# the `.seg` once: the ontology's reachability closure is not stored,
+# so nothing reads the file a second time to seed it
 BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
     --collection dblp --root inproceedings --below author=smoke-pioneer \
-    2> "$SMOKE/below.err")
+    --explain 2> "$SMOKE/below.err")
 grep -q "^1 answer(s)" <<< "$BELOW_OUT"
+grep -q "^xmldb\.segment\.loads = 1$" <<< "$BELOW_OUT" \
+    || { echo "query after db checkpoint did not read the .seg exactly once"; exit 1; }
 if grep -q "replayed" "$SMOKE/below.err"; then
     echo "query replayed ontology records after db checkpoint"; exit 1
 fi

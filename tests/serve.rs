@@ -28,6 +28,7 @@ use toss_core::Executor;
 use toss_ontology::hierarchy::{from_pairs, Hierarchy};
 use toss_ontology::sea::enhance;
 use toss_ontology::seo::Seo;
+use toss_segment::{Segment, SegmentBuilder};
 use toss_serve::protocol::{read_frame, write_frame, FrameError, Request};
 use toss_serve::{
     next_write_key, BudgetClass, Client, ClientError, Enhancer, ErrorCode, OpenStore,
@@ -35,6 +36,7 @@ use toss_serve::{
 };
 use toss_similarity::{Levenshtein, StringMetric};
 use toss_tree::serialize::{tree_to_xml, Style};
+use toss_xmldb::segidx::seg_path;
 use toss_xmldb::{
     Database, DatabaseConfig, DurableDatabase, FaultMode, FaultSchedule, FaultVfs, JournalRecord,
     ScheduledFault, Vfs,
@@ -1016,18 +1018,30 @@ fn read_only_open_serves_the_ontology_the_writable_server_acked() {
 }
 
 /// A [`Vfs`] over a [`FaultVfs`] that counts reads of the store's
-/// journal and renames onto its snapshot (one per snapshot written).
+/// journal and `.seg` index sidecar, and renames onto its snapshot (one
+/// per snapshot written).
 struct CountingVfs {
     inner: Arc<FaultVfs>,
     wal_reads: AtomicUsize,
+    seg_reads: AtomicUsize,
     snapshot_writes: AtomicUsize,
 }
 
 impl CountingVfs {
-    /// (journal reads, snapshot writes) since the last call.
-    fn take(&self) -> (usize, usize) {
+    fn new(inner: Arc<FaultVfs>) -> Self {
+        CountingVfs {
+            inner,
+            wal_reads: AtomicUsize::new(0),
+            seg_reads: AtomicUsize::new(0),
+            snapshot_writes: AtomicUsize::new(0),
+        }
+    }
+
+    /// (journal reads, `.seg` reads, snapshot writes) since the last call.
+    fn take(&self) -> (usize, usize, usize) {
         (
             self.wal_reads.swap(0, Ordering::SeqCst),
+            self.seg_reads.swap(0, Ordering::SeqCst),
             self.snapshot_writes.swap(0, Ordering::SeqCst),
         )
     }
@@ -1037,6 +1051,9 @@ impl Vfs for CountingVfs {
     fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
         if path == DurableDatabase::wal_path(Path::new(SNAP)) {
             self.wal_reads.fetch_add(1, Ordering::SeqCst);
+        }
+        if path == seg_path(Path::new(SNAP)) {
+            self.seg_reads.fetch_add(1, Ordering::SeqCst);
         }
         self.inner.read(path)
     }
@@ -1068,7 +1085,8 @@ impl Vfs for CountingVfs {
 /// store's ontology and its checkpoint, and `db recover`'s recovery
 /// with its checkpoint, which is the one snapshot it writes. Starting a
 /// writable server reads the journal once more, to reseed its dedupe
-/// table.
+/// table. Every `open_store` reads the `.seg` once, also when the
+/// store's ontology sidecar is at the `.seg`'s cursor.
 #[test]
 fn every_open_reads_the_journal_once_and_recover_writes_the_snapshot_once() {
     let vfs = Arc::new(FaultVfs::new());
@@ -1091,11 +1109,7 @@ fn every_open_reads_the_journal_once_and_recover_writes_the_snapshot_once() {
     }
     server.shutdown();
 
-    let counted = Arc::new(CountingVfs {
-        inner: vfs.clone(),
-        wal_reads: AtomicUsize::new(0),
-        snapshot_writes: AtomicUsize::new(0),
-    });
+    let counted = Arc::new(CountingVfs::new(vfs.clone()));
     let dyn_vfs: Arc<dyn Vfs> = counted.clone();
     let open = |write| {
         let baseline = enhance(&chaos_hierarchy(), &Levenshtein, 1.0).unwrap();
@@ -1109,20 +1123,20 @@ fn every_open_reads_the_journal_once_and_recover_writes_the_snapshot_once() {
         .unwrap()
     };
     assert_eq!(open(None).replayed, 1);
-    assert_eq!(counted.take(), (1, 0), "read-only open_store");
+    assert_eq!(counted.take(), (1, 1, 0), "read-only open_store");
 
     let mut opened = open(Some(WriteConfig::default()));
-    assert_eq!(counted.take(), (1, 0), "writable open_store");
+    assert_eq!(counted.take(), (1, 1, 0), "writable open_store");
     let engine = opened.engine.take().unwrap();
     let exec = Arc::new(RwLock::new(chaos_executor(opened)));
     let server = Server::start_writable(exec, engine, "127.0.0.1:0", ServerConfig::default());
-    let (reads, _) = counted.take();
+    let (reads, _, _) = counted.take();
     assert!(reads <= 1, "start_writable read the journal {reads} more times");
     server.unwrap().shutdown();
 
     let (store, seo) = cli_open(dyn_vfs.clone());
     assert_eq!(cli_checkpoint(store, seo.unwrap().as_ref()), 0);
-    assert_eq!(counted.take(), (1, 1), "the CLI's open and checkpoint");
+    assert_eq!(counted.take(), (1, 1, 1), "the CLI's open and checkpoint");
 
     // a new tail for recovery to replay: an insert and a term
     let (store, _) =
@@ -1147,10 +1161,15 @@ fn every_open_reads_the_journal_once_and_recover_writes_the_snapshot_once() {
     assert_eq!(report.replayed_ops, 2);
     let seo = cli_ontology(&*dyn_vfs, &records).unwrap();
     assert_eq!(cli_checkpoint(store, seo.as_ref()), 0);
-    assert_eq!(counted.take(), (1, 1), "recover_with and its checkpoint");
+    assert_eq!(counted.take(), (1, 1, 1), "recover_with and its checkpoint");
 
-    let opened = open_seeded(&vfs, None);
+    let opened = open(None);
     assert_eq!(opened.replayed, 0, "the checkpoint folded the term");
+    assert_eq!(
+        counted.take(),
+        (1, 1, 0),
+        "open_store with the ontology sidecar at the `.seg`'s cursor"
+    );
     assert!(opened.seo.original().node_of("PODS").is_some());
     assert_eq!(opened.db.collection("chaos").unwrap().len(), 8);
     let service = Service::new(
@@ -1164,6 +1183,78 @@ fn every_open_reads_the_journal_once_and_recover_writes_the_snapshot_once() {
         .push(("author".into(), "relational-pioneer".into()));
     let out = service.query(&below).result.unwrap();
     assert_eq!(out.forest.len(), 2, "the acked edge survives recovery");
+}
+
+/// A `.seg` written while the SEO's reachability closure was still
+/// stored has one more section, of the retired kind 4. A store with
+/// such a file opens with every collection frozen on it and answers a
+/// `below` query as before; its next checkpoint drops the section.
+#[test]
+fn a_seg_with_a_retired_closure_section_still_attaches_frozen() {
+    let vfs = Arc::new(FaultVfs::new());
+    seed_writable(&vfs, 6);
+    let wcfg = WriteConfig {
+        checkpoint_every: 0,
+        ..WriteConfig::default()
+    };
+    let server = start_writable(&vfs, ServerConfig::default(), wcfg);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let edge = WriteOp::AddEdge {
+        below: "E. Codd".into(),
+        above: "relational-pioneer".into(),
+    };
+    client
+        .write_keyed(edge, BudgetClass::Interactive, &next_write_key())
+        .unwrap();
+    client.checkpoint().expect("checkpoint frame");
+    server.shutdown();
+
+    let mut below = QueryRequest::new("chaos", "inproceedings");
+    below
+        .below
+        .push(("author".into(), "relational-pioneer".into()));
+    let answers = |opened: OpenStore| -> Vec<String> {
+        let service = Service::new(
+            Arc::new(RwLock::new(chaos_executor(opened))),
+            &ServerConfig::default(),
+        )
+        .unwrap();
+        let out = service.query(&below).result.unwrap();
+        out.forest
+            .iter()
+            .map(|t| tree_to_xml(t, Style::Compact))
+            .collect()
+    };
+    let before = answers(open_seeded(&vfs, None));
+    assert_eq!(before.len(), 2);
+
+    // rewrite the `.seg` as the store's previous writer did: the same
+    // sections plus a closure section, whose bytes nothing reads
+    const RETIRED_REACH: u32 = 4;
+    let path = seg_path(Path::new(SNAP));
+    let seg = Segment::parse(vfs.read(&path).unwrap()).unwrap();
+    let mut old = SegmentBuilder::new(seg.last_seq());
+    for (kind, name, payload) in seg.sections() {
+        assert_ne!(kind, RETIRED_REACH, "a checkpoint wrote a closure section");
+        old.add_section(kind, name, payload.to_vec());
+    }
+    old.add_section(RETIRED_REACH, "seo.enhanced", vec![0xA5; 4096]);
+    vfs.corrupt(&path, old.finish());
+
+    let opened = open_seeded(&vfs, None);
+    assert_eq!(opened.replayed, 0, "the sidecar is at the `.seg`'s cursor");
+    for coll in opened.db.collections() {
+        let (pointer, segment) = coll.index_bytes();
+        assert!(coll.is_frozen(), "{} attached no segment", coll.name());
+        assert_eq!(pointer, 0, "{} rebuilt its index", coll.name());
+        assert!(segment > 0, "{} has no segment bytes", coll.name());
+    }
+    assert_eq!(answers(opened), before, "the same answers after the reopen");
+
+    let (store, seo) = cli_open(vfs.clone());
+    assert_eq!(cli_checkpoint(store, seo.unwrap().as_ref()), 0);
+    let seg = Segment::parse(vfs.read(&path).unwrap()).unwrap();
+    assert!(seg.sections().all(|(kind, ..)| kind != RETIRED_REACH));
 }
 
 /// A writable server reseeds its dedupe table from the journal; when
