@@ -1,5 +1,6 @@
-//! The similarity join: an inverted index from signature elements to
-//! build-side trees, probed with each probe-side tree's signature.
+//! The similarity join: an inverted index from the build side's
+//! signature elements to its trees, probed with each probe-side tree's
+//! signature.
 //!
 //! Bucketing both sides by key class and verifying every bucket-mate is
 //! far from quadratic on flat inputs, but one *hot* class degenerates to
@@ -15,17 +16,21 @@
 //!    exact set-overlap join at threshold T = 1. Trees are first grouped
 //!    by identity ([`toss_tree::eq::TreeSet`]: a keyed structural hash,
 //!    confirmed by comparison; no tree is rendered to text) — duplicated
-//!    trees (the very thing a skewed corpus is full of) are signed,
-//!    probed and charged **once per distinct tree**, not once per copy.
-//! 2. **Inverted index.** Signature elements are interned to dense ids,
-//!    and the build (right) side gets one posting list per element.
-//! 3. **Lookup.** A left group's matches are the union of its elements'
-//!    posting lists. At T = 1 that union *is* the predicate: every right
-//!    group it offers shares an element, so nothing is left to verify.
-//!    (*Efficient Taxonomic Similarity Joins with Adaptive Overlap
-//!    Constraint*, PAPERS.md, needs a prefix filter and an overlap
-//!    verifier because its T exceeds 1; here the prefix is the whole
-//!    signature and the verifier would accept every candidate.)
+//!    trees (the very thing a skewed corpus is full of) are probed and
+//!    charged **once per distinct tree**, not once per copy. Nothing is
+//!    interned: a signature is the tree's borrowed key renderings and
+//!    its sorted class ids.
+//! 2. **Inverted index.** Only the build (right) side is indexed: class
+//!    ids post to a dense list per class, key renderings to a map keyed
+//!    by the right side's borrowed strings.
+//! 3. **Lookup.** A left group's matches are the union of the posting
+//!    lists its classes and keys find. At T = 1 that union *is* the
+//!    predicate: every right group it offers shares an element, so
+//!    nothing is left to verify. (*Efficient Taxonomic Similarity Joins
+//!    with Adaptive Overlap Constraint*, PAPERS.md, needs a prefix
+//!    filter and an overlap verifier because its T exceeds 1; here the
+//!    prefix is the whole signature and the verifier would accept every
+//!    candidate.)
 //! 4. **Emission.** One graft per matched (left-group, right-group)
 //!    pair, ascending — groups are numbered by first occurrence, so this
 //!    is the order in which product-then-select followed by a
@@ -33,17 +38,20 @@
 //!    oracle as a *sequence*, not merely as a set (asserted by
 //!    `tests/join.rs` and the `join` workload of `benchmark/`).
 //!
-//! **Parallelism and governance.** Signature generation and the lookup
-//! fan out through [`toss_pool::WorkerPool`], which returns task results
-//! in task order. The join evaluates, then charges: lookup tasks never
-//! charge, and one sequential pass walks their results in task order —
-//! the join's commit frontier — charging matched pairs against the
-//! join-cardinality budget ([`QueryGovernor::admit_join_candidates`])
-//! and truncating deterministically when a soft limit trips — so
-//! governor tallies are bit-identical at any worker count. The index and
-//! group structures are charged once to the memory budget
-//! ([`QueryGovernor::charge_memory`]). Every join pays both charges,
-//! however small its inputs.
+//! **Parallelism and governance.** Signature generation, the lookup and
+//! emission fan out through [`toss_pool::WorkerPool`], which returns
+//! task results in task order; only the identity insert, the index
+//! build and the commit frontier are sequential. The join evaluates,
+//! then charges: lookup tasks never charge, and one sequential pass
+//! walks their results in task order — the join's commit frontier —
+//! charging matched pairs against the join-cardinality budget
+//! ([`QueryGovernor::admit_join_candidates`]) and truncating
+//! deterministically when a soft limit trips — so governor tallies are
+//! bit-identical at any worker count. Emission tasks graft contiguous
+//! ranges of the committed pairs and concatenate in task order. The
+//! build-side index and both sides' groups are charged once to the
+//! memory budget ([`QueryGovernor::charge_memory`]). Every join pays
+//! both charges, however small its inputs.
 
 use super::hashjoin::JoinKey;
 use crate::error::TossResult;
@@ -56,6 +64,11 @@ use std::collections::HashMap;
 use toss_pool::{partition_ranges, WorkerPool};
 use toss_tree::eq::TreeSet;
 use toss_tree::{Forest, NodeData, Tree};
+
+/// Fewest matched pairs one emission task grafts: a join with fewer
+/// pairs than twice this (the flat leg's few hundred) emits inline and
+/// spawns no thread.
+const MIN_EMIT_CHUNK: usize = 1024;
 
 /// What one similarity join did (surfaced via `toss.join.*` counters,
 /// the query plan and the `join` workload of `benchmark/`).
@@ -70,24 +83,19 @@ pub struct JoinStats {
     pub candidates: u64,
     /// Output trees emitted (one per charged group pair).
     pub pairs_emitted: u64,
-    /// Worker threads available to the signature and lookup fan-out.
+    /// Worker threads available to the signature, lookup and emission
+    /// fan-out.
     pub workers: usize,
 }
 
 /// One side's distinct-tree group: the index of its first member (the
 /// emission-order key: identical trees dedup to their first occurrence)
-/// and its signature as interned element ids.
-struct Group {
+/// and its signature — the member's distinct key renderings and the
+/// sorted, deduplicated class ids they belong to.
+struct Group<'t> {
     first: usize,
-    sig: Vec<u32>,
-}
-
-/// A signature element before interning: an SEO enhanced-class id or a
-/// literal key rendering.
-#[derive(PartialEq, Eq, Hash)]
-enum Elem<'t> {
-    Class(u32),
-    Str(Cow<'t, str>),
+    keys: Vec<Cow<'t, str>>,
+    classes: Vec<u32>,
 }
 
 /// The similarity join: signature groups → inverted index over the right
@@ -110,9 +118,8 @@ pub fn similarity_join(
 
     // --- 1. signatures + identity grouping (pooled per side) ---
     let sig_span = toss_obs::span("toss.join.signatures");
-    let mut ids: HashMap<Elem, u32> = HashMap::new();
-    let lgroups = side_groups(&left.forest, left_key, &classes, pool, &mut ids);
-    let rgroups = side_groups(&right.forest, right_key, &classes, pool, &mut ids);
+    let lgroups = side_groups(&left.forest, left_key, &classes, pool);
+    let rgroups = side_groups(&right.forest, right_key, &classes, pool);
     stats.groups_left = lgroups.len();
     stats.groups_right = rgroups.len();
     toss_obs::metrics::counter("toss.join.groups").add((lgroups.len() + rgroups.len()) as u64);
@@ -124,21 +131,41 @@ pub fn similarity_join(
     let index_span = toss_obs::span("toss.join.index");
     // Group ids ascend within each list because groups are visited in
     // id order — which is first-occurrence order.
-    let mut postings: Vec<Vec<u32>> = vec![Vec::new(); ids.len()];
+    let mut by_class: Vec<Vec<u32>> = Vec::new();
+    let mut by_key: HashMap<&str, Vec<u32>> = HashMap::with_capacity(rgroups.len());
     for (g, grp) in rgroups.iter().enumerate() {
-        for &e in &grp.sig {
-            postings[e as usize].push(g as u32);
+        for &c in &grp.classes {
+            let c = c as usize;
+            if c >= by_class.len() {
+                by_class.resize_with(c + 1, Vec::new);
+            }
+            by_class[c].push(g as u32);
+        }
+        // `extract` already dropped repeated renderings, so a group
+        // posts to each key once
+        for k in &grp.keys {
+            by_key.entry(k.as_ref()).or_default().push(g as u32);
         }
     }
-    // Deterministic memory charge for the index + group structures
-    // (independent of worker count). A tripped soft ceiling records
-    // degradation and continues — the index is already built and the
-    // candidate budget bounds what it can produce; a hard ceiling errors.
-    let posting_entries: u64 = postings.iter().map(|p| p.len() as u64).sum();
-    let index_bytes =
-        posting_entries * 4 + ids.len() as u64 * 40 + (lgroups.len() + rgroups.len()) as u64 * 64;
+    // Deterministic memory charge for the build-side index and both
+    // sides' groups (independent of worker count): 4 bytes per posting
+    // entry, a list header per class slot, a borrowed string plus list
+    // header per key entry, and a fixed cost per group. A tripped soft
+    // ceiling records degradation and continues — the index is already
+    // built and the candidate budget bounds what it can produce; a hard
+    // ceiling errors.
+    let posting_entries: u64 = by_class
+        .iter()
+        .chain(by_key.values())
+        .map(|p| p.len() as u64)
+        .sum();
+    let index_bytes = posting_entries * 4
+        + by_class.len() as u64 * 24
+        + by_key.len() as u64 * 40
+        + (lgroups.len() + rgroups.len()) as u64 * 64;
     gov.charge_memory(index_bytes)?;
-    index_span.record("elements", ids.len());
+    let class_elements = by_class.iter().filter(|p| !p.is_empty()).count();
+    index_span.record("elements", class_elements + by_key.len());
     index_span.record("posting_entries", posting_entries);
     drop(index_span);
 
@@ -146,7 +173,7 @@ pub fn similarity_join(
     let probe_span = toss_obs::span("toss.join.probe");
     let nr = rgroups.len();
     let ranges = partition_ranges(lgroups.len(), pool.workers().max(1) * 4, 64);
-    let (postings, lgroups_ref) = (&postings, &lgroups);
+    let (by_class, by_key, lgroups_ref) = (&by_class, &by_key, &lgroups);
     let tasks: Vec<_> = ranges
         .into_iter()
         .map(|(s, e)| {
@@ -163,13 +190,16 @@ pub fn similarity_join(
                         // deterministically.
                         break;
                     }
+                    let class_lists = lgroup
+                        .classes
+                        .iter()
+                        .filter_map(|&c| by_class.get(c as usize));
+                    let key_lists = lgroup.keys.iter().filter_map(|k| by_key.get(k.as_ref()));
                     let mut matches: Vec<u32> = Vec::new();
-                    for &el in &lgroup.sig {
-                        for &rg in &postings[el as usize] {
-                            if stamp[rg as usize] != lg as u32 {
-                                stamp[rg as usize] = lg as u32;
-                                matches.push(rg);
-                            }
+                    for &rg in class_lists.chain(key_lists).flatten() {
+                        if stamp[rg as usize] != lg as u32 {
+                            stamp[rg as usize] = lg as u32;
+                            matches.push(rg);
                         }
                     }
                     if !matches.is_empty() {
@@ -198,29 +228,47 @@ pub fn similarity_join(
     }
     toss_obs::metrics::counter("toss.join.candidates").add(stats.candidates);
 
-    // --- 4. emission: one graft per matched group pair ---
+    // --- 4. emission: one graft per matched group pair (pooled) ---
     // Group ids are first-occurrence order on both sides, so ascending
     // (lg, rg) is exactly the order in which enumerating L × R (left
     // index ascending, right index ascending) first reaches each
     // distinct pair — i.e. the order a first-occurrence dedup of
-    // product-then-select keeps.
+    // product-then-select keeps. Tasks graft contiguous ranges of
+    // `matched` and concatenate in task order, so that order holds at
+    // any worker count, and the first graft error in task order wins.
     let emit_span = toss_obs::span("toss.join.emit");
     let ltrees = left.forest.trees();
     let rtrees = right.forest.trees();
-    let mut out = Forest::new();
-    for (lg, rg) in matched {
-        let lt = &ltrees[lgroups[lg as usize].first];
-        let rt = &rtrees[rgroups[rg as usize].first];
-        let mut t = Tree::with_root(NodeData::element(PROD_ROOT_TAG));
-        let root = t.root().expect("with_root sets root");
-        if let Some(lr) = lt.root() {
-            t.graft(Some(root), lt, lr)?;
-        }
-        if let Some(rr) = rt.root() {
-            t.graft(Some(root), rt, rr)?;
-        }
-        out.push(t);
+    let (matched, lgroups, rgroups) = (&matched, &lgroups, &rgroups);
+    let ranges = partition_ranges(matched.len(), pool.workers().max(1) * 4, MIN_EMIT_CHUNK);
+    let tasks: Vec<_> = ranges
+        .into_iter()
+        .map(|(s, e)| {
+            move || {
+                matched[s..e]
+                    .iter()
+                    .map(|&(lg, rg)| {
+                        let lt = &ltrees[lgroups[lg as usize].first];
+                        let rt = &rtrees[rgroups[rg as usize].first];
+                        let mut t = Tree::with_root(NodeData::element(PROD_ROOT_TAG));
+                        let root = t.root().expect("with_root sets root");
+                        if let Some(lr) = lt.root() {
+                            t.graft(Some(root), lt, lr)?;
+                        }
+                        if let Some(rr) = rt.root() {
+                            t.graft(Some(root), rt, rr)?;
+                        }
+                        Ok(t)
+                    })
+                    .collect::<TossResult<Vec<Tree>>>()
+            }
+        })
+        .collect();
+    let mut trees: Vec<Tree> = Vec::with_capacity(matched.len());
+    for part in pool.run(tasks) {
+        trees.extend(part?);
     }
+    let out = Forest::from_trees(trees);
     stats.pairs_emitted = out.len() as u64;
     toss_obs::metrics::counter("toss.join.pairs_emitted").add(stats.pairs_emitted);
     emit_span.record("pairs", out.len());
@@ -234,19 +282,17 @@ pub fn similarity_join(
     Ok((SeoInstance::new(out, left.seo.clone()), stats))
 }
 
-/// One side's trees, grouped by identity, each group signed with the
-/// interned ids of its key renderings' classes and of the renderings
-/// themselves. Hashing + key extraction fans out through the pool
-/// (tasks are range-partitioned and results concatenate in task order,
-/// so the outcome is identical at any worker count); grouping and
-/// interning are sequential.
+/// One side's trees, grouped by identity, each group signed with its
+/// key renderings and their classes. Hashing, key extraction and the
+/// class lookup fan out through the pool (tasks are range-partitioned
+/// and results concatenate in task order, so the outcome is identical
+/// at any worker count); only the identity insert is sequential.
 fn side_groups<'t>(
     forest: &'t Forest,
     key: &JoinKey,
     classes: &HashMap<String, Vec<u32>>,
     pool: &WorkerPool,
-    ids: &mut HashMap<Elem<'t>, u32>,
-) -> Vec<Group> {
+) -> Vec<Group<'t>> {
     let trees = forest.trees();
     let mut distinct = TreeSet::with_capacity(trees.len());
     let keyed = &distinct;
@@ -257,38 +303,33 @@ fn side_groups<'t>(
             move || {
                 trees[s..e]
                     .iter()
-                    .map(|t| (keyed.hash_of(t), key.extract(t)))
+                    .map(|t| {
+                        let keys = key.extract(t);
+                        let mut cls: Vec<u32> = keys
+                            .iter()
+                            .flat_map(|k| classes.get(k.as_ref()).map(Vec::as_slice).unwrap_or(&[]))
+                            .copied()
+                            .collect();
+                        cls.sort_unstable();
+                        cls.dedup();
+                        (keyed.hash_of(t), keys, cls)
+                    })
                     .collect::<Vec<_>>()
             }
         })
         .collect();
-    let signed: Vec<(u64, Vec<Cow<'t, str>>)> = pool.run(tasks).into_iter().flatten().collect();
+    let signed = pool.run(tasks).into_iter().flatten();
 
     let mut groups: Vec<Group> = Vec::new();
-    for (i, (t, (hash, keys))) in trees.iter().zip(signed).enumerate() {
+    for (i, (t, (hash, keys, classes))) in trees.iter().zip(signed).enumerate() {
         // identical tree ⇒ identical signature
-        if !distinct.insert_hashed(hash, t) {
-            continue;
+        if distinct.insert_hashed(hash, t) {
+            groups.push(Group {
+                first: i,
+                keys,
+                classes,
+            });
         }
-        let mut cls: Vec<u32> = keys
-            .iter()
-            .flat_map(|k| classes.get(k.as_ref()).map(Vec::as_slice).unwrap_or(&[]))
-            .copied()
-            .collect();
-        cls.sort_unstable();
-        cls.dedup();
-        // `extract` already dropped repeated renderings, so the ids are
-        // distinct without another pass
-        let sig = cls
-            .into_iter()
-            .map(Elem::Class)
-            .chain(keys.into_iter().map(Elem::Str))
-            .map(|el| {
-                let next = ids.len() as u32;
-                *ids.entry(el).or_insert(next)
-            })
-            .collect();
-        groups.push(Group { first: i, sig });
     }
     groups
 }

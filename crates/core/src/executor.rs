@@ -21,7 +21,8 @@
 //! selection locally — mirroring the paper's observation that Xindice
 //! returns intermediate results which "our code" then combines. Joins
 //! are the executor's only fan-out: the two sides, and the signature
-//! join's hashing and lookup tasks, run on [`Executor::pool`].
+//! join's signature, lookup and emission tasks, run on
+//! [`Executor::pool`].
 //!
 //! Every operator has one entry, governed by a [`QueryGovernor`]; an
 //! ungoverned run passes [`QueryGovernor::unlimited`]. The only
@@ -142,7 +143,8 @@ pub enum QueryPlan {
         /// Matched group pairs the index lookup found and the commit
         /// frontier charged.
         candidates: usize,
-        /// Worker threads available to the signature/lookup fan-out.
+        /// Worker threads available to the signature, lookup and
+        /// emission fan-out.
         workers: usize,
     },
 }
@@ -325,9 +327,10 @@ pub struct Executor {
     /// Optional part-of SEO enabling `part_of` conditions.
     pub part_of_seo: Option<Arc<Seo>>,
     /// Worker pool for joins: the two sides of a join, and the
-    /// signature join's hashing and lookup tasks. Selections and
-    /// projections never use it. Defaults to the machine's available
-    /// parallelism; a one-worker pool runs every task inline.
+    /// signature join's signature, lookup and emission (graft) tasks.
+    /// Selections and projections never use it. Defaults to the
+    /// machine's available parallelism; a one-worker pool runs every
+    /// task inline.
     pub pool: WorkerPool,
     /// Bounded cache of SEO-expanded conditions keyed on the normalized
     /// condition, the SEO version stamps, ε, the probe metric and the

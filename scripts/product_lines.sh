@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Count product lines: every `crates/*/src/**/*.rs` file, counting the
-# lines before its first `#[cfg(test)]` (the whole file when it has
-# none). A file whose module is declared under `#[cfg(test)]`
-# (`#[cfg(test)] mod reference;`) is test code and is skipped, together
-# with its submodule directory. Prints one `<crate> <lines>` row per
-# crate, then the total.
+# lines before the first `#[cfg(test)]` that gates an inline module
+# (`#[cfg(test)] mod tests {`; the whole file when it has none). A
+# `#[cfg(test)]` on any other item (a test-only method inside an `impl`)
+# does not stop the count. A file whose module is declared under
+# `#[cfg(test)]` (`#[cfg(test)] mod reference;`) is test code and is
+# skipped, together with its submodule directory; the two declaring
+# lines are not counted, the lines after them are. Prints one
+# `<crate> <lines>` row per crate, then the total.
 #
 #   bash scripts/product_lines.sh            # every crate
 #   bash scripts/product_lines.sh ontology   # only the named crates
@@ -57,10 +60,29 @@ for crate in "${crates[@]}"; do
     done
     lines=0
     if [ "${#product[@]}" -gt 0 ]; then
+        # A `#[cfg(test)]` line is held (with any attribute, blank or
+        # comment lines after it) until the item it gates shows: an
+        # inline `mod` ends the file's count, a `mod x;` drops the held
+        # lines, anything else counts them.
         lines=$(awk '
-            FNR == 1 { done = 0 }
-            /^[[:space:]]*#\[cfg\(test\)\]/ { done = 1 }
-            !done { n++ }
+            function is_mod(line) {
+                return line ~ /^[[:space:]]*(#\[cfg\(test\)\][[:space:]]*)?(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*[{;]/
+            }
+            FNR == 1 { done = 0; held = 0 }
+            done { next }
+            held && /^[[:space:]]*(#\[.*\][[:space:]]*|\/\/.*)?$/ { held++; next }
+            held {
+                if (is_mod($0) && $0 ~ /\{/) { done = 1; next }
+                if (!is_mod($0)) n += held + 1
+                held = 0
+                next
+            }
+            /^[[:space:]]*#\[cfg\(test\)\]/ {
+                if (is_mod($0)) { if ($0 ~ /\{/) done = 1; next }
+                held = 1
+                next
+            }
+            { n++ }
             END { print n + 0 }' "${product[@]}")
     fi
     printf '%-12s %6d\n' "$crate" "$lines"

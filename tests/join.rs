@@ -281,3 +281,59 @@ fn join_cardinality_boundary() {
         .expect_err("hard cap must abort");
     assert!(matches!(err, TossError::BudgetExceeded(_)), "got {err:?}");
 }
+
+/// Emission fans out over the pool: with a few thousand distinct matched
+/// pairs the grafts span several pool tasks (at least 1 024 pairs each),
+/// and the output, the candidate tally and the memory charge stay
+/// identical at every worker count and equal to the oracle. A soft
+/// memory ceiling one byte below the join's charge degrades identically
+/// at every worker count and keeps the full output.
+#[test]
+fn pooled_emission_is_identical_at_every_worker_count() {
+    // one fused class, every tree distinct (the `v` leaf counts up):
+    // every left tree matches every right tree
+    let seo = clique_seo();
+    let side = |n: usize, offset: usize| {
+        let trees = (0..n)
+            .map(|i| doc(&format!("m{:x}", i % 10), offset + i))
+            .collect();
+        Forest::from_trees(trees)
+    };
+    let l = SeoInstance::new(side(70, 0), seo.clone());
+    let r = SeoInstance::new(side(70, 1000), seo);
+    let expected = oracle(&l, &r, &JoinKey::child("k"));
+    assert!(
+        expected.len() >= 3 * 1024,
+        "emission must span three chunks"
+    );
+
+    let mut full: Vec<(Vec<String>, u64, u64)> = Vec::new();
+    for &w in &THREADS {
+        let gov = QueryGovernor::unlimited();
+        let out = run(&l, &r, w, &gov);
+        assert!(gov.degradation().is_none());
+        full.push((fp_list(&out), gov.join_candidates(), gov.memory_used()));
+    }
+    for (got, &w) in full.iter().zip(&THREADS) {
+        assert_eq!(got, &full[0], "workers={w}");
+    }
+    let (fps, candidates, charge) = full.swap_remove(0);
+    assert_eq!(fps, expected);
+    assert_eq!(candidates, expected.len() as u64);
+    assert!(charge > 0, "the join charges its index");
+
+    let mut degraded = Vec::new();
+    for &w in &THREADS {
+        let soft = QueryGovernor::new(
+            QueryBudget::unlimited().with_max_memory_bytes(Limit::soft(charge - 1)),
+        );
+        let out = run(&l, &r, w, &soft);
+        let info = soft.degradation().expect("soft memory ceiling must trip");
+        assert_eq!(info.tripped, BudgetKind::Memory);
+        assert_eq!(fp_list(&out), fps, "workers={w}");
+        degraded.push((info, soft.join_candidates(), soft.memory_used()));
+    }
+    for (got, &w) in degraded.iter().zip(&THREADS) {
+        assert_eq!(got, &degraded[0], "workers={w}");
+    }
+}
