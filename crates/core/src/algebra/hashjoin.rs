@@ -16,14 +16,12 @@ use crate::oes::SeoInstance;
 use std::borrow::Cow;
 use toss_tree::{Tree, Value};
 
-/// How to extract the join key from one tree: the content of the first
-/// child (or descendant) with the given tag.
+/// How to extract the join key from one tree: the content of every
+/// direct child with the given tag.
 #[derive(Debug, Clone)]
 pub struct JoinKey {
     /// Tag of the key leaf.
     pub tag: String,
-    /// Whether to search all descendants (true) or only children (false).
-    pub descendants: bool,
 }
 
 impl JoinKey {
@@ -31,7 +29,6 @@ impl JoinKey {
     pub fn child(tag: &str) -> Self {
         JoinKey {
             tag: tag.to_string(),
-            descendants: false,
         }
     }
 
@@ -47,13 +44,8 @@ impl JoinKey {
         let Some(root) = tree.root() else {
             return Vec::new();
         };
-        let (all, kids) = if self.descendants {
-            (Some(tree.descendants(root)), None)
-        } else {
-            (None, Some(tree.children(root)))
-        };
         let mut keys: Vec<Cow<'t, str>> = Vec::new();
-        for n in all.into_iter().flatten().chain(kids.into_iter().flatten()) {
+        for n in tree.children(root) {
             let Ok(d) = tree.data(n) else { continue };
             if d.tag != self.tag {
                 continue;
@@ -239,37 +231,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn descendant_keys() {
-        let h = from_pairs(&[("a", "b")]).unwrap();
-        let seo = Arc::new(enhance(&h, &Levenshtein, 0.0).unwrap());
-        let l = SeoInstance::new(
-            Forest::from_trees(vec![TreeBuilder::new("p")
-                .open("meta")
-                .leaf("title", "T")
-                .close()
-                .build()]),
-            seo.clone(),
-        );
-        let r = SeoInstance::new(
-            Forest::from_trees(vec![TreeBuilder::new("q").leaf("title", "T").build()]),
-            seo,
-        );
-        // child key misses the nested title; descendant key finds it
-        let miss = similarity_hash_join(&l, &r, &JoinKey::child("title"), &JoinKey::child("title")).unwrap();
-        assert_eq!(miss.len(), 0);
-        let hit = similarity_hash_join(
-            &l,
-            &r,
-            &JoinKey {
-                tag: "title".into(),
-                descendants: true,
-            },
-            &JoinKey::child("title"),
-        )
-        .unwrap();
-        assert_eq!(hit.len(), 1);
     }
 }

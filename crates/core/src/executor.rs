@@ -17,12 +17,12 @@
 //!    XPath fragment could not express, so results are exact).
 //!
 //! Projection runs the same three phases with a TAX projection in phase
-//! 3. Joins retrieve each side by XPath, then run the product +
-//! selection locally — mirroring the paper's observation that Xindice
-//! returns intermediate results which "our code" then combines. Joins
-//! are the executor's only fan-out: the two sides, and the signature
-//! join's signature, lookup and emission tasks, run on
-//! [`Executor::pool`].
+//! 3. A join retrieves each side by XPath, then combines the two
+//! forests with the signature join ([`crate::algebra::similarity_join`])
+//! — the paper's observation that Xindice returns intermediate results
+//! which "our code" then combines. Joins are the executor's only
+//! fan-out: the two sides, and the signature join's signature, lookup
+//! and emission tasks, run on [`Executor::pool`].
 //!
 //! Every operator has one entry, governed by a [`QueryGovernor`]; an
 //! ungoverned run passes [`QueryGovernor::unlimited`]. The only
@@ -35,7 +35,7 @@ use crate::expand::ExpandCtx;
 use crate::governor::{DegradationInfo, QueryGovernor};
 use crate::rewrite::{compile_xpath, probe_keys};
 use crate::semcache::{fingerprint, CachedRewrite, RewriteCache};
-use crate::tax::{product, Cond, Matcher, PatternTree};
+use crate::tax::{Cond, Matcher, PatternTree};
 use crate::typesys::TypeHierarchy;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -236,19 +236,6 @@ fn clamp_witnesses(mut forest: Forest, gov: &QueryGovernor) -> TossResult<Forest
     let allowed = gov.admit_witnesses(forest.len())?;
     forest.trees_mut().truncate(allowed);
     Ok(forest)
-}
-
-/// Shrink the two sides of a join until |L| × |R| fits the budget.
-fn clamp_join_inputs(
-    mut left: Forest,
-    mut right: Forest,
-    gov: &QueryGovernor,
-) -> TossResult<(Forest, Forest)> {
-    if let Some((l, r)) = gov.admit_join_cardinality(left.len(), right.len())? {
-        left.trees_mut().truncate(l);
-        right.trees_mut().truncate(r);
-    }
-    Ok((left, right))
 }
 
 /// Number of expansion terms the SEO rewrite introduced into a compiled
@@ -708,65 +695,16 @@ impl Executor {
         Ok((l?, r?))
     }
 
-    /// Execute a join under a [`QueryGovernor`]: retrieve each side by
-    /// its own XPath, then product + select locally with the cross
-    /// condition. One governor covers the whole request: both side
-    /// selections, the product (bounded by the join-cardinality budget
-    /// *before* it is materialized) and the combine phase.
-    ///
-    /// `left`/`right` select the sides; `cross` is a pattern over the
-    /// product (root = `tax_prod_root`) whose condition may reference
-    /// labels bound on both sides.
-    pub fn join_governed(
-        &self,
-        left: &TossQuery,
-        right: &TossQuery,
-        cross: &TossPattern,
-        expand_labels: &[u32],
-        mode: Mode,
-        gov: &QueryGovernor,
-    ) -> TossResult<QueryOutcome> {
-        let span = toss_obs::span("toss.query.join");
-        let (l, r) = self.join_sides(left, right, mode, gov)?;
-
-        let cross_span = toss_obs::span("toss.query.rewrite");
-        let cross = self.compile(cross, mode, gov)?;
-        let rewrite_time = l.rewrite_time + r.rewrite_time + cross_span.finish();
-
-        let combine = toss_obs::span("toss.query.convert");
-        let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
-        let joined = cross.matcher.select(&product(&lf, &rf)?, expand_labels)?;
-        let joined = clamp_witnesses(joined, gov)?;
-        combine.record("witnesses", joined.len());
-        let convert_time = l.convert_time + r.convert_time + combine.finish();
-
-        let degradation = gov.degradation();
-        if let Some(d) = &degradation {
-            span.record("degradation", d.to_string());
-        }
-        span.record("results", joined.len());
-        toss_obs::metrics::counter("toss.query.joins").inc();
-        drop(span);
-
-        Ok(QueryOutcome {
-            forest: joined,
-            xpath: format!("{} ⋈ {}", l.xpath, r.xpath),
-            degradation,
-            plan: None,
-            rewrite_time,
-            execute_time: l.execute_time + r.execute_time,
-            convert_time,
-        })
-    }
-
     /// Execute a keyed similarity join (the Figure-16(b) shape: tag
     /// conditions select each side, one `~` condition relates one keyed
-    /// leaf per side) under a [`QueryGovernor`], with the same
-    /// request-wide coverage as [`Executor::join_governed`]. Retrieval
-    /// runs through the store; the join itself is the signature join
-    /// over the SEO ([`crate::algebra::similarity_join`]). Under
-    /// [`Mode::TaxBaseline`] keys must match exactly (the SEO classes are
-    /// ignored), per the paper's baseline protocol.
+    /// leaf per side) under a [`QueryGovernor`]. One governor covers
+    /// the whole request: both side selections, the join and its output.
+    /// Retrieval runs through the store; the join itself is the
+    /// signature join over the SEO ([`crate::algebra::similarity_join`]),
+    /// which charges the join-cardinality budget with the candidate
+    /// pairs it generates. Under [`Mode::TaxBaseline`] keys must match
+    /// exactly (the SEO classes are ignored), per the paper's baseline
+    /// protocol.
     pub fn join_similarity_governed(
         &self,
         left: &TossQuery,
@@ -780,7 +718,6 @@ impl Executor {
         let span = toss_obs::span("toss.query.join_similarity");
         let (l, r) = self.join_sides(left, right, mode, gov)?;
         let combine = toss_obs::span("toss.query.convert");
-        let (lf, rf) = clamp_join_inputs(l.forest, r.forest, gov)?;
         let seo = match mode {
             Mode::Toss => self.seo.clone(),
             // exact-match join: an empty SEO leaves only the
@@ -792,8 +729,8 @@ impl Executor {
             )?),
         };
         let (joined, jstats) = crate::algebra::similarity_join(
-            &SeoInstance::new(lf, seo.clone()),
-            &SeoInstance::new(rf, seo),
+            &SeoInstance::new(l.forest, seo.clone()),
+            &SeoInstance::new(r.forest, seo),
             left_key,
             right_key,
             &self.pool,
@@ -1140,31 +1077,15 @@ mod tests {
             .unwrap(),
             expand_labels: vec![1],
         };
-        let mut cross_structure = PatternTree::new(1);
-        let root = cross_structure.root();
-        cross_structure
-            .add_child(root, 2, EdgeKind::AncestorDescendant)
-            .unwrap();
-        cross_structure
-            .add_child(root, 3, EdgeKind::AncestorDescendant)
-            .unwrap();
-        let cross = TossPattern {
-            structure: cross_structure,
-            condition: TossCond::all(vec![
-                TossCond::eq(TossTerm::tag(1), TossTerm::str(crate::tax::PROD_ROOT_TAG)),
-                TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
-                TossCond::eq(TossTerm::tag(3), TossTerm::str("author")),
-                TossCond::similar(TossTerm::content(2), TossTerm::content(3)),
-            ]),
-        };
+        let key = crate::algebra::JoinKey::child("author");
         let unlimited = QueryGovernor::unlimited();
         let toss = ex
-            .join_governed(&left, &right, &cross, &[], Mode::Toss, &unlimited)
+            .join_similarity_governed(&left, &right, &key, &key, Mode::Toss, &unlimited)
             .unwrap();
         // both dblp Ullmann papers join the single sigmod record
         assert!(toss.forest.len() >= 2, "got {}", toss.forest.len());
         let tax = ex
-            .join_governed(&left, &right, &cross, &[], Mode::TaxBaseline, &unlimited)
+            .join_similarity_governed(&left, &right, &key, &key, Mode::TaxBaseline, &unlimited)
             .unwrap();
         assert!(tax.forest.len() < toss.forest.len());
     }
@@ -1554,17 +1475,6 @@ mod tests {
             assert_eq!(clamped.len(), cap.min(12));
             assert_eq!(prefix(&clamped, usize::MAX), prefix(&full, cap));
         }
-        // 12 × 12 = 144 pairs against a budget of 30
-        let gov = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_join_cardinality(Limit::soft(30)),
-        );
-        let (l, r) = clamp_join_inputs(full.clone(), full.clone(), &gov).unwrap();
-        assert_eq!((l.len(), r.len()), (12, 2), "the right side shrinks to fit");
-        assert_eq!(prefix(&l, usize::MAX), prefix(&full, l.len()));
-        assert_eq!(prefix(&r, usize::MAX), prefix(&full, r.len()));
-        let (l, r) = clamp_join_inputs(full.clone(), full.clone(), &QueryGovernor::unlimited())
-            .unwrap();
-        assert_eq!((l.len(), r.len()), (12, 12));
     }
 
     #[test]

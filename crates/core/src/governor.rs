@@ -3,13 +3,14 @@
 //!
 //! TOSS trades exact-match recall for quality by expanding conditions
 //! through the SEO, but that expansion can blow up combinatorially and
-//! joins can produce quadratic intermediate products. This module bounds
+//! a join on one hot similarity class pairs every tree with every other.
+//! This module bounds
 //! query *execution* so one adversarial or unlucky query cannot pin a
 //! core, exhaust memory, or take a serving loop down:
 //!
 //! * [`QueryBudget`] — a declarative resource envelope: wall-clock
-//!   deadline, SEO expansion terms, documents scanned, join/product
-//!   cardinality, witness trees, approximate memory. Every dimension
+//!   deadline, SEO expansion terms, documents scanned, join candidate
+//!   pairs, witness trees, approximate memory. Every dimension
 //!   except the deadline can be **soft** (degrade: return what was found
 //!   so far, annotated with a [`DegradationInfo`]) or **hard** (cancel
 //!   with [`TossError::BudgetExceeded`]). The deadline is always hard.
@@ -50,7 +51,7 @@ pub enum BudgetKind {
     ExpansionTerms,
     /// Documents visited by the store scan.
     DocsScanned,
-    /// Join / product intermediate cardinality (|L| × |R|).
+    /// Candidate pairs the similarity join generates.
     JoinCardinality,
     /// Witness trees in the result.
     Witnesses,
@@ -120,7 +121,8 @@ pub struct QueryBudget {
     pub max_expansion_terms: Option<Limit>,
     /// Cap on documents visited by the store scan.
     pub max_docs_scanned: Option<Limit>,
-    /// Cap on |L| × |R| before a join or product is materialized.
+    /// Cap on the candidate pairs the similarity join generates,
+    /// charged at its commit frontier.
     pub max_join_cardinality: Option<Limit>,
     /// Cap on witness trees returned.
     pub max_witnesses: Option<Limit>,
@@ -492,64 +494,18 @@ impl QueryGovernor {
         self.token.is_cancelled() || self.deadline_expired()
     }
 
-    /// Admit a join/product of `left × right` intermediate pairs.
-    /// Returns `None` when the product fits, or `Some((l, r))` — the
-    /// truncated side sizes — when a soft limit forces a smaller
-    /// product. A hard limit errors.
-    pub(crate) fn admit_join_cardinality(
-        &self,
-        left: usize,
-        right: usize,
-    ) -> TossResult<Option<(usize, usize)>> {
-        self.check()?;
-        let Some(limit) = self.budget.max_join_cardinality else {
-            return Ok(None);
-        };
-        let product = (left as u64).saturating_mul(right as u64);
-        if product <= limit.max {
-            return Ok(None);
-        }
-        match limit.enforcement {
-            Enforcement::Hard => {
-                Err(self.hard_breach(BudgetKind::JoinCardinality, limit.max, product))
-            }
-            Enforcement::Soft => {
-                // Keep the left side as intact as possible; shrink the
-                // right so the product fits (each side keeps ≥ 1 row
-                // when the limit allows any work at all).
-                let l = (left as u64).min(limit.max.max(1)) as usize;
-                let r = if l == 0 {
-                    0
-                } else {
-                    ((limit.max / l as u64).max(if limit.max == 0 { 0 } else { 1 }) as usize)
-                        .min(right)
-                };
-                self.trip_soft(DegradationInfo::new(
-                    BudgetKind::JoinCardinality,
-                    limit.max,
-                    product,
-                    (l as u64).saturating_mul(r as u64),
-                ));
-                Ok(Some((l, r)))
-            }
-        }
-    }
-
     /// Candidate pairs the similarity join has charged so far.
     pub fn join_candidates(&self) -> u64 {
         self.join_candidates.load(Ordering::Relaxed)
     }
 
     /// Admit `produced` candidate pairs generated by the similarity
-    /// join's inverted-index probe. Cumulative against
-    /// [`QueryBudget::max_join_cardinality`]: the join charges the pairs
-    /// it *actually generates*, never more than |L|·|R| — so behind the
-    /// executor's up-front [`QueryGovernor::admit_join_cardinality`]
-    /// clamp of the inputs a first join can never trip it, a
-    /// well-behaved join is charged for far less than the product, and a
-    /// direct caller (no clamp) is bounded by this charge alone.
-    /// Returns how many of the produced pairs may be kept; a soft limit
-    /// truncates (recording degradation), a hard limit errors.
+    /// join's inverted-index probe: the one charge against
+    /// [`QueryBudget::max_join_cardinality`], cumulative across the
+    /// request. The join charges the pairs it *actually generates*, so a
+    /// selective join is charged for far less than |L|·|R|. Returns how
+    /// many of the produced pairs may be kept; a soft limit truncates
+    /// (recording degradation), a hard limit errors.
     ///
     /// Only ever called from the sequential commit frontier (probe tasks
     /// are speculative and never charge), so the tally is bit-identical
@@ -747,7 +703,6 @@ mod tests {
         assert!(g.check().is_ok());
         assert_eq!(g.admit_expansion_terms(1_000_000).unwrap(), 1_000_000);
         assert_eq!(g.admit_docs(1_000_000).unwrap(), 1_000_000);
-        assert_eq!(g.admit_join_cardinality(10_000, 10_000).unwrap(), None);
         assert_eq!(g.admit_witnesses(500).unwrap(), 500);
         assert!(g.charge_memory(1 << 40).unwrap());
         assert!(g.degradation().is_none());
@@ -885,22 +840,6 @@ mod tests {
         assert_eq!(g.docs_scanned(), 0, "a poll must not charge");
         assert!(g.degradation().is_none());
         assert!(matches!(g.check(), Err(TossError::Cancelled)));
-    }
-
-    #[test]
-    fn join_cardinality_truncation_fits_product() {
-        let g = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_join_cardinality(Limit::soft(10)),
-        );
-        let (l, r) = g.admit_join_cardinality(4, 100).unwrap().unwrap();
-        assert!(l * r <= 10);
-        assert!(l >= 1 && r >= 1);
-        // zero-limit: no pairs at all
-        let g0 = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_join_cardinality(Limit::soft(0)),
-        );
-        let (l0, r0) = g0.admit_join_cardinality(4, 4).unwrap().unwrap();
-        assert_eq!(l0 * r0, 0);
     }
 
     #[test]

@@ -304,7 +304,7 @@ impl Server {
             Some(engine) => {
                 let (tx, rx) = mpsc::sync_channel(WRITE_QUEUE_DEPTH);
                 let state = Arc::new(WriteState::default());
-                let writer = WriterLoop::new(engine, service.clone(), state.clone())?;
+                let writer = WriterLoop::new(engine, service.clone(), state.clone());
                 (Some(tx), Some(state), Some((writer, rx)))
             }
             None => (None, None, None),

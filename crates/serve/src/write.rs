@@ -44,8 +44,9 @@
 //!   ([`toss_xmldb::DurableWriter::append_batch_keyed`]), and the table
 //!   is reseeded from the journal tail on startup, so a retry of a
 //!   write acknowledged just before a crash still dedupes (the replayed
-//!   ack carries the original `seq` but no `doc_id`). A journal that
-//!   cannot be read fails the start instead of leaving the table empty.
+//!   ack carries the original `seq` but no `doc_id`). The reseed reads
+//!   no file: the journal tracks its keys
+//!   ([`toss_xmldb::DurableWriter::journal_keys`]).
 //!
 //! The guarantee is therefore *bounded*, not absolute: a key evicted
 //! from the table (more than 1 024 newer acks) or folded out of the
@@ -313,36 +314,28 @@ pub(crate) struct WriterLoop {
 }
 
 impl WriterLoop {
-    /// Fails when the journal cannot be read: a table reseeded from
-    /// less than the journal would let a retried write apply twice.
-    pub(crate) fn new(
-        engine: WriteEngine,
-        service: Arc<Service>,
-        state: Arc<WriteState>,
-    ) -> std::io::Result<Self> {
+    pub(crate) fn new(engine: WriteEngine, service: Arc<Service>, state: Arc<WriteState>) -> Self {
         let mut dedupe = DedupeTable::new(DEDUPE_CAPACITY);
         // Reseed from the journal tail: every record journaled under an
         // idempotency key was acknowledged (or was about to be), so a
         // client retrying across our restart must dedupe, not re-apply.
-        // Replayed outcomes keep their seq but not their doc id.
-        let records = engine.writer.journal_records().map_err(std::io::Error::other)?;
-        for rec in records {
-            if let Some(key) = rec.key {
-                dedupe.insert(
-                    key,
-                    AckedOutcome {
-                        seq: rec.seq,
-                        doc_id: None,
-                    },
-                );
-            }
+        // Replayed outcomes keep their seq but not their doc id. The
+        // journal tracks its keys, so this reads no file.
+        for (key, seq) in engine.writer.journal_keys() {
+            dedupe.insert(
+                key.clone(),
+                AckedOutcome {
+                    seq: *seq,
+                    doc_id: None,
+                },
+            );
         }
-        Ok(WriterLoop {
+        WriterLoop {
             engine,
             service,
             state,
             dedupe,
-        })
+        }
     }
 
     /// The thread body: drain jobs until every sender is gone (server
@@ -893,7 +886,7 @@ mod tests {
             config: WriteConfig::default(),
         };
         let service = Service::new(executor.clone(), &ServerConfig::default()).unwrap();
-        let wl = WriterLoop::new(engine, Arc::new(service), state.clone()).unwrap();
+        let wl = WriterLoop::new(engine, Arc::new(service), state.clone());
         (wl, state, executor)
     }
 

@@ -368,7 +368,7 @@ impl DurableWriter {
 
     /// [`DurableWriter::append_batch`] with each op's idempotency key
     /// journaled inside its record, so a restarted server can rebuild
-    /// its dedupe table from [`DurableWriter::journal_records`].
+    /// its dedupe table from [`DurableWriter::journal_keys`].
     pub fn append_batch_keyed(
         &mut self,
         ops: &[(JournalOp, Option<String>)],
@@ -376,10 +376,18 @@ impl DurableWriter {
         self.journal.append_batch_keyed(ops)
     }
 
-    /// The journal's current records (strict scan). A starting server
-    /// reseeds its idempotency dedupe table from here.
+    /// The journal's current records (strict scan, which re-reads the
+    /// whole file).
     pub fn journal_records(&self) -> DbResult<Vec<JournalRecord>> {
         Ok(self.journal.scan()?.records)
+    }
+
+    /// The `(idempotency key, sequence number)` of every keyed record in
+    /// the journal, in append order: a starting server reseeds its
+    /// dedupe table from here. Tracked from the open's scan, each append
+    /// and each rewrite, so this reads nothing.
+    pub fn journal_keys(&self) -> &[(String, u64)] {
+        self.journal.keys()
     }
 
     /// The sequence number the next append will use.

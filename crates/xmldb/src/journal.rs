@@ -301,6 +301,10 @@ pub(crate) struct Journal {
     /// way, so a checkpoint that must keep them knows without a scan
     /// whether there are any.
     ontology_count: usize,
+    /// The idempotency key and sequence number of every keyed record in
+    /// that prefix, in append order, maintained the same way, so a
+    /// starting server reseeds its dedupe table without a scan.
+    keys: Vec<(String, u64)>,
 }
 
 impl std::fmt::Debug for Journal {
@@ -338,6 +342,7 @@ impl Journal {
             poisoned: false,
             record_count: 0,
             ontology_count: 0,
+            keys: Vec::new(),
         };
         let exists = journal.vfs.exists(&journal.path);
         // a missing file scans as the bare magic: no records
@@ -346,6 +351,7 @@ impl Journal {
         journal.good_len = scan.valid_bytes;
         journal.record_count = scan.records.len();
         journal.ontology_count = ontology_count(&scan.records);
+        journal.keys = keys(&scan.records);
         if scan.corruption.is_some() {
             journal.poisoned = true;
         } else if !exists || scan.torn_tail_bytes > 0 || scan.valid_bytes < JOURNAL_MAGIC.len() {
@@ -429,9 +435,11 @@ impl Journal {
         span.record("ops", n);
         let mut rec = Vec::new();
         let mut ontology = 0;
+        let mut keys = Vec::new();
         for (seq, (op, key)) in (first..).zip(ops) {
             rec.extend_from_slice(&frame(&encode_payload(seq, op, key)));
             ontology += usize::from(op.is_ontology());
+            keys.extend(key.map(|k| (k.to_owned(), seq)));
         }
         span.record("bytes", rec.len());
         let appended = self
@@ -449,6 +457,7 @@ impl Journal {
                 self.next_seq = first + n;
                 self.record_count += n as usize;
                 self.ontology_count += ontology;
+                self.keys.append(&mut keys);
                 toss_obs::metrics::counter("xmldb.journal.appends").add(n);
                 toss_obs::metrics::counter("xmldb.journal.fsyncs").inc();
                 toss_obs::metrics::counter("xmldb.journal.bytes_appended").add(rec.len() as u64);
@@ -633,6 +642,7 @@ impl Journal {
         self.poisoned = false;
         self.record_count = records.len();
         self.ontology_count = ontology_count(records);
+        self.keys = keys(records);
         Ok(())
     }
 
@@ -648,10 +658,24 @@ impl Journal {
     pub(crate) fn ontology_count(&self) -> usize {
         self.ontology_count
     }
+
+    /// The `(idempotency key, sequence number)` of every keyed record in
+    /// the known-good prefix, in append order. Maintained the same way,
+    /// with no file I/O.
+    pub(crate) fn keys(&self) -> &[(String, u64)] {
+        &self.keys
+    }
 }
 
 fn ontology_count(records: &[JournalRecord]) -> usize {
     records.iter().filter(|r| r.op.is_ontology()).count()
+}
+
+fn keys(records: &[JournalRecord]) -> Vec<(String, u64)> {
+    records
+        .iter()
+        .filter_map(|r| Some((r.key.clone()?, r.seq)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -829,6 +853,37 @@ mod tests {
     }
 
     #[test]
+    fn keys_track_appends_rewrites_and_reopens() {
+        let (fs, vfs) = mem();
+        let scanned = |j: &Journal| keys(&j.scan().unwrap().records);
+        let mut j = Journal::open("db.wal", vfs.clone(), 0).unwrap().0;
+        let keyed: Vec<(JournalOp, Option<String>)> = sample_ops()
+            .into_iter()
+            .enumerate()
+            .map(|(i, op)| (op, (i % 3 != 1).then(|| format!("wk-{i}"))))
+            .collect();
+        j.append_batch_keyed(&keyed[..4]).unwrap();
+        j.append(&sample_ops()[4]).unwrap();
+        j.append_batch_keyed(&keyed[4..]).unwrap();
+        assert_eq!(j.keys().len(), 5);
+        assert_eq!(j.keys(), scanned(&j));
+        // A failed append leaves the keys untouched.
+        fs.fail_op(fs.op_count(), FaultMode::Error);
+        assert!(j.append_batch_keyed(&keyed[..1]).is_err());
+        assert_eq!(j.keys(), scanned(&j));
+        let records = j.scan().unwrap().records;
+        j.rewrite(&records[3..]).unwrap();
+        assert_eq!(j.keys(), scanned(&j));
+        assert_eq!(j.keys()[0], ("wk-3".to_string(), 3));
+        j.append_batch_keyed(&keyed[..1]).unwrap();
+        assert_eq!(j.keys().last(), Some(&("wk-0".to_string(), 9)));
+        fs.crash();
+        let j = Journal::open("db.wal", vfs, 0).unwrap().0;
+        assert_eq!(j.keys(), scanned(&j));
+        assert_eq!(j.keys().len(), 4);
+    }
+
+    #[test]
     fn append_scan_round_trip_with_sequences() {
         let (_fs, vfs) = mem();
         let mut j = Journal::open("db.wal", vfs, 0).unwrap().0;
@@ -949,6 +1004,7 @@ mod tests {
             poisoned: true,
             record_count: 0,
             ontology_count: 0,
+            keys: Vec::new(),
         };
         assert!(matches!(j.scan(), Err(DbError::Corruption { .. })));
     }

@@ -2,14 +2,15 @@
 //! zero budgets, exact-boundary budgets, a deadline that expired before
 //! admission, and cancellation raised during rewrite — all through the
 //! real executor against the real store — plus the same governance on
-//! projection and join, and join errors that do not depend on the
-//! worker count.
+//! projection and join, join errors that do not depend on the worker
+//! count, and a join-cardinality budget charged with the candidate pairs
+//! the join generates.
 
 use std::sync::Arc;
 use std::time::Duration;
 use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
-use toss_core::tax::{EdgeKind, PatternTree, ProjectEntry, PROD_ROOT_TAG};
+use toss_core::tax::{EdgeKind, ProjectEntry};
 use toss_core::{
     AdmissionController, BudgetKind, CancelToken, Executor, Limit, QueryBudget,
     QueryGovernor, QueryOutcome, TossCond, TossError, TossQuery, TossResult, TossTerm,
@@ -185,35 +186,16 @@ fn cancellation_between_rewrite_and_execute() {
     );
 }
 
-/// A join of `dblp` with itself on similar authors: product root with
-/// one author below each side.
-fn author_cross() -> TossPattern {
-    let mut structure = PatternTree::new(1);
-    let root = structure.root();
-    structure
-        .add_child(root, 2, EdgeKind::AncestorDescendant)
-        .unwrap();
-    structure
-        .add_child(root, 3, EdgeKind::AncestorDescendant)
-        .unwrap();
-    TossPattern {
-        structure,
-        condition: TossCond::all(vec![
-            TossCond::eq(TossTerm::tag(1), TossTerm::str(PROD_ROOT_TAG)),
-            TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
-            TossCond::eq(TossTerm::tag(3), TossTerm::str("author")),
-            TossCond::similar(TossTerm::content(2), TossTerm::content(3)),
-        ]),
-    }
-}
-
 /// Run one operator over [`author_query`] (both sides, for the join).
 fn run_op(ex: &Executor, op: &str, gov: &QueryGovernor) -> TossResult<QueryOutcome> {
     let q = author_query("Jeff Ullmann");
     match op {
         "select" => ex.select_governed(&q, Mode::Toss, gov),
         "project" => ex.project_governed(&q, &[ProjectEntry::subtree(2)], Mode::Toss, gov),
-        "join" => ex.join_governed(&q, &q, &author_cross(), &[], Mode::Toss, gov),
+        "join" => {
+            let key = JoinKey::child("author");
+            ex.join_similarity_governed(&q, &q, &key, &key, Mode::Toss, gov)
+        }
         other => unreachable!("no operator {other}"),
     }
 }
@@ -274,14 +256,74 @@ fn join_side_errors_do_not_depend_on_worker_count() {
         for threads in [1, 2, 7] {
             let ex = executor().with_threads(threads);
             let gov = QueryGovernor::unlimited();
-            let join = ex.join_governed(left, right, &author_cross(), &[], Mode::Toss, &gov);
+            let join = ex.join_similarity_governed(left, right, &key, &key, Mode::Toss, &gov);
             assert_eq!(join.unwrap_err(), expected, "join @ {threads} threads");
-            let simjoin = ex.join_similarity_governed(left, right, &key, &key, Mode::Toss, &gov);
-            assert_eq!(
-                simjoin.unwrap_err(),
-                expected,
-                "simjoin @ {threads} threads"
-            );
         }
     }
+}
+
+/// Every `dblp` paper with its author, unfiltered: both sides of a
+/// self-join.
+fn papers() -> TossQuery {
+    TossQuery {
+        collection: "dblp".into(),
+        pattern: TossPattern::spine(
+            &[EdgeKind::ParentChild],
+            TossCond::all(vec![
+                TossCond::eq(TossTerm::tag(1), TossTerm::str("inproceedings")),
+                TossCond::eq(TossTerm::tag(2), TossTerm::str("author")),
+            ]),
+        )
+        .unwrap(),
+        expand_labels: vec![1],
+    }
+}
+
+/// The join-cardinality budget is charged with the candidate pairs the
+/// signature join generates, not with |L| × |R|: a hard limit between
+/// the two returns the full output, and a soft limit below the candidate
+/// count keeps a prefix of the unlimited output with the same
+/// degradation at every worker count.
+#[test]
+fn join_cardinality_charges_generated_candidates() {
+    let (q, key) = (papers(), JoinKey::child("author"));
+    let join = |threads: usize, budget: QueryBudget| {
+        let gov = QueryGovernor::new(budget);
+        let out = executor()
+            .with_threads(threads)
+            .join_similarity_governed(&q, &q, &key, &key, Mode::Toss, &gov);
+        (out, gov)
+    };
+    let fingerprints = |out: &QueryOutcome| -> Vec<String> {
+        out.forest.iter().map(toss_tree::eq::fingerprint).collect()
+    };
+
+    let (full, gov) = join(1, QueryBudget::unlimited());
+    let full = full.unwrap();
+    let candidates = gov.join_candidates();
+    // Ullmann/Ullman fuse, Codd joins only himself: 4 + 1 of 3 × 3 pairs
+    assert_eq!((candidates, full.forest.len()), (5, 5));
+    let product = 3 * 3;
+
+    for threads in [1, 2, 7] {
+        let hard = QueryBudget::unlimited().with_max_join_cardinality(Limit::hard(product - 1));
+        let (out, gov) = join(threads, hard);
+        let out = out.unwrap_or_else(|e| panic!("@ {threads} threads: {e:?}"));
+        assert_eq!(fingerprints(&out), fingerprints(&full), "@ {threads} threads");
+        assert!(out.degradation.is_none());
+        assert_eq!(gov.join_candidates(), candidates);
+    }
+
+    let mut degradations = Vec::new();
+    for threads in [1, 2, 7] {
+        let soft = QueryBudget::unlimited().with_max_join_cardinality(Limit::soft(3));
+        let out = join(threads, soft).0.unwrap();
+        let prefix = fingerprints(&full)[..out.forest.len()].to_vec();
+        assert_eq!(fingerprints(&out), prefix, "@ {threads} threads");
+        assert_eq!(out.forest.len(), 3);
+        let info = out.degradation.expect("the soft limit trips");
+        assert_eq!(info.tripped, BudgetKind::JoinCardinality);
+        degradations.push(info);
+    }
+    assert!(degradations.windows(2).all(|w| w[0] == w[1]), "{degradations:?}");
 }
