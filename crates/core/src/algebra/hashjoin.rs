@@ -14,7 +14,7 @@
 use crate::error::TossResult;
 use crate::oes::SeoInstance;
 use std::borrow::Cow;
-use toss_tree::{Tree, Value};
+use toss_tree::{Preordered, Value};
 
 /// How to extract the join key from one tree: the content of every
 /// direct child with the given tag.
@@ -32,22 +32,19 @@ impl JoinKey {
         }
     }
 
-    /// Extract all key renderings from a tree (a tree can carry several
-    /// key leaves, e.g. multiple authors), borrowing string content.
-    /// Repeated renderings are deduplicated keeping the first
-    /// occurrence: a tree with duplicate key leaves joins exactly like
-    /// one with a single copy, so the duplicates would only inflate
-    /// buckets, verification work and governor charges for no extra
-    /// matches. The dedup scans the renderings kept so far, which a tree
-    /// has a handful of.
-    pub fn extract<'t>(&self, tree: &'t Tree) -> Vec<Cow<'t, str>> {
-        let Some(root) = tree.root() else {
-            return Vec::new();
-        };
+    /// Extract all key renderings from a tree or a view of one — the
+    /// contents of its root's children (the depth-1 nodes of its
+    /// preorder) with the key tag; a tree can carry several key leaves,
+    /// e.g. multiple authors — borrowing string content. Repeated
+    /// renderings are deduplicated keeping the first occurrence: a tree
+    /// with duplicate key leaves joins exactly like one with a single
+    /// copy, so the duplicates would only inflate buckets, verification
+    /// work and governor charges for no extra matches. The dedup scans
+    /// the renderings kept so far, which a tree has a handful of.
+    pub fn extract<'t>(&self, src: impl Preordered<'t>) -> Vec<Cow<'t, str>> {
         let mut keys: Vec<Cow<'t, str>> = Vec::new();
-        for n in tree.children(root) {
-            let Ok(d) = tree.data(n) else { continue };
-            if d.tag != self.tag {
+        for (depth, d) in src.cursor() {
+            if depth != 1 || d.tag != self.tag {
                 continue;
             }
             let key = match &d.content {

@@ -11,6 +11,7 @@ mod operators;
 mod simjoin;
 
 pub use hashjoin::{similarity_hash_join, JoinKey};
+pub(crate) use simjoin::join_views;
 pub use simjoin::similarity_join;
 pub use operators::{
     toss_difference, toss_intersection, toss_join, toss_product, toss_project, toss_select,

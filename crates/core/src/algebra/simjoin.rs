@@ -13,13 +13,18 @@
 //!    (identical strings join even outside the ontology, so the literal
 //!    key is itself a signature element). Two trees join iff their
 //!    signatures share an element, which makes the similarity join an
-//!    exact set-overlap join at threshold T = 1. Trees are first grouped
-//!    by identity ([`toss_tree::eq::TreeSet`]: a keyed structural hash,
-//!    confirmed by comparison; no tree is rendered to text) — duplicated
-//!    trees (the very thing a skewed corpus is full of) are probed and
-//!    charged **once per distinct tree**, not once per copy. Nothing is
-//!    interned: a signature is the tree's borrowed key renderings and
-//!    its sorted class ids.
+//!    exact set-overlap join at threshold T = 1. Each side arrives as
+//!    distinct [`toss_tree::View`]s — read in place from the stored
+//!    documents, deduplicated by identity ([`toss_tree::eq::TreeSet`]: a
+//!    keyed structural hash, confirmed by comparison; nothing is
+//!    rendered to text or copied) — so duplicated trees (the very thing
+//!    a skewed corpus is full of) are probed and charged **once per
+//!    distinct tree**, not once per copy. The executor's side selections
+//!    hand over their witness views as they are; the public entry makes
+//!    whole-tree views of its forests and groups them the same way.
+//!    Nothing is interned: a signature is the view's borrowed key
+//!    renderings and its sorted class ids, looked up in the SEO's own
+//!    term index.
 //! 2. **Inverted index.** Only the build (right) side is indexed: class
 //!    ids post to a dense list per class, key renderings to a map keyed
 //!    by the right side's borrowed strings.
@@ -32,7 +37,8 @@
 //!    prefix is the whole signature and the verifier would accept every
 //!    candidate.)
 //! 4. **Emission.** One graft per matched (left-group, right-group)
-//!    pair, ascending — groups are numbered by first occurrence, so this
+//!    pair, copied straight from the two views, ascending — groups are
+//!    numbered by first occurrence, so this
 //!    is the order in which product-then-select followed by a
 //!    first-occurrence dedup keeps its pairs, and the output equals that
 //!    oracle as a *sequence*, not merely as a set (asserted by
@@ -40,8 +46,8 @@
 //!
 //! **Parallelism and governance.** Signature generation, the lookup and
 //! emission fan out through [`toss_pool::WorkerPool`], which returns
-//! task results in task order; only the identity insert, the index
-//! build and the commit frontier are sequential. The join evaluates,
+//! task results in task order; only the index build and the commit
+//! frontier are sequential. The join evaluates,
 //! then charges: lookup tasks never charge, and one sequential pass
 //! walks their results in task order — the join's commit frontier —
 //! charging matched pairs against the join-cardinality budget
@@ -55,15 +61,14 @@
 
 use super::hashjoin::JoinKey;
 use crate::error::TossResult;
-use crate::expand::seo_classes;
 use crate::governor::QueryGovernor;
 use crate::oes::SeoInstance;
 use crate::tax::PROD_ROOT_TAG;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use toss_ontology::Seo;
 use toss_pool::{partition_ranges, WorkerPool};
-use toss_tree::eq::TreeSet;
-use toss_tree::{Forest, NodeData, Tree};
+use toss_tree::{Forest, NodeData, Tree, Views};
 
 /// Fewest matched pairs one emission task grafts: a join with fewer
 /// pairs than twice this (the flat leg's few hundred) emits inline and
@@ -88,19 +93,19 @@ pub struct JoinStats {
     pub workers: usize,
 }
 
-/// One side's distinct-tree group: the index of its first member (the
-/// emission-order key: identical trees dedup to their first occurrence)
-/// and its signature — the member's distinct key renderings and the
-/// sorted, deduplicated class ids they belong to.
+/// One side's distinct-tree group — one distinct view, numbered by
+/// first occurrence (the emission-order key: identical trees dedup to
+/// their first occurrence) — signed with its distinct key renderings
+/// and the sorted, deduplicated class ids they belong to.
 struct Group<'t> {
-    first: usize,
     keys: Vec<Cow<'t, str>>,
     classes: Vec<u32>,
 }
 
-/// The similarity join: signature groups → inverted index over the right
-/// side → lookup with commit-frontier charging → ordered emission.
-/// Returns the joined instance plus what the lookup did.
+/// The similarity join over two SEO instances: whole-tree views of each
+/// forest, grouped by identity, joined by the one join body the
+/// executor also runs (over its sides' witness views). Returns the
+/// joined instance plus what the lookup did.
 pub fn similarity_join(
     left: &SeoInstance,
     right: &SeoInstance,
@@ -109,17 +114,46 @@ pub fn similarity_join(
     pool: &WorkerPool,
     gov: &QueryGovernor,
 ) -> TossResult<(SeoInstance, JoinStats)> {
+    let (l, r) = (distinct_whole(&left.forest), distinct_whole(&right.forest));
+    let (out, stats) = join_views(&left.seo, &l, &r, left_key, right_key, pool, gov)?;
+    Ok((SeoInstance::new(out, left.seo.clone()), stats))
+}
+
+/// Whole-tree views of `forest`'s distinct trees, first occurrences in
+/// order.
+fn distinct_whole(forest: &Forest) -> Views<'_> {
+    let mut views = Views::new();
+    for t in forest {
+        views.push_whole(t);
+    }
+    views.dedup();
+    views
+}
+
+/// The one similarity join: signatures of both sides' distinct views →
+/// inverted index over the right side → lookup with commit-frontier
+/// charging → ordered emission grafted from the views. `left` and
+/// `right` must each hold distinct views (as [`Views::dedup`] leaves
+/// them): every view is its own group.
+pub(crate) fn join_views(
+    seo: &Seo,
+    left: &Views<'_>,
+    right: &Views<'_>,
+    left_key: &JoinKey,
+    right_key: &JoinKey,
+    pool: &WorkerPool,
+    gov: &QueryGovernor,
+) -> TossResult<(Forest, JoinStats)> {
     let mut stats = JoinStats {
         workers: pool.workers(),
         ..Default::default()
     };
     let span = toss_obs::span("toss.join");
-    let classes = seo_classes(&left.seo);
 
-    // --- 1. signatures + identity grouping (pooled per side) ---
+    // --- 1. signatures (pooled per side) ---
     let sig_span = toss_obs::span("toss.join.signatures");
-    let lgroups = side_groups(&left.forest, left_key, &classes, pool);
-    let rgroups = side_groups(&right.forest, right_key, &classes, pool);
+    let lgroups = signatures(left, left_key, seo, pool);
+    let rgroups = signatures(right, right_key, seo, pool);
     stats.groups_left = lgroups.len();
     stats.groups_right = rgroups.len();
     toss_obs::metrics::counter("toss.join.groups").add((lgroups.len() + rgroups.len()) as u64);
@@ -237,9 +271,7 @@ pub fn similarity_join(
     // `matched` and concatenate in task order, so that order holds at
     // any worker count, and the first graft error in task order wins.
     let emit_span = toss_obs::span("toss.join.emit");
-    let ltrees = left.forest.trees();
-    let rtrees = right.forest.trees();
-    let (matched, lgroups, rgroups) = (&matched, &lgroups, &rgroups);
+    let matched = &matched;
     let ranges = partition_ranges(matched.len(), pool.workers().max(1) * 4, MIN_EMIT_CHUNK);
     let tasks: Vec<_> = ranges
         .into_iter()
@@ -248,16 +280,11 @@ pub fn similarity_join(
                 matched[s..e]
                     .iter()
                     .map(|&(lg, rg)| {
-                        let lt = &ltrees[lgroups[lg as usize].first];
-                        let rt = &rtrees[rgroups[rg as usize].first];
-                        let mut t = Tree::with_root(NodeData::element(PROD_ROOT_TAG));
-                        let root = t.root().expect("with_root sets root");
-                        if let Some(lr) = lt.root() {
-                            t.graft(Some(root), lt, lr)?;
-                        }
-                        if let Some(rr) = rt.root() {
-                            t.graft(Some(root), rt, rr)?;
-                        }
+                        let (lv, rv) = (view(left, lg), view(right, rg));
+                        let mut t = Tree::with_capacity(1 + lv.len() + rv.len());
+                        let root = t.set_root(NodeData::element(PROD_ROOT_TAG))?;
+                        t.graft_preorder(Some(root), lv)?;
+                        t.graft_preorder(Some(root), rv)?;
                         Ok(t)
                     })
                     .collect::<TossResult<Vec<Tree>>>()
@@ -279,59 +306,48 @@ pub fn similarity_join(
     // Distinct group pairs graft distinct trees (both sides of a
     // matched pair are non-empty: empty trees have empty signatures),
     // and dedup order is reproduced above — no final dedup pass needed.
-    Ok((SeoInstance::new(out, left.seo.clone()), stats))
+    Ok((out, stats))
 }
 
-/// One side's trees, grouped by identity, each group signed with its
-/// key renderings and their classes. Hashing, key extraction and the
-/// class lookup fan out through the pool (tasks are range-partitioned
-/// and results concatenate in task order, so the outcome is identical
-/// at any worker count); only the identity insert is sequential.
-fn side_groups<'t>(
-    forest: &'t Forest,
+/// Group `g`'s view.
+fn view<'v, 't>(views: &'v Views<'t>, g: u32) -> toss_tree::View<'v> {
+    views
+        .get(g as usize)
+        .expect("groups index their side's views")
+}
+
+/// One side's distinct views, each signed with its key renderings and
+/// their classes. Key extraction and the class lookup fan out through
+/// the pool (tasks are range-partitioned and results concatenate in
+/// task order, so the outcome is identical at any worker count).
+fn signatures<'v>(
+    views: &'v Views<'_>,
     key: &JoinKey,
-    classes: &HashMap<String, Vec<u32>>,
+    seo: &Seo,
     pool: &WorkerPool,
-) -> Vec<Group<'t>> {
-    let trees = forest.trees();
-    let mut distinct = TreeSet::with_capacity(trees.len());
-    let keyed = &distinct;
-    let ranges = partition_ranges(trees.len(), pool.workers().max(1) * 4, 128);
+) -> Vec<Group<'v>> {
+    let ranges = partition_ranges(views.len(), pool.workers().max(1) * 4, 128);
     let tasks: Vec<_> = ranges
         .into_iter()
         .map(|(s, e)| {
             move || {
-                trees[s..e]
-                    .iter()
-                    .map(|t| {
-                        let keys = key.extract(t);
-                        let mut cls: Vec<u32> = keys
+                (s..e)
+                    .map(|i| {
+                        let keys = key.extract(view(views, i as u32));
+                        let mut classes: Vec<u32> = keys
                             .iter()
-                            .flat_map(|k| classes.get(k.as_ref()).map(Vec::as_slice).unwrap_or(&[]))
-                            .copied()
+                            .flat_map(|k| seo.enhanced_nodes_of_term(k))
+                            .map(|e| e.0 as u32)
                             .collect();
-                        cls.sort_unstable();
-                        cls.dedup();
-                        (keyed.hash_of(t), keys, cls)
+                        classes.sort_unstable();
+                        classes.dedup();
+                        Group { keys, classes }
                     })
                     .collect::<Vec<_>>()
             }
         })
         .collect();
-    let signed = pool.run(tasks).into_iter().flatten();
-
-    let mut groups: Vec<Group> = Vec::new();
-    for (i, (t, (hash, keys, classes))) in trees.iter().zip(signed).enumerate() {
-        // identical tree ⇒ identical signature
-        if distinct.insert_hashed(hash, t) {
-            groups.push(Group {
-                first: i,
-                keys,
-                classes,
-            });
-        }
-    }
-    groups
+    pool.run(tasks).into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -345,6 +361,41 @@ mod tests {
     use toss_ontology::sea::enhance;
     use toss_similarity::Levenshtein;
     use toss_tree::TreeBuilder;
+
+    /// The join reads class ids off the SEO's own term index; they are
+    /// the ids `seo_classes` lists (the `X ~ Y` expansion's map), in
+    /// the same order, for every term of a fused SEO.
+    #[test]
+    fn term_index_gives_the_seo_classes_ids_in_order() {
+        // "ab" is one edit from "aa" and from "bb", which are two apart:
+        // at ε = 1 it sits in two similarity classes
+        let a = from_pairs(&[
+            ("aa", "pair"),
+            ("ab", "pair"),
+            ("bb", "pair"),
+            ("pair", "venue"),
+        ])
+        .unwrap();
+        let b = from_pairs(&[("bb", "pair"), ("VLDB", "journal"), ("journal", "venue")]).unwrap();
+        let fused = toss_ontology::fuse(&[a, b], &[]).unwrap();
+        let seo = enhance(&fused.hierarchy, &Levenshtein, 1.0).unwrap();
+        let classes = crate::expand::seo_classes(&seo);
+        let terms = seo.original().all_terms();
+        assert!(terms.len() >= 6, "{terms:?}");
+        assert!(
+            classes.values().any(|ids| ids.len() > 1),
+            "a term in two classes"
+        );
+        for term in terms.iter().chain(classes.keys()) {
+            let ids: Vec<u32> = seo
+                .enhanced_nodes_of_term(term)
+                .iter()
+                .map(|e| e.0 as u32)
+                .collect();
+            assert_eq!(Some(&ids), classes.get(term), "{term}");
+        }
+        assert!(seo.enhanced_nodes_of_term("not a term").is_empty());
+    }
 
     fn fp_list(inst: &SeoInstance) -> Vec<String> {
         inst.forest.iter().map(toss_tree::eq::fingerprint).collect()

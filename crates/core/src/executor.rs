@@ -12,17 +12,21 @@
 //!    (`rewrite::probe_keys`; nothing is read back out of the XPath),
 //!    then evaluate the XPath over the chosen candidates, in order on
 //!    the calling thread;
-//! 3. **convert** — parse the matched subtrees back into TAX witness
+//! 3. **convert** — turn the matched documents back into TAX witness
 //!    trees (a local selection pass that also applies any conjuncts the
-//!    XPath fragment could not express, so results are exact).
+//!    XPath fragment could not express, so results are exact). Witnesses
+//!    are views of the stored documents ([`toss_tree::Views`]),
+//!    deduplicated and clamped to the admitted count before any is
+//!    copied; a selection materialises what it returns.
 //!
 //! Projection runs the same three phases with a TAX projection in phase
-//! 3. A join retrieves each side by XPath, then combines the two
-//! forests with the signature join ([`crate::algebra::similarity_join`])
-//! — the paper's observation that Xindice returns intermediate results
-//! which "our code" then combines. Joins are the executor's only
-//! fan-out: the two sides, and the signature join's signature, lookup
-//! and emission tasks, run on [`Executor::pool`].
+//! 3. A join retrieves each side by XPath, then combines the two sides'
+//! witness views with the signature join — the paper's observation that
+//! Xindice returns intermediate results which "our code" then combines.
+//! No side forest is built: the join groups, signs and grafts straight
+//! from the stored documents. Joins are the executor's only fan-out: the
+//! two sides, and the signature join's signature, lookup and emission
+//! tasks, run on [`Executor::pool`].
 //!
 //! Every operator has one entry, governed by a [`QueryGovernor`]; an
 //! ungoverned run passes [`QueryGovernor::unlimited`]. The only
@@ -37,13 +41,12 @@ use crate::rewrite::{compile_xpath, probe_keys};
 use crate::semcache::{fingerprint, CachedRewrite, RewriteCache};
 use crate::tax::{Cond, Matcher, PatternTree};
 use crate::typesys::TypeHierarchy;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 use toss_ontology::Seo;
 use toss_pool::WorkerPool;
-use toss_tree::{Forest, Tree};
+use toss_tree::{Forest, Tree, Views};
 use toss_xmldb::{Candidates, Collection, Database, NodeRef, XPath};
 
 /// Which semantics to execute a query under.
@@ -289,6 +292,33 @@ impl PreparedQuery {
     }
 }
 
+/// What the three phases of a selection or projection produced: phase
+/// 3's distinct, governor-clamped views, after `keep` (which
+/// materialises them, or keeps them as views for a join).
+struct Phases<R> {
+    out: R,
+    xpath: String,
+    degradation: Option<DegradationInfo>,
+    plan: QueryPlan,
+    rewrite_time: Duration,
+    execute_time: Duration,
+    convert_time: Duration,
+}
+
+impl Phases<Forest> {
+    fn outcome(self) -> QueryOutcome {
+        QueryOutcome {
+            forest: self.out,
+            xpath: self.xpath,
+            degradation: self.degradation,
+            plan: Some(self.plan),
+            rewrite_time: self.rewrite_time,
+            execute_time: self.execute_time,
+            convert_time: self.convert_time,
+        }
+    }
+}
+
 /// The TAX operator phase 3 of a selection or projection applies.
 #[derive(Clone, Copy)]
 enum Convert<'a> {
@@ -525,7 +555,10 @@ impl Executor {
         gov: &QueryGovernor,
         cv: &toss_obs::SpanGuard,
     ) -> TossResult<Vec<&'a Tree>> {
-        let docs: BTreeSet<_> = matches.iter().map(|m| m.doc).collect();
+        // `eval` returns matches sorted by (doc, node): adjacent dedup
+        // leaves each document once, in document order
+        let mut docs: Vec<_> = matches.iter().map(|m| m.doc).collect();
+        docs.dedup();
         cv.record("candidate_docs", docs.len());
         let mut candidate = Vec::with_capacity(docs.len());
         for doc in docs {
@@ -559,7 +592,8 @@ impl Executor {
         mode: Mode,
         gov: &QueryGovernor,
     ) -> TossResult<QueryOutcome> {
-        self.run_unary(query, Convert::Select, mode, gov)
+        let phases = self.run_unary(query, Convert::Select, mode, gov, |v| v.materialise())?;
+        Ok(phases.outcome())
     }
 
     /// Execute a projection π_{P, PL} under a [`QueryGovernor`]: XPath
@@ -573,20 +607,26 @@ impl Executor {
         mode: Mode,
         gov: &QueryGovernor,
     ) -> TossResult<QueryOutcome> {
-        self.run_unary(query, Convert::Project(list), mode, gov)
+        let phases = self.run_unary(query, Convert::Project(list), mode, gov, |v| {
+            v.materialise()
+        })?;
+        Ok(phases.outcome())
     }
 
     /// The one body of selection and projection: the three phases,
     /// phase 3 applying `op` to the candidate documents borrowed from the
-    /// collection. The deadline/cancel check at the top rejects an
-    /// already-dead query before a single document is visited.
-    fn run_unary(
-        &self,
+    /// collection, clamping its distinct views to the admitted witness
+    /// count and handing them to `keep`. The deadline/cancel check at
+    /// the top rejects an already-dead query before a single document is
+    /// visited.
+    fn run_unary<'a, R>(
+        &'a self,
         query: &TossQuery,
         op: Convert<'_>,
         mode: Mode,
         gov: &QueryGovernor,
-    ) -> TossResult<QueryOutcome> {
+        keep: impl FnOnce(Views<'a>) -> R,
+    ) -> TossResult<Phases<R>> {
         let (span_name, counter) = match op {
             Convert::Select => ("toss.query.select", "toss.query.selects"),
             Convert::Project(_) => ("toss.query.project", "toss.query.projects"),
@@ -640,54 +680,58 @@ impl Executor {
         ex.record("matches", matches.len());
         let execute_time = ex.finish();
 
-        // phase 3: convert matched documents back to witness trees
+        // phase 3: the matched documents' distinct witness views, only
+        // the admitted ones kept (and, for a select, materialised)
         let cv = toss_obs::span("toss.query.convert");
         let candidate = self.load_candidates_governed(coll, &matches, gov, &cv)?;
         let matcher = &prepared.matcher;
-        let forest = match op {
-            Convert::Select => matcher.select(candidate, &query.expand_labels)?,
-            Convert::Project(list) => matcher.project(candidate, list)?,
+        let mut views = match op {
+            Convert::Select => matcher.witnesses(candidate, &query.expand_labels)?,
+            Convert::Project(list) => matcher.projections(candidate, list)?,
         };
-        let forest = clamp_witnesses(forest, gov)?;
-        cv.record("witnesses", forest.len());
+        views.truncate(gov.admit_witnesses(views.len())?);
+        let results = views.len();
+        cv.record("witnesses", results);
+        let out = keep(views);
         let convert_time = cv.finish();
 
         let degradation = gov.degradation();
         if let Some(d) = &degradation {
             span.record("degradation", d.to_string());
         }
-        span.record("results", forest.len());
+        span.record("results", results);
         toss_obs::metrics::counter(counter).inc();
         toss_obs::metrics::counter("toss.query.expansion_terms")
             .add(prepared.n_expansion as u64);
         publish_phase_metrics(rewrite_time, execute_time, convert_time);
         drop(span);
 
-        Ok(QueryOutcome {
-            forest,
+        Ok(Phases {
+            out,
             xpath: prepared.xpath_src.clone(),
             degradation,
-            plan: Some(plan),
+            plan,
             rewrite_time,
             execute_time,
             convert_time,
         })
     }
 
-    /// Select both sides of a join as two tasks on the pool; a
-    /// one-worker pool runs the two inline, left first. Both sides always
-    /// run, so output and errors are the same at every worker count; the
-    /// left side's error wins.
+    /// Select both sides of a join as two tasks on the pool, each
+    /// stopping at its distinct, governor-clamped witness views; a
+    /// one-worker pool runs the two inline, left first. Both sides
+    /// always run, so output and errors are the same at every worker
+    /// count; the left side's error wins.
     fn join_sides(
         &self,
         left: &TossQuery,
         right: &TossQuery,
         mode: Mode,
         gov: &QueryGovernor,
-    ) -> TossResult<(QueryOutcome, QueryOutcome)> {
+    ) -> TossResult<(Phases<Views<'_>>, Phases<Views<'_>>)> {
         let tasks: Vec<_> = [left, right]
             .into_iter()
-            .map(|side| move || self.select_governed(side, mode, gov))
+            .map(|side| move || self.run_unary(side, Convert::Select, mode, gov, |v| v))
             .collect();
         let mut sides = self.pool.run(tasks);
         let r = sides.pop().expect("two tasks yield two results");
@@ -700,7 +744,8 @@ impl Executor {
     /// leaf per side) under a [`QueryGovernor`]. One governor covers
     /// the whole request: both side selections, the join and its output.
     /// Retrieval runs through the store; the join itself is the
-    /// signature join over the SEO ([`crate::algebra::similarity_join`]),
+    /// signature join over the SEO (the one behind
+    /// [`crate::algebra::similarity_join`]), fed the sides' witness views,
     /// which charges the join-cardinality budget with the candidate
     /// pairs it generates. Under [`Mode::TaxBaseline`] keys must match
     /// exactly (the SEO classes are ignored), per the paper's baseline
@@ -714,7 +759,6 @@ impl Executor {
         mode: Mode,
         gov: &QueryGovernor,
     ) -> TossResult<QueryOutcome> {
-        use crate::oes::SeoInstance;
         let span = toss_obs::span("toss.query.join_similarity");
         let (l, r) = self.join_sides(left, right, mode, gov)?;
         let combine = toss_obs::span("toss.query.convert");
@@ -728,21 +772,15 @@ impl Executor {
                 0.0,
             )?),
         };
-        let (joined, jstats) = crate::algebra::similarity_join(
-            &SeoInstance::new(l.forest, seo.clone()),
-            &SeoInstance::new(r.forest, seo),
-            left_key,
-            right_key,
-            &self.pool,
-            gov,
-        )?;
+        let (joined, jstats) =
+            crate::algebra::join_views(&seo, &l.out, &r.out, left_key, right_key, &self.pool, gov)?;
         let plan = QueryPlan::SimilarityJoin {
             refined: true,
             groups: jstats.groups_left + jstats.groups_right,
             candidates: jstats.candidates as usize,
             workers: jstats.workers,
         };
-        let forest = clamp_witnesses(joined.forest, gov)?;
+        let forest = clamp_witnesses(joined, gov)?;
         combine.record("witnesses", forest.len());
         let convert_time = l.convert_time + r.convert_time + combine.finish();
         let degradation = gov.degradation();

@@ -20,11 +20,6 @@ pub struct Embedding {
 }
 
 impl Embedding {
-    /// Image of a pattern node.
-    pub(crate) fn image(&self, p: PatternNodeId) -> NodeId {
-        self.map[p.0]
-    }
-
     /// All images in pattern-node order.
     pub fn images(&self) -> &[NodeId] {
         &self.map
@@ -94,38 +89,53 @@ impl Matcher {
     /// preorder over candidates in document order.
     pub fn embeddings(&self, tree: &Tree) -> Vec<Embedding> {
         let mut out = Vec::new();
-        let mut images = Vec::with_capacity(self.structure.len());
-        self.extend(tree, &mut images, &mut out);
+        self.each_embedding(tree, &mut Vec::new(), &mut |images| {
+            out.push(Embedding {
+                map: images.to_vec(),
+            })
+        });
         out
+    }
+
+    /// Call `found` with the images (indexed by pattern node) of each
+    /// embedding of the pattern into `tree`, in the order
+    /// [`Matcher::embeddings`] lists them, allocating nothing per
+    /// embedding: `images` is scratch space, reused across calls.
+    pub(crate) fn each_embedding(
+        &self,
+        tree: &Tree,
+        images: &mut Vec<NodeId>,
+        found: &mut dyn FnMut(&[NodeId]),
+    ) {
+        images.clear();
+        self.extend(tree, images, found);
     }
 
     /// Bind the next pattern node (preorder = index order, so a node's
     /// parent is always bound before it) to each structurally admissible
     /// data node in turn.
-    fn extend(&self, tree: &Tree, images: &mut Vec<NodeId>, out: &mut Vec<Embedding>) {
+    fn extend(&self, tree: &Tree, images: &mut Vec<NodeId>, found: &mut dyn FnMut(&[NodeId])) {
         let depth = images.len();
         if depth == self.structure.len() {
             if self.global.iter().all(|c| self.holds(tree, images, c)) {
-                out.push(Embedding {
-                    map: images.clone(),
-                });
+                found(images);
             }
             return;
         }
         match self.structure.parent_edge(PatternNodeId(depth)) {
             None => {
                 for cand in tree.preorder() {
-                    self.bind(tree, cand, images, out);
+                    self.bind(tree, cand, images, found);
                 }
             }
             Some((parent, EdgeKind::ParentChild)) => {
                 for cand in tree.children(images[parent.0]) {
-                    self.bind(tree, cand, images, out);
+                    self.bind(tree, cand, images, found);
                 }
             }
             Some((parent, EdgeKind::AncestorDescendant)) => {
                 for cand in tree.descendants(images[parent.0]) {
-                    self.bind(tree, cand, images, out);
+                    self.bind(tree, cand, images, found);
                 }
             }
         }
@@ -136,12 +146,12 @@ impl Matcher {
         tree: &Tree,
         cand: NodeId,
         images: &mut Vec<NodeId>,
-        out: &mut Vec<Embedding>,
+        found: &mut dyn FnMut(&[NodeId]),
     ) {
         let local = &self.local[images.len()];
         images.push(cand);
         if local.iter().all(|c| self.holds(tree, images, c)) {
-            self.extend(tree, images, out);
+            self.extend(tree, images, found);
         }
         images.pop();
     }
@@ -245,7 +255,7 @@ mod tests {
         let es = embeddings(&figure3_pattern(2001), &t);
         assert_eq!(es.len(), 1);
         let p = figure3_pattern(2001);
-        assert_eq!(es[0].image(p.node_by_label(1).unwrap()), t.root().unwrap());
+        assert_eq!(es[0].images()[p.node_by_label(1).unwrap().0], t.root().unwrap());
     }
 
     #[test]

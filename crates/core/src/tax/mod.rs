@@ -21,7 +21,11 @@
 //! Pattern errors are [`crate::TossError`]'s `DuplicateLabel`,
 //! `UnknownLabel`, `InvalidPatternNode` and `Tree` variants. Witness
 //! trees (the images of an embedding connected by closest included
-//! ancestor, in source preorder) are built inside this module. Union,
+//! ancestor, in source preorder) are walked inside this module, once,
+//! into views of their source trees ([`toss_tree::Views`]), which are
+//! deduplicated before anything is copied; [`Matcher::select`] and
+//! [`Matcher::project`] materialise the distinct ones, and the executor
+//! hands a join's side views to the join as they are. Union,
 //! intersection and difference are not here: they are
 //! `toss_tree::Forest::set_{union,intersection,difference}` under the
 //! ordered-tree isomorphism of `toss_tree::eq`, called from

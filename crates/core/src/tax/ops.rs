@@ -3,9 +3,9 @@
 use crate::error::TossResult;
 use crate::tax::embedding::Matcher;
 use crate::tax::pattern::PatternNodeId;
-use crate::tax::witness::{build_forest_from_nodes, witness_tree};
+use crate::tax::witness::{push_witness, walk};
 use std::collections::HashSet;
-use toss_tree::{Forest, NodeData, NodeId, Tree};
+use toss_tree::{Forest, NodeData, Tree, Views};
 
 /// One entry of a projection list: a pattern label, optionally keeping the
 /// matched node's whole subtree (TAX's `$i.*` notation).
@@ -28,62 +28,90 @@ impl ProjectEntry {
 }
 
 impl Matcher {
-    /// Selection σ_{P, SL}: all witness trees of the pattern against
-    /// every tree of `input`, where the nodes bound to labels in
-    /// `expand_labels` (the paper's `SL`) additionally contribute their
-    /// full descendant cones. Results are deduplicated (set semantics
-    /// under ordered isomorphism). The input can be any collection's
-    /// documents, and each witness is built once and moved into the
-    /// result.
+    /// Selection σ_{P, SL} as views: the distinct witness trees of the
+    /// pattern against every tree of `input`, where the nodes bound to
+    /// labels in `expand_labels` (the paper's `SL`) additionally
+    /// contribute their full descendant cones. Each witness is a view of
+    /// its source document, deduplicated by tree identity (set
+    /// semantics under ordered isomorphism) before anything is copied.
+    pub(crate) fn witnesses<'t>(
+        &self,
+        input: impl IntoIterator<Item = &'t Tree>,
+        expand_labels: &[u32],
+    ) -> TossResult<Views<'t>> {
+        let expand: Vec<PatternNodeId> = expand_labels
+            .iter()
+            .filter_map(|&l| self.node_by_label(l))
+            .collect();
+        let (mut out, mut images, mut stack) = (Views::new(), Vec::new(), Vec::new());
+        let mut walked = Ok(());
+        for tree in input {
+            self.each_embedding(tree, &mut images, &mut |images| {
+                if walked.is_ok() {
+                    walked = push_witness(tree, images, &expand, &mut out, &mut stack);
+                }
+            });
+        }
+        walked?;
+        out.dedup();
+        Ok(out)
+    }
+
+    /// Selection σ_{P, SL}: the distinct witness views, materialised.
     pub fn select<'t>(
         &self,
         input: impl IntoIterator<Item = &'t Tree>,
         expand_labels: &[u32],
     ) -> TossResult<Forest> {
-        let expand: Vec<PatternNodeId> = expand_labels
-            .iter()
-            .filter_map(|&l| self.node_by_label(l))
-            .collect();
-        let mut out = Forest::new();
-        for tree in input {
-            for e in self.embeddings(tree) {
-                out.push(witness_tree(tree, &e, &expand)?);
-            }
-        }
-        Ok(out.dedup())
+        Ok(self.witnesses(input, expand_labels)?.materialise())
     }
 
-    /// Projection π_{P, PL}: per input tree, keep every node that is the
-    /// image of a projection-list label under *some* embedding (plus
-    /// subtrees where requested), preserving hierarchical relationships;
-    /// disconnected pieces become separate output trees. Results are
-    /// deduplicated.
+    /// Projection π_{P, PL} as views: per input tree, keep every node
+    /// that is the image of a projection-list label under *some*
+    /// embedding (plus subtrees where requested), preserving
+    /// hierarchical relationships; disconnected pieces become separate
+    /// views. Deduplicated like [`Matcher::witnesses`].
+    pub(crate) fn projections<'t>(
+        &self,
+        input: impl IntoIterator<Item = &'t Tree>,
+        list: &[ProjectEntry],
+    ) -> TossResult<Views<'t>> {
+        let entries: Vec<(PatternNodeId, bool)> = list
+            .iter()
+            .filter_map(|e| Some((self.node_by_label(e.label)?, e.keep_descendants)))
+            .collect();
+        let (mut out, mut images, mut stack) = (Views::new(), Vec::new(), Vec::new());
+        for tree in input {
+            let Some(root) = tree.root() else { continue };
+            let (mut kept, mut cones) = (HashSet::new(), HashSet::new());
+            self.each_embedding(tree, &mut images, &mut |images| {
+                for &(p, keep_descendants) in &entries {
+                    kept.insert(images[p.0]);
+                    if keep_descendants {
+                        cones.insert(images[p.0]);
+                    }
+                }
+            });
+            walk(
+                tree,
+                root,
+                |n| kept.contains(&n),
+                |n| cones.contains(&n),
+                &mut out,
+                &mut stack,
+            )?;
+        }
+        out.dedup();
+        Ok(out)
+    }
+
+    /// Projection π_{P, PL}: the distinct projected views, materialised.
     pub fn project<'t>(
         &self,
         input: impl IntoIterator<Item = &'t Tree>,
         list: &[ProjectEntry],
     ) -> TossResult<Forest> {
-        let entries: Vec<(PatternNodeId, bool)> = list
-            .iter()
-            .filter_map(|e| Some((self.node_by_label(e.label)?, e.keep_descendants)))
-            .collect();
-        let mut out = Forest::new();
-        for tree in input {
-            let mut included: HashSet<NodeId> = HashSet::new();
-            for e in self.embeddings(tree) {
-                for &(p, keep_descendants) in &entries {
-                    let img = e.image(p);
-                    included.insert(img);
-                    if keep_descendants {
-                        included.extend(tree.descendants(img));
-                    }
-                }
-            }
-            for t in build_forest_from_nodes(tree, &included)? {
-                out.push(t);
-            }
-        }
-        Ok(out.dedup())
+        Ok(self.projections(input, list)?.materialise())
     }
 }
 

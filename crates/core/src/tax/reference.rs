@@ -8,11 +8,11 @@ use crate::tax::condition::{compare_refs, Attr, CmpOp, Cond, Term};
 use crate::tax::embedding::Matcher;
 use crate::tax::ops::ProjectEntry;
 use crate::tax::pattern::{EdgeKind, PatternNodeId, PatternTree};
-use crate::tax::witness::build_forest_from_nodes;
+use crate::tax::witness::walk;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use toss_tree::eq::fingerprint;
-use toss_tree::{Forest, NodeData, NodeId, Tree, Value};
+use toss_tree::{Forest, NodeData, NodeId, Tree, Value, Views};
 
 fn attr_value(tree: &Tree, node: NodeId, attr: Attr) -> Option<Value> {
     let data = tree.data(node).ok()?;
@@ -381,15 +381,20 @@ proptest! {
         prop_assert_eq!(fingerprints(&wrapped), expected);
     }
 
-    /// The one-walk builder connects an arbitrary node set exactly like
-    /// the rank-and-stack builder did, stale ids included.
+    /// The witness walk connects an arbitrary node set exactly like the
+    /// rank-and-stack builder did, stale ids included.
     #[test]
     fn forest_from_nodes_equals_reference(
         t in tree(),
         picks in proptest::collection::vec(0usize..12, 0..8),
     ) {
         let included: HashSet<NodeId> = picks.into_iter().map(NodeId::from_index).collect();
-        let got = build_forest_from_nodes(&t, &included).expect("build succeeds");
+        let mut views = Views::new();
+        if let Some(root) = t.root() {
+            walk(&t, root, |n| included.contains(&n), |_| false, &mut views, &mut Vec::new())
+                .expect("walk succeeds");
+        }
+        let got = views.materialise();
         let expected = forest_from_nodes(&t, &included);
         prop_assert_eq!(
             got.iter().map(fingerprint).collect::<Vec<_>>(),

@@ -1,98 +1,78 @@
-//! Witness-tree construction.
+//! Witness views.
 //!
 //! Each embedding induces a witness tree (Section 2.1.1): the images of
 //! the pattern nodes, connected so that `m → n` is an edge whenever `m` is
 //! the closest included ancestor of `n` in the source tree, with sibling
 //! order following the source preorder. Selection additionally pulls in
 //! the full descendant cones of designated nodes.
+//!
+//! A witness is kept as a [`toss_tree::View`] of its source document —
+//! the included nodes in source preorder, each at its depth among them —
+//! in one [`Views`] buffer per operator call. Selection and projection
+//! both come through [`walk`]; a view becomes an owned tree only when
+//! [`Views::materialise`] copies it, from its node list alone.
 
 use crate::error::TossResult;
-use crate::tax::embedding::Embedding;
 use crate::tax::pattern::PatternNodeId;
-use std::collections::HashSet;
-use toss_tree::{NodeId, Tree};
+use toss_tree::{NodeId, Tree, Views};
 
-/// Build the witness tree for `embedding`, including the descendant cones
-/// of the images of the pattern nodes in `expand` (the `SL` of selection).
-pub(crate) fn witness_tree(
-    tree: &Tree,
-    embedding: &Embedding,
+/// Append the witness view of the embedding with `images` (indexed by
+/// pattern node) in `tree` to `out`, including the descendant cones of
+/// the images of the pattern nodes in `expand` (the `SL` of selection).
+/// The walk starts at the pattern root's image, an ancestor of every
+/// other image, so the view has one root. `stack` is scratch space,
+/// reused across calls.
+pub(crate) fn push_witness<'t>(
+    tree: &'t Tree,
+    images: &[NodeId],
     expand: &[PatternNodeId],
-) -> TossResult<Tree> {
-    // witness trees have a single root: the pattern root's image is an
-    // ancestor of every other image
-    let forest = build_forest(
+    out: &mut Views<'t>,
+    stack: &mut Vec<(NodeId, u32)>,
+) -> TossResult<()> {
+    let Some(&root) = images.first() else {
+        return Ok(());
+    };
+    walk(
         tree,
-        |n| embedding.images().contains(&n),
-        |n| expand.iter().any(|&p| embedding.image(p) == n),
-    )?;
-    Ok(forest.into_iter().next().unwrap_or_default())
+        root,
+        |n| images.contains(&n),
+        |n| expand.iter().any(|p| images[p.0] == n),
+        out,
+        stack,
+    )
 }
 
-/// Build a forest from an arbitrary included-node set, connecting each
-/// node to its closest included ancestor and keeping source preorder;
-/// every resulting root is its own tree, because projected nodes can be
-/// disconnected. Ids that are not nodes of `tree` are ignored.
-pub(crate) fn build_forest_from_nodes(
-    tree: &Tree,
-    included: &HashSet<NodeId>,
-) -> TossResult<Vec<Tree>> {
-    build_forest(tree, |n| included.contains(&n), |_| false)
-}
-
-/// One preorder walk of `tree` that copies every node which is `included`
-/// or lies below an included node that `opens_cone`, attaching each copy
-/// under the copy of its closest copied ancestor (a new output tree when
-/// there is none). Siblings keep source preorder because the walk does.
-fn build_forest(
-    tree: &Tree,
+/// One preorder walk of the subtree at `start` appending to `out` every
+/// node that is `included` or lies below an included node that
+/// `opens_cone`, each at its number of appended ancestors: a node with
+/// none starts a new view (projected nodes can be disconnected).
+/// Siblings keep source preorder because the walk does.
+pub(crate) fn walk<'t>(
+    tree: &'t Tree,
+    start: NodeId,
     included: impl Fn(NodeId) -> bool,
     opens_cone: impl Fn(NodeId) -> bool,
-) -> TossResult<Vec<Tree>> {
-    /// A source node still to visit, with the copy of its closest copied
-    /// ancestor (output tree index, node) and whether it lies in an open
-    /// cone.
-    struct Visit {
-        node: NodeId,
-        attach: Option<(usize, NodeId)>,
-        in_cone: bool,
-    }
-    let mut out: Vec<Tree> = Vec::new();
-    let mut stack: Vec<Visit> = Vec::new();
-    stack.extend(tree.root().map(|node| Visit {
-        node,
-        attach: None,
-        in_cone: false,
-    }));
-    while let Some(Visit {
-        node,
-        mut attach,
-        mut in_cone,
-    }) = stack.pop()
-    {
-        if in_cone || included(node) {
-            let data = tree.data(node)?.clone();
-            attach = Some(match attach {
-                Some((ti, parent)) => (ti, out[ti].add_child(parent, data)?),
-                None => {
-                    let t = Tree::with_root(data);
-                    let root = t.root().expect("with_root sets root");
-                    out.push(t);
-                    (out.len() - 1, root)
-                }
-            });
-            in_cone = in_cone || opens_cone(node);
+    out: &mut Views<'t>,
+    stack: &mut Vec<(NodeId, u32)>,
+) -> TossResult<()> {
+    stack.clear();
+    stack.push((start, 0));
+    while let Some((node, depth)) = stack.pop() {
+        let mut below = depth;
+        if included(node) {
+            if opens_cone(node) {
+                out.push_subtree(tree, node, depth)?;
+                continue;
+            }
+            out.push(tree, node, depth)?;
+            below += 1;
         }
         // children last-to-first, so the leftmost pops first
         let first = stack.len();
-        stack.extend(tree.children(node).map(|node| Visit {
-            node,
-            attach,
-            in_cone,
-        }));
+        stack.extend(tree.children(node).map(|c| (c, below)));
         stack[first..].reverse();
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -101,8 +81,9 @@ mod tests {
     use crate::tax::condition::{Cond, Term};
     use crate::tax::embedding::Matcher;
     use crate::tax::pattern::{EdgeKind, PatternTree};
+    use std::collections::HashSet;
     use toss_tree::serialize::{tree_to_xml, Style};
-    use toss_tree::TreeBuilder;
+    use toss_tree::{Forest, TreeBuilder};
 
     fn data_tree() -> Tree {
         TreeBuilder::new("inproceedings")
@@ -126,16 +107,29 @@ mod tests {
         p
     }
 
+    fn witness(t: &Tree, expand: &[PatternNodeId]) -> Tree {
+        let es = Matcher::new(pattern()).embeddings(t);
+        assert_eq!(es.len(), 1);
+        let mut views = Views::new();
+        push_witness(t, es[0].images(), expand, &mut views, &mut Vec::new()).unwrap();
+        assert_eq!(views.len(), 1);
+        views.materialise().into_iter().next().unwrap()
+    }
+
+    fn pieces(t: &Tree, included: &HashSet<NodeId>) -> Forest {
+        let mut views = Views::new();
+        let root = t.root().unwrap();
+        let included = |n| included.contains(&n);
+        walk(t, root, included, |_| false, &mut views, &mut Vec::new()).unwrap();
+        views.materialise()
+    }
+
     #[test]
     fn witness_connects_via_closest_ancestor() {
         let t = data_tree();
-        let p = pattern();
-        let es = Matcher::new(p.clone()).embeddings(&t);
-        assert_eq!(es.len(), 1);
-        let w = witness_tree(&t, &es[0], &[]).unwrap();
         // witness: inproceedings -> booktitle directly (venue not included)
         assert_eq!(
-            tree_to_xml(&w, Style::Compact),
+            tree_to_xml(&witness(&t, &[]), Style::Compact),
             "<inproceedings><booktitle>SIGMOD Conference</booktitle></inproceedings>"
         );
     }
@@ -143,10 +137,8 @@ mod tests {
     #[test]
     fn expand_pulls_in_descendants() {
         let t = data_tree();
-        let p = pattern();
-        let es = Matcher::new(p.clone()).embeddings(&t);
         // expand the root pattern node: whole subtree appears
-        let w = witness_tree(&t, &es[0], &[p.root()]).unwrap();
+        let w = witness(&t, &[pattern().root()]);
         assert_eq!(w.node_count(), t.node_count());
         assert!(toss_tree::eq::trees_equal(&w, &t));
     }
@@ -158,38 +150,27 @@ mod tests {
         let author = t.child_by_tag(r, "author").unwrap();
         let year = t.child_by_tag(r, "year").unwrap();
         let included: HashSet<NodeId> = [author, year].into_iter().collect();
-        let forest = build_forest_from_nodes(&t, &included).unwrap();
+        let forest = pieces(&t, &included);
         assert_eq!(forest.len(), 2);
-        assert_eq!(forest[0].data(forest[0].root().unwrap()).unwrap().tag, "author");
-        assert_eq!(forest[1].data(forest[1].root().unwrap()).unwrap().tag, "year");
+        let tags: Vec<&str> = forest
+            .iter()
+            .map(|w| w.data(w.root().unwrap()).unwrap().tag.as_str())
+            .collect();
+        assert_eq!(tags, ["author", "year"]);
     }
 
     #[test]
     fn preorder_is_preserved() {
         let t = data_tree();
         let all: HashSet<NodeId> = t.preorder().collect();
-        let rebuilt = build_forest_from_nodes(&t, &all).unwrap();
+        let rebuilt = pieces(&t, &all);
         assert_eq!(rebuilt.len(), 1);
-        assert!(toss_tree::eq::trees_equal(&rebuilt[0], &t));
+        assert!(toss_tree::eq::trees_equal(&rebuilt.trees()[0], &t));
     }
 
     #[test]
-    fn empty_included_set_gives_empty_forest() {
+    fn empty_included_set_gives_no_views() {
         let t = data_tree();
-        let w = build_forest_from_nodes(&t, &HashSet::new()).unwrap();
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn stale_node_ids_are_ignored() {
-        let t = data_tree();
-        let other = TreeBuilder::new("x").build();
-        // ids from `other` may exceed t's arena; they are filtered out
-        let mut included: HashSet<NodeId> = HashSet::new();
-        included.insert(other.root().unwrap());
-        included.insert(t.root().unwrap());
-        let w = build_forest_from_nodes(&t, &included).unwrap();
-        assert_eq!(w.len(), 1);
-        assert_eq!(w[0].node_count(), 1);
+        assert!(pieces(&t, &HashSet::new()).is_empty());
     }
 }

@@ -55,6 +55,13 @@ impl Arena {
         Arena { slots: Vec::new() }
     }
 
+    /// An empty arena with room for `n` nodes.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Arena {
+            slots: Vec::with_capacity(n),
+        }
+    }
+
     /// Allocate a new unattached node.
     pub(crate) fn alloc(&mut self, data: NodeData) -> NodeId {
         let id = NodeId(self.slots.len() as u32);

@@ -16,50 +16,49 @@
 //! equals `Str("1")`, and `Real(-0.0)` (`-0`) differs from `Real(0.0)`
 //! (`0`).
 //!
-//! [`trees_equal`] and [`TreeSet::hash_of`] apply that rule without
-//! building a string: `trees_equal(a, b)` holds exactly when
-//! `fingerprint(a) == fingerprint(b)`, and equal fingerprints always hash
-//! equally. [`TreeSet`] puts the two together so deduplication and the
-//! set operators cost one keyed hash per tree, not one string.
+//! [`identical`] and [`TreeSet::hash_of`] apply that rule without
+//! building a string, over a [`Preordered`] cursor — the nodes in
+//! preorder with their depths, which determine a tree's shape — so a
+//! [`crate::View`] is compared and hashed exactly as the tree it stands
+//! for. [`trees_equal`]`(a, b)` holds exactly when `fingerprint(a) ==
+//! fingerprint(b)`, and equal fingerprints always hash equally.
+//! [`TreeSet`] puts the two together so deduplication and the set
+//! operators cost one keyed hash per tree or view, not one string.
 
 use crate::arena::NodeId;
+use crate::node::NodeData;
 use crate::tree::Tree;
 use crate::value::{displays_as, Value};
+use crate::view::Preordered;
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::io::{self, Write as _};
+use std::marker::PhantomData;
 
 /// Whether two trees are identical: [`fingerprint`]`(a) ==
 /// fingerprint(b)`, decided without rendering either.
 pub fn trees_equal(a: &Tree, b: &Tree) -> bool {
-    match (a.root(), b.root()) {
-        (None, None) => true,
-        (Some(ra), Some(rb)) => subtree_eq(a, ra, b, rb),
-        _ => false,
-    }
+    identical(a, b)
 }
 
-/// Identity of the subtrees rooted at `na` / `nb`. Reachable ids always
-/// resolve (arena nodes are never removed).
-fn subtree_eq(ta: &Tree, na: NodeId, tb: &Tree, nb: NodeId) -> bool {
-    let (Ok(da), Ok(db)) = (ta.data(na), tb.data(nb)) else {
-        return false;
-    };
-    if da.tag != db.tag
-        || !content_eq(da.content.as_ref(), db.content.as_ref())
-        || da.attrs != db.attrs
-    {
-        return false;
-    }
-    let (mut ca, mut cb) = (ta.children(na), tb.children(nb));
+/// The identity rule: whether `a` and `b` read the same nodes at the
+/// same depths in preorder — equal tags, contents as rendered and
+/// attributes in order. Trees and views compare alike.
+pub fn identical<'a, 'b>(a: impl Preordered<'a>, b: impl Preordered<'b>) -> bool {
+    let (mut ca, mut cb) = (a.cursor(), b.cursor());
     loop {
         match (ca.next(), cb.next()) {
             (None, None) => return true,
-            (Some(x), Some(y)) if subtree_eq(ta, x, tb, y) => {}
+            (Some((da, x)), Some((db, y))) if da == db && node_eq(x, y) => {}
             _ => return false,
         }
     }
+}
+
+/// Whether two nodes carry the same tag, content and attributes.
+fn node_eq(a: &NodeData, b: &NodeData) -> bool {
+    a.tag == b.tag && content_eq(a.content.as_ref(), b.content.as_ref()) && a.attrs == b.attrs
 }
 
 /// Whether two contents render to the same text.
@@ -92,77 +91,77 @@ fn with_rendered<R>(content: Option<&Value>, f: impl FnOnce(&str) -> R) -> R {
     }
 }
 
-/// Feed the subtree at `n` to `h`, field for field as [`fingerprint`]
-/// renders it: each string goes in as one `str`, content as its
-/// rendering, so equal fingerprints feed equal bytes.
-fn hash_subtree<H: Hasher>(t: &Tree, n: NodeId, h: &mut H) {
-    let Ok(d) = t.data(n) else { return };
-    d.tag.as_str().hash(h);
-    with_rendered(d.content.as_ref(), |s| s.hash(h));
-    d.attrs.len().hash(h);
-    for (k, v) in &d.attrs {
-        k.as_str().hash(h);
-        v.as_str().hash(h);
+/// Feed `src` to `h`, node for node in preorder: its depth, then each
+/// field as [`fingerprint`] renders it — each string as one `str`,
+/// content as its rendering — so identical inputs feed equal bytes.
+fn hash_preorder<'t, H: Hasher>(src: impl Preordered<'t>, h: &mut H) {
+    for (depth, d) in src.cursor() {
+        h.write_u32(depth);
+        d.tag.as_str().hash(h);
+        with_rendered(d.content.as_ref(), |s| s.hash(h));
+        d.attrs.len().hash(h);
+        for (k, v) in &d.attrs {
+            k.as_str().hash(h);
+            v.as_str().hash(h);
+        }
     }
-    for c in t.children(n) {
-        h.write_u8(b'(');
-        hash_subtree(t, c, h);
-    }
-    h.write_u8(b')');
 }
 
-/// A set of borrowed trees under tree identity: one keyed hash per tree,
-/// [`trees_equal`] on a hash match. Each set draws fresh keys (a
-/// [`RandomState`]), so stored content cannot be chosen to collide.
-#[derive(Debug, Default)]
-pub struct TreeSet<'a> {
+/// A set of borrowed trees — or views, or anything [`Preordered`] —
+/// under tree identity: one keyed hash per member, [`identical`] on a
+/// hash match. Each set draws fresh keys (a [`RandomState`]), so stored
+/// content cannot be chosen to collide.
+#[derive(Debug)]
+pub struct TreeSet<'a, T = &'a Tree> {
     keys: RandomState,
-    trees: HashSet<Hashed<'a>, BuildHasherDefault<PassThrough>>,
+    members: HashSet<Hashed<T>, BuildHasherDefault<PassThrough>>,
+    borrows: PhantomData<&'a ()>,
 }
 
-impl<'a> TreeSet<'a> {
-    /// An empty set with room for `n` trees.
+impl<T> Default for TreeSet<'_, T> {
+    fn default() -> Self {
+        TreeSet::with_capacity(0)
+    }
+}
+
+impl<'a, T> TreeSet<'a, T> {
+    /// An empty set with room for `n` members.
     pub fn with_capacity(n: usize) -> Self {
         TreeSet {
             keys: RandomState::new(),
-            trees: HashSet::with_capacity_and_hasher(n, Default::default()),
+            members: HashSet::with_capacity_and_hasher(n, Default::default()),
+            borrows: PhantomData,
         }
-    }
-
-    /// The keyed hash of `t`'s identity under this set's keys: trees
-    /// with equal fingerprints hash equally.
-    pub fn hash_of(&self, t: &Tree) -> u64 {
-        let mut h = self.keys.build_hasher();
-        if let Some(r) = t.root() {
-            hash_subtree(t, r, &mut h);
-        }
-        h.finish()
-    }
-
-    /// Add `t`; false when an identical tree is already present.
-    pub fn insert(&mut self, t: &'a Tree) -> bool {
-        let hash = self.hash_of(t);
-        self.insert_hashed(hash, t)
-    }
-
-    /// [`TreeSet::insert`] with `hash` = `self.hash_of(t)`, computed by
-    /// the caller (on other threads, say).
-    pub fn insert_hashed(&mut self, hash: u64, t: &'a Tree) -> bool {
-        self.trees.insert(Hashed { hash, tree: t })
-    }
-
-    /// Whether an identical tree is present.
-    pub fn contains(&self, t: &Tree) -> bool {
-        let probe = Hashed {
-            hash: self.hash_of(t),
-            tree: t,
-        };
-        self.trees.contains(&probe)
     }
 }
 
-impl<'a> FromIterator<&'a Tree> for TreeSet<'a> {
-    fn from_iter<I: IntoIterator<Item = &'a Tree>>(iter: I) -> Self {
+impl<'a, T: Preordered<'a>> TreeSet<'a, T> {
+    /// The keyed hash of `t`'s identity under this set's keys: members
+    /// with equal fingerprints hash equally.
+    pub fn hash_of(&self, t: T) -> u64 {
+        let mut h = self.keys.build_hasher();
+        hash_preorder(t, &mut h);
+        h.finish()
+    }
+
+    /// Add `t`; false when an identical member is already present.
+    pub fn insert(&mut self, t: T) -> bool {
+        let hash = self.hash_of(t);
+        self.members.insert(Hashed { hash, item: t })
+    }
+
+    /// Whether an identical member is present.
+    pub fn contains(&self, t: T) -> bool {
+        let probe = Hashed {
+            hash: self.hash_of(t),
+            item: t,
+        };
+        self.members.contains(&probe)
+    }
+}
+
+impl<'a, T: Preordered<'a>> FromIterator<T> for TreeSet<'a, T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
         let iter = iter.into_iter();
         let mut set = TreeSet::with_capacity(iter.size_hint().0);
         for t in iter {
@@ -172,22 +171,22 @@ impl<'a> FromIterator<&'a Tree> for TreeSet<'a> {
     }
 }
 
-/// A tree with its precomputed identity hash.
+/// A member with its precomputed identity hash.
 #[derive(Debug)]
-struct Hashed<'a> {
+struct Hashed<T> {
     hash: u64,
-    tree: &'a Tree,
+    item: T,
 }
 
-impl PartialEq for Hashed<'_> {
+impl<'a, T: Preordered<'a>> PartialEq for Hashed<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && trees_equal(self.tree, other.tree)
+        self.hash == other.hash && identical(self.item, other.item)
     }
 }
 
-impl Eq for Hashed<'_> {}
+impl<'a, T: Preordered<'a>> Eq for Hashed<T> {}
 
-impl Hash for Hashed<'_> {
+impl<T> Hash for Hashed<T> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
     }
@@ -375,7 +374,6 @@ mod tests {
         assert!(set.insert(&a));
         assert!(!set.insert(&b));
         assert!(set.contains(&b) && !set.contains(&c));
-        let hash = set.hash_of(&c);
-        assert!(set.insert_hashed(hash, &c));
+        assert!(set.insert(&c));
     }
 }

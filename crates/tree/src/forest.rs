@@ -97,15 +97,6 @@ impl Forest {
             .collect()
     }
 
-    /// Remove duplicate trees (ordered isomorphism), keeping first
-    /// occurrences. Consumes the forest: kept trees are moved, not copied.
-    pub fn dedup(mut self) -> Forest {
-        let mut seen = TreeSet::with_capacity(self.trees.len());
-        let keep: Vec<bool> = self.trees.iter().map(|t| seen.insert(t)).collect();
-        let mut keep = keep.into_iter();
-        self.trees.retain(|_| keep.next() == Some(true));
-        self
-    }
 }
 
 impl IntoIterator for Forest {
@@ -138,7 +129,6 @@ impl FromIterator<Tree> for Forest {
 mod tests {
     use super::*;
     use crate::builder::TreeBuilder;
-    use crate::eq::fingerprint;
 
     fn t(tag: &str, val: &str) -> Tree {
         TreeBuilder::new("p").leaf(tag, val).build()
@@ -179,28 +169,6 @@ mod tests {
         assert_eq!(a.set_intersection(&e).len(), 0);
         assert_eq!(a.set_difference(&e).len(), 1);
         assert_eq!(e.set_difference(&a).len(), 0);
-    }
-
-    #[test]
-    fn dedup_keeps_first_occurrences_in_order() {
-        let mut first = t("a", "1");
-        let root = first.root().unwrap();
-        first.data_mut(root).unwrap().attrs.push(("k".into(), "first".into()));
-        let f = Forest::from_trees(vec![
-            t("b", "2"),
-            t("a", "1"),
-            t("b", "2"),
-            first.clone(),
-            t("a", "1"),
-            first,
-        ]);
-        let reference = f.set_union(&Forest::new());
-        let d = f.dedup();
-        assert_eq!(d.len(), 3);
-        let fps: Vec<String> = d.iter().map(fingerprint).collect();
-        assert_eq!(fps, reference.iter().map(fingerprint).collect::<Vec<_>>());
-        assert_eq!(fps[0], fingerprint(&t("b", "2")));
-        assert!(fps[2].contains("first"));
     }
 
     #[test]

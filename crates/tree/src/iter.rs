@@ -1,6 +1,7 @@
 //! Allocation-free traversal iterators over the arena representation.
 
 use crate::arena::{Arena, NodeId};
+use crate::node::NodeData;
 
 /// Iterator over the children of a node, in document order.
 pub struct Children<'a> {
@@ -69,6 +70,78 @@ impl Iterator for Preorder<'_> {
         let cur = self.next?;
         self.next = self.after(cur);
         Some(cur)
+    }
+}
+
+/// Preorder over `start` and its subtree, each node with its depth
+/// below `start` (0 at `start`). Like [`Preorder`], it follows the
+/// arena's links and holds no stack.
+pub(crate) struct PreorderDepths<'a> {
+    arena: &'a Arena,
+    start: Option<NodeId>,
+    next: Option<(NodeId, u32)>,
+}
+
+impl<'a> PreorderDepths<'a> {
+    pub(crate) fn new(arena: &'a Arena, start: Option<NodeId>) -> Self {
+        PreorderDepths {
+            arena,
+            start,
+            next: start.map(|s| (s, 0)),
+        }
+    }
+
+    /// [`Preorder::after`], counting the levels it climbs.
+    fn after(&self, cur: NodeId, depth: u32) -> Option<(NodeId, u32)> {
+        let mut slot = self.arena.slot(cur).ok()?;
+        if let Some(c) = slot.first_child {
+            return Some((c, depth + 1));
+        }
+        let (mut at, mut depth) = (cur, depth);
+        while Some(at) != self.start {
+            if let Some(s) = slot.next_sibling {
+                return Some((s, depth));
+            }
+            at = slot.parent?;
+            depth = depth.checked_sub(1)?;
+            slot = self.arena.slot(at).ok()?;
+        }
+        None
+    }
+}
+
+impl Iterator for PreorderDepths<'_> {
+    type Item = (NodeId, u32);
+
+    fn next(&mut self) -> Option<(NodeId, u32)> {
+        let cur = self.next?;
+        self.next = self.after(cur.0, cur.1);
+        Some(cur)
+    }
+}
+
+/// A tree's [`crate::Preordered`] cursor: its nodes' payloads in
+/// preorder, with their depths below the root.
+pub struct TreeCursor<'a> {
+    arena: &'a Arena,
+    walk: PreorderDepths<'a>,
+}
+
+impl<'a> TreeCursor<'a> {
+    pub(crate) fn new(arena: &'a Arena, start: Option<NodeId>) -> Self {
+        TreeCursor {
+            arena,
+            walk: PreorderDepths::new(arena, start),
+        }
+    }
+}
+
+impl<'a> Iterator for TreeCursor<'a> {
+    type Item = (u32, &'a NodeData);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (node, depth) = self.walk.next()?;
+        Some((depth, &self.arena.slot(node).ok()?.data))
     }
 }
 

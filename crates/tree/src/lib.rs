@@ -15,6 +15,10 @@
 //! * [`Forest`] — an ordered collection of trees; a semistructured database
 //!   (SDB) is a [`Forest`] (the paper's finite set of instances).
 //! * [`TreeBuilder`] — ergonomic construction of trees.
+//! * [`View`] / [`Views`] — a tree read in place from a source tree (the
+//!   source plus included nodes in preorder with their depths), many to
+//!   one flat buffer; a witness stays a view until it is materialised.
+//!   [`Preordered`] is the cursor both a [`Tree`] and a [`View`] offer.
 //! * tree identity ([`eq`]): ordered-isomorphism equality and a keyed
 //!   structural hash, used by deduplication and TAX's set-theoretic
 //!   operators (union, intersection, difference).
@@ -37,6 +41,7 @@ mod node;
 pub mod serialize;
 mod tree;
 mod value;
+mod view;
 
 pub use arena::NodeId;
 pub use builder::TreeBuilder;
@@ -45,3 +50,4 @@ pub use forest::Forest;
 pub use node::NodeData;
 pub use tree::Tree;
 pub use value::Value;
+pub use view::{Preordered, View, Views};

@@ -2,8 +2,9 @@
 
 use crate::arena::{Arena, NodeId};
 use crate::error::{TreeError, TreeResult};
-use crate::iter::{Ancestors, Children, Descendants, Preorder};
+use crate::iter::{Ancestors, Children, Descendants, Preorder, TreeCursor};
 use crate::node::NodeData;
+use crate::view::Preordered;
 
 /// One rooted, ordered, labelled tree — a member of a semistructured
 /// instance per Definition 1.
@@ -18,6 +19,14 @@ impl Tree {
     pub fn new() -> Self {
         Tree {
             arena: Arena::new(),
+            root: None,
+        }
+    }
+
+    /// An empty tree with room for `n` nodes.
+    pub fn with_capacity(n: usize) -> Self {
+        Tree {
+            arena: Arena::with_capacity(n),
             root: None,
         }
     }
@@ -120,15 +129,58 @@ impl Tree {
         other: &Tree,
         src: NodeId,
     ) -> TreeResult<NodeId> {
-        let data = other.data(src)?.clone();
-        let new_id = match parent {
-            Some(p) => self.add_child(p, data)?,
-            None => self.set_root(data)?,
-        };
-        for c in other.children(src) {
-            self.graft(Some(new_id), other, c)?;
+        other.data(src)?;
+        let copied = self.graft_nodes(parent, TreeCursor::new(&other.arena, Some(src)))?;
+        Ok(copied.expect("the subtree has its root"))
+    }
+
+    /// Copy the tree `src` reads in preorder — a whole tree or a
+    /// [`crate::View`] — under `parent` (or as the root of an empty tree
+    /// when `parent` is `None`). Returns the id of the copy's root, or
+    /// `None` when `src` has no nodes. This is the one place a tree is
+    /// built from another: [`Tree::graft`] and view materialisation
+    /// both land here.
+    pub fn graft_preorder<'t>(
+        &mut self,
+        parent: Option<NodeId>,
+        src: impl Preordered<'t>,
+    ) -> TreeResult<Option<NodeId>> {
+        self.graft_nodes(parent, src.cursor())
+    }
+
+    /// Each node's parent is found by climbing from the previous copy
+    /// as many levels as the depth fell, so the copy needs no stack.
+    fn graft_nodes<'t>(
+        &mut self,
+        parent: Option<NodeId>,
+        nodes: impl Iterator<Item = (u32, &'t NodeData)>,
+    ) -> TreeResult<Option<NodeId>> {
+        let mut first = None;
+        let mut last: Option<(NodeId, u32)> = None;
+        for (depth, data) in nodes {
+            let under = match last {
+                None if depth == 0 => parent,
+                Some((prev, prev_depth)) if depth > 0 && depth <= prev_depth + 1 => {
+                    let mut at = prev;
+                    for _ in depth..=prev_depth {
+                        at = self.parent(at)?.expect("a copied node below the first");
+                    }
+                    Some(at)
+                }
+                _ => {
+                    return Err(TreeError::StructureViolation(format!(
+                        "depth {depth} does not continue one tree in preorder"
+                    )))
+                }
+            };
+            let id = match under {
+                Some(p) => self.add_child(p, data.clone())?,
+                None => self.set_root(data.clone())?,
+            };
+            first.get_or_insert(id);
+            last = Some((id, depth));
         }
-        Ok(new_id)
+        Ok(first)
     }
 
     /// Extract the subtree rooted at `id` as a standalone tree.

@@ -1,7 +1,10 @@
 //! The hashed identity rule against the string rule: over generated
 //! tree pairs, [`trees_equal`] holds exactly when the fingerprints are
-//! equal, equal fingerprints hash equally, and `Forest::dedup` and the
+//! equal, equal fingerprints hash equally, and `Views::dedup` and the
 //! set operators keep exactly what a set of fingerprint strings keeps.
+//! Views of random included-node sets materialise to what the
+//! closest-included-ancestor construction builds, and compare and hash
+//! exactly as those trees' fingerprints do.
 //!
 //! The pairs are built to sit near the boundary: tags and attributes
 //! drawn from the fingerprint's delimiter characters `()|@=\`, contents
@@ -11,8 +14,8 @@
 
 use proptest::prelude::*;
 use std::collections::HashSet;
-use toss_tree::eq::{fingerprint, trees_equal, TreeSet};
-use toss_tree::{Forest, NodeData, Tree, Value};
+use toss_tree::eq::{fingerprint, identical, trees_equal, TreeSet};
+use toss_tree::{Forest, NodeData, NodeId, Tree, Value, View, Views};
 
 const TEXT: [&str; 9] = ["a", "b", "(", ")", "|", "@", "=", "\\", "a|b"];
 
@@ -118,6 +121,61 @@ fn exact(f: &Forest) -> Vec<String> {
     f.iter().map(|t| format!("{t:?}")).collect()
 }
 
+/// The reference construction of the trees an included-node set
+/// induces: one walk copying every included node under the copy of its
+/// closest included ancestor (a new tree when there is none), siblings
+/// in source preorder.
+fn induced_forest(t: &Tree, included: &HashSet<NodeId>) -> Vec<Tree> {
+    fn go(
+        t: &Tree,
+        n: NodeId,
+        attach: Option<(usize, NodeId)>,
+        inc: &HashSet<NodeId>,
+        out: &mut Vec<Tree>,
+    ) {
+        let mut attach = attach;
+        if inc.contains(&n) {
+            let data = t.data(n).expect("node").clone();
+            attach = Some(match attach {
+                Some((ti, p)) => (ti, out[ti].add_child(p, data).expect("parent")),
+                None => {
+                    out.push(Tree::with_root(data));
+                    (out.len() - 1, out[out.len() - 1].root().expect("root"))
+                }
+            });
+        }
+        for c in t.children(n) {
+            go(t, c, attach, inc, out);
+        }
+    }
+    let mut out = Vec::new();
+    if let Some(r) = t.root() {
+        go(t, r, None, included, &mut out);
+    }
+    out
+}
+
+/// The same set as views: each included node at its number of included
+/// strict ancestors, in preorder.
+fn push_induced<'t>(views: &mut Views<'t>, t: &'t Tree, included: &HashSet<NodeId>) {
+    for n in t.preorder().filter(|n| included.contains(n)) {
+        let depth = included.iter().filter(|&&m| t.is_ancestor(m, n)).count();
+        views
+            .push(t, n, depth as u32)
+            .expect("well-formed preorder");
+    }
+}
+
+/// A tree and a random subset of its nodes (bit `i` of `mask` keeps
+/// the `i`-th node in preorder).
+fn with_subset() -> impl Strategy<Value = (Tree, Vec<bool>)> {
+    (spec(), 0usize..64, 0usize..64).prop_map(|(spec, mask, pick)| {
+        let t = build(&spec, Some(pick));
+        let keep = (0..t.node_count()).map(|i| mask & (1 << i) != 0).collect();
+        (t, keep)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -139,8 +197,16 @@ proptest! {
         split in 0usize..12,
     ) {
         let trees: Vec<Tree> = pairs.into_iter().flat_map(|(a, b)| [a, b]).collect();
-        let deduped = Forest::from_trees(trees.clone()).dedup();
-        prop_assert_eq!(exact(&deduped), kept_by_strings(&trees));
+        let mut views = Views::new();
+        for t in &trees {
+            views.push_whole(t);
+        }
+        views.dedup();
+        let sources: Vec<String> = views.iter().map(|v| format!("{:?}", v.source())).collect();
+        prop_assert_eq!(sources, kept_by_strings(&trees));
+        let copies: Vec<String> = views.materialise().iter().map(fingerprint).collect();
+        let kept: Vec<String> = views.iter().map(|v| fingerprint(v.source())).collect();
+        prop_assert_eq!(copies, kept);
 
         let (left, right) = trees.split_at(split % trees.len());
         let (l, r) = (Forest::from_trees(left.to_vec()), Forest::from_trees(right.to_vec()));
@@ -150,5 +216,47 @@ proptest! {
             left.iter().partition(|t| theirs.contains(&fingerprint(t)));
         prop_assert_eq!(exact(&l.set_intersection(&r)), kept_by_strings(common));
         prop_assert_eq!(exact(&l.set_difference(&r)), kept_by_strings(only));
+    }
+
+    #[test]
+    fn views_compare_as_their_materialised_trees(
+        a in with_subset(),
+        b in with_subset(),
+    ) {
+        let subset = |(t, keep): &(Tree, Vec<bool>)| -> HashSet<NodeId> {
+            t.preorder().zip(keep).filter(|(_, &k)| k).map(|(n, _)| n).collect()
+        };
+        let (sa, sb) = (subset(&a), subset(&b));
+        let mut views = Views::new();
+        push_induced(&mut views, &a.0, &sa);
+        let split = views.len();
+        push_induced(&mut views, &b.0, &sb);
+
+        // materialising equals the closest-included-ancestor construction
+        let reference: Vec<Tree> = induced_forest(&a.0, &sa)
+            .into_iter()
+            .chain(induced_forest(&b.0, &sb))
+            .collect();
+        let copies = views.materialise();
+        prop_assert_eq!(copies.len(), reference.len());
+        for (c, r) in copies.iter().zip(&reference) {
+            prop_assert_eq!(format!("{c:?}"), format!("{r:?}"));
+        }
+
+        // identity: equal in a TreeSet iff the copies' fingerprints are
+        let all: Vec<View> = views.iter().collect();
+        for (i, &x) in all.iter().enumerate() {
+            let mut set: TreeSet<View> = TreeSet::default();
+            set.insert(x);
+            for (j, &y) in all.iter().enumerate() {
+                let same = fingerprint(&copies.trees()[i]) == fingerprint(&copies.trees()[j]);
+                prop_assert_eq!(set.contains(y), same, "views {} and {} (split {})", i, j, split);
+                prop_assert_eq!(identical(x, y), same);
+                prop_assert_eq!(identical(x, &copies.trees()[j]), same);
+                if same {
+                    prop_assert_eq!(set.hash_of(x), set.hash_of(y));
+                }
+            }
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Tree identity and traversal must not allocate: hashing and comparing
-//! trees with `Str`, `Int` and `Real` content builds no string,
-//! `Forest::dedup` makes as many allocations for 50-node trees as for
-//! 5-node ones (its set and keep mask, none per node), and a preorder
-//! walk allocates nothing.
+//! trees and views with `Str`, `Int` and `Real` content builds no
+//! string, `Views::dedup` makes as many allocations for 50-node trees as
+//! for 5-node ones (its set and keep mask, none per node), a side's
+//! views live in two growing buffers however many nodes they hold, and
+//! a preorder walk allocates nothing.
 //!
 //! The allocator counts per thread, so tests running beside each other
 //! on other threads do not show up in a test's count.
@@ -10,8 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
-use toss_tree::eq::{trees_equal, TreeSet};
-use toss_tree::{Forest, NodeData, Tree, Value};
+use toss_tree::eq::{identical, trees_equal, TreeSet};
+use toss_tree::{Forest, NodeData, Tree, Value, View, Views};
 
 struct CountingAlloc;
 
@@ -110,11 +111,66 @@ fn tree_identity_does_not_allocate() {
         delta, 0,
         "hashing and comparing trees must not allocate, saw {delta}"
     );
+}
 
+/// Whole-tree views of every tree of `f`.
+fn views(f: &Forest) -> Views<'_> {
+    let mut v = Views::new();
+    for t in f {
+        v.push_whole(t);
+    }
+    v
+}
+
+#[test]
+fn view_identity_does_not_allocate() {
+    let (a, c, d) = (tree(50, 1, false), tree(50, 1, true), tree(50, 2, false));
+    let f = Forest::from_trees(vec![a, c, d]);
+    let v = views(&f);
+    let [a, c, d]: [View; 3] = [0, 1, 2].map(|i| v.get(i).expect("three views"));
+    let set: TreeSet<View> = TreeSet::default();
+    assert_eq!(set.hash_of(a), set.hash_of(c));
+
+    let delta = allocs(|| {
+        for _ in 0..100 {
+            black_box([a, c, d].map(|x| set.hash_of(x)));
+            assert!(identical(a, c));
+            assert!(identical(a, &f.trees()[1]));
+            assert!(!identical(a, d));
+        }
+    });
+    assert_eq!(
+        delta, 0,
+        "hashing and comparing views must not allocate, saw {delta}"
+    );
+}
+
+#[test]
+fn views_take_two_buffers_and_dedup_none_per_node() {
     let (small, large) = (forest(5), forest(50));
+    let mut built = (Views::new(), Views::new());
+    let small_build = allocs(|| built.0 = views(&small));
+    let large_build = allocs(|| built.1 = views(&large));
+    // two vectors, each grown by doubling: a handful of allocations for
+    // 600 nodes, where copying the trees makes several per node
+    let steps: usize = 12 * 50;
+    let bound = 2 * (usize::BITS - steps.leading_zeros()) as u64;
+    assert!(
+        small_build <= large_build && large_build <= bound,
+        "views of 60 and 600 nodes took {small_build} and {large_build} allocations, bound {bound}"
+    );
+    let copying = allocs(|| assert_eq!(black_box(built.1.materialise()).len(), 12));
+    assert!(copying >= steps as u64, "materialising copies every node");
+
     let mut kept = (0, 0);
-    let small_allocs = allocs(|| kept.0 = small.dedup().len());
-    let large_allocs = allocs(|| kept.1 = large.dedup().len());
+    let small_allocs = allocs(|| {
+        built.0.dedup();
+        kept.0 = built.0.len();
+    });
+    let large_allocs = allocs(|| {
+        built.1.dedup();
+        kept.1 = built.1.len();
+    });
     assert_eq!(kept, (4, 4));
     assert_eq!(
         small_allocs, large_allocs,

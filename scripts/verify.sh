@@ -23,14 +23,6 @@ echo "==> chaos suites (governance + serving fault injection + durability + segm
 # kernel's arithmetic would wrap there where the debug build panics
 cargo test --release --test chaos --test governance --test serve --test durability --test segments --test parallel --test join --test semantic -q
 
-echo "==> crash campaign smoke (quick: TOSS_CRASH_SEEDS=10)"
-# the deterministic kill-and-recover campaign (docs/robustness.md): a
-# live writable server under seeded disk faults; every acknowledged
-# write must survive crash + recovery. Full 50-seed run happens in the
-# release serve suite above; this smoke documents the env knob.
-TOSS_CRASH_SEEDS=10 cargo test --release --test serve \
-    crash_campaign_every_acknowledged_write_survives_kill_and_recover -q
-
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings

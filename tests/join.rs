@@ -8,10 +8,13 @@
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
-use toss::core::algebra::{similarity_join, JoinKey};
+use toss::core::algebra::{similarity_join, JoinKey, TossPattern};
+use toss::core::executor::Mode;
 use toss::core::expand::seo_classes;
 use toss::core::governor::{BudgetKind, Limit, QueryBudget, QueryGovernor};
-use toss::core::{SeoInstance, TossError, WorkerPool};
+use toss::core::{Executor, SeoInstance, TossCond, TossError, TossQuery, TossTerm, WorkerPool};
+use toss::tax::{EdgeKind, PatternTree};
+use toss::xmldb::{Database, DatabaseConfig};
 use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
 use toss_ontology::Seo;
@@ -335,5 +338,108 @@ fn pooled_emission_is_identical_at_every_worker_count() {
     }
     for (got, &w) in degraded.iter().zip(&THREADS) {
         assert_eq!(got, &degraded[0], "workers={w}");
+    }
+}
+
+/// A stored record whose key sits one level down, under `meta`, beside
+/// leaves a witness leaves out.
+fn nested_doc(key: &str, i: usize) -> Tree {
+    TreeBuilder::new("rec")
+        .open("meta")
+        .leaf("k", key)
+        .leaf("src", format!("s{i}"))
+        .close()
+        .leaf("v", format!("f{i}"))
+        .build()
+}
+
+/// `rec` with a `k` descendant: the witness is `rec` over `k` alone —
+/// not the stored document, and identical for every record sharing a
+/// key.
+fn nested_side(collection: &str) -> TossQuery {
+    let mut structure = PatternTree::new(1);
+    let root = structure.root();
+    structure
+        .add_child(root, 2, EdgeKind::AncestorDescendant)
+        .expect("fresh label");
+    TossQuery {
+        collection: collection.into(),
+        pattern: TossPattern {
+            structure,
+            condition: TossCond::all(vec![
+                TossCond::eq(TossTerm::tag(1), TossTerm::str("rec")),
+                TossCond::eq(TossTerm::tag(2), TossTerm::str("k")),
+            ]),
+        },
+        expand_labels: Vec::new(),
+    }
+}
+
+/// The executor's join reads its sides as witness views: duplicate
+/// witnesses group once and an ancestor-descendant edge makes each
+/// witness a strict part of its document. Output, candidate tally and
+/// memory charge equal the oracle's at every worker count — the
+/// output the product-then-select oracle over the materialised side
+/// selections, the tallies those of the same selections under one
+/// governor followed by the forest join.
+#[test]
+fn executor_join_over_witness_views_equals_the_oracle() {
+    let seo = clique_seo();
+    let mut rng = Rng::new(7);
+    let mut db = Database::with_config(DatabaseConfig::unlimited());
+    for (name, n) in [("left", 60), ("right", 50)] {
+        let coll = db.create_collection(name).expect("fresh collection");
+        for i in 0..n {
+            let key = if rng.below(4) == 0 {
+                format!("u-{name}-{i}")
+            } else {
+                let spread = 1 + rng.below(10);
+                format!("m{:x}", rng.below(spread))
+            };
+            coll.insert(nested_doc(&key, i))
+                .expect("unlimited collection");
+        }
+    }
+    let (left, right, key) = (
+        nested_side("left"),
+        nested_side("right"),
+        JoinKey::child("k"),
+    );
+
+    let stored: usize = ["left", "right"]
+        .iter()
+        .map(|c| db.collection(c).expect("collection").documents().len())
+        .sum();
+    let mut ex = Executor::new(db, seo.clone()).with_threads(1);
+    let gov = QueryGovernor::unlimited();
+    let sides = [&left, &right].map(|q| {
+        ex.select_governed(q, Mode::Toss, &gov)
+            .expect("side selection")
+            .forest
+    });
+    assert!(
+        sides.iter().map(Forest::len).sum::<usize>() < stored,
+        "duplicate witnesses"
+    );
+    assert!(
+        sides[0].iter().all(|w| w.node_count() == 2),
+        "witness is rec over k"
+    );
+    let [l, r] = sides.map(|f| SeoInstance::new(f, seo.clone()));
+    let expected = oracle(&l, &r, &key);
+    similarity_join(&l, &r, &key, &key, &WorkerPool::new(1), &gov).expect("forest join");
+    assert_eq!(gov.join_candidates(), expected.len() as u64);
+    let expected_memory = gov.memory_used();
+
+    for &w in &THREADS {
+        ex.pool = WorkerPool::new(w);
+        let gov = QueryGovernor::unlimited();
+        let out = ex
+            .join_similarity_governed(&left, &right, &key, &key, Mode::Toss, &gov)
+            .expect("join");
+        let fps: Vec<String> = out.forest.iter().map(fingerprint).collect();
+        assert_eq!(fps, expected, "workers={w}");
+        assert_eq!(gov.join_candidates(), expected.len() as u64, "workers={w}");
+        assert_eq!(gov.memory_used(), expected_memory, "workers={w}");
     }
 }

@@ -1631,8 +1631,9 @@ fn persistent_journal_faults_degrade_to_read_only_then_self_heal() {
 /// fsynced ⇒ durable — nothing unsent appears, and reads never see a
 /// transport failure while faults fire.
 ///
-/// `TOSS_CRASH_SEEDS` overrides the seed count (verify.sh smoke runs
-/// fewer; the default is the full campaign).
+/// `TOSS_CRASH_SEEDS` overrides the seed count (a quick local run can
+/// ask for fewer, e.g. `TOSS_CRASH_SEEDS=10`); the default is the full
+/// 50-seed campaign, which `scripts/verify.sh` runs in its release step.
 #[test]
 fn crash_campaign_every_acknowledged_write_survives_kill_and_recover() {
     let seeds: u64 = std::env::var("TOSS_CRASH_SEEDS")
