@@ -6,6 +6,12 @@
 //! and pretty writers — with no external dependencies, so the workspace
 //! builds in fully offline environments.
 //!
+//! One grammar builds two kinds of value. [`Value`] owns its strings.
+//! [`Borrowed`] keeps each string as the [`RawStr`] literal it was
+//! written as, checked but not unescaped, so a reader that needs only
+//! part of a large document (the store's snapshot) copies none of the
+//! rest. Both reject the same texts with the same [`JsonError`].
+//!
 //! Object key order is preserved (insertion order), which keeps snapshot
 //! bytes deterministic — a property the checksummed snapshot format in
 //! `toss-xmldb` relies on.
@@ -15,9 +21,10 @@
 
 use std::fmt::Write as _;
 
-/// A JSON value.
+/// A JSON value whose strings are `S`: [`Value`] owns them, [`Borrowed`]
+/// points into the parsed text.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Json<S> {
     /// `null`
     Null,
     /// `true` / `false`
@@ -27,12 +34,24 @@ pub enum Value {
     /// Any other number.
     Float(f64),
     /// A string.
-    Str(String),
+    Str(S),
     /// An array.
-    Array(Vec<Value>),
+    Array(Vec<Json<S>>),
     /// An object; key order is preserved.
-    Object(Vec<(String, Value)>),
+    Object(Vec<(S, Json<S>)>),
 }
+
+/// A JSON value that owns its strings.
+pub type Value = Json<String>;
+
+/// A JSON value borrowed from the text it was parsed from: every string
+/// is the [`RawStr`] literal as written.
+pub type Borrowed<'a> = Json<RawStr<'a>>;
+
+/// The text of a string literal between its quotes, exactly as written.
+/// The parser has checked every escape in it, so decoding cannot fail.
+#[derive(Debug, Clone, Copy)]
+pub struct RawStr<'a>(&'a str);
 
 /// A parse error: byte offset plus description.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,20 +73,196 @@ impl std::error::Error for JsonError {}
 /// Result alias for JSON operations.
 pub type JsonResult<T> = Result<T, JsonError>;
 
+/// A string a [`Json`] value can hold: compared with plain text, and
+/// written back as a JSON literal.
+pub trait JsonStr {
+    /// Whether the string is `s`.
+    fn is(&self, s: &str) -> bool;
+    /// Append the string to `out` as [`write_escaped`] would.
+    fn write_json(&self, out: &mut String);
+}
+
+impl JsonStr for String {
+    fn is(&self, s: &str) -> bool {
+        self == s
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, self)
+    }
+}
+
+impl JsonStr for RawStr<'_> {
+    fn is(&self, s: &str) -> bool {
+        match self.unescaped() {
+            Some(text) => text == s,
+            None => self.decode() == s,
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        write_escaped(out, &self.decode())
+    }
+}
+
+impl<'a> RawStr<'a> {
+    /// The literal's text when it has no escapes, which is then the
+    /// string itself.
+    pub fn unescaped(&self) -> Option<&'a str> {
+        (!self.0.contains('\\')).then_some(self.0)
+    }
+
+    /// The string: the literal itself when it has no escapes, else its
+    /// decoding written into `buf` (cleared first).
+    pub fn text<'b>(&self, buf: &'b mut String) -> &'b str
+    where
+        'a: 'b,
+    {
+        match self.unescaped() {
+            Some(text) => text,
+            None => {
+                buf.clear();
+                self.unescape_into(buf);
+                buf
+            }
+        }
+    }
+
+    /// The decoded string.
+    pub fn decode(&self) -> String {
+        let mut out = String::with_capacity(self.0.len());
+        self.unescape_into(&mut out);
+        out
+    }
+
+    /// Append the decoded string to `out`.
+    fn unescape_into(&self, out: &mut String) {
+        let mut rest = self.0;
+        while let Some(i) = rest.find('\\') {
+            out.push_str(&rest[..i]);
+            let esc = rest.as_bytes()[i + 1];
+            rest = &rest[i + 2..];
+            let ch = match esc {
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hi = u32::from_str_radix(&rest[..4], 16).unwrap_or(0);
+                    rest = &rest[4..];
+                    let cp = if (0xD800..0xDC00).contains(&hi) {
+                        // the parser checked the `\u` of the low half
+                        let lo = u32::from_str_radix(&rest[2..6], 16).unwrap_or(0);
+                        rest = &rest[6..];
+                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                    } else {
+                        hi
+                    };
+                    char::from_u32(cp).unwrap_or(char::REPLACEMENT_CHARACTER)
+                }
+                // `"`, `\` and `/` stand for themselves
+                other => char::from(other),
+            };
+            out.push(ch);
+        }
+        out.push_str(rest);
+    }
+}
+
 impl Value {
     /// Parse a complete JSON document (trailing whitespace allowed).
     pub fn parse(input: &str) -> JsonResult<Value> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
+        parse(input)
+    }
+
+    /// The contained string, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
         }
-        Ok(v)
+    }
+
+    /// Build an object from key/value pairs.
+    pub fn object(fields: Vec<(&str, Value)>) -> Value {
+        Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+}
+
+impl<'a> Borrowed<'a> {
+    /// Parse a complete JSON document (trailing whitespace allowed),
+    /// keeping its strings as literals in `input`. Accepts and rejects
+    /// exactly what [`Value::parse`] does, with the same error.
+    pub fn parse(input: &'a str) -> JsonResult<Borrowed<'a>> {
+        parse(input)
+    }
+
+    /// The contained string literal, if this is a string.
+    pub fn as_str(&self) -> Option<RawStr<'a>> {
+        match self {
+            Json::Str(s) => Some(*s),
+            _ => None,
+        }
+    }
+}
+
+impl<S> Json<S> {
+    /// The contained integer, if this is a number representable as `i64`.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Json::Int(i) => Some(*i),
+            Json::Float(f) if f.fract() == 0.0 && f.abs() < i64::MAX as f64 => Some(*f as i64),
+            _ => None,
+        }
+    }
+
+    /// The contained number as `usize`, if non-negative.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_i64().and_then(|i| usize::try_from(i).ok())
+    }
+
+    /// The contained number as a float.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(i) => Some(*i as f64),
+            Json::Float(f) => Some(*f),
+            _ => None,
+        }
+    }
+
+    /// The contained boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The contained array.
+    pub fn as_array(&self) -> Option<&[Json<S>]> {
+        match self {
+            Json::Array(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The contained object's fields.
+    pub fn as_object(&self) -> Option<&[(S, Json<S>)]> {
+        match self {
+            Json::Object(f) => Some(f),
+            _ => None,
+        }
+    }
+}
+
+impl<S: JsonStr> Json<S> {
+    /// Look up a field of an object by key (first match).
+    pub fn get(&self, key: &str) -> Option<&Json<S>> {
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k.is(key))
+            .map(|(_, v)| v)
     }
 
     /// Compact serialization.
@@ -86,12 +281,12 @@ impl Value {
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(i) => {
                 let _ = write!(out, "{i}");
             }
-            Value::Float(x) => {
+            Json::Float(x) => {
                 if x.is_finite() {
                     let _ = write!(out, "{x}");
                 } else {
@@ -99,15 +294,15 @@ impl Value {
                     out.push_str("null");
                 }
             }
-            Value::Str(s) => write_escaped(out, s),
-            Value::Array(items) => {
+            Json::Str(s) => s.write_json(out),
+            Json::Array(items) => {
                 write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
                     items[i].write(out, indent, depth + 1)
                 })
             }
-            Value::Object(fields) => {
+            Json::Object(fields) => {
                 write_seq(out, indent, depth, '{', '}', fields.len(), |out, i| {
-                    write_escaped(out, &fields[i].0);
+                    fields[i].0.write_json(out);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -116,74 +311,6 @@ impl Value {
                 })
             }
         }
-    }
-
-    /// The contained string, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The contained integer, if this is a number representable as `i64`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            Value::Float(f) if f.fract() == 0.0 && f.abs() < i64::MAX as f64 => Some(*f as i64),
-            _ => None,
-        }
-    }
-
-    /// The contained number as `usize`, if non-negative.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_i64().and_then(|i| usize::try_from(i).ok())
-    }
-
-    /// The contained number as a float.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// The contained boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The contained array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The contained object's fields.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(f) => Some(f),
-            _ => None,
-        }
-    }
-
-    /// Look up a field of an object by key (first match).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.as_object()?
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-    }
-
-    /// Build an object from key/value pairs.
-    pub fn object(fields: Vec<(&str, Value)>) -> Value {
-        Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 }
 
@@ -217,7 +344,7 @@ fn write_seq(
 }
 
 /// Append `s` to `out` as a JSON string literal, quotes included — the
-/// one escaping rule behind [`Value::to_json`], public so writers that
+/// one escaping rule behind [`Json::to_json`], public so writers that
 /// stream JSON without building a [`Value`] emit identical bytes.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
@@ -248,7 +375,69 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// How a checked string literal becomes the string of the value being
+/// built: decoded into a `String`, or kept as the literal.
+trait FromRaw<'a> {
+    fn from_raw(raw: RawStr<'a>) -> Self;
+}
+
+impl<'a> FromRaw<'a> for String {
+    fn from_raw(raw: RawStr<'a>) -> String {
+        raw.decode()
+    }
+}
+
+impl<'a> FromRaw<'a> for RawStr<'a> {
+    fn from_raw(raw: RawStr<'a>) -> RawStr<'a> {
+        raw
+    }
+}
+
+/// The one JSON grammar, building a `Json<S>`.
+fn parse<'a, S: FromRaw<'a>>(input: &'a str) -> JsonResult<Json<S>> {
+    let mut p = Parser {
+        text: input,
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters after JSON value"));
+    }
+    Ok(v)
+}
+
+/// The end of the run of bytes from `pos` that a string literal holds as
+/// written: up to the first `"`, `\` or control character. Eight bytes
+/// are checked at a time while none of them ends the run.
+fn plain_run_end(bytes: &[u8], mut pos: usize) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    // nonzero iff some byte of `x` is below `n` (for n <= 0x80)
+    let below = |x: u64, n: u8| x.wrapping_sub(ONES * u64::from(n)) & !x & HIGHS;
+    while let Some(chunk) = bytes.get(pos..pos + 8) {
+        let x = u64::from_ne_bytes(chunk.try_into().expect("eight bytes"));
+        let ends = below(x ^ (ONES * u64::from(b'"')), 1)
+            | below(x ^ (ONES * u64::from(b'\\')), 1)
+            | below(x, 0x20);
+        if ends != 0 {
+            break;
+        }
+        pos += 8;
+    }
+    while let Some(&b) = bytes.get(pos) {
+        if b == b'"' || b == b'\\' || b < 0x20 {
+            break;
+        }
+        pos += 1;
+    }
+    pos
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -284,7 +473,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> JsonResult<Value> {
+    fn literal<S>(&mut self, word: &str, v: Json<S>) -> JsonResult<Json<S>> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
@@ -293,12 +482,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> JsonResult<Value> {
+    fn value<S: FromRaw<'a>>(&mut self) -> JsonResult<Json<S>> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(|raw| Json::Str(S::from_raw(raw))),
             Some(b'[') => self.array(),
             Some(b'{') => self.object(),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
@@ -307,13 +496,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> JsonResult<Value> {
+    fn array<S: FromRaw<'a>>(&mut self) -> JsonResult<Json<S>> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(Json::Array(items));
         }
         loop {
             self.skip_ws();
@@ -323,24 +512,24 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    return Ok(Json::Array(items));
                 }
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
     }
 
-    fn object(&mut self) -> JsonResult<Value> {
+    fn object<S: FromRaw<'a>>(&mut self) -> JsonResult<Json<S>> {
         self.eat(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(fields));
+            return Ok(Json::Object(fields));
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = S::from_raw(self.string()?);
             self.skip_ws();
             self.eat(b':')?;
             self.skip_ws();
@@ -351,47 +540,33 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(fields));
+                    return Ok(Json::Object(fields));
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn string(&mut self) -> JsonResult<String> {
+    /// Check one string literal and return its text between the quotes.
+    /// The input is a `str`, and every run ends at an ASCII byte, so the
+    /// text needs no UTF-8 check of its own.
+    fn string(&mut self) -> JsonResult<RawStr<'a>> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
         loop {
-            let start = self.pos;
-            // fast path: run of plain bytes
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            self.pos = plain_run_end(self.bytes, self.pos);
             match self.peek() {
                 Some(b'"') => {
+                    let raw = RawStr(&self.text[start..self.pos]);
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(raw);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
                     self.pos += 1;
                     match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
+                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
                         b'u' => {
                             let hi = self.hex4()?;
                             let cp = if (0xD800..0xDC00).contains(&hi) {
@@ -406,10 +581,9 @@ impl<'a> Parser<'a> {
                             } else {
                                 hi
                             };
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
+                            if char::from_u32(cp).is_none() {
+                                return Err(self.err("invalid unicode escape"));
+                            }
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
@@ -433,7 +607,7 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> JsonResult<Value> {
+    fn number<S>(&mut self) -> JsonResult<Json<S>> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -459,17 +633,17 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        // every byte of the number is ASCII
+        let text = &self.text[start..self.pos];
         if float {
             text.parse::<f64>()
-                .map(Value::Float)
+                .map(Json::Float)
                 .map_err(|_| self.err(format!("invalid number `{text}`")))
         } else {
             // fall back to float on i64 overflow
-            text.parse::<i64>().map(Value::Int).or_else(|_| {
+            text.parse::<i64>().map(Json::Int).or_else(|_| {
                 text.parse::<f64>()
-                    .map(Value::Float)
+                    .map(Json::Float)
                     .map_err(|_| self.err(format!("invalid number `{text}`")))
             })
         }
@@ -629,6 +803,82 @@ mod tests {
     fn big_integers_fall_back_to_float() {
         let v = Value::parse("99999999999999999999").unwrap();
         assert!(matches!(v, Value::Float(_)));
+    }
+
+    /// Texts both parses must treat alike: documents, and the ways a
+    /// string literal or its surroundings can be malformed.
+    const SAMPLES: [&str; 24] = [
+        r#"{"a":[1,-2.5e3,true,null,{"b":"c"}],"d":"\u00e9\/\"\\\b\f\n\r\t"}"#,
+        r#"["\ud83d\ude00", "plain text over eight bytes", ""]"#,
+        r#"{"k\u0065y": 1, "key": 2}"#,
+        "\"\u{7f}\u{80}é漢 and more\"",
+        "",
+        "\"",
+        "\"abc",
+        "\"\\",
+        "\"\\x\"",
+        "\"\\u12\"",
+        "\"\\u12g4\"",
+        "\"\\ud800\"",
+        "\"\\ud800\\u0041\"",
+        "\"\\ud800x\"",
+        "\"\\udc00\"",
+        "\"tab\there\"",
+        "\"new\nline\"",
+        "\"nul\u{0}\"",
+        "[1,]",
+        "{\"a\" 1}",
+        "{\"a\":1 \"b\":2}",
+        "-",
+        "1.5.5",
+        "[\"eight by\u{1f}\"]",
+    ];
+
+    #[test]
+    fn borrowed_and_owned_parses_agree() {
+        for text in SAMPLES {
+            match (Value::parse(text), Borrowed::parse(text)) {
+                (Ok(owned), Ok(borrowed)) => {
+                    assert_eq!(borrowed.to_json(), owned.to_json(), "{text}");
+                    assert_eq!(borrowed.to_json_pretty(), owned.to_json_pretty(), "{text}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{text}"),
+                (a, b) => panic!("{text}: {a:?} against {b:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn raw_strings_decode_on_demand() {
+        let text = r#"{"k\u0065y":"a\/b\"\ud83d\ude00\u00e9","key":"shadowed","plain":"x y"}"#;
+        let v = Borrowed::parse(text).unwrap();
+        // keys compare decoded, first match wins
+        let raw = v.get("key").unwrap().as_str().unwrap();
+        assert_eq!(raw.unescaped(), None);
+        assert_eq!(raw.decode(), "a/b\"\u{1F600}é");
+        let mut buf = String::from("stale");
+        assert_eq!(raw.text(&mut buf), "a/b\"\u{1F600}é");
+        let plain = v.get("plain").unwrap().as_str().unwrap();
+        assert_eq!(plain.unescaped(), Some("x y"));
+        assert_eq!(plain.text(&mut buf), "x y");
+        let owned = Value::parse(text).unwrap();
+        assert_eq!(owned.get("key").unwrap().as_str(), Some("a/b\"\u{1F600}é"));
+    }
+
+    #[test]
+    fn plain_runs_end_at_every_special_byte() {
+        for len in 0..20 {
+            for special in [b'"', b'\\', 0x00, 0x1f] {
+                let mut bytes = vec![b'a'; len];
+                bytes.extend([0x7f, 0x80, 0xff, b' ']);
+                let end = bytes.len();
+                bytes.push(special);
+                bytes.extend([b'z'; 9]);
+                assert_eq!(plain_run_end(&bytes, 0), end, "{len} {special}");
+                assert_eq!(plain_run_end(&bytes, end), end);
+            }
+            assert_eq!(plain_run_end(&vec![b'a'; len], 0), len);
+        }
     }
 
     #[test]

@@ -7,17 +7,27 @@
 //! references. Namespaces are treated lexically (prefixes stay part of the
 //! tag name), which matches how Xindice-era tools handled them.
 //!
-//! Whitespace-only text between elements is dropped; significant text is
-//! stored on the enclosing element's `content` attribute as an `int` or
-//! `real` when it is a number written in canonical form, else as a string
-//! ([`Value::parse_lexical`]), so serializing the tree gives the text back.
+//! An element's text runs and CDATA sections are joined and trimmed of
+//! XML whitespace (space, tab, CR, LF) at both ends; any other character,
+//! a no-break space included, is content. Text that is empty after the
+//! trim is dropped; what remains is stored on the element's `content`
+//! attribute as an `int` or `real` when it is a number written in
+//! canonical form, else as a string ([`Value::parse_lexical`]), so
+//! serializing the tree gives the text back.
+//!
+//! The tree is all a parse allocates: one `String` per tag, attribute
+//! name, attribute value and stored text, one attribute list per element
+//! that has attributes (sized by counting its quoted values first), and
+//! for [`parse_document`] one arena sized by counting the start tags.
+//! Text that needs decoding or joining is built in one buffer that every
+//! element of the parse shares.
 //!
 //! New XML ([`parse_document`], [`parse_forest`]) may nest elements at
 //! most [`MAX_DEPTH`] levels; a document the store already holds is read
 //! back without that limit ([`parse_stored`]).
 
 use crate::error::{DbError, DbResult};
-use toss_tree::{Forest, NodeData, Tree, Value};
+use toss_tree::{Forest, NodeData, NodeId, Tree, Value};
 
 /// Deepest element nesting a document may have (the root is level 1).
 /// The parser, the serializer, tree equality, fingerprints and grafting
@@ -31,43 +41,58 @@ const MAX_DEPTH: usize = 256;
 /// Errors if the input contains no element, more than one top-level
 /// element, elements nested deeper than 256 levels, or malformed markup.
 pub fn parse_document(input: &str) -> DbResult<Tree> {
-    single(parse_with_limit(input, MAX_DEPTH)?)
+    parse_one(input, MAX_DEPTH)
 }
 
 /// Parse a sequence of XML documents (e.g. a file of concatenated records)
 /// into a forest, one tree per top-level element, each nested at most
 /// 256 levels.
 pub fn parse_forest(input: &str) -> DbResult<Forest> {
-    parse_with_limit(input, MAX_DEPTH)
+    let mut p = Parser::new(input, MAX_DEPTH);
+    let mut forest = Forest::new();
+    while p.at_root()? {
+        let mut tree = Tree::new();
+        p.element(&mut tree, None, 1)?;
+        forest.push(tree);
+    }
+    Ok(forest)
 }
 
 /// Parse a document the store has already accepted (a snapshot entry or
 /// a journal record) without the depth limit: a store written before
 /// the limit existed may hold deeper documents, and it must still open.
 pub(crate) fn parse_stored(input: &str) -> DbResult<Tree> {
-    single(parse_with_limit(input, usize::MAX)?)
+    parse_one(input, usize::MAX)
 }
 
-fn single(mut f: Forest) -> DbResult<Tree> {
-    match f.len() {
-        0 => Err(err(0, "no root element found")),
-        1 => Ok(f.trees_mut().remove(0)),
-        n => Err(err(0, format!("expected one root element, found {n}"))),
-    }
-}
-
-fn parse_with_limit(input: &str, max_depth: usize) -> DbResult<Forest> {
+/// The one top-level element of `input`. Later roots are still parsed,
+/// so a malformed one fails with its own error and the count in the
+/// "expected one root" error is all of them.
+fn parse_one(input: &str, max_depth: usize) -> DbResult<Tree> {
     let mut p = Parser::new(input, max_depth);
-    let mut forest = Forest::new();
-    loop {
-        p.skip_misc()?;
-        if p.at_end() {
-            break;
-        }
-        let tree = p.parse_element_tree()?;
-        forest.push(tree);
+    if !p.at_root()? {
+        return Err(err(0, "no root element found"));
     }
-    Ok(forest)
+    let mut tree = Tree::with_capacity(start_tags(input.as_bytes()));
+    p.element(&mut tree, None, 1)?;
+    let mut roots = 1;
+    while p.at_root()? {
+        p.element(&mut Tree::new(), None, 1)?;
+        roots += 1;
+    }
+    if roots > 1 {
+        return Err(err(0, format!("expected one root element, found {roots}")));
+    }
+    Ok(tree)
+}
+
+/// How many `<` open an element: the node count of well-formed input
+/// whose comments, CDATA sections and PIs hold no `<` followed by a name.
+fn start_tags(bytes: &[u8]) -> usize {
+    bytes
+        .windows(2)
+        .filter(|w| w[0] == b'<' && !matches!(w[1], b'/' | b'!' | b'?'))
+        .count()
 }
 
 fn err(offset: usize, message: impl Into<String>) -> DbError {
@@ -77,18 +102,38 @@ fn err(offset: usize, message: impl Into<String>) -> DbError {
     }
 }
 
+/// XML whitespace, the only characters text is trimmed of.
+fn is_xml_space(c: char) -> bool {
+    matches!(c, ' ' | '\t' | '\r' | '\n')
+}
+
+/// An element's text so far: nothing, one run that needs no decoding
+/// (kept as a slice of the input), or everything from `mark` on in the
+/// parser's shared buffer.
+enum Text<'a> {
+    Empty,
+    Slice(&'a str),
+    Joined { mark: usize },
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     max_depth: usize,
+    /// Text being decoded or joined: each open element's from the mark
+    /// it took, the innermost last.
+    buf: String,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str, max_depth: usize) -> Self {
         Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             max_depth,
+            buf: String::new(),
         }
     }
 
@@ -116,6 +161,13 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
+    }
+
+    /// Skip what may stand between top-level elements; whether another
+    /// one follows.
+    fn at_root(&mut self) -> DbResult<bool> {
+        self.skip_misc()?;
+        Ok(!self.at_end())
     }
 
     /// Skip whitespace, comments, PIs, the XML declaration and DOCTYPE.
@@ -165,7 +217,9 @@ impl<'a> Parser<'a> {
         Err(err(start, "unterminated DOCTYPE"))
     }
 
-    fn parse_name(&mut self) -> DbResult<String> {
+    /// A name. It starts after an ASCII byte and ends at one (every
+    /// non-ASCII byte is a name byte), so it is a whole `str` slice.
+    fn name(&mut self) -> DbResult<&'a str> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             let ok = b.is_ascii_alphanumeric()
@@ -180,9 +234,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(err(start, "expected a name"));
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map(str::to_string)
-            .map_err(|_| err(start, "name is not valid UTF-8"))
+        Ok(&self.text[start..self.pos])
     }
 
     fn expect(&mut self, b: u8) -> DbResult<()> {
@@ -197,7 +249,27 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_attr_value(&mut self) -> DbResult<String> {
+    /// The quoted values from here to the end of the start tag: its
+    /// attribute count when it is well formed.
+    fn quoted_values_ahead(&self) -> usize {
+        let mut n = 0;
+        let mut quote = None;
+        for &b in &self.bytes[self.pos..] {
+            match (quote, b) {
+                (Some(q), _) if b == q => {
+                    quote = None;
+                    n += 1;
+                }
+                (Some(_), _) => {}
+                (None, b'"' | b'\'') => quote = Some(b),
+                (None, b'>' | b'<') => break,
+                (None, _) => {}
+            }
+        }
+        n
+    }
+
+    fn attr_value(&mut self) -> DbResult<String> {
         let quote = self
             .peek()
             .filter(|&b| b == b'"' || b == b'\'')
@@ -206,10 +278,16 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b == quote {
-                let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| err(start, "attribute value is not valid UTF-8"))?;
+                let raw = &self.text[start..self.pos];
                 self.pos += 1;
-                return decode_entities(raw, start);
+                if !raw.contains('&') {
+                    return Ok(raw.to_owned());
+                }
+                let mark = self.buf.len();
+                decode_entities(raw, start, &mut self.buf)?;
+                let value = self.buf[mark..].to_owned();
+                self.buf.truncate(mark);
+                return Ok(value);
             }
             if b == b'<' {
                 return Err(err(self.pos, "`<` not allowed in attribute value"));
@@ -219,20 +297,47 @@ impl<'a> Parser<'a> {
         Err(err(start, "unterminated attribute value"))
     }
 
-    /// Parse one element and its subtree into a new [`Tree`].
-    fn parse_element_tree(&mut self) -> DbResult<Tree> {
-        let mut tree = Tree::new();
-        let root = self.parse_element_into(&mut tree, None, 1)?;
-        debug_assert_eq!(tree.root(), Some(root));
-        Ok(tree)
+    /// Add one piece of an element's text: `raw` as written, decoded when
+    /// `decode` (a text run) and taken literally otherwise (CDATA).
+    fn add_text(
+        &mut self,
+        text: &mut Text<'a>,
+        raw: &'a str,
+        start: usize,
+        decode: bool,
+    ) -> DbResult<()> {
+        let literal = !decode || !raw.contains('&');
+        match text {
+            // leading whitespace goes in the trim anyway
+            Text::Empty if literal && raw.chars().all(is_xml_space) => return Ok(()),
+            Text::Empty if literal => {
+                *text = Text::Slice(raw);
+                return Ok(());
+            }
+            Text::Empty => *text = Text::Joined { mark: self.buf.len() },
+            Text::Slice(first) => {
+                let mark = self.buf.len();
+                self.buf.push_str(first);
+                *text = Text::Joined { mark };
+            }
+            Text::Joined { .. } => {}
+        }
+        if literal {
+            self.buf.push_str(raw);
+            Ok(())
+        } else {
+            decode_entities(raw, start, &mut self.buf)
+        }
     }
 
-    fn parse_element_into(
+    /// Parse one element and its subtree into `tree`, under `parent` or
+    /// as its root.
+    fn element(
         &mut self,
         tree: &mut Tree,
-        parent: Option<toss_tree::NodeId>,
+        parent: Option<NodeId>,
         depth: usize,
-    ) -> DbResult<toss_tree::NodeId> {
+    ) -> DbResult<NodeId> {
         if depth > self.max_depth {
             return Err(err(
                 self.pos,
@@ -243,26 +348,31 @@ impl<'a> Parser<'a> {
             ));
         }
         self.expect(b'<')?;
-        let tag = self.parse_name()?;
-        let mut data = NodeData::element(tag.clone());
-
-        // attributes
+        let tag = self.name()?;
+        let mut attrs = Vec::new();
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'>') | Some(b'/') => break,
                 Some(_) => {
-                    let name = self.parse_name()?;
+                    if attrs.capacity() == 0 {
+                        attrs.reserve_exact(self.quoted_values_ahead());
+                    }
+                    let name = self.name()?;
                     self.skip_ws();
                     self.expect(b'=')?;
                     self.skip_ws();
-                    let value = self.parse_attr_value()?;
-                    data.attrs.push((name, value));
+                    let value = self.attr_value()?;
+                    attrs.push((name.to_owned(), value));
                 }
                 None => return Err(err(self.pos, "unterminated start tag")),
             }
         }
-
+        let data = NodeData {
+            tag: tag.to_owned(),
+            content: None,
+            attrs,
+        };
         let node = match parent {
             Some(p) => tree.add_child(p, data)?,
             None => tree.set_root(data)?,
@@ -276,7 +386,7 @@ impl<'a> Parser<'a> {
         self.expect(b'>')?;
 
         // children / text until matching end tag
-        let mut text = String::new();
+        let mut text = Text::Empty;
         loop {
             if self.at_end() {
                 return Err(err(self.pos, format!("unterminated element <{tag}>")));
@@ -286,14 +396,12 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<![CDATA[") {
                 let start = self.pos + 9;
                 self.skip_until("]]>", "unterminated CDATA section")?;
-                let raw = std::str::from_utf8(&self.bytes[start..self.pos - 3])
-                    .map_err(|_| err(start, "CDATA is not valid UTF-8"))?;
-                text.push_str(raw);
+                self.add_text(&mut text, &self.text[start..self.pos - 3], start, false)?;
             } else if self.starts_with("<?") {
                 self.skip_until("?>", "unterminated processing instruction")?;
             } else if self.starts_with("</") {
                 self.bump(2);
-                let end_tag = self.parse_name()?;
+                let end_tag = self.name()?;
                 if end_tag != tag {
                     return Err(err(
                         self.pos,
@@ -304,7 +412,7 @@ impl<'a> Parser<'a> {
                 self.expect(b'>')?;
                 break;
             } else if self.peek() == Some(b'<') {
-                self.parse_element_into(tree, Some(node), depth + 1)?;
+                self.element(tree, Some(node), depth + 1)?;
             } else {
                 let start = self.pos;
                 while let Some(b) = self.peek() {
@@ -313,37 +421,39 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| err(start, "text is not valid UTF-8"))?;
-                text.push_str(&decode_entities(raw, start)?);
+                self.add_text(&mut text, &self.text[start..self.pos], start, true)?;
             }
         }
 
-        let trimmed = text.trim();
-        if !trimmed.is_empty() {
-            tree.data_mut(node)?.content = Some(Value::parse_lexical(trimmed));
+        let (content, mark) = match text {
+            Text::Empty => return Ok(node),
+            Text::Slice(s) => (s, None),
+            Text::Joined { mark } => (&self.buf[mark..], Some(mark)),
+        };
+        let content = content.trim_matches(is_xml_space);
+        if !content.is_empty() {
+            tree.data_mut(node)?.content = Some(Value::parse_lexical(content));
+        }
+        if let Some(mark) = mark {
+            self.buf.truncate(mark);
         }
         Ok(node)
     }
 }
 
-/// Decode the five predefined entities plus numeric character references.
-fn decode_entities(raw: &str, offset: usize) -> DbResult<String> {
-    if !raw.contains('&') {
-        return Ok(raw.to_string());
-    }
-    let mut out = String::with_capacity(raw.len());
-    let mut chars = raw.char_indices();
-    while let Some((i, ch)) = chars.next() {
-        if ch != '&' {
-            out.push(ch);
-            continue;
-        }
-        let rest = &raw[i + 1..];
-        let Some(semi) = rest.find(';') else {
-            return Err(err(offset + i, "unterminated entity reference"));
+/// Append `raw` to `out` with the five predefined entities and numeric
+/// character references decoded; `offset` is where `raw` starts in the
+/// input, for errors.
+fn decode_entities(raw: &str, offset: usize, out: &mut String) -> DbResult<()> {
+    let mut rest = raw;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        let at = offset + (raw.len() - rest.len()) + amp;
+        let after = &rest[amp + 1..];
+        let Some(semi) = after.find(';') else {
+            return Err(err(at, "unterminated entity reference"));
         };
-        let name = &rest[..semi];
+        let name = &after[..semi];
         let decoded = match name {
             "amp" => '&',
             "lt" => '<',
@@ -354,27 +464,20 @@ fn decode_entities(raw: &str, offset: usize) -> DbResult<String> {
                 u32::from_str_radix(&name[2..], 16)
                     .ok()
                     .and_then(char::from_u32)
-                    .ok_or_else(|| err(offset + i, format!("bad character reference &{name};")))?
+                    .ok_or_else(|| err(at, format!("bad character reference &{name};")))?
             }
             _ if name.starts_with('#') => name[1..]
                 .parse::<u32>()
                 .ok()
                 .and_then(char::from_u32)
-                .ok_or_else(|| err(offset + i, format!("bad character reference &{name};")))?,
-            _ => {
-                return Err(err(
-                    offset + i,
-                    format!("unknown entity reference &{name};"),
-                ))
-            }
+                .ok_or_else(|| err(at, format!("bad character reference &{name};")))?,
+            _ => return Err(err(at, format!("unknown entity reference &{name};"))),
         };
         out.push(decoded);
-        // advance the iterator past the entity
-        for _ in 0..semi + 1 {
-            chars.next();
-        }
+        rest = &after[semi + 1..];
     }
-    Ok(out)
+    out.push_str(rest);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -546,6 +649,92 @@ mod tests {
         let r = t.root().unwrap();
         assert_eq!(t.data(r).unwrap().content_str(), "hello  world");
         assert_eq!(t.children(r).count(), 1);
+    }
+
+    /// Malformed inputs with the exact error each gets: the offset and
+    /// message callers and stored error texts depend on.
+    #[test]
+    fn every_error_keeps_its_offset_and_message() {
+        let deeper = nested(MAX_DEPTH + 1);
+        let depth_message = format!(
+            "element nesting depth {} exceeds the limit of {MAX_DEPTH}",
+            MAX_DEPTH + 1
+        );
+        let cases: &[(&str, usize, &str)] = &[
+            ("<a", 2, "unterminated start tag"),
+            ("<a k=\"v\"", 8, "unterminated start tag"),
+            ("<a k=\"v>", 6, "unterminated attribute value"),
+            ("<a k='v", 6, "unterminated attribute value"),
+            ("<a><!-- x</a>", 3, "unterminated comment"),
+            ("<!-- x", 0, "unterminated comment"),
+            ("<a><![CDATA[x</a>", 3, "unterminated CDATA section"),
+            ("<a><?pi", 3, "unterminated processing instruction"),
+            ("<!DOCTYPE [", 0, "unterminated DOCTYPE"),
+            ("<a k=\"x<y\"/>", 7, "`<` not allowed in attribute value"),
+            ("<a><b></a></b>", 9, "mismatched end tag: expected </b>, found </a>"),
+            ("<a><b></b>", 10, "unterminated element <a>"),
+            ("<a>&nbsp;</a>", 3, "unknown entity reference &nbsp;"),
+            ("<a><b>&bogus;</b><c></d></a>", 6, "unknown entity reference &bogus;"),
+            ("<a>&#xD800;</a>", 3, "bad character reference &#xD800;"),
+            ("<a k=\"&#xZZ;\"/>", 6, "bad character reference &#xZZ;"),
+            ("<a>&#99999999;</a>", 3, "bad character reference &#99999999;"),
+            ("<a>x &amp y</a>", 5, "unterminated entity reference"),
+            ("<a>\u{e9}&foo</a>", 5, "unterminated entity reference"),
+            ("<a k=\"1\" k2=\"&amp\"/>", 13, "unterminated entity reference"),
+            ("<a/><b/>", 0, "expected one root element, found 2"),
+            ("<a/><b/><c/>", 0, "expected one root element, found 3"),
+            ("<a/><b", 6, "unterminated start tag"),
+            ("", 0, "no root element found"),
+            ("   ", 0, "no root element found"),
+            (&deeper, 3 * MAX_DEPTH, &depth_message),
+            ("<a k\"v\"/>", 4, "expected `=`"),
+            ("<a k=v/>", 5, "expected quoted attribute value"),
+            ("<>", 1, "expected a name"),
+            ("</a>", 1, "expected a name"),
+            ("<a></ a>", 5, "expected a name"),
+            ("x<a/>", 0, "expected `<`"),
+            ("<a/>x", 4, "expected `<`"),
+            ("<a/ >", 3, "expected `>`"),
+            ("<a></a x>", 7, "expected `>`"),
+            ("<a><!--x--></a><!-- y", 15, "unterminated comment"),
+        ];
+        for &(input, offset, message) in cases {
+            let expected = DbError::Parse {
+                offset,
+                message: message.to_string(),
+            };
+            assert_eq!(parse_document(input).unwrap_err(), expected, "{input:?}");
+        }
+    }
+
+    #[test]
+    fn only_xml_whitespace_is_trimmed() {
+        let content = |src: &str| {
+            let t = parse_document(src).unwrap();
+            t.data(t.root().unwrap()).unwrap().content.clone()
+        };
+        let s = |text: &str| Some(Value::Str(text.to_string()));
+        assert_eq!(content("<a>x\u{a0}</a>"), s("x\u{a0}"));
+        assert_eq!(content("<a>\u{2003}y</a>"), s("\u{2003}y"));
+        assert_eq!(content("<a>\u{a0}</a>"), s("\u{a0}"));
+        assert_eq!(content("<a> \t\r\n\u{a0}z\u{85} \n</a>"), s("\u{a0}z\u{85}"));
+        assert_eq!(content("<a> \t\r\n </a>"), None);
+        // references are decoded before the trim
+        assert_eq!(content("<a>&#32;x&#160;</a>"), s("x\u{a0}"));
+        assert_eq!(content("<a> <![CDATA[ 7 ]]> </a>"), Some(Value::Int(7)));
+    }
+
+    #[test]
+    fn text_pieces_join_around_children_and_cdata() {
+        let t = parse_document("<a>\n <b>x</b> one <![CDATA[<two>]]>&amp;<c/>\n</a>").unwrap();
+        let r = t.root().unwrap();
+        assert_eq!(t.data(r).unwrap().content_str(), "one <two>&");
+        let b = t.child_by_tag(r, "b").unwrap();
+        assert_eq!(t.data(b).unwrap().content_str(), "x");
+        let t = parse_document("<a k=\"&lt;1\" j='2'><b k=\"&amp;\">&gt;</b></a>").unwrap();
+        let d = t.data(t.root().unwrap()).unwrap();
+        assert_eq!(d.attrs, vec![("k".into(), "<1".into()), ("j".into(), "2".into())]);
+        assert_eq!(d.attrs.capacity(), 2);
     }
 
     #[test]

@@ -33,24 +33,34 @@
 //!
 //! ## Reading and verifying
 //!
-//! One decoding walk reads a snapshot. It checks the envelope (UTF-8,
-//! JSON, version, checksum) and the header fields, then hands each
-//! collection header and each document to a sink. Open's sink builds the
-//! [`Database`]. A checkpoint's verify runs the same walk into a sink that
-//! checks only what building would check — a taken collection name, a
-//! duplicate id, the size limit — and keeps no tree. It returns exactly
-//! the error a load of the same bytes would, without building collections
-//! or indexes.
+//! One decoding walk reads a snapshot, for open and checkpoint verify
+//! alike. It parses the text once, by the grammar of `Value::parse`,
+//! into a [`Borrowed`] value whose strings are the literals as written,
+//! not yet unescaped. So a malformed snapshot fails with exactly that
+//! parse's error, before any checksum or XML error, and no document is
+//! copied on the calling thread: from each entry the walk takes only its
+//! id and its still-escaped `xml` literal.
+//!
+//! The walk checks the envelope (version, checksum) and the header
+//! fields, then hands each collection header and each document to a
+//! sink. Open's sink builds the [`Database`]. A checkpoint's verify runs
+//! the same walk into a sink that checks only what building would check
+//! — a taken collection name, a duplicate id, the size limit — and keeps
+//! no tree. It returns exactly the error a load of the same bytes would,
+//! without building collections or indexes.
 //!
 //! The checksum is the CRC of `data` as written, and the writer writes
 //! `data` in its compact rendering. So a load first CRCs the stored bytes
 //! between the writer's envelope and the closing `}`; only a snapshot
 //! laid out differently (reformatted, padded) is checked by re-rendering
-//! its parsed `data`, and a mismatch reports that rendering's CRC.
+//! its parsed `data`, and a mismatch reports that rendering's CRC. A
+//! version 1 snapshot has no checksum. Past the checksum, every layout
+//! takes the same walk.
 //!
-//! The walk gathers a collection's `(id, xml)` entries up to the first
-//! structurally broken one, then parses and measures them on a
-//! [`WorkerPool`] in bounded rounds (each tree once, on the thread that
+//! The walk gathers a collection's entries up to the first structurally
+//! broken one, then decodes them on a [`WorkerPool`] in bounded rounds.
+//! Each task unescapes its literals into one reused buffer and parses
+//! and measures each document there (each tree once, on the thread that
 //! parsed it; the verify's trees are dropped there too). The sink sees
 //! the documents in file order, so the error is the one-at-a-time walk's:
 //! the first failing document's first failing check — structural, XML,
@@ -78,7 +88,7 @@ use std::collections::{BTreeSet, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
-use toss_json::{write_escaped, Value};
+use toss_json::{write_escaped, Borrowed, RawStr};
 use toss_pool::{partition_ranges, WorkerPool};
 use toss_segment::Segment;
 use toss_tree::serialize::{compact_len, write_xml, Style};
@@ -173,8 +183,10 @@ fn snapshot_text(bytes: Vec<u8>) -> DbResult<String> {
         .map_err(|_| DbError::snapshot_corruption("snapshot is not valid UTF-8"))
 }
 
-fn parse_json(json: &str) -> DbResult<Value> {
-    Value::parse(json).map_err(|e| DbError::Storage(format!("snapshot is not JSON: {e}")))
+/// The snapshot's JSON, its strings left as literals in `json`: the
+/// documents are unescaped later, each on the pool task that parses it.
+fn parse_json(json: &str) -> DbResult<Borrowed<'_>> {
+    Borrowed::parse(json).map_err(|e| DbError::Storage(format!("snapshot is not JSON: {e}")))
 }
 
 /// Check a parsed snapshot's envelope — the version, and for version 2
@@ -188,17 +200,20 @@ fn parse_json(json: &str) -> DbResult<Value> {
 /// without rendering anything; an intact snapshot laid out some other way
 /// passes on the CRC of `data` re-rendered compactly, and a mismatch
 /// reports that re-rendering's CRC.
-fn checked_payload<'v>(value: &'v Value, text: &str) -> DbResult<(&'v Value, bool)> {
+fn checked_payload<'v, 'a>(
+    value: &'v Borrowed<'a>,
+    text: &str,
+) -> DbResult<(&'v Borrowed<'a>, bool)> {
     let version = value
         .get("version")
-        .and_then(Value::as_i64)
+        .and_then(Borrowed::as_i64)
         .ok_or_else(|| DbError::Storage("snapshot missing version field".into()))?;
     match version {
         1 => Ok((value, false)),
         2 => {
             let expected = value
                 .get("checksum")
-                .and_then(Value::as_i64)
+                .and_then(Borrowed::as_i64)
                 .and_then(|v| u32::try_from(v).ok())
                 .ok_or_else(|| DbError::Storage("snapshot missing checksum field".into()))?;
             let data = value
@@ -227,9 +242,9 @@ fn malformed(m: &str) -> DbError {
 
 /// The snapshot-wide fields of `data`: the collection size limit and the
 /// journal cursor.
-fn data_header(data: &Value) -> DbResult<(Option<usize>, u64)> {
+fn data_header(data: &Borrowed) -> DbResult<(Option<usize>, u64)> {
     let limit = match data.get("collection_size_limit") {
-        None | Some(Value::Null) => None,
+        None | Some(Borrowed::Null) => None,
         Some(v) => Some(
             v.as_usize()
                 .ok_or_else(|| malformed("collection_size_limit is not an integer"))?,
@@ -270,24 +285,28 @@ const DECODE_CHUNK: usize = 128;
 
 /// The one decoding walk over `data.collections`: every structural
 /// check, every id and every XML parse happens here, for open and verify
-/// alike. Documents are parsed on `pool`, but the sink sees them in file
-/// order and the walk returns the error a one-document-at-a-time walk
-/// would: the first failing document's first failing check, structural,
-/// then XML, then the sink's.
-fn walk_collections<S: Restore>(data: &Value, pool: &WorkerPool, sink: &mut S) -> DbResult<()> {
+/// alike. Documents are unescaped and parsed on `pool`, but the sink sees
+/// them in file order and the walk returns the error a
+/// one-document-at-a-time walk would: the first failing document's first
+/// failing check, structural, then XML, then the sink's.
+fn walk_collections<S: Restore>(
+    data: &Borrowed,
+    pool: &WorkerPool,
+    sink: &mut S,
+) -> DbResult<()> {
     let collections = data
         .get("collections")
-        .and_then(Value::as_array)
+        .and_then(Borrowed::as_array)
         .ok_or_else(|| malformed("missing collections array"))?;
     for cs in collections {
         let name = cs
             .get("name")
-            .and_then(Value::as_str)
+            .and_then(Borrowed::as_str)
             .ok_or_else(|| malformed("collection missing name"))?;
-        sink.collection(name)?;
+        sink.collection(&name.decode())?;
         let documents = cs
             .get("documents")
-            .and_then(Value::as_array)
+            .and_then(Borrowed::as_array)
             .ok_or_else(|| malformed("collection missing documents array"))?;
         let (entries, fault) = document_entries(documents);
         for round in entries.chunks(DECODE_ROUND) {
@@ -296,9 +315,10 @@ fn walk_collections<S: Restore>(data: &Value, pool: &WorkerPool, sink: &mut S) -
                 .map(|(start, end)| {
                     let chunk = &round[start..end];
                     move || {
+                        let mut buf = String::new();
                         chunk
                             .iter()
-                            .map(|&(_, xml)| decode::<S>(xml))
+                            .map(|&(_, xml)| decode::<S>(xml.text(&mut buf)))
                             .collect::<Vec<_>>()
                     }
                 })
@@ -326,10 +346,13 @@ fn walk_collections<S: Restore>(data: &Value, pool: &WorkerPool, sink: &mut S) -
     Ok(())
 }
 
-/// A collection's `(id, xml)` entries in file order, up to its first
-/// structurally broken entry, whose error comes back beside them: it is
-/// the walk's error only if every entry before it parses and is accepted.
-fn document_entries(documents: &[Value]) -> (Vec<(DocumentId, &str)>, Option<DbError>) {
+/// A collection's entries in file order — each id and its `xml` literal,
+/// still escaped — up to its first structurally broken entry, whose
+/// error comes back beside them: it is the walk's error only if every
+/// entry before it parses and is accepted.
+fn document_entries<'a>(
+    documents: &[Borrowed<'a>],
+) -> (Vec<(DocumentId, RawStr<'a>)>, Option<DbError>) {
     let mut entries = Vec::with_capacity(documents.len());
     // The id `Collection::insert` would assign next, which is what an
     // id-less version-1 entry gets.
@@ -337,17 +360,17 @@ fn document_entries(documents: &[Value]) -> (Vec<(DocumentId, &str)>, Option<DbE
     for doc in documents {
         let (id, xml) = match doc {
             // Version-1 layout: bare XML strings, ids assigned 0..n.
-            Value::Str(xml) => (next, xml.as_str()),
+            Borrowed::Str(xml) => (next, *xml),
             // Version-2 layout: explicit ids, preserved exactly.
-            Value::Object(_) => {
+            Borrowed::Object(_) => {
                 let Some(id) = doc
                     .get("id")
-                    .and_then(Value::as_i64)
+                    .and_then(Borrowed::as_i64)
                     .and_then(|n| u64::try_from(n).ok())
                 else {
                     return (entries, Some(malformed("document entry missing id")));
                 };
-                let Some(xml) = doc.get("xml").and_then(Value::as_str) else {
+                let Some(xml) = doc.get("xml").and_then(Borrowed::as_str) else {
                     return (entries, Some(malformed("document entry missing xml")));
                 };
                 (id, xml)
@@ -523,9 +546,6 @@ fn verify_snapshot_on(bytes: Vec<u8>, pool: &WorkerPool) -> DbResult<()> {
     let text = snapshot_text(bytes)?;
     let value = parse_json(&text)?;
     let (data, _) = checked_payload(&value, &text)?;
-    // the text goes once its checksum is checked: the walk needs only
-    // `value`
-    drop(text);
     let (limit, _) = data_header(data)?;
     walk_collections(
         data,
@@ -615,6 +635,7 @@ mod tests {
     use super::*;
     use crate::vfs::{FaultMode, FaultVfs, StdVfs};
     use std::path::PathBuf;
+    use toss_json::Value;
     use toss_tree::serialize::tree_to_xml;
     use toss_tree::TreeBuilder;
 
@@ -987,6 +1008,154 @@ mod tests {
         );
     }
 
+    /// Documents whose `xml` literals hold every kind of character an
+    /// escape can spell: ASCII, `/`, quotes, two- and three-byte
+    /// characters and one outside the BMP.
+    fn hostile_db() -> Database {
+        let mut db = sample_db();
+        let c = db.create_collection("mixed").unwrap();
+        c.insert_xml("<p k=\"a/b\">é 😀 &amp; \"q\" 漢</p>").unwrap();
+        let gone = c.insert_xml("<gone/>").unwrap();
+        c.insert_xml("<p><t>x/y</t><n>12</n></p>").unwrap();
+        c.remove(gone).unwrap();
+        c.insert_xml("<p k='&lt;'>\\ 😀</p>").unwrap();
+        db
+    }
+
+    /// The three layouts a snapshot can be read in: the writer's
+    /// compact version 2, the same pretty-printed, and version 1 (bare
+    /// XML strings, no checksum); with each layout's document strings.
+    fn snapshot_layouts(db: &Database) -> Vec<(&'static str, String, Vec<String>)> {
+        let compact = to_json_with_seq(db, 5).unwrap();
+        let pretty = Value::parse(&compact).unwrap().to_json_pretty();
+        let collections = db
+            .collections()
+            .map(|c| {
+                let docs = c.documents().iter().map(|d| tree_to_xml(&d.tree, Style::Compact));
+                Value::object(vec![
+                    ("name", c.name().into()),
+                    ("documents", Value::Array(docs.map(Value::Str).collect())),
+                ])
+            })
+            .collect();
+        let v1 = Value::object(vec![
+            ("version", 1i64.into()),
+            ("collection_size_limit", Value::Null),
+            ("collections", Value::Array(collections)),
+        ])
+        .to_json();
+        let xml: Vec<String> = db
+            .collections()
+            .flat_map(|c| c.documents().iter().map(|d| tree_to_xml(&d.tree, Style::Compact)))
+            .collect();
+        vec![("compact", compact, xml.clone()), ("pretty", pretty, xml.clone()), ("v1", v1, xml)]
+    }
+
+    /// `c` spelled as a `\u` escape (a surrogate pair outside the BMP),
+    /// or for `/` sometimes as `\/`; hex digits in either case.
+    fn respell(c: char, rng: &mut impl rand::Rng) -> String {
+        if c == '/' && rng.gen_bool(0.5) {
+            return "\\/".to_string();
+        }
+        let mut units = [0u16; 2];
+        let hex: String = c
+            .encode_utf16(&mut units)
+            .iter()
+            .map(|u| format!("\\u{u:04x}"))
+            .collect();
+        if rng.gen_bool(0.5) {
+            hex.to_uppercase().replace("\\U", "\\u")
+        } else {
+            hex
+        }
+    }
+
+    /// `text` with the literal of `xml` (its first occurrence) written
+    /// with some of its characters re-spelled as escapes: the same
+    /// string, other bytes.
+    fn respelled(text: &str, xml: &str, rng: &mut impl rand::Rng) -> String {
+        let mut literal = String::new();
+        write_escaped(&mut literal, xml);
+        let chars: Vec<char> = xml.chars().collect();
+        let picked: Vec<usize> = (0..rng.gen_range(1..4usize))
+            .map(|_| rng.gen_range(0..chars.len()))
+            .collect();
+        let mut spelled = String::from("\"");
+        for (i, &c) in chars.iter().enumerate() {
+            if picked.contains(&i) {
+                spelled.push_str(&respell(c, rng));
+            } else {
+                let mut one = String::new();
+                write_escaped(&mut one, c.encode_utf8(&mut [0; 4]));
+                spelled.push_str(&one[1..one.len() - 1]);
+            }
+        }
+        spelled.push('"');
+        text.replacen(&literal, &spelled, 1)
+    }
+
+    /// Load and verify `bytes` at 1, 2 and 7 workers: neither panics,
+    /// both return `Value::parse`'s error for text it rejects, and the
+    /// verify returns the load's error. The loads' snapshots come back.
+    fn load_everywhere(bytes: &[u8], pools: &[WorkerPool]) -> Vec<DbResult<String>> {
+        let Ok(text) = std::str::from_utf8(bytes) else {
+            for pool in pools {
+                assert_eq!(
+                    verify_snapshot_on(bytes.to_vec(), pool),
+                    Err(DbError::snapshot_corruption("snapshot is not valid UTF-8"))
+                );
+            }
+            return Vec::new();
+        };
+        let json_error = Value::parse(text)
+            .err()
+            .map(|e| DbError::Storage(format!("snapshot is not JSON: {e}")));
+        pools
+            .iter()
+            .map(|pool| {
+                let loaded = from_json_on(text, None, pool);
+                let verified = verify_snapshot_on(bytes.to_vec(), pool);
+                assert_eq!(verified, loaded.as_ref().map(drop).map_err(Clone::clone), "{text}");
+                if let Some(e) = &json_error {
+                    assert_eq!(loaded.as_ref().err(), Some(e), "{text}");
+                }
+                loaded.and_then(|(db, seq, _)| to_json_with_seq(&db, seq))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hostile_snapshot_bytes_fail_like_the_json_parse_or_load_the_same_store() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_0057);
+        let pools: Vec<WorkerPool> = [1, 2, 7].into_iter().map(WorkerPool::new).collect();
+        for (layout, text, xml) in snapshot_layouts(&hostile_db()) {
+            let [expected, ..] = &load_everywhere(text.as_bytes(), &pools)[..] else {
+                unreachable!()
+            };
+            let expected = expected.as_ref().unwrap();
+            for round in 0..150 {
+                // truncated at any byte
+                let cut = rng.gen_range(0..text.len());
+                load_everywhere(&text.as_bytes()[..cut], &pools);
+                // one to three bits flipped
+                let mut flipped = text.clone().into_bytes();
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let at = rng.gen_range(0..flipped.len());
+                    flipped[at] ^= 1 << rng.gen_range(0..8u32);
+                }
+                load_everywhere(&flipped, &pools);
+                // the same strings spelled with other escapes
+                let doc = &xml[rng.gen_range(0..xml.len())];
+                let same = respelled(&text, doc, &mut rng);
+                assert_ne!(same, text, "{layout}: {doc}");
+                for back in load_everywhere(same.as_bytes(), &pools) {
+                    assert_eq!(back.as_ref(), Ok(expected), "{layout} round {round}: {same}");
+                }
+            }
+        }
+    }
+
     fn stored_checksum(json: &str) -> u32 {
         let value = Value::parse(json).unwrap();
         value.get("checksum").and_then(Value::as_i64).unwrap() as u32
@@ -1002,11 +1171,8 @@ mod tests {
         assert_eq!(crc32(stored.as_bytes()), checksum);
         // A `data` whose rendering cannot match passes only on the
         // stored bytes.
-        let unrenderable = Value::object(vec![
-            ("version", 2i64.into()),
-            ("checksum", checksum.into()),
-            ("data", Value::Null),
-        ]);
+        let unrenderable = format!(r#"{{"version":2,"checksum":{checksum},"data":null}}"#);
+        let unrenderable = Borrowed::parse(&unrenderable).unwrap();
         assert!(checked_payload(&unrenderable, &json).is_ok());
     }
 

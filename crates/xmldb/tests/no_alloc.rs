@@ -1,37 +1,52 @@
 //! Index probes must not allocate: borrowed map lookups on the pointer
 //! delta, a streaming decode on the frozen (`.seg`-backed) base, and a
 //! merge cursor over the tombstones when a base and a delta both hold
-//! postings.
+//! postings. Parsing a document allocates only what its tree keeps.
 //!
-//! A **single** test on purpose: the counting global allocator's delta
-//! would race with sibling tests in the same binary.
+//! The allocator counts per thread, so tests running beside each other
+//! on other threads do not show up in a test's count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
-use toss_xmldb::{Collection, DatabaseConfig, DurableDatabase, FaultVfs, Vfs};
+use toss_xmldb::{parse_document, Collection, DatabaseConfig, DurableDatabase, FaultVfs, Vfs};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // const-initialised and without a destructor: reading it never
+    // allocates, at any point of the thread's life
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates directly to the system allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Allocations and reallocations `f` makes on this thread.
+fn allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
 
 const STORE: &str = "/no-alloc/store.json";
 const COLL: &str = "c";
@@ -60,22 +75,22 @@ fn assert_alloc_free(coll: &Collection, label: &str) {
     for p in index.by_tag_content("venue", "V3") {
         n += p.node.index();
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..100 {
-        for p in index.by_tag("title") {
-            n += p.node.index();
+    let ((), delta) = allocs(|| {
+        for _ in 0..100 {
+            for p in index.by_tag("title") {
+                n += p.node.index();
+            }
+            for p in index.by_tag_content("venue", "V3") {
+                n += p.node.index();
+            }
+            for p in index.by_tag_content("author", "A7") {
+                n += p.node.index();
+            }
+            for p in index.by_tag_content("author", "missing-key") {
+                n += p.node.index();
+            }
         }
-        for p in index.by_tag_content("venue", "V3") {
-            n += p.node.index();
-        }
-        for p in index.by_tag_content("author", "A7") {
-            n += p.node.index();
-        }
-        for p in index.by_tag_content("author", "missing-key") {
-            n += p.node.index();
-        }
-    }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    });
     assert!(n > 0, "probes must see postings");
     assert_eq!(
         delta, 0,
@@ -140,4 +155,21 @@ fn by_tag_content_probes_do_not_allocate() {
         "the delta holds V3 postings"
     );
     assert_alloc_free(layered, "base ∪ delta");
+}
+
+/// A dblp record: six elements, one attribute, five text runs (one a
+/// number).
+const RECORD: &str = "<inproceedings key=\"conf/gen/0\"><author>L. Jensen</author>\
+    <title>Self-Tuning Query Optimization for Scientific Archives</title>\
+    <year>2003</year><booktitle>EDBT</booktitle><pages>1-12</pages></inproceedings>";
+
+#[test]
+fn parsing_a_document_allocates_only_what_its_tree_keeps() {
+    // warm up outside the counted window
+    parse_document(RECORD).expect("the record parses");
+    let (tree, n) = allocs(|| parse_document(RECORD).expect("the record parses"));
+    assert_eq!(tree.node_count(), 6);
+    // six tags, an attribute's name and value, five texts, one
+    // attribute list and one arena
+    assert!(n <= 15, "parsing the record took {n} allocations");
 }

@@ -41,7 +41,12 @@ fn hierarchy() -> impl Strategy<Value = Hierarchy> {
 
 /// A random small data tree.
 fn tree() -> impl Strategy<Value = Tree> {
-    proptest::collection::vec((word(), word()), 1..8).prop_map(|leaves| {
+    tree_of(word())
+}
+
+/// A random small data tree whose contents come from `content`.
+fn tree_of(content: impl Strategy<Value = String>) -> impl Strategy<Value = Tree> {
+    proptest::collection::vec((word(), content), 1..8).prop_map(|leaves| {
         let mut t = Tree::with_root(NodeData::element("r"));
         let root = t.root().expect("root exists");
         let mut parents = vec![root];
@@ -56,6 +61,16 @@ fn tree() -> impl Strategy<Value = Tree> {
         }
         t
     })
+}
+
+/// Content whose ends are what a parse could lose: no-break and em
+/// spaces (which are not XML whitespace), multibyte letters and the
+/// characters XML escapes.
+fn edged_content() -> impl Strategy<Value = String> {
+    let edge = || {
+        proptest::string::string_regex("[\u{a0}\u{2003}é漢😀&<>\"']{1,2}").expect("valid regex")
+    };
+    (edge(), word(), edge()).prop_map(|(head, w, tail)| format!("{head}{w}{tail}"))
 }
 
 // ---------------------------------------------------------------------
@@ -231,7 +246,7 @@ proptest! {
 
     /// XML serialize ∘ parse is the identity on the tree model.
     #[test]
-    fn xml_round_trip(t in tree()) {
+    fn xml_round_trip(t in tree_of(edged_content())) {
         let xml = toss::tree::serialize::tree_to_xml(&t, toss::tree::serialize::Style::Compact);
         let back = parse_document(&xml).expect("own output parses");
         prop_assert!(trees_equal(&t, &back), "round trip changed the tree: {xml}");
