@@ -254,15 +254,6 @@ pub(crate) fn expansion_terms(cond: &Cond) -> usize {
     }
 }
 
-/// Feed the three phase durations into the global metrics registry.
-fn publish_phase_metrics(rewrite: Duration, execute: Duration, convert: Duration) {
-    use toss_obs::metrics::histogram;
-    histogram("toss.query.rewrite_ns").observe_duration(rewrite);
-    histogram("toss.query.execute_ns").observe_duration(execute);
-    histogram("toss.query.convert_ns").observe_duration(convert);
-    histogram("toss.query.total_ns").observe_duration(rewrite + execute + convert);
-}
-
 /// Everything phase 1 derives from a query, none of it from a request:
 /// the pattern prepared as a TAX [`Matcher`] for phase 3, the XPath
 /// compiled from its per-node conjuncts and the text it shows. Phase 2
@@ -400,9 +391,7 @@ impl Executor {
     pub fn note_write_batch(&mut self, new_seo: Option<Arc<Seo>>) -> u64 {
         if let Some(seo) = new_seo {
             self.seo = seo;
-            toss_obs::metrics::counter("toss.executor.seo_swaps").inc();
         }
-        toss_obs::metrics::counter("toss.executor.write_batches").inc();
         1 + self
             .revision
             .fetch_add(1, std::sync::atomic::Ordering::AcqRel)
@@ -703,7 +692,7 @@ impl Executor {
         toss_obs::metrics::counter(counter).inc();
         toss_obs::metrics::counter("toss.query.expansion_terms")
             .add(prepared.n_expansion as u64);
-        publish_phase_metrics(rewrite_time, execute_time, convert_time);
+        toss_obs::metrics::histogram("toss.query.rewrite_ns").observe_duration(rewrite_time);
         drop(span);
 
         Ok(Phases {
@@ -789,7 +778,6 @@ impl Executor {
         }
         span.record("results", forest.len());
         span.record("plan", plan.strategy());
-        toss_obs::metrics::counter("toss.query.joins").inc();
         drop(span);
         Ok(QueryOutcome {
             forest,

@@ -18,6 +18,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::fmt::Write as _;
 
@@ -57,9 +58,9 @@ pub struct RawStr<'a>(&'a str);
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonError {
     /// Byte offset in the input where the problem was detected.
-    pub offset: usize,
+    offset: usize,
     /// Human-readable description.
-    pub message: String,
+    message: String,
 }
 
 impl std::fmt::Display for JsonError {
@@ -71,7 +72,7 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 /// Result alias for JSON operations.
-pub type JsonResult<T> = Result<T, JsonError>;
+type JsonResult<T> = Result<T, JsonError>;
 
 /// A string a [`Json`] value can hold: compared with plain text, and
 /// written back as a JSON literal.
@@ -108,7 +109,7 @@ impl JsonStr for RawStr<'_> {
 impl<'a> RawStr<'a> {
     /// The literal's text when it has no escapes, which is then the
     /// string itself.
-    pub fn unescaped(&self) -> Option<&'a str> {
+    fn unescaped(&self) -> Option<&'a str> {
         (!self.0.contains('\\')).then_some(self.0)
     }
 
@@ -227,14 +228,6 @@ impl<S> Json<S> {
         match self {
             Json::Int(i) => Some(*i as f64),
             Json::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// The contained boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -393,12 +386,19 @@ impl<'a> FromRaw<'a> for RawStr<'a> {
     }
 }
 
+/// How deep arrays and objects may nest. Parsing, writing and dropping
+/// a value recurse once per level, so a deeper text is refused rather
+/// than allowed to overflow the stack; the store's XML parser has the
+/// same cap.
+const MAX_DEPTH: usize = 256;
+
 /// The one JSON grammar, building a `Json<S>`.
 fn parse<'a, S: FromRaw<'a>>(input: &'a str) -> JsonResult<Json<S>> {
     let mut p = Parser {
         text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -440,6 +440,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -488,63 +490,56 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(|raw| Json::Str(S::from_raw(raw))),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.seq(b']', "array", Self::value).map(Json::Array),
+            Some(b'{') => self.seq(b'}', "object", Self::field).map(Json::Object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array<S: FromRaw<'a>>(&mut self) -> JsonResult<Json<S>> {
-        self.eat(b'[')?;
+    /// The items of the array or object whose opening bracket is at
+    /// `pos`, each parsed by `item`, up to the `close` bracket.
+    fn seq<T>(
+        &mut self,
+        close: u8,
+        what: &str,
+        mut item: impl FnMut(&mut Self) -> JsonResult<T>,
+    ) -> JsonResult<Vec<T>> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            let msg = format!("nesting depth {} exceeds the limit of {MAX_DEPTH}", self.depth);
+            return Err(self.err(msg));
+        }
+        self.pos += 1;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
+        if self.peek() != Some(close) {
+            loop {
+                self.skip_ws();
+                items.push(item(self)?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => break,
+                    _ => {
+                        let msg = format!("expected `,` or `{}` in {what}", close as char);
+                        return Err(self.err(msg));
+                    }
                 }
-                _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(items)
     }
 
-    fn object<S: FromRaw<'a>>(&mut self) -> JsonResult<Json<S>> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
+    fn field<S: FromRaw<'a>>(&mut self) -> JsonResult<(S, Json<S>)> {
+        let key = S::from_raw(self.string()?);
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = S::from_raw(self.string()?);
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
-            }
-        }
+        self.eat(b':')?;
+        self.skip_ws();
+        Ok((key, self.value()?))
     }
 
     /// Check one string literal and return its text between the quotes.
@@ -879,6 +874,31 @@ mod tests {
             }
             assert_eq!(plain_run_end(&vec![b'a'; len], 0), len);
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        // a 2 MiB stack, like a server connection thread's
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for open in ["[", "{\"a\":"] {
+                    let deep = open.repeat(100_000);
+                    let offset = open.len() * MAX_DEPTH;
+                    let message = format!("nesting depth 257 exceeds the limit of {MAX_DEPTH}");
+                    let errors = [Value::parse(&deep), Borrowed::parse(&deep).map(|_| Value::Null)];
+                    for e in errors.map(Result::unwrap_err) {
+                        assert_eq!((e.offset, e.message.as_str()), (offset, message.as_str()));
+                    }
+                }
+                let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+                assert!(Value::parse(&at_cap).is_ok());
+                assert!(Borrowed::parse(&at_cap).is_ok());
+                assert!(Value::parse(&format!("[{at_cap}]")).is_err());
+            })
+            .expect("spawn")
+            .join()
+            .expect("no overflow");
     }
 
     #[test]

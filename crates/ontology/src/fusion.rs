@@ -188,8 +188,6 @@ pub fn fuse(hierarchies: &[Hierarchy], constraints: &[Constraint]) -> OntologyRe
             members.iter().filter(|&&m| m > 1).count(),
         );
     }
-    toss_obs::metrics::counter("ontology.fusion.runs").inc();
-    toss_obs::metrics::histogram("ontology.fusion.ns").observe_duration(obs_span.finish());
 
     Ok(Fusion {
         hierarchy: fused,

@@ -206,8 +206,7 @@ fn enhance_impl<M: StringMetric>(
             cliques.iter().filter(|c| c.len() > 1).count(),
         );
     }
-    toss_obs::metrics::counter("ontology.sea.runs").inc();
-    toss_obs::metrics::histogram("ontology.sea.ns").observe_duration(obs_span.finish());
+    drop(obs_span);
 
     // H' node `ci` is clique `ci`, so `Seo::new` derives the same μ
     Ok(Seo::new(h.clone(), hp, cliques, epsilon))

@@ -658,7 +658,6 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
     let qid = QueryId::next();
     let _ctx = toss_obs::set_current_query(qid);
     let started = Instant::now();
-    toss_obs::metrics::counter("toss.serve.write.requests").inc();
     // An ingress rejection (draining, degraded, oversize, shed): the
     // writer thread never sees it, so its telemetry is stamped here.
     let reject = |code: ErrorCode, counter: &str, message: &str, retry: Option<u64>| {
@@ -780,14 +779,11 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
         // may still commit — that is exactly what the idempotency key
         // is for: the client retries with the same key and either gets
         // the deduped original outcome or a fresh apply.
-        Err(_) => {
-            toss_obs::metrics::counter("toss.serve.write.ack_timeouts").inc();
-            error_payload(
-                ErrorCode::Overloaded,
-                "write ack timed out; retry with the same idempotency key",
-                Some(shared.retry_after_ms()),
-            )
-        }
+        Err(_) => error_payload(
+            ErrorCode::Overloaded,
+            "write ack timed out; retry with the same idempotency key",
+            Some(shared.retry_after_ms()),
+        ),
     }
 }
 

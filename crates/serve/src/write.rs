@@ -186,9 +186,7 @@ impl WriteState {
 
     fn enter_degraded(&self, reason: String) {
         *self.reason.lock().unwrap_or_else(|e| e.into_inner()) = reason;
-        if !self.degraded.swap(true, Ordering::AcqRel) {
-            toss_obs::metrics::counter("toss.serve.write.degraded_entered").inc();
-        }
+        self.degraded.store(true, Ordering::Release);
         toss_obs::metrics::gauge("toss.serve.degraded").set(1);
     }
 
@@ -201,9 +199,7 @@ impl WriteState {
 
     fn clear_degraded(&self) {
         self.reason.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        if self.degraded.swap(false, Ordering::AcqRel) {
-            toss_obs::metrics::counter("toss.serve.write.healed").inc();
-        }
+        self.degraded.store(false, Ordering::Release);
         toss_obs::metrics::gauge("toss.serve.degraded").set(0);
     }
 }
@@ -574,8 +570,6 @@ impl WriterLoop {
                 }
                 Err(e) => {
                     let msg = format!("SEO re-enhancement failed: {e}");
-                    toss_obs::metrics::counter("toss.serve.write.enhance_failures")
-                        .inc();
                     let (onto, rest): (Vec<_>, Vec<_>) =
                         accepted.into_iter().partition(|(_, op)| {
                             matches!(
@@ -665,8 +659,6 @@ impl WriterLoop {
                     Ok(id) => doc_ids.push(id.map(|d| d.0)),
                     Err(e) => {
                         apply_err = Some(e.to_string());
-                        toss_obs::metrics::counter("toss.serve.write.apply_faults")
-                            .inc();
                         break;
                     }
                 }

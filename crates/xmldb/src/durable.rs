@@ -483,10 +483,7 @@ impl DurableWriter {
                 .collect()
         };
         span.record("retained", tail.len());
-        self.journal.rewrite(&tail)?;
-        toss_obs::metrics::counter("xmldb.checkpoint.runs").inc();
-        toss_obs::metrics::histogram("xmldb.checkpoint.ns").observe_duration(span.finish());
-        Ok(())
+        self.journal.rewrite(&tail)
     }
 
     /// Serialize `db` (stamped with the current cursor) and checkpoint,

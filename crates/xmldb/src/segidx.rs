@@ -216,13 +216,7 @@ pub fn rebase(db: &mut Database, segment: &Arc<Segment>) {
 /// stamp, which the load path rejects.
 pub(crate) fn write_segment(vfs: &dyn Vfs, snapshot: &Path, bytes: &[u8]) {
     let path = seg_path(snapshot);
-    let ok = vfs.write(&path, bytes).is_ok() && vfs.sync(&path).is_ok();
-    if ok {
-        toss_obs::metrics::counter("xmldb.segment.writes").inc();
-        toss_obs::metrics::counter("xmldb.segment.bytes_written").add(bytes.len() as u64);
-    } else {
-        toss_obs::metrics::counter("xmldb.segment.write_failures").inc();
-    }
+    let _ = vfs.write(&path, bytes).and_then(|()| vfs.sync(&path));
 }
 
 /// Load and verify the segment sidecar for `snapshot`. Any failure —

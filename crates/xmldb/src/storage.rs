@@ -605,7 +605,6 @@ fn save_checked(
     vfs.rename(&tmp, path)
         .map_err(|e| DbError::Storage(format!("snapshot rename failed: {e}")))?;
     toss_obs::metrics::counter("xmldb.snapshot.writes").inc();
-    toss_obs::metrics::counter("xmldb.snapshot.bytes_written").add(len as u64);
     toss_obs::metrics::histogram("xmldb.snapshot.write_ns").observe_duration(span.finish());
     Ok(())
 }
@@ -626,7 +625,6 @@ pub(crate) fn load(
     let json = snapshot_text(bytes)?;
     let loaded = from_json_on(&json, seg, &WorkerPool::with_available_parallelism())?;
     toss_obs::metrics::counter("xmldb.snapshot.loads").inc();
-    toss_obs::metrics::histogram("xmldb.snapshot.load_ns").observe_duration(span.finish());
     Ok(loaded)
 }
 

@@ -250,10 +250,8 @@ impl Candidates<'_> {
             span.record("docs_matched", docs_matched);
             span.record("nodes_matched", out.len());
         }
-        toss_obs::metrics::counter("xmldb.xpath.evals").inc();
         toss_obs::metrics::counter("xmldb.xpath.docs_scanned").add(scanned as u64);
         toss_obs::metrics::counter("xmldb.xpath.nodes_matched").add(out.len() as u64);
-        toss_obs::metrics::histogram("xmldb.xpath.eval_ns").observe_duration(span.finish());
         Some(out)
     }
 }

@@ -46,12 +46,8 @@ impl XPath {
     pub fn parse(input: &str) -> DbResult<XPath> {
         let span = toss_obs::span("xmldb.xpath.parse");
         span.record("src_len", input.len());
-        let parsed = parser::parse(input);
         toss_obs::metrics::counter("xmldb.xpath.parses").inc();
-        if parsed.is_err() {
-            toss_obs::metrics::counter("xmldb.xpath.parse_errors").inc();
-        }
-        parsed
+        parser::parse(input)
     }
 
     /// Refuse a tree built without the parser whose rendering nests past

@@ -172,24 +172,34 @@ for _ in $(seq 1 50); do
     sleep 0.1
 done
 [ -n "$ADDR" ] || { echo "server never reported its address"; exit 1; }
-# one query over the wire so the flight recorder and SLO windows have
-# an entry (the protocol is 4-byte BE length ‖ JSON)
+# a frame nested 500 000 levels deep, which the server must refuse
+# with `bad_request` and survive, then one query over a fresh
+# connection so the flight recorder and SLO windows have an entry (the
+# protocol is 4-byte BE length ‖ JSON)
 python3 - "$ADDR" <<'PY'
 import json, socket, struct, sys
 host, port = sys.argv[1].rsplit(":", 1)
-s = socket.create_connection((host, int(port)), timeout=10)
+def call(body):
+    s = socket.create_connection((host, int(port)), timeout=10)
+    s.sendall(struct.pack(">I", len(body)) + body)
+    def recv_exact(n):
+        buf = b""
+        while len(buf) < n:
+            chunk = s.recv(n - len(buf))
+            assert chunk, "server closed mid-frame"
+            buf += chunk
+        return buf
+    n = struct.unpack(">I", recv_exact(4))[0]
+    return json.loads(recv_exact(n))
+deep = call(b"[" * 500_000)
+assert deep["code"] == "bad_request", deep
 req = json.dumps({"verb": "query", "collection": "dblp",
                   "root": "inproceedings",
                   "eq": [["author", "Smoke Test"]]}).encode()
-s.sendall(struct.pack(">I", len(req)) + req)
-n = struct.unpack(">I", s.recv(4))[0]
-buf = b""
-while len(buf) < n:
-    buf += s.recv(n - len(buf))
-resp = json.loads(buf)
-assert resp["status"] == "ok", resp
+resp = call(req)
+assert resp["status"] == "ok" and resp["answers"] == 1, resp
 assert resp["query_id"] > 0, resp
-print(f"wire query ok: query_id={resp['query_id']}")
+print(f"deep frame refused; wire query ok: query_id={resp['query_id']}")
 PY
 TOP_OUT=$("$CLI" top --addr "$ADDR" --iterations 1)
 echo "$TOP_OUT" | grep -q "interactive"

@@ -417,6 +417,29 @@ fn too_many_predicates_get_bad_request_and_the_server_keeps_serving() {
     server.shutdown();
 }
 
+/// A frame of nothing but `[` nests 500 000 levels deep. The JSON parser
+/// refuses it at its depth cap instead of recursing once per level on a
+/// connection thread's stack (which aborts the whole process), and the
+/// server keeps serving.
+#[test]
+fn json_nested_past_the_cap_gets_bad_request_and_the_server_keeps_serving() {
+    let server = start(ServerConfig::default());
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    write_frame(&mut s, &[b'['; 500_000]).unwrap();
+    let resp = read_frame(&mut s, 1 << 20, Some(Duration::from_secs(30))).unwrap();
+    let v = toss_json::Value::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
+    assert_eq!(v.get("code").and_then(|x| x.as_str()), Some("bad_request"));
+    let message = v.get("message").and_then(|x| x.as_str()).unwrap();
+    assert!(
+        message.contains("nesting depth 257 exceeds the limit of 256"),
+        "{message}"
+    );
+    write_frame(&mut s, Request::Ping.to_payload().as_bytes()).unwrap();
+    let resp = read_frame(&mut s, 1 << 20, Some(Duration::from_secs(5))).unwrap();
+    assert!(std::str::from_utf8(&resp).unwrap().contains("\"ok\""));
+    server.shutdown();
+}
+
 #[test]
 fn dropped_connection_mid_request_is_a_clean_half_frame_fault() {
     let server = start(ServerConfig::default());
