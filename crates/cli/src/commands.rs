@@ -79,8 +79,7 @@ flight-recorder entries; --iterations 0 (the default) polls forever.";
 
 /// Exit code for a usage or I/O error (usage text is printed).
 pub const EXIT_USAGE: u8 = 1;
-/// Exit code when a hard budget, the deadline, or cancellation stopped
-/// the query.
+/// Exit code when the deadline or cancellation stopped the query.
 pub const EXIT_BUDGET: u8 = 3;
 /// Exit code when the query was shed by admission control.
 pub const EXIT_OVERLOADED: u8 = 4;
@@ -570,11 +569,10 @@ fn cmd_query(argv: &[String]) -> Result<(), CliFailure> {
         ],
     )?;
     let request = query_request(args)?;
-    let (executor, _) = open_executor(args, None)?;
-    let service = Service::new(Arc::new(RwLock::new(executor)), &ServerConfig::default())
-        .map_err(|e| e.to_string())?;
-    // Optional trace consumers. Keeping the scopes alive for the whole
-    // query keeps tracing enabled; they uninstall on drop.
+    // Optional trace consumers, installed before the store opens so its
+    // spans (snapshot load, a journal-tail SEA re-run) are traced too.
+    // Keeping the scopes alive for the whole query keeps tracing
+    // enabled; they uninstall on drop.
     let mut scopes: Vec<toss_obs::SinkScope> = Vec::new();
     let memory = if args.switch("explain") {
         let sink = Arc::new(toss_obs::sink::MemorySink::new());
@@ -588,6 +586,9 @@ fn cmd_query(argv: &[String]) -> Result<(), CliFailure> {
             .map_err(|e| format!("{path}: {e}"))?;
         scopes.push(toss_obs::install_sink_scoped(Arc::new(sink)));
     }
+    let (executor, _) = open_executor(args, None)?;
+    let service = Service::new(Arc::new(RwLock::new(executor)), &ServerConfig::default())
+        .map_err(|e| e.to_string())?;
 
     let served = service.query(&request);
     drop(scopes);
@@ -666,7 +667,6 @@ fn cmd_query(argv: &[String]) -> Result<(), CliFailure> {
             "toss.governor.admitted",
             "toss.governor.shed",
             "toss.governor.degraded",
-            "toss.governor.budget_exceeded",
             "toss.governor.deadline_exceeded",
             "toss.governor.cancelled",
             "toss.governor.panics",
@@ -845,8 +845,8 @@ fn budget_class_summary() -> String {
                 "{}: deadline {:?}, terms {}, docs {}",
                 c.as_str(),
                 b.deadline.unwrap(),
-                b.max_expansion_terms.unwrap().max,
-                b.max_docs_scanned.unwrap().max,
+                b.max_expansion_terms.unwrap(),
+                b.max_docs_scanned.unwrap(),
             )
         })
         .collect::<Vec<_>>()
@@ -1283,14 +1283,23 @@ mod tests {
     #[test]
     fn query_runs_through_the_service_telemetry() {
         let (db_path, seo_path) = store_and_seo("telemetry");
+        let spans_path = tmp("telemetry-spans.jsonl");
         let _gauges = SERVE_GAUGES.lock().unwrap_or_else(|e| e.into_inner());
         run(&argv(&format!(
             "query --db {} --seo {} --collection dblp --root inproceedings \
-             --contains author=Jeff",
+             --contains author=Jeff --trace-out {}",
             db_path.display(),
-            seo_path.display()
+            seo_path.display(),
+            spans_path.display()
         )))
         .expect("query");
+        // the store open is traced too: its snapshot load, on this thread
+        let spans = std::fs::read_to_string(&spans_path).expect("trace-out file");
+        let load = format!(
+            "\"name\":\"xmldb.snapshot.load\",\"thread\":{},",
+            toss_obs::current_thread_id()
+        );
+        assert!(spans.lines().any(|l| l.contains(&load)), "{spans}");
         // the query was recorded in the service's `batch` SLO window,
         // and the window reached the persisted stats document
         let text = std::fs::read_to_string(stats_path(&db_path.display().to_string()))

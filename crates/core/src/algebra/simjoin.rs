@@ -52,7 +52,7 @@
 //! walks their results in task order — the join's commit frontier —
 //! charging matched pairs against the join-cardinality budget
 //! ([`QueryGovernor::admit_join_candidates`]) and truncating
-//! deterministically when a soft limit trips — so governor tallies are
+//! deterministically when the cap trips — so governor tallies are
 //! bit-identical at any worker count. Emission tasks graft contiguous
 //! ranges of the committed pairs and concatenate in task order. The
 //! build-side index and both sides' groups are charged once to the
@@ -184,10 +184,9 @@ pub(crate) fn join_views(
     // Deterministic memory charge for the build-side index and both
     // sides' groups (independent of worker count): 4 bytes per posting
     // entry, a list header per class slot, a borrowed string plus list
-    // header per key entry, and a fixed cost per group. A tripped soft
+    // header per key entry, and a fixed cost per group. A tripped
     // ceiling records degradation and continues — the index is already
-    // built and the candidate budget bounds what it can produce; a hard
-    // ceiling errors.
+    // built and the candidate budget bounds what it can produce.
     let posting_entries: u64 = by_class
         .iter()
         .chain(by_key.values())
@@ -197,7 +196,7 @@ pub(crate) fn join_views(
         + by_class.len() as u64 * 24
         + by_key.len() as u64 * 40
         + (lgroups.len() + rgroups.len()) as u64 * 64;
-    gov.charge_memory(index_bytes)?;
+    gov.charge_memory(index_bytes);
     let class_elements = by_class.iter().filter(|p| !p.is_empty()).count();
     index_span.record("elements", class_elements + by_key.len());
     index_span.record("posting_entries", posting_entries);
@@ -354,8 +353,6 @@ fn signatures<'v>(
 mod tests {
     use super::*;
     use crate::algebra::similarity_hash_join;
-    use crate::error::TossError;
-    use crate::governor::{Limit, QueryBudget};
     use std::sync::Arc;
     use toss_ontology::hierarchy::from_pairs;
     use toss_ontology::sea::enhance;
@@ -429,9 +426,9 @@ mod tests {
     }
 
     /// A flat join is governed like any other: it charges the candidate
-    /// pairs it generates and a hard join-cardinality limit aborts it.
+    /// pairs it generates.
     #[test]
-    fn flat_join_charges_candidates_and_obeys_hard_limit() {
+    fn flat_join_charges_the_candidates_it_generates() {
         // unique keys, 50 of 500 shared between the sides
         let h = from_pairs(&[("a", "b")]).unwrap();
         let seo = Arc::new(enhance(&h, &Levenshtein, 0.0).unwrap());
@@ -450,11 +447,6 @@ mod tests {
         assert_eq!(out.len(), 50);
         assert_eq!(stats.candidates, 50);
         assert_eq!(gov.join_candidates(), 50);
-
-        let hard =
-            QueryGovernor::new(QueryBudget::unlimited().with_max_join_cardinality(Limit::hard(49)));
-        let err = similarity_join(&l, &r, &key, &key, &pool, &hard).unwrap_err();
-        assert!(matches!(err, TossError::BudgetExceeded(_)), "got {err:?}");
     }
 
     #[test]

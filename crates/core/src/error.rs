@@ -28,8 +28,9 @@ pub enum TossError {
     /// support (the paper's rewriter likewise targets the experiment's
     /// query shapes).
     Unsupported(String),
-    /// A hard resource budget (or the deadline) was exceeded; the query
-    /// was cancelled promptly. See [`crate::governor::QueryBudget`].
+    /// The query's deadline passed; the query was stopped at its next
+    /// cooperative check. Count budgets never fail a query: they degrade
+    /// it. See [`crate::governor::QueryBudget`].
     BudgetExceeded(crate::governor::BudgetBreach),
     /// The query's [`crate::governor::CancelToken`] was tripped.
     Cancelled,

@@ -80,7 +80,7 @@ pub struct QueryOutcome {
     pub forest: Forest,
     /// The XPath the rewriter produced.
     pub xpath: String,
-    /// When a *soft* budget tripped, the first trip: which dimension,
+    /// When a count budget tripped, the first trip: which dimension,
     /// how much work was skipped and an estimated recall loss. `None`
     /// means the result is exact (no budget interfered).
     pub degradation: Option<DegradationInfo>,
@@ -342,7 +342,7 @@ pub struct Executor {
     pub pool: WorkerPool,
     /// Bounded cache of SEO-expanded conditions keyed on the normalized
     /// condition, the SEO version stamps, ε, the probe metric and the
-    /// expansion-term budget class. Only exact (never soft-truncated)
+    /// expansion-term budget class. Only exact (never truncated)
     /// expansions are stored.
     pub rewrite_cache: RewriteCache,
     /// Write-visibility revision: bumped exactly once per applied write
@@ -468,8 +468,8 @@ impl Executor {
             let _ = write!(key, "#m:{}", m.name());
         }
         match gov.budget().max_expansion_terms {
-            Some(limit) => {
-                let _ = write!(key, "|b:{limit:?}");
+            Some(max) => {
+                let _ = write!(key, "|b:{max}");
             }
             None => key.push_str("|b:unlimited"),
         }
@@ -482,7 +482,7 @@ impl Executor {
     /// [`QueryGovernor::admit_expansion_terms`] exactly like a cold
     /// rewrite; the first such hit promotes the entry to its prepared
     /// form and later hits share it. Fresh expansions are stored only
-    /// when the compile finished without soft truncation (the stored
+    /// when the compile finished without truncation (the stored
     /// entry must be the *exact* expansion, valid for any query of the
     /// same budget class with enough headroom), and stored unprepared:
     /// a query that never comes back costs the cache what it always did.
@@ -535,8 +535,8 @@ impl Executor {
 
     /// The matched documents as candidate trees, borrowed from the
     /// collection, charging the approximate-memory budget per tree. A
-    /// tripped soft ceiling stops admitting further documents (graceful
-    /// degradation); a hard ceiling errors.
+    /// tripped ceiling stops admitting further documents (graceful
+    /// degradation).
     fn load_candidates_governed<'a>(
         &self,
         coll: &'a Collection,
@@ -553,7 +553,7 @@ impl Executor {
         for doc in docs {
             gov.check()?;
             let tree = &coll.get(doc)?.tree;
-            let fits = gov.charge_memory(approx_tree_bytes(tree))?;
+            let fits = gov.charge_memory(approx_tree_bytes(tree));
             candidate.push(tree);
             if !fits {
                 cv.record("memory_truncated_at", candidate.len());
@@ -571,10 +571,10 @@ impl Executor {
 
     /// Execute a selection query under a [`QueryGovernor`].
     ///
-    /// Soft budget trips degrade the result (fewer expansion terms,
+    /// Count-budget trips degrade the result (fewer expansion terms,
     /// documents, or witnesses than an exact run) and are reported in
-    /// [`QueryOutcome::degradation`]; hard trips, the deadline and
-    /// cancellation return typed errors.
+    /// [`QueryOutcome::degradation`]; the deadline and cancellation
+    /// return typed errors.
     pub fn select_governed(
         &self,
         query: &TossQuery,
@@ -796,7 +796,7 @@ mod tests {
     use super::*;
     use crate::condition::{TossCond, TossTerm};
     use crate::error::TossError;
-    use crate::governor::{Limit, QueryBudget};
+    use crate::governor::QueryBudget;
     use crate::tax::EdgeKind;
     use toss_ontology::hierarchy::from_pairs;
     use toss_ontology::sea::enhance;
@@ -1002,9 +1002,7 @@ mod tests {
         );
 
         // and the scan budget really does bind the probe path
-        let gov = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(1)),
-        );
+        let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_docs_scanned(1));
         let out = ex.select_governed(&q, Mode::Toss, &gov).unwrap();
         assert_eq!(out.forest.len(), 1, "soft cap must truncate the probe");
         assert!(out.degradation.is_some());
@@ -1364,7 +1362,7 @@ mod tests {
     fn miss_promotion_and_shared_hit_are_indistinguishable() {
         let budgets = [
             QueryBudget::unlimited(),
-            QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(100)),
+            QueryBudget::unlimited().with_max_expansion_terms(100),
         ];
         for budget in &budgets {
             let ex = setup_wide(40);
@@ -1494,9 +1492,7 @@ mod tests {
             f.iter().take(n).map(toss_tree::eq::fingerprint).collect()
         };
         for cap in [0usize, 1, 5, 12, 40] {
-            let gov = QueryGovernor::new(
-                QueryBudget::unlimited().with_max_witnesses(Limit::soft(cap as u64)),
-            );
+            let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_witnesses(cap as u64));
             let clamped = clamp_witnesses(full.clone(), &gov).unwrap();
             assert_eq!(clamped.len(), cap.min(12));
             assert_eq!(prefix(&clamped, usize::MAX), prefix(&full, cap));
@@ -1545,8 +1541,7 @@ mod tests {
     fn truncated_expansions_are_never_cached() {
         let ex = setup();
         let q = venue_query("venue"); // expands to 6 below-cone terms
-        let budget =
-            || QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(2));
+        let budget = || QueryBudget::unlimited().with_max_expansion_terms(2);
         for expected_misses in 1..=2 {
             let gov = QueryGovernor::new(budget());
             let out = ex.select_governed(&q, Mode::Toss, &gov).unwrap();
@@ -1565,9 +1560,7 @@ mod tests {
     fn cache_hit_is_charged_and_respects_headroom() {
         let ex = setup();
         let q = venue_query("conference"); // expands to 3 below-cone terms
-        let gov = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(4)),
-        );
+        let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_expansion_terms(4));
         // cold: exact (3 ≤ 4), so the expansion is cached and charged
         ex.select_governed(&q, Mode::Toss, &gov).unwrap();
         assert_eq!(ex.rewrite_cache.misses(), 1);
@@ -1581,9 +1574,7 @@ mod tests {
         assert!(out.degradation.is_some());
         // a fresh governor of the same budget class has full headroom:
         // the hit is served and charged exactly like the cold rewrite
-        let gov2 = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(4)),
-        );
+        let gov2 = QueryGovernor::new(QueryBudget::unlimited().with_max_expansion_terms(4));
         let warm = ex.select_governed(&q, Mode::Toss, &gov2).unwrap();
         assert_eq!(ex.rewrite_cache.hits(), 1);
         assert_eq!(gov2.terms_used(), 3);
@@ -1601,9 +1592,7 @@ mod tests {
         // unlimited and budgeted compiles of the same condition are
         // distinct entries: a budget-class change can change the rewrite
         ex.select(&q, Mode::Toss).unwrap();
-        let gov = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(100)),
-        );
+        let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_expansion_terms(100));
         ex.select_governed(&q, Mode::Toss, &gov).unwrap();
         assert_eq!((ex.rewrite_cache.hits(), ex.rewrite_cache.misses()), (0, 2));
         assert_eq!(ex.rewrite_cache.len(), 2);

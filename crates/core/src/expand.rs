@@ -50,8 +50,8 @@ pub struct ExpandCtx<'a> {
     /// multi-hierarchy extension). `None` makes `part_of` unsupported.
     pub part_of: Option<&'a Seo>,
     /// Optional query governor: every term set the SEO contributes is
-    /// admitted against the expansion-term budget (soft limits truncate
-    /// the set, hard limits fail the rewrite), and deadline/cancel
+    /// admitted against the expansion-term budget (a cap truncates the
+    /// set), and deadline/cancel
     /// checks run between atoms. `None` expands without bounds.
     pub governor: Option<&'a QueryGovernor>,
 }
@@ -74,7 +74,7 @@ impl<'a> ExpandCtx<'a> {
     }
 
     /// Admit a freshly produced expansion set against the governor's
-    /// term budget, truncating under a soft limit. Duplicate renderings
+    /// term budget, truncating under its cap. Duplicate renderings
     /// (an SEO node can surface one term through several witnesses) are
     /// dropped first, keeping the first occurrence: duplicates would
     /// burn expansion budget and inflate the executor's batched index
@@ -475,9 +475,7 @@ mod tests {
         let s = seo();
         let th = TypeHierarchy::new();
         let cv = Conversions::new();
-        let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_expansion_terms(
-            crate::governor::Limit::soft(1),
-        ));
+        let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_expansion_terms(1));
         let mut cx = ctx(&s, &th, &cv);
         cx.governor = Some(&gov);
         let c = TossCond::below(TossTerm::content(3), TossTerm::ty("conference"));
@@ -490,32 +488,14 @@ mod tests {
     }
 
     #[test]
-    fn hard_term_budget_fails_expansion() {
-        use crate::governor::{QueryBudget, QueryGovernor};
-        let s = seo();
-        let th = TypeHierarchy::new();
-        let cv = Conversions::new();
-        let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_expansion_terms(
-            crate::governor::Limit::hard(1),
-        ));
-        let mut cx = ctx(&s, &th, &cv);
-        cx.governor = Some(&gov);
-        let c = TossCond::below(TossTerm::content(3), TossTerm::ty("conference"));
-        let err = expand(&c, cx).unwrap_err();
-        assert!(matches!(err, TossError::BudgetExceeded(_)), "{err:?}");
-    }
-
-    #[test]
     fn admit_terms_dedups_before_charging_the_budget() {
-        use crate::governor::{Limit, QueryBudget, QueryGovernor};
+        use crate::governor::{QueryBudget, QueryGovernor};
         let s = seo();
         let th = TypeHierarchy::new();
         let cv = Conversions::new();
         // budget of 2: with duplicates charged, ["a", "a", "b"] would
         // truncate to ["a", "a"]; deduped first, both terms survive
-        let gov = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(2)),
-        );
+        let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_expansion_terms(2));
         let mut cx = ctx(&s, &th, &cv);
         cx.governor = Some(&gov);
         let admitted = cx

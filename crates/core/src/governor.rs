@@ -10,17 +10,17 @@
 //!
 //! * [`QueryBudget`] — a declarative resource envelope: wall-clock
 //!   deadline, SEO expansion terms, documents scanned, join candidate
-//!   pairs, witness trees, approximate memory. Every dimension
-//!   except the deadline can be **soft** (degrade: return what was found
-//!   so far, annotated with a [`DegradationInfo`]) or **hard** (cancel
-//!   with [`TossError::BudgetExceeded`]). The deadline is always hard.
+//!   pairs, witness trees, approximate memory. Every count budget
+//!   degrades: the query returns what was found so far, annotated with
+//!   a [`DegradationInfo`]. The deadline is the one breach: it cancels
+//!   with [`TossError::BudgetExceeded`].
 //! * [`CancelToken`] — a shared flag checked cooperatively in every
 //!   long-running loop; tripping it yields [`TossError::Cancelled`].
 //! * [`QueryGovernor`] — one per query: owns the budget, the token and
-//!   the start instant, tallies work done, and records the first soft
-//!   trip. Every counted dimension is charged through one admission rule
-//!   (unlimited / fits / hard error / soft truncate and record): the
-//!   expansion context admits terms, the executor admits a scan's
+//!   the start instant, tallies work done, and records the first
+//!   degradation. Every counted dimension is charged through one
+//!   admission rule (admit what fits, truncate the rest and record it):
+//!   the expansion context admits terms, the executor admits a scan's
 //!   documents in one bulk charge before the store evaluates any, then
 //!   witnesses and join candidates. The store's scan only polls
 //!   `QueryGovernor::interrupted`, which charges nothing.
@@ -32,7 +32,7 @@
 //!   [`TossError::Internal`] so a poisoned query cannot unwind through a
 //!   serving loop.
 //!
-//! Every trip, shed, cancel and panic is counted in the
+//! Every degradation, deadline, shed, cancel and panic is counted in the
 //! `toss.governor.*` metric family (see `docs/robustness.md`).
 
 use crate::error::{TossError, TossResult};
@@ -42,11 +42,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Which budget dimension tripped.
+/// Which count budget tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetKind {
-    /// The wall-clock deadline (always hard).
-    Deadline,
     /// SEO expansion terms introduced during rewrite.
     ExpansionTerms,
     /// Documents visited by the store scan.
@@ -62,7 +60,6 @@ pub enum BudgetKind {
 impl fmt::Display for BudgetKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            BudgetKind::Deadline => "deadline",
             BudgetKind::ExpansionTerms => "expansion-terms",
             BudgetKind::DocsScanned => "docs-scanned",
             BudgetKind::JoinCardinality => "join-cardinality",
@@ -73,61 +70,25 @@ impl fmt::Display for BudgetKind {
     }
 }
 
-/// How a tripped limit is enforced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Enforcement {
-    /// Degrade gracefully: truncate the remaining work and return the
-    /// results found so far, annotated with a [`DegradationInfo`].
-    Soft,
-    /// Cancel the query with [`TossError::BudgetExceeded`].
-    Hard,
-}
-
-/// One bounded dimension of a [`QueryBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Limit {
-    /// Maximum admitted units of work.
-    pub max: u64,
-    /// What happens when the limit is exceeded.
-    pub enforcement: Enforcement,
-}
-
-impl Limit {
-    /// A soft limit: exceeding it degrades the query.
-    pub fn soft(max: u64) -> Self {
-        Limit {
-            max,
-            enforcement: Enforcement::Soft,
-        }
-    }
-
-    /// A hard limit: exceeding it cancels the query.
-    pub fn hard(max: u64) -> Self {
-        Limit {
-            max,
-            enforcement: Enforcement::Hard,
-        }
-    }
-}
-
-/// The per-query resource envelope. `None` means unlimited.
+/// The per-query resource envelope. `None` means unlimited. Exceeding a
+/// count cap degrades the query (see [`DegradationInfo`]); only the
+/// deadline fails it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryBudget {
     /// Wall-clock deadline measured from [`QueryGovernor`] creation.
-    /// Always enforced hard ([`TossError::BudgetExceeded`] with
-    /// [`BudgetKind::Deadline`]).
+    /// Passing it fails the query with [`TossError::BudgetExceeded`].
     pub deadline: Option<Duration>,
     /// Cap on SEO expansion terms introduced during rewrite.
-    pub max_expansion_terms: Option<Limit>,
+    pub max_expansion_terms: Option<u64>,
     /// Cap on documents visited by the store scan.
-    pub max_docs_scanned: Option<Limit>,
+    pub max_docs_scanned: Option<u64>,
     /// Cap on the candidate pairs the similarity join generates,
     /// charged at its commit frontier.
-    pub max_join_cardinality: Option<Limit>,
+    pub max_join_cardinality: Option<u64>,
     /// Cap on witness trees returned.
-    pub max_witnesses: Option<Limit>,
+    pub max_witnesses: Option<u64>,
     /// Approximate ceiling on bytes of intermediate results.
-    pub max_memory_bytes: Option<Limit>,
+    pub max_memory_bytes: Option<u64>,
 }
 
 impl QueryBudget {
@@ -142,33 +103,33 @@ impl QueryBudget {
         self
     }
 
-    /// Set the expansion-term limit (builder style).
-    pub fn with_max_expansion_terms(mut self, l: Limit) -> Self {
-        self.max_expansion_terms = Some(l);
+    /// Set the expansion-term cap (builder style).
+    pub fn with_max_expansion_terms(mut self, max: u64) -> Self {
+        self.max_expansion_terms = Some(max);
         self
     }
 
-    /// Set the document-scan limit (builder style).
-    pub fn with_max_docs_scanned(mut self, l: Limit) -> Self {
-        self.max_docs_scanned = Some(l);
+    /// Set the document-scan cap (builder style).
+    pub fn with_max_docs_scanned(mut self, max: u64) -> Self {
+        self.max_docs_scanned = Some(max);
         self
     }
 
-    /// Set the join-cardinality limit (builder style).
-    pub fn with_max_join_cardinality(mut self, l: Limit) -> Self {
-        self.max_join_cardinality = Some(l);
+    /// Set the join-cardinality cap (builder style).
+    pub fn with_max_join_cardinality(mut self, max: u64) -> Self {
+        self.max_join_cardinality = Some(max);
         self
     }
 
-    /// Set the witness-count limit (builder style).
-    pub fn with_max_witnesses(mut self, l: Limit) -> Self {
-        self.max_witnesses = Some(l);
+    /// Set the witness-count cap (builder style).
+    pub fn with_max_witnesses(mut self, max: u64) -> Self {
+        self.max_witnesses = Some(max);
         self
     }
 
     /// Set the approximate memory ceiling (builder style).
-    pub fn with_max_memory_bytes(mut self, l: Limit) -> Self {
-        self.max_memory_bytes = Some(l);
+    pub fn with_max_memory_bytes(mut self, max: u64) -> Self {
+        self.max_memory_bytes = Some(max);
         self
     }
 }
@@ -194,7 +155,7 @@ impl CancelToken {
     }
 }
 
-/// Why and how much a query result was degraded: which soft budget
+/// Why and how much a query result was degraded: which count budget
 /// tripped first, how much work was admitted versus demanded, and a
 /// crude recall-loss estimate (the fraction of demanded work skipped —
 /// an upper bound on the fraction of true answers that can be missing).
@@ -243,15 +204,12 @@ impl fmt::Display for DegradationInfo {
     }
 }
 
-/// Details of a hard budget breach, carried by
-/// [`TossError::BudgetExceeded`].
+/// A passed deadline, carried by [`TossError::BudgetExceeded`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetBreach {
-    /// The budget dimension that was exceeded.
-    pub kind: BudgetKind,
-    /// The configured limit (nanoseconds for the deadline).
+    /// The configured deadline, in nanoseconds.
     pub limit: u64,
-    /// The observed demand (nanoseconds elapsed for the deadline).
+    /// Nanoseconds elapsed when the deadline was seen to have passed.
     pub observed: u64,
 }
 
@@ -259,8 +217,8 @@ impl fmt::Display for BudgetBreach {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} budget exceeded: {} > limit {}",
-            self.kind, self.observed, self.limit
+            "deadline budget exceeded: {} > limit {}",
+            self.observed, self.limit
         )
     }
 }
@@ -287,7 +245,7 @@ pub struct QueryGovernor {
     /// [`QueryBudget::max_join_cardinality`] at the probe commit
     /// frontier — see [`QueryGovernor::admit_join_candidates`].
     join_candidates: AtomicU64,
-    /// How many times `admit_expansion_terms` soft-truncated a request.
+    /// How many times `admit_expansion_terms` truncated a request.
     /// The rewrite cache uses this to tell an exact expansion (cacheable)
     /// from a truncated one (never cached).
     terms_truncations: AtomicU64,
@@ -295,18 +253,14 @@ pub struct QueryGovernor {
 }
 
 impl QueryGovernor {
-    /// Govern with `budget` and a fresh cancel token.
+    /// Govern with `budget` and a fresh cancel token; hand
+    /// [`QueryGovernor::token`] to whatever may cancel.
     pub fn new(budget: QueryBudget) -> Self {
-        Self::with_token(budget, CancelToken::new())
-    }
-
-    /// Govern with `budget` and an externally shared token.
-    pub fn with_token(budget: QueryBudget, token: CancelToken) -> Self {
         let start = Instant::now();
         let deadline_at = budget.deadline.map(|d| start + d);
         QueryGovernor {
             budget,
-            token,
+            token: CancelToken::new(),
             start,
             deadline_at,
             terms_used: AtomicU64::new(0),
@@ -350,12 +304,12 @@ impl QueryGovernor {
     /// nothing is charged.
     pub(crate) fn expansion_headroom(&self) -> u64 {
         match self.budget.max_expansion_terms {
-            Some(limit) => limit.max.saturating_sub(self.terms_used()),
+            Some(max) => max.saturating_sub(self.terms_used()),
             None => u64::MAX,
         }
     }
 
-    /// How many times `admit_expansion_terms` soft-truncated a request so
+    /// How many times `admit_expansion_terms` truncated a request so
     /// far. A rewrite whose compile left this unchanged was admitted in
     /// full — the signal the rewrite cache uses to store only exact
     /// expansions.
@@ -373,7 +327,7 @@ impl QueryGovernor {
         self.memory_bytes.load(Ordering::Relaxed)
     }
 
-    /// The first soft-budget trip, if any.
+    /// The first count-budget trip, if any.
     pub fn degradation(&self) -> Option<DegradationInfo> {
         self.degradation
             .lock()
@@ -394,7 +348,6 @@ impl QueryGovernor {
             if now >= at {
                 toss_obs::metrics::counter("toss.governor.deadline_exceeded").inc();
                 return Err(TossError::BudgetExceeded(BudgetBreach {
-                    kind: BudgetKind::Deadline,
                     limit: self.budget.deadline.unwrap_or_default().as_nanos() as u64,
                     observed: self.elapsed().as_nanos() as u64,
                 }));
@@ -408,9 +361,9 @@ impl QueryGovernor {
         matches!(self.deadline_at, Some(at) if Instant::now() >= at)
     }
 
-    /// Record the first soft trip (later trips only bump the counter:
-    /// the first truncation is the one that explains the result).
-    fn trip_soft(&self, info: DegradationInfo) {
+    /// Record the first trip (later trips only bump the counter: the
+    /// first truncation is the one that explains the result).
+    fn trip(&self, info: DegradationInfo) {
         toss_obs::metrics::counter("toss.governor.degraded").inc();
         let mut slot = self.degradation.lock().unwrap_or_else(|e| e.into_inner());
         if slot.is_none() {
@@ -418,56 +371,38 @@ impl QueryGovernor {
         }
     }
 
-    fn hard_breach(&self, kind: BudgetKind, limit: u64, observed: u64) -> TossError {
-        toss_obs::metrics::counter("toss.governor.budget_exceeded").inc();
-        TossError::BudgetExceeded(BudgetBreach {
-            kind,
-            limit,
-            observed,
-        })
-    }
-
     /// The one admission rule behind every `admit_*`: charge `requested`
-    /// units against `tally` under `limit`. Returns how many may be
-    /// used — all of them when unlimited or when they fit; under a soft
-    /// limit what is left of it, recording the first trip as
-    /// degradation; under a hard limit a breach reporting the full
-    /// demand, with nothing charged. One atomic update, so concurrent
-    /// admissions (the two sides of a join) never lose a charge.
+    /// units against `tally` under the cap `max`. Returns how many may
+    /// be used — all of them when unlimited or when they fit, otherwise
+    /// what is left of the cap, recording the first overflow as
+    /// degradation. One atomic update, so concurrent admissions (the two
+    /// sides of a join) never lose a charge.
     fn admit(
         &self,
         kind: BudgetKind,
-        limit: Option<Limit>,
+        max: Option<u64>,
         tally: &AtomicU64,
         requested: usize,
     ) -> TossResult<usize> {
         self.check()?;
         let requested = requested as u64;
-        let cap = limit.map_or(u64::MAX, |l| l.max);
-        let hard = limit.is_some_and(|l| l.enforcement == Enforcement::Hard);
+        let cap = max.unwrap_or(u64::MAX);
+        // the tally never passes the cap, so what is left is `cap - used`
         let update = tally.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
-            match used.saturating_add(requested) {
-                demanded if demanded <= cap => Some(demanded),
-                _ if hard => None,
-                _ => Some(cap.max(used)),
-            }
+            Some(used.saturating_add(requested).min(cap))
         });
         let (Ok(used) | Err(used)) = update;
         let demanded = used.saturating_add(requested);
         if demanded <= cap {
             return Ok(requested as usize);
         }
-        if update.is_err() {
-            return Err(self.hard_breach(kind, cap, demanded));
-        }
         let allowed = cap.saturating_sub(used);
-        self.trip_soft(DegradationInfo::new(kind, cap, demanded, used + allowed));
+        self.trip(DegradationInfo::new(kind, cap, demanded, used + allowed));
         Ok(allowed as usize)
     }
 
     /// Admit up to `requested` new SEO expansion terms. Returns how many
-    /// may actually be used; under a soft limit the overflow is recorded
-    /// as degradation, under a hard limit the query errors.
+    /// may actually be used; the overflow is recorded as degradation.
     pub(crate) fn admit_expansion_terms(&self, requested: usize) -> TossResult<usize> {
         let limit = self.budget.max_expansion_terms;
         let allowed = self.admit(BudgetKind::ExpansionTerms, limit, &self.terms_used, requested)?;
@@ -479,8 +414,7 @@ impl QueryGovernor {
 
     /// Admit `requested` store visits in one charge, before any is
     /// evaluated; returns how many the scan may evaluate (a prefix, in
-    /// visit order). A soft document cap truncates and records
-    /// degradation; a hard one fails before a single document is read.
+    /// visit order). A document cap truncates and records degradation.
     pub(crate) fn admit_docs(&self, requested: usize) -> TossResult<usize> {
         let limit = self.budget.max_docs_scanned;
         self.admit(BudgetKind::DocsScanned, limit, &self.docs_scanned, requested)
@@ -504,8 +438,8 @@ impl QueryGovernor {
     /// [`QueryBudget::max_join_cardinality`], cumulative across the
     /// request. The join charges the pairs it *actually generates*, so a
     /// selective join is charged for far less than |L|·|R|. Returns how
-    /// many of the produced pairs may be kept; a soft limit truncates
-    /// (recording degradation), a hard limit errors.
+    /// many of the produced pairs may be kept; a cap truncates,
+    /// recording degradation.
     ///
     /// Only ever called from the sequential commit frontier (probe tasks
     /// are speculative and never charge), so the tally is bit-identical
@@ -524,7 +458,7 @@ impl QueryGovernor {
     pub(crate) fn join_candidates_preflight(&self) -> bool {
         let spent = matches!(
             self.budget.max_join_cardinality,
-            Some(limit) if self.join_candidates() >= limit.max
+            Some(max) if self.join_candidates() >= max
         );
         !self.interrupted() && !spent
     }
@@ -536,27 +470,16 @@ impl QueryGovernor {
     }
 
     /// Charge `bytes` of approximate intermediate-result memory.
-    /// Returns `false` under a tripped soft ceiling (the caller should
-    /// stop accumulating); errors under a hard ceiling.
-    pub(crate) fn charge_memory(&self, bytes: u64) -> TossResult<bool> {
+    /// Returns `false` once the ceiling is passed (the caller should
+    /// stop accumulating), recording the trip as degradation.
+    pub(crate) fn charge_memory(&self, bytes: u64) -> bool {
         let total = self.memory_bytes.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        let Some(limit) = self.budget.max_memory_bytes else {
-            return Ok(true);
-        };
-        if total <= limit.max {
-            return Ok(true);
-        }
-        match limit.enforcement {
-            Enforcement::Hard => Err(self.hard_breach(BudgetKind::Memory, limit.max, total)),
-            Enforcement::Soft => {
-                self.trip_soft(DegradationInfo::new(
-                    BudgetKind::Memory,
-                    limit.max,
-                    total,
-                    limit.max,
-                ));
-                Ok(false)
+        match self.budget.max_memory_bytes {
+            Some(max) if total > max => {
+                self.trip(DegradationInfo::new(BudgetKind::Memory, max, total, max));
+                false
             }
+            _ => true,
         }
     }
 }
@@ -704,15 +627,13 @@ mod tests {
         assert_eq!(g.admit_expansion_terms(1_000_000).unwrap(), 1_000_000);
         assert_eq!(g.admit_docs(1_000_000).unwrap(), 1_000_000);
         assert_eq!(g.admit_witnesses(500).unwrap(), 500);
-        assert!(g.charge_memory(1 << 40).unwrap());
+        assert!(g.charge_memory(1 << 40));
         assert!(g.degradation().is_none());
     }
 
     #[test]
-    fn soft_term_limit_truncates_and_records() {
-        let g = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_expansion_terms(Limit::soft(10)),
-        );
+    fn term_cap_truncates_and_records() {
+        let g = QueryGovernor::new(QueryBudget::unlimited().with_max_expansion_terms(10));
         assert_eq!(g.admit_expansion_terms(7).unwrap(), 7);
         assert_eq!(g.admit_expansion_terms(7).unwrap(), 3);
         assert_eq!(g.admit_expansion_terms(7).unwrap(), 0);
@@ -724,20 +645,59 @@ mod tests {
         assert!(d.estimated_recall_loss > 0.0);
     }
 
+    /// Threads released together by a barrier run fixed sequences of
+    /// document and term admissions against one governor: the admitted
+    /// totals and the tallies both come to `min(cap, demanded)`, and the
+    /// governor keeps the first trip.
     #[test]
-    fn hard_term_limit_errors() {
+    fn concurrent_admissions_never_lose_a_charge() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 100;
+        const CAP: u64 = 1_000;
+        // thread `t`'s `i`-th admission of either kind asks for this many
+        let ask = |t: usize, i: usize| 1 + (i + t) % 7;
         let g = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_expansion_terms(Limit::hard(5)),
+            QueryBudget::unlimited()
+                .with_max_docs_scanned(CAP)
+                .with_max_expansion_terms(CAP),
         );
-        assert_eq!(g.admit_expansion_terms(5).unwrap(), 5); // boundary ok
-        match g.admit_expansion_terms(1) {
-            Err(TossError::BudgetExceeded(b)) => {
-                assert_eq!(b.kind, BudgetKind::ExpansionTerms);
-                assert_eq!(b.limit, 5);
-                assert_eq!(b.observed, 6);
-            }
-            other => panic!("expected BudgetExceeded, got {other:?}"),
-        }
+        let start = std::sync::Barrier::new(THREADS);
+        let admitted: Vec<(u64, u64)> = thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (g, start) = (&g, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let (mut docs, mut terms) = (0, 0);
+                        for i in 0..ROUNDS {
+                            docs += g.admit_docs(ask(t, i)).unwrap() as u64;
+                            terms += g.admit_expansion_terms(ask(t, i)).unwrap() as u64;
+                        }
+                        (docs, terms)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let demanded: u64 = (0..THREADS)
+            .flat_map(|t| (0..ROUNDS).map(move |i| ask(t, i) as u64))
+            .sum();
+        assert!(demanded > CAP, "the sequences must overflow the cap");
+        let expected = CAP.min(demanded);
+        let docs: u64 = admitted.iter().map(|a| a.0).sum();
+        let terms: u64 = admitted.iter().map(|a| a.1).sum();
+        assert_eq!((docs, g.docs_scanned()), (expected, expected));
+        assert_eq!((terms, g.terms_used()), (expected, expected));
+        let d = g.degradation().expect("the first trip is kept");
+        assert!(
+            matches!(
+                d.tripped,
+                BudgetKind::DocsScanned | BudgetKind::ExpansionTerms
+            ),
+            "{d:?}"
+        );
+        assert_eq!((d.limit, d.work_done), (CAP, CAP));
+        assert!(d.demanded > CAP && d.demanded <= CAP + 7, "{d:?}");
     }
 
     #[test]
@@ -752,11 +712,13 @@ mod tests {
 
     #[test]
     fn expired_deadline_fails_checks() {
-        let g = QueryGovernor::new(
-            QueryBudget::unlimited().with_deadline(Duration::ZERO),
-        );
+        let g = QueryGovernor::new(QueryBudget::unlimited().with_deadline(Duration::ZERO));
         match g.check() {
-            Err(TossError::BudgetExceeded(b)) => assert_eq!(b.kind, BudgetKind::Deadline),
+            Err(TossError::BudgetExceeded(b)) => {
+                assert_eq!(b.limit, 0);
+                let text = format!("deadline budget exceeded: {} > limit 0", b.observed);
+                assert_eq!(TossError::BudgetExceeded(b).to_string(), text);
+            }
             other => panic!("expected deadline breach, got {other:?}"),
         }
         assert!(g.deadline_expired());
@@ -771,46 +733,23 @@ mod tests {
         assert_eq!(g.docs_scanned(), 30);
 
         // fits, then exactly at the limit: no degradation
-        let fits = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(10)),
-        );
+        let fits = QueryGovernor::new(QueryBudget::unlimited().with_max_docs_scanned(10));
         assert_eq!(fits.admit_docs(4).unwrap(), 4);
         assert_eq!(fits.admit_docs(6).unwrap(), 6);
         assert_eq!(fits.docs_scanned(), 10);
         assert!(fits.degradation().is_none());
 
-        // soft: a prefix, and the select's degradation line
-        let soft = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(2)),
-        );
-        assert_eq!(soft.admit_docs(30).unwrap(), 2);
-        assert_eq!(soft.docs_scanned(), 2);
-        let d = soft.degradation().unwrap();
+        // over the cap: a prefix, and the select's degradation line
+        let capped = QueryGovernor::new(QueryBudget::unlimited().with_max_docs_scanned(2));
+        assert_eq!(capped.admit_docs(30).unwrap(), 2);
+        assert_eq!(capped.docs_scanned(), 2);
+        let d = capped.degradation().unwrap();
         assert_eq!(d.tripped, BudgetKind::DocsScanned);
         assert_eq!((d.limit, d.demanded, d.work_done), (2, 30, 2));
         assert!(d.to_string().contains("did 2 of 30 (limit 2)"), "{d}");
         // a second scan under the same governor is charged cumulatively
-        assert_eq!(soft.admit_docs(5).unwrap(), 0);
-        assert_eq!(soft.docs_scanned(), 2);
-
-        // hard: fails before any document, charging nothing and reporting
-        // the full demand
-        let hard = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_docs_scanned(Limit::hard(1)),
-        );
-        match hard.admit_docs(7) {
-            Err(TossError::BudgetExceeded(b)) => assert_eq!(
-                b,
-                BudgetBreach {
-                    kind: BudgetKind::DocsScanned,
-                    limit: 1,
-                    observed: 7
-                }
-            ),
-            other => panic!("expected a docs-scanned breach, got {other:?}"),
-        }
-        assert_eq!(hard.docs_scanned(), 0);
-        assert_eq!(hard.admit_docs(1).unwrap(), 1, "boundary ok");
+        assert_eq!(capped.admit_docs(5).unwrap(), 0);
+        assert_eq!(capped.docs_scanned(), 2);
 
         // cancelled and expired: the query's own error, nothing charged
         let cancelled = QueryGovernor::unlimited();
@@ -818,18 +757,16 @@ mod tests {
         assert!(matches!(cancelled.admit_docs(3), Err(TossError::Cancelled)));
         assert_eq!(cancelled.docs_scanned(), 0);
         let expired = QueryGovernor::new(QueryBudget::unlimited().with_deadline(Duration::ZERO));
-        match expired.admit_docs(3) {
-            Err(TossError::BudgetExceeded(b)) => assert_eq!(b.kind, BudgetKind::Deadline),
-            other => panic!("expected a deadline breach, got {other:?}"),
-        }
+        assert!(matches!(
+            expired.admit_docs(3),
+            Err(TossError::BudgetExceeded(_))
+        ));
         assert_eq!(expired.docs_scanned(), 0);
     }
 
     #[test]
     fn interrupted_never_charges() {
-        let g = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(2)),
-        );
+        let g = QueryGovernor::new(QueryBudget::unlimited().with_max_docs_scanned(2));
         for _ in 0..10 {
             assert!(!g.interrupted());
         }
@@ -843,19 +780,16 @@ mod tests {
     }
 
     #[test]
-    fn memory_ceiling_soft_then_hard() {
-        let soft = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_memory_bytes(Limit::soft(100)),
-        );
-        assert!(soft.charge_memory(60).unwrap());
-        assert!(!soft.charge_memory(60).unwrap());
-        assert_eq!(soft.degradation().unwrap().tripped, BudgetKind::Memory);
+    fn memory_ceiling_degrades_past_its_boundary() {
+        let g = QueryGovernor::new(QueryBudget::unlimited().with_max_memory_bytes(100));
+        assert!(g.charge_memory(60));
+        assert!(!g.charge_memory(60));
+        assert_eq!(g.degradation().unwrap().tripped, BudgetKind::Memory);
 
-        let hard = QueryGovernor::new(
-            QueryBudget::unlimited().with_max_memory_bytes(Limit::hard(100)),
-        );
-        assert!(hard.charge_memory(100).unwrap()); // boundary ok
-        assert!(hard.charge_memory(1).is_err());
+        let at = QueryGovernor::new(QueryBudget::unlimited().with_max_memory_bytes(100));
+        assert!(at.charge_memory(100)); // boundary ok
+        assert!(at.degradation().is_none());
+        assert!(!at.charge_memory(1));
     }
 
     #[test]

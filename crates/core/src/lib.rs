@@ -67,8 +67,7 @@ pub use error::{TossError, TossResult};
 pub use executor::{Executor, QueryOutcome, QueryPlan, TossQuery};
 pub use toss_pool::WorkerPool;
 pub use governor::{
-    AdmissionController, BudgetKind, CancelToken, DegradationInfo, Enforcement, Limit,
-    QueryBudget, QueryGovernor,
+    AdmissionController, BudgetKind, CancelToken, DegradationInfo, QueryBudget, QueryGovernor,
 };
 pub use maker::{make_ontology, suggest_constraints, MakerConfig};
 pub use semcache::RewriteCache;

@@ -34,9 +34,9 @@
 //! * the SEO version stamp (fused-and-re-enhanced ontologies get fresh
 //!   stamps, so stale expansions can never be served),
 //! * ε, the probe metric, the part-of SEO version,
-//! * the budget class (expansion-term limit and its enforcement).
+//! * the budget class (expansion-term cap).
 //!
-//! Only *exact* (never soft-truncated) expansions are stored, and a hit
+//! Only *exact* (never truncated) expansions are stored, and a hit
 //! is served only when the governor's remaining expansion-term headroom
 //! admits the whole cached expansion — which is then charged through
 //! [`QueryGovernor::admit_expansion_terms`] exactly like a cold rewrite,

@@ -8,17 +8,19 @@
 //!
 //! | class         | deadline | expansion terms | docs scanned |
 //! |---------------|----------|-----------------|--------------|
-//! | `best_effort` | 250 ms   | 128 (soft)      | 10 000 (soft)|
-//! | `interactive` | 2 s      | 1 024 (soft)    | 200 000 (soft)|
-//! | `batch`       | 30 s     | 8 192 (soft)    | 2 000 000 (soft)|
+//! | `best_effort` | 250 ms   | 128             | 10 000       |
+//! | `interactive` | 2 s      | 1 024           | 200 000      |
+//! | `batch`       | 30 s     | 8 192           | 2 000 000    |
 //!
-//! Every class also carries soft join-cardinality, witness and memory
-//! ceilings so one query cannot hold the store's whole candidate set in
-//! RAM. Soft limits degrade (the response's `degraded` field explains
-//! what was truncated); only the deadline is hard.
+//! Every class also carries witness and memory ceilings so one query
+//! cannot hold the store's whole candidate set in RAM. The count caps
+//! degrade (the response's `degraded` field explains what was
+//! truncated); only the deadline fails a query. A class budget governs
+//! one selection, which generates no join candidates, so it sets no
+//! join-cardinality cap.
 
 use std::time::Duration;
-use toss_core::{Limit, QueryBudget};
+use toss_core::QueryBudget;
 
 /// A named budget envelope (see the module table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -29,7 +31,7 @@ pub enum BudgetClass {
     /// The default: human-facing queries.
     #[default]
     Interactive,
-    /// Large offline scans; longest deadline, biggest soft limits.
+    /// Large offline scans; longest deadline, biggest caps.
     Batch,
 }
 
@@ -125,7 +127,7 @@ impl BudgetClass {
     /// Assemble the [`QueryBudget`] for a request of this class.
     /// `timeout_ms`/`max_terms`/`max_docs` are the request's overrides;
     /// each is **clamped to the class ceiling** (a zero/absent override
-    /// means "class default"). The result always has a hard deadline.
+    /// means "class default"). The result always has a deadline.
     pub fn budget(
         self,
         timeout_ms: Option<u64>,
@@ -145,11 +147,10 @@ impl BudgetClass {
             .map_or(self.doc_ceiling(), |n| n.min(self.doc_ceiling()));
         QueryBudget::unlimited()
             .with_deadline(deadline)
-            .with_max_expansion_terms(Limit::soft(terms))
-            .with_max_docs_scanned(Limit::soft(docs))
-            .with_max_join_cardinality(Limit::soft(1_000_000))
-            .with_max_witnesses(Limit::soft(10_000))
-            .with_max_memory_bytes(Limit::soft(self.memory_ceiling()))
+            .with_max_expansion_terms(terms)
+            .with_max_docs_scanned(docs)
+            .with_max_witnesses(10_000)
+            .with_max_memory_bytes(self.memory_ceiling())
     }
 }
 
@@ -174,14 +175,14 @@ mod tests {
     fn overrides_only_tighten() {
         let b = BudgetClass::Interactive.budget(Some(100), Some(10), Some(50));
         assert_eq!(b.deadline, Some(Duration::from_millis(100)));
-        assert_eq!(b.max_expansion_terms.unwrap().max, 10);
-        assert_eq!(b.max_docs_scanned.unwrap().max, 50);
+        assert_eq!(b.max_expansion_terms, Some(10));
+        assert_eq!(b.max_docs_scanned, Some(50));
 
         // an override above the ceiling is clamped down, never raised
         let b = BudgetClass::BestEffort.budget(Some(60_000), Some(1 << 40), None);
         assert_eq!(b.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(b.max_expansion_terms.unwrap().max, 128);
-        assert_eq!(b.max_docs_scanned.unwrap().max, 10_000);
+        assert_eq!(b.max_expansion_terms, Some(128));
+        assert_eq!(b.max_docs_scanned, Some(10_000));
     }
 
     #[test]
@@ -189,8 +190,8 @@ mod tests {
         for timeout in [None, Some(0)] {
             let b = BudgetClass::Batch.budget(timeout, Some(0), None);
             assert_eq!(b.deadline, Some(Duration::from_secs(30)));
-            assert_eq!(b.max_expansion_terms.unwrap().max, 8_192);
-            assert_eq!(b.max_docs_scanned.unwrap().max, 2_000_000);
+            assert_eq!(b.max_expansion_terms, Some(8_192));
+            assert_eq!(b.max_docs_scanned, Some(2_000_000));
         }
     }
 
@@ -229,27 +230,22 @@ mod tests {
     }
 
     #[test]
-    fn every_class_budget_has_a_hard_deadline_and_soft_limits() {
-        for c in [
-            BudgetClass::BestEffort,
-            BudgetClass::Interactive,
-            BudgetClass::Batch,
-        ] {
+    fn every_class_budget_has_a_deadline_and_count_caps() {
+        for c in BudgetClass::ALL {
             let b = c.budget(None, None, None);
             assert!(b.deadline.is_some(), "{c:?} must have a deadline");
-            for l in [
+            for cap in [
                 b.max_expansion_terms,
                 b.max_docs_scanned,
-                b.max_join_cardinality,
                 b.max_witnesses,
                 b.max_memory_bytes,
             ] {
-                assert_eq!(
-                    l.unwrap().enforcement,
-                    toss_core::Enforcement::Soft,
-                    "{c:?} limits degrade, not fail"
-                );
+                assert!(cap.is_some(), "{c:?} caps every count a selection charges");
             }
+            assert_eq!(
+                b.max_join_cardinality, None,
+                "{c:?}: a selection joins nothing"
+            );
         }
     }
 }

@@ -158,7 +158,7 @@ pub enum ErrorCode {
     BadRequest,
     /// Admission control shed the request; retry after the hint.
     Overloaded,
-    /// A hard budget or the deadline stopped the query.
+    /// The query's deadline passed.
     BudgetExceeded,
     /// The query was cancelled (drain past its deadline, or an explicit
     /// cancel).

@@ -778,12 +778,17 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
         // The ack did not arrive inside the class deadline. The write
         // may still commit — that is exactly what the idempotency key
         // is for: the client retries with the same key and either gets
-        // the deduped original outcome or a fresh apply.
-        Err(_) => error_payload(
-            ErrorCode::Overloaded,
-            "write ack timed out; retry with the same idempotency key",
-            Some(shared.retry_after_ms()),
-        ),
+        // the deduped original outcome or a fresh apply. The answer is
+        // counted here; the writer still stamps the job's one flight
+        // record when it gets to it.
+        Err(_) => {
+            toss_obs::metrics::counter("toss.serve.errors.overloaded").inc();
+            error_payload(
+                ErrorCode::Overloaded,
+                "write ack timed out; retry with the same idempotency key",
+                Some(shared.retry_after_ms()),
+            )
+        }
     }
 }
 

@@ -156,6 +156,11 @@ test -s "$SMOKE/spans.jsonl" || { echo "--trace-out file is empty"; exit 1; }
 if grep -qv '^{"id":' "$SMOKE/spans.jsonl"; then
     echo "--trace-out wrote a line that is not a span object"; exit 1
 fi
+# the sinks are installed before the store opens: its snapshot load is
+# traced, on the thread that runs the query
+QUERY_THREAD=$(sed -n 's/.*"name":"toss\.query\.select","thread":\([0-9]*\),.*/\1/p' "$SMOKE/spans.jsonl")
+grep -q "\"name\":\"xmldb\.snapshot\.load\",\"thread\":$QUERY_THREAD," "$SMOKE/spans.jsonl" \
+    || { echo "--trace-out has no snapshot load on the query's thread"; exit 1; }
 # a live server with a slow-query log, one query over the wire, then
 # one non-interactive `top` refresh against it
 mkfifo "$SMOKE/serve-stdin"

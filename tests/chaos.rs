@@ -19,8 +19,8 @@ use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
 use toss_core::tax::EdgeKind;
 use toss_core::{
-    AdmissionController, BudgetKind, Executor, Limit, QueryBudget, QueryGovernor,
-    TossCond, TossError, TossQuery, TossTerm,
+    AdmissionController, Executor, QueryBudget, QueryGovernor, TossCond, TossError, TossQuery,
+    TossTerm,
 };
 use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
@@ -162,7 +162,7 @@ fn attempt(
             stats.shed += 1;
             Ok(())
         }
-        Err(TossError::BudgetExceeded(b)) if b.kind == BudgetKind::Deadline => {
+        Err(TossError::BudgetExceeded(_)) => {
             stats.deadline += 1;
             Ok(())
         }
@@ -255,8 +255,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
                     &ex,
                     &ctrl,
                     &q,
-                    QueryBudget::unlimited()
-                        .with_max_docs_scanned(Limit::soft(2)),
+                    QueryBudget::unlimited().with_max_docs_scanned(2),
                     &mut stats,
                 )?;
             }
@@ -279,7 +278,7 @@ fn chaos_mixed_load_never_escapes_a_panic() {
             for i in 0..15 {
                 let budget = || {
                     if i % 3 == 2 {
-                        QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(7))
+                        QueryBudget::unlimited().with_max_docs_scanned(7)
                     } else {
                         QueryBudget::unlimited()
                     }

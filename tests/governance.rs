@@ -12,8 +12,8 @@ use toss_core::algebra::{JoinKey, TossPattern};
 use toss_core::executor::Mode;
 use toss_core::tax::{EdgeKind, ProjectEntry};
 use toss_core::{
-    AdmissionController, BudgetKind, CancelToken, Executor, Limit, QueryBudget,
-    QueryGovernor, QueryOutcome, TossCond, TossError, TossQuery, TossResult, TossTerm,
+    AdmissionController, BudgetKind, CancelToken, Executor, QueryBudget, QueryGovernor,
+    QueryOutcome, TossCond, TossError, TossQuery, TossResult, TossTerm,
 };
 use toss_ontology::hierarchy::from_pairs;
 use toss_ontology::sea::enhance;
@@ -74,13 +74,13 @@ fn zero_budgets_degrade_to_empty_not_error() {
     let ex = executor();
     let gov = QueryGovernor::new(
         QueryBudget::unlimited()
-            .with_max_expansion_terms(Limit::soft(0))
-            .with_max_docs_scanned(Limit::soft(0))
-            .with_max_witnesses(Limit::soft(0)),
+            .with_max_expansion_terms(0)
+            .with_max_docs_scanned(0)
+            .with_max_witnesses(0),
     );
     let out = ex
         .select_governed(&author_query("Jeff Ullmann"), Mode::Toss, &gov)
-        .expect("soft zero budgets must degrade, not fail");
+        .expect("zero budgets must degrade, not fail");
     assert_eq!(out.forest.len(), 0);
     let d = out.degradation.expect("zero budgets must report degradation");
     assert_eq!(d.work_done, 0);
@@ -105,9 +105,9 @@ fn budget_exactly_at_demand_is_not_degraded() {
     // a budget exactly at the boundary must change nothing
     let gov = QueryGovernor::new(
         QueryBudget::unlimited()
-            .with_max_expansion_terms(Limit::soft(terms))
-            .with_max_docs_scanned(Limit::soft(docs))
-            .with_max_witnesses(Limit::soft(witnesses as u64)),
+            .with_max_expansion_terms(terms)
+            .with_max_docs_scanned(docs)
+            .with_max_witnesses(witnesses as u64),
     );
     let out = ex.select_governed(&q, Mode::Toss, &gov).unwrap();
     assert_eq!(out.forest.len(), witnesses);
@@ -118,9 +118,7 @@ fn budget_exactly_at_demand_is_not_degraded() {
     );
 
     // one unit less must degrade (sanity check on the boundary)
-    let gov = QueryGovernor::new(
-        QueryBudget::unlimited().with_max_witnesses(Limit::soft(witnesses as u64 - 1)),
-    );
+    let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_witnesses(witnesses as u64 - 1));
     let out = ex.select_governed(&q, Mode::Toss, &gov).unwrap();
     assert_eq!(out.forest.len(), witnesses - 1);
     assert!(out.degradation.is_some());
@@ -138,12 +136,10 @@ fn expired_deadline_is_rejected_before_any_scan() {
         })
         .1
         .unwrap_err();
-    match err {
-        TossError::BudgetExceeded(b) => {
-            assert_eq!(b.kind, toss_core::BudgetKind::Deadline)
-        }
-        other => panic!("expected a deadline breach, got {other:?}"),
-    }
+    assert!(
+        matches!(err, TossError::BudgetExceeded(_)),
+        "expected a deadline breach, got {err:?}"
+    );
     assert_eq!(
         gov.docs_scanned(),
         0,
@@ -171,9 +167,8 @@ impl StringMetric for CancellingMetric {
 
 #[test]
 fn cancellation_between_rewrite_and_execute() {
-    let token = CancelToken::new();
-    let ex = executor().with_probe_metric(Arc::new(CancellingMetric(token.clone())));
-    let gov = QueryGovernor::with_token(QueryBudget::unlimited(), token);
+    let gov = QueryGovernor::unlimited();
+    let ex = executor().with_probe_metric(Arc::new(CancellingMetric(gov.token())));
     // an unknown probe string forces the metric to run during rewrite
     let err = ex
         .select_governed(&author_query("Geoff Ullmann"), Mode::Toss, &gov)
@@ -203,30 +198,22 @@ fn run_op(ex: &Executor, op: &str, gov: &QueryGovernor) -> TossResult<QueryOutco
 #[test]
 fn project_and_join_are_governed_like_select() {
     let ex = executor();
-    let soft_docs =
-        || QueryGovernor::new(QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(1)));
+    let capped_docs = || QueryGovernor::new(QueryBudget::unlimited().with_max_docs_scanned(1));
     let tripped = |op| {
-        let out = run_op(&ex, op, &soft_docs()).expect("a soft cap degrades");
-        out.degradation.expect("the soft cap trips").tripped
+        let out = run_op(&ex, op, &capped_docs()).expect("a cap degrades");
+        out.degradation.expect("the cap trips").tripped
     };
     let select_kind = tripped("select");
     assert_eq!(select_kind, BudgetKind::DocsScanned);
 
     for op in ["project", "join"] {
-        // a soft document cap degrades exactly like the select's
+        // a document cap degrades exactly like the select's
         assert_eq!(tripped(op), select_kind, "{op}");
-
-        // a hard witness cap fails the request
-        let gov = QueryGovernor::new(QueryBudget::unlimited().with_max_witnesses(Limit::hard(1)));
-        match run_op(&ex, op, &gov) {
-            Err(TossError::BudgetExceeded(b)) => assert_eq!(b.kind, BudgetKind::Witnesses, "{op}"),
-            other => panic!("{op}: expected a witness breach, got {other:?}"),
-        }
 
         // an already-expired deadline is rejected before any scan
         let gov = QueryGovernor::new(QueryBudget::unlimited().with_deadline(Duration::ZERO));
         match run_op(&ex, op, &gov) {
-            Err(TossError::BudgetExceeded(b)) => assert_eq!(b.kind, BudgetKind::Deadline, "{op}"),
+            Err(TossError::BudgetExceeded(_)) => {}
             other => panic!("{op}: expected a deadline breach, got {other:?}"),
         }
         assert_eq!(
@@ -280,8 +267,8 @@ fn papers() -> TossQuery {
 }
 
 /// The join-cardinality budget is charged with the candidate pairs the
-/// signature join generates, not with |L| × |R|: a hard limit between
-/// the two returns the full output, and a soft limit below the candidate
+/// signature join generates, not with |L| × |R|: a cap between the two
+/// returns the full output undegraded, and a cap below the candidate
 /// count keeps a prefix of the unlimited output with the same
 /// degradation at every worker count.
 #[test]
@@ -306,8 +293,8 @@ fn join_cardinality_charges_generated_candidates() {
     let product = 3 * 3;
 
     for threads in [1, 2, 7] {
-        let hard = QueryBudget::unlimited().with_max_join_cardinality(Limit::hard(product - 1));
-        let (out, gov) = join(threads, hard);
+        let roomy = QueryBudget::unlimited().with_max_join_cardinality(product - 1);
+        let (out, gov) = join(threads, roomy);
         let out = out.unwrap_or_else(|e| panic!("@ {threads} threads: {e:?}"));
         assert_eq!(fingerprints(&out), fingerprints(&full), "@ {threads} threads");
         assert!(out.degradation.is_none());
@@ -316,12 +303,12 @@ fn join_cardinality_charges_generated_candidates() {
 
     let mut degradations = Vec::new();
     for threads in [1, 2, 7] {
-        let soft = QueryBudget::unlimited().with_max_join_cardinality(Limit::soft(3));
-        let out = join(threads, soft).0.unwrap();
+        let tight = QueryBudget::unlimited().with_max_join_cardinality(3);
+        let out = join(threads, tight).0.unwrap();
         let prefix = fingerprints(&full)[..out.forest.len()].to_vec();
         assert_eq!(fingerprints(&out), prefix, "@ {threads} threads");
         assert_eq!(out.forest.len(), 3);
-        let info = out.degradation.expect("the soft limit trips");
+        let info = out.degradation.expect("the cap trips");
         assert_eq!(info.tripped, BudgetKind::JoinCardinality);
         degradations.push(info);
     }

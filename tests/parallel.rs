@@ -13,8 +13,8 @@ use std::sync::Arc;
 use toss::core::algebra::TossPattern;
 use toss::core::executor::Mode;
 use toss::core::{
-    DegradationInfo, Executor, Limit, QueryBudget, QueryGovernor, QueryPlan, TossCond,
-    TossError, TossQuery, TossTerm,
+    DegradationInfo, Executor, QueryBudget, QueryGovernor, QueryPlan, TossCond, TossError,
+    TossQuery, TossTerm,
 };
 use toss::ontology::hierarchy::from_pairs;
 use toss::ontology::sea::enhance;
@@ -194,7 +194,7 @@ fn observe(ex: &Executor, q: &TossQuery, budget: &QueryBudget) -> Observed {
     (out, gov.docs_scanned())
 }
 
-/// Under either plan a soft document budget is one bulk admission of the
+/// Under either plan a document budget is one bulk admission of the
 /// plan's visits: it charges `min(cap, demand)` and degrades below the
 /// demand, whatever the executor's thread count.
 #[test]
@@ -206,41 +206,12 @@ fn charging_budgets_are_charged_identically() {
             _ => assert_eq!(plan, Some(QueryPlan::Scan)),
         }
         for cap in [0u64, 1, 5, 26, 1000] {
-            let budget = QueryBudget::unlimited().with_max_docs_scanned(Limit::soft(cap));
+            let budget = QueryBudget::unlimited().with_max_docs_scanned(cap);
             let baseline = observe(&executor(1), &q, &budget);
             let (out, charged) = &baseline;
             assert_eq!(*charged, cap.min(demand), "cap {cap}: one bulk admission");
-            let (_, degradation) = out.as_ref().expect("a soft cap degrades");
+            let (_, degradation) = out.as_ref().expect("a cap degrades");
             assert_eq!(degradation.is_some(), cap < demand, "cap {cap}");
-            for threads in THREADS {
-                let got = observe(&executor(threads), &q, &budget);
-                assert_eq!(got, baseline, "cap {cap} threads {threads}");
-            }
-        }
-    }
-}
-
-/// A hard document budget below the demand fails before any visit,
-/// charging nothing and reporting the full demand, whatever the
-/// executor's thread count.
-#[test]
-fn hard_abort_is_thread_count_invariant() {
-    for (q, demand) in executor_queries() {
-        for cap in [0u64, 1, 7, 52] {
-            let budget = QueryBudget::unlimited().with_max_docs_scanned(Limit::hard(cap));
-            let baseline = observe(&executor(1), &q, &budget);
-            if cap < demand {
-                match &baseline {
-                    (Err(TossError::BudgetExceeded(b)), 0) => {
-                        assert_eq!((b.limit, b.observed), (cap, demand), "cap {cap}")
-                    }
-                    other => panic!("cap {cap}: expected a docs-scanned breach, got {other:?}"),
-                }
-            } else {
-                let (out, _) = &baseline;
-                let (_, degradation) = out.as_ref().expect("the cap covers the demand");
-                assert!(degradation.is_none(), "cap {cap}");
-            }
             for threads in THREADS {
                 let got = observe(&executor(threads), &q, &budget);
                 assert_eq!(got, baseline, "cap {cap} threads {threads}");

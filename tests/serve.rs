@@ -844,6 +844,56 @@ fn writes_commit_live_and_a_retried_write_dedupes_to_one_application() {
     server.shutdown();
 }
 
+/// A write whose ack misses its class deadline is answered `overloaded`
+/// with a retry hint and counted like every other `overloaded` answer;
+/// the writer still commits it, and a resend with the same key dedupes.
+#[test]
+fn a_write_ack_timeout_is_counted_and_the_write_still_applies() {
+    let vfs = Arc::new(FaultVfs::new());
+    seed_writable(&vfs, 6);
+    let mut opened = open_seeded(&vfs, Some(WriteConfig::default()));
+    let mut engine = opened.engine.take().expect("opened writable");
+    // SEA outlasts the `best_effort` class deadline (250 ms)
+    engine.enhancer = Box::new(|h| {
+        thread::sleep(Duration::from_millis(400));
+        enhance(h, &Levenshtein, 1.0).map_err(|e| e.to_string())
+    });
+    let exec = Arc::new(RwLock::new(chaos_executor(opened)));
+    let server =
+        Server::start_writable(exec, engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    let before = counter_value("toss.serve.errors.overloaded");
+    let key = next_write_key();
+    let op = WriteOp::AddTerm {
+        terms: vec!["ack-timeout-term".into()],
+    };
+    match client.write_keyed(op.clone(), BudgetClass::BestEffort, &key) {
+        Err(ClientError::Server {
+            code: ErrorCode::Overloaded,
+            retry_after_ms: Some(_),
+            ..
+        }) => {}
+        other => panic!("expected an overloaded ack timeout, got {other:?}"),
+    }
+    assert!(counter_value("toss.serve.errors.overloaded") > before);
+
+    // the writer finishes the job after the answer went out
+    let t0 = Instant::now();
+    while client.stats().unwrap().write.applied < 1 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "the timed-out write never applied"
+        );
+        thread::sleep(Duration::from_millis(20));
+    }
+    let resent = client
+        .write_keyed(op, BudgetClass::Interactive, &key)
+        .expect("the resend is answered");
+    assert!(resent.deduped, "{resent:?}");
+    server.shutdown();
+}
+
 /// Idempotency keys ride inside the journal records, so the dedupe
 /// table survives a clean restart: a retry against the *restarted*
 /// server (ack lost right before shutdown, from the client's view)

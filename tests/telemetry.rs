@@ -2,7 +2,8 @@
 //!
 //! `docs/observability.md`'s catalogue is the one list of them: a row
 //! per name with its kind, what it measures and what reads it. The first
-//! test checks that table against the product sources. The others are
+//! test checks that table against the product sources, and another
+//! checks that every name the docs give exists. The others are
 //! the reader the catalogue names for the spans and metrics that no
 //! command, script or benchmark reads: they run each operation once
 //! under a trace sink and assert the spans nest as catalogued and the
@@ -236,6 +237,98 @@ fn the_name_matcher_reads_both_placeholder_forms() {
     ));
     assert!(!covers("toss.join", "toss.join.emit"));
     assert!(!covers("toss.serve.errors.{}", "toss.serve.errors"));
+}
+
+/// The backticked names in markdown `text` that start with one of
+/// [`PREFIXES`], outside fenced code blocks: each code span's leading
+/// run of name characters, brace groups and placeholders included.
+fn doc_names(text: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut fenced = false;
+    for line in text.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        }
+        if fenced {
+            continue;
+        }
+        for span in line.split('`').skip(1).step_by(2) {
+            let end = span
+                .find(|c: char| {
+                    !(c.is_ascii_lowercase() || c.is_ascii_digit() || "_.{},<>*".contains(c))
+                })
+                .unwrap_or(span.len());
+            let name = &span[..end];
+            if PREFIXES.iter().any(|p| name.starts_with(p)) {
+                names.push(name.to_string());
+            }
+        }
+    }
+    names
+}
+
+/// Every string literal in the benchmark's sources (`benchmark/src/*.rs`).
+fn benchmark_literals(root: &Path) -> Vec<String> {
+    let mut files = Vec::new();
+    rust_files(&root.join("benchmark/src"), &mut files);
+    let mut literals = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("readable benchmark source");
+        for line in text.lines() {
+            literals.extend(line.split('"').skip(1).step_by(2).map(str::to_string));
+        }
+    }
+    literals
+}
+
+/// Whether a name a doc gives denotes something that exists: each of
+/// its brace expansions is a catalogue name (a trailing `.*` matching
+/// any catalogue name it prefixes) or a string the benchmark emits.
+fn exists(name: &str, catalogued: &[String], benchmark: &[String]) -> bool {
+    expand_braces(name)
+        .iter()
+        .all(|n| match n.strip_suffix('*') {
+            Some(prefix) => catalogued.iter().any(|c| c.starts_with(prefix)),
+            None => catalogued.iter().any(|c| glob(c, '<', '>', n)) || benchmark.contains(n),
+        })
+}
+
+/// The docs name only metrics and spans that exist: what the product
+/// registers (the catalogue, which the test above keeps honest) or what
+/// the benchmark reports. ROADMAP.md and CHANGES.md are history and are
+/// not read.
+#[test]
+fn every_name_the_docs_give_is_catalogued_or_a_benchmark_metric() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("docs/observability.md")).expect("catalogue");
+    let catalogued: Vec<String> = catalogue(&doc).into_iter().flat_map(|r| r.names).collect();
+    let benchmark = benchmark_literals(root);
+    assert!(exists("toss.governor.panics", &catalogued, &benchmark));
+    assert!(exists("xmldb.open_ms_p50", &catalogued, &benchmark));
+    assert!(!exists("toss.governor.made_up", &catalogued, &benchmark));
+
+    let mut docs: Vec<PathBuf> = std::fs::read_dir(root.join("docs"))
+        .expect("docs dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "md"))
+        .collect();
+    docs.sort();
+    docs.extend(["README.md", "DESIGN.md"].map(|f| root.join(f)));
+    let mut problems = Vec::new();
+    for path in &docs {
+        let text = std::fs::read_to_string(path).expect("readable doc");
+        for name in doc_names(&text) {
+            if !exists(&name, &catalogued, &benchmark) {
+                let path = path.strip_prefix(root).unwrap_or(path);
+                problems.push(format!("{}: `{name}`", path.display()));
+            }
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "names no product code registers and the benchmark does not emit:\n{}",
+        problems.join("\n")
+    );
 }
 
 /// This thread's spans from `sink`, as trees.
