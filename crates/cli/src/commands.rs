@@ -432,7 +432,7 @@ fn cmd_xpath(argv: &[String]) -> Result<(), String> {
     println!("{} match(es)", matches.len());
     for m in matches.iter().take(50) {
         let doc = coll.get(m.doc).map_err(|e| e.to_string())?;
-        let sub = doc.tree.extract(m.node).map_err(|e| e.to_string())?;
+        let sub = doc.tree().extract(m.node).map_err(|e| e.to_string())?;
         println!("{} {}", m.doc, tree_to_xml(&sub, Style::Compact));
     }
     if matches.len() > 50 {
@@ -472,7 +472,7 @@ fn cmd_build_seo(argv: &[String]) -> Result<(), String> {
 
     let mut instances = Vec::new();
     for coll in db.collections() {
-        let forest: Forest = coll.documents().iter().map(|d| d.tree.clone()).collect();
+        let forest: Forest = coll.documents().iter().map(|d| d.tree().clone()).collect();
         let ontology = make_ontology(&forest, &lexicon, &cfg).map_err(|e| e.to_string())?;
         instances.push(OesInstance::new(coll.name(), forest, ontology));
     }

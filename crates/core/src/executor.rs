@@ -552,7 +552,7 @@ impl Executor {
         let mut candidate = Vec::with_capacity(docs.len());
         for doc in docs {
             gov.check()?;
-            let tree = &coll.get(doc)?.tree;
+            let tree = coll.get(doc)?.tree();
             let fits = gov.charge_memory(approx_tree_bytes(tree));
             candidate.push(tree);
             if !fits {
@@ -1049,7 +1049,7 @@ mod tests {
         let via_store = ex.select(&q, Mode::Toss).unwrap().forest;
         // the paper's σ over the same documents as a forest
         let coll = ex.db.collection("dblp").unwrap();
-        let forest: Forest = coll.documents().iter().map(|d| d.tree.clone()).collect();
+        let forest: Forest = coll.documents().iter().map(|d| d.tree().clone()).collect();
         let in_mem = crate::algebra::toss_select(
             &crate::oes::SeoInstance::new(forest, ex.seo.clone()),
             &q.pattern,
@@ -1167,7 +1167,7 @@ mod tests {
         };
         let via_store = ex.select(&q, Mode::Toss).unwrap().forest;
         let coll = ex.db.collection("q").unwrap();
-        let forest: Forest = coll.documents().iter().map(|d| d.tree.clone()).collect();
+        let forest: Forest = coll.documents().iter().map(|d| d.tree().clone()).collect();
         let in_mem = crate::algebra::toss_select(
             &crate::oes::SeoInstance::new(forest, ex.seo.clone()),
             &q.pattern,

@@ -441,7 +441,7 @@ mod tests {
             .iter()
             .flat_map(|d| {
                 let roots: Vec<NodeId> = query
-                    .embeddings(&d.tree)
+                    .embeddings(d.tree())
                     .iter()
                     .map(|e| e.images()[0])
                     .collect();

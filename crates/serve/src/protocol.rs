@@ -188,6 +188,12 @@ impl ErrorCode {
         }
     }
 
+    /// Count one error frame under this code:
+    /// `toss.serve.errors.<code>`.
+    pub(crate) fn count(self) {
+        toss_obs::metrics::counter(&format!("toss.serve.errors.{}", self.as_str())).inc();
+    }
+
     /// Parse the wire string.
     pub(crate) fn parse(s: &str) -> Option<ErrorCode> {
         Some(match s {

@@ -505,6 +505,7 @@ fn on_accept(shared: &Arc<Shared>, stream: TcpStream) {
     // typed `overloaded` frame and a close instead of a silent hang.
     if shared.conn_count() >= shared.cfg.max_connections {
         toss_obs::metrics::counter("toss.serve.conns_rejected").inc();
+        ErrorCode::Overloaded.count();
         let mut s = stream;
         let _ = write_frame(
             &mut s,
@@ -615,7 +616,7 @@ fn handle_payload(shared: &Arc<Shared>, entry: &Arc<ConnEntry>, payload: &[u8]) 
     let req = match Request::parse(payload) {
         Ok(r) => r,
         Err(msg) => {
-            toss_obs::metrics::counter("toss.serve.errors.bad_request").inc();
+            ErrorCode::BadRequest.count();
             return error_payload(ErrorCode::BadRequest, &msg, None);
         }
     };
@@ -658,10 +659,10 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
     let qid = QueryId::next();
     let _ctx = toss_obs::set_current_query(qid);
     let started = Instant::now();
-    // An ingress rejection (draining, degraded, oversize, shed): the
-    // writer thread never sees it, so its telemetry is stamped here.
-    let reject = |code: ErrorCode, counter: &str, message: &str, retry: Option<u64>| {
-        toss_obs::metrics::counter(counter).inc();
+    // An answer the writer never gives (draining, degraded, oversize,
+    // shed, a writer gone): its telemetry is stamped here.
+    let reject = |code: ErrorCode, message: &str, retry: Option<u64>| {
+        code.count();
         let mut rec = write_record(qid.0, w.class, &w.op, started.elapsed());
         rec.outcome = QueryOutcomeKind::Error;
         rec.cause = code.as_str().to_string();
@@ -670,7 +671,7 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
     };
 
     let Some(state) = &shared.write_state else {
-        toss_obs::metrics::counter("toss.serve.errors.bad_request").inc();
+        ErrorCode::BadRequest.count();
         return error_payload(
             ErrorCode::BadRequest,
             "this server is read-only: no write path is configured",
@@ -678,15 +679,15 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
         );
     };
     if shared.state() != STATE_RUNNING {
-        let (counter, hint) = ("toss.serve.errors.shutting_down", Some(shared.drain_hint_ms()));
-        return reject(ErrorCode::ShuttingDown, counter, "server is draining", hint);
+        let hint = Some(shared.drain_hint_ms());
+        return reject(ErrorCode::ShuttingDown, "server is draining", hint);
     }
     // Read-only degraded mode: reject at ingress with the reason and a
     // retry hint. Reads keep flowing; the writer thread's probe loop
     // clears the flag once the journal is healthy again.
     if state.is_degraded() {
         let message = format!("server is read-only: {}", state.degraded_reason());
-        return reject(ErrorCode::Degraded, "toss.serve.errors.degraded", &message, Some(500));
+        return reject(ErrorCode::Degraded, &message, Some(500));
     }
     // The class's write-size ceiling (cheap pre-admission check; the
     // batch validator still owns semantic validation).
@@ -697,7 +698,7 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
             w.class.max_write_bytes(),
             w.class.as_str()
         );
-        return reject(ErrorCode::BadRequest, "toss.serve.errors.bad_request", &message, None);
+        return reject(ErrorCode::BadRequest, &message, None);
     }
 
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
@@ -709,19 +710,28 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
         enqueued: started,
         reply: reply_tx,
     };
-    let sent = match shared.write_tx.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
-        Some(tx) => tx.try_send(job),
-        None => Err(mpsc::TrySendError::Disconnected(job)),
-    };
+    // `None`: the drain took the queue; `Some(Err(full))`: refused
+    let sent = shared
+        .write_tx
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .as_ref()
+        .map(|tx| tx.try_send(job).map_err(|e| matches!(e, mpsc::TrySendError::Full(_))));
     match sent {
-        Ok(()) => {}
-        Err(mpsc::TrySendError::Full(_)) => {
-            let (counter, hint) = ("toss.serve.write.shed", Some(shared.retry_after_ms()));
-            return reject(ErrorCode::Overloaded, counter, "write queue is full", hint);
+        Some(Ok(())) => {}
+        Some(Err(true)) => {
+            toss_obs::metrics::counter("toss.serve.write.shed").inc();
+            let hint = Some(shared.retry_after_ms());
+            return reject(ErrorCode::Overloaded, "write queue is full", hint);
         }
-        Err(mpsc::TrySendError::Disconnected(_)) => {
+        // The writer dropped its queue while the server still runs: it
+        // is gone, and a retry cannot bring it back.
+        Some(Err(false)) => {
+            return reject(ErrorCode::Internal, "the writer has stopped", None);
+        }
+        None => {
             let hint = Some(shared.drain_hint_ms());
-            return error_payload(ErrorCode::ShuttingDown, "server is draining", hint);
+            return reject(ErrorCode::ShuttingDown, "server is draining", hint);
         }
     }
 
@@ -766,13 +776,7 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
             message,
             retry_after_ms,
         }) => {
-            toss_obs::metrics::counter(match code {
-                ErrorCode::Degraded => "toss.serve.errors.degraded",
-                ErrorCode::BadRequest => "toss.serve.errors.bad_request",
-                ErrorCode::Internal => "toss.serve.errors.internal",
-                _ => "toss.serve.errors.bad_request",
-            })
-            .inc();
+            code.count();
             error_payload(code, &message, retry_after_ms)
         }
         // The ack did not arrive inside the class deadline. The write
@@ -781,14 +785,22 @@ fn handle_write(shared: &Arc<Shared>, w: &WriteRequest) -> String {
         // the deduped original outcome or a fresh apply. The answer is
         // counted here; the writer still stamps the job's one flight
         // record when it gets to it.
-        Err(_) => {
-            toss_obs::metrics::counter("toss.serve.errors.overloaded").inc();
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            ErrorCode::Overloaded.count();
             error_payload(
                 ErrorCode::Overloaded,
                 "write ack timed out; retry with the same idempotency key",
                 Some(shared.retry_after_ms()),
             )
         }
+        // The writer dropped the job's reply without answering (a writer
+        // that panicked, say): it will stamp no record, and a retry
+        // cannot fix the cause.
+        Err(mpsc::RecvTimeoutError::Disconnected) => reject(
+            ErrorCode::Internal,
+            "the writer stopped without answering",
+            None,
+        ),
     }
 }
 

@@ -176,7 +176,7 @@ impl Service {
         if let Err((code, _)) = &result {
             // toss.serve.errors.{shutting_down, bad_request, overloaded,
             // budget_exceeded, cancelled, internal}
-            toss_obs::metrics::counter(&format!("toss.serve.errors.{}", code.as_str())).inc();
+            code.count();
         }
         self.stamp_query(query_id, q, elapsed, queue_wait, gov.as_ref(), &result);
         Served {

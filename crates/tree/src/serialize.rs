@@ -42,8 +42,47 @@ pub enum Style {
     Pretty,
 }
 
+/// `<tag`: a start tag up to its attributes.
+pub fn open_tag<W: fmt::Write>(out: &mut W, tag: &str) -> fmt::Result {
+    out.write_char('<')?;
+    out.write_str(tag)
+}
+
+/// ` name="value"`: one attribute, its value escaped.
+pub fn attribute<W: fmt::Write>(out: &mut W, name: &str, value: &str) -> fmt::Result {
+    out.write_char(' ')?;
+    out.write_str(name)?;
+    out.write_str("=\"")?;
+    write_escaped(out, value, true)?;
+    out.write_char('"')
+}
+
+/// The end of a start tag: `/>` for an element with neither content nor
+/// children, which then has no end tag, else `>`.
+pub fn close_start_tag<W: fmt::Write>(out: &mut W, empty: bool) -> fmt::Result {
+    out.write_str(if empty { "/>" } else { ">" })
+}
+
+/// Text content, escaped. A number's rendering has nothing to escape, so
+/// this is also the form of content parsed from `s`: a number is stored
+/// only when it renders as the text it was read from
+/// ([`Value::parse_lexical`]).
+pub fn text<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    write_escaped(out, s, false)
+}
+
+/// `</tag>`.
+pub fn end_tag<W: fmt::Write>(out: &mut W, tag: &str) -> fmt::Result {
+    out.write_str("</")?;
+    out.write_str(tag)?;
+    out.write_char('>')
+}
+
 /// The one serializer: [`write_xml`] runs it into a `String`,
-/// [`compact_len`] into a byte counter, so the two cannot disagree.
+/// [`compact_len`] into a byte counter, so the two cannot disagree. Its
+/// forms ([`open_tag`], [`attribute`], [`close_start_tag`], [`text`],
+/// [`end_tag`]) are public for writers that render a document from
+/// something other than a tree.
 fn write_node<W: fmt::Write>(
     t: &Tree,
     n: NodeId,
@@ -58,27 +97,22 @@ fn write_node<W: fmt::Write>(
             out.write_str("  ")?;
         }
     }
-    out.write_char('<')?;
-    out.write_str(&d.tag)?;
+    open_tag(out, &d.tag)?;
     for (k, v) in &d.attrs {
-        out.write_char(' ')?;
-        out.write_str(k)?;
-        out.write_str("=\"")?;
-        write_escaped(out, v, true)?;
-        out.write_char('"')?;
+        attribute(out, k, v)?;
     }
     let mut kids = t.children(n).peekable();
     let has_kids = kids.peek().is_some();
-    if !has_kids && d.content.is_none() {
-        out.write_str("/>")?;
+    let empty = !has_kids && d.content.is_none();
+    close_start_tag(out, empty)?;
+    if empty {
         if pretty {
             out.write_char('\n')?;
         }
         return Ok(());
     }
-    out.write_char('>')?;
     match &d.content {
-        Some(Value::Str(s)) => write_escaped(out, s, false)?,
+        Some(Value::Str(s)) => text(out, s)?,
         // digits, signs, `.`, `e`, `inf`, `NaN`: nothing to escape
         Some(v) => write!(out, "{v}")?,
         None => {}
@@ -96,9 +130,7 @@ fn write_node<W: fmt::Write>(
             }
         }
     }
-    out.write_str("</")?;
-    out.write_str(&d.tag)?;
-    out.write_char('>')?;
+    end_tag(out, &d.tag)?;
     if pretty {
         out.write_char('\n')?;
     }

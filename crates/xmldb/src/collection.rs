@@ -8,7 +8,9 @@
 
 use crate::error::{DbError, DbResult};
 use crate::index::{IndexView, LayeredIndex};
+use crate::parser::Measured;
 use crate::segidx::FrozenIndex;
+use std::sync::OnceLock;
 use toss_tree::serialize::compact_len;
 use toss_tree::Tree;
 
@@ -47,15 +49,81 @@ pub(crate) fn duplicate_id(collection: &str, id: DocumentId) -> DbError {
     ))
 }
 
-/// A stored document: the parsed tree plus its compact-XML byte size.
+/// A stored document: its id, its compact-XML byte size and its tree.
+///
+/// A document read from a snapshot keeps the XML it was stored as and
+/// builds its tree the first time something reads it
+/// ([`StoredDocument::tree`]); an inserted, replaced or replayed
+/// document holds its tree from the start and keeps no text.
 #[derive(Debug, Clone)]
 pub struct StoredDocument {
     /// The document id.
     pub id: DocumentId,
-    /// The parsed tree.
-    pub tree: Tree,
     /// Size of the compact XML serialization in bytes.
     pub size_bytes: usize,
+    /// The XML the snapshot held, if the document came from one.
+    xml: Option<Box<str>>,
+    /// Whether `xml` is, byte for byte, the tree's compact XML.
+    canonical: bool,
+    tree: OnceLock<Tree>,
+}
+
+impl StoredDocument {
+    /// A document that holds its tree, whose compact XML is `size_bytes`
+    /// long.
+    pub(crate) fn built(id: DocumentId, tree: Tree, size_bytes: usize) -> Self {
+        StoredDocument {
+            id,
+            size_bytes,
+            xml: None,
+            canonical: false,
+            tree: OnceLock::from(tree),
+        }
+    }
+
+    /// A document read from a snapshot: `xml` passed the stored-document
+    /// grammar, which `measured` it.
+    pub(crate) fn from_xml(id: DocumentId, xml: Box<str>, measured: Measured) -> Self {
+        StoredDocument {
+            id,
+            size_bytes: measured.size,
+            xml: Some(xml),
+            canonical: measured.canonical,
+            tree: OnceLock::new(),
+        }
+    }
+
+    /// The parsed tree, built from the kept XML on first use.
+    pub fn tree(&self) -> &Tree {
+        self.tree.get_or_init(|| build(self.xml.as_deref()))
+    }
+
+    /// The document's tree, built if it was not yet.
+    fn into_tree(self) -> Tree {
+        match self.tree.into_inner() {
+            Some(tree) => tree,
+            None => build(self.xml.as_deref()),
+        }
+    }
+
+    /// The kept XML when it is the tree's compact XML: what a snapshot
+    /// writer copies instead of rendering the tree.
+    pub(crate) fn canonical_xml(&self) -> Option<&str> {
+        self.xml.as_deref().filter(|_| self.canonical)
+    }
+
+    /// Whether the tree has been built.
+    #[cfg(test)]
+    pub(crate) fn is_built(&self) -> bool {
+        self.tree.get().is_some()
+    }
+}
+
+/// The tree of a document that holds none: parse its kept XML.
+fn build(xml: Option<&str>) -> Tree {
+    let xml = xml.expect("a stored document holds its tree or the XML to build it from");
+    crate::parser::parse_stored(xml)
+        .expect("kept XML passed the stored-document grammar when the snapshot was read")
 }
 
 /// A named collection of documents.
@@ -104,7 +172,7 @@ impl Collection {
     /// out of order.
     pub(crate) fn index_documents(&mut self) {
         for d in &self.docs {
-            self.index.add_document(d.id, &d.tree);
+            self.index.add_document(d.id, d.tree());
         }
     }
 
@@ -149,39 +217,28 @@ impl Collection {
     /// of the delta's lists, as after a `replace`.
     pub(crate) fn insert_with_id(&mut self, id: DocumentId, tree: Tree) -> DbResult<()> {
         let size = compact_len(&tree);
-        let pos = self.restore_document(id, tree, size)?;
-        self.index.add_document(id, &self.docs[pos].tree);
+        let pos = self.restore_document(StoredDocument::built(id, tree, size))?;
+        self.index.add_document(id, self.docs[pos].tree());
         Ok(())
     }
 
     /// Store a document without indexing it, returning its position:
-    /// snapshot restore, which measured the tree's compact size where it
-    /// parsed it, and ends each collection with
-    /// [`Collection::attach_base`] or [`Collection::index_documents`].
-    pub(crate) fn restore_document(
-        &mut self,
-        id: DocumentId,
-        tree: Tree,
-        size: usize,
-    ) -> DbResult<usize> {
+    /// snapshot restore, which measured the document where it decoded
+    /// it, and ends each collection with [`Collection::attach_base`] or
+    /// [`Collection::index_documents`].
+    pub(crate) fn restore_document(&mut self, doc: StoredDocument) -> DbResult<usize> {
         // Ids are monotonic, so `pos` is the tail on every product path;
         // a hand-edited snapshot listing ids out of order lands each
         // document at its sorted position instead.
+        let id = doc.id;
         let Err(pos) = self.position(id) else {
             return Err(duplicate_id(&self.name, id));
         };
-        debug_assert_eq!(size, compact_len(&tree));
+        let size = doc.size_bytes;
         check_size_limit(&self.name, self.size_limit, self.size_bytes + size)?;
         self.next_id = self.next_id.max(id.0 + 1);
         self.size_bytes += size;
-        self.docs.insert(
-            pos,
-            StoredDocument {
-                id,
-                tree,
-                size_bytes: size,
-            },
-        );
+        self.docs.insert(pos, doc);
         self.debug_check_order(pos);
         Ok(pos)
     }
@@ -233,13 +290,13 @@ impl Collection {
             self.size_limit,
             self.size_bytes - old_size + new_size,
         )?;
-        self.index.remove_document(id, &self.docs[pos].tree);
+        self.index.remove_document(id, self.docs[pos].tree());
         self.index.add_document(id, &tree);
         self.size_bytes = self.size_bytes - old_size + new_size;
-        let old = std::mem::replace(&mut self.docs[pos].tree, tree);
-        self.docs[pos].size_bytes = new_size;
+        let new = StoredDocument::built(id, tree, new_size);
+        let old = std::mem::replace(&mut self.docs[pos], new);
         self.debug_check_order(pos);
-        Ok(old)
+        Ok(old.into_tree())
     }
 
     /// Remove a document by id; returns the removed tree.
@@ -248,10 +305,10 @@ impl Collection {
             .position(id)
             .map_err(|_| DbError::NoSuchDocument(id.0))?;
         let doc = self.docs.remove(pos);
-        self.index.remove_document(id, &doc.tree);
+        self.index.remove_document(id, doc.tree());
         self.size_bytes -= doc.size_bytes;
         self.debug_check_order(pos);
-        Ok(doc.tree)
+        Ok(doc.into_tree())
     }
 
     /// All stored documents, in document order.
@@ -374,7 +431,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(old.node_count(), 2);
-        assert_eq!(c.get(id).unwrap().tree.data(c.get(id).unwrap().tree.root().unwrap()).unwrap().tag, "article");
+        assert_eq!(c.get(id).unwrap().tree().data(c.get(id).unwrap().tree().root().unwrap()).unwrap().tag, "article");
         // index reflects the new content only
         assert_eq!(c.index().by_tag_content("title", "Paper 0").len(), 0);
         assert_eq!(c.index().by_tag_content("title", "Replaced").len(), 1);
@@ -454,7 +511,7 @@ mod tests {
     fn insert_xml_parses() {
         let mut c = Collection::new("x", None);
         let id = c.insert_xml("<a><b>1</b></a>").unwrap();
-        assert_eq!(c.get(id).unwrap().tree.node_count(), 2);
+        assert_eq!(c.get(id).unwrap().tree().node_count(), 2);
         assert!(c.insert_xml("<a><b>").is_err());
     }
 }

@@ -271,7 +271,7 @@ impl DurableDatabase {
 
     /// Remove a document, durably; returns the removed tree.
     pub fn remove_document(&mut self, collection: &str, id: DocumentId) -> DbResult<Tree> {
-        let tree = self.db.collection(collection)?.get(id)?.tree.clone();
+        let tree = self.db.collection(collection)?.get(id)?.tree().clone();
         self.commit(JournalOp::Remove {
             collection: collection.into(),
             doc_id: id.0,
@@ -1075,7 +1075,7 @@ mod tests {
             let c = db.collection("d").unwrap();
             c.documents()
                 .iter()
-                .map(|d| tree_to_xml(&d.tree, Style::Compact))
+                .map(|d| tree_to_xml(d.tree(), Style::Compact))
                 .collect()
         };
         let mut store = open_mem(vfs.clone());

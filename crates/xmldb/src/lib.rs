@@ -10,6 +10,7 @@
 //!   instructions, the five standard entities and numeric character
 //!   references). New documents may nest at most 256 levels; documents
 //!   a store already holds are read back without that limit.
+//!   [`measure_stored`] runs the same grammar without building a tree.
 //! * [`Database`] / [`Collection`] — named collections of documents with
 //!   a configurable per-collection size limit ([`DatabaseConfig`];
 //!   defaults to Xindice's 5 MB, so the paper's Fig. 16(a) end-of-range
@@ -55,6 +56,6 @@ pub use durable::{apply_op, BatchValidator, DurableDatabase, DurableWriter, Reco
 pub use error::{CorruptionSite, DbError, DbResult};
 pub use index::{IndexView, Posting, Postings};
 pub use journal::{JournalOp, JournalRecord};
-pub use parser::{parse_document, parse_forest};
+pub use parser::{measure_stored, parse_document, parse_forest, Measured};
 pub use vfs::{FaultMode, FaultSchedule, FaultVfs, ScheduledFault, StdVfs, Vfs};
 pub use xpath::{Candidates, NodeRef, XPath};

@@ -15,18 +15,26 @@
 //! canonical form, else as a string ([`Value::parse_lexical`]), so
 //! serializing the tree gives the text back.
 //!
-//! The tree is all a parse allocates: one `String` per tag, attribute
-//! name, attribute value and stored text, one attribute list per element
-//! that has attributes (sized by counting its quoted values first), and
-//! for [`parse_document`] one arena sized by counting the start tags.
-//! Text that needs decoding or joining is built in one buffer that every
-//! element of the parse shares.
+//! One grammar runs into one of two sinks. A [`Tree`] builds the
+//! document: the tree is all that parse allocates — one `String` per
+//! tag, attribute name, attribute value and stored text, one attribute
+//! list per element that has attributes (sized by counting its quoted
+//! values first), and for [`parse_document`] one arena sized by counting
+//! the start tags. [`measure_stored`] builds nothing: it runs the
+//! serializer's compact forms over the same events into a writer that
+//! counts the bytes and compares them with the input, so it returns the
+//! tree's compact size and whether the input already is that rendering,
+//! with exactly the errors the tree's parse would return. Text that
+//! needs decoding or joining is built in one buffer that every element
+//! of the parse shares.
 //!
 //! New XML ([`parse_document`], [`parse_forest`]) may nest elements at
 //! most [`MAX_DEPTH`] levels; a document the store already holds is read
-//! back without that limit ([`parse_stored`]).
+//! back without that limit ([`parse_stored`], [`measure_stored`]).
 
 use crate::error::{DbError, DbResult};
+use std::fmt;
+use toss_tree::serialize;
 use toss_tree::{Forest, NodeData, NodeId, Tree, Value};
 
 /// Deepest element nesting a document may have (the root is level 1).
@@ -48,7 +56,7 @@ pub fn parse_document(input: &str) -> DbResult<Tree> {
 /// into a forest, one tree per top-level element, each nested at most
 /// 256 levels.
 pub fn parse_forest(input: &str) -> DbResult<Forest> {
-    let mut p = Parser::new(input, MAX_DEPTH);
+    let mut p = Parser::new(input, MAX_DEPTH, String::new());
     let mut forest = Forest::new();
     while p.at_root()? {
         let mut tree = Tree::new();
@@ -65,25 +73,42 @@ pub(crate) fn parse_stored(input: &str) -> DbResult<Tree> {
     parse_one(input, usize::MAX)
 }
 
-/// The one top-level element of `input`. Later roots are still parsed,
-/// so a malformed one fails with its own error and the count in the
-/// "expected one root" error is all of them.
 fn parse_one(input: &str, max_depth: usize) -> DbResult<Tree> {
-    let mut p = Parser::new(input, max_depth);
-    if !p.at_root()? {
-        return Err(err(0, "no root element found"));
-    }
     let mut tree = Tree::with_capacity(start_tags(input.as_bytes()));
-    p.element(&mut tree, None, 1)?;
-    let mut roots = 1;
-    while p.at_root()? {
-        p.element(&mut Tree::new(), None, 1)?;
-        roots += 1;
-    }
-    if roots > 1 {
-        return Err(err(0, format!("expected one root element, found {roots}")));
-    }
+    Parser::new(input, max_depth, String::new()).one_root(&mut tree)?;
     Ok(tree)
+}
+
+/// What [`measure_stored`] finds out about a document without building
+/// its tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Measured {
+    /// The byte length of the tree's compact XML: what a collection's
+    /// size limit is measured in.
+    pub size: usize,
+    /// Whether the input is, byte for byte, the tree's compact XML.
+    pub canonical: bool,
+}
+
+/// Run a stored document through the grammar that reads it back (no
+/// depth limit) without building its tree: its compact size and whether
+/// it is canonical, or the error parsing it would return. `buf` is the
+/// parse's decoding buffer, kept warm across calls; once it has grown,
+/// a measure allocates nothing.
+pub fn measure_stored(input: &str, buf: &mut String) -> DbResult<Measured> {
+    measure(input, usize::MAX, buf)
+}
+
+fn measure(input: &str, max_depth: usize, buf: &mut String) -> DbResult<Measured> {
+    let mut p = Parser::new(input, max_depth, std::mem::take(buf));
+    let mut m = Measure::new(input);
+    let parsed = p.one_root(&mut m);
+    *buf = p.buf;
+    parsed?;
+    Ok(Measured {
+        size: m.len,
+        canonical: m.canonical && m.at == input.len(),
+    })
 }
 
 /// How many `<` open an element: the node count of well-formed input
@@ -93,6 +118,26 @@ fn start_tags(bytes: &[u8]) -> usize {
         .windows(2)
         .filter(|w| w[0] == b'<' && !matches!(w[1], b'/' | b'!' | b'?'))
         .count()
+}
+
+/// The quoted values in `bytes` up to the end of the start tag they
+/// begin in: its attribute count when it is well formed.
+fn quoted_values(bytes: &[u8]) -> usize {
+    let mut n = 0;
+    let mut quote = None;
+    for &b in bytes {
+        match (quote, b) {
+            (Some(q), _) if b == q => {
+                quote = None;
+                n += 1;
+            }
+            (Some(_), _) => {}
+            (None, b'"' | b'\'') => quote = Some(b),
+            (None, b'>' | b'<') => break,
+            (None, _) => {}
+        }
+    }
+    n
 }
 
 fn err(offset: usize, message: impl Into<String>) -> DbError {
@@ -105,6 +150,192 @@ fn err(offset: usize, message: impl Into<String>) -> DbError {
 /// XML whitespace, the only characters text is trimmed of.
 fn is_xml_space(c: char) -> bool {
     matches!(c, ' ' | '\t' | '\r' | '\n')
+}
+
+/// What a parse builds. The parser reports each element to its sink, so
+/// every sink sees one grammar with one set of errors.
+trait Sink<'a> {
+    /// The sink's state for one open element.
+    type Node;
+    /// An element named `tag`, whose `<` is at input offset `at`, starts
+    /// under `parent`, or as a root.
+    fn open(
+        &mut self,
+        parent: Option<&mut Self::Node>,
+        tag: &'a str,
+        at: usize,
+    ) -> DbResult<Self::Node>;
+    /// One attribute of the start tag, its value decoded. `count` counts
+    /// the start tag's attributes (exactly, when it is well formed).
+    fn attr(
+        &mut self,
+        node: &mut Self::Node,
+        name: &'a str,
+        value: &str,
+        count: impl FnOnce() -> usize,
+    ) -> DbResult<()>;
+    /// The start tag ended with the `>` at input offset `gt`, not `/>`.
+    fn body(&mut self, node: &mut Self::Node, gt: usize);
+    /// The element ends, with its joined and trimmed text unless that is
+    /// empty.
+    fn close(&mut self, node: Self::Node, content: Option<&str>) -> DbResult<()>;
+}
+
+/// Builds the document.
+impl<'a> Sink<'a> for Tree {
+    type Node = NodeId;
+
+    fn open(&mut self, parent: Option<&mut NodeId>, tag: &'a str, _at: usize) -> DbResult<NodeId> {
+        let data = NodeData {
+            tag: tag.to_owned(),
+            content: None,
+            attrs: Vec::new(),
+        };
+        Ok(match parent {
+            Some(p) => self.add_child(*p, data)?,
+            None => self.set_root(data)?,
+        })
+    }
+
+    fn attr(
+        &mut self,
+        node: &mut NodeId,
+        name: &'a str,
+        value: &str,
+        count: impl FnOnce() -> usize,
+    ) -> DbResult<()> {
+        let attrs = &mut self.data_mut(*node)?.attrs;
+        if attrs.capacity() == 0 {
+            attrs.reserve_exact(count());
+        }
+        attrs.push((name.to_owned(), value.to_owned()));
+        Ok(())
+    }
+
+    fn body(&mut self, _node: &mut NodeId, _gt: usize) {}
+
+    fn close(&mut self, node: NodeId, content: Option<&str>) -> DbResult<()> {
+        if let Some(text) = content {
+            self.data_mut(node)?.content = Some(Value::parse_lexical(text));
+        }
+        Ok(())
+    }
+}
+
+/// Measures the document: its tree's compact rendering, written form by
+/// form through the serializer's functions into this writer, which
+/// counts the bytes and compares each one with the input byte at the
+/// offset it would have if the input were that rendering.
+///
+/// Rendering order is parse order except for an element's text, which
+/// the rendering puts before its children and the parse knows only at
+/// the end tag. So the first child is compared from where it starts, and
+/// the text, compared when the element closes, must end exactly there.
+struct Measure<'a> {
+    input: &'a [u8],
+    /// Bytes rendered so far.
+    len: usize,
+    /// The input offset of the next rendered byte.
+    at: usize,
+    /// Whether every rendered byte so far matched the input.
+    canonical: bool,
+}
+
+impl<'a> Measure<'a> {
+    fn new(input: &'a str) -> Self {
+        Measure {
+            input: input.as_bytes(),
+            len: 0,
+            at: 0,
+            canonical: true,
+        }
+    }
+}
+
+/// An open element as [`Measure`] sees it.
+struct Element<'a> {
+    tag: &'a str,
+    /// The `>` ending the start tag, unless it ended `/>`.
+    gt: Option<usize>,
+    /// Where the first child element starts.
+    first_child: Option<usize>,
+}
+
+impl fmt::Write for Measure<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.len += s.len();
+        if self.canonical {
+            let rest = self.input.get(self.at..).unwrap_or_default();
+            self.canonical = rest.starts_with(s.as_bytes());
+            self.at += s.len();
+        }
+        Ok(())
+    }
+}
+
+impl<'a> Sink<'a> for Measure<'a> {
+    type Node = Element<'a>;
+
+    fn open(
+        &mut self,
+        parent: Option<&mut Element<'a>>,
+        tag: &'a str,
+        at: usize,
+    ) -> DbResult<Element<'a>> {
+        match parent {
+            // the parent's text renders in front of it: checked at the
+            // parent's end
+            Some(p) if p.first_child.is_none() => {
+                p.first_child = Some(at);
+                self.at = at;
+            }
+            // a root starts the input, a later child where its sibling ends
+            _ => self.canonical &= self.at == at,
+        }
+        let _ = serialize::open_tag(self, tag);
+        Ok(Element {
+            tag,
+            gt: None,
+            first_child: None,
+        })
+    }
+
+    fn attr(
+        &mut self,
+        _node: &mut Element<'a>,
+        name: &'a str,
+        value: &str,
+        _count: impl FnOnce() -> usize,
+    ) -> DbResult<()> {
+        let _ = serialize::attribute(self, name, value);
+        Ok(())
+    }
+
+    fn body(&mut self, node: &mut Element<'a>, gt: usize) {
+        // the rendering's `>` (or `/>`) goes right after the attributes
+        self.canonical &= self.at == gt;
+        node.gt = Some(gt);
+    }
+
+    fn close(&mut self, node: Element<'a>, content: Option<&str>) -> DbResult<()> {
+        let empty = node.first_child.is_none() && content.is_none();
+        let after_children = self.at;
+        if let Some(gt) = node.gt {
+            self.at = gt;
+        }
+        let _ = serialize::close_start_tag(self, empty);
+        if !empty {
+            if let Some(text) = content {
+                let _ = serialize::text(self, text);
+            }
+            if let Some(first) = node.first_child {
+                self.canonical &= self.at == first;
+                self.at = after_children;
+            }
+            let _ = serialize::end_tag(self, node.tag);
+        }
+        Ok(())
+    }
 }
 
 /// An element's text so far: nothing, one run that needs no decoding
@@ -127,13 +358,14 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn new(input: &'a str, max_depth: usize) -> Self {
+    fn new(input: &'a str, max_depth: usize, mut buf: String) -> Self {
+        buf.clear();
         Parser {
             text: input,
             bytes: input.as_bytes(),
             pos: 0,
             max_depth,
-            buf: String::new(),
+            buf,
         }
     }
 
@@ -168,6 +400,26 @@ impl<'a> Parser<'a> {
     fn at_root(&mut self) -> DbResult<bool> {
         self.skip_misc()?;
         Ok(!self.at_end())
+    }
+
+    /// The one top-level element of the input, into `sink`. Later roots
+    /// are still parsed, so a malformed one fails with its own error and
+    /// the count in the "expected one root" error is all of them.
+    fn one_root<S: Sink<'a>>(&mut self, sink: &mut S) -> DbResult<()> {
+        if !self.at_root()? {
+            return Err(err(0, "no root element found"));
+        }
+        self.element(sink, None, 1)?;
+        let mut roots = 1;
+        while self.at_root()? {
+            // parsed for its errors only
+            self.element(&mut Measure::new(self.text), None, 1)?;
+            roots += 1;
+        }
+        if roots > 1 {
+            return Err(err(0, format!("expected one root element, found {roots}")));
+        }
+        Ok(())
     }
 
     /// Skip whitespace, comments, PIs, the XML declaration and DOCTYPE.
@@ -249,27 +501,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// The quoted values from here to the end of the start tag: its
-    /// attribute count when it is well formed.
-    fn quoted_values_ahead(&self) -> usize {
-        let mut n = 0;
-        let mut quote = None;
-        for &b in &self.bytes[self.pos..] {
-            match (quote, b) {
-                (Some(q), _) if b == q => {
-                    quote = None;
-                    n += 1;
-                }
-                (Some(_), _) => {}
-                (None, b'"' | b'\'') => quote = Some(b),
-                (None, b'>' | b'<') => break,
-                (None, _) => {}
-            }
-        }
-        n
-    }
-
-    fn attr_value(&mut self) -> DbResult<String> {
+    /// A quoted attribute value: the slice between the quotes when it
+    /// holds no reference, else its decoding on the end of the buffer.
+    fn attr_value(&mut self) -> DbResult<Text<'a>> {
         let quote = self
             .peek()
             .filter(|&b| b == b'"' || b == b'\'')
@@ -281,13 +515,11 @@ impl<'a> Parser<'a> {
                 let raw = &self.text[start..self.pos];
                 self.pos += 1;
                 if !raw.contains('&') {
-                    return Ok(raw.to_owned());
+                    return Ok(Text::Slice(raw));
                 }
                 let mark = self.buf.len();
                 decode_entities(raw, start, &mut self.buf)?;
-                let value = self.buf[mark..].to_owned();
-                self.buf.truncate(mark);
-                return Ok(value);
+                return Ok(Text::Joined { mark });
             }
             if b == b'<' {
                 return Err(err(self.pos, "`<` not allowed in attribute value"));
@@ -295,6 +527,22 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         Err(err(start, "unterminated attribute value"))
+    }
+
+    /// The string `text` holds.
+    fn text_of(&self, text: &Text<'a>) -> &str {
+        match *text {
+            Text::Empty => "",
+            Text::Slice(s) => s,
+            Text::Joined { mark } => &self.buf[mark..],
+        }
+    }
+
+    /// Give back the buffer space `text` took.
+    fn release(&mut self, text: Text<'a>) {
+        if let Text::Joined { mark } = text {
+            self.buf.truncate(mark);
+        }
     }
 
     /// Add one piece of an element's text: `raw` as written, decoded when
@@ -330,14 +578,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parse one element and its subtree into `tree`, under `parent` or
-    /// as its root.
-    fn element(
+    /// Parse one element and its subtree into `sink`, under `parent` or
+    /// as a root.
+    fn element<S: Sink<'a>>(
         &mut self,
-        tree: &mut Tree,
-        parent: Option<NodeId>,
+        sink: &mut S,
+        parent: Option<&mut S::Node>,
         depth: usize,
-    ) -> DbResult<NodeId> {
+    ) -> DbResult<()> {
         if depth > self.max_depth {
             return Err(err(
                 self.pos,
@@ -347,42 +595,36 @@ impl<'a> Parser<'a> {
                 ),
             ));
         }
+        let at = self.pos;
         self.expect(b'<')?;
         let tag = self.name()?;
-        let mut attrs = Vec::new();
+        let attrs = &self.bytes[self.pos..];
+        let mut node = sink.open(parent, tag, at)?;
         loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'>') | Some(b'/') => break,
                 Some(_) => {
-                    if attrs.capacity() == 0 {
-                        attrs.reserve_exact(self.quoted_values_ahead());
-                    }
                     let name = self.name()?;
                     self.skip_ws();
                     self.expect(b'=')?;
                     self.skip_ws();
                     let value = self.attr_value()?;
-                    attrs.push((name.to_owned(), value));
+                    sink.attr(&mut node, name, self.text_of(&value), || {
+                        quoted_values(attrs)
+                    })?;
+                    self.release(value);
                 }
                 None => return Err(err(self.pos, "unterminated start tag")),
             }
         }
-        let data = NodeData {
-            tag: tag.to_owned(),
-            content: None,
-            attrs,
-        };
-        let node = match parent {
-            Some(p) => tree.add_child(p, data)?,
-            None => tree.set_root(data)?,
-        };
 
         if self.peek() == Some(b'/') {
             self.bump(1);
             self.expect(b'>')?;
-            return Ok(node); // empty element
+            return sink.close(node, None); // empty element
         }
+        sink.body(&mut node, self.pos);
         self.expect(b'>')?;
 
         // children / text until matching end tag
@@ -412,7 +654,7 @@ impl<'a> Parser<'a> {
                 self.expect(b'>')?;
                 break;
             } else if self.peek() == Some(b'<') {
-                self.element(tree, Some(node), depth + 1)?;
+                self.element(sink, Some(&mut node), depth + 1)?;
             } else {
                 let start = self.pos;
                 while let Some(b) = self.peek() {
@@ -425,19 +667,10 @@ impl<'a> Parser<'a> {
             }
         }
 
-        let (content, mark) = match text {
-            Text::Empty => return Ok(node),
-            Text::Slice(s) => (s, None),
-            Text::Joined { mark } => (&self.buf[mark..], Some(mark)),
-        };
-        let content = content.trim_matches(is_xml_space);
-        if !content.is_empty() {
-            tree.data_mut(node)?.content = Some(Value::parse_lexical(content));
-        }
-        if let Some(mark) = mark {
-            self.buf.truncate(mark);
-        }
-        Ok(node)
+        let content = self.text_of(&text).trim_matches(is_xml_space);
+        sink.close(node, (!content.is_empty()).then_some(content))?;
+        self.release(text);
+        Ok(())
     }
 }
 
@@ -698,12 +931,85 @@ mod tests {
             ("<a></a x>", 7, "expected `>`"),
             ("<a><!--x--></a><!-- y", 15, "unterminated comment"),
         ];
+        assert_eq!(cases.len(), 36);
+        let mut buf = String::new();
         for &(input, offset, message) in cases {
             let expected = DbError::Parse {
                 offset,
                 message: message.to_string(),
             };
             assert_eq!(parse_document(input).unwrap_err(), expected, "{input:?}");
+            // the measuring sink runs the same grammar to the same error
+            assert_eq!(
+                measure(input, MAX_DEPTH, &mut buf).unwrap_err(),
+                expected,
+                "{input:?}"
+            );
+        }
+    }
+
+    /// Inputs that are their tree's compact XML, and inputs that parse to
+    /// a tree whose compact XML differs: each measures to that XML's
+    /// length, and is canonical exactly when it is that XML.
+    #[test]
+    fn measuring_gives_the_compact_length_and_whether_the_input_is_it() {
+        let cases: &[(&str, bool)] = &[
+            ("<a/>", true),
+            (
+                "<a k=\"v\" j=\"&lt;&amp;&quot;&apos;\"><b>1999</b><c/>x &amp; y</a>",
+                false,
+            ),
+            (
+                "<a k=\"v\" j=\"&lt;&amp;&quot;&apos;\">x &amp; y<b>1999</b><c/></a>",
+                true,
+            ),
+            ("<a>hello<b>x</b><c>-0</c></a>", true),
+            ("<a>\"it's\" &gt; é 😀</a>", true),
+            ("<p><t>007</t><r>3.5</r><s>1.0</s></p>", true),
+            ("<a></a>", false),
+            ("<a><b></b></a>", false),
+            ("<a />", false),
+            ("<a k='v'/>", false),
+            ("<a k=\"v\" />", false),
+            ("<a  k=\"v\"/>", false),
+            ("<a k = \"v\"/>", false),
+            ("<a k=\"it's\"/>", false),
+            ("<a k=\"&#65;\"/>", false),
+            ("<a>&#65;</a>", false),
+            ("<a>&quot;</a>", false),
+            ("<a> x</a>", false),
+            ("<a>x </a>", false),
+            ("<a> </a>", false),
+            ("<a>x<b/>y</a>", false),
+            ("<a><b/>x</a>", false),
+            ("<a><b/> <c/></a>", false),
+            ("<a>x<!--c--><b/></a>", false),
+            ("<a><!--c-->x</a>", false),
+            ("<a>x<!--c--></a>", false),
+            ("<a><![CDATA[x]]></a>", false),
+            ("<a><?pi?>x</a>", false),
+            ("<a>x</a >", false),
+            (" <a/>", false),
+            ("<a/>\n", false),
+            ("<?xml version=\"1.0\"?><a/>", false),
+            ("<a><b>x</b><b>x</b></a>", true),
+            ("<a><b k=\"1\"><c>x</c></b>y</a>", false),
+        ];
+        let mut buf = String::new();
+        for &(input, canonical) in cases {
+            let tree = parse_document(input).unwrap();
+            let xml = tree_to_xml(&tree, Style::Compact);
+            assert_eq!(xml == input, canonical, "{input:?} renders as {xml:?}");
+            let expected = Measured {
+                size: xml.len(),
+                canonical,
+            };
+            assert_eq!(
+                measure(input, MAX_DEPTH, &mut buf),
+                Ok(expected),
+                "{input:?}"
+            );
+            assert_eq!(measure_stored(input, &mut buf), Ok(expected), "{input:?}");
         }
     }
 

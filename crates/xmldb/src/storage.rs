@@ -1,9 +1,11 @@
 //! Checksummed, atomically-written snapshot persistence.
 //!
 //! Databases serialize to a single JSON file: collection names, per-document
-//! compact XML, and the configured size limit. On load the XML is re-parsed
-//! and re-indexed, so the snapshot format stays independent of in-memory
-//! layout (the same property Xindice got from its filer abstraction).
+//! compact XML, and the configured size limit. On load the XML is checked
+//! by the parser's grammar and kept, and each document's tree is built
+//! from it when first read, so the snapshot format stays independent of
+//! in-memory layout (the same property Xindice got from its filer
+//! abstraction).
 //!
 //! ## Format
 //!
@@ -29,7 +31,10 @@
 //! one `String` — each document's compact XML escaped by
 //! [`toss_json::write_escaped`], the rule `Value::to_json` uses — CRCs it
 //! once and wraps the envelope around it. No `Value` of the store is
-//! built; the bytes are the ones rendering such a `Value` would give.
+//! built; the bytes are the ones rendering such a `Value` would give. A
+//! document that kept its XML from the snapshot it was read from, and
+//! whose XML is already its tree's compact rendering ("canonical"), is
+//! copied as it is; every other document's tree is rendered.
 //!
 //! ## Reading and verifying
 //!
@@ -43,11 +48,16 @@
 //!
 //! The walk checks the envelope (version, checksum) and the header
 //! fields, then hands each collection header and each document to a
-//! sink. Open's sink builds the [`Database`]. A checkpoint's verify runs
-//! the same walk into a sink that checks only what building would check
-//! — a taken collection name, a duplicate id, the size limit — and keeps
-//! no tree. It returns exactly the error a load of the same bytes would,
-//! without building collections or indexes.
+//! sink. Open's sink builds the [`Database`]. With a `.seg` to attach,
+//! its documents keep their XML and build no tree until something reads
+//! one (a query's visit, a remove or replace taking out postings).
+//! Without one, every collection is indexed from all its trees as it
+//! ends, so each tree is parsed where its document is decoded and no XML
+//! is kept. A checkpoint's verify runs the same walk into a
+//! sink that checks only what building would check — a taken collection
+//! name, a duplicate id, the size limit — and keeps only sizes. It
+//! returns exactly the error a load of the same bytes would, without
+//! building collections or indexes.
 //!
 //! The checksum is the CRC of `data` as written, and the writer writes
 //! `data` in its compact rendering. So a load first CRCs the stored bytes
@@ -59,12 +69,15 @@
 //!
 //! The walk gathers a collection's entries up to the first structurally
 //! broken one, then decodes them on a [`WorkerPool`] in bounded rounds.
-//! Each task unescapes its literals into one reused buffer and parses
-//! and measures each document there (each tree once, on the thread that
-//! parsed it; the verify's trees are dropped there too). The sink sees
-//! the documents in file order, so the error is the one-at-a-time walk's:
-//! the first failing document's first failing check — structural, XML,
-//! then the sink's.
+//! Each task unescapes each literal into one reused buffer and measures
+//! it with [`measure_stored`] — the grammar that builds a stored
+//! document's tree, run into a sink that builds nothing and returns the
+//! compact size and whether the XML is canonical, with the parse's exact
+//! errors — copying the XML into a `Box<str>` of the document's own when
+//! open keeps it (or parsing its tree when open builds it). The sink
+//! sees the documents in file order, so the error is
+//! the one-at-a-time walk's: the first failing document's first failing
+//! check — structural, XML, then the sink's.
 //!
 //! ## Atomicity
 //!
@@ -78,10 +91,11 @@
 //! protocol runs against any [`Vfs`], which is how the fault-injection
 //! suite proves it.
 
-use crate::collection::{check_size_limit, duplicate_id, DocumentId};
+use crate::collection::{check_size_limit, duplicate_id, DocumentId, StoredDocument};
 use crate::crc32::crc32;
 use crate::database::{Database, DatabaseConfig};
 use crate::error::{DbError, DbResult};
+use crate::parser::measure_stored;
 use crate::segidx::FrozenIndex;
 use crate::vfs::Vfs;
 use std::collections::{BTreeSet, HashSet};
@@ -92,7 +106,6 @@ use toss_json::{write_escaped, Borrowed, RawStr};
 use toss_pool::{partition_ranges, WorkerPool};
 use toss_segment::Segment;
 use toss_tree::serialize::{compact_len, write_xml, Style};
-use toss_tree::Tree;
 
 /// Snapshot format version written by this build.
 pub(crate) const SNAPSHOT_VERSION: u32 = 2;
@@ -128,9 +141,16 @@ fn write_data(db: &Database, last_seq: u64, out: &mut String) {
                 out.push(',');
             }
             let _ = write!(out, "{{\"id\":{},\"xml\":", d.id.0 as i64);
-            xml.clear();
-            write_xml(&d.tree, Style::Compact, &mut xml);
-            write_escaped(out, &xml);
+            // XML kept from the snapshot that is already the tree's
+            // compact rendering is copied, and the tree need not exist
+            match d.canonical_xml() {
+                Some(kept) => write_escaped(out, kept),
+                None => {
+                    xml.clear();
+                    write_xml(d.tree(), Style::Compact, &mut xml);
+                    write_escaped(out, &xml);
+                }
+            }
             out.push('}');
         }
         out.push_str("]}");
@@ -263,12 +283,19 @@ fn data_header(data: &Borrowed) -> DbResult<(Option<usize>, u64)> {
 
 /// Where the decoding walk delivers a snapshot's collections.
 trait Restore {
-    /// What [`Restore::document`] receives for one parsed tree. It is
-    /// built on the pool worker that parsed the tree, so whatever the
-    /// sink does not keep is dropped there.
+    /// What [`Restore::document`] receives for one document, made on the
+    /// pool worker that decoded it.
     type Doc: Send;
-    /// The `Doc` of a tree whose compact XML is `size` bytes.
-    fn keep(tree: Tree, size: usize) -> Self::Doc;
+    /// Unescape document `id`'s `xml` literal and parse or measure the
+    /// XML; runs on a pool worker, whose task reuses `unescaped` and
+    /// `parse` for every document it decodes.
+    fn decode(
+        &self,
+        id: DocumentId,
+        xml: RawStr<'_>,
+        unescaped: &mut String,
+        parse: &mut String,
+    ) -> DbResult<Self::Doc>;
     /// A collection starts; `Err` if the name is already taken.
     fn collection(&mut self, name: &str) -> DbResult<()>;
     /// One document of the current collection.
@@ -277,19 +304,20 @@ trait Restore {
     fn end_collection(&mut self, next_id: Option<u64>) -> DbResult<()>;
 }
 
-/// Documents parsed per pool round. A round's documents wait for the
-/// sink together, so the bound caps how many parsed trees are in flight.
+/// Documents decoded per pool round. A round's documents wait for the
+/// sink together, so the bound caps how many decoded documents are in
+/// flight.
 const DECODE_ROUND: usize = 4096;
-/// The smallest share of a round one pool task parses.
+/// The smallest share of a round one pool task decodes.
 const DECODE_CHUNK: usize = 128;
 
 /// The one decoding walk over `data.collections`: every structural
 /// check, every id and every XML parse happens here, for open and verify
-/// alike. Documents are unescaped and parsed on `pool`, but the sink sees
+/// alike. Documents are unescaped and measured on `pool`, but the sink sees
 /// them in file order and the walk returns the error a
 /// one-document-at-a-time walk would: the first failing document's first
 /// failing check, structural, then XML, then the sink's.
-fn walk_collections<S: Restore>(
+fn walk_collections<S: Restore + Sync>(
     data: &Borrowed,
     pool: &WorkerPool,
     sink: &mut S,
@@ -310,15 +338,16 @@ fn walk_collections<S: Restore>(
             .ok_or_else(|| malformed("collection missing documents array"))?;
         let (entries, fault) = document_entries(documents);
         for round in entries.chunks(DECODE_ROUND) {
+            let decoder = &*sink;
             let tasks: Vec<_> = partition_ranges(round.len(), pool.workers() * 4, DECODE_CHUNK)
                 .into_iter()
                 .map(|(start, end)| {
                     let chunk = &round[start..end];
                     move || {
-                        let mut buf = String::new();
+                        let (mut unescaped, mut parse) = (String::new(), String::new());
                         chunk
                             .iter()
-                            .map(|&(_, xml)| decode::<S>(xml.text(&mut buf)))
+                            .map(|&(id, xml)| decoder.decode(id, xml, &mut unescaped, &mut parse))
                             .collect::<Vec<_>>()
                     }
                 })
@@ -386,15 +415,11 @@ fn document_entries<'a>(
     (entries, None)
 }
 
-/// Parse one document and measure its compact XML, once each; runs on a
-/// pool worker.
-fn decode<S: Restore>(xml: &str) -> DbResult<S::Doc> {
-    let tree = crate::parser::parse_stored(xml)?;
-    let size = compact_len(&tree);
-    Ok(S::keep(tree, size))
-}
-
-/// Open's sink: builds the [`Database`].
+/// Open's sink: builds the [`Database`]. With a segment to attach, each
+/// document keeps its XML and builds its tree when something first reads
+/// it. Without one, every collection is indexed from all its trees as
+/// it ends, so the trees are built where the documents are decoded, on
+/// the pool.
 ///
 /// With a verified segment whose `last_seq` stamp matches the snapshot's
 /// cursor exactly, collections attach frozen zero-copy indexes instead of
@@ -409,10 +434,23 @@ struct Open<'s> {
 }
 
 impl Restore for Open<'_> {
-    type Doc = (Tree, usize);
+    type Doc = StoredDocument;
 
-    fn keep(tree: Tree, size: usize) -> Self::Doc {
-        (tree, size)
+    fn decode(
+        &self,
+        id: DocumentId,
+        xml: RawStr<'_>,
+        unescaped: &mut String,
+        parse: &mut String,
+    ) -> DbResult<StoredDocument> {
+        let xml = xml.text(unescaped);
+        if self.seg.is_none() {
+            let tree = crate::parser::parse_stored(xml)?;
+            let size = compact_len(&tree);
+            return Ok(StoredDocument::built(id, tree, size));
+        }
+        let measured = measure_stored(xml, parse)?;
+        Ok(StoredDocument::from_xml(id, xml.into(), measured))
     }
 
     fn collection(&mut self, name: &str) -> DbResult<()> {
@@ -423,10 +461,10 @@ impl Restore for Open<'_> {
         Ok(())
     }
 
-    fn document(&mut self, id: DocumentId, (tree, size): Self::Doc) -> DbResult<()> {
+    fn document(&mut self, _id: DocumentId, doc: StoredDocument) -> DbResult<()> {
         self.db
             .collection_mut(&self.current)?
-            .restore_document(id, tree, size)
+            .restore_document(doc)
             .map(drop)
     }
 
@@ -449,8 +487,8 @@ impl Restore for Open<'_> {
 
 /// The checkpoint verify's sink: every check [`Open`] makes while
 /// building — a taken collection name, a duplicate id, the size limit —
-/// with nothing built. Each tree is measured and dropped by the worker
-/// that parsed it; only its size comes back.
+/// with nothing built. Each document is measured in the worker's reused
+/// buffers; only its size comes back.
 struct Verify {
     limit: Option<usize>,
     names: BTreeSet<String>,
@@ -462,8 +500,14 @@ struct Verify {
 impl Restore for Verify {
     type Doc = usize;
 
-    fn keep(_tree: Tree, size: usize) -> usize {
-        size
+    fn decode(
+        &self,
+        _id: DocumentId,
+        xml: RawStr<'_>,
+        unescaped: &mut String,
+        parse: &mut String,
+    ) -> DbResult<usize> {
+        Ok(measure_stored(xml.text(unescaped), parse)?.size)
     }
 
     fn collection(&mut self, name: &str) -> DbResult<()> {
@@ -679,7 +723,7 @@ mod tests {
                                 .map(|d| {
                                     Value::object(vec![
                                         ("id", (d.id.0 as i64).into()),
-                                        ("xml", tree_to_xml(&d.tree, Style::Compact).into()),
+                                        ("xml", tree_to_xml(d.tree(), Style::Compact).into()),
                                     ])
                                 })
                                 .collect(),
@@ -1029,7 +1073,7 @@ mod tests {
         let collections = db
             .collections()
             .map(|c| {
-                let docs = c.documents().iter().map(|d| tree_to_xml(&d.tree, Style::Compact));
+                let docs = c.documents().iter().map(|d| tree_to_xml(d.tree(), Style::Compact));
                 Value::object(vec![
                     ("name", c.name().into()),
                     ("documents", Value::Array(docs.map(Value::Str).collect())),
@@ -1044,9 +1088,64 @@ mod tests {
         .to_json();
         let xml: Vec<String> = db
             .collections()
-            .flat_map(|c| c.documents().iter().map(|d| tree_to_xml(&d.tree, Style::Compact)))
+            .flat_map(|c| c.documents().iter().map(|d| tree_to_xml(d.tree(), Style::Compact)))
             .collect();
         vec![("compact", compact, xml.clone()), ("pretty", pretty, xml.clone()), ("v1", v1, xml)]
+    }
+
+    /// Every document of `db`.
+    fn all_documents(db: &Database) -> impl Iterator<Item = &StoredDocument> {
+        db.collections().flat_map(|c| c.documents())
+    }
+
+    #[test]
+    fn a_lazy_open_writes_the_snapshot_an_eager_one_does() {
+        let mut layouts: Vec<(&str, String)> = snapshot_layouts(&hostile_db())
+            .into_iter()
+            .map(|(layout, text, _)| (layout, text))
+            .collect();
+        // documents stored as XML that is not their compact rendering
+        let loose = sealed(
+            r#"{"last_seq":5,"collections":[{"name":"c","next_id":4,"documents":[
+                {"id":0,"xml":"<a ></a>"},{"id":1,"xml":"<b k='v'> x </b>"},
+                {"id":2,"xml":"<c><d/> y <!--z--></c>"},{"id":3,"xml":"<e>&#65;</e>"}]}]}"#,
+        );
+        layouts.push(("loose", String::from_utf8(loose).unwrap()));
+        let original = to_json_with_seq(&hostile_db(), 5).unwrap();
+        for (layout, text) in layouts {
+            // the segment a checkpoint of the same store writes; a version
+            // 1 snapshot never attaches one
+            let seg = crate::segidx::build_segment(&from_json(&text).unwrap(), 5);
+            let seg = Arc::new(Segment::parse(seg).unwrap());
+            for w in [1, 2, 7] {
+                let (db, seq, frozen) =
+                    from_json_on(&text, Some(&seg), &WorkerPool::new(w)).unwrap();
+                assert_eq!(frozen > 0, !layout.contains("v1"), "{layout}");
+                // with a segment the open builds no tree, and the writer
+                // only those of XML it cannot copy; without one the open
+                // builds them all and keeps no XML
+                let built = || all_documents(&db).filter(|d| d.is_built()).count();
+                assert_eq!(built() == 0, frozen > 0, "{layout}: {} trees built", built());
+                let copied = all_documents(&db).all(|d| d.canonical_xml().is_some());
+                assert_eq!(copied, frozen > 0 && layout != "loose", "{layout}");
+                let lazy = to_json_with_seq(&db, seq).unwrap();
+                assert_eq!(built() == 0, copied, "{layout}: {} trees built", built());
+                // the parent's route: render every tree
+                assert_eq!(lazy, value_route_json(&db, seq), "{layout}, {w} workers");
+                assert!(all_documents(&db).all(StoredDocument::is_built), "{layout}");
+                assert_eq!(
+                    to_json_with_seq(&db, seq).unwrap(),
+                    lazy,
+                    "{layout}, {w} workers"
+                );
+                for d in all_documents(&db) {
+                    assert_eq!(d.size_bytes, compact_len(d.tree()), "{layout}: {d:?}");
+                }
+                if copied {
+                    assert_eq!(lazy, original, "{layout}, {w} workers");
+                }
+            }
+        }
     }
 
     /// `c` spelled as a `\u` escape (a surrogate pair outside the BMP),
@@ -1212,11 +1311,11 @@ mod tests {
         let c = db2.collection("dblp").unwrap();
         assert_eq!(c.len(), 2);
         assert_eq!(
-            c.documents()[0].tree.data(c.documents()[0].tree.root().unwrap()).unwrap().tag,
+            c.documents()[0].tree().data(c.documents()[0].tree().root().unwrap()).unwrap().tag,
             "a"
         );
         // content with entities survived
-        let t = &c.documents()[0].tree;
+        let t = c.documents()[0].tree();
         let b = t.child_by_tag(t.root().unwrap(), "b").unwrap();
         assert_eq!(t.data(b).unwrap().content_str(), "x & y");
     }

@@ -129,7 +129,7 @@ impl XPath {
             for &doc in &stored {
                 let seeds = match seed_tag {
                     Some(name) => {
-                        let tree = &doc.tree;
+                        let tree = doc.tree();
                         let seeds: Vec<NodeId> = tree
                             .preorder()
                             .filter(|&n| tree.data(n).is_ok_and(|d| d.tag == name))
@@ -260,7 +260,7 @@ impl Candidates<'_> {
 /// visit hands its seed list to [`eval_seeded`].
 fn eval_candidate(cand: Candidate<'_>, out: &mut Vec<NodeRef>) {
     let doc = cand.doc.id;
-    let tree = &cand.doc.tree;
+    let tree = cand.doc.tree();
     let nodes = match cand.seeds {
         Some(seeds) => eval_seeded(cand.path, tree, seeds),
         None => eval_path_tree(cand.path, tree),
@@ -466,8 +466,8 @@ mod tests {
                 }
                 scanned += 1;
                 let nodes = match seeds {
-                    Some(seeds) => eval_seeded(path, &stored.tree, seeds),
-                    None => eval_path_tree(path, &stored.tree),
+                    Some(seeds) => eval_seeded(path, stored.tree(), seeds),
+                    None => eval_path_tree(path, stored.tree()),
                 };
                 let doc = stored.id;
                 out.extend(nodes.into_iter().map(|node| NodeRef { doc, node }));
@@ -856,7 +856,7 @@ mod tests {
         // the probe documents, under their own ids
         let mut only = crate::collection::Collection::new("only", None);
         for &id in &docs {
-            only.insert_with_id(id, pointer.get(id).unwrap().tree.clone()).unwrap();
+            only.insert_with_id(id, pointer.get(id).unwrap().tree().clone()).unwrap();
         }
         for query in ["//b", "//b[text()='dup'] | //a", "//*[b]"] {
             let xp = XPath::parse(query).unwrap();
@@ -889,7 +889,7 @@ mod tests {
             .filter(|r| {
                 c.get(r.doc)
                     .unwrap()
-                    .tree
+                    .tree()
                     .data(r.node)
                     .map(|d| d.tag == "b")
                     .unwrap_or(false)

@@ -1,7 +1,8 @@
 //! Index probes must not allocate: borrowed map lookups on the pointer
 //! delta, a streaming decode on the frozen (`.seg`-backed) base, and a
 //! merge cursor over the tombstones when a base and a delta both hold
-//! postings. Parsing a document allocates only what its tree keeps.
+//! postings. Parsing a document allocates only what its tree keeps, and
+//! measuring one allocates nothing once its buffer is warm.
 //!
 //! The allocator counts per thread, so tests running beside each other
 //! on other threads do not show up in a test's count.
@@ -9,7 +10,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
-use toss_xmldb::{parse_document, Collection, DatabaseConfig, DurableDatabase, FaultVfs, Vfs};
+use toss_xmldb::{
+    measure_stored, parse_document, Collection, DatabaseConfig, DurableDatabase, FaultVfs,
+    Measured, Vfs,
+};
 
 struct CountingAlloc;
 
@@ -104,7 +108,7 @@ fn v3_docs(coll: &Collection) -> usize {
     coll.documents()
         .iter()
         .filter(|d| {
-            let t = &d.tree;
+            let t = d.tree();
             let venue = t.child_by_tag(t.root().unwrap(), "venue");
             venue.and_then(|v| t.data(v).ok()?.content.as_ref().map(|c| c.render()))
                 == Some("V3".into())
@@ -172,4 +176,27 @@ fn parsing_a_document_allocates_only_what_its_tree_keeps() {
     // six tags, an attribute's name and value, five texts, one
     // attribute list and one arena
     assert!(n <= 15, "parsing the record took {n} allocations");
+}
+
+#[test]
+fn measuring_a_document_allocates_nothing_once_the_buffer_is_warm() {
+    // an attribute value and texts that decode through the buffer
+    let decoded = RECORD
+        .replace("L. Jensen", "L. &#74;ensen &amp; K")
+        .replace("conf/gen/0", "conf&#47;gen/0");
+    for record in [RECORD, decoded.as_str()] {
+        let mut buf = String::new();
+        // warm up outside the counted window
+        measure_stored(record, &mut buf).expect("the record measures");
+        let (measured, n) =
+            allocs(|| measure_stored(record, &mut buf).expect("the record measures"));
+        let tree = parse_document(record).expect("the record parses");
+        let xml = toss_tree::serialize::tree_to_xml(&tree, toss_tree::serialize::Style::Compact);
+        let expected = Measured {
+            size: xml.len(),
+            canonical: xml == record,
+        };
+        assert_eq!(measured, expected);
+        assert_eq!(n, 0, "measuring the record took {n} allocations");
+    }
 }

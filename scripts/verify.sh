@@ -61,6 +61,13 @@ CLI=target/release/toss-cli
 "$CLI" stats --db "$SMOKE/store.json" | grep -q "^xmldb_journal_appends"
 "$CLI" stats --db "$SMOKE/store.json" --json | grep -q '"xmldb.journal.appends"'
 "$CLI" stats --db "$SMOKE/store.json" --json | grep -q '"windows"'
+# a checkpoint of an untouched store rewrites both files byte for byte:
+# a document's kept XML is copied only where it is its tree's rendering
+cp "$SMOKE/store.json" "$SMOKE/untouched.json"
+cp "$SMOKE/store.seg" "$SMOKE/untouched.seg"
+"$CLI" db checkpoint --db "$SMOKE/store.json" >/dev/null
+cmp "$SMOKE/store.json" "$SMOKE/untouched.json"
+cmp "$SMOKE/store.seg" "$SMOKE/untouched.seg"
 # the read-only open behind every query command, and the lenient
 # recovery; their output is captured whole, since a `grep -q` pipe can
 # close before the CLI has printed its last line

@@ -104,7 +104,7 @@ fn assert_same_state(actual: &Database, expected: &Database, ctx: &str) {
         let dump = |c: &toss_xmldb::Collection| -> Vec<(u64, String)> {
             c.documents()
                 .iter()
-                .map(|d| (d.id.0, tree_to_xml(&d.tree, Style::Compact)))
+                .map(|d| (d.id.0, tree_to_xml(d.tree(), Style::Compact)))
                 .collect()
         };
         assert_eq!(dump(a), dump(e), "documents differ in `{name}` ({ctx})");
@@ -466,6 +466,59 @@ fn real_filesystem_round_trip_with_journal() {
     }
     std::fs::remove_file(&store).ok();
     std::fs::remove_file(DurableDatabase::wal_path(&store)).ok();
+}
+
+/// A reopened store builds a document's tree when something first reads
+/// it. Querying one document, removing another whose tree was never
+/// built, checkpointing and reopening leave exactly the documents an
+/// eagerly built store holds.
+#[test]
+fn a_lazily_opened_store_queries_removes_and_checkpoints_like_an_eager_one() {
+    let vfs = Arc::new(FaultVfs::new());
+    let open = || {
+        let dyn_vfs: Arc<dyn Vfs> = vfs.clone();
+        DurableDatabase::open_with(STORE, DatabaseConfig::unlimited(), dyn_vfs)
+            .expect("open")
+            .0
+    };
+    let mut shadow = Database::with_config(DatabaseConfig::unlimited());
+    let mut db = open();
+    let mut steps = vec![Step::Create("dblp")];
+    for xml in [
+        "<article><title>TOSS</title></article>",
+        "<article key=\"x\"><title>TAX</title><year>2001</year></article>",
+        "<note>mixed <b>content</b></note>",
+        "<article><title>Xindice &amp; TAX</title></article>",
+    ] {
+        steps.push(Step::Insert("dblp", xml));
+    }
+    steps.push(Step::Checkpoint);
+    for step in &steps {
+        apply_durable(&mut db, step).expect("workload step");
+        apply_shadow(&mut shadow, step);
+    }
+    drop(db);
+
+    let query = toss_xmldb::XPath::parse("//year[text()='2001']").expect("query parses");
+    let answers = |db: &Database| query.eval_collection(db.collection("dblp").expect("dblp"));
+    let mut db = open();
+    assert!(
+        db.db().collection("dblp").expect("dblp").is_frozen(),
+        "the open took the segment"
+    );
+    // only the one document with a `year` is read
+    assert_eq!(answers(db.db()).len(), 1);
+    assert_eq!(answers(db.db()), answers(&shadow));
+    for step in [Step::Remove("dblp", 3), Step::Checkpoint] {
+        apply_durable(&mut db, &step).expect("workload step");
+        apply_shadow(&mut shadow, &step);
+    }
+    assert_same_state(db.db(), &shadow, "after the checkpoint");
+    drop(db);
+
+    let db = open();
+    assert_same_state(db.db(), &shadow, "reopened");
+    assert_eq!(answers(db.db()), answers(&shadow));
 }
 
 /// Satellite for the live-write PR: a crash **mid-snapshot** — the

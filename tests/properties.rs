@@ -10,8 +10,8 @@ use toss::ontology::{enhance, fuse, Constraint};
 use toss::similarity::{JaccardTokens, Levenshtein, StringMetric};
 use toss::tax::{Cond, EdgeKind, Matcher, PatternTree, Term};
 use toss::tree::eq::{fingerprint, trees_equal};
-use toss::tree::{Forest, NodeData, Tree};
-use toss::xmldb::{parse_document, XPath};
+use toss::tree::{Forest, NodeData, Tree, TreeBuilder};
+use toss::xmldb::{measure_stored, parse_document, Measured, XPath};
 
 // ---------------------------------------------------------------------
 // generators
@@ -71,6 +71,45 @@ fn edged_content() -> impl Strategy<Value = String> {
         proptest::string::string_regex("[\u{a0}\u{2003}é漢😀&<>\"']{1,2}").expect("valid regex")
     };
     (edge(), word(), edge()).prop_map(|(head, w, tail)| format!("{head}{w}{tail}"))
+}
+
+/// Stored document texts: the compact XML of an edged-content tree, of
+/// a built tree with mixed content and quotes in its text, or of that
+/// tree written the way a stored text need not be — content with a
+/// leading ASCII space, a quote spelled as a reference, `<z></z>` for
+/// `<z/>`, a character reference, a single-quoted attribute — each with
+/// or without the edged tree's XML as a child.
+fn stored_text() -> impl Strategy<Value = String> {
+    (tree_of(edged_content()), word(), 0u8..7, 0u8..2).prop_map(|(t, w, kind, nest)| {
+        let compact =
+            |t: &Tree| toss::tree::serialize::tree_to_xml(t, toss::tree::serialize::Style::Compact);
+        let edged = compact(&t);
+        if kind == 0 {
+            return edged;
+        }
+        let lead = if kind == 1 { " " } else { "" };
+        let xml = compact(
+            &TreeBuilder::new("a")
+                .attr("k", w.as_str())
+                .content(format!("{lead}{w}"))
+                .leaf("q", format!("'{w}\""))
+                .empty("z")
+                .leaf("c", format!("{w}A"))
+                .build(),
+        );
+        let xml = match kind {
+            2 => xml.replace("\"</q>", "&quot;</q>"),
+            3 => xml.replace("<z/>", "<z></z>"),
+            4 => xml.replace("A</c>", "&#65;</c>"),
+            5 => xml.replacen(&format!("k=\"{w}\""), &format!("k='{w}'"), 1),
+            _ => xml,
+        };
+        if nest == 1 {
+            xml.replacen("</a>", &format!("{edged}</a>"), 1)
+        } else {
+            xml
+        }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -252,6 +291,26 @@ proptest! {
         prop_assert!(trees_equal(&t, &back), "round trip changed the tree: {xml}");
     }
 
+    /// Measuring a stored text agrees with building its tree: the same
+    /// error, or the tree's compact length and whether the text is that
+    /// tree's compact XML.
+    #[test]
+    fn measuring_agrees_with_the_built_tree(text in stored_text()) {
+        let mut buf = String::new();
+        let measured = measure_stored(&text, &mut buf);
+        match parse_document(&text) {
+            Ok(tree) => {
+                let xml = toss::tree::serialize::tree_to_xml(&tree, toss::tree::serialize::Style::Compact);
+                let expected = Measured {
+                    size: toss::tree::serialize::compact_len(&tree),
+                    canonical: xml == text,
+                };
+                prop_assert_eq!(measured, Ok(expected), "{}", text);
+            }
+            Err(e) => prop_assert_eq!(measured, Err(e), "{}", text),
+        }
+    }
+
     /// Tree equality is an equivalence relation consistent with the
     /// fingerprint.
     #[test]
@@ -401,7 +460,7 @@ proptest! {
             // per-document scan through eval_tree must agree
             let mut slow = Vec::new();
             for d in coll.documents() {
-                for n in XPath::parse(&q).expect("valid").eval_tree(&d.tree) {
+                for n in XPath::parse(&q).expect("valid").eval_tree(d.tree()) {
                     slow.push(toss::xmldb::NodeRef { doc: d.id, node: n });
                 }
             }
@@ -526,7 +585,7 @@ proptest! {
                         (
                             d.id,
                             toss::tree::serialize::tree_to_xml(
-                                &d.tree,
+                                d.tree(),
                                 toss::tree::serialize::Style::Compact,
                             ),
                         )

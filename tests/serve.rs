@@ -644,10 +644,13 @@ fn connection_limit_rejects_with_overloaded_frame() {
     let mut first = Client::connect(server.local_addr()).unwrap();
     first.ping().unwrap(); // guarantees registration completed
 
+    let before = counter_value("toss.serve.errors.overloaded");
     let mut second = TcpStream::connect(server.local_addr()).unwrap();
     let resp = read_frame(&mut second, 1 << 20, Some(Duration::from_secs(5))).unwrap();
     let v = toss_json::Value::parse(std::str::from_utf8(&resp).unwrap()).unwrap();
     assert_eq!(v.get("code").and_then(|x| x.as_str()), Some("overloaded"));
+    // counted under its code, beside `toss.serve.conns_rejected`
+    assert!(counter_value("toss.serve.errors.overloaded") > before);
     assert!(v.get("retry_after_ms").and_then(|x| x.as_i64()).unwrap_or(0) > 0);
     match read_frame(&mut second, 1 << 20, Some(Duration::from_secs(5))) {
         Err(FrameError::Closed) => {}
@@ -891,6 +894,60 @@ fn a_write_ack_timeout_is_counted_and_the_write_still_applies() {
         .write_keyed(op, BudgetClass::Interactive, &key)
         .expect("the resend is answered");
     assert!(resent.deduped, "{resent:?}");
+    server.shutdown();
+}
+
+/// A writer that dies drops the job's reply without answering: the
+/// client is told `internal` with no retry hint, long before the class
+/// deadline, the answer is counted, and the next write, which finds the
+/// writer's queue gone, is answered `internal` too.
+#[test]
+fn a_dead_writer_is_answered_internal_not_overloaded() {
+    let vfs = Arc::new(FaultVfs::new());
+    seed_writable(&vfs, 6);
+    let mut opened = open_seeded(&vfs, Some(WriteConfig::default()));
+    let mut engine = opened.engine.take().expect("opened writable");
+    engine.enhancer = Box::new(|_| panic!("the enhancer panics"));
+    let exec = Arc::new(RwLock::new(chaos_executor(opened)));
+    let server =
+        Server::start_writable(exec, engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    let before = counter_value("toss.serve.errors.internal");
+    let op = WriteOp::AddTerm {
+        terms: vec!["dead-writer-term".into()],
+    };
+    // the batch class waits up to 30 s for an ack
+    let t0 = Instant::now();
+    match client.write_keyed(op, BudgetClass::Batch, &next_write_key()) {
+        Err(ClientError::Server {
+            code: ErrorCode::Internal,
+            retry_after_ms: None,
+            ..
+        }) => {}
+        other => panic!("expected `internal` from a dead writer, got {other:?}"),
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "answered after {:?}",
+        t0.elapsed()
+    );
+    assert!(counter_value("toss.serve.errors.internal") > before);
+
+    let before = counter_value("toss.serve.errors.internal");
+    match client.write_keyed(
+        insert_op("after-death", "Nobody"),
+        BudgetClass::Batch,
+        &next_write_key(),
+    ) {
+        Err(ClientError::Server {
+            code: ErrorCode::Internal,
+            retry_after_ms: None,
+            ..
+        }) => {}
+        other => panic!("expected `internal` once the writer is gone, got {other:?}"),
+    }
+    assert!(counter_value("toss.serve.errors.internal") > before);
     server.shutdown();
 }
 
@@ -1784,7 +1841,7 @@ fn crash_campaign_every_acknowledged_write_survives_kill_and_recover() {
         let dump: Vec<String> = coll
             .documents()
             .iter()
-            .map(|d| tree_to_xml(&d.tree, Style::Compact))
+            .map(|d| tree_to_xml(d.tree(), Style::Compact))
             .collect();
         for marker in &acked {
             assert!(
