@@ -341,32 +341,33 @@ fn write_seq(
 /// stream JSON without building a [`Value`] emit identical bytes.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    // Everything that needs escaping is ASCII, so unescaped runs are
-    // copied as whole slices and every cut lands on a char boundary.
+    // Everything that needs escaping is ASCII, so the plain runs between
+    // escapes are copied as whole slices, every cut on a char boundary,
+    // and found by the reader's eight-bytes-at-a-time scan.
+    let bytes = s.as_bytes();
     let mut start = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
+    loop {
+        let end = plain_run_end(bytes, start);
+        out.push_str(&s[start..end]);
+        let Some(&b) = bytes.get(end) else { break };
+        out.push_str(match b {
             b'"' => "\\\"",
             b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0x08 => "\\b",
-            0x0c => "\\f",
-            0x00..=0x1f => "",
-            _ => continue,
-        };
-        out.push_str(&s[start..i]);
-        if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
-        } else {
-            out.push_str(escape);
-        }
-        start = i + 1;
+            _ => CONTROL_ESCAPES[usize::from(b)],
+        });
+        start = end + 1;
     }
-    out.push_str(&s[start..]);
     out.push('"');
 }
+
+/// How [`write_escaped`] writes each control character: the short form
+/// where JSON has one, else `\u00XX`.
+const CONTROL_ESCAPES: [&str; 0x20] = [
+    "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+    "\\b", "\\t", "\\n", "\\u000b", "\\f", "\\r", "\\u000e", "\\u000f",
+    "\\u0010", "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+    "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+];
 
 /// How a checked string literal becomes the string of the value being
 /// built: decoded into a `String`, or kept as the literal.
@@ -750,6 +751,65 @@ mod tests {
         assert!(out.contains(r##" !\"#"##) && out.contains(r#"[\\]"#), "{out}");
         assert!(out.ends_with("\u{7f}é漢\u{1F600}\""), "{out}");
         assert_eq!(Value::parse(&out).unwrap(), Value::Str(s));
+    }
+
+    /// The byte-at-a-time escaper `write_escaped` replaced: the oracle
+    /// its output must match byte for byte.
+    fn write_escaped_bytewise(out: &mut String, s: &str) {
+        out.push('"');
+        let mut start = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x08 => "\\b",
+                0x0c => "\\f",
+                0x00..=0x1f => "",
+                _ => continue,
+            };
+            out.push_str(&s[start..i]);
+            if escape.is_empty() {
+                let _ = write!(out, "\\u{b:04x}");
+            } else {
+                out.push_str(escape);
+            }
+            start = i + 1;
+        }
+        out.push_str(&s[start..]);
+        out.push('"');
+    }
+
+    /// What the escaper's input is drawn from: every character it must
+    /// escape, plain ASCII, and UTF-8 of two, three and four bytes.
+    fn escape_pool() -> Vec<char> {
+        let mut pool: Vec<char> = (0u8..0x20).map(char::from).collect();
+        pool.extend(['"', '\\', '/', 'a', ' ', '~', '\u{7f}', 'é', '漢', '\u{1F600}']);
+        pool
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn write_escaped_matches_the_bytewise_escaper_and_decodes_back(
+            picks in proptest::collection::vec((0usize..escape_pool().len(), 0usize..24), 0..96),
+        ) {
+            // runs of plain ASCII between the picked characters, so the
+            // scan crosses eight-byte words both inside and across runs
+            let pool = escape_pool();
+            let mut s = String::new();
+            for (pick, run) in picks {
+                s.extend(std::iter::repeat_n('x', run));
+                s.push(pool[pick]);
+            }
+            let (mut fast, mut slow) = (String::new(), String::new());
+            write_escaped(&mut fast, &s);
+            write_escaped_bytewise(&mut slow, &s);
+            proptest::prop_assert_eq!(&fast, &slow);
+            let decoded = Borrowed::parse(&fast).map_err(|e| e.to_string())?;
+            proptest::prop_assert_eq!(decoded.as_str().map(|raw| raw.decode()), Some(s));
+        }
     }
 
     #[test]

@@ -64,14 +64,18 @@ pub mod kinds {
 /// The reflected IEEE 802.3 polynomial.
 const CRC_POLY: u32 = 0xEDB8_8320;
 
-/// Slicing-by-8 tables, built at compile time: `CRC_TABLES[0]` is the
+/// Slicing-by-16 tables, built at compile time: `CRC_TABLES[0]` is the
 /// classic bytewise table, and `CRC_TABLES[k][b]` advances the CRC of
-/// byte `b` over `k` further zero bytes, so eight table lookups fold
-/// eight input bytes at once.
-const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+/// byte `b` over `k` further zero bytes, so sixteen table lookups fold
+/// sixteen input bytes at once.
+const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
+/// Inputs at least this long are checksummed as three interleaved
+/// streams; shorter ones (journal records, small files) serially.
+const STREAMS_MIN: usize = 3 * 4096;
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -84,7 +88,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = t[k - 1][i];
@@ -99,26 +103,89 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 /// CRC-32 (IEEE 802.3, reflected, init and final XOR `0xFFFF_FFFF` —
 /// zlib's `crc32()`) over `bytes`. The one checksum of every TOSS file:
 /// segments, journal records and the JSON snapshot all use it.
+///
+/// Sixteen bytes are folded per step. An input of at least 12 KiB is cut
+/// into three equal 16-byte-aligned blocks plus a tail: the blocks are
+/// advanced together in one loop, so the three chains of table lookups
+/// overlap, and their states are then combined by the CRC's linearity
+/// (a state followed by `n` more bytes is that state times `x^(8n)`
+/// mod P, plus the state those bytes give from zero).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut rest = bytes;
+    if bytes.len() >= STREAMS_MIN {
+        let block = bytes.len() / 3 / 16 * 16;
+        let (a, tail) = bytes.split_at(block);
+        let (b, tail) = tail.split_at(block);
+        let (c, tail) = tail.split_at(block);
+        let (mut ca, mut cb, mut cc) = (crc, 0u32, 0u32);
+        let words = a.as_chunks::<16>().0.iter();
+        let words = words.zip(b.as_chunks::<16>().0).zip(c.as_chunks::<16>().0);
+        for ((wa, wb), wc) in words {
+            ca = crc_step16(ca, wa);
+            cb = crc_step16(cb, wb);
+            cc = crc_step16(cc, wc);
+        }
+        let shift = x_pow_8n(block);
+        crc = gf2_mul(shift, gf2_mul(shift, ca) ^ cb) ^ cc;
+        rest = tail;
     }
-    for &b in words.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    let (words, tail) = rest.as_chunks::<16>();
+    for w in words {
+        crc = crc_step16(crc, w);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Advance the CRC state `crc` over the sixteen bytes `w`.
+#[inline(always)]
+fn crc_step16(crc: u32, w: &[u8; 16]) -> u32 {
+    let t = &CRC_TABLES;
+    let a = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    let b = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+    let c = u32::from_le_bytes([w[8], w[9], w[10], w[11]]);
+    let d = u32::from_le_bytes([w[12], w[13], w[14], w[15]]);
+    let fold = |x: u32, k: usize| {
+        t[k + 3][(x & 0xFF) as usize]
+            ^ t[k + 2][((x >> 8) & 0xFF) as usize]
+            ^ t[k + 1][((x >> 16) & 0xFF) as usize]
+            ^ t[k][(x >> 24) as usize]
+    };
+    fold(a, 12) ^ fold(b, 8) ^ fold(c, 4) ^ fold(d, 0)
+}
+
+/// `a · b mod P` over GF(2), both in the reflected representation
+/// (bit 31 is `x^0`).
+fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ CRC_POLY } else { b >> 1 };
+        m >>= 1;
+    }
+    product
+}
+
+/// `x^(8n) mod P`, reflected: multiplying a CRC state by it advances the
+/// state over `n` zero bytes. Square-and-multiply over the bits of `8n`.
+fn x_pow_8n(n: usize) -> u32 {
+    let mut result = 1u32 << 31; // x^0
+    let mut square = 1u32 << 30; // x^1, then x^2, x^4, ...
+    let mut e = n as u64 * 8;
+    while e != 0 {
+        if e & 1 != 0 {
+            result = gf2_mul(square, result);
+        }
+        square = gf2_mul(square, square);
+        e >>= 1;
+    }
+    result
 }
 
 /// FNV-1a 64-bit over `bytes` — the probe hash for [`map::KeyMapRef`].
@@ -179,7 +246,7 @@ mod tests {
 
     #[test]
     fn crc32_detects_every_single_bit_flip() {
-        let mut bytes = b"hello world, sliced by eight".to_vec();
+        let mut bytes = b"hello world, sliced by sixteen".to_vec();
         let base = crc32(&bytes);
         for i in 0..bytes.len() * 8 {
             bytes[i / 8] ^= 1 << (i % 8);
@@ -196,13 +263,47 @@ mod tests {
         }
     }
 
+    #[test]
+    fn crc32_equals_the_bitwise_definition_around_the_stream_threshold() {
+        // a pattern with no short period, so no two blocks are alike
+        let bytes: Vec<u8> = (0..STREAMS_MIN as u32 + 16)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 12_280..=12_300 {
+            assert_eq!(crc32(&bytes[..len]), crc32_bitwise(&bytes[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn crc32_detects_single_bit_flips_across_the_streams() {
+        let mut bytes: Vec<u8> = (0..40u32 << 10)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let base = crc32(&bytes);
+        assert_eq!(base, crc32_bitwise(&bytes));
+        // every bit of the bytes around each block edge and the tail,
+        // and a stride through the rest
+        let block = bytes.len() / 3 / 16 * 16;
+        let edges = [0, block, 2 * block, 3 * block, bytes.len()];
+        let near = |bit: usize| edges.iter().any(|&e| (bit / 8).abs_diff(e) <= 24);
+        for bit in (0..bytes.len() * 8).filter(|&bit| near(bit) || bit % 997 == 0) {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(crc32(&bytes), base, "bit {bit} flip went undetected");
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
     proptest::proptest! {
-        /// Random buffers read from every offset 0..8 (so the 8-byte
-        /// words straddle every alignment) agree with the definition.
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Random buffers up to 64 KiB, read from every offset 0..16 (so
+        /// the 16-byte words straddle every alignment and both the
+        /// serial and the three-stream path run), agree with the
+        /// definition.
         #[test]
         fn crc32_equals_the_bitwise_definition(
-            bytes in proptest::collection::vec(0u8..=255, 0..600),
-            offset in 0usize..8,
+            bytes in proptest::collection::vec(0u8..=255, 0..64 << 10),
+            offset in 0usize..16,
         ) {
             let tail = &bytes[offset.min(bytes.len())..];
             proptest::prop_assert_eq!(crc32(tail), crc32_bitwise(tail));

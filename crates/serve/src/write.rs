@@ -70,7 +70,10 @@
 //! restart replays the journal and reconverges. Nothing fallible runs
 //! between fsync and apply — SEO re-enhancement happens *before* the
 //! journal append — so this path is reachable only through a bug, and
-//! it is contained rather than papered over.
+//! it is contained rather than papered over. A panic on the writer
+//! thread is fatal too: nothing is left to drain the queue, so the
+//! server says why (`writer thread panicked: …`) instead of answering
+//! every later write `internal`.
 //!
 //! ## Checkpoints
 //!
@@ -85,6 +88,7 @@ use crate::open::Checkpoint;
 use crate::protocol::{ErrorCode, WriteOp};
 use crate::service::Service;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -337,11 +341,31 @@ impl WriterLoop {
     /// The thread body: drain jobs until every sender is gone (server
     /// drain drops the queue's sender after refusing new writes, so
     /// already-enqueued writes still commit and ack during shutdown).
+    ///
+    /// A panic ends the thread but not silently: the jobs it was running
+    /// are dropped unanswered (their connections answer `internal`), the
+    /// server turns fatally degraded with the panic's message as the
+    /// reason, and the jobs still queued are refused `degraded`, as
+    /// ingress refuses every later write.
     pub(crate) fn run(mut self, rx: Receiver<WriteJob>) {
+        let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| self.serve(&rx))) else {
+            return;
+        };
+        let what = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        self.state.enter_fatal(format!("writer thread panicked: {what}"));
+        // a degraded state makes the batch path refuse every job
+        self.commit_batch(rx.try_iter().collect());
+    }
+
+    fn serve(&mut self, rx: &Receiver<WriteJob>) {
         loop {
             match rx.recv_timeout(self.engine.config.tick) {
                 Ok(job) => {
-                    let (batch, checkpoint) = self.collect_batch(job, &rx);
+                    let (batch, checkpoint) = self.collect_batch(job, rx);
                     if !batch.is_empty() {
                         self.commit_batch(batch);
                     }

@@ -36,7 +36,7 @@ use crate::vfs::{StdVfs, Vfs};
 use crate::DocumentId;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use toss_tree::serialize::{compact_len, tree_to_xml, Style};
+use toss_tree::serialize::{tree_to_xml, Style};
 use toss_tree::Tree;
 
 /// What a lenient [`DurableDatabase::recover_with`] found and did.
@@ -530,9 +530,11 @@ pub struct BatchValidator<'a> {
     doc_sizes: std::collections::BTreeMap<(String, u64), usize>,
     /// Documents removed within the batch.
     removed: std::collections::BTreeSet<(String, u64)>,
-    /// How an op's XML is parsed: with the parser's depth limit for new
-    /// writes, without it for journal records the store already holds.
-    parse: fn(&str) -> DbResult<Tree>,
+    /// How deep an op's XML may nest: the parser's limit for new writes,
+    /// unlimited for journal records the store already holds.
+    max_depth: usize,
+    /// The measuring parse's decoding buffer, reused across the batch.
+    buf: String,
 }
 
 impl<'a> BatchValidator<'a> {
@@ -546,7 +548,8 @@ impl<'a> BatchValidator<'a> {
             sizes: Default::default(),
             doc_sizes: Default::default(),
             removed: Default::default(),
-            parse: crate::parser::parse_document,
+            max_depth: crate::parser::MAX_DEPTH,
+            buf: String::new(),
         }
     }
 
@@ -555,9 +558,15 @@ impl<'a> BatchValidator<'a> {
     /// limit introduced since.
     fn replaying(db: &'a Database) -> Self {
         BatchValidator {
-            parse: crate::parser::parse_stored,
+            max_depth: usize::MAX,
             ..BatchValidator::new(db)
         }
+    }
+
+    /// The compact size of the tree `xml` parses to, or the error its
+    /// parse would return, found without building the tree.
+    fn measure(&mut self, xml: &str) -> DbResult<usize> {
+        Ok(crate::parser::measure(xml, self.max_depth, &mut self.buf)?.size)
     }
 
     fn collection_exists(&self, name: &str) -> bool {
@@ -640,7 +649,7 @@ impl<'a> BatchValidator<'a> {
                 if !self.collection_exists(collection) {
                     return Err(DbError::NoSuchCollection(collection.clone()));
                 }
-                let size = compact_len(&(self.parse)(xml)?);
+                let size = self.measure(xml)?;
                 let cur = self.cur_size(collection);
                 check_size_limit(collection, self.size_limit(collection), cur + size)?;
                 self.sizes.insert(collection.clone(), cur + size);
@@ -666,7 +675,7 @@ impl<'a> BatchValidator<'a> {
                     return Err(DbError::NoSuchCollection(collection.clone()));
                 }
                 let old = self.doc_size(collection, *doc_id)?;
-                let new_size = compact_len(&(self.parse)(xml)?);
+                let new_size = self.measure(xml)?;
                 let attempted = self.cur_size(collection) - old + new_size;
                 check_size_limit(collection, self.size_limit(collection), attempted)?;
                 self.sizes.insert(collection.clone(), attempted);
@@ -1097,6 +1106,47 @@ mod tests {
             collection: "d".into(),
             xml: deep,
         }));
+    }
+
+    #[test]
+    fn a_refused_write_gets_the_error_its_tree_parse_gave() {
+        let mut db = Database::with_config(DatabaseConfig {
+            collection_size_limit: Some(40),
+        });
+        db.create_collection("d").unwrap();
+        let base = crate::parser::parse_document("<r>ab</r>").unwrap();
+        db.collection_mut("d").unwrap().insert(base).unwrap();
+        let mut v = BatchValidator::new(&db);
+        let refused = |v: &mut BatchValidator, op: JournalOp| v.check(&op).unwrap_err().to_string();
+        let insert = |xml: &str| JournalOp::Insert {
+            collection: "d".into(),
+            xml: xml.into(),
+        };
+        assert_eq!(
+            refused(&mut v, insert(&nested(257))),
+            "XML parse error at byte 768: element nesting depth 257 exceeds the limit of 256"
+        );
+        assert_eq!(
+            refused(&mut v, insert("<r><s></r>")),
+            "XML parse error at byte 9: mismatched end tag: expected </s>, found </r>"
+        );
+        // sizes are the compact rendering's: 22 bytes, then 29
+        v.check(&insert("<r  k = 'v' >  some text  </r >")).unwrap();
+        assert_eq!(
+            refused(&mut v, insert("<r>0123456789</r>")),
+            "collection `d` full: 48 bytes > limit 40 bytes"
+        );
+        assert_eq!(
+            refused(
+                &mut v,
+                JournalOp::Replace {
+                    collection: "d".into(),
+                    doc_id: 0,
+                    xml: "<r  k = 'v' > some longer text </r >".into(),
+                }
+            ),
+            "collection `d` full: 51 bytes > limit 40 bytes"
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ use toss_tree::{Forest, NodeData, NodeId, Tree, Value};
 /// all recurse once per level, and a server parses inserts on threads
 /// with std's default 2 MiB stack, so deeper input is a parse error
 /// rather than a stack overflow that aborts the process.
-const MAX_DEPTH: usize = 256;
+pub(crate) const MAX_DEPTH: usize = 256;
 
 /// Parse a single XML document into a tree.
 ///
@@ -99,7 +99,8 @@ pub fn measure_stored(input: &str, buf: &mut String) -> DbResult<Measured> {
     measure(input, usize::MAX, buf)
 }
 
-fn measure(input: &str, max_depth: usize, buf: &mut String) -> DbResult<Measured> {
+/// [`measure_stored`] with a depth limit: `usize::MAX` for none.
+pub(crate) fn measure(input: &str, max_depth: usize, buf: &mut String) -> DbResult<Measured> {
     let mut p = Parser::new(input, max_depth, std::mem::take(buf));
     let mut m = Measure::new(input);
     let parsed = p.one_root(&mut m);

@@ -337,4 +337,41 @@ BELOW_OUT=$("$CLI" query --db "$SMOKE/store.json" --seo "$SMOKE/seo.json" \
     --collection dblp --root inproceedings --below author=smoke-pioneer)
 grep -q "^0 answer(s)" <<< "$BELOW_OUT"
 
+echo "==> CRC-32 of a stored snapshot and .seg against zlib"
+# the store's checksum is zlib's crc32(); checking real files with an
+# independent implementation holds the three-stream path (inputs of
+# 12 KiB and more) to the definition, not only to the code's own tests
+ZDIR="$SMOKE/zlib"
+mkdir "$ZDIR"
+python3 - "$ZDIR/papers.xml" <<'PY'
+import sys
+records = "".join(
+    f'<inproceedings key="z{i}"><author>Author {i % 37}</author>'
+    f"<title>On checksums &amp; streams, part {i}</title>"
+    f"<booktitle>CONF{i % 11}</booktitle><year>{1990 + i % 20}</year></inproceedings>\n"
+    for i in range(300)
+)
+open(sys.argv[1], "w").write(records)
+PY
+"$CLI" load --db "$ZDIR/store.json" --collection dblp "$ZDIR/papers.xml" >/dev/null
+python3 - "$ZDIR/papers.xml" "$ZDIR/store.json" "$ZDIR/store.seg" <<'PY'
+import json, os, sys, zlib
+forest, snapshot, seg = sys.argv[1:]
+assert os.path.getsize(forest) > 12 << 10, "the forest file is under 12 KiB"
+raw = open(snapshot, "rb").read()
+head = b'{"version":2,"checksum":'
+assert raw.startswith(head), raw[:40]
+stored, rest = raw[len(head):].split(b',"data":', 1)
+assert rest.endswith(b"}"), rest[-20:]
+data = rest[:-1]
+assert len(data) >= 12 << 10, f"snapshot data is only {len(data)} bytes"
+assert len(json.loads(data)["collections"][0]["documents"]) == 300
+assert zlib.crc32(data) == int(stored), (zlib.crc32(data), int(stored))
+body = open(seg, "rb").read()
+assert len(body) >= 12 << 10, f"the .seg is only {len(body)} bytes"
+trailer = int.from_bytes(body[-4:], "little")
+assert zlib.crc32(body[:-4]) == trailer, (zlib.crc32(body[:-4]), trailer)
+print(f"zlib crc32 agrees: snapshot data {len(data)} bytes, .seg {len(body)} bytes")
+PY
+
 echo "==> verify OK"

@@ -899,8 +899,9 @@ fn a_write_ack_timeout_is_counted_and_the_write_still_applies() {
 
 /// A writer that dies drops the job's reply without answering: the
 /// client is told `internal` with no retry hint, long before the class
-/// deadline, the answer is counted, and the next write, which finds the
-/// writer's queue gone, is answered `internal` too.
+/// deadline, and the answer is counted. The panic leaves the server
+/// read-only and says why: `stats` shows it degraded with the panic's
+/// message, and the next write is refused `degraded` at ingress.
 #[test]
 fn a_dead_writer_is_answered_internal_not_overloaded() {
     let vfs = Arc::new(FaultVfs::new());
@@ -934,20 +935,100 @@ fn a_dead_writer_is_answered_internal_not_overloaded() {
     );
     assert!(counter_value("toss.serve.errors.internal") > before);
 
-    let before = counter_value("toss.serve.errors.internal");
+    // the job is dropped while the writer unwinds, just before the
+    // state flips, so the answer can overtake it
+    let reason = "writer thread panicked: the enhancer panics";
+    let t0 = Instant::now();
+    let mut write = client.stats().unwrap().write;
+    while !write.degraded {
+        assert!(t0.elapsed() < Duration::from_secs(10), "{write:?}");
+        thread::yield_now();
+        write = client.stats().unwrap().write;
+    }
+    assert_eq!(write.reason, reason);
+    // the process-global gauge, read until this server's export wins as
+    // in `persistent_journal_faults_degrade_to_read_only_then_self_heal`
+    while !client.metrics().unwrap().contains("toss_serve_degraded 1") {
+        assert!(t0.elapsed() < Duration::from_secs(10), "toss.serve.degraded never read 1");
+        thread::sleep(Duration::from_millis(20));
+    }
+
+    let before = counter_value("toss.serve.errors.degraded");
     match client.write_keyed(
         insert_op("after-death", "Nobody"),
         BudgetClass::Batch,
         &next_write_key(),
     ) {
         Err(ClientError::Server {
+            code: ErrorCode::Degraded,
+            message,
+            ..
+        }) => assert!(message.ends_with(reason), "{message}"),
+        other => panic!("expected `degraded` once the writer is gone, got {other:?}"),
+    }
+    assert!(counter_value("toss.serve.errors.degraded") > before);
+    server.shutdown();
+}
+
+/// A write queued behind the job a writer panics on is not dropped with
+/// it: the dying writer refuses it `degraded`, with the panic's reason.
+#[test]
+fn a_write_queued_behind_a_writer_panic_is_refused_degraded() {
+    let vfs = Arc::new(FaultVfs::new());
+    seed_writable(&vfs, 6);
+    let mut opened = open_seeded(&vfs, Some(WriteConfig::default()));
+    let mut engine = opened.engine.take().expect("opened writable");
+    // the enhancer says it has the first job, then panics when released
+    let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    engine.enhancer = Box::new(move |_| {
+        entered_tx.send(()).ok();
+        release_rx.recv().ok();
+        panic!("the gated enhancer panics")
+    });
+    let exec = Arc::new(RwLock::new(chaos_executor(opened)));
+    let server =
+        Server::start_writable(exec, engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let write = move |op: WriteOp| {
+        thread::spawn(move || {
+            Client::connect(addr)
+                .unwrap()
+                .write_keyed(op, BudgetClass::Batch, &next_write_key())
+        })
+    };
+
+    let first = write(WriteOp::AddTerm {
+        terms: vec!["gated-term".into()],
+    });
+    entered_rx.recv_timeout(Duration::from_secs(10)).expect("the writer took the first job");
+    let queued = write(insert_op("queued", "Queued Author"));
+    // both writes are in flight once the second is in the queue
+    let t0 = Instant::now();
+    while server.inflight() < 2 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "the second write never queued");
+        thread::yield_now();
+    }
+    release_tx.send(()).unwrap();
+
+    match first.join().unwrap() {
+        Err(ClientError::Server {
             code: ErrorCode::Internal,
-            retry_after_ms: None,
             ..
         }) => {}
-        other => panic!("expected `internal` once the writer is gone, got {other:?}"),
+        other => panic!("expected `internal` for the dropped job, got {other:?}"),
     }
-    assert!(counter_value("toss.serve.errors.internal") > before);
+    match queued.join().unwrap() {
+        Err(ClientError::Server {
+            code: ErrorCode::Degraded,
+            message,
+            ..
+        }) => assert!(
+            message.ends_with("writer thread panicked: the gated enhancer panics"),
+            "{message}"
+        ),
+        other => panic!("expected `degraded` for the queued job, got {other:?}"),
+    }
     server.shutdown();
 }
 
